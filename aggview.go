@@ -239,26 +239,25 @@ func (s *System) InsertContext(ctx context.Context, table string, rows ...[]Valu
 	if !ok {
 		return fmt.Errorf("aggview: unknown table %q", table)
 	}
-	rel, ok := s.DB.Get(t.Name)
-	if !ok {
-		rel = engine.NewRelation(t.Columns...)
-		s.DB.Put(t.Name, rel)
-	}
 	for _, row := range rows {
 		if len(row) != len(t.Columns) {
 			return fmt.Errorf("aggview: %s expects %d values, got %d", t.Name, len(t.Columns), len(row))
 		}
+	}
+	db := s.store()
+	if _, ok := db.NumRows(t.Name); !ok {
+		db.Put(t.Name, engine.NewRelation(t.Columns...))
 	}
 	if s.maint != nil {
 		if err := s.maintainer().InsertContext(ctx, t.Name, rows...); err != nil {
 			return err
 		}
 	} else {
-		// Copy-on-write append: snapshots pinned by concurrent readers
-		// keep the old tuple slice. Append fires the DB's invalidation
-		// hook, which plan caches layered above the system
-		// (internal/server) rely on to observe every mutation.
-		s.DB.Append(t.Name, rows...)
+		// Append fires the DB's invalidation hook, which plan caches
+		// layered above the system (internal/server) rely on to observe
+		// every mutation; snapshots pinned by concurrent readers keep
+		// their own length.
+		db.Append(t.Name, rows...)
 	}
 	s.refreshStats(t.Name)
 	return nil
@@ -267,21 +266,29 @@ func (s *System) InsertContext(ctx context.Context, table string, rows ...[]Valu
 // refreshStats re-reads cardinalities for a mutated table and every
 // materialized view, keeping the cost model current across mutations.
 func (s *System) refreshStats(table string) {
-	if rel, ok := s.DB.Get(table); ok {
-		s.Stats[strings.ToLower(table)] = float64(rel.Len())
+	if n, ok := s.DB.NumRows(table); ok {
+		s.Stats[strings.ToLower(table)] = float64(n)
 	}
 	for _, v := range s.Views.All() {
-		if m, ok := s.DB.Get(v.Name); ok {
-			s.Stats[strings.ToLower(v.Name)] = float64(m.Len())
+		if n, ok := s.DB.NumRows(v.Name); ok {
+			s.Stats[strings.ToLower(v.Name)] = float64(n)
 		}
 	}
+}
+
+// store returns the database with the system's metrics registry
+// attached, for the write paths that count their storage decisions.
+func (s *System) store() *engine.DB {
+	s.DB.SetMetrics(s.Metrics)
+	return s.DB
 }
 
 // maintainer lazily builds the view maintainer and keeps its
 // instrumentation knobs in sync with the system's.
 func (s *System) maintainer() *maintain.Maintainer {
+	db := s.store()
 	if s.maint == nil {
-		s.maint = maintain.New(s.DB, s.Views)
+		s.maint = maintain.New(db, s.Views)
 	}
 	s.maint.Metrics = s.Metrics
 	s.maint.Workers = s.Opts.Workers
@@ -388,110 +395,172 @@ func parseUpdate(table, set, where string) (*sqlparser.Update, error) {
 	return upd, nil
 }
 
-// applyDelete partitions the table's rows by the parsed condition and
-// routes the matching rows out as a deletion — through the maintainer
-// when views are tracked (so materializations absorb the delta), as a
-// copy-on-write relation swap otherwise.
+// matchRows finds the rows of a stored table that satisfy a DELETE or
+// UPDATE condition, returning their positions (ascending) and the rows
+// themselves, boxed — they are the delta the maintainer needs, and the
+// only rows this boxes. Conjuncts comparing a column with a constant or
+// another column run through the engine's vectorised filter over the
+// stored vectors; when the condition has other conjuncts (arithmetic),
+// sqlparser.EvalCond then decides each survivor. An unmatched row is
+// therefore never evaluated, so an expression that would fail only on
+// such rows (a division by zero, say) no longer fails the statement; a
+// column the table lacks still does, whatever the data.
+func (s *System) matchRows(ctx context.Context, tab *engine.ColTable, where sqlparser.Expr) ([]int32, [][]Value, error) {
+	attrs := tab.Attrs()
+	if err := checkColumns(where, attrs); err != nil {
+		return nil, nil, err
+	}
+	colOf := func(e sqlparser.Expr) (ir.Term, bool) {
+		switch x := e.(type) {
+		case *sqlparser.Lit:
+			return ir.ConstTerm(x.Val), true
+		case *sqlparser.ColumnRef:
+			return ir.ColTerm(ir.ColID(columnAt(attrs, x.Name))), true
+		}
+		return ir.Term{}, false
+	}
+	var preds []ir.Pred
+	residual := false
+	for _, c := range sqlparser.Conjuncts(where) {
+		if b, ok := c.(*sqlparser.BinExpr); ok && sqlparser.IsComparison(b.Op) {
+			l, lok := colOf(b.L)
+			r, rok := colOf(b.R)
+			if lok && rok {
+				preds = append(preds, ir.Pred{Op: ir.CompareOp(b.Op), L: l, R: r})
+				continue
+			}
+		}
+		residual = true
+	}
+	pos, err := s.evaluator(s.Views).MatchContext(ctx, tab, preds)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := tab.Rows(pos)
+	if !residual {
+		return pos, rows, nil
+	}
+	n := 0
+	for i, row := range rows {
+		match, err := sqlparser.EvalCond(where, attrs, row)
+		if err != nil {
+			return nil, nil, err
+		}
+		if match {
+			pos[n], rows[n] = pos[i], row
+			n++
+		}
+	}
+	return pos[:n], rows[:n], nil
+}
+
+// columnAt returns the position of the named column (matched
+// case-insensitively, as sqlparser.EvalExpr does), or -1.
+func columnAt(attrs []string, name string) int {
+	for i, c := range attrs {
+		if strings.EqualFold(c, name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkColumns rejects a row expression that names a column the table
+// does not have, with the error sqlparser.EvalExpr gives.
+func checkColumns(e sqlparser.Expr, attrs []string) error {
+	switch x := e.(type) {
+	case *sqlparser.ColumnRef:
+		if columnAt(attrs, x.Name) < 0 {
+			return fmt.Errorf("sqlparser: unknown column %q", x.Name)
+		}
+	case *sqlparser.BinExpr:
+		if err := checkColumns(x.L, attrs); err != nil {
+			return err
+		}
+		return checkColumns(x.R, attrs)
+	}
+	return nil
+}
+
+// applyMutation routes a positional change of one base table — through
+// the maintainer when views are tracked (so materializations absorb the
+// delta), as a direct engine commit otherwise. olds are the stored rows
+// at pos; news, when non-nil, replaces them one for one.
+func (s *System) applyMutation(ctx context.Context, table string, tab *engine.ColTable, pos []int32, olds, news [][]Value) error {
+	if s.maint != nil {
+		return s.maintainer().ApplyContext(ctx, maintain.Mutation{Table: table, Deletes: olds, Inserts: news, At: pos})
+	}
+	d := engine.Delta{Drop: pos}
+	if news != nil {
+		d = engine.Delta{SetAt: pos, SetRows: news}
+	}
+	s.store().Apply([]engine.Commit{{Name: table, Base: tab, Delta: d}})
+	return nil
+}
+
+// applyDelete removes the rows matching the parsed condition and
+// reports how many there were.
 func (s *System) applyDelete(ctx context.Context, del *sqlparser.Delete) (int, error) {
 	t, ok := s.Catalog.Table(del.Table)
 	if !ok {
 		return 0, fmt.Errorf("aggview: unknown table %q", del.Table)
 	}
-	rel, ok := s.DB.Get(t.Name)
-	if !ok || rel.Len() == 0 {
+	tab, ok, _ := s.DB.Scan(t.Name)
+	if !ok || tab.NumRows() == 0 {
 		return 0, nil
 	}
-	var deletes, kept [][]Value
-	for _, row := range rel.Tuples {
-		match, err := sqlparser.EvalCond(del.Where, rel.Attrs, row)
-		if err != nil {
-			return 0, err
-		}
-		if match {
-			deletes = append(deletes, row)
-		} else {
-			kept = append(kept, row)
-		}
+	pos, rows, err := s.matchRows(ctx, tab, del.Where)
+	if err != nil || len(pos) == 0 {
+		return 0, err
 	}
-	if len(deletes) == 0 {
-		return 0, nil
-	}
-	if s.maint != nil {
-		if err := s.maintainer().ApplyContext(ctx, maintain.Mutation{Table: t.Name, Deletes: deletes}); err != nil {
-			return 0, err
-		}
-	} else {
-		next := engine.NewRelation(rel.Attrs...)
-		next.Tuples = kept
-		s.DB.Put(t.Name, next)
+	if err := s.applyMutation(ctx, t.Name, tab, pos, rows, nil); err != nil {
+		return 0, err
 	}
 	s.refreshStats(t.Name)
-	return len(deletes), nil
+	return len(pos), nil
 }
 
 // applyUpdate computes each matching row's replacement from the SET
-// assignments (evaluated over the old values) and routes the change as
-// a paired delete+insert, which counting maintenance applies
-// atomically.
+// assignments (evaluated over the old values) and overwrites the rows
+// in place; tracked views see a paired delete+insert, which counting
+// maintenance applies atomically.
 func (s *System) applyUpdate(ctx context.Context, upd *sqlparser.Update) (int, error) {
 	t, ok := s.Catalog.Table(upd.Table)
 	if !ok {
 		return 0, fmt.Errorf("aggview: unknown table %q", upd.Table)
 	}
-	rel, ok := s.DB.Get(t.Name)
-	if !ok || rel.Len() == 0 {
+	tab, ok, _ := s.DB.Scan(t.Name)
+	if !ok || tab.NumRows() == 0 {
 		return 0, nil
 	}
+	attrs := tab.Attrs()
 	setAt := make([]int, len(upd.Set))
 	for i, a := range upd.Set {
-		setAt[i] = -1
-		for j, c := range rel.Attrs {
-			if strings.EqualFold(c, a.Col) {
-				setAt[i] = j
-				break
-			}
-		}
-		if setAt[i] < 0 {
+		if setAt[i] = columnAt(attrs, a.Col); setAt[i] < 0 {
 			return 0, fmt.Errorf("aggview: unknown column %q in UPDATE %s", a.Col, t.Name)
 		}
 	}
-	var olds, news [][]Value
-	next := make([][]Value, 0, len(rel.Tuples))
-	for _, row := range rel.Tuples {
-		match, err := sqlparser.EvalCond(upd.Where, rel.Attrs, row)
-		if err != nil {
-			return 0, err
-		}
-		if !match {
-			next = append(next, row)
-			continue
-		}
+	pos, olds, err := s.matchRows(ctx, tab, upd.Where)
+	if err != nil || len(pos) == 0 {
+		return 0, err
+	}
+	news := make([][]Value, len(olds))
+	for r, row := range olds {
 		repl := append([]Value{}, row...)
 		for i, a := range upd.Set {
-			v, err := sqlparser.EvalExpr(a.Expr, rel.Attrs, row)
+			v, err := sqlparser.EvalExpr(a.Expr, attrs, row)
 			if err != nil {
 				return 0, err
 			}
 			repl[setAt[i]] = v
 		}
-		olds = append(olds, row)
-		news = append(news, repl)
-		next = append(next, repl)
+		news[r] = repl
 	}
-	if len(olds) == 0 {
-		return 0, nil
-	}
-	if s.maint != nil {
-		if err := s.maintainer().ApplyContext(ctx, maintain.Mutation{Table: t.Name, Deletes: olds, Inserts: news}); err != nil {
-			return 0, err
-		}
-	} else {
-		repl := engine.NewRelation(rel.Attrs...)
-		repl.Tuples = next
-		s.DB.Put(t.Name, repl)
+	if err := s.applyMutation(ctx, t.Name, tab, pos, olds, news); err != nil {
+		return 0, err
 	}
 	s.refreshStats(t.Name)
-	return len(olds), nil
+	return len(pos), nil
 }
 
 // TrackView materializes a view and keeps it consistent under future
@@ -512,7 +581,7 @@ func (s *System) TrackViewContext(ctx context.Context, name string) (incremental
 	// no rows have been inserted yet.
 	if v, ok := s.Views.Get(name); ok {
 		for _, t := range v.Def.Tables {
-			if _, exists := s.DB.Get(t.Source); exists {
+			if _, exists := s.DB.NumRows(t.Source); exists {
 				continue
 			}
 			if tab, isTable := s.Catalog.Table(t.Source); isTable {
@@ -524,8 +593,8 @@ func (s *System) TrackViewContext(ctx context.Context, name string) (incremental
 	if err != nil {
 		return false, err
 	}
-	if rel, ok := s.DB.Get(name); ok {
-		s.Stats[strings.ToLower(name)] = float64(rel.Len())
+	if n, ok := s.DB.NumRows(name); ok {
+		s.Stats[strings.ToLower(name)] = float64(n)
 	}
 	return inc, nil
 }
@@ -561,8 +630,8 @@ func (s *System) AdoptDB(db *engine.DB, names ...string) {
 	s.DB = db
 	s.maint = nil
 	for _, n := range names {
-		if rel, ok := db.Get(n); ok {
-			s.Stats[strings.ToLower(n)] = float64(rel.Len())
+		if rows, ok := db.NumRows(n); ok {
+			s.Stats[strings.ToLower(n)] = float64(rows)
 		}
 	}
 }
@@ -728,7 +797,7 @@ func (s *System) flattenMulti(q *ir.Query, anon *ir.Registry) (*ir.Query, error)
 		return nil, err
 	}
 	keep := func(name string) bool {
-		_, materialized := s.DB.Get(name)
+		_, materialized := s.DB.NumRows(name)
 		return materialized
 	}
 	out, _ := unnest.Flatten(q, reg, keep)

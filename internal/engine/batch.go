@@ -13,9 +13,11 @@ const kindMixed value.Kind = 0xff
 // Vec is one typed column vector. Exactly one payload slice is active,
 // selected by kind: ints carries KindInt and KindBool (0/1) cells,
 // floats carries KindFloat, strs carries KindString, and vals carries
-// the boxed cells of a mixed-kind column. Vectors are immutable once
-// built — kernels share them freely across batches and goroutines and
-// produce new vectors instead of writing in place.
+// the boxed cells of a mixed-kind column. A vector's cells are immutable
+// once built — kernels share them freely across batches and goroutines
+// and produce new vectors instead of writing in place. The one writer
+// is the store: a stored column's payload may carry spare capacity past
+// its length, which DB.Apply fills for the next version (storage.go).
 type Vec struct {
 	kind   value.Kind
 	ints   []int64

@@ -46,8 +46,8 @@ func (ev *Evaluator) Explain(q *ir.Query) string {
 		if ev == nil || ev.DB == nil {
 			return ""
 		}
-		if rel, ok := ev.DB.Get(name); ok {
-			return fmt.Sprintf(" [%d rows]", rel.Len())
+		if n, ok := ev.DB.NumRows(name); ok {
+			return fmt.Sprintf(" [%d rows]", n)
 		}
 		if ev.Views != nil {
 			if _, ok := ev.Views.Get(name); ok {

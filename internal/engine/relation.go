@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 
+	"aggview/internal/obs"
 	"aggview/internal/value"
 )
 
@@ -114,56 +115,92 @@ func (r *Relation) Sorted() *Relation {
 }
 
 // DB is a collection of named relations (base tables and materialized
-// views), looked up case-insensitively. It implements Storage (see
-// storage.go): scans serve a lazily built, cached columnar image of
-// each relation.
+// views), looked up case-insensitively. Every relation is stored once,
+// as a versioned ColTable (see storage.go); DB implements Storage by
+// handing out the installed version.
 //
-// All relation access is synchronized on db.mu, so mutations (Put,
-// Append, Refresh, Apply) may run concurrently with queries. Readers
-// that need a stable multi-relation view across an entire query take a
-// Snapshot (see storage.go) rather than holding the lock. The
-// concurrency contract this relies on: installed tuple slices are never
-// mutated in place — every mutation path replaces the Tuples slice (or
-// the whole Relation), so a slice header captured by a snapshot stays
-// valid forever.
+// All access is synchronized on db.mu, so mutations (Put, Append,
+// Refresh, Apply) may run concurrently with queries. Readers that need
+// a stable multi-relation view across an entire query take a Snapshot
+// rather than holding the lock. The concurrency contract this relies
+// on: the first n cells of an installed version's vectors are never
+// rewritten — every mutation path installs a new version whose vectors
+// are fresh arrays, shared unchanged columns, or the same arrays
+// extended at n and beyond.
 type DB struct {
 	mu   sync.Mutex
-	rels map[string]*Relation
-	cols map[string]*ColTable // cached columnar images, by lowercased name
-	vers map[string]uint64    // per-relation version counters
-	gen  uint64               // global version: bumped on every install
+	tabs map[string]*ColTable
+	gen  uint64 // global version: bumped on every install
 
-	// onInvalidate, when set, observes every Invalidate (see
+	// onInvalidate, when set, observes every loud install (see
 	// SetOnInvalidate in storage.go). Guarded by mu; invoked outside it.
 	onInvalidate func(name string)
+	// metrics, when set, counts which path each write took (see
+	// SetMetrics).
+	metrics *obs.Metrics
 }
 
 // NewDB returns an empty database.
-func NewDB() *DB { return &DB{rels: map[string]*Relation{}} }
+func NewDB() *DB { return &DB{tabs: map[string]*ColTable{}} }
 
 func lowerKey(name string) string { return strings.ToLower(name) }
 
-// installLocked replaces a relation under db.mu: new version, dropped
-// columnar image. Callers fire the invalidation hook (if any) after
-// releasing the lock.
-func (db *DB) installLocked(key string, r *Relation) {
-	db.rels[key] = r
-	delete(db.cols, key)
-	if db.vers == nil {
-		db.vers = map[string]uint64{}
+// SetMetrics attaches the registry the store counters go to:
+// engine.store.append.inplace / engine.store.append.copied count the
+// appending installs that did / did not fit every column's spare
+// capacity, engine.store.compact.bytes the column bytes rewritten by
+// deletes and updates. Nil (the default) detaches.
+func (db *DB) SetMetrics(m *obs.Metrics) {
+	db.mu.Lock()
+	db.metrics = m
+	db.mu.Unlock()
+}
+
+// installLocked makes ct the installed version of key under db.mu.
+// Callers fire the invalidation hook (if any) after releasing the lock.
+func (db *DB) installLocked(key string, ct *ColTable) {
+	ct.ver = 1
+	if prev, ok := db.tabs[key]; ok {
+		ct.ver = prev.ver + 1
 	}
-	db.vers[key]++
+	db.tabs[key] = ct
 	db.gen++
 }
 
-// Put stores a relation under a name, replacing any previous one and
-// dropping its cached columnar image. The invalidation hook fires: a
+// advanceLocked installs base+delta under db.mu. This is the single
+// site that extends stored vectors in place: only when base is the
+// version installed right now (a table is installed at most once, so
+// the pointer identifies the version) does the derivation own the spare
+// capacity behind its columns. Any other base — a staged table, a
+// version a concurrent writer has since replaced — is advanced by copy,
+// so no two live versions ever write the same cell.
+func (db *DB) advanceLocked(key string, base *ColTable, d *Delta) *ColTable {
+	next, cost := base.derive(d, db.tabs[key] == base)
+	db.installLocked(key, next)
+	if len(d.Append) > 0 {
+		if cost.realloc {
+			db.metrics.Volatile("engine.store.append.copied").Inc()
+		} else {
+			db.metrics.Volatile("engine.store.append.inplace").Inc()
+		}
+	}
+	if cost.copied > 0 {
+		db.metrics.Volatile("engine.store.compact.bytes").Add(cost.copied)
+	}
+	return next
+}
+
+// Put stores a relation under a name, replacing any previous one. The
+// rows are converted into fresh vectors, so the database never shares a
+// buffer with r or with another database r was Put into, and later
+// changes to r are not observed. The invalidation hook fires: a
 // wholesale replacement can make any dependent plan or materialization
 // stale.
 func (db *DB) Put(name string, r *Relation) {
 	key := lowerKey(name)
+	ct := BuildColTable(r)
 	db.mu.Lock()
-	db.installLocked(key, r)
+	db.installLocked(key, ct)
 	fn := db.onInvalidate
 	db.mu.Unlock()
 	if fn != nil {
@@ -171,21 +208,19 @@ func (db *DB) Put(name string, r *Relation) {
 	}
 }
 
-// Append adds tuples to an existing relation by installing a fresh
-// Tuples slice (copy-on-write, so pinned snapshots are unaffected) and
-// fires the invalidation hook. It reports whether the relation exists.
+// Append adds tuples to an existing relation — amortised O(rows
+// appended): the installed vectors grow into their spare capacity, and
+// versions pinned by snapshots keep their own length — and fires the
+// invalidation hook. It reports whether the relation exists.
 func (db *DB) Append(name string, rows ...[]value.Value) bool {
 	key := lowerKey(name)
 	db.mu.Lock()
-	r, ok := db.rels[key]
+	cur, ok := db.tabs[key]
 	if !ok {
 		db.mu.Unlock()
 		return false
 	}
-	nt := make([][]value.Value, 0, len(r.Tuples)+len(rows))
-	nt = append(nt, r.Tuples...)
-	nt = append(nt, rows...)
-	db.installLocked(key, &Relation{Attrs: r.Attrs, Tuples: nt})
+	db.advanceLocked(key, cur, &Delta{Append: rows})
 	fn := db.onInvalidate
 	db.mu.Unlock()
 	if fn != nil {
@@ -194,37 +229,48 @@ func (db *DB) Append(name string, rows ...[]value.Value) bool {
 	return true
 }
 
-// Refresh silently replaces a relation: new version, dropped image, but
-// no invalidation hook. It is the install path for maintained
+// Refresh silently replaces a relation: new version, but no
+// invalidation hook. It is the install path for maintained
 // materializations that absorbed a delta — the content changed but
 // every prepared plan over the view is still valid, so evicting warm
 // plans would be pure waste (plans re-read storage on every execution).
 func (db *DB) Refresh(name string, r *Relation) {
+	ct := BuildColTable(r)
 	db.mu.Lock()
-	db.installLocked(lowerKey(name), r)
+	db.installLocked(lowerKey(name), ct)
 	db.mu.Unlock()
 }
 
-// Commit is one relation install inside an atomic Apply batch. Silent
-// commits (maintained views that absorbed a delta) skip the
-// invalidation hook; loud ones (base tables) fire it.
+// Commit is one relation install inside an atomic Apply batch: either a
+// whole replacement (Table, which the database takes ownership of and
+// which must not be installed anywhere else) or Delta applied to the
+// version Base. Silent commits (maintained views that absorbed a delta)
+// skip the invalidation hook; loud ones (base tables) fire it.
 type Commit struct {
 	Name   string
-	Rel    *Relation
+	Table  *ColTable
+	Base   *ColTable
+	Delta  Delta
 	Silent bool
 }
 
-// Apply installs a batch of relation replacements atomically with
-// respect to Snapshot: a snapshot taken by a concurrent reader sees
-// either none or all of the batch, never a half-applied mix.
-// Invalidation hooks for loud commits fire after the lock is released,
-// in batch order.
-func (db *DB) Apply(batch []Commit) {
+// Apply installs a batch atomically with respect to Snapshot: a
+// snapshot taken by a concurrent reader sees either none or all of the
+// batch, never a half-applied mix. It returns the installed versions in
+// batch order. Invalidation hooks for loud commits fire after the lock
+// is released, in batch order.
+func (db *DB) Apply(batch []Commit) []*ColTable {
+	installed := make([]*ColTable, len(batch))
 	db.mu.Lock()
 	var loud []string
-	for _, c := range batch {
+	for i, c := range batch {
 		key := lowerKey(c.Name)
-		db.installLocked(key, c.Rel)
+		if c.Table != nil {
+			db.installLocked(key, c.Table)
+			installed[i] = c.Table
+		} else {
+			installed[i] = db.advanceLocked(key, c.Base, &c.Delta)
+		}
 		if !c.Silent {
 			loud = append(loud, key)
 		}
@@ -236,24 +282,36 @@ func (db *DB) Apply(batch []Commit) {
 			fn(key)
 		}
 	}
+	return installed
 }
 
-// Get looks up a relation by name.
+// Get boxes a relation's rows into a fresh Relation. It costs O(rows x
+// columns); use NumRows for cardinalities and queries for content.
 func (db *DB) Get(name string) (*Relation, bool) {
-	db.mu.Lock()
-	r, ok := db.rels[lowerKey(name)]
-	db.mu.Unlock()
-	return r, ok
+	ct, ok, _ := db.Scan(name)
+	if !ok {
+		return nil, false
+	}
+	return ct.Relation(), true
+}
+
+// NumRows returns a relation's row count without boxing anything.
+func (db *DB) NumRows(name string) (int, bool) {
+	ct, ok, _ := db.Scan(name)
+	if !ok {
+		return 0, false
+	}
+	return ct.n, true
 }
 
 // Version returns the relation's version counter (0 if absent). Every
 // Put/Append/Refresh/Apply install bumps it; snapshots record the
 // versions they pinned.
 func (db *DB) Version(name string) uint64 {
-	db.mu.Lock()
-	v := db.vers[lowerKey(name)]
-	db.mu.Unlock()
-	return v
+	if ct, ok, _ := db.Scan(name); ok {
+		return ct.ver
+	}
+	return 0
 }
 
 // Generation returns the global install counter: it advances on every
@@ -268,8 +326,8 @@ func (db *DB) Generation() uint64 {
 // Names returns the sorted names (lowercased) of all stored relations.
 func (db *DB) Names() []string {
 	db.mu.Lock()
-	names := make([]string, 0, len(db.rels))
-	for k := range db.rels {
+	names := make([]string, 0, len(db.tabs))
+	for k := range db.tabs {
 		names = append(names, k)
 	}
 	db.mu.Unlock()

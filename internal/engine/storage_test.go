@@ -8,6 +8,7 @@ import (
 	"aggview/internal/budget"
 	"aggview/internal/faultinject"
 	"aggview/internal/ir"
+	"aggview/internal/value"
 )
 
 // TestFaultStorageContract holds the engine to the I/O-error contract:
@@ -148,17 +149,26 @@ func TestExecContextCacheEntriesBudget(t *testing.T) {
 
 // TestDBOnInvalidateHook pins the invalidation seam the serving layer's
 // plan cache hangs off: the hook fires with the lowercased relation
-// name on every explicit Invalidate and on every Put, and a nil fn
-// unregisters it.
+// name on every loud install (Put, Append, a non-Silent Apply commit),
+// stays quiet for Refresh and Silent commits, and a nil fn unregisters
+// it.
 func TestDBOnInvalidateHook(t *testing.T) {
 	db := NewDB()
 	var fired []string
 	db.SetOnInvalidate(func(name string) { fired = append(fired, name) })
 
 	db.Put("Sales", NewRelation("a"))
-	db.Invalidate("SALES")
-	if len(fired) != 2 || fired[0] != "sales" || fired[1] != "sales" {
-		t.Fatalf("hook observed %v, want [sales sales]", fired)
+	db.Append("SALES", []value.Value{value.Int(1)})
+	base, _, _ := db.Scan("sales")
+	db.Apply([]Commit{{Name: "Sales", Base: base, Delta: Delta{Drop: []int32{0}}}})
+	if len(fired) != 3 || fired[0] != "sales" || fired[1] != "sales" || fired[2] != "sales" {
+		t.Fatalf("hook observed %v, want [sales sales sales]", fired)
+	}
+	base, _, _ = db.Scan("sales")
+	db.Apply([]Commit{{Name: "Sales", Base: base, Delta: Delta{Append: [][]value.Value{{value.Int(2)}}}, Silent: true}})
+	db.Refresh("Sales", NewRelation("a"))
+	if len(fired) != 3 {
+		t.Fatalf("silent installs fired the hook: %v", fired)
 	}
 
 	// The hook must be able to consult the database without deadlocking
@@ -168,8 +178,8 @@ func TestDBOnInvalidateHook(t *testing.T) {
 			t.Errorf("hook scan: %v", err)
 		}
 	})
-	db.Invalidate("Sales")
+	db.Append("Sales", []value.Value{value.Int(3)})
 
 	db.SetOnInvalidate(nil)
-	db.Invalidate("Sales") // must not panic
+	db.Append("Sales", []value.Value{value.Int(4)}) // must not panic
 }

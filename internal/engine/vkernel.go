@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 
 	"aggview/internal/ir"
@@ -241,6 +242,15 @@ func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred) 
 		out = append(out, p...)
 	}
 	return out, nil
+}
+
+// MatchContext returns, ascending, the positions of ct's rows that
+// satisfy every predicate, through the same morsel-parallel typed
+// filter a scan uses. Column terms address ct's attributes by position.
+// It is how DELETE and UPDATE find their rows without boxing the table;
+// rows are charged to the context's budget at site "match".
+func (ev *Evaluator) MatchContext(ctx context.Context, ct *ColTable, preds []ir.Pred) ([]int32, error) {
+	return ev.filterSel(newTask(ctx), "match", &Batch{n: ct.n, cols: ct.cols}, preds)
 }
 
 // intsOf returns the operand in the int64 domain over n rows,

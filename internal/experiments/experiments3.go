@@ -86,8 +86,7 @@ func RunMaintenance(ctx context.Context, baseRows, batches, batchSize int) (incr
 	db2, reg2 := mkDB()
 	start = time.Now()
 	for b := 0; b < batches; b++ {
-		rel, _ := db2.Get("Txns")
-		rel.Tuples = append(rel.Tuples, mkBatch(b)...)
+		db2.Append("Txns", mkBatch(b)...)
 		res, err := engine.NewEvaluator(db2, nil).ExecContext(ctx, mustView(reg2, "DailyAcct").Def)
 		if err != nil {
 			panic(err)
@@ -180,8 +179,8 @@ func RunAdvisor(ctx context.Context, calls int) (nViews, viewRows int, before, a
 	}
 	rows := 0
 	for _, n := range names {
-		if rel, ok := s.DB.Get(n); ok {
-			rows += rel.Len()
+		if n, ok := s.DB.NumRows(n); ok {
+			rows += n
 		}
 	}
 	return len(names), rows, before, after, equal

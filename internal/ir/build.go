@@ -167,7 +167,7 @@ func buildInto(sel *sqlparser.Select, src SchemaSource, anon *Registry, counter 
 		if err != nil {
 			return nil, err
 		}
-		b.q.Having = append(b.q.Having, HPred{Op: convOp(cmp.Op), L: l, R: r})
+		b.q.Having = append(b.q.Having, HPred{Op: CompareOp(cmp.Op), L: l, R: r})
 	}
 
 	if err := validate(b.q); err != nil {
@@ -299,7 +299,7 @@ func (b *builder) wherePred(e sqlparser.Expr) (Pred, error) {
 	if err != nil {
 		return Pred{}, err
 	}
-	return Pred{Op: convOp(cmp.Op), L: l, R: r}, nil
+	return Pred{Op: CompareOp(cmp.Op), L: l, R: r}, nil
 }
 
 func (b *builder) whereTerm(e sqlparser.Expr) (Term, error) {
@@ -317,7 +317,10 @@ func (b *builder) whereTerm(e sqlparser.Expr) (Term, error) {
 	}
 }
 
-func convOp(op sqlparser.BinOp) Op {
+// CompareOp maps one of the six comparison operators of the SQL grammar
+// (sqlparser.IsComparison) onto its predicate operator; it panics on
+// any other operator.
+func CompareOp(op sqlparser.BinOp) Op {
 	switch op {
 	case sqlparser.OpEq:
 		return OpEq

@@ -70,12 +70,15 @@ type Maintainer struct {
 }
 
 // Mutation is one base table's part of an atomic batch: rows to remove
-// (matched as a multiset against the current tuples) and rows to
-// append.
+// (matched as a multiset against the stored rows) and rows to add.
 type Mutation struct {
 	Table   string
 	Deletes [][]value.Value
 	Inserts [][]value.Value
+	// At, when set, gives Deletes[i]'s position in the stored table (the
+	// caller matched the rows by scanning it). It is a hint: positions
+	// that do not hold their row fall back to the value probe.
+	At []int32
 }
 
 // state is one tracked view's counting state.
@@ -106,9 +109,9 @@ type state struct {
 	depth   int // nesting depth over other tracked views, for commit order
 	// groups is the counting state, keyed by group key.
 	groups map[string]*group
-	// rel is the installed materialization; index maps a group key to
-	// its tuple position in rel (aggregation views only).
-	rel   *engine.Relation
+	// tab is the installed materialization; index maps a group key to
+	// its row position in tab (aggregation views only).
+	tab   *engine.ColTable
 	index map[string]int
 }
 
@@ -174,15 +177,15 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 		return false, err
 	}
 	rel.Attrs = append([]string{}, v.OutCols...)
-	st.rel = rel
 	if st.incremental && !st.conjunctive {
 		buildAux(st)
-		if err := m.seedGroups(ctx, st); err != nil {
+		if st.groups, err = m.seedGroups(ctx, st, nil); err != nil {
 			return false, err
 		}
-		st.buildIndex()
+		st.index = indexOf(st, rel)
 	}
 	m.db.Put(v.Name, rel)
+	st.tab, _, _ = m.db.Scan(v.Name)
 	m.tracked[strings.ToLower(name)] = st
 	return st.incremental, nil
 }
@@ -363,63 +366,12 @@ func buildAux(st *state) {
 	st.aux = base
 }
 
-// seedGroups initializes the counting state by running the delta
-// queries against the full current database.
-func (m *Maintainer) seedGroups(ctx context.Context, st *state) error {
-	st.groups = map[string]*group{}
-	ev := m.evaluator()
-	main, err := ev.ExecContext(ctx, st.aux)
-	if err != nil {
-		return err
-	}
-	k := len(st.groupPos)
-	for _, row := range main.Tuples {
-		g := &group{groupVals: append([]value.Value{}, row[:k]...), aggs: make([]aggState, len(st.aggs))}
-		g.n = row[st.nAt].AsInt()
-		for i, a := range st.aggs {
-			if a.sumAt >= 0 {
-				g.aggs[i].sum = row[a.sumAt]
-				g.aggs[i].avg = row[a.sumAt].AsFloat()
-			}
-		}
-		st.groups[keyOf(row[:k])] = g
-	}
-	for i, a := range st.aggs {
-		if a.mm == nil {
-			continue
-		}
-		res, err := ev.ExecContext(ctx, a.mm)
-		if err != nil {
-			return err
-		}
-		for _, row := range res.Tuples {
-			g, ok := st.groups[keyOf(row[:k])]
-			if !ok {
-				return fmt.Errorf("maintain: inconsistent seed for view %s", st.def.Name)
-			}
-			if g.aggs[i].vals == nil {
-				g.aggs[i].vals = map[string]*mmEntry{}
-			}
-			v := row[k]
-			g.aggs[i].vals[v.Key()] = &mmEntry{v: v, n: row[k+1].AsInt()}
-		}
-	}
-	return nil
-}
-
 func keyOf(vals []value.Value) string {
 	key := ""
 	for _, v := range vals {
 		key += v.Key() + "\x00"
 	}
 	return key
-}
-
-func (st *state) buildIndex() {
-	st.index = make(map[string]int, len(st.rel.Tuples))
-	for i, t := range st.rel.Tuples {
-		st.index[st.groupKey(t)] = i
-	}
 }
 
 func (st *state) groupKey(tuple []value.Value) string {
@@ -447,18 +399,62 @@ func (m *Maintainer) Apply(muts ...Mutation) error {
 	return m.ApplyContext(context.Background(), muts...)
 }
 
-// pending is one tracked view's staged outcome within a batch.
+// staged is one relation as the batch will leave it: a delta over the
+// version it was computed against, or (base nil) a whole replacement.
+type staged struct {
+	name   string
+	base   *engine.ColTable
+	delta  engine.Delta
+	whole  *engine.ColTable // replacement, or base+delta built on first read
+	silent bool
+}
+
+// table returns the staged relation for a later evaluation of the same
+// batch to read. It is derived by copy: only the engine, at commit, may
+// advance the installed version in place.
+func (s *staged) table() *engine.ColTable {
+	if s.whole == nil {
+		s.whole = s.base.With(s.delta)
+	}
+	return s.whole
+}
+
+func (s *staged) commit() engine.Commit {
+	if s.base == nil {
+		return engine.Commit{Name: s.name, Table: s.whole, Silent: s.silent}
+	}
+	return engine.Commit{Name: s.name, Base: s.base, Delta: s.delta, Silent: s.silent}
+}
+
+// pending is one tracked view's staged outcome within a batch. Nothing
+// it holds aliases live counting state that the batch changes, so
+// dropping it is all an abort needs.
 type pending struct {
 	st        *state
 	recompute bool
-	groups    map[string]*group // cloned map; touched groups deep-copied
-	touched   map[string]bool
-	copied    map[string]bool
-	conjAdd   [][]value.Value
-	conjDel   map[string]int64
-	newRel    *engine.Relation
-	newIndex  map[string]int
+	// groups holds the touched groups only (aggregation views).
+	groups map[string]*touched
+	// conjAdd/conjDel are the row deltas of a conjunctive view.
+	conjAdd, conjDel [][]value.Value
+
+	out *staged
+	// drop and fresh are the index patch of an incremental aggregation
+	// view: vanished row positions (ascending) and the keys of the
+	// appended rows, in append order.
+	drop  []int32
+	fresh []string
+	// newGroups/newIndex replace the counting state after a recompute.
 	newGroups map[string]*group
+	newIndex  map[string]int
+}
+
+// touched is one group's staged state. next carries the scalars (n,
+// sum, avg) as the batch leaves them; next.aggs[i].vals carries MIN/MAX
+// value multiplicity *deltas*, so staging a group costs its delta, not
+// its multiset.
+type touched struct {
+	live *group // nil when the batch creates the group
+	next group
 }
 
 // ApplyContext applies an atomic mutation batch: every delta and
@@ -469,6 +465,10 @@ type pending struct {
 // injected at faultinject.SiteMaintain — the database is left exactly
 // as it was.
 //
+// The work is proportional to the batch: deleted rows are removed by
+// position, appended rows extend the stored columns, and a view patches
+// only the groups its delta touched.
+//
 // Base-table installs fire the DB invalidation hook (plans scanning the
 // table are stale); maintained materializations install silently, so
 // warm plans over a view that absorbed its delta survive.
@@ -477,31 +477,28 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	defer m.mu.Unlock()
 	inj := faultinject.From(ctx)
 
-	// Stage base-table replacements (validating arity and delete
-	// multiset membership) without installing anything.
-	overlay := map[string]*engine.Relation{}
+	// Stage base-table deltas (validating arity and delete multiset
+	// membership) without installing anything.
+	overlay := map[string]*staged{}
 	order := make([]string, 0, len(muts))
 	deltaRows := 0
 	for _, mut := range muts {
 		key := strings.ToLower(mut.Table)
-		rel, ok := overlay[key]
-		if !ok {
-			if rel, ok = m.db.Get(mut.Table); !ok {
+		var base *engine.ColTable
+		if prev, ok := overlay[key]; ok {
+			base = prev.table()
+		} else {
+			var found bool
+			if base, found, _ = m.db.Scan(mut.Table); !found {
 				return fmt.Errorf("maintain: unknown table %q", mut.Table)
 			}
+			order = append(order, key)
 		}
-		for _, r := range append(append([][]value.Value{}, mut.Deletes...), mut.Inserts...) {
-			if len(r) != len(rel.Attrs) {
-				return fmt.Errorf("maintain: arity mismatch inserting into %s", mut.Table)
-			}
-		}
-		newTuples, err := removeBag(rel.Tuples, mut.Deletes, mut.Table)
+		delta, err := tableDelta(base, mut)
 		if err != nil {
 			return err
 		}
-		newTuples = append(newTuples, mut.Inserts...)
-		overlay[key] = &engine.Relation{Attrs: rel.Attrs, Tuples: newTuples}
-		order = append(order, key)
+		overlay[key] = &staged{name: key, base: base, delta: delta}
 		deltaRows += len(mut.Deletes) + len(mut.Inserts)
 	}
 
@@ -509,17 +506,23 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	// state of previously processed tables and the old state of later
 	// ones, which telescopes to the exact batch result.
 	pend := map[string]*pending{}
-	committed := map[string]*engine.Relation{}
-	for i, mut := range muts {
-		key := order[i]
-		for _, name := range m.sortedTrackedLocked() {
+	committed := map[string]*staged{}
+	tracked := m.sortedTrackedLocked()
+	for _, mut := range muts {
+		key := strings.ToLower(mut.Table)
+		// The mutation's rows as tables of their own, which every
+		// dependent view's delta queries scan in place of the table.
+		attrs := overlay[key].base.Attrs()
+		deleted := engine.BuildColTable(&engine.Relation{Attrs: attrs, Tuples: mut.Deletes})
+		inserted := engine.BuildColTable(&engine.Relation{Attrs: attrs, Tuples: mut.Inserts})
+		for _, name := range tracked {
 			st := m.tracked[name]
 			if !st.trans[key] {
 				continue
 			}
 			p := pend[name]
 			if p == nil {
-				p = newPending(st)
+				p = &pending{st: st, groups: map[string]*touched{}}
 				pend[name] = p
 			}
 			if p.recompute {
@@ -534,40 +537,35 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			if err := budget.Check(ctx, "maintain.delta"); err != nil {
 				return err
 			}
-			if err := m.applyDeltaLocked(ctx, st, p, mut.Table, committed, mut.Deletes, -1); err != nil {
+			if err := m.applyDeltaLocked(ctx, p, key, committed, deleted, -1); err != nil {
 				return err
 			}
-			if err := m.applyDeltaLocked(ctx, st, p, mut.Table, committed, mut.Inserts, +1); err != nil {
+			if err := m.applyDeltaLocked(ctx, p, key, committed, inserted, +1); err != nil {
 				return err
 			}
 		}
 		committed[key] = overlay[key]
 	}
 
-	// Build the staged materializations; recompute fallbacks evaluate
-	// against the fully mutated base state plus previously staged
-	// views, in nesting order.
+	// Stage the materializations; recompute fallbacks evaluate against
+	// the fully mutated base state plus previously staged views, in
+	// nesting order.
 	names := make([]string, 0, len(pend))
 	for name := range pend {
 		names = append(names, name)
 	}
-	sort.Slice(names, func(i, j int) bool {
-		a, b := m.tracked[names[i]], m.tracked[names[j]]
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		return names[i] < names[j]
-	})
-	staged := map[string]*engine.Relation{}
+	m.sortByDepthLocked(names)
+	groupsTouched := 0
 	for _, name := range names {
 		p := pend[name]
 		st := p.st
-		if p.recompute {
+		switch {
+		case p.recompute:
 			inj.Observe(faultinject.SiteMaintain, 1)
 			if err := budget.Check(ctx, "maintain.recompute"); err != nil {
 				return err
 			}
-			store := &overlayStorage{db: m.db, over: merged(overlay, staged)}
+			store := &overlayStorage{db: m.db, staged: overlay}
 			ev := m.evaluator()
 			ev.Store = store
 			rel, err := ev.ExecContext(ctx, st.def.Def)
@@ -575,28 +573,27 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 				return err
 			}
 			rel.Attrs = append([]string{}, st.def.OutCols...)
-			p.newRel = rel
+			p.out = &staged{whole: engine.BuildColTable(rel)}
 			if st.incremental && !st.conjunctive {
 				// Counting state must be rebuilt to match the fresh
 				// materialization.
-				reseed := &state{}
-				*reseed = *st
-				reseed.rel = rel
-				if err := m.seedGroupsOn(ctx, reseed, store); err != nil {
+				if p.newGroups, err = m.seedGroups(ctx, st, store); err != nil {
 					return err
 				}
-				p.newGroups = reseed.groups
+				p.newIndex = indexOf(st, rel)
 			}
-		} else if st.conjunctive {
-			p.newRel = p.buildConjunctive()
-		} else {
-			p.newRel = p.buildAggregation()
-			p.newGroups = p.groups
+		case st.conjunctive:
+			drop, ok := st.tab.Locate(p.conjDel)
+			if !ok {
+				return fmt.Errorf("maintain: view %s lacks a row its delete delta names", st.def.Name)
+			}
+			p.out = &staged{base: st.tab, delta: engine.Delta{Drop: drop, Append: p.conjAdd}}
+		default:
+			p.stageAggregation()
+			groupsTouched += len(p.groups)
 		}
-		if !st.conjunctive && st.incremental {
-			p.newIndex = indexOf(st, p.newRel)
-		}
-		staged[name] = p.newRel
+		p.out.name, p.out.silent = st.def.Name, true
+		overlay[name] = p.out
 	}
 
 	// Final injection point before the commit: the batch is still
@@ -608,24 +605,18 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 
 	batch := make([]engine.Commit, 0, len(order)+len(names))
 	for _, key := range order {
-		batch = append(batch, engine.Commit{Name: key, Rel: overlay[key]})
+		batch = append(batch, overlay[key].commit())
 	}
 	for _, name := range names {
-		batch = append(batch, engine.Commit{Name: pend[name].st.def.Name, Rel: pend[name].newRel, Silent: true})
+		batch = append(batch, pend[name].out.commit())
 	}
-	m.db.Apply(batch)
-	for _, name := range names {
-		p := pend[name]
-		p.st.rel = p.newRel
-		if p.newGroups != nil {
-			p.st.groups = p.newGroups
-		}
-		if p.newIndex != nil {
-			p.st.index = p.newIndex
-		}
+	installed := m.db.Apply(batch)
+	for i, name := range names {
+		pend[name].fold(installed[len(order)+i])
 	}
 	m.Metrics.Volatile("maintain.batch.apply").Inc()
 	m.Metrics.Volatile("maintain.delta.rows").Add(int64(deltaRows))
+	m.Metrics.Volatile("maintain.groups.touched").Add(int64(groupsTouched))
 	return nil
 }
 
@@ -639,110 +630,120 @@ func (m *Maintainer) sortedTrackedLocked() []string {
 	return names
 }
 
-func newPending(st *state) *pending {
-	p := &pending{st: st, touched: map[string]bool{}, copied: map[string]bool{}}
-	if st.conjunctive {
-		p.conjDel = map[string]int64{}
-		return p
-	}
-	p.groups = make(map[string]*group, len(st.groups))
-	for k, g := range st.groups {
-		p.groups[k] = g
-	}
-	return p
-}
-
-// removeBag removes a multiset of rows from tuples, returning a fresh
-// slice; a row not present is a typed error (the batch aborts cleanly).
-func removeBag(tuples, deletes [][]value.Value, table string) ([][]value.Value, error) {
-	if len(deletes) == 0 {
-		out := make([][]value.Value, len(tuples))
-		copy(out, tuples)
-		return out, nil
-	}
-	want := map[string]int64{}
-	for _, r := range deletes {
-		want[keyOf(r)]++
-	}
-	out := make([][]value.Value, 0, len(tuples))
-	removed := int64(0)
-	for _, t := range tuples {
-		k := keyOf(t)
-		if want[k] > 0 {
-			want[k]--
-			removed++
-			continue
+// sortByDepthLocked orders tracked view keys by nesting depth, then
+// name: a view is staged (or resynced) after every view it reads.
+func (m *Maintainer) sortByDepthLocked(names []string) {
+	sort.Slice(names, func(i, j int) bool {
+		a, b := m.tracked[names[i]], m.tracked[names[j]]
+		if a.depth != b.depth {
+			return a.depth < b.depth
 		}
-		out = append(out, t)
-	}
-	if removed != int64(len(deletes)) {
-		return nil, fmt.Errorf("maintain: delete of absent row from %s", table)
-	}
-	return out, nil
+		return names[i] < names[j]
+	})
 }
 
-// overlayStorage resolves scans against staged relations first, then
-// the live database. It is the engine's view of "the database as it
-// will be" (recompute) or "the database with one table swapped for a
-// delta" (delta evaluation).
-type overlayStorage struct {
-	mu   sync.Mutex
-	db   *engine.DB
-	over map[string]*engine.Relation
-	cols map[string]*engine.ColTable
+// tableDelta turns one mutation into a positional delta over base. The
+// deleted rows resolve to positions — mut.At when it checks out against
+// the stored cells, one typed probe otherwise — and an absent row is a
+// typed error (the batch aborts cleanly). A mutation that deletes and
+// inserts equally many rows (an UPDATE) overwrites in place, so the
+// columns it leaves alone are shared between versions; any other drops
+// the positions and appends.
+func tableDelta(base *engine.ColTable, mut Mutation) (engine.Delta, error) {
+	for _, rows := range [][][]value.Value{mut.Deletes, mut.Inserts} {
+		for _, r := range rows {
+			if len(r) != len(base.Attrs()) {
+				return engine.Delta{}, fmt.Errorf("maintain: arity mismatch inserting into %s", mut.Table)
+			}
+		}
+	}
+	if len(mut.Deletes) == 0 {
+		return engine.Delta{Append: mut.Inserts}, nil
+	}
+	pos, sorted := mut.At, sortedDistinct(mut.At)
+	if sorted == nil || !holdsRows(base, pos, mut.Deletes) {
+		var ok bool
+		if pos, ok = base.Locate(mut.Deletes); !ok {
+			return engine.Delta{}, fmt.Errorf("maintain: delete of absent row from %s", mut.Table)
+		}
+		sorted = pos
+	}
+	if len(mut.Inserts) == len(mut.Deletes) {
+		return engine.Delta{SetAt: pos, SetRows: mut.Inserts}, nil
+	}
+	return engine.Delta{Drop: sorted, Append: mut.Inserts}, nil
 }
 
-func merged(a, b map[string]*engine.Relation) map[string]*engine.Relation {
-	out := make(map[string]*engine.Relation, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
+// sortedDistinct returns pos sorted ascending, or nil when pos is empty
+// or repeats a position.
+func sortedDistinct(pos []int32) []int32 {
+	if len(pos) == 0 {
+		return nil
 	}
-	for k, v := range b {
-		out[k] = v
+	out := append([]int32(nil), pos...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	for i := 1; i < len(out); i++ {
+		if out[i] == out[i-1] {
+			return nil
+		}
 	}
 	return out
+}
+
+// holdsRows reports whether base stores rows[i] at pos[i] for every i.
+func holdsRows(base *engine.ColTable, pos []int32, rows [][]value.Value) bool {
+	if len(pos) != len(rows) {
+		return false
+	}
+	for i, p := range pos {
+		if p < 0 || int(p) >= base.NumRows() {
+			return false
+		}
+		for col, want := range rows[i] {
+			if !value.KeyEqual(base.Value(int(p), col), want) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// overlayStorage resolves scans against the batch's staged relations
+// first, then the live database. It is the engine's view of "the
+// database as it will be" (recompute) or, with one table bound to a
+// delta's rows, "the database with that table swapped for its delta".
+type overlayStorage struct {
+	mu     sync.Mutex
+	db     *engine.DB
+	staged map[string]*staged
+	key    string // lowercased table bound to delta; "" for none
+	delta  *engine.ColTable
 }
 
 // Scan implements engine.Storage.
 func (o *overlayStorage) Scan(name string) (*engine.ColTable, bool, error) {
 	key := strings.ToLower(name)
-	o.mu.Lock()
-	rel, ok := o.over[key]
-	if !ok {
-		o.mu.Unlock()
-		return o.db.Scan(name)
+	if o.delta != nil && key == o.key {
+		return o.delta, true, nil
 	}
-	ct, cached := o.cols[key]
-	if !cached {
-		ct = engine.BuildColTable(rel)
-		if o.cols == nil {
-			o.cols = map[string]*engine.ColTable{}
-		}
-		o.cols[key] = ct
+	if s, ok := o.staged[key]; ok {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		return s.table(), true, nil
 	}
-	o.mu.Unlock()
-	return ct, true, nil
+	return o.db.Scan(name)
 }
 
 // applyDeltaLocked evaluates the view's delta queries with table bound
-// to rows and folds the result into the pending group state with the
-// given sign (+1 insert, -1 delete).
-func (m *Maintainer) applyDeltaLocked(ctx context.Context, st *state, p *pending, table string, committed map[string]*engine.Relation, rows [][]value.Value, sign int64) error {
-	if len(rows) == 0 {
+// to the delta rows and stages the result into the pending group state
+// with the given sign (+1 insert, -1 delete).
+func (m *Maintainer) applyDeltaLocked(ctx context.Context, p *pending, table string, committed map[string]*staged, delta *engine.ColTable, sign int64) error {
+	if delta.NumRows() == 0 {
 		return nil
 	}
-	base, ok := committed[strings.ToLower(table)]
-	if !ok {
-		if base, ok = m.db.Get(table); !ok {
-			return fmt.Errorf("maintain: unknown table %q", table)
-		}
-	}
-	delta := &engine.Relation{Attrs: base.Attrs, Tuples: rows}
-	over := merged(committed, nil)
-	over[strings.ToLower(table)] = delta
-	store := &overlayStorage{db: m.db, over: over}
+	st := p.st
 	ev := m.evaluator()
-	ev.Store = store
+	ev.Store = &overlayStorage{db: m.db, staged: committed, key: table, delta: delta}
 
 	if st.conjunctive {
 		res, err := ev.ExecContext(ctx, st.def.Def)
@@ -752,9 +753,7 @@ func (m *Maintainer) applyDeltaLocked(ctx context.Context, st *state, p *pending
 		if sign > 0 {
 			p.conjAdd = append(p.conjAdd, res.Tuples...)
 		} else {
-			for _, t := range res.Tuples {
-				p.conjDel[keyOf(t)]++
-			}
+			p.conjDel = append(p.conjDel, res.Tuples...)
 		}
 		return nil
 	}
@@ -765,8 +764,7 @@ func (m *Maintainer) applyDeltaLocked(ctx context.Context, st *state, p *pending
 		return err
 	}
 	for _, row := range res.Tuples {
-		key := keyOf(row[:k])
-		g := p.group(key, row[:k], len(st.aggs))
+		g := &p.group(row[:k]).next
 		g.n += sign * row[st.nAt].AsInt()
 		if g.n < 0 {
 			return fmt.Errorf("maintain: negative multiplicity in view %s", st.def.Name)
@@ -801,153 +799,224 @@ func (m *Maintainer) applyDeltaLocked(ctx context.Context, st *state, p *pending
 			return err
 		}
 		for _, row := range res.Tuples {
-			key := keyOf(row[:k])
-			g := p.group(key, row[:k], len(st.aggs))
-			as := &g.aggs[i]
+			t := p.group(row[:k])
+			as := &t.next.aggs[i]
 			if as.vals == nil {
 				as.vals = map[string]*mmEntry{}
 			}
 			v := row[k]
-			e, ok := as.vals[v.Key()]
+			vk := v.Key()
+			e, ok := as.vals[vk]
 			if !ok {
 				e = &mmEntry{v: v}
-				as.vals[v.Key()] = e
+				as.vals[vk] = e
 			}
 			e.n += sign * row[k+1].AsInt()
-			if e.n < 0 {
+			if t.liveCount(i, vk)+e.n < 0 {
 				return fmt.Errorf("maintain: negative multiplicity in view %s", st.def.Name)
-			}
-			if e.n == 0 {
-				// Extremum retraction: the surviving multiset is
-				// re-scanned when the output row is rebuilt.
-				delete(as.vals, v.Key())
 			}
 		}
 	}
 	return nil
 }
 
-// group returns the pending group for key, deep-copying it on first
-// touch so an aborted batch leaves the live state intact.
-func (p *pending) group(key string, groupVals []value.Value, nAggs int) *group {
-	if p.copied[key] {
-		return p.groups[key]
+// group returns the staged state of the group with the given grouping
+// values, seeding it on first touch with the live group's scalars (a
+// handful of words — never its MIN/MAX multisets).
+func (p *pending) group(groupVals []value.Value) *touched {
+	key := keyOf(groupVals)
+	if t, ok := p.groups[key]; ok {
+		return t
 	}
-	g, ok := p.groups[key]
-	if !ok {
-		g = &group{groupVals: append([]value.Value{}, groupVals...), aggs: make([]aggState, nAggs)}
+	t := &touched{live: p.st.groups[key]}
+	t.next.aggs = make([]aggState, len(p.st.aggs))
+	if t.live == nil {
+		t.next.groupVals = append([]value.Value{}, groupVals...)
 	} else {
-		cp := &group{groupVals: g.groupVals, n: g.n, aggs: make([]aggState, len(g.aggs))}
-		for i, as := range g.aggs {
-			cp.aggs[i] = aggState{sum: as.sum, avg: as.avg}
-			if as.vals != nil {
-				cp.aggs[i].vals = make(map[string]*mmEntry, len(as.vals))
-				for k, e := range as.vals {
-					cp.aggs[i].vals[k] = &mmEntry{v: e.v, n: e.n}
-				}
-			}
+		t.next.groupVals, t.next.n = t.live.groupVals, t.live.n
+		for i, as := range t.live.aggs {
+			t.next.aggs[i] = aggState{sum: as.sum, avg: as.avg}
 		}
-		g = cp
 	}
-	p.groups[key] = g
-	p.copied[key] = true
-	p.touched[key] = true
-	return g
+	p.groups[key] = t
+	return t
 }
 
-// buildConjunctive stages the new materialization of a conjunctive
-// view: surviving old rows (bag-matched against the delete delta) plus
-// appended insert-delta rows.
-func (p *pending) buildConjunctive() *engine.Relation {
-	old := p.st.rel
-	out := make([][]value.Value, 0, len(old.Tuples)+len(p.conjAdd))
-	pendingDel := p.conjDel
-	for _, t := range old.Tuples {
-		k := keyOf(t)
-		if pendingDel[k] > 0 {
-			pendingDel[k]--
-			continue
+// liveCount returns value key vk's multiplicity in aggregate i's live
+// multiset.
+func (t *touched) liveCount(i int, vk string) int64 {
+	if t.live != nil {
+		if e := t.live.aggs[i].vals[vk]; e != nil {
+			return e.n
 		}
-		out = append(out, t)
 	}
-	out = append(out, p.conjAdd...)
-	return &engine.Relation{Attrs: old.Attrs, Tuples: out}
+	return 0
 }
 
-// buildAggregation stages the new materialization of an aggregation
-// view: untouched rows keep their position, touched groups are rebuilt
-// in place (or dropped at multiplicity zero), new groups append in
-// sorted key order.
-func (p *pending) buildAggregation() *engine.Relation {
+// stageAggregation stages an aggregation view's new materialization as
+// a positional delta over the installed one: touched groups overwrite
+// their row (or drop it at multiplicity zero), new groups append in
+// sorted key order, and untouched rows are not looked at.
+func (p *pending) stageAggregation() {
 	st := p.st
-	old := st.rel
-	emitted := map[string]bool{}
-	out := make([][]value.Value, 0, len(old.Tuples)+len(p.touched))
-	for _, t := range old.Tuples {
-		key := st.groupKey(t)
-		if !p.touched[key] {
-			out = append(out, t)
-			continue
-		}
-		emitted[key] = true
-		if g, ok := p.groups[key]; ok && g.n > 0 {
-			out = append(out, g.row(st))
+	keys := make([]string, 0, len(p.groups))
+	for key := range p.groups {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	var d engine.Delta
+	for _, key := range keys {
+		t := p.groups[key]
+		pos, exists := st.index[key]
+		switch {
+		case exists && t.next.n > 0:
+			d.SetAt = append(d.SetAt, int32(pos))
+			d.SetRows = append(d.SetRows, t.row(st, pos))
+		case exists:
+			p.drop = append(p.drop, int32(pos))
+		case t.next.n > 0:
+			p.fresh = append(p.fresh, key)
+			d.Append = append(d.Append, t.row(st, -1))
 		}
 	}
-	fresh := make([]string, 0, len(p.touched))
-	for key := range p.touched {
-		if !emitted[key] {
-			fresh = append(fresh, key)
-		}
-	}
-	sort.Strings(fresh)
-	for _, key := range fresh {
-		if g, ok := p.groups[key]; ok && g.n > 0 {
-			out = append(out, g.row(st))
-		} else {
-			delete(p.groups, key)
-		}
-	}
-	for key := range p.touched {
-		if g, ok := p.groups[key]; ok && g.n == 0 {
-			delete(p.groups, key)
-		}
-	}
-	return &engine.Relation{Attrs: old.Attrs, Tuples: out}
+	sort.Slice(p.drop, func(i, j int) bool { return p.drop[i] < p.drop[j] })
+	d.Drop = p.drop
+	p.out = &staged{base: st.tab, delta: d}
 }
 
-// row rebuilds a group's output tuple from its counting state.
-func (g *group) row(st *state) []value.Value {
+// row builds a touched group's output tuple from its staged state. pos
+// is the group's row in the installed materialization, -1 for a group
+// the batch creates.
+func (t *touched) row(st *state, pos int) []value.Value {
+	g := &t.next
 	tuple := make([]value.Value, len(st.def.Def.Select))
 	for i, p := range st.groupPos {
 		tuple[p] = g.groupVals[i]
 	}
 	for i, a := range st.aggs {
-		as := &g.aggs[i]
 		switch a.fn {
 		case ir.AggCount:
 			tuple[a.pos] = value.Int(g.n)
 		case ir.AggSum:
-			tuple[a.pos] = as.sum
+			tuple[a.pos] = g.aggs[i].sum
 		case ir.AggAvg:
-			tuple[a.pos] = value.Float(as.avg / float64(g.n))
+			tuple[a.pos] = value.Float(g.aggs[i].avg / float64(g.n))
 		case ir.AggMin, ir.AggMax:
-			var best value.Value
-			seen := false
-			for _, e := range as.vals {
-				if !seen {
-					best, seen = e.v, true
-					continue
-				}
-				c := value.Compare(e.v, best)
-				if (a.fn == ir.AggMin && c < 0) || (a.fn == ir.AggMax && c > 0) {
-					best = e.v
-				}
+			if pos >= 0 {
+				tuple[a.pos] = t.extremum(i, a.fn, st.tab.Value(pos, a.pos), true)
+			} else {
+				tuple[a.pos] = t.extremum(i, a.fn, value.Value{}, false)
 			}
-			tuple[a.pos] = best
 		}
 	}
 	return tuple
+}
+
+// extremum returns aggregate i's MIN or MAX after the batch. While the
+// stored extremum cur keeps a positive multiplicity only the values the
+// batch added can beat it; when the batch retracts it (or the group is
+// new) the surviving multiset is re-scanned, which is bounded by the
+// group's distinct values.
+func (t *touched) extremum(i int, fn ir.AggFunc, cur value.Value, hasCur bool) value.Value {
+	deltas := t.next.aggs[i].vals
+	better := func(a, b value.Value) bool {
+		c := value.Compare(a, b)
+		return (fn == ir.AggMin && c < 0) || (fn == ir.AggMax && c > 0)
+	}
+	if hasCur {
+		ck := cur.Key()
+		if d := deltas[ck]; d == nil || t.liveCount(i, ck)+d.n > 0 {
+			best := cur
+			for _, d := range deltas {
+				if d.n > 0 && better(d.v, best) {
+					best = d.v
+				}
+			}
+			return best
+		}
+	}
+	var best value.Value
+	seen := false
+	consider := func(v value.Value) {
+		if !seen || better(v, best) {
+			best, seen = v, true
+		}
+	}
+	if t.live != nil {
+		for vk, e := range t.live.aggs[i].vals {
+			n := e.n
+			if d := deltas[vk]; d != nil {
+				n += d.n
+			}
+			if n > 0 {
+				consider(e.v)
+			}
+		}
+	}
+	for vk, d := range deltas {
+		if d.n > 0 && t.liveCount(i, vk) == 0 {
+			consider(d.v)
+		}
+	}
+	return best
+}
+
+// fold makes the staged outcome the live state once the engine has
+// installed tab. It cannot fail, and it touches only what the batch
+// touched (plus one pass over the index when a group vanished, to shift
+// the positions behind it).
+func (p *pending) fold(tab *engine.ColTable) {
+	st := p.st
+	n0 := st.tab.NumRows()
+	st.tab = tab
+	if p.recompute {
+		if p.newGroups != nil {
+			st.groups, st.index = p.newGroups, p.newIndex
+		}
+		return
+	}
+	for key, t := range p.groups {
+		if t.next.n == 0 {
+			delete(st.groups, key)
+			delete(st.index, key)
+			continue
+		}
+		g := t.live
+		if g == nil {
+			g = &group{groupVals: t.next.groupVals, aggs: make([]aggState, len(t.next.aggs))}
+			st.groups[key] = g
+		}
+		g.n = t.next.n
+		for i := range g.aggs {
+			as, next := &g.aggs[i], &t.next.aggs[i]
+			as.sum, as.avg = next.sum, next.avg
+			for vk, d := range next.vals {
+				switch e := as.vals[vk]; {
+				case d.n == 0:
+				case e == nil:
+					if as.vals == nil {
+						as.vals = map[string]*mmEntry{}
+					}
+					as.vals[vk] = &mmEntry{v: d.v, n: d.n}
+				case e.n+d.n == 0:
+					// Extremum retraction: the stored row was already
+					// rebuilt from the surviving multiset.
+					delete(as.vals, vk)
+				default:
+					e.n += d.n
+				}
+			}
+		}
+	}
+	if len(p.drop) > 0 {
+		for key, pos := range st.index {
+			below := sort.Search(len(p.drop), func(i int) bool { return int(p.drop[i]) >= pos })
+			st.index[key] = pos - below
+		}
+	}
+	for j, key := range p.fresh {
+		st.index[key] = n0 - len(p.drop) + j
+	}
 }
 
 func indexOf(st *state, rel *engine.Relation) map[string]int {
@@ -958,14 +1027,15 @@ func indexOf(st *state, rel *engine.Relation) map[string]int {
 	return idx
 }
 
-// seedGroupsOn rebuilds counting state against a specific storage.
-func (m *Maintainer) seedGroupsOn(ctx context.Context, st *state, store engine.Storage) error {
-	st.groups = map[string]*group{}
+// seedGroups builds the counting state by running the delta queries
+// against store (nil: the live database) in full.
+func (m *Maintainer) seedGroups(ctx context.Context, st *state, store engine.Storage) (map[string]*group, error) {
+	groups := map[string]*group{}
 	ev := m.evaluator()
 	ev.Store = store
 	main, err := ev.ExecContext(ctx, st.aux)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	k := len(st.groupPos)
 	for _, row := range main.Tuples {
@@ -977,7 +1047,7 @@ func (m *Maintainer) seedGroupsOn(ctx context.Context, st *state, store engine.S
 				g.aggs[i].avg = row[a.sumAt].AsFloat()
 			}
 		}
-		st.groups[keyOf(row[:k])] = g
+		groups[keyOf(row[:k])] = g
 	}
 	for i, a := range st.aggs {
 		if a.mm == nil {
@@ -985,12 +1055,12 @@ func (m *Maintainer) seedGroupsOn(ctx context.Context, st *state, store engine.S
 		}
 		res, err := ev.ExecContext(ctx, a.mm)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, row := range res.Tuples {
-			g, ok := st.groups[keyOf(row[:k])]
+			g, ok := groups[keyOf(row[:k])]
 			if !ok {
-				return fmt.Errorf("maintain: inconsistent seed for view %s", st.def.Name)
+				return nil, fmt.Errorf("maintain: inconsistent seed for view %s", st.def.Name)
 			}
 			if g.aggs[i].vals == nil {
 				g.aggs[i].vals = map[string]*mmEntry{}
@@ -999,7 +1069,7 @@ func (m *Maintainer) seedGroupsOn(ctx context.Context, st *state, store engine.S
 			g.aggs[i].vals[v.Key()] = &mmEntry{v: v, n: row[k+1].AsInt()}
 		}
 	}
-	return nil
+	return groups, nil
 }
 
 // Materialization returns the maintained relation of a tracked view.
@@ -1010,7 +1080,7 @@ func (m *Maintainer) Materialization(name string) (*engine.Relation, bool) {
 	if !ok {
 		return nil, false
 	}
-	return st.rel, true
+	return st.tab.Relation(), true
 }
 
 // IsIncremental reports whether a tracked view merges deltas (true) or
@@ -1059,13 +1129,7 @@ func (m *Maintainer) Resync(ctx context.Context, table string) error {
 	defer m.mu.Unlock()
 	key := strings.ToLower(table)
 	names := m.sortedTrackedLocked()
-	sort.Slice(names, func(i, j int) bool {
-		a, b := m.tracked[names[i]], m.tracked[names[j]]
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		return names[i] < names[j]
-	})
+	m.sortByDepthLocked(names)
 	for _, name := range names {
 		st := m.tracked[name]
 		if !st.trans[key] {
@@ -1076,14 +1140,14 @@ func (m *Maintainer) Resync(ctx context.Context, table string) error {
 			return err
 		}
 		rel.Attrs = append([]string{}, st.def.OutCols...)
-		st.rel = rel
 		if st.incremental && !st.conjunctive {
-			if err := m.seedGroups(ctx, st); err != nil {
+			if st.groups, err = m.seedGroups(ctx, st, nil); err != nil {
 				return err
 			}
-			st.buildIndex()
+			st.index = indexOf(st, rel)
 		}
 		m.db.Refresh(st.def.Name, rel)
+		st.tab, _, _ = m.db.Scan(st.def.Name)
 	}
 	return nil
 }

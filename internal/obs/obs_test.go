@@ -86,6 +86,10 @@ func TestNoopPathAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		m.Counter("engine.scan.rows").Add(100)
 		m.Volatile("engine.pool.launches").Inc()
+		m.Volatile("engine.store.append.inplace").Inc()
+		m.Volatile("engine.store.append.copied").Inc()
+		m.Volatile("engine.store.compact.bytes").Add(4096)
+		m.Volatile("maintain.groups.touched").Add(3)
 		m.Histogram("engine.join.build_rows").Observe(64)
 		m.Time("engine.join.ns").Stop()
 		if tr.Enabled() {

@@ -370,7 +370,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	err = s.sys.InsertContext(r.Context(), req.Table, rows...)
 	s.mu.Unlock()
 	if err != nil {
-		s.writeError(w, req.Tenant, ErrKindBadRequest, http.StatusBadRequest, err)
+		s.writeMutationError(w, req.Tenant, err)
 		return
 	}
 	s.metrics.Volatile("server.inserts").Inc()
@@ -398,7 +398,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	n, err := s.sys.DeleteContext(r.Context(), req.Table, req.Where)
 	s.mu.Unlock()
 	if err != nil {
-		s.writeError(w, req.Tenant, ErrKindBadRequest, http.StatusBadRequest, err)
+		s.writeMutationError(w, req.Tenant, err)
 		return
 	}
 	s.metrics.Volatile("server.deletes").Inc()
@@ -423,7 +423,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	n, err := s.sys.UpdateContext(r.Context(), req.Table, req.Set, req.Where)
 	s.mu.Unlock()
 	if err != nil {
-		s.writeError(w, req.Tenant, ErrKindBadRequest, http.StatusBadRequest, err)
+		s.writeMutationError(w, req.Tenant, err)
 		return
 	}
 	s.metrics.Volatile("server.updates").Inc()
@@ -550,6 +550,18 @@ func (s *Server) writeTypedError(w http.ResponseWriter, tenant string, err error
 		s.metrics.Volatile("server.errors.internal").Inc()
 		s.writeError(w, tenant, ErrKindInternal, http.StatusInternalServerError, err)
 	}
+}
+
+// writeMutationError maps a facade error from /insert, /delete or
+// /update: an abort during maintenance (cancellation, budget, injected
+// storage fault) keeps its kind, anything else — a parse error, an
+// unknown table or column, an arity mismatch — is the client's request.
+func (s *Server) writeMutationError(w http.ResponseWriter, tenant string, err error) {
+	if budget.IsTransient(err) || faultinject.IsInjected(err) {
+		s.writeTypedError(w, tenant, err)
+		return
+	}
+	s.writeError(w, tenant, ErrKindBadRequest, http.StatusBadRequest, err)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, tenant, kind string, status int, err error) {

@@ -13,6 +13,7 @@ import (
 
 	"aggview"
 	"aggview/internal/engine"
+	"aggview/internal/faultinject"
 	"aggview/internal/obs"
 )
 
@@ -288,6 +289,55 @@ func TestServerDisconnectCancels(t *testing.T) {
 	}
 }
 
+// TestServerMutationAbortTyped pins how the mutation endpoints classify
+// a facade error: a client that goes away while the maintainer is
+// staging a /delete gets the typed cancellation (504 "canceled", as a
+// query would), not a 400, and the batch left nothing behind — the base
+// table and the maintained view read exactly as before.
+func TestServerMutationAbortTyped(t *testing.T) {
+	sys := servedSystem(t)
+	c, _ := testClient(t, sys, Config{})
+	ctx := context.Background()
+	state := func() (*engine.Relation, *engine.Relation) {
+		base, err := sys.QueryContext(ctx, "SELECT region, amount, qty FROM Sales")
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, ok := sys.DB.Get("Totals")
+		if !ok {
+			t.Fatal("Totals not materialized")
+		}
+		return base, view
+	}
+	baseBefore, viewBefore := state()
+
+	// The injector cancels the request context at the first maintenance
+	// observation: after the rows were matched, before anything commits.
+	armed, cancel := faultinject.New(faultinject.SiteMaintain, 1).Arm(ctx)
+	defer cancel()
+	_, err := c.Delete(armed, "Sales", "region = 'n'")
+	var we *WireError
+	if !errors.As(err, &we) || we.Kind != ErrKindCanceled || we.Status != http.StatusGatewayTimeout {
+		t.Fatalf("canceled delete returned %v, want typed %s with status 504", err, ErrKindCanceled)
+	}
+	baseAfter, viewAfter := state()
+	if !engine.MultisetEqual(baseBefore, baseAfter) || !engine.MultisetEqual(viewBefore, viewAfter) {
+		t.Fatal("aborted delete changed the database")
+	}
+
+	// A malformed statement is still the client's fault.
+	_, err = c.Delete(ctx, "Sales", "nope = 1")
+	if !errors.As(err, &we) || we.Kind != ErrKindBadRequest || we.Status != http.StatusBadRequest {
+		t.Fatalf("unknown column returned %v, want typed %s with status 400", err, ErrKindBadRequest)
+	}
+
+	// The same delete, uninterrupted, goes through.
+	del, err := c.Delete(ctx, "Sales", "region = 'n'")
+	if err != nil || del.Deleted != 2 {
+		t.Fatalf("retry deleted %+v, %v; want 2 rows", del, err)
+	}
+}
+
 // TestServerStorageFaultTyped pins the other fault path: an injected
 // storage failure surfaces as a complete typed JSON error body (502,
 // kind "storage"), never a partial result, and clearing the fault
@@ -505,5 +555,22 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 	if _, err := c.Gauge(context.Background(), "server.goroutines"); err != nil {
 		t.Fatalf("goroutine gauge scrape: %v", err)
+	}
+
+	// Writes say which storage path they took and how many groups the
+	// maintained view patched.
+	if _, err := c.Insert(context.Background(), "Sales", [][]string{{"s:w", "i:1", "i:1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Delete(context.Background(), "Sales", "region = 'w'"); err != nil {
+		t.Fatal(err)
+	}
+	if text, err = c.MetricsText(context.Background(), false); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"engine.store.append.", "engine.store.compact.bytes ", "maintain.groups.touched 2\n"} {
+		if !strings.Contains(text, "volatile "+name) {
+			t.Fatalf("text metrics missing write-path counter %q:\n%s", name, text)
+		}
 	}
 }

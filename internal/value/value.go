@@ -9,6 +9,7 @@ package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -294,4 +295,39 @@ func (v Value) AppendKey(dst []byte) []byte {
 	default:
 		return append(dst, '?')
 	}
+}
+
+// KeyEqual reports whether a.Key() == b.Key() without building either
+// string: numerics unify through float64 inside ±2^53 (so 1 and 1.0
+// match, -0 and 0 do not, and every NaN matches every NaN), integers
+// beyond that range match only the same integer, and other kinds match
+// on kind and payload.
+func KeyEqual(a, b Value) bool {
+	if a.IsNumeric() && b.IsNumeric() {
+		af, aBig := a.keyFloat()
+		bf, bBig := b.keyFloat()
+		if aBig || bBig {
+			return aBig && bBig && a.i == b.i
+		}
+		return math.Float64bits(af) == math.Float64bits(bf) || (math.IsNaN(af) && math.IsNaN(bf))
+	}
+	if a.kind != b.kind {
+		return false
+	}
+	if a.kind == KindString {
+		return a.s == b.s
+	}
+	return a.i == b.i
+}
+
+// keyFloat returns the float64 a numeric value's key is formatted from;
+// big marks an integer outside ±2^53, whose key is its own digits.
+func (v Value) keyFloat() (f float64, big bool) {
+	if v.kind == KindFloat {
+		return v.f, false
+	}
+	if v.i >= -(1<<53) && v.i <= 1<<53 {
+		return float64(v.i), false
+	}
+	return 0, true
 }

@@ -77,3 +77,11 @@ sh scripts/serve_smoke.sh
 # parallel regression. On a multi-core host two workers must not lose
 # to serial; on a single core the gate bounds scheduling overhead.
 go run ./cmd/benchrunner -smoke
+
+# Benchmark gate (BENCHMARK.json): the bench module must vet and pass
+# its own tests, and a short write_mix run must exit 0 — its
+# correctness gate compares every query template with direct evaluation
+# and every tracked view with its definition after the timed writes.
+# Nothing here edits bench/; build outputs go to .bench_build/.
+(cd bench && go vet ./... && go test ./...)
+bash bench/run.sh --workload write_mix --seconds 3 --trace 0 > /dev/null
