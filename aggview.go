@@ -192,6 +192,7 @@ func (s *System) Load(script string) error {
 			if err := s.Views.Add(v); err != nil {
 				return err
 			}
+			core.IndexView(v)
 		default:
 			return fmt.Errorf("aggview: scripts may contain only CREATE TABLE and CREATE VIEW statements")
 		}
@@ -838,26 +839,29 @@ func (s *System) plan(ctx context.Context, sql string) (*Rewriting, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.planFlat(ctx, "Plan", q, anon)
+	_, rw, err := s.planFlat(ctx, "Plan", q, anon)
+	return rw, err
 }
 
 // planFlat runs the rewrite search over an already flattened query and
-// picks the cheapest strategy; nil means direct evaluation won (or the
-// candidate budget was exhausted and the search degraded gracefully).
-func (s *System) planFlat(ctx context.Context, op string, flat *ir.Query, anon *ir.Registry) (*Rewriting, error) {
+// picks the cheapest strategy; a nil rewriting means direct evaluation
+// won (or the candidate budget was exhausted and the search degraded
+// gracefully). It also returns the query's canonical plan key, which
+// the search derives on its way.
+func (s *System) planFlat(ctx context.Context, op string, flat *ir.Query, anon *ir.Registry) (string, *Rewriting, error) {
 	est := s.estimator()
 	bestCost := est.Estimate(flat)
 	var best *Rewriting
-	rws, err := s.Rewriter().RewritingsContext(ctx, flat)
+	key, rws, err := s.Rewriter().SearchContext(ctx, flat)
 	if err != nil {
 		if budget.IsExceeded(err) {
 			s.noteFallback(op, err)
 			// Whether the budget cut the search is deterministic for a
 			// fixed call sequence, so the event is span-safe.
 			obs.SpanFrom(ctx).Event("facade.fallback", op)
-			return nil, nil
+			return core.CanonicalKey(flat), nil, nil
 		}
-		return nil, err
+		return "", nil, err
 	}
 	s.attachAnon(rws, anon)
 	for _, r := range rws {
@@ -865,7 +869,7 @@ func (s *System) planFlat(ctx context.Context, op string, flat *ir.Query, anon *
 			bestCost, best = c, r
 		}
 	}
-	return best, nil
+	return key, best, nil
 }
 
 // Prepared is an extracted, reusable execution plan: the outcome of one
@@ -944,12 +948,12 @@ func (s *System) PrepareContext(ctx context.Context, sql string) (*Prepared, err
 		return nil, err
 	}
 	stSearch := sp.StartStage("facade.search")
-	rw, err := s.planFlat(ctx, "Prepare", flat, anon)
+	key, rw, err := s.planFlat(ctx, "Prepare", flat, anon)
 	stSearch.End(0)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Key: core.CanonicalKey(flat), rw: rw}
+	p := &Prepared{Key: key, rw: rw}
 	if rw != nil {
 		p.Used = append([]string{}, rw.Used...)
 		p.reg, err = s.viewsWithAux(rw)
@@ -1220,6 +1224,7 @@ func (s *System) AdoptRecommendations(recs []Recommendation) ([]string, error) {
 		if err := s.Views.Add(r.View); err != nil {
 			return names, err
 		}
+		core.IndexView(r.View)
 		if _, err := s.Materialize(r.View.Name); err != nil {
 			return names, err
 		}

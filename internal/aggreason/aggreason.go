@@ -20,9 +20,10 @@ import (
 	"aggview/internal/value"
 )
 
-// Normalize returns a copy of q in which HAVING conditions have been
-// moved into the WHERE clause wherever that preserves multiset
-// equivalence:
+// Normalize returns q with HAVING conditions moved into the WHERE clause
+// wherever that preserves multiset equivalence — q itself when no
+// condition moves (callers treat the result as read-only), a modified
+// copy otherwise:
 //
 //   - A conjunct mentioning only grouping columns and constants moves
 //     unconditionally: grouping columns are constant within a group, so
@@ -34,19 +35,29 @@ import (
 //     symmetric. With any other aggregate present the group contents
 //     matter and the move is unsound (paper Section 3.3).
 func Normalize(q *ir.Query) *ir.Query {
+	if len(q.Having) == 0 {
+		return q
+	}
+	aggTerms := collectAggTerms(q)
+	moved := make([]ir.Pred, 0, len(q.Having))
+	keep := make([]int, 0, len(q.Having))
+	for i, h := range q.Having {
+		if p, ok := groupOnlyPred(q, h); ok {
+			moved = append(moved, p)
+		} else if p, ok := extremalPushdown(q, h, aggTerms); ok {
+			moved = append(moved, p)
+		} else {
+			keep = append(keep, i)
+		}
+	}
+	if len(moved) == 0 {
+		return q
+	}
 	out := q.Clone()
+	out.Where = append(out.Where, moved...)
 	var kept []ir.HPred
-	aggTerms := collectAggTerms(out)
-	for _, h := range out.Having {
-		if p, ok := groupOnlyPred(out, h); ok {
-			out.Where = append(out.Where, p)
-			continue
-		}
-		if p, ok := extremalPushdown(out, h, aggTerms); ok {
-			out.Where = append(out.Where, p)
-			continue
-		}
-		kept = append(kept, h)
+	for _, i := range keep {
+		kept = append(kept, out.Having[i])
 	}
 	out.Having = kept
 	return out

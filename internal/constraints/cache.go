@@ -1,11 +1,11 @@
 package constraints
 
-// This file implements closure memoization: the rewriter's
-// canonical-key computation closes the WHERE conjunction of every BFS
-// candidate, and distinct branches of the search repeatedly reach
-// queries with identical conjunctions. CloseCached computes each closure
-// once and shares it — closures are finalized by Close, so sharing
-// across concurrent candidate analyzers is safe.
+// This file implements closure memoization: the rewriter closes the
+// WHERE conjunction of every query it keys or searches from, and the
+// serving path (plan key, then the search's root) as well as distinct
+// branches of the search reach identical conjunctions. CloseCached
+// computes each closure once and shares it — closures are finalized by
+// Close, so sharing across concurrent candidate analyzers is safe.
 
 import (
 	"strconv"
@@ -46,12 +46,21 @@ func CloseCached(c Conj) *Closure {
 	g.mu.Unlock()
 
 	// Compute outside the lock: closing can be expensive and concurrent
-	// misses on different keys should not serialize. A racing duplicate
-	// computation of the same key is harmless (both results are
-	// equivalent; the second insert wins).
-	cl := Close(c)
+	// misses on different keys should not serialize.
+	return g.insert(key, Close(c))
+}
 
+// insert memoizes cl under key and returns the closure the cache now
+// holds for it. Racing misses of one key all arrive here; they computed
+// equivalent closures, so the first insert wins and owns the key's one
+// ring slot — a second slot would let a later displacement delete the
+// live entry while its twin lingers.
+func (g *closeCache) insert(key string, cl *Closure) *Closure {
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	if first, ok := g.m[key]; ok {
+		return first
+	}
 	if len(g.order) < closeCacheCap {
 		g.order = append(g.order, key)
 	} else {
@@ -61,7 +70,6 @@ func CloseCached(c Conj) *Closure {
 		g.evictions++
 	}
 	g.m[key] = cl
-	g.mu.Unlock()
 	return cl
 }
 

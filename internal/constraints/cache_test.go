@@ -71,6 +71,34 @@ func TestCloseCachedEvictionBoundary(t *testing.T) {
 	}
 }
 
+// TestCloseCachedRacingMissKeepsOneRingSlot replays what two racing
+// misses of one key do — both compute, both insert — and checks the key
+// holds one ring slot: with two, the flood below would displace the live
+// entry early, over-count evictions and leave the cache under capacity.
+func TestCloseCachedRacingMissKeepsOneRingSlot(t *testing.T) {
+	ResetCloseCache()
+	defer ResetCloseCache()
+
+	g := globalCloseCache
+	c := conjN(-1)
+	first := g.insert(cacheKey(c), Close(c))
+	if again := g.insert(cacheKey(c), Close(c)); again != first {
+		t.Fatal("a racing duplicate insert must return the closure already cached")
+	}
+	if len(g.order) != 1 {
+		t.Fatalf("ring holds %d slots for one key, want 1", len(g.order))
+	}
+	for n := int64(0); n < closeCacheCap-1; n++ {
+		CloseCached(conjN(n))
+	}
+	if s := CloseCacheSnapshot(); s.Size != closeCacheCap || s.Evictions != 0 {
+		t.Fatalf("after filling to capacity: size=%d evictions=%d, want %d/0", s.Size, s.Evictions, closeCacheCap)
+	}
+	if CloseCached(c) != first {
+		t.Fatal("the doubly inserted key must still be resident at exactly capacity")
+	}
+}
+
 // TestCloseCachedSemanticsSurviveEviction checks that a closure fetched
 // after its twin was evicted still behaves identically: memoization is
 // an optimization, never a semantic change.

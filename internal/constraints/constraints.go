@@ -20,7 +20,9 @@ package constraints
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"aggview/internal/ir"
 	"aggview/internal/value"
@@ -91,305 +93,291 @@ const (
 	relLt
 )
 
-// Closure is the deductive closure of a conjunction.
+// noVar marks a class that holds no variable.
+const noVar = Var(-1 << 31)
+
+// Closure is the deductive closure of a conjunction. Its state is a
+// handful of dense slices allocated once by Close: terms are interned
+// as nodes (the mentioned variables in ascending order, then the
+// distinct constants), classes are a union-find over nodes, and the
+// strongest order relation and the disequalities between classes live
+// in two n x n matrices indexed by class representative.
 type Closure struct {
-	conj    Conj
-	derived Conj // strict-order atoms derived by disequality strengthening
-	sat     bool
+	conj Conj
+	sat  bool
 
-	parent []int          // union-find over nodes
-	nodes  []nodeInfo     // node metadata
-	varOf  map[Var]int    // variable -> node
-	cnode  map[string]int // constant key -> node
+	vars   []Var         // mentioned variables, ascending; variable i is node i
+	consts []value.Value // distinct constants (by value key); constant i is node len(vars)+i
+	parent []int32       // union-find over nodes; every entry is its representative once finalized
+	least  []Var         // representative -> least variable of its class, noVar for a bare constant
 
-	m         [][]rel         // strongest order relation between representatives
-	neq       map[[2]int]bool // disequalities between representatives
-	repsCache []int           // representatives matching m's indices
-	idxCache  map[int]int     // representative node -> dense index
-}
+	n   int    // len(vars) + len(consts)
+	m   []rel  // m[i*n+j]: strongest order relation from representative i to j
+	neq []bool // neq[i*n+j]: representatives i and j are known unequal (symmetric)
 
-type nodeInfo struct {
-	isConst bool
-	v       Var
-	c       value.Value
+	// The entailed atoms are rendered on first use and shared from then
+	// on; the sync.Once keeps that safe for concurrent readers.
+	atomsOnce sync.Once
+	atoms     Conj
 }
 
 // Close computes the closure of the conjunction. The result is always
 // non-nil; Sat reports whether the conjunction is satisfiable. A
 // returned Closure is finalized: queries against it (Implies, Atoms,
-// Sat) never mutate it, so it is safe for concurrent readers — which is
-// what lets CloseCached share closures across goroutines.
+// LeastEqual, Pin, Sat) never mutate its relations, so it is safe for
+// concurrent readers — which is what lets CloseCached, and the rewrite
+// search's per-query facts, share closures across goroutines.
 func Close(c Conj) *Closure {
-	cl := &Closure{conj: c, sat: true, varOf: map[Var]int{}, cnode: map[string]int{}}
-	for _, a := range c {
-		cl.node(a.L)
-		cl.node(a.R)
-	}
-	// Union explicit equalities first.
-	for _, a := range c {
-		if a.Op == ir.OpEq {
-			if !cl.union(cl.node(a.L), cl.node(a.R)) {
-				cl.sat = false
-				cl.finalize()
-				return cl
-			}
-		}
-	}
-	cl.fixpoint()
+	cl := &Closure{conj: c, sat: true}
+	cl.intern()
+	cl.sat = cl.seed() && cl.fixpoint()
 	cl.finalize()
 	return cl
 }
 
-// finalize fully compresses the union-find so every parent pointer goes
-// straight to its representative. After this, findRead never follows
-// more than one hop and performs no writes, making the closure safe for
-// concurrent readers.
-func (cl *Closure) finalize() {
-	for n := range cl.parent {
-		cl.parent[n] = cl.find(n)
-	}
-}
-
-// node interns a term as a node index.
-func (cl *Closure) node(t Term) int {
-	if t.IsConst {
-		key := t.C.Key()
-		if n, ok := cl.cnode[key]; ok {
-			return n
+// intern assigns every term of the conjunction its node.
+func (cl *Closure) intern() {
+	cl.vars = make([]Var, 0, 2*len(cl.conj))
+	for _, a := range cl.conj {
+		for _, t := range [2]Term{a.L, a.R} {
+			if !t.IsConst {
+				cl.vars = append(cl.vars, t.V)
+			} else if _, ok := cl.constNode(t.C); !ok {
+				cl.consts = append(cl.consts, t.C)
+			}
 		}
-		n := cl.addNode(nodeInfo{isConst: true, c: t.C})
-		cl.cnode[key] = n
-		return n
 	}
-	if n, ok := cl.varOf[t.V]; ok {
-		return n
+	slices.Sort(cl.vars)
+	cl.vars = slices.Compact(cl.vars)
+	cl.n = len(cl.vars) + len(cl.consts)
+	cl.parent = make([]int32, cl.n)
+	for i := range cl.parent {
+		cl.parent[i] = int32(i)
 	}
-	n := cl.addNode(nodeInfo{v: t.V})
-	cl.varOf[t.V] = n
-	return n
+	cl.m = make([]rel, cl.n*cl.n)
+	cl.neq = make([]bool, cl.n*cl.n)
 }
 
-func (cl *Closure) addNode(info nodeInfo) int {
-	n := len(cl.nodes)
-	cl.nodes = append(cl.nodes, info)
-	cl.parent = append(cl.parent, n)
-	return n
+// constNode finds the node offset of a constant among cl.consts;
+// constants are few, and KeyEqual compares without building key strings.
+func (cl *Closure) constNode(c value.Value) (int, bool) {
+	for i := range cl.consts {
+		if value.KeyEqual(cl.consts[i], c) {
+			return i, true
+		}
+	}
+	return 0, false
 }
+
+// node finds the node of a term, if the conjunction mentions it.
+func (cl *Closure) node(t Term) (int, bool) {
+	if t.IsConst {
+		i, ok := cl.constNode(t.C)
+		return len(cl.vars) + i, ok
+	}
+	return slices.BinarySearch(cl.vars, t.V)
+}
+
+func (cl *Closure) isConst(node int) bool { return node >= len(cl.vars) }
 
 func (cl *Closure) find(n int) int {
-	for cl.parent[n] != n {
+	for int(cl.parent[n]) != n {
 		cl.parent[n] = cl.parent[cl.parent[n]]
-		n = cl.parent[n]
+		n = int(cl.parent[n])
 	}
 	return n
 }
 
-// findRead is find without path compression: no writes, so concurrent
-// readers of a finalized closure never race.
-func (cl *Closure) findRead(n int) int {
-	for cl.parent[n] != n {
-		n = cl.parent[n]
-	}
-	return n
+// rep is the representative of a mentioned term's class.
+func (cl *Closure) rep(t Term) int {
+	n, _ := cl.node(t)
+	return cl.find(n)
 }
 
-// union merges two classes; it reports false when the merge is
-// contradictory (two distinct constants, or incomparable constant kinds).
-func (cl *Closure) union(a, b int) bool {
-	ra, rb := cl.find(a), cl.find(b)
+// union merges the classes of two representatives, folding the dropped
+// representative's relations into the kept one's; it reports false when
+// the merge is contradictory (two distinct constants, incomparable
+// constant kinds, or classes known unequal).
+func (cl *Closure) union(ra, rb int) bool {
 	if ra == rb {
 		return true
 	}
-	ca, okA := cl.classConst(ra)
-	cb, okB := cl.classConst(rb)
-	if okA && okB && !value.Equal(ca, cb) {
+	okA, okB := cl.isConst(ra), cl.isConst(rb)
+	if okA && okB && !value.Equal(cl.consts[ra-len(cl.vars)], cl.consts[rb-len(cl.vars)]) {
 		return false
 	}
-	// Keep a constant-bearing node as the representative.
+	if cl.neq[ra*cl.n+rb] {
+		return false
+	}
+	// Keep a constant-bearing node as the representative, so a pinned
+	// class has a constant representative.
 	if okB && !okA {
 		ra, rb = rb, ra
 	}
-	cl.parent[rb] = ra
+	cl.parent[rb] = int32(ra)
+	n := cl.n
+	for k := 0; k < n; k++ {
+		cl.addRel(ra, k, cl.m[rb*n+k])
+		cl.addRel(k, ra, cl.m[k*n+rb])
+		if cl.neq[rb*n+k] {
+			cl.neq[ra*n+k], cl.neq[k*n+ra] = true, true
+		}
+	}
 	return true
 }
 
-// classConst returns the constant a class is pinned to, if any.
-func (cl *Closure) classConst(repr int) (value.Value, bool) {
-	// Representative choice keeps constants as reps (see union), so a
-	// pinned class has a constant representative.
-	if cl.nodes[repr].isConst {
-		return cl.nodes[repr].c, true
+func (cl *Closure) addRel(i, j int, r rel) {
+	if r > cl.m[i*cl.n+j] {
+		cl.m[i*cl.n+j] = r
 	}
-	return value.Value{}, false
 }
 
-// fixpoint iterates matrix closure, disequality strengthening and class
-// merging until nothing changes.
-func (cl *Closure) fixpoint() {
-	limit := len(cl.nodes)*len(cl.nodes) + 4*len(cl.nodes) + 8
-	for iter := 0; ; iter++ {
-		if iter > limit {
-			// Each productive iteration merges classes or strengthens an
-			// edge; this bound can only be hit by a bug.
-			panic("constraints: fixpoint did not converge")
+// seed enters the conjunction's own atoms and the facts between its
+// constants; it reports false on an immediate contradiction.
+func (cl *Closure) seed() bool {
+	// Union explicit equalities first, so order atoms land on the merged
+	// representatives.
+	for _, a := range cl.conj {
+		if a.Op == ir.OpEq && !cl.union(cl.rep(a.L), cl.rep(a.R)) {
+			return false
 		}
-		reps, idx := cl.representatives()
-		n := len(reps)
-		m := make([][]rel, n)
-		for i := range m {
-			m[i] = make([]rel, n)
-		}
-		neq := map[[2]int]bool{}
-		addRel := func(i, j int, r rel) {
-			if r > m[i][j] {
-				m[i][j] = r
+	}
+	n := cl.n
+	for _, a := range cl.conj {
+		li, ri := cl.rep(a.L), cl.rep(a.R)
+		switch a.Op {
+		case ir.OpNeq:
+			if li == ri {
+				return false
 			}
+			cl.neq[li*n+ri], cl.neq[ri*n+li] = true, true
+		case ir.OpLt:
+			cl.addRel(li, ri, relLt)
+		case ir.OpLeq:
+			cl.addRel(li, ri, relLeq)
+		case ir.OpGt:
+			cl.addRel(ri, li, relLt)
+		case ir.OpGeq:
+			cl.addRel(ri, li, relLeq)
 		}
-		// Seed from the original atoms plus any derived strict orders
-		// (derived atoms persist across iterations; the matrix does not).
-		bad := false
-		for _, a := range append(append(Conj{}, cl.conj...), cl.derived...) {
-			li, ri := idx[cl.find(cl.node(a.L))], idx[cl.find(cl.node(a.R))]
-			switch a.Op {
-			case ir.OpEq:
-				// Already unioned.
-			case ir.OpNeq:
-				if li == ri {
-					bad = true
-				}
-				neq[pair(li, ri)] = true
-			case ir.OpLt:
-				addRel(li, ri, relLt)
-			case ir.OpLeq:
-				addRel(li, ri, relLeq)
-			case ir.OpGt:
-				addRel(ri, li, relLt)
-			case ir.OpGeq:
-				addRel(ri, li, relLeq)
-			}
+	}
+	// Distinct constant classes are unequal constants, ordered when
+	// comparable.
+	for i := len(cl.vars); i < n; i++ {
+		if cl.find(i) != i {
+			continue
 		}
-		// Seed constant-constant facts and constant disequalities.
-		for i := 0; i < n; i++ {
-			ci, okI := cl.classConst(reps[i])
-			if !okI {
+		for j := i + 1; j < n; j++ {
+			if cl.find(j) != j {
 				continue
 			}
-			for j := i + 1; j < n; j++ {
-				cj, okJ := cl.classConst(reps[j])
-				if !okJ {
-					continue
-				}
-				// Distinct classes with constants are unequal constants.
-				neq[pair(i, j)] = true
-				if value.Comparable(ci, cj) {
-					if value.Compare(ci, cj) < 0 {
-						addRel(i, j, relLt)
-					} else {
-						addRel(j, i, relLt)
-					}
+			cl.neq[i*n+j], cl.neq[j*n+i] = true, true
+			ci, cj := cl.consts[i-len(cl.vars)], cl.consts[j-len(cl.vars)]
+			if value.Comparable(ci, cj) {
+				if value.Compare(ci, cj) < 0 {
+					cl.addRel(i, j, relLt)
+				} else {
+					cl.addRel(j, i, relLt)
 				}
 			}
 		}
-		if bad {
-			cl.sat = false
-			return
+	}
+	return true
+}
+
+// fixpoint iterates transitive closure, disequality strengthening and
+// class merging over the one matrix until nothing changes; it reports
+// whether the conjunction is satisfiable.
+func (cl *Closure) fixpoint() bool {
+	n, m := cl.n, cl.m
+	reps := make([]int, 0, n)
+	for {
+		reps = reps[:0]
+		for i := 0; i < n; i++ {
+			if int(cl.parent[i]) == i {
+				reps = append(reps, i)
+			}
 		}
 		// Transitive closure.
-		for k := 0; k < n; k++ {
-			for i := 0; i < n; i++ {
-				if m[i][k] == relNone {
+		for _, k := range reps {
+			for _, i := range reps {
+				ik := m[i*n+k]
+				if ik == relNone {
 					continue
 				}
-				for j := 0; j < n; j++ {
-					if m[k][j] == relNone {
+				for _, j := range reps {
+					kj := m[k*n+j]
+					if kj == relNone {
 						continue
 					}
 					r := relLeq
-					if m[i][k] == relLt || m[k][j] == relLt {
+					if ik == relLt || kj == relLt {
 						r = relLt
 					}
-					addRel(i, j, r)
+					if r > m[i*n+j] {
+						m[i*n+j] = r
+					}
 				}
 			}
 		}
-		// Contradictions: strict self-loop, or x<=y,y<=x with x<>y handled
-		// below via strengthening then re-close.
-		for i := 0; i < n; i++ {
-			if m[i][i] == relLt {
-				cl.sat = false
-				return
+		// A strict self-loop is a contradiction.
+		for _, i := range reps {
+			if m[i*n+i] == relLt {
+				return false
 			}
 		}
 		changed := false
-		// Strengthen: x<=y and x<>y imply x<y. Derived strict orders are
-		// recorded as atoms so they survive the matrix rebuild.
-		for p := range neq {
-			i, j := p[0], p[1]
-			if m[i][j] == relLeq {
-				m[i][j] = relLt
-				cl.derived = append(cl.derived, Atom{Op: ir.OpLt, L: cl.termOf(reps[i]), R: cl.termOf(reps[j])})
-				changed = true
-			}
-			if m[j][i] == relLeq {
-				m[j][i] = relLt
-				cl.derived = append(cl.derived, Atom{Op: ir.OpLt, L: cl.termOf(reps[j]), R: cl.termOf(reps[i])})
-				changed = true
-			}
-		}
-		// Merge: x<=y and y<=x derive x=y.
-		for i := 0; i < n && cl.sat; i++ {
-			for j := i + 1; j < n; j++ {
-				if m[i][j] == relLeq && m[j][i] == relLeq {
-					if neq[pair(i, j)] {
-						cl.sat = false
-						return
+		for a, i := range reps {
+			for _, j := range reps[a+1:] {
+				ij, ji := &m[i*n+j], &m[j*n+i]
+				if cl.neq[i*n+j] {
+					// Strengthen: x<=y and x<>y imply x<y.
+					if *ij == relLeq {
+						*ij, changed = relLt, true
 					}
-					if !cl.union(reps[i], reps[j]) {
-						cl.sat = false
-						return
+					if *ji == relLeq {
+						*ji, changed = relLt, true
 					}
-					changed = true
 				}
 			}
 		}
+		// Merge: x<=y and y<=x derive x=y. A pair strengthened above is
+		// strict one way, so the next closure pass finds its self-loop.
+		for a, i := range reps {
+			for _, j := range reps[a+1:] {
+				if m[i*n+j] != relLeq || m[j*n+i] != relLeq {
+					continue
+				}
+				ri, rj := cl.find(i), cl.find(j)
+				if ri != rj && !cl.union(ri, rj) {
+					return false
+				}
+				changed = true
+			}
+		}
 		if !changed {
-			cl.m = m
-			cl.neq = neq
-			cl.repsCache = reps
-			cl.idxCache = idx
-			return
+			return true
 		}
 	}
 }
 
-// termOf reconstructs a Term for a node, for recording derived atoms.
-func (cl *Closure) termOf(node int) Term {
-	info := cl.nodes[node]
-	if info.isConst {
-		return C(info.c)
+// finalize compresses the union-find so every parent pointer is its
+// representative — after this no query writes to the closure — and
+// records each class's least variable.
+func (cl *Closure) finalize() {
+	cl.least = make([]Var, cl.n)
+	for i := range cl.least {
+		cl.least[i] = noVar
 	}
-	return V(info.v)
-}
-
-func pair(i, j int) [2]int {
-	if i > j {
-		i, j = j, i
-	}
-	return [2]int{i, j}
-}
-
-// representatives lists class representatives and a node->dense-index map.
-func (cl *Closure) representatives() ([]int, map[int]int) {
-	var reps []int
-	idx := map[int]int{}
-	for n := range cl.nodes {
+	for n := range cl.parent {
 		r := cl.find(n)
-		if _, ok := idx[r]; !ok {
-			idx[r] = len(reps)
-			reps = append(reps, r)
+		cl.parent[n] = int32(r)
+		// Variables are nodes in ascending order: the first one seen is
+		// the class's least.
+		if !cl.isConst(n) && cl.least[r] == noVar {
+			cl.least[r] = cl.vars[n]
 		}
 	}
-	return reps, idx
 }
 
 // Sat reports whether the conjunction is satisfiable.

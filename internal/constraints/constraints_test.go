@@ -120,7 +120,7 @@ func TestResidualExample31(t *testing.T) {
 	given := Conj{eq(a, c), eq(b, d)}
 	// Allowed: only C and D survive the view's projection (Sel(V)={C,D}).
 	allowed := func(v Var) bool { return v == 2 || v == 3 }
-	res, ok := Residual(target, given, allowed)
+	res, ok := Residual(Close(target), given, allowed)
 	if !ok {
 		t.Fatal("residual should exist")
 	}
@@ -142,7 +142,7 @@ func TestResidualFailsWhenViewTooStrict(t *testing.T) {
 	b := vi(1)
 	target := Conj{eq(b, ci(6))}
 	given := Conj{eq(b, ci(7))}
-	if _, ok := Residual(target, given, func(Var) bool { return true }); ok {
+	if _, ok := Residual(Close(target), given, func(Var) bool { return true }); ok {
 		t.Error("residual should not exist when the view filters needed tuples")
 	}
 }
@@ -152,7 +152,7 @@ func TestResidualFailsWhenColumnProjectedOut(t *testing.T) {
 	b := vi(1)
 	target := Conj{eq(b, ci(6))}
 	given := Conj{}
-	if _, ok := Residual(target, given, func(v Var) bool { return v != 1 }); ok {
+	if _, ok := Residual(Close(target), given, func(v Var) bool { return v != 1 }); ok {
 		t.Error("residual over allowed vars cannot express B=6")
 	}
 }
@@ -163,7 +163,7 @@ func TestResidualEqualityChainThroughView(t *testing.T) {
 	a, b := vi(0), vi(1)
 	target := Conj{eq(a, b), eq(b, ci(5))}
 	given := Conj{eq(a, b)}
-	res, ok := Residual(target, given, func(v Var) bool { return v == 0 })
+	res, ok := Residual(Close(target), given, func(v Var) bool { return v == 0 })
 	if !ok {
 		t.Fatal("residual should exist via A=5")
 	}
@@ -174,7 +174,7 @@ func TestResidualEqualityChainThroughView(t *testing.T) {
 
 func TestResidualUnsatTarget(t *testing.T) {
 	target := Conj{lt(vi(0), vi(0))}
-	res, ok := Residual(target, Conj{}, func(Var) bool { return false })
+	res, ok := Residual(Close(target), Conj{}, func(Var) bool { return false })
 	if !ok {
 		t.Fatal("unsat target should admit a trivially false residual")
 	}
@@ -187,7 +187,7 @@ func TestResidualMinimization(t *testing.T) {
 	// target: A=B & B=C. given: A=B. residual should be a single atom.
 	a, b, c := vi(0), vi(1), vi(2)
 	target := Conj{eq(a, b), eq(b, c)}
-	res, ok := Residual(target, Conj{eq(a, b)}, func(Var) bool { return true })
+	res, ok := Residual(Close(target), Conj{eq(a, b)}, func(Var) bool { return true })
 	if !ok {
 		t.Fatal("residual should exist")
 	}
@@ -380,7 +380,7 @@ func TestRandomResidualSound(t *testing.T) {
 				allowedSet[Var(v)] = true
 			}
 		}
-		res, ok := Residual(target, given, func(v Var) bool { return allowedSet[v] })
+		res, ok := Residual(Close(target), given, func(v Var) bool { return allowedSet[v] })
 		if !ok {
 			continue
 		}

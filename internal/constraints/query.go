@@ -1,6 +1,7 @@
 package constraints
 
 import (
+	"slices"
 	"sort"
 
 	"aggview/internal/ir"
@@ -8,9 +9,12 @@ import (
 )
 
 // Implies reports whether the conjunction entails the atom. An
-// unsatisfiable conjunction entails everything. Entailment is decided by
-// refutation when the atom mentions terms outside the closure, and
-// directly on the relation matrix otherwise.
+// unsatisfiable conjunction entails everything. Atoms over mentioned
+// terms are read off the relation matrix. A variable the conjunction
+// never mentions is unconstrained, so the only atoms over it that hold
+// are the reflexive x = x, x <= x and x >= x. An unmentioned constant
+// still orders against the mentioned ones; that case alone is decided by
+// refutation.
 func (cl *Closure) Implies(a Atom) bool {
 	if !cl.sat {
 		return true
@@ -18,65 +22,49 @@ func (cl *Closure) Implies(a Atom) bool {
 	li, okL := cl.lookup(a.L)
 	ri, okR := cl.lookup(a.R)
 	if okL && okR {
-		return cl.impliesIdx(li, a.Op, ri)
+		return cl.impliesRep(li, a.Op, ri)
+	}
+	if (!okL && !a.L.IsConst) || (!okR && !a.R.IsConst) {
+		return !a.L.IsConst && !a.R.IsConst && a.L.V == a.R.V && reflexive(a.Op)
 	}
 	// Refutation: conj AND NOT(a) unsatisfiable iff conj implies a.
 	return !Close(append(append(Conj{}, cl.conj...), a.Negate())).Sat()
 }
 
-// lookup finds the dense matrix index of a term, if it was mentioned.
+func reflexive(op ir.Op) bool { return op == ir.OpEq || op == ir.OpLeq || op == ir.OpGeq }
+
+// lookup finds the class representative of a term, if it was mentioned.
 func (cl *Closure) lookup(t Term) (int, bool) {
-	var n int
-	if t.IsConst {
-		var ok bool
-		n, ok = cl.cnode[t.C.Key()]
-		if !ok {
-			return 0, false
-		}
-	} else {
-		var ok bool
-		n, ok = cl.varOf[t.V]
-		if !ok {
-			return 0, false
-		}
+	n, ok := cl.node(t)
+	if !ok {
+		return 0, false
 	}
-	i, ok := cl.idxCache[cl.findRead(n)]
-	return i, ok
+	return int(cl.parent[n]), true
 }
 
-func (cl *Closure) impliesIdx(li int, op ir.Op, ri int) bool {
+func (cl *Closure) impliesRep(li int, op ir.Op, ri int) bool {
 	if li == ri {
-		return op == ir.OpEq || op == ir.OpLeq || op == ir.OpGeq
+		return reflexive(op)
 	}
 	switch op {
-	case ir.OpEq:
-		return false // distinct representatives after fixpoint
 	case ir.OpNeq:
-		return cl.neqIdx(li, ri)
+		return cl.neqRep(li, ri)
 	case ir.OpLt:
-		return cl.m[li][ri] == relLt
+		return cl.m[li*cl.n+ri] == relLt
 	case ir.OpLeq:
-		return cl.m[li][ri] != relNone
+		return cl.m[li*cl.n+ri] != relNone
 	case ir.OpGt:
-		return cl.m[ri][li] == relLt
+		return cl.m[ri*cl.n+li] == relLt
 	case ir.OpGeq:
-		return cl.m[ri][li] != relNone
-	default:
+		return cl.m[ri*cl.n+li] != relNone
+	default: // OpEq: distinct representatives after the fixpoint
 		return false
 	}
 }
 
-// neqIdx reports a derivable disequality between two classes.
-func (cl *Closure) neqIdx(li, ri int) bool {
-	if cl.neq[pair(li, ri)] {
-		return true
-	}
-	if cl.m[li][ri] == relLt || cl.m[ri][li] == relLt {
-		return true
-	}
-	ci, okI := cl.classConst(cl.repsCache[li])
-	cj, okJ := cl.classConst(cl.repsCache[ri])
-	return okI && okJ && !value.Equal(ci, cj)
+// neqRep reports a derivable disequality between two classes.
+func (cl *Closure) neqRep(li, ri int) bool {
+	return cl.neq[li*cl.n+ri] || cl.m[li*cl.n+ri] == relLt || cl.m[ri*cl.n+li] == relLt
 }
 
 // ImpliesAll reports whether the closure entails every atom of d.
@@ -90,13 +78,41 @@ func (cl *Closure) ImpliesAll(d Conj) bool {
 }
 
 // Vars lists the variables mentioned in the closed conjunction, sorted.
-func (cl *Closure) Vars() []Var {
-	out := make([]Var, 0, len(cl.varOf))
-	for v := range cl.varOf {
-		out = append(out, v)
+func (cl *Closure) Vars() []Var { return slices.Clone(cl.vars) }
+
+// LeastEqual returns the least variable the conjunction proves equal to
+// v — v itself when it is the least of its class or is never mentioned.
+// It is the class structure Implies(x = y) would reveal pair by pair;
+// on an unsatisfiable closure (which entails every equality) it reports
+// the classes built before the contradiction surfaced.
+func (cl *Closure) LeastEqual(v Var) Var {
+	n, ok := cl.node(V(v))
+	if !ok {
+		return v
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return cl.least[cl.parent[n]]
+}
+
+// Pin returns the constant the conjunction pins v to, if any: exactly
+// the v = c atoms Atoms reports (none on an unsatisfiable closure).
+func (cl *Closure) Pin(v Var) (value.Value, bool) {
+	if !cl.sat {
+		return value.Value{}, false
+	}
+	n, ok := cl.node(V(v))
+	if !ok {
+		return value.Value{}, false
+	}
+	return cl.classConst(int(cl.parent[n]))
+}
+
+// classConst returns the constant a class is pinned to, if any: union
+// keeps a constant as the representative of any class that holds one.
+func (cl *Closure) classConst(rep int) (value.Value, bool) {
+	if cl.isConst(rep) {
+		return cl.consts[rep-len(cl.vars)], true
+	}
+	return value.Value{}, false
 }
 
 // Atoms returns the entailed atoms between the mentioned terms — the
@@ -104,108 +120,105 @@ func (cl *Closure) Vars() []Var {
 // or equality fact is emitted; for each variable its pin or tightest
 // constant bounds and disequalities. The result is sound (every atom is
 // entailed) and complete for residual computation over this fragment.
+// It is computed once per closure and shared: callers must not modify
+// the returned slice.
 func (cl *Closure) Atoms() Conj {
+	cl.atomsOnce.Do(func() { cl.atoms = cl.buildAtoms() })
+	return cl.atoms
+}
+
+func (cl *Closure) buildAtoms() Conj {
 	if !cl.sat {
 		return Conj{{Op: ir.OpLt, L: C(value.Int(0)), R: C(value.Int(0))}}
 	}
-	vars := cl.Vars()
+	n, m := cl.n, cl.m
 	var out Conj
 	// Variable-variable facts.
-	for i, u := range vars {
-		ui, _ := cl.lookup(V(u))
-		for _, w := range vars[i+1:] {
-			wi, _ := cl.lookup(V(w))
+	for i, u := range cl.vars {
+		ui := int(cl.parent[i])
+		for j := i + 1; j < len(cl.vars); j++ {
+			w, wi := cl.vars[j], int(cl.parent[j])
 			if ui == wi {
 				out = append(out, Atom{Op: ir.OpEq, L: V(u), R: V(w)})
 				continue
 			}
+			uw, wu := m[ui*n+wi], m[wi*n+ui]
 			switch {
-			case cl.m[ui][wi] == relLt:
+			case uw == relLt:
 				out = append(out, Atom{Op: ir.OpLt, L: V(u), R: V(w)})
-			case cl.m[ui][wi] == relLeq:
+			case uw == relLeq:
 				out = append(out, Atom{Op: ir.OpLeq, L: V(u), R: V(w)})
-			case cl.m[wi][ui] == relLt:
+			case wu == relLt:
 				out = append(out, Atom{Op: ir.OpGt, L: V(u), R: V(w)})
-			case cl.m[wi][ui] == relLeq:
+			case wu == relLeq:
 				out = append(out, Atom{Op: ir.OpGeq, L: V(u), R: V(w)})
 			}
-			if cl.m[ui][wi] != relLt && cl.m[wi][ui] != relLt && cl.neqIdx(ui, wi) {
+			if uw != relLt && wu != relLt && cl.neq[ui*n+wi] {
 				out = append(out, Atom{Op: ir.OpNeq, L: V(u), R: V(w)})
 			}
 		}
 	}
-	// Variable-constant facts.
-	for _, u := range vars {
-		ui, _ := cl.lookup(V(u))
-		if pin, ok := cl.classConst(cl.repsCache[ui]); ok {
+	// Variable-constant facts, constants in key order.
+	consts := cl.constantsByKey()
+	for i, u := range cl.vars {
+		ui := int(cl.parent[i])
+		if pin, ok := cl.classConst(ui); ok {
 			out = append(out, Atom{Op: ir.OpEq, L: V(u), R: C(pin)})
 			continue
 		}
-		lo, loStrict, hasLo := cl.bound(ui, false)
-		hi, hiStrict, hasHi := cl.bound(ui, true)
-		if hasLo {
+		if lo, strict, ok := cl.bound(ui, consts, false); ok {
 			op := ir.OpGeq
-			if loStrict {
+			if strict {
 				op = ir.OpGt
 			}
 			out = append(out, Atom{Op: op, L: V(u), R: C(lo)})
 		}
-		if hasHi {
+		if hi, strict, ok := cl.bound(ui, consts, true); ok {
 			op := ir.OpLeq
-			if hiStrict {
+			if strict {
 				op = ir.OpLt
 			}
 			out = append(out, Atom{Op: op, L: V(u), R: C(hi)})
 		}
 		// Disequalities against constants not already covered by strict
 		// bounds.
-		for _, c := range cl.constants() {
-			cIdx, ok := cl.lookup(C(c))
-			if !ok || cIdx == ui {
+		for _, c := range consts {
+			ci := int(cl.parent[c])
+			if ci == ui || m[ui*n+ci] == relLt || m[ci*n+ui] == relLt {
 				continue
 			}
-			if cl.m[ui][cIdx] == relLt || cl.m[cIdx][ui] == relLt {
-				continue // implied by a strict bound already emitted
-			}
-			if cl.neq[pair(ui, cIdx)] {
-				out = append(out, Atom{Op: ir.OpNeq, L: V(u), R: C(c)})
+			if cl.neq[ui*n+ci] {
+				out = append(out, Atom{Op: ir.OpNeq, L: V(u), R: C(cl.consts[c-len(cl.vars)])})
 			}
 		}
 	}
 	return out
 }
 
-// constants lists the distinct constants mentioned, in deterministic
-// order.
-func (cl *Closure) constants() []value.Value {
-	keys := make([]string, 0, len(cl.cnode))
-	for k := range cl.cnode {
-		keys = append(keys, k)
+// constantsByKey lists the constant nodes in the order of their value
+// keys, the deterministic order Atoms reports constants in.
+func (cl *Closure) constantsByKey() []int {
+	keys := make([]string, len(cl.consts))
+	nodes := make([]int, len(cl.consts))
+	for i, c := range cl.consts {
+		keys[i], nodes[i] = c.Key(), len(cl.vars)+i
 	}
-	sort.Strings(keys)
-	out := make([]value.Value, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, cl.nodes[cl.cnode[k]].c)
-	}
-	return out
+	sort.Slice(nodes, func(i, j int) bool { return keys[nodes[i]-len(cl.vars)] < keys[nodes[j]-len(cl.vars)] })
+	return nodes
 }
 
-// bound finds the tightest constant bound of a class: upper when hi is
-// true, lower otherwise. It returns the bounding constant, whether the
-// bound is strict, and whether one exists.
-func (cl *Closure) bound(ui int, hi bool) (value.Value, bool, bool) {
+// bound finds the tightest constant bound of a class among the given
+// constant nodes: upper when hi is true, lower otherwise. It returns the
+// bounding constant, whether the bound is strict, and whether one
+// exists.
+func (cl *Closure) bound(ui int, consts []int, hi bool) (value.Value, bool, bool) {
 	var best value.Value
 	bestStrict, found := false, false
-	for _, c := range cl.constants() {
-		cIdx, ok := cl.lookup(C(c))
-		if !ok {
-			continue
-		}
-		var r rel
+	for _, cn := range consts {
+		c, ci := cl.consts[cn-len(cl.vars)], int(cl.parent[cn])
+		r := cl.m[ci*cl.n+ui]
 		if hi {
-			r = cl.m[ui][cIdx]
-		} else {
-			r = cl.m[cIdx][ui]
+			r = cl.m[ui*cl.n+ci]
 		}
 		if r == relNone {
 			continue
@@ -216,14 +229,11 @@ func (cl *Closure) bound(ui int, hi bool) (value.Value, bool, bool) {
 			continue
 		}
 		cmp := value.Compare(c, best)
-		if hi {
-			if cmp < 0 || (cmp == 0 && strict && !bestStrict) {
-				best, bestStrict = c, strict
-			}
-		} else {
-			if cmp > 0 || (cmp == 0 && strict && !bestStrict) {
-				best, bestStrict = c, strict
-			}
+		if !hi {
+			cmp = -cmp
+		}
+		if cmp < 0 || (cmp == 0 && strict && !bestStrict) {
+			best, bestStrict = c, strict
 		}
 	}
 	return best, bestStrict, found
@@ -244,12 +254,14 @@ func Equivalent(c, d Conj) bool {
 }
 
 // Residual implements the heart of conditions C3/C3': find Conds' such
-// that target is equivalent to given AND Conds', where Conds' mentions
-// only variables accepted by allowed. It returns the residual and
-// whether one exists. For equality-only conjunctions the construction is
-// complete (Theorem 3.1); in general it is sound.
-func Residual(target, given Conj, allowed func(Var) bool) (Conj, bool) {
-	tc := Close(target)
+// that the target — given as its closure tc, which the rewrite search
+// computes once per query and shares across every candidate — is
+// equivalent to given AND Conds', where Conds' mentions only variables
+// accepted by allowed. It returns the residual and whether one exists.
+// For equality-only conjunctions the construction is complete (Theorem
+// 3.1); in general it is sound.
+func Residual(tc *Closure, given Conj, allowed func(Var) bool) (Conj, bool) {
+	target := tc.conj
 	if !tc.Sat() {
 		// An unsatisfiable target is equivalent to anything unsatisfiable;
 		// the empty-result query can use any view. Use a trivially false
@@ -265,7 +277,7 @@ func Residual(target, given Conj, allowed func(Var) bool) (Conj, bool) {
 	var candidate Conj
 	for _, a := range tc.Atoms() {
 		ok := true
-		for _, t := range []Term{a.L, a.R} {
+		for _, t := range [2]Term{a.L, a.R} {
 			if !t.IsConst && !allowed(t.V) {
 				ok = false
 			}

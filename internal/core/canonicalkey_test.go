@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"sort"
 	"testing"
 
+	"aggview/internal/aggreason"
+	"aggview/internal/constraints"
 	"aggview/internal/ir"
 )
 
@@ -120,5 +125,118 @@ func TestCanonicalKeyMergesEquivalents(t *testing.T) {
 		if canonicalKey(qa) != canonicalKey(qb) {
 			t.Errorf("%s: equivalent queries got different keys\n a: %s\n b: %s", tc.name, tc.a, tc.b)
 		}
+	}
+}
+
+// referenceKey is the canonical key by its definition: permute the
+// tables into canonical order, renumber every column reference
+// accordingly, and render the reordered query with the closure of its
+// own WHERE. canonicalKeyOf produces the same bytes without building
+// the reordered query; plan-cache keys and search dedup depend on that.
+func referenceKey(q *ir.Query) string {
+	n := &ir.Query{Distinct: q.Distinct}
+	oldToNew := make([]ir.ColID, q.NumCols())
+	for _, oldIdx := range canonicalOrder(q) {
+		t := q.Tables[oldIdx]
+		attrs := make([]string, len(t.Cols))
+		for pos, id := range t.Cols {
+			attrs[pos] = q.Col(id).Attr
+		}
+		newIdx := n.AddTable(t.Source, "", attrs)
+		for pos, id := range t.Cols {
+			oldToNew[id] = n.Tables[newIdx].Cols[pos]
+		}
+	}
+	remap := func(c ir.ColID) ir.ColID { return oldToNew[c] }
+	for _, it := range q.Select {
+		n.Select = append(n.Select, ir.SelectItem{Expr: ir.MapExprCols(it.Expr, remap), Alias: it.Alias})
+	}
+	for _, p := range q.Where {
+		n.Where = append(n.Where, ir.MapPredCols(p, remap))
+	}
+	for _, g := range q.GroupBy {
+		n.GroupBy = append(n.GroupBy, remap(g))
+	}
+	for _, h := range q.Having {
+		n.Having = append(n.Having, ir.HPred{Op: h.Op, L: ir.MapExprCols(h.L, remap), R: ir.MapExprCols(h.R, remap)})
+	}
+	term := func(t constraints.Term) string {
+		if t.IsConst {
+			return keyEscape(t.C.String())
+		}
+		return keyEscape(n.Col(ir.ColID(t.V)).Name)
+	}
+	cl := constraints.Close(aggreason.WhereConj(n))
+	var preds []string
+	for _, at := range cl.Atoms() {
+		s := term(at.L) + " " + opKeyName(at.Op) + " " + term(at.R)
+		if f := term(at.R) + " " + opKeyName(at.Op.Flip()) + " " + term(at.L); f < s {
+			s = f
+		}
+		preds = append(preds, s)
+	}
+	if !cl.Sat() {
+		preds = []string{"FALSE"}
+	}
+	sort.Strings(preds)
+	groups := make([]string, len(n.GroupBy))
+	for i, g := range n.GroupBy {
+		groups[i] = keyEscape(n.Col(g).Name)
+	}
+	sort.Strings(groups)
+	sel := make([]string, len(n.Select))
+	for i, it := range n.Select {
+		sel[i] = keyEscape(n.ExprSQLByName(it.Expr))
+	}
+	hav := make([]string, len(n.Having))
+	for i, h := range n.Having {
+		hav[i] = keyEscape(n.ExprSQLByName(h.L)) + " " + opKeyName(h.Op) + " " + keyEscape(n.ExprSQLByName(h.R))
+	}
+	sort.Strings(hav)
+	srcs := make([]string, len(n.Tables))
+	for i, t := range n.Tables {
+		srcs[i] = keyEscape(t.Source)
+	}
+	return fmt.Sprintf("D=%v S=%v F=%v W=%v G=%v H=%v", n.Distinct, sel, srcs, preds, groups, hav)
+}
+
+// TestCanonicalKeyMatchesReorderedRendering checks the key of every
+// golden-case query and of every rewriting the search derives from it
+// (multi-table FROM lists out of canonical order, repeated sources,
+// unsatisfiable and HAVING-bearing queries among them) against the
+// definition, and that the key a rewriting carries is its query's key.
+func TestCanonicalKeyMatchesReorderedRendering(t *testing.T) {
+	check := func(q *ir.Query) {
+		t.Helper()
+		if got, want := canonicalKey(q), referenceKey(q); got != want {
+			t.Fatalf("%s\n got %s\nwant %s", q.SQL(), got, want)
+		}
+	}
+	n := 0
+	for _, gc := range goldenCases() {
+		for _, sql := range gc.queries {
+			rw := gc.rewriter(t, 1)
+			q := buildQ(t, rw, sql)
+			check(q)
+			key, rws, err := rw.SearchContext(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if key != canonicalKey(q) {
+				t.Fatalf("search returned root key %q for %s", key, q.SQL())
+			}
+			for _, r := range rws {
+				check(r.Query)
+				if r.key != canonicalKey(r.Query) {
+					t.Fatalf("rewriting %s carries key %q", r.Query.SQL(), r.key)
+				}
+				n++
+			}
+		}
+	}
+	check(ir.MustBuild("SELECT s.A, r.A FROM R2, R1 s, R1 r WHERE r.B = s.C AND E = s.D AND 3 < F", tables()))
+	check(ir.MustBuild("SELECT A FROM R1 WHERE B < C AND C < B", tables()))
+	if n == 0 {
+		t.Fatal("no rewritings checked")
 	}
 }

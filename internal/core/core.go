@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,6 +105,12 @@ type Rewriting struct {
 	SetOnly bool
 	// Notes explains the usability conditions that were established.
 	Notes []string
+
+	// key is Query's canonical key, set by the search that produced the
+	// rewriting: computed once, when the candidate was accepted, and
+	// carried along so dedup, tie-breaks and cost tracing never re-derive
+	// it.
+	key string
 }
 
 // SQL renders the rewriting (auxiliary views first).
@@ -167,9 +174,9 @@ func (st *searchTask) candidate() error {
 // — no context, no budget — and cannot fail; use RewriteOnceContext for
 // cancellation and budgets.
 func (rw *Rewriter) RewriteOnce(q *ir.Query, v *ir.ViewDef) []*Rewriting {
-	out, events, _ := rw.rewriteOnce(&searchTask{ctx: context.Background()}, q, v, rw.Tracer.Enabled())
+	steps, events, _ := rw.rewriteOnce(&searchTask{ctx: context.Background()}, rw.newQueryFacts(q), rw.viewFacts(v), rw.Tracer.Enabled())
 	rw.Tracer.Candidates(events...)
-	return out
+	return rewritingsOf(steps)
 }
 
 // RewriteOnceContext is RewriteOnce under a context: cancellation,
@@ -178,12 +185,28 @@ func (rw *Rewriter) RewriteOnce(q *ir.Query, v *ir.ViewDef) []*Rewriting {
 // *budget.Canceled or *budget.Exceeded and no partial result. The
 // context is polled once per analyzed candidate.
 func (rw *Rewriter) RewriteOnceContext(ctx context.Context, q *ir.Query, v *ir.ViewDef) ([]*Rewriting, error) {
-	out, events, err := rw.rewriteOnce(rw.newSearchTask(ctx), q, v, rw.Tracer.Enabled())
+	steps, events, err := rw.rewriteOnce(rw.newSearchTask(ctx), rw.newQueryFacts(q), rw.viewFacts(v), rw.Tracer.Enabled())
 	if err != nil {
 		return nil, err
 	}
 	rw.Tracer.Candidates(events...)
-	return out, nil
+	return rewritingsOf(steps), nil
+}
+
+// step is one accepted single-step rewriting together with the facts of
+// its query, built where the candidate was accepted (on the wave's
+// worker) so the next wave starts from them.
+type step struct {
+	r  *Rewriting
+	qf *queryFacts
+}
+
+func rewritingsOf(steps []step) []*Rewriting {
+	var out []*Rewriting
+	for _, s := range steps {
+		out = append(out, s.r)
+	}
+	return out
 }
 
 // rewriteOnce is the traced body of RewriteOnce. With trace false it
@@ -194,28 +217,20 @@ func (rw *Rewriter) RewriteOnceContext(ctx context.Context, q *ir.Query, v *ir.V
 // semantics (Section 4.5). Accept events correspond 1:1, in order, to
 // the returned rewritings — Rewritings relies on that to retag events
 // that its global dedup or limit later discards.
-func (rw *Rewriter) rewriteOnce(st *searchTask, q *ir.Query, v *ir.ViewDef, trace bool) ([]*Rewriting, []obs.Candidate, error) {
-	qn, vn := q, v.Def
-	if !rw.Opts.NoNormalize {
-		qn = aggreason.Normalize(q)
-		vn = aggreason.Normalize(v.Def)
-	}
-
-	vIsAgg := vn.IsAggregationQuery()
-	qIsAgg := qn.IsAggregationQuery()
-
-	var out []*Rewriting
+func (rw *Rewriter) rewriteOnce(st *searchTask, qf *queryFacts, vf *viewFacts, trace bool) ([]step, []obs.Candidate, error) {
+	qn, vn := qf.qn, vf.vn
+	var out []step
 	var events []obs.Candidate
 	qSQL := ""
 	if trace {
-		qSQL = q.SQL()
+		qSQL = qf.q.SQL()
 	}
 	record := func(m mapping, setSem bool, verdict obs.Verdict, condition, reason string, r *Rewriting) {
 		if !trace {
 			return
 		}
 		ev := obs.Candidate{
-			Query: qSQL, View: v.Name, Mapping: mappingString(vn, qn, m),
+			Query: qSQL, View: vf.def.Name, Mapping: mappingString(vn, qn, m),
 			SetSemantics: setSem, Verdict: verdict, Condition: condition, Reason: reason,
 		}
 		if r != nil {
@@ -224,24 +239,24 @@ func (rw *Rewriter) rewriteOnce(st *searchTask, q *ir.Query, v *ir.ViewDef, trac
 		}
 		events = append(events, ev)
 	}
-	seen := map[string]bool{}
 	try := func(m mapping, setSem bool) error {
 		if err := st.candidate(); err != nil {
 			return err
 		}
-		a := newAnalyzer(rw, qn, vn, v, m, setSem)
-		r, err := a.analyze()
+		r, err := newAnalyzer(rw, qf, vf, m, setSem).analyze()
 		if err != nil {
 			record(m, setSem, obs.VerdictReject, conditionOf(err.Error()), err.Error(), nil)
 			return nil
 		}
-		key := canonicalKey(r.Query)
-		if seen[key] {
-			record(m, setSem, obs.VerdictDedup, "", "duplicate of an earlier mapping's rewriting (canonical key match)", r)
-			return nil
+		rf := rw.newQueryFacts(r.Query)
+		r.key = rf.key
+		for _, prev := range out {
+			if prev.r.key == r.key {
+				record(m, setSem, obs.VerdictDedup, "", "duplicate of an earlier mapping's rewriting (canonical key match)", r)
+				return nil
+			}
 		}
-		seen[key] = true
-		out = append(out, r)
+		out = append(out, step{r, rf})
 		record(m, setSem, obs.VerdictAccept, "", "", r)
 		return nil
 	}
@@ -249,7 +264,7 @@ func (rw *Rewriter) rewriteOnce(st *searchTask, q *ir.Query, v *ir.ViewDef, trac
 	// Section 4.5: a view with grouping or aggregation loses tuple
 	// multiplicities and cannot answer a conjunctive query under
 	// multiset semantics. Similarly a DISTINCT view is already a set.
-	multisetUsable := !vn.Distinct && (qIsAgg || !vIsAgg)
+	multisetUsable := !vn.Distinct && (qf.isAgg || !vf.isAgg)
 
 	if multisetUsable {
 		for _, m := range enumerateMappings(vn, qn, false) {
@@ -263,24 +278,21 @@ func (rw *Rewriter) rewriteOnce(st *searchTask, q *ir.Query, v *ir.ViewDef, trac
 			reason = "DISTINCT view is already a set; tuple multiplicities are lost (Section 4.5)"
 		}
 		events = append(events, obs.Candidate{
-			Query: qSQL, View: v.Name, Verdict: obs.VerdictReject, Condition: "C1", Reason: reason,
+			Query: qSQL, View: vf.def.Name, Verdict: obs.VerdictReject, Condition: "C1", Reason: reason,
 		})
 	}
 
 	// Section 5: when both results are provably sets, many-to-1 mappings
 	// become admissible (conjunctive queries and views only, as in the
 	// paper).
-	if !rw.Opts.NoSetSemantics && rw.Meta != nil && !qIsAgg && !vIsAgg {
-		meta := rw.meta()
-		if keys.IsSetResult(qn, meta) && keys.IsSetResult(vn, meta) {
-			for _, m := range enumerateMappings(vn, qn, true) {
-				if m.oneToOne && multisetUsable {
-					record(m, true, obs.VerdictDedup, "", "1-1 mapping already analyzed under multiset semantics", nil)
-					continue
-				}
-				if err := try(m, true); err != nil {
-					return nil, nil, err
-				}
+	if qf.isSet && !vf.isAgg && keys.IsSetResult(vn, rw.meta()) {
+		for _, m := range enumerateMappings(vn, qn, true) {
+			if m.oneToOne && multisetUsable {
+				record(m, true, obs.VerdictDedup, "", "1-1 mapping already analyzed under multiset semantics", nil)
+				continue
+			}
+			if err := try(m, true); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
@@ -351,7 +363,7 @@ func (rw *Rewriter) workers() int {
 // Rewritings runs unbounded — no context, no budget — and cannot fail;
 // use RewritingsContext for cancellation and budgets.
 func (rw *Rewriter) Rewritings(q *ir.Query) []*Rewriting {
-	out, _ := rw.rewritings(&searchTask{ctx: context.Background()}, q)
+	_, out, _ := rw.rewritings(&searchTask{ctx: context.Background()}, q)
 	return out
 }
 
@@ -363,10 +375,20 @@ func (rw *Rewriter) Rewritings(q *ir.Query) []*Rewriting {
 // drains before the error is returned, and the surviving error value is
 // independent of the worker count.
 func (rw *Rewriter) RewritingsContext(ctx context.Context, q *ir.Query) ([]*Rewriting, error) {
+	_, out, err := rw.rewritings(rw.newSearchTask(ctx), q)
+	return out, err
+}
+
+// SearchContext is RewritingsContext that also returns q's canonical key
+// (CanonicalKey(q)), which the search derives anyway to seed its dedup
+// set — a caller that needs both, like the facade preparing a plan for
+// the cache, need not derive the key again.
+func (rw *Rewriter) SearchContext(ctx context.Context, q *ir.Query) (key string, rws []*Rewriting, err error) {
 	return rw.rewritings(rw.newSearchTask(ctx), q)
 }
 
-func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) ([]*Rewriting, error) {
+// rewritings returns q's canonical key and its rewritings.
+func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewriting, error) {
 	limit := rw.Opts.MaxRewritings
 	if limit <= 0 {
 		limit = 128
@@ -377,25 +399,36 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) ([]*Rewriting, error
 	// events worth building.
 	sp := obs.SpanFrom(st.ctx)
 	collect := traceOn || sp.Enabled()
-	views := rw.Views.All()
-	seen := map[string]bool{canonicalKey(q): true}
+	all := rw.Views.All()
+	views := make([]*viewFacts, len(all))
+	for i, v := range all {
+		views[i] = rw.viewFacts(v)
+	}
+	// A frontier entry pairs a committed rewriting with the facts of its
+	// query; every job of the wave that extends it reads the same facts.
+	type entry struct {
+		cur *Rewriting
+		qf  *queryFacts
+	}
+	root := rw.newQueryFacts(q)
+	seen := map[string]bool{root.key: true}
 	var results []*Rewriting
-	frontier := []*Rewriting{{Query: q}}
+	frontier := []entry{{&Rewriting{Query: q, key: root.key}, root}}
 	wave := 0
 	for len(frontier) > 0 && len(results) < limit {
 		wave++
 		type job struct {
-			cur *Rewriting
-			v   *ir.ViewDef
+			entry
+			vf *viewFacts
 		}
 		jobs := make([]job, 0, len(frontier)*len(views))
-		for _, cur := range frontier {
-			for _, v := range views {
-				jobs = append(jobs, job{cur, v})
+		for _, e := range frontier {
+			for _, vf := range views {
+				jobs = append(jobs, job{e, vf})
 			}
 		}
 		rw.Tracer.Wave(len(jobs), len(frontier))
-		steps := make([][]*Rewriting, len(jobs))
+		steps := make([][]step, len(jobs))
 		events := make([][]obs.Candidate, len(jobs))
 		errs := make([]error, len(jobs))
 		if w := rw.workers(); w > 1 && len(jobs) > 1 {
@@ -403,24 +436,30 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) ([]*Rewriting, error
 				w = len(jobs)
 			}
 			var next atomic.Int64
+			work := func() {
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(jobs) {
+						return
+					}
+					steps[i], events[i], errs[i] = rw.rewriteOnce(st, jobs[i].qf, jobs[i].vf, collect)
+				}
+			}
+			// The calling goroutine is one of the w workers: a wave of a few
+			// cheap jobs is often drained before a helper is even scheduled.
 			var wg sync.WaitGroup
-			for k := 0; k < w; k++ {
+			for k := 1; k < w; k++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(jobs) {
-							return
-						}
-						steps[i], events[i], errs[i] = rw.rewriteOnce(st, jobs[i].cur.Query, jobs[i].v, collect)
-					}
+					work()
 				}()
 			}
+			work()
 			wg.Wait()
 		} else {
 			for i, j := range jobs {
-				steps[i], events[i], errs[i] = rw.rewriteOnce(st, j.cur.Query, j.v, collect)
+				steps[i], events[i], errs[i] = rw.rewriteOnce(st, j.qf, j.vf, collect)
 				if errs[i] != nil {
 					break
 				}
@@ -431,7 +470,7 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) ([]*Rewriting, error
 		// the surfaced error does not depend on which job observed it.
 		for _, err := range errs {
 			if err != nil {
-				return nil, err
+				return "", nil, err
 			}
 		}
 		if collect {
@@ -456,7 +495,7 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) ([]*Rewriting, error
 				}
 			}
 		}
-		var nextFrontier []*Rewriting
+		var nextFrontier []entry
 		for i, j := range jobs {
 			cur := j.cur
 			// Accept events correspond 1:1, in order, to steps[i]; the
@@ -467,15 +506,8 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) ([]*Rewriting, error
 					acceptPos = append(acceptPos, p)
 				}
 			}
-			for si, step := range steps[i] {
-				combined := &Rewriting{
-					Query:   step.Query,
-					Aux:     append(append([]*ir.ViewDef{}, cur.Aux...), step.Aux...),
-					Used:    append(append([]string{}, cur.Used...), j.v.Name),
-					SetOnly: cur.SetOnly || step.SetOnly,
-					Notes:   append(append([]string{}, cur.Notes...), step.Notes...),
-				}
-				key := canonicalKey(combined.Query)
+			for si, s := range steps[i] {
+				key := s.r.key
 				if seen[key] {
 					if collect && si < len(acceptPos) {
 						e := &events[i][acceptPos[si]]
@@ -485,21 +517,29 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) ([]*Rewriting, error
 					continue
 				}
 				seen[key] = true
+				combined := &Rewriting{
+					Query:   s.r.Query,
+					Aux:     append(append([]*ir.ViewDef{}, cur.Aux...), s.r.Aux...),
+					Used:    append(append([]string{}, cur.Used...), j.vf.def.Name),
+					SetOnly: cur.SetOnly || s.r.SetOnly,
+					Notes:   append(append([]string{}, cur.Notes...), s.r.Notes...),
+					key:     key,
+				}
 				results = append(results, combined)
-				nextFrontier = append(nextFrontier, combined)
+				nextFrontier = append(nextFrontier, entry{combined, s.qf})
 				if len(results) >= limit {
 					if collect {
 						annotateUncommitted(events, i, acceptPos, si)
 						flush()
 					}
-					return results, nil
+					return root.key, results, nil
 				}
 			}
 		}
 		flush()
 		frontier = nextFrontier
 	}
-	return results, nil
+	return root.key, results, nil
 }
 
 // annotateUncommitted marks accept events the MaxRewritings cut left
@@ -541,7 +581,7 @@ func (rw *Rewriter) BestContext(ctx context.Context, q *ir.Query, cost func(*ir.
 }
 
 func (rw *Rewriter) best(st *searchTask, q *ir.Query, cost func(*ir.Query) float64) (*Rewriting, error) {
-	rws, err := rw.rewritings(st, q)
+	_, rws, err := rw.rewritings(st, q)
 	if err != nil {
 		return nil, err
 	}
@@ -562,41 +602,27 @@ func (rw *Rewriter) best(st *searchTask, q *ir.Query, cost func(*ir.Query) float
 			return n
 		}
 	}
-	if rw.Tracer.Enabled() {
-		// Best assumes the cost callback is a pure function of the query.
-		// Record every invocation keyed by canonical form; the tracer
-		// flags a purity anomaly when the same canonical query is ever
-		// costed differently (e.g. a callback reading ambient state).
-		inner := cost
-		cost = func(q *ir.Query) float64 {
-			c := inner(q)
-			rw.Tracer.CostCall(canonicalKey(q), c)
-			return c
-		}
-	}
 	var best *Rewriting
 	bestCost := 0.0
-	bestKey := ""
 	for _, r := range rws {
 		if err := budget.Check(st.ctx, "best.cost"); err != nil {
 			return nil, err
 		}
 		c := cost(r.Query)
+		// Best assumes the cost callback is a pure function of the query.
+		// Record every invocation keyed by canonical form; the tracer
+		// flags a purity anomaly when the same canonical query is ever
+		// costed differently (e.g. a callback reading ambient state).
+		rw.Tracer.CostCall(r.key, c)
 		switch {
 		case best == nil || c < bestCost:
-			best, bestCost, bestKey = r, c, ""
+			best, bestCost = r, c
 		//aggvet:floateq ties must be detected exactly: both costs come from the same deterministic cost function, and an epsilon here would tie-break nearly-equal plans nondeterministically across platforms
 		case c == bestCost:
 			// Deterministic tie-breaking: fewest views used, then smallest
 			// canonical key — stable regardless of enumeration order.
-			if len(r.Used) > len(best.Used) {
-				continue
-			}
-			if bestKey == "" {
-				bestKey = canonicalKey(best.Query)
-			}
-			if k := canonicalKey(r.Query); len(r.Used) < len(best.Used) || k < bestKey {
-				best, bestKey = r, k
+			if len(r.Used) < len(best.Used) || (len(r.Used) == len(best.Used) && r.key < best.key) {
+				best = r
 			}
 		}
 	}
@@ -617,58 +643,70 @@ func CanonicalKey(q *ir.Query) string { return canonicalKey(q) }
 // so that rewritings reached by different view orders deduplicate
 // (the Church-Rosser property of Theorem 3.2).
 func canonicalKey(q *ir.Query) string {
+	// CloseCached: a served query's key is derived per request and its
+	// search closes the same conjunction right after.
+	return canonicalKeyOf(q, constraints.CloseCached(aggreason.WhereConj(q)))
+}
+
+// canonicalKeyOf is canonicalKey given cl, the closure of q's WHERE
+// conjunction. Tables are listed in canonical order and columns carry
+// the names that order would give them; nothing else of the reordered
+// query is needed, so it is never built.
+func canonicalKeyOf(q *ir.Query, cl *constraints.Closure) string {
 	perm := canonicalOrder(q)
-	reordered := reorderTables(q, perm)
+	names := canonicalNames(q, perm)
+	name := func(c ir.ColID) string { return names[c] }
 	// The WHERE clause is canonicalized through its deductive closure:
 	// logically equivalent conjunctions (e.g. equality chains written
-	// with different spanning trees) must produce the same key. SELECT
-	// and HAVING keep their order (SELECT order is semantically
+	// with different spanning trees) must produce the same key. Which
+	// side of an atom the closure lists first depends on column numbers,
+	// so each atom is rendered both ways round and the smaller kept.
+	// SELECT and HAVING keep their order (SELECT order is semantically
 	// relevant).
-	// CloseCached: BFS branches repeatedly reach candidates with equal
-	// WHERE conjunctions; the closure is computed once and shared.
-	cl := constraints.CloseCached(aggreason.WhereConj(reordered))
-	var preds []string
-	for _, at := range cl.Atoms() {
-		s := termKeyName(reordered, at.L) + " " + opKeyName(at.Op) + " " + termKeyName(reordered, at.R)
-		f := termKeyName(reordered, at.R) + " " + opKeyName(at.Op.Flip()) + " " + termKeyName(reordered, at.L)
-		if f < s {
-			s = f
+	preds := []string{"FALSE"}
+	if cl.Sat() {
+		atoms := cl.Atoms()
+		preds = make([]string, len(atoms))
+		for i, at := range atoms {
+			s := termKeyName(names, at.L) + " " + opKeyName(at.Op) + " " + termKeyName(names, at.R)
+			if f := termKeyName(names, at.R) + " " + opKeyName(at.Op.Flip()) + " " + termKeyName(names, at.L); f < s {
+				s = f
+			}
+			preds[i] = s
 		}
-		preds = append(preds, s)
+		sort.Strings(preds)
 	}
-	if !cl.Sat() {
-		preds = []string{"FALSE"}
-	}
-	sort.Strings(preds)
-	groups := make([]string, len(reordered.GroupBy))
-	for i, g := range reordered.GroupBy {
-		groups[i] = keyEscape(reordered.Col(g).Name)
+	groups := make([]string, len(q.GroupBy))
+	for i, g := range q.GroupBy {
+		groups[i] = keyEscape(names[g])
 	}
 	sort.Strings(groups)
-	sel := make([]string, len(reordered.Select))
-	for i, it := range reordered.Select {
-		sel[i] = keyEscape(reordered.ExprSQLByName(it.Expr))
+	sel := make([]string, len(q.Select))
+	for i, it := range q.Select {
+		sel[i] = keyEscape(q.ExprSQLNamed(it.Expr, name))
 	}
-	hav := make([]string, len(reordered.Having))
-	for i, h := range reordered.Having {
-		hav[i] = keyEscape(reordered.ExprSQLByName(h.L)) + " " + opKeyName(h.Op) + " " + keyEscape(reordered.ExprSQLByName(h.R))
+	hav := make([]string, len(q.Having))
+	for i, h := range q.Having {
+		hav[i] = keyEscape(q.ExprSQLNamed(h.L, name)) + " " + opKeyName(h.Op) + " " + keyEscape(q.ExprSQLNamed(h.R, name))
 	}
 	sort.Strings(hav)
-	srcs := make([]string, len(reordered.Tables))
-	for i, t := range reordered.Tables {
-		srcs[i] = keyEscape(t.Source)
+	srcs := make([]string, len(perm))
+	for i, ti := range perm {
+		srcs[i] = keyEscape(q.Tables[ti].Source)
 	}
 	// The %v slice rendering joins elements with a space and wraps them
 	// in brackets; keyEscape has removed both characters from every
 	// element, so the rendering is unambiguous.
 	return fmt.Sprintf("D=%v S=%v F=%v W=%v G=%v H=%v",
-		reordered.Distinct, sel, srcs, preds, groups, hav)
+		q.Distinct, sel, srcs, preds, groups, hav)
 }
 
 // keyEscapeSet lists the characters the canonical-key renderings use
 // as structure: '%' (the escape introducer itself), the space and
 // comma delimiters, the %v slice brackets, and '='/';' separators.
 const keyEscapeSet = "% ,[]=;"
+
+const hexUpper = "0123456789ABCDEF"
 
 // keyEscape percent-escapes the key-structure characters of one
 // fragment so data bytes can never masquerade as key structure — the
@@ -685,7 +723,9 @@ func keyEscape(s string) string {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if strings.IndexByte(keyEscapeSet, c) >= 0 {
-			fmt.Fprintf(&b, "%%%02X", c)
+			b.WriteByte('%')
+			b.WriteByte(hexUpper[c>>4])
+			b.WriteByte(hexUpper[c&0xF])
 		} else {
 			b.WriteByte(c)
 		}
@@ -693,12 +733,13 @@ func keyEscape(s string) string {
 	return b.String()
 }
 
-// termKeyName renders one closure term for the canonical key, escaped.
-func termKeyName(q *ir.Query, t constraints.Term) string {
+// termKeyName renders one closure term for the canonical key, escaped;
+// names are the query's canonical column names.
+func termKeyName(names []string, t constraints.Term) string {
 	if t.IsConst {
 		return keyEscape(t.C.String())
 	}
-	return keyEscape(q.Col(ir.ColID(t.V)).Name)
+	return keyEscape(names[t.V])
 }
 
 // opKeyName renders a comparison operator for the canonical key,
@@ -727,34 +768,29 @@ func canonicalOrder(q *ir.Query) []int {
 	return perm
 }
 
-// reorderTables builds an equivalent query with tables permuted and
-// columns renumbered accordingly.
-func reorderTables(q *ir.Query, perm []int) *ir.Query {
-	n := &ir.Query{Distinct: q.Distinct}
-	oldToNew := make([]ir.ColID, q.NumCols())
-	for _, oldIdx := range perm {
-		t := q.Tables[oldIdx]
-		attrs := make([]string, len(t.Cols))
-		for pos, id := range t.Cols {
-			attrs[pos] = q.Col(id).Attr
-		}
-		newIdx := n.AddTable(t.Source, "", attrs)
-		for pos, id := range t.Cols {
-			oldToNew[id] = n.Tables[newIdx].Cols[pos]
+// canonicalNames returns, per column of q, the unique name the column
+// would carry were q's tables listed in the order perm — the bare
+// attribute when it is unique across the query, otherwise attr_<k>
+// numbered per occurrence in that order (ir.Query's own naming rule).
+func canonicalNames(q *ir.Query, perm []int) []string {
+	count := make(map[string]int, q.NumCols())
+	for _, t := range q.Tables {
+		for _, id := range t.Cols {
+			count[q.Col(id).Attr]++
 		}
 	}
-	remap := func(c ir.ColID) ir.ColID { return oldToNew[c] }
-	for _, it := range q.Select {
-		n.Select = append(n.Select, ir.SelectItem{Expr: ir.MapExprCols(it.Expr, remap), Alias: it.Alias})
+	names := make([]string, q.NumCols())
+	seen := map[string]int{}
+	for _, ti := range perm {
+		for _, id := range q.Tables[ti].Cols {
+			attr := q.Col(id).Attr
+			if count[attr] == 1 {
+				names[id] = attr
+			} else {
+				seen[attr]++
+				names[id] = attr + "_" + strconv.Itoa(seen[attr])
+			}
+		}
 	}
-	for _, p := range q.Where {
-		n.Where = append(n.Where, ir.MapPredCols(p, remap))
-	}
-	for _, g := range q.GroupBy {
-		n.GroupBy = append(n.GroupBy, remap(g))
-	}
-	for _, h := range q.Having {
-		n.Having = append(n.Having, ir.HPred{Op: h.Op, L: ir.MapExprCols(h.L, remap), R: ir.MapExprCols(h.R, remap)})
-	}
-	return n
+	return names
 }

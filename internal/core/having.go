@@ -51,10 +51,9 @@ func (a *analyzer) havingStep() error {
 		}
 		vHav = append(vHav, at)
 	}
-	condsQ := aggreason.WhereConj(a.q)
-	axioms := space.Axioms(a.clQ)
-	target := concat(condsQ, axioms, qHav)
-	given := concat(condsQ, axioms, vHav)
+	axioms := space.Axioms(a.qf.cl)
+	target := concat(a.qf.conds, axioms, qHav)
+	given := concat(a.qf.conds, axioms, vHav)
 	allowed := func(v constraints.Var) bool {
 		if space.IsAggVar(v) {
 			term, ok := space.TermOf(v)
@@ -63,7 +62,7 @@ func (a *analyzer) havingStep() error {
 		_, err := a.groupColForVar(ir.ColID(v))
 		return err == nil
 	}
-	res, ok := constraints.Residual(target, given, allowed)
+	res, ok := constraints.Residual(constraints.Close(target), given, allowed)
 	if !ok {
 		return fail("condition C3' (HAVING): no residual GConds' over the available terms")
 	}
@@ -98,14 +97,14 @@ func (a *analyzer) groupsAligned() bool {
 	vSet := map[ir.ColID]bool{}
 	for _, g := range a.v.GroupBy {
 		c := a.canon(a.m.sigma(g))
-		if !a.pinned[c] {
+		if !a.qf.pinned[c] {
 			vSet[c] = true
 		}
 	}
 	qSet := map[ir.ColID]bool{}
 	for _, g := range a.q.GroupBy {
 		c := a.canon(g)
-		if !a.pinned[c] {
+		if !a.qf.pinned[c] {
 			qSet[c] = true
 		}
 	}
@@ -131,7 +130,7 @@ func (a *analyzer) vGroupsDeterminedByQ() bool {
 	}
 	for _, g := range a.v.GroupBy {
 		c := a.canon(a.m.sigma(g))
-		if !a.pinned[c] && !qSet[c] {
+		if !a.qf.pinned[c] && !qSet[c] {
 			return false
 		}
 	}
@@ -168,7 +167,7 @@ func (a *analyzer) translateVHTerm(space *aggreason.Space, e ir.Expr) (constrain
 		}
 		switch x.Func {
 		case ir.AggSum, ir.AggCount:
-			if len(a.coveredTables) != len(a.q.Tables) {
+			if a.nCovered != len(a.q.Tables) {
 				return constraints.Term{}, fail("condition C3' (HAVING): view %s term is not fan-out invariant with uncovered tables", x.Func)
 			}
 		}

@@ -34,15 +34,6 @@ type mapping struct {
 // sigma maps a view column to its image in the query.
 func (m *mapping) sigma(c ir.ColID) ir.ColID { return m.colMap[c] }
 
-// coveredTables returns the set of query table indices in the image.
-func (m *mapping) coveredTables() map[int]bool {
-	out := map[int]bool{}
-	for _, qi := range m.tableMap {
-		out[qi] = true
-	}
-	return out
-}
-
 // enumerateMappings lists the column mappings from v to q. With
 // manyToOne false only 1-1 mappings (distinct view tables to distinct
 // query tables) are produced — the multiset-semantics requirement of
@@ -99,9 +90,5 @@ func enumerateMappings(v, q *ir.Query, manyToOne bool) []mapping {
 		}
 	}
 	rec(0)
-	if manyToOne {
-		return out
-	}
-	// With manyToOne false every produced mapping is 1-1 already.
 	return out
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"aggview/internal/aggreason"
 	"aggview/internal/constraints"
 	"aggview/internal/ir"
 	"aggview/internal/keys"
@@ -19,76 +18,64 @@ func fail(format string, args ...any) error {
 	return &errNotUsable{reason: fmt.Sprintf(format, args...)}
 }
 
-// aggItem is one aggregate select item of the view.
-type aggItem struct {
-	pos int
-	fn  ir.AggFunc
-	arg ir.ColID // view column aggregated upon
-}
-
 // analyzer checks the usability conditions for one (query, view,
-// mapping) triple and constructs the rewritten query.
+// mapping) triple and constructs the rewritten query. What depends on
+// the query alone (qf) or the view alone (vf) is shared with every other
+// analyzer of the wave and only read here; the analyzer's own state is
+// what the mapping adds.
 type analyzer struct {
-	rw      *Rewriter
-	q, v    *ir.Query // normalized query and view definition
-	viewDef *ir.ViewDef
-	m       mapping
-	setSem  bool
+	rw     *Rewriter
+	qf     *queryFacts
+	vf     *viewFacts
+	q, v   *ir.Query // qf.qn and vf.vn: the normalized query and view definition
+	m      mapping
+	setSem bool
 
-	vIsAgg        bool
-	covered       map[ir.ColID]bool
-	coveredTables map[int]bool
-	clQ           *constraints.Closure
-	canonMap      []ir.ColID
-	pinned        map[ir.ColID]bool
-
-	barePos   map[ir.ColID]int // view col -> first bare select position
-	sigmaBare map[ir.ColID]int // q col (exact sigma image of a bare item) -> position
-	aggItems  []aggItem
-	countPos  int
+	covered       []bool // q col -> in the mapping's image
+	coveredTables []bool // q table -> in the mapping's image
+	nCovered      int    // number of covered tables
+	sigmaBare     []int  // q col -> select position of a bare view item mapped exactly onto it, -1 when none
 
 	// Construction state.
-	nq        *ir.Query
-	viewCols  []ir.ColID // nq cols of the view instance, by select position
-	oldToNew  []ir.ColID // q col -> nq col; -1 when unavailable
-	replCache map[ir.ColID]ir.ColID
-	aux       []*ir.ViewDef
-	notes     []string
+	nq       *ir.Query
+	viewCols []ir.ColID // nq cols of the view instance, by select position
+	oldToNew []ir.ColID // q col -> nq col; -1 when unavailable
+	repl     []ir.ColID // q col -> its C2 replacement in nq; replUnknown until asked, -1 when none exists
+	aux      []*ir.ViewDef
+	notes    []string
 
 	vaCnt ir.ColID // Cnt_Va column in nq; -1 until built
 }
 
-func newAnalyzer(rw *Rewriter, q, v *ir.Query, viewDef *ir.ViewDef, m mapping, setSem bool) *analyzer {
-	return &analyzer{
-		rw: rw, q: q, v: v, viewDef: viewDef, m: m, setSem: setSem,
-		countPos: -1, vaCnt: -1,
-		replCache: map[ir.ColID]ir.ColID{},
-	}
-}
+const replUnknown = ir.ColID(-2)
 
-// run performs the full analysis; it returns nil when any usability
-// condition fails.
-func (a *analyzer) run() *Rewriting {
-	r, err := a.analyze()
-	if err != nil {
-		return nil
-	}
-	return r
+func newAnalyzer(rw *Rewriter, qf *queryFacts, vf *viewFacts, m mapping, setSem bool) *analyzer {
+	return &analyzer{rw: rw, qf: qf, vf: vf, q: qf.qn, v: vf.vn, m: m, setSem: setSem, vaCnt: -1}
 }
 
 func (a *analyzer) analyze() (*Rewriting, error) {
-	a.vIsAgg = a.v.IsAggregationQuery()
-	a.covered = map[ir.ColID]bool{}
-	for vc := range a.m.colMap {
-		a.covered[a.m.sigma(ir.ColID(vc))] = true
+	n := a.q.NumCols()
+	a.covered = make([]bool, n)
+	a.sigmaBare = make([]int, n)
+	a.repl = make([]ir.ColID, n)
+	for c := 0; c < n; c++ {
+		a.sigmaBare[c], a.repl[c] = -1, replUnknown
 	}
-	a.coveredTables = a.m.coveredTables()
-
-	// One candidate query is analyzed once per (view, mapping) pair; its
-	// WHERE closure is identical across all of them, so share it.
-	a.clQ = constraints.CloseCached(aggreason.WhereConj(a.q))
-	a.buildCanon()
-	a.classifyView()
+	for _, qc := range a.m.colMap {
+		a.covered[qc] = true
+	}
+	a.coveredTables = make([]bool, len(a.q.Tables))
+	for _, qi := range a.m.tableMap {
+		if !a.coveredTables[qi] {
+			a.coveredTables[qi] = true
+			a.nCovered++
+		}
+	}
+	for _, it := range a.vf.bare {
+		if qc := a.m.sigma(it.col); a.sigmaBare[qc] < 0 {
+			a.sigmaBare[qc] = it.pos
+		}
+	}
 
 	if err := a.residualStep(); err != nil {
 		return nil, err
@@ -125,7 +112,7 @@ func (a *analyzer) analyze() (*Rewriting, error) {
 			a.note("added DISTINCT to restore set-ness of the rewriting")
 		}
 	}
-	return &Rewriting{Query: a.nq, Aux: a.aux, Used: []string{a.viewDef.Name}, SetOnly: setOnly, Notes: a.notes}, nil
+	return &Rewriting{Query: a.nq, Aux: a.aux, Used: []string{a.vf.def.Name}, SetOnly: setOnly, Notes: a.notes}, nil
 }
 
 // addSameImageEqualities adds, for a many-to-1 mapping, equality
@@ -135,19 +122,10 @@ func (a *analyzer) analyze() (*Rewriting, error) {
 // constrained to collapse onto single query rows (Example 5.1's
 // A1 = A4 predicate).
 func (a *analyzer) addSameImageEqualities() {
-	type exposed struct {
-		pos int
-		img ir.ColID
-	}
-	var items []exposed
-	for pos, it := range a.v.Select {
-		if c, ok := it.Expr.(*ir.ColRef); ok {
-			items = append(items, exposed{pos: pos, img: a.m.sigma(c.Col)})
-		}
-	}
+	items := a.vf.bare
 	for i := 0; i < len(items); i++ {
 		for j := i + 1; j < len(items); j++ {
-			if items[i].pos != items[j].pos && a.equalCols(items[i].img, items[j].img) {
+			if a.equalCols(a.m.sigma(items[i].col), a.m.sigma(items[j].col)) {
 				a.nq.Where = append(a.nq.Where, ir.Pred{
 					Op: ir.OpEq,
 					L:  ir.ColTerm(a.viewCols[items[i].pos]),
@@ -175,73 +153,19 @@ func (a *analyzer) note(format string, args ...any) {
 	a.notes = append(a.notes, fmt.Sprintf(format, args...))
 }
 
-// buildCanon computes, for each query column, the smallest column it is
-// provably equal to under Conds(Q), plus the set of pinned columns.
-func (a *analyzer) buildCanon() {
-	n := a.q.NumCols()
-	a.canonMap = make([]ir.ColID, n)
-	a.pinned = map[ir.ColID]bool{}
-	for c := 0; c < n; c++ {
-		a.canonMap[c] = ir.ColID(c)
-		for d := 0; d < c; d++ {
-			if a.clQ.Implies(constraints.Atom{
-				Op: ir.OpEq,
-				L:  constraints.V(constraints.Var(c)),
-				R:  constraints.V(constraints.Var(d)),
-			}) {
-				a.canonMap[c] = ir.ColID(d)
-				break
-			}
-		}
-	}
-	for _, at := range a.clQ.Atoms() {
-		if at.Op == ir.OpEq && !at.L.IsConst && at.R.IsConst {
-			a.pinned[ir.ColID(at.L.V)] = true
-		}
-	}
-}
-
-func (a *analyzer) canon(c ir.ColID) ir.ColID { return a.canonMap[c] }
+func (a *analyzer) canon(c ir.ColID) ir.ColID { return a.qf.canon[c] }
 
 // equalCols reports whether two query columns are provably equal under
 // Conds(Q).
-func (a *analyzer) equalCols(x, y ir.ColID) bool { return a.canonMap[x] == a.canonMap[y] }
-
-// classifyView indexes the view's SELECT items: bare columns, aggregate
-// items, and a COUNT column if any.
-func (a *analyzer) classifyView() {
-	a.barePos = map[ir.ColID]int{}
-	a.sigmaBare = map[ir.ColID]int{}
-	for pos, it := range a.v.Select {
-		switch x := it.Expr.(type) {
-		case *ir.ColRef:
-			if _, ok := a.barePos[x.Col]; !ok {
-				a.barePos[x.Col] = pos
-			}
-			qc := a.m.sigma(x.Col)
-			if _, ok := a.sigmaBare[qc]; !ok {
-				a.sigmaBare[qc] = pos
-			}
-		case *ir.Agg:
-			if c, ok := x.Arg.(*ir.ColRef); ok && !x.Star {
-				a.aggItems = append(a.aggItems, aggItem{pos: pos, fn: x.Func, arg: c.Col})
-				if x.Func == ir.AggCount && a.countPos < 0 {
-					a.countPos = pos
-				}
-			}
-		}
-	}
-}
+func (a *analyzer) equalCols(x, y ir.ColID) bool { return a.qf.canon[x] == a.qf.canon[y] }
 
 // residualStep checks condition C3/C3' and starts building the
 // rewritten query: the view instance replaces the covered tables (steps
 // S1/S1'), and the WHERE clause becomes the residual Conds' (S3/S3').
 func (a *analyzer) residualStep() error {
-	condsQ := aggreason.WhereConj(a.q)
-	var condsV constraints.Conj
-	for _, p := range a.v.Where {
-		mapped := ir.MapPredCols(p, func(c ir.ColID) ir.ColID { return a.m.sigma(c) })
-		condsV = append(condsV, constraints.Atom{Op: mapped.Op, L: whereTerm(mapped.L), R: whereTerm(mapped.R)})
+	condsV := make(constraints.Conj, len(a.vf.conds))
+	for i, at := range a.vf.conds {
+		condsV[i] = constraints.Atom{Op: at.Op, L: a.sigmaTerm(at.L), R: a.sigmaTerm(at.R)}
 	}
 	// Allowed residual columns: those of tables outside the mapping's
 	// image, plus exact sigma-images of the view's exposed bare columns
@@ -249,20 +173,16 @@ func (a *analyzer) residualStep() error {
 	// which is what the bare items are in both cases).
 	allowed := func(v constraints.Var) bool {
 		c := ir.ColID(v)
-		if !a.covered[c] {
-			return true
-		}
-		_, ok := a.sigmaBare[c]
-		return ok
+		return !a.covered[c] || a.sigmaBare[c] >= 0
 	}
-	res, ok := constraints.Residual(condsQ, condsV, allowed)
+	res, ok := constraints.Residual(a.qf.cl, condsV, allowed)
 	if !ok {
 		return fail("condition C3: no residual Conds' over the available columns")
 	}
 
 	// Step S1/S1': build the new query's FROM clause.
 	a.nq = &ir.Query{}
-	vt := a.nq.AddTable(a.viewDef.Name, "", a.viewDef.OutCols)
+	vt := a.nq.AddTable(a.vf.def.Name, "", a.vf.def.OutCols)
 	a.viewCols = append([]ir.ColID{}, a.nq.Tables[vt].Cols...)
 	a.oldToNew = make([]ir.ColID, a.q.NumCols())
 	for i := range a.oldToNew {
@@ -324,11 +244,12 @@ func (a *analyzer) renderConj(c constraints.Conj) string {
 	return out
 }
 
-func whereTerm(t ir.Term) constraints.Term {
+// sigmaTerm maps a term of Conds(V) into the query's columns.
+func (a *analyzer) sigmaTerm(t constraints.Term) constraints.Term {
 	if t.IsConst {
-		return constraints.C(t.Val)
+		return t
 	}
-	return constraints.V(constraints.Var(t.Col))
+	return constraints.V(constraints.Var(a.m.sigma(ir.ColID(t.V))))
 }
 
 func (a *analyzer) residualTerm(t constraints.Term) (ir.Term, error) {
@@ -339,8 +260,8 @@ func (a *analyzer) residualTerm(t constraints.Term) (ir.Term, error) {
 	if !a.covered[c] {
 		return ir.ColTerm(a.oldToNew[c]), nil
 	}
-	pos, ok := a.sigmaBare[c]
-	if !ok {
+	pos := a.sigmaBare[c]
+	if pos < 0 {
 		return ir.Term{}, fail("internal: residual mentions unavailable column %s", a.q.Col(c).Name)
 	}
 	return ir.ColTerm(a.viewCols[pos]), nil
@@ -350,24 +271,23 @@ func (a *analyzer) residualTerm(t constraints.Term) (ir.Term, error) {
 // (condition C2/C2'): a bare select item B with Conds(Q) implying
 // A = sigma(B). It returns the nq column of that output.
 func (a *analyzer) replacement(c ir.ColID) (ir.ColID, error) {
-	if nc, ok := a.replCache[c]; ok {
-		if nc < 0 {
-			return 0, fail("condition C2: no view output equals column %s", a.q.Col(c).Name)
-		}
-		return nc, nil
-	}
-	if pos, ok := a.sigmaBare[c]; ok {
-		a.replCache[c] = a.viewCols[pos]
-		return a.viewCols[pos], nil
-	}
-	for vc, pos := range a.barePos {
-		if a.equalCols(a.m.sigma(vc), c) {
-			a.replCache[c] = a.viewCols[pos]
-			return a.viewCols[pos], nil
+	if a.repl[c] == replUnknown {
+		a.repl[c] = -1
+		if pos := a.sigmaBare[c]; pos >= 0 {
+			a.repl[c] = a.viewCols[pos]
+		} else {
+			for _, it := range a.vf.bare {
+				if a.equalCols(a.m.sigma(it.col), c) {
+					a.repl[c] = a.viewCols[it.pos]
+					break
+				}
+			}
 		}
 	}
-	a.replCache[c] = -1
-	return 0, fail("condition C2: no view output equals column %s", a.q.Col(c).Name)
+	if a.repl[c] < 0 {
+		return 0, fail("condition C2: no view output equals column %s", a.q.Col(c).Name)
+	}
+	return a.repl[c], nil
 }
 
 // mapCol maps a query column into the rewritten query: uncovered columns
@@ -434,7 +354,7 @@ func (a *analyzer) rewriteExpr(e ir.Expr) (ir.Expr, error) {
 
 // rewriteAgg implements conditions C4/C4' and steps S4/S4'/S5'.
 func (a *analyzer) rewriteAgg(agg *ir.Agg) (ir.Expr, error) {
-	if !a.vIsAgg {
+	if !a.vf.isAgg {
 		return a.rewriteAggConjView(agg)
 	}
 	return a.rewriteAggAggView(agg)
@@ -524,7 +444,7 @@ func (a *analyzer) rewriteAggAggView(agg *ir.Agg) (ir.Expr, error) {
 // findAggItem finds a view aggregate item AGG(B) with sigma(B) provably
 // equal to the query column c.
 func (a *analyzer) findAggItem(fn ir.AggFunc, c ir.ColID) (int, bool) {
-	for _, it := range a.aggItems {
+	for _, it := range a.vf.aggItems {
 		if it.fn == fn && a.equalCols(a.m.sigma(it.arg), c) {
 			return it.pos, true
 		}
@@ -535,10 +455,10 @@ func (a *analyzer) findAggItem(fn ir.AggFunc, c ir.ColID) (int, bool) {
 // cntCol returns the nq column of the view's COUNT output (condition
 // C4' parts 1(b) and 2).
 func (a *analyzer) cntCol() (ir.ColID, error) {
-	if a.countPos < 0 {
+	if a.vf.countPos < 0 {
 		return 0, fail("condition C4': the view exposes no COUNT column to recover multiplicities")
 	}
-	return a.viewCols[a.countPos], nil
+	return a.viewCols[a.vf.countPos], nil
 }
 
 // countAsSum rewrites COUNT(...) as SUM of the view's COUNT column

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"aggview/internal/aggreason"
 	"aggview/internal/ir"
 	"aggview/internal/keys"
 )
@@ -29,14 +28,15 @@ type ViewUsability struct {
 // order; the result is deterministic.
 func (rw *Rewriter) ExplainUsability(q *ir.Query) []ViewUsability {
 	var out []ViewUsability
+	qf := rw.newQueryFacts(q)
 	for _, v := range rw.Views.All() {
-		out = append(out, rw.explainView(q, v))
+		out = append(out, rw.explainView(qf, rw.viewFacts(v)))
 	}
 	return out
 }
 
-func (rw *Rewriter) explainView(q *ir.Query, v *ir.ViewDef) ViewUsability {
-	u := ViewUsability{View: v.Name}
+func (rw *Rewriter) explainView(qf *queryFacts, vf *viewFacts) ViewUsability {
+	u := ViewUsability{View: vf.def.Name}
 	seen := map[string]bool{}
 	fail := func(msg string) {
 		if !seen[msg] {
@@ -45,16 +45,10 @@ func (rw *Rewriter) explainView(q *ir.Query, v *ir.ViewDef) ViewUsability {
 		}
 	}
 
-	qn, vn := q, v.Def
-	if !rw.Opts.NoNormalize {
-		qn = aggreason.Normalize(q)
-		vn = aggreason.Normalize(v.Def)
-	}
-	vIsAgg := vn.IsAggregationQuery()
-	qIsAgg := qn.IsAggregationQuery()
+	qn, vn := qf.qn, vf.vn
 
 	// Section 4.5 multiset restriction (mirrors RewriteOnce).
-	multisetUsable := !vn.Distinct && (qIsAgg || !vIsAgg)
+	multisetUsable := !vn.Distinct && (qf.isAgg || !vf.isAgg)
 	if !multisetUsable {
 		if vn.Distinct {
 			fail("condition C1: the view is DISTINCT, so its result is a set and the query's tuple multiplicities cannot be preserved (Section 4.5)")
@@ -69,8 +63,7 @@ func (rw *Rewriter) explainView(q *ir.Query, v *ir.ViewDef) ViewUsability {
 		fail("condition C1: no column mapping exists — the view's table instances cannot be mapped one-to-one onto the query's")
 	} else if multisetUsable {
 		for _, m := range ms {
-			a := newAnalyzer(rw, qn, vn, v, m, false)
-			if _, err := a.analyze(); err != nil {
+			if _, err := newAnalyzer(rw, qf, vf, m, false).analyze(); err != nil {
 				fail(err.Error())
 			} else {
 				u.Usable = true
@@ -80,14 +73,10 @@ func (rw *Rewriter) explainView(q *ir.Query, v *ir.ViewDef) ViewUsability {
 
 	// Section 5 relaxation: both results provably sets. Failures on this
 	// path largely repeat the multiset ones, so only success is recorded.
-	if !rw.Opts.NoSetSemantics && rw.Meta != nil && !qIsAgg && !vIsAgg {
-		meta := rw.meta()
-		if keys.IsSetResult(qn, meta) && keys.IsSetResult(vn, meta) {
-			for _, m := range enumerateMappings(vn, qn, true) {
-				a := newAnalyzer(rw, qn, vn, v, m, true)
-				if _, err := a.analyze(); err == nil {
-					u.Usable = true
-				}
+	if qf.isSet && !vf.isAgg && keys.IsSetResult(vn, rw.meta()) {
+		for _, m := range enumerateMappings(vn, qn, true) {
+			if _, err := newAnalyzer(rw, qf, vf, m, true).analyze(); err == nil {
+				u.Usable = true
 			}
 		}
 	}

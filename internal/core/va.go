@@ -37,39 +37,34 @@ func (a *analyzer) ensureVa() error {
 	if a.vaCnt >= 0 {
 		return nil
 	}
-	if a.countPos < 0 {
+	if a.vf.countPos < 0 {
 		return fail("condition C4': the view exposes no COUNT column to recover multiplicities")
 	}
 	// QV_Groups: the bare (exposed) select positions of the view, in
 	// select order.
 	var barePositions []int
-	seen := map[int]bool{}
-	for _, it := range a.v.Select {
-		if c, ok := it.Expr.(*ir.ColRef); ok {
-			pos := a.barePos[c.Col]
-			if !seen[pos] {
-				seen[pos] = true
-				barePositions = append(barePositions, pos)
-			}
+	for _, it := range a.vf.bare {
+		if a.vf.barePos[it.col] == it.pos { // the column's first exposure
+			barePositions = append(barePositions, it.pos)
 		}
 	}
 
 	def := &ir.Query{}
-	vt := def.AddTable(a.viewDef.Name, "", a.viewDef.OutCols)
+	vt := def.AddTable(a.vf.def.Name, "", a.vf.def.OutCols)
 	inst := def.Tables[vt]
 	for _, pos := range barePositions {
 		def.Select = append(def.Select, ir.SelectItem{
 			Expr:  &ir.ColRef{Col: inst.Cols[pos]},
-			Alias: a.viewDef.OutCols[pos],
+			Alias: a.vf.def.OutCols[pos],
 		})
 		def.GroupBy = append(def.GroupBy, inst.Cols[pos])
 	}
 	def.Select = append(def.Select, ir.SelectItem{
-		Expr:  &ir.Agg{Func: ir.AggSum, Arg: &ir.ColRef{Col: inst.Cols[a.countPos]}},
+		Expr:  &ir.Agg{Func: ir.AggSum, Arg: &ir.ColRef{Col: inst.Cols[a.vf.countPos]}},
 		Alias: "Cnt_Va",
 	})
 
-	name := a.viewDef.Name + "_va"
+	name := a.vf.def.Name + "_va"
 	vaDef, err := ir.NewViewDef(name, def)
 	if err != nil {
 		return err

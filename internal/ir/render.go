@@ -147,7 +147,14 @@ func (q *Query) PredSQL(p Pred) string {
 // ExprSQLByName renders an expression using the query's unique column
 // names rather than qualified SQL names; used in explanations.
 func (q *Query) ExprSQLByName(e Expr) string {
-	return q.exprSQL(e, func(id ColID) string { return q.Col(id).Name })
+	return q.ExprSQLNamed(e, func(id ColID) string { return q.Col(id).Name })
+}
+
+// ExprSQLNamed renders an expression with caller-chosen column names
+// (the canonical plan key names columns as a canonical table order
+// would, without building the reordered query).
+func (q *Query) ExprSQLNamed(e Expr, name func(ColID) string) string {
+	return q.exprSQL(e, name)
 }
 
 // String renders a compact one-line description for debugging.

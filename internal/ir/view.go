@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // ViewDef names a query whose materialization is available: the view's
@@ -12,6 +13,20 @@ type ViewDef struct {
 	Name    string
 	Def     *Query
 	OutCols []string
+
+	derivedOnce sync.Once
+	derived     any
+}
+
+// Derived returns the value build computes from the view, running build
+// on the first call and sharing its result afterwards; concurrent
+// callers are safe. The value lives and dies with this ViewDef, so what
+// a planner derives from a registered definition alone (package core's
+// per-view facts, the slot's one owner) is computed once per registry
+// entry rather than once per search. Def must not change afterwards.
+func (v *ViewDef) Derived(build func(*ViewDef) any) any {
+	v.derivedOnce.Do(func() { v.derived = build(v) })
+	return v.derived
 }
 
 // NewViewDef builds a view definition, deriving output column names from

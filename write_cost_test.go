@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"aggview"
@@ -13,13 +14,15 @@ import (
 
 // warehouse loads Example 1.1's Calls table at the given size with six
 // tracked views of the shapes the benchmark maintains (join, SUM/COUNT,
-// MAX, selective, coarse, MIN/MAX).
-func warehouse(t *testing.T, calls int) *aggview.System {
+// MAX, selective, coarse, MIN/MAX). Extra columns widen Calls beyond
+// what any view or query mentions.
+func warehouse(t testing.TB, calls int, extra ...string) *aggview.System {
 	t.Helper()
+	cols := append([]string{"Call_Id", "Cust_Id", "Plan_Id", "Day", "Month", "Year", "Charge"}, extra...)
 	sys := aggview.New()
 	sys.MustLoad(`
 		CREATE TABLE Calling_Plans(Plan_Id, Plan_Name) KEY(Plan_Id);
-		CREATE TABLE Calls(Call_Id, Cust_Id, Plan_Id, Day, Month, Year, Charge) KEY(Call_Id);
+		CREATE TABLE Calls(` + strings.Join(cols, ", ") + `) KEY(Call_Id);
 		CREATE VIEW V1 AS SELECT Calls.Plan_Id, Plan_Name, Month, Year, SUM(Charge) FROM Calls, Calling_Plans WHERE Calls.Plan_Id = Calling_Plans.Plan_Id GROUP BY Calls.Plan_Id, Plan_Name, Month, Year;
 		CREATE VIEW VPlanMonth AS SELECT Plan_Id, Month, Year, SUM(Charge), COUNT(Charge) FROM Calls GROUP BY Plan_Id, Month, Year;
 		CREATE VIEW VCust AS SELECT Cust_Id, SUM(Charge), COUNT(Charge), MAX(Charge) FROM Calls GROUP BY Cust_Id;
@@ -35,9 +38,13 @@ func warehouse(t *testing.T, calls int) *aggview.System {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	rel := engine.NewRelation("Call_Id", "Cust_Id", "Plan_Id", "Day", "Month", "Year", "Charge")
+	rel := engine.NewRelation(cols...)
 	for i := 0; i < calls; i++ {
-		rel.Tuples = append(rel.Tuples, callRow(rng, i))
+		row := callRow(rng, i)
+		for range extra {
+			row = append(row, aggview.Int(int64(i)))
+		}
+		rel.Tuples = append(rel.Tuples, row)
 	}
 	if err := sys.SetRelation("Calls", rel); err != nil {
 		t.Fatal(err)
