@@ -38,10 +38,12 @@ type Limits struct {
 	// rewrite search analyzes.
 	MaxCandidates int64
 	// MaxMemBytes caps the bytes of columnar data the execution engine
-	// materializes per operation: table images built by Storage.Scan,
-	// gathered filter and join outputs, and materialized views all
-	// charge the meter through the columnar allocator (estimated bytes:
-	// 8 per numeric cell, 16 per string header, 48 per boxed value).
+	// holds per operation: table images handed out by Storage.Scan,
+	// materialized views, the row-index vectors filters and joins write
+	// (4 bytes per row per table; columns are read in place, never
+	// copied) and the per-morsel partials of an aggregation (estimated
+	// bytes: 8 per numeric cell, 16 per string header, 48 per boxed
+	// value).
 	MaxMemBytes int64
 	// MaxCacheEntries caps the number of view-cache entries one
 	// operation may create; a query referencing more distinct views than

@@ -7,10 +7,13 @@ import (
 	"aggview/internal/value"
 )
 
-// accum is the streaming state of one aggregate over one group. Rows are
-// absorbed incrementally in input order; per-morsel partial states merge
-// in morsel index order (see vagg.go), so the fold tree — including
-// float accumulation order — is fixed by the input alone and results are
+// accum is the boxed state of one aggregate over one group: what the
+// fold keeps per group for mixed-kind and non-numeric argument vectors
+// (typed vectors fold into typed accumulator columns, see vagg.go), what
+// partials of differing representation merge through, and what every
+// group is finalized from. Rows are absorbed in input order and partial
+// states merge in morsel index order, so the fold tree — including float
+// accumulation order — is fixed by the input alone and results are
 // byte-identical between the serial and parallel paths.
 type accum struct {
 	fn   ir.AggFunc
@@ -22,10 +25,9 @@ type accum struct {
 	best value.Value // MIN/MAX: current extremum
 }
 
-// absorb folds one evaluated argument value into the accumulator. It is
-// the typed-value half of fold, used by the vectorized path (which
-// evaluates arguments as vectors) for every aggregate except COUNT,
-// whose argument check happens on the group representative instead.
+// absorb folds one evaluated argument value into the accumulator, for
+// every aggregate except COUNT, whose argument check happens on the
+// group representative instead.
 func (ac *accum) absorb(v value.Value) error {
 	ac.rows++
 	switch ac.fn {
@@ -110,33 +112,6 @@ func (ac *accum) merge(o *accum) error {
 	return nil
 }
 
-// fold absorbs one row into the accumulator: the row-at-a-time
-// reference semantics of the vectorized fold (see
-// TestAggKernelMatchesReference).
-func (ac *accum) fold(row []value.Value) error {
-	if ac.arg == nil {
-		ac.rows++
-		return nil
-	}
-	if ac.fn == ir.AggCount {
-		// No NULLs: COUNT(arg) counts rows. The argument is still
-		// evaluated once to surface reference errors.
-		ac.rows++
-		if !ac.seen {
-			if _, err := evalScalar(ac.arg, row); err != nil {
-				return err
-			}
-			ac.seen = true
-		}
-		return nil
-	}
-	v, err := evalScalar(ac.arg, row)
-	if err != nil {
-		return err
-	}
-	return ac.absorb(v)
-}
-
 // result finalizes the accumulator into the aggregate's value.
 func (ac *accum) result() (value.Value, error) {
 	if ac.arg == nil || ac.fn == ir.AggCount {
@@ -161,32 +136,6 @@ type group struct {
 	rep   []value.Value
 	accs  []accum
 	first int
-}
-
-// newAccs builds the accumulator bank for one group.
-func newAccs(aggs []*ir.Agg) []accum {
-	accs := make([]accum, len(aggs))
-	for i, a := range aggs {
-		accs[i].fn = a.Func
-		if !a.Star {
-			accs[i].arg = a.Arg
-		}
-	}
-	return accs
-}
-
-func newGroup(rep []value.Value, aggs []*ir.Agg, first int) *group {
-	return &group{rep: rep, accs: newAccs(aggs), first: first}
-}
-
-// fold absorbs one row into every accumulator of the group.
-func (g *group) fold(row []value.Value) error {
-	for i := range g.accs {
-		if err := g.accs[i].fold(row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // collectAggs gathers the aggregate occurrences of SELECT and HAVING in

@@ -56,54 +56,6 @@ func (v *Vec) Value(i int) value.Value {
 	}
 }
 
-// slice returns the sub-vector [lo, hi) sharing the payload array.
-func (v *Vec) slice(lo, hi int) *Vec {
-	out := &Vec{kind: v.kind}
-	switch v.kind {
-	case value.KindInt, value.KindBool:
-		out.ints = v.ints[lo:hi]
-	case value.KindFloat:
-		out.floats = v.floats[lo:hi]
-	case value.KindString:
-		out.strs = v.strs[lo:hi]
-	default:
-		out.vals = v.vals[lo:hi]
-	}
-	return out
-}
-
-// gather builds a new vector whose cell j is v's cell idx[j].
-func (v *Vec) gather(idx []int32) *Vec {
-	out := &Vec{kind: v.kind}
-	switch v.kind {
-	case value.KindInt, value.KindBool:
-		xs := make([]int64, len(idx))
-		for j, i := range idx {
-			xs[j] = v.ints[i]
-		}
-		out.ints = xs
-	case value.KindFloat:
-		xs := make([]float64, len(idx))
-		for j, i := range idx {
-			xs[j] = v.floats[i]
-		}
-		out.floats = xs
-	case value.KindString:
-		xs := make([]string, len(idx))
-		for j, i := range idx {
-			xs[j] = v.strs[i]
-		}
-		out.strs = xs
-	default:
-		xs := make([]value.Value, len(idx))
-		for j, i := range idx {
-			xs[j] = v.vals[i]
-		}
-		out.vals = xs
-	}
-	return out
-}
-
 // bytes estimates the vector's payload footprint for the memory budget:
 // 8 bytes per numeric or boolean cell, 16 per string header (content
 // bytes are shared with the source data and not re-counted), 48 per
@@ -174,78 +126,6 @@ func colVecOf(tuples [][]value.Value, pos int) *Vec {
 	return vecFromValues(vals)
 }
 
-// concatVecs concatenates per-morsel output vectors in slice order. When
-// the parts disagree on kind the result is promoted to a mixed vector,
-// preserving each cell's exact boxed value.
-func concatVecs(parts []*Vec) *Vec {
-	n := 0
-	uniform := true
-	var kind value.Kind
-	first := true
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		n += p.Len()
-		if first {
-			kind, first = p.kind, false
-		} else if p.kind != kind {
-			uniform = false
-		}
-	}
-	if first {
-		return &Vec{kind: value.KindInt}
-	}
-	if !uniform {
-		vals := make([]value.Value, 0, n)
-		for _, p := range parts {
-			if p == nil {
-				continue
-			}
-			for i := 0; i < p.Len(); i++ {
-				vals = append(vals, p.Value(i))
-			}
-		}
-		return &Vec{kind: kindMixed, vals: vals}
-	}
-	out := &Vec{kind: kind}
-	switch kind {
-	case value.KindInt, value.KindBool:
-		xs := make([]int64, 0, n)
-		for _, p := range parts {
-			if p != nil {
-				xs = append(xs, p.ints...)
-			}
-		}
-		out.ints = xs
-	case value.KindFloat:
-		xs := make([]float64, 0, n)
-		for _, p := range parts {
-			if p != nil {
-				xs = append(xs, p.floats...)
-			}
-		}
-		out.floats = xs
-	case value.KindString:
-		xs := make([]string, 0, n)
-		for _, p := range parts {
-			if p != nil {
-				xs = append(xs, p.strs...)
-			}
-		}
-		out.strs = xs
-	default:
-		xs := make([]value.Value, 0, n)
-		for _, p := range parts {
-			if p != nil {
-				xs = append(xs, p.vals...)
-			}
-		}
-		out.vals = xs
-	}
-	return out
-}
-
 // batchFromRows builds a dense batch from full-width rows indexed by
 // ColID, detecting uniform column kinds. It is the bridge from
 // row-major data used by tests and reference implementations.
@@ -257,16 +137,22 @@ func batchFromRows(rows [][]value.Value, width int) *Batch {
 	return b
 }
 
-// Batch is a dense horizontal slice of the intermediate relation
-// flowing between operators: n rows over the query's ColID space, with
-// cols[id] holding the vector of column id and nil marking slots that
-// are not (yet) bound or were pruned as unreferenced. Batches between
-// operators carry no selection vector — filters compact their survivors
-// before handing the batch on, which keeps every downstream kernel a
-// straight dense loop.
+// Batch is the intermediate relation flowing between operators: n
+// logical rows over the query's ColID space. cols[id] is the stored
+// vector of column id, bound by reference and never copied (nil marks a
+// slot that is unbound or was pruned as unreferenced); tab[id] names the
+// FROM table the column belongs to, and sel[tab] is that table's
+// selection — logical row j reads physical row sel[tab][j] of every
+// column of the table, a nil selection reading row j itself. A filter
+// narrows a batch by writing a selection and a join composes index pairs
+// onto the selections of both sides, so values are copied exactly once,
+// where the final projection boxes them. A batch with no sel at all
+// (tab may then be nil too) is a stored table read as it stands.
 type Batch struct {
 	n    int
 	cols []*Vec
+	tab  []int32
+	sel  [][]int32
 }
 
 // newBatch returns an empty batch over a width-column ColID space.
@@ -274,57 +160,78 @@ func newBatch(width int) *Batch {
 	return &Batch{cols: make([]*Vec, width)}
 }
 
-// slice returns the row range [lo, hi) as a batch sharing the column
-// payloads — the morsel view of b.
-func (b *Batch) slice(lo, hi int) *Batch {
-	out := &Batch{n: hi - lo, cols: make([]*Vec, len(b.cols))}
-	for id, v := range b.cols {
-		if v != nil {
-			out.cols[id] = v.slice(lo, hi)
-		}
+// tabOf returns the bound table of column c (0 in a single-table batch).
+func (b *Batch) tabOf(c ir.ColID) int {
+	if b.tab == nil {
+		return 0
 	}
-	return out
+	return int(b.tab[c])
 }
 
-// rowValues boxes row i as a full-width row indexed by ColID; unbound
-// slots hold the zero Value. It backs the group representative rows and
-// the row-at-a-time fallback paths.
+// phys returns the physical row of bound table t behind logical row i.
+func (b *Batch) phys(t, i int) int {
+	if t < len(b.sel) && b.sel[t] != nil {
+		return int(b.sel[t][i])
+	}
+	return i
+}
+
+// rowValues boxes logical row i as a full-width row indexed by ColID;
+// unbound slots hold the zero Value. It backs the group representative
+// rows.
 func (b *Batch) rowValues(i int) []value.Value {
 	row := make([]value.Value, len(b.cols))
 	for id, v := range b.cols {
 		if v != nil {
-			row[id] = v.Value(i)
+			row[id] = v.Value(b.phys(b.tabOf(ir.ColID(id)), i))
 		}
 	}
 	return row
 }
 
-// gather builds the batch whose row j is b's row idx[j], copying only
-// the bound columns, and charges the memory budget at the given site.
-func (b *Batch) gather(t *task, ev *Evaluator, site string, idx []int32) (*Batch, error) {
-	out := &Batch{n: len(idx), cols: make([]*Vec, len(b.cols))}
-	for id, v := range b.cols {
-		if v == nil {
-			continue
-		}
-		g := v.gather(idx)
-		if err := t.allocBytes(ev, site, g.bytes()); err != nil {
-			return nil, err
-		}
-		out.cols[id] = g
-	}
-	return out, nil
-}
-
-// bindTable maps a stored table's columns into the query's ColID slots,
-// sharing the table's vectors (a scan without predicates copies
-// nothing). Only columns in need are bound; the rest are pruned.
-func bindTable(ct *ColTable, cols []ir.ColID, width int, need []bool) *Batch {
-	b := &Batch{n: ct.n, cols: make([]*Vec, width)}
-	for pos, id := range cols {
-		if need[id] {
-			b.cols[id] = ct.cols[pos]
+// bindTables maps the stored tables' columns into the query's ColID
+// slots, sharing their vectors. Only columns in need are bound; the rest
+// are pruned. The returned batch is the template every batch of the
+// query derives from: same cols and tab, its own n and sel.
+func bindTables(q *ir.Query, cts []*ColTable, need []bool) *Batch {
+	width := q.NumCols()
+	b := &Batch{cols: make([]*Vec, width), tab: make([]int32, width)}
+	for ti, tab := range q.Tables {
+		for pos, id := range tab.Cols {
+			b.tab[id] = int32(ti)
+			if need[id] {
+				b.cols[id] = cts[ti].cols[pos]
+			}
 		}
 	}
 	return b
+}
+
+// with returns the batch of n logical rows reading b's columns through
+// the given selections.
+func (b *Batch) with(n int, sel [][]int32) *Batch {
+	return &Batch{n: n, cols: b.cols, tab: b.tab, sel: sel}
+}
+
+// pick returns the batch whose logical row k is b's logical row rows[k],
+// composing rows onto the selections of the bound tables tabs — index
+// vectors only, charged to the memory budget at site.
+func (b *Batch) pick(t *task, ev *Evaluator, site string, rows []int32, tabs []int) (*Batch, error) {
+	sel := make([][]int32, len(b.sel))
+	for _, ti := range tabs {
+		old := b.sel[ti]
+		if old == nil {
+			sel[ti] = rows
+			continue
+		}
+		if err := t.allocBytes(ev, site, 4*int64(len(rows))); err != nil {
+			return nil, err
+		}
+		c := make([]int32, len(rows))
+		for k, i := range rows {
+			c[k] = old[i]
+		}
+		sel[ti] = c
+	}
+	return b.with(len(rows), sel), nil
 }

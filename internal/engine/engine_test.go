@@ -354,7 +354,7 @@ func refEval(q *ir.Query, db *DB) (*Relation, error) {
 	out := &Relation{Attrs: ir.OutputNames(q)}
 	ev := NewEvaluator(db, nil)
 	if q.IsAggregationQuery() {
-		if err := ev.aggregateBatch(newTask(context.Background()), q, batchFromRows(kept, q.NumCols()), out); err != nil {
+		if err := ev.aggregateBatch(newTask(context.Background()), q, batchFromRows(kept, q.NumCols()), nil, false, out); err != nil {
 			return nil, err
 		}
 	} else {

@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"aggview/internal/budget"
 	"aggview/internal/faultinject"
@@ -52,6 +53,7 @@ type Evaluator struct {
 
 	mu    sync.Mutex
 	cache map[string]*viewEntry
+	mt    atomic.Pointer[evMetrics]
 }
 
 // viewEntry materializes one view at most once, even under concurrent
@@ -122,7 +124,7 @@ func (ev *Evaluator) runLabeled(t *task, q *ir.Query) (*Relation, error) {
 	}
 	var out *Relation
 	var err error
-	sw := ev.Metrics.Time("engine.exec.ns")
+	sw := ev.metrics().execNs.Start()
 	pprof.Do(t.ctx, pprof.Labels("aggview_query", queryLabel(q)), func(context.Context) {
 		out, err = ev.exec(t, q)
 	})
@@ -139,63 +141,73 @@ func queryLabel(q *ir.Query) string {
 	return strings.Join(srcs, ",")
 }
 
-// exec is the unlabeled evaluation body behind Exec.
+// exec is the unlabeled evaluation body behind Exec. An aggregation
+// over one table is a single pipeline: aggregateBatch scans, filters and
+// folds it in one morsel pass. Anything else filters each table into a
+// selection, joins selections into index vectors, and runs the fold (or
+// the boxing projection) over the joined rows.
 func (ev *Evaluator) exec(t *task, q *ir.Query) (*Relation, error) {
-	ev.Metrics.Counter("engine.exec").Inc()
-	b, err := ev.joinBatch(t, q)
+	mt := ev.metrics()
+	mt.exec.Inc()
+	out := &Relation{Attrs: ir.OutputNames(q)}
+	sc, err := ev.scanPlan(t, q)
 	if err != nil {
 		return nil, err
 	}
-	if b == nil {
-		// A false constant predicate: empty input, full-width empty batch.
-		b = newBatch(q.NumCols())
-	}
-	out := &Relation{Attrs: ir.OutputNames(q)}
-	if q.IsAggregationQuery() {
-		if err := ev.aggregateBatch(t, q, b, out); err != nil {
-			return nil, err
-		}
+	if sc != nil && q.IsAggregationQuery() && len(q.Tables) == 1 {
+		mt.scanRows.Add(int64(sc.cts[0].n))
+		err = ev.aggregateBatch(t, q, sc.bound.with(sc.cts[0].n, nil), sc.perTable[0], true, out)
 	} else {
-		parts := make([][][]value.Value, morselCount(b.n))
-		err := ev.morselRun(t, "project", ev.workersFor(b.n), b.n, func(m, lo, hi int) error {
-			mb := b.slice(lo, hi)
-			vecs := make([]*Vec, len(q.Select))
-			for k, it := range q.Select {
-				v, err := evalVec(it.Expr, mb)
-				if err != nil {
-					return err
-				}
-				vecs[k] = v
+		b := newBatch(q.NumCols()) // a false constant predicate: empty input
+		if sc != nil {
+			if b, err = ev.joinBatch(t, q, sc); err != nil {
+				return nil, err
 			}
-			rows := make([][]value.Value, hi-lo)
-			for j := range rows {
-				tuple := make([]value.Value, len(q.Select))
-				for k := range vecs {
-					tuple[k] = vecs[k].Value(j)
-				}
-				rows[j] = tuple
-			}
-			parts[m] = rows
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		total := 0
-		for _, p := range parts {
-			total += len(p)
+		if q.IsAggregationQuery() {
+			err = ev.aggregateBatch(t, q, b, nil, false, out)
+		} else {
+			err = ev.projectBatch(t, q, b, out)
 		}
-		tuples := make([][]value.Value, 0, total)
-		for _, p := range parts {
-			tuples = append(tuples, p...)
-		}
-		ev.Metrics.Counter("engine.project.rows").Add(int64(len(tuples)))
-		out.Tuples = tuples
+	}
+	if err != nil {
+		return nil, err
 	}
 	if q.Distinct {
 		out = distinct(out)
 	}
 	return out, nil
+}
+
+// projectBatch evaluates the SELECT list of a non-aggregation query over
+// the batch and boxes the result tuples — the one place a value is
+// copied out of its stored column. Morsels commit their tuples to their
+// own range of the output, so row order is the batch's.
+func (ev *Evaluator) projectBatch(t *task, q *ir.Query, b *Batch, out *Relation) error {
+	tuples, width := make([][]value.Value, b.n), len(q.Select)
+	err := ev.morselRun(t, "project", ev.workersFor(b.n), b.n, func(w *scratch, m, lo, hi int) error {
+		rs := w.rows(b, lo, hi)
+		cells := make([]value.Value, rs.n()*width)
+		for k, it := range q.Select {
+			o, err := evalVop(it.Expr, b, rs)
+			if err != nil {
+				return err
+			}
+			for j := range rs.pos {
+				cells[j*width+k] = o.Value(j)
+			}
+		}
+		for j := range rs.pos {
+			tuples[lo+j] = cells[j*width : (j+1)*width : (j+1)*width]
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	ev.metrics().projectRows.Add(int64(len(tuples)))
+	out.Tuples = tuples
+	return nil
 }
 
 // resolve finds the columnar table behind a FROM source name. Base
@@ -250,7 +262,7 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 			}
 			if err := t.meter.AddCacheEntries("view_cache", 1); err != nil {
 				ev.mu.Unlock()
-				ev.Metrics.Volatile("engine.err.budget").Inc()
+				ev.metrics().errBudget.Inc()
 				return nil, err
 			}
 			e = &viewEntry{def: v}
@@ -267,9 +279,9 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 		// only under volatile names).
 		if first {
 			if ok {
-				ev.Metrics.Counter("engine.view_cache.hit").Inc()
+				ev.metrics().cacheHit.Inc()
 			} else {
-				ev.Metrics.Counter("engine.view_cache.miss").Inc()
+				ev.metrics().cacheMiss.Inc()
 			}
 			first = false
 		}
@@ -300,7 +312,7 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 				delete(ev.cache, key)
 			}
 			ev.mu.Unlock()
-			ev.Metrics.Volatile("engine.view_cache.aborted").Inc()
+			ev.metrics().cacheAborted.Inc()
 			if ran {
 				return nil, e.err
 			}
@@ -326,7 +338,7 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 // doing per-row work — the accounting of a scan that binds columns by
 // reference instead of copying rows.
 func (ev *Evaluator) chargeRows(t *task, site string, n int) error {
-	return ev.morselRun(t, site, 1, n, func(m, lo, hi int) error { return nil })
+	return ev.morselRun(t, site, 1, n, func(_ *scratch, m, lo, hi int) error { return nil })
 }
 
 // neededCols marks every ColID referenced by the query's SELECT, WHERE,
@@ -356,12 +368,24 @@ func neededCols(q *ir.Query) []bool {
 	return need
 }
 
-// joinBatch evaluates the FROM and WHERE clauses into one dense batch
-// over the query's ColID space. A nil batch (with nil error) means a
-// constant predicate was false: the result is empty.
-func (ev *Evaluator) joinBatch(t *task, q *ir.Query) (*Batch, error) {
+// scanned is the FROM clause resolved and the WHERE clause classified:
+// the stored tables, their columns bound into the query's ColID space,
+// the predicates pushed down to each table, the equality predicates
+// that key joins, and the rest.
+type scanned struct {
+	cts      []*ColTable
+	bound    *Batch
+	perTable [][]ir.Pred
+	joinEq   []ir.Pred
+	residual []ir.Pred
+}
+
+// scanPlan resolves the query's tables and classifies its predicates. A
+// nil plan (with nil error) means a constant predicate was false: the
+// result is empty.
+func (ev *Evaluator) scanPlan(t *task, q *ir.Query) (*scanned, error) {
 	n := len(q.Tables)
-	cts := make([]*ColTable, n)
+	sc := &scanned{cts: make([]*ColTable, n), perTable: make([][]ir.Pred, n)}
 	for i, tab := range q.Tables {
 		ct, err := ev.resolve(t, tab.Source)
 		if err != nil {
@@ -370,85 +394,81 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query) (*Batch, error) {
 		// Serial loop: scan stages land in FROM order at every worker
 		// count (view materialization nests its own engine.exec stage
 		// just before the view's scan stage).
-		t.sp.Stage("scan:"+strings.ToLower(tab.Source), int64(ct.n))
+		if t.sp.Enabled() {
+			t.sp.Stage("scan:"+strings.ToLower(tab.Source), int64(ct.n))
+		}
 		if len(ct.cols) != len(tab.Cols) {
 			return nil, fmt.Errorf("engine: %s has %d columns, query expects %d", tab.Source, len(ct.cols), len(tab.Cols))
 		}
-		cts[i] = ct
+		sc.cts[i] = ct
 	}
 
-	// Classify predicates.
 	tableOf := func(c ir.ColID) int { return q.Col(c).Table }
-	perTable := make([][]ir.Pred, n)
-	var joinEq, residual []ir.Pred
 	for _, p := range q.Where {
-		tabs := map[int]bool{}
+		lt, rt := -1, -1
 		if !p.L.IsConst {
-			tabs[tableOf(p.L.Col)] = true
+			lt = tableOf(p.L.Col)
 		}
 		if !p.R.IsConst {
-			tabs[tableOf(p.R.Col)] = true
+			rt = tableOf(p.R.Col)
 		}
 		switch {
-		case len(tabs) <= 1:
-			ti := 0
-			for t := range tabs {
-				ti = t
-			}
-			if len(tabs) == 0 {
-				// Constant-only predicate: evaluate it once.
-				ok, err := constPred(p)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					return nil, nil // predicate is false: empty result
-				}
-				continue
-			}
-			perTable[ti] = append(perTable[ti], p)
-		case p.Op == ir.OpEq && !p.L.IsConst && !p.R.IsConst:
-			joinEq = append(joinEq, p)
-		default:
-			residual = append(residual, p)
-		}
-	}
-
-	// Scan each table: bind its columns into the ColID space by
-	// reference (pruning unreferenced ones) and run the pushed-down
-	// filters as a vectorized selection, compacting survivors with one
-	// gather. A predicate-free scan copies nothing.
-	need := neededCols(q)
-	width := q.NumCols()
-	filtered := make([]*Batch, n)
-	swScan := ev.Metrics.Time("engine.scan.ns")
-	for i := range cts {
-		tb := bindTable(cts[i], q.Tables[i].Cols, width, need)
-		if preds := perTable[i]; len(preds) > 0 {
-			sel, err := ev.filterSel(t, "scan", tb, preds)
+		case lt < 0 && rt < 0:
+			// Constant-only predicate: evaluate it once.
+			ok, err := constPred(p)
 			if err != nil {
 				return nil, err
 			}
-			if len(sel) < tb.n {
-				tb, err = tb.gather(t, ev, "scan", sel)
-				if err != nil {
-					return nil, err
-				}
+			if !ok {
+				return nil, nil // predicate is false: empty result
+			}
+		case lt < 0 || rt < 0 || lt == rt:
+			sc.perTable[max(lt, rt)] = append(sc.perTable[max(lt, rt)], p)
+		case p.Op == ir.OpEq:
+			sc.joinEq = append(sc.joinEq, p)
+		default:
+			sc.residual = append(sc.residual, p)
+		}
+	}
+	sc.bound = bindTables(q, sc.cts, neededCols(q))
+	return sc, nil
+}
+
+// joinBatch evaluates the FROM and WHERE clauses into one batch over the
+// query's ColID space: each table's pushed-down filter becomes its
+// selection (a predicate-free scan selects nothing and copies nothing),
+// and the greedy hash-join order composes the selections.
+func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error) {
+	mt := ev.metrics()
+	n := len(q.Tables)
+	tableOf := func(c ir.ColID) int { return q.Col(c).Table }
+
+	filtered := make([]*Batch, n)
+	swScan := mt.scanNs.Start()
+	for i, ct := range sc.cts {
+		sel := make([][]int32, n)
+		tb := sc.bound.with(ct.n, sel)
+		if preds := sc.perTable[i]; len(preds) > 0 {
+			keep, err := ev.filterSel(t, "scan", tb, preds)
+			if err != nil {
+				return nil, err
+			}
+			if len(keep) < tb.n {
+				sel[i], tb.n = keep, len(keep)
 			}
 		} else if err := ev.chargeRows(t, "scan", tb.n); err != nil {
 			return nil, err
 		}
-		ev.Metrics.Counter("engine.scan.rows").Add(int64(cts[i].n))
-		ev.Metrics.Counter("engine.scan.kept").Add(int64(tb.n))
+		mt.scanRows.Add(int64(ct.n))
+		mt.scanKept.Add(int64(tb.n))
 		filtered[i] = tb
 	}
 	swScan.Stop()
 
 	// Greedy hash-join order: start with the smallest table; prefer
 	// tables connected to the joined set by an equality predicate.
-	swJoin := ev.Metrics.Time("engine.join.ns")
+	swJoin := mt.joinNs.Start()
 	defer swJoin.Stop()
-	joined := map[int]bool{}
 	pickFirst := 0
 	for i := 1; i < n; i++ {
 		if filtered[i].n < filtered[pickFirst].n {
@@ -456,12 +476,14 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query) (*Batch, error) {
 		}
 	}
 	current := filtered[pickFirst]
+	joined := make([]bool, n)
 	joined[pickFirst] = true
+	order := []int{pickFirst}
 
-	pendingEq := append([]ir.Pred{}, joinEq...)
-	pendingRes := append([]ir.Pred{}, residual...)
+	pendingEq := append([]ir.Pred{}, sc.joinEq...)
+	pendingRes := append([]ir.Pred{}, sc.residual...)
 
-	for len(joined) < n {
+	for len(order) < n {
 		next := -1
 		connected := false
 		for i := 0; i < n; i++ {
@@ -498,12 +520,13 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query) (*Batch, error) {
 		}
 		pendingEq = stillPending
 
-		merged, err := ev.hashJoinBatch(t, current, filtered[next], keys, tableOf, next)
+		merged, err := ev.hashJoinBatch(t, current, filtered[next], order, keys, next)
 		if err != nil {
 			return nil, err
 		}
 		current = merged
 		joined[next] = true
+		order = append(order, next)
 
 		// Apply residual predicates that are now fully bound.
 		var nowBound, rest []ir.Pred
@@ -516,13 +539,12 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query) (*Batch, error) {
 		}
 		pendingRes = rest
 		if len(nowBound) > 0 {
-			sel, err := ev.filterSel(t, "filter", current, nowBound)
+			keep, err := ev.filterSel(t, "filter", current, nowBound)
 			if err != nil {
 				return nil, err
 			}
-			if len(sel) < current.n {
-				current, err = current.gather(t, ev, "filter", sel)
-				if err != nil {
+			if len(keep) < current.n {
+				if current, err = current.pick(t, ev, "filter", keep, order); err != nil {
 					return nil, err
 				}
 			}
@@ -531,24 +553,8 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query) (*Batch, error) {
 	return current, nil
 }
 
-// predHolds evaluates a WHERE predicate on a full-width row. It is the
-// row-at-a-time reference semantics of the vectorized filter kernel
-// (see TestFilterKernelMatchesReference).
-func predHolds(p ir.Pred, row []value.Value) (bool, error) {
-	l := termValue(p.L, row)
-	r := termValue(p.R, row)
-	return compare(p.Op, l, r)
-}
-
 func constPred(p ir.Pred) (bool, error) {
 	return compare(p.Op, p.L.Val, p.R.Val)
-}
-
-func termValue(t ir.Term, row []value.Value) value.Value {
-	if t.IsConst {
-		return t.Val
-	}
-	return row[t.Col]
 }
 
 // compare applies a comparison operator; incomparable kinds compare

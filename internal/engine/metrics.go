@@ -1,0 +1,63 @@
+package engine
+
+import "aggview/internal/obs"
+
+// evMetrics is the evaluator's metric handles, resolved from the
+// registry once per Evaluator instead of by name (registry mutex plus a
+// map lookup) at every use. Every handle of a nil registry is nil, and a
+// nil handle is a no-op.
+type evMetrics struct {
+	src *obs.Metrics
+
+	// Deterministic: byte-identical at every worker count.
+	exec, projectRows, cacheHit, cacheMiss *obs.Counter
+	scanRows, scanKept, aggRows, aggGroups *obs.Counter
+	joinProbe, joinRows                    *obs.Counter
+	joinBuildRows                          *obs.Histogram
+
+	// Volatile: timings, pool activity, abort counts.
+	execNs, scanNs, joinNs, aggNs                    *obs.Counter
+	poolSerial, poolLaunches, poolWidth, poolMorsels *obs.Counter
+	errBudget, errCanceled, cacheAborted             *obs.Counter
+}
+
+var noMetrics evMetrics
+
+// metrics returns the handles for ev.Metrics, resolving them on first
+// use (and again should the field be pointed at another registry).
+func (ev *Evaluator) metrics() *evMetrics {
+	m := ev.Metrics
+	if m == nil {
+		return &noMetrics
+	}
+	if mt := ev.mt.Load(); mt != nil && mt.src == m {
+		return mt
+	}
+	mt := &evMetrics{
+		src:           m,
+		exec:          m.Counter("engine.exec"),
+		projectRows:   m.Counter("engine.project.rows"),
+		cacheHit:      m.Counter("engine.view_cache.hit"),
+		cacheMiss:     m.Counter("engine.view_cache.miss"),
+		scanRows:      m.Counter("engine.scan.rows"),
+		scanKept:      m.Counter("engine.scan.kept"),
+		aggRows:       m.Counter("engine.agg.rows"),
+		aggGroups:     m.Counter("engine.agg.groups"),
+		joinProbe:     m.Counter("engine.join.probe"),
+		joinRows:      m.Counter("engine.join.rows"),
+		joinBuildRows: m.Histogram("engine.join.build_rows"),
+		execNs:        m.Volatile("engine.exec.ns"),
+		scanNs:        m.Volatile("engine.scan.ns"),
+		joinNs:        m.Volatile("engine.join.ns"),
+		aggNs:         m.Volatile("engine.agg.ns"),
+		poolSerial:    m.Volatile("engine.pool.serial"),
+		poolLaunches:  m.Volatile("engine.pool.launches"),
+		poolWidth:     m.Volatile("engine.pool.width"),
+		poolMorsels:   m.Volatile("engine.pool.morsels"),
+		errBudget:     m.Volatile("engine.err.budget"),
+		errCanceled:   m.Volatile("engine.err.canceled"),
+		cacheAborted:  m.Volatile("engine.view_cache.aborted"),
+	}
+	ev.mt.Store(mt)
+	return mt
+}

@@ -66,16 +66,24 @@ func morselCount(n int) int {
 // transient (budget/cancel) abort whose value is schedule-independent.
 // Pool activity is recorded under volatile metric names (launch and
 // claim counts depend on the worker knob).
-func (ev *Evaluator) morselRun(t *task, site string, workers, n int, fn func(m, lo, hi int) error) error {
+//
+// Every worker (the caller, on the serial path) borrows one scratch for
+// the run and hands it to each morsel it claims: per-morsel working
+// memory is reused, and only what a morsel commits to its slot is
+// allocated.
+func (ev *Evaluator) morselRun(t *task, site string, workers, n int, fn func(w *scratch, m, lo, hi int) error) error {
 	nm := morselCount(n)
 	if workers > nm {
 		workers = nm
 	}
+	mt := ev.metrics()
 	if workers <= 1 {
-		ev.Metrics.Volatile("engine.pool.serial").Inc()
+		mt.poolSerial.Inc()
+		w := getScratch()
+		defer putScratch(w)
 		for m := 0; m < nm; m++ {
 			lo, hi := morselBounds(m, n)
-			if err := fn(m, lo, hi); err != nil {
+			if err := fn(w, m, lo, hi); err != nil {
 				return err
 			}
 			if err := t.charge(ev, site, int64(hi-lo)); err != nil {
@@ -91,13 +99,15 @@ func (ev *Evaluator) morselRun(t *task, site string, workers, n int, fn func(m, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := getScratch()
+			defer putScratch(w)
 			for {
 				m := int(next.Add(1)) - 1
 				if m >= nm {
 					return
 				}
 				lo, hi := morselBounds(m, n)
-				if err := fn(m, lo, hi); err != nil {
+				if err := fn(w, m, lo, hi); err != nil {
 					errs[m] = err
 					return
 				}
@@ -109,9 +119,9 @@ func (ev *Evaluator) morselRun(t *task, site string, workers, n int, fn func(m, 
 		}()
 	}
 	wg.Wait()
-	ev.Metrics.Volatile("engine.pool.launches").Inc()
-	ev.Metrics.Volatile("engine.pool.width").Max(int64(workers))
-	ev.Metrics.Volatile("engine.pool.morsels").Add(int64(nm))
+	mt.poolLaunches.Inc()
+	mt.poolWidth.Max(int64(workers))
+	mt.poolMorsels.Add(int64(nm))
 	return pickErr(errs)
 }
 

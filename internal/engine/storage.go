@@ -156,8 +156,7 @@ func (v *Vec) patch(col int, d *Delta, owned bool, cost *deltaCost) *Vec {
 		}
 	}
 	if promote {
-		// One fresh boxed copy keeps every earlier cell's exact value,
-		// as concatVecs does for mixed-kind parts.
+		// One fresh boxed copy keeps every earlier cell's exact value.
 		vals := make([]value.Value, n)
 		for i := range vals {
 			vals[i] = v.Value(i)

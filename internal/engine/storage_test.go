@@ -83,36 +83,53 @@ func TestFaultStorageErrorNotMemoized(t *testing.T) {
 
 // TestExecContextMemBudget exercises the memory dimension of the
 // resource budget: a tiny MaxMemBytes trips a typed Exceeded from the
-// columnar allocator, a generous one changes nothing about the result.
+// columnar allocator, a generous one changes nothing about the result,
+// and what a join is charged is its table images plus index vectors —
+// not gathered copies of the columns it reads.
 func TestExecContextMemBudget(t *testing.T) {
 	db, reg, source := ctxFixture(t)
-	q := ctxQueries(t, source)[2] // join: scans, gathers, join output
+	q := ctxQueries(t, source)[2] // join: two scans, one filter selection, join pairs
 
-	m := budget.NewMeter(budget.Limits{MaxMemBytes: 64})
-	out, err := NewEvaluator(db, reg).ExecContext(budget.WithMeter(context.Background(), m), q)
-	if out != nil {
-		t.Fatal("memory-tripped exec returned a partial relation")
+	run := func(limit int64) (*Relation, *budget.Meter, error) {
+		m := budget.NewMeter(budget.Limits{MaxMemBytes: limit})
+		out, err := NewEvaluator(db, reg).ExecContext(budget.WithMeter(context.Background(), m), q)
+		return out, m, err
 	}
-	var e *budget.Exceeded
-	if !errors.As(err, &e) || e.Resource != "memory" || e.Limit != 64 {
-		t.Fatalf("want memory Exceeded with limit 64, got %v", err)
+	tripsAt := func(limit int64, site string) {
+		t.Helper()
+		out, _, err := run(limit)
+		if out != nil {
+			t.Fatal("memory-tripped exec returned a partial relation")
+		}
+		var e *budget.Exceeded
+		if !errors.As(err, &e) || e.Resource != "memory" || e.Limit != limit || e.Site != site {
+			t.Fatalf("want memory Exceeded at %s with limit %d, got %v", site, limit, err)
+		}
 	}
+	tripsAt(64, "storage")
 
 	want, err := NewEvaluator(db, reg).Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m = budget.NewMeter(budget.Limits{MaxMemBytes: 1 << 40})
-	got, err := NewEvaluator(db, reg).ExecContext(budget.WithMeter(context.Background(), m), q)
+	// The two table images (10000 and 5000 rows of two int columns), the
+	// 500-row selection of R1's filter, and per output row the join's
+	// index pair plus R1's selection composed through it: 12 bytes a row
+	// where gathering four columns on top of gathered inputs charged 32.
+	const tables = (10000 + 5000) * 2 * 8
+	charged := int64(tables + 500*4 + len(want.Tuples)*12)
+	got, m, err := run(charged)
 	if err != nil {
-		t.Fatalf("generous memory budget tripped: %v", err)
+		t.Fatalf("a budget of exactly the bytes held tripped: %v", err)
 	}
 	if !MultisetEqual(got, want) {
 		t.Fatal("memory-budgeted result differs from unbudgeted result")
 	}
-	if m.Mem() == 0 {
-		t.Fatal("meter charged no bytes")
+	if m.Mem() != charged {
+		t.Fatalf("join charged %d bytes, want %d", m.Mem(), charged)
 	}
+	tripsAt(charged-1, "join")
+	tripsAt(tables, "scan")
 }
 
 // TestExecContextCacheEntriesBudget exercises the view-cache dimension:

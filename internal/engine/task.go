@@ -48,11 +48,11 @@ func newTask(ctx context.Context) *task {
 func (t *task) charge(ev *Evaluator, site string, n int64) error {
 	t.inj.Observe(faultinject.SiteRow, n)
 	if err := t.meter.AddRows(site, n); err != nil {
-		ev.Metrics.Volatile("engine.err.budget").Inc()
+		ev.metrics().errBudget.Inc()
 		return err
 	}
 	if err := budget.Check(t.ctx, site); err != nil {
-		ev.Metrics.Volatile("engine.err.canceled").Inc()
+		ev.metrics().errCanceled.Inc()
 		return err
 	}
 	return nil
@@ -64,7 +64,7 @@ func (t *task) charge(ev *Evaluator, site string, n int64) error {
 // of the worker count.
 func (t *task) allocBytes(ev *Evaluator, site string, n int64) error {
 	if err := t.meter.AddMem(site, n); err != nil {
-		ev.Metrics.Volatile("engine.err.budget").Inc()
+		ev.metrics().errBudget.Inc()
 		return err
 	}
 	return nil
@@ -74,7 +74,7 @@ func (t *task) allocBytes(ev *Evaluator, site string, n int64) error {
 // is not row consumption.
 func (t *task) poll(ev *Evaluator, site string) error {
 	if err := budget.Check(t.ctx, site); err != nil {
-		ev.Metrics.Volatile("engine.err.canceled").Inc()
+		ev.metrics().errCanceled.Inc()
 		return err
 	}
 	return nil

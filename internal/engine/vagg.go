@@ -1,92 +1,701 @@
 package engine
 
 import (
+	"hash/maphash"
+	"math"
+	"sync"
+
 	"aggview/internal/ir"
 	"aggview/internal/value"
 )
 
-// aggMode classifies how the vectorized fold feeds one aggregate.
-type aggMode uint8
-
-const (
-	aggModeTick     aggMode = iota // COUNT(*) / bare COUNT: count rows only
-	aggModeCountArg                // COUNT(arg): count rows, check arg on the representative row
-	aggModeVal                     // MIN/MAX/SUM/AVG(arg): absorb the evaluated argument
-)
-
-// vgroup is one group's partial state within a morsel (and, after the
-// merge, globally): the absolute index of its first row, its key, and
-// one accumulator per aggregate occurrence.
-type vgroup struct {
-	first int
-	ikey  int64
-	skey  string
-	accs  []accum
+// aggSpec is one aggregate occurrence as the fold sees it.
+type aggSpec struct {
+	fn  ir.AggFunc
+	arg ir.Expr // nil for COUNT(*) and bare COUNT
+	// fold marks MIN/MAX/SUM/AVG(arg), whose argument is evaluated and
+	// folded; a COUNT reads the group's row count (no NULLs) and checks
+	// its argument on the representative row at finalization.
+	fold bool
 }
 
-// groupTable is a deterministic group index: first-appearance ordered
-// list plus a key lookup. Single-int-column grouping keys on the int64
-// payload directly; everything else keys on the canonical Value.Key
-// byte encoding (so 1 and 1.0 group together, as in the row engine).
-type groupTable struct {
-	useInt bool
-	ints   map[int64]*vgroup
-	strs   map[string]*vgroup
-	list   []*vgroup
-}
-
-func newGroupTable(useInt bool) *groupTable {
-	gt := &groupTable{useInt: useInt}
-	if useInt {
-		gt.ints = map[int64]*vgroup{}
-	} else {
-		gt.strs = map[string]*vgroup{}
+func aggSpecs(aggs []*ir.Agg) []aggSpec {
+	specs := make([]aggSpec, len(aggs))
+	for i, a := range aggs {
+		specs[i].fn = a.Func
+		if !a.Star {
+			specs[i].arg = a.Arg
+		}
+		specs[i].fold = specs[i].arg != nil && a.Func != ir.AggCount
 	}
-	return gt
+	return specs
+}
+
+// groupKeys holds the keys of a set of groups, one per group id: as
+// typed cells, one vector per key column (int, bool and string columns),
+// or, when a key column is a float or mixed-kind vector, as the canonical
+// Value.AppendKey bytes, so 1 and 1.0 group together exactly as in the
+// row-at-a-time engine.
+type groupKeys struct {
+	byKey bool
+	cols  []Vec   // typed keys: cols[c] cell g is group g's key in column c
+	kbuf  []byte  // byte keys: group g's key is kbuf[koff[g]:koff[g+1]]
+	koff  []int32 // len n+1 once a group exists
+	n     int     // groups
+}
+
+func (gk *groupKeys) reset(byKey bool) {
+	for c := range gk.cols[:cap(gk.cols)] {
+		v := &gk.cols[:cap(gk.cols)][c]
+		clear(v.strs)
+		v.ints, v.strs = v.ints[:0], v.strs[:0]
+	}
+	gk.byKey, gk.cols, gk.kbuf, gk.koff, gk.n = byKey, gk.cols[:0], gk.kbuf[:0], gk.koff[:0], 0
+}
+
+// groupIndex assigns dense group ids in first-appearance order: an
+// open-addressing table from key hash to group id over the keys it
+// grows, which verify each hit. The same index serves a morsel's rows
+// and the serial merge of partials, whose "rows" are another key set's
+// groups. A worker keeps one in its scratch and points it at each
+// morsel's partial in turn; the partial carries only the keys.
+type groupIndex struct {
+	keys  *groupKeys
+	slots []int32 // 0 empty, else group id + 1
+	hash  []uint64
+	newJ  []int32 // rows that created a group in the last assign call, in group order
+}
+
+var keySeed = maphash.MakeSeed()
+
+// mix64 is the splitmix64 finalizer, used to spread integer keys.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// minSlots is the smallest table; together with the quarter load bound
+// it keeps probe chains short enough that the probe loop's exit is a
+// well-predicted branch.
+const minSlots = 256
+
+// reset empties the index and points it at an empty key set.
+func (gi *groupIndex) reset(keys *groupKeys) {
+	if gi.slots == nil {
+		gi.slots = make([]int32, minSlots)
+	}
+	clear(gi.slots)
+	gi.keys, gi.hash = keys, gi.hash[:0]
+}
+
+// add records a new group with hash h, created by row j, in empty slot s
+// and returns its id and the slot mask, doubling the table once it is a
+// quarter full.
+func (gi *groupIndex) add(s int, h uint64, j int) (int, int) {
+	g := gi.keys.n
+	gi.keys.n++
+	gi.slots[s] = int32(g + 1)
+	gi.hash = append(gi.hash, h)
+	gi.newJ = append(gi.newJ, int32(j))
+	if 4*len(gi.hash) > len(gi.slots) {
+		grown := make([]int32, 2*len(gi.slots))
+		mask := uint64(len(grown) - 1)
+		for g, gh := range gi.hash {
+			s := gh & mask
+			for grown[s] != 0 {
+				s = (s + 1) & mask
+			}
+			grown[s] = int32(g + 1)
+		}
+		gi.slots = grown
+	}
+	return g, len(gi.slots) - 1
+}
+
+// assign maps each of n rows to its group id by the typed key columns
+// keys (none: every row is the one global group), creating groups in
+// row order. hs is hash scratch of at least n cells.
+func (gi *groupIndex) assign(keys []vecOperand, n int, hs []uint64, gids []int32) {
+	gi.newJ = gi.newJ[:0]
+	gk := gi.keys
+	if cap(gk.cols) < len(keys) {
+		gk.cols = make([]Vec, len(keys))
+	}
+	gk.cols = gk.cols[:len(keys)]
+	for c := range keys {
+		gk.cols[c].kind = keys[c].vec.kind
+	}
+	switch {
+	case len(keys) == 0:
+		if gk.n == 0 && n > 0 {
+			gk.n = 1
+			gi.newJ = append(gi.newJ, 0)
+		}
+		clear(gids[:n])
+		return
+	case len(keys) == 1 && keys[0].vec.kind != value.KindString:
+		gi.assignInt(&keys[0], gids)
+		return
+	}
+	hs = hs[:n]
+	clear(hs)
+	for c := range keys {
+		k := &keys[c]
+		if k.vec.kind == value.KindString {
+			for j, i := range k.idx {
+				hs[j] = mix64(hs[j]*0x9e3779b97f4a7c15 + maphash.String(keySeed, k.vec.strs[i]))
+			}
+		} else {
+			for j, i := range k.idx {
+				hs[j] = mix64(hs[j]*0x9e3779b97f4a7c15 + uint64(k.vec.ints[i]))
+			}
+		}
+	}
+	mask := len(gi.slots) - 1
+	for j, h := range hs {
+		for s := int(h) & mask; ; s = (s + 1) & mask {
+			g := int(gi.slots[s]) - 1
+			if g < 0 {
+				g, mask = gi.add(s, h, j)
+				for c := range keys {
+					k := &keys[c]
+					if k.vec.kind == value.KindString {
+						gk.cols[c].strs = append(gk.cols[c].strs, k.vec.strs[k.idx[j]])
+					} else {
+						gk.cols[c].ints = append(gk.cols[c].ints, k.vec.ints[k.idx[j]])
+					}
+				}
+			} else if gi.hash[g] != h || !gk.holds(g, keys, j) {
+				continue
+			}
+			gids[j] = int32(g)
+			break
+		}
+	}
+}
+
+// assignInt is assign for the commonest key, one int (or bool) column:
+// the key itself is compared, with no hash column and no per-column
+// verification loop.
+func (gi *groupIndex) assignInt(k *vecOperand, gids []int32) {
+	col := &gi.keys.cols[0]
+	mask := len(gi.slots) - 1
+	for j, i := range k.idx {
+		x := k.vec.ints[i]
+		h := mix64(uint64(x))
+		for s := int(h) & mask; ; s = (s + 1) & mask {
+			g := int(gi.slots[s]) - 1
+			if g < 0 {
+				g, mask = gi.add(s, h, j)
+				col.ints = append(col.ints, x)
+			} else if col.ints[g] != x {
+				continue
+			}
+			gids[j] = int32(g)
+			break
+		}
+	}
+}
+
+// holds reports whether group g's key is row j's.
+func (gk *groupKeys) holds(g int, keys []vecOperand, j int) bool {
+	for c := range keys {
+		k := &keys[c]
+		i := k.idx[j]
+		if k.vec.kind == value.KindString {
+			if k.vec.strs[i] != gk.cols[c].strs[g] {
+				return false
+			}
+		} else if k.vec.ints[i] != gk.cols[c].ints[g] {
+			return false
+		}
+	}
+	return true
+}
+
+// assignBytes is assign over byte-encoded keys: row j's key is
+// buf[off[j]:off[j+1]].
+func (gi *groupIndex) assignBytes(buf []byte, off []int32, n int, gids []int32) {
+	gi.newJ = gi.newJ[:0]
+	gk := gi.keys
+	mask := len(gi.slots) - 1
+	for j := 0; j < n; j++ {
+		key := buf[off[j]:off[j+1]]
+		h := maphash.Bytes(keySeed, key)
+		for s := int(h) & mask; ; s = (s + 1) & mask {
+			g := int(gi.slots[s]) - 1
+			if g < 0 {
+				g, mask = gi.add(s, h, j)
+				if len(gk.koff) == 0 {
+					gk.koff = append(gk.koff, 0)
+				}
+				gk.kbuf = append(gk.kbuf, key...)
+				gk.koff = append(gk.koff, int32(len(gk.kbuf)))
+			} else if gi.hash[g] != h || string(gk.kbuf[gk.koff[g]:gk.koff[g+1]]) != string(key) {
+				continue
+			}
+			gids[j] = int32(g)
+			break
+		}
+	}
+}
+
+// accCol holds one aggregate's accumulators, one cell per group id: a
+// typed vector — int64 (SUM over ints, MIN/MAX over ints), float64 (SUM
+// and MIN/MAX over floats, AVG's running total) or string (MIN/MAX over
+// strings) — or, for mixed-kind and non-numeric argument vectors, boxed
+// accums that raise the row-at-a-time engine's errors. A COUNT keeps
+// nothing here; it reads the fold state's shared row counts.
+type accCol struct {
+	typed bool
+	vec   Vec
+	boxed []accum
+}
+
+func (c *accCol) reset() {
+	clear(c.vec.strs)
+	clear(c.boxed)
+	c.typed = false
+	c.vec.ints, c.vec.floats, c.vec.strs, c.boxed = c.vec.ints[:0], c.vec.floats[:0], c.vec.strs[:0], c.boxed[:0]
+}
+
+// accKind returns the typed accumulator kind for folding a source of
+// kind k under fn, and whether there is one.
+func accKind(fn ir.AggFunc, k value.Kind) (value.Kind, bool) {
+	switch fn {
+	case ir.AggSum:
+		return k, numericKind(k)
+	case ir.AggAvg:
+		return value.KindFloat, numericKind(k)
+	case ir.AggMin, ir.AggMax:
+		return k, numericKind(k) || k == value.KindString
+	}
+	return 0, false
+}
+
+// grow extends xs to n cells, filling new cells with init.
+func grow[T any](xs []T, n int, init T) []T {
+	for len(xs) < n {
+		xs = append(xs, init)
+	}
+	return xs
+}
+
+// growFrom extends xs to n cells, cell len(xs)+k taking src's cell
+// idx[newJ[k]] — a MIN/MAX accumulator starts at its group's first value.
+func growFrom[T any](xs []T, n int, src []T, idx, newJ []int32) []T {
+	for k := 0; len(xs) < n; k++ {
+		xs = append(xs, src[idx[newJ[k]]])
+	}
+	return xs
+}
+
+func addCells[T int64 | float64](acc []T, gids []int32, xs []T, idx []int32) {
+	for j, g := range gids {
+		acc[g] += xs[idx[j]]
+	}
+}
+
+// extremeCells keeps per group the least (or greatest) cell. A NaN
+// neither replaces nor is replaced, as under value.Compare.
+func extremeCells[T int64 | float64 | string](acc []T, gids []int32, xs []T, idx []int32, greatest bool) {
+	if greatest {
+		for j, g := range gids {
+			if x := xs[idx[j]]; x > acc[g] {
+				acc[g] = x
+			}
+		}
+		return
+	}
+	for j, g := range gids {
+		if x := xs[idx[j]]; x < acc[g] {
+			acc[g] = x
+		}
+	}
+}
+
+// foldTyped folds src's cells into the typed accumulators: row j goes to
+// group gids[j]; accumulators grow to ng groups, newJ naming the row
+// that created each group past the current length. Sums start from the
+// additive identity that leaves the first value's bits alone (-0 for
+// SUM, whose result is its first value when alone; AVG starts at +0 as
+// the row-at-a-time fold does).
+func (c *accCol) foldTyped(fn ir.AggFunc, src vecOperand, gids []int32, ng int, newJ []int32) {
+	v, s := &c.vec, src.vec
+	switch {
+	case fn == ir.AggSum && v.kind == value.KindInt:
+		v.ints = grow(v.ints, ng, 0)
+		addCells(v.ints, gids, s.ints, src.idx)
+	case fn == ir.AggSum:
+		v.floats = grow(v.floats, ng, math.Copysign(0, -1))
+		addCells(v.floats, gids, s.floats, src.idx)
+	case fn == ir.AggAvg:
+		v.floats = grow(v.floats, ng, 0)
+		if s.kind == value.KindFloat {
+			addCells(v.floats, gids, s.floats, src.idx)
+			return
+		}
+		for j, g := range gids {
+			v.floats[g] += float64(s.ints[src.idx[j]])
+		}
+	case v.kind == value.KindInt:
+		v.ints = growFrom(v.ints, ng, s.ints, src.idx, newJ)
+		extremeCells(v.ints, gids, s.ints, src.idx, fn == ir.AggMax)
+	case v.kind == value.KindFloat:
+		v.floats = growFrom(v.floats, ng, s.floats, src.idx, newJ)
+		extremeCells(v.floats, gids, s.floats, src.idx, fn == ir.AggMax)
+	default:
+		v.strs = growFrom(v.strs, ng, s.strs, src.idx, newJ)
+		extremeCells(v.strs, gids, s.strs, src.idx, fn == ir.AggMax)
+	}
+}
+
+// foldRows folds one morsel's evaluated argument into fresh
+// accumulators for its ng groups. On a fold error it reports the first
+// offending row.
+func (c *accCol) foldRows(sp *aggSpec, src vecOperand, gids []int32, ng int, newJ []int32) (int, error) {
+	if !src.isConst {
+		if k, ok := accKind(sp.fn, src.vec.kind); ok {
+			c.typed, c.vec.kind = true, k
+			c.foldTyped(sp.fn, src, gids, ng, newJ)
+			return 0, nil
+		}
+	}
+	c.boxed = grow(c.boxed, ng, accum{fn: sp.fn, arg: sp.arg})
+	for j, g := range gids {
+		if err := c.boxed[g].absorb(src.Value(j)); err != nil {
+			return j, err
+		}
+	}
+	return 0, nil
+}
+
+// cell boxes group g's accumulator as the accum the finalization and the
+// boxed merge work on; rows is the fold state's row-count column.
+func (c *accCol) cell(sp *aggSpec, g int, rows []int64) accum {
+	if !c.typed {
+		if sp.fold {
+			return c.boxed[g]
+		}
+		return accum{fn: sp.fn, arg: sp.arg, rows: rows[g]}
+	}
+	ac := accum{fn: sp.fn, arg: sp.arg, rows: rows[g], seen: true}
+	switch sp.fn {
+	case ir.AggSum:
+		ac.sum = c.vec.Value(g)
+	case ir.AggAvg:
+		ac.avg = c.vec.floats[g]
+	default:
+		ac.best = c.vec.Value(g)
+	}
+	return ac
+}
+
+// merge folds a later partial's accumulators src into c: partial group
+// j goes to group gmap[j], c growing to ng groups (newJ names the
+// partial group that created each new one). Typed partials of one kind
+// merge through the same typed kernels that fold rows — a partial's
+// cells are the values — so per group the partials combine in morsel
+// order; partials that disagree on representation (a computed argument
+// typed differently per morsel, a boxed column) combine through
+// accum.merge, with value.Add's typing. rows and srcRows are the two
+// sides' row counts before this merge. On error it reports the first
+// offending partial group.
+func (c *accCol) merge(sp *aggSpec, src *accCol, gmap []int32, ng int, newJ []int32, rows, srcRows []int64) (int, error) {
+	fresh := !c.typed && len(c.boxed) == 0
+	if src.typed && (fresh || (c.typed && c.vec.kind == src.vec.kind)) {
+		c.typed, c.vec.kind = true, src.vec.kind
+		c.foldTyped(sp.fn, denseOperand(&src.vec), gmap, ng, newJ)
+		return 0, nil
+	}
+	if c.typed {
+		boxed := make([]accum, c.vec.Len())
+		for g := range boxed {
+			boxed[g] = c.cell(sp, g, rows)
+		}
+		*c = accCol{boxed: boxed}
+	}
+	c.boxed = grow(c.boxed, ng, accum{fn: sp.fn, arg: sp.arg})
+	for j, g := range gmap {
+		o := src.cell(sp, j, srcRows)
+		if err := c.boxed[g].merge(&o); err != nil {
+			return j, err
+		}
+	}
+	return 0, nil
+}
+
+// foldState is the aggregation state over a set of groups: their keys,
+// each group's first row (its logical position in the batch, for
+// the representative row and first-appearance order), its row count, and
+// one accumulator column per aggregate. Each morsel's partial is one;
+// the merged result is one more.
+type foldState struct {
+	keys  groupKeys
+	first []int32
+	rows  []int64
+	accs  []accCol
+}
+
+func (st *foldState) reset(byKey bool, naggs int) {
+	st.keys.reset(byKey)
+	st.first, st.rows = st.first[:0], st.rows[:0]
+	if len(st.accs) != naggs {
+		st.accs = make([]accCol, naggs)
+	}
+	for a := range st.accs {
+		st.accs[a].reset()
+	}
+}
+
+// bytes is the state's payload footprint for the memory budget.
+func (st *foldState) bytes() int64 {
+	n := int64(len(st.keys.kbuf)) + 4*int64(len(st.keys.koff)) + 12*int64(len(st.rows))
+	for c := range st.keys.cols {
+		n += st.keys.cols[c].bytes()
+	}
+	for a := range st.accs {
+		n += st.accs[a].vec.bytes() + 48*int64(len(st.accs[a].boxed))
+	}
+	return n
+}
+
+// foldPool recycles fold states: a morsel folds into one and commits it
+// to its slot as its partial — no copy — and the merge returns it, so a
+// warm aggregation allocates its merged groups and its result, not its
+// partials.
+var foldPool = sync.Pool{New: func() any { return new(foldState) }}
+
+// aggPlan is what the fold pass of one aggregation query shares between
+// its morsels: the batch, the pushed-down predicates of a fused scan,
+// the aggregate occurrences and the key representation.
+type aggPlan struct {
+	q     *ir.Query
+	b     *Batch
+	preds []ir.Pred
+	specs []aggSpec
+	byKey bool
+}
+
+// foldMorsel runs the pipeline over the morsel [lo, hi) of the plan's
+// batch — filter into a selection, evaluate the aggregate arguments over
+// the selected rows, assign group ids, fold each aggregate as a column
+// loop — and returns the morsel's partial (nil when no row survives)
+// and the number of rows folded. Argument errors
+// surface first, in aggregate order; a fold error is the one of the
+// first offending row (the lowest aggregate among several on that row),
+// as in a row-at-a-time fold.
+func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
+	b := pl.b
+	rs := w.rows(b, lo, hi)
+	if len(pl.preds) > 0 {
+		js, err := w.refine(b, rs, pl.preds)
+		if err != nil {
+			return nil, 0, err
+		}
+		rs.keep(js)
+	}
+	if rs.n() == 0 {
+		return nil, 0, nil
+	}
+	w.args = w.args[:0]
+	for a := range pl.specs {
+		var o vecOperand
+		if sp := &pl.specs[a]; sp.fold {
+			var err error
+			if o, err = evalVop(sp.arg, b, rs); err != nil {
+				return nil, 0, err
+			}
+		}
+		w.args = append(w.args, o)
+	}
+
+	st := foldPool.Get().(*foldState)
+	st.reset(pl.byKey, len(pl.specs))
+	w.gi.reset(&st.keys)
+	gids := w.gids[:rs.n()]
+	w.keys = w.keys[:0]
+	for _, gc := range pl.q.GroupBy {
+		// An unbound key column reads the zero Value on every row: it
+		// splits no group, so the typed index skips it.
+		if k := colOperand(gc, b, rs); !k.isConst || pl.byKey {
+			w.keys = append(w.keys, k)
+		}
+	}
+	if pl.byKey {
+		w.kbuf, w.koff = w.kbuf[:0], append(w.koff[:0], 0)
+		for j := 0; j < rs.n(); j++ {
+			for _, k := range w.keys {
+				w.kbuf = append(k.Value(j).AppendKey(w.kbuf), 0)
+			}
+			w.koff = append(w.koff, int32(len(w.kbuf)))
+		}
+		w.gi.assignBytes(w.kbuf, w.koff, rs.n(), gids)
+	} else {
+		w.gi.assign(w.keys, rs.n(), w.hs[:], gids)
+	}
+	ng, newJ := st.keys.n, w.gi.newJ
+	for _, j := range newJ {
+		st.first = append(st.first, rs.pos[j])
+	}
+	st.rows = grow(st.rows, ng, 0)
+	for _, g := range gids {
+		st.rows[g]++
+	}
+	errRow, ferr := -1, error(nil)
+	for a := range pl.specs {
+		if sp := &pl.specs[a]; sp.fold {
+			if j, err := st.accs[a].foldRows(sp, w.args[a], gids, ng, newJ); err != nil && (errRow < 0 || j < errRow) {
+				errRow, ferr = j, err
+			}
+		}
+	}
+	if ferr != nil {
+		return nil, 0, ferr
+	}
+	return st, rs.n(), nil
+}
+
+// mergePartial folds a morsel's partial p into the merged state st,
+// indexed by gi, as rows of a fold: p's groups are looked up (or created,
+// in p's group order — partials arrive in morsel order, so creation
+// order is global first appearance) and its accumulator columns fold
+// into st's.
+func (st *foldState) mergePartial(gi *groupIndex, w *scratch, specs []aggSpec, p *foldState) error {
+	n := p.keys.n
+	gmap := w.gids[:n]
+	if st.keys.byKey {
+		gi.assignBytes(p.keys.kbuf, p.keys.koff, n, gmap)
+	} else {
+		w.keys = w.keys[:0]
+		for c := range p.keys.cols {
+			w.keys = append(w.keys, denseOperand(&p.keys.cols[c]))
+		}
+		gi.assign(w.keys, n, w.hs[:], gmap)
+	}
+	ng, newJ := st.keys.n, gi.newJ
+	for _, j := range newJ {
+		st.first = append(st.first, p.first[j])
+	}
+	st.rows = grow(st.rows, ng, 0)
+	errG, ferr := -1, error(nil)
+	for a := range specs {
+		if sp := &specs[a]; sp.fold {
+			if j, err := st.accs[a].merge(sp, &p.accs[a], gmap, ng, newJ, st.rows, p.rows); err != nil && (errG < 0 || j < errG) {
+				errG, ferr = j, err
+			}
+		}
+	}
+	addCells(st.rows, gmap, p.rows, iota32[:n])
+	return ferr
 }
 
 // aggregateBatch evaluates the GROUP BY / HAVING / SELECT pipeline of an
-// aggregation query over the joined batch, appending result tuples to
-// out. Groups are folded morsel-parallel into per-morsel partial states
-// that merge serially in morsel index order — a fixed merge tree, so
-// accumulator contents (including float accumulation order) and the
-// first-appearance output order are byte-identical at every worker
-// count. A query without GROUP BY is the single-group case of the same
-// path; an empty input yields no groups (see the package comment for
-// this documented simplification).
-func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, out *Relation) error {
-	sw := ev.Metrics.Time("engine.agg.ns")
+// aggregation query over the batch, appending result tuples to out. One
+// morsel pass folds the batch into per-morsel partials (foldMorsel).
+// When the batch is a stored table the pass is also its scan (fused):
+// it runs the pushed-down predicates preds first, charges the table's
+// rows at site "scan" as it goes and the surviving rows at "agg.fold" as
+// the partials merge, so both sites see the totals of separate passes.
+// Partials belong to morsels of the batch, whose boundaries depend on
+// the input alone, and merge serially in morsel index order — a fixed
+// merge tree, so accumulator contents (including float accumulation
+// order) and the first-appearance output order are byte-identical at
+// every worker count. A query without GROUP BY is the single-group case
+// of the same path; an empty input yields no groups (see the package
+// comment for this documented simplification).
+func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.Pred, fused bool, out *Relation) error {
+	mt := ev.metrics()
+	sw := mt.aggNs.Start()
 	defer sw.Stop()
-	ev.Metrics.Counter("engine.agg.rows").Add(int64(b.n))
 	aggs, aggIdx := collectAggs(q)
-	var groups []*group
-	if b.n > 0 {
-		vgs, err := ev.groupFoldBatch(t, q, b, aggs)
-		if err != nil {
-			return err
-		}
-		groups = make([]*group, len(vgs))
-		for gi, vg := range vgs {
-			groups[gi] = &group{rep: b.rowValues(vg.first), accs: vg.accs, first: vg.first}
+	pl := &aggPlan{q: q, b: b, preds: preds, specs: aggSpecs(aggs)}
+	for _, gc := range q.GroupBy {
+		if v := b.cols[gc]; v != nil && (v.kind == value.KindFloat || v.kind == kindMixed) {
+			pl.byKey = true
 		}
 	}
-	ev.Metrics.Counter("engine.agg.groups").Add(int64(len(groups)))
+	site := "agg.fold"
+	if fused {
+		site = "scan"
+	}
+
+	nm := morselCount(b.n)
+	parts := make([]*foldState, nm)
+	kept := make([]int32, nm)
+	err := ev.morselRun(t, site, ev.workersFor(b.n), b.n, func(w *scratch, m, lo, hi int) error {
+		p, n, err := w.foldMorsel(pl, lo, hi)
+		if err != nil || p == nil {
+			return err
+		}
+		parts[m], kept[m] = p, int32(n)
+		return t.allocBytes(ev, "agg.fold", p.bytes())
+	})
+	if err != nil {
+		return err
+	}
+
+	merged := &foldState{keys: groupKeys{byKey: pl.byKey}, accs: make([]accCol, len(pl.specs))}
+	var gi groupIndex
+	gi.reset(&merged.keys)
+	w := getScratch()
+	defer putScratch(w)
+	rows := 0
+	for m, p := range parts {
+		if p == nil {
+			continue
+		}
+		rows += int(kept[m])
+		if fused {
+			if err := t.charge(ev, "agg.fold", int64(kept[m])); err != nil {
+				return err
+			}
+		}
+		if err := merged.mergePartial(&gi, w, pl.specs, p); err != nil {
+			return err
+		}
+		foldPool.Put(p)
+		if err := t.poll(ev, "agg.merge"); err != nil {
+			return err
+		}
+	}
+	if fused {
+		mt.scanKept.Add(int64(rows))
+	}
+	mt.aggRows.Add(int64(rows))
+	mt.aggGroups.Add(int64(merged.keys.n))
+
+	groups := make([]group, merged.keys.n)
+	for i := range groups {
+		g := &groups[i]
+		g.first = int(merged.first[i])
+		g.rep = b.rowValues(g.first)
+		g.accs = make([]accum, len(pl.specs))
+		for a := range pl.specs {
+			g.accs[a] = merged.accs[a].cell(&pl.specs[a], i, merged.rows)
+		}
+	}
 
 	// COUNT(arg) counts rows (no NULLs), but the argument must still be
 	// evaluated once per group to surface reference errors — the row
 	// engine did so on each group's first row, which is its
 	// representative here.
-	for _, g := range groups {
-		for ai, a := range aggs {
-			if g.accs[ai].arg != nil && a.Func == ir.AggCount {
-				if _, err := evalScalar(g.accs[ai].arg, g.rep); err != nil {
+	for i := range groups {
+		for a := range pl.specs {
+			if sp := &pl.specs[a]; sp.arg != nil && sp.fn == ir.AggCount {
+				if _, err := evalScalar(sp.arg, groups[i].rep); err != nil {
 					return err
 				}
 			}
 		}
 	}
 
-	for _, g := range groups {
+	for i := range groups {
+		g := &groups[i]
 		keep := true
 		for _, h := range q.Having {
 			l, err := evalGrouped(h.L, g, aggIdx)
@@ -120,133 +729,4 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, out *Relatio
 		out.Tuples = append(out.Tuples, tuple)
 	}
 	return nil
-}
-
-// cellValue boxes b's cell (col, i), reading the zero Value from
-// unbound slots like the row engine did.
-func cellValue(b *Batch, col ir.ColID, i int) value.Value {
-	if v := b.cols[col]; v != nil {
-		return v.Value(i)
-	}
-	return value.Value{}
-}
-
-// groupFoldBatch builds the groups of an aggregation query from a
-// non-empty batch. Each morsel evaluates the aggregate arguments as
-// vectors over its row range, folds its rows into a private group
-// table, and commits the table to its morsel slot; the partial states
-// then merge serially in morsel index order. Group order is global
-// first appearance; each accumulator absorbs its morsel's rows in row
-// order and partials merge in morsel order, so the fold tree — hence
-// every accumulated value — is fixed by the input alone. The serial
-// path runs the identical per-morsel code inline.
-func (ev *Evaluator) groupFoldBatch(t *task, q *ir.Query, b *Batch, aggs []*ir.Agg) ([]*vgroup, error) {
-	modes := make([]aggMode, len(aggs))
-	for i, a := range aggs {
-		switch {
-		case a.Star || a.Arg == nil:
-			modes[i] = aggModeTick
-		case a.Func == ir.AggCount:
-			modes[i] = aggModeCountArg
-		default:
-			modes[i] = aggModeVal
-		}
-	}
-	useInt := len(q.GroupBy) == 1 &&
-		b.cols[q.GroupBy[0]] != nil && b.cols[q.GroupBy[0]].kind == value.KindInt
-	var keyInts []int64
-	if useInt {
-		keyInts = b.cols[q.GroupBy[0]].ints
-	}
-
-	parts := make([]*groupTable, morselCount(b.n))
-	err := ev.morselRun(t, "agg.fold", ev.workersFor(b.n), b.n, func(m, lo, hi int) error {
-		mb := b.slice(lo, hi)
-		argVecs := make([]*Vec, len(aggs))
-		for ai, a := range aggs {
-			if modes[ai] == aggModeVal {
-				v, err := evalVec(a.Arg, mb)
-				if err != nil {
-					return err
-				}
-				argVecs[ai] = v
-			}
-		}
-		gt := newGroupTable(useInt)
-		var buf []byte
-		for i := lo; i < hi; i++ {
-			var g *vgroup
-			if useInt {
-				k := keyInts[i]
-				g = gt.ints[k]
-				if g == nil {
-					g = &vgroup{first: i, ikey: k, accs: newAccs(aggs)}
-					gt.ints[k] = g
-					gt.list = append(gt.list, g)
-				}
-			} else {
-				buf = buf[:0]
-				for _, gc := range q.GroupBy {
-					buf = cellValue(b, gc, i).AppendKey(buf)
-					buf = append(buf, 0)
-				}
-				g = gt.strs[string(buf)]
-				if g == nil {
-					k := string(buf)
-					g = &vgroup{first: i, skey: k, accs: newAccs(aggs)}
-					gt.strs[k] = g
-					gt.list = append(gt.list, g)
-				}
-			}
-			for ai := range g.accs {
-				ac := &g.accs[ai]
-				if modes[ai] == aggModeVal {
-					if err := ac.absorb(argVecs[ai].Value(i - lo)); err != nil {
-						return err
-					}
-				} else {
-					ac.rows++
-				}
-			}
-		}
-		parts[m] = gt
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Serial merge in morsel index order: unseen groups are adopted
-	// (keeping their first-row index and accumulated state), seen ones
-	// merge accumulator-wise. Morsels hand out increasing row ranges, so
-	// adoption order is global first-appearance order — no sort needed.
-	global := newGroupTable(useInt)
-	for _, gt := range parts {
-		for _, g := range gt.list {
-			var tgt *vgroup
-			if useInt {
-				tgt = global.ints[g.ikey]
-			} else {
-				tgt = global.strs[g.skey]
-			}
-			if tgt == nil {
-				if useInt {
-					global.ints[g.ikey] = g
-				} else {
-					global.strs[g.skey] = g
-				}
-				global.list = append(global.list, g)
-				continue
-			}
-			for ai := range tgt.accs {
-				if err := tgt.accs[ai].merge(&g.accs[ai]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := t.poll(ev, "agg.merge"); err != nil {
-			return nil, err
-		}
-	}
-	return global.list, nil
 }

@@ -5,257 +5,266 @@ import (
 	"aggview/internal/value"
 )
 
-// joinPartitions is the number of hash partitions the build side is
-// split into. Partitioning keeps each hash table small (cache-resident
-// for the common build sizes) and gives the probe a cheap first-level
-// radix split; it must be a power of two.
-const joinPartitions = 8
-
-// mix64 is the splitmix64 finalizer, used to spread integer join keys
-// across partitions.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
+// joinKeys numbers the distinct keys of a join's smaller input densely,
+// in insertion order: a flat open-addressing table over the int64
+// payload when the single key pair is int on both sides, and a map over
+// the canonical Value.AppendKey bytes otherwise, so cross-kind numeric
+// equality (1 joins 1.0) matches the row-at-a-time engine exactly.
+type joinKeys struct {
+	ints  bool
+	keys  []int64 // flat table: slot key
+	ids   []int32 // flat table: slot key id + 1, 0 empty
+	byKey map[string]int32
+	n     int
 }
 
-// fnv32b hashes a byte-encoded join key (FNV-1a).
-func fnv32b(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
+func newJoinKeys(ints bool, rows int) *joinKeys {
+	jk := &joinKeys{ints: ints}
+	if !ints {
+		jk.byKey = make(map[string]int32, rows)
+		return jk
 	}
-	return h
-}
-
-// keyPair is one equality join key: a column already bound on the left
-// and its counterpart on the table being joined.
-type keyPair struct{ l, r ir.ColID }
-
-// appendPairKey byte-encodes one side's join key for row i using the
-// same canonical encoding as Value.Key, so cross-kind numeric equality
-// (1 joins 1.0) matches the row-at-a-time engine exactly.
-func appendPairKey(dst []byte, b *Batch, pairs []keyPair, left bool, i int) []byte {
-	for _, p := range pairs {
-		c := p.r
-		if left {
-			c = p.l
-		}
-		var v value.Value
-		if vec := b.cols[c]; vec != nil {
-			v = vec.Value(i)
-		}
-		dst = v.AppendKey(dst)
-		dst = append(dst, 0)
+	// At most half full; a quarter while that keeps the table small
+	// enough to stay cache-resident, where short probe chains matter.
+	size := 16
+	for size < 2*rows {
+		size *= 2
 	}
-	return dst
+	if size < 1<<16 {
+		size *= 2
+	}
+	jk.keys, jk.ids = make([]int64, size), make([]int32, size)
+	return jk
 }
 
-// joinIdx is one morsel's matched row pairs: output row j joins left
-// row l[j] with right row r[j].
-type joinIdx struct {
-	l, r []int32
+// intIDs writes the id of each int key xs[idx[j]] into out: adding
+// unseen keys in row order when add is set, -1 for an absent key
+// otherwise.
+func (jk *joinKeys) intIDs(xs []int64, idx []int32, out []int32, add bool) {
+	keys, ids := jk.keys, jk.ids
+	mask := uint64(len(ids) - 1)
+	for j, i := range idx {
+		x := xs[i]
+		s := mix64(uint64(x)) & mask
+		for ids[s] != 0 && keys[s] != x {
+			s = (s + 1) & mask
+		}
+		if add && ids[s] == 0 {
+			jk.n++
+			keys[s], ids[s] = x, int32(jk.n)
+		}
+		out[j] = ids[s] - 1
+	}
 }
 
-// hashJoinBatch joins the accumulated batch with the scan batch of
-// table `next` using the equality predicates in keys; with no keys it
-// degrades to a cross product. The build side (the incoming table) is
-// split into per-partition hash tables mapping key to build-row indices
-// in row order; the probe side is swept in morsels, each collecting its
-// matches left-major into a private index pair committed to its morsel
-// slot. Slots concatenate in morsel order and one gather per side
-// materializes the output columns, so the output rows — left-major,
-// build rows in insertion order — are byte-identical to the serial
-// nested probe at every worker count.
-func (ev *Evaluator) hashJoinBatch(t *task, left, right *Batch, keys []ir.Pred, tableOf func(ir.ColID) int, next int) (*Batch, error) {
-	ev.Metrics.Counter("engine.join.probe").Add(int64(left.n))
-	ev.Metrics.Histogram("engine.join.build_rows").Observe(int64(right.n))
+// bytesID returns the id of a byte-encoded key, as intIDs does per row.
+func (jk *joinKeys) bytesID(key []byte, add bool) int32 {
+	if id, ok := jk.byKey[string(key)]; ok {
+		return id
+	}
+	if !add {
+		return -1
+	}
+	jk.byKey[string(key)] = int32(jk.n)
+	jk.n++
+	return int32(jk.n - 1)
+}
 
-	var lIdx, rIdx []int32
+// joinSide is one input of a keyed join: the batch, which of each pair's
+// columns is its own, and the site its rows are charged at.
+type joinSide struct {
+	b    *Batch
+	cols []ir.ColID
+	site string
+}
+
+// morselIDs writes the key id of each row of the side's morsel [lo, hi)
+// into ids, adding unseen keys when add is set and writing -1 for an
+// absent key otherwise.
+func (jk *joinKeys) morselIDs(w *scratch, s joinSide, ids []int32, lo, hi int, add bool) {
+	rs := w.rows(s.b, lo, hi)
+	out := ids[lo:hi]
+	w.keys = w.keys[:0]
+	for _, c := range s.cols {
+		w.keys = append(w.keys, colOperand(c, s.b, rs))
+	}
+	if jk.ints {
+		jk.intIDs(w.keys[0].vec.ints, w.keys[0].idx, out, add)
+		return
+	}
+	for j := range out {
+		w.kbuf = w.kbuf[:0]
+		for _, k := range w.keys {
+			w.kbuf = append(k.Value(j).AppendKey(w.kbuf), 0)
+		}
+		out[j] = jk.bytesID(w.kbuf, add)
+	}
+}
+
+// hashJoinBatch joins the accumulated batch — the tables listed in
+// joined — with the scan batch of table next using the equality
+// predicates in keys; with no keys it degrades to a cross product.
+// Nothing is copied but row indices: the matched pairs come out
+// left-major — for each left row in order, its matching incoming rows in
+// their order, the order of the serial nested probe at every worker
+// count — and are composed onto the selections of both inputs.
+func (ev *Evaluator) hashJoinBatch(t *task, left, right *Batch, joined []int, keys []ir.Pred, next int) (*Batch, error) {
+	mt := ev.metrics()
+	mt.joinProbe.Add(int64(left.n))
+	mt.joinBuildRows.Observe(int64(right.n))
+
+	// Empty, non-nil: a nil selection would read as "the table's own rows".
+	lIdx, rIdx := []int32{}, []int32{}
 	switch {
 	case left.n == 0 || right.n == 0:
-		// No matches; fall through to bind an empty output batch.
+		// No matches: an empty output batch.
 	case len(keys) == 0:
 		// Cross product, left-major.
-		parts := make([]joinIdx, morselCount(left.n))
-		err := ev.morselRun(t, "join.cross", ev.workersFor(left.n), left.n, func(m, lo, hi int) error {
-			p := joinIdx{
-				l: make([]int32, 0, (hi-lo)*right.n),
-				r: make([]int32, 0, (hi-lo)*right.n),
-			}
+		if err := t.allocBytes(ev, "join", 8*int64(left.n)*int64(right.n)); err != nil {
+			return nil, err
+		}
+		lIdx, rIdx = make([]int32, left.n*right.n), make([]int32, left.n*right.n)
+		err := ev.morselRun(t, "join.cross", ev.workersFor(left.n), left.n, func(_ *scratch, m, lo, hi int) error {
+			o := lo * right.n
 			for i := lo; i < hi; i++ {
 				for j := 0; j < right.n; j++ {
-					p.l = append(p.l, int32(i))
-					p.r = append(p.r, int32(j))
+					lIdx[o], rIdx[o] = int32(i), int32(right.phys(next, j))
+					o++
 				}
 			}
-			parts[m] = p
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		lIdx, rIdx = concatJoinIdx(parts)
 	default:
-		pairs := make([]keyPair, len(keys))
-		for i, p := range keys {
-			l, r := p.L.Col, p.R.Col
-			if tableOf(l) == next {
-				l, r = r, l
+		l := joinSide{b: left, site: "join.probe"}
+		r := joinSide{b: right, site: "join.build"}
+		for _, p := range keys {
+			lc, rc := p.L.Col, p.R.Col
+			if left.tabOf(lc) == next {
+				lc, rc = rc, lc
 			}
-			pairs[i] = keyPair{l, r}
+			l.cols, r.cols = append(l.cols, lc), append(r.cols, rc)
 		}
 		var err error
-		lIdx, rIdx, err = ev.probeJoin(t, left, right, pairs)
-		if err != nil {
+		if lIdx, rIdx, err = ev.joinPairs(t, l, r, next); err != nil {
 			return nil, err
 		}
 	}
 
-	out := &Batch{n: len(lIdx), cols: make([]*Vec, len(left.cols))}
-	for id, v := range left.cols {
-		if v == nil {
-			continue
-		}
-		g := v.gather(lIdx)
-		if err := t.allocBytes(ev, "join", g.bytes()); err != nil {
-			return nil, err
-		}
-		out.cols[id] = g
+	out, err := left.pick(t, ev, "join", lIdx, joined)
+	if err != nil {
+		return nil, err
 	}
-	for id, v := range right.cols {
-		if v == nil {
-			continue
-		}
-		g := v.gather(rIdx)
-		if err := t.allocBytes(ev, "join", g.bytes()); err != nil {
-			return nil, err
-		}
-		out.cols[id] = g
-	}
-	ev.Metrics.Counter("engine.join.rows").Add(int64(out.n))
+	out.sel[next] = rIdx
+	mt.joinRows.Add(int64(out.n))
 	return out, nil
 }
 
-// probeJoin runs the keyed build and probe phases, returning matched
-// row index pairs in deterministic (left-major, insertion-order) order.
-func (ev *Evaluator) probeJoin(t *task, left, right *Batch, pairs []keyPair) ([]int32, []int32, error) {
-	// Fast path: a single join key over int columns on both sides keys
-	// directly on the int64 payload. This is safe only when both vectors
-	// are uniformly KindInt — with a float on either side the canonical
-	// key encoding must unify 1 and 1.0.
-	intKeys := len(pairs) == 1 &&
-		left.cols[pairs[0].l] != nil && left.cols[pairs[0].l].kind == value.KindInt &&
-		right.cols[pairs[0].r] != nil && right.cols[pairs[0].r].kind == value.KindInt
+// joinPairs runs a keyed join and returns the matched pairs — logical
+// left row, physical row of the incoming table — left-major. The
+// distinct keys of the smaller input are numbered serially (joinKeys),
+// the larger input looks its rows' key ids up morsel-parallel, a
+// counting sort lays the incoming table's matched rows out per key id
+// in row order (a CSR: one offset per key plus one row array, no
+// per-key slices), and the emission walks the left rows in order. Which
+// input was the smaller changes who builds the key table, never the
+// output.
+func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int32, error) {
+	// Keying on the int64 payload is safe only when both vectors are
+	// uniformly KindInt — with a float on either side the canonical key
+	// encoding must unify 1 and 1.0.
+	isInt := func(s joinSide) bool {
+		v := s.b.cols[s.cols[0]]
+		return v != nil && v.kind == value.KindInt
+	}
+	ints := len(l.cols) == 1 && isInt(l) && isInt(r)
 
-	// Build phase 1 (parallel): partition ids, plus byte-encoded keys on
-	// the generic path.
-	pids := make([]uint8, right.n)
-	var rkeys []string
-	if !intKeys {
-		rkeys = make([]string, right.n)
+	lp, rp := getI32(l.b.n), getI32(r.b.n)
+	defer putI32(lp)
+	defer putI32(rp)
+	lids, rids := *lp, *rp
+	small, sids, big, bids := r, rids, l, lids
+	if l.b.n < r.b.n {
+		small, sids, big, bids = l, lids, r, rids
 	}
-	var rints []int64
-	if intKeys {
-		rints = right.cols[pairs[0].r].ints
+	// Number the smaller input's keys serially, so ids follow row order.
+	jk := newJoinKeys(ints, small.b.n)
+	w := getScratch()
+	for m := 0; m < morselCount(small.b.n); m++ {
+		lo, hi := morselBounds(m, small.b.n)
+		jk.morselIDs(w, small, sids, lo, hi, true)
 	}
-	err := ev.morselRun(t, "join.build", ev.workersFor(right.n), right.n, func(m, lo, hi int) error {
-		if intKeys {
-			for j := lo; j < hi; j++ {
-				pids[j] = uint8(mix64(uint64(rints[j])) & (joinPartitions - 1))
-			}
+	putScratch(w)
+	// Rows are charged build side first, then probe side, whichever of
+	// the two was numbered above: the other looks its keys up as it is
+	// charged, morsel-parallel against the finished table.
+	for _, s := range []joinSide{r, l} {
+		var err error
+		if s.b == small.b {
+			err = ev.chargeRows(t, s.site, s.b.n)
+		} else {
+			err = ev.morselRun(t, s.site, ev.workersFor(s.b.n), s.b.n, func(w *scratch, m, lo, hi int) error {
+				jk.morselIDs(w, big, bids, lo, hi, false)
+				return nil
+			})
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+
+	// Counting sort of the incoming rows by key id. ends[id] counts, then
+	// holds the start of id's run, and after the scatter its end — which
+	// is the start of the next id's.
+	ep := getI32(jk.n)
+	defer putI32(ep)
+	ends := *ep
+	clear(ends)
+	matched := 0
+	for _, id := range rids {
+		if id >= 0 {
+			ends[id]++
+			matched++
+		}
+	}
+	for id, at := 0, int32(0); id < len(ends); id++ {
+		ends[id], at = at, at+ends[id]
+	}
+	rowp := getI32(matched)
+	defer putI32(rowp)
+	rows := *rowp
+	for j, id := range rids {
+		if id >= 0 {
+			rows[ends[id]] = int32(r.b.phys(next, j))
+			ends[id]++
+		}
+	}
+	run := func(id int32) []int32 {
+		if id < 0 {
 			return nil
 		}
-		var buf []byte
-		for j := lo; j < hi; j++ {
-			buf = appendPairKey(buf[:0], right, pairs, false, j)
-			rkeys[j] = string(buf)
-			pids[j] = uint8(fnv32b(buf) & (joinPartitions - 1))
+		if id == 0 {
+			return rows[:ends[0]]
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+		return rows[ends[id-1]:ends[id]]
 	}
 
-	// Build phase 2 (serial): per-partition tables, build rows appended
-	// in row order so probe matches replay insertion order.
-	var intMaps []map[int64][]int32
-	var strMaps []map[string][]int32
-	if intKeys {
-		intMaps = make([]map[int64][]int32, joinPartitions)
-		for p := range intMaps {
-			intMaps[p] = map[int64][]int32{}
-		}
-		for j := 0; j < right.n; j++ {
-			m := intMaps[pids[j]]
-			m[rints[j]] = append(m[rints[j]], int32(j))
-		}
-	} else {
-		strMaps = make([]map[string][]int32, joinPartitions)
-		for p := range strMaps {
-			strMaps[p] = map[string][]int32{}
-		}
-		for j := 0; j < right.n; j++ {
-			m := strMaps[pids[j]]
-			m[rkeys[j]] = append(m[rkeys[j]], int32(j))
-		}
-	}
-	if err := t.poll(ev, "join.build"); err != nil {
-		return nil, nil, err
-	}
-
-	// Probe phase (parallel morsels over the left side).
-	var lints []int64
-	if intKeys {
-		lints = left.cols[pairs[0].l].ints
-	}
-	parts := make([]joinIdx, morselCount(left.n))
-	err = ev.morselRun(t, "join.probe", ev.workersFor(left.n), left.n, func(m, lo, hi int) error {
-		var p joinIdx
-		if intKeys {
-			for i := lo; i < hi; i++ {
-				k := lints[i]
-				for _, j := range intMaps[mix64(uint64(k))&(joinPartitions-1)][k] {
-					p.l = append(p.l, int32(i))
-					p.r = append(p.r, j)
-				}
-			}
-		} else {
-			var buf []byte
-			for i := lo; i < hi; i++ {
-				buf = appendPairKey(buf[:0], left, pairs, true, i)
-				for _, j := range strMaps[fnv32b(buf)&(joinPartitions-1)][string(buf)] {
-					p.l = append(p.l, int32(i))
-					p.r = append(p.r, j)
-				}
-			}
-		}
-		parts[m] = p
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	l, r := concatJoinIdx(parts)
-	return l, r, nil
-}
-
-// concatJoinIdx concatenates per-morsel match pairs in morsel order.
-func concatJoinIdx(parts []joinIdx) ([]int32, []int32) {
 	total := 0
-	for _, p := range parts {
-		total += len(p.l)
+	for _, id := range lids {
+		total += len(run(id))
 	}
-	l := make([]int32, 0, total)
-	r := make([]int32, 0, total)
-	for _, p := range parts {
-		l = append(l, p.l...)
-		r = append(r, p.r...)
+	if err := t.allocBytes(ev, "join", 8*int64(total)); err != nil {
+		return nil, nil, err
 	}
-	return l, r
+	lIdx, rIdx := make([]int32, total), make([]int32, total)
+	o := 0
+	for i, id := range lids {
+		for _, row := range run(id) {
+			lIdx[o], rIdx[o] = int32(i), row
+			o++
+		}
+	}
+	return lIdx, rIdx, nil
 }

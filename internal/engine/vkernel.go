@@ -9,76 +9,100 @@ import (
 	"aggview/internal/value"
 )
 
-// ord orders two same-type cells without exact float equality: the
-// comparisons mirror value.Compare's per-domain behavior (NaN orders
-// equal to everything, as float < and > are both false).
-func ord[T cmp.Ordered](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// opKeep reports whether a row with comparison outcome c survives op.
-func opKeep(op ir.Op, c int) bool {
+// cmpMask encodes a comparison operator as the set of orderings it
+// keeps: bit 0 when the left cell orders below the right one, bit 1
+// when neither orders below the other (equal — or unordered: NaN orders
+// equal to everything, as in value.Compare), bit 2 when it orders above.
+// The kernels resolve the operator to its mask once per vector and test
+// one bit per row.
+func cmpMask(op ir.Op) (uint, error) {
 	switch op {
 	case ir.OpEq:
-		return c == 0
+		return 0b010, nil
 	case ir.OpNeq:
-		return c != 0
+		return 0b101, nil
 	case ir.OpLt:
-		return c < 0
+		return 0b001, nil
 	case ir.OpLeq:
-		return c <= 0
+		return 0b011, nil
 	case ir.OpGt:
-		return c > 0
-	default: // ir.OpGeq
-		return c >= 0
+		return 0b100, nil
+	case ir.OpGeq:
+		return 0b110, nil
+	default:
+		return 0, fmt.Errorf("engine: unknown operator %v", op)
 	}
 }
 
-// selCmpConst appends to out the indices i of sel whose cell xs[i]
-// satisfies `xs[i] op y` in T's domain.
-func selCmpConst[T cmp.Ordered](op ir.Op, xs []T, y T, sel, out []int32) []int32 {
-	for _, i := range sel {
-		if opKeep(op, ord(xs[i], y)) {
-			out = append(out, i)
-		}
+// keepBit returns 1 when mask keeps the ordering of a against b. The
+// two comparisons compile to flag moves, so the row loops below carry
+// no data-dependent branch.
+func keepBit[T cmp.Ordered](mask uint, a, b T) int {
+	var lt, gt uint
+	if a < b {
+		lt = 1
 	}
-	return out
+	if a > b {
+		gt = 1
+	}
+	return int(mask >> (1 + gt - lt) & 1)
+}
+
+// selCmpConst writes to out the row numbers j of sel whose cell
+// xs[idx[j]] satisfies mask against y in T's domain, and returns them.
+// out needs room for len(sel) entries and may be sel itself.
+func selCmpConst[T cmp.Ordered](mask uint, xs []T, idx []int32, y T, sel, out []int32) []int32 {
+	out = out[:len(sel)]
+	k := 0
+	for _, j := range sel {
+		out[k] = j
+		k += keepBit(mask, xs[idx[j]], y)
+	}
+	return out[:k]
 }
 
 // selCmpCols is selCmpConst for a column-column predicate.
-func selCmpCols[T cmp.Ordered](op ir.Op, xs, ys []T, sel, out []int32) []int32 {
-	for _, i := range sel {
-		if opKeep(op, ord(xs[i], ys[i])) {
-			out = append(out, i)
-		}
+func selCmpCols[T cmp.Ordered](mask uint, xs []T, xi []int32, ys []T, yi []int32, sel, out []int32) []int32 {
+	out = out[:len(sel)]
+	k := 0
+	for _, j := range sel {
+		out[k] = j
+		k += keepBit(mask, xs[xi[j]], ys[yi[j]])
 	}
-	return out
+	return out[:k]
 }
 
-// vecOperand is one side of a vectorized predicate: a column vector or
-// a broadcast constant.
+// vecOperand is one side of a vectorized predicate or expression over a
+// morsel's row set: a broadcast constant, or a vector read through an
+// index — cell j is vec's cell idx[j]. A stored column carries its
+// table's row indices; a vector computed for the morsel carries the
+// identity (iota32).
 type vecOperand struct {
 	vec     *Vec
+	idx     []int32
 	c       value.Value
 	isConst bool
 }
 
-func predOperand(t ir.Term, b *Batch) vecOperand {
+// colOperand reads column c of b over the row set. An unbound slot reads
+// as the zero Value, as in the row-at-a-time engine.
+func colOperand(c ir.ColID, b *Batch, rs *rowSet) vecOperand {
+	if v := b.cols[c]; v != nil {
+		return vecOperand{vec: v, idx: rs.idx[b.tabOf(c)]}
+	}
+	return vecOperand{c: value.Value{}, isConst: true}
+}
+
+func predOperand(t ir.Term, b *Batch, rs *rowSet) vecOperand {
 	if t.IsConst {
 		return vecOperand{c: t.Val, isConst: true}
 	}
-	if v := b.cols[t.Col]; v != nil {
-		return vecOperand{vec: v}
-	}
-	// Unbound slot: the row-at-a-time engine read the zero Value there.
-	return vecOperand{c: value.Value{}, isConst: true}
+	return colOperand(t.Col, b, rs)
+}
+
+// denseOperand wraps a vector computed for the morsel.
+func denseOperand(v *Vec) vecOperand {
+	return vecOperand{vec: v, idx: iota32[:v.Len()]}
 }
 
 // kindOf returns the operand's cell kind (kindMixed for mixed vectors).
@@ -89,157 +113,179 @@ func (o vecOperand) kindOf() value.Kind {
 	return o.vec.kind
 }
 
+// Value boxes the operand's cell for row j.
+func (o vecOperand) Value(j int) value.Value {
+	if o.isConst {
+		return o.c
+	}
+	return o.vec.Value(int(o.idx[j]))
+}
+
 func numericKind(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat }
 
-// predSelInto refines the selection sel through one predicate,
-// appending survivors to out (callers ping-pong two buffers). The
-// kernel dispatches on the operand kinds once and runs a tight typed
-// loop; mixed-kind vectors fall back to boxed row-at-a-time comparison
-// with identical semantics.
-func predSelInto(p ir.Pred, b *Batch, sel, out []int32) ([]int32, error) {
+// predSel refines the row numbers sel through one predicate over the
+// row set, writing the survivors to out (which needs room for len(sel)
+// entries and may be sel itself). The kernel dispatches on the operand
+// kinds once and runs a tight typed loop; mixed-kind vectors fall back
+// to boxed row-at-a-time comparison with identical semantics.
+func predSel(p ir.Pred, b *Batch, rs *rowSet, sel, out []int32) ([]int32, error) {
 	op := p.Op
-	l, r := predOperand(p.L, b), predOperand(p.R, b)
+	l, r := predOperand(p.L, b, rs), predOperand(p.R, b, rs)
 	if l.isConst && !r.isConst {
 		op = op.Flip()
 		l, r = r, l
 	}
-	if op > ir.OpGeq {
-		return nil, fmt.Errorf("engine: unknown operator %v", op)
+	mask, err := cmpMask(op)
+	if err != nil {
+		return nil, err
+	}
+	all := func(keep bool) []int32 {
+		if !keep {
+			return out[:0]
+		}
+		return out[:copy(out[:len(sel)], sel)]
 	}
 	if l.isConst { // both sides constant
 		h, err := compare(op, l.c, r.c)
 		if err != nil {
 			return nil, err
 		}
-		if h {
-			return append(out, sel...), nil
-		}
-		return out, nil
+		return all(h), nil
 	}
 
 	lk, rk := l.kindOf(), r.kindOf()
 	if lk == kindMixed || rk == kindMixed {
 		// Boxed fallback: exact row-at-a-time semantics.
-		for _, i := range sel {
-			var rv value.Value
-			if r.isConst {
-				rv = r.c
-			} else {
-				rv = r.vec.Value(int(i))
-			}
-			h, err := compare(op, l.vec.Value(int(i)), rv)
+		out = out[:len(sel)]
+		k := 0
+		for _, j := range sel {
+			h, err := compare(op, l.Value(int(j)), r.Value(int(j)))
 			if err != nil {
 				return nil, err
 			}
 			if h {
-				out = append(out, i)
+				out[k] = j
+				k++
 			}
 		}
-		return out, nil
+		return out[:k], nil
 	}
 
 	// Incomparable typed kinds decide the whole vector: compare()
 	// returns (op == Neq) for every row.
-	comparable := lk == rk || (numericKind(lk) && numericKind(rk))
-	if !comparable {
-		if op == ir.OpNeq {
-			return append(out, sel...), nil
-		}
-		return out, nil
+	if lk != rk && !(numericKind(lk) && numericKind(rk)) {
+		return all(op == ir.OpNeq), nil
 	}
 
 	if r.isConst {
 		switch {
 		case lk == value.KindInt && rk == value.KindInt:
-			return selCmpConst(op, l.vec.ints, r.c.AsInt(), sel, out), nil
+			return selCmpConst(mask, l.vec.ints, l.idx, r.c.AsInt(), sel, out), nil
 		case numericKind(lk): // at least one float: float domain
 			y := r.c.AsFloat()
 			if lk == value.KindInt {
-				for _, i := range sel {
-					if opKeep(op, ord(float64(l.vec.ints[i]), y)) {
-						out = append(out, i)
-					}
+				out = out[:len(sel)]
+				k := 0
+				for _, j := range sel {
+					out[k] = j
+					k += keepBit(mask, float64(l.vec.ints[l.idx[j]]), y)
 				}
-				return out, nil
+				return out[:k], nil
 			}
-			return selCmpConst(op, l.vec.floats, y, sel, out), nil
+			return selCmpConst(mask, l.vec.floats, l.idx, y, sel, out), nil
 		case lk == value.KindString:
-			return selCmpConst(op, l.vec.strs, r.c.AsString(), sel, out), nil
+			return selCmpConst(mask, l.vec.strs, l.idx, r.c.AsString(), sel, out), nil
 		default: // bool vs bool: 0/1 payload in the int domain
 			y := int64(0)
 			if r.c.AsBool() {
 				y = 1
 			}
-			return selCmpConst(op, l.vec.ints, y, sel, out), nil
+			return selCmpConst(mask, l.vec.ints, l.idx, y, sel, out), nil
 		}
 	}
 
 	switch {
 	case lk == value.KindInt && rk == value.KindInt:
-		return selCmpCols(op, l.vec.ints, r.vec.ints, sel, out), nil
+		return selCmpCols(mask, l.vec.ints, l.idx, r.vec.ints, r.idx, sel, out), nil
 	case numericKind(lk): // mixed int/float columns: float domain
-		lf, li := l.vec.floats, l.vec.ints
-		rf, ri := r.vec.floats, r.vec.ints
-		for _, i := range sel {
-			var a, c float64
-			if lk == value.KindInt {
-				a = float64(li[i])
-			} else {
-				a = lf[i]
-			}
-			if rk == value.KindInt {
-				c = float64(ri[i])
-			} else {
-				c = rf[i]
-			}
-			if opKeep(op, ord(a, c)) {
-				out = append(out, i)
-			}
+		out = out[:len(sel)]
+		k := 0
+		for _, j := range sel {
+			out[k] = j
+			k += keepBit(mask, l.float(int(j)), r.float(int(j)))
 		}
-		return out, nil
+		return out[:k], nil
 	case lk == value.KindString:
-		return selCmpCols(op, l.vec.strs, r.vec.strs, sel, out), nil
+		return selCmpCols(mask, l.vec.strs, l.idx, r.vec.strs, r.idx, sel, out), nil
 	default: // bool vs bool
-		return selCmpCols(op, l.vec.ints, r.vec.ints, sel, out), nil
+		return selCmpCols(mask, l.vec.ints, l.idx, r.vec.ints, r.idx, sel, out), nil
 	}
 }
 
-// filterSel evaluates a conjunction of predicates over the dense batch,
-// morsel-parallel, and returns the surviving row indices in input
-// order. Each morsel refines a private selection through the predicates
-// and commits it to its slot; the slots concatenate in morsel order, so
-// the selection is byte-identical to the serial scan.
+// float reads a numeric column operand's cell for row j in the float
+// domain.
+func (o vecOperand) float(j int) float64 {
+	if o.vec.kind == value.KindInt {
+		return float64(o.vec.ints[o.idx[j]])
+	}
+	return o.vec.floats[o.idx[j]]
+}
+
+// refine runs a conjunction of predicates over the row set and returns
+// the surviving row numbers, ascending, in the worker's scratch (or the
+// read-only identity when there is nothing to test).
+func (w *scratch) refine(b *Batch, rs *rowSet, preds []ir.Pred) ([]int32, error) {
+	sel := iota32[:rs.n()]
+	for _, p := range preds {
+		next, err := predSel(p, b, rs, sel, w.js[:])
+		if err != nil {
+			return nil, err
+		}
+		sel = next
+		if len(sel) == 0 {
+			break
+		}
+	}
+	return sel, nil
+}
+
+// filterSel evaluates a conjunction of predicates over the batch,
+// morsel-parallel, and returns the surviving logical row positions in
+// input order. Each morsel refines its rows in worker scratch and
+// commits the survivors to its own range of a staging buffer; the ranges
+// concatenate in morsel order, so the selection is byte-identical to
+// the serial scan.
 func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred) ([]int32, error) {
-	parts := make([][]int32, morselCount(b.n))
-	err := ev.morselRun(t, site, ev.workersFor(b.n), b.n, func(m, lo, hi int) error {
-		sel := make([]int32, hi-lo)
-		for j := range sel {
-			sel[j] = int32(lo + j)
+	stage := getI32(b.n)
+	defer putI32(stage)
+	kept := make([]int32, morselCount(b.n))
+	err := ev.morselRun(t, site, ev.workersFor(b.n), b.n, func(w *scratch, m, lo, hi int) error {
+		rs := w.rows(b, lo, hi)
+		js, err := w.refine(b, rs, preds)
+		if err != nil {
+			return err
 		}
-		scratch := make([]int32, 0, hi-lo)
-		for _, p := range preds {
-			next, err := predSelInto(p, b, sel, scratch[:0])
-			if err != nil {
-				return err
-			}
-			sel, scratch = next, sel
-			if len(sel) == 0 {
-				break
-			}
+		out := (*stage)[lo:hi]
+		for k, j := range js {
+			out[k] = rs.pos[j]
 		}
-		parts[m] = sel
+		kept[m] = int32(len(js))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	total := 0
-	for _, p := range parts {
-		total += len(p)
+	for _, k := range kept {
+		total += int(k)
+	}
+	if err := t.allocBytes(ev, site, 4*int64(total)); err != nil {
+		return nil, err
 	}
 	out := make([]int32, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
+	for m, k := range kept {
+		lo := m * morselRows
+		out = append(out, (*stage)[lo:lo+int(k)]...)
 	}
 	return out, nil
 }
@@ -253,62 +299,69 @@ func (ev *Evaluator) MatchContext(ctx context.Context, ct *ColTable, preds []ir.
 	return ev.filterSel(newTask(ctx), "match", &Batch{n: ct.n, cols: ct.cols}, preds)
 }
 
-// intsOf returns the operand in the int64 domain over n rows,
-// broadcasting constants. Only called when the operand is int-kind.
+// intsOf returns the operand's cells in the int64 domain as a dense
+// slice of n cells, broadcasting constants. Only called when the operand
+// is int-kind.
 func intsOf(o vecOperand, n int) []int64 {
-	if !o.isConst {
-		return o.vec.ints
-	}
 	xs := make([]int64, n)
-	y := o.c.AsInt()
-	for i := range xs {
-		xs[i] = y
-	}
-	return xs
-}
-
-// floatsOf returns the operand in the float64 domain over n rows,
-// broadcasting constants and widening int vectors. Only called when
-// the operand is numeric.
-func floatsOf(o vecOperand, n int) []float64 {
-	if !o.isConst && o.vec.kind == value.KindFloat {
-		return o.vec.floats
-	}
-	xs := make([]float64, n)
 	if o.isConst {
-		y := o.c.AsFloat()
-		for i := range xs {
-			xs[i] = y
+		y := o.c.AsInt()
+		for j := range xs {
+			xs[j] = y
 		}
 		return xs
 	}
-	for i, v := range o.vec.ints {
-		xs[i] = float64(v)
+	for j, i := range o.idx {
+		xs[j] = o.vec.ints[i]
 	}
 	return xs
 }
 
-// evalVop evaluates an aggregate-free expression over a dense batch
-// into a vector or a broadcast constant. Arithmetic over uniformly
-// numeric columns runs as typed loops; anything else falls back to
-// boxed per-row evaluation with the row-at-a-time engine's exact error
-// values.
-func evalVop(e ir.Expr, b *Batch) (vecOperand, error) {
+// floatsOf is intsOf in the float64 domain, widening int vectors. Only
+// called when the operand is numeric.
+func floatsOf(o vecOperand, n int) []float64 {
+	xs := make([]float64, n)
+	switch {
+	case o.isConst:
+		y := o.c.AsFloat()
+		for j := range xs {
+			xs[j] = y
+		}
+	case o.vec.kind == value.KindFloat:
+		for j, i := range o.idx {
+			xs[j] = o.vec.floats[i]
+		}
+	default:
+		for j, i := range o.idx {
+			xs[j] = float64(o.vec.ints[i])
+		}
+	}
+	return xs
+}
+
+// evalVop evaluates an aggregate-free expression over the row set into
+// an operand: a column read in place through the row set's indices, a
+// broadcast constant, or a vector computed for the morsel. Arithmetic
+// over uniformly numeric columns runs as typed loops; anything else
+// falls back to boxed per-row evaluation with the row-at-a-time engine's
+// exact error values. Only the rows of the set are evaluated, so a row a
+// fused filter dropped can raise nothing.
+func evalVop(e ir.Expr, b *Batch, rs *rowSet) (vecOperand, error) {
 	switch x := e.(type) {
 	case *ir.ColRef:
-		return predOperand(ir.ColTerm(x.Col), b), nil
+		return colOperand(x.Col, b, rs), nil
 	case *ir.Const:
 		return vecOperand{c: x.Val, isConst: true}, nil
 	case *ir.Arith:
-		l, err := evalVop(x.L, b)
+		l, err := evalVop(x.L, b, rs)
 		if err != nil {
 			return vecOperand{}, err
 		}
-		r, err := evalVop(x.R, b)
+		r, err := evalVop(x.R, b, rs)
 		if err != nil {
 			return vecOperand{}, err
 		}
-		return arithVop(x.Op, l, r, b.n)
+		return arithVop(x.Op, l, r, rs.n())
 	case *ir.Agg:
 		return vecOperand{}, fmt.Errorf("engine: aggregate %s in a non-aggregated context", x.Func)
 	default:
@@ -316,7 +369,7 @@ func evalVop(e ir.Expr, b *Batch) (vecOperand, error) {
 	}
 }
 
-// arithVop applies one arithmetic operator over two operands.
+// arithVop applies one arithmetic operator over two operands of n rows.
 func arithVop(op ir.ArithOp, l, r vecOperand, n int) (vecOperand, error) {
 	if l.isConst && r.isConst {
 		v, err := applyArith(op, l.c, r.c)
@@ -331,87 +384,57 @@ func arithVop(op ir.ArithOp, l, r vecOperand, n int) (vecOperand, error) {
 		// (including non-numeric operand errors on the first offending
 		// row, in row order).
 		vals := make([]value.Value, n)
-		for i := 0; i < n; i++ {
-			var a, c value.Value
-			if l.isConst {
-				a = l.c
-			} else {
-				a = l.vec.Value(i)
-			}
-			if r.isConst {
-				c = r.c
-			} else {
-				c = r.vec.Value(i)
-			}
-			v, err := applyArith(op, a, c)
+		for j := range vals {
+			v, err := applyArith(op, l.Value(j), r.Value(j))
 			if err != nil {
 				return vecOperand{}, err
 			}
-			vals[i] = v
+			vals[j] = v
 		}
-		return vecOperand{vec: vecFromValues(vals)}, nil
+		return denseOperand(vecFromValues(vals)), nil
 	}
 	if op != ir.ArithDiv && lk == value.KindInt && rk == value.KindInt {
-		la, ra := intsOf(l, n), intsOf(r, n)
-		out := make([]int64, n)
+		out, ra := intsOf(l, n), intsOf(r, n)
 		switch op {
 		case ir.ArithAdd:
-			for i := range out {
-				out[i] = la[i] + ra[i]
+			for j := range out {
+				out[j] += ra[j]
 			}
 		case ir.ArithSub:
-			for i := range out {
-				out[i] = la[i] - ra[i]
+			for j := range out {
+				out[j] -= ra[j]
 			}
 		default: // ir.ArithMul
-			for i := range out {
-				out[i] = la[i] * ra[i]
+			for j := range out {
+				out[j] *= ra[j]
 			}
 		}
-		return vecOperand{vec: &Vec{kind: value.KindInt, ints: out}}, nil
+		return denseOperand(&Vec{kind: value.KindInt, ints: out}), nil
 	}
-	la, ra := floatsOf(l, n), floatsOf(r, n)
-	out := make([]float64, n)
+	out, ra := floatsOf(l, n), floatsOf(r, n)
 	switch op {
 	case ir.ArithAdd:
-		for i := range out {
-			out[i] = la[i] + ra[i]
+		for j := range out {
+			out[j] += ra[j]
 		}
 	case ir.ArithSub:
-		for i := range out {
-			out[i] = la[i] - ra[i]
+		for j := range out {
+			out[j] -= ra[j]
 		}
 	case ir.ArithMul:
-		for i := range out {
-			out[i] = la[i] * ra[i]
+		for j := range out {
+			out[j] *= ra[j]
 		}
 	default: // ir.ArithDiv: division always yields a float (value.Div)
-		for i := range out {
-			d := ra[i]
+		for j := range out {
+			d := ra[j]
 			//aggvet:floateq division-by-zero guard mirrors value.Div: only an exactly-zero divisor is an error, near-zero must divide
 			if d == 0 {
-				_, err := value.Div(value.Float(la[i]), value.Float(d))
+				_, err := value.Div(value.Float(out[j]), value.Float(d))
 				return vecOperand{}, err
 			}
-			out[i] = la[i] / d
+			out[j] /= d
 		}
 	}
-	return vecOperand{vec: &Vec{kind: value.KindFloat, floats: out}}, nil
-}
-
-// evalVec evaluates an aggregate-free expression into a vector of b.n
-// cells, materializing broadcast constants.
-func evalVec(e ir.Expr, b *Batch) (*Vec, error) {
-	o, err := evalVop(e, b)
-	if err != nil {
-		return nil, err
-	}
-	if !o.isConst {
-		return o.vec, nil
-	}
-	vals := make([]value.Value, b.n)
-	for i := range vals {
-		vals[i] = o.c
-	}
-	return vecFromValues(vals), nil
+	return denseOperand(&Vec{kind: value.KindFloat, floats: out}), nil
 }

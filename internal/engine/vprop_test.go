@@ -11,6 +11,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -159,7 +161,26 @@ func randExpr(rng *rand.Rand, width, depth int) ir.Expr {
 	}
 }
 
-// TestExprKernelMatchesReference holds evalVec to evalScalar: when the
+// evalCells evaluates e over every row of the batch, morsel by morsel as
+// the engine does, and boxes the cells.
+func evalCells(e ir.Expr, b *Batch) ([]value.Value, error) {
+	w := new(scratch)
+	out := make([]value.Value, 0, b.n)
+	for m := 0; m < morselCount(b.n); m++ {
+		lo, hi := morselBounds(m, b.n)
+		rs := w.rows(b, lo, hi)
+		o, err := evalVop(e, b, rs)
+		if err != nil {
+			return nil, err
+		}
+		for j := 0; j < rs.n(); j++ {
+			out = append(out, o.Value(j))
+		}
+	}
+	return out, nil
+}
+
+// TestExprKernelMatchesReference holds evalVop to evalScalar: when the
 // row-at-a-time evaluation succeeds on every row, the vector result
 // must match cell for cell; when any row errors, the kernel must error
 // too (the choice among several failing rows may differ — the
@@ -184,7 +205,7 @@ func TestExprKernelMatchesReference(t *testing.T) {
 			want[i] = v
 		}
 
-		got, err := evalVec(e, b)
+		got, err := evalCells(e, b)
 		if refErr != nil {
 			if err == nil {
 				t.Fatalf("trial %d: reference errored (%v) but the kernel returned a value", trial, refErr)
@@ -194,13 +215,13 @@ func TestExprKernelMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: kernel errored (%v) on an input the reference accepts", trial, err)
 		}
-		if got.Len() != len(rows) {
-			t.Fatalf("trial %d: kernel produced %d cells for %d rows", trial, got.Len(), len(rows))
+		if len(got) != len(rows) {
+			t.Fatalf("trial %d: kernel produced %d cells for %d rows", trial, len(got), len(rows))
 		}
 		for i := range rows {
-			if !sameValue(got.Value(i), want[i]) {
+			if !sameValue(got[i], want[i]) {
 				t.Fatalf("trial %d row %d: kernel %v, reference %v (expr %v)",
-					trial, i, got.Value(i), want[i], e)
+					trial, i, got[i], want[i], e)
 			}
 		}
 	}
@@ -268,54 +289,266 @@ func rowAggRef(q *ir.Query, rows [][]value.Value) (*Relation, error) {
 	return out, nil
 }
 
-// TestAggKernelMatchesReference holds the vectorized group-by fold to
-// the accum.fold reference: identical tuples in identical order —
+// aggCase is one input of TestAggKernelMatchesReference: a query, the
+// full-width rows the row-at-a-time reference folds, and how the kernel
+// gets the same input — as a batch built from those rows, optionally
+// with predicates to filter it by inside the pass (the reference then
+// sees only the rows predHolds keeps), or, for a join, as whatever batch
+// build returns.
+type aggCase struct {
+	name  string
+	q     *ir.Query
+	rows  [][]value.Value
+	preds []ir.Pred
+	build func(t *testing.T, ev *Evaluator) *Batch
+}
+
+// TestAggKernelMatchesReference holds the aggregation pipeline to the
+// accum.fold reference: identical tuples in identical order —
 // first-appearance group order and exact accumulated values, including
-// float accumulation — at every worker count.
+// float accumulation — or the identical error, at every worker count.
 func TestAggKernelMatchesReference(t *testing.T) {
-	src := ir.MapSource{"R": {"A", "B", "C", "D"}}
+	src := ir.MapSource{"R": {"A", "B", "C", "D"}, "S": {"E", "F"}}
+	build := func(sql string) *ir.Query { return ir.MustBuild(sql, src) }
+	var cases []aggCase
+
+	// Random numeric columns under every aggregate, serial-sized and
+	// multi-morsel.
 	queries := []*ir.Query{
-		ir.MustBuild("SELECT A, COUNT(B), SUM(B), MIN(C), MAX(C), AVG(B) FROM R GROUP BY A", src),
-		ir.MustBuild("SELECT A, B, SUM(C * D) FROM R GROUP BY A, B HAVING COUNT(C) > 1", src),
-		ir.MustBuild("SELECT COUNT(B), SUM(B + C) FROM R", src),
-		ir.MustBuild("SELECT A, SUM(B) FROM R GROUP BY A HAVING SUM(B) >= 2", src),
+		build("SELECT A, COUNT(B), SUM(B), MIN(C), MAX(C), AVG(B) FROM R GROUP BY A"),
+		build("SELECT A, B, SUM(C * D) FROM R GROUP BY A, B HAVING COUNT(C) > 1"),
+		build("SELECT COUNT(B), SUM(B + C) FROM R"),
+		build("SELECT A, SUM(B) FROM R GROUP BY A HAVING SUM(B) >= 2"),
 	}
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 40; trial++ {
-		n := propSize(rng, trial)
-		// Numeric columns only: SUM/AVG type errors are exercised by the
-		// engine and oracle suites; here every fold must succeed so the
-		// accumulated values themselves can be compared.
-		rows := make([][]value.Value, n)
+		rows := make([][]value.Value, propSize(rng, trial))
 		for i := range rows {
-			row := make([]value.Value, 4)
+			row := make([]value.Value, 6)
 			for c := range row {
 				row[c] = randCell(rng, c%2) // alternate int / float columns
 			}
 			rows[i] = row
 		}
-		for _, q := range queries {
-			want, err := rowAggRef(q, rows)
-			if err != nil {
-				t.Fatalf("trial %d: reference errored: %v", trial, err)
+		for qi, q := range queries {
+			cases = append(cases, aggCase{name: fmt.Sprintf("random %d/%d", trial, qi), q: q, rows: rows})
+		}
+	}
+
+	// Key shapes. A: ints with 2^53-1, 2^53 and 2^53+1 side by side;
+	// B: bools; C: strings; D: a float column (NaN, both zeros, 2.0) in
+	// one table and a mixed column (2 next to 2.0, 2^53+1 next to 2^53 as
+	// a float) in the other — both take the byte-encoded keys.
+	big := int64(1) << 53
+	ints := []int64{0, 1, 2, big - 1, big, big + 1, -big - 1}
+	strs := []string{"", "a", "b", "a\x00", "ab"}
+	floats := []float64{math.NaN(), 0, math.Copysign(0, -1), 2, 2.5, float64(big)}
+	mixed := []value.Value{value.Int(2), value.Float(2), value.Int(big + 1), value.Float(float64(big)), value.Float(math.NaN()), value.Int(0), value.Float(math.Copysign(0, -1))}
+	keyRows := func(n int, mixedD bool) [][]value.Value {
+		krng := rand.New(rand.NewSource(int64(n)))
+		rows := make([][]value.Value, n)
+		for i := range rows {
+			d := value.Float(floats[krng.Intn(len(floats))])
+			if mixedD {
+				d = mixed[krng.Intn(len(mixed))]
 			}
-			for _, w := range propWorkers {
-				ev := NewEvaluator(NewDB(), nil)
-				ev.Workers = w
-				out := &Relation{Attrs: ir.OutputNames(q)}
-				if err := ev.aggregateBatch(newTask(context.Background()), q, batchFromRows(rows, q.NumCols()), out); err != nil {
-					t.Fatalf("trial %d workers %d: kernel errored: %v", trial, w, err)
+			rows[i] = []value.Value{
+				value.Int(ints[krng.Intn(len(ints))]), value.Bool(krng.Intn(2) == 0),
+				value.Str(strs[krng.Intn(len(strs))]), d,
+				value.Int(int64(krng.Intn(100))), value.Float(float64(krng.Intn(8)) / 4),
+			}
+		}
+		return rows
+	}
+	// The aggregated cells ride in S's slots of a two-table query whose
+	// rows the test supplies whole, so R's four columns are all keys.
+	keyed := func(keys string) *ir.Query {
+		return build("SELECT " + keys + ", COUNT(E), SUM(E), MIN(F), MAX(E), AVG(F) FROM R, S GROUP BY " + keys)
+	}
+	for _, keys := range []string{"A", "B", "C", "D", "A, C", "B, A", "C, D", "A, B, C", "C, D, B", "D, A, B"} {
+		for _, n := range []int{0, 1, morselRows, morselRows + 1, 5000} {
+			for _, mixedD := range []bool{false, true} {
+				cases = append(cases, aggCase{name: fmt.Sprintf("keys %s n=%d mixed=%v", keys, n, mixedD), q: keyed(keys), rows: keyRows(n, mixedD)})
+			}
+		}
+	}
+
+	// Int SUM wraps past MaxInt64, within a morsel and across a merge.
+	wrap := make([][]value.Value, 3000)
+	for i := range wrap {
+		wrap[i] = []value.Value{value.Int(int64(i % 2)), value.Int(math.MaxInt64 / 2), value.Int(1), value.Int(1), value.Int(0), value.Int(0)}
+	}
+	cases = append(cases, aggCase{name: "int sum wraps", q: build("SELECT A, SUM(B), AVG(B), MAX(B) FROM R GROUP BY A"), rows: wrap})
+
+	// A float SUM is its first value when alone: -0 stays -0, in a morsel
+	// and through a merge.
+	negZero := make([][]value.Value, 2500)
+	for i := range negZero {
+		negZero[i] = []value.Value{value.Int(int64(i % 2)), value.Float(math.Copysign(0, -1)), value.Int(0), value.Int(0), value.Int(0), value.Int(0)}
+	}
+	cases = append(cases, aggCase{name: "float sum of -0", q: build("SELECT A, SUM(B), MIN(B) FROM R GROUP BY A"), rows: negZero})
+
+	// Fold errors: the reference's error for the reference's first
+	// offending row, wherever its morsel is and whichever aggregate hits
+	// it. Every good cell is 7, so the extremum an error message quotes
+	// is the same per morsel as over all earlier rows.
+	poison := func(n int, cells map[int][2]value.Value) [][]value.Value {
+		rows := make([][]value.Value, n)
+		for i := range rows {
+			rows[i] = []value.Value{value.Int(int64(i % 3)), value.Int(7), value.Int(7), value.Int(0), value.Int(0), value.Int(0)}
+			if c, ok := cells[i]; ok {
+				rows[i][1], rows[i][2] = c[0], c[1]
+			}
+		}
+		return rows
+	}
+	seven := value.Int(7)
+	for _, at := range []int{0, 5, 1500, 2999} {
+		cases = append(cases,
+			aggCase{name: fmt.Sprintf("SUM over a string cell at %d", at), q: build("SELECT A, COUNT(B), SUM(B) FROM R GROUP BY A"),
+				rows: poison(3000, map[int][2]value.Value{at: {value.Str("x"), seven}})},
+			aggCase{name: fmt.Sprintf("AVG over a string cell at %d", at), q: build("SELECT A, MIN(C), AVG(B) FROM R GROUP BY A"),
+				rows: poison(3000, map[int][2]value.Value{at: {value.Str("x"), seven}, 2999: {seven, value.Str("late")}})},
+			aggCase{name: fmt.Sprintf("MIN over incomparable cells at %d", at+3), q: build("SELECT A, SUM(C), MIN(B), MAX(B) FROM R GROUP BY A"),
+				rows: poison(3000, map[int][2]value.Value{at + 3: {value.Bool(true), seven}})},
+		)
+	}
+	// Two aggregates fail on different rows of one morsel: the earlier
+	// row wins although its aggregate comes second.
+	cases = append(cases, aggCase{name: "earlier row, later aggregate", q: build("SELECT A, SUM(B), AVG(C) FROM R GROUP BY A"),
+		rows: poison(3000, map[int][2]value.Value{1100: {seven, value.Str("first")}, 1200: {value.Str("second"), seven}})})
+	// A typed string column fails on its first row.
+	cases = append(cases, aggCase{name: "SUM over a string column", q: build("SELECT B, SUM(C) FROM R, S GROUP BY B"), rows: keyRows(3000, false)})
+
+	// Inputs filtered through a selection inside the pass. B / C divides
+	// by zero exactly on the rows the filter drops, so it must never be
+	// evaluated there (and by a power of two elsewhere, so the float sums
+	// are exact however they associate); D >= 1 keeps four fifths of some
+	// morsels and none of others.
+	sel := make([][]value.Value, 5000)
+	for i := range sel {
+		c, d := int64(1)<<(i%3), int64(i%5)
+		if i%7 == 0 || (i >= 2048 && i < 3072) {
+			c, d = 0, 0
+		}
+		sel[i] = []value.Value{value.Int(int64(i % 6)), value.Int(int64(i)), value.Int(c), value.Int(d), value.Int(0), value.Int(0)}
+	}
+	cases = append(cases,
+		aggCase{name: "selection guards a division", q: build("SELECT A, SUM(B / C), COUNT(B), MAX(B) FROM R WHERE C > 0 GROUP BY A"), rows: sel},
+		aggCase{name: "selection, two predicates", q: build("SELECT A, MIN(B), AVG(B) FROM R WHERE C > 0 AND D >= 1 GROUP BY A"), rows: sel},
+		aggCase{name: "selection keeps nothing", q: build("SELECT A, SUM(B) FROM R WHERE C > 9 GROUP BY A"), rows: sel},
+		aggCase{name: "selection, no GROUP BY", q: build("SELECT COUNT(B), SUM(B) FROM R WHERE D = 3"), rows: sel},
+	)
+	for i := len(cases) - 4; i < len(cases); i++ {
+		cases[i].preds = cases[i].q.Where
+	}
+
+	// A join: the fold reads both tables through the join's index vectors,
+	// and first-appearance group order and float accumulation order expose
+	// the pair order, which must be the nested loop's — outer loop over
+	// the smaller input, inner over the other in row order — whichever
+	// side the key table was built on, and for int keys as for a float
+	// key meeting an int one.
+	joinQ := build("SELECT F, D, SUM(D), COUNT(A) FROM R, S WHERE A = E GROUP BY F, D")
+	for _, tc := range []struct {
+		name       string
+		nr, ns     int
+		floatKey   bool
+		outerFirst bool // R is the smaller input: the nested loop's outer side
+	}{
+		{"join, left smaller", 300, 5000, false, true},
+		{"join, right smaller", 5000, 300, false, false},
+		{"join, float key meets int key", 4000, 200, true, false},
+	} {
+		jr := rand.New(rand.NewSource(int64(tc.nr)))
+		r, s := NewRelation("A", "B", "C", "D"), NewRelation("E", "F")
+		for i := 0; i < tc.nr; i++ {
+			a := value.Int(int64(jr.Intn(400)))
+			if tc.floatKey {
+				a = value.Float(float64(jr.Intn(400)))
+			}
+			r.Add(a, value.Int(0), value.Int(0), value.Float(float64(jr.Intn(16))/8))
+		}
+		for i := 0; i < tc.ns; i++ {
+			s.Add(value.Int(int64(jr.Intn(400))), value.Int(int64(jr.Intn(5))))
+		}
+		outer, inner := r, s
+		if !tc.outerFirst {
+			outer, inner = s, r
+		}
+		var rows [][]value.Value
+		for _, o := range outer.Tuples {
+			for _, in := range inner.Tuples {
+				rt, st := o, in
+				if !tc.outerFirst {
+					rt, st = in, o
 				}
-				if len(out.Tuples) != len(want.Tuples) {
-					t.Fatalf("trial %d workers %d: %d groups, reference %d",
-						trial, w, len(out.Tuples), len(want.Tuples))
+				if value.Equal(rt[0], st[0]) {
+					rows = append(rows, append(append([]value.Value{}, rt...), st...))
 				}
-				for gi := range out.Tuples {
-					for ci := range out.Tuples[gi] {
-						if !sameValue(out.Tuples[gi][ci], want.Tuples[gi][ci]) {
-							t.Fatalf("trial %d workers %d: tuple %d cell %d: kernel %v, reference %v",
-								trial, w, gi, ci, out.Tuples[gi][ci], want.Tuples[gi][ci])
-						}
+			}
+		}
+		cases = append(cases, aggCase{name: tc.name, q: joinQ, rows: rows, build: func(t *testing.T, ev *Evaluator) *Batch {
+			ev.DB.Put("R", r)
+			ev.DB.Put("S", s)
+			task := newTask(context.Background())
+			sc, err := ev.scanPlan(task, joinQ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ev.joinBatch(task, joinQ, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}})
+	}
+
+	for _, tc := range cases {
+		refRows := tc.rows
+		if tc.preds != nil {
+			refRows = nil
+			for _, row := range tc.rows {
+				keep := true
+				for _, p := range tc.preds {
+					if ok, err := predHolds(p, row); err != nil {
+						t.Fatalf("%s: reference filter errored: %v", tc.name, err)
+					} else if !ok {
+						keep = false
+						break
+					}
+				}
+				if keep {
+					refRows = append(refRows, row)
+				}
+			}
+		}
+		want, wantErr := rowAggRef(tc.q, refRows)
+		for _, w := range []int{1, 2, 8} {
+			ev := NewEvaluator(NewDB(), nil)
+			ev.Workers = w
+			var b *Batch
+			if tc.build != nil {
+				b = tc.build(t, ev)
+			} else {
+				b = batchFromRows(tc.rows, tc.q.NumCols())
+			}
+			out := &Relation{Attrs: ir.OutputNames(tc.q)}
+			err := ev.aggregateBatch(newTask(context.Background()), tc.q, b, tc.preds, tc.preds != nil, out)
+			if wantErr != nil || err != nil {
+				if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("%s workers %d: kernel error %v, reference error %v", tc.name, w, err, wantErr)
+				}
+				continue
+			}
+			if len(out.Tuples) != len(want.Tuples) {
+				t.Fatalf("%s workers %d: %d groups, reference %d", tc.name, w, len(out.Tuples), len(want.Tuples))
+			}
+			for gi := range out.Tuples {
+				for ci := range out.Tuples[gi] {
+					if !sameValue(out.Tuples[gi][ci], want.Tuples[gi][ci]) {
+						t.Fatalf("%s workers %d: tuple %d cell %d: kernel %v, reference %v",
+							tc.name, w, gi, ci, out.Tuples[gi][ci], want.Tuples[gi][ci])
 					}
 				}
 			}

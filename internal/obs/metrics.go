@@ -229,10 +229,17 @@ type Stopwatch struct {
 //
 //	defer m.Time("engine.join.ns").Stop()
 func (m *Metrics) Time(name string) Stopwatch {
-	if m == nil {
+	return m.Volatile(name).Start()
+}
+
+// Start starts a stopwatch on a counter already resolved with
+// Metrics.Volatile, for callers that hold their handles; the no-op
+// stopwatch on a nil counter.
+func (c *Counter) Start() Stopwatch {
+	if c == nil {
 		return Stopwatch{}
 	}
-	return Stopwatch{c: m.Volatile(name), start: time.Now()}
+	return Stopwatch{c: c, start: time.Now()}
 }
 
 // Stop records the elapsed time since Time.
