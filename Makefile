@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint vet-json check bench bench-json bench-smoke quick soak mutate trace faults serve-smoke load flightrec
+.PHONY: build test race vet lint check bench quick soak mutate trace faults serve-smoke load flightrec
 
 build:
 	$(GO) build ./...
@@ -15,14 +15,6 @@ lint:
 	$(GO) run ./cmd/aggvet ./...
 	$(GO) run ./cmd/aggview lint cmd/aggview/testdata/demo.sql
 
-# vet-json runs the aggvet suite and regenerates the machine-readable
-# report checked in at the repo root: per-analyzer finding and
-# suppression counts plus every diagnostic position (the filename
-# tracks the PR that last refreshed it). A clean tree has zero findings
-# and only justified suppressions.
-vet-json:
-	$(GO) run ./cmd/aggvet -json VET_PR8.json ./...
-
 test:
 	$(GO) test ./...
 
@@ -36,17 +28,6 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-json regenerates the kernel trajectory report checked in at the
-# repo root (see DESIGN.md sections 6 and 9); the filename tracks the
-# PR that last refreshed it.
-bench-json:
-	$(GO) run ./cmd/benchrunner -json BENCH_PR6.json
-
-# bench-smoke is the CI parallel-speedup gate: workers=2 must not
-# regress against serial on the aggregation and join kernels.
-bench-smoke:
-	$(GO) run ./cmd/benchrunner -smoke
 
 # trace runs the rewrite-search tracer over the bundled catalog and
 # replays the written report to prove the trace round-trips losslessly
@@ -75,19 +56,19 @@ serve-smoke:
 # load runs the full serving soak in-process: 8 concurrent sessions,
 # mutation barriers, storage-fault windows and client cancels, every
 # 200 differentially checked against a serial mirror, with a
-# goroutine-leak check at the end. Writes the load report checked in at
-# the repo root.
+# goroutine-leak check at the end. Writes its report to LOAD_SOAK.json
+# (a run artefact, not checked in).
 load:
-	$(GO) run ./cmd/loadrunner -seed 7 -sessions 8 -rounds 6 -n 1200 -json BENCH_PR7.json
+	$(GO) run ./cmd/loadrunner -seed 7 -sessions 8 -rounds 6 -n 1200 -json LOAD_SOAK.json
 
 # flightrec runs a seeded in-process soak with a 1ns slow-query
-# threshold (every answered query captured) and regenerates the
-# telemetry report checked in at the repo root: per-tenant latency
-# quantiles, flight-recorder occupancy, and slow-query repros replayed
-# offline — each must reproduce the recorded answer bag exactly
-# (DESIGN.md section 13).
+# threshold (every answered query captured) and writes the telemetry
+# report to TELEMETRY_SOAK.json (a run artefact, not checked in):
+# per-tenant latency quantiles, flight-recorder occupancy, and
+# slow-query repros replayed offline — each must reproduce the recorded
+# answer bag exactly (DESIGN.md section 13).
 flightrec:
-	$(GO) run ./cmd/loadrunner -seed 7 -sessions 6 -rounds 4 -n 400 -slow 1ns -telemetry BENCH_PR9.json
+	$(GO) run ./cmd/loadrunner -seed 7 -sessions 6 -rounds 4 -n 400 -slow 1ns -telemetry TELEMETRY_SOAK.json
 
 # soak runs the differential-testing oracle over a fixed seed set, both
 # rewriter configurations, and writes a failure report (empty on a clean

@@ -105,14 +105,29 @@ func (s *System) source() ir.SchemaSource {
 	return ir.MultiSource{s.Catalog, s.Views}
 }
 
-// evaluator builds an engine evaluator over the given registry, carrying
-// the system's Workers knob (Opts.Workers: 0 = GOMAXPROCS, 1 = serial).
-func (s *System) evaluator(reg *ir.Registry) *engine.Evaluator {
+// evaluator builds an engine evaluator over the given registry whose
+// base-table scans read store (nil: the live database), carrying the
+// system's Workers knob (Opts.Workers: 0 = GOMAXPROCS, 1 = serial) and
+// its metrics.
+func (s *System) evaluator(reg *ir.Registry, store engine.Storage) *engine.Evaluator {
 	ev := engine.NewEvaluator(s.DB, reg)
-	ev.Store = s.Store
+	ev.Store = store
 	ev.Workers = s.Opts.Workers
 	ev.Metrics = s.Metrics
 	return ev
+}
+
+// executeStage runs one execution as the request span's
+// "facade.execute" stage, recording the rows it returned.
+func executeStage(ctx context.Context, run func() (*Result, error)) (*Result, error) {
+	st := obs.SpanFrom(ctx).StartStage("facade.execute")
+	res, err := run()
+	if err != nil {
+		st.End(0)
+		return nil, err
+	}
+	st.End(int64(len(res.Tuples)))
+	return res, nil
 }
 
 // opCtx prepares a per-operation context from the system's resource
@@ -433,7 +448,7 @@ func (s *System) matchRows(ctx context.Context, tab *engine.ColTable, where sqlp
 		}
 		residual = true
 	}
-	pos, err := s.evaluator(s.Views).MatchContext(ctx, tab, preds)
+	pos, err := s.evaluator(s.Views, s.Store).MatchContext(ctx, tab, preds)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -654,7 +669,7 @@ func (s *System) MaterializeContext(ctx context.Context, name string) (*Result, 
 	if !ok {
 		return nil, fmt.Errorf("aggview: unknown view %q", name)
 	}
-	res, err := s.evaluator(s.Views).ExecContext(ctx, v.Def)
+	res, err := s.evaluator(s.Views, s.Store).ExecContext(ctx, v.Def)
 	if err != nil {
 		return nil, err
 	}
@@ -714,10 +729,11 @@ func (s *System) Query(sql string) (*Result, error) {
 func (s *System) QueryContext(ctx context.Context, sql string) (*Result, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
-	return s.query(ctx, sql)
+	return s.query(ctx, s.Store, sql)
 }
 
-func (s *System) query(ctx context.Context, sql string) (*Result, error) {
+// query parses and executes a SELECT directly against store.
+func (s *System) query(ctx context.Context, store engine.Storage, sql string) (*Result, error) {
 	q, anon, err := s.parseMulti(sql)
 	if err != nil {
 		return nil, err
@@ -726,7 +742,7 @@ func (s *System) query(ctx context.Context, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.evaluator(reg).ExecContext(ctx, q)
+	return s.evaluator(reg, store).ExecContext(ctx, q)
 }
 
 // MustQuery is Query, panicking on error.
@@ -1020,20 +1036,7 @@ func (s *System) ExecPrepared(p *Prepared) (*Result, error) {
 // kept consistent (TrackView) — the invariant a plan cache preserves by
 // evicting on invalidation.
 func (s *System) ExecPreparedContext(ctx context.Context, p *Prepared) (*Result, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
-	st := obs.SpanFrom(ctx).StartStage("facade.execute")
-	q := p.direct
-	if p.rw != nil {
-		q = p.rw.Query
-	}
-	res, err := s.evaluator(p.reg).ExecContext(ctx, q)
-	if err != nil {
-		st.End(0)
-		return nil, err
-	}
-	st.End(int64(len(res.Tuples)))
-	return res, nil
+	return s.ExecPreparedOnContext(ctx, p, s.Store)
 }
 
 // ExecPreparedOn is ExecPreparedOnContext with a background context.
@@ -1052,22 +1055,13 @@ func (s *System) ExecPreparedOn(p *Prepared, store engine.Storage) (*Result, err
 func (s *System) ExecPreparedOnContext(ctx context.Context, p *Prepared, store engine.Storage) (*Result, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
-	st := obs.SpanFrom(ctx).StartStage("facade.execute")
-	ev := engine.NewEvaluator(s.DB, p.reg)
-	ev.Store = store
-	ev.Workers = s.Opts.Workers
-	ev.Metrics = s.Metrics
 	q := p.direct
 	if p.rw != nil {
 		q = p.rw.Query
 	}
-	res, err := ev.ExecContext(ctx, q)
-	if err != nil {
-		st.End(0)
-		return nil, err
-	}
-	st.End(int64(len(res.Tuples)))
-	return res, nil
+	return executeStage(ctx, func() (*Result, error) {
+		return s.evaluator(p.reg, store).ExecContext(ctx, q)
+	})
 }
 
 // QueryOnContext parses and executes a SELECT directly (no rewriting)
@@ -1077,19 +1071,7 @@ func (s *System) ExecPreparedOnContext(ctx context.Context, p *Prepared, store e
 func (s *System) QueryOnContext(ctx context.Context, store engine.Storage, sql string) (*Result, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
-	q, anon, err := s.parseMulti(sql)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := s.mergedViews(anon)
-	if err != nil {
-		return nil, err
-	}
-	ev := engine.NewEvaluator(s.DB, reg)
-	ev.Store = store
-	ev.Workers = s.Opts.Workers
-	ev.Metrics = s.Metrics
-	return ev.ExecContext(ctx, q)
+	return s.query(ctx, store, sql)
 }
 
 // QueryBest executes the query through its cheapest plan. The second
@@ -1116,27 +1098,15 @@ func (s *System) QueryBestContext(ctx context.Context, sql string) (*Result, *Re
 	if err != nil {
 		return nil, nil, err
 	}
-	stExec := sp.StartStage("facade.execute")
-	if r == nil {
-		res, err := s.query(ctx, sql)
-		if err != nil {
-			stExec.End(0)
-			return nil, nil, err
+	res, err := executeStage(ctx, func() (*Result, error) {
+		if r == nil {
+			return s.query(ctx, s.Store, sql)
 		}
-		stExec.End(int64(len(res.Tuples)))
-		return res, nil, nil
-	}
-	reg, err := s.viewsWithAux(r)
+		return s.execRewriting(ctx, r)
+	})
 	if err != nil {
-		stExec.End(0)
 		return nil, nil, err
 	}
-	res, err := s.evaluator(reg).ExecContext(ctx, r.Query)
-	if err != nil {
-		stExec.End(0)
-		return nil, nil, err
-	}
-	stExec.End(int64(len(res.Tuples)))
 	return res, r, nil
 }
 
@@ -1150,11 +1120,16 @@ func (s *System) ExecRewriting(r *Rewriting) (*Result, error) {
 func (s *System) ExecRewritingContext(ctx context.Context, r *Rewriting) (*Result, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
+	return s.execRewriting(ctx, r)
+}
+
+// execRewriting executes r with its auxiliary views in scope.
+func (s *System) execRewriting(ctx context.Context, r *Rewriting) (*Result, error) {
 	reg, err := s.viewsWithAux(r)
 	if err != nil {
 		return nil, err
 	}
-	return s.evaluator(reg).ExecContext(ctx, r.Query)
+	return s.evaluator(reg, s.Store).ExecContext(ctx, r.Query)
 }
 
 // viewsWithAux layers a rewriting's auxiliary views over the registry.

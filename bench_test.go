@@ -1,227 +1,86 @@
 package aggview_test
 
-// One testing.B benchmark per experiment table of EXPERIMENTS.md (E1-E10
-// in DESIGN.md). The measured loop of each benchmark isolates the
-// operation whose cost the corresponding table reports; the tables
-// themselves are regenerated by cmd/benchrunner.
+// testing.B benchmarks for the experiment tables of EXPERIMENTS.md. The
+// direct-versus-rewritten ones (E1-E4) are generated from the case table
+// in internal/experiments, which also drives cmd/benchrunner; the rest
+// isolate in their measured loop the operation whose cost the
+// corresponding table reports.
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"aggview"
 
 	"aggview/internal/constraints"
-	"aggview/internal/core"
-	"aggview/internal/datagen"
 	"aggview/internal/engine"
 	"aggview/internal/experiments"
 	"aggview/internal/ir"
-	"aggview/internal/keys"
 	"aggview/internal/maintain"
-	"aggview/internal/value"
 )
 
-// telcoBench builds the Example 1.1 system once per benchmark.
-func telcoBench(b *testing.B, calls int) (*aggview.System, *ir.Query, *aggview.Rewriting) {
+// prepareCase builds the system of one direct-versus-rewritten case at
+// rows (0: the case's benchmark point).
+func prepareCase(b *testing.B, id string, rows int) (*experiments.Case, *aggview.System, *ir.Query, *aggview.Rewriting) {
 	b.Helper()
-	s := aggview.New()
-	s.Catalog = datagen.TelcoCatalog()
-	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: calls, Seed: 1}),
-		"Calls", "Calling_Plans", "Customer")
-	s.MustDefineView("V1", `
-		SELECT Calls.Plan_Id, Plan_Name, Month, Year, SUM(Charge)
-		FROM Calls, Calling_Plans
-		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
-		GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
-	if _, err := s.Materialize("V1"); err != nil {
-		b.Fatal(err)
-	}
-	q, err := s.Parse(experiments.TelcoQuery)
+	c, err := experiments.Lookup(id)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rws, err := s.Rewritings(experiments.TelcoQuery)
-	if err != nil || len(rws) == 0 {
-		b.Fatal("no telco rewriting")
+	p := c.Bench
+	if rows > 0 {
+		p.Rows = rows
 	}
-	return s, q, rws[0]
+	s, q, rw := c.Prepare(b.Context(), p)
+	if rw == nil {
+		b.Fatalf("%s: no rewriting", id)
+	}
+	return c, s, q, rw
 }
 
-// BenchmarkE1TelcoDirect measures query Q of Example 1.1 over the base
-// tables (table T1, "direct" column).
-func BenchmarkE1TelcoDirect(b *testing.B) {
-	s, q, _ := telcoBench(b, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.NewEvaluator(s.DB, s.Views).Exec(q); err != nil {
-			b.Fatal(err)
+// benchExec measures one engine execution of q per iteration at the
+// given worker count (0: GOMAXPROCS).
+func benchExec(b *testing.B, name string, s *aggview.System, q *ir.Query, workers int) {
+	b.Run(name, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ev := engine.NewEvaluator(s.DB, s.Views)
+			ev.Workers = workers
+			if _, err := ev.Exec(q); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+}
+
+// benchCase generates one case's benchmarks: the query over the base
+// tables ("direct" column of its table), the picked rewriting over the
+// materialized view ("rewritten"), and the direct form at one and two
+// workers.
+func benchCase(b *testing.B, id string) {
+	_, s, q, rw := prepareCase(b, id, 0)
+	benchExec(b, "direct", s, q, 0)
+	benchExec(b, "rewritten", s, rw.Query, 0)
+	for _, w := range []int{1, 2} {
+		benchExec(b, fmt.Sprintf("direct-workers=%d", w), s, q, w)
 	}
 }
 
-// BenchmarkE1TelcoRewritten measures Q' over the materialized V1 (table
-// T1, "rewritten" column).
-func BenchmarkE1TelcoRewritten(b *testing.B) {
-	s, _, r := telcoBench(b, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.NewEvaluator(s.DB, s.Views).Exec(r.Query); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkE1Telco(b *testing.B)        { benchCase(b, "E1") } // table T1
+func BenchmarkE2ConjView(b *testing.B)     { benchCase(b, "E2") } // table T2
+func BenchmarkE3Coalesce(b *testing.B)     { benchCase(b, "E3") } // table T3
+func BenchmarkE4Multiplicity(b *testing.B) { benchCase(b, "E4") } // table T4
 
-// conjBench builds the Example 3.1 system (table T2).
-func conjBench(b *testing.B, rows int) (*aggview.System, *ir.Query, *aggview.Rewriting) {
-	b.Helper()
-	s := aggview.New()
-	s.Catalog = datagen.R1R2Catalog(false)
-	s.AdoptDB(datagen.R1R2(datagen.R1R2Config{R1Rows: rows, R2Rows: 64, Domain: 32, Seed: 2}), "R1", "R2")
-	s.MustDefineView("V31", "SELECT C, D FROM R1, R2 WHERE A = C AND B = D")
-	if _, err := s.Materialize("V31"); err != nil {
-		b.Fatal(err)
-	}
-	const sql = "SELECT A, SUM(B) FROM R1, R2 WHERE A = C AND B = 6 AND D = 6 GROUP BY A"
-	q, err := s.Parse(sql)
+// BenchmarkAggGroup measures the pure streaming group-fold kernel (no
+// join) on the E1 system at one and two workers.
+func BenchmarkAggGroup(b *testing.B) {
+	c, s, _, _ := prepareCase(b, "E1", 0)
+	q, err := s.Parse(c.Fold)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rws, err := s.Rewritings(sql)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range rws {
-		if len(r.Query.Tables) == 1 {
-			return s, q, r
-		}
-	}
-	b.Fatal("no single-view conjunctive rewriting")
-	return nil, nil, nil
-}
-
-// BenchmarkE2ConjViewDirect measures the Example 3.1 query over base
-// tables (table T2).
-func BenchmarkE2ConjViewDirect(b *testing.B) {
-	s, q, _ := conjBench(b, 50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.NewEvaluator(s.DB, s.Views).Exec(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE2ConjViewRewritten measures the same query over the
-// materialized conjunctive view (table T2).
-func BenchmarkE2ConjViewRewritten(b *testing.B) {
-	s, _, r := conjBench(b, 50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.NewEvaluator(s.DB, s.Views).Exec(r.Query); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// coalesceBench builds the Example 4.1 system (table T3).
-func coalesceBench(b *testing.B, rows, fanIn int) (*aggview.System, *ir.Query, *aggview.Rewriting) {
-	b.Helper()
-	s := aggview.New()
-	s.Catalog = datagen.R1R2Catalog(false)
-	db := engine.NewDB()
-	r1 := engine.NewRelation("A", "B", "C", "D")
-	for i := 0; i < rows; i++ {
-		r1.Add(value.Int(int64(i%8)), value.Int(int64(i%5)), value.Int(int64(i%fanIn)), value.Int(int64(i%3)))
-	}
-	db.Put("R1", r1)
-	db.Put("R2", engine.NewRelation("E", "F"))
-	s.AdoptDB(db, "R1", "R2")
-	s.MustDefineView("Vc", "SELECT A, C, COUNT(D) FROM R1 GROUP BY A, C")
-	if _, err := s.Materialize("Vc"); err != nil {
-		b.Fatal(err)
-	}
-	const sql = "SELECT A, COUNT(B) FROM R1 GROUP BY A"
-	q, err := s.Parse(sql)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rws, err := s.Rewritings(sql)
-	if err != nil || len(rws) == 0 {
-		b.Fatal("no coalescing rewriting")
-	}
-	return s, q, rws[0]
-}
-
-// BenchmarkE3CoalesceDirect measures the coarse COUNT query over the
-// base table (table T3).
-func BenchmarkE3CoalesceDirect(b *testing.B) {
-	s, q, _ := coalesceBench(b, 100000, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.NewEvaluator(s.DB, s.Views).Exec(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE3CoalesceRewritten measures it over the finer-grouped COUNT
-// view (table T3).
-func BenchmarkE3CoalesceRewritten(b *testing.B) {
-	s, _, r := coalesceBench(b, 100000, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.NewEvaluator(s.DB, s.Views).Exec(r.Query); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// multBench builds the Example 4.2 system (table T4).
-func multBench(b *testing.B, rows int) (*aggview.System, *ir.Query, *aggview.Rewriting) {
-	b.Helper()
-	s := aggview.New()
-	s.Catalog = datagen.R1R2Catalog(false)
-	s.AdoptDB(datagen.R1R2(datagen.R1R2Config{R1Rows: rows, R2Rows: 50, Domain: 12, Seed: 4}), "R1", "R2")
-	s.MustDefineView("V2", "SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B")
-	if _, err := s.Materialize("V2"); err != nil {
-		b.Fatal(err)
-	}
-	const sql = "SELECT A, SUM(E) FROM R1, R2 GROUP BY A"
-	q, err := s.Parse(sql)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rws, err := s.Rewritings(sql)
-	if err != nil || len(rws) == 0 {
-		b.Fatal("no multiplicity rewriting")
-	}
-	return s, q, rws[0]
-}
-
-// BenchmarkE4MultiplicityDirect measures SUM over the cross join of the
-// base tables (table T4).
-func BenchmarkE4MultiplicityDirect(b *testing.B) {
-	s, q, _ := multBench(b, 50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.NewEvaluator(s.DB, s.Views).Exec(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE4MultiplicityRewritten measures the scaled-aggregate
-// rewriting over the COUNT-bearing view (table T4).
-func BenchmarkE4MultiplicityRewritten(b *testing.B) {
-	s, _, r := multBench(b, 50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.NewEvaluator(s.DB, s.Views).Exec(r.Query); err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range []int{1, 2} {
+		benchExec(b, fmt.Sprintf("workers=%d", w), s, q, w)
 	}
 }
 
@@ -239,30 +98,7 @@ func BenchmarkE5MultiView(b *testing.B) {
 // BenchmarkE6SearchCost measures rewriting enumeration over 32 candidate
 // views for a two-table query (table T6).
 func BenchmarkE6SearchCost(b *testing.B) {
-	// Setup mirrors experiments.RunSearchCost(2, 32) but keeps the timed
-	// loop to the enumeration itself.
-	src := ir.MapSource{"R1": {"A", "B", "C", "D"}, "R2": {"E", "F"}, "R3": {"G", "H"}}
-	reg := ir.NewRegistry()
-	for i := 0; i < 32; i++ {
-		var def *ir.Query
-		switch i % 3 {
-		case 0:
-			def = ir.MustBuild("SELECT A, B, C, D FROM R1 WHERE B = "+itoa(i/3), src)
-		case 1:
-			def = ir.MustBuild("SELECT E, F FROM R2 WHERE F = "+itoa(i/3), src)
-		default:
-			def = ir.MustBuild("SELECT G, H FROM R3 WHERE H = "+itoa(i/3), src)
-		}
-		v, err := ir.NewViewDef("SV"+itoa(i), def)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := reg.Add(v); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q := ir.MustBuild("SELECT A, SUM(E) FROM R1, R2 WHERE B = 0 AND F = 0 AND A = E GROUP BY A", src)
-	rw := &core.Rewriter{Schema: src, Views: reg}
+	rw, q := experiments.SearchCostSetup(2, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(rw.Rewritings(q)) == 0 {
@@ -271,33 +107,10 @@ func BenchmarkE6SearchCost(b *testing.B) {
 	}
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var digits []byte
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
-}
-
 // BenchmarkE7Keys measures the Section 5 path: many-to-1 mapping search
 // plus chase-based containment verification (table T7).
 func BenchmarkE7Keys(b *testing.B) {
-	cat := datagen.R1R2Catalog(true)
-	reg := ir.NewRegistry()
-	def := ir.MustBuild("SELECT r.A, s.A FROM R1 r, R1 s WHERE r.B = s.C", cat)
-	v, err := ir.NewViewDef("V51", def)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := reg.Add(v); err != nil {
-		b.Fatal(err)
-	}
-	rw := &core.Rewriter{Schema: cat, Views: reg, Meta: keys.CatalogMeta{Catalog: cat}}
-	q := ir.MustBuild("SELECT A FROM R1 WHERE B = C", cat)
+	rw, q, v := experiments.KeysSetup(true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(rw.RewriteOnce(q, v)) == 0 {
@@ -354,84 +167,12 @@ func BenchmarkE10Having(b *testing.B) {
 // BenchmarkQueryBest measures the full facade path — parse, plan,
 // rewrite, execute — on the telco workload.
 func BenchmarkQueryBest(b *testing.B) {
-	s, _, _ := telcoBench(b, 20000)
+	c, s, _, _ := prepareCase(b, "E1", 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.QueryBest(experiments.TelcoQuery); err != nil {
+		if _, _, err := s.QueryBest(c.Query); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// parallelWorkerCounts lists the worker-pool sizes the Benchmark*Parallel
-// variants sweep: serial, 2, and NumCPU when distinct.
-func parallelWorkerCounts() []int {
-	counts := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// benchExecParallel runs one query at every worker count as
-// sub-benchmarks.
-func benchExecParallel(b *testing.B, s *aggview.System, q *ir.Query) {
-	b.Helper()
-	for _, w := range parallelWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ev := engine.NewEvaluator(s.DB, s.Views)
-				ev.Workers = w
-				if _, err := ev.Exec(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE1TelcoDirectParallel measures the Example 1.1 join +
-// aggregation kernel at each worker count.
-func BenchmarkE1TelcoDirectParallel(b *testing.B) {
-	s, q, _ := telcoBench(b, 100000)
-	b.ResetTimer()
-	benchExecParallel(b, s, q)
-}
-
-// BenchmarkAggGroupParallel measures the pure streaming group-fold
-// kernel (no join) at each worker count.
-func BenchmarkAggGroupParallel(b *testing.B) {
-	s, _, _ := telcoBench(b, 100000)
-	q, err := s.Parse("SELECT Plan_Id, Month, AVG(Charge) FROM Calls GROUP BY Plan_Id, Month")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	benchExecParallel(b, s, q)
-}
-
-// BenchmarkE2ConjViewDirectParallel measures the selective-join kernel
-// at each worker count.
-func BenchmarkE2ConjViewDirectParallel(b *testing.B) {
-	s, q, _ := conjBench(b, 50000)
-	b.ResetTimer()
-	benchExecParallel(b, s, q)
-}
-
-// BenchmarkRewritingsParallel measures BFS rewrite enumeration with the
-// candidate analyzers fanned out over each worker count.
-func BenchmarkRewritingsParallel(b *testing.B) {
-	s, _, _ := telcoBench(b, 10000)
-	for _, w := range parallelWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			s.Opts.Workers = w
-			for i := 0; i < b.N; i++ {
-				rws, err := s.Rewritings(experiments.TelcoQuery)
-				if err != nil || len(rws) == 0 {
-					b.Fatal("no telco rewriting")
-				}
-			}
-		})
 	}
 }
 
@@ -439,22 +180,17 @@ func BenchmarkRewritingsParallel(b *testing.B) {
 // flatten, the full rewrite search over the six tracked views, costing —
 // of the paper's Q with its constants cycling, so every iteration's
 // closures and keys are new (what the benchmark's plan_cold workload
-// pays per request). The two worker counts say whether fanning a
-// six-job wave out over goroutines pays on this host.
+// pays per request).
 func BenchmarkPrepareCold(b *testing.B) {
 	ctx := context.Background()
 	sys := warehouse(b, 1000)
-	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			sys.Opts.Workers = w
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p, err := sys.PrepareContext(ctx, fmt.Sprintf(paperQMonth, 1994+i%3, 1+i%12, 5000+i))
-				if err != nil || !p.Rewritten() {
-					b.Fatalf("cold prepare: rewritten=%v err=%v", p != nil && p.Rewritten(), err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := sys.PrepareContext(ctx, fmt.Sprintf(paperQMonth, 1994+i%3, 1+i%12, 5000+i))
+		if err != nil || !p.Rewritten() {
+			b.Fatalf("cold prepare: rewritten=%v err=%v", p != nil && p.Rewritten(), err)
+		}
 	}
 }
 
@@ -494,30 +230,14 @@ func BenchmarkE9ClosureCached(b *testing.B) {
 // BenchmarkE11MaintainIncremental measures delta-merge maintenance of
 // the chronicle summary per 100-row batch (table T11).
 func BenchmarkE11MaintainIncremental(b *testing.B) {
-	db := datagen.Chronicle(datagen.ChronicleConfig{Accounts: 100, Txns: 50000, Days: 30, Seed: 9})
-	reg := ir.NewRegistry()
-	def := ir.MustBuild(
-		"SELECT Acct_Id, Day, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id, Day",
-		datagen.ChronicleCatalog())
-	v, err := ir.NewViewDef("DailyAcct", def)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := reg.Add(v); err != nil {
-		b.Fatal(err)
-	}
+	db, reg := experiments.MaintenanceSetup(50000)
 	m := maintain.New(db, reg)
 	if _, err := m.Track("DailyAcct"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := make([][]value.Value, 100)
-		for j := range rows {
-			id := int64(50000 + i*100 + j)
-			rows[j] = []value.Value{value.Int(id), value.Int(id % 100), value.Int(1 + id%30), value.Int(id % 500)}
-		}
-		if err := m.Insert("Txns", rows...); err != nil {
+		if err := m.Insert("Txns", experiments.MaintenanceBatch(50000+i*100, 100)...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -526,15 +246,7 @@ func BenchmarkE11MaintainIncremental(b *testing.B) {
 // BenchmarkE12Advise measures the advisor's recommendation pass over the
 // three-query telco workload (table T12).
 func BenchmarkE12Advise(b *testing.B) {
-	s := aggview.New()
-	s.Catalog = datagen.TelcoCatalog()
-	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: 20000, Seed: 3}),
-		"Calls", "Calling_Plans", "Customer")
-	workload := []string{
-		"SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id",
-		"SELECT Plan_Id, Month, SUM(Charge), COUNT(Charge) FROM Calls GROUP BY Plan_Id, Month",
-		"SELECT Year, AVG(Charge) FROM Calls GROUP BY Year",
-	}
+	s, workload := experiments.AdvisorSetup(20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recs, err := s.Advise(workload, nil, 0)

@@ -1,12 +1,12 @@
-// Package obs is the waitleak fixture for the observability layer: the
-// sampler's monitor-goroutine pattern, with and without the join that
-// internal/obs promises (Stop closes done and blocks on stopped).
+// Package obs is the waitleak fixture for the observability layer: a
+// monitor-goroutine pattern, with and without its join (Stop closes done
+// and blocks on stopped).
 package obs
 
 import "time"
 
-// sampler mirrors internal/obs.Sampler: Start launches a monitor
-// goroutine whose ownership transfers to Stop.
+// sampler is a ticker-driven monitor: Start launches a goroutine whose
+// ownership transfers to Stop.
 type sampler struct {
 	done    chan struct{}
 	stopped chan struct{}

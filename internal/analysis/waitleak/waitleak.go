@@ -10,9 +10,9 @@
 // (sync.WaitGroup, errgroup), no channel receive, no range-over-channel,
 // no select — is either a leak or a kernel whose completion nobody
 // observes; both break the determinism and race guarantees the test
-// suite enforces. internal/obs is in scope because its samplers run
-// monitor goroutines alongside the kernels they observe; an unjoined
-// monitor outlives the pool it samples and races its own Snapshot.
+// suite enforces. internal/obs is in scope because a monitor goroutine
+// there runs alongside the kernels it observes; an unjoined monitor
+// outlives the pool it samples and races its own Snapshot.
 // oracle, faultinject and the facade are in scope because the
 // cancellation harness promises zero leaked goroutines after an
 // injected abort — a fire-and-forget goroutine anywhere on those paths

@@ -1,3 +1,7 @@
+// Package benchjson defines the machine-readable reports the CLIs
+// write: the rewrite-search trace (aggview explain -json), lint and vet
+// findings (aggview lint -json, aggvet -json), oracle and mutation soaks
+// (oraclerunner -json) and load and telemetry soaks (loadrunner).
 package benchjson
 
 import (
@@ -11,7 +15,7 @@ import (
 )
 
 // CacheCounters is a cache's cumulative hit/miss/eviction counters at
-// snapshot time, embedded by the trace, bench and oracle reports
+// snapshot time, embedded by the trace and oracle reports
 // (callers convert from constraints.CacheStats).
 type CacheCounters struct {
 	Hits      int64 `json:"hits"`

@@ -215,7 +215,7 @@ func TestCanonicalKeyMatchesReorderedRendering(t *testing.T) {
 	n := 0
 	for _, gc := range goldenCases() {
 		for _, sql := range gc.queries {
-			rw := gc.rewriter(t, 1)
+			rw := gc.rewriter(t)
 			q := buildQ(t, rw, sql)
 			check(q)
 			key, rws, err := rw.SearchContext(context.Background(), q)

@@ -3,12 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"aggview/internal/aggreason"
@@ -40,9 +37,10 @@ type Options struct {
 	// MaxRewritings caps the number of rewritings enumerated by
 	// Rewritings; 0 means the default of 128.
 	MaxRewritings int
-	// Workers sizes the worker pool that analyzes rewrite candidates
-	// concurrently: 0 means GOMAXPROCS, 1 forces the serial search. The
-	// enumeration order and results are identical at every setting.
+	// Workers sizes the engine's morsel pool only (the facade copies it
+	// onto each evaluator): 0 means GOMAXPROCS, 1 serial. Query results
+	// are identical at every setting. The rewrite search is one serial
+	// loop and does not read it.
 	Workers int
 	// MaxCandidates caps the number of (view, mapping) candidates one
 	// search analyzes; past the cap the search aborts with a typed
@@ -156,9 +154,7 @@ func (rw *Rewriter) newSearchTask(ctx context.Context) *searchTask {
 
 // candidate charges one analyzed (view, mapping) candidate: it feeds
 // the fault injector, charges the candidate budget and polls the
-// context. The total charged per search is fixed by the enumeration,
-// so whether a search trips its budget is independent of the Workers
-// knob (the error value is identical either way).
+// context.
 func (st *searchTask) candidate() error {
 	st.inj.Observe(faultinject.SiteCandidate, 1)
 	if err := st.meter.AddCandidates("rewrite.candidate", 1); err != nil {
@@ -194,8 +190,8 @@ func (rw *Rewriter) RewriteOnceContext(ctx context.Context, q *ir.Query, v *ir.V
 }
 
 // step is one accepted single-step rewriting together with the facts of
-// its query, built where the candidate was accepted (on the wave's
-// worker) so the next wave starts from them.
+// its query, built where the candidate was accepted so the next wave
+// starts from them.
 type step struct {
 	r  *Rewriting
 	qf *queryFacts
@@ -334,18 +330,6 @@ func mappingString(vn, qn *ir.Query, m mapping) string {
 	return s
 }
 
-// workers resolves the Workers knob: 0 means GOMAXPROCS, 1 serial.
-func (rw *Rewriter) workers() int {
-	w := rw.Opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Rewritings enumerates the rewritings of q reachable by iteratively
 // incorporating registered views (Theorem 3.2: for conjunctive views
 // with equality predicates, iterative application in any order is sound,
@@ -353,12 +337,9 @@ func (rw *Rewriter) workers() int {
 // and FROM-clause order.
 //
 // The search runs breadth-first in waves: every (candidate, view) pair
-// of the current frontier is analyzed concurrently — RewriteOnce is pure
-// per pair — and the outcomes are committed to seen/results serially in
-// (frontier, view-registration, mapping) order. Commit order therefore
-// matches the serial queue walk exactly, so the result list is
-// byte-identical to the single-threaded enumeration at any worker count,
-// and MaxRewritings cuts the same prefix.
+// of the current frontier is analyzed, then the outcomes are committed
+// to seen/results in (frontier, view-registration, mapping) order, which
+// is also the order MaxRewritings cuts in.
 //
 // Rewritings runs unbounded — no context, no budget — and cannot fail;
 // use RewritingsContext for cancellation and budgets.
@@ -371,9 +352,7 @@ func (rw *Rewriter) Rewritings(q *ir.Query) []*Rewriting {
 // deadline expiry and an exhausted candidate budget (a budget.Meter on
 // the context, or Opts.MaxCandidates) abort the search with a typed
 // *budget.Canceled or *budget.Exceeded and no partial result. The
-// context is polled once per analyzed candidate, the in-flight wave
-// drains before the error is returned, and the surviving error value is
-// independent of the worker count.
+// context is polled once per analyzed candidate.
 func (rw *Rewriter) RewritingsContext(ctx context.Context, q *ir.Query) ([]*Rewriting, error) {
 	_, out, err := rw.rewritings(rw.newSearchTask(ctx), q)
 	return out, err
@@ -431,43 +410,13 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 		steps := make([][]step, len(jobs))
 		events := make([][]obs.Candidate, len(jobs))
 		errs := make([]error, len(jobs))
-		if w := rw.workers(); w > 1 && len(jobs) > 1 {
-			if w > len(jobs) {
-				w = len(jobs)
-			}
-			var next atomic.Int64
-			work := func() {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					steps[i], events[i], errs[i] = rw.rewriteOnce(st, jobs[i].qf, jobs[i].vf, collect)
-				}
-			}
-			// The calling goroutine is one of the w workers: a wave of a few
-			// cheap jobs is often drained before a helper is even scheduled.
-			var wg sync.WaitGroup
-			for k := 1; k < w; k++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					work()
-				}()
-			}
-			work()
-			wg.Wait()
-		} else {
-			for i, j := range jobs {
-				steps[i], events[i], errs[i] = rw.rewriteOnce(st, j.qf, j.vf, collect)
-				if errs[i] != nil {
-					break
-				}
+		for i, j := range jobs {
+			steps[i], events[i], errs[i] = rw.rewriteOnce(st, j.qf, j.vf, collect)
+			if errs[i] != nil {
+				break
 			}
 		}
-		// An aborted wave returns no partial results: every candidate
-		// charge error is transient with a schedule-independent value, so
-		// the surfaced error does not depend on which job observed it.
+		// An aborted wave returns no partial results.
 		for _, err := range errs {
 			if err != nil {
 				return "", nil, err
@@ -480,11 +429,8 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 				}
 			}
 		}
-		// Flush emits the wave's events in job order after the serial
-		// commit loop has retagged them; a trace (and the span's verdict
-		// tally) is therefore recorded in the exact order the serial
-		// enumeration would visit candidates, independent of the worker
-		// count.
+		// Flush emits the wave's events in job order after the commit
+		// loop has retagged them.
 		flush := func() {
 			for i := range events {
 				for p := range events[i] {

@@ -82,33 +82,26 @@ func TestRewritingsContextCandidateBudget(t *testing.T) {
 	}
 }
 
-// TestRewritingsContextBudgetWorkerIndependent pins that the outcome of
-// a candidate budget — trip or success, and the error value on trip —
-// is the same at every Workers setting.
+// TestRewritingsContextBudgetWorkerIndependent pins the outcome of a
+// candidate budget at each limit: a trip is a typed Exceeded naming the
+// limit with no partial results, a success is the unbudgeted
+// enumeration.
 func TestRewritingsContextBudgetWorkerIndependent(t *testing.T) {
+	rwRef, qRef := searchFixture(t, Options{})
+	baseline := renderRws(rwRef.Rewritings(qRef))
 	for _, limit := range []int64{1, 3, 1 << 20} {
-		var refErr error
-		var refOut string
-		for i, workers := range []int{1, 0, 4} {
-			rw, q := searchFixture(t, Options{Workers: workers})
-			m := budget.NewMeter(budget.Limits{MaxCandidates: limit})
-			rws, err := rw.RewritingsContext(budget.WithMeter(context.Background(), m), q)
-			if i == 0 {
-				refErr, refOut = err, renderRws(rws)
-				continue
+		rw, q := searchFixture(t, Options{})
+		m := budget.NewMeter(budget.Limits{MaxCandidates: limit})
+		rws, err := rw.RewritingsContext(budget.WithMeter(context.Background(), m), q)
+		if err != nil {
+			var e *budget.Exceeded
+			if !errors.As(err, &e) || e.Resource != "candidates" || e.Limit != limit || rws != nil {
+				t.Fatalf("limit %d: want candidates Exceeded and no results, got %v (%d results)", limit, err, len(rws))
 			}
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("limit %d: workers=%d err=%v, workers=1 err=%v", limit, workers, err, refErr)
-			}
-			if err != nil {
-				if err.Error() != refErr.Error() {
-					t.Fatalf("limit %d: error differs across workers: %q vs %q", limit, err, refErr)
-				}
-				continue
-			}
-			if renderRws(rws) != refOut {
-				t.Fatalf("limit %d: enumeration differs across workers", limit)
-			}
+			continue
+		}
+		if renderRws(rws) != baseline {
+			t.Fatalf("limit %d: enumeration differs from unbudgeted", limit)
 		}
 	}
 }
@@ -120,23 +113,21 @@ func TestRewritingsContextFaultInjection(t *testing.T) {
 	rwRef, qRef := searchFixture(t, Options{})
 	baseline := renderRws(rwRef.Rewritings(qRef))
 	for _, k := range []int64{1, 2, 3, 5, 8, 100} {
-		for _, workers := range []int{1, 0} {
-			rw, q := searchFixture(t, Options{Workers: workers})
-			in := faultinject.New(faultinject.SiteCandidate, k)
-			ctx, cancel := in.Arm(context.Background())
-			rws, err := rw.RewritingsContext(ctx, q)
-			if err != nil {
-				if !budget.IsCanceled(err) {
-					t.Fatalf("k=%d workers=%d: non-typed error %v", k, workers, err)
-				}
-				if rws != nil {
-					t.Fatalf("k=%d workers=%d: error with partial results", k, workers)
-				}
-			} else if renderRws(rws) != baseline {
-				t.Fatalf("k=%d workers=%d: enumeration differs under injection", k, workers)
+		rw, q := searchFixture(t, Options{})
+		in := faultinject.New(faultinject.SiteCandidate, k)
+		ctx, cancel := in.Arm(context.Background())
+		rws, err := rw.RewritingsContext(ctx, q)
+		if err != nil {
+			if !budget.IsCanceled(err) {
+				t.Fatalf("k=%d: non-typed error %v", k, err)
 			}
-			cancel()
+			if rws != nil {
+				t.Fatalf("k=%d: error with partial results", k)
+			}
+		} else if renderRws(rws) != baseline {
+			t.Fatalf("k=%d: enumeration differs under injection", k)
 		}
+		cancel()
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // queryFacts is built once per query the search holds, viewFacts once
 // per registered view definition, and an analyzer only adds what the
 // mapping contributes. Both are finalized when built and never written
-// afterwards, so every goroutine of a wave reads the same values.
+// afterwards, so concurrent searches can share a view's facts.
 
 // queryFacts is everything the search derives from one query alone. It
 // is built once when the query enters the search — the root by

@@ -134,7 +134,7 @@ func goldenCases() []goldenCase {
 	}
 }
 
-func (gc goldenCase) rewriter(t *testing.T, workers int) *Rewriter {
+func (gc goldenCase) rewriter(t *testing.T) *Rewriter {
 	t.Helper()
 	reg := ir.NewRegistry()
 	src := ir.MultiSource{tables(), reg}
@@ -147,23 +147,21 @@ func (gc goldenCase) rewriter(t *testing.T, workers int) *Rewriter {
 			t.Fatal(err)
 		}
 	}
-	opts := gc.opts
-	opts.Workers = workers
-	rw := &Rewriter{Schema: tables(), Views: reg, Opts: opts, Tracer: obs.NewTracer()}
+	rw := &Rewriter{Schema: tables(), Views: reg, Opts: gc.opts, Tracer: obs.NewTracer()}
 	if gc.keyed {
 		rw.Meta = keys.CatalogMeta{Catalog: keyedCatalog(t)}
 	}
 	return rw
 }
 
-// renderSearch runs every case's searches at the given worker count and
-// renders the ordered rewriting lists and the traced candidate verdicts.
-func renderSearch(t *testing.T, workers int) string {
+// renderSearch runs every case's searches and renders the ordered
+// rewriting lists and the traced candidate verdicts.
+func renderSearch(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
 	for _, gc := range goldenCases() {
 		for qi, sql := range gc.queries {
-			rw := gc.rewriter(t, workers)
+			rw := gc.rewriter(t)
 			q := buildQ(t, rw, sql)
 			fmt.Fprintf(&b, "== %s #%d\nquery: %s\n", gc.name, qi+1, q.SQL())
 			for i, r := range rw.Rewritings(q) {
@@ -189,7 +187,7 @@ func renderSearch(t *testing.T, workers int) string {
 // TestSearchGolden pins the search's observable output — the ordered
 // rewriting list (SQL, Used, SetOnly, Notes) and every traced candidate
 // verdict — for the paper's examples and the six-view telco catalog,
-// byte for byte, at Workers 1 and 2. The golden file was captured from
+// byte for byte. The golden file was captured from
 // the search as it stood before per-query and per-view facts were
 // shared (regenerate with -update-golden only for an intended change).
 func TestSearchGolden(t *testing.T) {
@@ -198,7 +196,7 @@ func TestSearchGolden(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(renderSearch(t, 1)), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(renderSearch(t)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,17 +204,15 @@ func TestSearchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		got := renderSearch(t, workers)
-		if got == string(want) {
-			continue
-		}
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("workers=%d: search output differs from golden at line %d:\n got: %s\nwant: %s", workers, i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("workers=%d: search output has %d lines, golden has %d", workers, len(gl), len(wl))
+	got := renderSearch(t)
+	if got == string(want) {
+		return
 	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("search output differs from golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("search output has %d lines, golden has %d", len(gl), len(wl))
 }

@@ -5,8 +5,9 @@
 // performance effect a claim promises (E1-E4, E6, E9) or machine-checks
 // the claim itself (E5, E7, E8, E10).
 //
-// The same code backs cmd/benchrunner (which prints the tables) and the
-// top-level testing.B benchmarks.
+// Cases is the one definition of the series: cmd/benchrunner prints the
+// tables by iterating it, and the top-level testing.B benchmarks build
+// their systems, queries and rewritings from the same entries.
 package experiments
 
 import (
@@ -86,247 +87,300 @@ func bestOf(n int, f func()) time.Duration {
 	return best
 }
 
-// header prints an experiment heading.
-func header(w io.Writer, id, title, claim string) {
-	fmt.Fprintf(w, "## %s — %s\n\n*Claim:* %s\n\n", id, title, claim)
-}
+// Point is one scale point of a direct-versus-rewritten case: the base
+// table's row count and, for E3, how many view subgroups coalesce into
+// each query group.
+type Point struct{ Rows, FanIn int }
 
-// All runs every experiment under ctx: cancellation or deadline expiry
-// propagates into every engine execution and rewrite search, so a
-// driver can bound the whole suite without killing the process. quick
-// shrinks scales so the suite finishes in seconds (used by tests); the
-// full scales back EXPERIMENTS.md.
-func All(ctx context.Context, w io.Writer, quick bool) {
-	E1Telco(ctx, w, quick)
-	E2ConjView(ctx, w, quick)
-	E3Coalesce(ctx, w, quick)
-	E4Multiplicity(ctx, w, quick)
-	E5MultiView(ctx, w)
-	E6SearchCost(ctx, w, quick)
-	E7Keys(ctx, w)
-	E8Negative(ctx, w)
-	E9Closure(w, quick)
-	E10Having(ctx, w)
-	E11Maintenance(ctx, w, quick)
-	E12Advisor(ctx, w, quick)
-	E13Baseline(ctx, w)
-}
-
-// telcoSystem builds the Example 1.1 system with a materialized V1.
-func telcoSystem(ctx context.Context, calls int) *aggview.System {
-	s := aggview.New()
-	s.Catalog = datagen.TelcoCatalog()
-	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: calls, Seed: 1}),
-		"Calls", "Calling_Plans", "Customer")
-	s.MustDefineView("V1", `
-		SELECT Calls.Plan_Id, Plan_Name, Month, Year, SUM(Charge)
-		FROM Calls, Calling_Plans
-		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
-		GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
-	if _, err := s.MaterializeContext(ctx, "V1"); err != nil {
-		panic(err)
+func rows(ns ...int) []Point {
+	ps := make([]Point, len(ns))
+	for i, n := range ns {
+		ps[i] = Point{Rows: n}
 	}
-	return s
+	return ps
 }
 
-// TelcoQuery is query Q of Example 1.1.
-const TelcoQuery = `
+func fanIns(rows int) []Point {
+	return []Point{{rows, 4}, {rows, 16}, {rows, 64}}
+}
+
+// Case is one experiment of the E-series.
+type Case struct {
+	ID, Title, Claim string
+
+	// A direct-versus-rewritten case (E1-E4) sets these: Build loads the
+	// base tables at a point and defines View, which Prepare materializes;
+	// Query runs over the base tables and through the rewriting Pick
+	// chooses, at each point of Full (Quick under -quick), and one table
+	// row per point lists Cols. Bench is the point the testing.B
+	// benchmarks run at. Fold, when set, is a second query over the same
+	// system that only scans and folds (no join, many groups).
+	Full, Quick []Point
+	Bench       Point
+	Build       func(Point) *aggview.System
+	View        string
+	Query, Fold string
+	Pick        func([]*aggview.Rewriting) *aggview.Rewriting
+	Cols        []string
+
+	// run prints the tables of every other case, and on E4 the verdict
+	// table that precedes the measured one.
+	run func(ctx context.Context, w io.Writer, quick bool)
+}
+
+// Cases lists the E-series in EXPERIMENTS.md order.
+var Cases = []*Case{
+	{ID: "E1", Title: "Motivating example (Ex. 1.1)",
+		Claim: "evaluating Q' over V1 is orders of magnitude faster than Q over Calls, and the gap grows with |Calls|",
+		Full:  rows(10000, 30000, 100000, 300000), Quick: rows(2000, 10000), Bench: Point{Rows: 100000},
+		Build: telcoSystem, View: "V1", Pick: first,
+		Query: `
 	SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
 	FROM Calls, Calling_Plans
 	WHERE Calls.Plan_Id = Calling_Plans.Plan_Id AND Year = 1995
 	GROUP BY Calling_Plans.Plan_Id, Plan_Name
-	HAVING SUM(Charge) < 1000000`
-
-// E1Telco sweeps the Calls cardinality and reports direct versus
-// rewritten evaluation of Example 1.1 (table T1).
-func E1Telco(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "E1", "Motivating example (Ex. 1.1)",
-		"evaluating Q' over V1 is orders of magnitude faster than Q over Calls, and the gap grows with |Calls|")
-	scales := []int{10000, 30000, 100000, 300000}
-	if quick {
-		scales = []int{2000, 10000}
-	}
-	t := newTable("|Calls|", "|V1|", "direct", "rewritten", "speedup")
-	for _, n := range scales {
-		s := telcoSystem(ctx, n)
-		direct, rewritten, v1 := RunTelco(ctx, s)
-		t.row(n, v1, direct, rewritten, float64(direct)/float64(rewritten))
-	}
-	t.flush(w)
+	HAVING SUM(Charge) < 1000000`,
+		Fold: "SELECT Plan_Id, Month, AVG(Charge) FROM Calls GROUP BY Plan_Id, Month",
+		Cols: []string{"|Calls|", "|V1|", "direct", "rewritten", "speedup"}},
+	{ID: "E2", Title: "Conjunctive views (Thm 3.1, Ex. 3.1)",
+		Claim: "rewritings over a selective materialized join view are multiset-equivalent and faster",
+		Full:  rows(10000, 50000, 200000), Quick: rows(2000, 10000), Bench: Point{Rows: 50000},
+		Build: conjSystem, View: "V31", Pick: viewOnly,
+		Query: "SELECT A, SUM(B) FROM R1, R2 WHERE A = C AND B = 6 AND D = 6 GROUP BY A",
+		Cols:  []string{"|R1|", "|V|", "direct", "rewritten", "speedup", "equal"}},
+	{ID: "E3", Title: "Coalescing subgroups (Ex. 4.1)",
+		Claim: "a finer-grouped COUNT view answers a coarser COUNT query by summing subgroup counts; the win is the base-to-view compression ratio",
+		Full:  fanIns(200000), Quick: fanIns(20000), Bench: Point{Rows: 100000, FanIn: 16},
+		Build: coalesceSystem, View: "Vc", Pick: first,
+		Query: "SELECT A, COUNT(B) FROM R1 GROUP BY A",
+		Cols:  []string{"|R1|", "subgroups/group", "|view|", "direct", "rewritten", "speedup", "equal"}},
+	{ID: "E4", Title: "Multiplicity recovery (Ex. 4.2)",
+		Claim: "a COUNT column in the view recovers multiplicities lost to grouping; the paper's literal Q' is incorrect on coalescing groups (see DESIGN.md)",
+		Full:  rows(100000), Quick: rows(20000), Bench: Point{Rows: 50000},
+		Build: multSystem, View: "V2", Pick: first,
+		Query: "SELECT A, SUM(E) FROM R1, R2 GROUP BY A",
+		Cols:  []string{"|R1|", "direct", "rewritten", "speedup", "equal"},
+		run:   counterexampleVerdicts},
+	{ID: "E5", Title: "Iterative multi-view rewriting (Thm 3.2)",
+		Claim: "iterating single-view rewriting is sound, Church-Rosser, and complete: k independently usable views yield 2^k - 1 rewritings in any order",
+		run:   multiView},
+	{ID: "E6", Title: "Rewriting search cost (Sec. 6)",
+		Claim: "usability checking is cheap enough for an optimizer: microseconds to low milliseconds per query even with dozens of candidate views",
+		run:   searchCost},
+	{ID: "E7", Title: "Sets and keys (Sec. 5, Ex. 5.1)",
+		Claim: "with key metadata, many-to-1 mappings admit rewritings that multiset semantics forbids; without it the view is unusable",
+		run:   keysCases},
+	{ID: "E8", Title: "Negative results (Sec. 4.2, 4.4, 4.5)",
+		Claim: "each construction below is unusable, and the rewriter must refuse it",
+		run:   negative},
+	{ID: "E9", Title: "Closure computation (Sec. 3, footnote 2)",
+		Claim: "closing a conjunction of =, <>, <, <=, >, >= atoms and answering entailment stays in the microsecond range at optimizer-relevant sizes",
+		run:   closure},
+	{ID: "E10", Title: "HAVING pre-processing (Sec. 3.3)",
+		Claim: "predicate move-around from HAVING to WHERE detects usability that the bare conditions miss",
+		run:   having},
+	{ID: "E11", Title: "Summary-table maintenance (extension; Sec. 1 scenarios)",
+		Claim: "append-only SUM/COUNT/MIN/MAX summaries maintain in time proportional to the delta, not the base table — the property that makes the paper's cached summary tables practical",
+		run:   maintenance},
+	{ID: "E12", Title: "View selection (extension; Sec. 7 future work)",
+		Claim: "greedily chosen summary views under a space budget cut the measured workload time, and the modeled benefit points the same way",
+		run:   advisor},
+	{ID: "E13", Title: "Baseline comparison (Sec. 6 vs [GHQ95]-style matching)",
+		Claim: "the closure-based conditions detect usability that syntactic Sel/Groups comparison misses — including the motivating Example 1.1",
+		run:   baselineCorpus},
 }
 
-// RunTelco measures one scale point of E1: it returns the direct time,
-// the rewritten time, and |V1|.
-func RunTelco(ctx context.Context, s *aggview.System) (direct, rewritten time.Duration, v1Rows int) {
-	q, err := s.Parse(TelcoQuery)
-	if err != nil {
-		panic(err)
-	}
-	rws, err := s.RewritingsContext(ctx, TelcoQuery)
-	if err != nil || len(rws) == 0 {
-		panic("telco rewriting missing")
-	}
-	ev := func(query *ir.Query) {
-		if _, err := engine.NewEvaluator(s.DB, s.Views).ExecContext(ctx, query); err != nil {
-			panic(err)
+// Lookup resolves an experiment id ("E4", "e13") to its case.
+func Lookup(id string) (*Case, error) {
+	for _, c := range Cases {
+		if strings.EqualFold(c.ID, id) {
+			return c, nil
 		}
 	}
-	direct = bestOf(3, func() { ev(q) })
-	rewritten = bestOf(3, func() { ev(rws[0].Query) })
-	viewRows, _ := s.DB.NumRows("V1")
-	return direct, rewritten, viewRows
+	return nil, fmt.Errorf("unknown experiment %q (want E1..E13)", id)
 }
 
-// E2ConjView measures conjunctive-view rewriting (Theorem 3.1, the
-// Example 3.1 shape) at scale (table T2).
-func E2ConjView(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "E2", "Conjunctive views (Thm 3.1, Ex. 3.1)",
-		"rewritings over a selective materialized join view are multiset-equivalent and faster")
-	scales := []int{10000, 50000, 200000}
-	if quick {
-		scales = []int{2000, 10000}
+// Run prints the case's heading and tables under ctx: cancellation or
+// deadline expiry propagates into every engine execution and rewrite
+// search, so a driver can bound the whole suite without killing the
+// process. quick shrinks scales so the suite finishes in seconds (used
+// by tests); the full scales back EXPERIMENTS.md. Like every helper here
+// Run panics on failure; drivers recover.
+func (c *Case) Run(ctx context.Context, w io.Writer, quick bool) {
+	fmt.Fprintf(w, "## %s — %s\n\n*Claim:* %s\n\n", c.ID, c.Title, c.Claim)
+	if c.run != nil {
+		c.run(ctx, w, quick)
 	}
-	t := newTable("|R1|", "|V|", "direct", "rewritten", "speedup", "equal")
-	for _, n := range scales {
-		s := conjSystem(ctx, n)
-		direct, rewritten, vRows, equal := RunConjView(ctx, s)
-		t.row(n, vRows, direct, rewritten, float64(direct)/float64(rewritten), equal)
+	if c.Build == nil {
+		return
+	}
+	points := c.Full
+	if quick {
+		points = c.Quick
+	}
+	t := newTable(c.Cols...)
+	for _, p := range points {
+		s, q, rw := c.Prepare(ctx, p)
+		if rw == nil {
+			panic(c.ID + ": rewriting missing")
+		}
+		m := c.measure(ctx, p, s, q, rw)
+		cells := make([]any, len(c.Cols))
+		for i, col := range c.Cols {
+			cells[i] = m.cell(col)
+		}
+		t.row(cells...)
 	}
 	t.flush(w)
 }
 
-const conjQuery = "SELECT A, SUM(B) FROM R1, R2 WHERE A = C AND B = 6 AND D = 6 GROUP BY A"
-
-func conjSystem(ctx context.Context, n int) *aggview.System {
-	s := aggview.New()
-	s.Catalog = datagen.R1R2Catalog(false)
-	// R2 stays small and the domain wide, so the materialized join view
-	// is selective (about n/16 rows) rather than exploding.
-	s.AdoptDB(datagen.R1R2(datagen.R1R2Config{R1Rows: n, R2Rows: 64, Domain: 32, Seed: 2}), "R1", "R2")
-	s.MustDefineView("V31", "SELECT C, D FROM R1, R2 WHERE A = C AND B = D")
-	if _, err := s.MaterializeContext(ctx, "V31"); err != nil {
+// Prepare builds the case's system at p, materializes its view, and
+// returns the system, the parsed query and the picked rewriting (nil
+// when the search finds none).
+func (c *Case) Prepare(ctx context.Context, p Point) (*aggview.System, *ir.Query, *aggview.Rewriting) {
+	s := c.Build(p)
+	if _, err := s.MaterializeContext(ctx, c.View); err != nil {
 		panic(err)
 	}
-	return s
+	q, err := s.Parse(c.Query)
+	if err != nil {
+		panic(err)
+	}
+	rws, err := s.RewritingsContext(ctx, c.Query)
+	if err != nil {
+		panic(err)
+	}
+	return s, q, c.Pick(rws)
 }
 
-// RunConjView measures one scale point of E2.
-func RunConjView(ctx context.Context, s *aggview.System) (direct, rewritten time.Duration, vRows int, equal bool) {
-	q, err := s.Parse(conjQuery)
-	if err != nil {
-		panic(err)
+// first picks the search's first rewriting.
+func first(rws []*aggview.Rewriting) *aggview.Rewriting {
+	if len(rws) == 0 {
+		return nil
 	}
-	rws, err := s.RewritingsContext(ctx, conjQuery)
-	if err != nil {
-		panic(err)
-	}
+	return rws[0]
+}
+
+// viewOnly picks the rewriting that reads the view and nothing else.
+func viewOnly(rws []*aggview.Rewriting) *aggview.Rewriting {
 	var best *aggview.Rewriting
 	for _, r := range rws {
 		if len(r.Query.Tables) == 1 {
 			best = r
 		}
 	}
-	if best == nil {
-		panic("conjunctive rewriting missing")
+	return best
+}
+
+// measured is one timed point of a direct-versus-rewritten case.
+type measured struct {
+	Point
+	ViewRows          int
+	Direct, Rewritten time.Duration
+	Equal             bool // the two result bags are multiset-equal
+}
+
+// measure times both evaluations of a prepared case.
+func (c *Case) measure(ctx context.Context, p Point, s *aggview.System, q *ir.Query, rw *aggview.Rewriting) measured {
+	exec := func(q *ir.Query) (res *engine.Relation) {
+		res, err := engine.NewEvaluator(s.DB, s.Views).ExecContext(ctx, q)
+		if err != nil {
+			panic(err)
+		}
+		return res
 	}
+	m := measured{Point: p}
 	var d1, d2 *engine.Relation
-	direct = bestOf(3, func() {
-		d1, err = engine.NewEvaluator(s.DB, s.Views).ExecContext(ctx, q)
-		if err != nil {
-			panic(err)
-		}
-	})
-	rewritten = bestOf(3, func() {
-		d2, err = engine.NewEvaluator(s.DB, s.Views).ExecContext(ctx, best.Query)
-		if err != nil {
-			panic(err)
-		}
-	})
-	viewRows, _ := s.DB.NumRows("V31")
-	return direct, rewritten, viewRows, engine.MultisetEqual(d1, d2)
+	m.Direct = bestOf(3, func() { d1 = exec(q) })
+	m.Rewritten = bestOf(3, func() { d2 = exec(rw.Query) })
+	m.ViewRows, _ = s.DB.NumRows(c.View)
+	m.Equal = engine.MultisetEqual(d1, d2)
+	return m
 }
 
-// E3Coalesce measures subgroup coalescing (Example 4.1): the query
-// groups coarser than the view; speedup tracks the compression ratio
-// (table T3).
-func E3Coalesce(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "E3", "Coalescing subgroups (Ex. 4.1)",
-		"a finer-grouped COUNT view answers a coarser COUNT query by summing subgroup counts; the win is the base-to-view compression ratio")
-	rows := 200000
-	if quick {
-		rows = 20000
+// cell returns the value under one column heading of Case.Cols.
+func (m measured) cell(col string) any {
+	switch col {
+	case "|Calls|", "|R1|":
+		return m.Rows
+	case "|V1|", "|V|", "|view|":
+		return m.ViewRows
+	case "subgroups/group":
+		return m.FanIn
+	case "direct":
+		return m.Direct
+	case "rewritten":
+		return m.Rewritten
+	case "speedup":
+		return float64(m.Direct) / float64(m.Rewritten)
+	case "equal":
+		return m.Equal
 	}
-	t := newTable("|R1|", "subgroups/group", "|view|", "direct", "rewritten", "speedup", "equal")
-	for _, fanIn := range []int{4, 16, 64} {
-		s := coalesceSystem(ctx, rows, fanIn)
-		direct, rewritten, vRows, equal := RunCoalesce(ctx, s)
-		t.row(rows, fanIn, vRows, direct, rewritten, float64(direct)/float64(rewritten), equal)
-	}
-	t.flush(w)
+	panic("unknown column " + col)
 }
 
-const coalesceQuery = "SELECT A, COUNT(B) FROM R1 GROUP BY A"
+// telcoSystem is Example 1.1: the telco tables and view V1.
+func telcoSystem(p Point) *aggview.System {
+	s := aggview.New()
+	s.Catalog = datagen.TelcoCatalog()
+	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: p.Rows, Seed: 1}),
+		"Calls", "Calling_Plans", "Customer")
+	s.MustDefineView("V1", `
+		SELECT Calls.Plan_Id, Plan_Name, Month, Year, SUM(Charge)
+		FROM Calls, Calling_Plans
+		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
+		GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
+	return s
+}
 
-func coalesceSystem(ctx context.Context, rows, fanIn int) *aggview.System {
+// conjSystem is the Example 3.1 shape (Theorem 3.1): a conjunctive join
+// view. R2 stays small and the domain wide, so the materialized view is
+// selective (about |R1|/16 rows) rather than exploding.
+func conjSystem(p Point) *aggview.System {
+	s := aggview.New()
+	s.Catalog = datagen.R1R2Catalog(false)
+	s.AdoptDB(datagen.R1R2(datagen.R1R2Config{R1Rows: p.Rows, R2Rows: 64, Domain: 32, Seed: 2}), "R1", "R2")
+	s.MustDefineView("V31", "SELECT C, D FROM R1, R2 WHERE A = C AND B = D")
+	return s
+}
+
+// coalesceSystem is Example 4.1: the query groups coarser than the view,
+// so the speedup tracks the compression ratio p.FanIn sets.
+func coalesceSystem(p Point) *aggview.System {
 	s := aggview.New()
 	s.Catalog = datagen.R1R2Catalog(false)
 	db := engine.NewDB()
 	r1 := engine.NewRelation("A", "B", "C", "D")
-	for i := 0; i < rows; i++ {
-		r1.Add(value.Int(int64(i%8)), value.Int(int64(i%5)), value.Int(int64(i%fanIn)), value.Int(int64(i%3)))
+	for i := 0; i < p.Rows; i++ {
+		r1.Add(value.Int(int64(i%8)), value.Int(int64(i%5)), value.Int(int64(i%p.FanIn)), value.Int(int64(i%3)))
 	}
 	db.Put("R1", r1)
 	db.Put("R2", engine.NewRelation("E", "F"))
 	s.AdoptDB(db, "R1", "R2")
 	s.MustDefineView("Vc", "SELECT A, C, COUNT(D) FROM R1 GROUP BY A, C")
-	if _, err := s.MaterializeContext(ctx, "Vc"); err != nil {
-		panic(err)
-	}
 	return s
 }
 
-// RunCoalesce measures one fan-in point of E3.
-func RunCoalesce(ctx context.Context, s *aggview.System) (direct, rewritten time.Duration, vRows int, equal bool) {
-	q, err := s.Parse(coalesceQuery)
-	if err != nil {
-		panic(err)
-	}
-	rws, err := s.RewritingsContext(ctx, coalesceQuery)
-	if err != nil || len(rws) == 0 {
-		panic("coalescing rewriting missing")
-	}
-	var d1, d2 *engine.Relation
-	direct = bestOf(3, func() { d1, _ = engine.NewEvaluator(s.DB, s.Views).ExecContext(ctx, q) })
-	rewritten = bestOf(3, func() { d2, _ = engine.NewEvaluator(s.DB, s.Views).ExecContext(ctx, rws[0].Query) })
-	viewRows, _ := s.DB.NumRows("Vc")
-	return direct, rewritten, viewRows, engine.MultisetEqual(d1, d2)
+// multSystem is Example 4.2: SUM over a cross join, answered from a view
+// whose COUNT column recovers the multiplicities grouping lost.
+func multSystem(p Point) *aggview.System {
+	s := aggview.New()
+	s.Catalog = datagen.R1R2Catalog(false)
+	s.AdoptDB(datagen.R1R2(datagen.R1R2Config{R1Rows: p.Rows, R2Rows: 30, Domain: 12, Seed: 4}), "R1", "R2")
+	s.MustDefineView("V2", "SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B")
+	return s
 }
 
-// E4Multiplicity covers Example 4.2 (table T4): the correctness verdict
-// on the published construction versus this library's scaled-aggregate
-// rewriting, plus its performance.
-func E4Multiplicity(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "E4", "Multiplicity recovery (Ex. 4.2)",
-		"a COUNT column in the view recovers multiplicities lost to grouping; the paper's literal Q' is incorrect on coalescing groups (see DESIGN.md)")
-
-	// Correctness on the counterexample.
+// counterexampleVerdicts prints E4's correctness table: the published
+// construction versus this library's scaled-aggregate rewriting on the
+// counterexample.
+func counterexampleVerdicts(ctx context.Context, w io.Writer, _ bool) {
 	verdicts := newTable("construction", "answer on counterexample", "verdict")
 	want, paper, ours := CounterexampleAnswers(ctx)
 	verdicts.row("original Q", want, "ground truth")
 	verdicts.row("published Q' (Ex. 4.2 verbatim)", paper, okness(paper == want))
 	verdicts.row("scaled-aggregate rewriting (this library)", ours, okness(ours == want))
 	verdicts.flush(w)
-
-	// Performance at scale.
-	rows := 100000
-	if quick {
-		rows = 20000
-	}
-	s := multSystem(ctx, rows)
-	direct, rewritten, equal := RunMultiplicity(ctx, s)
-	t := newTable("|R1|", "direct", "rewritten", "speedup", "equal")
-	t.row(rows, direct, rewritten, float64(direct)/float64(rewritten), equal)
-	t.flush(w)
 }
 
 func okness(ok bool) string {
@@ -384,33 +438,4 @@ func CounterexampleAnswers(ctx context.Context) (want, paper, ours int64) {
 		panic(err)
 	}
 	return rWant.Tuples[0][1].AsInt(), rPaper.Tuples[0][1].AsInt(), rOurs.Tuples[0][1].AsInt()
-}
-
-const multQuery = "SELECT A, SUM(E) FROM R1, R2 GROUP BY A"
-
-func multSystem(ctx context.Context, rows int) *aggview.System {
-	s := aggview.New()
-	s.Catalog = datagen.R1R2Catalog(false)
-	s.AdoptDB(datagen.R1R2(datagen.R1R2Config{R1Rows: rows, R2Rows: 30, Domain: 12, Seed: 4}), "R1", "R2")
-	s.MustDefineView("V2", "SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B")
-	if _, err := s.MaterializeContext(ctx, "V2"); err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// RunMultiplicity measures the E4 performance point.
-func RunMultiplicity(ctx context.Context, s *aggview.System) (direct, rewritten time.Duration, equal bool) {
-	q, err := s.Parse(multQuery)
-	if err != nil {
-		panic(err)
-	}
-	rws, err := s.RewritingsContext(ctx, multQuery)
-	if err != nil || len(rws) == 0 {
-		panic("multiplicity rewriting missing")
-	}
-	var d1, d2 *engine.Relation
-	direct = bestOf(3, func() { d1, _ = engine.NewEvaluator(s.DB, s.Views).ExecContext(ctx, q) })
-	rewritten = bestOf(3, func() { d2, _ = engine.NewEvaluator(s.DB, s.Views).ExecContext(ctx, rws[0].Query) })
-	return direct, rewritten, engine.MultisetEqual(d1, d2)
 }

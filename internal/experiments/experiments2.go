@@ -15,12 +15,10 @@ import (
 	"aggview/internal/value"
 )
 
-// E5MultiView machine-checks Theorem 3.2 (table T5): iterative
+// multiView machine-checks Theorem 3.2 (E5, table T5): iterative
 // application over k slice views yields all 2^k - 1 combinations, every
 // one multiset-equivalent, and view order does not matter.
-func E5MultiView(ctx context.Context, w io.Writer) {
-	header(w, "E5", "Iterative multi-view rewriting (Thm 3.2)",
-		"iterating single-view rewriting is sound, Church-Rosser, and complete: k independently usable views yield 2^k - 1 rewritings in any order")
+func multiView(ctx context.Context, w io.Writer, _ bool) {
 	t := newTable("views k", "expected 2^k-1", "found", "all equivalent", "order-independent")
 	for k := 1; k <= 3; k++ {
 		found, equal, orderFree := RunMultiView(ctx, k)
@@ -106,13 +104,11 @@ func RunMultiView(ctx context.Context, k int) (found int, allEqual, orderFree bo
 	return found, allEqual, orderFree
 }
 
-// E6SearchCost measures the rewriter's own cost (table T6): time to
+// searchCost measures the rewriter's own cost (E6, table T6): time to
 // enumerate all rewritings as views, query tables and predicates grow —
 // the Section 6 concern that view usability enlarges the optimizer's
 // search space.
-func E6SearchCost(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "E6", "Rewriting search cost (Sec. 6)",
-		"usability checking is cheap enough for an optimizer: microseconds to low milliseconds per query even with dozens of candidate views")
+func searchCost(ctx context.Context, w io.Writer, quick bool) {
 	t := newTable("query tables", "candidate views", "rewritings", "enumeration time")
 	sizes := [][2]int{{1, 4}, {1, 16}, {2, 8}, {2, 32}, {3, 12}, {3, 48}}
 	if quick {
@@ -126,9 +122,10 @@ func E6SearchCost(ctx context.Context, w io.Writer, quick bool) {
 	t.flush(w)
 }
 
-// RunSearchCost measures one point of E6. Views are B-slices of R1 and
-// F-slices of R2; only a few match the query's predicates.
-func RunSearchCost(ctx context.Context, nTables, nViews int) (time.Duration, int) {
+// SearchCostSetup builds one point of E6: nViews slice views (B-slices
+// of R1, F-slices of R2, H-slices of R3, only a few of which match the
+// query's predicates) and the nTables-table query to rewrite over them.
+func SearchCostSetup(nTables, nViews int) (*core.Rewriter, *ir.Query) {
 	src := ir.MapSource{"R1": {"A", "B", "C", "D"}, "R2": {"E", "F"}, "R3": {"G", "H"}}
 	reg := ir.NewRegistry()
 	for i := 0; i < nViews; i++ {
@@ -158,8 +155,12 @@ func RunSearchCost(ctx context.Context, nTables, nViews int) (time.Duration, int
 	default:
 		qSQL = "SELECT A, SUM(E) FROM R1, R2, R3 WHERE B = 0 AND F = 0 AND H = 0 AND A = E AND A = G GROUP BY A"
 	}
-	q := ir.MustBuild(qSQL, src)
-	rw := &core.Rewriter{Schema: src, Views: reg}
+	return &core.Rewriter{Schema: src, Views: reg}, ir.MustBuild(qSQL, src)
+}
+
+// RunSearchCost measures one point of E6.
+func RunSearchCost(ctx context.Context, nTables, nViews int) (time.Duration, int) {
+	rw, q := SearchCostSetup(nTables, nViews)
 	var found int
 	elapsed := bestOf(3, func() {
 		rws, err := rw.RewritingsContext(ctx, q)
@@ -171,11 +172,9 @@ func RunSearchCost(ctx context.Context, nTables, nViews int) (time.Duration, int
 	return elapsed, found
 }
 
-// E7Keys machine-checks the Section 5 relaxation (table T7): Example
-// 5.1 is rewritable exactly when key metadata is available.
-func E7Keys(ctx context.Context, w io.Writer) {
-	header(w, "E7", "Sets and keys (Sec. 5, Ex. 5.1)",
-		"with key metadata, many-to-1 mappings admit rewritings that multiset semantics forbids; without it the view is unusable")
+// keysCases machine-checks the Section 5 relaxation (E7, table T7):
+// Example 5.1 is rewritable exactly when key metadata is available.
+func keysCases(ctx context.Context, w io.Writer, _ bool) {
 	t := newTable("metadata", "rewritings found", "verified on data")
 	for _, withKeys := range []bool{false, true} {
 		found, verified := RunKeysCase(ctx, withKeys)
@@ -188,8 +187,9 @@ func E7Keys(ctx context.Context, w io.Writer) {
 	t.flush(w)
 }
 
-// RunKeysCase runs Example 5.1 with or without key metadata.
-func RunKeysCase(ctx context.Context, withKeys bool) (int, string) {
+// KeysSetup builds Example 5.1 with or without key metadata: the
+// rewriter, the query and the self-join view V51.
+func KeysSetup(withKeys bool) (*core.Rewriter, *ir.Query, *ir.ViewDef) {
 	cat := datagen.R1R2Catalog(withKeys)
 	reg := ir.NewRegistry()
 	def := ir.MustBuild("SELECT r.A, s.A FROM R1 r, R1 s WHERE r.B = s.C", cat)
@@ -204,7 +204,12 @@ func RunKeysCase(ctx context.Context, withKeys bool) (int, string) {
 	if withKeys {
 		rw.Meta = keys.CatalogMeta{Catalog: cat}
 	}
-	q := ir.MustBuild("SELECT A FROM R1 WHERE B = C", cat)
+	return rw, ir.MustBuild("SELECT A FROM R1 WHERE B = C", cat), v
+}
+
+// RunKeysCase runs Example 5.1 with or without key metadata.
+func RunKeysCase(ctx context.Context, withKeys bool) (int, string) {
+	rw, q, v := KeysSetup(withKeys)
 	rws, err := rw.RewriteOnceContext(ctx, q, v)
 	if err != nil {
 		panic(err)
@@ -220,11 +225,11 @@ func RunKeysCase(ctx context.Context, withKeys bool) (int, string) {
 	r1.Add(value.Int(3), value.Int(7), value.Int(5), value.Int(0))
 	db.Put("R1", r1)
 	db.Put("R2", engine.NewRelation("E", "F"))
-	want, err := engine.NewEvaluator(db, reg).ExecContext(ctx, q)
+	want, err := engine.NewEvaluator(db, rw.Views).ExecContext(ctx, q)
 	if err != nil {
 		panic(err)
 	}
-	got, err := engine.NewEvaluator(db, reg).ExecContext(ctx, rws[0].Query)
+	got, err := engine.NewEvaluator(db, rw.Views).ExecContext(ctx, rws[0].Query)
 	if err != nil {
 		panic(err)
 	}
@@ -234,11 +239,9 @@ func RunKeysCase(ctx context.Context, withKeys bool) (int, string) {
 	return len(rws), "NO"
 }
 
-// E8Negative machine-checks the paper's impossibility results (table
+// negative machine-checks the paper's impossibility results (E8, table
 // T8): each case must yield zero rewritings. ctx bounds the searches.
-func E8Negative(ctx context.Context, w io.Writer) {
-	header(w, "E8", "Negative results (Sec. 4.2, 4.4, 4.5)",
-		"each construction below is unusable, and the rewriter must refuse it")
+func negative(ctx context.Context, w io.Writer, _ bool) {
 	t := newTable("case", "paper section", "rewritings (want 0)")
 	for _, c := range NegativeCases(ctx) {
 		t.row(c.Name, c.Section, c.Found)
@@ -301,11 +304,9 @@ func NegativeCases(ctx context.Context) []NegativeCase {
 	}
 }
 
-// E9Closure measures the constraint-closure substrate (table T9): the
+// closure measures the constraint-closure substrate (E9, table T9): the
 // footnote-2 claim that the closure is polynomial and cheap.
-func E9Closure(w io.Writer, quick bool) {
-	header(w, "E9", "Closure computation (Sec. 3, footnote 2)",
-		"closing a conjunction of =, <>, <, <=, >, >= atoms and answering entailment stays in the microsecond range at optimizer-relevant sizes")
+func closure(_ context.Context, w io.Writer, quick bool) {
 	sizes := []int{8, 16, 32, 64}
 	if quick {
 		sizes = []int{8, 16}
@@ -371,12 +372,10 @@ func RunClosure(nAtoms int) (closeT, impliesT time.Duration, closureAtoms, vars 
 	return closeT, impliesT, len(cl.Atoms()), nVars
 }
 
-// E10Having machine-checks the Section 3.3 pre-processing (table T10):
-// moving HAVING conditions into WHERE enables rewritings that are
+// having machine-checks the Section 3.3 pre-processing (E10, table
+// T10): moving HAVING conditions into WHERE enables rewritings that are
 // otherwise missed (ablation via Options.NoNormalize).
-func E10Having(ctx context.Context, w io.Writer) {
-	header(w, "E10", "HAVING pre-processing (Sec. 3.3)",
-		"predicate move-around from HAVING to WHERE detects usability that the bare conditions miss")
+func having(ctx context.Context, w io.Writer, _ bool) {
 	t := newTable("case", "with pre-processing", "without (ablation)")
 	for _, c := range HavingCases(ctx) {
 		t.row(c.Name, c.With, c.Without)

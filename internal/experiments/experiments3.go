@@ -20,11 +20,9 @@ import (
 	"aggview/internal/value"
 )
 
-// E11Maintenance compares incremental delta-merge maintenance against
-// recompute-per-batch for the chronicle summary table (table T11).
-func E11Maintenance(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "E11", "Summary-table maintenance (extension; Sec. 1 scenarios)",
-		"append-only SUM/COUNT/MIN/MAX summaries maintain in time proportional to the delta, not the base table — the property that makes the paper's cached summary tables practical")
+// maintenance compares incremental delta-merge maintenance against
+// recompute-per-batch for the chronicle summary table (E11, table T11).
+func maintenance(ctx context.Context, w io.Writer, quick bool) {
 	base := 100000
 	batches, batchSize := 50, 100
 	if quick {
@@ -42,34 +40,12 @@ func E11Maintenance(ctx context.Context, w io.Writer, quick bool) {
 // recompute-per-batch, and whether the incremental materialization
 // matched a recomputation at the end.
 func RunMaintenance(ctx context.Context, baseRows, batches, batchSize int) (incr, reco time.Duration, consistent bool) {
-	mkDB := func() (*engine.DB, *ir.Registry) {
-		db := datagen.Chronicle(datagen.ChronicleConfig{Accounts: 100, Txns: baseRows, Days: 30, Seed: 9})
-		reg := ir.NewRegistry()
-		def := ir.MustBuild(
-			"SELECT Acct_Id, Day, SUM(Amount), COUNT(Amount), MIN(Amount), MAX(Amount) FROM Txns GROUP BY Acct_Id, Day",
-			datagen.ChronicleCatalog())
-		v, err := ir.NewViewDef("DailyAcct", def)
-		if err != nil {
-			panic(err)
-		}
-		if err := reg.Add(v); err != nil {
-			panic(err)
-		}
-		return db, reg
-	}
 	mkBatch := func(b int) [][]value.Value {
-		rows := make([][]value.Value, batchSize)
-		for i := range rows {
-			id := int64(baseRows + b*batchSize + i)
-			rows[i] = []value.Value{
-				value.Int(id), value.Int(id % 100), value.Int(1 + id%30), value.Int(id % 500),
-			}
-		}
-		return rows
+		return MaintenanceBatch(baseRows+b*batchSize, batchSize)
 	}
 
 	// Incremental.
-	db1, reg1 := mkDB()
+	db1, reg1 := MaintenanceSetup(baseRows)
 	m := maintain.New(db1, reg1)
 	if inc, err := m.TrackContext(ctx, "DailyAcct"); err != nil || !inc {
 		panic("DailyAcct should track incrementally")
@@ -83,7 +59,7 @@ func RunMaintenance(ctx context.Context, baseRows, batches, batchSize int) (incr
 	incr = time.Since(start)
 
 	// Recompute-per-batch.
-	db2, reg2 := mkDB()
+	db2, reg2 := MaintenanceSetup(baseRows)
 	start = time.Now()
 	for b := 0; b < batches; b++ {
 		db2.Append("Txns", mkBatch(b)...)
@@ -104,6 +80,36 @@ func RunMaintenance(ctx context.Context, baseRows, batches, batchSize int) (incr
 	return incr, reco, engine.MultisetEqual(final, got)
 }
 
+// MaintenanceSetup builds E11's chronicle database of baseRows
+// transactions and the registry holding its summary view DailyAcct.
+func MaintenanceSetup(baseRows int) (*engine.DB, *ir.Registry) {
+	db := datagen.Chronicle(datagen.ChronicleConfig{Accounts: 100, Txns: baseRows, Days: 30, Seed: 9})
+	reg := ir.NewRegistry()
+	def := ir.MustBuild(
+		"SELECT Acct_Id, Day, SUM(Amount), COUNT(Amount), MIN(Amount), MAX(Amount) FROM Txns GROUP BY Acct_Id, Day",
+		datagen.ChronicleCatalog())
+	v, err := ir.NewViewDef("DailyAcct", def)
+	if err != nil {
+		panic(err)
+	}
+	if err := reg.Add(v); err != nil {
+		panic(err)
+	}
+	return db, reg
+}
+
+// MaintenanceBatch returns n new Txns rows with ids from firstID.
+func MaintenanceBatch(firstID, n int) [][]value.Value {
+	rows := make([][]value.Value, n)
+	for i := range rows {
+		id := int64(firstID + i)
+		rows[i] = []value.Value{
+			value.Int(id), value.Int(id % 100), value.Int(1 + id%30), value.Int(id % 500),
+		}
+	}
+	return rows
+}
+
 func mustView(reg *ir.Registry, name string) *ir.ViewDef {
 	v, ok := reg.Get(name)
 	if !ok {
@@ -112,12 +118,10 @@ func mustView(reg *ir.Registry, name string) *ir.ViewDef {
 	return v
 }
 
-// E12Advisor runs the workload-driven view selection end to end (table
-// T12): modeled benefit and measured workload time before and after
-// materializing the recommendations.
-func E12Advisor(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "E12", "View selection (extension; Sec. 7 future work)",
-		"greedily chosen summary views under a space budget cut the measured workload time, and the modeled benefit points the same way")
+// advisor runs the workload-driven view selection end to end (E12,
+// table T12): modeled benefit and measured workload time before and
+// after materializing the recommendations.
+func advisor(ctx context.Context, w io.Writer, quick bool) {
 	calls := 100000
 	if quick {
 		calls = 20000
@@ -128,17 +132,23 @@ func E12Advisor(ctx context.Context, w io.Writer, quick bool) {
 	t.flush(w)
 }
 
-// RunAdvisor measures the advisor experiment at one scale.
-func RunAdvisor(ctx context.Context, calls int) (nViews, viewRows int, before, after time.Duration, equal bool) {
-	workload := []string{
-		`SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id`,
-		`SELECT Plan_Id, Month, SUM(Charge), COUNT(Charge) FROM Calls GROUP BY Plan_Id, Month`,
-		`SELECT Year, AVG(Charge) FROM Calls GROUP BY Year`,
-	}
+// AdvisorSetup builds E12's view-less telco system and its three-query
+// workload.
+func AdvisorSetup(calls int) (*aggview.System, []string) {
 	s := aggview.New()
 	s.Catalog = datagen.TelcoCatalog()
 	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: calls, Seed: 3}),
 		"Calls", "Calling_Plans", "Customer")
+	return s, []string{
+		`SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id`,
+		`SELECT Plan_Id, Month, SUM(Charge), COUNT(Charge) FROM Calls GROUP BY Plan_Id, Month`,
+		`SELECT Year, AVG(Charge) FROM Calls GROUP BY Year`,
+	}
+}
+
+// RunAdvisor measures the advisor experiment at one scale.
+func RunAdvisor(ctx context.Context, calls int) (nViews, viewRows int, before, after time.Duration, equal bool) {
+	s, workload := AdvisorSetup(calls)
 
 	run := func() (time.Duration, []*engine.Relation) {
 		var results []*engine.Relation

@@ -9,15 +9,13 @@ import (
 	"aggview/internal/ir"
 )
 
-// E13Baseline compares the closure-based rewriter's usability detection
-// against the syntactic matcher of [GHQ95] as characterized in the
-// paper's Section 6 (table T13). The corpus stresses exactly the
-// capability the paper claims over that work: equalities inferred from
-// WHERE-clause joins, HAVING pre-processing, and key-based set
+// baselineCorpus compares the closure-based rewriter's usability
+// detection against the syntactic matcher of [GHQ95] as characterized in
+// the paper's Section 6 (E13, table T13). The corpus stresses exactly
+// the capability the paper claims over that work: equalities inferred
+// from WHERE-clause joins, HAVING pre-processing, and key-based set
 // reasoning.
-func E13Baseline(ctx context.Context, w io.Writer) {
-	header(w, "E13", "Baseline comparison (Sec. 6 vs [GHQ95]-style matching)",
-		"the closure-based conditions detect usability that syntactic Sel/Groups comparison misses — including the motivating Example 1.1")
+func baselineCorpus(ctx context.Context, w io.Writer, _ bool) {
 	t := newTable("case", "syntactic baseline", "this rewriter")
 	baseHits, ourHits := 0, 0
 	cases := BaselineCases(ctx)

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, static analysis, tests, and the race
-# suite. The race pass is mandatory because the engine and rewriter run
-# worker pools (see DESIGN.md section 6); a green plain suite with a
-# racy kernel is not green.
+# suite. The race pass is mandatory because the engine runs a worker
+# pool (see DESIGN.md section 6); a green plain suite with a racy kernel
+# is not green.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -18,9 +18,9 @@ go vet ./...
 # on cached entries (budgetbalance), index-ordered parallel merges
 # (detmerge) and canonical-key escaping (keyescape). The gate is zero
 # unsuppressed findings; on failure aggvet prints per-analyzer finding
-# and suppression counts to stderr, and `make vet-json` writes the same
-# tallies as a benchjson.VetReport. `aggview lint` gates the bundled
-# catalog on the IR soundness checks.
+# and suppression counts to stderr, and `aggvet -json <path>` writes the
+# same tallies as a benchjson.VetReport. `aggview lint` gates the
+# bundled catalog on the IR soundness checks.
 go run ./cmd/aggvet ./...
 go run ./cmd/aggview lint cmd/aggview/testdata/demo.sql
 
@@ -72,11 +72,9 @@ go run ./cmd/loadrunner -seed 7 -sessions 4 -rounds 3 -n 180 -slow 1ns -telemetr
 # require a clean shutdown.
 sh scripts/serve_smoke.sh
 
-# Bench smoke gate (DESIGN.md section 11): measure the morsel-parallel
-# aggregation and join kernels at workers 1 versus 2 and fail on a
-# parallel regression. On a multi-core host two workers must not lose
-# to serial; on a single core the gate bounds scheduling overhead.
-go run ./cmd/benchrunner -smoke
+# Paper experiments (EXPERIMENTS.md): every table of the E-series at its
+# quick scales; exits nonzero if any experiment panics.
+go run ./cmd/benchrunner -quick > /dev/null
 
 # Benchmark gate (BENCHMARK.json): the bench module must vet and pass
 # its own tests, and a short write_mix run must exit 0 — its
