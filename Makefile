@@ -72,10 +72,13 @@ flightrec:
 
 # soak runs the differential-testing oracle over a fixed seed set, both
 # rewriter configurations, and writes a failure report (empty on a clean
-# run). See DESIGN.md section 7.
+# run). See DESIGN.md section 7. It then fuzzes the wire client's
+# response decoder against encoding/json (DESIGN.md section 12); plain
+# `go test` runs that target's seed corpus only.
 soak:
 	$(GO) run ./cmd/oraclerunner -seeds 1,2,3,4,5,6,7,8 -n 2000 -v -json ORACLE_SOAK.json
 	$(GO) run ./cmd/oraclerunner -seeds 1,2,3,4 -n 1000 -paper
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 30s
 
 # mutate soaks the mutation oracle (DESIGN.md section 14): seeded
 # insert/delete/update/query scenarios over tracked views, checked

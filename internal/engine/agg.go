@@ -129,9 +129,10 @@ func (ac *accum) result() (value.Value, error) {
 	}
 }
 
-// group is one GROUP BY group: its representative row (for grouping
-// columns), one accumulator per aggregate occurrence, and the index of
-// its first row (for first-appearance output order).
+// group is one GROUP BY group as HAVING and SELECT read it: its
+// representative row (for grouping columns), one accumulator per
+// aggregate occurrence, and the index of its first row. The output stage
+// keeps a single one and refills it per group (assembleGroups).
 type group struct {
 	rep   []value.Value
 	accs  []accum

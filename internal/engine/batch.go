@@ -176,19 +176,6 @@ func (b *Batch) phys(t, i int) int {
 	return i
 }
 
-// rowValues boxes logical row i as a full-width row indexed by ColID;
-// unbound slots hold the zero Value. It backs the group representative
-// rows.
-func (b *Batch) rowValues(i int) []value.Value {
-	row := make([]value.Value, len(b.cols))
-	for id, v := range b.cols {
-		if v != nil {
-			row[id] = v.Value(b.phys(b.tabOf(ir.ColID(id)), i))
-		}
-	}
-	return row
-}
-
 // bindTables maps the stored tables' columns into the query's ColID
 // slots, sharing their vectors. Only columns in need are bound; the rest
 // are pruned. The returned batch is the template every batch of the

@@ -444,9 +444,13 @@ type foldState struct {
 func (st *foldState) reset(byKey bool, naggs int) {
 	st.keys.reset(byKey)
 	st.first, st.rows = st.first[:0], st.rows[:0]
-	if len(st.accs) != naggs {
-		st.accs = make([]accCol, naggs)
+	// A pooled state serves queries of differing aggregate counts: keep
+	// the columns (and their capacity) it has and add what is missing.
+	st.accs = st.accs[:cap(st.accs)]
+	for len(st.accs) < naggs {
+		st.accs = append(st.accs, accCol{})
 	}
+	st.accs = st.accs[:naggs]
 	for a := range st.accs {
 		st.accs[a].reset()
 	}
@@ -465,10 +469,17 @@ func (st *foldState) bytes() int64 {
 }
 
 // foldPool recycles fold states: a morsel folds into one and commits it
-// to its slot as its partial — no copy — and the merge returns it, so a
-// warm aggregation allocates its merged groups and its result, not its
-// partials.
+// to its slot as its partial — no copy — the merge returns it, and the
+// merged state is one more, returned once the result is assembled, so a
+// warm aggregation allocates its result, not its partials or its groups.
 var foldPool = sync.Pool{New: func() any { return new(foldState) }}
+
+// maxPooledGroups bounds the merged state that goes back to foldPool. A
+// partial holds at most one morsel's groups; a merged state far larger
+// than that — and the group index that grew with it — would sit in the
+// pools it shares with the partials until the next collection, and every
+// later morsel handed that index would clear all of its slots.
+const maxPooledGroups = 4 * morselRows
 
 // aggPlan is what the fold pass of one aggregation query shares between
 // its morsels: the batch, the pushed-down predicates of a fused scan,
@@ -561,23 +572,23 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 }
 
 // mergePartial folds a morsel's partial p into the merged state st,
-// indexed by gi, as rows of a fold: p's groups are looked up (or created,
+// indexed by w.gi, as rows of a fold: p's groups are looked up (or created,
 // in p's group order — partials arrive in morsel order, so creation
 // order is global first appearance) and its accumulator columns fold
 // into st's.
-func (st *foldState) mergePartial(gi *groupIndex, w *scratch, specs []aggSpec, p *foldState) error {
+func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) error {
 	n := p.keys.n
 	gmap := w.gids[:n]
 	if st.keys.byKey {
-		gi.assignBytes(p.keys.kbuf, p.keys.koff, n, gmap)
+		w.gi.assignBytes(p.keys.kbuf, p.keys.koff, n, gmap)
 	} else {
 		w.keys = w.keys[:0]
 		for c := range p.keys.cols {
 			w.keys = append(w.keys, denseOperand(&p.keys.cols[c]))
 		}
-		gi.assign(w.keys, n, w.hs[:], gmap)
+		w.gi.assign(w.keys, n, w.hs[:], gmap)
 	}
-	ng, newJ := st.keys.n, gi.newJ
+	ng, newJ := st.keys.n, w.gi.newJ
 	for _, j := range newJ {
 		st.first = append(st.first, p.first[j])
 	}
@@ -595,8 +606,8 @@ func (st *foldState) mergePartial(gi *groupIndex, w *scratch, specs []aggSpec, p
 }
 
 // aggregateBatch evaluates the GROUP BY / HAVING / SELECT pipeline of an
-// aggregation query over the batch, appending result tuples to out. One
-// morsel pass folds the batch into per-morsel partials (foldMorsel).
+// aggregation query over the batch into out. One morsel pass folds the
+// batch into per-morsel partials (foldMorsel).
 // When the batch is a stored table the pass is also its scan (fused):
 // it runs the pushed-down predicates preds first, charges the table's
 // rows at site "scan" as it goes and the surviving rows at "agg.fold" as
@@ -639,11 +650,18 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.P
 		return err
 	}
 
-	merged := &foldState{keys: groupKeys{byKey: pl.byKey}, accs: make([]accCol, len(pl.specs))}
-	var gi groupIndex
-	gi.reset(&merged.keys)
+	merged := foldPool.Get().(*foldState)
+	merged.reset(pl.byKey, len(pl.specs))
 	w := getScratch()
-	defer putScratch(w)
+	w.gi.reset(&merged.keys)
+	defer func() {
+		if merged.keys.n > maxPooledGroups {
+			w.gi = groupIndex{}
+		} else {
+			foldPool.Put(merged)
+		}
+		putScratch(w)
+	}()
 	rows := 0
 	for m, p := range parts {
 		if p == nil {
@@ -655,7 +673,7 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.P
 				return err
 			}
 		}
-		if err := merged.mergePartial(&gi, w, pl.specs, p); err != nil {
+		if err := merged.mergePartial(w, pl.specs, p); err != nil {
 			return err
 		}
 		foldPool.Put(p)
@@ -669,34 +687,92 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.P
 	mt.aggRows.Add(int64(rows))
 	mt.aggGroups.Add(int64(merged.keys.n))
 
-	groups := make([]group, merged.keys.n)
-	for i := range groups {
-		g := &groups[i]
+	return assembleGroups(q, b, pl.specs, aggIdx, merged, out)
+}
+
+// repCols lists the columns a group's representative row is read at: the
+// bare columns of SELECT and HAVING and the columns of COUNT arguments
+// (the arguments of folded aggregates were consumed by the fold).
+func repCols(q *ir.Query, b *Batch, countArgs []ir.Expr) []ir.ColID {
+	seen := make([]bool, len(b.cols))
+	var cols []ir.ColID
+	mark := func(c ir.ColID) {
+		if !seen[c] && b.cols[c] != nil {
+			seen[c] = true
+			cols = append(cols, c)
+		}
+	}
+	var bare func(e ir.Expr)
+	bare = func(e ir.Expr) {
+		switch x := e.(type) {
+		case *ir.ColRef:
+			mark(x.Col)
+		case *ir.Arith:
+			bare(x.L)
+			bare(x.R)
+		}
+	}
+	for _, it := range q.Select {
+		bare(it.Expr)
+	}
+	for _, h := range q.Having {
+		bare(h.L)
+		bare(h.R)
+	}
+	for _, arg := range countArgs {
+		ir.WalkExprCols(arg, mark)
+	}
+	return cols
+}
+
+// assembleGroups is the output stage of an aggregation: HAVING and SELECT
+// evaluated per merged group, in first-appearance order, into out. Every
+// group is read through one scratch group — its representative cells
+// (only the columns repCols names; unbound slots hold the zero Value) and
+// its accumulators refilled in place — and the tuples share one flat
+// backing, so a result row costs its cells and nothing per group beside
+// them.
+func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]int, merged *foldState, out *Relation) error {
+	ng, width := merged.keys.n, len(q.Select)
+	var countArgs []ir.Expr
+	for a := range specs {
+		if sp := &specs[a]; sp.arg != nil && sp.fn == ir.AggCount {
+			countArgs = append(countArgs, sp.arg)
+		}
+	}
+	cols := repCols(q, b, countArgs)
+	g := &group{rep: make([]value.Value, len(b.cols)), accs: make([]accum, len(specs))}
+	load := func(i int) {
 		g.first = int(merged.first[i])
-		g.rep = b.rowValues(g.first)
-		g.accs = make([]accum, len(pl.specs))
-		for a := range pl.specs {
-			g.accs[a] = merged.accs[a].cell(&pl.specs[a], i, merged.rows)
+		for _, c := range cols {
+			g.rep[c] = b.cols[c].Value(b.phys(b.tabOf(c), g.first))
 		}
 	}
 
 	// COUNT(arg) counts rows (no NULLs), but the argument must still be
 	// evaluated once per group to surface reference errors — the row
 	// engine did so on each group's first row, which is its
-	// representative here.
-	for i := range groups {
-		for a := range pl.specs {
-			if sp := &pl.specs[a]; sp.arg != nil && sp.fn == ir.AggCount {
-				if _, err := evalScalar(sp.arg, groups[i].rep); err != nil {
+	// representative here — and for every group before any HAVING or
+	// SELECT error is raised.
+	if len(countArgs) > 0 {
+		for i := 0; i < ng; i++ {
+			load(i)
+			for _, arg := range countArgs {
+				if _, err := evalScalar(arg, g.rep); err != nil {
 					return err
 				}
 			}
 		}
 	}
 
-	for i := range groups {
-		g := &groups[i]
-		keep := true
+	cells := make([]value.Value, ng*width)
+	tuples := make([][]value.Value, 0, ng)
+groups:
+	for i := 0; i < ng; i++ {
+		load(i)
+		for a := range specs {
+			g.accs[a] = merged.accs[a].cell(&specs[a], i, merged.rows)
+		}
 		for _, h := range q.Having {
 			l, err := evalGrouped(h.L, g, aggIdx)
 			if err != nil {
@@ -711,22 +787,20 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.P
 				return err
 			}
 			if !ok {
-				keep = false
-				break
+				continue groups
 			}
 		}
-		if !keep {
-			continue
-		}
-		tuple := make([]value.Value, len(q.Select))
-		for i, it := range q.Select {
+		k := len(tuples)
+		tuple := cells[k*width : (k+1)*width : (k+1)*width]
+		for s, it := range q.Select {
 			v, err := evalGrouped(it.Expr, g, aggIdx)
 			if err != nil {
 				return err
 			}
-			tuple[i] = v
+			tuple[s] = v
 		}
-		out.Tuples = append(out.Tuples, tuple)
+		tuples = append(tuples, tuple)
 	}
+	out.Tuples = tuples
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"aggview/internal/ir"
@@ -301,6 +302,9 @@ type aggCase struct {
 	rows  [][]value.Value
 	preds []ir.Pred
 	build func(t *testing.T, ev *Evaluator) *Batch
+	// errHas, when set, is text the reference's error must contain: it
+	// pins which of several possible errors the case is about.
+	errHas string
 }
 
 // TestAggKernelMatchesReference holds the aggregation pipeline to the
@@ -420,6 +424,43 @@ func TestAggKernelMatchesReference(t *testing.T) {
 	// A typed string column fails on its first row.
 	cases = append(cases, aggCase{name: "SUM over a string column", q: build("SELECT B, SUM(C) FROM R, S GROUP BY B"), rows: keyRows(3000, false)})
 
+	// The output stage. 300 groups of which HAVING keeps the last ten, so
+	// kept tuples sit at other positions than their groups'. Then two
+	// errors at once: HAVING divides by zero on group 5 (all its D are 0)
+	// and COUNT's argument multiplies by a string on the first row of
+	// group 200 — the COUNT-argument pass covers every group before any
+	// HAVING runs, as the reference's fold does, so the later group's
+	// error is the one raised.
+	sparse := func(zeroD int, strC int) [][]value.Value {
+		rows := make([][]value.Value, 3000)
+		for i := range rows {
+			c, d := value.Int(7), value.Int(1)
+			if i%300 == zeroD {
+				d = value.Int(0)
+			}
+			if i == strC {
+				c = value.Str("x")
+			}
+			rows[i] = []value.Value{value.Int(int64(i % 300)), value.Int(int64(i)), c, d, value.Int(0), value.Int(0)}
+		}
+		return rows
+	}
+	sparseQ := build("SELECT A, COUNT(B * C), SUM(B) FROM R GROUP BY A HAVING SUM(B) / MIN(D) >= 16400")
+	cases = append(cases,
+		aggCase{name: "HAVING keeps ten of 300 groups", q: sparseQ, rows: sparse(-1, -1)},
+		aggCase{name: "HAVING error on an early group alone", q: sparseQ, rows: sparse(5, -1), errHas: "division by zero"},
+		aggCase{name: "COUNT argument error on a later group beats it", q: sparseQ, rows: sparse(5, 200), errHas: "cannot apply * to INT and STRING"},
+	)
+
+	// More groups than the merge hands back to its pools (maxPooledGroups):
+	// the merged state and its index are dropped, and the cases after this
+	// one fold into scratch that never saw them.
+	wide := make([][]value.Value, maxPooledGroups+900)
+	for i := range wide {
+		wide[i] = []value.Value{value.Int(int64(i)), value.Int(int64(i % 11)), value.Int(0), value.Int(0), value.Int(0), value.Int(0)}
+	}
+	cases = append(cases, aggCase{name: "a group per row, past the pooled size", q: build("SELECT A, SUM(B), COUNT(B) FROM R GROUP BY A"), rows: wide})
+
 	// Inputs filtered through a selection inside the pass. B / C divides
 	// by zero exactly on the rows the filter drops, so it must never be
 	// evaluated there (and by a power of two elsewhere, so the float sums
@@ -524,6 +565,9 @@ func TestAggKernelMatchesReference(t *testing.T) {
 			}
 		}
 		want, wantErr := rowAggRef(tc.q, refRows)
+		if tc.errHas != "" && (wantErr == nil || !strings.Contains(wantErr.Error(), tc.errHas)) {
+			t.Fatalf("%s: reference error %v, want one containing %q", tc.name, wantErr, tc.errHas)
+		}
 		for _, w := range []int{1, 2, 8} {
 			ev := NewEvaluator(NewDB(), nil)
 			ev.Workers = w

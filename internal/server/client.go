@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Doer is the slice of http.Client the wire client needs; satisfied by
-// *http.Client and by InProcessExec for transport-free testing.
+// *http.Client and by InProcessExec for transport-free testing. The
+// client reads Response.ContentLength bytes of the body when that is not
+// negative, as net/http defines the field: a Doer that builds its own
+// Response sets it to the body's length, or to -1.
 type Doer interface {
 	Do(req *http.Request) (*http.Response, error)
 }
@@ -33,53 +38,221 @@ func (c *Client) doer() Doer {
 	return http.DefaultClient
 }
 
-// roundTrip POSTs (or GETs, when in is nil and method says so) and
-// decodes into out, converting error bodies into *WireError.
-func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any) error {
+// maxResponseBytes bounds what the client reads of one reply.
+const maxResponseBytes = 64 << 20
+
+// ErrResponseTooLarge reports a reply longer than the client reads
+// (maxResponseBytes); the client returns it wrapped rather than decode a
+// truncated body.
+var ErrResponseTooLarge = errors.New("server: response exceeds the client limit")
+
+// readBody reads a reply's body, at most limit bytes of it: into one
+// buffer of the announced length when the reply carries one, else until
+// EOF. A longer body is ErrResponseTooLarge.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 {
+		data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		if err != nil || int64(len(data)) <= limit {
+			return data, err
+		}
+		n = int64(len(data))
+	}
+	if n > limit {
+		return nil, fmt.Errorf("%w: more than %d bytes", ErrResponseTooLarge, limit)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// exchange POSTs in as JSON (or GETs, when in is nil and method says so)
+// and returns the success body, converting error bodies into *WireError.
+func (c *Client) exchange(ctx context.Context, method, path string, in any) ([]byte, error) {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.doer().Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := readBody(resp, maxResponseBytes)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var eb ErrorBody
 		if jerr := json.Unmarshal(data, &eb); jerr != nil || eb.Error == nil {
-			return fmt.Errorf("server: http %d: %s", resp.StatusCode, data)
+			return nil, fmt.Errorf("server: http %d: %s", resp.StatusCode, data)
 		}
 		eb.Error.Status = resp.StatusCode
-		return eb.Error
+		return nil, eb.Error
 	}
-	if out == nil {
+	return data, nil
+}
+
+// roundTrip is exchange with the success body decoded into out (nil
+// discards it).
+func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any) error {
+	data, err := c.exchange(ctx, method, path, in)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
+}
+
+// decodeQueryResponse decodes a /query success body as json.Unmarshal
+// does. A body of the shape the server writes (appendQueryResponse) is
+// taken apart in one scan, its strings sub-sliced from one copy of the
+// body; any other input is json.Unmarshal's to accept or refuse, so the
+// two agree on every input (FuzzQueryResponseDecode).
+func decodeQueryResponse(data []byte, out *QueryResponse) error {
+	if scanQueryResponse(string(data), out) {
 		return nil
 	}
 	return json.Unmarshal(data, out)
 }
 
+// wireScanner reads the server's own response shape off a body: fixed
+// keys in fixed order, no whitespace, and strings that stand for
+// themselves (no escape, control byte or invalid UTF-8). Every string it
+// returns is a substring of s, and every []string a sub-slice of cells,
+// which is sized up front for all of them.
+type wireScanner struct {
+	s     string
+	i     int
+	cells []string
+}
+
+func (sc *wireScanner) lit(l string) bool {
+	if !strings.HasPrefix(sc.s[sc.i:], l) {
+		return false
+	}
+	sc.i += len(l)
+	return true
+}
+
+func (sc *wireScanner) str() (string, bool) {
+	s, i := sc.s, sc.i
+	if i >= len(s) || s[i] != '"' {
+		return "", false
+	}
+	start, ascii := i+1, true
+	for i++; i < len(s) && s[i] != '"'; i++ {
+		if c := s[i]; c == '\\' || c < 0x20 {
+			return "", false
+		} else if c >= utf8.RuneSelf {
+			ascii = false
+		}
+	}
+	if i == len(s) || (!ascii && !utf8.ValidString(s[start:i])) {
+		return "", false
+	}
+	sc.i = i + 1
+	return s[start:i], true
+}
+
+func (sc *wireScanner) strs() ([]string, bool) {
+	if !sc.lit("[") {
+		return nil, false
+	}
+	start := len(sc.cells)
+	for more := !sc.lit("]"); more; {
+		cell, ok := sc.str()
+		if !ok {
+			return nil, false
+		}
+		sc.cells = append(sc.cells, cell)
+		if more = sc.lit(","); !more && !sc.lit("]") {
+			return nil, false
+		}
+	}
+	return sc.cells[start:len(sc.cells):len(sc.cells)], true
+}
+
+// scanQueryResponse fills out from s if s is exactly what
+// appendQueryResponse writes, and reports whether it was; out is
+// untouched otherwise.
+func scanQueryResponse(s string, out *QueryResponse) bool {
+	// Each string scanned takes two quotes, so half the quotes bounds
+	// the cells and the backing never moves under the rows cut from it.
+	sc := wireScanner{s: s, cells: make([]string, 0, strings.Count(s, `"`)/2)}
+	if !sc.lit(`{"attrs":`) {
+		return false
+	}
+	attrs, ok := sc.strs()
+	if !ok || !sc.lit(`,"rows":[`) {
+		return false
+	}
+	rows := make([][]string, 0, cap(sc.cells)/max(len(attrs), 1))
+	for more := !sc.lit("]"); more; {
+		row, ok := sc.strs()
+		if !ok {
+			return false
+		}
+		rows = append(rows, row)
+		if more = sc.lit(","); !more && !sc.lit("]") {
+			return false
+		}
+	}
+	var used []string
+	hasUsed := sc.lit(`,"used":`)
+	if hasUsed {
+		if used, ok = sc.strs(); !ok {
+			return false
+		}
+	}
+	if !sc.lit(`,"cache":`) {
+		return false
+	}
+	cache, ok := sc.str()
+	if !ok || !sc.lit(`,"elapsed_ns":`) {
+		return false
+	}
+	// A plain non-negative integer that cannot overflow; json.Unmarshal
+	// settles everything else a number may be.
+	digits := sc.i
+	var elapsed int64
+	for ; sc.i < len(s) && s[sc.i]-'0' <= 9; sc.i++ {
+		elapsed = elapsed*10 + int64(s[sc.i]-'0')
+	}
+	if n := sc.i - digits; n == 0 || n > 18 || (n > 1 && s[digits] == '0') {
+		return false
+	}
+	if !sc.lit("}") || sc.i != len(s) {
+		return false
+	}
+	out.Attrs, out.Rows, out.Cache, out.ElapsedNs = attrs, rows, cache, elapsed
+	if hasUsed {
+		out.Used = used
+	}
+	return true
+}
+
 // Query runs one SELECT and returns the full response (rows still
 // wire-encoded; use resp.Relation() to decode).
 func (c *Client) Query(ctx context.Context, sql string) (*QueryResponse, error) {
-	var resp QueryResponse
-	err := c.roundTrip(ctx, http.MethodPost, "/query", QueryRequest{Tenant: c.Tenant, SQL: sql}, &resp)
+	data, err := c.exchange(ctx, http.MethodPost, "/query", QueryRequest{Tenant: c.Tenant, SQL: sql})
 	if err != nil {
+		return nil, err
+	}
+	var resp QueryResponse
+	if err := decodeQueryResponse(data, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -133,7 +306,7 @@ func (c *Client) Script(ctx context.Context) (string, error) {
 		return "", err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := readBody(resp, maxResponseBytes)
 	if err != nil {
 		return "", err
 	}
@@ -220,7 +393,7 @@ func (c *Client) getRaw(ctx context.Context, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := readBody(resp, maxResponseBytes)
 	if err != nil {
 		return nil, err
 	}

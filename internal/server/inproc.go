@@ -27,11 +27,12 @@ func (e *InProcessExec) Do(req *http.Request) (*http.Response, error) {
 		req.Body.Close()
 	}
 	return &http.Response{
-		StatusCode: rec.code,
-		Status:     http.StatusText(rec.code),
-		Header:     rec.header,
-		Body:       io.NopCloser(bytes.NewReader(rec.body.Bytes())),
-		Request:    req,
+		StatusCode:    rec.code,
+		Status:        http.StatusText(rec.code),
+		Header:        rec.header,
+		Body:          io.NopCloser(bytes.NewReader(rec.body.Bytes())),
+		ContentLength: int64(rec.body.Len()),
+		Request:       req,
 	}, nil
 }
 

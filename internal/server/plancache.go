@@ -25,7 +25,12 @@ import (
 //     exactly the entries that depend on the mutated relation. A plan
 //     prepared concurrently with an invalidation is never inserted
 //     (generation check), so a stale plan cannot enter the cache
-//     through the population race either.
+//     through the population race either;
+//   - exact-text aliases: a statement text that resolved to a cached
+//     entry is remembered (AliasText) and found again without parsing
+//     (GetByText). An alias points at its entry and is deleted with it,
+//     so it yields exactly the plan the canonical key would at that
+//     moment, with the same LRU touch and hit count.
 //
 // The staleness contract this buys (DESIGN.md section 12): a cache hit
 // executes a plan whose relation set has not been invalidated since the
@@ -37,6 +42,7 @@ type PlanCache struct {
 	meter   *budget.Meter
 	cap     int64
 	entries map[string]*cacheEntry
+	texts   map[string]*cacheEntry         // statement text -> entry; see aliasesPerEntry
 	lru     *list.List                     // front = most recently used
 	deps    map[string]map[string]struct{} // relation -> keys depending on it
 	flight  map[string]*flightCall
@@ -46,10 +52,23 @@ type PlanCache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	p    *aggview.Prepared
-	elem *list.Element
+	key   string
+	p     *aggview.Prepared
+	elem  *list.Element
+	texts []string // the entry's aliases in PlanCache.texts, oldest first
 }
+
+// aliasesPerEntry bounds the statement texts remembered per entry (the
+// oldest gives way), and maxAliasBytes the length of one: the canonical
+// key folds padding away, so a small query can arrive as megabytes of
+// whitespace, and the index holds the raw text outside the meter's
+// count. Together they bound the index at aliasesPerEntry x capacity
+// texts and maxAliasBytes x that many bytes; a longer text takes the
+// PlanKey path every time.
+const (
+	aliasesPerEntry = 4
+	maxAliasBytes   = 4 << 10
+)
 
 // flightCall is one in-progress singleflight population.
 type flightCall struct {
@@ -65,6 +84,7 @@ func NewPlanCache(capacity int, metrics *obs.Metrics) *PlanCache {
 	c := &PlanCache{
 		cap:     int64(capacity),
 		entries: map[string]*cacheEntry{},
+		texts:   map[string]*cacheEntry{},
 		lru:     list.New(),
 		deps:    map[string]map[string]struct{}{},
 		flight:  map[string]*flightCall{},
@@ -107,6 +127,46 @@ func (c *PlanCache) Entries() int64 {
 		return 0
 	}
 	return c.meter.CacheEntries()
+}
+
+// GetByText returns the cached plan a statement text was last seen to
+// resolve to, if that entry is still cached: the hit GetOrPrepare would
+// report for the text's canonical key, without deriving the key.
+func (c *PlanCache) GetByText(sql string) (*aggview.Prepared, bool) {
+	if !c.Enabled() {
+		return nil, false
+	}
+	c.mu.Lock()
+	e, ok := c.texts[sql]
+	if !ok {
+		c.mu.Unlock()
+		return nil, false
+	}
+	c.lru.MoveToFront(e.elem)
+	c.mu.Unlock()
+	c.metrics.Volatile("server.plancache.hit").Inc()
+	return e.p, true
+}
+
+// AliasText remembers that the statement text sql has the canonical key
+// key, if an entry for key is cached now and sql is at most
+// maxAliasBytes long.
+func (c *PlanCache) AliasText(sql, key string) {
+	if !c.Enabled() || len(sql) > maxAliasBytes {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok || c.texts[sql] == e {
+		return
+	}
+	if len(e.texts) == aliasesPerEntry {
+		delete(c.texts, e.texts[0])
+		e.texts = append(e.texts[:0], e.texts[1:]...)
+	}
+	e.texts = append(e.texts, sql)
+	c.texts[sql] = e
 }
 
 // GetOrPrepare returns the cached plan for key, or populates it by
@@ -197,9 +257,13 @@ func (c *PlanCache) insertLocked(key string, p *aggview.Prepared) {
 	c.metrics.Volatile("server.plancache.size").Max(int64(len(c.entries)))
 }
 
-// removeLocked drops an entry and refunds its meter charge.
+// removeLocked drops an entry with its text aliases and refunds its
+// meter charge.
 func (c *PlanCache) removeLocked(e *cacheEntry) {
 	delete(c.entries, e.key)
+	for _, sql := range e.texts {
+		delete(c.texts, sql)
+	}
 	c.lru.Remove(e.elem)
 	for _, dep := range e.p.Deps {
 		if set, ok := c.deps[dep]; ok {

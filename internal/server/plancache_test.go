@@ -3,6 +3,9 @@ package server
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"aggview"
 	"aggview/internal/budget"
 	"aggview/internal/obs"
+	"aggview/internal/oracle"
 )
 
 // cacheSystem builds a small system with enough distinct query shapes
@@ -277,5 +281,221 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("prepare calls=%d, want 2 (no caching)", calls)
+	}
+}
+
+// TestPlanCacheTextAliases pins the exact-text index: an alias exists
+// only beside its entry and yields that entry's plan with the hit count
+// and LRU touch a lookup by key makes; it goes when the entry goes, by
+// eviction, invalidation or flush; and an entry keeps at most
+// aliasesPerEntry texts of at most maxAliasBytes, the oldest giving way.
+func TestPlanCacheTextAliases(t *testing.T) {
+	sys := cacheSystem(t)
+	m := obs.NewMetrics()
+	c := NewPlanCache(2, m)
+	ctx := context.Background()
+	hits := func() int64 { return m.Volatile("server.plancache.hit").Load() }
+	populate := func(sql string) (string, *aggview.Prepared) {
+		t.Helper()
+		key, p := mustPrepare(t, sys, sql)
+		got, _, err := c.GetOrPrepare(ctx, key, func() (*aggview.Prepared, error) { return p, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key, got
+	}
+
+	const sqlA, sqlB, sqlC = "SELECT a FROM T", "SELECT d FROM U", "SELECT c FROM T"
+	keyA, _ := mustPrepare(t, sys, sqlA)
+	c.AliasText(sqlA, keyA)
+	if _, ok := c.GetByText(sqlA); ok || len(c.texts) != 0 {
+		t.Fatal("an alias was recorded for a key with no entry")
+	}
+	_, pA := populate(sqlA)
+	keyB, _ := populate(sqlB)
+	c.AliasText(sqlA, keyA)
+	c.AliasText(sqlA, keyA) // recording twice is recording once
+	c.AliasText(sqlB, keyB)
+	if len(c.texts) != 2 {
+		t.Fatalf("%d aliases for two texts", len(c.texts))
+	}
+	before := hits()
+	if p, ok := c.GetByText(sqlA); !ok || p != pA {
+		t.Fatalf("GetByText(%q) = %p, %v; want the cached plan %p", sqlA, p, ok, pA)
+	}
+	if hits() != before+1 {
+		t.Fatalf("a text hit added %d to server.plancache.hit, want 1", hits()-before)
+	}
+	if _, ok := c.GetByText("select a from T"); ok {
+		t.Fatal("a text that was never recorded hit")
+	}
+
+	// The text hit touched A, so a third entry evicts B — with its alias.
+	populate(sqlC)
+	if _, ok := c.GetByText(sqlB); ok {
+		t.Fatal("alias survived its entry's LRU eviction")
+	}
+	if p, ok := c.GetByText(sqlA); !ok || p != pA {
+		t.Fatal("the entry a text hit touched was evicted ahead of the colder one")
+	}
+	if len(c.texts) != 1 {
+		t.Fatalf("%d aliases after eviction, want 1", len(c.texts))
+	}
+
+	c.InvalidateRelation("t") // lowercased, as the DB hook delivers it
+	if _, ok := c.GetByText(sqlA); ok || len(c.texts) != 0 {
+		t.Fatalf("alias survived InvalidateRelation (%d left)", len(c.texts))
+	}
+	_, pA = populate(sqlA)
+	c.AliasText(sqlA, keyA)
+	c.Flush()
+	if _, ok := c.GetByText(sqlA); ok || len(c.texts) != 0 {
+		t.Fatalf("alias survived Flush (%d left)", len(c.texts))
+	}
+
+	// Many spellings of one statement: the entry keeps the newest few.
+	populate(sqlA)
+	spellings := make([]string, 3*aliasesPerEntry)
+	for i := range spellings {
+		spellings[i] = "SELECT a FROM T" + strings.Repeat(" ", i+1)
+		if key, _ := mustPrepare(t, sys, spellings[i]); key != keyA {
+			t.Fatalf("spelling %d has another key", i)
+		}
+		c.AliasText(spellings[i], keyA)
+		if len(c.texts) > aliasesPerEntry*int(c.cap) {
+			t.Fatalf("%d aliases exceed %d per entry x capacity %d", len(c.texts), aliasesPerEntry, c.cap)
+		}
+	}
+	if len(c.texts) != aliasesPerEntry {
+		t.Fatalf("%d aliases on one entry, want %d", len(c.texts), aliasesPerEntry)
+	}
+	if _, ok := c.GetByText(spellings[0]); ok {
+		t.Fatal("the oldest spelling was kept")
+	}
+	if _, ok := c.GetByText(spellings[len(spellings)-1]); !ok {
+		t.Fatal("the newest spelling was dropped")
+	}
+
+	// A text past maxAliasBytes — a small statement padded large — is never
+	// indexed, at the limit it is, and the server still resolves the long
+	// one through PlanKey to the same cached plan.
+	atLimit := sqlA + strings.Repeat(" ", maxAliasBytes-len(sqlA))
+	padded := atLimit + " "
+	c.AliasText(atLimit, keyA)
+	c.AliasText(padded, keyA)
+	if _, ok := c.GetByText(atLimit); !ok {
+		t.Fatalf("a %d-byte text was not indexed", len(atLimit))
+	}
+	if _, ok := c.GetByText(padded); ok {
+		t.Fatalf("a %d-byte text was indexed", len(padded))
+	}
+	srv := New(sys, Config{})
+	defer srv.Close()
+	first, verdict, err := srv.resolve(ctx, padded)
+	if err != nil || verdict != "miss" {
+		t.Fatalf("resolve of the padded text: verdict %q, err %v", verdict, err)
+	}
+	again, verdict, err := srv.resolve(ctx, padded)
+	if err != nil || verdict != "hit" || again != first {
+		t.Fatalf("second resolve of the padded text: plan %p verdict %q err %v, want %p \"hit\"", again, verdict, err, first)
+	}
+	if n := len(srv.cache.texts); n != 0 {
+		t.Fatalf("%d aliases after resolving only an oversized text", n)
+	}
+
+	off := NewPlanCache(-1, m)
+	off.AliasText(sqlA, keyA)
+	if _, ok := off.GetByText(sqlA); ok {
+		t.Fatal("a disabled cache answered by text")
+	}
+}
+
+// spell renders q with the given clause separator, keyword case and FROM
+// order — spellings the parser reads as the same statement or, when the
+// FROM order matters to the canonical key, as whatever PlanKey says.
+func spell(q *oracle.QuerySpec, sep string, lower, reverseFrom bool) string {
+	kw := func(s string) string {
+		if lower {
+			s = strings.ToLower(s)
+		}
+		return sep + s + sep
+	}
+	from := append([]string{}, q.From...)
+	if reverseFrom {
+		slices.Reverse(from)
+	}
+	sql := strings.TrimLeft(kw("SELECT"), sep)
+	if q.Distinct {
+		sql += strings.TrimLeft(kw("DISTINCT"), sep)
+	}
+	sql += strings.Join(q.Select, ","+sep) + kw("FROM") + strings.Join(from, sep+",")
+	if len(q.Where) > 0 {
+		sql += kw("WHERE") + strings.Join(q.Where, kw("AND"))
+	}
+	if len(q.GroupBy) > 0 {
+		sql += kw("GROUP") + strings.TrimLeft(kw("BY"), sep) + strings.Join(q.GroupBy, ", ")
+	}
+	if len(q.Having) > 0 {
+		sql += kw("HAVING") + strings.Join(q.Having, kw("AND"))
+	}
+	return sql
+}
+
+// TestResolveByTextMatchesPlanKey is the cache-transparency property of
+// the text index over the oracle's query generator: statements are
+// resolved in random order under several spellings (whitespace, keyword
+// case, FROM order), some repeated exactly, and every one must reach the
+// *Prepared, the verdict and the hit and miss counts that a cache looked
+// up by PlanKey alone produces.
+func TestResolveByTextMatchesPlanKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ctx := context.Background()
+	trials := 12
+	if testing.Short() {
+		trials = 4
+	}
+	for trial := 0; trial < trials; trial++ {
+		w := oracle.GenerateWorkload(rng, oracle.GenOptions{}, 6)
+		sys, err := w.Case.Compile(aggview.Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		srv := New(sys, Config{})
+		var texts []string
+		for qi := range w.Queries {
+			q := &w.Queries[qi]
+			texts = append(texts, q.SQL(), spell(q, " ", true, false), spell(q, "\n\t ", false, false), spell(q, "  ", true, true))
+		}
+		byKey := map[string]*aggview.Prepared{}
+		var wantHits, wantMisses int64
+		for step := 0; step < 6*len(texts); step++ {
+			sql := texts[rng.Intn(len(texts))]
+			key, err := sys.PlanKey(sql)
+			if err != nil {
+				t.Fatalf("trial %d: PlanKey(%q): %v", trial, sql, err)
+			}
+			p, verdict, err := srv.resolve(ctx, sql)
+			if err != nil {
+				t.Fatalf("trial %d: resolve(%q): %v", trial, sql, err)
+			}
+			wantVerdict := "hit"
+			if byKey[key] == nil {
+				byKey[key], wantVerdict = p, "miss"
+				wantMisses++
+			} else {
+				wantHits++
+			}
+			if p != byKey[key] || p.Key != key || verdict != wantVerdict {
+				t.Fatalf("trial %d step %d: resolve(%q) = plan %p (key %q) verdict %q; PlanKey %q has plan %p, verdict %q",
+					trial, step, sql, p, p.Key, verdict, key, byKey[key], wantVerdict)
+			}
+		}
+		if st := srv.Cache().Stats(); st.Hits != wantHits || st.Misses != wantMisses || st.Size != len(byKey) {
+			t.Fatalf("trial %d: cache stats %+v, want %d hits %d misses %d entries", trial, st, wantHits, wantMisses, len(byKey))
+		}
+		if n := len(srv.cache.texts); n == 0 || n > aliasesPerEntry*len(byKey) {
+			t.Fatalf("trial %d: %d aliases for %d entries", trial, n, len(byKey))
+		}
+		srv.Close()
 	}
 }

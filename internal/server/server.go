@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -155,10 +156,11 @@ func (e *badQueryError) Error() string { return e.err.Error() }
 func (e *badQueryError) Unwrap() error { return e.err }
 
 // handleQuery is the hot path: admit, budget, plan through the cache,
-// execute, encode. The response body is marshalled fully before the
-// first byte is written, so a client never observes a partial result —
-// any failure, including a storage fault mid-query, surfaces as a
-// complete typed JSON error.
+// execute, encode. The response body is encoded in full (straight from
+// the result's tuples, appendQueryResponse) before the first byte is
+// written, so a client never observes a partial result — any failure,
+// including a storage fault mid-query, surfaces as a complete typed JSON
+// error.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req QueryRequest
@@ -262,8 +264,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := s.finishSpan(span, tenant, meter, nil)
-	attrs, rows := EncodeRelation(res)
 	if slow {
+		attrs, rows := EncodeRelation(res)
 		s.slow.Add(SlowEntry{
 			Tenant:      tenant,
 			SQL:         req.SQL,
@@ -280,14 +282,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Volatile("server.tenant." + tenantLabel(tenant) + ".ok").Inc()
 	s.metrics.Latency("server.latency." + tenantLabel(tenant)).Observe(elapsedNs)
 	s.metrics.VolatileHistogram("server.latency_ns").Observe(time.Since(start).Nanoseconds())
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Attrs:     attrs,
-		Rows:      rows,
-		Used:      used,
-		Cache:     verdict,
-		ElapsedNs: elapsedNs,
-	})
+
+	buf := bodyPool.Get().(*[]byte)
+	body := appendQueryResponse((*buf)[:0], res, used, verdict, elapsedNs)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		bodyPool.Put(buf)
+	}
 }
+
+// bodyPool recycles /query response buffers: a reply is encoded in full
+// into one, written once, and the buffer returned (a ResponseWriter does
+// not retain what it is handed). Buffers grown past maxPooledBody by one
+// large result are dropped rather than pinned.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
 
 // finishSpan closes the request span with its outcome, records it in
 // the flight recorder, bumps the per-tenant error counter, and returns
@@ -309,9 +323,14 @@ func (s *Server) finishSpan(span *obs.Span, tenant string, meter *budget.Meter, 
 	return &rec
 }
 
-// resolve turns SQL into a prepared plan through the plan cache. Caller
-// holds the read lock.
+// resolve turns SQL into a prepared plan through the plan cache: by the
+// statement's exact text when the cache has seen it resolve before, else
+// by parsing it to its canonical key, which the cache then remembers the
+// text under. Caller holds the read lock.
 func (s *Server) resolve(ctx context.Context, sql string) (*aggview.Prepared, string, error) {
+	if p, ok := s.cache.GetByText(sql); ok {
+		return p, "hit", nil
+	}
 	key, err := s.sys.PlanKey(sql)
 	if err != nil {
 		return nil, "", &badQueryError{err}
@@ -325,6 +344,7 @@ func (s *Server) resolve(ctx context.Context, sql string) (*aggview.Prepared, st
 		}
 		return nil, verdict, err
 	}
+	s.cache.AliasText(sql, key)
 	return p, verdict, nil
 }
 
@@ -582,11 +602,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(data)
 }
 
+// decodeBody decodes a request body that is one JSON value and nothing
+// else: unknown fields and anything but whitespace after the value are
+// errors.
 func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("server: bad request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("server: bad request body: data after the JSON value")
 	}
 	return nil
 }

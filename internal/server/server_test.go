@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -572,5 +573,112 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, "volatile "+name) {
 			t.Fatalf("text metrics missing write-path counter %q:\n%s", name, text)
 		}
+	}
+}
+
+// TestServerRejectsTrailingBytes pins that a request body is one JSON
+// value and nothing else on every route that reads one: a second value or
+// garbage after the first is bad_request and nothing is executed, while
+// trailing whitespace stays acceptable.
+func TestServerRejectsTrailingBytes(t *testing.T) {
+	sys := servedSystem(t)
+	srv := New(sys, Config{})
+	defer srv.Close()
+	exec := &InProcessExec{S: srv}
+	rowsBefore, _ := sys.DB.NumRows("Sales")
+
+	routes := []struct{ path, body string }{
+		{"/query", `{"sql":"SELECT region FROM Sales"}`},
+		{"/insert", `{"table":"Sales","rows":[["s:w","i:1","i:1"]]}`},
+		{"/delete", `{"table":"Sales","where":"qty = 1"}`},
+		{"/update", `{"table":"Sales","set":"qty = 9","where":"qty = 1"}`},
+		{"/admin/faults", `{"k":1}`},
+	}
+	trailers := []string{` {"sql":"x"}`, `garbage`, ` {"sql":"x"} garbage`, `,`, `]`, "\n1"}
+	for _, rt := range routes {
+		for _, tr := range trailers {
+			req, _ := http.NewRequest(http.MethodPost, "http://test"+rt.path, strings.NewReader(rt.body+tr))
+			resp, err := exec.Do(req)
+			if err != nil {
+				t.Fatalf("%s + %q: %v", rt.path, tr, err)
+			}
+			var eb ErrorBody
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == nil {
+				t.Fatalf("%s + %q: status %d, not an ErrorBody: %v", rt.path, tr, resp.StatusCode, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || eb.Error.Kind != ErrKindBadRequest {
+				t.Errorf("%s + %q: status %d kind %q, want 400 %s", rt.path, tr, resp.StatusCode, eb.Error.Kind, ErrKindBadRequest)
+			}
+		}
+	}
+	if n, _ := sys.DB.NumRows("Sales"); n != rowsBefore {
+		t.Errorf("a rejected body was executed: Sales went from %d to %d rows", rowsBefore, n)
+	}
+	if sys.Store != nil {
+		t.Error("a rejected /admin/faults body installed a fault store")
+	}
+	if got := srv.metrics.Volatile("server.requests").Load(); got != 0 {
+		t.Errorf("%d rejected /query bodies were counted as requests", got)
+	}
+	for _, rt := range routes {
+		req, _ := http.NewRequest(http.MethodPost, "http://test"+rt.path, strings.NewReader(rt.body+" \n\t "))
+		if resp, err := exec.Do(req); err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d err %v, want 200", rt.path, resp.StatusCode, err)
+		}
+	}
+}
+
+// oversizeDoer answers every request with a body of the given length
+// (zeros, never materialised), announced in Content-Length or not.
+type oversizeDoer struct {
+	n        int64
+	announce bool
+}
+
+type zeroReader struct{}
+
+func (zeroReader) Read(p []byte) (int, error) { clear(p); return len(p), nil }
+
+func (d oversizeDoer) Do(req *http.Request) (*http.Response, error) {
+	resp := &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(io.LimitReader(zeroReader{}, d.n)), ContentLength: -1}
+	if d.announce {
+		resp.ContentLength = d.n
+	}
+	return resp, nil
+}
+
+// TestClientResponseTooLarge pins that a reply over the client's read
+// limit is ErrResponseTooLarge from every call that reads a body — not a
+// silently truncated body surfacing as a JSON syntax error.
+func TestClientResponseTooLarge(t *testing.T) {
+	ctx := context.Background()
+	c := &Client{Base: "http://big", HTTP: oversizeDoer{n: maxResponseBytes + 1, announce: true}}
+	if _, err := c.Query(ctx, "SELECT 1"); !errors.Is(err, ErrResponseTooLarge) {
+		t.Errorf("Query: err = %v, want ErrResponseTooLarge", err)
+	}
+	if _, err := c.Script(ctx); !errors.Is(err, ErrResponseTooLarge) {
+		t.Errorf("Script: err = %v, want ErrResponseTooLarge", err)
+	}
+	if _, err := c.MetricsText(ctx, false); !errors.Is(err, ErrResponseTooLarge) {
+		t.Errorf("MetricsText: err = %v, want ErrResponseTooLarge", err)
+	}
+	// Unannounced lengths are counted as read; a small limit keeps the
+	// test from holding maxResponseBytes.
+	for _, tc := range []struct {
+		n        int64
+		announce bool
+		tooLarge bool
+	}{{100, false, false}, {101, false, true}, {100, true, false}, {101, true, true}, {0, false, false}, {0, true, false}} {
+		resp, _ := oversizeDoer{n: tc.n, announce: tc.announce}.Do(nil)
+		data, err := readBody(resp, 100)
+		if tc.tooLarge != errors.Is(err, ErrResponseTooLarge) || (!tc.tooLarge && (err != nil || int64(len(data)) != tc.n)) {
+			t.Errorf("readBody(%d bytes, announced=%v, limit 100): %d bytes, err %v", tc.n, tc.announce, len(data), err)
+		}
+	}
+	// A body shorter than announced is an error, not a short read.
+	resp, _ := oversizeDoer{n: 10, announce: true}.Do(nil)
+	resp.ContentLength = 20
+	if _, err := readBody(resp, 100); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("short body: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }

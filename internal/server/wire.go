@@ -10,6 +10,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -129,6 +130,95 @@ func DecodeRelation(attrs []string, rows [][]string) (*engine.Relation, error) {
 	return &engine.Relation{Attrs: append([]string{}, attrs...), Tuples: tuples}, nil
 }
 
+// jsonSafe marks the bytes encoding/json writes as themselves inside a
+// string (HTML escaping on, as json.Marshal has it): printable ASCII but
+// for the quote, the backslash and <, >, &.
+var jsonSafe = func() (safe [256]bool) {
+	for b := 0x20; b < 0x7f; b++ {
+		safe[b] = true
+	}
+	for _, b := range `"\<>&` {
+		safe[b] = false
+	}
+	return safe
+}()
+
+// appendJSONString appends prefix+s as a JSON string, the bytes
+// json.Marshal writes for it: a string of safe bytes is copied between
+// quotes, any other goes through the standard library's escaping.
+func appendJSONString(dst []byte, prefix, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !jsonSafe[s[i]] {
+			quoted, _ := json.Marshal(prefix + s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, prefix...)
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+func appendJSONStrings(dst []byte, ss []string) []byte {
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, "", s)
+	}
+	return append(dst, ']')
+}
+
+// appendWireValue appends EncodeValue(v) as a JSON string.
+func appendWireValue(dst []byte, v value.Value) []byte {
+	switch v.Kind() {
+	case value.KindInt:
+		dst = strconv.AppendInt(append(dst, `"i:`...), v.AsInt(), 10)
+	case value.KindFloat:
+		dst = strconv.AppendFloat(append(dst, `"f:`...), v.AsFloat(), 'g', -1, 64)
+	case value.KindString:
+		return appendJSONString(dst, "s:", v.AsString())
+	case value.KindBool:
+		if v.AsBool() {
+			return append(dst, `"b:T"`...)
+		}
+		return append(dst, `"b:F"`...)
+	default:
+		return append(dst, `"?:"`...)
+	}
+	return append(dst, '"')
+}
+
+// appendQueryResponse appends the /query success body for a result,
+// straight from its tuples: byte for byte what json.Marshal writes for
+// the QueryResponse built from EncodeRelation(res), without the
+// [][]string in between (TestQueryResponseBytesMatchStdlib).
+func appendQueryResponse(dst []byte, res *engine.Relation, used []string, cache string, elapsedNs int64) []byte {
+	dst = appendJSONStrings(append(dst, `{"attrs":`...), res.Attrs)
+	dst = append(dst, `,"rows":[`...)
+	for i, t := range res.Tuples {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '[')
+		for j, v := range t {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendWireValue(dst, v)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, ']')
+	if len(used) > 0 {
+		dst = appendJSONStrings(append(dst, `,"used":`...), used)
+	}
+	dst = appendJSONString(append(dst, `,"cache":`...), "", cache)
+	dst = strconv.AppendInt(append(dst, `,"elapsed_ns":`...), elapsedNs, 10)
+	return append(dst, '}')
+}
+
 // QueryRequest is the body of POST /query.
 type QueryRequest struct {
 	// Tenant names the quota bucket the request is admitted under;
@@ -148,8 +238,10 @@ type QueryResponse struct {
 	// Cache reports the plan-cache outcome: "hit", "miss", or
 	// "bypass" (cache disabled).
 	Cache string `json:"cache"`
-	// ElapsedNs is the server-side wall time for the request after
-	// admission (planning + execution + encoding).
+	// ElapsedNs is the server-side wall time from the handler's entry to
+	// the end of execution: body decode, admission wait, planning and
+	// execution, but not the encoding of this response. It is the figure
+	// the server.latency.* histograms and the slow-query log record.
 	ElapsedNs int64 `json:"elapsed_ns"`
 }
 

@@ -1,9 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"aggview/internal/datagen"
 	"aggview/internal/engine"
 	"aggview/internal/value"
 )
@@ -65,4 +71,206 @@ func TestWireRelationRoundTrip(t *testing.T) {
 	if len(back.Attrs) != 2 || back.Attrs[0] != "a" || back.Attrs[1] != "b" {
 		t.Fatalf("attrs changed: %v", back.Attrs)
 	}
+}
+
+// stdlibBody is the /query success body as json.Marshal writes it from
+// the [][]string form: what appendQueryResponse must reproduce.
+func stdlibBody(t testing.TB, r *engine.Relation, used []string, cache string, elapsedNs int64) []byte {
+	t.Helper()
+	attrs, rows := EncodeRelation(r)
+	want, err := json.Marshal(QueryResponse{Attrs: attrs, Rows: rows, Used: used, Cache: cache, ElapsedNs: elapsedNs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// awkwardStrings need every escape json.Marshal has: quote, backslash,
+// the HTML set, control bytes with and without a short form, U+2028 and
+// U+2029, invalid UTF-8 (replaced by U+FFFD), and non-ASCII that passes
+// through.
+var awkwardStrings = []string{
+	"", "plain", `say "hi"`, `back\slash`, "<script>&amp;</script>", "tab\there", "nl\ncr\r", "\b\f\x00\x1f\x7f",
+	"line\u2028sep\u2029", "bad\xffutf8\xc3", "caf\u00e9 \u4e16\u754c \U0001F600", "s:tagged", `\u0041`,
+}
+
+// TestQueryResponseBytesMatchStdlib holds the append encoder to the
+// byte-identity contract: for random relations and for every awkward
+// cell, the body equals json.Marshal of the QueryResponse built through
+// EncodeRelation — so a client cannot tell which one wrote a reply.
+func TestQueryResponseBytesMatchStdlib(t *testing.T) {
+	type body struct {
+		name      string
+		rel       *engine.Relation
+		used      []string
+		cache     string
+		elapsedNs int64
+	}
+	var cases []body
+
+	rng := rand.New(rand.NewSource(19))
+	gen := func(rng *rand.Rand, col int) value.Value {
+		switch rng.Intn(5) {
+		case 0:
+			return value.Int(rng.Int63() - rng.Int63())
+		case 1:
+			return value.Float(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20)))
+		case 2:
+			return value.Str(awkwardStrings[rng.Intn(len(awkwardStrings))])
+		case 3:
+			return value.Bool(rng.Intn(2) == 0)
+		default:
+			return value.Int(int64(rng.Intn(10)))
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		attrs := make([]string, rng.Intn(5))
+		for i := range attrs {
+			attrs[i] = awkwardStrings[rng.Intn(len(awkwardStrings))]
+		}
+		var used []string
+		if trial%2 == 0 {
+			used = []string{"V1", awkwardStrings[rng.Intn(len(awkwardStrings))]}
+		}
+		cases = append(cases, body{fmt.Sprintf("random %d", trial), datagen.RandomRelation(rng, attrs, rng.Intn(40), gen),
+			used, []string{"hit", "miss", "bypass"}[trial%3], rng.Int63()})
+	}
+
+	cells := engine.NewRelation("v")
+	for _, s := range awkwardStrings {
+		cells.Add(value.Str(s))
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1e21, 1e20, 1e-7, 123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()} {
+		cells.Add(value.Float(f))
+	}
+	for _, n := range []int64{0, -1, math.MaxInt64, math.MinInt64, 1<<53 + 1} {
+		cells.Add(value.Int(n))
+	}
+	cells.Add(value.Bool(true))
+	cells.Add(value.Bool(false))
+	noAttrs := engine.NewRelation()
+	noAttrs.Add()
+	noAttrs.Add()
+	cases = append(cases,
+		body{"every awkward cell", cells, []string{"V"}, "hit", 1},
+		body{"empty result", engine.NewRelation("a", "b"), nil, "miss", 0},
+		body{"empty result, nil attrs", &engine.Relation{}, nil, "bypass", -5},
+		body{"zero attrs, two rows", noAttrs, []string{}, "hit", math.MaxInt64},
+		body{"awkward attrs, used and cache", engine.NewRelation(awkwardStrings...), awkwardStrings, awkwardStrings[2], math.MinInt64},
+	)
+
+	for _, tc := range cases {
+		want := stdlibBody(t, tc.rel, tc.used, tc.cache, tc.elapsedNs)
+		got := appendQueryResponse(nil, tc.rel, tc.used, tc.cache, tc.elapsedNs)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: bodies differ\n got %s\nwant %s", tc.name, got, want)
+		}
+		// Appending after other bytes leaves them alone.
+		if got := appendQueryResponse([]byte("xx"), tc.rel, tc.used, tc.cache, tc.elapsedNs); !bytes.Equal(got[2:], want) || string(got[:2]) != "xx" {
+			t.Errorf("%s: appended body differs", tc.name)
+		}
+	}
+}
+
+// queryResponseMirror has QueryResponse's fields and tags and no methods:
+// what encoding/json alone makes of a body.
+type queryResponseMirror struct {
+	Attrs     []string   `json:"attrs"`
+	Rows      [][]string `json:"rows"`
+	Used      []string   `json:"used,omitempty"`
+	Cache     string     `json:"cache"`
+	ElapsedNs int64      `json:"elapsed_ns"`
+}
+
+// decodeBothWays decodes data with the client's decoder and with
+// json.Unmarshal and fails unless both refuse it or both produce the same
+// value (nil and empty slices told apart).
+func decodeBothWays(t testing.TB, data []byte) {
+	t.Helper()
+	var got QueryResponse
+	gotErr := decodeQueryResponse(data, &got)
+	var mirror queryResponseMirror
+	wantErr := json.Unmarshal(data, &mirror)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("body %q: client decoder error %v, encoding/json error %v", data, gotErr, wantErr)
+	}
+	if want := QueryResponse(mirror); gotErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("body %q:\nclient decoder %#v\nencoding/json  %#v", data, got, want)
+	}
+}
+
+// TestQueryResponseScanTakesServerBodies checks the one-pass scanner —
+// not the encoding/json hand-off — is what decodes the server's bodies
+// whenever no string needed an escape, and that its cells are cut from
+// one backing (two allocations however many rows).
+func TestQueryResponseScanTakesServerBodies(t *testing.T) {
+	r := engine.NewRelation("Cust_Id", "total", "caf\u00e9")
+	for i := 0; i < 50; i++ {
+		r.Add(value.Int(int64(i)), value.Float(float64(i)/4), value.Str("plain text: ok"))
+	}
+	for _, used := range [][]string{nil, {"VCust"}} {
+		data := appendQueryResponse(nil, r, used, "hit", 12345)
+		var got QueryResponse
+		if !scanQueryResponse(string(data), &got) {
+			t.Fatalf("scanner refused a server body: %s", data)
+		}
+		decodeBothWays(t, data)
+		back, err := got.Relation()
+		if err != nil || !engine.ResultsEqualBag(r, back) {
+			t.Fatalf("relation changed over the wire: %v", err)
+		}
+		body := string(data)
+		if n := testing.AllocsPerRun(10, func() { scanQueryResponse(body, &got) }); n > 2 {
+			t.Fatalf("scanning a 50-row body allocated %.0f objects, want the cell backing and the row headers", n)
+		}
+	}
+	// An escape anywhere hands the whole body to encoding/json.
+	r.Add(value.Int(1), value.Float(1), value.Str(`quo"te`))
+	data := appendQueryResponse(nil, r, nil, "hit", 1)
+	if scanQueryResponse(string(data), new(QueryResponse)) {
+		t.Fatal("scanner accepted a body with an escaped string")
+	}
+	decodeBothWays(t, data)
+}
+
+// FuzzQueryResponseDecode holds the client's decoder to encoding/json on
+// arbitrary bytes: both fail or both produce the same value. The seed
+// corpus (run by plain go test) holds server bodies and near misses of
+// the scanner's shape.
+func FuzzQueryResponseDecode(f *testing.F) {
+	cells := engine.NewRelation("a", "b")
+	for i, s := range awkwardStrings {
+		cells.Add(value.Int(int64(i)), value.Str(s))
+	}
+	f.Add(appendQueryResponse(nil, cells, []string{"V1"}, "hit", 42))
+	f.Add(appendQueryResponse(nil, engine.NewRelation("x"), nil, "miss", 0))
+	for _, s := range []string{
+		`{"attrs":["a"],"rows":[["i:1"],["i:2"]],"used":["V"],"cache":"hit","elapsed_ns":7}`,
+		`{"attrs":[],"rows":[[],[]],"cache":"bypass","elapsed_ns":0}`,
+		`{"attrs":["a"],"rows":[["i:1"]],"used":[],"cache":"hit","elapsed_ns":1}`,
+		`{"attrs":["a"],"rows":[["i:1"]],"cache":"hit","elapsed_ns":007}`,
+		`{"attrs":["a"],"rows":[["i:1"]],"cache":"hit","elapsed_ns":-3}`,
+		`{"attrs":["a"],"rows":[["i:1"]],"cache":"hit","elapsed_ns":1e3}`,
+		`{"attrs":["a"],"rows":[["i:1"]],"cache":"hit","elapsed_ns":9223372036854775808}`,
+		`{"attrs":["a"],"rows":[["i:1"]],"cache":"hit","elapsed_ns":1} `,
+		`{"attrs":["a"],"rows":[["i:1"]],"cache":"hit","elapsed_ns":1}x`,
+		`{"attrs":["a"],"rows":[["i:1",]],"cache":"hit","elapsed_ns":1}`,
+		`{"attrs":["a"],"rows":[["i:1"],],"cache":"hit","elapsed_ns":1}`,
+		`{"attrs":["a"],"rows":[["s:` + "\xff" + `"]],"cache":"hit","elapsed_ns":1}`,
+		`{"attrs":["a"],"rows":[["s:` + "\x01" + `"]],"cache":"hit","elapsed_ns":1}`,
+		`{"attrs":["a"],"rows":[["s:caf` + "\u00e9\u2028" + `"]],"cache":"hit","elapsed_ns":1}`,
+		`{"attrs":["a"],"rows":[["s:\u00e9"]],"cache":"hit","elapsed_ns":1}`,
+		`{"attrs":null,"rows":null,"cache":"hit","elapsed_ns":1}`,
+		`{"ATTRS":["a"],"rows":[["i:1"]],"cache":"hit","elapsed_ns":1}`,
+		`{"rows":[["i:1"]],"attrs":["a"],"cache":"hit","elapsed_ns":1}`,
+		`{"attrs":["a"],"rows":[["i:1"]],"cache":"hit","elapsed_ns":1,"extra":true}`,
+		`{"attrs":["a"],"rows":[[1]],"cache":"hit","elapsed_ns":1}`,
+		`{"attrs":["a"],"rows":[["i:1"]],"cache":"hit"`,
+		`{"error":{"kind":"shed","message":"m"}}`,
+		`[]`, `null`, ``, `{`, `{"attrs":["`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { decodeBothWays(t, data) })
 }

@@ -77,9 +77,14 @@ sh scripts/serve_smoke.sh
 go run ./cmd/benchrunner -quick > /dev/null
 
 # Benchmark gate (BENCHMARK.json): the bench module must vet and pass
-# its own tests, and a short write_mix run must exit 0 — its
-# correctness gate compares every query template with direct evaluation
-# and every tracked view with its definition after the timed writes.
-# Nothing here edits bench/; build outputs go to .bench_build/.
+# its own tests, and short write_mix and view_hit runs must exit 0 —
+# the correctness gate compares every query template with direct
+# evaluation and every tracked view with its definition after the timed
+# ops. It decodes each served reply with the wire client
+# (resp.Relation()), so on view_hit, whose replies are the largest, a
+# wrong byte from the handler's append encoder or the client's scanner
+# fails here. Nothing here edits bench/; build outputs go to
+# .bench_build/.
 (cd bench && go vet ./... && go test ./...)
 bash bench/run.sh --workload write_mix --seconds 3 --trace 0 > /dev/null
+bash bench/run.sh --workload view_hit --seconds 3 --trace 0 > /dev/null
