@@ -76,8 +76,8 @@ flightrec:
 # response decoder against encoding/json (DESIGN.md section 12); plain
 # `go test` runs that target's seed corpus only.
 soak:
-	$(GO) run ./cmd/oraclerunner -seeds 1,2,3,4,5,6,7,8 -n 2000 -v -json ORACLE_SOAK.json
-	$(GO) run ./cmd/oraclerunner -seeds 1,2,3,4 -n 1000 -paper
+	$(GO) run ./cmd/oraclerunner -seeds 1,2,3,4,5,6,7,8 -n 2000 -multichunk 16 -v -json ORACLE_SOAK.json
+	$(GO) run ./cmd/oraclerunner -seeds 1,2,3,4 -n 1000 -multichunk 16 -paper
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 30s
 
 # mutate soaks the mutation oracle (DESIGN.md section 14): seeded
@@ -87,4 +87,4 @@ soak:
 # mutation scripts replayable with `oraclerunner -mutate -replay` or
 # `aggserve -script`.
 mutate:
-	$(GO) run ./cmd/oraclerunner -mutate -seeds 21,22,23,24 -n 300 -v -json MUTATE_SOAK.json
+	$(GO) run ./cmd/oraclerunner -mutate -seeds 21,22,23,24 -n 300 -multichunk 16 -v -json MUTATE_SOAK.json

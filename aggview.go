@@ -615,6 +615,26 @@ func (s *System) TrackViewContext(ctx context.Context, name string) (incremental
 	return inc, nil
 }
 
+// ViewMode says how one tracked view is kept fresh: Mode is
+// "incremental" or "recompute", and Reason names the maintain.Fallback
+// behind a recompute.
+type ViewMode struct{ Name, Mode, Reason string }
+
+// ViewModes reports every tracked view's maintenance mode, in name
+// order — the answer to "is this view incremental or recomputing, and
+// why" that `maintain.fallback.full` alone does not give.
+func (s *System) ViewModes() []ViewMode {
+	if s.maint == nil {
+		return nil
+	}
+	var out []ViewMode
+	for _, name := range s.maint.Tracked() {
+		mode, reason := s.maint.Mode(name)
+		out = append(out, ViewMode{Name: name, Mode: mode, Reason: reason})
+	}
+	return out
+}
+
 // SetRelation installs a pre-built relation as a base table's extension.
 func (s *System) SetRelation(table string, rel *Result) error {
 	t, ok := s.Catalog.Table(table)

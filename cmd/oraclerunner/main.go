@@ -13,6 +13,7 @@
 //	go run ./cmd/oraclerunner -duration 5m             # soak: cycle seeds until the clock runs out
 //	go run ./cmd/oraclerunner -timeout 10m             # hard deadline (also stops on SIGINT/SIGTERM)
 //	go run ./cmd/oraclerunner -faults=false            # skip the cancellation-injection pass
+//	go run ./cmd/oraclerunner -multichunk 4            # every fourth instance spans three storage chunks (default: every 16th)
 //	go run ./cmd/oraclerunner -wire                    # also check answers through the serving stack
 //	go run ./cmd/oraclerunner -paper                   # paper-faithful rewriter configuration
 //	go run ./cmd/oraclerunner -json ORACLE.json        # machine-readable failure report
@@ -59,6 +60,7 @@ func main() {
 	seedsFlag := flag.String("seeds", "1,2,3,4", "comma-separated generator seeds")
 	n := flag.Int("n", 200, "instances per seed (ignored under -duration)")
 	rows := flag.Int("rows", 0, "max rows per generated table (0: generator default)")
+	multichunk := flag.Int("multichunk", 16, "grow the anchor table of one instance in this many until it spans three storage chunks (0: never)")
 	duration := flag.Duration("duration", 0, "soak length; cycles seeds until elapsed (0: -n instances per seed)")
 	timeout := flag.Duration("timeout", 0, "hard deadline for the whole soak (0: none)")
 	paper := flag.Bool("paper", false, "check the paper-faithful rewriter configuration")
@@ -77,11 +79,12 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
+	gen := oracle.GenOptions{MaxRows: *rows, MultiChunkEvery: *multichunk}
 	var err error
 	if *mutate {
-		err = runMutate(ctx, *seedsFlag, *n, *rows, *duration, *faults, *jsonOut, *replay, *verbose)
+		err = runMutate(ctx, *seedsFlag, *n, gen, *duration, *faults, *jsonOut, *replay, *verbose)
 	} else {
-		err = run(ctx, *seedsFlag, *n, *rows, *duration, *paper, *faults, *wire, *jsonOut, *replay, *verbose)
+		err = run(ctx, *seedsFlag, *n, gen, *duration, *paper, *faults, *wire, *jsonOut, *replay, *verbose)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "oraclerunner:", err)
@@ -100,7 +103,7 @@ func faultSpecs(rng *rand.Rand) []faultinject.Spec {
 	return specs
 }
 
-func run(ctx context.Context, seedsFlag string, n, rows int, duration time.Duration, paper, faults, wire bool, jsonOut, replay string, verbose bool) error {
+func run(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, duration time.Duration, paper, faults, wire bool, jsonOut, replay string, verbose bool) error {
 	opt := oracle.Options{PaperFaithful: paper}
 	if wire {
 		// Wire pass: every case is also answered through the in-process
@@ -119,7 +122,6 @@ func run(ctx context.Context, seedsFlag string, n, rows int, duration time.Durat
 	rep := benchjson.NewOracle()
 	rep.Seeds = seeds
 	rep.PaperFaithful = paper
-	gen := oracle.GenOptions{MaxRows: rows}
 
 	deadline := time.Time{}
 	if duration > 0 {
@@ -149,6 +151,9 @@ func run(ctx context.Context, seedsFlag string, n, rows int, duration time.Durat
 					return fmt.Errorf("seed %d trial %d: case rejected: %w\nscript:\n%s", seed, trial, err, c.Script())
 				}
 				rep.Instances++
+				if c.MultiChunk() {
+					rep.MultiChunk++
+				}
 				rep.Rewritings += out.Rewritings
 				rep.FaultRuns += out.FaultRuns
 				if out.OK() {
@@ -216,8 +221,8 @@ func finish(rep *benchjson.OracleReport, jsonOut string) error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote oracle report to %s\n", jsonOut)
 	}
-	fmt.Printf("oracle: %d instances, %d rewritings, %d fault-injected runs, %d violations\n",
-		rep.Instances, rep.Rewritings, rep.FaultRuns, len(rep.Failures))
+	fmt.Printf("oracle: %d instances (%d multi-chunk), %d rewritings, %d fault-injected runs, %d violations\n",
+		rep.Instances, rep.MultiChunk, rep.Rewritings, rep.FaultRuns, len(rep.Failures))
 	if len(rep.Failures) > 0 {
 		return fmt.Errorf("%d equivalence violations", len(rep.Failures))
 	}
@@ -226,7 +231,7 @@ func finish(rep *benchjson.OracleReport, jsonOut string) error {
 
 // runMutate soaks the mutation oracle: one scenario per trial, checked
 // serially, concurrently and under maintenance-site cancellations.
-func runMutate(ctx context.Context, seedsFlag string, n, rows int, duration time.Duration, faults bool, jsonOut, replay string, verbose bool) error {
+func runMutate(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, duration time.Duration, faults bool, jsonOut, replay string, verbose bool) error {
 	if replay != "" {
 		return runMutateReplay(replay, faults)
 	}
@@ -236,7 +241,6 @@ func runMutate(ctx context.Context, seedsFlag string, n, rows int, duration time
 	}
 	rep := benchjson.NewMutate()
 	rep.Seeds = seeds
-	gen := oracle.GenOptions{MaxRows: rows}
 	deadline := time.Time{}
 	if duration > 0 {
 		deadline = time.Now().Add(duration)
@@ -265,6 +269,9 @@ func runMutate(ctx context.Context, seedsFlag string, n, rows int, duration time
 					return fmt.Errorf("seed %d trial %d: scenario rejected: %w\nscript:\n%s", seed, trial, err, mc.Script())
 				}
 				rep.Trials++
+				if mc.Base.MultiChunk() {
+					rep.MultiChunk++
+				}
 				rep.Steps += out.Steps
 				rep.FaultRuns += out.FaultRuns
 				rep.Incremental += out.Incremental
@@ -305,8 +312,8 @@ func finishMutate(rep *benchjson.MutateReport, jsonOut string) error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote mutation report to %s\n", jsonOut)
 	}
-	fmt.Printf("mutate: %d trials, %d steps, %d fault-injected runs, %d incremental views, %d violations\n",
-		rep.Trials, rep.Steps, rep.FaultRuns, rep.Incremental, len(rep.Failures))
+	fmt.Printf("mutate: %d trials (%d multi-chunk), %d steps, %d fault-injected runs, %d incremental views, %d violations\n",
+		rep.Trials, rep.MultiChunk, rep.Steps, rep.FaultRuns, rep.Incremental, len(rep.Failures))
 	if len(rep.Failures) > 0 {
 		return fmt.Errorf("%d mutation violations", len(rep.Failures))
 	}

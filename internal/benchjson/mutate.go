@@ -37,8 +37,11 @@ type MutateReport struct {
 	GoVersion  string  `json:"go_version"`
 	Seeds      []int64 `json:"seeds"`
 	Trials     int     `json:"trials"`
-	Steps      int     `json:"steps"`
-	FaultRuns  int     `json:"fault_runs,omitempty"`
+	// MultiChunk counts the scenarios whose largest base table started
+	// out spanning at least three storage chunks.
+	MultiChunk int `json:"multi_chunk"`
+	Steps      int `json:"steps"`
+	FaultRuns  int `json:"fault_runs,omitempty"`
 	// Incremental counts tracked views maintained by counting deltas
 	// across the soak — a coverage signal that the scenarios actually
 	// exercised the incremental path, not just recomputes.

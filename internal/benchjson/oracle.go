@@ -39,11 +39,14 @@ type OracleFailure struct {
 // OracleReport is the machine-readable emission of one oraclerunner
 // soak: flat like Report, so trajectory tooling can diff runs.
 type OracleReport struct {
-	GoMaxProcs    int             `json:"gomaxprocs"`
-	NumCPU        int             `json:"numcpu"`
-	GoVersion     string          `json:"go_version"`
-	Seeds         []int64         `json:"seeds"`
-	Instances     int             `json:"instances"`
+	GoMaxProcs int     `json:"gomaxprocs"`
+	NumCPU     int     `json:"numcpu"`
+	GoVersion  string  `json:"go_version"`
+	Seeds      []int64 `json:"seeds"`
+	Instances  int     `json:"instances"`
+	// MultiChunk counts the instances whose largest base table spanned
+	// at least three storage chunks.
+	MultiChunk    int             `json:"multi_chunk"`
 	Rewritings    int             `json:"rewritings"`
 	FaultRuns     int             `json:"fault_runs,omitempty"`
 	PaperFaithful bool            `json:"paper_faithful"`

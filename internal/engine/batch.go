@@ -10,14 +10,16 @@ import (
 // row-at-a-time evaluation over them.
 const kindMixed value.Kind = 0xff
 
-// Vec is one typed column vector. Exactly one payload slice is active,
-// selected by kind: ints carries KindInt and KindBool (0/1) cells,
-// floats carries KindFloat, strs carries KindString, and vals carries
-// the boxed cells of a mixed-kind column. A vector's cells are immutable
-// once built — kernels share them freely across batches and goroutines
-// and produce new vectors instead of writing in place. The one writer
-// is the store: a stored column's payload may carry spare capacity past
-// its length, which DB.Apply fills for the next version (storage.go).
+// Vec is one typed vector of cells: a chunk of a stored column, or a
+// vector a kernel computed for one morsel. Exactly one payload slice is
+// active, selected by kind: ints carries KindInt and KindBool (0/1)
+// cells, floats carries KindFloat, strs carries KindString, and vals
+// carries the boxed cells of a mixed-kind column. A vector's cells are
+// immutable once built — kernels share them freely across batches and
+// goroutines and produce new vectors instead of writing in place. The
+// one writer is the store: a stored table's last chunk may carry spare
+// capacity past its length, which DB.Apply fills for the next version
+// (storage.go).
 type Vec struct {
 	kind   value.Kind
 	ints   []int64
@@ -56,20 +58,9 @@ func (v *Vec) Value(i int) value.Value {
 	}
 }
 
-// bytes estimates the vector's payload footprint for the memory budget:
-// 8 bytes per numeric or boolean cell, 16 per string header (content
-// bytes are shared with the source data and not re-counted), 48 per
-// boxed value.
-func (v *Vec) bytes() int64 {
-	switch v.kind {
-	case value.KindInt, value.KindBool, value.KindFloat:
-		return 8 * int64(v.Len())
-	case value.KindString:
-		return 16 * int64(v.Len())
-	default:
-		return 48 * int64(v.Len())
-	}
-}
+// bytes estimates the vector's payload footprint for the memory budget
+// (see cellBytes).
+func (v *Vec) bytes() int64 { return cellBytes(v.kind) * int64(v.Len()) }
 
 // vecFromValues builds a vector from boxed values, detecting a uniform
 // scalar kind in one pass and falling back to a mixed vector otherwise.
@@ -126,38 +117,40 @@ func colVecOf(tuples [][]value.Value, pos int) *Vec {
 	return vecFromValues(vals)
 }
 
-// batchFromRows builds a dense batch from full-width rows indexed by
-// ColID, detecting uniform column kinds. It is the bridge from
-// row-major data used by tests and reference implementations.
+// batchFromRows builds a batch from full-width rows indexed by ColID,
+// detecting uniform column kinds and chunking them as a stored table's.
+// It is the bridge from row-major data used by tests and reference
+// implementations.
 func batchFromRows(rows [][]value.Value, width int) *Batch {
-	b := &Batch{n: len(rows), cols: make([]*Vec, width)}
+	b := &Batch{n: len(rows), cols: make([]*column, width)}
 	for pos := 0; pos < width; pos++ {
-		b.cols[pos] = colVecOf(rows, pos)
+		b.cols[pos] = columnOf(rows, pos)
 	}
 	return b
 }
 
 // Batch is the intermediate relation flowing between operators: n
 // logical rows over the query's ColID space. cols[id] is the stored
-// vector of column id, bound by reference and never copied (nil marks a
-// slot that is unbound or was pruned as unreferenced); tab[id] names the
+// column of id, bound by reference and never copied (nil marks a slot
+// that is unbound or was pruned as unreferenced); tab[id] names the
 // FROM table the column belongs to, and sel[tab] is that table's
 // selection — logical row j reads physical row sel[tab][j] of every
 // column of the table, a nil selection reading row j itself. A filter
 // narrows a batch by writing a selection and a join composes index pairs
 // onto the selections of both sides, so values are copied exactly once,
 // where the final projection boxes them. A batch with no sel at all
-// (tab may then be nil too) is a stored table read as it stands.
+// (tab may then be nil too) is a stored table read as it stands: morsel
+// m of it is chunk m of every column.
 type Batch struct {
 	n    int
-	cols []*Vec
+	cols []*column
 	tab  []int32
 	sel  [][]int32
 }
 
 // newBatch returns an empty batch over a width-column ColID space.
 func newBatch(width int) *Batch {
-	return &Batch{cols: make([]*Vec, width)}
+	return &Batch{cols: make([]*column, width)}
 }
 
 // tabOf returns the bound table of column c (0 in a single-table batch).
@@ -177,12 +170,12 @@ func (b *Batch) phys(t, i int) int {
 }
 
 // bindTables maps the stored tables' columns into the query's ColID
-// slots, sharing their vectors. Only columns in need are bound; the rest
+// slots, sharing their chunks. Only columns in need are bound; the rest
 // are pruned. The returned batch is the template every batch of the
 // query derives from: same cols and tab, its own n and sel.
 func bindTables(q *ir.Query, cts []*ColTable, need []bool) *Batch {
 	width := q.NumCols()
-	b := &Batch{cols: make([]*Vec, width), tab: make([]int32, width)}
+	b := &Batch{cols: make([]*column, width), tab: make([]int32, width)}
 	for ti, tab := range q.Tables {
 		for pos, id := range tab.Cols {
 			b.tab[id] = int32(ti)

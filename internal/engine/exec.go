@@ -155,7 +155,6 @@ func (ev *Evaluator) exec(t *task, q *ir.Query) (*Relation, error) {
 		return nil, err
 	}
 	if sc != nil && q.IsAggregationQuery() && len(q.Tables) == 1 {
-		mt.scanRows.Add(int64(sc.cts[0].n))
 		err = ev.aggregateBatch(t, q, sc.bound.with(sc.cts[0].n, nil), sc.perTable[0], true, out)
 	} else {
 		b := newBatch(q.NumCols()) // a false constant predicate: empty input
@@ -185,7 +184,7 @@ func (ev *Evaluator) exec(t *task, q *ir.Query) (*Relation, error) {
 // own range of the output, so row order is the batch's.
 func (ev *Evaluator) projectBatch(t *task, q *ir.Query, b *Batch, out *Relation) error {
 	tuples, width := make([][]value.Value, b.n), len(q.Select)
-	err := ev.morselRun(t, "project", ev.workersFor(b.n), b.n, func(w *scratch, m, lo, hi int) error {
+	err := ev.morselRun(t, "project", ev.workersFor(b.n), allMorsels(b.n), func(w *scratch, _, lo, hi int) error {
 		rs := w.rows(b, lo, hi)
 		cells := make([]value.Value, rs.n()*width)
 		for k, it := range q.Select {
@@ -338,7 +337,7 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 // doing per-row work — the accounting of a scan that binds columns by
 // reference instead of copying rows.
 func (ev *Evaluator) chargeRows(t *task, site string, n int) error {
-	return ev.morselRun(t, site, 1, n, func(_ *scratch, m, lo, hi int) error { return nil })
+	return ev.morselRun(t, site, 1, allMorsels(n), func(*scratch, int, int, int) error { return nil })
 }
 
 // neededCols marks every ColID referenced by the query's SELECT, WHERE,
@@ -448,8 +447,9 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error
 	for i, ct := range sc.cts {
 		sel := make([][]int32, n)
 		tb := sc.bound.with(ct.n, sel)
+		ms := ev.scanMorsels(tb, sc.perTable[i])
 		if preds := sc.perTable[i]; len(preds) > 0 {
-			keep, err := ev.filterSel(t, "scan", tb, preds)
+			keep, err := ev.filterSel(t, "scan", tb, preds, ms)
 			if err != nil {
 				return nil, err
 			}
@@ -459,7 +459,7 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error
 		} else if err := ev.chargeRows(t, "scan", tb.n); err != nil {
 			return nil, err
 		}
-		mt.scanRows.Add(int64(ct.n))
+		mt.scanRows.Add(int64(ms.rows()))
 		mt.scanKept.Add(int64(tb.n))
 		filtered[i] = tb
 	}
@@ -539,7 +539,7 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error
 		}
 		pendingRes = rest
 		if len(nowBound) > 0 {
-			keep, err := ev.filterSel(t, "filter", current, nowBound)
+			keep, err := ev.filterSel(t, "filter", current, nowBound, allMorsels(current.n))
 			if err != nil {
 				return nil, err
 			}

@@ -12,6 +12,7 @@ type evMetrics struct {
 	// Deterministic: byte-identical at every worker count.
 	exec, projectRows, cacheHit, cacheMiss *obs.Counter
 	scanRows, scanKept, aggRows, aggGroups *obs.Counter
+	scanChunks, scanSkipped                *obs.Counter
 	joinProbe, joinRows                    *obs.Counter
 	joinBuildRows                          *obs.Histogram
 
@@ -41,6 +42,8 @@ func (ev *Evaluator) metrics() *evMetrics {
 		cacheMiss:     m.Counter("engine.view_cache.miss"),
 		scanRows:      m.Counter("engine.scan.rows"),
 		scanKept:      m.Counter("engine.scan.kept"),
+		scanChunks:    m.Counter("engine.scan.chunks"),
+		scanSkipped:   m.Counter("engine.scan.chunks_skipped"),
 		aggRows:       m.Counter("engine.agg.rows"),
 		aggGroups:     m.Counter("engine.agg.groups"),
 		joinProbe:     m.Counter("engine.join.probe"),

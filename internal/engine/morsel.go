@@ -49,14 +49,54 @@ func morselCount(n int) int {
 	return (n + morselRows - 1) / morselRows
 }
 
-// morselRun executes fn over every morsel of [0, n): workers claim
-// morsel indices off a shared atomic counter and call fn(m, lo, hi) for
-// the claimed range. fn must commit its output into state owned by
-// morsel slot m; callers concatenate the slots in morsel index order,
-// so the result is byte-identical to the serial loop at every worker
-// count. Each morsel charges the task's row budget and polls
-// cancellation under the kernel's site name; the total charged is n
-// regardless of the worker count.
+// morsels is the set of morsels of an n-row input one pass runs: every
+// one, or — when the chunks behind the others were skipped — those live
+// lists, ascending. Slots, buffers, the worker pool and the row charge of
+// the pass are sized by the set, not by n.
+type morsels struct {
+	n    int
+	live []int32 // nil: every morsel of [0, n)
+}
+
+func allMorsels(n int) morsels { return morsels{n: n} }
+
+// count returns the number of morsels in the set.
+func (ms morsels) count() int {
+	if ms.live != nil {
+		return len(ms.live)
+	}
+	return morselCount(ms.n)
+}
+
+// bounds returns the row range of the set's k-th morsel.
+func (ms morsels) bounds(k int) (lo, hi int) {
+	if ms.live != nil {
+		k = int(ms.live[k])
+	}
+	return morselBounds(k, ms.n)
+}
+
+// rows returns the number of rows the set covers.
+func (ms morsels) rows() int {
+	if ms.live == nil {
+		return ms.n
+	}
+	rows := 0
+	for k := range ms.live {
+		lo, hi := ms.bounds(k)
+		rows += hi - lo
+	}
+	return rows
+}
+
+// morselRun executes fn over every morsel of the set: workers claim
+// slots off a shared atomic counter and call fn(w, k, lo, hi) for the
+// k-th morsel's row range. fn must commit its output into state owned
+// by slot k; callers concatenate the slots in order, which is morsel
+// order, so the result is byte-identical to the serial loop at every
+// worker count. Each morsel charges the task's row budget and polls
+// cancellation under the kernel's site name; the total charged is the
+// rows the set covers regardless of the worker count.
 //
 // The pool always drains before morselRun returns. The surviving error
 // is deterministic: the smallest-indexed non-transient error wins (the
@@ -71,8 +111,8 @@ func morselCount(n int) int {
 // the run and hands it to each morsel it claims: per-morsel working
 // memory is reused, and only what a morsel commits to its slot is
 // allocated.
-func (ev *Evaluator) morselRun(t *task, site string, workers, n int, fn func(w *scratch, m, lo, hi int) error) error {
-	nm := morselCount(n)
+func (ev *Evaluator) morselRun(t *task, site string, workers int, ms morsels, fn func(w *scratch, k, lo, hi int) error) error {
+	nm := ms.count()
 	if workers > nm {
 		workers = nm
 	}
@@ -81,9 +121,9 @@ func (ev *Evaluator) morselRun(t *task, site string, workers, n int, fn func(w *
 		mt.poolSerial.Inc()
 		w := getScratch()
 		defer putScratch(w)
-		for m := 0; m < nm; m++ {
-			lo, hi := morselBounds(m, n)
-			if err := fn(w, m, lo, hi); err != nil {
+		for k := 0; k < nm; k++ {
+			lo, hi := ms.bounds(k)
+			if err := fn(w, k, lo, hi); err != nil {
 				return err
 			}
 			if err := t.charge(ev, site, int64(hi-lo)); err != nil {
@@ -102,17 +142,17 @@ func (ev *Evaluator) morselRun(t *task, site string, workers, n int, fn func(w *
 			w := getScratch()
 			defer putScratch(w)
 			for {
-				m := int(next.Add(1)) - 1
-				if m >= nm {
+				k := int(next.Add(1)) - 1
+				if k >= nm {
 					return
 				}
-				lo, hi := morselBounds(m, n)
-				if err := fn(w, m, lo, hi); err != nil {
-					errs[m] = err
+				lo, hi := ms.bounds(k)
+				if err := fn(w, k, lo, hi); err != nil {
+					errs[k] = err
 					return
 				}
 				if err := t.charge(ev, site, int64(hi-lo)); err != nil {
-					errs[m] = err
+					errs[k] = err
 					return
 				}
 			}

@@ -123,10 +123,10 @@ func (r *Relation) Sorted() *Relation {
 // Refresh, Apply) may run concurrently with queries. Readers that need
 // a stable multi-relation view across an entire query take a Snapshot
 // rather than holding the lock. The concurrency contract this relies
-// on: the first n cells of an installed version's vectors are never
-// rewritten — every mutation path installs a new version whose vectors
-// are fresh arrays, shared unchanged columns, or the same arrays
-// extended at n and beyond.
+// on: the cells of an installed version are never rewritten — every
+// mutation path installs a new version whose chunks are fresh arrays,
+// the previous version's own chunks, or its last chunk's array extended
+// past that version's length.
 type DB struct {
 	mu   sync.Mutex
 	tabs map[string]*ColTable
@@ -145,11 +145,15 @@ func NewDB() *DB { return &DB{tabs: map[string]*ColTable{}} }
 
 func lowerKey(name string) string { return strings.ToLower(name) }
 
-// SetMetrics attaches the registry the store counters go to:
-// engine.store.append.inplace / engine.store.append.copied count the
-// appending installs that did / did not fit every column's spare
-// capacity, engine.store.compact.bytes the column bytes rewritten by
-// deletes and updates. Nil (the default) detaches.
+// SetMetrics attaches the registry the store counters go to, all
+// volatile: engine.store.append.inplace / engine.store.append.copied
+// count the appending installs that did not / did have to move a
+// column's last chunk to a larger array, engine.store.compact.bytes the
+// bytes of the chunks deletes and updates rewrote, and
+// engine.store.chunks.copied / engine.store.chunks.shared, per install by
+// delta, the chunks whose cells were copied out of the previous version
+// and the chunks the new version points at in it. Nil (the default)
+// detaches.
 func (db *DB) SetMetrics(m *obs.Metrics) {
 	db.mu.Lock()
 	db.metrics = m
@@ -168,10 +172,10 @@ func (db *DB) installLocked(key string, ct *ColTable) {
 }
 
 // advanceLocked installs base+delta under db.mu. This is the single
-// site that extends stored vectors in place: only when base is the
+// site that extends a stored chunk in place: only when base is the
 // version installed right now (a table is installed at most once, so
 // the pointer identifies the version) does the derivation own the spare
-// capacity behind its columns. Any other base — a staged table, a
+// capacity behind its last chunk. Any other base — a staged table, a
 // version a concurrent writer has since replaced — is advanced by copy,
 // so no two live versions ever write the same cell.
 func (db *DB) advanceLocked(key string, base *ColTable, d *Delta) *ColTable {
@@ -187,6 +191,8 @@ func (db *DB) advanceLocked(key string, base *ColTable, d *Delta) *ColTable {
 	if cost.copied > 0 {
 		db.metrics.Volatile("engine.store.compact.bytes").Add(cost.copied)
 	}
+	db.metrics.Volatile("engine.store.chunks.copied").Add(cost.chunksCopied)
+	db.metrics.Volatile("engine.store.chunks.shared").Add(cost.chunksShared)
 	return next
 }
 
@@ -208,10 +214,11 @@ func (db *DB) Put(name string, r *Relation) {
 	}
 }
 
-// Append adds tuples to an existing relation — amortised O(rows
-// appended): the installed vectors grow into their spare capacity, and
-// versions pinned by snapshots keep their own length — and fires the
-// invalidation hook. It reports whether the relation exists.
+// Append adds tuples to an existing relation — O(rows appended) plus
+// one pointer per chunk: the installed version's last chunk grows into
+// its spare capacity, new chunks follow it, and versions pinned by
+// snapshots keep their own length — and fires the invalidation hook. It
+// reports whether the relation exists.
 func (db *DB) Append(name string, rows ...[]value.Value) bool {
 	key := lowerKey(name)
 	db.mu.Lock()

@@ -3,6 +3,8 @@ package engine
 import (
 	"math/bits"
 	"sync"
+
+	"aggview/internal/value"
 )
 
 // iota32 is the read-only identity index of one morsel: iota32[:n]
@@ -19,16 +21,72 @@ var iota32 = func() (a [morselRows]int32) {
 }()
 
 // rowSet is the set of rows one morsel of a pipeline works on: pos[j] is
-// the position of row j in the batch's logical row space, and idx[t][j]
-// the physical row of bound table t behind it. For a table the batch
-// carries no selection for, idx[t] is pos itself.
+// the position of row j in the batch's logical row space. A bound table
+// the batch carries no selection for is read as it stands — the morsel
+// is chunk number chunk of each of its columns and loc[j] is row j's
+// cell in it; for any other table idx[t][j] is the physical row behind
+// row j. dense holds the vectors gathered for such a table's columns
+// when its rows span chunks (used of them so far in this morsel).
 type rowSet struct {
-	pos []int32
-	idx [][]int32
+	pos   []int32
+	loc   []int32
+	chunk int
+	idx   [][]int32
+	dense []*Vec
+	used  int
 }
 
 // n returns the number of rows in the set.
 func (rs *rowSet) n() int { return len(rs.pos) }
+
+// gather copies the cells of col at the physical rows sel into a
+// morsel-local dense vector, so a table read through a selection that
+// crosses chunks reaches the kernels in their one shape: a vector and an
+// index into it.
+func (rs *rowSet) gather(col *column, sel []int32) *Vec {
+	if rs.used == len(rs.dense) {
+		rs.dense = append(rs.dense, new(Vec))
+	}
+	v := rs.dense[rs.used]
+	rs.used++
+	v.kind = col.kind
+	switch col.kind {
+	case value.KindInt, value.KindBool:
+		v.ints = room(v.ints, len(sel))
+		for i, p := range sel {
+			k, j := chunkOf(p)
+			v.ints[i] = col.chunks[k].ints[j]
+		}
+	case value.KindFloat:
+		v.floats = room(v.floats, len(sel))
+		for i, p := range sel {
+			k, j := chunkOf(p)
+			v.floats[i] = col.chunks[k].floats[j]
+		}
+	case value.KindString:
+		v.strs = room(v.strs, len(sel))
+		for i, p := range sel {
+			k, j := chunkOf(p)
+			v.strs[i] = col.chunks[k].strs[j]
+		}
+	default:
+		v.vals = room(v.vals, len(sel))
+		for i, p := range sel {
+			k, j := chunkOf(p)
+			v.vals[i] = col.chunks[k].vals[j]
+		}
+	}
+	return v
+}
+
+// room returns xs resized to n cells of a morsel-sized buffer, with
+// arbitrary contents.
+func room[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		xs = make([]T, morselRows)
+	}
+	return xs[:n]
+}
 
 // scratch is one worker's reusable working memory for a morsel pass:
 // the morsel's row set, the selection the filter refines, and the group
@@ -54,13 +112,17 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 // putScratch returns w to the pool, dropping what it still references of
-// the query it served (stored columns, selections, a partial's keys) so
+// the query it served (selections, gathered cells, a partial's keys) so
 // an idle scratch pins no table version.
 func putScratch(w *scratch) {
 	clear(w.rs.idx[:cap(w.rs.idx)])
+	for _, v := range w.rs.dense {
+		clear(v.strs[:cap(v.strs)])
+		clear(v.vals[:cap(v.vals)])
+	}
 	clear(w.keys[:cap(w.keys)])
 	clear(w.args[:cap(w.args)])
-	w.rs.pos, w.gi.keys = nil, nil
+	w.rs.pos, w.rs.loc, w.gi.keys = nil, nil, nil
 	scratchPool.Put(w)
 }
 
@@ -72,24 +134,25 @@ func (w *scratch) rows(b *Batch, lo, hi int) *rowSet {
 	for j := range rs.pos {
 		rs.pos[j] = int32(lo + j)
 	}
+	rs.loc, rs.chunk, rs.used = iota32[:hi-lo], lo/chunkRows, 0
 	nt := max(1, len(b.sel))
 	if cap(rs.idx) < nt {
 		rs.idx = make([][]int32, nt)
 	}
 	rs.idx = rs.idx[:nt]
 	for t := range rs.idx {
+		rs.idx[t] = nil
 		if t < len(b.sel) && b.sel[t] != nil {
 			rs.idx[t] = b.sel[t][lo:hi]
-		} else {
-			rs.idx[t] = rs.pos
 		}
 	}
 	return rs
 }
 
-// keep narrows the row set to the surviving row numbers js (ascending).
-// Only a batch without selections is narrowed in place — its idx is pos
-// — which is the one case a filter is fused into the pass.
+// keep narrows the row set to the surviving row numbers js (ascending),
+// which must stay untouched while the set is in use. Only a batch
+// without selections is narrowed — the one case a filter is fused into
+// the pass.
 func (rs *rowSet) keep(js []int32) {
 	if len(js) == len(rs.pos) {
 		return
@@ -97,10 +160,7 @@ func (rs *rowSet) keep(js []int32) {
 	for k, j := range js {
 		rs.pos[k] = rs.pos[j]
 	}
-	rs.pos = rs.pos[:len(js)]
-	for t := range rs.idx {
-		rs.idx[t] = rs.pos
-	}
+	rs.pos, rs.loc = rs.pos[:len(js)], js
 }
 
 // i32Pools recycles the operator-lifetime index buffers (the filter's

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -9,23 +11,108 @@ import (
 	"aggview/internal/value"
 )
 
-// ColTable is one version of a stored relation: one typed vector per
-// attribute, in schema order. It is the only stored form — rows exist
-// boxed only at the API edge (Put converts in, Relation converts out).
+// chunkRows is the number of rows per stored chunk. It equals the morsel
+// size, so a morsel of a stored table's own rows binds exactly one chunk
+// of each column (see rowSet in scratch.go).
+const chunkRows = morselRows
+
+// chunkOf splits a row position into its chunk and the cell within it.
+func chunkOf(p int32) (k, j int) {
+	return int(uint32(p) / chunkRows), int(uint32(p) % chunkRows)
+}
+
+// RowsSpanning returns the least number of rows a stored table needs to
+// span the given number of chunks. Generators use it to size inputs that
+// cross chunk boundaries without knowing the chunk size.
+func RowsSpanning(chunks int) int { return (chunks-1)*chunkRows + 1 }
+
+// tailCap is the capacity a partly filled last chunk of need cells is
+// given: room to double, up to a full chunk.
+func tailCap(need int) int { return min(chunkRows, max(16, 2*need)) }
+
+// ColTable is one version of a stored relation: one column per
+// attribute, in schema order, each cut into chunks of chunkRows rows —
+// every chunk full except the last, so row i is cell i%chunkRows of
+// chunk i/chunkRows and positions stay dense. It is the only stored
+// form — rows exist boxed only at the API edge (Put converts in,
+// Relation converts out).
 //
-// A version is immutable in its first n cells per column; the engine
-// shares those vectors into scan batches without copying. Successive
-// versions may share backing arrays: an append extends the installed
-// version's arrays into their spare capacity (cells at n and beyond,
-// which no older version can address), and an update shares every
-// column it does not assign. See DB.Apply for the one place that
-// extends in place.
+// A version's cells are immutable; the engine binds its chunks into scan
+// batches without copying. Successive versions share chunks by pointer:
+// deriving a version (derive) rewrites only the chunks its delta reaches
+// and points at the rest. The one write into storage another version can
+// see is an append extending the installed version's last chunk into its
+// spare capacity (cells past that version's length, which no version
+// addresses). See DB.Apply for the one place that does so.
 type ColTable struct {
 	attrs []string
 	n     int
-	cols  []*Vec
+	cols  []*column
 	bytes int64
 	ver   uint64 // per-relation version, assigned at install
+}
+
+// column is one attribute of a stored table: its chunks, all of one
+// kind. A cell of another kind promotes the whole column to mixed.
+type column struct {
+	kind   value.Kind
+	chunks []*chunk
+}
+
+// chunk is one column's cells for one run of chunkRows rows, with the
+// closed range [lo, hi] they span in the column's own kind. Only int,
+// float and string chunks are ranged, and a float chunk holding a NaN
+// (which orders equal to everything) is not: an unranged chunk is never
+// skipped.
+type chunk struct {
+	Vec
+	ranged bool
+	lo, hi value.Value
+}
+
+// span folds xs into its least and greatest cell. A NaN among floats
+// comes back as both.
+func span[T cmp.Ordered](xs []T) (lo, hi T) {
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, hi
+}
+
+// setRange records the range of the chunk's cells.
+func (ch *chunk) setRange() {
+	switch ch.kind {
+	case value.KindInt:
+		lo, hi := span(ch.ints)
+		ch.lo, ch.hi, ch.ranged = value.Int(lo), value.Int(hi), true
+	case value.KindFloat:
+		lo, hi := span(ch.floats)
+		ch.lo, ch.hi, ch.ranged = value.Float(lo), value.Float(hi), !math.IsNaN(lo)
+	case value.KindString:
+		lo, hi := span(ch.strs)
+		ch.lo, ch.hi, ch.ranged = value.Str(lo), value.Str(hi), true
+	}
+}
+
+// Value boxes cell i of the column.
+func (c *column) Value(i int) value.Value {
+	k, j := chunkOf(int32(i))
+	return c.chunks[k].Value(j)
+}
+
+// cellBytes is the budget's estimate of one cell: 8 bytes per numeric
+// or boolean cell, 16 per string header (content bytes are shared with
+// the source data and not re-counted), 48 per boxed value.
+func cellBytes(k value.Kind) int64 {
+	switch k {
+	case value.KindInt, value.KindBool, value.KindFloat:
+		return 8
+	case value.KindString:
+		return 16
+	default:
+		return 48
+	}
 }
 
 // NumRows returns the number of rows.
@@ -48,8 +135,8 @@ func (c *ColTable) Rows(pos []int32) [][]value.Value {
 	out := make([][]value.Value, len(pos))
 	for j, i := range pos {
 		row := cells[j*w : (j+1)*w : (j+1)*w]
-		for k, v := range c.cols {
-			row[k] = v.Value(int(i))
+		for k, col := range c.cols {
+			row[k] = col.Value(int(i))
 		}
 		out[j] = row
 	}
@@ -69,27 +156,68 @@ func (c *ColTable) Relation() *Relation {
 // BuildColTable converts a row-major relation into a fresh columnar
 // table that shares no buffer with any other.
 func BuildColTable(r *Relation) *ColTable {
-	ct := &ColTable{attrs: r.Attrs, n: len(r.Tuples), cols: make([]*Vec, len(r.Attrs))}
+	ct := &ColTable{attrs: r.Attrs, n: len(r.Tuples), cols: make([]*column, len(r.Attrs))}
 	for pos := range r.Attrs {
-		ct.cols[pos] = colVecOf(r.Tuples, pos)
+		ct.cols[pos] = columnOf(r.Tuples, pos)
 	}
 	ct.sumBytes()
 	return ct
 }
 
+// columnOf extracts column pos of a row-major tuple set: one typed
+// vector, cut into chunks and ranged in the same pass.
+func columnOf(tuples [][]value.Value, pos int) *column {
+	v := colVecOf(tuples, pos)
+	col := &column{kind: v.kind}
+	switch v.kind {
+	case value.KindInt, value.KindBool:
+		col.chunks = cut(v.kind, v.ints, (*Vec).intCells)
+	case value.KindFloat:
+		col.chunks = cut(v.kind, v.floats, (*Vec).floatCells)
+	case value.KindString:
+		col.chunks = cut(v.kind, v.strs, (*Vec).strCells)
+	default:
+		col.chunks = cut(v.kind, v.vals, (*Vec).boxedCells)
+	}
+	for _, ch := range col.chunks {
+		ch.setRange()
+	}
+	return col
+}
+
+// cut returns the cells xs as chunks that are views of it, capacity
+// clipped so that a later append to the last one moves it out. The chunk
+// headers are one allocation, in chunk order, as a scan binds them.
+func cut[T any](kind value.Kind, xs []T, cells func(*Vec) *[]T) []*chunk {
+	slab := make([]chunk, morselCount(len(xs)))
+	chunks := make([]*chunk, len(slab))
+	for k := range slab {
+		lo, hi := morselBounds(k, len(xs))
+		slab[k].kind = kind
+		*cells(&slab[k].Vec) = xs[lo:hi:hi]
+		chunks[k] = &slab[k]
+	}
+	return chunks
+}
+
 func (c *ColTable) sumBytes() {
 	c.bytes = 0
-	for _, v := range c.cols {
-		c.bytes += v.bytes()
+	for _, col := range c.cols {
+		c.bytes += cellBytes(col.kind) * int64(c.n)
 	}
 }
 
 // Delta describes a table version relative to a base version. Set is
 // applied first and Drop second, both against base positions; Append
 // rows follow the survivors. Set and Drop positions must be disjoint.
+// What deriving the version costs follows the delta, not the table: Set
+// rewrites the chunks (of the columns) in which a cell actually changes,
+// Append fills the last chunk and starts new ones, and Drop rewrites
+// from the chunk of its first position to the end — so dropping recent
+// rows costs the last chunk, and dropping row 0 costs one copy of the
+// table.
 type Delta struct {
-	// SetAt[i] is the position of the row replaced by SetRows[i]. Only
-	// the columns in which some cell actually changes are copied.
+	// SetAt[i] is the position of the row replaced by SetRows[i].
 	SetAt   []int32
 	SetRows [][]value.Value
 	// Drop lists the positions of the rows to remove, ascending and
@@ -101,24 +229,27 @@ type Delta struct {
 
 // deltaCost is what deriving one version cost, for the store counters.
 type deltaCost struct {
-	copied  int64 // bytes of column cells rewritten into fresh arrays
-	realloc bool  // some column outgrew its array (or was rebuilt) while appending
+	copied  int64 // bytes of the chunks Set and Drop rewrote into fresh arrays
+	realloc bool  // some column's last chunk had to move to take the appended cells
+	// chunks whose cells were copied out of the base, and chunks the new
+	// version holds by the base's own pointer. A last chunk extended in
+	// place and chunks made of appended rows alone are neither.
+	chunksCopied, chunksShared int64
 }
 
-// With returns base+delta as a table that never writes into the base's
-// arrays: changed columns are copied, unchanged ones are shared with
-// their capacity clipped so that a later append to the result
-// reallocates. It is the derivation for every version that is not the
-// installed one (staged tables a later delta of the same batch must
-// read, stale bases).
+// With returns base+delta as a table that never writes into storage the
+// base can see: touched chunks are copied (a partly filled last chunk
+// too, before it takes appended cells), the rest are shared. It is the
+// derivation for every version that is not the installed one (staged
+// tables a later delta of the same batch must read, stale bases).
 func (c *ColTable) With(d Delta) *ColTable {
 	out, _ := c.derive(&d, false)
 	return out
 }
 
 // derive builds base+delta. owned is true only for the installed
-// version under db.mu: then an unchanged column is extended into its
-// spare capacity in place.
+// version under db.mu: then the last chunk is extended into its spare
+// capacity in place.
 func (c *ColTable) derive(d *Delta, owned bool) (*ColTable, deltaCost) {
 	var cost deltaCost
 	if c.n == 0 {
@@ -128,69 +259,80 @@ func (c *ColTable) derive(d *Delta, owned bool) (*ColTable, deltaCost) {
 		cost.realloc = true
 		return out, cost
 	}
-	out := &ColTable{attrs: c.attrs, n: c.n - len(d.Drop) + len(d.Append), cols: make([]*Vec, len(c.cols))}
-	for col, v := range c.cols {
-		out.cols[col] = v.patch(col, d, owned, &cost)
+	out := &ColTable{attrs: c.attrs, n: c.n - len(d.Drop) + len(d.Append), cols: make([]*column, len(c.cols))}
+	for pos, col := range c.cols {
+		out.cols[pos] = col.patch(pos, c.n, d, owned, &cost)
 	}
 	out.sumBytes()
 	return out, cost
 }
 
-// patch derives one column of base+delta.
-func (v *Vec) patch(col int, d *Delta, owned bool, cost *deltaCost) *Vec {
-	n := v.Len()
-	rebuild := len(d.Drop) > 0
+// patch derives one column of base+delta; n is the base's row count.
+func (c *column) patch(pos, n int, d *Delta, owned bool, cost *deltaCost) *column {
 	promote := false
-	for i, p := range d.SetAt {
-		nv := d.SetRows[i][col]
-		if !v.holds(nv) {
-			promote = true
-		}
-		if !rebuild && !sameCell(v.Value(int(p)), nv) {
-			rebuild = true
-		}
+	for i := range d.SetAt {
+		promote = promote || !c.holds(d.SetRows[i][pos])
 	}
 	for _, r := range d.Append {
-		if !v.holds(r[col]) {
-			promote = true
-		}
+		promote = promote || !c.holds(r[pos])
 	}
+	from := c
 	if promote {
-		// One fresh boxed copy keeps every earlier cell's exact value.
-		vals := make([]value.Value, n)
-		for i := range vals {
-			vals[i] = v.Value(i)
-		}
-		v, rebuild = &Vec{kind: kindMixed, vals: vals}, true
+		from = c.boxed(cost)
 	}
-	out := &Vec{kind: v.kind}
-	switch v.kind {
+	out := &column{kind: from.kind}
+	switch from.kind {
 	case value.KindInt:
-		out.ints = patchCells(v.ints, col, d, rebuild, owned, cost, value.Value.AsInt)
+		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).intCells, value.Value.AsInt)
 	case value.KindBool:
-		out.ints = patchCells(v.ints, col, d, rebuild, owned, cost, func(x value.Value) int64 {
+		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).intCells, func(x value.Value) int64 {
 			if x.AsBool() {
 				return 1
 			}
 			return 0
 		})
 	case value.KindFloat:
-		out.floats = patchCells(v.floats, col, d, rebuild, owned, cost, value.Value.AsFloat)
+		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).floatCells, value.Value.AsFloat)
 	case value.KindString:
-		out.strs = patchCells(v.strs, col, d, rebuild, owned, cost, value.Value.AsString)
+		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).strCells, value.Value.AsString)
 	default:
-		out.vals = patchCells(v.vals, col, d, rebuild, owned, cost, func(x value.Value) value.Value { return x })
+		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).boxedCells, func(x value.Value) value.Value { return x })
 	}
-	if rebuild {
-		cost.copied += out.bytes()
+	for k, ch := range out.chunks {
+		if k < len(c.chunks) && ch == c.chunks[k] {
+			cost.chunksShared++
+		} else {
+			ch.setRange()
+		}
 	}
 	return out
 }
 
-// holds reports whether x can be stored in v without changing v's kind.
-func (v *Vec) holds(x value.Value) bool {
-	return v.kind == kindMixed || v.kind == x.Kind()
+// holds reports whether x can be stored in c without changing c's kind.
+func (c *column) holds(x value.Value) bool {
+	return c.kind == kindMixed || c.kind == x.Kind()
 }
+
+// boxed returns a fresh mixed-kind copy of the column: every earlier
+// cell keeps its exact boxed value.
+func (c *column) boxed(cost *deltaCost) *column {
+	out := &column{kind: kindMixed, chunks: make([]*chunk, len(c.chunks))}
+	for k, ch := range c.chunks {
+		vals := make([]value.Value, ch.Len())
+		for j := range vals {
+			vals[j] = ch.Value(j)
+		}
+		out.chunks[k] = &chunk{Vec: Vec{kind: kindMixed, vals: vals}}
+		cost.copied += cellBytes(kindMixed) * int64(len(vals))
+		cost.chunksCopied++
+	}
+	return out
+}
+
+func (v *Vec) intCells() *[]int64         { return &v.ints }
+func (v *Vec) floatCells() *[]float64     { return &v.floats }
+func (v *Vec) strCells() *[]string        { return &v.strs }
+func (v *Vec) boxedCells() *[]value.Value { return &v.vals }
 
 // sameCell reports whether two boxed cells are the same stored value:
 // same kind and, within a kind, the same key (every NaN is one value).
@@ -198,53 +340,96 @@ func sameCell(a, b value.Value) bool {
 	return a.Kind() == b.Kind() && value.KeyEqual(a, b)
 }
 
-// patchCells derives one payload slice. With rebuild it copies xs into
-// a fresh array with headroom, overwrites the Set cells and compacts
-// the Drop positions away; otherwise it keeps xs, clipping its capacity
-// unless the caller owns the spare cells. Appended cells then go
-// through append, which writes in place while capacity lasts and grows
-// geometrically when it does not.
-func patchCells[T any](xs []T, col int, d *Delta, rebuild, owned bool, cost *deltaCost, conv func(value.Value) T) []T {
-	n := len(xs)
-	switch {
-	case rebuild:
-		final := n - len(d.Drop) + len(d.Append)
-		fresh := make([]T, n, max(n, final+final/8+16))
-		copy(fresh, xs)
-		for i, p := range d.SetAt {
-			fresh[p] = conv(d.SetRows[i][col])
+// patchCells derives the chunks of one column whose payload is []T:
+// from's chunks with the delta applied. base is the column of the
+// version being derived from — from itself, or the column from is a
+// promoted copy of — and a chunk still shared with it (same pointer) is
+// never written: Set copies the chunks in which a cell changes, Drop
+// streams the survivors from its first position's chunk on (and the
+// appended cells behind them) into fresh chunks, and Append extends the
+// last chunk — in place when the caller owns its spare cells and they
+// suffice, moved to a larger array otherwise — and starts new chunks
+// once it is full.
+func patchCells[T any](from, base *column, pos, n int, d *Delta, owned bool, cost *deltaCost, cells func(*Vec) *[]T, conv func(value.Value) T) []*chunk {
+	width := cellBytes(from.kind)
+	chunks := make([]*chunk, len(from.chunks), morselCount(n+len(d.Append)))
+	copy(chunks, from.chunks)
+	wrap := func(xs []T) *chunk {
+		ch := &chunk{Vec: Vec{kind: from.kind}}
+		*cells(&ch.Vec) = xs
+		return ch
+	}
+
+	for i, p := range d.SetAt {
+		k, j := chunkOf(p)
+		nv := d.SetRows[i][pos]
+		if sameCell(chunks[k].Value(j), nv) {
+			continue
 		}
-		if len(d.Drop) > 0 {
-			w := int(d.Drop[0])
-			for k, p := range d.Drop {
-				hi := n
-				if k+1 < len(d.Drop) {
-					hi = int(d.Drop[k+1])
-				}
-				w += copy(fresh[w:], fresh[int(p)+1:hi])
+		if chunks[k] == base.chunks[k] {
+			chunks[k] = wrap(slices.Clone(*cells(&chunks[k].Vec)))
+			cost.copied += width * int64(chunks[k].Len())
+			cost.chunksCopied++
+		}
+		(*cells(&chunks[k].Vec))[j] = conv(nv)
+	}
+
+	rest := d.Append
+	if len(d.Drop) > 0 {
+		k0, _ := chunkOf(d.Drop[0])
+		tail := make([]T, 0, n-k0*chunkRows-len(d.Drop)+len(rest))
+		drop := d.Drop
+		for k := k0; k < len(chunks); k++ {
+			xs, at := *cells(&chunks[k].Vec), 0
+			for len(drop) > 0 && int(drop[0]) < k*chunkRows+len(xs) {
+				_, j := chunkOf(drop[0])
+				tail = append(tail, xs[at:j]...)
+				at, drop = j+1, drop[1:]
 			}
-			fresh = fresh[:w]
+			tail = append(tail, xs[at:]...)
 		}
-		xs = fresh
-	case !owned:
-		xs = xs[:n:n]
+		for _, r := range rest {
+			tail = append(tail, conv(r[pos]))
+		}
+		chunks, rest = append(chunks[:k0], cut(from.kind, tail, cells)...), nil
+		cost.chunksCopied += int64(len(chunks) - k0)
+		cost.copied += width * int64(len(tail))
 	}
-	if len(d.Append) > cap(xs)-len(xs) {
-		cost.realloc = true
+
+	if k := len(chunks) - 1; len(rest) > 0 && chunks[k].Len() < chunkRows {
+		xs := *cells(&chunks[k].Vec)
+		take := min(chunkRows-len(xs), len(rest))
+		mine := chunks[k] != base.chunks[k]
+		if !(mine || owned) || cap(xs)-len(xs) < take {
+			xs = append(make([]T, 0, tailCap(len(xs)+take)), xs...)
+			cost.realloc = true
+			if !mine {
+				cost.chunksCopied++
+			}
+		}
+		for _, r := range rest[:take] {
+			xs = append(xs, conv(r[pos]))
+		}
+		chunks[k], rest = wrap(xs), rest[take:]
 	}
-	for _, r := range d.Append {
-		xs = append(xs, conv(r[col]))
+	for len(rest) > 0 {
+		take := min(chunkRows, len(rest))
+		xs := make([]T, 0, tailCap(take))
+		for _, r := range rest[:take] {
+			xs = append(xs, conv(r[pos]))
+		}
+		chunks, rest = append(chunks, wrap(xs)), rest[take:]
 	}
-	return xs
+	return chunks
 }
 
 // Locate resolves a multiset of rows to distinct positions holding
 // them, matching cells as value.Key does (1 and 1.0 are one value). It
 // is one pass over the first column — a typed probe when that column
-// holds ints, the usual key — that verifies the remaining columns only
-// on candidates. ok is false
-// when some row is absent (or present fewer times than asked for).
-// Positions come back ascending.
+// holds ints, the usual key, skipping the chunks whose range the wanted
+// keys miss — that verifies the remaining columns only on candidates.
+// ok is false when some row is absent (or present fewer times than asked
+// for). Positions come back ascending.
 func (c *ColTable) Locate(rows [][]value.Value) (pos []int32, ok bool) {
 	if len(rows) == 0 {
 		return nil, true
@@ -283,14 +468,19 @@ func (c *ColTable) Locate(rows [][]value.Value) (pos []int32, ok bool) {
 			byFirst[x] = append(byFirst[x], w)
 			lo, hi = min(lo, x), max(hi, x)
 		}
-		for i, x := range first.ints {
-			if x < lo || x > hi {
+		for k, ch := range first.chunks {
+			if left == 0 {
+				break
+			}
+			if ch.hi.AsInt() < lo || ch.lo.AsInt() > hi {
 				continue
 			}
-			if cands, hit := byFirst[x]; hit {
-				verify(i, cands)
-				if left == 0 {
-					break
+			for j, x := range ch.ints {
+				if x < lo || x > hi {
+					continue
+				}
+				if cands, hit := byFirst[x]; hit {
+					verify(k*chunkRows+j, cands)
 				}
 			}
 		}
@@ -358,8 +548,8 @@ func (db *DB) Scan(name string) (*ColTable, bool, error) {
 // section 14).
 //
 // Pinning copies one pointer per relation. It is sound because a pinned
-// version's first n cells are never rewritten: later versions write
-// either fresh arrays or cells at n and beyond.
+// version's cells are never rewritten: later versions point at its
+// chunks, copy them, or write cells past its length.
 type Snapshot struct {
 	tabs map[string]*ColTable
 	gen  uint64

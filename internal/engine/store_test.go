@@ -2,6 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -122,10 +125,20 @@ func TestAppendKindPromotion(t *testing.T) {
 	}
 }
 
-// TestApplyDelta pins the positional commit: Set copies only the
-// columns it changes and shares the rest, Drop compacts in order, a
-// base that is no longer installed is advanced by copy without touching
-// what replaced it, and the store counters say which path ran.
+// ids reads the first column of an int-keyed table, in row order.
+func idsOf(ct *ColTable) []int64 {
+	var ids []int64
+	for _, ch := range ct.cols[0].chunks {
+		ids = append(ids, ch.ints...)
+	}
+	return ids
+}
+
+// TestApplyDelta pins the positional commit: Set copies only the chunks
+// of the columns it changes and shares the rest by pointer, Drop
+// rewrites from its first position's chunk on, in order, a base that is
+// no longer installed is advanced by copy without touching what
+// replaced it, and the store counters say which path ran.
 func TestApplyDelta(t *testing.T) {
 	m := obs.NewMetrics()
 	db := NewDB()
@@ -139,47 +152,98 @@ func TestApplyDelta(t *testing.T) {
 		{value.Int(2), value.Int(20), value.Str("s2")},
 	}}
 	v2 := db.Apply([]Commit{{Name: "T", Base: v1, Delta: set}})[0]
-	if &v2.cols[0].ints[0] != &v1.cols[0].ints[0] || &v2.cols[2].strs[0] != &v1.cols[2].strs[0] {
+	if v2.cols[0].chunks[0] != v1.cols[0].chunks[0] || v2.cols[2].chunks[0] != v1.cols[2].chunks[0] {
 		t.Fatal("update copied a column it did not assign")
 	}
-	if &v2.cols[1].ints[0] == &v1.cols[1].ints[0] {
+	g1, g2 := v1.cols[1].chunks[0], v2.cols[1].chunks[0]
+	if &g2.ints[0] == &g1.ints[0] {
 		t.Fatal("update wrote the assigned column in place")
 	}
-	if v1.cols[1].ints[2] != 2 || v2.cols[1].ints[2] != 20 || v2.cols[1].ints[5] != 50 {
+	if g1.ints[2] != 2 || g2.ints[2] != 20 || g2.ints[5] != 50 {
 		t.Fatal("update cells wrong")
 	}
+	// One chunk of one column rewritten: 8 cells of 8 bytes.
 	if got := m.Volatile("engine.store.compact.bytes").Load(); got != 8*8 {
 		t.Fatalf("compact.bytes=%d after a one-column update of 8 rows, want 64", got)
+	}
+	if c, s := m.Volatile("engine.store.chunks.copied").Load(), m.Volatile("engine.store.chunks.shared").Load(); c != 1 || s != 2 {
+		t.Fatalf("chunks.copied=%d chunks.shared=%d after a one-column update of a one-chunk table, want 1 and 2", c, s)
 	}
 
 	// Drop rows 0, 3, 7 and append one.
 	drop := Delta{Drop: []int32{0, 3, 7}, Append: intRows(100, 101)}
 	v3 := db.Apply([]Commit{{Name: "T", Base: v2, Delta: drop}})[0]
-	var ids []int64
-	for i := 0; i < v3.n; i++ {
-		ids = append(ids, v3.cols[0].ints[i])
+	if fmt.Sprint(idsOf(v3)) != "[1 2 4 5 6 100]" {
+		t.Fatalf("after drop+append ids=%v", idsOf(v3))
 	}
-	if fmt.Sprint(ids) != "[1 2 4 5 6 100]" {
-		t.Fatalf("after drop+append ids=%v", ids)
-	}
-	if v2.n != 8 || v2.cols[0].ints[0] != 0 {
+	if v2.n != 8 || v2.cols[0].chunks[0].ints[0] != 0 {
 		t.Fatal("drop disturbed the previous version")
 	}
 
 	// v2 is stale now: a commit against it must not write into arrays
 	// v3 (or anything derived from it) can see.
-	v3ids := append([]int64{}, v3.cols[0].ints[:v3.n]...)
+	v3ids := idsOf(v3)
 	v4 := db.Apply([]Commit{{Name: "T", Base: v2, Delta: Delta{Append: intRows(200, 203)}}})[0]
-	if v4.n != 11 || v4.cols[0].ints[10] != 202 {
+	if v4.n != 11 || idsOf(v4)[10] != 202 {
 		t.Fatalf("stale-base commit built %d rows", v4.n)
 	}
-	for i, id := range v3ids {
-		if v3.cols[0].ints[i] != id {
-			t.Fatal("stale-base commit wrote into a live version's cells")
-		}
+	if fmt.Sprint(idsOf(v3)) != fmt.Sprint(v3ids) {
+		t.Fatal("stale-base commit wrote into a live version's cells")
 	}
 	if db.Version("T") != 4 {
 		t.Fatalf("version=%d after four installs", db.Version("T"))
+	}
+
+	// The same over a table of four chunks: the cost is the chunks the
+	// delta reaches, whatever the table holds.
+	const rows = 3*chunkRows + 7
+	db.Put("W", relOf(intRows(0, rows)))
+	w1, _, _ := db.Scan("W")
+	count := func(name string) func() int64 {
+		last := m.Volatile(name).Load()
+		return func() int64 {
+			now := m.Volatile(name).Load()
+			d := now - last
+			last = now
+			return d
+		}
+	}
+	bytes, copied, shared := count("engine.store.compact.bytes"), count("engine.store.chunks.copied"), count("engine.store.chunks.shared")
+	at := int32(chunkRows + 5)
+	w2 := db.Apply([]Commit{{Name: "W", Base: w1, Delta: Delta{SetAt: []int32{at}, SetRows: [][]value.Value{
+		{value.Int(int64(at)), value.Int(-1), value.Str(fmt.Sprintf("s%d", at%3))},
+	}}}})[0]
+	for k := range w1.cols[1].chunks {
+		if same := w2.cols[1].chunks[k] == w1.cols[1].chunks[k]; same != (k != 1) {
+			t.Fatalf("one-cell update: chunk %d of the assigned column shared=%v", k, same)
+		}
+	}
+	if b, c, s := bytes(), copied(), shared(); b != 8*chunkRows || c != 1 || s != 3+4+4 {
+		t.Fatalf("one-cell update of a four-chunk table: compact.bytes=%d chunks.copied=%d chunks.shared=%d, want %d, 1, 11", b, c, s, 8*chunkRows)
+	}
+	if w2.Value(int(at), 1) != value.Int(-1) || w1.Value(int(at), 1) != value.Int(int64(at%7)) {
+		t.Fatal("one-cell update: cells wrong")
+	}
+
+	// Dropping the last rows rewrites the last chunk of each column only:
+	// 7 cells in, 4 out, at 8 + 8 + 16 bytes a row.
+	w3 := db.Apply([]Commit{{Name: "W", Base: w2, Delta: Delta{Drop: []int32{rows - 3, rows - 2, rows - 1}}}})[0]
+	if b, c, s := bytes(), copied(), shared(); b != 4*(8+8+16) || c != 3 || s != 3*3 {
+		t.Fatalf("tail drop of a four-chunk table: compact.bytes=%d chunks.copied=%d chunks.shared=%d, want 128, 3, 9", b, c, s)
+	}
+	if w3.n != rows-3 || w3.cols[0].chunks[3].Len() != 4 || w2.cols[0].chunks[3].Len() != 7 {
+		t.Fatalf("tail drop left %d rows", w3.n)
+	}
+
+	// Dropping row 0 is the worst case: every chunk is rewritten, and the
+	// chunks stay full but the last.
+	w4 := db.Apply([]Commit{{Name: "W", Base: w3, Delta: Delta{Drop: []int32{0}}}})[0]
+	if b, c, s := bytes(), copied(), shared(); b != int64(w4.n)*(8+8+16) || c != 3*4 || s != 0 {
+		t.Fatalf("head drop of a four-chunk table: compact.bytes=%d chunks.copied=%d chunks.shared=%d, want %d, 12, 0", b, c, s, int64(w4.n)*32)
+	}
+	ids := idsOf(w4)
+	if len(ids) != rows-4 || ids[0] != 1 || ids[len(ids)-1] != rows-4 || w4.cols[0].chunks[0].Len() != chunkRows || w4.cols[0].chunks[3].Len() != 3 {
+		t.Fatalf("head drop: %d ids from %d", len(ids), ids[0])
 	}
 }
 
@@ -215,5 +279,266 @@ func TestLocate(t *testing.T) {
 	}})
 	if pos, ok := fl.Locate([][]value.Value{{value.Float(1.5), value.Int(3)}, {value.Int(2), value.Int(2)}}); !ok || fmt.Sprint(pos) != "[1 2]" {
 		t.Fatalf("float-first probe = %v, %v", pos, ok)
+	}
+}
+
+// modelRows is the plain row-major model the chunked store is held to.
+type modelRows [][]value.Value
+
+// apply returns base+delta by the definition in Delta's comment.
+func (m modelRows) apply(d Delta) modelRows {
+	rows := make(modelRows, len(m))
+	copy(rows, m)
+	for i, p := range d.SetAt {
+		rows[p] = d.SetRows[i]
+	}
+	dropped := map[int32]bool{}
+	for _, p := range d.Drop {
+		dropped[p] = true
+	}
+	out := make(modelRows, 0, len(rows))
+	for p, r := range rows {
+		if !dropped[int32(p)] {
+			out = append(out, r)
+		}
+	}
+	return append(out, d.Append...)
+}
+
+// modelRow draws a row of (int key, float with the odd NaN, string,
+// int).
+func modelRow(rng *rand.Rand, id int) []value.Value {
+	f := value.Float(float64(rng.Intn(2000)) / 8)
+	if rng.Intn(400) == 0 {
+		f = value.Float(math.NaN())
+	}
+	return []value.Value{value.Int(int64(id)), f, value.Str(fmt.Sprintf("s%03d", rng.Intn(500))), value.Int(int64(rng.Intn(50)))}
+}
+
+// checkAgainstModel compares everything a reader can ask of ct with the
+// model, and every chunk's recorded range with a recomputation.
+func checkAgainstModel(t *testing.T, what string, ct *ColTable, want modelRows, rng *rand.Rand) {
+	t.Helper()
+	if ct.NumRows() != len(want) {
+		t.Fatalf("%s: NumRows=%d, model has %d", what, ct.NumRows(), len(want))
+	}
+	got := ct.Relation().Tuples
+	for i, row := range got {
+		for c, v := range row {
+			if !sameCell(v, want[i][c]) {
+				t.Fatalf("%s: cell (%d,%d) = %v (%s), model %v (%s)", what, i, c, v, v.Kind(), want[i][c], want[i][c].Kind())
+			}
+		}
+	}
+	var bytes int64
+	for c, col := range ct.cols {
+		bytes += cellBytes(col.kind) * int64(len(want))
+		if len(col.chunks) != morselCount(len(want)) {
+			t.Fatalf("%s: column %d has %d chunks for %d rows", what, c, len(col.chunks), len(want))
+		}
+		for k, ch := range col.chunks {
+			lo, hi := morselBounds(k, len(want))
+			if ch.Len() != hi-lo || ch.kind != col.kind {
+				t.Fatalf("%s: column %d chunk %d holds %d cells of kind %v, want %d of %v", what, c, k, ch.Len(), ch.kind, hi-lo, col.kind)
+			}
+			// The reference range, by boxed comparison; none when the
+			// column is bool or mixed or the chunk holds a NaN.
+			ranged := col.kind == value.KindInt || col.kind == value.KindFloat || col.kind == value.KindString
+			rlo, rhi := want[lo][c], want[lo][c]
+			for _, row := range want[lo:hi] {
+				if v := row[c]; v.Kind() == value.KindFloat && math.IsNaN(v.AsFloat()) {
+					ranged = false
+				} else if ranged {
+					if value.Compare(v, rlo) < 0 {
+						rlo = v
+					}
+					if value.Compare(v, rhi) > 0 {
+						rhi = v
+					}
+				}
+			}
+			if ch.ranged != ranged || ranged && (value.Compare(ch.lo, rlo) != 0 || value.Compare(ch.hi, rhi) != 0) {
+				t.Fatalf("%s: column %d chunk %d range ranged=%v [%v, %v], recomputed ranged=%v [%v, %v]", what, c, k, ch.ranged, ch.lo, ch.hi, ranged, rlo, rhi)
+			}
+		}
+	}
+	if ct.Bytes() != bytes {
+		t.Fatalf("%s: Bytes=%d, want %d", what, ct.Bytes(), bytes)
+	}
+	if len(want) == 0 {
+		return
+	}
+	pos := make([]int32, 5)
+	for i := range pos {
+		pos[i] = int32(rng.Intn(len(want)))
+	}
+	for i, row := range ct.Rows(pos) {
+		for c, v := range row {
+			if !sameCell(v, want[pos[i]][c]) {
+				t.Fatalf("%s: Rows(%d) cell %d = %v, model %v", what, pos[i], c, v, want[pos[i]][c])
+			}
+		}
+	}
+	// Locate finds distinct ascending positions holding the asked rows
+	// (keys are unique, so the positions are the asked ones).
+	asked := map[int32]bool{}
+	var rows [][]value.Value
+	for _, p := range pos {
+		if !asked[p] {
+			asked[p] = true
+			rows = append(rows, want[p])
+		}
+	}
+	found, ok := ct.Locate(rows)
+	if !ok || len(found) != len(rows) {
+		t.Fatalf("%s: Locate(%v) = %v, %v", what, pos, found, ok)
+	}
+	for i, p := range found {
+		if !asked[p] || i > 0 && found[i-1] >= p {
+			t.Fatalf("%s: Locate(%v) = %v", what, pos, found)
+		}
+	}
+}
+
+// TestChunkedStoreMatchesModel drives seeded random Set/Drop/Append
+// deltas through the chunked store — by copy (With) and through DB.Apply
+// (owned: the last chunk is extended in place) — beside a plain row-major
+// model, at sizes on every side of a chunk boundary, and after every
+// step compares all a reader can see. Every version pinned along the way
+// must go on reading exactly what it read when pinned: sharing chunks
+// between versions is sound only if no derivation writes a cell an
+// earlier version can address. (A clobbered cell stays clobbered, so the
+// pinned versions are re-read every third step and after the last.)
+func TestChunkedStoreMatchesModel(t *testing.T) {
+	attrs := []string{"id", "f", "s", "x"}
+	for _, size := range []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, 3*chunkRows + 7} {
+		for _, owned := range []bool{false, true} {
+			what := fmt.Sprintf("size %d owned=%v", size, owned)
+			rng := rand.New(rand.NewSource(int64(size)*2 + 1))
+			nextID := 0
+			fresh := func(n int) [][]value.Value {
+				rows := make([][]value.Value, n)
+				for i := range rows {
+					rows[i] = modelRow(rng, nextID)
+					nextID++
+				}
+				return rows
+			}
+			model := modelRows(fresh(size))
+			db := NewDB()
+			db.Put("T", &Relation{Attrs: attrs, Tuples: model})
+			cur, _, _ := db.Scan("T")
+			checkAgainstModel(t, what+" initially", cur, model, rng)
+
+			type pin struct {
+				read func() *Relation
+				want modelRows
+				step int
+			}
+			var pins []pin
+			const steps = 30
+			for step := 0; step < steps; step++ {
+				var d Delta
+				n := len(model)
+				taken := map[int32]bool{}
+				pick := func(k int) []int32 {
+					var ps []int32
+					for len(ps) < k && len(taken) < n {
+						p := int32(rng.Intn(n))
+						if step%3 == 0 {
+							p = int32(n - 1 - rng.Intn(min(n, 20))) // recent rows
+						}
+						if !taken[p] {
+							taken[p] = true
+							ps = append(ps, p)
+						}
+					}
+					return ps
+				}
+				// rewrite returns row p with fresh non-key cells.
+				rewrite := func(p int32) []value.Value {
+					return append([]value.Value{model[p][0]}, modelRow(rng, 0)[1:]...)
+				}
+				switch step % 6 {
+				case 0, 1: // UPDATE
+					d.SetAt = pick(1 + rng.Intn(8))
+					for _, p := range d.SetAt {
+						row := rewrite(p)
+						switch step {
+						case 6: // changes no cell
+							row = model[p]
+						case 25: // promotes the string column to mixed
+							row[2] = value.Int(7)
+						}
+						d.SetRows = append(d.SetRows, row)
+					}
+				case 2: // DELETE
+					d.Drop = pick(1 + rng.Intn(8))
+				case 3: // everything at once
+					d.SetAt = pick(rng.Intn(4))
+					for _, p := range d.SetAt {
+						d.SetRows = append(d.SetRows, rewrite(p))
+					}
+					d.Drop = pick(rng.Intn(6))
+					d.Append = fresh(rng.Intn(chunkRows + 40))
+				case 4: // INSERT
+					d.Append = fresh(1 + rng.Intn(40))
+					if step == 22 { // promotes the last column to mixed
+						d.Append[0][3] = value.Str("p")
+					}
+				default: // now and then drop everything, then append
+					if step == 11 {
+						d.Drop = pick(n)
+					}
+					d.Append = fresh(rng.Intn(2 * chunkRows))
+				}
+				sort.Slice(d.Drop, func(i, j int) bool { return d.Drop[i] < d.Drop[j] })
+
+				prev, prevModel := cur, model
+				model = model.apply(d)
+				if owned {
+					cur = db.Apply([]Commit{{Name: "T", Base: cur, Delta: d}})[0]
+				} else {
+					cur = cur.With(d)
+				}
+				checkAgainstModel(t, fmt.Sprintf("%s step %d", what, step), cur, model, rng)
+
+				if step%5 == 0 {
+					p := pin{want: model, step: step}
+					if owned {
+						snap := db.Snapshot()
+						p.read = func() *Relation { r, _ := snap.Relation("T"); return r }
+					} else {
+						p.read = cur.Relation
+					}
+					pins = append(pins, p)
+				}
+				if step%4 == 1 {
+					// A sibling off the base just replaced: its appended cells
+					// must not land where cur's did.
+					sd := Delta{Append: fresh(3)}
+					sib := prev.With(sd)
+					checkAgainstModel(t, fmt.Sprintf("%s step %d sibling", what, step), sib, prevModel.apply(sd), rng)
+					checkAgainstModel(t, fmt.Sprintf("%s step %d after its sibling", what, step), cur, model, rng)
+					pins = append(pins, pin{read: sib.Relation, want: prevModel.apply(sd), step: step})
+				}
+				if step%3 != 2 && step != steps-1 {
+					continue
+				}
+				for _, p := range pins {
+					got := p.read().Tuples
+					if len(got) != len(p.want) {
+						t.Fatalf("%s step %d: the version pinned at step %d now has %d rows, had %d", what, step, p.step, len(got), len(p.want))
+					}
+					for i, row := range got {
+						for c, v := range row {
+							if !sameCell(v, p.want[i][c]) {
+								t.Fatalf("%s step %d: the version pinned at step %d now reads %v at (%d,%d), read %v", what, step, p.step, v, i, c, p.want[i][c])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

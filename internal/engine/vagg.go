@@ -609,9 +609,10 @@ func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) err
 // aggregation query over the batch into out. One morsel pass folds the
 // batch into per-morsel partials (foldMorsel).
 // When the batch is a stored table the pass is also its scan (fused):
-// it runs the pushed-down predicates preds first, charges the table's
-// rows at site "scan" as it goes and the surviving rows at "agg.fold" as
-// the partials merge, so both sites see the totals of separate passes.
+// it skips the chunks preds exclude (scanMorsels), runs preds first on
+// the rest, charges the rows it reads at site "scan" as it goes and the
+// surviving rows at "agg.fold" as the partials merge, so both sites see
+// the totals of separate passes.
 // Partials belong to morsels of the batch, whose boundaries depend on
 // the input alone, and merge serially in morsel index order — a fixed
 // merge tree, so accumulator contents (including float accumulation
@@ -626,7 +627,7 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.P
 	aggs, aggIdx := collectAggs(q)
 	pl := &aggPlan{q: q, b: b, preds: preds, specs: aggSpecs(aggs)}
 	for _, gc := range q.GroupBy {
-		if v := b.cols[gc]; v != nil && (v.kind == value.KindFloat || v.kind == kindMixed) {
+		if col := b.cols[gc]; col != nil && (col.kind == value.KindFloat || col.kind == kindMixed) {
 			pl.byKey = true
 		}
 	}
@@ -635,15 +636,19 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.P
 		site = "scan"
 	}
 
-	nm := morselCount(b.n)
-	parts := make([]*foldState, nm)
-	kept := make([]int32, nm)
-	err := ev.morselRun(t, site, ev.workersFor(b.n), b.n, func(w *scratch, m, lo, hi int) error {
+	ms := allMorsels(b.n)
+	if fused {
+		ms = ev.scanMorsels(b, preds)
+		mt.scanRows.Add(int64(ms.rows()))
+	}
+	parts := make([]*foldState, ms.count())
+	kept := make([]int32, ms.count())
+	err := ev.morselRun(t, site, ev.workersFor(ms.rows()), ms, func(w *scratch, k, lo, hi int) error {
 		p, n, err := w.foldMorsel(pl, lo, hi)
 		if err != nil || p == nil {
 			return err
 		}
-		parts[m], kept[m] = p, int32(n)
+		parts[k], kept[k] = p, int32(n)
 		return t.allocBytes(ev, "agg.fold", p.bytes())
 	})
 	if err != nil {

@@ -124,7 +124,7 @@ func (ev *Evaluator) hashJoinBatch(t *task, left, right *Batch, joined []int, ke
 			return nil, err
 		}
 		lIdx, rIdx = make([]int32, left.n*right.n), make([]int32, left.n*right.n)
-		err := ev.morselRun(t, "join.cross", ev.workersFor(left.n), left.n, func(_ *scratch, m, lo, hi int) error {
+		err := ev.morselRun(t, "join.cross", ev.workersFor(left.n), allMorsels(left.n), func(_ *scratch, _, lo, hi int) error {
 			o := lo * right.n
 			for i := lo; i < hi; i++ {
 				for j := 0; j < right.n; j++ {
@@ -176,8 +176,8 @@ func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int
 	// uniformly KindInt — with a float on either side the canonical key
 	// encoding must unify 1 and 1.0.
 	isInt := func(s joinSide) bool {
-		v := s.b.cols[s.cols[0]]
-		return v != nil && v.kind == value.KindInt
+		col := s.b.cols[s.cols[0]]
+		return col != nil && col.kind == value.KindInt
 	}
 	ints := len(l.cols) == 1 && isInt(l) && isInt(r)
 
@@ -205,7 +205,7 @@ func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int
 		if s.b == small.b {
 			err = ev.chargeRows(t, s.site, s.b.n)
 		} else {
-			err = ev.morselRun(t, s.site, ev.workersFor(s.b.n), s.b.n, func(w *scratch, m, lo, hi int) error {
+			err = ev.morselRun(t, s.site, ev.workersFor(s.b.n), allMorsels(s.b.n), func(w *scratch, _, lo, hi int) error {
 				jk.morselIDs(w, big, bids, lo, hi, false)
 				return nil
 			})

@@ -74,9 +74,11 @@ func selCmpCols[T cmp.Ordered](mask uint, xs []T, xi []int32, ys []T, yi []int32
 
 // vecOperand is one side of a vectorized predicate or expression over a
 // morsel's row set: a broadcast constant, or a vector read through an
-// index — cell j is vec's cell idx[j]. A stored column carries its
-// table's row indices; a vector computed for the morsel carries the
-// identity (iota32).
+// index — cell j is vec's cell idx[j]. A stored column read as it stands
+// is the morsel's chunk under the rows' cells in it; one read through a
+// selection is its only chunk under the selected rows or, when it has
+// several, the gathered cells under the identity, like any vector
+// computed for the morsel (iota32).
 type vecOperand struct {
 	vec     *Vec
 	idx     []int32
@@ -87,10 +89,18 @@ type vecOperand struct {
 // colOperand reads column c of b over the row set. An unbound slot reads
 // as the zero Value, as in the row-at-a-time engine.
 func colOperand(c ir.ColID, b *Batch, rs *rowSet) vecOperand {
-	if v := b.cols[c]; v != nil {
-		return vecOperand{vec: v, idx: rs.idx[b.tabOf(c)]}
+	col := b.cols[c]
+	if col == nil {
+		return vecOperand{c: value.Value{}, isConst: true}
 	}
-	return vecOperand{c: value.Value{}, isConst: true}
+	switch sel := rs.idx[b.tabOf(c)]; {
+	case sel == nil:
+		return vecOperand{vec: &col.chunks[rs.chunk].Vec, idx: rs.loc}
+	case len(col.chunks) == 1:
+		return vecOperand{vec: &col.chunks[0].Vec, idx: sel}
+	default:
+		return denseOperand(rs.gather(col, sel))
+	}
 }
 
 func predOperand(t ir.Term, b *Batch, rs *rowSet) vecOperand {
@@ -249,54 +259,139 @@ func (w *scratch) refine(b *Batch, rs *rowSet, preds []ir.Pred) ([]int32, error)
 	return sel, nil
 }
 
-// filterSel evaluates a conjunction of predicates over the batch,
-// morsel-parallel, and returns the surviving logical row positions in
-// input order. Each morsel refines its rows in worker scratch and
-// commits the survivors to its own range of a staging buffer; the ranges
-// concatenate in morsel order, so the selection is byte-identical to
-// the serial scan.
-func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred) ([]int32, error) {
-	stage := getI32(b.n)
+// mayHold reports whether some cell in the closed range [lo, hi] can
+// satisfy mask against y, by keepBit's own orderings: an unordered y (a
+// NaN) orders equal to every cell, so it keeps the range for the masks
+// with the equal bit and excludes it for the others, as the row loop
+// would.
+func mayHold[T cmp.Ordered](mask uint, lo, hi, y T) bool {
+	return mask&0b001 != 0 && lo < y || mask&0b010 != 0 && !(y < lo) && !(y > hi) || mask&0b100 != 0 && hi > y
+}
+
+// excludes reports whether no cell of the chunk can satisfy mask against
+// the constant y, which the caller has checked orders against the
+// chunk's kind. The comparison runs in the domain the row loop uses: int
+// against int in int64, any other numeric pair in float64 (the widening
+// is monotone, so the widened range bounds the widened cells).
+func (ch *chunk) excludes(mask uint, y value.Value) bool {
+	switch {
+	case !ch.ranged:
+		return false
+	case ch.kind == value.KindString:
+		return !mayHold(mask, ch.lo.AsString(), ch.hi.AsString(), y.AsString())
+	case ch.kind == value.KindInt && y.Kind() == value.KindInt:
+		return !mayHold(mask, ch.lo.AsInt(), ch.hi.AsInt(), y.AsInt())
+	default:
+		return !mayHold(mask, ch.lo.AsFloat(), ch.hi.AsFloat(), y.AsFloat())
+	}
+}
+
+// scanMorsels returns the morsels a scan of b under preds has to read. b
+// is a stored table read as it stands, so morsel m is chunk m of every
+// column: a chunk whose recorded range excludes one of the leading
+// conjuncts holds no row of the result and is skipped — never bound,
+// never charged. Only a leading run of conjuncts comparing an int, float
+// or string column with a constant that orders against it is consulted:
+// those cannot raise, so skipping the ones before the excluding conjunct
+// raises nothing the row loop would have, and the conjuncts behind it
+// would not have run on an empty selection either (refine stops there).
+// The walk ends at the first conjunct of any other shape.
+func (ev *Evaluator) scanMorsels(b *Batch, preds []ir.Pred) morsels {
+	type test struct {
+		col  *column
+		mask uint
+		y    value.Value
+	}
+	var buf [4]test // on the stack: a scan rarely pushes down more
+	tests := buf[:0]
+	for _, p := range preds {
+		op, l, r := p.Op, p.L, p.R
+		if l.IsConst {
+			op, l, r = op.Flip(), r, l
+		}
+		if l.IsConst || !r.IsConst {
+			break
+		}
+		col, yk := b.cols[l.Col], r.Val.Kind()
+		mask, err := cmpMask(op)
+		if err != nil || col == nil || !(numericKind(col.kind) && numericKind(yk) || col.kind == value.KindString && yk == value.KindString) {
+			break
+		}
+		tests = append(tests, test{col, mask, r.Val})
+	}
+	ms := allMorsels(b.n)
+	nm := ms.count()
+	for m := 0; m < nm && len(tests) > 0; m++ {
+		skip := false
+		for i := 0; i < len(tests) && !skip; i++ {
+			skip = tests[i].col.chunks[m].excludes(tests[i].mask, tests[i].y)
+		}
+		switch {
+		case skip && ms.live == nil:
+			ms.live = make([]int32, m, nm)
+			for i := range ms.live {
+				ms.live[i] = int32(i)
+			}
+		case !skip && ms.live != nil:
+			ms.live = append(ms.live, int32(m))
+		}
+	}
+	mt := ev.metrics()
+	mt.scanChunks.Add(int64(nm))
+	mt.scanSkipped.Add(int64(nm - ms.count()))
+	return ms
+}
+
+// filterSel evaluates a conjunction of predicates over the morsels ms of
+// the batch, morsel-parallel, and returns the surviving logical row
+// positions in input order. Each morsel refines its rows in worker
+// scratch and commits the survivors to its own range of a staging
+// buffer; the ranges concatenate in morsel order, so the selection is
+// byte-identical to the serial scan.
+func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, ms morsels) ([]int32, error) {
+	stage := getI32(ms.count() * morselRows)
 	defer putI32(stage)
-	kept := make([]int32, morselCount(b.n))
-	err := ev.morselRun(t, site, ev.workersFor(b.n), b.n, func(w *scratch, m, lo, hi int) error {
+	kept := make([]int32, ms.count())
+	err := ev.morselRun(t, site, ev.workersFor(ms.rows()), ms, func(w *scratch, k, lo, hi int) error {
 		rs := w.rows(b, lo, hi)
 		js, err := w.refine(b, rs, preds)
 		if err != nil {
 			return err
 		}
-		out := (*stage)[lo:hi]
-		for k, j := range js {
-			out[k] = rs.pos[j]
+		out := (*stage)[k*morselRows:]
+		for i, j := range js {
+			out[i] = rs.pos[j]
 		}
-		kept[m] = int32(len(js))
+		kept[k] = int32(len(js))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	total := 0
-	for _, k := range kept {
-		total += int(k)
+	for _, c := range kept {
+		total += int(c)
 	}
 	if err := t.allocBytes(ev, site, 4*int64(total)); err != nil {
 		return nil, err
 	}
 	out := make([]int32, 0, total)
-	for m, k := range kept {
-		lo := m * morselRows
-		out = append(out, (*stage)[lo:lo+int(k)]...)
+	for k, c := range kept {
+		lo := k * morselRows
+		out = append(out, (*stage)[lo:lo+int(c)]...)
 	}
 	return out, nil
 }
 
 // MatchContext returns, ascending, the positions of ct's rows that
-// satisfy every predicate, through the same morsel-parallel typed
-// filter a scan uses. Column terms address ct's attributes by position.
-// It is how DELETE and UPDATE find their rows without boxing the table;
-// rows are charged to the context's budget at site "match".
+// satisfy every predicate, through the same chunk-skipping,
+// morsel-parallel typed filter a scan uses. Column terms address ct's
+// attributes by position. It is how DELETE and UPDATE find their rows
+// without boxing the table; the rows read are charged to the context's
+// budget at site "match".
 func (ev *Evaluator) MatchContext(ctx context.Context, ct *ColTable, preds []ir.Pred) ([]int32, error) {
-	return ev.filterSel(newTask(ctx), "match", &Batch{n: ct.n, cols: ct.cols}, preds)
+	b := &Batch{n: ct.n, cols: ct.cols}
+	return ev.filterSel(newTask(ctx), "match", b, preds, ev.scanMorsels(b, preds))
 }
 
 // intsOf returns the operand's cells in the int64 domain as a dense

@@ -20,8 +20,9 @@
 // Views outside the incrementally maintainable class (DISTINCT, HAVING,
 // self-joins over the changed table, MIN/MAX over non-column
 // arguments, dependence through a nested view) fall back to full
-// recomputation — counted on the `maintain.fallback.full` metric — so
-// every mutation is always correct.
+// recomputation — counted on the `maintain.fallback.full` metric and
+// named per view by Maintainer.Mode — so every mutation is always
+// correct.
 //
 // Batches apply atomically: every delta evaluation and recomputation
 // runs first, against the pre-mutation state (plus previously staged
@@ -81,13 +82,31 @@ type Mutation struct {
 	At []int32
 }
 
+// Fallback names why a tracked view is recomputed in full instead of
+// absorbing counting deltas. The first six are shapes, decided by the
+// definition alone, and hold for every change; a self-join and a
+// view-over-view fall back for changes to the tables they involve.
+type Fallback string
+
+const (
+	FallbackDistinct  Fallback = "distinct"               // a delete can resurrect a suppressed duplicate
+	FallbackHaving    Fallback = "having"                 // a delete can re-admit a filtered group
+	FallbackMinMaxArg Fallback = "minmax-non-column-arg"  // the value-multiset delta query groups by the argument, and GROUP BY holds columns only
+	FallbackBareItem  Fallback = "ungrouped-select-item"  // a bare column that is not a grouping column
+	FallbackComputed  Fallback = "computed-select-item"   // a select item that is neither a column nor one aggregate
+	FallbackLossyKey  Fallback = "group-key-not-selected" // two groups would collide in the materialization index
+	FallbackSelfJoin  Fallback = "self-join"              // the delta of a table occurring twice is not bilinear
+	FallbackViaView   Fallback = "view-over-view"         // dependence on a table flows through a nested view
+)
+
 // state is one tracked view's counting state.
 type state struct {
 	def *ir.ViewDef
 	// incremental is false when the view's shape needs full
-	// recomputation on every change (DISTINCT, HAVING, non-column
-	// MIN/MAX arguments, lossy group keys).
+	// recomputation on every change; reason then names the shape. For an
+	// incremental shape reason names the table-level fallback, if any.
 	incremental bool
+	reason      Fallback
 	// conjunctive marks a view maintained as a plain bag of projected
 	// rows (no aggregation).
 	conjunctive bool
@@ -170,8 +189,12 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := &state{def: v}
-	st.incremental = classify(v.Def, st)
+	st.reason = classify(v.Def, st)
+	st.incremental = st.reason == ""
 	st.resolveSources(m.views, m.trackedDepthLocked())
+	if st.incremental {
+		st.reason = st.tableFallback()
+	}
 	rel, err := m.evaluator().ExecContext(ctx, v.Def)
 	if err != nil {
 		return false, err
@@ -199,17 +222,17 @@ func (m *Maintainer) trackedDepthLocked() map[string]int {
 	return d
 }
 
-// classify decides whether the view's shape admits counting deltas and
-// fills the select-position metadata.
-func classify(def *ir.Query, st *state) bool {
-	if def.Distinct || len(def.Having) > 0 {
-		// Neither is delta-monotone: a delete can resurrect a
-		// suppressed duplicate or re-admit a filtered group.
-		return false
-	}
-	if !def.IsAggregationQuery() {
+// classify fills the select-position metadata and names the shape that
+// rules counting deltas out, if one does.
+func classify(def *ir.Query, st *state) Fallback {
+	switch {
+	case def.Distinct:
+		return FallbackDistinct
+	case len(def.Having) > 0:
+		return FallbackHaving
+	case !def.IsAggregationQuery():
 		st.conjunctive = true
-		return true
+		return ""
 	}
 	grouped := map[ir.ColID]bool{}
 	for _, g := range def.GroupBy {
@@ -220,7 +243,7 @@ func classify(def *ir.Query, st *state) bool {
 		switch x := it.Expr.(type) {
 		case *ir.ColRef:
 			if !grouped[x.Col] {
-				return false
+				return FallbackBareItem
 			}
 			selected[x.Col] = true
 			st.groupPos = append(st.groupPos, pos)
@@ -231,30 +254,38 @@ func classify(def *ir.Query, st *state) bool {
 			}
 			switch fn {
 			case ir.AggSum, ir.AggCount, ir.AggAvg:
-				st.aggs = append(st.aggs, aggOut{pos: pos, fn: fn, sumAt: -1})
 			case ir.AggMin, ir.AggMax:
 				if _, ok := x.Arg.(*ir.ColRef); !ok {
-					// The value-multiset delta query groups by the
-					// argument, and GROUP BY holds columns only.
-					return false
+					return FallbackMinMaxArg
 				}
-				st.aggs = append(st.aggs, aggOut{pos: pos, fn: fn, sumAt: -1})
 			default:
-				return false
+				return FallbackComputed
 			}
+			st.aggs = append(st.aggs, aggOut{pos: pos, fn: fn, sumAt: -1})
 		default:
-			return false
+			return FallbackComputed
 		}
 	}
 	for _, g := range def.GroupBy {
 		if !selected[g] {
-			// A grouping column missing from the select list makes the
-			// projected group key lossy: two distinct groups would
-			// collide in the materialization index.
-			return false
+			return FallbackLossyKey
 		}
 	}
-	return true
+	return ""
+}
+
+// tableFallback names why changes to some of the view's tables are not
+// absorbed as deltas although its shape admits them, if that is so.
+func (st *state) tableFallback() Fallback {
+	if len(st.viaView) > 0 {
+		return FallbackViaView
+	}
+	for _, n := range st.direct {
+		if n > 1 {
+			return FallbackSelfJoin
+		}
+	}
+	return ""
 }
 
 // resolveSources fills the direct/transitive base-table maps, expanding
@@ -1083,16 +1114,33 @@ func (m *Maintainer) Materialization(name string) (*engine.Relation, bool) {
 	return st.tab.Relation(), true
 }
 
-// IsIncremental reports whether a tracked view merges deltas (true) or
-// recomputes (false).
-func (m *Maintainer) IsIncremental(name string) (bool, bool) {
+// Mode reports how a tracked view is maintained — "incremental"
+// (counting deltas) or "recompute" — and, for the latter, the Fallback
+// that decided it. A self-join or view-over-view recomputes only for
+// changes to the tables it involves. Both are empty for an untracked
+// view.
+func (m *Maintainer) Mode(name string) (mode, reason string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st, ok := m.tracked[strings.ToLower(name)]
-	if !ok {
-		return false, false
+	switch {
+	case !ok:
+		return "", ""
+	case st.reason == "":
+		return "incremental", ""
 	}
-	return st.incremental, true
+	return "recompute", string(st.reason)
+}
+
+// Tracked returns the names of the maintained views, in order.
+func (m *Maintainer) Tracked() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	names := m.sortedTrackedLocked()
+	for i, key := range names {
+		names[i] = m.tracked[key].def.Name
+	}
+	return names
 }
 
 // Tracks reports whether the named view is maintained.

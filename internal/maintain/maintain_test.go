@@ -6,6 +6,7 @@ import (
 
 	"aggview/internal/engine"
 	"aggview/internal/ir"
+	"aggview/internal/obs"
 	"aggview/internal/value"
 )
 
@@ -45,7 +46,7 @@ func check(t *testing.T, m *Maintainer, db *engine.DB, reg *ir.Registry) {
 		t.Fatal("view not tracked")
 	}
 	v, _ := reg.Get("V")
-	want, err := engine.NewEvaluator(db, nil).Exec(v.Def)
+	want, err := engine.NewEvaluator(db, reg).Exec(v.Def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +218,8 @@ func TestErrors(t *testing.T) {
 	if _, ok := m.Materialization("V"); ok {
 		t.Error("untracked view should not report a materialization")
 	}
-	if _, ok := m.IsIncremental("V"); ok {
-		t.Error("untracked view should not report incrementality")
+	if mode, _ := m.Mode("V"); mode != "" {
+		t.Error("untracked view should not report a mode")
 	}
 }
 
@@ -227,9 +228,81 @@ func TestIsIncremental(t *testing.T) {
 	if _, err := m.Track("V"); err != nil {
 		t.Fatal(err)
 	}
-	inc, ok := m.IsIncremental("V")
-	if !ok || !inc {
-		t.Error("tracked SUM view should be incremental")
+	if mode, reason := m.Mode("V"); mode != "incremental" || reason != "" {
+		t.Errorf("tracked SUM view is %q (%q), want incremental", mode, reason)
+	}
+}
+
+// TestModeNamesEveryFallback pins that no fallback is anonymous: each
+// shape classify rejects, and each table-level fallback, reaches the
+// operator as a named reason through Mode — and the recomputation it
+// announces is what a change then does.
+func TestModeNamesEveryFallback(t *testing.T) {
+	ungrouped := ir.MustBuild("SELECT Acct_Id, Day, SUM(Amount) FROM Txns GROUP BY Acct_Id, Day", src())
+	ungrouped.GroupBy = ungrouped.GroupBy[:1] // Day stays selected, bare
+	shapes := []struct {
+		def  *ir.Query
+		want Fallback
+	}{
+		{ir.MustBuild("SELECT DISTINCT Acct_Id, Day FROM Txns", src()), FallbackDistinct},
+		{ir.MustBuild("SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id HAVING SUM(Amount) > 10", src()), FallbackHaving},
+		{ir.MustBuild("SELECT Acct_Id, MAX(Amount * Day) FROM Txns GROUP BY Acct_Id", src()), FallbackMinMaxArg},
+		{ungrouped, FallbackBareItem},
+		{ir.MustBuild("SELECT Acct_Id, SUM(Amount) / COUNT(Amount) FROM Txns GROUP BY Acct_Id", src()), FallbackComputed},
+		{ir.MustBuild("SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id, Day", src()), FallbackLossyKey},
+		{ir.MustBuild("SELECT Acct_Id, Day, SUM(Amount), MIN(Amount) FROM Txns GROUP BY Acct_Id, Day", src()), ""},
+		{ir.MustBuild("SELECT Acct_Id, Amount FROM Txns WHERE Day > 2", src()), ""},
+	}
+	for _, sh := range shapes {
+		if got := classify(sh.def, &state{}); got != sh.want {
+			t.Errorf("classify(%s) = %q, want %q", sh.def, got, sh.want)
+		}
+	}
+
+	tracked := []struct {
+		sql, mode, reason string
+	}{
+		{"SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id", "incremental", ""},
+		{"SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id HAVING SUM(Amount) > 10", "recompute", "having"},
+		{"SELECT T1.Acct_Id, SUM(T2.Amount) FROM Txns T1, Txns T2 WHERE T1.Txn_Id = T2.Txn_Id GROUP BY T1.Acct_Id", "recompute", "self-join"},
+		{"SELECT Acct_Id, SUM(Total) FROM Inner_V GROUP BY Acct_Id", "recompute", "view-over-view"},
+	}
+	for _, tc := range tracked {
+		db := engine.NewDB()
+		db.Put("Txns", engine.NewRelation("Txn_Id", "Acct_Id", "Day", "Amount"))
+		reg := ir.NewRegistry()
+		source := src()
+		for _, def := range []struct{ name, sql string }{
+			{"Inner_V", "SELECT Acct_Id, Day, SUM(Amount) AS Total FROM Txns GROUP BY Acct_Id, Day"},
+			{"V", tc.sql},
+		} {
+			v, err := ir.NewViewDef(def.name, ir.MustBuild(def.sql, source))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.Add(v); err != nil {
+				t.Fatal(err)
+			}
+			source[def.name] = v.OutCols
+		}
+		m := New(db, reg)
+		m.Metrics = obs.NewMetrics()
+		if _, err := m.Track("V"); err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if mode, reason := m.Mode("V"); mode != tc.mode || reason != tc.reason {
+			t.Errorf("%s: Mode = %q, %q, want %q, %q", tc.sql, mode, reason, tc.mode, tc.reason)
+		}
+		if got := m.Tracked(); len(got) != 1 || got[0] != "V" {
+			t.Errorf("Tracked() = %v", got)
+		}
+		if err := m.Insert("Txns", txn(1, 2, 3, 40)); err != nil {
+			t.Fatal(err)
+		}
+		check(t, m, db, reg)
+		if fell := m.Metrics.Volatile("maintain.fallback.full").Load() > 0; fell != (tc.mode == "recompute") {
+			t.Errorf("%s: mode %s but fallback.full ticked=%v", tc.sql, tc.mode, fell)
+		}
 	}
 }
 

@@ -117,6 +117,18 @@ type Case struct {
 	Query  QuerySpec
 }
 
+// MultiChunk reports whether the case's largest base table spans at
+// least three storage chunks, so that executing it crosses chunk
+// boundaries in scans, selections and deltas.
+func (c *Case) MultiChunk() bool {
+	for _, t := range c.Tables {
+		if len(t.Rows) >= engine.RowsSpanning(3) {
+			return true
+		}
+	}
+	return false
+}
+
 // Script renders the case as a replayable SQL script: tables, their
 // contents, views, then the query.
 func (c *Case) Script() string {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"aggview/internal/datagen"
+	"aggview/internal/engine"
 	"aggview/internal/value"
 )
 
@@ -23,6 +24,13 @@ type GenOptions struct {
 	Domain int
 	// MaxViews bounds the view count (default 2).
 	MaxViews int
+	// MultiChunkEvery, when positive, grows the anchor table of one
+	// instance in that many past MaxRows until it spans at least three
+	// of the engine's storage chunks, its first column ascending when it
+	// holds ints (a chronicle's load order), so chunk sharing, chunk
+	// skipping and cross-chunk selections see generated shapes too. Zero
+	// (the default) draws nothing and leaves every instance as before.
+	MultiChunkEvery int
 }
 
 func (o GenOptions) withDefaults() GenOptions {
@@ -121,14 +129,22 @@ func generate(rng *rand.Rand, opt GenOptions) (*Case, []*genTable) {
 			spec.Key = []string{cols[0].name}
 		}
 		nRows := rng.Intn(opt.MaxRows + 1)
+		clustered := false
+		if ti == 0 && opt.MultiChunkEvery > 0 && rng.Intn(opt.MultiChunkEvery) == 0 {
+			nRows += engine.RowsSpanning(3)
+			clustered = cols[0].kind == kindInt
+		}
 		gen := func(rng *rand.Rand, ci int) value.Value {
 			return randomValue(rng, cols[ci].kind, opt.Domain)
 		}
 		for r := 0; r < nRows; r++ {
 			row := datagen.RandomRow(rng, nCols, gen)
-			if keyed {
+			switch {
+			case keyed:
 				// Sequential key values keep the declared key honest.
 				row[0] = value.Int(int64(r))
+			case clustered:
+				row[0] = value.Int(int64(r * opt.Domain / nRows))
 			}
 			spec.Rows = append(spec.Rows, row)
 		}

@@ -569,9 +569,15 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if text, err = c.MetricsText(context.Background(), false); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"engine.store.append.", "engine.store.compact.bytes ", "maintain.groups.touched 2\n"} {
-		if !strings.Contains(text, "volatile "+name) {
-			t.Fatalf("text metrics missing write-path counter %q:\n%s", name, text)
+	for _, line := range []string{
+		"volatile engine.store.append.", "volatile engine.store.compact.bytes ", "volatile maintain.groups.touched 2\n",
+		"volatile engine.store.chunks.copied ", "volatile engine.store.chunks.shared ",
+		// The DELETE's match consulted Sales' one chunk and had to read it.
+		"counter engine.scan.chunks ", "counter engine.scan.chunks_skipped 0\n",
+		`maintain.view{name="Totals",mode="incremental",reason=""} 1` + "\n",
+	} {
+		if !strings.Contains(text, line) {
+			t.Fatalf("text metrics missing write-path line %q:\n%s", line, text)
 		}
 	}
 }

@@ -233,6 +233,13 @@ func (s *Server) renderMetricsText(b *strings.Builder, gauges bool) {
 	fmt.Fprintf(b, "plan_cache size %d\n", cs.Size)
 	fmt.Fprintf(b, "plan_cache capacity %d\n", cs.Capacity)
 
+	s.mu.RLock()
+	modes := s.sys.ViewModes()
+	s.mu.RUnlock()
+	for _, vm := range modes {
+		fmt.Fprintf(b, "maintain.view{name=%q,mode=%q,reason=%q} 1\n", vm.Name, vm.Mode, vm.Reason)
+	}
+
 	if gauges {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)

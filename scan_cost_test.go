@@ -2,10 +2,12 @@ package aggview_test
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"aggview"
 	"aggview/internal/engine"
+	"aggview/internal/obs"
 )
 
 // scanShape is one of the benchmark's base_scan templates: a query no
@@ -90,5 +92,55 @@ func TestScanCostIsResultSized(t *testing.T) {
 	}
 	if large["area_join"] >= 1536<<10 {
 		t.Errorf("area_join over 100000 rows allocated %d B, want under 1.5 MB", large["area_join"])
+	}
+}
+
+// TestClusteredScanSkipsChunks is the read side of chunked storage on a
+// load order that lets it show: over a Calls appended in Day order (a
+// chronicle's own order) every chunk spans a day or two, so the one-day
+// shape reads the few chunks whose [min, max] admits Day = 7 — at least
+// ten times fewer rows than over the uniform load, where every chunk
+// spans all 28 days and none can be skipped — and the half-range join
+// about half. Both loads hold the same rows, so each shape returns the
+// same bag on both.
+func TestClusteredScanSkipsChunks(t *testing.T) {
+	const calls = 40 * 1024
+	uniform, clustered := warehouse(t, calls), warehouse(t, calls)
+	rel, _ := clustered.DB.Get("Calls")
+	sort.SliceStable(rel.Tuples, func(i, j int) bool { return rel.Tuples[i][3].AsInt() < rel.Tuples[j][3].AsInt() })
+	if err := clustered.SetRelation("Calls", rel); err != nil {
+		t.Fatal(err)
+	}
+	scanned := func(sys *aggview.System, sql string) (*aggview.Result, int64) {
+		sys.Metrics = obs.NewMetrics()
+		res, err := sys.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sys.Metrics.Counter("engine.scan.rows").Load()
+	}
+	shapes := scanShapes(t, uniform)
+	scanShapes(t, clustered)
+	for _, sh := range shapes {
+		want, all := scanned(uniform, sh.sql)
+		got, read := scanned(clustered, sh.sql)
+		if !engine.ResultsEqualBag(want, got) {
+			t.Errorf("%s: the Day-ordered load answers differently from the uniform one", sh.name)
+		}
+		t.Logf("%s: engine.scan.rows %d over the uniform load, %d over the Day-ordered one", sh.name, all, read)
+		switch sh.name {
+		case "one_day":
+			if read*10 > all {
+				t.Errorf("one_day read %d rows of the Day-ordered load against %d of the uniform one, want at least 10x fewer", read, all)
+			}
+		case "area_join":
+			if read*100 < all*45 || read*100 > all*60 {
+				t.Errorf("area_join read %d rows of the Day-ordered load against %d of the uniform one, want about half", read, all)
+			}
+		default:
+			if read != all {
+				t.Errorf("%s filters on no clustered column but read %d rows against %d", sh.name, read, all)
+			}
+		}
 	}
 }

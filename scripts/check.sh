@@ -44,16 +44,21 @@ go test -race -short -run 'Cancel|Budget|FaultInject' ./...
 # Short differential-oracle pass (well under 30s): random instances,
 # rewrite-vs-direct multiset equivalence at worker counts 1 and
 # GOMAXPROCS, with seeded cancellation injection on every trial
-# (-faults defaults to on). `make soak` runs the long version.
-go run ./cmd/oraclerunner -seeds 1,2 -n 150
+# (-faults defaults to on). One instance in 16 has its anchor table grown
+# to span three storage chunks, so chunk skipping and cross-chunk
+# selections meet generated shapes (the summary line counts them).
+# `make soak` runs the long version.
+go run ./cmd/oraclerunner -seeds 1,2 -n 150 -multichunk 16
 
 # Mutation-oracle gate (DESIGN.md section 14): 320 seeded scenarios of
 # inserts/deletes/updates/queries over tracked views, each checked
 # serially (views re-derived after every mutation), under concurrent
 # snapshot readers (no torn batches), and with cancellations injected
 # at the maintenance site (exact bag or clean typed abort, pre-state
-# intact, clean retry succeeds). `make mutate` runs the long version.
-go run ./cmd/oraclerunner -mutate -seeds 21,22 -n 160
+# intact, clean retry succeeds), one scenario in 16 over a table of
+# three chunks and more, so deltas share, rewrite and extend chunks.
+# `make mutate` runs the long version.
+go run ./cmd/oraclerunner -mutate -seeds 21,22 -n 160 -multichunk 16
 
 # Telemetry gate (DESIGN.md section 13): a seeded in-process workload
 # with a 1ns slow-query threshold; the telemetry pass strict-decodes
@@ -77,14 +82,17 @@ sh scripts/serve_smoke.sh
 go run ./cmd/benchrunner -quick > /dev/null
 
 # Benchmark gate (BENCHMARK.json): the bench module must vet and pass
-# its own tests, and short write_mix and view_hit runs must exit 0 —
-# the correctness gate compares every query template with direct
-# evaluation and every tracked view with its definition after the timed
-# ops. It decodes each served reply with the wire client
+# its own tests, and short write_mix, view_hit and base_scan runs must
+# exit 0 — the correctness gate compares every query template with
+# direct evaluation and every tracked view with its definition after the
+# timed ops. It decodes each served reply with the wire client
 # (resp.Relation()), so on view_hit, whose replies are the largest, a
 # wrong byte from the handler's append encoder or the client's scanner
-# fails here. Nothing here edits bench/; build outputs go to
-# .bench_build/.
+# fails here; on base_scan it bag-compares every scan template over all
+# of Calls' chunks with evaluation on a pinned snapshot, so a position
+# mis-split between chunks fails here. Nothing here edits bench/; build
+# outputs go to .bench_build/.
 (cd bench && go vet ./... && go test ./...)
 bash bench/run.sh --workload write_mix --seconds 3 --trace 0 > /dev/null
 bash bench/run.sh --workload view_hit --seconds 3 --trace 0 > /dev/null
+bash bench/run.sh --workload base_scan --seconds 3 --trace 0 > /dev/null

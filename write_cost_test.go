@@ -76,17 +76,28 @@ func allocated(fn func()) uint64 {
 }
 
 // TestWriteCostIsDeltaSized is the regression guard for delta-sized
-// writes: with six tracked views, what a 16-row insert allocates does
-// not depend on how many rows the table already holds, and an 8-row
-// delete allocates on the order of one typed copy of the table's
-// columns — not boxed rows, key strings or a rebuilt column image.
+// writes. With six tracked views, what a 16-row insert, an 8-row delete
+// and an 8-row update of recently inserted rows allocate does not depend
+// on how many rows the table already holds: each is within 2x of the
+// same statement at a tenth of the size, and the delete and the update
+// stay under 256 KB at 100000 rows — the maintenance of the six views,
+// one pointer per chunk and column, and the chunks the statement
+// reaches: the last chunk of every column for the delete (a drop
+// rewrites from its first position's chunk to the end), one chunk of the
+// assigned column for the update. Before storage was chunked these two
+// copied every column (6.67 MB) and one whole column (1.13 MB). The
+// worst case keeps the old bound: deleting the table's first rows
+// rewrites every chunk once, so it allocates about one typed copy of the
+// columns and must stay under twice their bytes — not boxed rows, key
+// strings or a rebuilt column image.
 func TestWriteCostIsDeltaSized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 100000-row warehouse")
 	}
 	ctx := context.Background()
 	const inserts, batch = 64, 16
-	perInsert := func(calls int) (uint64, *aggview.System) {
+	type cost struct{ insert, delete, update uint64 }
+	perWrite := func(calls int) (cost, *aggview.System) {
 		sys := warehouse(t, calls)
 		rng := rand.New(rand.NewSource(2))
 		next := calls
@@ -100,37 +111,61 @@ func TestWriteCostIsDeltaSized(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The vectors SetRelation built are exactly sized, so the first
-		// insert pays the one geometric regrowth; the next 64 fit the
-		// spare capacity it left at either size.
+		// The chunks SetRelation built are exactly sized, so the first
+		// insert moves the last one to an array with room; the next 64
+		// fill it and the chunks started behind it.
 		insert()
-		total := allocated(func() {
+		var c cost
+		c.insert = allocated(func() {
 			for i := 0; i < inserts; i++ {
 				insert()
 			}
+		}) / inserts
+		var n int
+		var err error
+		c.delete = allocated(func() {
+			n, err = sys.DeleteContext(ctx, "Calls", fmt.Sprintf("Call_Id >= %d AND Call_Id < %d", next-8, next))
 		})
-		return total / inserts, sys
+		if err != nil || n != 8 {
+			t.Fatalf("deleted %d rows, want 8 (err %v)", n, err)
+		}
+		c.update = allocated(func() {
+			n, err = sys.UpdateContext(ctx, "Calls", "Charge = Charge + 1", fmt.Sprintf("Call_Id >= %d AND Call_Id < %d", next-16, next-8))
+		})
+		if err != nil || n != 8 {
+			t.Fatalf("updated %d rows, want 8 (err %v)", n, err)
+		}
+		return c, sys
 	}
-	small, _ := perInsert(10_000)
-	large, sys := perInsert(100_000)
-	t.Logf("bytes allocated per 16-row insert: %d at 10000 rows, %d at 100000 rows", small, large)
-	if large > 2*small {
-		t.Fatalf("a 16-row insert allocates %d B at 100000 rows against %d B at 10000: the write is not delta-sized", large, small)
+	small, _ := perWrite(10_000)
+	large, sys := perWrite(100_000)
+	t.Logf("bytes allocated at 10000 rows: %+v", small)
+	t.Logf("bytes allocated at 100000 rows: %+v", large)
+	for _, w := range []struct {
+		name         string
+		small, large uint64
+	}{{"16-row insert", small.insert, large.insert}, {"8-row delete", small.delete, large.delete}, {"8-row update", small.update, large.update}} {
+		if w.large > 2*w.small {
+			t.Errorf("a %s allocates %d B at 100000 rows against %d B at 10000: the write is not delta-sized", w.name, w.large, w.small)
+		}
+	}
+	if large.delete >= 256<<10 || large.update >= 256<<10 {
+		t.Errorf("at 100000 rows an 8-row delete allocates %d B and an 8-row update %d B, want under 256 KB each", large.delete, large.update)
 	}
 
 	tab, _, _ := sys.DB.Scan("Calls")
 	var n int
-	del := allocated(func() {
+	head := allocated(func() {
 		var err error
-		if n, err = sys.DeleteContext(ctx, "Calls", "Call_Id >= 100000 AND Call_Id < 100008"); err != nil {
+		if n, err = sys.DeleteContext(ctx, "Calls", "Call_Id < 8"); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("bytes allocated by an 8-row delete: %d (table columns: %d)", del, tab.Bytes())
+	t.Logf("bytes allocated by a delete of the first 8 rows: %d (table columns: %d)", head, tab.Bytes())
 	if n != 8 {
 		t.Fatalf("deleted %d rows, want 8", n)
 	}
-	if del >= 2*uint64(tab.Bytes()) {
-		t.Fatalf("an 8-row delete allocated %d B, table columns hold %d B", del, tab.Bytes())
+	if head >= 2*uint64(tab.Bytes()) {
+		t.Fatalf("a delete of the first 8 rows allocated %d B, table columns hold %d B", head, tab.Bytes())
 	}
 }
