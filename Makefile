@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint check bench quick soak mutate trace faults serve-smoke load flightrec
+.PHONY: build test race vet lint check bench bench-pair quick soak mutate trace faults serve-smoke load flightrec
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,17 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-pair measures the working tree against REV on the repository's
+# benchmark (BENCHMARK.json): PAIRS alternating runs of bench/run.sh per
+# side, one seed per pair, SECONDS timed seconds each, printed as the
+# markdown table CHANGES.md carries. W is a workload name or `all`.
+REV ?= HEAD~1
+W ?= all
+PAIRS ?= 10
+SECONDS ?= 18
+bench-pair:
+	bash scripts/bench_pair.sh $(REV) $(W) $(PAIRS) $(SECONDS)
 
 # trace runs the rewrite-search tracer over the bundled catalog and
 # replays the written report to prove the trace round-trips losslessly

@@ -195,7 +195,8 @@ func (b *Batch) with(n int, sel [][]int32) *Batch {
 
 // pick returns the batch whose logical row k is b's logical row rows[k],
 // composing rows onto the selections of the bound tables tabs — index
-// vectors only, charged to the memory budget at site.
+// vectors only, drawn through the task and charged to the memory budget
+// at site.
 func (b *Batch) pick(t *task, ev *Evaluator, site string, rows []int32, tabs []int) (*Batch, error) {
 	sel := make([][]int32, len(b.sel))
 	for _, ti := range tabs {
@@ -207,7 +208,7 @@ func (b *Batch) pick(t *task, ev *Evaluator, site string, rows []int32, tabs []i
 		if err := t.allocBytes(ev, site, 4*int64(len(rows))); err != nil {
 			return nil, err
 		}
-		c := make([]int32, len(rows))
+		c := t.i32(len(rows))
 		for k, i := range rows {
 			c[k] = old[i]
 		}

@@ -145,10 +145,13 @@ func queryLabel(q *ir.Query) string {
 // over one table is a single pipeline: aggregateBatch scans, filters and
 // folds it in one morsel pass. Anything else filters each table into a
 // selection, joins selections into index vectors, and runs the fold (or
-// the boxing projection) over the joined rows.
+// the boxing projection) over the joined rows. The selections and pairs
+// built on the way go back to their pools as exec returns: the result
+// holds boxed cells only.
 func (ev *Evaluator) exec(t *task, q *ir.Query) (*Relation, error) {
 	mt := ev.metrics()
 	mt.exec.Inc()
+	defer t.release(len(t.held))
 	out := &Relation{Attrs: ir.OutputNames(q)}
 	sc, err := ev.scanPlan(t, q)
 	if err != nil {
@@ -192,11 +195,11 @@ func (ev *Evaluator) projectBatch(t *task, q *ir.Query, b *Batch, out *Relation)
 			if err != nil {
 				return err
 			}
-			for j := range rs.pos {
+			for j := 0; j < rs.n(); j++ {
 				cells[j*width+k] = o.Value(j)
 			}
 		}
-		for j := range rs.pos {
+		for j := 0; j < rs.n(); j++ {
 			tuples[lo+j] = cells[j*width : (j+1)*width : (j+1)*width]
 		}
 		return nil
@@ -367,16 +370,50 @@ func neededCols(q *ir.Query) []bool {
 	return need
 }
 
-// scanned is the FROM clause resolved and the WHERE clause classified:
-// the stored tables, their columns bound into the query's ColID space,
-// the predicates pushed down to each table, the equality predicates
-// that key joins, and the rest.
-type scanned struct {
-	cts      []*ColTable
-	bound    *Batch
+// whereClasses is the WHERE clause sorted by what each conjunct needs
+// bound: nothing (constants on both sides, decided once), one table
+// (pushed down to its scan, in WHERE order), two tables under equality
+// (a join key), anything else (a residual, filtered once the tables it
+// names are joined). scanPlan executes this classification and Explain
+// prints it, so the two cannot disagree.
+type whereClasses struct {
+	consts   []ir.Pred
 	perTable [][]ir.Pred
 	joinEq   []ir.Pred
 	residual []ir.Pred
+}
+
+func classifyWhere(q *ir.Query) whereClasses {
+	wc := whereClasses{perTable: make([][]ir.Pred, len(q.Tables))}
+	for _, p := range q.Where {
+		lt, rt := -1, -1
+		if !p.L.IsConst {
+			lt = q.Col(p.L.Col).Table
+		}
+		if !p.R.IsConst {
+			rt = q.Col(p.R.Col).Table
+		}
+		switch {
+		case lt < 0 && rt < 0:
+			wc.consts = append(wc.consts, p)
+		case lt < 0 || rt < 0 || lt == rt:
+			wc.perTable[max(lt, rt)] = append(wc.perTable[max(lt, rt)], p)
+		case p.Op == ir.OpEq:
+			wc.joinEq = append(wc.joinEq, p)
+		default:
+			wc.residual = append(wc.residual, p)
+		}
+	}
+	return wc
+}
+
+// scanned is the FROM clause resolved and the WHERE clause classified:
+// the stored tables, their columns bound into the query's ColID space,
+// and the predicates by class.
+type scanned struct {
+	cts   []*ColTable
+	bound *Batch
+	whereClasses
 }
 
 // scanPlan resolves the query's tables and classifies its predicates. A
@@ -384,7 +421,7 @@ type scanned struct {
 // result is empty.
 func (ev *Evaluator) scanPlan(t *task, q *ir.Query) (*scanned, error) {
 	n := len(q.Tables)
-	sc := &scanned{cts: make([]*ColTable, n), perTable: make([][]ir.Pred, n)}
+	sc := &scanned{cts: make([]*ColTable, n)}
 	for i, tab := range q.Tables {
 		ct, err := ev.resolve(t, tab.Source)
 		if err != nil {
@@ -401,48 +438,95 @@ func (ev *Evaluator) scanPlan(t *task, q *ir.Query) (*scanned, error) {
 		}
 		sc.cts[i] = ct
 	}
-
-	tableOf := func(c ir.ColID) int { return q.Col(c).Table }
-	for _, p := range q.Where {
-		lt, rt := -1, -1
-		if !p.L.IsConst {
-			lt = tableOf(p.L.Col)
+	sc.whereClasses = classifyWhere(q)
+	for _, p := range sc.consts {
+		// Constant-only predicate: evaluate it once.
+		ok, err := constPred(p)
+		if err != nil {
+			return nil, err
 		}
-		if !p.R.IsConst {
-			rt = tableOf(p.R.Col)
-		}
-		switch {
-		case lt < 0 && rt < 0:
-			// Constant-only predicate: evaluate it once.
-			ok, err := constPred(p)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, nil // predicate is false: empty result
-			}
-		case lt < 0 || rt < 0 || lt == rt:
-			sc.perTable[max(lt, rt)] = append(sc.perTable[max(lt, rt)], p)
-		case p.Op == ir.OpEq:
-			sc.joinEq = append(sc.joinEq, p)
-		default:
-			sc.residual = append(sc.residual, p)
+		if !ok {
+			return nil, nil // predicate is false: empty result
 		}
 	}
 	sc.bound = bindTables(q, sc.cts, neededCols(q))
 	return sc, nil
 }
 
+// joinStep is one step of the join order: table next joins the tables
+// taken before it on the equality predicates keys (none: a cross
+// product).
+type joinStep struct {
+	next int
+	keys []ir.Pred
+}
+
+// joinOrder is the greedy join order over tables of the given (filtered)
+// row counts: start with the smallest table; then take, each time, the
+// smallest table an equality predicate connects to those already taken,
+// or the smallest of the rest when none is connected. Ties go to FROM
+// order.
+func joinOrder(q *ir.Query, rows []int, joinEq []ir.Pred) (first int, steps []joinStep) {
+	n := len(rows)
+	tableOf := func(c ir.ColID) int { return q.Col(c).Table }
+	for i := 1; i < n; i++ {
+		if rows[i] < rows[first] {
+			first = i
+		}
+	}
+	joined := make([]bool, n)
+	joined[first] = true
+	// connects reports whether p joins table i with a table already taken.
+	connects := func(p ir.Pred, i int) bool {
+		lt, rt := tableOf(p.L.Col), tableOf(p.R.Col)
+		return (lt == i && joined[rt]) || (rt == i && joined[lt])
+	}
+	pending := joinEq
+	for len(steps) < n-1 {
+		next, connected := -1, false
+		for i := 0; i < n; i++ {
+			if joined[i] {
+				continue
+			}
+			conn := false
+			for _, p := range pending {
+				if conn = connects(p, i); conn {
+					break
+				}
+			}
+			switch {
+			case conn && !connected:
+				next, connected = i, true
+			case conn == connected && (next == -1 || rows[i] < rows[next]):
+				next = i
+			}
+		}
+		var keys, rest []ir.Pred
+		for _, p := range pending {
+			if connects(p, next) {
+				keys = append(keys, p)
+			} else {
+				rest = append(rest, p)
+			}
+		}
+		pending = rest
+		joined[next] = true
+		steps = append(steps, joinStep{next, keys})
+	}
+	return first, steps
+}
+
 // joinBatch evaluates the FROM and WHERE clauses into one batch over the
 // query's ColID space: each table's pushed-down filter becomes its
 // selection (a predicate-free scan selects nothing and copies nothing),
-// and the greedy hash-join order composes the selections.
+// and the join order composes the selections.
 func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error) {
 	mt := ev.metrics()
 	n := len(q.Tables)
 	tableOf := func(c ir.ColID) int { return q.Col(c).Table }
 
 	filtered := make([]*Batch, n)
+	rows := make([]int, n)
 	swScan := mt.scanNs.Start()
 	for i, ct := range sc.cts {
 		sel := make([][]int32, n)
@@ -461,72 +545,26 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error
 		}
 		mt.scanRows.Add(int64(ms.rows()))
 		mt.scanKept.Add(int64(tb.n))
-		filtered[i] = tb
+		filtered[i], rows[i] = tb, tb.n
 	}
 	swScan.Stop()
 
-	// Greedy hash-join order: start with the smallest table; prefer
-	// tables connected to the joined set by an equality predicate.
 	swJoin := mt.joinNs.Start()
 	defer swJoin.Stop()
-	pickFirst := 0
-	for i := 1; i < n; i++ {
-		if filtered[i].n < filtered[pickFirst].n {
-			pickFirst = i
-		}
-	}
-	current := filtered[pickFirst]
+	first, steps := joinOrder(q, rows, sc.joinEq)
+	current := filtered[first]
 	joined := make([]bool, n)
-	joined[pickFirst] = true
-	order := []int{pickFirst}
-
-	pendingEq := append([]ir.Pred{}, sc.joinEq...)
-	pendingRes := append([]ir.Pred{}, sc.residual...)
-
-	for len(order) < n {
-		next := -1
-		connected := false
-		for i := 0; i < n; i++ {
-			if joined[i] {
-				continue
-			}
-			conn := false
-			for _, p := range pendingEq {
-				lt, rt := tableOf(p.L.Col), tableOf(p.R.Col)
-				if (lt == i && joined[rt]) || (rt == i && joined[lt]) {
-					conn = true
-					break
-				}
-			}
-			switch {
-			case conn && !connected:
-				next, connected = i, true
-			case conn == connected && (next == -1 || filtered[i].n < filtered[next].n):
-				next = i
-			}
-		}
-
-		// Split pending equality predicates into those joining `next`
-		// with the joined set.
-		var keys []ir.Pred
-		var stillPending []ir.Pred
-		for _, p := range pendingEq {
-			lt, rt := tableOf(p.L.Col), tableOf(p.R.Col)
-			if (lt == next && joined[rt]) || (rt == next && joined[lt]) {
-				keys = append(keys, p)
-			} else {
-				stillPending = append(stillPending, p)
-			}
-		}
-		pendingEq = stillPending
-
-		merged, err := ev.hashJoinBatch(t, current, filtered[next], order, keys, next)
+	joined[first] = true
+	order := []int{first}
+	pendingRes := sc.residual
+	for _, st := range steps {
+		merged, err := ev.hashJoinBatch(t, current, filtered[st.next], order, st.keys, st.next)
 		if err != nil {
 			return nil, err
 		}
 		current = merged
-		joined[next] = true
-		order = append(order, next)
+		joined[st.next] = true
+		order = append(order, st.next)
 
 		// Apply residual predicates that are now fully bound.
 		var nowBound, rest []ir.Pred

@@ -13,7 +13,9 @@ type evMetrics struct {
 	exec, projectRows, cacheHit, cacheMiss *obs.Counter
 	scanRows, scanKept, aggRows, aggGroups *obs.Counter
 	scanChunks, scanSkipped                *obs.Counter
+	aggDirect, aggHashed                   *obs.Counter // morsels grouped through the direct table / a hash index
 	joinProbe, joinRows                    *obs.Counter
+	joinDirect, joinHashed                 *obs.Counter // keyed joins numbering keys by direct address / by hashing
 	joinBuildRows                          *obs.Histogram
 
 	// Volatile: timings, pool activity, abort counts.
@@ -46,6 +48,10 @@ func (ev *Evaluator) metrics() *evMetrics {
 		scanSkipped:   m.Counter("engine.scan.chunks_skipped"),
 		aggRows:       m.Counter("engine.agg.rows"),
 		aggGroups:     m.Counter("engine.agg.groups"),
+		aggDirect:     m.Counter("engine.agg.morsels_direct"),
+		aggHashed:     m.Counter("engine.agg.morsels_hashed"),
+		joinDirect:    m.Counter("engine.join.keys_direct"),
+		joinHashed:    m.Counter("engine.join.keys_hashed"),
 		joinProbe:     m.Counter("engine.join.probe"),
 		joinRows:      m.Counter("engine.join.rows"),
 		joinBuildRows: m.Histogram("engine.join.build_rows"),

@@ -2,7 +2,8 @@ package engine
 
 // The row-at-a-time references the kernel property tests hold the
 // vectorized engine to: one predicate on one boxed row, one row folded
-// into one boxed accumulator. Production folds through vagg.go only.
+// into one boxed accumulator, one nested loop over two tables.
+// Production folds through vagg.go and joins through vjoin.go only.
 
 import (
 	"aggview/internal/ir"
@@ -76,4 +77,40 @@ func (g *group) fold(row []value.Value) error {
 		}
 	}
 	return nil
+}
+
+// nestedLoopJoin is the reference of a two-table equi-join on a's columns
+// ka and b's columns kb, pairwise: the index pairs (row of a, row of b)
+// of the rows whose keys are equal, in the engine's pair order. That
+// order is probe-major: the outer loop walks the larger table in row
+// order — a on a tie, the first in FROM — and the inner loop the other,
+// so each walked row meets its matches in their row order.
+func nestedLoopJoin(a, b [][]value.Value, ka, kb []int) [][2]int {
+	match := func(ra, rb []value.Value) bool {
+		for k := range ka {
+			if !value.Equal(ra[ka[k]], rb[kb[k]]) {
+				return false
+			}
+		}
+		return true
+	}
+	var pairs [][2]int
+	if len(a) >= len(b) {
+		for i, ra := range a {
+			for j, rb := range b {
+				if match(ra, rb) {
+					pairs = append(pairs, [2]int{i, j})
+				}
+			}
+		}
+		return pairs
+	}
+	for j, rb := range b {
+		for i, ra := range a {
+			if match(ra, rb) {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	return pairs
 }

@@ -20,15 +20,15 @@ var iota32 = func() (a [morselRows]int32) {
 	return a
 }()
 
-// rowSet is the set of rows one morsel of a pipeline works on: pos[j] is
-// the position of row j in the batch's logical row space. A bound table
-// the batch carries no selection for is read as it stands — the morsel
-// is chunk number chunk of each of its columns and loc[j] is row j's
-// cell in it; for any other table idx[t][j] is the physical row behind
-// row j. dense holds the vectors gathered for such a table's columns
-// when its rows span chunks (used of them so far in this morsel).
+// rowSet is the set of rows one morsel of a pipeline works on: the rows
+// lo+loc[j] of the batch's logical row space, the morsel starting at lo.
+// A bound table the batch carries no selection for is read as it stands
+// — the morsel is chunk number chunk of each of its columns and loc[j] is
+// row j's cell in it; for any other table idx[t][j] is the physical row
+// behind row j. dense holds the vectors gathered for such a table's
+// columns when its rows span chunks (used of them so far in this morsel).
 type rowSet struct {
-	pos   []int32
+	lo    int
 	loc   []int32
 	chunk int
 	idx   [][]int32
@@ -37,7 +37,10 @@ type rowSet struct {
 }
 
 // n returns the number of rows in the set.
-func (rs *rowSet) n() int { return len(rs.pos) }
+func (rs *rowSet) n() int { return len(rs.loc) }
+
+// pos returns the position of row j in the batch's logical row space.
+func (rs *rowSet) pos(j int32) int32 { return int32(rs.lo) + rs.loc[j] }
 
 // gather copies the cells of col at the physical rows sel into a
 // morsel-local dense vector, so a table read through a selection that
@@ -96,7 +99,6 @@ func room[T any](xs []T, n int) []T {
 // the morsel.
 type scratch struct {
 	rs   rowSet
-	pos  [morselRows]int32 // logical positions of the morsel's rows
 	js   [morselRows]int32 // surviving row numbers while a filter refines
 	gids [morselRows]int32 // group id per row
 	hs   [morselRows]uint64
@@ -122,7 +124,7 @@ func putScratch(w *scratch) {
 	}
 	clear(w.keys[:cap(w.keys)])
 	clear(w.args[:cap(w.args)])
-	w.rs.pos, w.rs.loc, w.gi.keys = nil, nil, nil
+	w.rs.loc, w.gi.keys = nil, nil
 	scratchPool.Put(w)
 }
 
@@ -130,11 +132,7 @@ func putScratch(w *scratch) {
 // row set.
 func (w *scratch) rows(b *Batch, lo, hi int) *rowSet {
 	rs := &w.rs
-	rs.pos = w.pos[:hi-lo]
-	for j := range rs.pos {
-		rs.pos[j] = int32(lo + j)
-	}
-	rs.loc, rs.chunk, rs.used = iota32[:hi-lo], lo/chunkRows, 0
+	rs.lo, rs.loc, rs.chunk, rs.used = lo, iota32[:hi-lo], lo/chunkRows, 0
 	nt := max(1, len(b.sel))
 	if cap(rs.idx) < nt {
 		rs.idx = make([][]int32, nt)
@@ -149,24 +147,12 @@ func (w *scratch) rows(b *Batch, lo, hi int) *rowSet {
 	return rs
 }
 
-// keep narrows the row set to the surviving row numbers js (ascending),
-// which must stay untouched while the set is in use. Only a batch
-// without selections is narrowed — the one case a filter is fused into
-// the pass.
-func (rs *rowSet) keep(js []int32) {
-	if len(js) == len(rs.pos) {
-		return
-	}
-	for k, j := range js {
-		rs.pos[k] = rs.pos[j]
-	}
-	rs.pos, rs.loc = rs.pos[:len(js)], js
-}
-
-// i32Pools recycles the operator-lifetime index buffers (the filter's
-// staging area, a join's key ids and CSR) that die before the operator
-// returns, one pool per power-of-two capacity; what outlives the
-// operator — a batch's selection — is allocated exactly.
+// i32Pools recycles index buffers, one pool per power-of-two capacity:
+// those that die before their operator returns (a join's key ids, key
+// table and CSR) are taken and put back by the operator, those a query
+// holds until it ends (a filter's selection, a join's pairs, composed
+// selections) go through its task (task.i32). Only what leaves the engine
+// — MatchContext's positions — is allocated exactly.
 var i32Pools [32]sync.Pool
 
 // getI32 returns a pooled buffer of n int32s with arbitrary contents.

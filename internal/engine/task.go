@@ -30,12 +30,41 @@ type task struct {
 	// from its serial spine only (run entry, joinBatch's resolve loop),
 	// so stage order is deterministic at every worker count.
 	sp *obs.Span
+	// held lists the index vectors drawn for the running query (i32) and
+	// not yet returned: each exec level returns its own as it returns. Only
+	// the goroutine running exec's serial spine draws and releases.
+	held    []*[]int32
+	heldBuf [8]*[]int32
 }
 
 // newTask resolves the context's meter, injector and span once, so the
 // hot polls never touch context.Value.
 func newTask(ctx context.Context) *task {
-	return &task{ctx: ctx, meter: budget.MeterFrom(ctx), inj: faultinject.From(ctx), sp: obs.SpanFrom(ctx)}
+	t := &task{ctx: ctx, meter: budget.MeterFrom(ctx), inj: faultinject.From(ctx), sp: obs.SpanFrom(ctx)}
+	t.held = t.heldBuf[:0]
+	return t
+}
+
+// i32 returns an index vector of n entries with arbitrary contents — a
+// selection, a join's pairs — that lives until the exec level that drew
+// it returns: a query builds these and drops them, and no result aliases
+// one, so they cycle through i32Pools instead of the heap. What is held
+// is still charged to the memory budget by the caller (allocBytes).
+func (t *task) i32(n int) []int32 {
+	p := getI32(n)
+	t.held = append(t.held, p)
+	return *p
+}
+
+// release returns the vectors drawn since held was mark entries long. A
+// nested view materialisation marks at its own entry, so it leaves the
+// outer query's selections alone.
+func (t *task) release(mark int) {
+	for i, p := range t.held[mark:] {
+		putI32(p)
+		t.held[mark+i] = nil
+	}
+	t.held = t.held[:mark]
 }
 
 // charge records n processed rows at the named kernel site: it feeds

@@ -59,12 +59,34 @@ func (gk *groupKeys) reset(byKey bool) {
 // and the serial merge of partials, whose "rows" are another key set's
 // groups. A worker keeps one in its scratch and points it at each
 // morsel's partial in turn; the partial carries only the keys.
+//
+// A morsel grouped by one int or bool key whose cells lie in a range
+// narrower than directSpan — the usual case: a day, a month, a plan —
+// skips the hash table: direct holds group id + 1 at key - lo, so a row
+// costs a subtraction and a load. Groups are created by the same rows in
+// the same order either way, so which table answered shows in nothing
+// but time. The table is valid for one assign call only, which is why
+// the merge, whose index lives across calls, always hashes.
 type groupIndex struct {
-	keys  *groupKeys
-	slots []int32 // 0 empty, else group id + 1
-	hash  []uint64
-	newJ  []int32 // rows that created a group in the last assign call, in group order
+	keys   *groupKeys
+	slots  []int32 // 0 empty, else group id + 1
+	hash   []uint64
+	newJ   []int32 // rows that created a group in the last assign call, in group order
+	direct [directSpan]uint16
 }
+
+// A direct cell holds a group id + 1 of one morsel's rows.
+const _ = uint16(morselRows)
+
+// directSpan is the widest key range (hi - lo + 1) the direct-addressed
+// tables cover: the group index's per morsel, a join's key numbering per
+// build side (vjoin.go).
+const directSpan = 4096
+
+// narrow reports whether the closed int range [lo, hi] fits a
+// direct-addressed table. The width is taken in uint64, where hi - lo
+// cannot wrap: MinInt64..MaxInt64 is 2^64-1 cells wide, not -1.
+func narrow(lo, hi int64) bool { return uint64(hi)-uint64(lo) < directSpan }
 
 var keySeed = maphash.MakeSeed()
 
@@ -118,8 +140,10 @@ func (gi *groupIndex) add(s int, h uint64, j int) (int, int) {
 
 // assign maps each of n rows to its group id by the typed key columns
 // keys (none: every row is the one global group), creating groups in
-// row order. hs is hash scratch of at least n cells.
-func (gi *groupIndex) assign(keys []vecOperand, n int, hs []uint64, gids []int32) {
+// row order. hs is hash scratch of at least n cells. once says the index
+// is empty and takes no other call before its next reset, which lets a
+// narrow int key be addressed directly; assign reports whether it was.
+func (gi *groupIndex) assign(keys []vecOperand, n int, hs []uint64, gids []int32, once bool) (direct bool) {
 	gi.newJ = gi.newJ[:0]
 	gk := gi.keys
 	if cap(gk.cols) < len(keys) {
@@ -136,10 +160,16 @@ func (gi *groupIndex) assign(keys []vecOperand, n int, hs []uint64, gids []int32
 			gi.newJ = append(gi.newJ, 0)
 		}
 		clear(gids[:n])
-		return
+		return false
 	case len(keys) == 1 && keys[0].vec.kind != value.KindString:
+		if once && n > 0 {
+			if lo, hi := keys[0].intRange(); narrow(lo, hi) {
+				gi.assignDirect(&keys[0], lo, hi, gids)
+				return true
+			}
+		}
 		gi.assignInt(&keys[0], gids)
-		return
+		return false
 	}
 	hs = hs[:n]
 	clear(hs)
@@ -176,11 +206,37 @@ func (gi *groupIndex) assign(keys []vecOperand, n int, hs []uint64, gids []int32
 			break
 		}
 	}
+	return false
 }
 
-// assignInt is assign for the commonest key, one int (or bool) column:
-// the key itself is compared, with no hash column and no per-column
-// verification loop.
+// assignDirect is assign for one int (or bool) key column whose cells
+// all lie in the narrow range [lo, hi]: the group of key x is looked up
+// at direct[x-lo]. Only the cells the range covers are cleared, so a
+// 28-day key costs a 28-cell clear per morsel, and whatever an earlier
+// morsel or query left beyond them is never read.
+func (gi *groupIndex) assignDirect(k *vecOperand, lo, hi int64, gids []int32) {
+	tab := gi.direct[:hi-lo+1]
+	clear(tab)
+	gk := gi.keys
+	col, xs := &gk.cols[0], k.vec.ints
+	for j, i := range k.idx {
+		x := xs[i]
+		s := uint64(x) - uint64(lo)
+		g := int32(tab[s]) - 1
+		if g < 0 {
+			g = int32(gk.n)
+			gk.n++
+			tab[s] = uint16(g + 1)
+			gi.newJ = append(gi.newJ, int32(j))
+			col.ints = append(col.ints, x)
+		}
+		gids[j] = g
+	}
+}
+
+// assignInt is assign for one int (or bool) column whose range is wide
+// or which the merge feeds call after call: the key itself is compared,
+// with no hash column and no per-column verification loop.
 func (gi *groupIndex) assignInt(k *vecOperand, gids []int32) {
 	col := &gi.keys.cols[0]
 	mask := len(gi.slots) - 1
@@ -490,6 +546,7 @@ type aggPlan struct {
 	preds []ir.Pred
 	specs []aggSpec
 	byKey bool
+	mt    *evMetrics
 }
 
 // foldMorsel runs the pipeline over the morsel [lo, hi) of the plan's
@@ -508,7 +565,10 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		rs.keep(js)
+		// Narrow the set to the survivors (ascending; js stays untouched
+		// while the set is in use). Only a batch without selections is
+		// narrowed: the one case a filter is fused into the pass.
+		rs.loc = js
 	}
 	if rs.n() == 0 {
 		return nil, 0, nil
@@ -537,6 +597,7 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 			w.keys = append(w.keys, k)
 		}
 	}
+	direct := false
 	if pl.byKey {
 		w.kbuf, w.koff = w.kbuf[:0], append(w.koff[:0], 0)
 		for j := 0; j < rs.n(); j++ {
@@ -547,11 +608,19 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 		}
 		w.gi.assignBytes(w.kbuf, w.koff, rs.n(), gids)
 	} else {
-		w.gi.assign(w.keys, rs.n(), w.hs[:], gids)
+		direct = w.gi.assign(w.keys, rs.n(), w.hs[:], gids, true)
+	}
+	// Which table numbered the groups is a property of the morsel's
+	// cells, so the two counts repeat at every worker count.
+	switch {
+	case direct:
+		pl.mt.aggDirect.Inc()
+	case len(w.keys) > 0:
+		pl.mt.aggHashed.Inc()
 	}
 	ng, newJ := st.keys.n, w.gi.newJ
 	for _, j := range newJ {
-		st.first = append(st.first, rs.pos[j])
+		st.first = append(st.first, rs.pos(j))
 	}
 	st.rows = grow(st.rows, ng, 0)
 	for _, g := range gids {
@@ -586,7 +655,7 @@ func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) err
 		for c := range p.keys.cols {
 			w.keys = append(w.keys, denseOperand(&p.keys.cols[c]))
 		}
-		w.gi.assign(w.keys, n, w.hs[:], gmap)
+		w.gi.assign(w.keys, n, w.hs[:], gmap, false)
 	}
 	ng, newJ := st.keys.n, w.gi.newJ
 	for _, j := range newJ {
@@ -625,7 +694,7 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.P
 	sw := mt.aggNs.Start()
 	defer sw.Stop()
 	aggs, aggIdx := collectAggs(q)
-	pl := &aggPlan{q: q, b: b, preds: preds, specs: aggSpecs(aggs)}
+	pl := &aggPlan{q: q, b: b, preds: preds, specs: aggSpecs(aggs), mt: mt}
 	for _, gc := range q.GroupBy {
 		if col := b.cols[gc]; col != nil && (col.kind == value.KindFloat || col.kind == kindMixed) {
 			pl.byKey = true

@@ -1,47 +1,133 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+
 	"aggview/internal/ir"
 	"aggview/internal/value"
 )
 
-// joinKeys numbers the distinct keys of a join's smaller input densely,
-// in insertion order: a flat open-addressing table over the int64
-// payload when the single key pair is int on both sides, and a map over
+// intRange returns the union of the ranges storage recorded for an int
+// column's chunks: a closed range holding every cell, whatever selection
+// the column is read through. ok is false for a column of another kind
+// (a bool column's chunks are not ranged), one with an unranged chunk,
+// and one with no chunk at all.
+func (c *column) intRange() (lo, hi int64, ok bool) {
+	if c == nil || c.kind != value.KindInt || len(c.chunks) == 0 {
+		return 0, 0, false
+	}
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, ch := range c.chunks {
+		if !ch.ranged {
+			return 0, 0, false
+		}
+		lo, hi = min(lo, ch.lo.AsInt()), max(hi, ch.hi.AsInt())
+	}
+	return lo, hi, true
+}
+
+// keying is how a keyed join numbers its keys, decided by the key
+// columns alone: over the int64 payload when the single key pair is
+// uniformly int on both sides — by direct address when, further, the
+// recorded range [lo, hi] of the laid-out side's column is narrower than
+// directSpan, through a hash table when it is wide or unknown — and over
 // the canonical Value.AppendKey bytes otherwise, so cross-kind numeric
 // equality (1 joins 1.0) matches the row-at-a-time engine exactly.
+type keying struct {
+	ints, direct bool
+	lo, hi       int64
+}
+
+// keyingOf decides the keying of a join whose laid-out side has key
+// columns build and whose walked side has key columns probe.
+func keyingOf(build, probe []*column) keying {
+	var k keying
+	k.ints = len(build) == 1 && build[0] != nil && probe[0] != nil &&
+		build[0].kind == value.KindInt && probe[0].kind == value.KindInt
+	if k.ints {
+		if lo, hi, ok := build[0].intRange(); ok && narrow(lo, hi) {
+			k.direct, k.lo, k.hi = true, lo, hi
+		}
+	}
+	return k
+}
+
+// String renders the keying for Explain: direct[cells] or hash.
+func (k keying) String() string {
+	if k.direct {
+		return fmt.Sprintf("direct[%d]", k.hi-k.lo+1)
+	}
+	return "hash"
+}
+
+// joinKeys numbers the distinct keys of a join's smaller input densely,
+// in insertion order, as its keying says: ids addressed by key - lo, a
+// flat open-addressing table over the int64 payload, or a map over the
+// canonical key bytes.
 type joinKeys struct {
-	ints  bool
-	keys  []int64 // flat table: slot key
-	ids   []int32 // flat table: slot key id + 1, 0 empty
+	keying
+	keys  []int64  // hash table: slot key
+	ids   []int32  // slot (hash) or key - lo (direct): key id + 1, 0 empty
+	tab   *[]int32 // the pooled buffer behind a direct ids
 	byKey map[string]int32
 	n     int
 }
 
-func newJoinKeys(ints bool, rows int) *joinKeys {
-	jk := &joinKeys{ints: ints}
-	if !ints {
+// newJoinKeys returns an empty numbering for a build side of rows rows;
+// free returns what it borrowed.
+func newJoinKeys(k keying, rows int) *joinKeys {
+	jk := &joinKeys{keying: k}
+	switch {
+	case k.direct:
+		jk.tab = getI32(int(k.hi - k.lo + 1))
+		jk.ids = *jk.tab
+		clear(jk.ids)
+	case k.ints:
+		// At most half full; a quarter while that keeps the table small
+		// enough to stay cache-resident, where short probe chains matter.
+		size := 16
+		for size < 2*rows {
+			size *= 2
+		}
+		if size < 1<<16 {
+			size *= 2
+		}
+		jk.keys, jk.ids = make([]int64, size), make([]int32, size)
+	default:
 		jk.byKey = make(map[string]int32, rows)
-		return jk
 	}
-	// At most half full; a quarter while that keeps the table small
-	// enough to stay cache-resident, where short probe chains matter.
-	size := 16
-	for size < 2*rows {
-		size *= 2
-	}
-	if size < 1<<16 {
-		size *= 2
-	}
-	jk.keys, jk.ids = make([]int64, size), make([]int32, size)
 	return jk
+}
+
+func (jk *joinKeys) free() {
+	if jk.tab != nil {
+		putI32(jk.tab)
+	}
 }
 
 // intIDs writes the id of each int key xs[idx[j]] into out: adding
 // unseen keys in row order when add is set, -1 for an absent key
-// otherwise.
+// otherwise. A key outside the direct table's range is absent: its
+// offset, taken in uint64 so that it cannot wrap back into the table,
+// is past the last cell.
 func (jk *joinKeys) intIDs(xs []int64, idx []int32, out []int32, add bool) {
 	keys, ids := jk.keys, jk.ids
+	if jk.direct {
+		for j, i := range idx {
+			s := uint64(xs[i]) - uint64(jk.lo)
+			if s >= uint64(len(ids)) {
+				out[j] = -1
+				continue
+			}
+			if add && ids[s] == 0 {
+				jk.n++
+				ids[s] = int32(jk.n)
+			}
+			out[j] = ids[s] - 1
+		}
+		return
+	}
 	mask := uint64(len(ids) - 1)
 	for j, i := range idx {
 		x := xs[i]
@@ -101,13 +187,21 @@ func (jk *joinKeys) morselIDs(w *scratch, s joinSide, ids []int32, lo, hi int, a
 	}
 }
 
+// keyCols returns the side's key columns.
+func (s joinSide) keyCols() []*column {
+	cols := make([]*column, len(s.cols))
+	for i, c := range s.cols {
+		cols[i] = s.b.cols[c]
+	}
+	return cols
+}
+
 // hashJoinBatch joins the accumulated batch — the tables listed in
 // joined — with the scan batch of table next using the equality
-// predicates in keys; with no keys it degrades to a cross product.
-// Nothing is copied but row indices: the matched pairs come out
-// left-major — for each left row in order, its matching incoming rows in
-// their order, the order of the serial nested probe at every worker
-// count — and are composed onto the selections of both inputs.
+// predicates in keys; with no keys it degrades to a cross product
+// (left-major: it has no probe). Nothing is copied but row indices: the
+// matched pairs (joinPairs) are composed onto the selections of both
+// inputs.
 func (ev *Evaluator) hashJoinBatch(t *task, left, right *Batch, joined []int, keys []ir.Pred, next int) (*Batch, error) {
 	mt := ev.metrics()
 	mt.joinProbe.Add(int64(left.n))
@@ -123,7 +217,7 @@ func (ev *Evaluator) hashJoinBatch(t *task, left, right *Batch, joined []int, ke
 		if err := t.allocBytes(ev, "join", 8*int64(left.n)*int64(right.n)); err != nil {
 			return nil, err
 		}
-		lIdx, rIdx = make([]int32, left.n*right.n), make([]int32, left.n*right.n)
+		lIdx, rIdx = t.i32(left.n*right.n), t.i32(left.n*right.n)
 		err := ev.morselRun(t, "join.cross", ev.workersFor(left.n), allMorsels(left.n), func(_ *scratch, _, lo, hi int) error {
 			o := lo * right.n
 			for i := lo; i < hi; i++ {
@@ -163,40 +257,69 @@ func (ev *Evaluator) hashJoinBatch(t *task, left, right *Batch, joined []int, ke
 }
 
 // joinPairs runs a keyed join and returns the matched pairs — logical
-// left row, physical row of the incoming table — left-major. The
-// distinct keys of the smaller input are numbered serially (joinKeys),
-// the larger input looks its rows' key ids up morsel-parallel, a
-// counting sort lays the incoming table's matched rows out per key id
-// in row order (a CSR: one offset per key plus one row array, no
-// per-key slices), and the emission walks the left rows in order. Which
-// input was the smaller changes who builds the key table, never the
-// output.
+// left row, physical row of the incoming table — probe-major: the larger
+// input is walked in its own row order and each of its rows is paired
+// with its matches in the smaller input in their row order (the incoming
+// table counts as the smaller when the two are equal). So the large
+// table's side of the pairs ascends, a morsel of joined rows reads a
+// chunk or two of it, and what is laid out per key is the small side: its
+// distinct keys are numbered serially (joinKeys), a counting sort lays
+// its rows out per key id in row order (a CSR: one offset per key plus
+// one row array, no per-key slices), the larger input looks its rows' key
+// ids up morsel-parallel, and the emission walks them. Which input is
+// the larger is a property of the data, so the order is the same at
+// every worker count.
 func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int32, error) {
-	// Keying on the int64 payload is safe only when both vectors are
-	// uniformly KindInt — with a float on either side the canonical key
-	// encoding must unify 1 and 1.0.
-	isInt := func(s joinSide) bool {
-		col := s.b.cols[s.cols[0]]
-		return col != nil && col.kind == value.KindInt
-	}
-	ints := len(l.cols) == 1 && isInt(l) && isInt(r)
-
-	lp, rp := getI32(l.b.n), getI32(r.b.n)
-	defer putI32(lp)
-	defer putI32(rp)
-	lids, rids := *lp, *rp
-	small, sids, big, bids := r, rids, l, lids
+	small, big := r, l
 	if l.b.n < r.b.n {
-		small, sids, big, bids = l, lids, r, rids
+		small, big = l, r
 	}
+	sp, bp := getI32(small.b.n), getI32(big.b.n)
+	defer putI32(sp)
+	defer putI32(bp)
+	sids, bids := *sp, *bp
+
 	// Number the smaller input's keys serially, so ids follow row order.
-	jk := newJoinKeys(ints, small.b.n)
+	jk := newJoinKeys(keyingOf(small.keyCols(), big.keyCols()), small.b.n)
+	defer jk.free()
+	if jk.direct {
+		ev.metrics().joinDirect.Inc()
+	} else {
+		ev.metrics().joinHashed.Inc()
+	}
 	w := getScratch()
 	for m := 0; m < morselCount(small.b.n); m++ {
 		lo, hi := morselBounds(m, small.b.n)
 		jk.morselIDs(w, small, sids, lo, hi, true)
 	}
 	putScratch(w)
+
+	// Counting sort of the smaller input's rows by key id, each row as the
+	// pairs name it: the incoming table's by physical row, the left
+	// batch's by logical row. ends[id] counts, then holds the start of
+	// id's run, and after the scatter its end — the start of the next
+	// id's — so with a zero in front, run id is rows[from[id]:from[id+1]].
+	fp, rowp := getI32(jk.n+1), getI32(small.b.n)
+	defer putI32(fp)
+	defer putI32(rowp)
+	from, rows := *fp, *rowp
+	clear(from)
+	ends := from[1:]
+	for _, id := range sids {
+		ends[id]++
+	}
+	for id, at := 0, int32(0); id < len(ends); id++ {
+		ends[id], at = at, at+ends[id]
+	}
+	for j, id := range sids {
+		row := int32(j)
+		if small.b == r.b {
+			row = int32(r.b.phys(next, j))
+		}
+		rows[ends[id]] = row
+		ends[id]++
+	}
+
 	// Rows are charged build side first, then probe side, whichever of
 	// the two was numbered above: the other looks its keys up as it is
 	// charged, morsel-parallel against the finished table.
@@ -215,54 +338,32 @@ func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int
 		}
 	}
 
-	// Counting sort of the incoming rows by key id. ends[id] counts, then
-	// holds the start of id's run, and after the scatter its end — which
-	// is the start of the next id's.
-	ep := getI32(jk.n)
-	defer putI32(ep)
-	ends := *ep
-	clear(ends)
-	matched := 0
-	for _, id := range rids {
-		if id >= 0 {
-			ends[id]++
-			matched++
-		}
-	}
-	for id, at := 0, int32(0); id < len(ends); id++ {
-		ends[id], at = at, at+ends[id]
-	}
-	rowp := getI32(matched)
-	defer putI32(rowp)
-	rows := *rowp
-	for j, id := range rids {
-		if id >= 0 {
-			rows[ends[id]] = int32(r.b.phys(next, j))
-			ends[id]++
-		}
-	}
-	run := func(id int32) []int32 {
-		if id < 0 {
-			return nil
-		}
-		if id == 0 {
-			return rows[:ends[0]]
-		}
-		return rows[ends[id-1]:ends[id]]
-	}
-
 	total := 0
-	for _, id := range lids {
-		total += len(run(id))
+	for _, id := range bids {
+		if id >= 0 {
+			total += int(from[id+1] - from[id])
+		}
 	}
 	if err := t.allocBytes(ev, "join", 8*int64(total)); err != nil {
 		return nil, nil, err
 	}
-	lIdx, rIdx := make([]int32, total), make([]int32, total)
+	lIdx, rIdx := t.i32(total), t.i32(total)
+	// walked takes the larger input's row of each pair, laid the smaller's.
+	walked, laid, bsel := lIdx, rIdx, []int32(nil)
+	if big.b == r.b {
+		walked, laid, bsel = rIdx, lIdx, r.b.sel[next]
+	}
 	o := 0
-	for i, id := range lids {
-		for _, row := range run(id) {
-			lIdx[o], rIdx[o] = int32(i), row
+	for i, id := range bids {
+		if id < 0 {
+			continue
+		}
+		p := int32(i)
+		if bsel != nil {
+			p = bsel[i]
+		}
+		for k, end := from[id], from[id+1]; k < end; k++ {
+			walked[o], laid[o] = p, rows[k]
 			o++
 		}
 	}

@@ -13,8 +13,8 @@ import (
 // keeps: bit 0 when the left cell orders below the right one, bit 1
 // when neither orders below the other (equal — or unordered: NaN orders
 // equal to everything, as in value.Compare), bit 2 when it orders above.
-// The kernels resolve the operator to its mask once per vector and test
-// one bit per row.
+// The float kernels and the chunk test resolve the operator to its mask
+// once per vector and test one bit per row.
 func cmpMask(op ir.Op) (uint, error) {
 	switch op {
 	case ir.OpEq:
@@ -34,10 +34,11 @@ func cmpMask(op ir.Op) (uint, error) {
 	}
 }
 
-// keepBit returns 1 when mask keeps the ordering of a against b. The
-// two comparisons compile to flag moves, so the row loops below carry
-// no data-dependent branch.
-func keepBit[T cmp.Ordered](mask uint, a, b T) int {
+// keepBit returns 1 when mask keeps the ordering of a against b in the
+// float domain, where neither comparison holding means equal or
+// unordered. The two comparisons compile to flag moves, so the row loops
+// below carry no data-dependent branch.
+func keepBit(mask uint, a, b float64) int {
 	var lt, gt uint
 	if a < b {
 		lt = 1
@@ -48,10 +49,10 @@ func keepBit[T cmp.Ordered](mask uint, a, b T) int {
 	return int(mask >> (1 + gt - lt) & 1)
 }
 
-// selCmpConst writes to out the row numbers j of sel whose cell
-// xs[idx[j]] satisfies mask against y in T's domain, and returns them.
-// out needs room for len(sel) entries and may be sel itself.
-func selCmpConst[T cmp.Ordered](mask uint, xs []T, idx []int32, y T, sel, out []int32) []int32 {
+// selFloatConst writes to out the row numbers j of sel whose cell
+// xs[idx[j]] satisfies mask against y, and returns them. out needs room
+// for len(sel) entries and may be sel itself.
+func selFloatConst(mask uint, xs []float64, idx []int32, y float64, sel, out []int32) []int32 {
 	out = out[:len(sel)]
 	k := 0
 	for _, j := range sel {
@@ -61,13 +62,109 @@ func selCmpConst[T cmp.Ordered](mask uint, xs []T, idx []int32, y T, sel, out []
 	return out[:k]
 }
 
-// selCmpCols is selCmpConst for a column-column predicate.
-func selCmpCols[T cmp.Ordered](mask uint, xs []T, xi []int32, ys []T, yi []int32, sel, out []int32) []int32 {
+// selCmpConst is the filter loop over the totally ordered domains — ints
+// (and the 0/1 payload of bools) and strings: it writes to out the row
+// numbers j of sel whose cell xs[idx[j]] satisfies op against y and
+// returns them. The operator is switched on once per vector, so a row
+// costs one comparison turned into a flag move. out needs room for
+// len(sel) entries and may be sel itself; op has passed cmpMask.
+func selCmpConst[T int64 | string](op ir.Op, xs []T, idx []int32, y T, sel, out []int32) []int32 {
 	out = out[:len(sel)]
 	k := 0
-	for _, j := range sel {
-		out[k] = j
-		k += keepBit(mask, xs[xi[j]], ys[yi[j]])
+	switch op {
+	case ir.OpEq:
+		for _, j := range sel {
+			out[k] = j
+			if xs[idx[j]] == y {
+				k++
+			}
+		}
+	case ir.OpNeq:
+		for _, j := range sel {
+			out[k] = j
+			if xs[idx[j]] != y {
+				k++
+			}
+		}
+	case ir.OpLt:
+		for _, j := range sel {
+			out[k] = j
+			if xs[idx[j]] < y {
+				k++
+			}
+		}
+	case ir.OpLeq:
+		for _, j := range sel {
+			out[k] = j
+			if xs[idx[j]] <= y {
+				k++
+			}
+		}
+	case ir.OpGt:
+		for _, j := range sel {
+			out[k] = j
+			if xs[idx[j]] > y {
+				k++
+			}
+		}
+	case ir.OpGeq:
+		for _, j := range sel {
+			out[k] = j
+			if xs[idx[j]] >= y {
+				k++
+			}
+		}
+	}
+	return out[:k]
+}
+
+// selCmpCols is selCmpConst for a column-column predicate.
+func selCmpCols[T int64 | string](op ir.Op, xs []T, xi []int32, ys []T, yi []int32, sel, out []int32) []int32 {
+	out = out[:len(sel)]
+	k := 0
+	switch op {
+	case ir.OpEq:
+		for _, j := range sel {
+			out[k] = j
+			if xs[xi[j]] == ys[yi[j]] {
+				k++
+			}
+		}
+	case ir.OpNeq:
+		for _, j := range sel {
+			out[k] = j
+			if xs[xi[j]] != ys[yi[j]] {
+				k++
+			}
+		}
+	case ir.OpLt:
+		for _, j := range sel {
+			out[k] = j
+			if xs[xi[j]] < ys[yi[j]] {
+				k++
+			}
+		}
+	case ir.OpLeq:
+		for _, j := range sel {
+			out[k] = j
+			if xs[xi[j]] <= ys[yi[j]] {
+				k++
+			}
+		}
+	case ir.OpGt:
+		for _, j := range sel {
+			out[k] = j
+			if xs[xi[j]] > ys[yi[j]] {
+				k++
+			}
+		}
+	case ir.OpGeq:
+		for _, j := range sel {
+			out[k] = j
+			if xs[xi[j]] >= ys[yi[j]] {
+				k++
+			}
+		}
 	}
 	return out[:k]
 }
@@ -78,10 +175,12 @@ func selCmpCols[T cmp.Ordered](mask uint, xs []T, xi []int32, ys []T, yi []int32
 // is the morsel's chunk under the rows' cells in it; one read through a
 // selection is its only chunk under the selected rows or, when it has
 // several, the gathered cells under the identity, like any vector
-// computed for the morsel (iota32).
+// computed for the morsel (iota32). ch is the stored chunk vec belongs
+// to, whose recorded range bounds the cells (nil for a computed vector).
 type vecOperand struct {
 	vec     *Vec
 	idx     []int32
+	ch      *chunk
 	c       value.Value
 	isConst bool
 }
@@ -95,12 +194,35 @@ func colOperand(c ir.ColID, b *Batch, rs *rowSet) vecOperand {
 	}
 	switch sel := rs.idx[b.tabOf(c)]; {
 	case sel == nil:
-		return vecOperand{vec: &col.chunks[rs.chunk].Vec, idx: rs.loc}
+		ch := col.chunks[rs.chunk]
+		return vecOperand{vec: &ch.Vec, idx: rs.loc, ch: ch}
 	case len(col.chunks) == 1:
-		return vecOperand{vec: &col.chunks[0].Vec, idx: sel}
+		ch := col.chunks[0]
+		return vecOperand{vec: &ch.Vec, idx: sel, ch: ch}
 	default:
 		return denseOperand(rs.gather(col, sel))
 	}
+}
+
+// intRange returns a closed range holding every cell of an int or bool
+// operand over at least one row: what storage recorded for the chunk
+// when the operand is one (a bound, not the least one: the rows may be a
+// selection of the chunk's), the cells' own minimum and maximum
+// otherwise.
+func (o *vecOperand) intRange() (lo, hi int64) {
+	switch {
+	case o.vec.kind == value.KindBool:
+		return 0, 1
+	case o.ch != nil && o.ch.ranged:
+		return o.ch.lo.AsInt(), o.ch.hi.AsInt()
+	}
+	xs := o.vec.ints
+	lo = xs[o.idx[0]]
+	hi = lo
+	for _, i := range o.idx[1:] {
+		lo, hi = min(lo, xs[i]), max(hi, xs[i])
+	}
+	return lo, hi
 }
 
 func predOperand(t ir.Term, b *Batch, rs *rowSet) vecOperand {
@@ -190,7 +312,7 @@ func predSel(p ir.Pred, b *Batch, rs *rowSet, sel, out []int32) ([]int32, error)
 	if r.isConst {
 		switch {
 		case lk == value.KindInt && rk == value.KindInt:
-			return selCmpConst(mask, l.vec.ints, l.idx, r.c.AsInt(), sel, out), nil
+			return selCmpConst(op, l.vec.ints, l.idx, r.c.AsInt(), sel, out), nil
 		case numericKind(lk): // at least one float: float domain
 			y := r.c.AsFloat()
 			if lk == value.KindInt {
@@ -202,22 +324,22 @@ func predSel(p ir.Pred, b *Batch, rs *rowSet, sel, out []int32) ([]int32, error)
 				}
 				return out[:k], nil
 			}
-			return selCmpConst(mask, l.vec.floats, l.idx, y, sel, out), nil
+			return selFloatConst(mask, l.vec.floats, l.idx, y, sel, out), nil
 		case lk == value.KindString:
-			return selCmpConst(mask, l.vec.strs, l.idx, r.c.AsString(), sel, out), nil
+			return selCmpConst(op, l.vec.strs, l.idx, r.c.AsString(), sel, out), nil
 		default: // bool vs bool: 0/1 payload in the int domain
 			y := int64(0)
 			if r.c.AsBool() {
 				y = 1
 			}
-			return selCmpConst(mask, l.vec.ints, l.idx, y, sel, out), nil
+			return selCmpConst(op, l.vec.ints, l.idx, y, sel, out), nil
 		}
 	}
 
 	switch {
 	case lk == value.KindInt && rk == value.KindInt:
-		return selCmpCols(mask, l.vec.ints, l.idx, r.vec.ints, r.idx, sel, out), nil
-	case numericKind(lk): // mixed int/float columns: float domain
+		return selCmpCols(op, l.vec.ints, l.idx, r.vec.ints, r.idx, sel, out), nil
+	case numericKind(lk): // a float column on either side: float domain
 		out = out[:len(sel)]
 		k := 0
 		for _, j := range sel {
@@ -226,9 +348,9 @@ func predSel(p ir.Pred, b *Batch, rs *rowSet, sel, out []int32) ([]int32, error)
 		}
 		return out[:k], nil
 	case lk == value.KindString:
-		return selCmpCols(mask, l.vec.strs, l.idx, r.vec.strs, r.idx, sel, out), nil
+		return selCmpCols(op, l.vec.strs, l.idx, r.vec.strs, r.idx, sel, out), nil
 	default: // bool vs bool
-		return selCmpCols(mask, l.vec.ints, l.idx, r.vec.ints, r.idx, sel, out), nil
+		return selCmpCols(op, l.vec.ints, l.idx, r.vec.ints, r.idx, sel, out), nil
 	}
 }
 
@@ -345,12 +467,12 @@ func (ev *Evaluator) scanMorsels(b *Batch, preds []ir.Pred) morsels {
 // filterSel evaluates a conjunction of predicates over the morsels ms of
 // the batch, morsel-parallel, and returns the surviving logical row
 // positions in input order. Each morsel refines its rows in worker
-// scratch and commits the survivors to its own range of a staging
-// buffer; the ranges concatenate in morsel order, so the selection is
-// byte-identical to the serial scan.
+// scratch and commits the survivors to its own range of a buffer drawn
+// through the task; the ranges are then closed up in morsel order, so
+// the selection is byte-identical to the serial scan. It lives as long
+// as the task's other index vectors (task.i32) and is charged as held.
 func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, ms morsels) ([]int32, error) {
-	stage := getI32(ms.count() * morselRows)
-	defer putI32(stage)
+	stage := t.i32(ms.count() * morselRows)
 	kept := make([]int32, ms.count())
 	err := ev.morselRun(t, site, ev.workersFor(ms.rows()), ms, func(w *scratch, k, lo, hi int) error {
 		rs := w.rows(b, lo, hi)
@@ -358,9 +480,9 @@ func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, 
 		if err != nil {
 			return err
 		}
-		out := (*stage)[k*morselRows:]
+		out := stage[k*morselRows:]
 		for i, j := range js {
-			out[i] = rs.pos[j]
+			out[i] = rs.pos(j)
 		}
 		kept[k] = int32(len(js))
 		return nil
@@ -369,18 +491,13 @@ func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, 
 		return nil, err
 	}
 	total := 0
-	for _, c := range kept {
-		total += int(c)
+	for k, c := range kept {
+		total += copy(stage[total:], stage[k*morselRows:][:c])
 	}
 	if err := t.allocBytes(ev, site, 4*int64(total)); err != nil {
 		return nil, err
 	}
-	out := make([]int32, 0, total)
-	for k, c := range kept {
-		lo := k * morselRows
-		out = append(out, (*stage)[lo:lo+int(c)]...)
-	}
-	return out, nil
+	return stage[:total], nil
 }
 
 // MatchContext returns, ascending, the positions of ct's rows that
@@ -388,10 +505,17 @@ func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, 
 // morsel-parallel typed filter a scan uses. Column terms address ct's
 // attributes by position. It is how DELETE and UPDATE find their rows
 // without boxing the table; the rows read are charged to the context's
-// budget at site "match".
+// budget at site "match". The result is the caller's own: an exact copy
+// of the selection, whose buffer goes back with the task.
 func (ev *Evaluator) MatchContext(ctx context.Context, ct *ColTable, preds []ir.Pred) ([]int32, error) {
 	b := &Batch{n: ct.n, cols: ct.cols}
-	return ev.filterSel(newTask(ctx), "match", b, preds, ev.scanMorsels(b, preds))
+	t := newTask(ctx)
+	defer t.release(0)
+	sel, err := ev.filterSel(t, "match", b, preds, ev.scanMorsels(b, preds))
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]int32, 0, len(sel)), sel...), nil
 }
 
 // intsOf returns the operand's cells in the int64 domain as a dense

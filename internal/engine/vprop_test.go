@@ -487,48 +487,40 @@ func TestAggKernelMatchesReference(t *testing.T) {
 
 	// A join: the fold reads both tables through the join's index vectors,
 	// and first-appearance group order and float accumulation order expose
-	// the pair order, which must be the nested loop's — outer loop over
-	// the smaller input, inner over the other in row order — whichever
-	// side the key table was built on, and for int keys as for a float
-	// key meeting an int one.
+	// the pair order, which must be the nested loop's (nestedLoopJoin:
+	// outer loop over the larger input) whichever side of the join that
+	// is, for int keys numbered by direct address (a 400-wide domain) or
+	// by hashing (the same keys a million apart) as for a float key
+	// meeting an int one.
 	joinQ := build("SELECT F, D, SUM(D), COUNT(A) FROM R, S WHERE A = E GROUP BY F, D")
 	for _, tc := range []struct {
-		name       string
-		nr, ns     int
-		floatKey   bool
-		outerFirst bool // R is the smaller input: the nested loop's outer side
+		name     string
+		nr, ns   int
+		floatKey bool
+		stride   int64
 	}{
-		{"join, left smaller", 300, 5000, false, true},
-		{"join, right smaller", 5000, 300, false, false},
-		{"join, float key meets int key", 4000, 200, true, false},
+		{"join, left smaller", 300, 5000, false, 1},
+		{"join, right smaller", 5000, 300, false, 1},
+		{"join, equal sizes", 1500, 1500, false, 1},
+		{"join, wide keys, left smaller", 300, 5000, false, 1_000_000},
+		{"join, wide keys, right smaller", 5000, 300, false, 1_000_000},
+		{"join, float key meets int key", 4000, 200, true, 1},
 	} {
 		jr := rand.New(rand.NewSource(int64(tc.nr)))
 		r, s := NewRelation("A", "B", "C", "D"), NewRelation("E", "F")
 		for i := 0; i < tc.nr; i++ {
-			a := value.Int(int64(jr.Intn(400)))
+			a := value.Int(int64(jr.Intn(400)) * tc.stride)
 			if tc.floatKey {
 				a = value.Float(float64(jr.Intn(400)))
 			}
 			r.Add(a, value.Int(0), value.Int(0), value.Float(float64(jr.Intn(16))/8))
 		}
 		for i := 0; i < tc.ns; i++ {
-			s.Add(value.Int(int64(jr.Intn(400))), value.Int(int64(jr.Intn(5))))
-		}
-		outer, inner := r, s
-		if !tc.outerFirst {
-			outer, inner = s, r
+			s.Add(value.Int(int64(jr.Intn(400))*tc.stride), value.Int(int64(jr.Intn(5))))
 		}
 		var rows [][]value.Value
-		for _, o := range outer.Tuples {
-			for _, in := range inner.Tuples {
-				rt, st := o, in
-				if !tc.outerFirst {
-					rt, st = in, o
-				}
-				if value.Equal(rt[0], st[0]) {
-					rows = append(rows, append(append([]value.Value{}, rt...), st...))
-				}
-			}
+		for _, p := range nestedLoopJoin(r.Tuples, s.Tuples, []int{0}, []int{0}) {
+			rows = append(rows, append(append([]value.Value{}, r.Tuples[p[0]]...), s.Tuples[p[1]]...))
 		}
 		cases = append(cases, aggCase{name: tc.name, q: joinQ, rows: rows, build: func(t *testing.T, ev *Evaluator) *Batch {
 			ev.DB.Put("R", r)
@@ -773,5 +765,252 @@ func TestPrunedScanMatchesReference(t *testing.T) {
 			t.Fatalf("%s: reference error %v", name, err)
 		}
 		check(name, rows, preds)
+	}
+}
+
+// keyOperands returns one int key column as the operands a morsel can
+// meet it through, each over n rows: the stored chunk under the identity
+// index, the chunk under a narrowed row set (what a fused filter leaves),
+// the only chunk of a table under a selection, and the vector gathered
+// from a table of several chunks.
+func keyOperands(t *testing.T, rng *rand.Rand, keys []int64) map[string]vecOperand {
+	t.Helper()
+	rows := func(n int, at func(i int) int64) [][]value.Value {
+		out := make([][]value.Value, n)
+		for i := range out {
+			out[i] = []value.Value{value.Int(at(i))}
+		}
+		return out
+	}
+	n := len(keys)
+	ops := map[string]vecOperand{}
+	w := new(scratch)
+
+	// The keys as chunk 0 of a stored table, whole and narrowed.
+	b := batchFromRows(rows(n, func(i int) int64 { return keys[i] }), 1)
+	ops["identity index"] = colOperand(0, b, w.rows(b, 0, n))
+	w2 := new(scratch)
+	rs := w2.rows(b, 0, n)
+	var js []int32
+	for j := 0; j < n; j++ {
+		if rng.Intn(3) > 0 {
+			js = append(js, int32(j))
+		}
+	}
+	if len(js) > 0 {
+		rs.loc = js
+		ops["narrowed row set"] = colOperand(0, b, rs)
+	}
+
+	// The keys scattered over a one-chunk and a three-chunk table, read
+	// back in order through a selection.
+	for name, size := range map[string]int{"one-chunk selection": chunkRows, "gathered vector": 3 * chunkRows} {
+		perm := rng.Perm(size)[:n]
+		cells := make([]int64, size)
+		for i := range cells {
+			cells[i] = keys[rng.Intn(n)] // cells no row selects stay inside the keys' range
+		}
+		sel := make([]int32, n)
+		for i, p := range perm {
+			cells[p], sel[i] = keys[i], int32(p)
+		}
+		tb := batchFromRows(rows(size, func(i int) int64 { return cells[i] }), 1)
+		tb = tb.with(n, [][]int32{sel})
+		ws := new(scratch)
+		ops[name] = colOperand(0, tb, ws.rows(tb, 0, n))
+	}
+	return ops
+}
+
+// TestDirectGroupIdsMatchHash holds the direct-addressed group table to
+// the hash index: over generated int keys — negative, all equal, on
+// either side of the span bound, at the ends of int64 — read through
+// every operand shape, both give every row the same group id, create the
+// groups from the same rows in the same order with the same key column,
+// and so fold the same float accumulators bit for bit.
+func TestDirectGroupIdsMatchHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	gen := map[string]func(i int) int64{
+		"small domain":      func(int) int64 { return int64(rng.Intn(28)) + 1 },
+		"negative":          func(int) int64 { return -int64(rng.Intn(300)) - 1 },
+		"around zero":       func(int) int64 { return int64(rng.Intn(200)) - 100 },
+		"all equal":         func(int) int64 { return 77 },
+		"span bound":        func(i int) int64 { return int64(i%2) * (directSpan - 1) },
+		"past span bound":   func(i int) int64 { return int64(i%2) * directSpan },
+		"near MaxInt64":     func(int) int64 { return math.MaxInt64 - int64(rng.Intn(50)) },
+		"near MinInt64":     func(int) int64 { return math.MinInt64 + int64(rng.Intn(50)) },
+		"both int64 ends":   func(i int) int64 { return []int64{math.MinInt64, math.MaxInt64, 0}[i%3] },
+		"a group per row":   func(i int) int64 { return int64(i) * 3 },
+		"wide, many groups": func(i int) int64 { return int64(rng.Intn(1 << 40)) },
+	}
+	wantDirect := map[string]bool{"small domain": true, "negative": true, "around zero": true, "all equal": true,
+		"span bound": true, "near MaxInt64": true, "near MinInt64": true, "a group per row": true}
+	for name, at := range gen {
+		for _, n := range []int{1, 2, 37, morselRows} {
+			keys := make([]int64, n)
+			for i := range keys {
+				keys[i] = at(i)
+			}
+			args := &Vec{kind: value.KindFloat, floats: make([]float64, n)}
+			for i := range args.floats {
+				args.floats[i] = float64(rng.Intn(1000)) / 7
+			}
+			for shape, op := range keyOperands(t, rng, keys) {
+				rows := len(op.idx)
+				var gi [2]groupIndex
+				var st [2]foldState
+				var gids [2][morselRows]int32
+				var hs [morselRows]uint64
+				for v, once := range []bool{true, false} {
+					st[v].reset(false, 1)
+					gi[v].reset(&st[v].keys)
+					direct := gi[v].assign([]vecOperand{op}, rows, hs[:], gids[v][:rows], once)
+					if !once && direct {
+						t.Fatalf("%s n=%d %s: an index that takes further calls was addressed directly", name, n, shape)
+					}
+					// A narrowed row set of two alternating keys can hold one
+					// of them only; every other shape has the range of keys.
+					if once && n > 2 && shape != "narrowed row set" && direct != wantDirect[name] {
+						t.Fatalf("%s n=%d %s: direct = %v, want %v", name, n, shape, direct, wantDirect[name])
+					}
+					arg := vecOperand{vec: args, idx: iota32[:rows]}
+					sp := &aggSpec{fn: ir.AggSum, arg: &ir.ColRef{}, fold: true}
+					if _, err := st[v].accs[0].foldRows(sp, arg, gids[v][:rows], st[v].keys.n, gi[v].newJ); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tag := fmt.Sprintf("%s n=%d %s", name, n, shape)
+				if fmt.Sprint(gids[0][:rows]) != fmt.Sprint(gids[1][:rows]) {
+					t.Fatalf("%s: group ids differ:\ndirect %v\nhash   %v", tag, gids[0][:rows], gids[1][:rows])
+				}
+				if fmt.Sprint(gi[0].newJ) != fmt.Sprint(gi[1].newJ) {
+					t.Fatalf("%s: groups created by rows %v directly, %v by hashing", tag, gi[0].newJ, gi[1].newJ)
+				}
+				if st[0].keys.n != st[1].keys.n || fmt.Sprint(st[0].keys.cols[0].ints) != fmt.Sprint(st[1].keys.cols[0].ints) {
+					t.Fatalf("%s: key columns differ: %v directly, %v by hashing", tag, st[0].keys.cols[0].ints, st[1].keys.cols[0].ints)
+				}
+				for g, x := range st[0].accs[0].vec.floats {
+					if math.Float64bits(x) != math.Float64bits(st[1].accs[0].vec.floats[g]) {
+						t.Fatalf("%s: group %d sums to %v directly, %v by hashing", tag, g, x, st[1].accs[0].vec.floats[g])
+					}
+				}
+				for j, g := range gids[0][:rows] {
+					if st[0].keys.cols[0].ints[g] != op.vec.ints[op.idx[j]] {
+						t.Fatalf("%s: row %d with key %d is in the group of key %d", tag, j, op.vec.ints[op.idx[j]], st[0].keys.cols[0].ints[g])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinPairsMatchNestedLoop holds the join to the nested loop pair
+// for pair: the joined rows of a projection come out in exactly the
+// reference's order (nestedLoopJoin: the larger input walked in row
+// order, its matches in theirs) at one worker and at GOMAXPROCS —
+// duplicates on both sides, keys one side lacks, either side the larger,
+// equal sizes, a laid-out side of several chunks, inputs narrowed by
+// their own filters first, keys numbered by direct address, by hashing
+// (wide or straddling the span bound), through the byte encoding (a
+// float or a bool key, two key pairs).
+func TestJoinPairsMatchNestedLoop(t *testing.T) {
+	src := ir.MapSource{"R": {"A", "B", "C"}, "S": {"E", "F", "G"}}
+	type keyGen func(rng *rand.Rand) value.Value
+	domain := func(n int, stride int64) keyGen {
+		return func(rng *rand.Rand) value.Value { return value.Int((int64(rng.Intn(n)) - int64(n/4)) * stride) }
+	}
+	cases := []struct {
+		name     string
+		nr, ns   int
+		rk, sk   keyGen
+		sql      string
+		wantKeys string // the counter the one join must tick
+	}{
+		{"direct, R larger", 5000, 300, domain(400, 1), domain(500, 1), "SELECT B, F FROM R, S WHERE A = E", "direct"},
+		{"direct, S larger", 300, 5000, domain(400, 1), domain(300, 1), "SELECT B, F FROM R, S WHERE A = E", "direct"},
+		{"direct, equal sizes", 1500, 1500, domain(200, 1), domain(250, 1), "SELECT B, F FROM R, S WHERE E = A", "direct"},
+		{"direct, laid-out side of three chunks", 2500, 6000, domain(3000, 1), domain(3500, 1), "SELECT B, F FROM R, S WHERE A = E", "direct"},
+		{"direct, filters narrow both sides", 4000, 3000, domain(100, 1), domain(120, 1), "SELECT B, F FROM R, S WHERE A = E AND C < 3 AND G >= 2", "direct"},
+		{"direct, filter makes the larger table the smaller", 4000, 3000, domain(100, 1), domain(120, 1), "SELECT B, F FROM R, S WHERE A = E AND C = 0", "direct"},
+		{"hash, wide keys", 3000, 400, domain(300, 1<<33), domain(300, 1<<33), "SELECT B, F FROM R, S WHERE A = E", "hashed"},
+		{"hash, keys one past the span bound", 3000, 400, domain(300, 1), func(rng *rand.Rand) value.Value {
+			return value.Int(int64(rng.Intn(2)) * directSpan)
+		}, "SELECT B, F FROM R, S WHERE A = E", "hashed"},
+		{"bytes, float key meets int key", 3000, 200, func(rng *rand.Rand) value.Value {
+			return value.Float(float64(rng.Intn(100)))
+		}, domain(150, 1), "SELECT B, F FROM R, S WHERE A = E", "hashed"},
+		{"bytes, bool keys", 40, 2500, func(rng *rand.Rand) value.Value { return value.Bool(rng.Intn(4) == 0) },
+			func(rng *rand.Rand) value.Value { return value.Bool(rng.Intn(2) == 0) }, "SELECT B, F FROM R, S WHERE A = E AND G = 1", "hashed"},
+		{"bytes, two key pairs", 3000, 2500, domain(40, 1), domain(50, 1), "SELECT B, F FROM R, S WHERE A = E AND C = G", "hashed"},
+	}
+	for _, tc := range cases {
+		rng := rand.New(rand.NewSource(int64(tc.nr*7 + tc.ns)))
+		r, s := NewRelation("A", "B", "C"), NewRelation("E", "F", "G")
+		for i := 0; i < tc.nr; i++ {
+			r.Add(tc.rk(rng), value.Int(int64(i)), value.Int(int64(rng.Intn(5))))
+		}
+		for i := 0; i < tc.ns; i++ {
+			s.Add(tc.sk(rng), value.Int(int64(i)), value.Int(int64(rng.Intn(5))))
+		}
+		q := ir.MustBuild(tc.sql, src)
+
+		// The reference: each table through its own conjuncts, then the
+		// nested loop over what is left on the join's key pairs.
+		wc := classifyWhere(q)
+		keep := func(tuples [][]value.Value, table int) [][]value.Value {
+			var out [][]value.Value
+			for _, row := range tuples {
+				full := make([]value.Value, 6)
+				copy(full[3*table:], row)
+				ok := true
+				for _, p := range wc.perTable[table] {
+					if h, err := predHolds(p, full); err != nil {
+						t.Fatal(err)
+					} else if !h {
+						ok = false
+					}
+				}
+				if ok {
+					out = append(out, row)
+				}
+			}
+			return out
+		}
+		rr, ss := keep(r.Tuples, 0), keep(s.Tuples, 1)
+		var ka, kb []int
+		for _, p := range wc.joinEq {
+			lc, rc := q.Col(p.L.Col), q.Col(p.R.Col)
+			if lc.Table != 0 {
+				lc, rc = rc, lc
+			}
+			ka, kb = append(ka, lc.Pos), append(kb, rc.Pos)
+		}
+		pairs := nestedLoopJoin(rr, ss, ka, kb)
+		if len(pairs) == 0 {
+			t.Fatalf("%s: the reference joins nothing", tc.name)
+		}
+
+		for _, workers := range []int{1, 0} {
+			db := NewDB()
+			db.Put("R", r)
+			db.Put("S", s)
+			ev := NewEvaluator(db, nil)
+			ev.Workers, ev.Metrics = workers, obs.NewMetrics()
+			out, err := ev.Exec(q)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", tc.name, workers, err)
+			}
+			if len(out.Tuples) != len(pairs) {
+				t.Fatalf("%s workers %d: %d joined rows, reference %d", tc.name, workers, len(out.Tuples), len(pairs))
+			}
+			for k, p := range pairs {
+				if got, want := out.Tuples[k], []value.Value{rr[p[0]][1], ss[p[1]][1]}; !sameValue(got[0], want[0]) || !sameValue(got[1], want[1]) {
+					t.Fatalf("%s workers %d: pair %d is rows (%v, %v), reference (%v, %v)", tc.name, workers, k, got[0], got[1], want[0], want[1])
+				}
+			}
+			if n := ev.Metrics.Counter("engine.join.keys_" + tc.wantKeys).Load(); n != 1 {
+				t.Fatalf("%s workers %d: engine.join.keys_%s = %d, want 1", tc.name, workers, tc.wantKeys, n)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package aggview_test
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -140,6 +141,98 @@ func TestClusteredScanSkipsChunks(t *testing.T) {
 		default:
 			if read != all {
 				t.Errorf("%s filters on no clustered column but read %d rows against %d", sh.name, read, all)
+			}
+		}
+	}
+}
+
+// TestJoinCostIsResultSized is the allocation guard for the join, the one
+// hot path that had none: the selection of Calls, the matched pairs and
+// the composed selections are index vectors drawn through the task and
+// returned as the query ends, and the key table over Customer's 500
+// Cust_Ids is addressed directly out of a pooled buffer, so a warm
+// area_join allocates its per-morsel slots, its partials' bookkeeping and
+// its result — under 64 KB at 100000 Calls rows (660 KB when the pairs
+// and the selection were exact allocations) and at most 8 KB more than at
+// 10000, where one int32 per joined row would add 180 KB. The figure is
+// the median of single calls: a sync.Pool hands a buffer back only to the
+// P that put it or through a steal, so now and then a call refills a pool
+// (one 400 KB vector) that the next calls then find warm; a join that
+// allocated what it matched would do so on every call.
+func TestJoinCostIsResultSized(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 100000-row warehouse")
+	}
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop what the pipeline recycles")
+	}
+	perCall := func(calls int) uint64 {
+		sys := warehouse(t, calls)
+		sh := scanShapes(t, sys)[3]
+		if sh.name != "area_join" {
+			t.Fatalf("scanShapes()[3] is %s, want area_join", sh.name)
+		}
+		run := func() {
+			if res, err := sys.Query(sh.sql); err != nil || res.Len() == 0 {
+				t.Fatalf("%s: empty result or error: %v", sh.name, err)
+			}
+		}
+		run() // warm: pooled scratch and index vectors, lazily built registries
+		samples := make([]uint64, 9)
+		var before, after runtime.MemStats
+		for i := range samples {
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			samples[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		return samples[len(samples)/2]
+	}
+	small, large := perCall(10_000), perCall(100_000)
+	t.Logf("bytes allocated per warm area_join: %d at 10000 rows, %d at 100000", small, large)
+	if large > 64<<10 {
+		t.Errorf("area_join over 100000 rows allocated %d B per call, want at most 64 KB", large)
+	}
+	if large > small+8<<10 {
+		t.Errorf("area_join grew from %d B at 10000 rows to %d B at 100000 (want at most 8 KB more): the join allocates what it matches",
+			small, large)
+	}
+}
+
+// TestScanShapesTakeTheDirectPath makes a silent fall back to hashing
+// fail a test instead of only reading slower: over a seeded warehouse
+// every morsel of the four base_scan shapes (the first of which is
+// write_mix's by_day) numbers its groups through the direct table — Day,
+// Plan_Id, Month and Area_Code all lie in narrow ranges, as storage's
+// chunk ranges say — and area_join numbers Customer's Cust_Ids by direct
+// address; the counts repeat at every worker count.
+func TestScanShapesTakeTheDirectPath(t *testing.T) {
+	const calls = 12 * 1024
+	sys := warehouse(t, calls)
+	for _, sh := range scanShapes(t, sys) {
+		var first [4]int64
+		for k, workers := range []int{1, 0} {
+			sys.Opts.Workers, sys.Metrics = workers, obs.NewMetrics()
+			if res, err := sys.Query(sh.sql); err != nil || res.Len() == 0 {
+				t.Fatalf("%s: empty result or error: %v", sh.name, err)
+			}
+			got := [4]int64{}
+			for i, name := range []string{"engine.agg.morsels_direct", "engine.agg.morsels_hashed", "engine.join.keys_direct", "engine.join.keys_hashed"} {
+				got[i] = sys.Metrics.Counter(name).Load()
+			}
+			wantJoins := int64(0)
+			if sh.name == "area_join" {
+				wantJoins = 1
+			}
+			if got[0] == 0 || got[1] != 0 || got[2] != wantJoins || got[3] != 0 {
+				t.Errorf("%s workers %d: %d morsels grouped directly and %d by hashing, %d joins keyed directly and %d by hashing; want every morsel and %d joins direct",
+					sh.name, workers, got[0], got[1], got[2], got[3], wantJoins)
+			}
+			if k == 0 {
+				first = got
+			} else if got != first {
+				t.Errorf("%s: path counters %v at GOMAXPROCS workers, %v at one", sh.name, got, first)
 			}
 		}
 	}
