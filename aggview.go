@@ -118,15 +118,16 @@ func (s *System) evaluator(reg *ir.Registry, store engine.Storage) *engine.Evalu
 }
 
 // executeStage runs one execution as the request span's
-// "facade.execute" stage, recording the rows it returned.
-func executeStage(ctx context.Context, run func() (*Result, error)) (*Result, error) {
+// "facade.execute" stage, recording the rows it returned (rows of the
+// result, whichever shape it has).
+func executeStage[R any](ctx context.Context, rows func(R) int, run func() (R, error)) (R, error) {
 	st := obs.SpanFrom(ctx).StartStage("facade.execute")
 	res, err := run()
 	if err != nil {
 		st.End(0)
-		return nil, err
+		return res, err
 	}
-	st.End(int64(len(res.Tuples)))
+	st.End(int64(rows(res)))
 	return res, nil
 }
 
@@ -1073,14 +1074,28 @@ func (s *System) ExecPreparedOn(p *Prepared, store engine.Storage) (*Result, err
 // ones, so the plan reads one consistent materialization state
 // end to end.
 func (s *System) ExecPreparedOnContext(ctx context.Context, p *Prepared, store engine.Storage) (*Result, error) {
+	return execPrepared(ctx, s, p, store, (*Result).Len, (*engine.Evaluator).ExecContext)
+}
+
+// ExecPreparedColumns is ExecPreparedOnContext without its last step: the
+// result comes back as the typed columns the engine produced, no row of
+// it boxed. It is the entry point of a caller that encodes or scans the
+// result once — the /query handler.
+func (s *System) ExecPreparedColumns(ctx context.Context, p *Prepared, store engine.Storage) (*engine.ColTable, error) {
+	return execPrepared(ctx, s, p, store, (*engine.ColTable).NumRows, (*engine.Evaluator).ExecColumns)
+}
+
+// execPrepared runs a prepared plan's query through one of the
+// evaluator's entry points under the usual context/budget regime.
+func execPrepared[R any](ctx context.Context, s *System, p *Prepared, store engine.Storage, rows func(R) int, exec func(*engine.Evaluator, context.Context, *ir.Query) (R, error)) (R, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
 	q := p.direct
 	if p.rw != nil {
 		q = p.rw.Query
 	}
-	return executeStage(ctx, func() (*Result, error) {
-		return s.evaluator(p.reg, store).ExecContext(ctx, q)
+	return executeStage(ctx, rows, func() (R, error) {
+		return exec(s.evaluator(p.reg, store), ctx, q)
 	})
 }
 
@@ -1118,7 +1133,7 @@ func (s *System) QueryBestContext(ctx context.Context, sql string) (*Result, *Re
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := executeStage(ctx, func() (*Result, error) {
+	res, err := executeStage(ctx, (*Result).Len, func() (*Result, error) {
 		if r == nil {
 			return s.query(ctx, s.Store, sql)
 		}

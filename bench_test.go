@@ -215,6 +215,41 @@ func BenchmarkScanAgg(b *testing.B) {
 	}
 }
 
+// BenchmarkViewRead measures a cache-hit read of each of the benchmark's
+// six view_hit shapes over a 100000-row warehouse: engine runs the
+// prepared plan to typed columns (what the /query handler calls), served
+// sends the statement through the handler and the wire client in process,
+// as bench/ does. It is where the per-template ns and a -cpuprofile split
+// of a view read come from without touching bench/.
+func BenchmarkViewRead(b *testing.B) {
+	const calls = 100_000
+	ctx := context.Background()
+	sys := warehouse(b, calls)
+	client := inProcess(b, sys)
+	for _, sh := range viewShapes(calls) {
+		p, err := sys.PrepareContext(ctx, sh.sql)
+		if err != nil || len(p.Used) == 0 {
+			b.Fatalf("%s: no plan over a view: %v", sh.name, err)
+		}
+		b.Run(sh.name+"/engine", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res, err := sys.ExecPreparedColumns(ctx, p, nil); err != nil || res.NumRows() == 0 {
+					b.Fatalf("empty result or error: %v", err)
+				}
+			}
+		})
+		b.Run(sh.name+"/served", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if resp, err := client.Query(ctx, sh.sql); err != nil || len(resp.Rows) == 0 || len(resp.Used) == 0 {
+					b.Fatalf("empty reply, no view or error: %v", err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE9ClosureCached measures the memoized closure hit path
 // against BenchmarkE9Closure's cold computation.
 func BenchmarkE9ClosureCached(b *testing.B) {

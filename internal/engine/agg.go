@@ -10,8 +10,8 @@ import (
 // accum is the boxed state of one aggregate over one group: what the
 // fold keeps per group for mixed-kind and non-numeric argument vectors
 // (typed vectors fold into typed accumulator columns, see vagg.go), what
-// partials of differing representation merge through, and what every
-// group is finalized from. Rows are absorbed in input order and partial
+// partials of differing representation merge through, and what such a
+// column's groups are finalized from. Rows are absorbed in input order and partial
 // states merge in morsel index order, so the fold tree — including float
 // accumulation order — is fixed by the input alone and results are
 // byte-identical between the serial and parallel paths.
@@ -129,16 +129,6 @@ func (ac *accum) result() (value.Value, error) {
 	}
 }
 
-// group is one GROUP BY group as HAVING and SELECT read it: its
-// representative row (for grouping columns), one accumulator per
-// aggregate occurrence, and the index of its first row. The output stage
-// keeps a single one and refills it per group (assembleGroups).
-type group struct {
-	rep   []value.Value
-	accs  []accum
-	first int
-}
-
 // collectAggs gathers the aggregate occurrences of SELECT and HAVING in
 // a deterministic order, with a node -> accumulator-index map.
 func collectAggs(q *ir.Query) ([]*ir.Agg, map[*ir.Agg]int) {
@@ -165,59 +155,6 @@ func collectAggs(q *ir.Query) ([]*ir.Agg, map[*ir.Agg]int) {
 		walk(h.R)
 	}
 	return list, idx
-}
-
-// evalScalar evaluates an aggregate-free expression on one row.
-func evalScalar(e ir.Expr, row []value.Value) (value.Value, error) {
-	switch x := e.(type) {
-	case *ir.ColRef:
-		return row[x.Col], nil
-	case *ir.Const:
-		return x.Val, nil
-	case *ir.Arith:
-		l, err := evalScalar(x.L, row)
-		if err != nil {
-			return value.Value{}, err
-		}
-		r, err := evalScalar(x.R, row)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return applyArith(x.Op, l, r)
-	case *ir.Agg:
-		return value.Value{}, fmt.Errorf("engine: aggregate %s in a non-aggregated context", x.Func)
-	default:
-		return value.Value{}, fmt.Errorf("engine: unknown expression %T", e)
-	}
-}
-
-// evalGrouped evaluates an expression in group context: bare columns
-// come from the representative row, aggregates read their accumulator.
-func evalGrouped(e ir.Expr, g *group, aggIdx map[*ir.Agg]int) (value.Value, error) {
-	switch x := e.(type) {
-	case *ir.ColRef:
-		return g.rep[x.Col], nil
-	case *ir.Const:
-		return x.Val, nil
-	case *ir.Arith:
-		l, err := evalGrouped(x.L, g, aggIdx)
-		if err != nil {
-			return value.Value{}, err
-		}
-		r, err := evalGrouped(x.R, g, aggIdx)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return applyArith(x.Op, l, r)
-	case *ir.Agg:
-		i, ok := aggIdx[x]
-		if !ok {
-			return value.Value{}, fmt.Errorf("engine: aggregate %s not collected for this query", x.Func)
-		}
-		return g.accs[i].result()
-	default:
-		return value.Value{}, fmt.Errorf("engine: unknown expression %T", e)
-	}
 }
 
 func applyArith(op ir.ArithOp, l, r value.Value) (value.Value, error) {

@@ -248,15 +248,17 @@ func TestNestedExecReleasesOnlyItsOwn(t *testing.T) {
 	for i := range outer {
 		outer[i] = int32(-i)
 	}
-	want, err := ev.run(newTask(context.Background()), q)
+	wantCols, err := ev.run(newTask(context.Background()), q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantCols.Relation()
 	for i := 0; i < 5; i++ {
-		got, err := ev.run(task, q)
+		gotCols, err := ev.run(task, q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := gotCols.Relation()
 		if fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) {
 			t.Fatalf("run %d under a task that holds a vector: %v, want %v", i, got.Tuples, want.Tuples)
 		}

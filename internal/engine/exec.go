@@ -87,42 +87,60 @@ func (ev *Evaluator) Exec(q *ir.Query) (*Relation, error) {
 	return ev.ExecContext(context.Background(), q)
 }
 
-// ExecContext evaluates the query under a context. Cancellation and
-// deadline expiry are observed at morsel granularity inside every
-// kernel (scan, join, filter, aggregation) and inside the view cache;
-// a budget.Meter attached to the context (budget.WithMeter) caps the
-// total rows processed — including rows spent materializing referenced
-// views — the bytes of columnar data materialized, and the view-cache
-// entries created. On abort the worker pools drain fully and
-// ExecContext returns a typed *budget.Canceled or *budget.Exceeded —
-// never a partial relation. With Metrics attached the whole evaluation
+// ExecContext is ExecColumns with the result boxed into rows: the entry
+// point of the callers that read tuples — the maintainer, the oracles,
+// the CLI. Each call adds the cells it boxed to engine.result.cells_boxed.
+func (ev *Evaluator) ExecContext(ctx context.Context, q *ir.Query) (*Relation, error) {
+	ct, err := ev.ExecColumns(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	ev.metrics().cellsBoxed.Add(int64(ct.n * len(ct.cols)))
+	return ct.Relation(), nil
+}
+
+// ExecColumns evaluates the query under a context and returns the result
+// as the output stage produced it: typed columns, rows never boxed.
+// Cancellation and deadline expiry are observed at morsel granularity
+// inside every kernel (scan, join, filter, aggregation) and inside the
+// view cache; a budget.Meter attached to the context (budget.WithMeter)
+// caps the total rows processed — including rows spent materializing
+// referenced views — the bytes of columnar data materialized, and the
+// view-cache entries created. On abort the worker pools drain fully and
+// ExecColumns returns a typed *budget.Canceled or *budget.Exceeded —
+// never a partial result. With Metrics attached the whole evaluation
 // runs under a pprof label naming the query's FROM sources, so CPU and
 // goroutine profiles attribute worker time to the query that spawned it
 // (labels are inherited by child goroutines).
-func (ev *Evaluator) ExecContext(ctx context.Context, q *ir.Query) (*Relation, error) {
-	return ev.run(newTask(ctx), q)
+func (ev *Evaluator) ExecColumns(ctx context.Context, q *ir.Query) (*ColTable, error) {
+	ct, err := ev.run(newTask(ctx), q)
+	if err != nil {
+		return nil, err
+	}
+	ev.metrics().resultRows.Add(int64(ct.n))
+	return ct, nil
 }
 
-// run is the labeled evaluation entry shared by ExecContext and view
+// run is the labeled evaluation entry shared by ExecColumns and view
 // materialization, so nested executions inherit the caller's task (one
 // context, one budget pool, one injector per operation).
-func (ev *Evaluator) run(t *task, q *ir.Query) (*Relation, error) {
+func (ev *Evaluator) run(t *task, q *ir.Query) (*ColTable, error) {
 	st := t.sp.StartStage("engine.exec")
 	out, err := ev.runLabeled(t, q)
 	if err != nil {
 		st.End(0)
 		return nil, err
 	}
-	st.End(int64(len(out.Tuples)))
+	st.End(int64(out.n))
 	return out, nil
 }
 
 // runLabeled applies the metrics stopwatch and pprof labels around exec.
-func (ev *Evaluator) runLabeled(t *task, q *ir.Query) (*Relation, error) {
+func (ev *Evaluator) runLabeled(t *task, q *ir.Query) (*ColTable, error) {
 	if ev.Metrics == nil {
 		return ev.exec(t, q)
 	}
-	var out *Relation
+	var out *ColTable
 	var err error
 	sw := ev.metrics().execNs.Start()
 	pprof.Do(t.ctx, pprof.Labels("aggview_query", queryLabel(q)), func(context.Context) {
@@ -142,23 +160,23 @@ func queryLabel(q *ir.Query) string {
 }
 
 // exec is the unlabeled evaluation body behind Exec. An aggregation
-// over one table is a single pipeline: aggregateBatch scans, filters and
+// over one table is a single pipeline: aggregate scans, filters and
 // folds it in one morsel pass. Anything else filters each table into a
 // selection, joins selections into index vectors, and runs the fold (or
-// the boxing projection) over the joined rows. The selections and pairs
-// built on the way go back to their pools as exec returns: the result
-// holds boxed cells only.
-func (ev *Evaluator) exec(t *task, q *ir.Query) (*Relation, error) {
+// the projection) over the joined rows. The selections and pairs built
+// on the way go back to their pools as exec returns: the result holds
+// cells of its own only.
+func (ev *Evaluator) exec(t *task, q *ir.Query) (*ColTable, error) {
 	mt := ev.metrics()
 	mt.exec.Inc()
 	defer t.release(len(t.held))
-	out := &Relation{Attrs: ir.OutputNames(q)}
 	sc, err := ev.scanPlan(t, q)
 	if err != nil {
 		return nil, err
 	}
+	var out *ColTable
 	if sc != nil && q.IsAggregationQuery() && len(q.Tables) == 1 {
-		err = ev.aggregateBatch(t, q, sc.bound.with(sc.cts[0].n, nil), sc.perTable[0], true, out)
+		out, err = ev.aggregate(t, q, sc.bound.with(sc.cts[0].n, nil), sc.perTable[0], true)
 	} else {
 		b := newBatch(q.NumCols()) // a false constant predicate: empty input
 		if sc != nil {
@@ -167,49 +185,94 @@ func (ev *Evaluator) exec(t *task, q *ir.Query) (*Relation, error) {
 			}
 		}
 		if q.IsAggregationQuery() {
-			err = ev.aggregateBatch(t, q, b, nil, false, out)
+			out, err = ev.aggregate(t, q, b, nil, false)
 		} else {
-			err = ev.projectBatch(t, q, b, out)
+			out, err = ev.projectBatch(t, q, b)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	if q.Distinct {
-		out = distinct(out)
+		out = distinctRows(out)
 	}
+	out.attrs = ir.OutputNames(q)
 	return out, nil
 }
 
 // projectBatch evaluates the SELECT list of a non-aggregation query over
-// the batch and boxes the result tuples — the one place a value is
-// copied out of its stored column. Morsels commit their tuples to their
-// own range of the output, so row order is the batch's.
-func (ev *Evaluator) projectBatch(t *task, q *ir.Query, b *Batch, out *Relation) error {
-	tuples, width := make([][]value.Value, b.n), len(q.Select)
-	err := ev.morselRun(t, "project", ev.workersFor(b.n), allMorsels(b.n), func(w *scratch, _, lo, hi int) error {
+// the batch. Each morsel copies its cells out of the stored columns into
+// typed vectors of its own — chunk k of every result column — so row
+// order is the batch's.
+func (ev *Evaluator) projectBatch(t *task, q *ir.Query, b *Batch) (*ColTable, error) {
+	ms := allMorsels(b.n)
+	parts := make([][]Vec, ms.count())
+	err := ev.morselRun(t, "project", ev.workersFor(b.n), ms, func(w *scratch, k, lo, hi int) error {
 		rs := w.rows(b, lo, hi)
-		cells := make([]value.Value, rs.n()*width)
-		for k, it := range q.Select {
+		part := make([]Vec, len(q.Select))
+		for c, it := range q.Select {
 			o, err := evalVop(it.Expr, b, rs)
 			if err != nil {
 				return err
 			}
-			for j := 0; j < rs.n(); j++ {
-				cells[j*width+k] = o.Value(j)
-			}
+			part[c] = o.cells(rs.n())
 		}
-		for j := 0; j < rs.n(); j++ {
-			tuples[lo+j] = cells[j*width : (j+1)*width : (j+1)*width]
-		}
+		parts[k] = part
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ev.metrics().projectRows.Add(int64(len(tuples)))
-	out.Tuples = tuples
-	return nil
+	ev.metrics().projectRows.Add(int64(b.n))
+	return resultTable(len(q.Select), b.n, parts), nil
+}
+
+// distinctRows returns ct without the rows that repeat an earlier one.
+// The columns are the keys of a group index fed a chunk at a time — typed
+// cells, or the canonical key bytes when a column holds floats or mixed
+// kinds, exactly as GROUP BY numbers groups — and the rows that created a
+// group are the first appearances, in order.
+func distinctRows(ct *ColTable) *ColTable {
+	w := getScratch()
+	defer putScratch(w)
+	var gk groupKeys
+	for _, col := range ct.cols {
+		gk.byKey = gk.byKey || col.kind == value.KindFloat || col.kind == kindMixed
+	}
+	w.gi.reset(&gk)
+	keep := make([]int32, 0, ct.n)
+	for m := 0; m < morselCount(ct.n); m++ {
+		lo, hi := morselBounds(m, ct.n)
+		w.keys = w.keys[:0]
+		for _, col := range ct.cols {
+			w.keys = append(w.keys, denseOperand(&col.chunks[m].Vec))
+		}
+		if gk.byKey {
+			w.byteKeys(hi - lo)
+			w.gi.assignBytes(w.kbuf, w.koff, hi-lo, w.gids[:])
+		} else {
+			w.gi.assign(w.keys, hi-lo, w.hs[:], w.gids[:], false)
+		}
+		for _, j := range w.gi.newJ {
+			keep = append(keep, int32(lo)+j)
+		}
+	}
+	if gk.n > maxPooledGroups {
+		w.gi = groupIndex{}
+	}
+	if len(keep) == ct.n {
+		return ct
+	}
+	parts := make([][]Vec, morselCount(len(keep)))
+	for k := range parts {
+		lo, hi := morselBounds(k, len(keep))
+		w.rs.used = 0
+		parts[k] = make([]Vec, len(ct.cols))
+		for c, col := range ct.cols {
+			parts[k][c] = denseOperand(w.rs.gather(col, keep[lo:hi])).cells(hi - lo)
+		}
+	}
+	return resultTable(len(ct.cols), len(keep), parts)
 }
 
 // resolve finds the columnar table behind a FROM source name. Base
@@ -291,13 +354,18 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 		e.once.Do(func() {
 			ran = true
 			materialize := func() {
-				r, err := ev.run(t, e.def.Def)
+				ct, err := ev.run(t, e.def.Def)
 				if err != nil {
 					e.err = fmt.Errorf("engine: materializing view %s: %w", name, err)
 					return
 				}
-				r.Attrs = append([]string{}, e.def.OutCols...)
-				e.ct = BuildColTable(r)
+				// The result is the stored image: named as the view names
+				// its columns and, now that scans will read it, ranged.
+				ct.attrs = append([]string{}, e.def.OutCols...)
+				for _, col := range ct.cols {
+					col.setRanges()
+				}
+				e.ct = ct
 			}
 			if ev.Metrics == nil {
 				materialize()
@@ -618,18 +686,4 @@ func compare(op ir.Op, l, r value.Value) (bool, error) {
 	default:
 		return false, fmt.Errorf("engine: unknown operator %v", op)
 	}
-}
-
-// distinct removes duplicate tuples.
-func distinct(r *Relation) *Relation {
-	seen := map[string]bool{}
-	out := &Relation{Attrs: r.Attrs}
-	for _, t := range r.Tuples {
-		k := tupleKey(t)
-		if !seen[k] {
-			seen[k] = true
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out
 }

@@ -17,6 +17,9 @@ type evMetrics struct {
 	joinProbe, joinRows                    *obs.Counter
 	joinDirect, joinHashed                 *obs.Counter // keyed joins numbering keys by direct address / by hashing
 	joinBuildRows                          *obs.Histogram
+	// Rows the exported entry points returned, and the cells of them
+	// ExecContext boxed into tuples (ExecColumns boxes none).
+	resultRows, cellsBoxed *obs.Counter
 
 	// Volatile: timings, pool activity, abort counts.
 	execNs, scanNs, joinNs, aggNs                    *obs.Counter
@@ -55,6 +58,8 @@ func (ev *Evaluator) metrics() *evMetrics {
 		joinProbe:     m.Counter("engine.join.probe"),
 		joinRows:      m.Counter("engine.join.rows"),
 		joinBuildRows: m.Histogram("engine.join.build_rows"),
+		resultRows:    m.Counter("engine.result.rows"),
+		cellsBoxed:    m.Counter("engine.result.cells_boxed"),
 		execNs:        m.Volatile("engine.exec.ns"),
 		scanNs:        m.Volatile("engine.scan.ns"),
 		joinNs:        m.Volatile("engine.join.ns"),

@@ -1,14 +1,30 @@
 package engine
 
 // The row-at-a-time references the kernel property tests hold the
-// vectorized engine to: one predicate on one boxed row, one row folded
-// into one boxed accumulator, one nested loop over two tables.
-// Production folds through vagg.go and joins through vjoin.go only.
+// vectorized engine to: one predicate on one boxed row, one expression
+// on one row or one group, one row folded into one boxed accumulator,
+// string-keyed DISTINCT over boxed tuples, one nested loop over two
+// tables. Production folds and finalizes through vagg.go, removes
+// duplicates through the group index (exec.go) and joins through
+// vjoin.go only.
 
 import (
+	"fmt"
+
 	"aggview/internal/ir"
 	"aggview/internal/value"
 )
+
+// aggregateBatch is aggregate as the property tests were written against
+// it: the result boxed into out's tuples.
+func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.Pred, fused bool, out *Relation) error {
+	ct, err := ev.aggregate(t, q, b, preds, fused)
+	if err != nil {
+		return err
+	}
+	out.Tuples = ct.Relation().Tuples
+	return nil
+}
 
 // predHolds evaluates a WHERE predicate on a full-width row. It is the
 // row-at-a-time reference semantics of the vectorized filter kernel
@@ -51,6 +67,85 @@ func (ac *accum) fold(row []value.Value) error {
 		return err
 	}
 	return ac.absorb(v)
+}
+
+// evalScalar evaluates an aggregate-free expression on one row: the
+// reference of evalVop (see TestExprKernelMatchesReference).
+func evalScalar(e ir.Expr, row []value.Value) (value.Value, error) {
+	switch x := e.(type) {
+	case *ir.ColRef:
+		return row[x.Col], nil
+	case *ir.Const:
+		return x.Val, nil
+	case *ir.Arith:
+		l, err := evalScalar(x.L, row)
+		if err != nil {
+			return value.Value{}, err
+		}
+		r, err := evalScalar(x.R, row)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return applyArith(x.Op, l, r)
+	case *ir.Agg:
+		return value.Value{}, fmt.Errorf("engine: aggregate %s in a non-aggregated context", x.Func)
+	default:
+		return value.Value{}, fmt.Errorf("engine: unknown expression %T", e)
+	}
+}
+
+// group is one GROUP BY group as HAVING and SELECT read it a group at a
+// time: its representative row (for grouping columns), one accumulator
+// per aggregate occurrence, and the index of its first row. It is the
+// reference of the column-at-a-time output stage (assembleGroups).
+type group struct {
+	rep   []value.Value
+	accs  []accum
+	first int
+}
+
+// evalGrouped evaluates an expression in group context: bare columns
+// come from the representative row, aggregates read their accumulator.
+func evalGrouped(e ir.Expr, g *group, aggIdx map[*ir.Agg]int) (value.Value, error) {
+	switch x := e.(type) {
+	case *ir.ColRef:
+		return g.rep[x.Col], nil
+	case *ir.Const:
+		return x.Val, nil
+	case *ir.Arith:
+		l, err := evalGrouped(x.L, g, aggIdx)
+		if err != nil {
+			return value.Value{}, err
+		}
+		r, err := evalGrouped(x.R, g, aggIdx)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return applyArith(x.Op, l, r)
+	case *ir.Agg:
+		i, ok := aggIdx[x]
+		if !ok {
+			return value.Value{}, fmt.Errorf("engine: aggregate %s not collected for this query", x.Func)
+		}
+		return g.accs[i].result()
+	default:
+		return value.Value{}, fmt.Errorf("engine: unknown expression %T", e)
+	}
+}
+
+// distinct removes duplicate tuples by their canonical string keys: the
+// reference of distinctRows.
+func distinct(r *Relation) *Relation {
+	seen := map[string]bool{}
+	out := &Relation{Attrs: r.Attrs}
+	for _, t := range r.Tuples {
+		k := tupleKey(t)
+		if !seen[k] {
+			seen[k] = true
+			out.Tuples = append(out.Tuples, t)
+		}
+	}
+	return out
 }
 
 // newAccs builds the accumulator bank for one group.

@@ -107,6 +107,7 @@ type scratch struct {
 	keys []vecOperand
 	args []vecOperand
 	gi   groupIndex
+	pos  [][]int32 // per table, the first rows of the groups the output stage reads
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

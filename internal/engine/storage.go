@@ -118,6 +118,17 @@ func cellBytes(k value.Kind) int64 {
 // NumRows returns the number of rows.
 func (c *ColTable) NumRows() int { return c.n }
 
+// Cells returns the typed cells of chunk k of column col, the chunks of a
+// column holding its rows in order: ints for an int or bool column (a
+// bool as 0/1), floats, strs, or, for a column of any other kind — one
+// whose cells are not all of one kind — the boxed vals; the other three
+// are nil. It is how an encoder walks a result without boxing it; the
+// slice is the table's own and must not be written.
+func (c *ColTable) Cells(col, k int) (kind value.Kind, ints []int64, floats []float64, strs []string, vals []value.Value) {
+	v := &c.cols[col].chunks[k].Vec
+	return v.kind, v.ints, v.floats, v.strs, v.vals
+}
+
 // Bytes returns the estimated payload footprint, charged against
 // budget.Limits.MaxMemBytes once per operation that scans the table.
 func (c *ColTable) Bytes() int64 { return c.bytes }
@@ -165,9 +176,15 @@ func BuildColTable(r *Relation) *ColTable {
 }
 
 // columnOf extracts column pos of a row-major tuple set: one typed
-// vector, cut into chunks and ranged in the same pass.
+// vector, cut into chunks and ranged.
 func columnOf(tuples [][]value.Value, pos int) *column {
-	v := colVecOf(tuples, pos)
+	col := columnFrom(colVecOf(tuples, pos))
+	col.setRanges()
+	return col
+}
+
+// columnFrom cuts a vector into the chunks of a column.
+func columnFrom(v *Vec) *column {
 	col := &column{kind: v.kind}
 	switch v.kind {
 	case value.KindInt, value.KindBool:
@@ -179,10 +196,52 @@ func columnOf(tuples [][]value.Value, pos int) *column {
 	default:
 		col.chunks = cut(v.kind, v.vals, (*Vec).boxedCells)
 	}
-	for _, ch := range col.chunks {
+	return col
+}
+
+func (c *column) setRanges() {
+	for _, ch := range c.chunks {
 		ch.setRange()
 	}
-	return col
+}
+
+// resultTable assembles a query result from the parts its output stage
+// produced in order — parts[k][c] is column c's cells for rows k*chunkRows
+// on, every part full but the last — so each part is one chunk of every
+// column, taken as it is. A column whose parts are not all of one typed
+// kind is boxed and typed again as a whole (vecFromValues): it comes out
+// mixed only if its cells are. The table comes back unnamed (exec names
+// it) and its chunks carry no ranges: a result is read once, in full;
+// resolve ranges the one that becomes a view.
+func resultTable(width, n int, parts [][]Vec) *ColTable {
+	ct := &ColTable{n: n, cols: make([]*column, width)}
+	cols, slab := make([]column, width), make([]chunk, width*len(parts))
+	ptrs := make([]*chunk, len(slab))
+	for c := range cols {
+		kind := value.KindInt // of a column without cells, as vecFromValues has it
+		if len(parts) > 0 {
+			kind = parts[0][c].kind
+		}
+		if kind == kindMixed || slices.ContainsFunc(parts, func(part []Vec) bool { return part[c].kind != kind }) {
+			vals := make([]value.Value, 0, n)
+			for k := range parts {
+				for j, v := 0, &parts[k][c]; j < v.Len(); j++ {
+					vals = append(vals, v.Value(j))
+				}
+			}
+			ct.cols[c] = columnFrom(vecFromValues(vals))
+			continue
+		}
+		chunks := ptrs[c*len(parts) : (c+1)*len(parts) : (c+1)*len(parts)]
+		for k := range parts {
+			ch := &slab[c*len(parts)+k]
+			ch.Vec, chunks[k] = parts[k][c], ch
+		}
+		cols[c] = column{kind: kind, chunks: chunks}
+		ct.cols[c] = &cols[c]
+	}
+	ct.sumBytes()
+	return ct
 }
 
 // cut returns the cells xs as chunks that are views of it, capacity

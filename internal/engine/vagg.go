@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"hash/maphash"
 	"math"
 	"sync"
@@ -430,25 +431,24 @@ func (c *accCol) foldRows(sp *aggSpec, src vecOperand, gids []int32, ng int, new
 	return 0, nil
 }
 
-// cell boxes group g's accumulator as the accum the finalization and the
-// boxed merge work on; rows is the fold state's row-count column.
-func (c *accCol) cell(sp *aggSpec, g int, rows []int64) accum {
-	if !c.typed {
-		if sp.fold {
-			return c.boxed[g]
+// box returns the typed accumulators as the boxed accums a merge of
+// differing representations works on; rows is the fold state's
+// row-count column.
+func (c *accCol) box(sp *aggSpec, rows []int64) []accum {
+	boxed := make([]accum, c.vec.Len())
+	for g := range boxed {
+		ac := accum{fn: sp.fn, arg: sp.arg, rows: rows[g], seen: true}
+		switch sp.fn {
+		case ir.AggSum:
+			ac.sum = c.vec.Value(g)
+		case ir.AggAvg:
+			ac.avg = c.vec.floats[g]
+		default:
+			ac.best = c.vec.Value(g)
 		}
-		return accum{fn: sp.fn, arg: sp.arg, rows: rows[g]}
+		boxed[g] = ac
 	}
-	ac := accum{fn: sp.fn, arg: sp.arg, rows: rows[g], seen: true}
-	switch sp.fn {
-	case ir.AggSum:
-		ac.sum = c.vec.Value(g)
-	case ir.AggAvg:
-		ac.avg = c.vec.floats[g]
-	default:
-		ac.best = c.vec.Value(g)
-	}
-	return ac
+	return boxed
 }
 
 // merge folds a later partial's accumulators src into c: partial group
@@ -469,16 +469,15 @@ func (c *accCol) merge(sp *aggSpec, src *accCol, gmap []int32, ng int, newJ []in
 		return 0, nil
 	}
 	if c.typed {
-		boxed := make([]accum, c.vec.Len())
-		for g := range boxed {
-			boxed[g] = c.cell(sp, g, rows)
-		}
-		*c = accCol{boxed: boxed}
+		*c = accCol{boxed: c.box(sp, rows)}
 	}
 	c.boxed = grow(c.boxed, ng, accum{fn: sp.fn, arg: sp.arg})
+	from := src.boxed
+	if src.typed {
+		from = src.box(sp, srcRows)
+	}
 	for j, g := range gmap {
-		o := src.cell(sp, j, srcRows)
-		if err := c.boxed[g].merge(&o); err != nil {
+		if err := c.boxed[g].merge(&from[j]); err != nil {
 			return j, err
 		}
 	}
@@ -599,13 +598,7 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 	}
 	direct := false
 	if pl.byKey {
-		w.kbuf, w.koff = w.kbuf[:0], append(w.koff[:0], 0)
-		for j := 0; j < rs.n(); j++ {
-			for _, k := range w.keys {
-				w.kbuf = append(k.Value(j).AppendKey(w.kbuf), 0)
-			}
-			w.koff = append(w.koff, int32(len(w.kbuf)))
-		}
+		w.byteKeys(rs.n())
 		w.gi.assignBytes(w.kbuf, w.koff, rs.n(), gids)
 	} else {
 		direct = w.gi.assign(w.keys, rs.n(), w.hs[:], gids, true)
@@ -674,9 +667,21 @@ func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) err
 	return ferr
 }
 
-// aggregateBatch evaluates the GROUP BY / HAVING / SELECT pipeline of an
-// aggregation query over the batch into out. One morsel pass folds the
-// batch into per-morsel partials (foldMorsel).
+// byteKeys encodes the key operands w.keys of n rows as canonical
+// Value.AppendKey bytes: row j's key is w.kbuf[w.koff[j]:w.koff[j+1]].
+func (w *scratch) byteKeys(n int) {
+	w.kbuf, w.koff = w.kbuf[:0], append(w.koff[:0], 0)
+	for j := 0; j < n; j++ {
+		for _, k := range w.keys {
+			w.kbuf = append(k.Value(j).AppendKey(w.kbuf), 0)
+		}
+		w.koff = append(w.koff, int32(len(w.kbuf)))
+	}
+}
+
+// aggregate evaluates the GROUP BY / HAVING / SELECT pipeline of an
+// aggregation query over the batch. One morsel pass folds the batch into
+// per-morsel partials (foldMorsel).
 // When the batch is a stored table the pass is also its scan (fused):
 // it skips the chunks preds exclude (scanMorsels), runs preds first on
 // the rest, charges the rows it reads at site "scan" as it goes and the
@@ -686,10 +691,14 @@ func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) err
 // the input alone, and merge serially in morsel index order — a fixed
 // merge tree, so accumulator contents (including float accumulation
 // order) and the first-appearance output order are byte-identical at
-// every worker count. A query without GROUP BY is the single-group case
-// of the same path; an empty input yields no groups (see the package
-// comment for this documented simplification).
-func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.Pred, fused bool, out *Relation) error {
+// every worker count. The partial of a one-morsel pass is the merged
+// state as it stands: merging it into an empty state would re-hash every
+// group to produce the same keys, first rows, counts and accumulators,
+// so only the charge, the poll and the counters of the merge remain. A
+// query without GROUP BY is the single-group case of the same path; an
+// empty input yields no groups (see the package comment for this
+// documented simplification).
+func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, fused bool) (*ColTable, error) {
 	mt := ev.metrics()
 	sw := mt.aggNs.Start()
 	defer sw.Stop()
@@ -721,13 +730,18 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.P
 		return t.allocBytes(ev, "agg.fold", p.bytes())
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	merged := foldPool.Get().(*foldState)
-	merged.reset(pl.byKey, len(pl.specs))
 	w := getScratch()
-	w.gi.reset(&merged.keys)
+	var merged *foldState
+	if len(parts) == 1 && parts[0] != nil {
+		merged = parts[0]
+	} else {
+		merged = foldPool.Get().(*foldState)
+		merged.reset(pl.byKey, len(pl.specs))
+		w.gi.reset(&merged.keys)
+	}
 	defer func() {
 		if merged.keys.n > maxPooledGroups {
 			w.gi = groupIndex{}
@@ -744,15 +758,17 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.P
 		rows += int(kept[m])
 		if fused {
 			if err := t.charge(ev, "agg.fold", int64(kept[m])); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		if err := merged.mergePartial(w, pl.specs, p); err != nil {
-			return err
+		if p != merged {
+			if err := merged.mergePartial(w, pl.specs, p); err != nil {
+				return nil, err
+			}
+			foldPool.Put(p)
 		}
-		foldPool.Put(p)
 		if err := t.poll(ev, "agg.merge"); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if fused {
@@ -761,120 +777,232 @@ func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.P
 	mt.aggRows.Add(int64(rows))
 	mt.aggGroups.Add(int64(merged.keys.n))
 
-	return assembleGroups(q, b, pl.specs, aggIdx, merged, out)
+	return assembleGroups(q, b, pl.specs, aggIdx, merged, w)
 }
 
-// repCols lists the columns a group's representative row is read at: the
-// bare columns of SELECT and HAVING and the columns of COUNT arguments
-// (the arguments of folded aggregates were consumed by the fold).
-func repCols(q *ir.Query, b *Batch, countArgs []ir.Expr) []ir.ColID {
-	seen := make([]bool, len(b.cols))
-	var cols []ir.ColID
-	mark := func(c ir.ColID) {
-		if !seen[c] && b.cols[c] != nil {
-			seen[c] = true
-			cols = append(cols, c)
+// groupStage is what the output stage evaluates HAVING and SELECT
+// expressions over: the merged groups gsel (at most a morsel of them,
+// the size every kernel is built for), each expression one operand of
+// len(gsel) cells. An aggregate is its accumulator column read at gsel, a
+// bare column a typed key column read at gsel or the stored column read
+// at the groups' first rows, arithmetic the expression kernel's
+// (arithVop) — so a group costs no box, no map lookup and no dispatch.
+type groupStage struct {
+	b      *Batch
+	specs  []aggSpec
+	aggIdx map[*ir.Agg]int
+	st     *foldState
+	counts Vec      // st.rows as an int vector: what a COUNT reads
+	keyAt  []int32  // keyAt[c]-1 is the typed key column of st.keys holding column c; 0: none
+	w      *scratch // w.rs is the first rows of gsel: per table w.pos, filled on first use
+	gsel   []int32
+}
+
+// bind points the stage at the groups gsel.
+func (s *groupStage) bind(gsel []int32) {
+	s.gsel = gsel
+	rs := &s.w.rs
+	rs.loc, rs.used = iota32[:len(gsel)], 0
+	clear(rs.idx)
+}
+
+// col reads column c at the groups: a typed key is every row's cell, so
+// the key column is the answer; any other column is read at each group's
+// first row (an unbound one as the zero Value).
+func (s *groupStage) col(c ir.ColID) vecOperand {
+	if k := s.keyAt[c]; k > 0 {
+		return vecOperand{vec: &s.st.keys.cols[k-1], idx: s.gsel}
+	}
+	rs := &s.w.rs
+	if t := s.b.tabOf(c); s.b.cols[c] != nil && rs.idx[t] == nil {
+		for len(s.w.pos) <= t {
+			s.w.pos = append(s.w.pos, nil)
+		}
+		pos := room(s.w.pos[t], len(s.gsel))
+		for j, g := range s.gsel {
+			pos[j] = int32(s.b.phys(t, int(s.st.first[g])))
+		}
+		s.w.pos[t], rs.idx[t] = pos, pos
+	}
+	return colOperand(c, s.b, rs)
+}
+
+// agg reads aggregate a at the groups: COUNT is the row counts, a typed
+// SUM, MIN or MAX its accumulator column in the stored kind, AVG the
+// float totals over the counts, and a boxed column is finalized cell by
+// cell into a mixed vector.
+func (s *groupStage) agg(a int) (vecOperand, error) {
+	sp, ac := &s.specs[a], &s.st.accs[a]
+	switch {
+	case !sp.fold:
+		return vecOperand{vec: &s.counts, idx: s.gsel}, nil
+	case !ac.typed:
+		vals := make([]value.Value, len(s.gsel))
+		for j, g := range s.gsel {
+			v, err := ac.boxed[g].result()
+			if err != nil {
+				return vecOperand{}, err
+			}
+			vals[j] = v
+		}
+		return denseOperand(&Vec{kind: kindMixed, vals: vals}), nil
+	case sp.fn == ir.AggAvg:
+		xs := make([]float64, len(s.gsel))
+		for j, g := range s.gsel {
+			xs[j] = ac.vec.floats[g] / float64(s.st.rows[g])
+		}
+		return denseOperand(&Vec{kind: value.KindFloat, floats: xs}), nil
+	}
+	return vecOperand{vec: &ac.vec, idx: s.gsel}, nil
+}
+
+// eval evaluates an expression in group context over the bound groups.
+func (s *groupStage) eval(e ir.Expr) (vecOperand, error) {
+	switch x := e.(type) {
+	case *ir.ColRef:
+		return s.col(x.Col), nil
+	case *ir.Const:
+		return vecOperand{c: x.Val, isConst: true}, nil
+	case *ir.Arith:
+		l, err := s.eval(x.L)
+		if err != nil {
+			return vecOperand{}, err
+		}
+		r, err := s.eval(x.R)
+		if err != nil {
+			return vecOperand{}, err
+		}
+		return arithVop(x.Op, l, r, len(s.gsel))
+	case *ir.Agg:
+		i, ok := s.aggIdx[x]
+		if !ok {
+			return vecOperand{}, fmt.Errorf("engine: aggregate %s not collected for this query", x.Func)
+		}
+		return s.agg(i)
+	default:
+		return vecOperand{}, fmt.Errorf("engine: unknown expression %T", e)
+	}
+}
+
+// eachMorsel calls fn with the group ids a morsel at a time.
+func eachMorsel(ids []int32, fn func(gsel []int32) error) error {
+	for lo := 0; lo < len(ids); lo += morselRows {
+		if err := fn(ids[lo:min(lo+morselRows, len(ids))]); err != nil {
+			return err
 		}
 	}
-	var bare func(e ir.Expr)
-	bare = func(e ir.Expr) {
-		switch x := e.(type) {
-		case *ir.ColRef:
-			mark(x.Col)
-		case *ir.Arith:
-			bare(x.L)
-			bare(x.R)
-		}
-	}
-	for _, it := range q.Select {
-		bare(it.Expr)
-	}
-	for _, h := range q.Having {
-		bare(h.L)
-		bare(h.R)
-	}
-	for _, arg := range countArgs {
-		ir.WalkExprCols(arg, mark)
-	}
-	return cols
+	return nil
 }
 
 // assembleGroups is the output stage of an aggregation: HAVING and SELECT
-// evaluated per merged group, in first-appearance order, into out. Every
-// group is read through one scratch group — its representative cells
-// (only the columns repCols names; unbound slots hold the zero Value) and
-// its accumulators refilled in place — and the tuples share one flat
-// backing, so a result row costs its cells and nothing per group beside
-// them.
-func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]int, merged *foldState, out *Relation) error {
-	ng, width := merged.keys.n, len(q.Select)
+// evaluated column-at-a-time over the merged groups, in first-appearance
+// order, into typed result columns. It runs three passes over the groups,
+// each a morsel of them at a time and, within a slice, one expression
+// after the other — so of several failing expressions the error is that
+// of the earliest pass, then slice, then expression, then group:
+//
+//   - every COUNT(arg) argument is evaluated at each group's first row: a
+//     COUNT counts rows (no NULLs) but its argument must still surface
+//     reference errors, for every group before any HAVING or SELECT error;
+//   - HAVING refines each slice's group ids conjunct by conjunct (cmpSel,
+//     the WHERE kernel), so a group an earlier conjunct rejected is
+//     evaluated by nothing later and can raise nothing;
+//   - SELECT is evaluated over the surviving groups, each slice of them
+//     one chunk of every result column.
+func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]int, merged *foldState, w *scratch) (*ColTable, error) {
+	s := &groupStage{b: b, specs: specs, aggIdx: aggIdx, st: merged, w: w,
+		counts: Vec{kind: value.KindInt, ints: merged.rows}, keyAt: make([]int32, len(b.cols))}
+	w.rows(b, 0, 0) // sizes the row set to b's tables; bind and col fill it
+	if !merged.keys.byKey {
+		// The typed index keeps the bound GROUP BY columns, in order.
+		k := int32(0)
+		for _, gc := range q.GroupBy {
+			if b.cols[gc] != nil {
+				k++
+				if s.keyAt[gc] == 0 {
+					s.keyAt[gc] = k
+				}
+			}
+		}
+	}
+	// The groups still in the result: all of them, until HAVING has run.
+	kp := getI32(merged.keys.n)
+	defer putI32(kp)
+	keep := *kp
+	for g := range keep {
+		keep[g] = int32(g)
+	}
+
 	var countArgs []ir.Expr
 	for a := range specs {
 		if sp := &specs[a]; sp.arg != nil && sp.fn == ir.AggCount {
 			countArgs = append(countArgs, sp.arg)
 		}
 	}
-	cols := repCols(q, b, countArgs)
-	g := &group{rep: make([]value.Value, len(b.cols)), accs: make([]accum, len(specs))}
-	load := func(i int) {
-		g.first = int(merged.first[i])
-		for _, c := range cols {
-			g.rep[c] = b.cols[c].Value(b.phys(b.tabOf(c), g.first))
-		}
-	}
-
-	// COUNT(arg) counts rows (no NULLs), but the argument must still be
-	// evaluated once per group to surface reference errors — the row
-	// engine did so on each group's first row, which is its
-	// representative here — and for every group before any HAVING or
-	// SELECT error is raised.
 	if len(countArgs) > 0 {
-		for i := 0; i < ng; i++ {
-			load(i)
+		err := eachMorsel(keep, func(gsel []int32) error {
+			s.bind(gsel)
 			for _, arg := range countArgs {
-				if _, err := evalScalar(arg, g.rep); err != nil {
+				if _, err := s.eval(arg); err != nil {
 					return err
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 
-	cells := make([]value.Value, ng*width)
-	tuples := make([][]value.Value, 0, ng)
-groups:
-	for i := 0; i < ng; i++ {
-		load(i)
-		for a := range specs {
-			g.accs[a] = merged.accs[a].cell(&specs[a], i, merged.rows)
+	if len(q.Having) > 0 {
+		kept := keep[:0] // closes up behind the slice being read
+		err := eachMorsel(keep, func(gsel []int32) error {
+			for _, h := range q.Having {
+				s.bind(gsel)
+				l, err := s.eval(h.L)
+				if err != nil {
+					return err
+				}
+				r, err := s.eval(h.R)
+				if err != nil {
+					return err
+				}
+				js, err := cmpSel(h.Op, l, r, iota32[:len(gsel)], w.js[:])
+				if err != nil {
+					return err
+				}
+				for k, j := range js { // in place: js ascends
+					gsel[k] = gsel[j]
+				}
+				if gsel = gsel[:len(js)]; len(gsel) == 0 {
+					break
+				}
+			}
+			kept = append(kept, gsel...)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		for _, h := range q.Having {
-			l, err := evalGrouped(h.L, g, aggIdx)
-			if err != nil {
-				return err
-			}
-			r, err := evalGrouped(h.R, g, aggIdx)
-			if err != nil {
-				return err
-			}
-			ok, err := compare(h.Op, l, r)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue groups
-			}
-		}
-		k := len(tuples)
-		tuple := cells[k*width : (k+1)*width : (k+1)*width]
-		for s, it := range q.Select {
-			v, err := evalGrouped(it.Expr, g, aggIdx)
-			if err != nil {
-				return err
-			}
-			tuple[s] = v
-		}
-		tuples = append(tuples, tuple)
+		keep = kept
 	}
-	out.Tuples = tuples
-	return nil
+
+	parts := make([][]Vec, 0, morselCount(len(keep)))
+	err := eachMorsel(keep, func(gsel []int32) error {
+		s.bind(gsel)
+		part := make([]Vec, len(q.Select))
+		for c, it := range q.Select {
+			o, err := s.eval(it.Expr)
+			if err != nil {
+				return err
+			}
+			part[c] = o.cells(len(gsel))
+		}
+		parts = append(parts, part)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return resultTable(len(q.Select), len(keep), parts), nil
 }

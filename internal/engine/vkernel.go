@@ -256,13 +256,19 @@ func (o vecOperand) Value(j int) value.Value {
 func numericKind(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat }
 
 // predSel refines the row numbers sel through one predicate over the
-// row set, writing the survivors to out (which needs room for len(sel)
-// entries and may be sel itself). The kernel dispatches on the operand
-// kinds once and runs a tight typed loop; mixed-kind vectors fall back
-// to boxed row-at-a-time comparison with identical semantics.
+// row set (cmpSel over the predicate's two terms).
 func predSel(p ir.Pred, b *Batch, rs *rowSet, sel, out []int32) ([]int32, error) {
-	op := p.Op
-	l, r := predOperand(p.L, b, rs), predOperand(p.R, b, rs)
+	return cmpSel(p.Op, predOperand(p.L, b, rs), predOperand(p.R, b, rs), sel, out)
+}
+
+// cmpSel refines the row numbers sel to those whose cells satisfy l op r,
+// writing the survivors to out (which needs room for len(sel) entries
+// and may be sel itself). The kernel dispatches on the operand kinds once
+// and runs a tight typed loop; mixed-kind vectors fall back to boxed
+// row-at-a-time comparison with identical semantics. A WHERE conjunct's
+// operands are its terms; a HAVING conjunct's are the two expressions
+// evaluated over the groups.
+func cmpSel(op ir.Op, l, r vecOperand, sel, out []int32) ([]int32, error) {
 	if l.isConst && !r.isConst {
 		op = op.Flip()
 		l, r = r, l
@@ -556,6 +562,37 @@ func floatsOf(o vecOperand, n int) []float64 {
 		}
 	}
 	return xs
+}
+
+// cells copies the operand's n cells into a vector of its own: what a
+// result keeps of an operand, which may read a stored chunk, a pooled
+// accumulator column or a worker's scratch.
+func (o vecOperand) cells(n int) Vec {
+	if o.isConst {
+		vals := make([]value.Value, n)
+		for j := range vals {
+			vals[j] = o.c
+		}
+		return *vecFromValues(vals)
+	}
+	v := Vec{kind: o.vec.kind}
+	switch v.kind {
+	case value.KindInt, value.KindBool:
+		v.ints = intsOf(o, n)
+	case value.KindFloat:
+		v.floats = floatsOf(o, n)
+	case value.KindString:
+		v.strs = make([]string, n)
+		for j, i := range o.idx[:n] {
+			v.strs[j] = o.vec.strs[i]
+		}
+	default:
+		v.vals = make([]value.Value, n)
+		for j, i := range o.idx[:n] {
+			v.vals[j] = o.vec.vals[i]
+		}
+	}
+	return v
 }
 
 // evalVop evaluates an aggregate-free expression over the row set into

@@ -1014,3 +1014,214 @@ func TestJoinPairsMatchNestedLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestOutputStageMatchesReference holds the column-at-a-time output
+// stage — HAVING as a selection of group ids, SELECT gathered from the
+// accumulator and key columns a morsel of groups at a time, DISTINCT
+// through the group index — to the row-at-a-time one it replaced
+// (rowAggRef over group and evalGrouped, distinct over tupleKey):
+// identical tuples in identical order, cell kinds included, or the
+// identical error, at Workers 1 and GOMAXPROCS. Where several groups
+// could raise, every one raises the same error value, so the order in
+// which the two stages meet them does not show.
+func TestOutputStageMatchesReference(t *testing.T) {
+	src := ir.MapSource{"R": {"A", "B", "C", "D"}}
+	build := func(sql string) *ir.Query { return ir.MustBuild(sql, src) }
+	type stageCase struct {
+		name   string
+		q      *ir.Query
+		rows   [][]value.Value
+		unbind int   // column position read as unbound; -1: none
+		bare   []int // column positions appended to SELECT as bare columns that are no keys
+		errHas string
+	}
+	// n rows over the given number of groups: A the group, B an int, C a
+	// string, D a float in quarters.
+	table := func(n, groups int) [][]value.Value {
+		rows := make([][]value.Value, n)
+		for i := range rows {
+			rows[i] = []value.Value{value.Int(int64(i % groups)), value.Int(int64(i%13 - 3)),
+				value.Str(string(rune('a' + i*7%26))), value.Float(float64(i%9) / 4)}
+		}
+		return rows
+	}
+	with := func(rows [][]value.Value, edit func(i int, row []value.Value)) [][]value.Value {
+		for i, row := range rows {
+			edit(i, row)
+		}
+		return rows
+	}
+	var cases []stageCase
+	add := func(name, sql string, rows [][]value.Value) {
+		cases = append(cases, stageCase{name: name, q: build(sql), rows: rows, unbind: -1})
+	}
+
+	// B holds ints and floats side by side: boxed accumulators, finalized
+	// into a mixed vector that arithmetic and HAVING then read; the groups
+	// whose cells are all ints keep an int SUM next to the float ones.
+	mixedB := with(table(3000, 40), func(i int, row []value.Value) {
+		if i%40 >= 20 && i%3 == 0 {
+			row[1] = value.Float(float64(i%13) / 2)
+		}
+	})
+	add("mixed-kind SUM", "SELECT A, SUM(B), SUM(B) + 1, MIN(B), MAX(B) * 2 FROM R GROUP BY A HAVING SUM(B) > 0 - 500", mixedB)
+	add("string MIN/MAX", "SELECT A, MIN(C), MAX(C), COUNT(C) FROM R GROUP BY A HAVING MIN(C) < 'c' AND MAX(C) >= 'x'", table(3000, 700))
+	add("AVG", "SELECT A, AVG(B), AVG(D) / 2, AVG(B) - AVG(D), SUM(B) / COUNT(B) FROM R GROUP BY A HAVING AVG(D) >= 1", table(5000, 300))
+	add("no GROUP BY", "SELECT COUNT(B), AVG(D), MIN(C), SUM(B) * 2 FROM R HAVING COUNT(B) > 10", table(2500, 1))
+
+	// COUNT's argument adds an int to a string on every group's first row.
+	add("COUNT(arg) reference error", "SELECT A, COUNT(B + C), SUM(B) FROM R GROUP BY A", table(3000, 50))
+	cases[len(cases)-1].errHas = "cannot apply + to INT and STRING"
+
+	// SUM(D) is zero for group 3 alone. With one row there HAVING rejects
+	// the group before the division is evaluated over it — in SELECT, and
+	// in a later conjunct of HAVING itself; with two rows the group is
+	// kept and the division raises.
+	zeroD := func(rowsOf3 int) [][]value.Value {
+		rows := with(table(1200, 30), func(i int, row []value.Value) {
+			if row[3] = value.Float(float64(1 + i%4)); i%30 == 3 {
+				row[3] = value.Float(0)
+			}
+		})
+		var kept [][]value.Value
+		for i, row := range rows {
+			if i%30 != 3 || rowsOf3 > 0 {
+				kept = append(kept, row)
+				if i%30 == 3 {
+					rowsOf3--
+				}
+			}
+		}
+		return kept
+	}
+	add("zero divisor in a rejected group", "SELECT A, SUM(B) / SUM(D) FROM R GROUP BY A HAVING COUNT(B) > 1", zeroD(1))
+	add("zero divisor behind an earlier conjunct", "SELECT A FROM R GROUP BY A HAVING COUNT(B) > 1 AND SUM(B) / SUM(D) < 100", zeroD(1))
+	add("zero divisor in a kept group", "SELECT A, SUM(B) / SUM(D) FROM R GROUP BY A HAVING COUNT(B) > 1", zeroD(2))
+	cases[len(cases)-1].errHas = "division by zero"
+	add("zero divisor in a kept group, in HAVING", "SELECT A FROM R GROUP BY A HAVING COUNT(B) > 1 AND SUM(B) / SUM(D) < 100", zeroD(2))
+	cases[len(cases)-1].errHas = "division by zero"
+
+	// Constants of three kinds, a key read twice, and a column the batch
+	// does not bind: it reads as the zero Value on every group.
+	add("constants and an unbound column", "SELECT A, 7, 'k', 2.5, C, A + 1, SUM(B) FROM R GROUP BY A, C", with(table(2000, 25), func(_ int, row []value.Value) { row[2] = value.Value{} }))
+	cases[len(cases)-1].unbind = 2
+	add("empty input", "SELECT A, SUM(B), AVG(D) FROM R GROUP BY A HAVING COUNT(B) > 0", nil)
+
+	// Group counts around the morsel size: the stage evaluates a morsel of
+	// groups at a time. C and D ride along as bare columns that are no
+	// keys (the rewriter builds such queries; the SQL front end does not),
+	// read at each group's first row across the table's chunks; HAVING
+	// keeps every third group or so, so the kept groups close up across
+	// slices.
+	for _, groups := range []int{morselRows, morselRows + 1, 2053} {
+		rows := table(groups+groups/2, groups)
+		add(fmt.Sprintf("%d groups, arithmetic", groups), "SELECT A, SUM(B) * 2 + COUNT(B), AVG(D) FROM R GROUP BY A", rows)
+		cases[len(cases)-1].bare = []int{2, 3}
+		add(fmt.Sprintf("%d groups, HAVING", groups), "SELECT A, SUM(B) * 2 + COUNT(B) FROM R GROUP BY A HAVING SUM(B) + MIN(B) > 2 AND MAX(D) < 2", rows)
+		cases[len(cases)-1].bare = []int{2, 3}
+		add(fmt.Sprintf("%d groups, float key", groups), "SELECT D, A, COUNT(B) + 0 FROM R GROUP BY D, A HAVING COUNT(B) >= 1", rows)
+	}
+	for i := range cases {
+		for _, pos := range cases[i].bare {
+			q := cases[i].q
+			q.Select = append(q.Select, ir.SelectItem{Expr: &ir.ColRef{Col: q.Tables[0].Cols[pos]}})
+		}
+	}
+
+	workers := []int{1, 0}
+	for _, tc := range cases {
+		want, wantErr := rowAggRef(tc.q, tc.rows)
+		if tc.errHas != "" && (wantErr == nil || !strings.Contains(wantErr.Error(), tc.errHas)) {
+			t.Fatalf("%s: reference error %v, want one containing %q", tc.name, wantErr, tc.errHas)
+		}
+		if tc.errHas == "" && (wantErr != nil || (len(want.Tuples) == 0) != (tc.rows == nil)) {
+			t.Fatalf("%s: reference error %v, %d tuples: the case does not test what it says", tc.name, wantErr, len(want.Tuples))
+		}
+		for _, w := range workers {
+			ev := NewEvaluator(NewDB(), nil)
+			ev.Workers = w
+			b := batchFromRows(tc.rows, tc.q.NumCols())
+			if tc.unbind >= 0 {
+				b.cols[tc.q.Tables[0].Cols[tc.unbind]] = nil
+			}
+			ct, err := ev.aggregate(newTask(context.Background()), tc.q, b, nil, false)
+			if wantErr != nil || err != nil {
+				if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("%s workers %d: stage error %v, reference error %v", tc.name, w, err, wantErr)
+				}
+				continue
+			}
+			got := ct.Relation()
+			if len(got.Tuples) != len(want.Tuples) {
+				t.Fatalf("%s workers %d: %d tuples, reference %d", tc.name, w, len(got.Tuples), len(want.Tuples))
+			}
+			for gi := range got.Tuples {
+				for ci := range got.Tuples[gi] {
+					if !sameValue(got.Tuples[gi][ci], want.Tuples[gi][ci]) {
+						t.Fatalf("%s workers %d: tuple %d cell %d: stage %v, reference %v", tc.name, w, gi, ci, got.Tuples[gi][ci], want.Tuples[gi][ci])
+					}
+				}
+			}
+			// A column is mixed only if its cells are, as a stored table's.
+			for c, col := range ct.cols {
+				if stored := columnOf(want.Tuples, c); col.kind != stored.kind {
+					t.Fatalf("%s workers %d: result column %d is of kind %v, stored from the reference's tuples %v", tc.name, w, c, col.kind, stored.kind)
+				}
+			}
+		}
+	}
+
+	// DISTINCT over projections of one table: ints past 2^53, bools,
+	// strings, floats (NaN, both zeros), a mixed column where 2 meets 2.0,
+	// alone and together, below and above the morsel size.
+	big := int64(1) << 53
+	dsrc := ir.MapSource{"R": {"I", "B", "S", "F", "M"}}
+	drows := func(n int) *Relation {
+		rng := rand.New(rand.NewSource(int64(n)))
+		ints := []int64{0, 1, big, big + 1, -big - 1}
+		floats := []float64{math.NaN(), 0, math.Copysign(0, -1), 2, 2.5}
+		mixed := []value.Value{value.Int(2), value.Float(2), value.Int(big + 1), value.Float(float64(big)), value.Str("2"), value.Bool(true)}
+		r := NewRelation("I", "B", "S", "F", "M")
+		for i := 0; i < n; i++ {
+			r.Add(value.Int(ints[rng.Intn(len(ints))]), value.Bool(rng.Intn(2) == 0), value.Str(string(rune('a'+rng.Intn(3)))),
+				value.Float(floats[rng.Intn(len(floats))]), mixed[rng.Intn(len(mixed))])
+		}
+		return r
+	}
+	for _, n := range []int{0, 1, 700, 3000} {
+		rel := drows(n)
+		for _, cols := range []string{"I", "B", "S", "F", "M", "I, S", "B, I, S", "S, F", "M, I", "I, B, S, F, M", "I + 1, S"} {
+			q := ir.MustBuild("SELECT DISTINCT "+cols+" FROM R", dsrc)
+			plain := *q
+			plain.Distinct = false
+			var want *Relation
+			for _, w := range workers {
+				db := NewDB()
+				db.Put("R", rel)
+				ev := NewEvaluator(db, nil)
+				ev.Workers = w
+				if want == nil {
+					all, err := ev.Exec(&plain)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = distinct(all)
+				}
+				got, err := ev.Exec(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Tuples) != len(want.Tuples) {
+					t.Fatalf("DISTINCT %s over %d rows, workers %d: %d tuples, reference %d", cols, n, w, len(got.Tuples), len(want.Tuples))
+				}
+				for i := range got.Tuples {
+					for c := range got.Tuples[i] {
+						if !sameValue(got.Tuples[i][c], want.Tuples[i][c]) {
+							t.Fatalf("DISTINCT %s over %d rows, workers %d: tuple %d cell %d: %v, reference %v", cols, n, w, i, c, got.Tuples[i][c], want.Tuples[i][c])
+						}
+					}
+				}
+			}
+		}
+	}
+}

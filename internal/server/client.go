@@ -38,8 +38,11 @@ func (c *Client) doer() Doer {
 	return http.DefaultClient
 }
 
-// maxResponseBytes bounds what the client reads of one reply.
-const maxResponseBytes = 64 << 20
+// maxResponseBytes bounds one reply, on both sides of the wire: the
+// client reads no more of a body, and the /query handler answers
+// response_too_large rather than encode a longer one (a variable only so
+// a test can lower it).
+var maxResponseBytes int64 = 64 << 20
 
 // ErrResponseTooLarge reports a reply longer than the client reads
 // (maxResponseBytes); the client returns it wrapped rather than decode a
@@ -117,7 +120,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any
 }
 
 // decodeQueryResponse decodes a /query success body as json.Unmarshal
-// does. A body of the shape the server writes (appendQueryResponse) is
+// does. A body of the shape the server writes (appendQueryColumns) is
 // taken apart in one scan, its strings sub-sliced from one copy of the
 // body; any other input is json.Unmarshal's to accept or refuse, so the
 // two agree on every input (FuzzQueryResponseDecode).
@@ -186,7 +189,7 @@ func (sc *wireScanner) strs() ([]string, bool) {
 }
 
 // scanQueryResponse fills out from s if s is exactly what
-// appendQueryResponse writes, and reports whether it was; out is
+// appendQueryColumns writes, and reports whether it was; out is
 // untouched otherwise.
 func scanQueryResponse(s string, out *QueryResponse) bool {
 	// Each string scanned takes two quotes, so half the quotes bounds

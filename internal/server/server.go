@@ -156,11 +156,11 @@ func (e *badQueryError) Error() string { return e.err.Error() }
 func (e *badQueryError) Unwrap() error { return e.err }
 
 // handleQuery is the hot path: admit, budget, plan through the cache,
-// execute, encode. The response body is encoded in full (straight from
-// the result's tuples, appendQueryResponse) before the first byte is
-// written, so a client never observes a partial result — any failure,
-// including a storage fault mid-query, surfaces as a complete typed JSON
-// error.
+// execute, encode. The result stays typed columns from the engine to the
+// body (ExecPreparedColumns, appendQueryColumns), and the body is encoded
+// in full before the first byte is written, so a client never observes a
+// partial result — any failure, including a storage fault mid-query or a
+// result too large to send, surfaces as a complete typed JSON error.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req QueryRequest
@@ -208,7 +208,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	meter := budget.MeterFrom(ctx)
 
 	var (
-		res       *engine.Relation
+		res       *engine.ColTable
 		used      []string
 		verdict   string
 		repro     string
@@ -231,7 +231,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.RUnlock()
 		if err == nil {
-			if res, err = s.sys.ExecPreparedOnContext(ctx, p, snap); err == nil {
+			if res, err = s.sys.ExecPreparedColumns(ctx, p, snap); err == nil {
 				used = p.Used
 			}
 		}
@@ -265,7 +265,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := s.finishSpan(span, tenant, meter, nil)
 	if slow {
-		attrs, rows := EncodeRelation(res)
+		attrs, rows := EncodeRelation(res.Relation())
 		s.slow.Add(SlowEntry{
 			Tenant:      tenant,
 			SQL:         req.SQL,
@@ -279,16 +279,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		s.metrics.Volatile("server.slowlog.captured").Inc()
 	}
-	s.metrics.Volatile("server.tenant." + tenantLabel(tenant) + ".ok").Inc()
-	s.metrics.Latency("server.latency." + tenantLabel(tenant)).Observe(elapsedNs)
-	s.metrics.VolatileHistogram("server.latency_ns").Observe(time.Since(start).Nanoseconds())
+	handledNs := time.Since(start).Nanoseconds() // as elapsedNs, encoding is not part of it
 
 	buf := bodyPool.Get().(*[]byte)
-	body := appendQueryResponse((*buf)[:0], res, used, verdict, elapsedNs)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	body, ok := appendQueryColumns((*buf)[:0], res, used, verdict, elapsedNs)
+	if ok {
+		s.metrics.Volatile("server.tenant." + tenantLabel(tenant) + ".ok").Inc()
+		s.metrics.Latency("server.latency." + tenantLabel(tenant)).Observe(elapsedNs)
+		s.metrics.VolatileHistogram("server.latency_ns").Observe(handledNs)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body)
+	} else {
+		s.metrics.Volatile("server.tenant." + tenantLabel(tenant) + ".errors").Inc()
+		s.metrics.Volatile("server.errors.too_large").Inc()
+		s.writeError(w, tenant, ErrKindTooLarge, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("server: the result's %d rows encode to more than the %d bytes a reply may hold", res.NumRows(), maxResponseBytes))
+	}
 	if cap(body) <= maxPooledBody {
 		*buf = body
 		bodyPool.Put(buf)
@@ -350,12 +358,12 @@ func (s *Server) resolve(ctx context.Context, sql string) (*aggview.Prepared, st
 
 // execute resolves the query through the plan cache and runs it against
 // live storage. Caller holds the read lock for the full duration.
-func (s *Server) execute(ctx context.Context, sql string) (*engine.Relation, []string, string, error) {
+func (s *Server) execute(ctx context.Context, sql string) (*engine.ColTable, []string, string, error) {
 	p, verdict, err := s.resolve(ctx, sql)
 	if err != nil {
 		return nil, nil, verdict, err
 	}
-	res, err := s.sys.ExecPreparedContext(ctx, p)
+	res, err := s.sys.ExecPreparedColumns(ctx, p, s.sys.Store)
 	if err != nil {
 		return nil, nil, verdict, err
 	}

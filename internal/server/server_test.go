@@ -691,3 +691,47 @@ func TestClientResponseTooLarge(t *testing.T) {
 		t.Errorf("short body: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
+
+// TestQueryReplyCap: a result whose body would pass the reply cap — the
+// limit the client reads to, lowered here — is answered with a complete
+// typed error, response_too_large with status 413, never with a body cut
+// short, and costs the server nothing lasting: the next request on it
+// succeeds, as does the same query once the cap admits it.
+func TestQueryReplyCap(t *testing.T) {
+	defer func(old int64) { maxResponseBytes = old }(maxResponseBytes)
+	maxResponseBytes = 4096
+	sys := servedSystem(t)
+	for i := 0; i < 40; i++ {
+		if err := sys.Insert("Sales", []aggview.Value{aggview.Str("w"), aggview.Int(int64(i)), aggview.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, srv := testClient(t, sys, Config{})
+	ctx := context.Background()
+	const cross = "SELECT a.region, a.amount, b.amount FROM Sales AS a, Sales AS b" // 43 x 43 rows
+
+	_, err := c.Query(ctx, cross)
+	var we *WireError
+	if !errors.As(err, &we) || we.Kind != ErrKindTooLarge || we.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("cross join under a %d-byte cap: err = %v, want a %s error with status 413", maxResponseBytes, err, ErrKindTooLarge)
+	}
+	// The raw reply is one JSON value: the error body and nothing else.
+	req, _ := http.NewRequest(http.MethodPost, "http://test/query", strings.NewReader(`{"sql":"`+cross+`"}`))
+	resp, _ := (&InProcessExec{S: srv}).Do(req)
+	raw, _ := io.ReadAll(resp.Body)
+	var eb ErrorBody
+	if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == nil || eb.Error.Kind != ErrKindTooLarge || int64(len(raw)) > maxResponseBytes {
+		t.Fatalf("raw reply (%d bytes, status %d) is not one typed error body: %v\n%.200s", len(raw), resp.StatusCode, err, raw)
+	}
+	if n := srv.metrics.Volatile("server.errors.too_large").Load(); n != 2 {
+		t.Errorf("server.errors.too_large = %d, want 2", n)
+	}
+
+	if resp, err := c.Query(ctx, "SELECT region, SUM(amount) FROM Sales GROUP BY region"); err != nil || len(resp.Rows) != 3 {
+		t.Fatalf("the request after a refused reply: %d rows, err %v", len(resp.Rows), err)
+	}
+	maxResponseBytes = 64 << 20
+	if resp, err := c.Query(ctx, cross); err != nil || len(resp.Rows) != 43*43 || resp.Cache != "hit" {
+		t.Fatalf("the same query under the usual cap: %d rows, cache %q, err %v", len(resp.Rows), resp.Cache, err)
+	}
+}

@@ -174,41 +174,91 @@ func appendJSONStrings(dst []byte, ss []string) []byte {
 func appendWireValue(dst []byte, v value.Value) []byte {
 	switch v.Kind() {
 	case value.KindInt:
-		dst = strconv.AppendInt(append(dst, `"i:`...), v.AsInt(), 10)
+		return appendWireInt(dst, v.AsInt())
 	case value.KindFloat:
-		dst = strconv.AppendFloat(append(dst, `"f:`...), v.AsFloat(), 'g', -1, 64)
+		return appendWireFloat(dst, v.AsFloat())
 	case value.KindString:
 		return appendJSONString(dst, "s:", v.AsString())
 	case value.KindBool:
-		if v.AsBool() {
-			return append(dst, `"b:T"`...)
-		}
-		return append(dst, `"b:F"`...)
+		return appendWireBool(dst, v.AsBool())
 	default:
 		return append(dst, `"?:"`...)
 	}
-	return append(dst, '"')
 }
 
-// appendQueryResponse appends the /query success body for a result,
-// straight from its tuples: byte for byte what json.Marshal writes for
-// the QueryResponse built from EncodeRelation(res), without the
-// [][]string in between (TestQueryResponseBytesMatchStdlib).
-func appendQueryResponse(dst []byte, res *engine.Relation, used []string, cache string, elapsedNs int64) []byte {
-	dst = appendJSONStrings(append(dst, `{"attrs":`...), res.Attrs)
+func appendWireInt(dst []byte, x int64) []byte {
+	return append(strconv.AppendInt(append(dst, `"i:`...), x, 10), '"')
+}
+
+func appendWireFloat(dst []byte, x float64) []byte {
+	return append(strconv.AppendFloat(append(dst, `"f:`...), x, 'g', -1, 64), '"')
+}
+
+func appendWireBool(dst []byte, x bool) []byte {
+	if x {
+		return append(dst, `"b:T"`...)
+	}
+	return append(dst, `"b:F"`...)
+}
+
+// wireCells is one chunk of one result column as the encoder walks it:
+// the typed payload its kind selects (engine.ColTable.Cells).
+type wireCells struct {
+	kind   value.Kind
+	ints   []int64
+	floats []float64
+	strs   []string
+	vals   []value.Value
+}
+
+// appendQueryColumns appends the /query success body for a result,
+// straight from its typed columns: a row at a time across the chunks of
+// every column, the tag and the formatter chosen by the column's kind —
+// byte for byte what json.Marshal writes for the QueryResponse built from
+// EncodeRelation(res.Relation()), without the boxed rows or the
+// [][]string in between (TestQueryResponseBytesMatchStdlib). It gives up,
+// reporting false, once the body has passed maxResponseBytes: no client
+// of this package would read it.
+func appendQueryColumns(dst []byte, res *engine.ColTable, used []string, cache string, elapsedNs int64) ([]byte, bool) {
+	start := len(dst)
+	dst = appendJSONStrings(append(dst, `{"attrs":`...), res.Attrs())
 	dst = append(dst, `,"rows":[`...)
-	for i, t := range res.Tuples {
-		if i > 0 {
-			dst = append(dst, ',')
+	cols := make([]wireCells, len(res.Attrs()))
+	for k, done, n := 0, 0, res.NumRows(); done < n; k++ {
+		rows := n - done // of a result without columns; else the chunk's
+		for c := range cols {
+			w := &cols[c]
+			w.kind, w.ints, w.floats, w.strs, w.vals = res.Cells(c, k)
+			rows = len(w.ints) + len(w.floats) + len(w.strs) + len(w.vals) // one of them is set
 		}
-		dst = append(dst, '[')
-		for j, v := range t {
-			if j > 0 {
+		for j := 0; j < rows; j++ {
+			if done+j > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendWireValue(dst, v)
+			dst = append(dst, '[')
+			for c := range cols {
+				if c > 0 {
+					dst = append(dst, ',')
+				}
+				switch w := &cols[c]; w.kind {
+				case value.KindInt:
+					dst = appendWireInt(dst, w.ints[j])
+				case value.KindFloat:
+					dst = appendWireFloat(dst, w.floats[j])
+				case value.KindString:
+					dst = appendJSONString(dst, "s:", w.strs[j])
+				case value.KindBool:
+					dst = appendWireBool(dst, w.ints[j] != 0)
+				default:
+					dst = appendWireValue(dst, w.vals[j])
+				}
+			}
+			dst = append(dst, ']')
+			if int64(len(dst)-start) > maxResponseBytes {
+				return dst, false
+			}
 		}
-		dst = append(dst, ']')
+		done += rows
 	}
 	dst = append(dst, ']')
 	if len(used) > 0 {
@@ -216,7 +266,7 @@ func appendQueryResponse(dst []byte, res *engine.Relation, used []string, cache 
 	}
 	dst = appendJSONString(append(dst, `,"cache":`...), "", cache)
 	dst = strconv.AppendInt(append(dst, `,"elapsed_ns":`...), elapsedNs, 10)
-	return append(dst, '}')
+	return append(dst, '}'), true
 }
 
 // QueryRequest is the body of POST /query.
@@ -303,12 +353,13 @@ type FaultsRequest struct {
 // kinds, mapped to an HTTP status. Clients switch on Kind, not on
 // message text.
 const (
-	ErrKindBadRequest = "bad_request" // malformed JSON, unknown table
-	ErrKindBadQuery   = "bad_query"   // SQL did not parse or plan
-	ErrKindShed       = "shed"        // admission refused the request
-	ErrKindCanceled   = "canceled"    // deadline expired or client went away
-	ErrKindBudget     = "budget"      // per-request resource budget exhausted
-	ErrKindStorage    = "storage"     // storage backend failed mid-query
+	ErrKindBadRequest = "bad_request"        // malformed JSON, unknown table
+	ErrKindBadQuery   = "bad_query"          // SQL did not parse or plan
+	ErrKindShed       = "shed"               // admission refused the request
+	ErrKindCanceled   = "canceled"           // deadline expired or client went away
+	ErrKindBudget     = "budget"             // per-request resource budget exhausted
+	ErrKindStorage    = "storage"            // storage backend failed mid-query
+	ErrKindTooLarge   = "response_too_large" // the reply would exceed what a client reads
 	ErrKindInternal   = "internal"
 )
 

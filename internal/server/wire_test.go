@@ -2,15 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"aggview/internal/datagen"
 	"aggview/internal/engine"
+	"aggview/internal/ir"
 	"aggview/internal/value"
 )
 
@@ -71,6 +74,15 @@ func TestWireRelationRoundTrip(t *testing.T) {
 	if len(back.Attrs) != 2 || back.Attrs[0] != "a" || back.Attrs[1] != "b" {
 		t.Fatalf("attrs changed: %v", back.Attrs)
 	}
+}
+
+// appendQueryResponse encodes a row-shaped result the way the handler
+// encodes every result: stored as typed columns (a column mixed where its
+// cells are), then appendQueryColumns. The tests below were written
+// against rows and keep checking the same bytes.
+func appendQueryResponse(dst []byte, res *engine.Relation, used []string, cache string, elapsedNs int64) []byte {
+	body, _ := appendQueryColumns(dst, engine.BuildColTable(res), used, cache, elapsedNs)
+	return body
 }
 
 // stdlibBody is the /query success body as json.Marshal writes it from
@@ -273,4 +285,80 @@ func FuzzQueryResponseDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { decodeBothWays(t, data) })
+}
+
+// TestQueryColumnsBytesMatchStdlib extends the byte-identity contract to
+// results as the engine hands them to the handler: typed columns of every
+// kind (a row-shaped relation whose cells vary per row, as above, stores
+// every column mixed), next to a mixed one, over several chunks, from
+// storage and out of the engine's own output stages — with strings that
+// need every escape, NaN and both infinities, both zeros, int64s past
+// 2^53 — and the results without rows or without columns.
+func TestQueryColumnsBytesMatchStdlib(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1e21, 1e-7, 123456789.125, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	ints := []int64{0, -1, math.MaxInt64, math.MinInt64, 1<<53 + 1, 42}
+	typed := engine.NewRelation("i", "f", "s", "b", awkwardStrings[4], "m")
+	for r := 0; r < 2500; r++ {
+		m := value.Int(int64(r))
+		switch r % 4 {
+		case 1:
+			m = value.Float(floats[r%len(floats)])
+		case 2:
+			m = value.Str(awkwardStrings[r%len(awkwardStrings)])
+		case 3:
+			m = value.Bool(r%8 == 3)
+		}
+		typed.Add(value.Int(ints[r%len(ints)]), value.Float(floats[r%len(floats)]), value.Str(awkwardStrings[r%len(awkwardStrings)]),
+			value.Bool(r%3 == 0), value.Int(int64(r%7)), m)
+	}
+	db := engine.NewDB()
+	db.Put("T", typed)
+	src := ir.MapSource{"T": {"i", "f", "s", "b", "g", "m"}}
+	run := func(sql string) *engine.ColTable {
+		ct, err := engine.NewEvaluator(db, nil).ExecColumns(context.Background(), ir.MustBuild(sql, src))
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return ct
+	}
+	noCols := engine.NewRelation()
+	noCols.Add()
+	noCols.Add()
+	noCols.Add()
+	cases := map[string]*engine.ColTable{
+		"stored":          engine.BuildColTable(typed),
+		"projected":       run("SELECT i, f, s, b, g, m, 7, 'k', f * 2 FROM T"),
+		"distinct":        run("SELECT DISTINCT g, b, s FROM T"),
+		"aggregated":      run("SELECT g, b, s, SUM(f), MIN(s), MAX(i), COUNT(m), AVG(i), SUM(i) / 2 FROM T GROUP BY g, b, s"),
+		"one group":       run("SELECT MIN(i), MAX(f), MIN(s) FROM T"),
+		"having rejects":  run("SELECT g, SUM(i) FROM T GROUP BY g HAVING COUNT(i) < 0"),
+		"no rows":         engine.BuildColTable(engine.NewRelation("a", "b")),
+		"no rows, filter": run("SELECT i, s FROM T WHERE g > 100"),
+		"no columns":      engine.BuildColTable(noCols),
+	}
+	for name, ct := range cases {
+		if (ct.NumRows() == 0) != strings.HasPrefix(name, "no rows") && name != "having rejects" {
+			t.Fatalf("%s: %d rows", name, ct.NumRows())
+		}
+		want := stdlibBody(t, ct.Relation(), []string{"V"}, "hit", 99)
+		got, ok := appendQueryColumns([]byte("xx"), ct, []string{"V"}, "hit", 99)
+		if !ok || !bytes.Equal(got[2:], want) || string(got[:2]) != "xx" {
+			t.Errorf("%s: bodies differ (complete: %v)\n got %.300s\nwant %.300s", name, ok, got, want)
+		}
+		decodeBothWays(t, got[2:])
+	}
+
+	// Past the reply cap the encoder stops and says so; a body of exactly
+	// the cap is sent.
+	ct := cases["stored"]
+	whole, _ := appendQueryColumns(nil, ct, nil, "hit", 1)
+	defer func(old int64) { maxResponseBytes = old }(maxResponseBytes)
+	maxResponseBytes = int64(len(whole))
+	if got, ok := appendQueryColumns(nil, ct, nil, "hit", 1); !ok || !bytes.Equal(got, whole) {
+		t.Errorf("a body of the cap's %d bytes was refused", len(whole))
+	}
+	maxResponseBytes = int64(len(whole)) / 2
+	if got, ok := appendQueryColumns(nil, ct, nil, "hit", 1); ok || len(got) > len(whole)/2+256 {
+		t.Errorf("past a cap of %d bytes: complete=%v after %d bytes, want the encoder to stop within a row of it", maxResponseBytes, ok, len(got))
+	}
 }

@@ -60,3 +60,37 @@ func TestUnterminatedStringMultiline(t *testing.T) {
 		t.Fatalf("error = %q, want line 3 unterminated-string", err)
 	}
 }
+
+// TestLexErrorThroughTheWindow: the parser lexes as it goes, and a lex
+// error is still what comes back — with the lexer's own text and
+// position, even where the shortened token stream would have parsed
+// (the bad character sits where the query could end) or failed to (a
+// clause cut short). Only a parse error the parser reaches before the
+// lexer reaches the bad character comes first.
+func TestLexErrorThroughTheWindow(t *testing.T) {
+	for _, tc := range []struct{ name, sql, want string }{
+		{"where the query could end", "SELECT A FROM R !", `line 1 (offset 16): unexpected character "!"`},
+		{"mid clause", "SELECT A FROM R WHERE A = # 1", `line 1 (offset 26): unexpected character "#"`},
+		{"first token", "?", `line 1 (offset 0): unexpected character "?"`},
+		{"in a later statement", "SELECT A FROM R;\nSELECT B FROM S WHERE B = 'x", "line 2 (offset 43): unterminated string literal"},
+		{"behind a peek", "SELECT R.# FROM R", `line 1 (offset 9): unexpected character "#"`},
+		{"parse error first", "SELECT FROM R; SELECT 'x", `line 1: expected`},
+	} {
+		_, err := ParseScript(tc.sql)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: ParseScript(%q) error = %v, want one starting %q", tc.name, tc.sql, err, tc.want)
+		}
+		if l := newLexer(tc.sql); tc.name != "parse error first" {
+			var lexErr error
+			for lexErr == nil {
+				var tok token
+				if tok, lexErr = l.next(); tok.kind == tokEOF && lexErr == nil {
+					t.Fatalf("%s: the lexer accepts %q", tc.name, tc.sql)
+				}
+			}
+			if lexErr.Error() != err.Error() {
+				t.Errorf("%s: parser returned %q, the lexer's error is %q", tc.name, err, lexErr)
+			}
+		}
+	}
+}

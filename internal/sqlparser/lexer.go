@@ -149,20 +149,3 @@ scan:
 	}
 	return token{}, l.errorf(start, line, "unexpected character %q", string(c))
 }
-
-// lexAll tokenises the whole input (the parser works on a token slice so
-// it can look ahead freely).
-func lexAll(src string) ([]token, error) {
-	l := newLexer(src)
-	var toks []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
-		}
-	}
-}

@@ -6,25 +6,41 @@ import (
 	"aggview/internal/value"
 )
 
-// parser is a recursive-descent parser over a pre-lexed token slice.
+// parser is a recursive-descent parser over a three-token window of the
+// lexer — the previous, the current and, once peeked at, the next token —
+// so a script is lexed as it is parsed and never held as a token slice.
+// A lex error ends the token stream (every later token reads as EOF)
+// and is what the entry points return, with the text and position the
+// lexer gave it, whatever the parser made of the shortened stream. Tokens are lexed no further ahead than the parser
+// looks, so a script with a parse error before its lex error reports the
+// parse error: the lexer never got there.
 type parser struct {
-	toks []token
-	i    int
+	lx     *lexer
+	prev   token
+	tok    token
+	next   token
+	peeked bool  // next holds the token after tok
+	lexErr error // the lex error the stream ended at
 }
 
 // Parse parses a single SELECT query.
 func Parse(src string) (*Select, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
+	p := newParser(src)
+	sel, err := p.parseQuery()
+	if p.lexErr != nil {
+		return nil, p.lexErr
 	}
+	return sel, err
+}
+
+func (p *parser) parseQuery() (*Select, error) {
 	sel, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
 	// Allow a trailing semicolon.
 	if p.cur().kind == tokSemicolon {
-		p.i++
+		p.advance()
 	}
 	if p.cur().kind != tokEOF {
 		return nil, p.unexpected("end of query")
@@ -35,14 +51,19 @@ func Parse(src string) (*Select, error) {
 // ParseScript parses a sequence of statements separated by semicolons:
 // CREATE TABLE, CREATE VIEW and bare SELECT statements.
 func ParseScript(src string) ([]Statement, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
+	p := newParser(src)
+	stmts, err := p.parseScript()
+	if p.lexErr != nil {
+		return nil, p.lexErr
 	}
+	return stmts, err
+}
+
+func (p *parser) parseScript() ([]Statement, error) {
 	var stmts []Statement
 	for {
 		for p.cur().kind == tokSemicolon {
-			p.i++
+			p.advance()
 		}
 		if p.cur().kind == tokEOF {
 			return stmts, nil
@@ -60,21 +81,40 @@ func ParseScript(src string) ([]Statement, error) {
 	}
 }
 
-func newParser(src string) (*parser, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	return &parser{toks: toks}, nil
+func newParser(src string) *parser {
+	p := &parser{lx: newLexer(src)}
+	p.tok = p.lex()
+	return p
 }
 
-func (p *parser) cur() token { return p.toks[p.i] }
+// lex takes the next token off the lexer.
+func (p *parser) lex() token {
+	t, err := p.lx.next()
+	if err != nil {
+		// The stream ends here: the lexer has nothing left to read.
+		p.lexErr, p.lx.pos = err, len(p.lx.src)
+		return token{kind: tokEOF, pos: p.lx.pos, line: p.lx.line}
+	}
+	return t
+}
+
+func (p *parser) cur() token { return p.tok }
 
 func (p *parser) peek() token {
-	if p.i+1 < len(p.toks) {
-		return p.toks[p.i+1]
+	if !p.peeked {
+		p.next, p.peeked = p.lex(), true
 	}
-	return p.toks[len(p.toks)-1]
+	return p.next
+}
+
+// advance consumes the current token.
+func (p *parser) advance() {
+	p.prev = p.tok
+	if p.peeked {
+		p.tok, p.peeked = p.next, false
+	} else {
+		p.tok = p.lex()
+	}
 }
 
 func (p *parser) unexpected(want string) error {
@@ -89,7 +129,7 @@ func (p *parser) unexpected(want string) error {
 // accept consumes the current token if it is the given keyword.
 func (p *parser) accept(kw string) bool {
 	if p.cur().kind == tokKeyword && p.cur().text == kw {
-		p.i++
+		p.advance()
 		return true
 	}
 	return false
@@ -109,7 +149,7 @@ func (p *parser) expect(k tokenKind) (token, error) {
 		return token{}, p.unexpected(k.String())
 	}
 	t := p.cur()
-	p.i++
+	p.advance()
 	return t, nil
 }
 
@@ -177,7 +217,7 @@ func (p *parser) parseInsert() (*Insert, error) {
 			if p.cur().kind != tokComma {
 				break
 			}
-			p.i++
+			p.advance()
 		}
 		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
@@ -190,7 +230,7 @@ func (p *parser) parseInsert() (*Insert, error) {
 		if p.cur().kind != tokComma {
 			return ins, nil
 		}
-		p.i++
+		p.advance()
 	}
 }
 
@@ -243,7 +283,7 @@ func (p *parser) parseUpdate() (*Update, error) {
 		if p.cur().kind != tokComma {
 			break
 		}
-		p.i++
+		p.advance()
 	}
 	if p.accept("WHERE") {
 		cond, err := p.parseCondition()
@@ -261,17 +301,17 @@ func (p *parser) parseLiteral() (value.Value, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tokNumber:
-		p.i++
+		p.advance()
 		v, err := formatNumber(t.text)
 		if err != nil {
 			return value.Value{}, fmt.Errorf("line %d: bad number %q: %w", t.line, t.text, err)
 		}
 		return v, nil
 	case t.kind == tokString:
-		p.i++
+		p.advance()
 		return value.Str(t.text), nil
 	case t.kind == tokMinus:
-		p.i++
+		p.advance()
 		inner, err := p.parseLiteral()
 		if err != nil {
 			return value.Value{}, err
@@ -284,10 +324,10 @@ func (p *parser) parseLiteral() (value.Value, error) {
 		}
 		return value.Float(-inner.AsFloat()), nil
 	case t.kind == tokKeyword && t.text == "TRUE":
-		p.i++
+		p.advance()
 		return value.Bool(true), nil
 	case t.kind == tokKeyword && t.text == "FALSE":
-		p.i++
+		p.advance()
 		return value.Bool(false), nil
 	default:
 		return value.Value{}, p.unexpected("literal value")
@@ -305,7 +345,7 @@ func (p *parser) parseIdentList() ([]string, error) {
 		if p.cur().kind != tokComma {
 			return out, nil
 		}
-		p.i++
+		p.advance()
 	}
 }
 
@@ -374,7 +414,7 @@ func (p *parser) parseCreateView() (*CreateView, error) {
 	}
 	var cols []string
 	if p.cur().kind == tokLParen {
-		p.i++
+		p.advance()
 		cols, err = p.parseIdentList()
 		if err != nil {
 			return nil, err
@@ -408,7 +448,7 @@ func (p *parser) parseSelect() (*Select, error) {
 		if p.cur().kind != tokComma {
 			break
 		}
-		p.i++
+		p.advance()
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
@@ -422,7 +462,7 @@ func (p *parser) parseSelect() (*Select, error) {
 		if p.cur().kind != tokComma {
 			break
 		}
-		p.i++
+		p.advance()
 	}
 	if p.accept("WHERE") {
 		cond, err := p.parseCondition()
@@ -434,7 +474,7 @@ func (p *parser) parseSelect() (*Select, error) {
 	if p.accept("GROUPBY") || (p.accept("GROUP") && true) {
 		// "GROUP" must be followed by "BY"; "GROUPBY" is accepted as one
 		// word to match the paper's typography.
-		if p.toks[p.i-1].text == "GROUP" {
+		if p.prev.text == "GROUP" {
 			if err := p.expectKeyword("BY"); err != nil {
 				return nil, err
 			}
@@ -448,7 +488,7 @@ func (p *parser) parseSelect() (*Select, error) {
 			if p.cur().kind != tokComma {
 				break
 			}
-			p.i++
+			p.advance()
 		}
 	}
 	if p.accept("HAVING") {
@@ -479,7 +519,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 
 func (p *parser) parseTableRef() (TableRef, error) {
 	if p.cur().kind == tokLParen {
-		p.i++
+		p.advance()
 		sub, err := p.parseSelect()
 		if err != nil {
 			return TableRef{}, err
@@ -496,7 +536,7 @@ func (p *parser) parseTableRef() (TableRef, error) {
 			ref.Alias = alias
 		} else if p.cur().kind == tokIdent {
 			ref.Alias = p.cur().text
-			p.i++
+			p.advance()
 		}
 		if ref.Alias == "" {
 			return TableRef{}, p.unexpected("alias after derived table")
@@ -516,7 +556,7 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		ref.Alias = alias
 	} else if p.cur().kind == tokIdent {
 		ref.Alias = p.cur().text
-		p.i++
+		p.advance()
 	}
 	return ref, nil
 }
@@ -587,7 +627,7 @@ func (p *parser) parseComparison() (Expr, error) {
 	default:
 		return nil, p.unexpected("comparison operator")
 	}
-	p.i++
+	p.advance()
 	r, err := p.parseAddExpr()
 	if err != nil {
 		return nil, err
@@ -610,7 +650,7 @@ func (p *parser) parseAddExpr() (Expr, error) {
 		default:
 			return l, nil
 		}
-		p.i++
+		p.advance()
 		r, err := p.parseMulExpr()
 		if err != nil {
 			return nil, err
@@ -634,7 +674,7 @@ func (p *parser) parseMulExpr() (Expr, error) {
 		default:
 			return l, nil
 		}
-		p.i++
+		p.advance()
 		r, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
@@ -647,17 +687,17 @@ func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:
-		p.i++
+		p.advance()
 		v, err := formatNumber(t.text)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: bad number %q: %w", t.line, t.text, err)
 		}
 		return &Lit{Val: v}, nil
 	case tokString:
-		p.i++
+		p.advance()
 		return &Lit{Val: value.Str(t.text)}, nil
 	case tokMinus:
-		p.i++
+		p.advance()
 		inner, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
@@ -670,7 +710,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return &BinExpr{Op: OpSub, L: &Lit{Val: value.Int(0)}, R: inner}, nil
 	case tokLParen:
-		p.i++
+		p.advance()
 		e, err := p.parseAddExpr()
 		if err != nil {
 			return nil, err
@@ -684,10 +724,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 		case "MIN", "MAX", "SUM", "COUNT", "AVG":
 			return p.parseAgg(AggFunc(t.text))
 		case "TRUE":
-			p.i++
+			p.advance()
 			return &Lit{Val: value.Bool(true)}, nil
 		case "FALSE":
-			p.i++
+			p.advance()
 			return &Lit{Val: value.Bool(false)}, nil
 		}
 	case tokIdent:
@@ -697,7 +737,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 }
 
 func (p *parser) parseAgg(fn AggFunc) (Expr, error) {
-	p.i++ // the function keyword
+	p.advance() // the function keyword
 	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
@@ -705,7 +745,7 @@ func (p *parser) parseAgg(fn AggFunc) (Expr, error) {
 		if fn != AggCount {
 			return nil, fmt.Errorf("line %d: %s(*) is not valid SQL; only COUNT(*)", p.cur().line, fn)
 		}
-		p.i++
+		p.advance()
 		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
@@ -731,7 +771,7 @@ func (p *parser) parseColumnRef() (*ColumnRef, error) {
 		return nil, err
 	}
 	if p.cur().kind == tokDot {
-		p.i++
+		p.advance()
 		col, err := p.parseIdent()
 		if err != nil {
 			return nil, err

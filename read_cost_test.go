@@ -2,18 +2,55 @@ package aggview_test
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
+	"aggview"
 	"aggview/internal/server"
 )
 
+// paperQ is the paper's query Q with its year and threshold open, as the
+// benchmark's view_hit workload sends it.
+const paperQ = `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge) FROM Calls, Calling_Plans WHERE Calls.Plan_Id = Calling_Plans.Plan_Id AND Year = %d GROUP BY Calling_Plans.Plan_Id, Plan_Name HAVING SUM(Charge) < %d`
+
+// viewShapes returns the benchmark's six view_hit templates — dashboard
+// queries every one of which a tracked view of warehouse answers — for a
+// warehouse of the given size (the paper's threshold sits near a plan's
+// yearly total, so its HAVING keeps some plans and rejects others).
+func viewShapes(calls int) []scanShape {
+	perPlanYear := calls / 3 / 10 * 1000
+	return []scanShape{
+		{"paper_q_1995", fmt.Sprintf(paperQ, 1995, perPlanYear)},
+		{"paper_q_1996", fmt.Sprintf(paperQ, 1996, perPlanYear+perPlanYear/50)},
+		{"plan_month", `SELECT Plan_Id, Month, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id, Month`},
+		{"plan_total", `SELECT Plan_Id, SUM(Charge), COUNT(Charge) FROM Calls GROUP BY Plan_Id`},
+		{"per_customer", `SELECT Cust_Id, SUM(Charge), MAX(Charge) FROM Calls GROUP BY Cust_Id`},
+		{"plan_max", `SELECT Plan_Id, MAX(Charge) FROM Calls WHERE Year = 1994 GROUP BY Plan_Id`},
+	}
+}
+
+// inProcess serves sys without telemetry and returns a wire client on the
+// in-process transport, as the benchmark's.
+func inProcess(t testing.TB, sys *aggview.System) *server.Client {
+	t.Helper()
+	srv := server.New(sys, server.Config{FlightRecorder: -1, SlowLogSize: -1})
+	t.Cleanup(srv.Close)
+	return &server.Client{Base: "http://inproc", HTTP: &server.InProcessExec{S: srv}}
+}
+
 // TestReadCostIsRowSized is the regression guard for the cache-hit read
-// path: a warm 500-group view read pays for each result row once per
-// layer — its cells in the engine's flat result backing, its bytes in the
-// handler's pooled body, its substrings in the client's one backing — and
-// for nothing else per row, so objects allocated per result row stay
-// under 3 end to end through the wire client (about 17 before: 4 in the
-// engine, 7 encoding, 6 decoding) and under 1 in the engine alone.
+// path. The engine's columnar entry point allocates per query, not per
+// row: a warm 500-group view read costs a fixed number of objects — the
+// evaluator, the plan's batch, one vector per result column, the table
+// around them — so at most 80, and no more than 8 above the same shape
+// over 50 groups (one more chunk of accumulators to grow into, nothing
+// per group). Through the wire client a row costs its bytes in the
+// handler's pooled body and its substrings in the client's one backing:
+// under 2.5 objects per row end to end (about 17 before PR 19, when the
+// engine boxed each tuple, the handler built a [][]string and the client
+// decoded through encoding/json; 3 until the engine stopped boxing cells).
 func TestReadCostIsRowSized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 10000-row warehouse")
@@ -26,22 +63,24 @@ func TestReadCostIsRowSized(t *testing.T) {
 	ctx := context.Background()
 	sys := warehouse(t, 10_000)
 
-	p, err := sys.PrepareContext(ctx, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Used) == 0 {
-		t.Fatalf("plan does not read a view: %s", p.Key)
-	}
-	engineAllocs := testing.AllocsPerRun(20, func() {
-		if res, err := sys.ExecPreparedContext(ctx, p); err != nil || res.Len() != groups {
-			t.Fatalf("ExecPreparedContext: %d rows, err %v", res.Len(), err)
+	columnar := func(sql string, rows int) float64 {
+		p, err := sys.PrepareContext(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
+		if len(p.Used) == 0 {
+			t.Fatalf("plan does not read a view: %s", p.Key)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if res, err := sys.ExecPreparedColumns(ctx, p, nil); err != nil || res.NumRows() != rows {
+				t.Fatalf("ExecPreparedColumns: %d rows, err %v", res.NumRows(), err)
+			}
+		})
+	}
+	engineAllocs := columnar(sql, groups)
+	fewAllocs := columnar(`SELECT Cust_Id, SUM(Charge), MAX(Charge) FROM Calls WHERE Cust_Id < 50 GROUP BY Cust_Id`, 50)
 
-	srv := server.New(sys, server.Config{FlightRecorder: -1, SlowLogSize: -1})
-	defer srv.Close()
-	client := &server.Client{Base: "http://inproc", HTTP: &server.InProcessExec{S: srv}}
+	client := inProcess(t, sys)
 	read := func() {
 		resp, err := client.Query(ctx, sql)
 		if err != nil || len(resp.Rows) != groups || len(resp.Used) == 0 {
@@ -51,11 +90,74 @@ func TestReadCostIsRowSized(t *testing.T) {
 	read() // the miss that plans the statement and aliases its text
 	wireAllocs := testing.AllocsPerRun(20, read)
 
-	t.Logf("objects allocated per warm %d-group view read: %.0f in the engine, %.0f through the wire client", groups, engineAllocs, wireAllocs)
-	if engineAllocs >= groups {
-		t.Errorf("ExecPreparedContext allocated %.0f objects for %d rows, want under 1 per row", engineAllocs, groups)
+	t.Logf("objects allocated per warm view read: %.0f in the engine for %d groups, %.0f for 50, %.0f through the wire client", engineAllocs, groups, fewAllocs, wireAllocs)
+	if engineAllocs > 80 || engineAllocs > fewAllocs+8 {
+		t.Errorf("ExecPreparedColumns allocated %.0f objects for %d rows and %.0f for 50, want at most 80 and at most 8 apart: a constant per query", engineAllocs, groups, fewAllocs)
 	}
-	if wireAllocs >= 3*groups {
-		t.Errorf("a wire read allocated %.0f objects for %d rows, want under 3 per row", wireAllocs, groups)
+	if wireAllocs >= 2.5*groups {
+		t.Errorf("a wire read allocated %.0f objects for %d rows, want under 2.5 per row", wireAllocs, groups)
+	}
+}
+
+// TestServedReadsBoxNothing is the guard that a served read stays
+// columnar. The six view_hit shapes and the four base_scan shapes go
+// through the /query handler, cold and warm, and engine.result.cells_boxed
+// — what ExecContext adds to for every cell it boxes into a tuple — must
+// not move while engine.result.rows counts every row sent: a handler (or
+// a layer under it) that fell back to the row-shaped entry point would
+// read the same answers, only slower, and fails here instead. The same
+// shapes through Query, which does return tuples, add rows x width. Both
+// counters are deterministic: the same at one worker and at GOMAXPROCS.
+func TestServedReadsBoxNothing(t *testing.T) {
+	const calls = 6000
+	ctx := context.Background()
+	var first map[string]int64
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		sys := warehouse(t, calls)
+		sys.Opts.Workers = workers
+		shapes := append(viewShapes(calls), scanShapes(t, sys)...)
+		client := inProcess(t, sys) // installs the server's registry on sys
+		counter := func(name string) int64 { return sys.Metrics.Counter(name).Load() }
+		rows0, boxed0 := counter("engine.result.rows"), counter("engine.result.cells_boxed")
+
+		sent := int64(0)
+		for round := 0; round < 2; round++ {
+			for i, sh := range shapes {
+				resp, err := client.Query(ctx, sh.sql)
+				if err != nil || len(resp.Rows) == 0 {
+					t.Fatalf("%s: %d rows, err %v", sh.name, len(resp.Rows), err)
+				}
+				if viewRead := i < 6; viewRead != (len(resp.Used) > 0) {
+					t.Fatalf("%s: answered from %v", sh.name, resp.Used)
+				}
+				sent += int64(len(resp.Rows))
+			}
+		}
+		got := map[string]int64{"rows": counter("engine.result.rows") - rows0, "cells_boxed": counter("engine.result.cells_boxed") - boxed0}
+		if got["cells_boxed"] != 0 || got["rows"] != sent {
+			t.Errorf("workers %d: serving %d rows moved engine.result.rows by %d and engine.result.cells_boxed by %d, want %d and 0", workers, sent, got["rows"], got["cells_boxed"], sent)
+		}
+		text, err := client.MetricsText(ctx, false)
+		if err != nil || !strings.Contains(text, "engine.result.rows") || !strings.Contains(text, "engine.result.cells_boxed") {
+			t.Errorf("workers %d: /metrics does not list the result counters (err %v)", workers, err)
+		}
+
+		cells := int64(0)
+		for _, sh := range shapes {
+			res, err := sys.Query(sh.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells += int64(res.Len() * len(res.Attrs))
+		}
+		if d := counter("engine.result.cells_boxed") - boxed0; d != cells {
+			t.Errorf("workers %d: Query boxed %d cells, engine.result.cells_boxed moved by %d", workers, cells, d)
+		}
+		got["cells_queried"] = cells
+		if first == nil {
+			first = got
+		} else if fmt.Sprint(got) != fmt.Sprint(first) {
+			t.Errorf("result counters at %d workers %v, at one worker %v", workers, got, first)
+		}
 	}
 }

@@ -3,17 +3,32 @@
 #
 #   scripts/bench_pair.sh <rev> <workload|all> [pairs=10] [seconds=18]
 #
-# Builds <rev> in a git worktree under .bench_build/, then runs
+# Unpacks <rev> (git archive) under .bench_build/, then runs
 # `bash bench/run.sh --workload W --seed S --seconds N --trace 0` on both
 # trees `pairs` times, one seed per pair (5, 6, ...), alternating which
 # tree goes first, and prints — per workload and metric — both medians
-# with their quartiles, the ratio with its base, and the pairs the
-# working tree won (ties count for neither side), as the markdown table
-# CHANGES.md carries. The rows are BENCHMARK.json's end-to-end metrics
-# (with its `better` directions), every kind.<name>_p50_ms and
-# ops_failed. Each tree builds from its own sources into its own
-# .bench_build/; nothing under bench/ is touched. Raw run output is kept
-# in .bench_build/pair-logs/.
+# with their quartiles, the ratio with its base, the pairs the working
+# tree won (ties count for neither side) and a verdict, as the markdown
+# table CHANGES.md carries. The rows are BENCHMARK.json's end-to-end
+# metrics (with its `better` directions and `bound`s), every
+# kind.<name>_p50_ms and ops_failed. Each tree builds from its own
+# sources into its own .bench_build/; nothing under bench/ is touched.
+# Raw run output is kept in .bench_build/pair-logs/.
+#
+# The verdict reads the row by the rules a claim and a regression are
+# held to:
+#   MOVED better / MOVED worse  the working tree won (lost) at least nine
+#               tenths of the pairs and the medians are further apart than
+#               the parent's own quartile distance — or, for worse, its
+#               median is worse than the parent's by more than the
+#               metric's bound with the runs telling the sides apart;
+#   UNRESOLVED  neither of those, and a side's quartile distance is wider
+#               than the bound while the two sides' runs interleave: the
+#               row cannot show the metric stayed inside its bound;
+#   PASS        none of the above: no worse than the parent by more than
+#               the bound, on runs tight enough to say so.
+# Rows without a bound (the per-kind medians, ops_failed) can only be
+# MOVED or "-".
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -30,13 +45,11 @@ logs="$root/.bench_build/pair-logs"
 mkdir -p "$logs"
 rm -f "$logs"/*.log "$logs"/*.err
 
-cleanup() {
-	git -C "$root" worktree remove --force "$tree" >/dev/null 2>&1 || true
-	git -C "$root" worktree prune
-}
+cleanup() { rm -rf "$tree"; }
 trap cleanup EXIT
 cleanup
-git worktree add --detach "$tree" "$sha" >&2
+mkdir -p "$tree"
+git archive "$sha" | tar -x -C "$tree"
 
 run() { # run <side> <dir> <pair> <seed>
 	echo "pair $3 seed $4: $1" >&2
@@ -60,8 +73,8 @@ done
 # Metric lines read "<workload> <name> <value> <unit> ...".
 echo "Parent $sha against the working tree ($(git rev-parse --short HEAD)$(git diff --quiet HEAD -- . ':!ISSUE.md' || echo '+uncommitted')): $pairs alternating pairs, seeds 5-$((4 + pairs)), --seconds $seconds --trace 0; median [q1-q3]."
 echo
-echo "| workload | metric | parent | change | change / parent | pairs won |"
-echo "|---|---|---|---|---|---|"
+echo "| workload | metric | parent | change | change / parent | pairs won | verdict |"
+echo "|---|---|---|---|---|---|---|"
 awk -v pairs="$pairs" -v logs="$logs" '
 function sorted(src, n, out,    i, j, x) {
 	for (i = 1; i <= n; i++) out[i] = src[i]
@@ -81,6 +94,24 @@ function summary(v, n,    s) {
 	return sprintf("%.4g [%.4g-%.4g]", quantile(s, n, 0.5), quantile(s, n, 0.25), quantile(s, n, 0.75))
 }
 function median(v, n,    s) { sorted(v, n, s); return quantile(s, n, 0.5) }
+# verdict: see the header. worse is how far the median of the change sits
+# on the wrong side of the median of the parent, as a fraction of it.
+function verdict(m, a, c, n, won, lost,    sa, sc, ma, mc, iqa, iqc, worse, apart, mixed, wide) {
+	sorted(a, n, sa); sorted(c, n, sc)
+	ma = quantile(sa, n, 0.5); mc = quantile(sc, n, 0.5)
+	iqa = quantile(sa, n, 0.75) - quantile(sa, n, 0.25); iqc = quantile(sc, n, 0.75) - quantile(sc, n, 0.25)
+	worse = (ma != 0) ? (mc - ma) / ma : 0
+	if (better[m] == "higher") worse = -worse
+	apart = (mc > ma ? mc - ma : ma - mc) > iqa
+	mixed = !(sc[n] < sa[1] || sc[1] > sa[n])
+	if (apart && won * 10 >= n * 9) return "MOVED better"
+	if (apart && lost * 10 >= n * 9) return "MOVED worse"
+	if (!(m in bound)) return "-"
+	wide = ma != 0 && (iqa > bound[m] * ma || iqc > bound[m] * ma)
+	if (wide && mixed) return "UNRESOLVED"
+	if (worse > bound[m]) return "MOVED worse"
+	return "PASS"
+}
 BEGIN {
 	# Directions and row order from BENCHMARK.json: end-to-end metrics only.
 	while ((getline line < "BENCHMARK.json") > 0) {
@@ -89,6 +120,7 @@ BEGIN {
 		if (!sect) continue
 		if (match(line, /"name": *"[^"]+"/)) { name = line; sub(/.*"name": *"/, "", name); sub(/".*/, "", name); order[++nm] = name; gated[name] = 1 }
 		if (match(line, /"better": *"[^"]+"/)) { b = line; sub(/.*"better": *"/, "", b); sub(/".*/, "", b); better[name] = b }
+		if (match(line, /"bound": *[0-9.]+/)) { b = line; sub(/.*"bound": */, "", b); sub(/[^0-9.].*/, "", b); bound[name] = b + 0 }
 	}
 	for (p = 0; p < pairs; p++) {
 		split("parent change", sides, " ")
@@ -114,18 +146,19 @@ BEGIN {
 		for (k = 1; k <= nrow; k++) {
 			m = rowm[k]
 			if (!((w, m) in have)) continue
-			n = 0; won = 0
+			n = 0; won = 0; lost = 0
 			for (p = 0; p < pairs; p++) {
 				if (!((w, m, "parent", p) in val) || !((w, m, "change", p) in val)) continue
 				n++; a[n] = val[w, m, "parent", p] + 0; c[n] = val[w, m, "change", p] + 0
 				d = c[n] - a[n]
 				if (better[m] != "higher") d = -d
 				if (d > 0) won++
+				if (d < 0) lost++
 			}
 			if (n == 0) continue
 			ma = median(a, n); mc = median(c, n)
 			ratio = (ma != 0) ? sprintf("%.3fx of %.4g", mc / ma, ma) : "-"
-			printf "| `%s` | `%s` | %s | %s | %s | %d/%d |\n", w, m, summary(a, n), summary(c, n), ratio, won, n
+			printf "| `%s` | `%s` | %s | %s | %s | %d/%d | %s |\n", w, m, summary(a, n), summary(c, n), ratio, won, n, verdict(m, a, c, n, won, lost)
 		}
 	}
 }
