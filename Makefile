@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint check bench bench-pair quick soak mutate trace faults serve-smoke load flightrec
+.PHONY: build test race vet lint check bench bench-pair loc quick soak mutate trace faults serve-smoke load flightrec
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,13 @@ PAIRS ?= 10
 SECONDS ?= 18
 bench-pair:
 	bash scripts/bench_pair.sh $(REV) $(W) $(PAIRS) $(SECONDS)
+
+# loc prints the net Go lines of the working tree against REV per
+# package, split into non-test, test and bench/, as the markdown table
+# CHANGES.md carries; MOVED="old.go:new.go ..." counts files that moved
+# by what changed in them.
+loc:
+	sh scripts/loc.sh $(REV) $(foreach m,$(MOVED),--moved $(m))
 
 # trace runs the rewrite-search tracer over the bundled catalog and
 # replays the written report to prove the trace round-trips losslessly

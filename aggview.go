@@ -92,12 +92,14 @@ type System struct {
 
 // New returns an empty system.
 func New() *System {
-	return &System{
+	s := &System{
 		Catalog: schema.NewCatalog(),
 		Views:   ir.NewRegistry(),
 		DB:      engine.NewDB(),
 		Stats:   cost.Stats{},
 	}
+	s.maint = maintain.New(s.DB, s.Views)
+	return s
 }
 
 // source resolves names against base tables first, then views.
@@ -173,44 +175,18 @@ func (s *System) Rewriter() *core.Rewriter {
 	}
 }
 
-// Load executes a script of CREATE TABLE and CREATE VIEW statements.
-// SELECT statements in the script are rejected — run them with Query.
+// Load parses a script and executes its statements in order (Exec):
+// CREATE TABLE and CREATE VIEW declarations, and INSERT, DELETE and UPDATE
+// against the tables declared so far. SELECT statements in the script are
+// rejected — run them with Query.
 func (s *System) Load(script string) error {
 	stmts, err := sqlparser.ParseScript(script)
 	if err != nil {
 		return err
 	}
 	for _, st := range stmts {
-		switch x := st.(type) {
-		case *sqlparser.CreateTable:
-			t := &schema.Table{Name: x.Name, Columns: x.Columns, Keys: x.Keys}
-			for _, fd := range x.FDs {
-				t.FDs = append(t.FDs, schema.FD{From: fd[0], To: fd[1]})
-			}
-			if err := s.Catalog.AddTable(t); err != nil {
-				return err
-			}
-		case *sqlparser.CreateView:
-			q, err := ir.Build(x.Query, s.source())
-			if err != nil {
-				return fmt.Errorf("view %s: %w", x.Name, err)
-			}
-			v, err := ir.NewViewDef(x.Name, q)
-			if err != nil {
-				return err
-			}
-			if len(x.Columns) > 0 {
-				if len(x.Columns) != len(v.OutCols) {
-					return fmt.Errorf("view %s: %d column names for %d outputs", x.Name, len(x.Columns), len(v.OutCols))
-				}
-				v.OutCols = append([]string{}, x.Columns...)
-			}
-			if err := s.Views.Add(v); err != nil {
-				return err
-			}
-			core.IndexView(v)
-		default:
-			return fmt.Errorf("aggview: scripts may contain only CREATE TABLE and CREATE VIEW statements")
+		if _, err := s.Exec(st); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -261,20 +237,11 @@ func (s *System) InsertContext(ctx context.Context, table string, rows ...[]Valu
 			return fmt.Errorf("aggview: %s expects %d values, got %d", t.Name, len(t.Columns), len(row))
 		}
 	}
-	db := s.store()
-	if _, ok := db.NumRows(t.Name); !ok {
-		db.Put(t.Name, engine.NewRelation(t.Columns...))
+	if _, ok := s.DB.NumRows(t.Name); !ok {
+		s.DB.Put(t.Name, engine.NewRelation(t.Columns...))
 	}
-	if s.maint != nil {
-		if err := s.maintainer().InsertContext(ctx, t.Name, rows...); err != nil {
-			return err
-		}
-	} else {
-		// Append fires the DB's invalidation hook, which plan caches
-		// layered above the system (internal/server) rely on to observe
-		// every mutation; snapshots pinned by concurrent readers keep
-		// their own length.
-		db.Append(t.Name, rows...)
+	if err := s.maintainer().InsertContext(ctx, t.Name, rows...); err != nil {
+		return err
 	}
 	s.refreshStats(t.Name)
 	return nil
@@ -293,20 +260,11 @@ func (s *System) refreshStats(table string) {
 	}
 }
 
-// store returns the database with the system's metrics registry
-// attached, for the write paths that count their storage decisions.
-func (s *System) store() *engine.DB {
-	s.DB.SetMetrics(s.Metrics)
-	return s.DB
-}
-
-// maintainer lazily builds the view maintainer and keeps its
-// instrumentation knobs in sync with the system's.
+// maintainer returns the view maintainer — the one way a write reaches
+// storage, whether or not a view is tracked — with its instrumentation
+// knobs, and the database's store counters, in sync with the system's.
 func (s *System) maintainer() *maintain.Maintainer {
-	db := s.store()
-	if s.maint == nil {
-		s.maint = maintain.New(db, s.Views)
-	}
+	s.DB.SetMetrics(s.Metrics)
 	s.maint.Metrics = s.Metrics
 	s.maint.Workers = s.Opts.Workers
 	return s.maint
@@ -326,11 +284,7 @@ func (s *System) Delete(table, where string) (int, error) {
 // expiry abort the maintenance evaluations with a typed error before
 // any materialization or base table changes.
 func (s *System) DeleteContext(ctx context.Context, table, where string) (int, error) {
-	del, err := parseDelete(table, where)
-	if err != nil {
-		return 0, err
-	}
-	return s.applyDelete(ctx, del)
+	return execChange[*sqlparser.Delete](ctx, s, "DELETE FROM "+table, where)
 }
 
 // Update rewrites the rows of a base table matching an optional WHERE
@@ -345,17 +299,33 @@ func (s *System) Update(table, set, where string) (int, error) {
 
 // UpdateContext is Update under a context.
 func (s *System) UpdateContext(ctx context.Context, table, set, where string) (int, error) {
-	upd, err := parseUpdate(table, set, where)
+	return execChange[*sqlparser.Update](ctx, s, "UPDATE "+table+" SET "+set, where)
+}
+
+// execChange parses the one statement of kind S that head and an optional
+// condition spell, and executes it.
+func execChange[S sqlparser.Statement](ctx context.Context, s *System, head, where string) (int, error) {
+	if where != "" {
+		head += " WHERE " + where
+	}
+	stmts, err := sqlparser.ParseScript(head)
 	if err != nil {
 		return 0, err
 	}
-	return s.applyUpdate(ctx, upd)
+	if len(stmts) == 1 {
+		if st, ok := stmts[0].(S); ok {
+			return s.ExecContext(ctx, st)
+		}
+	}
+	return 0, fmt.Errorf("aggview: malformed statement %q", head)
 }
 
-// Exec applies a parsed mutation statement (INSERT, DELETE or UPDATE)
-// to the system, reporting the number of rows affected. Script loaders
-// (cmd/aggserve, the oracle replayer) route mutation statements here so
-// a replayed script takes exactly the production mutation path.
+// Exec executes one parsed statement other than a SELECT: a CREATE TABLE
+// or CREATE VIEW declares, an INSERT, DELETE or UPDATE mutates, and the
+// number of rows affected is reported (0 for a declaration). Script
+// loaders (Load, cmd/aggserve, cmd/aggview) hand each statement of a
+// parsed script here, so a replayed script takes exactly the production
+// path and is parsed once.
 func (s *System) Exec(st sqlparser.Statement) (int, error) {
 	//aggvet:ctxflow Background shim by design; ExecContext is the bounded variant.
 	return s.ExecContext(context.Background(), st)
@@ -364,220 +334,92 @@ func (s *System) Exec(st sqlparser.Statement) (int, error) {
 // ExecContext is Exec under a context.
 func (s *System) ExecContext(ctx context.Context, st sqlparser.Statement) (int, error) {
 	switch x := st.(type) {
+	case *sqlparser.CreateTable:
+		t := &schema.Table{Name: x.Name, Columns: x.Columns, Keys: x.Keys}
+		for _, fd := range x.FDs {
+			t.FDs = append(t.FDs, schema.FD{From: fd[0], To: fd[1]})
+		}
+		return 0, s.Catalog.AddTable(t)
+	case *sqlparser.CreateView:
+		return 0, s.createView(x)
 	case *sqlparser.Insert:
 		if err := s.InsertContext(ctx, x.Table, x.Rows...); err != nil {
 			return 0, err
 		}
 		return len(x.Rows), nil
 	case *sqlparser.Delete:
-		return s.applyDelete(ctx, x)
+		return s.applyChange(ctx, x.Table, x.Where, nil)
 	case *sqlparser.Update:
-		return s.applyUpdate(ctx, x)
+		return s.applyChange(ctx, x.Table, x.Where, x.Set)
 	default:
-		return 0, fmt.Errorf("aggview: Exec supports INSERT, DELETE and UPDATE, not %T", st)
+		return 0, fmt.Errorf("aggview: Exec supports CREATE TABLE, CREATE VIEW, INSERT, DELETE and UPDATE, not %T", st)
 	}
 }
 
-// parseDelete assembles and parses a DELETE statement from its parts.
-func parseDelete(table, where string) (*sqlparser.Delete, error) {
-	text := "DELETE FROM " + table
-	if where != "" {
-		text += " WHERE " + where
-	}
-	stmts, err := sqlparser.ParseScript(text)
+// createView registers a view definition, under the statement's column
+// list when it has one.
+func (s *System) createView(x *sqlparser.CreateView) error {
+	q, err := ir.Build(x.Query, s.source())
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("view %s: %w", x.Name, err)
 	}
-	del, ok := stmts[0].(*sqlparser.Delete)
-	if !ok || len(stmts) != 1 {
-		return nil, fmt.Errorf("aggview: malformed DELETE for table %q", table)
-	}
-	return del, nil
-}
-
-// parseUpdate assembles and parses an UPDATE statement from its parts.
-func parseUpdate(table, set, where string) (*sqlparser.Update, error) {
-	text := "UPDATE " + table + " SET " + set
-	if where != "" {
-		text += " WHERE " + where
-	}
-	stmts, err := sqlparser.ParseScript(text)
+	v, err := ir.NewViewDef(x.Name, q)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	upd, ok := stmts[0].(*sqlparser.Update)
-	if !ok || len(stmts) != 1 {
-		return nil, fmt.Errorf("aggview: malformed UPDATE for table %q", table)
-	}
-	return upd, nil
-}
-
-// matchRows finds the rows of a stored table that satisfy a DELETE or
-// UPDATE condition, returning their positions (ascending) and the rows
-// themselves, boxed — they are the delta the maintainer needs, and the
-// only rows this boxes. Conjuncts comparing a column with a constant or
-// another column run through the engine's vectorised filter over the
-// stored vectors; when the condition has other conjuncts (arithmetic),
-// sqlparser.EvalCond then decides each survivor. An unmatched row is
-// therefore never evaluated, so an expression that would fail only on
-// such rows (a division by zero, say) no longer fails the statement; a
-// column the table lacks still does, whatever the data.
-func (s *System) matchRows(ctx context.Context, tab *engine.ColTable, where sqlparser.Expr) ([]int32, [][]Value, error) {
-	attrs := tab.Attrs()
-	if err := checkColumns(where, attrs); err != nil {
-		return nil, nil, err
-	}
-	colOf := func(e sqlparser.Expr) (ir.Term, bool) {
-		switch x := e.(type) {
-		case *sqlparser.Lit:
-			return ir.ConstTerm(x.Val), true
-		case *sqlparser.ColumnRef:
-			return ir.ColTerm(ir.ColID(columnAt(attrs, x.Name))), true
+	if len(x.Columns) > 0 {
+		if len(x.Columns) != len(v.OutCols) {
+			return fmt.Errorf("view %s: %d column names for %d outputs", x.Name, len(x.Columns), len(v.OutCols))
 		}
-		return ir.Term{}, false
+		v.OutCols = append([]string{}, x.Columns...)
 	}
-	var preds []ir.Pred
-	residual := false
-	for _, c := range sqlparser.Conjuncts(where) {
-		if b, ok := c.(*sqlparser.BinExpr); ok && sqlparser.IsComparison(b.Op) {
-			l, lok := colOf(b.L)
-			r, rok := colOf(b.R)
-			if lok && rok {
-				preds = append(preds, ir.Pred{Op: ir.CompareOp(b.Op), L: l, R: r})
-				continue
-			}
-		}
-		residual = true
+	if err := s.Views.Add(v); err != nil {
+		return err
 	}
-	pos, err := s.evaluator(s.Views, s.Store).MatchContext(ctx, tab, preds)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows := tab.Rows(pos)
-	if !residual {
-		return pos, rows, nil
-	}
-	n := 0
-	for i, row := range rows {
-		match, err := sqlparser.EvalCond(where, attrs, row)
-		if err != nil {
-			return nil, nil, err
-		}
-		if match {
-			pos[n], rows[n] = pos[i], row
-			n++
-		}
-	}
-	return pos[:n], rows[:n], nil
-}
-
-// columnAt returns the position of the named column (matched
-// case-insensitively, as sqlparser.EvalExpr does), or -1.
-func columnAt(attrs []string, name string) int {
-	for i, c := range attrs {
-		if strings.EqualFold(c, name) {
-			return i
-		}
-	}
-	return -1
-}
-
-// checkColumns rejects a row expression that names a column the table
-// does not have, with the error sqlparser.EvalExpr gives.
-func checkColumns(e sqlparser.Expr, attrs []string) error {
-	switch x := e.(type) {
-	case *sqlparser.ColumnRef:
-		if columnAt(attrs, x.Name) < 0 {
-			return fmt.Errorf("sqlparser: unknown column %q", x.Name)
-		}
-	case *sqlparser.BinExpr:
-		if err := checkColumns(x.L, attrs); err != nil {
-			return err
-		}
-		return checkColumns(x.R, attrs)
-	}
+	core.IndexView(v)
 	return nil
 }
 
-// applyMutation routes a positional change of one base table — through
-// the maintainer when views are tracked (so materializations absorb the
-// delta), as a direct engine commit otherwise. olds are the stored rows
-// at pos; news, when non-nil, replaces them one for one.
-func (s *System) applyMutation(ctx context.Context, table string, tab *engine.ColTable, pos []int32, olds, news [][]Value) error {
-	if s.maint != nil {
-		return s.maintainer().ApplyContext(ctx, maintain.Mutation{Table: table, Deletes: olds, Inserts: news, At: pos})
-	}
-	d := engine.Delta{Drop: pos}
-	if news != nil {
-		d = engine.Delta{SetAt: pos, SetRows: news}
-	}
-	s.store().Apply([]engine.Commit{{Name: table, Base: tab, Delta: d}})
-	return nil
-}
-
-// applyDelete removes the rows matching the parsed condition and
-// reports how many there were.
-func (s *System) applyDelete(ctx context.Context, del *sqlparser.Delete) (int, error) {
-	t, ok := s.Catalog.Table(del.Table)
+// applyChange is the one pipeline of a DELETE (no assignments) or an
+// UPDATE: match the rows and compute their replacements (changedRows),
+// then hand the positional delta to the maintainer, which installs it
+// with every tracked view's share of it — tracked views see an UPDATE as
+// a paired delete+insert, which counting maintenance applies atomically.
+// It reports how many rows changed.
+func (s *System) applyChange(ctx context.Context, table string, where sqlparser.Expr, set []sqlparser.Assignment) (int, error) {
+	t, ok := s.Catalog.Table(table)
 	if !ok {
-		return 0, fmt.Errorf("aggview: unknown table %q", del.Table)
+		return 0, fmt.Errorf("aggview: unknown table %q", table)
 	}
-	tab, ok, _ := s.DB.Scan(t.Name)
-	if !ok || tab.NumRows() == 0 {
-		return 0, nil
-	}
-	pos, rows, err := s.matchRows(ctx, tab, del.Where)
+	pos, olds, news, err := s.changedRows(ctx, t, where, set)
 	if err != nil || len(pos) == 0 {
 		return 0, err
 	}
-	if err := s.applyMutation(ctx, t.Name, tab, pos, rows, nil); err != nil {
+	if err := s.maintainer().ApplyContext(ctx, maintain.Mutation{Table: t.Name, Deletes: olds, Inserts: news, At: pos}); err != nil {
 		return 0, err
 	}
 	s.refreshStats(t.Name)
 	return len(pos), nil
 }
 
-// applyUpdate computes each matching row's replacement from the SET
-// assignments (evaluated over the old values) and overwrites the rows
-// in place; tracked views see a paired delete+insert, which counting
-// maintenance applies atomically.
-func (s *System) applyUpdate(ctx context.Context, upd *sqlparser.Update) (int, error) {
-	t, ok := s.Catalog.Table(upd.Table)
-	if !ok {
-		return 0, fmt.Errorf("aggview: unknown table %q", upd.Table)
+// changedRows finds the stored rows a DELETE or UPDATE changes: their
+// positions (ascending), the rows, and for an UPDATE their replacements.
+// The statement's expressions are lowered once against the table's
+// columns (ir.BuildRowChange — a column the table lacks fails here,
+// whatever the data) and evaluated by the engine over the stored vectors
+// (Evaluator.ChangeContext, which documents which rows each conjunct
+// sees: an expression that would fail only on rows an earlier conjunct
+// rejected, a division by zero say, does not fail the statement).
+func (s *System) changedRows(ctx context.Context, t *schema.Table, where sqlparser.Expr, set []sqlparser.Assignment) (pos []int32, olds, news [][]Value, err error) {
+	rc, err := ir.BuildRowChange(t.Name, t.Columns, where, set)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	tab, ok, _ := s.DB.Scan(t.Name)
 	if !ok || tab.NumRows() == 0 {
-		return 0, nil
+		return nil, nil, nil, nil
 	}
-	attrs := tab.Attrs()
-	setAt := make([]int, len(upd.Set))
-	for i, a := range upd.Set {
-		if setAt[i] = columnAt(attrs, a.Col); setAt[i] < 0 {
-			return 0, fmt.Errorf("aggview: unknown column %q in UPDATE %s", a.Col, t.Name)
-		}
-	}
-	pos, olds, err := s.matchRows(ctx, tab, upd.Where)
-	if err != nil || len(pos) == 0 {
-		return 0, err
-	}
-	news := make([][]Value, len(olds))
-	for r, row := range olds {
-		repl := append([]Value{}, row...)
-		for i, a := range upd.Set {
-			v, err := sqlparser.EvalExpr(a.Expr, attrs, row)
-			if err != nil {
-				return 0, err
-			}
-			repl[setAt[i]] = v
-		}
-		news[r] = repl
-	}
-	if err := s.applyMutation(ctx, t.Name, tab, pos, olds, news); err != nil {
-		return 0, err
-	}
-	s.refreshStats(t.Name)
-	return len(pos), nil
+	return s.evaluator(s.Views, s.Store).ChangeContext(ctx, tab, rc)
 }
 
 // TrackView materializes a view and keeps it consistent under future
@@ -625,9 +467,6 @@ type ViewMode struct{ Name, Mode, Reason string }
 // order — the answer to "is this view incremental or recomputing, and
 // why" that `maintain.fallback.full` alone does not give.
 func (s *System) ViewModes() []ViewMode {
-	if s.maint == nil {
-		return nil
-	}
 	var out []ViewMode
 	for _, name := range s.maint.Tracked() {
 		mode, reason := s.maint.Mode(name)
@@ -646,17 +485,14 @@ func (s *System) SetRelation(table string, rel *Result) error {
 		return fmt.Errorf("aggview: relation arity %d does not match table %s", len(rel.Attrs), t.Name)
 	}
 	s.DB.Put(t.Name, rel)
-	s.Stats[strings.ToLower(t.Name)] = float64(rel.Len())
-	if s.maint != nil {
-		// The maintainer's counting state was derived from the old
-		// extension; rebuild it (and the dependent materializations)
-		// from the replacement.
-		//aggvet:ctxflow SetRelation is a bulk-load path; resync inherits no caller deadline by design.
-		if err := s.maintainer().Resync(context.Background(), t.Name); err != nil {
-			return err
-		}
-		s.refreshStats(t.Name)
+	// The counting state of the tracked views over the table was derived
+	// from the old extension; the maintainer rebuilds it (and their
+	// materializations) from the replacement.
+	//aggvet:ctxflow SetRelation is a bulk-load path; resync inherits no caller deadline by design.
+	if err := s.maintainer().Resync(context.Background(), t.Name); err != nil {
+		return err
 	}
+	s.refreshStats(t.Name)
 	return nil
 }
 
@@ -665,7 +501,7 @@ func (s *System) SetRelation(table string, rel *Result) error {
 // relations.
 func (s *System) AdoptDB(db *engine.DB, names ...string) {
 	s.DB = db
-	s.maint = nil
+	s.maint = maintain.New(db, s.Views)
 	for _, n := range names {
 		if rows, ok := db.NumRows(n); ok {
 			s.Stats[strings.ToLower(n)] = float64(rows)
@@ -1024,7 +860,7 @@ func (s *System) planDeps(p *Prepared) []string {
 			}
 			seen[n] = true
 			out = append(out, n)
-			if s.maint != nil && s.maint.Tracks(t.Source) {
+			if s.maint.Tracks(t.Source) {
 				continue
 			}
 			if v, ok := p.reg.Get(t.Source); ok {

@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -142,11 +141,10 @@ func run(scriptPath, addr, addrFile string, paper bool, workers int, cfg server.
 	return nil
 }
 
-// loadSystem builds the served system from a SQL script. Declarations
-// load first (views may reference tables declared later in the file is
-// not supported — declare in order), inserts apply in order, and every
-// declared view is materialized and tracked so server-side inserts keep
-// it fresh incrementally.
+// loadSystem builds the served system from a SQL script, parsed once:
+// every statement executes in script order (a view names tables declared
+// before it), and every declared view is then materialized and tracked
+// so server-side writes keep it fresh incrementally.
 func loadSystem(path string, paper bool, workers int) (*aggview.System, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -160,41 +158,15 @@ func loadSystem(path string, paper bool, workers int) (*aggview.System, error) {
 	sys.Opts.PaperFaithful = paper
 	sys.Opts.Workers = workers
 	for _, st := range stmts {
-		switch x := st.(type) {
-		case *sqlparser.CreateTable:
-			decl := "CREATE TABLE " + x.Name + "(" + strings.Join(x.Columns, ", ") + ")"
-			for _, k := range x.Keys {
-				decl += " KEY(" + strings.Join(k, ", ") + ")"
-			}
-			for _, fd := range x.FDs {
-				decl += " FD(" + strings.Join(fd[0], ", ") + " -> " + strings.Join(fd[1], ", ") + ")"
-			}
-			if err := sys.Load(decl); err != nil {
-				return nil, err
-			}
-		case *sqlparser.CreateView:
-			decl := "CREATE VIEW " + x.Name
-			if len(x.Columns) > 0 {
-				decl += "(" + strings.Join(x.Columns, ", ") + ")"
-			}
-			if err := sys.Load(decl + " AS " + x.Query.SQL()); err != nil {
-				return nil, err
-			}
-		case *sqlparser.Insert:
-			if err := sys.Insert(x.Table, x.Rows...); err != nil {
-				return nil, err
-			}
-		case *sqlparser.Delete, *sqlparser.Update:
-			// Mutation-soak repro scripts carry DELETE/UPDATE steps; apply
-			// them in order so the served state matches the repro's.
-			if _, err := sys.Exec(st); err != nil {
-				return nil, err
-			}
-		case *sqlparser.QueryStatement:
-			// Ignored: oracle repro scripts end in a SELECT; queries are
-			// served through POST /query.
-		default:
-			return nil, fmt.Errorf("aggserve: unsupported statement %T in script", st)
+		// Oracle repro scripts end in a SELECT; queries are served through
+		// POST /query. Everything else — declarations, inserts, and the
+		// DELETE/UPDATE steps a mutation-soak repro carries — applies in
+		// order, so the served state matches the script's.
+		if _, isQuery := st.(*sqlparser.QueryStatement); isQuery {
+			continue
+		}
+		if _, err := sys.Exec(st); err != nil {
+			return nil, err
 		}
 	}
 	for _, v := range sys.Views.All() {

@@ -135,26 +135,15 @@ func loadScriptSystem(path string, data dataFlags, paperFaithful bool) (*aggview
 		return nil, nil, err
 	}
 	var queries []string
-	var decls []string
 	for _, st := range stmts {
 		switch x := st.(type) {
 		case *sqlparser.QueryStatement:
 			queries = append(queries, x.Query.SQL())
-		case *sqlparser.CreateView:
-			decls = append(decls, "CREATE VIEW "+x.Name+" AS "+x.Query.SQL())
-		case *sqlparser.CreateTable:
-			decl := "CREATE TABLE " + x.Name + "(" + strings.Join(x.Columns, ", ") + ")"
-			for _, k := range x.Keys {
-				decl += " KEY(" + strings.Join(k, ", ") + ")"
+		case *sqlparser.CreateTable, *sqlparser.CreateView:
+			if _, err := s.Exec(st); err != nil {
+				return nil, nil, err
 			}
-			for _, fd := range x.FDs {
-				decl += " FD(" + strings.Join(fd[0], ", ") + " -> " + strings.Join(fd[1], ", ") + ")"
-			}
-			decls = append(decls, decl)
 		}
-	}
-	if err := s.Load(strings.Join(decls, ";\n")); err != nil {
-		return nil, nil, err
 	}
 	for _, spec := range data {
 		name, file, ok := strings.Cut(spec, "=")

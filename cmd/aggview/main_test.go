@@ -137,3 +137,49 @@ func TestDemoScript(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadScriptKeepsViewColumnList loads a script through the path main
+// takes: a view declared with a column list — the form the server's
+// /script and slow-query repros emit — keeps its names, a table its key and
+// FD, the queries come back in order, and the CSV rows land under the
+// declared views.
+func TestLoadScriptKeepsViewColumnList(t *testing.T) {
+	dir := t.TempDir()
+	script := filepath.Join(dir, "s.sql")
+	csvFile := filepath.Join(dir, "orders.csv")
+	if err := os.WriteFile(script, []byte(`
+		CREATE TABLE Orders(Order_Id, Product, Amount) KEY(Order_Id) FD(Order_Id -> Product);
+		CREATE VIEW PerProduct(P, Total) AS SELECT Product, SUM(Amount) FROM Orders GROUP BY Product;
+		SELECT P, Total FROM PerProduct WHERE Total > 100;
+		SELECT Product, SUM(Amount) FROM Orders GROUP BY Product;
+	`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(csvFile, []byte("1,widget,100\n2,widget,150\n3,gadget,90\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, queries, err := loadScriptSystem(script, dataFlags{"Orders=" + csvFile}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := s.Views.Get("PerProduct")
+	if !ok || len(v.OutCols) != 2 || v.OutCols[0] != "P" || v.OutCols[1] != "Total" {
+		t.Fatalf("view columns %v, want [P Total]", v.OutCols)
+	}
+	if tab, _ := s.Catalog.Table("Orders"); len(tab.Keys) != 1 || len(tab.FDs) != 1 {
+		t.Fatalf("Orders lost its key or FD: %+v", tab)
+	}
+	if len(queries) != 2 {
+		t.Fatalf("%d queries, want 2", len(queries))
+	}
+	res, err := s.Query(queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 || res.Tuples[0][0].AsString() != "widget" || res.Tuples[0][1].AsInt() != 250 {
+		t.Fatalf("query over the view's declared columns: %s", res)
+	}
+	if _, _, err := loadScriptSystem(script, dataFlags{"Orders"}, false); err == nil {
+		t.Error("a -data spec without a file should fail")
+	}
+}

@@ -41,6 +41,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -275,6 +276,9 @@ func runMutate(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptio
 				rep.Steps += out.Steps
 				rep.FaultRuns += out.FaultRuns
 				rep.Incremental += out.Incremental
+				for _, mode := range out.Modes {
+					rep.Modes[mode]++
+				}
 				if out.OK() {
 					continue
 				}
@@ -312,8 +316,13 @@ func finishMutate(rep *benchjson.MutateReport, jsonOut string) error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote mutation report to %s\n", jsonOut)
 	}
-	fmt.Printf("mutate: %d trials (%d multi-chunk), %d steps, %d fault-injected runs, %d incremental views, %d violations\n",
-		rep.Trials, rep.MultiChunk, rep.Steps, rep.FaultRuns, rep.Incremental, len(rep.Failures))
+	modes := make([]string, 0, len(rep.Modes))
+	for mode, trials := range rep.Modes {
+		modes = append(modes, fmt.Sprintf("%s=%d", mode, trials))
+	}
+	sort.Strings(modes)
+	fmt.Printf("mutate: %d trials (%d multi-chunk), %d steps, %d fault-injected runs, %d incremental views, trials per mode: %s, %d violations\n",
+		rep.Trials, rep.MultiChunk, rep.Steps, rep.FaultRuns, rep.Incremental, strings.Join(modes, " "), len(rep.Failures))
 	if len(rep.Failures) > 0 {
 		return fmt.Errorf("%d mutation violations", len(rep.Failures))
 	}

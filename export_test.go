@@ -7,15 +7,15 @@ import (
 	"aggview/internal/sqlparser"
 )
 
-// MatchPositions exposes the DELETE/UPDATE row matcher (vectorised
-// prefilter, then EvalCond on the survivors) to the external test
-// package, which needs the oracle's generators and so cannot live
-// inside this one.
-func (s *System) MatchPositions(ctx context.Context, table string, where sqlparser.Expr) ([]int32, error) {
-	tab, ok, _ := s.DB.Scan(table)
+// ChangedRows exposes what a DELETE (set nil) or UPDATE would change —
+// the statement lowered and evaluated by the engine, nothing applied —
+// to the external test package, which needs the oracle's generators and
+// reference evaluator and so cannot live inside this one.
+func (s *System) ChangedRows(ctx context.Context, table string, where sqlparser.Expr, set []sqlparser.Assignment) (pos []int32, news [][]Value, err error) {
+	t, ok := s.Catalog.Table(table)
 	if !ok {
-		return nil, fmt.Errorf("no relation %q", table)
+		return nil, nil, fmt.Errorf("no table %q", table)
 	}
-	pos, _, err := s.matchRows(ctx, tab, where)
-	return pos, err
+	pos, _, news, err = s.changedRows(ctx, t, where, set)
+	return pos, news, err
 }

@@ -193,3 +193,43 @@ func TestParseExposesIR(t *testing.T) {
 		t.Fatal("unknown column should fail")
 	}
 }
+
+// TestLoadExecutesEveryStatement pins Load as parse + Exec of each
+// statement: a script declares, loads and mutates in one pass, a view's
+// column list is kept, and Delete / Update with a clause that smuggles in
+// a second statement or another statement kind are refused.
+func TestLoadExecutesEveryStatement(t *testing.T) {
+	s := New()
+	err := s.Load(`
+		CREATE TABLE T(A, B) KEY(A);
+		INSERT INTO T VALUES (1, 10), (2, 20), (3, 30);
+		CREATE VIEW V(K, Total) AS SELECT A, SUM(B) FROM T GROUP BY A;
+		UPDATE T SET B = B + A WHERE A >= 2;
+		DELETE FROM T WHERE B / A > 10;
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.Views.Get("V"); !ok || len(v.OutCols) != 2 || v.OutCols[0] != "K" || v.OutCols[1] != "Total" {
+		t.Fatalf("view V registered as %+v", v)
+	}
+	res := s.MustQuery("SELECT K, Total FROM V").Sorted()
+	if res.Len() != 1 || res.Tuples[0][0].AsInt() != 1 || res.Tuples[0][1].AsInt() != 10 {
+		t.Fatalf("after the script T holds:\n%s", res)
+	}
+	if err := s.Load("INSERT INTO T VALUES (4, 40); SELECT A FROM T"); err == nil {
+		t.Error("a SELECT in a script should be rejected")
+	}
+	if n, _ := s.DB.NumRows("T"); n != 2 {
+		t.Errorf("T holds %d rows, want 2 (statements before a rejected one stay applied)", n)
+	}
+	if _, err := s.Delete("T", "A = 1; DELETE FROM T"); err == nil {
+		t.Error("a condition carrying a second statement should be rejected")
+	}
+	if _, err := s.Update("T", "B = 1; DELETE FROM T", ""); err == nil {
+		t.Error("a SET clause carrying a second statement should be rejected")
+	}
+	if n, _ := s.DB.NumRows("T"); n != 2 {
+		t.Errorf("a rejected statement changed T: %d rows", n)
+	}
+}

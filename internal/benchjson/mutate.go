@@ -45,8 +45,13 @@ type MutateReport struct {
 	// Incremental counts tracked views maintained by counting deltas
 	// across the soak — a coverage signal that the scenarios actually
 	// exercised the incremental path, not just recomputes.
-	Incremental int             `json:"incremental"`
-	Failures    []MutateFailure `json:"failures"`
+	Incremental int `json:"incremental"`
+	// Modes counts the trials in which some tracked view was maintained in
+	// each mode — "incremental", or "recompute:<reason>" with the
+	// maintain.Fallback that decided it — so a clean soak says which
+	// shapes of the maintainer's patch and rebuild paths it exercised.
+	Modes    map[string]int  `json:"modes"`
+	Failures []MutateFailure `json:"failures"`
 }
 
 // NewMutate returns a report stamped with the current runtime
@@ -56,6 +61,7 @@ func NewMutate() *MutateReport {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		GoVersion:  runtime.Version(),
+		Modes:      map[string]int{},
 		Failures:   []MutateFailure{},
 	}
 }

@@ -601,7 +601,7 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error
 		tb := sc.bound.with(ct.n, sel)
 		ms := ev.scanMorsels(tb, sc.perTable[i])
 		if preds := sc.perTable[i]; len(preds) > 0 {
-			keep, err := ev.filterSel(t, "scan", tb, preds, ms)
+			keep, err := ev.filterSel(t, "scan", tb, preds, nil, ms)
 			if err != nil {
 				return nil, err
 			}
@@ -645,7 +645,7 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error
 		}
 		pendingRes = rest
 		if len(nowBound) > 0 {
-			keep, err := ev.filterSel(t, "filter", current, nowBound, allMorsels(current.n))
+			keep, err := ev.filterSel(t, "filter", current, nowBound, nil, allMorsels(current.n))
 			if err != nil {
 				return nil, err
 			}

@@ -120,7 +120,7 @@ func (r *Relation) Sorted() *Relation {
 // handing out the installed version.
 //
 // All access is synchronized on db.mu, so mutations (Put, Append,
-// Refresh, Apply) may run concurrently with queries. Readers that need
+// Apply) may run concurrently with queries. Readers that need
 // a stable multi-relation view across an entire query take a Snapshot
 // rather than holding the lock. The concurrency contract this relies
 // on: the cells of an installed version are never rewritten — every
@@ -203,15 +203,7 @@ func (db *DB) advanceLocked(key string, base *ColTable, d *Delta) *ColTable {
 // wholesale replacement can make any dependent plan or materialization
 // stale.
 func (db *DB) Put(name string, r *Relation) {
-	key := lowerKey(name)
-	ct := BuildColTable(r)
-	db.mu.Lock()
-	db.installLocked(key, ct)
-	fn := db.onInvalidate
-	db.mu.Unlock()
-	if fn != nil {
-		fn(key)
-	}
+	db.Apply([]Commit{{Name: name, Table: BuildColTable(r)}})
 }
 
 // Append adds tuples to an existing relation — O(rows appended) plus
@@ -234,18 +226,6 @@ func (db *DB) Append(name string, rows ...[]value.Value) bool {
 		fn(key)
 	}
 	return true
-}
-
-// Refresh silently replaces a relation: new version, but no
-// invalidation hook. It is the install path for maintained
-// materializations that absorbed a delta — the content changed but
-// every prepared plan over the view is still valid, so evicting warm
-// plans would be pure waste (plans re-read storage on every execution).
-func (db *DB) Refresh(name string, r *Relation) {
-	ct := BuildColTable(r)
-	db.mu.Lock()
-	db.installLocked(lowerKey(name), ct)
-	db.mu.Unlock()
 }
 
 // Commit is one relation install inside an atomic Apply batch: either a
@@ -312,7 +292,7 @@ func (db *DB) NumRows(name string) (int, bool) {
 }
 
 // Version returns the relation's version counter (0 if absent). Every
-// Put/Append/Refresh/Apply install bumps it; snapshots record the
+// Put/Append/Apply install bumps it; snapshots record the
 // versions they pinned.
 func (db *DB) Version(name string) uint64 {
 	if ct, ok, _ := db.Scan(name); ok {

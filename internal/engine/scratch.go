@@ -153,7 +153,7 @@ func (w *scratch) rows(b *Batch, lo, hi int) *rowSet {
 // table and CSR) are taken and put back by the operator, those a query
 // holds until it ends (a filter's selection, a join's pairs, composed
 // selections) go through its task (task.i32). Only what leaves the engine
-// — MatchContext's positions — is allocated exactly.
+// — ChangeContext's positions — is allocated exactly.
 var i32Pools [32]sync.Pool
 
 // getI32 returns a pooled buffer of n int32s with arbitrary contents.

@@ -694,15 +694,23 @@ func (db *DB) SetOnInvalidate(fn func(name string)) {
 // under it: exact bag or clean typed error, never a partial result.
 type FaultStorage struct {
 	inner     Storage
-	remaining atomic.Int64
+	remaining *atomic.Int64
 }
 
 // NewFaultStorage returns a storage that fails from the k-th Scan on
 // (k <= 1 fails every scan).
 func NewFaultStorage(inner Storage, k int64) *FaultStorage {
-	fs := &FaultStorage{inner: inner}
+	fs := &FaultStorage{inner: inner, remaining: new(atomic.Int64)}
 	fs.remaining.Store(k)
 	return fs
+}
+
+// Over returns the same fault laid over another store: scans read inner
+// and count down — and fail — together with f's. A server installs one
+// FaultStorage per fault window and lays it over each request's pinned
+// Snapshot.
+func (f *FaultStorage) Over(inner Storage) *FaultStorage {
+	return &FaultStorage{inner: inner, remaining: f.remaining}
 }
 
 // Scan implements Storage.

@@ -81,6 +81,28 @@ func TestFaultStorageErrorNotMemoized(t *testing.T) {
 	}
 }
 
+// TestFaultStorageOverSharesCountdown pins the re-wrap a server uses for
+// a fault window: stores laid over different inner stores read their own
+// inner store and fail together, on one countdown.
+func TestFaultStorageOverSharesCountdown(t *testing.T) {
+	a, b := NewDB(), NewDB()
+	a.Put("T", NewRelation("x"))
+	b.Put("T", NewRelation("x", "y"))
+	fs := NewFaultStorage(a, 3)
+	over := fs.Over(b)
+	if ct, ok, err := over.Scan("T"); err != nil || !ok || len(ct.Attrs()) != 2 {
+		t.Fatalf("first scan through the re-wrap: %v %v %v, want b's table", ct, ok, err)
+	}
+	if ct, ok, err := fs.Scan("T"); err != nil || !ok || len(ct.Attrs()) != 1 {
+		t.Fatalf("second scan, through the original: %v %v %v, want a's table", ct, ok, err)
+	}
+	for _, st := range []Storage{over, fs, fs.Over(a)} {
+		if _, _, err := st.Scan("T"); !faultinject.IsInjected(err) {
+			t.Fatalf("scan past the shared countdown returned %v, want an injected fault", err)
+		}
+	}
+}
+
 // TestExecContextMemBudget exercises the memory dimension of the
 // resource budget: a tiny MaxMemBytes trips a typed Exceeded from the
 // columnar allocator, a generous one changes nothing about the result,
@@ -167,7 +189,7 @@ func TestExecContextCacheEntriesBudget(t *testing.T) {
 // TestDBOnInvalidateHook pins the invalidation seam the serving layer's
 // plan cache hangs off: the hook fires with the lowercased relation
 // name on every loud install (Put, Append, a non-Silent Apply commit),
-// stays quiet for Refresh and Silent commits, and a nil fn unregisters
+// stays quiet for Silent commits, by delta or whole, and a nil fn unregisters
 // it.
 func TestDBOnInvalidateHook(t *testing.T) {
 	db := NewDB()
@@ -183,7 +205,7 @@ func TestDBOnInvalidateHook(t *testing.T) {
 	}
 	base, _, _ = db.Scan("sales")
 	db.Apply([]Commit{{Name: "Sales", Base: base, Delta: Delta{Append: [][]value.Value{{value.Int(2)}}}, Silent: true}})
-	db.Refresh("Sales", NewRelation("a"))
+	db.Apply([]Commit{{Name: "Sales", Table: BuildColTable(NewRelation("a")), Silent: true}})
 	if len(fired) != 3 {
 		t.Fatalf("silent installs fired the hook: %v", fired)
 	}

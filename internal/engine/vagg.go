@@ -560,7 +560,7 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 	b := pl.b
 	rs := w.rows(b, lo, hi)
 	if len(pl.preds) > 0 {
-		js, err := w.refine(b, rs, pl.preds)
+		js, err := w.refine(b, rs, pl.preds, nil)
 		if err != nil {
 			return nil, 0, err
 		}

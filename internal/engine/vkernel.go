@@ -369,10 +369,15 @@ func (o vecOperand) float(j int) float64 {
 	return o.vec.floats[o.idx[j]]
 }
 
-// refine runs a conjunction of predicates over the row set and returns
-// the surviving row numbers, ascending, in the worker's scratch (or the
-// read-only identity when there is nothing to test).
-func (w *scratch) refine(b *Batch, rs *rowSet, preds []ir.Pred) ([]int32, error) {
+// refine runs a conjunction over the row set and returns the surviving row
+// numbers, ascending, in the worker's scratch (or the read-only identity
+// when there is nothing to test). preds refine first; rest — conjuncts
+// with an expression on a side, which only a DELETE's or UPDATE's WHERE
+// has — then run as HAVING does over groups (assembleGroups): each is
+// evaluated over the rows still selected and no others, so a row an
+// earlier conjunct rejected raises nothing. rest needs a batch read as it
+// stands (no selections), the one a row set narrows over.
+func (w *scratch) refine(b *Batch, rs *rowSet, preds []ir.Pred, rest []ir.HPred) ([]int32, error) {
 	sel := iota32[:rs.n()]
 	for _, p := range preds {
 		next, err := predSel(p, b, rs, sel, w.js[:])
@@ -381,6 +386,37 @@ func (w *scratch) refine(b *Batch, rs *rowSet, preds []ir.Pred) ([]int32, error)
 		}
 		sel = next
 		if len(sel) == 0 {
+			return sel, nil
+		}
+	}
+	if len(rest) == 0 {
+		return sel, nil
+	}
+	if len(preds) == 0 {
+		sel = w.js[:copy(w.js[:], sel)] // the identity is nobody's to compact
+	}
+	all := rs.loc
+	defer func() { rs.loc = all }()
+	for _, h := range rest {
+		rs.loc = sel
+		l, err := evalVop(h.L, b, rs)
+		if err != nil {
+			return nil, err
+		}
+		r, err := evalVop(h.R, b, rs)
+		if err != nil {
+			return nil, err
+		}
+		// The operands read through sel, so the survivors land in a
+		// buffer of their own before sel closes up over them.
+		js, err := cmpSel(h.Op, l, r, iota32[:len(sel)], w.gids[:])
+		if err != nil {
+			return nil, err
+		}
+		for k, j := range js { // in place: js ascends
+			sel[k] = sel[j]
+		}
+		if sel = sel[:len(js)]; len(sel) == 0 {
 			break
 		}
 	}
@@ -470,19 +506,19 @@ func (ev *Evaluator) scanMorsels(b *Batch, preds []ir.Pred) morsels {
 	return ms
 }
 
-// filterSel evaluates a conjunction of predicates over the morsels ms of
-// the batch, morsel-parallel, and returns the surviving logical row
-// positions in input order. Each morsel refines its rows in worker
+// filterSel evaluates a conjunction (preds, then rest: see refine) over
+// the morsels ms of the batch, morsel-parallel, and returns the surviving
+// logical row positions in input order. Each morsel refines its rows in worker
 // scratch and commits the survivors to its own range of a buffer drawn
 // through the task; the ranges are then closed up in morsel order, so
 // the selection is byte-identical to the serial scan. It lives as long
 // as the task's other index vectors (task.i32) and is charged as held.
-func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, ms morsels) ([]int32, error) {
+func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, rest []ir.HPred, ms morsels) ([]int32, error) {
 	stage := t.i32(ms.count() * morselRows)
 	kept := make([]int32, ms.count())
 	err := ev.morselRun(t, site, ev.workersFor(ms.rows()), ms, func(w *scratch, k, lo, hi int) error {
 		rs := w.rows(b, lo, hi)
-		js, err := w.refine(b, rs, preds)
+		js, err := w.refine(b, rs, preds, rest)
 		if err != nil {
 			return err
 		}
@@ -506,22 +542,50 @@ func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, 
 	return stage[:total], nil
 }
 
-// MatchContext returns, ascending, the positions of ct's rows that
-// satisfy every predicate, through the same chunk-skipping,
-// morsel-parallel typed filter a scan uses. Column terms address ct's
-// attributes by position. It is how DELETE and UPDATE find their rows
-// without boxing the table; the rows read are charged to the context's
-// budget at site "match". The result is the caller's own: an exact copy
-// of the selection, whose buffer goes back with the task.
-func (ev *Evaluator) MatchContext(ctx context.Context, ct *ColTable, preds []ir.Pred) ([]int32, error) {
+// ChangeContext finds the rows of ct a DELETE or UPDATE lowered to rc
+// changes: their positions, ascending, the rows themselves (olds) and, for
+// an UPDATE, their replacements (news; nil for a DELETE). The match is the
+// chunk-skipping, morsel-parallel typed filter a scan uses (rc.Where
+// prunes chunks and refines first, then rc.Rest: see refine), so a row
+// some conjunct rejected is evaluated by no later one; the rows read are
+// charged to the context's budget at site "match". The assignments are
+// evaluated over the matched rows' old values by the projection's kernel
+// (evalVop), a morsel of them at a time, one expression after the other.
+// Only the matched rows are boxed, and the results are the caller's own:
+// the selection's buffer goes back with the task.
+func (ev *Evaluator) ChangeContext(ctx context.Context, ct *ColTable, rc *ir.RowChange) (pos []int32, olds, news [][]value.Value, err error) {
 	b := &Batch{n: ct.n, cols: ct.cols}
 	t := newTask(ctx)
 	defer t.release(0)
-	sel, err := ev.filterSel(t, "match", b, preds, ev.scanMorsels(b, preds))
+	sel, err := ev.filterSel(t, "match", b, rc.Where, rc.Rest, ev.scanMorsels(b, rc.Where))
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return append(make([]int32, 0, len(sel)), sel...), nil
+	pos = append(make([]int32, 0, len(sel)), sel...)
+	olds = ct.Rows(pos)
+	if len(rc.Set) == 0 {
+		return pos, olds, nil, nil
+	}
+	news = ct.Rows(pos)
+	matched := b.with(len(pos), [][]int32{pos})
+	w := getScratch()
+	defer putScratch(w)
+	for lo := 0; lo < len(pos); lo += morselRows {
+		if err := t.poll(ev, "match"); err != nil {
+			return nil, nil, nil, err
+		}
+		rs := w.rows(matched, lo, min(lo+morselRows, len(pos)))
+		for i, e := range rc.Set {
+			o, err := evalVop(e, matched, rs)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			for j := 0; j < rs.n(); j++ {
+				news[lo+j][rc.SetCols[i]] = o.Value(j)
+			}
+		}
+	}
+	return pos, olds, news, nil
 }
 
 // intsOf returns the operand's cells in the int64 domain as a dense

@@ -129,7 +129,7 @@ func TestFilterKernelMatchesReference(t *testing.T) {
 		for _, w := range propWorkers {
 			ev := NewEvaluator(NewDB(), nil)
 			ev.Workers = w
-			got, err := ev.filterSel(newTask(context.Background()), "scan", b, preds, ev.scanMorsels(b, preds))
+			got, err := ev.filterSel(newTask(context.Background()), "scan", b, preds, nil, ev.scanMorsels(b, preds))
 			if err != nil {
 				t.Fatalf("trial %d workers %d: kernel errored: %v", trial, w, err)
 			}
@@ -696,7 +696,7 @@ func TestPrunedScanMatchesReference(t *testing.T) {
 		for _, w := range []int{1, 4} {
 			ev := NewEvaluator(NewDB(), nil)
 			ev.Workers, ev.Metrics = w, m
-			got, err := ev.filterSel(newTask(context.Background()), "scan", b, preds, ev.scanMorsels(b, preds))
+			got, err := ev.filterSel(newTask(context.Background()), "scan", b, preds, nil, ev.scanMorsels(b, preds))
 			out := &Relation{}
 			aerr := ev.aggregateBatch(newTask(context.Background()), aggQ, b, preds, true, out)
 			if wantErr != nil {

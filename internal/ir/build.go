@@ -317,6 +317,81 @@ func (b *builder) whereTerm(e sqlparser.Expr) (Term, error) {
 	}
 }
 
+// RowChange is the row expressions of a DELETE or UPDATE, resolved
+// against the one table the statement names: column i of the table is
+// ColID i. The WHERE conjuncts come apart by shape, each list in WHERE
+// order: Where holds the conjuncts of the paper's predicate language (a
+// column or a constant on either side), which a scan prunes chunks by
+// and refines first; Rest holds the others (arithmetic on a side). An
+// UPDATE assigns Set[i] to column SetCols[i], every expression reading
+// the row's old values.
+type RowChange struct {
+	Where   []Pred
+	Rest    []HPred
+	SetCols []ColID
+	Set     []Expr
+}
+
+// BuildRowChange lowers a DELETE's or UPDATE's condition (nil: every
+// row) and assignments (none for a DELETE) over a table of the given
+// attributes. Names resolve as in a single-table SELECT, so a column the
+// table lacks — or an aggregate, which a row expression cannot hold — is
+// an error whatever the table's rows are.
+func BuildRowChange(table string, attrs []string, where sqlparser.Expr, set []sqlparser.Assignment) (*RowChange, error) {
+	b := &builder{q: &Query{}, byAlias: map[string]int{}, byAttr: map[string]ColID{}}
+	b.register(table, b.q.AddTable(table, "", attrs))
+	isTerm := func(e sqlparser.Expr) bool {
+		_, lit := e.(*sqlparser.Lit)
+		_, col := e.(*sqlparser.ColumnRef)
+		return lit || col
+	}
+	rc := &RowChange{}
+	for _, c := range sqlparser.Conjuncts(where) {
+		cmp, ok := c.(*sqlparser.BinExpr)
+		if !ok || !sqlparser.IsComparison(cmp.Op) {
+			return nil, fmt.Errorf("ir: WHERE conjunct %s is not a comparison", c.SQL())
+		}
+		if isTerm(cmp.L) && isTerm(cmp.R) {
+			p, err := b.wherePred(c)
+			if err != nil {
+				return nil, err
+			}
+			rc.Where = append(rc.Where, p)
+			continue
+		}
+		l, err := b.rowExpr(cmp.L)
+		if err != nil {
+			return nil, err
+		}
+		r, err := b.rowExpr(cmp.R)
+		if err != nil {
+			return nil, err
+		}
+		rc.Rest = append(rc.Rest, HPred{Op: CompareOp(cmp.Op), L: l, R: r})
+	}
+	for _, a := range set {
+		col, err := b.column(&sqlparser.ColumnRef{Name: a.Col})
+		if err != nil {
+			return nil, err
+		}
+		e, err := b.rowExpr(a.Expr)
+		if err != nil {
+			return nil, err
+		}
+		rc.SetCols, rc.Set = append(rc.SetCols, col), append(rc.Set, e)
+	}
+	return rc, nil
+}
+
+// rowExpr converts an expression evaluated once per row: no aggregates.
+func (b *builder) rowExpr(e sqlparser.Expr) (Expr, error) {
+	out, err := b.expr(e, false)
+	if err == nil && ExprHasAgg(out) {
+		err = fmt.Errorf("ir: aggregate in row expression %s", e.SQL())
+	}
+	return out, err
+}
+
 // CompareOp maps one of the six comparison operators of the SQL grammar
 // (sqlparser.IsComparison) onto its predicate operator; it panics on
 // any other operator.

@@ -8,6 +8,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"aggview/internal/value"
 )
@@ -247,8 +248,9 @@ func (q *Query) NumCols() int { return len(q.Columns) }
 // and attribute names, allocating fresh column IDs; it returns the new
 // table's index.
 func (q *Query) AddTable(source, alias string, attrs []string) int {
-	ti := TableInstance{Source: source, Alias: alias}
+	ti := TableInstance{Source: source, Alias: alias, Cols: make([]ColID, 0, len(attrs))}
 	idx := len(q.Tables)
+	q.Columns = slices.Grow(q.Columns, len(attrs))
 	for pos, attr := range attrs {
 		id := ColID(len(q.Columns))
 		q.Columns = append(q.Columns, Column{ID: id, Table: idx, Pos: pos, Attr: attr})

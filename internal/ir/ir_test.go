@@ -432,3 +432,55 @@ func TestDeriveColNameShapes(t *testing.T) {
 		seen[n] = true
 	}
 }
+
+// TestBuildRowChange pins the lowering of a DELETE's or UPDATE's row
+// expressions: names resolve against the one table (case-insensitively,
+// bare or qualified by it) to its column positions, conjuncts comparing
+// columns and constants land in Where and the others in Rest, each in
+// WHERE order, and what no row expression can hold is an error before any
+// row is read.
+func TestBuildRowChange(t *testing.T) {
+	lower := func(text string) (*RowChange, error) {
+		t.Helper()
+		stmts, err := sqlparser.ParseScript(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		attrs := []string{"K", "F", "S"}
+		if upd, ok := stmts[0].(*sqlparser.Update); ok {
+			return BuildRowChange("T", attrs, upd.Where, upd.Set)
+		}
+		return BuildRowChange("T", attrs, stmts[0].(*sqlparser.Delete).Where, nil)
+	}
+	rc, err := lower("UPDATE T SET s = 'x', F = F * 2 + t.k WHERE K + 1 > F AND 3 < k AND S = T.S AND F / K = 2 AND F BETWEEN 1 AND 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rc.Where) != 4 || len(rc.Rest) != 2 {
+		t.Fatalf("%d column-op-term conjuncts and %d others, want 4 and 2", len(rc.Where), len(rc.Rest))
+	}
+	if p := rc.Where[0]; !p.L.IsConst || p.R.IsConst || p.R.Col != 0 || p.Op != OpLt {
+		t.Errorf("3 < k lowered to %+v", p)
+	}
+	if p := rc.Where[1]; p.L.Col != 2 || p.R.Col != 2 {
+		t.Errorf("S = T.S lowered to %+v", p)
+	}
+	if h := rc.Rest[1]; h.Op != OpEq || h.L.(*Arith).Op != ArithDiv {
+		t.Errorf("F / K = 2 lowered to %+v", h)
+	}
+	if len(rc.Set) != 2 || rc.SetCols[0] != 2 || rc.SetCols[1] != 1 {
+		t.Errorf("assigned columns %v, want [2 1]", rc.SetCols)
+	}
+	if rc, err := lower("DELETE FROM T"); err != nil || len(rc.Where)+len(rc.Rest)+len(rc.Set) != 0 {
+		t.Errorf("unconditional DELETE lowered to %+v, %v", rc, err)
+	}
+	for _, text := range []string{
+		"DELETE FROM T WHERE Z = 1", "DELETE FROM T WHERE K + Z > 1", "DELETE FROM T WHERE U.K = 1",
+		"DELETE FROM T WHERE SUM(K) > 1", "DELETE FROM T WHERE K = COUNT(*) + 1",
+		"UPDATE T SET Z = 1", "UPDATE T SET K = Z", "UPDATE T SET K = MAX(K)",
+	} {
+		if _, err := lower(text); err == nil {
+			t.Errorf("%s: lowered without error", text)
+		}
+	}
+}

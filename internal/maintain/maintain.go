@@ -32,7 +32,7 @@
 // injected at faultinject.SiteMaintain — therefore leaves the database
 // exactly as it was. Readers that pin an engine.Snapshot see either
 // none or all of a batch, never a half-applied mix; maintained
-// materializations install silently (DB.Refresh semantics), so warm
+// materializations install silently (engine.Commit.Silent), so warm
 // prepared plans over a view that absorbed its delta are not evicted.
 package maintain
 
@@ -114,9 +114,10 @@ type state struct {
 	// aggs the positions holding aggregate outputs.
 	groupPos []int
 	aggs     []aggOut
-	// aux is the main delta query: group columns, SUM arguments, and a
-	// trailing COUNT(*) for the multiplicity. sumAt in each aggOut
-	// indexes into its select list.
+	// aux is the main delta query of an incremental view: group columns,
+	// SUM arguments, and a trailing COUNT(*) for the multiplicity (sumAt
+	// in each aggOut indexes into its select list) — or, for a conjunctive
+	// view, the definition itself.
 	aux *ir.Query
 	nAt int // position of COUNT(*) in aux's select
 	// direct counts direct FROM occurrences per lowercased base table;
@@ -126,12 +127,13 @@ type state struct {
 	trans   map[string]bool
 	viaView map[string]bool
 	depth   int // nesting depth over other tracked views, for commit order
-	// groups is the counting state, keyed by group key.
+	// groups is the counting state of an incremental aggregation view,
+	// keyed by group key (nil for any other view); every row of the
+	// materialization is built from it (touched.row), never by executing
+	// the definition.
 	groups map[string]*group
-	// tab is the installed materialization; index maps a group key to
-	// its row position in tab (aggregation views only).
-	tab   *engine.ColTable
-	index map[string]int
+	// tab is the installed materialization.
+	tab *engine.ColTable
 }
 
 type aggOut struct {
@@ -141,17 +143,24 @@ type aggOut struct {
 	mm    *ir.Query // MIN/MAX value-multiplicity delta query; nil otherwise
 }
 
-// group is one group's multiplicity and auxiliary aggregate state.
-type group struct {
+// tally is one group's multiplicity and auxiliary aggregate state.
+type tally struct {
 	groupVals []value.Value
 	n         int64
 	aggs      []aggState
 }
 
+// group is a live group: its tally and the position of its row in the
+// installed materialization.
+type group struct {
+	tally
+	pos int
+}
+
 // aggState is the auxiliary state of one aggregate output in one group.
 type aggState struct {
 	sum  value.Value         // SUM: running total, typed like the engine's fold
-	avg  float64             // AVG: running float total (mirrors engine accum)
+	avg  float64             // AVG: running float total
 	vals map[string]*mmEntry // MIN/MAX: value multiset
 }
 
@@ -165,10 +174,11 @@ func New(db *engine.DB, views *ir.Registry) *Maintainer {
 	return &Maintainer{db: db, views: views, tracked: map[string]*state{}}
 }
 
-// evaluator builds a fresh engine evaluator over the live database.
-func (m *Maintainer) evaluator() *engine.Evaluator {
+// evaluator builds a fresh engine evaluator reading store (nil: the live
+// database).
+func (m *Maintainer) evaluator(store engine.Storage) *engine.Evaluator {
 	ev := engine.NewEvaluator(m.db, m.views)
-	ev.Workers = m.Workers
+	ev.Store, ev.Workers = store, m.Workers
 	return ev
 }
 
@@ -191,35 +201,49 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 	st := &state{def: v}
 	st.reason = classify(v.Def, st)
 	st.incremental = st.reason == ""
-	st.resolveSources(m.views, m.trackedDepthLocked())
+	st.resolveSources(m.views, m.tracked)
 	if st.incremental {
 		st.reason = st.tableFallback()
+		buildAux(st)
 	}
-	rel, err := m.evaluator().ExecContext(ctx, v.Def)
+	tab, groups, err := m.rebuild(ctx, st, nil)
 	if err != nil {
 		return false, err
 	}
-	rel.Attrs = append([]string{}, v.OutCols...)
-	if st.incremental && !st.conjunctive {
-		buildAux(st)
-		if st.groups, err = m.seedGroups(ctx, st, nil); err != nil {
-			return false, err
-		}
-		st.index = indexOf(st, rel)
-	}
-	m.db.Put(v.Name, rel)
-	st.tab, _, _ = m.db.Scan(v.Name)
+	// A loud install, as DB.Put's: plans that evaluated the view on the
+	// fly can now scan it.
+	st.groups, st.tab = groups, m.db.Apply([]engine.Commit{{Name: v.Name, Table: tab}})[0]
 	m.tracked[strings.ToLower(name)] = st
 	return st.incremental, nil
 }
 
-// trackedDepthLocked returns the nesting depth of each tracked view.
-func (m *Maintainer) trackedDepthLocked() map[string]int {
-	d := make(map[string]int, len(m.tracked))
-	for k, st := range m.tracked {
-		d[k] = st.depth
+// rebuild derives a tracked view's materialization, and the counting
+// state that goes with it, from store (nil: the live database) in full:
+// what Track, a recompute inside a batch and Resync each need. An
+// incremental aggregation view is seeded from its delta queries and its
+// rows are built from the seeded groups, each as a group a batch creates
+// (touched.row), in the main delta query's group order — the
+// definition's own, the two sharing FROM, WHERE and GROUP BY. Any other
+// view is its definition, executed, and has no groups.
+func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storage) (*engine.ColTable, map[string]*group, error) {
+	ev := m.evaluator(store)
+	rel := &engine.Relation{Attrs: append([]string{}, st.def.OutCols...)}
+	if !st.incremental || st.conjunctive {
+		res, err := ev.ExecContext(ctx, st.def.Def)
+		if err != nil {
+			return nil, nil, err
+		}
+		rel.Tuples = res.Tuples
+		return engine.BuildColTable(rel), nil, nil
 	}
-	return d
+	order, groups, err := seedGroups(ctx, ev, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, g := range order {
+		rel.Tuples = append(rel.Tuples, (&touched{next: g.tally}).row(st))
+	}
+	return engine.BuildColTable(rel), groups, nil
 }
 
 // classify fills the select-position metadata and names the shape that
@@ -289,69 +313,48 @@ func (st *state) tableFallback() Fallback {
 }
 
 // resolveSources fills the direct/transitive base-table maps, expanding
-// FROM sources that name registry views, and computes the nesting depth
-// over already-tracked views.
-func (st *state) resolveSources(views *ir.Registry, trackedDepth map[string]int) {
-	st.direct = map[string]int{}
-	st.trans = map[string]bool{}
-	st.viaView = map[string]bool{}
-	var expand func(q *ir.Query, nested bool, seen map[string]bool)
-	expand = func(q *ir.Query, nested bool, seen map[string]bool) {
+// FROM sources that name registry views — every base table reached
+// through one is view-mediated (delta-unsafe) — and computes the nesting
+// depth over the already-tracked views.
+func (st *state) resolveSources(views *ir.Registry, tracked map[string]*state) {
+	st.direct, st.trans, st.viaView = map[string]int{}, map[string]bool{}, map[string]bool{}
+	seen := map[string]bool{}
+	var expand func(q *ir.Query, nested bool)
+	expand = func(q *ir.Query, nested bool) {
 		for _, t := range q.Tables {
 			key := strings.ToLower(t.Source)
-			if v, ok := views.Get(t.Source); ok {
-				if !nested {
-					if d, tracked := trackedDepth[key]; tracked && d+1 > st.depth {
-						st.depth = d + 1
-					} else if st.depth == 0 {
-						st.depth = 1
-					}
-				}
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				inner := map[string]bool{}
-				for k := range seen {
-					inner[k] = true
-				}
-				expandNested(v.Def, st, views, inner)
-				continue
-			}
-			st.trans[key] = true
-			if nested {
-				st.viaView[key] = true
-			} else {
+			v, isView := views.Get(t.Source)
+			switch {
+			case !isView && nested:
+				st.trans[key], st.viaView[key] = true, true
+			case !isView:
+				st.trans[key] = true
 				st.direct[key]++
+			default:
+				if under, ok := tracked[key]; !nested && ok && under.depth+1 > st.depth {
+					st.depth = under.depth + 1
+				} else if !nested && st.depth == 0 {
+					st.depth = 1
+				}
+				if !seen[key] {
+					seen[key] = true
+					expand(v.Def, true)
+				}
 			}
 		}
 	}
-	expand(st.def.Def, false, map[string]bool{})
+	expand(st.def.Def, false)
 }
 
-// expandNested marks every base table reachable from a nested view
-// definition as view-mediated (delta-unsafe).
-func expandNested(q *ir.Query, st *state, views *ir.Registry, seen map[string]bool) {
-	for _, t := range q.Tables {
-		key := strings.ToLower(t.Source)
-		if v, ok := views.Get(t.Source); ok {
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			expandNested(v.Def, st, views, seen)
-			continue
-		}
-		st.trans[key] = true
-		st.viaView[key] = true
-	}
-}
-
-// buildAux constructs the delta queries: the main one (group columns,
-// SUM arguments, COUNT(*)) and one value-multiplicity query per MIN/MAX
-// output.
+// buildAux constructs the delta queries of an incremental view: the main
+// one (group columns, SUM arguments, COUNT(*)) and one value-multiplicity
+// query per MIN/MAX output — or, for a conjunctive view, the definition.
 func buildAux(st *state) {
 	def := st.def.Def
+	if st.conjunctive {
+		st.aux = def
+		return
+	}
 	base := def.Clone()
 	base.Distinct = false
 	base.Having = nil
@@ -401,14 +404,6 @@ func keyOf(vals []value.Value) string {
 	key := ""
 	for _, v := range vals {
 		key += v.Key() + "\x00"
-	}
-	return key
-}
-
-func (st *state) groupKey(tuple []value.Value) string {
-	key := ""
-	for _, p := range st.groupPos {
-		key += tuple[p].Key() + "\x00"
 	}
 	return key
 }
@@ -469,14 +464,13 @@ type pending struct {
 	conjAdd, conjDel [][]value.Value
 
 	out *staged
-	// drop and fresh are the index patch of an incremental aggregation
-	// view: vanished row positions (ascending) and the keys of the
-	// appended rows, in append order.
-	drop  []int32
-	fresh []string
-	// newGroups/newIndex replace the counting state after a recompute.
+	// keys are the touched groups' keys, sorted — created groups append
+	// their rows in this order — and drop lists the row positions an
+	// incremental aggregation view's vanished groups leave, ascending.
+	keys []string
+	drop []int32
+	// newGroups replaces the counting state after a recompute.
 	newGroups map[string]*group
-	newIndex  map[string]int
 }
 
 // touched is one group's staged state. next carries the scalars (n,
@@ -485,7 +479,7 @@ type pending struct {
 // its multiset.
 type touched struct {
 	live *group // nil when the batch creates the group
-	next group
+	next tally
 }
 
 // ApplyContext applies an atomic mutation batch: every delta and
@@ -541,11 +535,11 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	tracked := m.sortedTrackedLocked()
 	for _, mut := range muts {
 		key := strings.ToLower(mut.Table)
-		// The mutation's rows as tables of their own, which every
-		// dependent view's delta queries scan in place of the table.
-		attrs := overlay[key].base.Attrs()
-		deleted := engine.BuildColTable(&engine.Relation{Attrs: attrs, Tuples: mut.Deletes})
-		inserted := engine.BuildColTable(&engine.Relation{Attrs: attrs, Tuples: mut.Inserts})
+		// The mutation's rows as tables of their own, which a dependent
+		// view's delta queries scan in place of the table: built for the
+		// first view that reads them, so a write no tracked view depends on
+		// costs what the engine's own append does.
+		var deleted, inserted *engine.ColTable
 		for _, name := range tracked {
 			st := m.tracked[name]
 			if !st.trans[key] {
@@ -567,6 +561,11 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			inj.Observe(faultinject.SiteMaintain, 1)
 			if err := budget.Check(ctx, "maintain.delta"); err != nil {
 				return err
+			}
+			if deleted == nil {
+				attrs := overlay[key].base.Attrs()
+				deleted = engine.BuildColTable(&engine.Relation{Attrs: attrs, Tuples: mut.Deletes})
+				inserted = engine.BuildColTable(&engine.Relation{Attrs: attrs, Tuples: mut.Inserts})
 			}
 			if err := m.applyDeltaLocked(ctx, p, key, committed, deleted, -1); err != nil {
 				return err
@@ -596,23 +595,11 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			if err := budget.Check(ctx, "maintain.recompute"); err != nil {
 				return err
 			}
-			store := &overlayStorage{db: m.db, staged: overlay}
-			ev := m.evaluator()
-			ev.Store = store
-			rel, err := ev.ExecContext(ctx, st.def.Def)
+			tab, groups, err := m.rebuild(ctx, st, &overlayStorage{db: m.db, staged: overlay})
 			if err != nil {
 				return err
 			}
-			rel.Attrs = append([]string{}, st.def.OutCols...)
-			p.out = &staged{whole: engine.BuildColTable(rel)}
-			if st.incremental && !st.conjunctive {
-				// Counting state must be rebuilt to match the fresh
-				// materialization.
-				if p.newGroups, err = m.seedGroups(ctx, st, store); err != nil {
-					return err
-				}
-				p.newIndex = indexOf(st, rel)
-			}
+			p.out, p.newGroups = &staged{whole: tab}, groups
 		case st.conjunctive:
 			drop, ok := st.tab.Locate(p.conjDel)
 			if !ok {
@@ -773,11 +760,10 @@ func (m *Maintainer) applyDeltaLocked(ctx context.Context, p *pending, table str
 		return nil
 	}
 	st := p.st
-	ev := m.evaluator()
-	ev.Store = &overlayStorage{db: m.db, staged: committed, key: table, delta: delta}
+	ev := m.evaluator(&overlayStorage{db: m.db, staged: committed, key: table, delta: delta})
 
 	if st.conjunctive {
-		res, err := ev.ExecContext(ctx, st.def.Def)
+		res, err := ev.ExecContext(ctx, st.aux)
 		if err != nil {
 			return err
 		}
@@ -890,24 +876,21 @@ func (t *touched) liveCount(i int, vk string) int64 {
 // sorted key order, and untouched rows are not looked at.
 func (p *pending) stageAggregation() {
 	st := p.st
-	keys := make([]string, 0, len(p.groups))
+	p.keys = make([]string, 0, len(p.groups))
 	for key := range p.groups {
-		keys = append(keys, key)
+		p.keys = append(p.keys, key)
 	}
-	sort.Strings(keys)
+	sort.Strings(p.keys)
 	var d engine.Delta
-	for _, key := range keys {
-		t := p.groups[key]
-		pos, exists := st.index[key]
-		switch {
-		case exists && t.next.n > 0:
-			d.SetAt = append(d.SetAt, int32(pos))
-			d.SetRows = append(d.SetRows, t.row(st, pos))
-		case exists:
-			p.drop = append(p.drop, int32(pos))
+	for _, key := range p.keys {
+		switch t := p.groups[key]; {
+		case t.live != nil && t.next.n > 0:
+			d.SetAt = append(d.SetAt, int32(t.live.pos))
+			d.SetRows = append(d.SetRows, t.row(st))
+		case t.live != nil:
+			p.drop = append(p.drop, int32(t.live.pos))
 		case t.next.n > 0:
-			p.fresh = append(p.fresh, key)
-			d.Append = append(d.Append, t.row(st, -1))
+			d.Append = append(d.Append, t.row(st))
 		}
 	}
 	sort.Slice(p.drop, func(i, j int) bool { return p.drop[i] < p.drop[j] })
@@ -915,10 +898,10 @@ func (p *pending) stageAggregation() {
 	p.out = &staged{base: st.tab, delta: d}
 }
 
-// row builds a touched group's output tuple from its staged state. pos
-// is the group's row in the installed materialization, -1 for a group
-// the batch creates.
-func (t *touched) row(st *state, pos int) []value.Value {
+// row builds a touched group's output tuple from its staged state: the
+// one definition of a maintained row, for a group a batch patches or
+// creates and for every group of a rebuild alike.
+func (t *touched) row(st *state) []value.Value {
 	g := &t.next
 	tuple := make([]value.Value, len(st.def.Def.Select))
 	for i, p := range st.groupPos {
@@ -933,8 +916,8 @@ func (t *touched) row(st *state, pos int) []value.Value {
 		case ir.AggAvg:
 			tuple[a.pos] = value.Float(g.aggs[i].avg / float64(g.n))
 		case ir.AggMin, ir.AggMax:
-			if pos >= 0 {
-				tuple[a.pos] = t.extremum(i, a.fn, st.tab.Value(pos, a.pos), true)
+			if t.live != nil {
+				tuple[a.pos] = t.extremum(i, a.fn, st.tab.Value(t.live.pos, a.pos), true)
 			} else {
 				tuple[a.pos] = t.extremum(i, a.fn, value.Value{}, false)
 			}
@@ -994,27 +977,32 @@ func (t *touched) extremum(i int, fn ir.AggFunc, cur value.Value, hasCur bool) v
 
 // fold makes the staged outcome the live state once the engine has
 // installed tab. It cannot fail, and it touches only what the batch
-// touched (plus one pass over the index when a group vanished, to shift
-// the positions behind it).
+// touched (plus one pass over the groups when one vanished, to shift the
+// positions behind it).
 func (p *pending) fold(tab *engine.ColTable) {
 	st := p.st
 	n0 := st.tab.NumRows()
 	st.tab = tab
 	if p.recompute {
-		if p.newGroups != nil {
-			st.groups, st.index = p.newGroups, p.newIndex
-		}
+		st.groups = p.newGroups
 		return
 	}
-	for key, t := range p.groups {
+	if len(p.drop) > 0 {
+		for _, g := range st.groups {
+			g.pos -= sort.Search(len(p.drop), func(i int) bool { return int(p.drop[i]) >= g.pos })
+		}
+	}
+	created := 0
+	for _, key := range p.keys {
+		t := p.groups[key]
 		if t.next.n == 0 {
 			delete(st.groups, key)
-			delete(st.index, key)
 			continue
 		}
 		g := t.live
 		if g == nil {
-			g = &group{groupVals: t.next.groupVals, aggs: make([]aggState, len(t.next.aggs))}
+			g = &group{tally{t.next.groupVals, 0, make([]aggState, len(t.next.aggs))}, n0 - len(p.drop) + created}
+			created++
 			st.groups[key] = g
 		}
 		g.n = t.next.n
@@ -1039,46 +1027,28 @@ func (p *pending) fold(tab *engine.ColTable) {
 			}
 		}
 	}
-	if len(p.drop) > 0 {
-		for key, pos := range st.index {
-			below := sort.Search(len(p.drop), func(i int) bool { return int(p.drop[i]) >= pos })
-			st.index[key] = pos - below
-		}
-	}
-	for j, key := range p.fresh {
-		st.index[key] = n0 - len(p.drop) + j
-	}
 }
 
-func indexOf(st *state, rel *engine.Relation) map[string]int {
-	idx := make(map[string]int, len(rel.Tuples))
-	for i, t := range rel.Tuples {
-		idx[st.groupKey(t)] = i
-	}
-	return idx
-}
-
-// seedGroups builds the counting state by running the delta queries
-// against store (nil: the live database) in full.
-func (m *Maintainer) seedGroups(ctx context.Context, st *state, store engine.Storage) (map[string]*group, error) {
-	groups := map[string]*group{}
-	ev := m.evaluator()
-	ev.Store = store
+// seedGroups builds an incremental aggregation view's counting state by
+// running its delta queries through ev in full. The groups come back by
+// key and in the main query's order, each placed (pos) at its rank in it.
+func seedGroups(ctx context.Context, ev *engine.Evaluator, st *state) ([]*group, map[string]*group, error) {
 	main, err := ev.ExecContext(ctx, st.aux)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	k := len(st.groupPos)
-	for _, row := range main.Tuples {
-		g := &group{groupVals: append([]value.Value{}, row[:k]...), aggs: make([]aggState, len(st.aggs))}
-		g.n = row[st.nAt].AsInt()
+	order := make([]*group, len(main.Tuples))
+	groups := make(map[string]*group, len(order))
+	for pos, row := range main.Tuples {
+		g := &group{tally{append([]value.Value{}, row[:k]...), row[st.nAt].AsInt(), make([]aggState, len(st.aggs))}, pos}
 		for i, a := range st.aggs {
 			if a.sumAt >= 0 {
 				g.aggs[i].sum = row[a.sumAt]
 				g.aggs[i].avg = row[a.sumAt].AsFloat()
 			}
 		}
-		groups[keyOf(row[:k])] = g
+		order[pos], groups[keyOf(row[:k])] = g, g
 	}
 	for i, a := range st.aggs {
 		if a.mm == nil {
@@ -1086,12 +1056,12 @@ func (m *Maintainer) seedGroups(ctx context.Context, st *state, store engine.Sto
 		}
 		res, err := ev.ExecContext(ctx, a.mm)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, row := range res.Tuples {
 			g, ok := groups[keyOf(row[:k])]
 			if !ok {
-				return nil, fmt.Errorf("maintain: inconsistent seed for view %s", st.def.Name)
+				return nil, nil, fmt.Errorf("maintain: inconsistent seed for view %s", st.def.Name)
 			}
 			if g.aggs[i].vals == nil {
 				g.aggs[i].vals = map[string]*mmEntry{}
@@ -1100,7 +1070,7 @@ func (m *Maintainer) seedGroups(ctx context.Context, st *state, store engine.Sto
 			g.aggs[i].vals[v.Key()] = &mmEntry{v: v, n: row[k+1].AsInt()}
 		}
 	}
-	return groups, nil
+	return order, groups, nil
 }
 
 // Materialization returns the maintained relation of a tracked view.
@@ -1183,19 +1153,13 @@ func (m *Maintainer) Resync(ctx context.Context, table string) error {
 		if !st.trans[key] {
 			continue
 		}
-		rel, err := m.evaluator().ExecContext(ctx, st.def.Def)
+		tab, groups, err := m.rebuild(ctx, st, nil)
 		if err != nil {
 			return err
 		}
-		rel.Attrs = append([]string{}, st.def.OutCols...)
-		if st.incremental && !st.conjunctive {
-			if st.groups, err = m.seedGroups(ctx, st, nil); err != nil {
-				return err
-			}
-			st.index = indexOf(st, rel)
-		}
-		m.db.Refresh(st.def.Name, rel)
-		st.tab, _, _ = m.db.Scan(st.def.Name)
+		// A silent install: every prepared plan over the view is still
+		// valid, it re-reads storage on each execution.
+		st.groups, st.tab = groups, m.db.Apply([]engine.Commit{{Name: st.def.Name, Table: tab, Silent: true}})[0]
 	}
 	return nil
 }

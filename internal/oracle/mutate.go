@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 
@@ -253,6 +254,10 @@ type MutOutcome struct {
 	// Incremental counts the tracked views maintained by counting
 	// deltas (the rest recompute on every mutation).
 	Incremental int
+	// Modes lists the distinct ways the scenario's views are maintained
+	// (aggview.ViewMode): "incremental", or "recompute:" and the
+	// maintain.Fallback behind it.
+	Modes []string
 	// FaultRuns counts mutation attempts performed under an armed
 	// injector.
 	FaultRuns int
@@ -379,6 +384,15 @@ func serialPass(ctx context.Context, mc *MutationCase, opt MutOptions, out *MutO
 		return err
 	}
 	out.Incremental = inc
+	for _, vm := range sys.ViewModes() {
+		mode := vm.Mode
+		if vm.Reason != "" {
+			mode += ":" + vm.Reason
+		}
+		if !slices.Contains(out.Modes, mode) {
+			out.Modes = append(out.Modes, mode)
+		}
+	}
 	if opt.Tamper != nil {
 		opt.Tamper(sys)
 	}

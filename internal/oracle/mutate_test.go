@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,11 +85,36 @@ func TestMutationHandCase(t *testing.T) {
 	if out.Incremental != 2 {
 		t.Errorf("Incremental = %d, want 2 (SUM/COUNT and AVG views both countable)", out.Incremental)
 	}
+	if len(out.Modes) != 1 || out.Modes[0] != "incremental" {
+		t.Errorf("Modes = %v, want [incremental]", out.Modes)
+	}
 	if out.Steps != len(mc.Steps) {
 		t.Errorf("Steps = %d, want %d", out.Steps, len(mc.Steps))
 	}
 	if out.FaultRuns == 0 {
 		t.Error("fault pass ran no injected mutations")
+	}
+}
+
+// A view of a shape counting deltas cannot maintain is reported under the
+// fallback that decided it, beside the incremental ones.
+func TestMutationModesNameTheFallback(t *testing.T) {
+	mc := handCase()
+	mc.Base.Views = append(mc.Base.Views, &ViewSpec{
+		Name: "Big",
+		Def: QuerySpec{
+			Select:  []string{"Region", "SUM(Amount)"},
+			From:    []string{"Sales"},
+			GroupBy: []string{"Region"},
+			Having:  []string{"SUM(Amount) > 20"},
+		},
+	})
+	out, err := CheckMutation(mc, MutOptions{Readers: -1})
+	if err != nil || !out.OK() {
+		t.Fatalf("CheckMutation: %v, %d violations", err, len(out.Violations))
+	}
+	if !slices.Equal(out.Modes, []string{"incremental", "recompute:having"}) {
+		t.Errorf("Modes = %v, want [incremental recompute:having] (first seen, views in name order)", out.Modes)
 	}
 }
 
@@ -178,7 +204,7 @@ func TestMutationTamperCaughtAndShrinks(t *testing.T) {
 				r[1] = value.Int(r[1].AsInt() + 1)
 				bad.Tuples = append(bad.Tuples, r)
 			}
-			sys.DB.Refresh("Totals", bad)
+			sys.DB.Apply([]engine.Commit{{Name: "Totals", Table: engine.BuildColTable(bad), Silent: true}})
 		},
 	}
 	out, err := CheckMutation(mc, opt)

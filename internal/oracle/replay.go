@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"aggview/internal/sqlparser"
@@ -56,7 +57,7 @@ func Replay(script string) (*Case, error) {
 			if !ok {
 				return nil, fmt.Errorf("oracle: replay: DELETE from undeclared table %s", x.Table)
 			}
-			if err := collapseDelete(t, x.Where); err != nil {
+			if err := collapse(t, x.SQL(), x.Where, nil); err != nil {
 				return nil, err
 			}
 		case *sqlparser.Update:
@@ -64,7 +65,7 @@ func Replay(script string) (*Case, error) {
 			if !ok {
 				return nil, fmt.Errorf("oracle: replay: UPDATE of undeclared table %s", x.Table)
 			}
-			if err := collapseUpdate(t, x); err != nil {
+			if err := collapse(t, x.SQL(), x.Where, x.Set); err != nil {
 				return nil, err
 			}
 		case *sqlparser.QueryStatement:
@@ -84,56 +85,38 @@ func Replay(script string) (*Case, error) {
 	return c, nil
 }
 
-// collapseDelete folds a DELETE into the table's declared rows.
-func collapseDelete(t *TableSpec, where sqlparser.Expr) error {
+// collapse folds a DELETE (set nil) or an UPDATE into the table's declared
+// rows by the reference evaluator (eval.go); assignment expressions see
+// the old row values.
+func collapse(t *TableSpec, stmt string, where sqlparser.Expr, set []sqlparser.Assignment) error {
+	setAt := make([]int, len(set))
+	for i, a := range set {
+		setAt[i] = slices.IndexFunc(t.Cols, func(c string) bool { return strings.EqualFold(c, a.Col) })
+		if setAt[i] < 0 {
+			return fmt.Errorf("oracle: replay: %s: unknown column %q", stmt, a.Col)
+		}
+	}
 	kept := t.Rows[:0:0]
 	for _, row := range t.Rows {
-		hit, err := sqlparser.EvalCond(where, t.Cols, row)
+		hit, err := EvalCond(where, t.Cols, row)
 		if err != nil {
-			return fmt.Errorf("oracle: replay: DELETE FROM %s: %w", t.Name, err)
+			return fmt.Errorf("oracle: replay: %s: %w", stmt, err)
 		}
-		if !hit {
-			kept = append(kept, row)
-		}
-	}
-	t.Rows = kept
-	return nil
-}
-
-// collapseUpdate folds an UPDATE into the table's declared rows;
-// assignment expressions see the old row values.
-func collapseUpdate(t *TableSpec, x *sqlparser.Update) error {
-	setAt := make([]int, len(x.Set))
-	for i, a := range x.Set {
-		setAt[i] = -1
-		for j, c := range t.Cols {
-			if strings.EqualFold(c, a.Col) {
-				setAt[i] = j
-				break
-			}
-		}
-		if setAt[i] < 0 {
-			return fmt.Errorf("oracle: replay: UPDATE %s: unknown column %q", t.Name, a.Col)
-		}
-	}
-	for ri, row := range t.Rows {
-		hit, err := sqlparser.EvalCond(x.Where, t.Cols, row)
-		if err != nil {
-			return fmt.Errorf("oracle: replay: UPDATE %s: %w", t.Name, err)
-		}
-		if !hit {
+		if hit && set == nil {
 			continue
 		}
-		next := append([]value.Value{}, row...)
-		for i, a := range x.Set {
-			v, err := sqlparser.EvalExpr(a.Expr, t.Cols, row)
-			if err != nil {
-				return fmt.Errorf("oracle: replay: UPDATE %s SET %s: %w", t.Name, a.Col, err)
+		if hit {
+			old := row
+			row = append([]value.Value{}, old...)
+			for i, a := range set {
+				if row[setAt[i]], err = EvalExpr(a.Expr, t.Cols, old); err != nil {
+					return fmt.Errorf("oracle: replay: %s: %w", stmt, err)
+				}
 			}
-			next[setAt[i]] = v
 		}
-		t.Rows[ri] = next
+		kept = append(kept, row)
 	}
+	t.Rows = kept
 	return nil
 }
 

@@ -97,6 +97,10 @@ type Server struct {
 
 	// mu serializes mutations against in-flight queries.
 	mu sync.RWMutex
+	// faults, while a fault window is open (/admin/faults), is the
+	// error-injecting store each request lays over its pinned snapshot,
+	// all of them counting down together. Guarded by mu.
+	faults *engine.FaultStorage
 }
 
 // New wraps a loaded system in a serving facade. It installs the plan
@@ -207,54 +211,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx = obs.WithSpan(ctx, span)
 	meter := budget.MeterFrom(ctx)
 
+	// Resolve the plan and pin a consistent version of every relation
+	// under a brief read lock, then run lock-free. Mutation batches
+	// installing new relation versions concurrently never disturb the
+	// pinned ones, so the query reads one materialization state end to end
+	// and writers are not stalled behind long scans. An open fault window
+	// fails the scans of the pinned versions: the same path, one store
+	// laid over another.
 	var (
-		res       *engine.ColTable
-		used      []string
-		verdict   string
-		repro     string
-		slow      bool
-		elapsedNs int64
+		res   *engine.ColTable
+		snap  *engine.Snapshot
+		store engine.Storage
 	)
 	s.mu.RLock()
-	if s.sys.Store == nil {
-		// Snapshot-pinned execution: resolve the plan and pin a
-		// consistent version of every relation under a brief read lock,
-		// then run lock-free. Mutation batches installing new relation
-		// versions concurrently never disturb the pinned ones, so the
-		// query reads one materialization state end to end and writers
-		// are not stalled behind long scans.
-		var p *aggview.Prepared
-		var snap *engine.Snapshot
-		p, verdict, err = s.resolve(ctx, req.SQL)
-		if err == nil {
-			snap = s.sys.DB.Snapshot()
+	p, verdict, err := s.resolve(ctx, req.SQL)
+	if err == nil {
+		snap = s.sys.DB.Snapshot()
+		store = snap
+		if s.faults != nil {
+			store = s.faults.Over(snap)
 		}
-		s.mu.RUnlock()
-		if err == nil {
-			if res, err = s.sys.ExecPreparedColumns(ctx, p, snap); err == nil {
-				used = p.Used
-			}
-		}
-		elapsedNs = time.Since(start).Nanoseconds()
-		slow = err == nil && s.slow.Enabled() && cfg.SlowQueryNs > 0 && elapsedNs >= cfg.SlowQueryNs
-		if slow {
-			// The pinned snapshot is immutable, so the repro renders
-			// exactly the state the query read — no lock needed.
-			repro = s.script(snap.Relation) + req.SQL + ";\n"
-		}
-	} else {
-		// Fault-window path: the error-injecting Store backend must see
-		// live scans, so execution stays under the read lock, and the
-		// slow-query repro renders under the same lock (mutations take
-		// the write lock and cannot interleave).
-		res, used, verdict, err = s.execute(ctx, req.SQL)
-		elapsedNs = time.Since(start).Nanoseconds()
-		slow = err == nil && s.slow.Enabled() && cfg.SlowQueryNs > 0 && elapsedNs >= cfg.SlowQueryNs
-		if slow {
-			repro = s.scriptLocked() + req.SQL + ";\n"
-		}
-		s.mu.RUnlock()
 	}
+	s.mu.RUnlock()
+	if err == nil {
+		res, err = s.sys.ExecPreparedColumns(ctx, p, store)
+	}
+	elapsedNs := time.Since(start).Nanoseconds()
 
 	span.SetCache(verdict)
 	span.SetBudget(meter.Rows(), meter.Candidates(), meter.Mem())
@@ -264,7 +246,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := s.finishSpan(span, tenant, meter, nil)
-	if slow {
+	if s.slow.Enabled() && cfg.SlowQueryNs > 0 && elapsedNs >= cfg.SlowQueryNs {
+		// The pinned snapshot is immutable, so the repro renders exactly
+		// the state the query read — no lock needed.
 		attrs, rows := EncodeRelation(res.Relation())
 		s.slow.Add(SlowEntry{
 			Tenant:      tenant,
@@ -272,7 +256,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			ElapsedNs:   elapsedNs,
 			ThresholdNs: cfg.SlowQueryNs,
 			Cache:       verdict,
-			Script:      repro,
+			Script:      s.script(snap.Relation) + req.SQL + ";\n",
 			Attrs:       attrs,
 			Rows:        rows,
 			Span:        rec,
@@ -282,7 +266,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	handledNs := time.Since(start).Nanoseconds() // as elapsedNs, encoding is not part of it
 
 	buf := bodyPool.Get().(*[]byte)
-	body, ok := appendQueryColumns((*buf)[:0], res, used, verdict, elapsedNs)
+	body, ok := appendQueryColumns((*buf)[:0], res, p.Used, verdict, elapsedNs)
 	if ok {
 		s.metrics.Volatile("server.tenant." + tenantLabel(tenant) + ".ok").Inc()
 		s.metrics.Latency("server.latency." + tenantLabel(tenant)).Observe(elapsedNs)
@@ -356,106 +340,69 @@ func (s *Server) resolve(ctx context.Context, sql string) (*aggview.Prepared, st
 	return p, verdict, nil
 }
 
-// execute resolves the query through the plan cache and runs it against
-// live storage. Caller holds the read lock for the full duration.
-func (s *Server) execute(ctx context.Context, sql string) (*engine.ColTable, []string, string, error) {
-	p, verdict, err := s.resolve(ctx, sql)
-	if err != nil {
-		return nil, nil, verdict, err
+// handleWrite is the one shape of /insert, /delete and /update: decode the
+// request into req, pass admission under its tenant, apply it — apply
+// takes the write lock around its call into the system — and answer with
+// what apply reports or a typed error. Tracked views are maintained by
+// the facade inside the same atomic batch; the database's invalidation
+// hook then evicts every cached plan that scans the mutated base relation,
+// while plans ranging only over maintained views survive warm (their
+// materializations are already current) — either way a stale answer
+// through the cache is impossible.
+func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, req any, tenant *string, counter string, apply func(context.Context) (any, error)) {
+	if err := decodeBody(r, req); err != nil {
+		s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
+		return
 	}
-	res, err := s.sys.ExecPreparedColumns(ctx, p, s.sys.Store)
+	_, release, err := s.adm.Acquire(r.Context(), *tenant)
 	if err != nil {
-		return nil, nil, verdict, err
+		s.writeTypedError(w, *tenant, err)
+		return
 	}
-	return res, p.Used, verdict, nil
+	defer release()
+	resp, err := apply(r.Context())
+	if err != nil {
+		s.writeMutationError(w, *tenant, err)
+		return
+	}
+	s.metrics.Volatile(counter).Inc()
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleInsert appends rows to a base table under the write lock.
-// Tracked views are maintained incrementally by the facade inside the
-// same atomic batch; the database's invalidation hook then evicts every
-// cached plan that scans the mutated base relation, while plans ranging
-// only over maintained views survive warm (their materializations are
-// already current) — either way a stale answer through the cache is
-// impossible.
+// handleInsert appends rows to a base table.
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req InsertRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
-		return
-	}
-	_, release, err := s.adm.Acquire(r.Context(), req.Tenant)
-	if err != nil {
-		s.writeTypedError(w, req.Tenant, err)
-		return
-	}
-	defer release()
-	rows, err := DecodeRows(req.Rows)
-	if err != nil {
-		s.writeError(w, req.Tenant, ErrKindBadRequest, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	err = s.sys.InsertContext(r.Context(), req.Table, rows...)
-	s.mu.Unlock()
-	if err != nil {
-		s.writeMutationError(w, req.Tenant, err)
-		return
-	}
-	s.metrics.Volatile("server.inserts").Inc()
-	writeJSON(w, http.StatusOK, InsertResponse{Inserted: len(rows)})
+	s.handleWrite(w, r, &req, &req.Tenant, "server.inserts", func(ctx context.Context) (any, error) {
+		rows, err := DecodeRows(req.Rows)
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return InsertResponse{Inserted: len(rows)}, s.sys.InsertContext(ctx, req.Table, rows...)
+	})
 }
 
-// handleDelete removes matching rows from a base table under the write
-// lock. Maintained views absorb the deletion inside the same atomic
-// batch (counting maintenance), so cached plans that range only over
-// such views survive; plans scanning the base table are evicted by the
-// invalidation hook as usual.
+// handleDelete removes matching rows from a base table.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req DeleteRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
-		return
-	}
-	_, release, err := s.adm.Acquire(r.Context(), req.Tenant)
-	if err != nil {
-		s.writeTypedError(w, req.Tenant, err)
-		return
-	}
-	defer release()
-	s.mu.Lock()
-	n, err := s.sys.DeleteContext(r.Context(), req.Table, req.Where)
-	s.mu.Unlock()
-	if err != nil {
-		s.writeMutationError(w, req.Tenant, err)
-		return
-	}
-	s.metrics.Volatile("server.deletes").Inc()
-	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: n})
+	s.handleWrite(w, r, &req, &req.Tenant, "server.deletes", func(ctx context.Context) (any, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		n, err := s.sys.DeleteContext(ctx, req.Table, req.Where)
+		return DeleteResponse{Deleted: n}, err
+	})
 }
 
-// handleUpdate rewrites matching rows of a base table under the write
-// lock; maintenance semantics match handleDelete.
+// handleUpdate rewrites matching rows of a base table.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
-		return
-	}
-	_, release, err := s.adm.Acquire(r.Context(), req.Tenant)
-	if err != nil {
-		s.writeTypedError(w, req.Tenant, err)
-		return
-	}
-	defer release()
-	s.mu.Lock()
-	n, err := s.sys.UpdateContext(r.Context(), req.Table, req.Set, req.Where)
-	s.mu.Unlock()
-	if err != nil {
-		s.writeMutationError(w, req.Tenant, err)
-		return
-	}
-	s.metrics.Volatile("server.updates").Inc()
-	writeJSON(w, http.StatusOK, UpdateResponse{Updated: n})
+	s.handleWrite(w, r, &req, &req.Tenant, "server.updates", func(ctx context.Context) (any, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		n, err := s.sys.UpdateContext(ctx, req.Table, req.Set, req.Where)
+		return UpdateResponse{Updated: n}, err
+	})
 }
 
 // handleFaults installs (k > 0) or clears (k = 0) an error-injecting
@@ -467,10 +414,9 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
+	s.faults = nil
 	if req.K > 0 {
-		s.sys.Store = engine.NewFaultStorage(s.sys.DB, req.K)
-	} else {
-		s.sys.Store = nil
+		s.faults = engine.NewFaultStorage(s.sys.DB, req.K)
 	}
 	s.mu.Unlock()
 	s.metrics.Volatile("server.faults.toggle").Inc()
@@ -505,15 +451,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // can build a local reference system to check served answers against.
 func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	script := s.scriptLocked()
+	script := s.script(s.sys.DB.Get)
 	s.mu.RUnlock()
 	w.Header().Set("Content-Type", "application/sql")
 	_, _ = io.WriteString(w, script)
 }
-
-// scriptLocked renders the replayable state script from live storage;
-// the caller must hold at least the read lock.
-func (s *Server) scriptLocked() string { return s.script(s.sys.DB.Get) }
 
 // script renders the replayable state script, reading table contents
 // through get — the live database (under a lock) or a pinned snapshot

@@ -169,21 +169,6 @@ func TestServerStaleImpossible(t *testing.T) {
 	}
 }
 
-// blockingStorage parks every Scan on a gate channel, simulating a
-// storage backend that is slow enough for the client to give up.
-type blockingStorage struct {
-	inner   engine.Storage
-	gate    chan struct{}
-	scanned chan struct{}
-	once    sync.Once
-}
-
-func (b *blockingStorage) Scan(name string) (*engine.ColTable, bool, error) {
-	b.once.Do(func() { close(b.scanned) })
-	<-b.gate
-	return b.inner.Scan(name)
-}
-
 // TestServerDeleteUpdate pins the mutation endpoints end to end: rows
 // removed and rewritten over the wire propagate into the maintained
 // view, served answers stay bag-equal to direct evaluation, and the
@@ -244,35 +229,22 @@ func TestServerDeleteUpdate(t *testing.T) {
 // drains — no leak.
 func TestServerDisconnectCancels(t *testing.T) {
 	sys := servedSystem(t)
-	bs := &blockingStorage{inner: sys.DB, gate: make(chan struct{}), scanned: make(chan struct{})}
-	sys.Store = bs
 	c, _ := testClient(t, sys, Config{})
 
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Query(ctx, "SELECT region FROM Sales")
-		done <- err
-	}()
-
-	<-bs.scanned // the engine is inside the blocked scan
-	cancel()     // client disconnects
-	close(bs.gate)
-
-	select {
-	case err := <-done:
-		var we *WireError
-		if !errors.As(err, &we) || we.Kind != ErrKindCanceled {
-			t.Fatalf("disconnected query returned %v, want typed %s", err, ErrKindCanceled)
-		}
-		if we.Status != http.StatusGatewayTimeout {
-			t.Fatalf("status=%d, want 504", we.Status)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("disconnected query never unwound")
+	// The injector cancels the request context as the engine reaches its
+	// first base-table scan: the client is gone mid-query.
+	ctx, cancel := faultinject.New(faultinject.SiteStorage, 1).Arm(context.Background())
+	defer cancel()
+	_, err := c.Query(ctx, "SELECT region FROM Sales")
+	var we *WireError
+	if !errors.As(err, &we) || we.Kind != ErrKindCanceled {
+		t.Fatalf("disconnected query returned %v, want typed %s", err, ErrKindCanceled)
+	}
+	if we.Status != http.StatusGatewayTimeout {
+		t.Fatalf("status=%d, want 504", we.Status)
 	}
 
 	leaked := 0
@@ -623,7 +595,7 @@ func TestServerRejectsTrailingBytes(t *testing.T) {
 	if n, _ := sys.DB.NumRows("Sales"); n != rowsBefore {
 		t.Errorf("a rejected body was executed: Sales went from %d to %d rows", rowsBefore, n)
 	}
-	if sys.Store != nil {
+	if srv.faults != nil {
 		t.Error("a rejected /admin/faults body installed a fault store")
 	}
 	if got := srv.metrics.Volatile("server.requests").Load(); got != 0 {
