@@ -42,10 +42,10 @@ bench-pair:
 
 # loc prints the net Go lines of the working tree against REV per
 # package, split into non-test, test and bench/, as the markdown table
-# CHANGES.md carries; MOVED="old.go:new.go ..." counts files that moved
-# by what changed in them.
+# CHANGES.md carries; lines git's move detection marks as moved are
+# counted in a column of their own, not as added or removed.
 loc:
-	sh scripts/loc.sh $(REV) $(foreach m,$(MOVED),--moved $(m))
+	sh scripts/loc.sh $(REV)
 
 # trace runs the rewrite-search tracer over the bundled catalog and
 # replays the written report to prove the trace round-trips losslessly

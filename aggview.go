@@ -476,6 +476,9 @@ func (s *System) ViewModes() []ViewMode {
 }
 
 // SetRelation installs a pre-built relation as a base table's extension.
+// Its columns must each hold one kind, by the rule an insert into an empty
+// table follows; a foreign value is refused with the insert's
+// *engine.KindError and nothing is installed.
 func (s *System) SetRelation(table string, rel *Result) error {
 	t, ok := s.Catalog.Table(table)
 	if !ok {
@@ -484,7 +487,11 @@ func (s *System) SetRelation(table string, rel *Result) error {
 	if len(rel.Attrs) != len(t.Columns) {
 		return fmt.Errorf("aggview: relation arity %d does not match table %s", len(rel.Attrs), t.Name)
 	}
-	s.DB.Put(t.Name, rel)
+	empty, d := engine.BuildColTable(engine.NewRelation(rel.Attrs...)), engine.Delta{Append: rel.Tuples}
+	if err := empty.Conform(t.Name, &d); err != nil {
+		return err
+	}
+	s.DB.Apply([]engine.Commit{{Name: t.Name, Base: empty, Delta: d}})
 	// The counting state of the tracked views over the table was derived
 	// from the old extension; the maintainer rebuilds it (and their
 	// materializations) from the replacement.

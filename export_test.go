@@ -19,3 +19,10 @@ func (s *System) ChangedRows(ctx context.Context, table string, where sqlparser.
 	pos, _, news, err = s.changedRows(ctx, t, where, set)
 	return pos, news, err
 }
+
+// GroupCounts exposes the maintainer's per-group row counts of a tracked
+// view, which the kind-rule property test holds unchanged across a
+// refused write.
+func (s *System) GroupCounts(name string) (map[string]int64, bool) {
+	return s.maint.GroupCounts(name)
+}

@@ -5,40 +5,31 @@ import (
 	"aggview/internal/value"
 )
 
-// kindMixed marks a vector whose cells do not all share one scalar
-// kind; such vectors store boxed values and the kernels fall back to
-// row-at-a-time evaluation over them.
-const kindMixed value.Kind = 0xff
-
 // Vec is one typed vector of cells: a chunk of a stored column, or a
 // vector a kernel computed for one morsel. Exactly one payload slice is
 // active, selected by kind: ints carries KindInt and KindBool (0/1)
-// cells, floats carries KindFloat, strs carries KindString, and vals
-// carries the boxed cells of a mixed-kind column. A vector's cells are
-// immutable once built — kernels share them freely across batches and
-// goroutines and produce new vectors instead of writing in place. The
-// one writer is the store: a stored table's last chunk may carry spare
-// capacity past its length, which DB.Apply fills for the next version
-// (storage.go).
+// cells, floats carries KindFloat and strs carries KindString. A
+// vector's cells are immutable once built — kernels share them freely
+// across batches and goroutines and produce new vectors instead of
+// writing in place. The one writer is the store: a stored table's last
+// chunk may carry spare capacity past its length, which DB.Apply fills
+// for the next version (storage.go).
 type Vec struct {
 	kind   value.Kind
 	ints   []int64
 	floats []float64
 	strs   []string
-	vals   []value.Value
 }
 
 // Len returns the number of cells.
 func (v *Vec) Len() int {
 	switch v.kind {
-	case value.KindInt, value.KindBool:
-		return len(v.ints)
 	case value.KindFloat:
 		return len(v.floats)
 	case value.KindString:
 		return len(v.strs)
 	default:
-		return len(v.vals)
+		return len(v.ints)
 	}
 }
 
@@ -51,10 +42,8 @@ func (v *Vec) Value(i int) value.Value {
 		return value.Bool(v.ints[i] != 0)
 	case value.KindFloat:
 		return value.Float(v.floats[i])
-	case value.KindString:
-		return value.Str(v.strs[i])
 	default:
-		return v.vals[i]
+		return value.Str(v.strs[i])
 	}
 }
 
@@ -62,71 +51,39 @@ func (v *Vec) Value(i int) value.Value {
 // (see cellBytes).
 func (v *Vec) bytes() int64 { return cellBytes(v.kind) * int64(v.Len()) }
 
-// vecFromValues builds a vector from boxed values, detecting a uniform
-// scalar kind in one pass and falling back to a mixed vector otherwise.
-func vecFromValues(vals []value.Value) *Vec {
-	if len(vals) == 0 {
-		return &Vec{kind: value.KindInt}
+// intPayload returns the int64 an int or bool cell is stored as (a bool
+// as 0/1).
+func intPayload(x value.Value) int64 {
+	if x.Kind() == value.KindBool {
+		if x.AsBool() {
+			return 1
+		}
+		return 0
 	}
-	kind := vals[0].Kind()
-	for _, v := range vals[1:] {
-		if v.Kind() != kind {
-			return &Vec{kind: kindMixed, vals: vals}
-		}
+	return x.AsInt()
+}
+
+// fill returns n copies of x.
+func fill[T any](n int, x T) []T {
+	xs := make([]T, n)
+	for i := range xs {
+		xs[i] = x
 	}
-	out := &Vec{kind: kind}
-	switch kind {
-	case value.KindInt:
-		xs := make([]int64, len(vals))
-		for i, v := range vals {
-			xs[i] = v.AsInt()
-		}
-		out.ints = xs
-	case value.KindBool:
-		xs := make([]int64, len(vals))
-		for i, v := range vals {
-			if v.AsBool() {
-				xs[i] = 1
-			}
-		}
-		out.ints = xs
+	return xs
+}
+
+// broadcast returns the constant c as a vector of n cells of its kind.
+func broadcast(c value.Value, n int) Vec {
+	v := Vec{kind: c.Kind()}
+	switch v.kind {
 	case value.KindFloat:
-		xs := make([]float64, len(vals))
-		for i, v := range vals {
-			xs[i] = v.AsFloat()
-		}
-		out.floats = xs
+		v.floats = fill(n, c.AsFloat())
 	case value.KindString:
-		xs := make([]string, len(vals))
-		for i, v := range vals {
-			xs[i] = v.AsString()
-		}
-		out.strs = xs
+		v.strs = fill(n, c.AsString())
 	default:
-		return &Vec{kind: kindMixed, vals: vals}
+		v.ints = fill(n, intPayload(c))
 	}
-	return out
-}
-
-// colVecOf extracts column pos of a row-major tuple set into a vector.
-func colVecOf(tuples [][]value.Value, pos int) *Vec {
-	vals := make([]value.Value, len(tuples))
-	for i, t := range tuples {
-		vals[i] = t[pos]
-	}
-	return vecFromValues(vals)
-}
-
-// batchFromRows builds a batch from full-width rows indexed by ColID,
-// detecting uniform column kinds and chunking them as a stored table's.
-// It is the bridge from row-major data used by tests and reference
-// implementations.
-func batchFromRows(rows [][]value.Value, width int) *Batch {
-	b := &Batch{n: len(rows), cols: make([]*column, width)}
-	for pos := 0; pos < width; pos++ {
-		b.cols[pos] = columnOf(rows, pos)
-	}
-	return b
+	return v
 }
 
 // Batch is the intermediate relation flowing between operators: n

@@ -103,10 +103,10 @@ func TestExtremeKeysTakeTheHashPath(t *testing.T) {
 // table existed — by hashing when both sides are int, through the key
 // bytes otherwise — and so is a narrow int column met by a float one.
 func TestBuildColumnWithoutRangeFallsBack(t *testing.T) {
-	ints := columnOf([][]value.Value{{value.Int(3)}, {value.Int(9)}}, 0)
-	bools := columnOf([][]value.Value{{value.Bool(true)}, {value.Bool(false)}}, 0)
-	floats := columnOf([][]value.Value{{value.Float(3)}, {value.Float(9)}}, 0)
-	unranged := columnOf([][]value.Value{{value.Int(3)}, {value.Int(9)}}, 0)
+	ints := columnOf([][]value.Value{{value.Int(3)}, {value.Int(9)}}, 0, value.KindInt)
+	bools := columnOf([][]value.Value{{value.Bool(true)}, {value.Bool(false)}}, 0, value.KindBool)
+	floats := columnOf([][]value.Value{{value.Float(3)}, {value.Float(9)}}, 0, value.KindFloat)
+	unranged := columnOf([][]value.Value{{value.Int(3)}, {value.Int(9)}}, 0, value.KindInt)
 	unranged.chunks[0].ranged = false
 	empty := &column{kind: value.KindInt}
 	for _, tc := range []struct {

@@ -211,7 +211,7 @@ func (ev *Evaluator) projectBatch(t *task, q *ir.Query, b *Batch) (*ColTable, er
 		rs := w.rows(b, lo, hi)
 		part := make([]Vec, len(q.Select))
 		for c, it := range q.Select {
-			o, err := evalVop(it.Expr, b, rs)
+			o, err := evalVop(it.Expr, rs)
 			if err != nil {
 				return err
 			}
@@ -229,15 +229,15 @@ func (ev *Evaluator) projectBatch(t *task, q *ir.Query, b *Batch) (*ColTable, er
 
 // distinctRows returns ct without the rows that repeat an earlier one.
 // The columns are the keys of a group index fed a chunk at a time — typed
-// cells, or the canonical key bytes when a column holds floats or mixed
-// kinds, exactly as GROUP BY numbers groups — and the rows that created a
-// group are the first appearances, in order.
+// cells, or the canonical key bytes when a column holds floats, exactly
+// as GROUP BY numbers groups — and the rows that created a group are the
+// first appearances, in order.
 func distinctRows(ct *ColTable) *ColTable {
 	w := getScratch()
 	defer putScratch(w)
 	var gk groupKeys
 	for _, col := range ct.cols {
-		gk.byKey = gk.byKey || col.kind == value.KindFloat || col.kind == kindMixed
+		gk.byKey = gk.byKey || col.kind == value.KindFloat
 	}
 	w.gi.reset(&gk)
 	keep := make([]int32, 0, ct.n)

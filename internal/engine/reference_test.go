@@ -15,6 +15,21 @@ import (
 	"aggview/internal/value"
 )
 
+// batchFromRows builds a batch from full-width rows indexed by ColID,
+// stored as a table would store them (BuildColTable). It is the bridge
+// from row-major data used by tests and reference implementations.
+func batchFromRows(rows [][]value.Value, width int) *Batch {
+	ct := BuildColTable(&Relation{Attrs: make([]string, width), Tuples: rows})
+	return &Batch{n: len(rows), cols: ct.cols}
+}
+
+// stored returns rows as a table of width columns stores them: what a
+// reference reads of the rows batchFromRows hands the kernels (a column
+// of ints and floats comes back as floats).
+func stored(rows [][]value.Value, width int) [][]value.Value {
+	return BuildColTable(&Relation{Attrs: make([]string, width), Tuples: rows}).Relation().Tuples
+}
+
 // aggregateBatch is aggregate as the property tests were written against
 // it: the result boxed into out's tuples.
 func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.Pred, fused bool, out *Relation) error {
@@ -40,6 +55,76 @@ func termValue(t ir.Term, row []value.Value) value.Value {
 		return t.Val
 	}
 	return row[t.Col]
+}
+
+// accum is the boxed state of one aggregate over one group, the
+// row-at-a-time reference the typed fold (vagg.go) is held to. Rows are
+// absorbed in input order.
+type accum struct {
+	fn   ir.AggFunc
+	arg  ir.Expr // nil for COUNT(*) and bare COUNT
+	rows int64
+	seen bool
+	sum  value.Value // SUM: running total, typed by the earliest value
+	avg  float64     // AVG: running float total
+	best value.Value // MIN/MAX: current extremum
+}
+
+// absorb folds one evaluated argument value into the accumulator, for
+// every aggregate except COUNT, whose argument check happens on the
+// group representative instead.
+func (ac *accum) absorb(v value.Value) error {
+	ac.rows++
+	switch ac.fn {
+	case ir.AggMin, ir.AggMax:
+		if !ac.seen {
+			ac.best, ac.seen = v, true
+			return nil
+		}
+		if !value.Comparable(ac.best, v) {
+			return fmt.Errorf("engine: %s over incomparable values %s and %s", ac.fn, ac.best, v)
+		}
+		c := value.Compare(v, ac.best)
+		if (ac.fn == ir.AggMin && c < 0) || (ac.fn == ir.AggMax && c > 0) {
+			ac.best = v
+		}
+	case ir.AggSum:
+		if !v.IsNumeric() {
+			return fmt.Errorf("engine: SUM over non-numeric value %s", v)
+		}
+		if !ac.seen {
+			ac.sum, ac.seen = v, true
+			return nil
+		}
+		var err error
+		ac.sum, err = value.Add(ac.sum, v)
+		return err
+	case ir.AggAvg:
+		if !v.IsNumeric() {
+			return fmt.Errorf("engine: AVG over non-numeric value %s", v)
+		}
+		ac.avg += v.AsFloat()
+	default:
+		return fmt.Errorf("engine: unknown aggregate %v", ac.fn)
+	}
+	return nil
+}
+
+// result finalizes the accumulator into the aggregate's value.
+func (ac *accum) result() (value.Value, error) {
+	if ac.arg == nil || ac.fn == ir.AggCount {
+		return value.Int(ac.rows), nil
+	}
+	switch ac.fn {
+	case ir.AggMin, ir.AggMax:
+		return ac.best, nil
+	case ir.AggSum:
+		return ac.sum, nil
+	case ir.AggAvg:
+		return value.Float(ac.avg / float64(ac.rows)), nil
+	default:
+		return value.Value{}, fmt.Errorf("engine: unknown aggregate %v", ac.fn)
+	}
 }
 
 // fold absorbs one row into the accumulator: the row-at-a-time

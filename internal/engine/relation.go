@@ -201,7 +201,9 @@ func (db *DB) advanceLocked(key string, base *ColTable, d *Delta) *ColTable {
 // buffer with r or with another database r was Put into, and later
 // changes to r are not observed. The invalidation hook fires: a
 // wholesale replacement can make any dependent plan or materialization
-// stale.
+// stale. Like every install it takes rows as they come: a column whose
+// cells no one kind holds panics (BuildColTable); a write of rows from
+// users goes through ColTable.Conform first.
 func (db *DB) Put(name string, r *Relation) {
 	db.Apply([]Commit{{Name: name, Table: BuildColTable(r)}})
 }
@@ -212,27 +214,16 @@ func (db *DB) Put(name string, r *Relation) {
 // snapshots keep their own length — and fires the invalidation hook. It
 // reports whether the relation exists.
 func (db *DB) Append(name string, rows ...[]value.Value) bool {
-	key := lowerKey(name)
-	db.mu.Lock()
-	cur, ok := db.tabs[key]
-	if !ok {
-		db.mu.Unlock()
-		return false
-	}
-	db.advanceLocked(key, cur, &Delta{Append: rows})
-	fn := db.onInvalidate
-	db.mu.Unlock()
-	if fn != nil {
-		fn(key)
-	}
-	return true
+	return db.Apply([]Commit{{Name: name, Delta: Delta{Append: rows}}})[0] != nil
 }
 
 // Commit is one relation install inside an atomic Apply batch: either a
 // whole replacement (Table, which the database takes ownership of and
 // which must not be installed anywhere else) or Delta applied to the
-// version Base. Silent commits (maintained views that absorbed a delta)
-// skip the invalidation hook; loud ones (base tables) fire it.
+// version Base — the installed one when Base is nil, and nothing at all
+// when no relation of the name is installed. Silent commits (maintained
+// views that absorbed a delta) skip the invalidation hook; loud ones
+// (base tables) fire it.
 type Commit struct {
 	Name   string
 	Table  *ColTable
@@ -244,32 +235,44 @@ type Commit struct {
 // Apply installs a batch atomically with respect to Snapshot: a
 // snapshot taken by a concurrent reader sees either none or all of the
 // batch, never a half-applied mix. It returns the installed versions in
-// batch order. Invalidation hooks for loud commits fire after the lock
-// is released, in batch order.
+// batch order (nil for a commit that installed nothing). Invalidation
+// hooks for loud commits fire after the lock is released, in batch
+// order.
 func (db *DB) Apply(batch []Commit) []*ColTable {
-	installed := make([]*ColTable, len(batch))
-	db.mu.Lock()
-	var loud []string
-	for i, c := range batch {
-		key := lowerKey(c.Name)
-		if c.Table != nil {
-			db.installLocked(key, c.Table)
-			installed[i] = c.Table
-		} else {
-			installed[i] = db.advanceLocked(key, c.Base, &c.Delta)
-		}
-		if !c.Silent {
-			loud = append(loud, key)
-		}
-	}
-	fn := db.onInvalidate
-	db.mu.Unlock()
+	installed, loud, fn := db.install(batch)
 	if fn != nil {
 		for _, key := range loud {
 			fn(key)
 		}
 	}
 	return installed
+}
+
+// install is Apply's critical section. The lock is released on the way
+// out of a panic too: a delta that breaks the kind rule panics in derive.
+func (db *DB) install(batch []Commit) (installed []*ColTable, loud []string, fn func(string)) {
+	installed = make([]*ColTable, len(batch))
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for i, c := range batch {
+		key := lowerKey(c.Name)
+		cur, ok := db.tabs[key]
+		switch {
+		case c.Table != nil:
+			db.installLocked(key, c.Table)
+			installed[i] = c.Table
+		case c.Base != nil:
+			installed[i] = db.advanceLocked(key, c.Base, &c.Delta)
+		case ok:
+			installed[i] = db.advanceLocked(key, cur, &c.Delta)
+		default:
+			continue
+		}
+		if !c.Silent {
+			loud = append(loud, key)
+		}
+	}
+	return installed, loud, db.onInvalidate
 }
 
 // Get boxes a relation's rows into a fresh Relation. It costs O(rows x

@@ -21,13 +21,15 @@ var iota32 = func() (a [morselRows]int32) {
 }()
 
 // rowSet is the set of rows one morsel of a pipeline works on: the rows
-// lo+loc[j] of the batch's logical row space, the morsel starting at lo.
-// A bound table the batch carries no selection for is read as it stands
-// — the morsel is chunk number chunk of each of its columns and loc[j] is
-// row j's cell in it; for any other table idx[t][j] is the physical row
+// lo+loc[j] of b's logical row space, the morsel starting at lo. A bound
+// table the batch carries no selection for is read as it stands — the
+// morsel is chunk number chunk of each of its columns and loc[j] is row
+// j's cell in it; for any other table idx[t][j] is the physical row
 // behind row j. dense holds the vectors gathered for such a table's
 // columns when its rows span chunks (used of them so far in this morsel).
+// It resolves an expression's leaves for evalVop.
 type rowSet struct {
+	b     *Batch
 	lo    int
 	loc   []int32
 	chunk int
@@ -54,12 +56,6 @@ func (rs *rowSet) gather(col *column, sel []int32) *Vec {
 	rs.used++
 	v.kind = col.kind
 	switch col.kind {
-	case value.KindInt, value.KindBool:
-		v.ints = room(v.ints, len(sel))
-		for i, p := range sel {
-			k, j := chunkOf(p)
-			v.ints[i] = col.chunks[k].ints[j]
-		}
 	case value.KindFloat:
 		v.floats = room(v.floats, len(sel))
 		for i, p := range sel {
@@ -73,10 +69,10 @@ func (rs *rowSet) gather(col *column, sel []int32) *Vec {
 			v.strs[i] = col.chunks[k].strs[j]
 		}
 	default:
-		v.vals = room(v.vals, len(sel))
+		v.ints = room(v.ints, len(sel))
 		for i, p := range sel {
 			k, j := chunkOf(p)
-			v.vals[i] = col.chunks[k].vals[j]
+			v.ints[i] = col.chunks[k].ints[j]
 		}
 	}
 	return v
@@ -121,11 +117,10 @@ func putScratch(w *scratch) {
 	clear(w.rs.idx[:cap(w.rs.idx)])
 	for _, v := range w.rs.dense {
 		clear(v.strs[:cap(v.strs)])
-		clear(v.vals[:cap(v.vals)])
 	}
 	clear(w.keys[:cap(w.keys)])
 	clear(w.args[:cap(w.args)])
-	w.rs.loc, w.gi.keys = nil, nil
+	w.rs.b, w.rs.loc, w.gi.keys = nil, nil, nil
 	scratchPool.Put(w)
 }
 
@@ -133,7 +128,7 @@ func putScratch(w *scratch) {
 // row set.
 func (w *scratch) rows(b *Batch, lo, hi int) *rowSet {
 	rs := &w.rs
-	rs.lo, rs.loc, rs.chunk, rs.used = lo, iota32[:hi-lo], lo/chunkRows, 0
+	rs.b, rs.lo, rs.loc, rs.chunk, rs.used = b, lo, iota32[:hi-lo], lo/chunkRows, 0
 	nt := max(1, len(b.sel))
 	if cap(rs.idx) < nt {
 		rs.idx = make([][]int32, nt)

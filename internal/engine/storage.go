@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -52,8 +53,8 @@ type ColTable struct {
 	ver   uint64 // per-relation version, assigned at install
 }
 
-// column is one attribute of a stored table: its chunks, all of one
-// kind. A cell of another kind promotes the whole column to mixed.
+// column is one attribute of a stored table: its chunks, all of the
+// column's one kind (see Conform for how a write keeps it so).
 type column struct {
 	kind   value.Kind
 	chunks []*chunk
@@ -103,16 +104,12 @@ func (c *column) Value(i int) value.Value {
 
 // cellBytes is the budget's estimate of one cell: 8 bytes per numeric
 // or boolean cell, 16 per string header (content bytes are shared with
-// the source data and not re-counted), 48 per boxed value.
+// the source data and not re-counted).
 func cellBytes(k value.Kind) int64 {
-	switch k {
-	case value.KindInt, value.KindBool, value.KindFloat:
-		return 8
-	case value.KindString:
+	if k == value.KindString {
 		return 16
-	default:
-		return 48
 	}
+	return 8
 }
 
 // NumRows returns the number of rows.
@@ -120,13 +117,12 @@ func (c *ColTable) NumRows() int { return c.n }
 
 // Cells returns the typed cells of chunk k of column col, the chunks of a
 // column holding its rows in order: ints for an int or bool column (a
-// bool as 0/1), floats, strs, or, for a column of any other kind — one
-// whose cells are not all of one kind — the boxed vals; the other three
-// are nil. It is how an encoder walks a result without boxing it; the
-// slice is the table's own and must not be written.
-func (c *ColTable) Cells(col, k int) (kind value.Kind, ints []int64, floats []float64, strs []string, vals []value.Value) {
+// bool as 0/1), floats or strs; the other two are nil. It is how an
+// encoder walks a result without boxing it; the slice is the table's own
+// and must not be written.
+func (c *ColTable) Cells(col, k int) (kind value.Kind, ints []int64, floats []float64, strs []string) {
 	v := &c.cols[col].chunks[k].Vec
-	return v.kind, v.ints, v.floats, v.strs, v.vals
+	return v.kind, v.ints, v.floats, v.strs
 }
 
 // Bytes returns the estimated payload footprint, charged against
@@ -139,8 +135,8 @@ func (c *ColTable) Attrs() []string { return c.attrs }
 // Value boxes the cell at row i, column col.
 func (c *ColTable) Value(i, col int) value.Value { return c.cols[col].Value(i) }
 
-// Rows boxes the rows at the given positions, in that order.
-func (c *ColTable) Rows(pos []int32) [][]value.Value {
+// rows boxes the rows at the given positions, in that order.
+func (c *ColTable) rows(pos []int32) [][]value.Value {
 	w := len(c.cols)
 	cells := make([]value.Value, len(pos)*w)
 	out := make([][]value.Value, len(pos))
@@ -161,42 +157,43 @@ func (c *ColTable) Relation() *Relation {
 	for i := range pos {
 		pos[i] = int32(i)
 	}
-	return &Relation{Attrs: c.attrs, Tuples: c.Rows(pos)}
+	return &Relation{Attrs: c.attrs, Tuples: c.rows(pos)}
 }
 
 // BuildColTable converts a row-major relation into a fresh columnar
-// table that shares no buffer with any other.
+// table that shares no buffer with any other. Its columns take their
+// kinds by the rule of a write into an empty table without the ±2^53
+// limit (kindsOf); a column whose cells no kind holds — a string beside
+// an int, say — panics with a *KindError: rows from users go through
+// Conform first.
 func BuildColTable(r *Relation) *ColTable {
-	ct := &ColTable{attrs: r.Attrs, n: len(r.Tuples), cols: make([]*column, len(r.Attrs))}
-	for pos := range r.Attrs {
-		ct.cols[pos] = columnOf(r.Tuples, pos)
-	}
-	ct.sumBytes()
+	ct, _ := (&ColTable{attrs: r.Attrs}).derive(&Delta{Append: r.Tuples}, false)
 	return ct
 }
 
-// columnOf extracts column pos of a row-major tuple set: one typed
-// vector, cut into chunks and ranged.
-func columnOf(tuples [][]value.Value, pos int) *column {
-	col := columnFrom(colVecOf(tuples, pos))
+// columnOf builds column pos of rows as the given kind: cut into chunks
+// and ranged.
+func columnOf(rows [][]value.Value, pos int, kind value.Kind) *column {
+	col := &column{kind: kind}
+	switch kind {
+	case value.KindFloat:
+		col.chunks = cut(kind, cellsOf(rows, pos, value.Value.AsFloat), (*Vec).floatCells)
+	case value.KindString:
+		col.chunks = cut(kind, cellsOf(rows, pos, value.Value.AsString), (*Vec).strCells)
+	default:
+		col.chunks = cut(kind, cellsOf(rows, pos, intPayload), (*Vec).intCells)
+	}
 	col.setRanges()
 	return col
 }
 
-// columnFrom cuts a vector into the chunks of a column.
-func columnFrom(v *Vec) *column {
-	col := &column{kind: v.kind}
-	switch v.kind {
-	case value.KindInt, value.KindBool:
-		col.chunks = cut(v.kind, v.ints, (*Vec).intCells)
-	case value.KindFloat:
-		col.chunks = cut(v.kind, v.floats, (*Vec).floatCells)
-	case value.KindString:
-		col.chunks = cut(v.kind, v.strs, (*Vec).strCells)
-	default:
-		col.chunks = cut(v.kind, v.vals, (*Vec).boxedCells)
+// cellsOf returns column pos of rows converted by conv.
+func cellsOf[T any](rows [][]value.Value, pos int, conv func(value.Value) T) []T {
+	xs := make([]T, len(rows))
+	for i, r := range rows {
+		xs[i] = conv(r[pos])
 	}
-	return col
+	return xs
 }
 
 func (c *column) setRanges() {
@@ -208,29 +205,18 @@ func (c *column) setRanges() {
 // resultTable assembles a query result from the parts its output stage
 // produced in order — parts[k][c] is column c's cells for rows k*chunkRows
 // on, every part full but the last — so each part is one chunk of every
-// column, taken as it is. A column whose parts are not all of one typed
-// kind is boxed and typed again as a whole (vecFromValues): it comes out
-// mixed only if its cells are. The table comes back unnamed (exec names
-// it) and its chunks carry no ranges: a result is read once, in full;
-// resolve ranges the one that becomes a view.
+// column, taken as it is: an expression's cells have one kind in every
+// part. The table comes back unnamed (exec names it) and its chunks carry
+// no ranges: a result is read once, in full; resolve ranges the one that
+// becomes a view.
 func resultTable(width, n int, parts [][]Vec) *ColTable {
 	ct := &ColTable{n: n, cols: make([]*column, width)}
 	cols, slab := make([]column, width), make([]chunk, width*len(parts))
 	ptrs := make([]*chunk, len(slab))
 	for c := range cols {
-		kind := value.KindInt // of a column without cells, as vecFromValues has it
+		kind := value.KindInt // of a column without cells
 		if len(parts) > 0 {
 			kind = parts[0][c].kind
-		}
-		if kind == kindMixed || slices.ContainsFunc(parts, func(part []Vec) bool { return part[c].kind != kind }) {
-			vals := make([]value.Value, 0, n)
-			for k := range parts {
-				for j, v := 0, &parts[k][c]; j < v.Len(); j++ {
-					vals = append(vals, v.Value(j))
-				}
-			}
-			ct.cols[c] = columnFrom(vecFromValues(vals))
-			continue
 		}
 		chunks := ptrs[c*len(parts) : (c+1)*len(parts) : (c+1)*len(parts)]
 		for k := range parts {
@@ -284,6 +270,11 @@ type Delta struct {
 	Drop []int32
 	// Append holds the rows to add at the end.
 	Append [][]value.Value
+
+	// kinds is the kind each column holds once the delta is applied,
+	// recorded by Conform against the base it checked; nil: deriving
+	// works it out (kindsOf, without the ±2^53 limit).
+	kinds []value.Kind
 }
 
 // deltaCost is what deriving one version cost, for the store counters.
@@ -296,6 +287,112 @@ type deltaCost struct {
 	chunksCopied, chunksShared int64
 }
 
+// KindError is a write refused by the kind rule (Conform): Value cannot
+// be stored in Table.Column, which holds Stored values.
+type KindError struct {
+	Table, Column string
+	Stored        value.Kind
+	Value         value.Value
+}
+
+func (e *KindError) Error() string {
+	col := e.Column
+	if e.Table != "" {
+		col = e.Table + "." + col
+	}
+	msg := fmt.Sprintf("engine: column %s holds %s, cannot store %s %s", col, e.Stored, e.Value.Kind(), e.Value)
+	if e.Value.IsNumeric() && numericKind(e.Stored) {
+		msg += ": an int beyond ±2^53 has no exact float"
+	}
+	return msg
+}
+
+// Conform applies the kind rule to the cells d would store in c: a
+// column's kind is that of its first stored value (an empty table
+// decides again, from its first appended row); an int is stored in a
+// float column as a float, and a float arriving in an int column widens
+// the column to float — both only while every int involved lies within
+// ±2^53, where a float holds it exactly; any other value of a foreign
+// kind is refused. On success Conform records on d the kinds the install
+// then takes (one kind pass per cell); on failure it returns a
+// *KindError for the first refused cell and records nothing. table names
+// the table in the error.
+func (c *ColTable) Conform(table string, d *Delta) error {
+	kinds, err := c.kindsOf(table, d, true)
+	if err == nil {
+		d.kinds = kinds
+	}
+	return err
+}
+
+// exactInt reports whether a float64 holds x exactly by the kind rule's
+// bound.
+func exactInt(x int64) bool { return x >= -(1<<53) && x <= 1<<53 }
+
+// kindsOf returns the kind each column of c holds once d is applied, by
+// the rule Conform states; strict applies its ±2^53 limit, which only a
+// write needs: a maintained view's SUM that outgrew it still widens.
+func (c *ColTable) kindsOf(table string, d *Delta, strict bool) ([]value.Kind, error) {
+	kinds := make([]value.Kind, len(c.attrs))
+	switch {
+	case c.n > 0:
+		for i, col := range c.cols {
+			kinds[i] = col.kind
+		}
+	case len(d.Append) > 0:
+		for i := range kinds {
+			kinds[i] = d.Append[0][i].Kind()
+		}
+	}
+	for _, rows := range [2][][]value.Value{d.SetRows, d.Append} {
+		for _, r := range rows {
+			for i := range kinds {
+				if x := r[i]; x.Kind() != kinds[i] {
+					if err := c.admit(table, d, kinds, i, x, strict); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+	}
+	return kinds, nil
+}
+
+// admit decides a cell x of a kind other than column i's: an int joins
+// a float column, a float widens an int column, anything else is refused.
+func (c *ColTable) admit(table string, d *Delta, kinds []value.Kind, i int, x value.Value, strict bool) error {
+	switch {
+	case kinds[i] == value.KindFloat && x.Kind() == value.KindInt:
+		if !strict || exactInt(x.AsInt()) {
+			return nil
+		}
+	case kinds[i] == value.KindInt && x.Kind() == value.KindFloat:
+		if !strict || c.intsExact(d, i) {
+			kinds[i] = value.KindFloat
+			return nil
+		}
+	}
+	return &KindError{Table: table, Column: c.attrs[i], Stored: kinds[i], Value: x}
+}
+
+// intsExact reports whether every int column i will hold — stored, and
+// brought by d — is one a float holds exactly.
+func (c *ColTable) intsExact(d *Delta, i int) bool {
+	if c.n > 0 {
+		if lo, hi, ok := c.cols[i].intRange(); !ok || !exactInt(lo) || !exactInt(hi) {
+			return false
+		}
+	}
+	for _, rows := range [2][][]value.Value{d.SetRows, d.Append} {
+		for _, r := range rows {
+			if y := r[i]; y.Kind() == value.KindInt && !exactInt(y.AsInt()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // With returns base+delta as a table that never writes into storage the
 // base can see: touched chunks are copied (a partly filled last chunk
 // too, before it takes appended cells), the rest are shared. It is the
@@ -306,56 +403,49 @@ func (c *ColTable) With(d Delta) *ColTable {
 	return out
 }
 
-// derive builds base+delta. owned is true only for the installed
-// version under db.mu: then the last chunk is extended into its spare
-// capacity in place.
+// derive builds base+delta, each column of the kind d.kinds records or,
+// for a delta Conform has not seen, kindsOf works out — panicking with
+// the *KindError of a cell no kind holds. owned is true only for the
+// installed version under db.mu: then the last chunk is extended into
+// its spare capacity in place.
 func (c *ColTable) derive(d *Delta, owned bool) (*ColTable, deltaCost) {
-	var cost deltaCost
-	if c.n == 0 {
-		// Nothing to share and no kind committed yet: the appended
-		// rows decide each column's kind.
-		out := BuildColTable(&Relation{Attrs: c.attrs, Tuples: d.Append})
-		cost.realloc = true
-		return out, cost
+	kinds := d.kinds
+	if kinds == nil {
+		var err error
+		if kinds, err = c.kindsOf("", d, false); err != nil {
+			panic(err)
+		}
 	}
-	out := &ColTable{attrs: c.attrs, n: c.n - len(d.Drop) + len(d.Append), cols: make([]*column, len(c.cols))}
-	for pos, col := range c.cols {
-		out.cols[pos] = col.patch(pos, c.n, d, owned, &cost)
+	var cost deltaCost
+	out := &ColTable{attrs: c.attrs, n: c.n - len(d.Drop) + len(d.Append), cols: make([]*column, len(c.attrs))}
+	for pos, kind := range kinds {
+		if c.n == 0 {
+			// Nothing to share: the appended rows are the table.
+			out.cols[pos] = columnOf(d.Append, pos, kind)
+			cost.realloc = true
+		} else {
+			out.cols[pos] = c.cols[pos].patch(pos, c.n, d, kind, owned, &cost)
+		}
 	}
 	out.sumBytes()
 	return out, cost
 }
 
-// patch derives one column of base+delta; n is the base's row count.
-func (c *column) patch(pos, n int, d *Delta, owned bool, cost *deltaCost) *column {
-	promote := false
-	for i := range d.SetAt {
-		promote = promote || !c.holds(d.SetRows[i][pos])
-	}
-	for _, r := range d.Append {
-		promote = promote || !c.holds(r[pos])
-	}
+// patch derives one column of base+delta as the given kind; n is the
+// base's row count.
+func (c *column) patch(pos, n int, d *Delta, kind value.Kind, owned bool, cost *deltaCost) *column {
 	from := c
-	if promote {
-		from = c.boxed(cost)
+	if kind != c.kind {
+		from = c.widened(cost)
 	}
-	out := &column{kind: from.kind}
-	switch from.kind {
-	case value.KindInt:
-		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).intCells, value.Value.AsInt)
-	case value.KindBool:
-		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).intCells, func(x value.Value) int64 {
-			if x.AsBool() {
-				return 1
-			}
-			return 0
-		})
+	out := &column{kind: kind}
+	switch kind {
 	case value.KindFloat:
 		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).floatCells, value.Value.AsFloat)
 	case value.KindString:
 		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).strCells, value.Value.AsString)
 	default:
-		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).boxedCells, func(x value.Value) value.Value { return x })
+		out.chunks = patchCells(from, c, pos, n, d, owned, cost, (*Vec).intCells, intPayload)
 	}
 	for k, ch := range out.chunks {
 		if k < len(c.chunks) && ch == c.chunks[k] {
@@ -367,31 +457,25 @@ func (c *column) patch(pos, n int, d *Delta, owned bool, cost *deltaCost) *colum
 	return out
 }
 
-// holds reports whether x can be stored in c without changing c's kind.
-func (c *column) holds(x value.Value) bool {
-	return c.kind == kindMixed || c.kind == x.Kind()
-}
-
-// boxed returns a fresh mixed-kind copy of the column: every earlier
-// cell keeps its exact boxed value.
-func (c *column) boxed(cost *deltaCost) *column {
-	out := &column{kind: kindMixed, chunks: make([]*chunk, len(c.chunks))}
+// widened returns the float copy of an int column, the one kind change
+// the rule allows.
+func (c *column) widened(cost *deltaCost) *column {
+	out := &column{kind: value.KindFloat, chunks: make([]*chunk, len(c.chunks))}
 	for k, ch := range c.chunks {
-		vals := make([]value.Value, ch.Len())
-		for j := range vals {
-			vals[j] = ch.Value(j)
+		xs := make([]float64, len(ch.ints))
+		for j, x := range ch.ints {
+			xs[j] = float64(x)
 		}
-		out.chunks[k] = &chunk{Vec: Vec{kind: kindMixed, vals: vals}}
-		cost.copied += cellBytes(kindMixed) * int64(len(vals))
+		out.chunks[k] = &chunk{Vec: Vec{kind: value.KindFloat, floats: xs}}
+		cost.copied += cellBytes(value.KindFloat) * int64(len(xs))
 		cost.chunksCopied++
 	}
 	return out
 }
 
-func (v *Vec) intCells() *[]int64         { return &v.ints }
-func (v *Vec) floatCells() *[]float64     { return &v.floats }
-func (v *Vec) strCells() *[]string        { return &v.strs }
-func (v *Vec) boxedCells() *[]value.Value { return &v.vals }
+func (v *Vec) intCells() *[]int64     { return &v.ints }
+func (v *Vec) floatCells() *[]float64 { return &v.floats }
+func (v *Vec) strCells() *[]string    { return &v.strs }
 
 // sameCell reports whether two boxed cells are the same stored value:
 // same kind and, within a kind, the same key (every NaN is one value).
@@ -402,7 +486,7 @@ func sameCell(a, b value.Value) bool {
 // patchCells derives the chunks of one column whose payload is []T:
 // from's chunks with the delta applied. base is the column of the
 // version being derived from — from itself, or the column from is a
-// promoted copy of — and a chunk still shared with it (same pointer) is
+// widened copy of — and a chunk still shared with it (same pointer) is
 // never written: Set copies the chunks in which a cell changes, Drop
 // streams the survivors from its first position's chunk on (and the
 // appended cells behind them) into fresh chunks, and Append extends the

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -88,40 +90,96 @@ func TestPutNeverSharesBuffers(t *testing.T) {
 	}
 }
 
-// TestAppendKindPromotion is sharing test (d): a value of another kind
-// promotes its column to mixed once, every earlier cell keeps its exact
-// boxed value, and versions pinned before the promotion are untouched.
+// TestAppendKindPromotion is sharing test (d), the kind rule at the
+// store: a float widens an int column to float once — every earlier cell
+// keeps its value, as a float — an int joins a float column as a float,
+// versions pinned before the widening are untouched, and an emptied
+// table decides its kinds again. Conform refuses any other foreign kind,
+// and an int a float cannot hold exactly, with a *KindError naming the
+// table, the column, the stored kind and the value, recording nothing;
+// a delta that skipped Conform panics with the same error.
 func TestAppendKindPromotion(t *testing.T) {
 	db := NewDB()
 	db.Put("T", relOf(intRows(0, 10)))
 	before := db.Snapshot()
-	db.Append("T", []value.Value{value.Float(2.5), value.Int(1), value.Int(7)})
-	db.Append("T", []value.Value{value.Str("k"), value.Int(2), value.Str("s0")})
+	db.Append("T", []value.Value{value.Float(2.5), value.Int(1), value.Str("s7")})
+	db.Append("T", []value.Value{value.Int(11), value.Int(2), value.Str("s0")})
 
 	got, _ := db.Get("T")
 	want := intRows(0, 10)
-	want = append(want, []value.Value{value.Float(2.5), value.Int(1), value.Int(7)}, []value.Value{value.Str("k"), value.Int(2), value.Str("s0")})
+	want = append(want, []value.Value{value.Float(2.5), value.Int(1), value.Str("s7")}, []value.Value{value.Int(11), value.Int(2), value.Str("s0")})
 	for i, row := range got.Tuples {
 		for c, v := range row {
-			if v != want[i][c] {
-				t.Fatalf("cell (%d,%d) = %v (%s), want %v (%s)", i, c, v, v.Kind(), want[i][c], want[i][c].Kind())
+			w := want[i][c]
+			if c == 0 {
+				w = value.Float(w.AsFloat())
+			}
+			if !sameCell(v, w) {
+				t.Fatalf("cell (%d,%d) = %v (%s), want %v (%s)", i, c, v, v.Kind(), w, w.Kind())
 			}
 		}
 	}
 	ct, _, _ := db.Scan("T")
-	if ct.cols[0].kind != kindMixed || ct.cols[1].kind != value.KindInt || ct.cols[2].kind != kindMixed {
-		t.Fatalf("column kinds after promotion: %v %v %v", ct.cols[0].kind, ct.cols[1].kind, ct.cols[2].kind)
+	if ct.cols[0].kind != value.KindFloat || ct.cols[1].kind != value.KindInt || ct.cols[2].kind != value.KindString {
+		t.Fatalf("column kinds after widening: %v %v %v", ct.cols[0].kind, ct.cols[1].kind, ct.cols[2].kind)
 	}
 	old, _ := before.Relation("T")
-	if !MultisetEqual(old, relOf(intRows(0, 10))) {
-		t.Fatal("promotion disturbed a pinned version")
+	if !MultisetEqual(old, relOf(intRows(0, 10))) || old.Tuples[3][0].Kind() != value.KindInt {
+		t.Fatal("widening disturbed a pinned version")
 	}
 
-	// An empty table has committed to no kind: the first rows decide.
+	big := int64(1)<<53 + 1
+	for _, tc := range []struct {
+		name   string
+		row    []value.Value
+		col    string
+		stored value.Kind
+	}{
+		{"a string in an int column", []value.Value{value.Int(1), value.Str("x"), value.Str("s")}, "g", value.KindInt},
+		{"a bool in a string column", []value.Value{value.Int(1), value.Int(1), value.Bool(true)}, "s", value.KindString},
+		{"an int past 2^53 in a float column", []value.Value{value.Int(big), value.Int(1), value.Str("s")}, "id", value.KindFloat},
+	} {
+		d := Delta{Append: [][]value.Value{intRows(0, 1)[0], tc.row}}
+		err := ct.Conform("T", &d)
+		var ke *KindError
+		if !errors.As(err, &ke) || ke.Table != "T" || ke.Column != tc.col || ke.Stored != tc.stored || d.kinds != nil {
+			t.Fatalf("%s: Conform = %v (recorded %v)", tc.name, err, d.kinds)
+		}
+	}
+	// A float cannot widen an int column that holds an int past 2^53,
+	// stored or arriving beside it.
+	db.Put("B", relOf([][]value.Value{{value.Int(big), value.Int(0), value.Str("s")}}))
+	bt, _, _ := db.Scan("B")
+	if err := bt.Conform("B", &Delta{Append: [][]value.Value{{value.Float(1.5), value.Int(0), value.Str("s")}}}); !errors.As(err, new(*KindError)) {
+		t.Fatalf("widening past 2^53: %v", err)
+	}
+	if err := ct.Conform("T", &Delta{Append: [][]value.Value{{value.Int(1), value.Int(big), value.Str("s")}, {value.Int(1), value.Float(0.5), value.Str("s")}}}); !errors.As(err, new(*KindError)) {
+		t.Fatalf("widening beside an int past 2^53: %v", err)
+	}
+	func() {
+		defer func() {
+			if ke, ok := recover().(*KindError); !ok || ke.Column != "g" {
+				t.Fatalf("an unchecked foreign kind: recovered %v", ke)
+			}
+		}()
+		db.Append("T", []value.Value{value.Int(1), value.Str("x"), value.Str("s")})
+	}()
+
+	// An empty table has committed to no kind: the first rows decide —
+	// also once every row is gone.
 	db.Put("E", NewRelation("a"))
 	db.Append("E", []value.Value{value.Str("x")})
 	if ct, _, _ := db.Scan("E"); ct.cols[0].kind != value.KindString {
 		t.Fatalf("first append into an empty table gave kind %v", ct.cols[0].kind)
+	}
+	e, _, _ := db.Scan("E")
+	e = db.Apply([]Commit{{Name: "E", Base: e, Delta: Delta{Drop: []int32{0}}}})[0]
+	d := Delta{Append: [][]value.Value{{value.Bool(true)}}}
+	if err := e.Conform("E", &d); err != nil {
+		t.Fatal(err)
+	}
+	if e = db.Apply([]Commit{{Name: "E", Base: e, Delta: d}})[0]; e.cols[0].kind != value.KindBool {
+		t.Fatalf("first append into an emptied table gave kind %v", e.cols[0].kind)
 	}
 }
 
@@ -285,7 +343,9 @@ func TestLocate(t *testing.T) {
 // modelRows is the plain row-major model the chunked store is held to.
 type modelRows [][]value.Value
 
-// apply returns base+delta by the definition in Delta's comment.
+// apply returns base+delta by the definition in Delta's comment, each
+// column then of one kind as the store holds it: where ints meet floats,
+// every int is a float.
 func (m modelRows) apply(d Delta) modelRows {
 	rows := make(modelRows, len(m))
 	copy(rows, m)
@@ -302,7 +362,34 @@ func (m modelRows) apply(d Delta) modelRows {
 			out = append(out, r)
 		}
 	}
-	return append(out, d.Append...)
+	out = append(out, d.Append...)
+	for c := range widenedCols(out) {
+		for i, r := range out {
+			if r[c].Kind() == value.KindInt {
+				out[i] = slices.Clone(r)
+				out[i][c] = value.Float(r[c].AsFloat())
+			}
+		}
+	}
+	return out
+}
+
+// widenedCols returns the columns of rows in which ints meet floats.
+func widenedCols(rows modelRows) map[int]bool {
+	mixed := map[int]bool{}
+	if len(rows) == 0 {
+		return mixed
+	}
+	for c := range rows[0] {
+		seen := map[value.Kind]bool{}
+		for _, r := range rows {
+			seen[r[c].Kind()] = true
+		}
+		if seen[value.KindInt] && seen[value.KindFloat] {
+			mixed[c] = true
+		}
+	}
+	return mixed
 }
 
 // modelRow draws a row of (int key, float with the odd NaN, string,
@@ -372,7 +459,7 @@ func checkAgainstModel(t *testing.T, what string, ct *ColTable, want modelRows, 
 	for i := range pos {
 		pos[i] = int32(rng.Intn(len(want)))
 	}
-	for i, row := range ct.Rows(pos) {
+	for i, row := range ct.rows(pos) {
 		for c, v := range row {
 			if !sameCell(v, want[pos[i]][c]) {
 				t.Fatalf("%s: Rows(%d) cell %d = %v, model %v", what, pos[i], c, v, want[pos[i]][c])
@@ -467,8 +554,8 @@ func TestChunkedStoreMatchesModel(t *testing.T) {
 						switch step {
 						case 6: // changes no cell
 							row = model[p]
-						case 25: // promotes the string column to mixed
-							row[2] = value.Int(7)
+						case 25: // an int into the float column
+							row[1] = value.Int(7)
 						}
 						d.SetRows = append(d.SetRows, row)
 					}
@@ -483,8 +570,8 @@ func TestChunkedStoreMatchesModel(t *testing.T) {
 					d.Append = fresh(rng.Intn(chunkRows + 40))
 				case 4: // INSERT
 					d.Append = fresh(1 + rng.Intn(40))
-					if step == 22 { // promotes the last column to mixed
-						d.Append[0][3] = value.Str("p")
+					if step == 22 { // widens the last column to float
+						d.Append[0][3] = value.Float(0.5)
 					}
 				default: // now and then drop everything, then append
 					if step == 11 {

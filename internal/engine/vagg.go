@@ -34,9 +34,9 @@ func aggSpecs(aggs []*ir.Agg) []aggSpec {
 
 // groupKeys holds the keys of a set of groups, one per group id: as
 // typed cells, one vector per key column (int, bool and string columns),
-// or, when a key column is a float or mixed-kind vector, as the canonical
-// Value.AppendKey bytes, so 1 and 1.0 group together exactly as in the
-// row-at-a-time engine.
+// or, when a key column is a float vector, as the canonical
+// Value.AppendKey bytes, so -0 and 0 stay apart and every NaN is one key,
+// exactly as in the row-at-a-time engine.
 type groupKeys struct {
 	byKey bool
 	cols  []Vec   // typed keys: cols[c] cell g is group g's key in column c
@@ -301,37 +301,30 @@ func (gi *groupIndex) assignBytes(buf []byte, off []int32, n int, gids []int32) 
 	}
 }
 
-// accCol holds one aggregate's accumulators, one cell per group id: a
-// typed vector — int64 (SUM over ints, MIN/MAX over ints), float64 (SUM
-// and MIN/MAX over floats, AVG's running total) or string (MIN/MAX over
-// strings) — or, for mixed-kind and non-numeric argument vectors, boxed
-// accums that raise the row-at-a-time engine's errors. A COUNT keeps
-// nothing here; it reads the fold state's shared row counts.
+// accCol holds one aggregate's accumulators, one cell per group id, as a
+// typed vector: int64 (SUM over ints, MIN/MAX over ints and over the 0/1
+// payload of bools), float64 (SUM and MIN/MAX over floats, AVG's running
+// total) or string (MIN/MAX over strings). A COUNT keeps nothing here; it
+// reads the fold state's shared row counts.
 type accCol struct {
-	typed bool
-	vec   Vec
-	boxed []accum
+	vec Vec
 }
 
 func (c *accCol) reset() {
 	clear(c.vec.strs)
-	clear(c.boxed)
-	c.typed = false
-	c.vec.ints, c.vec.floats, c.vec.strs, c.boxed = c.vec.ints[:0], c.vec.floats[:0], c.vec.strs[:0], c.boxed[:0]
+	c.vec.ints, c.vec.floats, c.vec.strs = c.vec.ints[:0], c.vec.floats[:0], c.vec.strs[:0]
 }
 
-// accKind returns the typed accumulator kind for folding a source of
-// kind k under fn, and whether there is one.
+// accKind returns the accumulator kind for folding a source of kind k
+// under fn, and whether fn folds k at all: SUM and AVG need numbers.
 func accKind(fn ir.AggFunc, k value.Kind) (value.Kind, bool) {
 	switch fn {
 	case ir.AggSum:
 		return k, numericKind(k)
 	case ir.AggAvg:
 		return value.KindFloat, numericKind(k)
-	case ir.AggMin, ir.AggMax:
-		return k, numericKind(k) || k == value.KindString
 	}
-	return 0, false
+	return k, true
 }
 
 // grow extends xs to n cells, filling new cells with init.
@@ -399,89 +392,45 @@ func (c *accCol) foldTyped(fn ir.AggFunc, src vecOperand, gids []int32, ng int, 
 		for j, g := range gids {
 			v.floats[g] += float64(s.ints[src.idx[j]])
 		}
-	case v.kind == value.KindInt:
-		v.ints = growFrom(v.ints, ng, s.ints, src.idx, newJ)
-		extremeCells(v.ints, gids, s.ints, src.idx, fn == ir.AggMax)
 	case v.kind == value.KindFloat:
 		v.floats = growFrom(v.floats, ng, s.floats, src.idx, newJ)
 		extremeCells(v.floats, gids, s.floats, src.idx, fn == ir.AggMax)
-	default:
+	case v.kind == value.KindString:
 		v.strs = growFrom(v.strs, ng, s.strs, src.idx, newJ)
 		extremeCells(v.strs, gids, s.strs, src.idx, fn == ir.AggMax)
+	default:
+		v.ints = growFrom(v.ints, ng, s.ints, src.idx, newJ)
+		extremeCells(v.ints, gids, s.ints, src.idx, fn == ir.AggMax)
 	}
 }
 
 // foldRows folds one morsel's evaluated argument into fresh
-// accumulators for its ng groups. On a fold error it reports the first
-// offending row.
-func (c *accCol) foldRows(sp *aggSpec, src vecOperand, gids []int32, ng int, newJ []int32) (int, error) {
-	if !src.isConst {
-		if k, ok := accKind(sp.fn, src.vec.kind); ok {
-			c.typed, c.vec.kind = true, k
-			c.foldTyped(sp.fn, src, gids, ng, newJ)
-			return 0, nil
-		}
+// accumulators for its ng groups, a constant argument as its broadcast.
+// A SUM or AVG over a non-numeric argument raises the row-at-a-time
+// fold's error, which the morsel's first row meets.
+func (c *accCol) foldRows(sp *aggSpec, src vecOperand, gids []int32, ng int, newJ []int32) error {
+	if src.isConst {
+		v := broadcast(src.c, len(gids))
+		src = denseOperand(&v)
 	}
-	c.boxed = grow(c.boxed, ng, accum{fn: sp.fn, arg: sp.arg})
-	for j, g := range gids {
-		if err := c.boxed[g].absorb(src.Value(j)); err != nil {
-			return j, err
-		}
+	k, ok := accKind(sp.fn, src.vec.kind)
+	if !ok {
+		return fmt.Errorf("engine: %s over non-numeric value %s", sp.fn, src.Value(0))
 	}
-	return 0, nil
-}
-
-// box returns the typed accumulators as the boxed accums a merge of
-// differing representations works on; rows is the fold state's
-// row-count column.
-func (c *accCol) box(sp *aggSpec, rows []int64) []accum {
-	boxed := make([]accum, c.vec.Len())
-	for g := range boxed {
-		ac := accum{fn: sp.fn, arg: sp.arg, rows: rows[g], seen: true}
-		switch sp.fn {
-		case ir.AggSum:
-			ac.sum = c.vec.Value(g)
-		case ir.AggAvg:
-			ac.avg = c.vec.floats[g]
-		default:
-			ac.best = c.vec.Value(g)
-		}
-		boxed[g] = ac
-	}
-	return boxed
+	c.vec.kind = k
+	c.foldTyped(sp.fn, src, gids, ng, newJ)
+	return nil
 }
 
 // merge folds a later partial's accumulators src into c: partial group
 // j goes to group gmap[j], c growing to ng groups (newJ names the
-// partial group that created each new one). Typed partials of one kind
-// merge through the same typed kernels that fold rows — a partial's
-// cells are the values — so per group the partials combine in morsel
-// order; partials that disagree on representation (a computed argument
-// typed differently per morsel, a boxed column) combine through
-// accum.merge, with value.Add's typing. rows and srcRows are the two
-// sides' row counts before this merge. On error it reports the first
-// offending partial group.
-func (c *accCol) merge(sp *aggSpec, src *accCol, gmap []int32, ng int, newJ []int32, rows, srcRows []int64) (int, error) {
-	fresh := !c.typed && len(c.boxed) == 0
-	if src.typed && (fresh || (c.typed && c.vec.kind == src.vec.kind)) {
-		c.typed, c.vec.kind = true, src.vec.kind
-		c.foldTyped(sp.fn, denseOperand(&src.vec), gmap, ng, newJ)
-		return 0, nil
-	}
-	if c.typed {
-		*c = accCol{boxed: c.box(sp, rows)}
-	}
-	c.boxed = grow(c.boxed, ng, accum{fn: sp.fn, arg: sp.arg})
-	from := src.boxed
-	if src.typed {
-		from = src.box(sp, srcRows)
-	}
-	for j, g := range gmap {
-		if err := c.boxed[g].merge(&from[j]); err != nil {
-			return j, err
-		}
-	}
-	return 0, nil
+// partial group that created each new one). Every partial of a query
+// holds one accumulator kind, and a partial's cells are the values, so
+// the partials merge through the kernels that fold rows, per group in
+// morsel order.
+func (c *accCol) merge(sp *aggSpec, src *accCol, gmap []int32, ng int, newJ []int32) {
+	c.vec.kind = src.vec.kind
+	c.foldTyped(sp.fn, denseOperand(&src.vec), gmap, ng, newJ)
 }
 
 // foldState is the aggregation state over a set of groups: their keys,
@@ -518,7 +467,7 @@ func (st *foldState) bytes() int64 {
 		n += st.keys.cols[c].bytes()
 	}
 	for a := range st.accs {
-		n += st.accs[a].vec.bytes() + 48*int64(len(st.accs[a].boxed))
+		n += st.accs[a].vec.bytes()
 	}
 	return n
 }
@@ -552,15 +501,14 @@ type aggPlan struct {
 // batch — filter into a selection, evaluate the aggregate arguments over
 // the selected rows, assign group ids, fold each aggregate as a column
 // loop — and returns the morsel's partial (nil when no row survives)
-// and the number of rows folded. Argument errors
-// surface first, in aggregate order; a fold error is the one of the
-// first offending row (the lowest aggregate among several on that row),
-// as in a row-at-a-time fold.
+// and the number of rows folded. Argument errors surface first, in
+// aggregate order, then fold errors, in aggregate order: every one is
+// met on the morsel's first row, as in a row-at-a-time fold.
 func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 	b := pl.b
 	rs := w.rows(b, lo, hi)
 	if len(pl.preds) > 0 {
-		js, err := w.refine(b, rs, pl.preds, nil)
+		js, err := w.refine(rs, pl.preds, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -577,7 +525,7 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 		var o vecOperand
 		if sp := &pl.specs[a]; sp.fold {
 			var err error
-			if o, err = evalVop(sp.arg, b, rs); err != nil {
+			if o, err = evalVop(sp.arg, rs); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -592,7 +540,7 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 	for _, gc := range pl.q.GroupBy {
 		// An unbound key column reads the zero Value on every row: it
 		// splits no group, so the typed index skips it.
-		if k := colOperand(gc, b, rs); !k.isConst || pl.byKey {
+		if k := rs.col(gc); !k.isConst || pl.byKey {
 			w.keys = append(w.keys, k)
 		}
 	}
@@ -619,16 +567,12 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 	for _, g := range gids {
 		st.rows[g]++
 	}
-	errRow, ferr := -1, error(nil)
 	for a := range pl.specs {
 		if sp := &pl.specs[a]; sp.fold {
-			if j, err := st.accs[a].foldRows(sp, w.args[a], gids, ng, newJ); err != nil && (errRow < 0 || j < errRow) {
-				errRow, ferr = j, err
+			if err := st.accs[a].foldRows(sp, w.args[a], gids, ng, newJ); err != nil {
+				return nil, 0, err
 			}
 		}
-	}
-	if ferr != nil {
-		return nil, 0, ferr
 	}
 	return st, rs.n(), nil
 }
@@ -638,7 +582,7 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 // in p's group order — partials arrive in morsel order, so creation
 // order is global first appearance) and its accumulator columns fold
 // into st's.
-func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) error {
+func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) {
 	n := p.keys.n
 	gmap := w.gids[:n]
 	if st.keys.byKey {
@@ -655,16 +599,12 @@ func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) err
 		st.first = append(st.first, p.first[j])
 	}
 	st.rows = grow(st.rows, ng, 0)
-	errG, ferr := -1, error(nil)
 	for a := range specs {
 		if sp := &specs[a]; sp.fold {
-			if j, err := st.accs[a].merge(sp, &p.accs[a], gmap, ng, newJ, st.rows, p.rows); err != nil && (errG < 0 || j < errG) {
-				errG, ferr = j, err
-			}
+			st.accs[a].merge(sp, &p.accs[a], gmap, ng, newJ)
 		}
 	}
 	addCells(st.rows, gmap, p.rows, iota32[:n])
-	return ferr
 }
 
 // byteKeys encodes the key operands w.keys of n rows as canonical
@@ -705,7 +645,7 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 	aggs, aggIdx := collectAggs(q)
 	pl := &aggPlan{q: q, b: b, preds: preds, specs: aggSpecs(aggs), mt: mt}
 	for _, gc := range q.GroupBy {
-		if col := b.cols[gc]; col != nil && (col.kind == value.KindFloat || col.kind == kindMixed) {
+		if col := b.cols[gc]; col != nil && col.kind == value.KindFloat {
 			pl.byKey = true
 		}
 	}
@@ -762,9 +702,7 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 			}
 		}
 		if p != merged {
-			if err := merged.mergePartial(w, pl.specs, p); err != nil {
-				return nil, err
-			}
+			merged.mergePartial(w, pl.specs, p)
 			foldPool.Put(p)
 		}
 		if err := t.poll(ev, "agg.merge"); err != nil {
@@ -783,10 +721,10 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 // groupStage is what the output stage evaluates HAVING and SELECT
 // expressions over: the merged groups gsel (at most a morsel of them,
 // the size every kernel is built for), each expression one operand of
-// len(gsel) cells. An aggregate is its accumulator column read at gsel, a
-// bare column a typed key column read at gsel or the stored column read
-// at the groups' first rows, arithmetic the expression kernel's
-// (arithVop) — so a group costs no box, no map lookup and no dispatch.
+// len(gsel) cells. It resolves the leaves for evalVop: an aggregate is
+// its accumulator column read at gsel, a bare column a typed key column
+// read at gsel or the stored column read at the groups' first rows — so
+// a group costs no box, no map lookup and no dispatch.
 type groupStage struct {
 	b      *Batch
 	specs  []aggSpec
@@ -824,28 +762,21 @@ func (s *groupStage) col(c ir.ColID) vecOperand {
 		}
 		s.w.pos[t], rs.idx[t] = pos, pos
 	}
-	return colOperand(c, s.b, rs)
+	return rs.col(c)
 }
 
-// agg reads aggregate a at the groups: COUNT is the row counts, a typed
-// SUM, MIN or MAX its accumulator column in the stored kind, AVG the
-// float totals over the counts, and a boxed column is finalized cell by
-// cell into a mixed vector.
-func (s *groupStage) agg(a int) (vecOperand, error) {
-	sp, ac := &s.specs[a], &s.st.accs[a]
+// agg reads aggregate a at the groups: COUNT is the row counts, SUM, MIN
+// or MAX its accumulator column in the stored kind, AVG the float totals
+// over the counts.
+func (s *groupStage) agg(a *ir.Agg) (vecOperand, error) {
+	i, ok := s.aggIdx[a]
+	if !ok {
+		return vecOperand{}, fmt.Errorf("engine: aggregate %s not collected for this query", a.Func)
+	}
+	sp, ac := &s.specs[i], &s.st.accs[i]
 	switch {
 	case !sp.fold:
 		return vecOperand{vec: &s.counts, idx: s.gsel}, nil
-	case !ac.typed:
-		vals := make([]value.Value, len(s.gsel))
-		for j, g := range s.gsel {
-			v, err := ac.boxed[g].result()
-			if err != nil {
-				return vecOperand{}, err
-			}
-			vals[j] = v
-		}
-		return denseOperand(&Vec{kind: kindMixed, vals: vals}), nil
 	case sp.fn == ir.AggAvg:
 		xs := make([]float64, len(s.gsel))
 		for j, g := range s.gsel {
@@ -856,33 +787,8 @@ func (s *groupStage) agg(a int) (vecOperand, error) {
 	return vecOperand{vec: &ac.vec, idx: s.gsel}, nil
 }
 
-// eval evaluates an expression in group context over the bound groups.
-func (s *groupStage) eval(e ir.Expr) (vecOperand, error) {
-	switch x := e.(type) {
-	case *ir.ColRef:
-		return s.col(x.Col), nil
-	case *ir.Const:
-		return vecOperand{c: x.Val, isConst: true}, nil
-	case *ir.Arith:
-		l, err := s.eval(x.L)
-		if err != nil {
-			return vecOperand{}, err
-		}
-		r, err := s.eval(x.R)
-		if err != nil {
-			return vecOperand{}, err
-		}
-		return arithVop(x.Op, l, r, len(s.gsel))
-	case *ir.Agg:
-		i, ok := s.aggIdx[x]
-		if !ok {
-			return vecOperand{}, fmt.Errorf("engine: aggregate %s not collected for this query", x.Func)
-		}
-		return s.agg(i)
-	default:
-		return vecOperand{}, fmt.Errorf("engine: unknown expression %T", e)
-	}
-}
+// n returns the number of groups bound.
+func (s *groupStage) n() int { return len(s.gsel) }
 
 // eachMorsel calls fn with the group ids a morsel at a time.
 func eachMorsel(ids []int32, fn func(gsel []int32) error) error {
@@ -943,7 +849,7 @@ func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]i
 		err := eachMorsel(keep, func(gsel []int32) error {
 			s.bind(gsel)
 			for _, arg := range countArgs {
-				if _, err := s.eval(arg); err != nil {
+				if _, err := evalVop(arg, s); err != nil {
 					return err
 				}
 			}
@@ -959,11 +865,11 @@ func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]i
 		err := eachMorsel(keep, func(gsel []int32) error {
 			for _, h := range q.Having {
 				s.bind(gsel)
-				l, err := s.eval(h.L)
+				l, err := evalVop(h.L, s)
 				if err != nil {
 					return err
 				}
-				r, err := s.eval(h.R)
+				r, err := evalVop(h.R, s)
 				if err != nil {
 					return err
 				}
@@ -992,7 +898,7 @@ func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]i
 		s.bind(gsel)
 		part := make([]Vec, len(q.Select))
 		for c, it := range q.Select {
-			o, err := s.eval(it.Expr)
+			o, err := evalVop(it.Expr, s)
 			if err != nil {
 				return err
 			}

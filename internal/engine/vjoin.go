@@ -172,7 +172,7 @@ func (jk *joinKeys) morselIDs(w *scratch, s joinSide, ids []int32, lo, hi int, a
 	out := ids[lo:hi]
 	w.keys = w.keys[:0]
 	for _, c := range s.cols {
-		w.keys = append(w.keys, colOperand(c, s.b, rs))
+		w.keys = append(w.keys, rs.col(c))
 	}
 	if jk.ints {
 		jk.intIDs(w.keys[0].vec.ints, w.keys[0].idx, out, add)

@@ -185,14 +185,14 @@ type vecOperand struct {
 	isConst bool
 }
 
-// colOperand reads column c of b over the row set. An unbound slot reads
-// as the zero Value, as in the row-at-a-time engine.
-func colOperand(c ir.ColID, b *Batch, rs *rowSet) vecOperand {
-	col := b.cols[c]
+// col reads column c of the set's batch over the row set. An unbound
+// slot reads as the zero Value, as in the row-at-a-time engine.
+func (rs *rowSet) col(c ir.ColID) vecOperand {
+	col := rs.b.cols[c]
 	if col == nil {
 		return vecOperand{c: value.Value{}, isConst: true}
 	}
-	switch sel := rs.idx[b.tabOf(c)]; {
+	switch sel := rs.idx[rs.b.tabOf(c)]; {
 	case sel == nil:
 		ch := col.chunks[rs.chunk]
 		return vecOperand{vec: &ch.Vec, idx: rs.loc, ch: ch}
@@ -225,11 +225,18 @@ func (o *vecOperand) intRange() (lo, hi int64) {
 	return lo, hi
 }
 
-func predOperand(t ir.Term, b *Batch, rs *rowSet) vecOperand {
+// term reads a predicate term over the row set.
+func (rs *rowSet) term(t ir.Term) vecOperand {
 	if t.IsConst {
 		return vecOperand{c: t.Val, isConst: true}
 	}
-	return colOperand(t.Col, b, rs)
+	return rs.col(t.Col)
+}
+
+// agg is where a row set meets an aggregate: nowhere an expression over
+// rows may hold one.
+func (rs *rowSet) agg(a *ir.Agg) (vecOperand, error) {
+	return vecOperand{}, fmt.Errorf("engine: aggregate %s in a non-aggregated context", a.Func)
 }
 
 // denseOperand wraps a vector computed for the morsel.
@@ -237,7 +244,7 @@ func denseOperand(v *Vec) vecOperand {
 	return vecOperand{vec: v, idx: iota32[:v.Len()]}
 }
 
-// kindOf returns the operand's cell kind (kindMixed for mixed vectors).
+// kindOf returns the operand's cell kind.
 func (o vecOperand) kindOf() value.Kind {
 	if o.isConst {
 		return o.c.Kind()
@@ -257,17 +264,15 @@ func numericKind(k value.Kind) bool { return k == value.KindInt || k == value.Ki
 
 // predSel refines the row numbers sel through one predicate over the
 // row set (cmpSel over the predicate's two terms).
-func predSel(p ir.Pred, b *Batch, rs *rowSet, sel, out []int32) ([]int32, error) {
-	return cmpSel(p.Op, predOperand(p.L, b, rs), predOperand(p.R, b, rs), sel, out)
+func predSel(p ir.Pred, rs *rowSet, sel, out []int32) ([]int32, error) {
+	return cmpSel(p.Op, rs.term(p.L), rs.term(p.R), sel, out)
 }
 
 // cmpSel refines the row numbers sel to those whose cells satisfy l op r,
 // writing the survivors to out (which needs room for len(sel) entries
 // and may be sel itself). The kernel dispatches on the operand kinds once
-// and runs a tight typed loop; mixed-kind vectors fall back to boxed
-// row-at-a-time comparison with identical semantics. A WHERE conjunct's
-// operands are its terms; a HAVING conjunct's are the two expressions
-// evaluated over the groups.
+// and runs a tight typed loop. A WHERE conjunct's operands are its terms;
+// a HAVING conjunct's are the two expressions evaluated over the groups.
 func cmpSel(op ir.Op, l, r vecOperand, sel, out []int32) ([]int32, error) {
 	if l.isConst && !r.isConst {
 		op = op.Flip()
@@ -292,24 +297,7 @@ func cmpSel(op ir.Op, l, r vecOperand, sel, out []int32) ([]int32, error) {
 	}
 
 	lk, rk := l.kindOf(), r.kindOf()
-	if lk == kindMixed || rk == kindMixed {
-		// Boxed fallback: exact row-at-a-time semantics.
-		out = out[:len(sel)]
-		k := 0
-		for _, j := range sel {
-			h, err := compare(op, l.Value(int(j)), r.Value(int(j)))
-			if err != nil {
-				return nil, err
-			}
-			if h {
-				out[k] = j
-				k++
-			}
-		}
-		return out[:k], nil
-	}
-
-	// Incomparable typed kinds decide the whole vector: compare()
+	// Incomparable kinds decide the whole vector: compare()
 	// returns (op == Neq) for every row.
 	if lk != rk && !(numericKind(lk) && numericKind(rk)) {
 		return all(op == ir.OpNeq), nil
@@ -377,10 +365,10 @@ func (o vecOperand) float(j int) float64 {
 // evaluated over the rows still selected and no others, so a row an
 // earlier conjunct rejected raises nothing. rest needs a batch read as it
 // stands (no selections), the one a row set narrows over.
-func (w *scratch) refine(b *Batch, rs *rowSet, preds []ir.Pred, rest []ir.HPred) ([]int32, error) {
+func (w *scratch) refine(rs *rowSet, preds []ir.Pred, rest []ir.HPred) ([]int32, error) {
 	sel := iota32[:rs.n()]
 	for _, p := range preds {
-		next, err := predSel(p, b, rs, sel, w.js[:])
+		next, err := predSel(p, rs, sel, w.js[:])
 		if err != nil {
 			return nil, err
 		}
@@ -399,11 +387,11 @@ func (w *scratch) refine(b *Batch, rs *rowSet, preds []ir.Pred, rest []ir.HPred)
 	defer func() { rs.loc = all }()
 	for _, h := range rest {
 		rs.loc = sel
-		l, err := evalVop(h.L, b, rs)
+		l, err := evalVop(h.L, rs)
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalVop(h.R, b, rs)
+		r, err := evalVop(h.R, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -518,7 +506,7 @@ func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, 
 	kept := make([]int32, ms.count())
 	err := ev.morselRun(t, site, ev.workersFor(ms.rows()), ms, func(w *scratch, k, lo, hi int) error {
 		rs := w.rows(b, lo, hi)
-		js, err := w.refine(b, rs, preds, rest)
+		js, err := w.refine(rs, preds, rest)
 		if err != nil {
 			return err
 		}
@@ -562,11 +550,11 @@ func (ev *Evaluator) ChangeContext(ctx context.Context, ct *ColTable, rc *ir.Row
 		return nil, nil, nil, err
 	}
 	pos = append(make([]int32, 0, len(sel)), sel...)
-	olds = ct.Rows(pos)
+	olds = ct.rows(pos)
 	if len(rc.Set) == 0 {
 		return pos, olds, nil, nil
 	}
-	news = ct.Rows(pos)
+	news = ct.rows(pos)
 	matched := b.with(len(pos), [][]int32{pos})
 	w := getScratch()
 	defer putScratch(w)
@@ -576,7 +564,7 @@ func (ev *Evaluator) ChangeContext(ctx context.Context, ct *ColTable, rc *ir.Row
 		}
 		rs := w.rows(matched, lo, min(lo+morselRows, len(pos)))
 		for i, e := range rc.Set {
-			o, err := evalVop(e, matched, rs)
+			o, err := evalVop(e, rs)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -592,14 +580,10 @@ func (ev *Evaluator) ChangeContext(ctx context.Context, ct *ColTable, rc *ir.Row
 // slice of n cells, broadcasting constants. Only called when the operand
 // is int-kind.
 func intsOf(o vecOperand, n int) []int64 {
-	xs := make([]int64, n)
 	if o.isConst {
-		y := o.c.AsInt()
-		for j := range xs {
-			xs[j] = y
-		}
-		return xs
+		return fill(n, o.c.AsInt())
 	}
+	xs := make([]int64, n)
 	for j, i := range o.idx {
 		xs[j] = o.vec.ints[i]
 	}
@@ -609,13 +593,11 @@ func intsOf(o vecOperand, n int) []int64 {
 // floatsOf is intsOf in the float64 domain, widening int vectors. Only
 // called when the operand is numeric.
 func floatsOf(o vecOperand, n int) []float64 {
+	if o.isConst {
+		return fill(n, o.c.AsFloat())
+	}
 	xs := make([]float64, n)
 	switch {
-	case o.isConst:
-		y := o.c.AsFloat()
-		for j := range xs {
-			xs[j] = y
-		}
 	case o.vec.kind == value.KindFloat:
 		for j, i := range o.idx {
 			xs[j] = o.vec.floats[i]
@@ -633,16 +615,10 @@ func floatsOf(o vecOperand, n int) []float64 {
 // accumulator column or a worker's scratch.
 func (o vecOperand) cells(n int) Vec {
 	if o.isConst {
-		vals := make([]value.Value, n)
-		for j := range vals {
-			vals[j] = o.c
-		}
-		return *vecFromValues(vals)
+		return broadcast(o.c, n)
 	}
 	v := Vec{kind: o.vec.kind}
 	switch v.kind {
-	case value.KindInt, value.KindBool:
-		v.ints = intsOf(o, n)
 	case value.KindFloat:
 		v.floats = floatsOf(o, n)
 	case value.KindString:
@@ -651,39 +627,44 @@ func (o vecOperand) cells(n int) Vec {
 			v.strs[j] = o.vec.strs[i]
 		}
 	default:
-		v.vals = make([]value.Value, n)
-		for j, i := range o.idx[:n] {
-			v.vals[j] = o.vec.vals[i]
-		}
+		v.ints = intsOf(o, n)
 	}
 	return v
 }
 
-// evalVop evaluates an aggregate-free expression over the row set into
-// an operand: a column read in place through the row set's indices, a
-// broadcast constant, or a vector computed for the morsel. Arithmetic
-// over uniformly numeric columns runs as typed loops; anything else
-// falls back to boxed per-row evaluation with the row-at-a-time engine's
-// exact error values. Only the rows of the set are evaluated, so a row a
-// fused filter dropped can raise nothing.
-func evalVop(e ir.Expr, b *Batch, rs *rowSet) (vecOperand, error) {
+// leaves resolves the leaves of an expression over the rows it is
+// evaluated on — a column, an aggregate — and says how many rows that
+// is: a morsel's row set (rowSet) or the output stage's groups
+// (groupStage). evalVop walks the expression above them.
+type leaves interface {
+	col(c ir.ColID) vecOperand
+	agg(a *ir.Agg) (vecOperand, error)
+	n() int
+}
+
+// evalVop evaluates an expression over the rows at resolves its leaves
+// on, into an operand: a column read in place through the rows' indices,
+// a broadcast constant, or a vector computed for them — arithmetic runs
+// as typed loops. Only those rows are evaluated, so a row a fused filter
+// dropped can raise nothing.
+func evalVop(e ir.Expr, at leaves) (vecOperand, error) {
 	switch x := e.(type) {
 	case *ir.ColRef:
-		return colOperand(x.Col, b, rs), nil
+		return at.col(x.Col), nil
 	case *ir.Const:
 		return vecOperand{c: x.Val, isConst: true}, nil
 	case *ir.Arith:
-		l, err := evalVop(x.L, b, rs)
+		l, err := evalVop(x.L, at)
 		if err != nil {
 			return vecOperand{}, err
 		}
-		r, err := evalVop(x.R, b, rs)
+		r, err := evalVop(x.R, at)
 		if err != nil {
 			return vecOperand{}, err
 		}
-		return arithVop(x.Op, l, r, rs.n())
+		return arithVop(x.Op, l, r, at.n())
 	case *ir.Agg:
-		return vecOperand{}, fmt.Errorf("engine: aggregate %s in a non-aggregated context", x.Func)
+		return at.agg(x)
 	default:
 		return vecOperand{}, fmt.Errorf("engine: unknown expression %T", e)
 	}
@@ -700,18 +681,13 @@ func arithVop(op ir.ArithOp, l, r vecOperand, n int) (vecOperand, error) {
 	}
 	lk, rk := l.kindOf(), r.kindOf()
 	if !numericKind(lk) || !numericKind(rk) {
-		// Boxed fallback, surfacing value package errors verbatim
-		// (including non-numeric operand errors on the first offending
-		// row, in row order).
-		vals := make([]value.Value, n)
-		for j := range vals {
-			v, err := applyArith(op, l.Value(j), r.Value(j))
-			if err != nil {
-				return vecOperand{}, err
-			}
-			vals[j] = v
+		// A non-numeric operand fails every row alike: the value
+		// package's error for the first, which a row loop would raise.
+		if n == 0 {
+			return denseOperand(&Vec{}), nil
 		}
-		return denseOperand(vecFromValues(vals)), nil
+		_, err := applyArith(op, l.Value(0), r.Value(0))
+		return vecOperand{}, err
 	}
 	if op != ir.ArithDiv && lk == value.KindInt && rk == value.KindInt {
 		out, ra := intsOf(l, n), intsOf(r, n)

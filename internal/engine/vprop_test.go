@@ -40,22 +40,20 @@ func randCell(rng *rand.Rand, class int) value.Value {
 		return value.Float(f)
 	case 2:
 		return value.Str(string(rune('a' + rng.Intn(4))))
-	case 3:
+	default:
 		return value.Bool(rng.Intn(2) == 0)
-	default: // mixed column: int or float per cell
-		if rng.Intn(2) == 0 {
-			return value.Int(int64(rng.Intn(5)))
-		}
-		return value.Float(float64(rng.Intn(5)))
 	}
 }
 
+// kindClasses is the number of kind classes randCell draws from.
+const kindClasses = 4
+
 // randRows builds n random full-width rows; each column draws a kind
-// class, so batches mix typed and boxed vectors.
+// class, so batches mix vectors of every kind.
 func randRows(rng *rand.Rand, width, n int) [][]value.Value {
 	classes := make([]int, width)
 	for c := range classes {
-		classes[c] = rng.Intn(5)
+		classes[c] = rng.Intn(kindClasses)
 	}
 	rows := make([][]value.Value, n)
 	for i := range rows {
@@ -78,7 +76,7 @@ func propSize(rng *rand.Rand, trial int) int {
 
 func randTerm(rng *rand.Rand, width int) ir.Term {
 	if rng.Intn(3) == 0 {
-		return ir.ConstTerm(randCell(rng, rng.Intn(5)))
+		return ir.ConstTerm(randCell(rng, rng.Intn(kindClasses)))
 	}
 	return ir.ColTerm(ir.ColID(rng.Intn(width)))
 }
@@ -151,7 +149,7 @@ func TestFilterKernelMatchesReference(t *testing.T) {
 func randExpr(rng *rand.Rand, width, depth int) ir.Expr {
 	if depth <= 0 || rng.Intn(3) == 0 {
 		if rng.Intn(3) == 0 {
-			return &ir.Const{Val: randCell(rng, rng.Intn(5))}
+			return &ir.Const{Val: randCell(rng, rng.Intn(kindClasses))}
 		}
 		return &ir.ColRef{Col: ir.ColID(rng.Intn(width))}
 	}
@@ -171,7 +169,7 @@ func evalCells(e ir.Expr, b *Batch) ([]value.Value, error) {
 	for m := 0; m < morselCount(b.n); m++ {
 		lo, hi := morselBounds(m, b.n)
 		rs := w.rows(b, lo, hi)
-		o, err := evalVop(e, b, rs)
+		o, err := evalVop(e, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -342,8 +340,9 @@ func TestAggKernelMatchesReference(t *testing.T) {
 
 	// Key shapes. A: ints with 2^53-1, 2^53 and 2^53+1 side by side;
 	// B: bools; C: strings; D: a float column (NaN, both zeros, 2.0) in
-	// one table and a mixed column (2 next to 2.0, 2^53+1 next to 2^53 as
-	// a float) in the other — both take the byte-encoded keys.
+	// one table and in the other one the store widened from ints and
+	// floats (2 next to 2.0, 2^53+1 next to 2^53) — both take the
+	// byte-encoded keys.
 	big := int64(1) << 53
 	ints := []int64{0, 1, 2, big - 1, big, big + 1, -big - 1}
 	strs := []string{"", "a", "b", "a\x00", "ab"}
@@ -363,7 +362,7 @@ func TestAggKernelMatchesReference(t *testing.T) {
 				value.Int(int64(krng.Intn(100))), value.Float(float64(krng.Intn(8)) / 4),
 			}
 		}
-		return rows
+		return stored(rows, 6)
 	}
 	// The aggregated cells ride in S's slots of a two-table query whose
 	// rows the test supplies whole, so R's four columns are all keys.
@@ -393,53 +392,31 @@ func TestAggKernelMatchesReference(t *testing.T) {
 	}
 	cases = append(cases, aggCase{name: "float sum of -0", q: build("SELECT A, SUM(B), MIN(B) FROM R GROUP BY A"), rows: negZero})
 
-	// Fold errors: the reference's error for the reference's first
-	// offending row, wherever its morsel is and whichever aggregate hits
-	// it. Every good cell is 7, so the extremum an error message quotes
-	// is the same per morsel as over all earlier rows.
-	poison := func(n int, cells map[int][2]value.Value) [][]value.Value {
-		rows := make([][]value.Value, n)
-		for i := range rows {
-			rows[i] = []value.Value{value.Int(int64(i % 3)), value.Int(7), value.Int(7), value.Int(0), value.Int(0), value.Int(0)}
-			if c, ok := cells[i]; ok {
-				rows[i][1], rows[i][2] = c[0], c[1]
-			}
-		}
-		return rows
-	}
-	seven := value.Int(7)
-	for _, at := range []int{0, 5, 1500, 2999} {
-		cases = append(cases,
-			aggCase{name: fmt.Sprintf("SUM over a string cell at %d", at), q: build("SELECT A, COUNT(B), SUM(B) FROM R GROUP BY A"),
-				rows: poison(3000, map[int][2]value.Value{at: {value.Str("x"), seven}})},
-			aggCase{name: fmt.Sprintf("AVG over a string cell at %d", at), q: build("SELECT A, MIN(C), AVG(B) FROM R GROUP BY A"),
-				rows: poison(3000, map[int][2]value.Value{at: {value.Str("x"), seven}, 2999: {seven, value.Str("late")}})},
-			aggCase{name: fmt.Sprintf("MIN over incomparable cells at %d", at+3), q: build("SELECT A, SUM(C), MIN(B), MAX(B) FROM R GROUP BY A"),
-				rows: poison(3000, map[int][2]value.Value{at + 3: {value.Bool(true), seven}})},
-		)
-	}
-	// Two aggregates fail on different rows of one morsel: the earlier
-	// row wins although its aggregate comes second.
-	cases = append(cases, aggCase{name: "earlier row, later aggregate", q: build("SELECT A, SUM(B), AVG(C) FROM R GROUP BY A"),
-		rows: poison(3000, map[int][2]value.Value{1100: {seven, value.Str("first")}, 1200: {value.Str("second"), seven}})})
-	// A typed string column fails on its first row.
-	cases = append(cases, aggCase{name: "SUM over a string column", q: build("SELECT B, SUM(C) FROM R, S GROUP BY B"), rows: keyRows(3000, false)})
+	// Fold errors: a SUM or AVG over a non-numeric column fails on its
+	// first row, a constant argument folds as its broadcast, and MIN/MAX
+	// order bools by their 0/1 payload.
+	cases = append(cases,
+		aggCase{name: "SUM over a string column", q: build("SELECT B, SUM(C) FROM R, S GROUP BY B"), rows: keyRows(3000, false)},
+		aggCase{name: "AVG over a bool column", q: build("SELECT C, COUNT(E), AVG(B) FROM R, S GROUP BY C"), rows: keyRows(3000, false)},
+		aggCase{name: "SUM over a string constant", q: build("SELECT C, SUM('x') FROM R, S GROUP BY C"), rows: keyRows(3000, false)},
+		aggCase{name: "constant arguments", q: build("SELECT C, SUM(2), MIN('k'), MAX(2.5), AVG(1), SUM(E) FROM R, S GROUP BY C"), rows: keyRows(3000, false)},
+		aggCase{name: "bool MIN/MAX", q: build("SELECT C, MIN(B), MAX(B), COUNT(B) FROM R, S GROUP BY C"), rows: keyRows(3000, false)},
+	)
 
 	// The output stage. 300 groups of which HAVING keeps the last ten, so
 	// kept tuples sit at other positions than their groups'. Then two
 	// errors at once: HAVING divides by zero on group 5 (all its D are 0)
-	// and COUNT's argument multiplies by a string on the first row of
-	// group 200 — the COUNT-argument pass covers every group before any
-	// HAVING runs, as the reference's fold does, so the later group's
-	// error is the one raised.
-	sparse := func(zeroD int, strC int) [][]value.Value {
+	// and COUNT's argument multiplies by a string column — the
+	// COUNT-argument pass covers every group before any HAVING runs, as
+	// the reference's fold does, so its error is the one raised.
+	sparse := func(zeroD int, strC bool) [][]value.Value {
 		rows := make([][]value.Value, 3000)
 		for i := range rows {
 			c, d := value.Int(7), value.Int(1)
 			if i%300 == zeroD {
 				d = value.Int(0)
 			}
-			if i == strC {
+			if strC {
 				c = value.Str("x")
 			}
 			rows[i] = []value.Value{value.Int(int64(i % 300)), value.Int(int64(i)), c, d, value.Int(0), value.Int(0)}
@@ -448,9 +425,9 @@ func TestAggKernelMatchesReference(t *testing.T) {
 	}
 	sparseQ := build("SELECT A, COUNT(B * C), SUM(B) FROM R GROUP BY A HAVING SUM(B) / MIN(D) >= 16400")
 	cases = append(cases,
-		aggCase{name: "HAVING keeps ten of 300 groups", q: sparseQ, rows: sparse(-1, -1)},
-		aggCase{name: "HAVING error on an early group alone", q: sparseQ, rows: sparse(5, -1), errHas: "division by zero"},
-		aggCase{name: "COUNT argument error on a later group beats it", q: sparseQ, rows: sparse(5, 200), errHas: "cannot apply * to INT and STRING"},
+		aggCase{name: "HAVING keeps ten of 300 groups", q: sparseQ, rows: sparse(-1, false)},
+		aggCase{name: "HAVING error on an early group alone", q: sparseQ, rows: sparse(5, false), errHas: "division by zero"},
+		aggCase{name: "COUNT argument error beats it", q: sparseQ, rows: sparse(5, true), errHas: "cannot apply * to INT and STRING"},
 	)
 
 	// More groups than the merge hands back to its pools (maxPooledGroups):
@@ -617,8 +594,9 @@ rows:
 // pruneRows builds n rows whose columns cover what a chunk's range can
 // and cannot say: A clustered ints (a chronicle's load order), B uniform
 // ints (every chunk spans the domain), C a constant, D floats ascending
-// with a NaN in some chunks, E a mixed int/float column, F clustered
-// strings, G bools constant per chunk, H clustered floats.
+// with a NaN in some chunks, E ints and floats the store widens to
+// floats, F clustered strings, G bools constant per chunk, H clustered
+// floats.
 func pruneRows(rng *rand.Rand, n int) [][]value.Value {
 	rows := make([][]value.Value, n)
 	for i := range rows {
@@ -636,7 +614,7 @@ func pruneRows(rng *rand.Rand, n int) [][]value.Value {
 			value.Str(fmt.Sprintf("k%02d", band)), value.Bool(i/chunkRows%2 == 0), value.Float(float64(band) + float64(rng.Intn(4))/4),
 		}
 	}
-	return rows
+	return stored(rows, 8)
 }
 
 // pruneConst draws a constant to compare column c of pruneRows with: of
@@ -759,9 +737,8 @@ func TestPrunedScanMatchesReference(t *testing.T) {
 		"reached in some chunks": {lt(25), bad},
 		"reached nowhere":        {lt(-1), bad},
 		"leading":                {bad, lt(-1)},
-		"behind a mixed column":  {{Op: ir.OpGeq, L: ir.ColTerm(4), R: ir.ConstTerm(value.Int(99))}, lt(25), bad},
 	} {
-		if _, err := refSelect(rows, preds); (err != nil) != (name != "reached nowhere" && name != "behind a mixed column") {
+		if _, err := refSelect(rows, preds); (err != nil) != (name != "reached nowhere") {
 			t.Fatalf("%s: reference error %v", name, err)
 		}
 		check(name, rows, preds)
@@ -788,7 +765,7 @@ func keyOperands(t *testing.T, rng *rand.Rand, keys []int64) map[string]vecOpera
 
 	// The keys as chunk 0 of a stored table, whole and narrowed.
 	b := batchFromRows(rows(n, func(i int) int64 { return keys[i] }), 1)
-	ops["identity index"] = colOperand(0, b, w.rows(b, 0, n))
+	ops["identity index"] = w.rows(b, 0, n).col(0)
 	w2 := new(scratch)
 	rs := w2.rows(b, 0, n)
 	var js []int32
@@ -799,7 +776,7 @@ func keyOperands(t *testing.T, rng *rand.Rand, keys []int64) map[string]vecOpera
 	}
 	if len(js) > 0 {
 		rs.loc = js
-		ops["narrowed row set"] = colOperand(0, b, rs)
+		ops["narrowed row set"] = rs.col(0)
 	}
 
 	// The keys scattered over a one-chunk and a three-chunk table, read
@@ -817,7 +794,7 @@ func keyOperands(t *testing.T, rng *rand.Rand, keys []int64) map[string]vecOpera
 		tb := batchFromRows(rows(size, func(i int) int64 { return cells[i] }), 1)
 		tb = tb.with(n, [][]int32{sel})
 		ws := new(scratch)
-		ops[name] = colOperand(0, tb, ws.rows(tb, 0, n))
+		ops[name] = ws.rows(tb, 0, n).col(0)
 	}
 	return ops
 }
@@ -875,7 +852,7 @@ func TestDirectGroupIdsMatchHash(t *testing.T) {
 					}
 					arg := vecOperand{vec: args, idx: iota32[:rows]}
 					sp := &aggSpec{fn: ir.AggSum, arg: &ir.ColRef{}, fold: true}
-					if _, err := st[v].accs[0].foldRows(sp, arg, gids[v][:rows], st[v].keys.n, gi[v].newJ); err != nil {
+					if err := st[v].accs[0].foldRows(sp, arg, gids[v][:rows], st[v].keys.n, gi[v].newJ); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -1056,15 +1033,6 @@ func TestOutputStageMatchesReference(t *testing.T) {
 		cases = append(cases, stageCase{name: name, q: build(sql), rows: rows, unbind: -1})
 	}
 
-	// B holds ints and floats side by side: boxed accumulators, finalized
-	// into a mixed vector that arithmetic and HAVING then read; the groups
-	// whose cells are all ints keep an int SUM next to the float ones.
-	mixedB := with(table(3000, 40), func(i int, row []value.Value) {
-		if i%40 >= 20 && i%3 == 0 {
-			row[1] = value.Float(float64(i%13) / 2)
-		}
-	})
-	add("mixed-kind SUM", "SELECT A, SUM(B), SUM(B) + 1, MIN(B), MAX(B) * 2 FROM R GROUP BY A HAVING SUM(B) > 0 - 500", mixedB)
 	add("string MIN/MAX", "SELECT A, MIN(C), MAX(C), COUNT(C) FROM R GROUP BY A HAVING MIN(C) < 'c' AND MAX(C) >= 'x'", table(3000, 700))
 	add("AVG", "SELECT A, AVG(B), AVG(D) / 2, AVG(B) - AVG(D), SUM(B) / COUNT(B) FROM R GROUP BY A HAVING AVG(D) >= 1", table(5000, 300))
 	add("no GROUP BY", "SELECT COUNT(B), AVG(D), MIN(C), SUM(B) * 2 FROM R HAVING COUNT(B) > 10", table(2500, 1))
@@ -1162,25 +1130,28 @@ func TestOutputStageMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			// A column is mixed only if its cells are, as a stored table's.
+			// Every result column is of one kind, chunk by chunk.
 			for c, col := range ct.cols {
-				if stored := columnOf(want.Tuples, c); col.kind != stored.kind {
-					t.Fatalf("%s workers %d: result column %d is of kind %v, stored from the reference's tuples %v", tc.name, w, c, col.kind, stored.kind)
+				for _, ch := range col.chunks {
+					if ch.kind != col.kind {
+						t.Fatalf("%s workers %d: result column %d of kind %v has a chunk of kind %v", tc.name, w, c, col.kind, ch.kind)
+					}
 				}
 			}
 		}
 	}
 
 	// DISTINCT over projections of one table: ints past 2^53, bools,
-	// strings, floats (NaN, both zeros), a mixed column where 2 meets 2.0,
-	// alone and together, below and above the morsel size.
+	// strings, floats (NaN, both zeros), a column widened from ints and
+	// floats where 2 meets 2.0, alone and together, below and above the
+	// morsel size.
 	big := int64(1) << 53
 	dsrc := ir.MapSource{"R": {"I", "B", "S", "F", "M"}}
 	drows := func(n int) *Relation {
 		rng := rand.New(rand.NewSource(int64(n)))
 		ints := []int64{0, 1, big, big + 1, -big - 1}
 		floats := []float64{math.NaN(), 0, math.Copysign(0, -1), 2, 2.5}
-		mixed := []value.Value{value.Int(2), value.Float(2), value.Int(big + 1), value.Float(float64(big)), value.Str("2"), value.Bool(true)}
+		mixed := []value.Value{value.Int(2), value.Float(2), value.Int(big + 1), value.Float(float64(big))}
 		r := NewRelation("I", "B", "S", "F", "M")
 		for i := 0; i < n; i++ {
 			r.Add(value.Int(ints[rng.Intn(len(ints))]), value.Bool(rng.Intn(2) == 0), value.Str(string(rune('a'+rng.Intn(3)))),

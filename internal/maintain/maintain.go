@@ -660,13 +660,15 @@ func (m *Maintainer) sortByDepthLocked(names []string) {
 	})
 }
 
-// tableDelta turns one mutation into a positional delta over base. The
-// deleted rows resolve to positions — mut.At when it checks out against
-// the stored cells, one typed probe otherwise — and an absent row is a
-// typed error (the batch aborts cleanly). A mutation that deletes and
-// inserts equally many rows (an UPDATE) overwrites in place, so the
-// columns it leaves alone are shared between versions; any other drops
-// the positions and appends.
+// tableDelta turns one mutation into a positional delta over base, the
+// one place a write's rows are checked: arity, then — once the delta has
+// its shape — the kind rule (engine.ColTable.Conform: a foreign kind is a
+// typed *engine.KindError and the batch aborts cleanly). The deleted rows
+// resolve to positions — mut.At when it checks out against the stored
+// cells, one typed probe otherwise — and an absent row is a typed error.
+// A mutation that deletes and inserts equally many rows (an UPDATE)
+// overwrites in place, so the columns it leaves alone are shared between
+// versions; any other drops the positions and appends.
 func tableDelta(base *engine.ColTable, mut Mutation) (engine.Delta, error) {
 	for _, rows := range [][][]value.Value{mut.Deletes, mut.Inserts} {
 		for _, r := range rows {
@@ -675,21 +677,23 @@ func tableDelta(base *engine.ColTable, mut Mutation) (engine.Delta, error) {
 			}
 		}
 	}
-	if len(mut.Deletes) == 0 {
-		return engine.Delta{Append: mut.Inserts}, nil
-	}
-	pos, sorted := mut.At, sortedDistinct(mut.At)
-	if sorted == nil || !holdsRows(base, pos, mut.Deletes) {
-		var ok bool
-		if pos, ok = base.Locate(mut.Deletes); !ok {
-			return engine.Delta{}, fmt.Errorf("maintain: delete of absent row from %s", mut.Table)
+	d := engine.Delta{Append: mut.Inserts}
+	if len(mut.Deletes) > 0 {
+		pos, sorted := mut.At, sortedDistinct(mut.At)
+		if sorted == nil || !holdsRows(base, pos, mut.Deletes) {
+			var ok bool
+			if pos, ok = base.Locate(mut.Deletes); !ok {
+				return engine.Delta{}, fmt.Errorf("maintain: delete of absent row from %s", mut.Table)
+			}
+			sorted = pos
 		}
-		sorted = pos
+		if len(mut.Inserts) == len(mut.Deletes) {
+			d = engine.Delta{SetAt: pos, SetRows: mut.Inserts}
+		} else {
+			d.Drop = sorted
+		}
 	}
-	if len(mut.Inserts) == len(mut.Deletes) {
-		return engine.Delta{SetAt: pos, SetRows: mut.Inserts}, nil
-	}
-	return engine.Delta{Drop: sorted, Append: mut.Inserts}, nil
+	return d, base.Conform(mut.Table, &d)
 }
 
 // sortedDistinct returns pos sorted ascending, or nil when pos is empty
@@ -793,8 +797,9 @@ func (m *Maintainer) applyDeltaLocked(ctx context.Context, p *pending, table str
 			d := row[a.sumAt]
 			as := &g.aggs[i]
 			// The zero Value is Int(0), the correct additive identity:
-			// int groups stay int, a float delta promotes, mirroring
-			// the engine's earliest-value sum typing.
+			// int groups stay int and a float delta, which a column a
+			// float widened brings, makes the sum a float; the view's
+			// column widens with it (engine.ColTable.Conform).
 			op := value.Add
 			if sign < 0 {
 				op = value.Sub

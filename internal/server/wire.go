@@ -170,22 +170,6 @@ func appendJSONStrings(dst []byte, ss []string) []byte {
 	return append(dst, ']')
 }
 
-// appendWireValue appends EncodeValue(v) as a JSON string.
-func appendWireValue(dst []byte, v value.Value) []byte {
-	switch v.Kind() {
-	case value.KindInt:
-		return appendWireInt(dst, v.AsInt())
-	case value.KindFloat:
-		return appendWireFloat(dst, v.AsFloat())
-	case value.KindString:
-		return appendJSONString(dst, "s:", v.AsString())
-	case value.KindBool:
-		return appendWireBool(dst, v.AsBool())
-	default:
-		return append(dst, `"?:"`...)
-	}
-}
-
 func appendWireInt(dst []byte, x int64) []byte {
 	return append(strconv.AppendInt(append(dst, `"i:`...), x, 10), '"')
 }
@@ -208,7 +192,6 @@ type wireCells struct {
 	ints   []int64
 	floats []float64
 	strs   []string
-	vals   []value.Value
 }
 
 // appendQueryColumns appends the /query success body for a result,
@@ -228,8 +211,8 @@ func appendQueryColumns(dst []byte, res *engine.ColTable, used []string, cache s
 		rows := n - done // of a result without columns; else the chunk's
 		for c := range cols {
 			w := &cols[c]
-			w.kind, w.ints, w.floats, w.strs, w.vals = res.Cells(c, k)
-			rows = len(w.ints) + len(w.floats) + len(w.strs) + len(w.vals) // one of them is set
+			w.kind, w.ints, w.floats, w.strs = res.Cells(c, k)
+			rows = len(w.ints) + len(w.floats) + len(w.strs) // one of them is set
 		}
 		for j := 0; j < rows; j++ {
 			if done+j > 0 {
@@ -247,10 +230,8 @@ func appendQueryColumns(dst []byte, res *engine.ColTable, used []string, cache s
 					dst = appendWireFloat(dst, w.floats[j])
 				case value.KindString:
 					dst = appendJSONString(dst, "s:", w.strs[j])
-				case value.KindBool:
-					dst = appendWireBool(dst, w.ints[j] != 0)
 				default:
-					dst = appendWireValue(dst, w.vals[j])
+					dst = appendWireBool(dst, w.ints[j] != 0)
 				}
 			}
 			dst = append(dst, ']')

@@ -7,38 +7,46 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"aggview"
 	"aggview/internal/datagen"
 	"aggview/internal/engine"
 	"aggview/internal/ir"
 	"aggview/internal/value"
 )
 
-// TestWireValueRoundTrip pins the codec: every kind survives the wire
-// exactly, including int64 beyond float64's 2^53 integer range (the
-// reason values ride as tagged text, not JSON numbers) and strings
-// containing the tag separator.
+// wireValues are the codec's cases: every kind, int64 beyond float64's
+// 2^53 integer range (the reason values ride as tagged text, not JSON
+// numbers) and strings containing the tag separator.
+var wireValues = []value.Value{
+	value.Int(0),
+	value.Int(-7),
+	value.Int(math.MaxInt64),
+	value.Int(math.MinInt64),
+	value.Int(1<<53 + 1), // not representable as float64
+	value.Float(2.5),
+	value.Float(-0.1),
+	value.Float(math.MaxFloat64),
+	value.Str(""),
+	value.Str("plain"),
+	value.Str("with:colon:and\nnewline"),
+	value.Str("i:123"), // payload that looks like an encoding
+	value.Bool(true),
+	value.Bool(false),
+}
+
+// malformedWireValues are strings DecodeValue refuses.
+var malformedWireValues = []string{"", "i", "x:1", "i:notanumber", "b:maybe", "ii:1", ":payload", "f:one"}
+
+// TestWireValueRoundTrip pins the codec: every one of wireValues
+// survives the wire exactly.
 func TestWireValueRoundTrip(t *testing.T) {
-	vals := []value.Value{
-		value.Int(0),
-		value.Int(-7),
-		value.Int(math.MaxInt64),
-		value.Int(math.MinInt64),
-		value.Int(1<<53 + 1), // not representable as float64
-		value.Float(2.5),
-		value.Float(-0.1),
-		value.Float(math.MaxFloat64),
-		value.Str(""),
-		value.Str("plain"),
-		value.Str("with:colon:and\nnewline"),
-		value.Str("i:123"), // payload that looks like an encoding
-		value.Bool(true),
-		value.Bool(false),
-	}
-	for _, v := range vals {
+	for _, v := range wireValues {
 		enc := EncodeValue(v)
 		got, err := DecodeValue(enc)
 		if err != nil {
@@ -51,7 +59,7 @@ func TestWireValueRoundTrip(t *testing.T) {
 }
 
 func TestWireValueMalformed(t *testing.T) {
-	for _, s := range []string{"", "i", "x:1", "i:notanumber", "b:maybe", "ii:1", ":payload", "f:one"} {
+	for _, s := range malformedWireValues {
 		if _, err := DecodeValue(s); err == nil {
 			t.Errorf("DecodeValue(%q): expected error", s)
 		}
@@ -77,9 +85,9 @@ func TestWireRelationRoundTrip(t *testing.T) {
 }
 
 // appendQueryResponse encodes a row-shaped result the way the handler
-// encodes every result: stored as typed columns (a column mixed where its
-// cells are), then appendQueryColumns. The tests below were written
-// against rows and keep checking the same bytes.
+// encodes every result: stored as typed columns, then appendQueryColumns.
+// The tests below were written against rows and keep checking the same
+// bytes.
 func appendQueryResponse(dst []byte, res *engine.Relation, used []string, cache string, elapsedNs int64) []byte {
 	body, _ := appendQueryColumns(dst, engine.BuildColTable(res), used, cache, elapsedNs)
 	return body
@@ -121,8 +129,9 @@ func TestQueryResponseBytesMatchStdlib(t *testing.T) {
 	var cases []body
 
 	rng := rand.New(rand.NewSource(19))
+	var kinds []int // per column, the kind class gen draws from
 	gen := func(rng *rand.Rand, col int) value.Value {
-		switch rng.Intn(5) {
+		switch kinds[col] {
 		case 0:
 			return value.Int(rng.Int63() - rng.Int63())
 		case 1:
@@ -136,6 +145,7 @@ func TestQueryResponseBytesMatchStdlib(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 60; trial++ {
+		kinds = rng.Perm(5)
 		attrs := make([]string, rng.Intn(5))
 		for i := range attrs {
 			attrs[i] = awkwardStrings[rng.Intn(len(awkwardStrings))]
@@ -148,24 +158,27 @@ func TestQueryResponseBytesMatchStdlib(t *testing.T) {
 			used, []string{"hit", "miss", "bypass"}[trial%3], rng.Int63()})
 	}
 
-	cells := engine.NewRelation("v")
+	strs, floats, ints, bools := engine.NewRelation("v"), engine.NewRelation("v"), engine.NewRelation("v"), engine.NewRelation("v")
 	for _, s := range awkwardStrings {
-		cells.Add(value.Str(s))
+		strs.Add(value.Str(s))
 	}
 	for _, f := range []float64{0, math.Copysign(0, -1), 1e21, 1e20, 1e-7, 123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64,
 		math.Inf(1), math.Inf(-1), math.NaN()} {
-		cells.Add(value.Float(f))
+		floats.Add(value.Float(f))
 	}
 	for _, n := range []int64{0, -1, math.MaxInt64, math.MinInt64, 1<<53 + 1} {
-		cells.Add(value.Int(n))
+		ints.Add(value.Int(n))
 	}
-	cells.Add(value.Bool(true))
-	cells.Add(value.Bool(false))
+	bools.Add(value.Bool(true))
+	bools.Add(value.Bool(false))
 	noAttrs := engine.NewRelation()
 	noAttrs.Add()
 	noAttrs.Add()
 	cases = append(cases,
-		body{"every awkward cell", cells, []string{"V"}, "hit", 1},
+		body{"every awkward string", strs, []string{"V"}, "hit", 1},
+		body{"every awkward float", floats, []string{"V"}, "hit", 1},
+		body{"every awkward int", ints, []string{"V"}, "hit", 1},
+		body{"both bools", bools, []string{"V"}, "hit", 1},
 		body{"empty result", engine.NewRelation("a", "b"), nil, "miss", 0},
 		body{"empty result, nil attrs", &engine.Relation{}, nil, "bypass", -5},
 		body{"zero attrs, two rows", noAttrs, []string{}, "hit", math.MaxInt64},
@@ -287,33 +300,107 @@ func FuzzQueryResponseDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { decodeBothWays(t, data) })
 }
 
+// FuzzInsertBody feeds arbitrary /insert and /update bodies through the
+// wire path (InProcessExec: decodeBody, DecodeRows, the facade's write)
+// into T(I, F, S, B) — an int, a float, a string and a bool column — with
+// a SUM/MIN view tracked over it. Every reply is a 2xx, after which each
+// column of T still holds one kind and the view equals its definition,
+// or a 4xx, after which T is at the version it was: never a 5xx, never a
+// panic. The seed corpus puts each of wireValues, and each of
+// malformedWireValues, into each column of an inserted row and into an
+// UPDATE's SET.
+func FuzzInsertBody(f *testing.F) {
+	row := []string{"i:1", "f:0.5", "s:a", "b:T"}
+	cols := []string{"I", "F", "S", "B"}
+	for i, v := range wireValues {
+		r := slices.Clone(row)
+		r[i%4] = EncodeValue(v)
+		body, _ := json.Marshal(InsertRequest{Table: "T", Rows: [][]string{row, r}})
+		f.Add(false, body)
+		body, _ = json.Marshal(UpdateRequest{Table: "T", Set: cols[i%4] + " = " + v.String(), Where: "I > 0"})
+		f.Add(true, body)
+	}
+	for i, s := range malformedWireValues {
+		r := slices.Clone(row)
+		r[i%4] = s
+		body, _ := json.Marshal(InsertRequest{Table: "T", Rows: [][]string{r}})
+		f.Add(false, body)
+	}
+	for _, s := range []string{
+		`{"table":"T","rows":[["i:1","f:0.5","s:a"]]}`, `{"table":"Nope","rows":[]}`, `{"table":"T","rows":[]}`,
+		`{"table":"T","set":"F = I / 0"}`, `{"table":"T","set":"B = FALSE, F = F * 2","where":"S = 'a'"}`, `{"table":"T","set":"nope"}`,
+	} {
+		f.Add(strings.Contains(s, `"set"`), []byte(s))
+	}
+	f.Fuzz(func(t *testing.T, update bool, body []byte) {
+		sys := aggview.New()
+		sys.MustLoad(`
+			CREATE TABLE T(I, F, S, B);
+			CREATE VIEW V AS SELECT S, SUM(I), MIN(F), COUNT(B) FROM T GROUP BY S;
+		`)
+		if err := sys.Insert("T",
+			[]aggview.Value{aggview.Int(1), aggview.Float(0.5), aggview.Str("a"), aggview.Bool(true)},
+			[]aggview.Value{aggview.Int(2), aggview.Float(1.5), aggview.Str("b"), aggview.Bool(false)},
+		); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.TrackView("V"); err != nil {
+			t.Fatal(err)
+		}
+		srv := New(sys, Config{})
+		defer srv.Close()
+		path := "/insert"
+		if update {
+			path = "/update"
+		}
+		version := sys.DB.Version("T")
+		req, _ := http.NewRequest(http.MethodPost, "http://test"+path, bytes.NewReader(body))
+		resp, err := (&InProcessExec{S: srv}).Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch code := resp.StatusCode; {
+		case code >= 200 && code < 300:
+			tab, _ := sys.DB.Get("T")
+			for c := range tab.Attrs {
+				for _, r := range tab.Tuples {
+					if r[c].Kind() != tab.Tuples[0][c].Kind() {
+						t.Fatalf("%s %s: %d, and column %s holds %s beside %s", path, body, code, tab.Attrs[c], r[c].Kind(), tab.Tuples[0][c].Kind())
+					}
+				}
+			}
+			def, _ := sys.Views.Get("V")
+			want, err := engine.NewEvaluator(sys.DB, sys.Views).Exec(def.Def)
+			if got, _ := sys.DB.Get("V"); err != nil || !engine.ResultsEqualBag(got, want) {
+				t.Fatalf("%s %s: %d, and V differs from its definition (%v)", path, body, code, err)
+			}
+		case code >= 400 && code < 500:
+			if v := sys.DB.Version("T"); v != version {
+				t.Fatalf("%s %s: %d, and T moved from version %d to %d", path, body, code, version, v)
+			}
+		default:
+			t.Fatalf("%s %s: status %d", path, body, code)
+		}
+	})
+}
+
 // TestQueryColumnsBytesMatchStdlib extends the byte-identity contract to
 // results as the engine hands them to the handler: typed columns of every
-// kind (a row-shaped relation whose cells vary per row, as above, stores
-// every column mixed), next to a mixed one, over several chunks, from
-// storage and out of the engine's own output stages — with strings that
-// need every escape, NaN and both infinities, both zeros, int64s past
-// 2^53 — and the results without rows or without columns.
+// kind over several chunks, from storage and out of the engine's own
+// output stages — with strings that need every escape, NaN and both
+// infinities, both zeros, int64s past 2^53 — and the results without rows
+// or without columns.
 func TestQueryColumnsBytesMatchStdlib(t *testing.T) {
 	floats := []float64{0, math.Copysign(0, -1), 1e21, 1e-7, 123456789.125, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
 	ints := []int64{0, -1, math.MaxInt64, math.MinInt64, 1<<53 + 1, 42}
-	typed := engine.NewRelation("i", "f", "s", "b", awkwardStrings[4], "m")
+	typed := engine.NewRelation("i", "f", "s", "b", awkwardStrings[4])
 	for r := 0; r < 2500; r++ {
-		m := value.Int(int64(r))
-		switch r % 4 {
-		case 1:
-			m = value.Float(floats[r%len(floats)])
-		case 2:
-			m = value.Str(awkwardStrings[r%len(awkwardStrings)])
-		case 3:
-			m = value.Bool(r%8 == 3)
-		}
 		typed.Add(value.Int(ints[r%len(ints)]), value.Float(floats[r%len(floats)]), value.Str(awkwardStrings[r%len(awkwardStrings)]),
-			value.Bool(r%3 == 0), value.Int(int64(r%7)), m)
+			value.Bool(r%3 == 0), value.Int(int64(r%7)))
 	}
 	db := engine.NewDB()
 	db.Put("T", typed)
-	src := ir.MapSource{"T": {"i", "f", "s", "b", "g", "m"}}
+	src := ir.MapSource{"T": {"i", "f", "s", "b", "g"}}
 	run := func(sql string) *engine.ColTable {
 		ct, err := engine.NewEvaluator(db, nil).ExecColumns(context.Background(), ir.MustBuild(sql, src))
 		if err != nil {
@@ -327,9 +414,9 @@ func TestQueryColumnsBytesMatchStdlib(t *testing.T) {
 	noCols.Add()
 	cases := map[string]*engine.ColTable{
 		"stored":          engine.BuildColTable(typed),
-		"projected":       run("SELECT i, f, s, b, g, m, 7, 'k', f * 2 FROM T"),
+		"projected":       run("SELECT i, f, s, b, g, 7, 'k', f * 2 FROM T"),
 		"distinct":        run("SELECT DISTINCT g, b, s FROM T"),
-		"aggregated":      run("SELECT g, b, s, SUM(f), MIN(s), MAX(i), COUNT(m), AVG(i), SUM(i) / 2 FROM T GROUP BY g, b, s"),
+		"aggregated":      run("SELECT g, b, s, SUM(f), MIN(s), MAX(i), COUNT(g), AVG(i), SUM(i) / 2 FROM T GROUP BY g, b, s"),
 		"one group":       run("SELECT MIN(i), MAX(f), MIN(s) FROM T"),
 		"having rejects":  run("SELECT g, SUM(i) FROM T GROUP BY g HAVING COUNT(i) < 0"),
 		"no rows":         engine.BuildColTable(engine.NewRelation("a", "b")),

@@ -38,12 +38,31 @@ func scanShapes(t testing.TB, sys *aggview.System) []scanShape {
 	}
 }
 
+// medianAllocated returns the median of the bytes nine calls of run
+// allocate. A sync.Pool hands a buffer back only to the P that put it or
+// through a steal, so now and then a call — after a collection emptied a
+// pool, say — refills one that the next calls then find warm; a pipeline
+// that allocated what it read would do so on every call.
+func medianAllocated(run func()) uint64 {
+	samples := make([]uint64, 9)
+	var before, after runtime.MemStats
+	for i := range samples {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		samples[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	return samples[len(samples)/2]
+}
+
 // TestScanCostIsResultSized is the regression guard for the one-pass
 // aggregation pipeline: a warm scan-filter-fold over Calls allocates its
 // per-morsel partials and its result, not copies of the columns it
 // reads — so it stays far under the table's size and barely grows with
 // it — and a join allocates index vectors over the matched rows, not
-// gathered columns of both sides.
+// gathered columns of both sides. Each figure is the median of single
+// calls (medianAllocated).
 func TestScanCostIsResultSized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 100000-row warehouse")
@@ -61,12 +80,7 @@ func TestScanCostIsResultSized(t *testing.T) {
 				}
 			}
 			run() // warm: pooled scratch, lazily built registries
-			const reps = 8
-			out[sh.name] = allocated(func() {
-				for i := 0; i < reps; i++ {
-					run()
-				}
-			}) / reps
+			out[sh.name] = medianAllocated(run)
 		}
 		return out
 	}
@@ -155,10 +169,8 @@ func TestClusteredScanSkipsChunks(t *testing.T) {
 // its result — under 64 KB at 100000 Calls rows (660 KB when the pairs
 // and the selection were exact allocations) and at most 8 KB more than at
 // 10000, where one int32 per joined row would add 180 KB. The figure is
-// the median of single calls: a sync.Pool hands a buffer back only to the
-// P that put it or through a steal, so now and then a call refills a pool
-// (one 400 KB vector) that the next calls then find warm; a join that
-// allocated what it matched would do so on every call.
+// the median of single calls (medianAllocated): now and then a call
+// refills a pool with one 400 KB vector.
 func TestJoinCostIsResultSized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a 100000-row warehouse")
@@ -178,16 +190,7 @@ func TestJoinCostIsResultSized(t *testing.T) {
 			}
 		}
 		run() // warm: pooled scratch and index vectors, lazily built registries
-		samples := make([]uint64, 9)
-		var before, after runtime.MemStats
-		for i := range samples {
-			runtime.ReadMemStats(&before)
-			run()
-			runtime.ReadMemStats(&after)
-			samples[i] = after.TotalAlloc - before.TotalAlloc
-		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		return samples[len(samples)/2]
+		return medianAllocated(run)
 	}
 	small, large := perCall(10_000), perCall(100_000)
 	t.Logf("bytes allocated per warm area_join: %d at 10000 rows, %d at 100000", small, large)
