@@ -8,11 +8,21 @@
 //	s := aggview.New()
 //	s.MustLoad(`CREATE TABLE Calls(Call_Id, Plan_Id, Year, Charge) KEY(Call_Id)`)
 //	s.MustDefineView("V1", "SELECT Plan_Id, Year, SUM(Charge) FROM Calls GROUP BY Plan_Id, Year")
-//	... insert data, s.Materialize("V1") ...
-//	res, used, err := s.QueryBest("SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id")
+//	... insert data, s.MaterializeContext(ctx, "V1") ...
+//	res, used, err := s.QueryBestContext(ctx, "SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id")
 //
-// QueryBest rewrites the query to range over materialized views whenever
-// the paper's usability conditions hold and the cost model prefers it.
+// QueryBestContext rewrites the query to range over materialized views
+// whenever the paper's usability conditions hold and the cost model
+// prefers it.
+//
+// Every operation that may block takes a context.Context first and
+// exists once: writes (InsertContext, DeleteContext, UpdateContext,
+// ExecContext), view upkeep (TrackViewContext, MaterializeContext),
+// reads (QueryContext, QueryBestContext, ExecRewritingContext), planning
+// (RewritingsContext, PlanContext, PrepareContext, Explain, and
+// AdviseContext) and prepared execution (ExecPreparedOnContext,
+// ExecPreparedColumns, QueryOnContext). Load and SetRelation are the
+// bulk-load paths and run unbounded.
 package aggview
 
 import (
@@ -74,7 +84,8 @@ type System struct {
 	Opts    Options
 	// Tracer, when non-nil, records every rewrite-search candidate with
 	// its usability verdict (see internal/obs); it is threaded into the
-	// rewriters built by Rewriter, Rewritings, Plan and Explain.
+	// rewriters built by Rewriter, RewritingsContext, PlanContext,
+	// PrepareContext and Explain.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, collects engine kernel counters, stage
 	// timers and view-cache hit/miss counts from every evaluator the
@@ -137,10 +148,11 @@ func executeStage[R any](ctx context.Context, rows func(R) int, run func() (R, e
 // knobs: Opts.Deadline (when set) becomes a timeout, and
 // Opts.MaxRows/MaxCandidates attach a fresh budget meter unless the
 // caller already supplied one via budget.WithMeter (a caller-supplied
-// meter wins, so one pool can span several operations). Every public
-// operation — including the plain, context-free variants — routes
-// through opCtx, so the knobs apply uniformly. The returned cancel
-// releases the deadline timer.
+// meter wins, so one pool can span several operations). Every read,
+// plan, materialization and advice routes through opCtx. Writes
+// (InsertContext, DeleteContext, UpdateContext, ExecContext) and
+// TrackViewContext do not: they are bounded by the caller's ctx alone.
+// The returned cancel releases the deadline timer.
 func (s *System) opCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	cancel := context.CancelFunc(func() {})
 	if s.Opts.Deadline > 0 {
@@ -175,17 +187,19 @@ func (s *System) Rewriter() *core.Rewriter {
 	}
 }
 
-// Load parses a script and executes its statements in order (Exec):
-// CREATE TABLE and CREATE VIEW declarations, and INSERT, DELETE and UPDATE
-// against the tables declared so far. SELECT statements in the script are
-// rejected — run them with Query.
+// Load parses a script and executes its statements in order
+// (ExecContext): CREATE TABLE and CREATE VIEW declarations, and INSERT,
+// DELETE and UPDATE against the tables declared so far. SELECT
+// statements in the script are rejected — run them with QueryContext.
+// Load runs unbounded.
 func (s *System) Load(script string) error {
 	stmts, err := sqlparser.ParseScript(script)
 	if err != nil {
 		return err
 	}
 	for _, st := range stmts {
-		if _, err := s.Exec(st); err != nil {
+		//aggvet:ctxflow Load is a bulk-load path, like SetRelation; a script inherits no caller deadline by design.
+		if _, err := s.ExecContext(context.Background(), st); err != nil {
 			return err
 		}
 	}
@@ -203,7 +217,7 @@ func (s *System) MustLoad(script string) {
 func (s *System) AddTable(t *Table) error { return s.Catalog.AddTable(t) }
 
 // DefineView registers a materialized-view definition. The view is not
-// materialized until Materialize is called; until then queries over it
+// materialized until MaterializeContext is called; until then queries over it
 // evaluate its definition on the fly.
 func (s *System) DefineView(name, sql string) error {
 	return s.Load("CREATE VIEW " + name + " AS " + sql)
@@ -216,17 +230,10 @@ func (s *System) MustDefineView(name, sql string) {
 	}
 }
 
-// Insert appends tuples to a base table, creating its relation on first
-// use and keeping cardinality statistics current. Insert runs
-// unbounded; use InsertContext to bound the view maintenance it
-// triggers.
-func (s *System) Insert(table string, rows ...[]Value) error {
-	return s.InsertContext(context.Background(), table, rows...)
-}
-
-// InsertContext is Insert under a context: cancellation and deadline
-// expiry abort the maintenance evaluations with a typed error before
-// any materialization or base table changes.
+// InsertContext appends tuples to a base table, creating its relation on
+// first use and keeping cardinality statistics current. Cancellation and
+// deadline expiry abort the maintenance evaluations it triggers with a
+// typed error before any materialization or base table changes.
 func (s *System) InsertContext(ctx context.Context, table string, rows ...[]Value) error {
 	t, ok := s.Catalog.Table(table)
 	if !ok {
@@ -270,34 +277,20 @@ func (s *System) maintainer() *maintain.Maintainer {
 	return s.maint
 }
 
-// Delete removes the rows of a base table matching an optional WHERE
-// condition (given without the WHERE keyword; "" deletes every row) and
-// reports how many rows were removed. Tracked views absorb the deletion
-// incrementally via counting maintenance. Delete runs unbounded; use
-// DeleteContext to bound the maintenance it triggers.
-func (s *System) Delete(table, where string) (int, error) {
-	//aggvet:ctxflow Background shim by design; DeleteContext is the bounded variant.
-	return s.DeleteContext(context.Background(), table, where)
-}
-
-// DeleteContext is Delete under a context: cancellation and deadline
-// expiry abort the maintenance evaluations with a typed error before
-// any materialization or base table changes.
+// DeleteContext removes the rows of a base table matching an optional
+// WHERE condition (given without the WHERE keyword; "" deletes every row)
+// and reports how many rows were removed. Tracked views absorb the
+// deletion incrementally via counting maintenance. Cancellation and
+// deadline expiry abort the maintenance evaluations with a typed error
+// before any materialization or base table changes.
 func (s *System) DeleteContext(ctx context.Context, table, where string) (int, error) {
 	return execChange[*sqlparser.Delete](ctx, s, "DELETE FROM "+table, where)
 }
 
-// Update rewrites the rows of a base table matching an optional WHERE
-// condition. set is the SET clause body, e.g. "Charge = Charge + 1";
+// UpdateContext rewrites the rows of a base table matching an optional
+// WHERE condition. set is the SET clause body, e.g. "Charge = Charge + 1";
 // expressions see the row's old values. It reports how many rows
-// changed. Update runs unbounded; use UpdateContext to bound the
-// maintenance it triggers.
-func (s *System) Update(table, set, where string) (int, error) {
-	//aggvet:ctxflow Background shim by design; UpdateContext is the bounded variant.
-	return s.UpdateContext(context.Background(), table, set, where)
-}
-
-// UpdateContext is Update under a context.
+// changed, and is bounded like DeleteContext.
 func (s *System) UpdateContext(ctx context.Context, table, set, where string) (int, error) {
 	return execChange[*sqlparser.Update](ctx, s, "UPDATE "+table+" SET "+set, where)
 }
@@ -320,18 +313,12 @@ func execChange[S sqlparser.Statement](ctx context.Context, s *System, head, whe
 	return 0, fmt.Errorf("aggview: malformed statement %q", head)
 }
 
-// Exec executes one parsed statement other than a SELECT: a CREATE TABLE
-// or CREATE VIEW declares, an INSERT, DELETE or UPDATE mutates, and the
-// number of rows affected is reported (0 for a declaration). Script
+// ExecContext executes one parsed statement other than a SELECT: a CREATE
+// TABLE or CREATE VIEW declares, an INSERT, DELETE or UPDATE mutates, and
+// the number of rows affected is reported (0 for a declaration). Script
 // loaders (Load, cmd/aggserve, cmd/aggview) hand each statement of a
 // parsed script here, so a replayed script takes exactly the production
 // path and is parsed once.
-func (s *System) Exec(st sqlparser.Statement) (int, error) {
-	//aggvet:ctxflow Background shim by design; ExecContext is the bounded variant.
-	return s.ExecContext(context.Background(), st)
-}
-
-// ExecContext is Exec under a context.
 func (s *System) ExecContext(ctx context.Context, st sqlparser.Statement) (int, error) {
 	switch x := st.(type) {
 	case *sqlparser.CreateTable:
@@ -352,7 +339,7 @@ func (s *System) ExecContext(ctx context.Context, st sqlparser.Statement) (int, 
 	case *sqlparser.Update:
 		return s.applyChange(ctx, x.Table, x.Where, x.Set)
 	default:
-		return 0, fmt.Errorf("aggview: Exec supports CREATE TABLE, CREATE VIEW, INSERT, DELETE and UPDATE, not %T", st)
+		return 0, fmt.Errorf("aggview: ExecContext supports CREATE TABLE, CREATE VIEW, INSERT, DELETE and UPDATE, not %T", st)
 	}
 }
 
@@ -422,18 +409,11 @@ func (s *System) changedRows(ctx context.Context, t *schema.Table, where sqlpars
 	return s.evaluator(s.Views, s.Store).ChangeContext(ctx, tab, rc)
 }
 
-// TrackView materializes a view and keeps it consistent under future
-// Insert calls: SUM/COUNT/MIN/MAX views merge per-group deltas, other
+// TrackViewContext materializes a view and keeps it consistent under
+// future writes: SUM/COUNT/MIN/MAX views merge per-group deltas, other
 // shapes recompute. It reports whether maintenance is incremental.
-// Tracking state is dropped by AdoptDB. TrackView runs unbounded; use
-// TrackViewContext to bound the initial materialization.
-func (s *System) TrackView(name string) (incremental bool, err error) {
-	return s.TrackViewContext(context.Background(), name)
-}
-
-// TrackViewContext is TrackView under a context: cancellation and
-// deadline expiry abort the initial materialization with a typed
-// error.
+// Tracking state is dropped by AdoptDB. Cancellation and deadline expiry
+// abort the initial materialization with a typed error.
 func (s *System) TrackViewContext(ctx context.Context, name string) (incremental bool, err error) {
 	m := s.maintainer()
 	// Materializing the view needs its base relations to exist, even when
@@ -516,16 +496,11 @@ func (s *System) AdoptDB(db *engine.DB, names ...string) {
 	}
 }
 
-// Materialize evaluates a view's definition against the current database
-// and stores the result under the view's name, so subsequent queries
-// (and rewritings) scan the materialization instead of recomputing it.
-func (s *System) Materialize(name string) (*Result, error) {
-	return s.MaterializeContext(context.Background(), name)
-}
-
-// MaterializeContext is Materialize under a context: cancellation,
-// deadline expiry and an exhausted row budget abort the evaluation with
-// a typed error and nothing is stored.
+// MaterializeContext evaluates a view's definition against the current
+// database and stores the result under the view's name, so subsequent
+// queries (and rewritings) scan the materialization instead of
+// recomputing it. Cancellation, deadline expiry and an exhausted row
+// budget abort the evaluation with a typed error and nothing is stored.
 func (s *System) MaterializeContext(ctx context.Context, name string) (*Result, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
@@ -545,8 +520,8 @@ func (s *System) MaterializeContext(ctx context.Context, name string) (*Result, 
 
 // Parse compiles a SELECT statement against the catalog and views.
 // Derived tables (FROM subqueries) are supported: they are hoisted into
-// anonymous view definitions handled transparently by Query, Plan and
-// Rewritings.
+// anonymous view definitions handled transparently by QueryContext,
+// PlanContext and RewritingsContext.
 func (s *System) Parse(sql string) (*ir.Query, error) {
 	q, _, err := s.parseMulti(sql)
 	return q, err
@@ -581,13 +556,9 @@ func (s *System) mergedViews(anon *ir.Registry) (*ir.Registry, error) {
 	return reg, nil
 }
 
-// Query parses and executes a SELECT directly (no rewriting).
-func (s *System) Query(sql string) (*Result, error) {
-	return s.QueryContext(context.Background(), sql)
-}
-
-// QueryContext is Query under a context: cancellation, deadline expiry
-// and an exhausted row budget abort the evaluation at row-batch
+// QueryContext parses and executes a SELECT directly (no rewriting).
+// Cancellation, deadline expiry and an exhausted row budget abort the
+// evaluation at row-batch
 // granularity with a typed *budget.Canceled or *budget.Exceeded and no
 // partial result.
 func (s *System) QueryContext(ctx context.Context, sql string) (*Result, error) {
@@ -609,30 +580,16 @@ func (s *System) query(ctx context.Context, store engine.Storage, sql string) (*
 	return s.evaluator(reg, store).ExecContext(ctx, q)
 }
 
-// MustQuery is Query, panicking on error.
-func (s *System) MustQuery(sql string) *Result {
-	r, err := s.Query(sql)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Rewritings parses the query and enumerates all rewritings that use
-// registered views (Theorems 3.1, 3.2 and 4.1). References to
+// RewritingsContext parses the query and enumerates all rewritings that
+// use registered views (Theorems 3.1, 3.2 and 4.1). References to
 // unmaterialized logical views are first flattened into base tables
 // (the multi-block transformation of the paper's conclusion), so a
 // query over a logical view can be routed to a different materialized
-// one.
-func (s *System) Rewritings(sql string) ([]*Rewriting, error) {
-	return s.RewritingsContext(context.Background(), sql)
-}
-
-// RewritingsContext is Rewritings under a context: cancellation,
-// deadline expiry and an exhausted candidate budget abort the search
-// with a typed error and no partial enumeration. There is no fallback
-// here — enumerating rewritings is the operation itself; Plan and
-// QueryBest are the entry points that degrade gracefully.
+// one. Cancellation, deadline expiry and an exhausted candidate budget
+// abort the search with a typed error and no partial enumeration. There
+// is no fallback here — enumerating rewritings is the operation itself;
+// PlanContext and QueryBestContext are the entry points that degrade
+// gracefully.
 func (s *System) RewritingsContext(ctx context.Context, sql string) ([]*Rewriting, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
@@ -690,15 +647,11 @@ func (s *System) estimator() *cost.Estimator {
 	return &cost.Estimator{Stats: s.Stats, Views: s.Views}
 }
 
-// Plan picks the cheapest evaluation strategy for the query: the
+// PlanContext picks the cheapest evaluation strategy for the query: the
 // original plan or a view-based rewriting. It returns the chosen
-// rewriting (nil when the original query wins) without executing.
-func (s *System) Plan(sql string) (*Rewriting, error) {
-	return s.PlanContext(context.Background(), sql)
-}
-
-// PlanContext is Plan under a context. When the rewrite search exhausts
-// its candidate budget, Plan degrades gracefully instead of failing:
+// rewriting (nil when the original query wins) without executing. When
+// the rewrite search exhausts its candidate budget, PlanContext degrades
+// gracefully instead of failing:
 // the exhaustion is recorded as a fallback in the tracer and metrics
 // (provenance: the answer is direct evaluation because the search was
 // cut, not because no rewriting exists) and the original query wins —
@@ -801,11 +754,6 @@ func (s *System) PlanKey(sql string) (string, error) {
 	return core.CanonicalKey(flat), nil
 }
 
-// Prepare is PrepareContext with a background context.
-func (s *System) Prepare(sql string) (*Prepared, error) {
-	return s.PrepareContext(context.Background(), sql)
-}
-
 // PrepareContext extracts an executable plan for the query: it parses,
 // flattens, runs the rewrite search once, picks the cheapest strategy,
 // and packages the result with its cache key and the transitive set of
@@ -887,35 +835,18 @@ func (s *System) planDeps(p *Prepared) []string {
 	return out
 }
 
-// ExecPrepared is ExecPreparedContext with a background context.
-func (s *System) ExecPrepared(p *Prepared) (*Result, error) {
-	return s.ExecPreparedContext(context.Background(), p)
-}
-
-// ExecPreparedContext executes a prepared plan against the current
-// database state under the usual context/budget regime. The plan's
-// registry snapshot resolves view definitions; the data read is
-// whatever storage currently holds, so a Prepared stays answer-correct
-// across inserts as long as the materialized views it ranges over are
-// kept consistent (TrackView) — the invariant a plan cache preserves by
-// evicting on invalidation.
-func (s *System) ExecPreparedContext(ctx context.Context, p *Prepared) (*Result, error) {
-	return s.ExecPreparedOnContext(ctx, p, s.Store)
-}
-
-// ExecPreparedOn is ExecPreparedOnContext with a background context.
-func (s *System) ExecPreparedOn(p *Prepared, store engine.Storage) (*Result, error) {
-	//aggvet:ctxflow Background shim by design; ExecPreparedOnContext is the bounded variant.
-	return s.ExecPreparedOnContext(context.Background(), p, store)
-}
-
 // ExecPreparedOnContext executes a prepared plan with base-table scans
 // bound to an explicit storage backend — typically an engine.Snapshot —
 // instead of the live database. A server can pin a snapshot under a
 // brief lock and then run the plan lock-free: concurrent mutation
 // batches install new relation versions without disturbing the pinned
 // ones, so the plan reads one consistent materialization state
-// end to end.
+// end to end. Pass s.Store to read whatever storage currently holds.
+//
+// The plan's registry snapshot resolves view definitions, so a Prepared
+// stays answer-correct across writes as long as the materialized views
+// it ranges over are kept consistent (TrackViewContext) — the invariant a
+// plan cache preserves by evicting on invalidation.
 func (s *System) ExecPreparedOnContext(ctx context.Context, p *Prepared, store engine.Storage) (*Result, error) {
 	return execPrepared(ctx, s, p, store, (*Result).Len, (*engine.Evaluator).ExecContext)
 }
@@ -952,15 +883,10 @@ func (s *System) QueryOnContext(ctx context.Context, store engine.Storage, sql s
 	return s.query(ctx, store, sql)
 }
 
-// QueryBest executes the query through its cheapest plan. The second
-// result is the rewriting used, or nil when the query ran directly.
-// Rewritings that reference unmaterialized views still work: their
-// definitions are evaluated on the fly.
-func (s *System) QueryBest(sql string) (*Result, *Rewriting, error) {
-	return s.QueryBestContext(context.Background(), sql)
-}
-
-// QueryBestContext is QueryBest under a context. The rewrite search and
+// QueryBestContext executes the query through its cheapest plan. The
+// second result is the rewriting used, or nil when the query ran
+// directly. Rewritings that reference unmaterialized views still work:
+// their definitions are evaluated on the fly. The rewrite search and
 // the subsequent execution draw from one budget pool (a meter on the
 // context, or one spun up from Opts.MaxRows/MaxCandidates). A search
 // cut by its candidate budget falls back to direct evaluation — tagged
@@ -988,13 +914,9 @@ func (s *System) QueryBestContext(ctx context.Context, sql string) (*Result, *Re
 	return res, r, nil
 }
 
-// ExecRewriting executes a specific rewriting against the database.
-func (s *System) ExecRewriting(r *Rewriting) (*Result, error) {
-	return s.ExecRewritingContext(context.Background(), r)
-}
-
-// ExecRewritingContext is ExecRewriting under a context, honoring
-// cancellation, deadlines and row budgets like QueryContext.
+// ExecRewritingContext executes a specific rewriting against the
+// database, honoring cancellation, deadlines and row budgets like
+// QueryContext.
 func (s *System) ExecRewritingContext(ctx context.Context, r *Rewriting) (*Result, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
@@ -1032,18 +954,14 @@ func (s *System) viewsWithAux(r *Rewriting) (*ir.Registry, error) {
 // Recommendation is one view the advisor suggests materializing.
 type Recommendation = advisor.Recommendation
 
-// Advise recommends views to materialize for a workload of queries
-// (with optional weights; nil weights mean uniform). budgetRows caps
-// the estimated total size of the selected views; 0 means unlimited.
-func (s *System) Advise(queries []string, weights []float64, budgetRows float64) ([]Recommendation, error) {
-	//aggvet:ctxflow Background shim by design; AdviseContext is the bounded variant.
-	return s.AdviseContext(context.Background(), queries, weights, budgetRows)
-}
-
-// AdviseContext is Advise under a context: the rewrite searches that
-// drive the advisor's benefit model honor ctx's cancellation, deadline
-// and budget.
+// AdviseContext recommends views to materialize for a workload of
+// queries (with optional weights; nil weights mean uniform). budgetRows
+// caps the estimated total size of the selected views; 0 means
+// unlimited. The rewrite searches that drive the advisor's benefit model
+// honor ctx's cancellation, deadline and budget, and the Opts knobs.
 func (s *System) AdviseContext(ctx context.Context, queries []string, weights []float64, budgetRows float64) ([]Recommendation, error) {
+	ctx, cancel := s.opCtx(ctx)
+	defer cancel()
 	var w advisor.Workload
 	for i, sql := range queries {
 		q, anon, err := s.parseMulti(sql)
@@ -1071,14 +989,14 @@ func (s *System) AdviseContext(ctx context.Context, queries []string, weights []
 
 // AdoptRecommendations registers and materializes the advised views,
 // making them available to the rewriter.
-func (s *System) AdoptRecommendations(recs []Recommendation) ([]string, error) {
+func (s *System) AdoptRecommendations(ctx context.Context, recs []Recommendation) ([]string, error) {
 	var names []string
 	for _, r := range recs {
 		if err := s.Views.Add(r.View); err != nil {
 			return names, err
 		}
 		core.IndexView(r.View)
-		if _, err := s.Materialize(r.View.Name); err != nil {
+		if _, err := s.MaterializeContext(ctx, r.View.Name); err != nil {
 			return names, err
 		}
 		names = append(names, r.View.Name)
@@ -1105,8 +1023,11 @@ func (s *System) Usability(sql string) ([]ViewUsability, error) {
 }
 
 // Explain renders a human-readable report of the rewritings available
-// for a query, with cost estimates.
-func (s *System) Explain(sql string) (string, error) {
+// for a query, with cost estimates. The search is bounded like
+// RewritingsContext's: a canceled or over-budget search is an error.
+func (s *System) Explain(ctx context.Context, sql string) (string, error) {
+	ctx, cancel := s.opCtx(ctx)
+	defer cancel()
 	q, anon, err := s.parseMulti(sql)
 	if err != nil {
 		return "", err
@@ -1119,7 +1040,10 @@ func (s *System) Explain(sql string) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", q.SQL())
 	fmt.Fprintf(&b, "  estimated cost: %.0f\n", est.Estimate(q))
-	rws := s.Rewriter().Rewritings(q)
+	rws, err := s.Rewriter().RewritingsContext(ctx, q)
+	if err != nil {
+		return "", err
+	}
 	if len(rws) == 0 {
 		b.WriteString("no view-based rewritings found\n")
 		return b.String(), nil

@@ -1,6 +1,7 @@
 package aggview
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,6 +22,16 @@ func telcoSystem(t *testing.T, calls int) *System {
 	return s
 }
 
+// mustQuery runs sql directly (no rewriting), failing the test on error.
+func mustQuery(t testing.TB, s *System, sql string) *Result {
+	t.Helper()
+	r, err := s.QueryContext(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 const facadeQ = `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
 	FROM Calls, Calling_Plans
 	WHERE Calls.Plan_Id = Calling_Plans.Plan_Id AND Year = 1995
@@ -28,13 +39,14 @@ const facadeQ = `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
 	HAVING SUM(Charge) < 1000000`
 
 func TestSystemEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	s := telcoSystem(t, 5000)
-	if _, err := s.Materialize("V1"); err != nil {
+	if _, err := s.MaterializeContext(ctx, "V1"); err != nil {
 		t.Fatal(err)
 	}
 
-	direct := s.MustQuery(facadeQ)
-	res, used, err := s.QueryBest(facadeQ)
+	direct := mustQuery(t, s, facadeQ)
+	res, used, err := s.QueryBestContext(ctx, facadeQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +64,7 @@ func TestSystemEndToEnd(t *testing.T) {
 func TestQueryBestFallsBackToDirect(t *testing.T) {
 	s := telcoSystem(t, 200)
 	// No view covers this query.
-	res, used, err := s.QueryBest("SELECT Cust_Id, COUNT(Call_Id) FROM Calls GROUP BY Cust_Id")
+	res, used, err := s.QueryBestContext(context.Background(), "SELECT Cust_Id, COUNT(Call_Id) FROM Calls GROUP BY Cust_Id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +78,13 @@ func TestQueryBestFallsBackToDirect(t *testing.T) {
 
 func TestUnmaterializedViewStillWorks(t *testing.T) {
 	s := telcoSystem(t, 300)
-	// V1 is defined but not materialized; Plan may still pick it (it
+	// V1 is defined but not materialized; the plan may still pick it (it
 	// estimates the definition), and execution expands the definition.
-	res, _, err := s.QueryBest(facadeQ)
+	res, _, err := s.QueryBestContext(context.Background(), facadeQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := s.MustQuery(facadeQ)
+	direct := mustQuery(t, s, facadeQ)
 	if !engine.ResultsEqualBag(direct, res) {
 		t.Fatal("on-the-fly view expansion differs from direct evaluation")
 	}
@@ -108,18 +120,19 @@ func TestLoadScript(t *testing.T) {
 }
 
 func TestInsertAndQuery(t *testing.T) {
+	ctx := context.Background()
 	s := New()
 	s.MustLoad("CREATE TABLE T(A, B)")
-	if err := s.Insert("T", []Value{Int(1), Str("x")}, []Value{Int(1), Str("y")}); err != nil {
+	if err := s.InsertContext(ctx, "T", []Value{Int(1), Str("x")}, []Value{Int(1), Str("y")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert("T", []Value{Int(1)}); err == nil {
+	if err := s.InsertContext(ctx, "T", []Value{Int(1)}); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	if err := s.Insert("Nope", []Value{Int(1)}); err == nil {
+	if err := s.InsertContext(ctx, "Nope", []Value{Int(1)}); err == nil {
 		t.Error("unknown table should fail")
 	}
-	r := s.MustQuery("SELECT A, COUNT(B) FROM T GROUP BY A")
+	r := mustQuery(t, s, "SELECT A, COUNT(B) FROM T GROUP BY A")
 	if r.Len() != 1 || r.Tuples[0][1].AsInt() != 2 {
 		t.Fatalf("unexpected result:\n%s", r)
 	}
@@ -143,24 +156,25 @@ func TestSetRelationValidation(t *testing.T) {
 	if err := s.SetRelation("T", good); err != nil {
 		t.Fatal(err)
 	}
-	if s.MustQuery("SELECT A FROM T").Len() != 1 {
+	if mustQuery(t, s, "SELECT A FROM T").Len() != 1 {
 		t.Error("relation not installed")
 	}
 }
 
 func TestMaterializeErrors(t *testing.T) {
 	s := New()
-	if _, err := s.Materialize("V"); err == nil {
+	if _, err := s.MaterializeContext(context.Background(), "V"); err == nil {
 		t.Error("unknown view should fail")
 	}
 }
 
 func TestExplain(t *testing.T) {
+	ctx := context.Background()
 	s := telcoSystem(t, 500)
-	if _, err := s.Materialize("V1"); err != nil {
+	if _, err := s.MaterializeContext(ctx, "V1"); err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Explain(facadeQ)
+	out, err := s.Explain(ctx, facadeQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,32 +183,33 @@ func TestExplain(t *testing.T) {
 			t.Errorf("Explain missing %q:\n%s", frag, out)
 		}
 	}
-	out2, err := s.Explain("SELECT Cust_Id FROM Calls")
+	out2, err := s.Explain(ctx, "SELECT Cust_Id FROM Calls")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out2, "no view-based rewritings") {
 		t.Errorf("Explain should report absence: %s", out2)
 	}
-	if _, err := s.Explain("SELECT nope FROM Calls"); err == nil {
+	if _, err := s.Explain(ctx, "SELECT nope FROM Calls"); err == nil {
 		t.Error("bad query should fail")
 	}
 }
 
 func TestRewritingsAPI(t *testing.T) {
+	ctx := context.Background()
 	s := telcoSystem(t, 100)
-	rws, err := s.Rewritings(facadeQ)
+	rws, err := s.RewritingsContext(ctx, facadeQ)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rws) == 0 {
 		t.Fatal("expected rewritings")
 	}
-	r, err := s.ExecRewriting(rws[0])
+	r, err := s.ExecRewritingContext(ctx, rws[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := s.MustQuery(facadeQ)
+	direct := mustQuery(t, s, facadeQ)
 	if !engine.ResultsEqualBag(direct, r) {
 		t.Error("ExecRewriting differs from direct execution")
 	}

@@ -46,7 +46,7 @@ func benchExec(b *testing.B, name string, s *aggview.System, q *ir.Query, worker
 		for i := 0; i < b.N; i++ {
 			ev := engine.NewEvaluator(s.DB, s.Views)
 			ev.Workers = workers
-			if _, err := ev.Exec(q); err != nil {
+			if _, err := ev.ExecContext(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -101,8 +101,8 @@ func BenchmarkE6SearchCost(b *testing.B) {
 	rw, q := experiments.SearchCostSetup(2, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(rw.Rewritings(q)) == 0 {
-			b.Fatal("no rewritings")
+		if rws, err := rw.RewritingsContext(context.Background(), q); err != nil || len(rws) == 0 {
+			b.Fatal("no rewritings", err)
 		}
 	}
 }
@@ -113,8 +113,8 @@ func BenchmarkE7Keys(b *testing.B) {
 	rw, q, v := experiments.KeysSetup(true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(rw.RewriteOnce(q, v)) == 0 {
-			b.Fatal("Example 5.1 rewriting missing")
+		if rws, err := rw.RewriteOnceContext(context.Background(), q, v); err != nil || len(rws) == 0 {
+			b.Fatal("Example 5.1 rewriting missing", err)
 		}
 	}
 }
@@ -170,7 +170,7 @@ func BenchmarkQueryBest(b *testing.B) {
 	c, s, _, _ := prepareCase(b, "E1", 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.QueryBest(c.Query); err != nil {
+		if _, _, err := s.QueryBestContext(context.Background(), c.Query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func BenchmarkScanAgg(b *testing.B) {
 				sys.Opts.Workers = w
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if res, err := sys.Query(sh.sql); err != nil || res.Len() == 0 {
+					if res, err := sys.QueryContext(context.Background(), sh.sql); err != nil || res.Len() == 0 {
 						b.Fatalf("empty result or error: %v", err)
 					}
 				}
@@ -265,14 +265,15 @@ func BenchmarkE9ClosureCached(b *testing.B) {
 // BenchmarkE11MaintainIncremental measures delta-merge maintenance of
 // the chronicle summary per 100-row batch (table T11).
 func BenchmarkE11MaintainIncremental(b *testing.B) {
+	ctx := context.Background()
 	db, reg := experiments.MaintenanceSetup(50000)
 	m := maintain.New(db, reg)
-	if _, err := m.Track("DailyAcct"); err != nil {
+	if _, err := m.TrackContext(ctx, "DailyAcct"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Insert("Txns", experiments.MaintenanceBatch(50000+i*100, 100)...); err != nil {
+		if err := m.InsertContext(ctx, "Txns", experiments.MaintenanceBatch(50000+i*100, 100)...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,7 +285,7 @@ func BenchmarkE12Advise(b *testing.B) {
 	s, workload := experiments.AdvisorSetup(20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recs, err := s.Advise(workload, nil, 0)
+		recs, err := s.AdviseContext(context.Background(), workload, nil, 0)
 		if err != nil || len(recs) == 0 {
 			b.Fatal("advisor failed")
 		}

@@ -146,6 +146,7 @@ func run(scriptPath, addr, addrFile string, paper bool, workers int, cfg server.
 // before it), and every declared view is then materialized and tracked
 // so server-side writes keep it fresh incrementally.
 func loadSystem(path string, paper bool, workers int) (*aggview.System, error) {
+	ctx := context.Background()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -165,12 +166,12 @@ func loadSystem(path string, paper bool, workers int) (*aggview.System, error) {
 		if _, isQuery := st.(*sqlparser.QueryStatement); isQuery {
 			continue
 		}
-		if _, err := sys.Exec(st); err != nil {
+		if _, err := sys.ExecContext(ctx, st); err != nil {
 			return nil, err
 		}
 	}
 	for _, v := range sys.Views.All() {
-		if _, err := sys.TrackView(v.Name); err != nil {
+		if _, err := sys.TrackViewContext(ctx, v.Name); err != nil {
 			return nil, fmt.Errorf("tracking view %s: %w", v.Name, err)
 		}
 	}

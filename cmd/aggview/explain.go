@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -49,7 +50,8 @@ func runExplain(args []string) {
 // explain runs the rewriting report for each SELECT of the script and,
 // when tracing, collects a TraceReport (one TraceQuery per SELECT).
 func explain(path string, data dataFlags, paperFaithful, trace bool, jsonOut string, out io.Writer) error {
-	s, queries, err := loadScriptSystem(path, data, paperFaithful)
+	ctx := context.Background()
+	s, queries, err := loadScriptSystem(ctx, path, data, paperFaithful)
 	if err != nil {
 		return err
 	}
@@ -61,7 +63,7 @@ func explain(path string, data dataFlags, paperFaithful, trace bool, jsonOut str
 	}
 	for i, q := range queries {
 		fmt.Fprintf(out, "-- query %d --\n", i+1)
-		report, err := s.Explain(q)
+		report, err := s.Explain(ctx, q)
 		if err != nil {
 			return err
 		}
@@ -82,14 +84,12 @@ func explain(path string, data dataFlags, paperFaithful, trace bool, jsonOut str
 		}
 		s.Tracer = obs.NewTracer()
 		tq := benchjson.TraceQuery{
-			Query:         q,
-			Waves:         tr.Waves,
-			Jobs:          tr.Jobs,
-			MaxFrontier:   tr.MaxFrontier,
-			Candidates:    tr.Candidates,
-			CostCalls:     tr.CostCalls,
-			CostAnomalies: tr.CostAnomalies,
-			Fallbacks:     tr.Fallbacks,
+			Query:       q,
+			Waves:       tr.Waves,
+			Jobs:        tr.Jobs,
+			MaxFrontier: tr.MaxFrontier,
+			Candidates:  tr.Candidates,
+			Fallbacks:   tr.Fallbacks,
 		}
 		for _, c := range tr.Candidates {
 			if c.Verdict == obs.VerdictAccept && c.Reason == "" {
@@ -150,12 +150,6 @@ func printTrace(out io.Writer, tq *benchjson.TraceQuery) {
 		if c.Reason != "" {
 			fmt.Fprintf(out, "      %s\n", c.Reason)
 		}
-	}
-	if tq.CostCalls > 0 {
-		fmt.Fprintf(out, "  cost calls: %d, anomalies: %d\n", tq.CostCalls, len(tq.CostAnomalies))
-	}
-	for _, a := range tq.CostAnomalies {
-		fmt.Fprintf(out, "  COST PURITY: %s\n", a.String())
 	}
 }
 

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -26,6 +27,7 @@ import (
 	"strings"
 
 	"aggview"
+	"aggview/internal/budget"
 	"aggview/internal/datagen"
 	"aggview/internal/engine"
 	"aggview/internal/sqlparser"
@@ -71,7 +73,8 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	s, queries, err := loadScriptSystem(flag.Arg(0), data, *paperFaithful)
+	ctx := context.Background()
+	s, queries, err := loadScriptSystem(ctx, flag.Arg(0), data, *paperFaithful)
 	if err != nil {
 		fatal(err)
 	}
@@ -84,8 +87,13 @@ func main() {
 
 	for i, q := range queries {
 		fmt.Printf("-- query %d --\n", i+1)
-		report, err := s.Explain(q)
-		if err != nil {
+		report, err := s.Explain(ctx, q)
+		switch {
+		case budget.IsExceeded(err):
+			// -max-candidates promises a fallback, not a failure: the
+			// report says the search was cut, and -exec runs directly.
+			report = fmt.Sprintf("rewrite search cut: %v\n", err)
+		case err != nil:
 			fatal(err)
 		}
 		fmt.Print(report)
@@ -97,7 +105,7 @@ func main() {
 			fmt.Print("physical plan:\n" + engine.NewEvaluator(s.DB, s.Views).Explain(q))
 		}
 		if *exec {
-			res, used, err := s.QueryBest(q)
+			res, used, err := s.QueryBestContext(ctx, q)
 			if err != nil {
 				fatal(err)
 			}
@@ -121,7 +129,7 @@ func fatal(err error) {
 // loaded, CSV data files (table=file.csv specs) are inserted, and every
 // declared view is materialized when data is present. It returns the
 // script's SELECT statements in order.
-func loadScriptSystem(path string, data dataFlags, paperFaithful bool) (*aggview.System, []string, error) {
+func loadScriptSystem(ctx context.Context, path string, data dataFlags, paperFaithful bool) (*aggview.System, []string, error) {
 	script, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -140,7 +148,7 @@ func loadScriptSystem(path string, data dataFlags, paperFaithful bool) (*aggview
 		case *sqlparser.QueryStatement:
 			queries = append(queries, x.Query.SQL())
 		case *sqlparser.CreateTable, *sqlparser.CreateView:
-			if _, err := s.Exec(st); err != nil {
+			if _, err := s.ExecContext(ctx, st); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -150,7 +158,7 @@ func loadScriptSystem(path string, data dataFlags, paperFaithful bool) (*aggview
 		if !ok {
 			return nil, nil, fmt.Errorf("bad -data %q, want table=file.csv", spec)
 		}
-		if err := loadCSV(s, name, file); err != nil {
+		if err := loadCSV(ctx, s, name, file); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -158,7 +166,7 @@ func loadScriptSystem(path string, data dataFlags, paperFaithful bool) (*aggview
 	// materializations.
 	if len(data) > 0 {
 		for _, v := range s.Views.All() {
-			if _, err := s.Materialize(v.Name); err != nil {
+			if _, err := s.MaterializeContext(ctx, v.Name); err != nil {
 				return nil, nil, fmt.Errorf("materializing %s: %w", v.Name, err)
 			}
 		}
@@ -168,7 +176,7 @@ func loadScriptSystem(path string, data dataFlags, paperFaithful bool) (*aggview
 
 // loadCSV reads a headerless CSV file into a declared table, inferring
 // int, float or string per cell.
-func loadCSV(s *aggview.System, table, file string) error {
+func loadCSV(ctx context.Context, s *aggview.System, table, file string) error {
 	f, err := os.Open(file)
 	if err != nil {
 		return err
@@ -186,7 +194,7 @@ func loadCSV(s *aggview.System, table, file string) error {
 		}
 		rows = append(rows, row)
 	}
-	return s.Insert(table, rows...)
+	return s.InsertContext(ctx, table, rows...)
 }
 
 func parseCell(cell string) aggview.Value {
@@ -210,7 +218,8 @@ func runDemo() {
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
 		GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
-	if _, err := s.Materialize("V1"); err != nil {
+	ctx := context.Background()
+	if _, err := s.MaterializeContext(ctx, "V1"); err != nil {
 		fatal(err)
 	}
 	q := `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
@@ -218,12 +227,12 @@ func runDemo() {
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id AND Year = 1995
 		GROUP BY Calling_Plans.Plan_Id, Plan_Name
 		HAVING SUM(Charge) < 1000000`
-	report, err := s.Explain(q)
+	report, err := s.Explain(ctx, q)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Print(report)
-	res, used, err := s.QueryBest(q)
+	res, used, err := s.QueryBestContext(ctx, q)
 	if err != nil {
 		fatal(err)
 	}

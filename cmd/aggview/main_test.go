@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,19 +33,24 @@ func TestLoadCSV(t *testing.T) {
 	}
 	s := aggview.New()
 	s.MustLoad("CREATE TABLE Calls(Call_Id, Plan_Id, Year, Charge) KEY(Call_Id)")
-	if err := loadCSV(s, "Calls", file); err != nil {
+	if err := loadCSV(context.Background(), s, "Calls", file); err != nil {
 		t.Fatal(err)
 	}
-	r := s.MustQuery("SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id").Sorted()
+	r, err := s.QueryContext(context.Background(), "SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = r.Sorted()
 	if r.Len() != 2 || r.Tuples[0][1].AsInt() != 250 || r.Tuples[1][1].AsInt() != 300 {
 		t.Fatalf("CSV load wrong:\n%s", r)
 	}
 }
 
 func TestLoadCSVErrors(t *testing.T) {
+	ctx := context.Background()
 	s := aggview.New()
 	s.MustLoad("CREATE TABLE T(A)")
-	if err := loadCSV(s, "T", "/nonexistent/file.csv"); err == nil {
+	if err := loadCSV(ctx, s, "T", "/nonexistent/file.csv"); err == nil {
 		t.Error("missing file should fail")
 	}
 	dir := t.TempDir()
@@ -52,7 +58,7 @@ func TestLoadCSVErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("1,2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := loadCSV(s, "T", bad); err == nil {
+	if err := loadCSV(ctx, s, "T", bad); err == nil {
 		t.Error("arity mismatch should fail")
 	}
 }
@@ -60,6 +66,7 @@ func TestLoadCSVErrors(t *testing.T) {
 // TestScriptEndToEnd drives the same path main takes: parse a script,
 // load declarations and data, and plan the queries.
 func TestScriptEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	csvFile := filepath.Join(dir, "orders.csv")
 	if err := os.WriteFile(csvFile, []byte("1,widget,1,100\n2,widget,2,150\n3,gadget,1,90\n"), 0o644); err != nil {
@@ -70,22 +77,22 @@ func TestScriptEndToEnd(t *testing.T) {
 		CREATE TABLE Orders(Order_Id, Product, Month, Amount) KEY(Order_Id);
 		CREATE VIEW MP AS SELECT Product, Month, SUM(Amount), COUNT(Amount) FROM Orders GROUP BY Product, Month;
 	`)
-	if err := loadCSV(s, "Orders", csvFile); err != nil {
+	if err := loadCSV(ctx, s, "Orders", csvFile); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Materialize("MP"); err != nil {
+	if _, err := s.MaterializeContext(ctx, "MP"); err != nil {
 		t.Fatal(err)
 	}
 	// With three rows the cost model may keep the direct plan; the
 	// rewriting itself must exist and agree.
-	rws, err := s.Rewritings("SELECT Product, SUM(Amount) FROM Orders GROUP BY Product")
+	rws, err := s.RewritingsContext(ctx, "SELECT Product, SUM(Amount) FROM Orders GROUP BY Product")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rws) == 0 {
 		t.Fatal("view should be usable")
 	}
-	res, err := s.ExecRewriting(rws[0])
+	res, err := s.ExecRewritingContext(ctx, rws[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +139,7 @@ func TestDemoScript(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if _, err := s.Explain(q.Query.SQL()); err != nil {
+		if _, err := s.Explain(context.Background(), q.Query.SQL()); err != nil {
 			t.Fatalf("explain %s: %v", q.Query.SQL(), err)
 		}
 	}
@@ -144,6 +151,7 @@ func TestDemoScript(t *testing.T) {
 // FD, the queries come back in order, and the CSV rows land under the
 // declared views.
 func TestLoadScriptKeepsViewColumnList(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	script := filepath.Join(dir, "s.sql")
 	csvFile := filepath.Join(dir, "orders.csv")
@@ -158,7 +166,7 @@ func TestLoadScriptKeepsViewColumnList(t *testing.T) {
 	if err := os.WriteFile(csvFile, []byte("1,widget,100\n2,widget,150\n3,gadget,90\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, queries, err := loadScriptSystem(script, dataFlags{"Orders=" + csvFile}, false)
+	s, queries, err := loadScriptSystem(ctx, script, dataFlags{"Orders=" + csvFile}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +180,14 @@ func TestLoadScriptKeepsViewColumnList(t *testing.T) {
 	if len(queries) != 2 {
 		t.Fatalf("%d queries, want 2", len(queries))
 	}
-	res, err := s.Query(queries[0])
+	res, err := s.QueryContext(ctx, queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Len() != 1 || res.Tuples[0][0].AsString() != "widget" || res.Tuples[0][1].AsInt() != 250 {
 		t.Fatalf("query over the view's declared columns: %s", res)
 	}
-	if _, _, err := loadScriptSystem(script, dataFlags{"Orders"}, false); err == nil {
+	if _, _, err := loadScriptSystem(ctx, script, dataFlags{"Orders"}, false); err == nil {
 		t.Error("a -data spec without a file should fail")
 	}
 }

@@ -140,13 +140,13 @@ func run(ctx context.Context, cfg config) error {
 
 	// The mirror answers every pool query directly (no rewriting, serial)
 	// between rounds; served answers are checked against these references.
-	mirror, err := w.Case.Compile(aggview.Options{})
+	mirror, err := w.Case.CompileContext(ctx, aggview.Options{})
 	if err != nil {
 		return fmt.Errorf("compiling mirror: %w", err)
 	}
 	mirror.Opts.Workers = 1
 	for _, v := range mirror.Views.All() {
-		if _, err := mirror.TrackView(v.Name); err != nil {
+		if _, err := mirror.TrackViewContext(ctx, v.Name); err != nil {
 			return fmt.Errorf("tracking mirror view %s: %w", v.Name, err)
 		}
 	}
@@ -157,12 +157,12 @@ func run(ctx context.Context, cfg config) error {
 	base := cfg.addr
 	baseline := 0
 	if inproc {
-		sys, err := w.Case.Compile(aggview.Options{})
+		sys, err := w.Case.CompileContext(ctx, aggview.Options{})
 		if err != nil {
 			return fmt.Errorf("compiling served system: %w", err)
 		}
 		for _, v := range sys.Views.All() {
-			if _, err := sys.TrackView(v.Name); err != nil {
+			if _, err := sys.TrackViewContext(ctx, v.Name); err != nil {
 				return fmt.Errorf("tracking view %s: %w", v.Name, err)
 			}
 		}
@@ -248,7 +248,7 @@ func run(ctx context.Context, cfg config) error {
 				if _, err := admin.Insert(ctx, table, server.EncodeRows(rows)); err != nil {
 					return fmt.Errorf("server insert into %s: %w", table, err)
 				}
-				if err := mirror.Insert(table, rows...); err != nil {
+				if err := mirror.InsertContext(ctx, table, rows...); err != nil {
 					return fmt.Errorf("mirror insert into %s: %w", table, err)
 				}
 				rep.Inserts++
@@ -400,7 +400,7 @@ func collectTelemetry(ctx context.Context, c *server.Client, cfg config, inproc 
 		if err != nil {
 			return fmt.Errorf("replaying repro %q: %w", e.SQL, err)
 		}
-		fresh, err := cs.Compile(aggview.Options{})
+		fresh, err := cs.CompileContext(ctx, aggview.Options{})
 		if err != nil {
 			return fmt.Errorf("compiling repro %q: %w", e.SQL, err)
 		}

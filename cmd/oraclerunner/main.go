@@ -113,7 +113,7 @@ func run(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, du
 		opt.Serve = server.OracleExec
 	}
 	if replay != "" {
-		return runReplay(replay, opt)
+		return runReplay(ctx, replay, opt)
 	}
 	seeds, err := parseSeeds(seedsFlag)
 	if err != nil {
@@ -171,7 +171,7 @@ func run(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, du
 				// the case shrinks.
 				shrinkOpt := trialOpt
 				shrinkOpt.Metrics = nil
-				min := oracle.Shrink(c, shrinkOpt)
+				min := oracle.ShrinkContext(ctx, c, shrinkOpt)
 				v := out.Violations[0]
 				f := failure(seed, trial, &v, min)
 				f.Metrics = &atFailure
@@ -234,7 +234,7 @@ func finish(rep *benchjson.OracleReport, jsonOut string) error {
 // serially, concurrently and under maintenance-site cancellations.
 func runMutate(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, duration time.Duration, faults bool, jsonOut, replay string, verbose bool) error {
 	if replay != "" {
-		return runMutateReplay(replay, faults)
+		return runMutateReplay(ctx, replay, faults)
 	}
 	seeds, err := parseSeeds(seedsFlag)
 	if err != nil {
@@ -330,7 +330,7 @@ func finishMutate(rep *benchjson.MutateReport, jsonOut string) error {
 }
 
 // runMutateReplay re-checks one mutation repro script.
-func runMutateReplay(path string, faults bool) error {
+func runMutateReplay(ctx context.Context, path string, faults bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -343,7 +343,7 @@ func runMutateReplay(path string, faults bool) error {
 	if faults {
 		opt.Faults = []int64{1, 3}
 	}
-	out, err := oracle.CheckMutation(mc, opt)
+	out, err := oracle.CheckMutationContext(ctx, mc, opt)
 	if err != nil {
 		return err
 	}
@@ -359,7 +359,7 @@ func runMutateReplay(path string, faults bool) error {
 }
 
 // runReplay re-checks one failure script.
-func runReplay(path string, opt oracle.Options) error {
+func runReplay(ctx context.Context, path string, opt oracle.Options) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -373,7 +373,7 @@ func runReplay(path string, opt oracle.Options) error {
 			fmt.Fprintf(os.Stderr, "lint: [%s] %s: %s\n", d.Severity, d.Check, d.Message)
 		}
 	}
-	out, err := oracle.Check(c, opt)
+	out, err := oracle.CheckContext(ctx, c, opt)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 // runner would report carry the IR linter's diagnostics for the
 // shrunken script.
 func TestFailureCarriesLint(t *testing.T) {
+	ctx := context.Background()
 	opt := oracle.Options{Tamper: func(r *core.Rewriting) {
 		q := r.Query.Clone()
 		q.Where = append(q.Where, ir.Pred{
@@ -29,11 +31,11 @@ func TestFailureCarriesLint(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		c := oracle.Generate(rng, oracle.GenOptions{MaxRows: 40})
-		out, err := oracle.Check(c, opt)
+		out, err := oracle.CheckContext(ctx, c, opt)
 		if err != nil || out.OK() {
 			continue
 		}
-		min := oracle.Shrink(c, opt)
+		min := oracle.ShrinkContext(ctx, c, opt)
 		f := failure(7, trial, &out.Violations[0], min)
 
 		if f.Seed != 7 || f.Trial != trial || f.Script != min.Script() {

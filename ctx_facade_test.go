@@ -33,33 +33,44 @@ func TestQueryContextCanceled(t *testing.T) {
 	}
 }
 
-// TestOptsDeadlineApplies pins that Opts.Deadline reaches plain,
-// context-free calls: every operation routes through opCtx.
+// TestOptsDeadlineApplies pins that Opts.Deadline bounds a call made
+// with a deadline-free ctx: reads, plans and advice route through opCtx.
 func TestOptsDeadlineApplies(t *testing.T) {
+	ctx := context.Background()
 	s := telcoSystem(t, 2000)
-	s.Opts.Deadline = time.Nanosecond
-	_, err := s.Query(facadeQ)
-	if !budget.IsCanceled(err) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want Canceled unwrapping to DeadlineExceeded, got %v", err)
+	ops := []struct {
+		name string
+		run  func() error
+	}{
+		{"QueryContext", func() error { _, err := s.QueryContext(ctx, facadeQ); return err }},
+		{"Explain", func() error { _, err := s.Explain(ctx, facadeQ); return err }},
+		{"AdviseContext", func() error { _, err := s.AdviseContext(ctx, []string{facadeQ}, nil, 0); return err }},
 	}
-	s.Opts.Deadline = time.Minute
-	if _, err := s.Query(facadeQ); err != nil {
-		t.Fatalf("generous deadline tripped: %v", err)
+	for _, op := range ops {
+		s.Opts.Deadline = time.Nanosecond
+		if err := op.run(); !budget.IsCanceled(err) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: want Canceled unwrapping to DeadlineExceeded, got %v", op.name, err)
+		}
+		s.Opts.Deadline = time.Minute
+		if err := op.run(); err != nil {
+			t.Fatalf("%s: generous deadline tripped: %v", op.name, err)
+		}
 	}
 }
 
-// TestOptsRowBudget pins that Opts.MaxRows bounds execution through the
-// plain facade, with a typed Exceeded on trip and the exact unbudgeted
+// TestOptsRowBudget pins that Opts.MaxRows bounds execution under a
+// budget-free ctx, with a typed Exceeded on trip and the exact unbudgeted
 // bag when the budget is generous.
 func TestOptsRowBudget(t *testing.T) {
+	ctx := context.Background()
 	s := telcoSystem(t, 2000)
-	want, err := s.Query(facadeQ)
+	want, err := s.QueryContext(ctx, facadeQ)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s.Opts.MaxRows = 10
-	res, err := s.Query(facadeQ)
+	res, err := s.QueryContext(ctx, facadeQ)
 	if res != nil {
 		t.Fatal("budget-tripped query returned a partial result")
 	}
@@ -69,7 +80,7 @@ func TestOptsRowBudget(t *testing.T) {
 	}
 
 	s.Opts.MaxRows = 1 << 30
-	got, err := s.Query(facadeQ)
+	got, err := s.QueryContext(ctx, facadeQ)
 	if err != nil {
 		t.Fatalf("generous budget tripped: %v", err)
 	}
@@ -79,26 +90,27 @@ func TestOptsRowBudget(t *testing.T) {
 }
 
 // TestPlanBudgetFallback pins the facade's graceful degradation: a
-// rewrite search cut by its candidate budget does not fail Plan — the
+// rewrite search cut by its candidate budget does not fail PlanContext — the
 // original query wins, and the degradation is tagged in the tracer and
 // metrics so the provenance of the direct answer is visible.
 func TestPlanBudgetFallback(t *testing.T) {
+	ctx := context.Background()
 	s := telcoSystem(t, 2000)
 	// A second view gives the search more candidates than the one-candidate
 	// budget below, so the cut is guaranteed to fire.
 	s.MustDefineView("V2", `SELECT Plan_Id, Year, SUM(Charge) FROM Calls GROUP BY Plan_Id, Year`)
 	for _, v := range []string{"V1", "V2"} {
-		if _, err := s.Materialize(v); err != nil {
+		if _, err := s.MaterializeContext(ctx, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Unbudgeted, the view-based rewriting wins.
-	r, err := s.Plan(facadeQ)
+	r, err := s.PlanContext(ctx, facadeQ)
 	if err != nil || r == nil {
 		t.Fatalf("fixture must plan a rewriting, got r=%v err=%v", r, err)
 	}
-	direct, err := s.Query(facadeQ)
+	direct, err := s.QueryContext(ctx, facadeQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +118,7 @@ func TestPlanBudgetFallback(t *testing.T) {
 	s.Tracer = obs.NewTracer()
 	s.Metrics = obs.NewMetrics()
 	s.Opts.MaxCandidates = 1
-	r, err = s.Plan(facadeQ)
+	r, err = s.PlanContext(ctx, facadeQ)
 	if err != nil {
 		t.Fatalf("budget-cut Plan must not fail: %v", err)
 	}
@@ -124,9 +136,9 @@ func TestPlanBudgetFallback(t *testing.T) {
 		t.Fatal("fallback counter not incremented")
 	}
 
-	// QueryBest rides the same fallback: direct evaluation, nil rewriting,
+	// QueryBestContext rides the same fallback: direct evaluation, nil rewriting,
 	// correct bag.
-	res, used, err := s.QueryBest(facadeQ)
+	res, used, err := s.QueryBestContext(ctx, facadeQ)
 	if err != nil {
 		t.Fatalf("QueryBest under budget fallback failed: %v", err)
 	}
@@ -143,10 +155,10 @@ func TestPlanBudgetFallback(t *testing.T) {
 // is drained further by execution.
 func TestQueryBestContextSharedPool(t *testing.T) {
 	s := telcoSystem(t, 2000)
-	if _, err := s.Materialize("V1"); err != nil {
+	if _, err := s.MaterializeContext(context.Background(), "V1"); err != nil {
 		t.Fatal(err)
 	}
-	want, wantUsed, err := s.QueryBest(facadeQ)
+	want, wantUsed, err := s.QueryBestContext(context.Background(), facadeQ)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package aggview_test
 
-// Determinism tests for the parallel kernels: Rewritings and Exec must
+// Determinism tests for the parallel kernels: RewritingsContext and ExecContext must
 // produce byte-identical output at every worker count. The engine
 // guarantees this by partition-ordered merges and by folding each group
 // on a single worker; the rewriter by committing concurrently-analyzed
@@ -8,6 +8,7 @@ package aggview_test
 // search").
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -29,6 +30,7 @@ type detWorkload struct {
 }
 
 func detWorkloads() []detWorkload {
+	ctx := context.Background()
 	return []detWorkload{
 		{
 			name: "telco",
@@ -42,7 +44,7 @@ func detWorkloads() []detWorkload {
 					FROM Calls, Calling_Plans
 					WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
 					GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
-				if _, err := s.Materialize("V1"); err != nil {
+				if _, err := s.MaterializeContext(ctx, "V1"); err != nil {
 					panic(err)
 				}
 				return s
@@ -66,7 +68,7 @@ func detWorkloads() []detWorkload {
 					"Txns", "Accounts")
 				s.MustDefineView("DailyAcct",
 					"SELECT Acct_Id, Day, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id, Day")
-				if _, err := s.Materialize("DailyAcct"); err != nil {
+				if _, err := s.MaterializeContext(ctx, "DailyAcct"); err != nil {
 					panic(err)
 				}
 				return s
@@ -93,13 +95,13 @@ func detWorkloads() []detWorkload {
 						aggview.Int(int64(-10 + rng.Intn(45))),
 					})
 				}
-				if err := s.Insert("Readings", rows...); err != nil {
+				if err := s.InsertContext(ctx, "Readings", rows...); err != nil {
 					panic(err)
 				}
 				s.MustDefineView("HourlyBySensor",
 					`SELECT Sensor, Region, Hour, SUM(Temp), COUNT(Temp), MIN(Temp), MAX(Temp)
 					 FROM Readings GROUP BY Sensor, Region, Hour`)
-				if _, err := s.Materialize("HourlyBySensor"); err != nil {
+				if _, err := s.MaterializeContext(ctx, "HourlyBySensor"); err != nil {
 					panic(err)
 				}
 				return s
@@ -147,6 +149,7 @@ func renderRelation(r *aggview.Result) string {
 // execution are byte-identical between the serial path and every worker
 // count, across three example workloads.
 func TestParallelDeterminism(t *testing.T) {
+	ctx := context.Background()
 	for _, wl := range detWorkloads() {
 		t.Run(wl.name, func(t *testing.T) {
 			// Serial reference.
@@ -159,18 +162,18 @@ func TestParallelDeterminism(t *testing.T) {
 			}
 			refs := make([]refOut, len(wl.queries))
 			for i, sql := range wl.queries {
-				rws, err := ref.Rewritings(sql)
+				rws, err := ref.RewritingsContext(ctx, sql)
 				if err != nil {
 					t.Fatalf("serial Rewritings(%q): %v", sql, err)
 				}
 				refs[i].rewritings = renderRewritings(rws)
-				res, err := ref.Query(sql)
+				res, err := ref.QueryContext(ctx, sql)
 				if err != nil {
 					t.Fatalf("serial Query(%q): %v", sql, err)
 				}
 				refs[i].direct = renderRelation(res)
 				for _, r := range rws {
-					rr, err := ref.ExecRewriting(r)
+					rr, err := ref.ExecRewritingContext(ctx, r)
 					if err != nil {
 						t.Fatalf("serial ExecRewriting(%q): %v", sql, err)
 					}
@@ -182,7 +185,7 @@ func TestParallelDeterminism(t *testing.T) {
 				s := wl.build()
 				s.Opts.Workers = w
 				for i, sql := range wl.queries {
-					rws, err := s.Rewritings(sql)
+					rws, err := s.RewritingsContext(ctx, sql)
 					if err != nil {
 						t.Fatalf("workers=%d Rewritings(%q): %v", w, sql, err)
 					}
@@ -190,7 +193,7 @@ func TestParallelDeterminism(t *testing.T) {
 						t.Errorf("workers=%d: Rewritings(%q) differ from serial\nserial:\n%s\nparallel:\n%s",
 							w, sql, refs[i].rewritings, got)
 					}
-					res, err := s.Query(sql)
+					res, err := s.QueryContext(ctx, sql)
 					if err != nil {
 						t.Fatalf("workers=%d Query(%q): %v", w, sql, err)
 					}
@@ -198,7 +201,7 @@ func TestParallelDeterminism(t *testing.T) {
 						t.Errorf("workers=%d: Query(%q) output differs from serial", w, sql)
 					}
 					for k, r := range rws {
-						rr, err := s.ExecRewriting(r)
+						rr, err := s.ExecRewritingContext(ctx, r)
 						if err != nil {
 							t.Fatalf("workers=%d ExecRewriting(%q): %v", w, sql, err)
 						}
@@ -220,6 +223,7 @@ func TestParallelDeterminism(t *testing.T) {
 // not only the rows, but the instrumented account of how they were
 // produced, must not depend on scheduling.
 func TestMetricsSnapshotDeterminism(t *testing.T) {
+	ctx := context.Background()
 	for _, wl := range detWorkloads() {
 		t.Run(wl.name, func(t *testing.T) {
 			render := func(workers int) string {
@@ -227,15 +231,15 @@ func TestMetricsSnapshotDeterminism(t *testing.T) {
 				s.Opts.Workers = workers
 				s.Metrics = obs.NewMetrics()
 				for _, sql := range wl.queries {
-					rws, err := s.Rewritings(sql)
+					rws, err := s.RewritingsContext(ctx, sql)
 					if err != nil {
 						t.Fatalf("workers=%d Rewritings(%q): %v", workers, sql, err)
 					}
-					if _, err := s.Query(sql); err != nil {
+					if _, err := s.QueryContext(ctx, sql); err != nil {
 						t.Fatalf("workers=%d Query(%q): %v", workers, sql, err)
 					}
 					for _, r := range rws {
-						if _, err := s.ExecRewriting(r); err != nil {
+						if _, err := s.ExecRewritingContext(ctx, r); err != nil {
 							t.Fatalf("workers=%d ExecRewriting(%q): %v", workers, sql, err)
 						}
 					}
@@ -255,34 +259,35 @@ func TestMetricsSnapshotDeterminism(t *testing.T) {
 	}
 }
 
-// TestBestDeterministicTieBreak asserts Best is stable when several
-// rewritings tie on cost: the fewest-views / smallest-canonical-key
-// winner must come out regardless of worker count.
+// TestBestDeterministicTieBreak asserts the plan choice is stable when
+// several rewritings tie on cost: the first of them in the search's
+// serial enumeration order must come out regardless of worker count.
 func TestBestDeterministicTieBreak(t *testing.T) {
+	ctx := context.Background()
 	build := func(w int) *aggview.Rewriting {
 		s := aggview.New()
 		s.MustLoad(`CREATE TABLE R(A, B, C);`)
-		// Two interchangeable single-table views with equal cost under the
-		// base-table-count cost function.
+		// Two interchangeable single-table views with equal estimated cost.
 		s.MustDefineView("VB", "SELECT A, B, C FROM R WHERE B = 1")
 		s.MustDefineView("VA", "SELECT A, B, C FROM R WHERE B = 1")
-		for i := 0; i < 10; i++ {
-			if err := s.Insert("R", []aggview.Value{aggview.Int(int64(i)), aggview.Int(1), aggview.Int(int64(i % 3))}); err != nil {
+		// A third of R's rows pass B = 1, so either view is cheaper than R.
+		for i := 0; i < 30; i++ {
+			if err := s.InsertContext(ctx, "R", []aggview.Value{aggview.Int(int64(i)), aggview.Int(int64(i % 3)), aggview.Int(int64(i % 5))}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.Materialize("VA"); err != nil {
+		if _, err := s.MaterializeContext(ctx, "VA"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Materialize("VB"); err != nil {
+		if _, err := s.MaterializeContext(ctx, "VB"); err != nil {
 			t.Fatal(err)
 		}
 		s.Opts.Workers = w
-		q, err := s.Parse("SELECT A, C FROM R WHERE B = 1")
+		rw, err := s.PlanContext(ctx, "SELECT A, C FROM R WHERE B = 1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Rewriter().Best(q, nil)
+		return rw
 	}
 	ref := build(1)
 	if ref == nil {

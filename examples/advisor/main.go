@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	s := aggview.New()
 	s.Catalog = datagen.TelcoCatalog()
 	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: 100000, Seed: 3}),
@@ -28,7 +30,7 @@ func main() {
 	}
 	weights := []float64{10, 5, 2, 1}
 
-	recs, err := s.Advise(workload, weights, 50000)
+	recs, err := s.AdviseContext(ctx, workload, weights, 50000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func main() {
 			for i, q := range workload {
 				reps := int(weights[i])
 				for k := 0; k < reps; k++ {
-					if _, _, err := s.QueryBest(q); err != nil {
+					if _, _, err := s.QueryBestContext(ctx, q); err != nil {
 						log.Fatal(err)
 					}
 				}
@@ -61,7 +63,7 @@ func main() {
 	}
 
 	before := runWorkload()
-	names, err := s.AdoptRecommendations(recs)
+	names, err := s.AdoptRecommendations(ctx, recs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,13 +17,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	s := aggview.New()
 	s.Catalog = datagen.ChronicleCatalog()
 	s.AdoptDB(datagen.Chronicle(datagen.ChronicleConfig{
 		Accounts: 200, Txns: 100000, Days: 30, Seed: 5,
 	}), "Txns", "Accounts")
 
-	// Summary tables maintained alongside the chronicle: TrackView keeps
+	// Summary tables maintained alongside the chronicle: TrackViewContext keeps
 	// them consistent as transactions stream in.
 	s.MustDefineView("DailyAcct", `
 		SELECT Acct_Id, Day, SUM(Amount), COUNT(Amount), MIN(Amount), MAX(Amount)
@@ -30,7 +32,7 @@ func main() {
 	s.MustDefineView("BranchDir", `
 		SELECT Acct_Id, Branch FROM Accounts`)
 	for _, v := range []string{"DailyAcct", "BranchDir"} {
-		inc, err := s.TrackView(v)
+		inc, err := s.TrackViewContext(ctx, v)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +48,7 @@ func main() {
 			aggview.Int(31), aggview.Int(int64(i%900 - 100)),
 		})
 	}
-	if err := s.Insert("Txns", newDay...); err != nil {
+	if err := s.InsertContext(ctx, "Txns", newDay...); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("streamed %d new transactions; summaries maintained in place\n", len(newDay))
@@ -61,7 +63,7 @@ func main() {
 		WHERE Txns.Acct_Id = Accounts.Acct_Id
 		GROUP BY Branch`
 
-	rws, err := s.Rewritings(q)
+	rws, err := s.RewritingsContext(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,11 +79,11 @@ func main() {
 		log.Fatal("expected a rewriting that uses both summary tables")
 	}
 
-	direct, err := s.Query(q)
+	direct, err := s.QueryContext(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	viaViews, err := s.ExecRewriting(best)
+	viaViews, err := s.ExecRewritingContext(ctx, best)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func main() {
 		FROM Txns
 		GROUP BY Acct_Id, Day
 		HAVING SUM(Amount) > 5000 AND Acct_Id < 10`
-	res, used, err := s.QueryBest(q2)
+	res, used, err := s.QueryBestContext(ctx, q2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -20,6 +21,7 @@ import (
 
 func main() {
 	// --- the server-side database ---
+	ctx := context.Background()
 	server := aggview.New()
 	server.MustLoad(`
 		CREATE TABLE Readings(Reading_Id, Sensor, Region, Hour, Temp) KEY(Reading_Id);
@@ -35,7 +37,7 @@ func main() {
 			aggview.Int(int64(-10 + rng.Intn(45))),
 		})
 	}
-	if err := server.Insert("Readings", rows...); err != nil {
+	if err := server.InsertContext(ctx, "Readings", rows...); err != nil {
 		log.Fatal(err)
 	}
 
@@ -55,7 +57,7 @@ func main() {
 	}
 	// "Download" the two cached results over the (still live) link.
 	for name := range cache {
-		rel, err := server.Materialize(name)
+		rel, err := server.MaterializeContext(ctx, name)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +80,7 @@ func main() {
 
 	for _, tc := range queries {
 		fmt.Printf("\n%s:\n  %s\n", tc.desc, tc.sql)
-		rws, err := client.Rewritings(tc.sql)
+		rws, err := client.RewritingsContext(ctx, tc.sql)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -86,14 +88,14 @@ func main() {
 			fmt.Println("  -> NOT answerable from the cache; queued until the link returns")
 			continue
 		}
-		res, err := client.ExecRewriting(rws[0])
+		res, err := client.ExecRewritingContext(ctx, rws[0])
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  -> answered offline via %v (%d result rows)\n", rws[0].Used, res.Len())
 
 		// Sanity: the offline answer matches what the server would say.
-		want, err := server.Query(tc.sql)
+		want, err := server.QueryContext(ctx, tc.sql)
 		if err != nil {
 			log.Fatal(err)
 		}

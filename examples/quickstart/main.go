@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	s := aggview.New()
 
 	// Schema: an order ledger plus a per-(product, month) summary view.
@@ -31,10 +33,10 @@ func main() {
 		{aggview.Int(5), aggview.Str("rocket"), aggview.Int(2), aggview.Int(700)},
 		{aggview.Int(6), aggview.Str("rocket"), aggview.Int(2), aggview.Int(50)},
 	}
-	if err := s.Insert("Orders", rows...); err != nil {
+	if err := s.InsertContext(ctx, "Orders", rows...); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := s.Materialize("MonthlySales"); err != nil {
+	if _, err := s.MaterializeContext(ctx, "MonthlySales"); err != nil {
 		log.Fatal(err)
 	}
 
@@ -43,13 +45,13 @@ func main() {
 	// Orders.
 	query := "SELECT Product, SUM(Amount), COUNT(Amount) FROM Orders GROUP BY Product"
 
-	explain, err := s.Explain(query)
+	explain, err := s.Explain(ctx, query)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(explain)
 
-	res, used, err := s.QueryBest(query)
+	res, used, err := s.QueryBestContext(ctx, query)
 	if err != nil {
 		log.Fatal(err)
 	}

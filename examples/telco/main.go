@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	calls := flag.Int("calls", 200000, "number of call records")
 	threshold := flag.Int("threshold", 1000000, "earnings threshold (cents)")
 	flag.Parse()
@@ -34,7 +36,7 @@ func main() {
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
 		GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
-	v1, err := s.Materialize("V1")
+	v1, err := s.MaterializeContext(ctx, "V1")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 		GROUP BY Calling_Plans.Plan_Id, Plan_Name
 		HAVING SUM(Charge) < %d`, *threshold)
 
-	explain, err := s.Explain(q)
+	explain, err := s.Explain(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func main() {
 	directTime, rewrittenTime := time.Duration(1<<62), time.Duration(1<<62)
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		d, err := s.Query(q)
+		d, err := s.QueryContext(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +74,7 @@ func main() {
 		direct = d
 
 		start = time.Now()
-		r, u, err := s.QueryBest(q)
+		r, u, err := s.QueryBestContext(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package aggview
 
 import (
+	"context"
 	"testing"
 
 	"aggview/internal/engine"
@@ -9,15 +10,16 @@ import (
 // TestTrackViewMaintainsUnderInserts exercises the facade maintenance
 // path: tracked summary views stay consistent as rows arrive.
 func TestTrackViewMaintainsUnderInserts(t *testing.T) {
+	ctx := context.Background()
 	s := New()
 	s.MustLoad(`
 		CREATE TABLE Txns(Txn_Id, Acct_Id, Amount) KEY(Txn_Id);
 		CREATE VIEW ByAcct AS SELECT Acct_Id, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id;
 	`)
-	if err := s.Insert("Txns", []Value{Int(1), Int(1), Int(10)}); err != nil {
+	if err := s.InsertContext(ctx, "Txns", []Value{Int(1), Int(1), Int(10)}); err != nil {
 		t.Fatal(err)
 	}
-	inc, err := s.TrackView("ByAcct")
+	inc, err := s.TrackViewContext(ctx, "ByAcct")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,13 +27,13 @@ func TestTrackViewMaintainsUnderInserts(t *testing.T) {
 		t.Fatal("SUM/COUNT view should maintain incrementally")
 	}
 	for i := int64(2); i < 30; i++ {
-		if err := s.Insert("Txns", []Value{Int(i), Int(i % 3), Int(i * 2)}); err != nil {
+		if err := s.InsertContext(ctx, "Txns", []Value{Int(i), Int(i % 3), Int(i * 2)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The materialization must match recomputation, and the rewriter
 	// must use it.
-	fresh := s.MustQuery("SELECT Acct_Id, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id")
+	fresh := mustQuery(t, s, "SELECT Acct_Id, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id")
 	mat, ok := s.DB.Get("ByAcct")
 	if !ok {
 		t.Fatal("materialization missing")
@@ -39,7 +41,7 @@ func TestTrackViewMaintainsUnderInserts(t *testing.T) {
 	if !engine.MultisetEqual(fresh, mat) {
 		t.Fatalf("maintained view stale:\n%s\nvs\n%s", mat.Sorted(), fresh.Sorted())
 	}
-	res, used, err := s.QueryBest("SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id")
+	res, used, err := s.QueryBestContext(ctx, "SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +62,7 @@ func TestTrackViewMaintainsUnderInserts(t *testing.T) {
 // flattens it to base tables and answers from a different materialized
 // summary.
 func TestLogicalViewFlattening(t *testing.T) {
+	ctx := context.Background()
 	s := New()
 	s.MustLoad(`
 		CREATE TABLE Sales(Sale_Id, Region, Product, Amount) KEY(Sale_Id);
@@ -71,23 +74,23 @@ func TestLogicalViewFlattening(t *testing.T) {
 	for i := int64(0); i < 200; i++ {
 		rows = append(rows, []Value{Int(i), Int(i % 3), Int(i % 5), Int(i)})
 	}
-	if err := s.Insert("Sales", rows...); err != nil {
+	if err := s.InsertContext(ctx, "Sales", rows...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Materialize("ByRegionProduct"); err != nil {
+	if _, err := s.MaterializeContext(ctx, "ByRegionProduct"); err != nil {
 		t.Fatal(err)
 	}
 	// Query over the LOGICAL view West (not materialized): must flatten
 	// to Sales WHERE Region = 1, then route to ByRegionProduct.
 	q := "SELECT Product, SUM(Amount) FROM West GROUP BY Product"
-	res, used, err := s.QueryBest(q)
+	res, used, err := s.QueryBestContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if used == nil || used.Used[0] != "ByRegionProduct" {
 		t.Fatalf("expected flatten + rewrite to the summary view, used=%v", used)
 	}
-	direct := s.MustQuery(q)
+	direct := mustQuery(t, s, q)
 	if !engine.ResultsEqualBag(direct, res) {
 		t.Fatalf("flattened plan differs:\n%s\nvs\n%s", res.Sorted(), direct.Sorted())
 	}
@@ -96,39 +99,41 @@ func TestLogicalViewFlattening(t *testing.T) {
 // TestMaterializedViewNotFlattened: once a view is materialized it is a
 // data source; the planner must scan it rather than expand it.
 func TestMaterializedViewNotFlattened(t *testing.T) {
+	ctx := context.Background()
 	s := New()
 	s.MustLoad(`
 		CREATE TABLE T(Id, K, V) KEY(Id);
 		CREATE VIEW Slice AS SELECT Id, K, V FROM T WHERE K = 1;
 	`)
 	for i := int64(0); i < 50; i++ {
-		if err := s.Insert("T", []Value{Int(i), Int(i % 4), Int(i)}); err != nil {
+		if err := s.InsertContext(ctx, "T", []Value{Int(i), Int(i % 4), Int(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Materialize("Slice"); err != nil {
+	if _, err := s.MaterializeContext(ctx, "Slice"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Plan("SELECT Id, SUM(V) FROM Slice GROUP BY Id")
+	r, err := s.PlanContext(ctx, "SELECT Id, SUM(V) FROM Slice GROUP BY Id")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The plan may or may not rewrite further, but the query text used
 	// for planning must still reference the materialized Slice (hence a
 	// direct scan remains available); executing must succeed and agree.
-	res, used, err := s.QueryBest("SELECT Id, SUM(V) FROM Slice GROUP BY Id")
+	res, used, err := s.QueryBestContext(ctx, "SELECT Id, SUM(V) FROM Slice GROUP BY Id")
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = r
 	_ = used
-	want := s.MustQuery("SELECT Id, SUM(V) FROM Slice GROUP BY Id")
+	want := mustQuery(t, s, "SELECT Id, SUM(V) FROM Slice GROUP BY Id")
 	if !engine.MultisetEqual(res, want) {
 		t.Fatal("materialized-view query broken")
 	}
 }
 
 func TestAdviseAndAdoptViaFacade(t *testing.T) {
+	ctx := context.Background()
 	s := New()
 	if err := s.AddTable(&Table{
 		Name:    "Calls",
@@ -141,40 +146,40 @@ func TestAdviseAndAdoptViaFacade(t *testing.T) {
 	for i := int64(0); i < 500; i++ {
 		rows = append(rows, []Value{Int(i), Int(i % 7), Int(1994 + i%3), Int(i % 100)})
 	}
-	if err := s.Insert("Calls", rows...); err != nil {
+	if err := s.InsertContext(ctx, "Calls", rows...); err != nil {
 		t.Fatal(err)
 	}
 	workload := []string{
 		"SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id",
 		"SELECT Plan_Id, Year, COUNT(Charge) FROM Calls GROUP BY Plan_Id, Year",
 	}
-	recs, err := s.Advise(workload, []float64{3, 1}, 0)
+	recs, err := s.AdviseContext(ctx, workload, []float64{3, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) == 0 {
 		t.Fatal("expected recommendations")
 	}
-	names, err := s.AdoptRecommendations(recs)
+	names, err := s.AdoptRecommendations(ctx, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(names) != len(recs) {
 		t.Fatalf("adopted %d of %d", len(names), len(recs))
 	}
-	res, used, err := s.QueryBest(workload[0])
+	res, used, err := s.QueryBestContext(ctx, workload[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if used == nil {
 		t.Fatal("adopted view should answer the workload")
 	}
-	direct := s.MustQuery(workload[0])
+	direct := mustQuery(t, s, workload[0])
 	if !engine.ResultsEqualBag(res, direct) {
 		t.Fatal("adopted-view answer differs")
 	}
 	// Bad workload query surfaces an error.
-	if _, err := s.Advise([]string{"SELECT nope FROM Calls"}, nil, 0); err == nil {
+	if _, err := s.AdviseContext(ctx, []string{"SELECT nope FROM Calls"}, nil, 0); err == nil {
 		t.Fatal("bad workload query should fail")
 	}
 }
@@ -194,11 +199,12 @@ func TestParseExposesIR(t *testing.T) {
 	}
 }
 
-// TestLoadExecutesEveryStatement pins Load as parse + Exec of each
+// TestLoadExecutesEveryStatement pins Load as parse + ExecContext of each
 // statement: a script declares, loads and mutates in one pass, a view's
-// column list is kept, and Delete / Update with a clause that smuggles in
+// column list is kept, and DeleteContext / UpdateContext with a clause that smuggles in
 // a second statement or another statement kind are refused.
 func TestLoadExecutesEveryStatement(t *testing.T) {
+	ctx := context.Background()
 	s := New()
 	err := s.Load(`
 		CREATE TABLE T(A, B) KEY(A);
@@ -213,7 +219,7 @@ func TestLoadExecutesEveryStatement(t *testing.T) {
 	if v, ok := s.Views.Get("V"); !ok || len(v.OutCols) != 2 || v.OutCols[0] != "K" || v.OutCols[1] != "Total" {
 		t.Fatalf("view V registered as %+v", v)
 	}
-	res := s.MustQuery("SELECT K, Total FROM V").Sorted()
+	res := mustQuery(t, s, "SELECT K, Total FROM V").Sorted()
 	if res.Len() != 1 || res.Tuples[0][0].AsInt() != 1 || res.Tuples[0][1].AsInt() != 10 {
 		t.Fatalf("after the script T holds:\n%s", res)
 	}
@@ -223,10 +229,10 @@ func TestLoadExecutesEveryStatement(t *testing.T) {
 	if n, _ := s.DB.NumRows("T"); n != 2 {
 		t.Errorf("T holds %d rows, want 2 (statements before a rejected one stay applied)", n)
 	}
-	if _, err := s.Delete("T", "A = 1; DELETE FROM T"); err == nil {
+	if _, err := s.DeleteContext(ctx, "T", "A = 1; DELETE FROM T"); err == nil {
 		t.Error("a condition carrying a second statement should be rejected")
 	}
-	if _, err := s.Update("T", "B = 1; DELETE FROM T", ""); err == nil {
+	if _, err := s.UpdateContext(ctx, "T", "B = 1; DELETE FROM T", ""); err == nil {
 		t.Error("a SET clause carrying a second statement should be rejected")
 	}
 	if n, _ := s.DB.NumRows("T"); n != 2 {

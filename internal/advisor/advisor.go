@@ -54,20 +54,11 @@ type Advisor struct {
 	Opts   core.Options
 }
 
-// Recommend returns a set of views whose estimated total size fits
-// budgetRows, chosen greedily by benefit per row. A budget of 0 means
-// unlimited. It runs unbounded; use RecommendContext to make the
-// underlying rewrite searches cancelable.
-func (a *Advisor) Recommend(w Workload, budgetRows float64) []Recommendation {
-	//aggvet:ctxflow Background shim by design; RecommendContext is the bounded variant.
-	recs, _ := a.RecommendContext(context.Background(), w, budgetRows)
-	return recs
-}
-
-// RecommendContext is Recommend under a context: every rewrite search
-// the benefit model runs honors ctx's cancellation, deadline and
-// budget. On cancellation it returns ctx's error and the (possibly
-// partial) picks made so far.
+// RecommendContext returns a set of views whose estimated total size
+// fits budgetRows, chosen greedily by benefit per row. A budget of 0
+// means unlimited. Every rewrite search the benefit model runs honors
+// ctx's cancellation, deadline and budget. On cancellation it returns
+// ctx's error and the (possibly partial) picks made so far.
 func (a *Advisor) RecommendContext(ctx context.Context, w Workload, budgetRows float64) ([]Recommendation, error) {
 	cands := a.candidates(w)
 	if len(cands) == 0 {

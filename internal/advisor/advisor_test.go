@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,6 +16,17 @@ func src() ir.MapSource {
 	}
 }
 
+// recommend is RecommendContext without a deadline, failing the test on
+// error.
+func recommend(t *testing.T, a *Advisor, w Workload, budgetRows float64) []Recommendation {
+	t.Helper()
+	recs, err := a.RecommendContext(context.Background(), w, budgetRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func q(t *testing.T, sql string) *ir.Query {
 	t.Helper()
 	return ir.MustBuild(sql, src())
@@ -27,7 +39,7 @@ func stats() cost.Stats {
 func TestSingleQueryCandidate(t *testing.T) {
 	a := &Advisor{Schema: src(), Stats: stats()}
 	w := Workload{{Query: q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id")}}
-	recs := a.Recommend(w, 0)
+	recs := recommend(t, a, w, 0)
 	if len(recs) == 0 {
 		t.Fatal("expected a recommendation")
 	}
@@ -54,7 +66,7 @@ func TestSharedCandidateForTwoQueries(t *testing.T) {
 		{Query: q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id")},
 		{Query: q(t, "SELECT Month, SUM(Charge) FROM Calls GROUP BY Month")},
 	}
-	recs := a.Recommend(w, 0)
+	recs := recommend(t, a, w, 0)
 	if len(recs) == 0 {
 		t.Fatal("expected recommendations")
 	}
@@ -73,11 +85,11 @@ func TestBudgetLimitsSelection(t *testing.T) {
 	w := Workload{
 		{Query: q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id")},
 	}
-	all := a.Recommend(w, 0)
+	all := recommend(t, a, w, 0)
 	if len(all) == 0 {
 		t.Fatal("unbudgeted run should recommend")
 	}
-	none := a.Recommend(w, 0.5) // below any view's estimated size
+	none := recommend(t, a, w, 0.5) // below any view's estimated size
 	if len(none) != 0 {
 		t.Fatalf("budget of half a row must refuse everything, got %d", len(none))
 	}
@@ -91,7 +103,7 @@ func TestWeightsShiftPriorities(t *testing.T) {
 		{Query: heavy, Weight: 100},
 		{Query: light, Weight: 0.01},
 	}
-	recs := a.Recommend(w, 0)
+	recs := recommend(t, a, w, 0)
 	if len(recs) == 0 {
 		t.Fatal("expected recommendations")
 	}
@@ -110,7 +122,7 @@ func TestWeightsShiftPriorities(t *testing.T) {
 func TestConjunctiveQueriesYieldNoCandidates(t *testing.T) {
 	a := &Advisor{Schema: src(), Stats: stats()}
 	w := Workload{{Query: q(t, "SELECT Call_Id, Charge FROM Calls WHERE Year = 1995")}}
-	if recs := a.Recommend(w, 0); len(recs) != 0 {
+	if recs := recommend(t, a, w, 0); len(recs) != 0 {
 		t.Fatalf("no aggregation queries, no candidates: %v", recs)
 	}
 }
@@ -121,7 +133,7 @@ func TestJoinWorkloadCandidate(t *testing.T) {
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id AND Year = 1995
 		GROUP BY Calling_Plans.Plan_Id, Plan_Name`)}}
-	recs := a.Recommend(w, 0)
+	recs := recommend(t, a, w, 0)
 	if len(recs) == 0 {
 		t.Fatal("join workload should produce a candidate")
 	}
@@ -146,7 +158,7 @@ func TestRecommendationsAreUsable(t *testing.T) {
 	for _, sql := range queries {
 		w = append(w, WeightedQuery{Query: q(t, sql)})
 	}
-	recs := a.Recommend(w, 0)
+	recs := recommend(t, a, w, 0)
 	if len(recs) == 0 {
 		t.Fatal("expected recommendations")
 	}

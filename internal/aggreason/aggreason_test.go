@@ -1,6 +1,7 @@
 package aggreason
 
 import (
+	"context"
 	"testing"
 
 	"aggview/internal/constraints"
@@ -85,6 +86,7 @@ func TestNormalizeExtremalWrongDirectionBlocked(t *testing.T) {
 
 // Normalize must preserve multiset semantics on concrete data.
 func TestNormalizePreservesSemantics(t *testing.T) {
+	ctx := context.Background()
 	queries := []string{
 		"SELECT A, SUM(B) FROM R1 GROUP BY A HAVING A > 1 AND SUM(B) < 100",
 		"SELECT A, MAX(B) FROM R1 GROUP BY A HAVING MAX(B) > 15",
@@ -108,8 +110,8 @@ func TestNormalizePreservesSemantics(t *testing.T) {
 		orig := q(t, sql)
 		norm := Normalize(orig)
 		ev := engine.NewEvaluator(db, nil)
-		r1, err1 := ev.Exec(orig)
-		r2, err2 := ev.Exec(norm)
+		r1, err1 := ev.ExecContext(ctx, orig)
+		r2, err2 := ev.ExecContext(ctx, norm)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: exec errors %v / %v", sql, err1, err2)
 		}

@@ -5,26 +5,23 @@
 // derives its context from the caller's instead of minting a fresh
 // context.Background().
 //
-// Four rules, all built on the framework's cross-function facts
+// Four rules, the first built on the framework's cross-function facts
 // (analysis.Facts), which know transitively which functions block:
 //
 //  1. An exported function that blocks (directly or through
-//     intra-package callees) must take a context.Context — unless a
-//     sibling named <Name>Context exists, the documented compat-shim
-//     pattern (Exec/ExecContext).
+//     intra-package callees) must take a context.Context.
 //  2. A context.Context stored in a struct field is flagged
 //     (go.dev/blog/context-and-structs); per-operation carrier structs
 //     that a kernel resolves once at entry document the exception with
 //     //aggvet:ctxflow.
 //  3. context.Background() in a non-main, non-test package is flagged —
-//     library code inherits its context — except inside the ctx-less
-//     member of a shim pair, whose job is exactly to supply Background.
-//  4. In the ctx-threading target packages (experiments, oracle,
-//     advisor, maintain, server), a function that has a ctx parameter
-//     must not drop it by calling the ctx-less member of a shim pair:
-//     calling Exec where ExecContext exists unplugs cancellation below
-//     that point. This is the rule that closes the ROADMAP
-//     "benchrunner bounded below process level" gap.
+//     library code inherits its context. A bulk-load path that runs
+//     unbounded by design documents the exception with //aggvet:ctxflow.
+//  4. An exported X beside an exported XContext in the same scope (the
+//     package, or one receiver's method set) is flagged at X: an
+//     operation has one entry point, and it takes the ctx. A ctx-less
+//     twin is how cancellation silently gets dropped below a caller
+//     that holds a ctx.
 package ctxflow
 
 import (
@@ -38,26 +35,10 @@ import (
 // Analyzer enforces ctx threading on blocking paths.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "enforces context threading: exported blocking entry points take a context.Context " +
-		"(or have a <Name>Context sibling), contexts are not stored in struct fields, " +
-		"library packages do not mint context.Background(), and functions holding a ctx " +
-		"do not call the ctx-less member of a shim pair",
+	Doc: "enforces context threading: exported blocking entry points take a context.Context, " +
+		"contexts are not stored in struct fields, library packages do not mint " +
+		"context.Background(), and no exported X has an exported XContext twin",
 	Run: run,
-}
-
-// threadPkgs are the packages rule 4 (shim-sibling calls under a live
-// ctx) applies to: the layers between the CLIs and the kernels, where
-// dropping the ctx silently unbounds the work below. The facade
-// (aggview) is exempt — its ctx-less shims exist to call Background.
-var threadPkgs = map[string]bool{
-	"experiments": true,
-	"oracle":      true,
-	"advisor":     true,
-	"maintain":    true,
-	"server":      true,
-	// The span pipeline hangs off context.Context (WithSpan/SpanFrom);
-	// a dropped ctx in obs silently detaches a request's telemetry.
-	"obs": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -110,18 +91,23 @@ func checkFunc(pass *analysis.Pass, facts *analysis.Facts, fn *ast.FuncDecl) {
 	if obj == nil {
 		return
 	}
+	// Rule 4: an exported X beside an exported XContext.
+	if fn.Name.IsExported() && analysis.HasContextSibling(obj) {
+		pass.Reportf(fn.Name.Pos(),
+			"exported %s %s has an exported %sContext twin; an operation has one entry point: "+
+				"delete %s and call %sContext",
+			kindOf(fn), fn.Name.Name, fn.Name.Name, fn.Name.Name, fn.Name.Name)
+	}
 	ff := facts.Lookup(obj)
 	if ff == nil {
 		return
 	}
-	isShim := analysis.HasContextSibling(obj)
 
-	// Rule 1: exported + blocks + no ctx param + no Context sibling.
-	if fn.Name.IsExported() && ff.Blocks && !ff.HasCtxParam && !isShim {
+	// Rule 1: exported + blocks + no ctx param.
+	if fn.Name.IsExported() && ff.Blocks && !ff.HasCtxParam {
 		pass.Reportf(fn.Name.Pos(),
-			"exported %s %s (%s) but takes no context.Context and has no %sContext sibling; "+
-				"blocking entry points must be cancelable",
-			kindOf(fn), fn.Name.Name, ff.BlockDesc, fn.Name.Name)
+			"exported %s %s (%s) but takes no context.Context; blocking entry points must be cancelable",
+			kindOf(fn), fn.Name.Name, ff.BlockDesc)
 	}
 
 	inTestFile := strings.HasSuffix(pass.Fset.Position(fn.Pos()).Filename, "_test.go")
@@ -135,36 +121,11 @@ func checkFunc(pass *analysis.Pass, facts *analysis.Facts, fn *ast.FuncDecl) {
 			return true
 		}
 
-		// Rule 3: context.Background() outside main/test code. The
-		// ctx-less member of a shim pair is the one place Background
-		// belongs — it is the documented bridge for callers without a
-		// ctx.
-		if callee.Pkg() != nil && callee.Pkg().Path() == "context" && callee.Name() == "Background" {
-			if !isShim && !inTestFile {
-				pass.Reportf(call.Pos(),
-					"context.Background() in package %s: library code derives its context from the "+
-						"caller; add a ctx parameter (or a %sContext sibling and call Background only "+
-						"in the shim)", pass.Pkg.Name(), fn.Name.Name)
-			}
-		}
-
-		// Rule 4: a call to the ctx-less member of a shim pair unplugs
-		// cancellation below this point. With a ctx in hand the fix is
-		// to call the Context variant; without one, to grow a ctx
-		// parameter first — either way the ctx-less call in a
-		// threading-layer package is a hole in the cancellation chain.
-		if threadPkgs[pass.Pkg.Name()] && callee != obj && analysis.HasContextSibling(callee) {
-			if ff.HasCtxParam {
-				pass.Reportf(call.Pos(),
-					"%s has a ctx but calls %s, which has a %sContext sibling; call the Context "+
-						"variant so cancellation reaches the work below",
-					fn.Name.Name, callee.Name(), callee.Name())
-			} else {
-				pass.Reportf(call.Pos(),
-					"%s calls %s, which has a %sContext sibling, but has no ctx to thread; add a "+
-						"context.Context parameter and call the Context variant",
-					fn.Name.Name, callee.Name(), callee.Name())
-			}
+		// Rule 3: context.Background() outside main/test code.
+		if callee.Pkg() != nil && callee.Pkg().Path() == "context" && callee.Name() == "Background" && !inTestFile {
+			pass.Reportf(call.Pos(),
+				"context.Background() in package %s: library code derives its context from the "+
+					"caller; add a ctx parameter to %s", pass.Pkg.Name(), fn.Name.Name)
 		}
 		return true
 	})

@@ -1,7 +1,5 @@
-// Package maintain is the ctxflow fixture, named after one of the
-// ctx-threading target packages so rule 4 (shim-sibling calls) applies.
-// It exercises all four rules plus the transitive blocking fact and one
-// justified suppression.
+// Package maintain is the ctxflow fixture. It exercises all four rules
+// plus the transitive blocking fact and two justified suppressions.
 package maintain
 
 import "context"
@@ -23,7 +21,7 @@ func Collect(ch chan int) int { // want `exported function Collect`
 	return drainHelper(ch)
 }
 
-// ExecContext is the ctx-carrying member of a shim pair.
+// ExecContext is the one entry point of its operation.
 func ExecContext(ctx context.Context, ch chan int) int {
 	select {
 	case <-ctx.Done():
@@ -33,11 +31,30 @@ func ExecContext(ctx context.Context, ch chan int) int {
 	}
 }
 
-// Exec is the ctx-less shim: blocking without a ctx parameter is fine
-// because the ExecContext sibling exists (rule 1 exemption), and the
-// shim is the one place context.Background belongs (rule 3 exemption).
-func Exec(ch chan int) int {
-	return ExecContext(context.Background(), ch)
+// Exec is a ctx-less twin of ExecContext: rule 4. It also blocks
+// (through ExecContext) without a ctx, rule 1, and mints Background,
+// rule 3 — a twin is exempt from nothing.
+func Exec(ch chan int) int { // want `exported function Exec \(` `exported function Exec has an exported ExecContext twin`
+	return ExecContext(context.Background(), ch) // want `context.Background\(\) in package maintain`
+}
+
+type store struct{ m map[int]int }
+
+// Get is the ctx-less twin of a method pair: rule 4 covers method sets.
+func (s store) Get(k int) int { // want `exported method Get has an exported GetContext twin`
+	return s.m[k]
+}
+
+// GetContext is the one entry point of its operation.
+func (s store) GetContext(ctx context.Context, k int) int {
+	return s.m[k]
+}
+
+// Warm is a bulk-load path that runs unbounded by design: suppressed.
+func Warm(ch chan int) {
+	//aggvet:ctxflow bulk-load path; inherits no caller deadline by design.
+	_ = context.Background()
+	close(ch)
 }
 
 // Bounded blocks but takes a ctx: quiet under rule 1.
@@ -45,17 +62,7 @@ func Bounded(ctx context.Context, ch chan int) int {
 	return ExecContext(ctx, ch)
 }
 
-// dropCtx holds a ctx yet calls the ctx-less shim member: rule 4.
-func dropCtx(ctx context.Context, ch chan int) int {
-	return Exec(ch) // want `dropCtx has a ctx but calls Exec`
-}
-
-// noCtx has no ctx to thread; rule 4 says to grow one.
-func noCtx(ch chan int) int {
-	return Exec(ch) // want `noCtx calls Exec`
-}
-
-// mintBackground mints a fresh Background outside a shim: rule 3.
+// mintBackground mints a fresh Background: rule 3.
 func mintBackground(ch chan int) int {
 	return ExecContext(context.Background(), ch) // want `context.Background\(\) in package maintain`
 }
@@ -73,7 +80,8 @@ type carrier struct {
 	out chan int
 }
 
-// use keeps the carrier types referenced.
-func use(p *pipeline, c *carrier) (context.Context, context.Context) {
+// use keeps the carrier and store types referenced.
+func use(p *pipeline, c *carrier, s store) (context.Context, context.Context) {
+	_ = s
 	return p.ctx, c.ctx
 }

@@ -24,8 +24,7 @@ import (
 // invariant the aggvet suite guards (ctx threading, error taxonomy,
 // charge/refund balance, merge determinism, key escaping) is stated
 // per package. Calls into other packages contribute only what their
-// signatures and names expose (e.g. time.Sleep is blocking, a
-// *Context sibling marks a shim).
+// signatures and names expose (e.g. time.Sleep is blocking).
 
 // FuncFacts is the summary of one function or method.
 type FuncFacts struct {
@@ -596,21 +595,23 @@ func isStringType(t types.Type) bool {
 }
 
 // HasContextSibling reports whether fn has a same-package sibling
-// named fn.Name()+"Context" — for package-level functions a scope
-// lookup, for methods a lookup in the receiver's method set. The
-// ctx-less member of such a pair is the documented compat shim
-// (Exec/ExecContext, Query/QueryContext, ...), which ctxflow exempts.
+// function named fn.Name()+"Context" — for package-level functions a
+// scope lookup, for methods a lookup in the receiver's method set.
+// ctxflow reports such a pair (Exec beside ExecContext): an operation
+// has one entry point, the one that takes the ctx.
 func HasContextSibling(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
 	want := fn.Name() + "Context"
+	var obj types.Object
 	if recv := fn.Signature().Recv(); recv != nil {
-		obj, _, _ := types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), want)
-		_, ok := obj.(*types.Func)
-		return ok
+		obj, _, _ = types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), want)
+	} else {
+		obj = fn.Pkg().Scope().Lookup(want)
 	}
-	return fn.Pkg().Scope().Lookup(want) != nil
+	_, ok := obj.(*types.Func)
+	return ok
 }
 
 // String renders the facts for one function as a stable one-line

@@ -48,8 +48,9 @@ func TestFactsDeterministic(t *testing.T) {
 }
 
 // TestFactsCrossFunction spot-checks the transitive facts on a real
-// package: maintain.Track blocks only through its TrackContext callee
-// (the shim pattern), and both charge no meter.
+// package: maintain.InsertContext reaches the batch machinery only
+// through its ApplyContext callee, both thread a ctx and return an
+// error, and HasContextSibling finds no X/XContext pair there.
 func TestFactsCrossFunction(t *testing.T) {
 	pkgs, err := Load("../..", "./internal/maintain")
 	if err != nil {
@@ -64,21 +65,22 @@ func TestFactsCrossFunction(t *testing.T) {
 	for _, ff := range facts.Order {
 		byName[ff.Obj.Name()] = ff
 	}
-	track, ok := byName["Track"]
+	ins, ok := byName["InsertContext"]
 	if !ok {
-		t.Fatal("no facts for maintain.Track")
+		t.Fatal("no facts for maintain.InsertContext")
 	}
-	if track.HasCtxParam {
-		t.Error("Track should have no ctx param (it is the shim)")
+	if !ins.HasCtxParam {
+		t.Error("InsertContext should have a ctx param")
 	}
-	tc, ok := byName["TrackContext"]
-	if !ok {
-		t.Fatal("no facts for maintain.TrackContext")
+	if len(ins.Callees) != 1 || ins.Callees[0].Name() != "ApplyContext" {
+		t.Fatalf("InsertContext callees = %v, want [ApplyContext]", ins.Callees)
 	}
-	if !tc.HasCtxParam {
-		t.Error("TrackContext should have a ctx param")
+	if apply := byName["ApplyContext"]; apply == nil || !apply.HasCtxParam || !apply.ReturnsError || !ins.ReturnsError {
+		t.Error("InsertContext and ApplyContext should both take a ctx and return an error")
 	}
-	if !HasContextSibling(track.Obj) {
-		t.Error("Track should report a TrackContext sibling")
+	for _, ff := range facts.Order {
+		if HasContextSibling(ff.Obj) {
+			t.Errorf("%s has a %sContext sibling", ff.Obj.Name(), ff.Obj.Name())
+		}
 	}
 }

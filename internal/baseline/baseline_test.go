@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"aggview/internal/core"
@@ -88,8 +89,8 @@ func TestBaselineMissesExample11(t *testing.T) {
 		t.Fatal(err)
 	}
 	rw := &core.Rewriter{Schema: src(), Views: reg}
-	if len(rw.RewriteOnce(query, v)) == 0 {
-		t.Fatal("the closure-based rewriter must catch Example 1.1")
+	if rws, err := rw.RewriteOnceContext(context.Background(), query, v); err != nil || len(rws) == 0 {
+		t.Fatal("the closure-based rewriter must catch Example 1.1", err)
 	}
 }
 
@@ -125,7 +126,11 @@ func TestBaselineSubsetOfRewriter(t *testing.T) {
 		for _, qs := range queries {
 			query := q(t, qs)
 			b := Usable(query, v)
-			r := len(rw.RewriteOnce(query, v)) > 0
+			rws, err := rw.RewriteOnceContext(context.Background(), query, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := len(rws) > 0
 			if b {
 				baselineHits++
 			}

@@ -36,18 +36,16 @@ type TraceView struct {
 
 // TraceQuery is the full rewrite-search trace of one query: wave
 // bookkeeping, every analyzed candidate in serial commit order, the
-// per-view usability summary and the cost-callback observations.
+// per-view usability summary and the graceful degradations.
 type TraceQuery struct {
-	Query         string            `json:"query"`
-	Waves         int               `json:"waves"`
-	Jobs          int               `json:"jobs"`
-	MaxFrontier   int               `json:"max_frontier"`
-	Rewritings    int               `json:"rewritings"`
-	Views         []TraceView       `json:"views"`
-	Candidates    []obs.Candidate   `json:"candidates"`
-	CostCalls     int64             `json:"cost_calls,omitempty"`
-	CostAnomalies []obs.CostAnomaly `json:"cost_anomalies,omitempty"`
-	Fallbacks     []obs.Fallback    `json:"fallbacks,omitempty"`
+	Query       string          `json:"query"`
+	Waves       int             `json:"waves"`
+	Jobs        int             `json:"jobs"`
+	MaxFrontier int             `json:"max_frontier"`
+	Rewritings  int             `json:"rewritings"`
+	Views       []TraceView     `json:"views"`
+	Candidates  []obs.Candidate `json:"candidates"`
+	Fallbacks   []obs.Fallback  `json:"fallbacks,omitempty"`
 }
 
 // TraceReport is the machine-readable emission of `aggview explain

@@ -26,7 +26,6 @@ func sampleTrace() *TraceReport {
 			{Wave: 1, Query: "SELECT A FROM R1", View: "V2", Verdict: obs.VerdictReject, Condition: "C2", Reason: "condition C2: x"},
 			{Wave: 2, Query: "SELECT A FROM V1", View: "V1", Verdict: obs.VerdictDedup, Reason: "dup"},
 		},
-		CostCalls: 2,
 	})
 	r.Closure = &CacheCounters{Hits: 10, Misses: 3, Evictions: 0, Size: 3}
 	return r

@@ -78,7 +78,7 @@ func TestCompletenessOnDerivedQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("derived query must parse: %s: %v", querySQL, err)
 		}
-		rws := rw.RewriteOnce(q, mustView(t, rw, "V"))
+		rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "V"))
 		if len(rws) == 0 {
 			t.Fatalf("completeness violation: the query is answerable from the view by construction\n view:  %s\n query: %s",
 				viewSQL, querySQL)
@@ -120,7 +120,7 @@ func TestCompletenessOnDerivedAggQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("derived query must parse: %s: %v", querySQL, err)
 		}
-		rws := rw.RewriteOnce(q, mustView(t, rw, "V"))
+		rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "V"))
 		if len(rws) == 0 {
 			t.Fatalf("aggregation-view completeness violation:\n view:  %s\n query: %s", viewSQL, querySQL)
 		}

@@ -4,6 +4,7 @@ package core
 // corners beyond the paper's worked examples.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestMultipleMappingsSelfJoinQuery(t *testing.T) {
 		"Wv": "SELECT A, B, C, D FROM R1 WHERE D = 1",
 	}, Options{})
 	q := buildQ(t, rw, "SELECT r.A, SUM(s.B) FROM R1 r, R1 s WHERE r.D = 1 AND s.D = 1 GROUP BY r.A")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Wv"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Wv"))
 	if len(rws) != 2 {
 		for _, r := range rws {
 			t.Logf("got %s", r.Query.SQL())
@@ -54,7 +55,7 @@ func TestViewOverViewRewriting(t *testing.T) {
 	}
 	rw := &Rewriter{Schema: tables(), Views: reg}
 	q := ir.MustBuild("SELECT A, COUNT(B) FROM L1 GROUP BY A", full)
-	rws := rw.RewriteOnce(q, v2)
+	rws := mustRewriteOnce(t, rw, q, v2)
 	if len(rws) == 0 {
 		t.Fatal("query over L1 should rewrite onto L2")
 	}
@@ -70,7 +71,7 @@ func TestCountStarViewMatchesCountQuery(t *testing.T) {
 		"Vstar": "SELECT A, B, COUNT(*) FROM R1 GROUP BY A, B",
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, COUNT(*) FROM R1 GROUP BY A")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Vstar"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vstar"))
 	if len(rws) == 0 {
 		t.Fatal("COUNT(*) view should answer the COUNT(*) query")
 	}
@@ -88,7 +89,7 @@ func TestGroupColumnViaJoinEquality(t *testing.T) {
 	}, Options{})
 	// A is not exposed, but A = C is enforced, and C is exposed.
 	q := buildQ(t, rw, "SELECT A, SUM(B) FROM R1, R2 WHERE A = C AND B = D GROUP BY A")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Veq"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Veq"))
 	if len(rws) == 0 {
 		t.Fatal("equality-exposed grouping column should satisfy C2")
 	}
@@ -104,7 +105,7 @@ func TestResidualOverViewOutputs(t *testing.T) {
 		"Vout": "SELECT A, C FROM R1 WHERE B = D",
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, COUNT(C) FROM R1 WHERE B = D AND C = 1 GROUP BY A")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Vout"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vout"))
 	if len(rws) == 0 {
 		t.Fatal("residual over exposed outputs should work")
 	}
@@ -123,7 +124,7 @@ func TestInequalityPredicatesInViewAndQuery(t *testing.T) {
 		"Vineq": "SELECT A, B, C, D FROM R1 WHERE B >= 1",
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, MAX(C) FROM R1 WHERE B >= 1 AND B <= 2 GROUP BY A")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Vineq"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vineq"))
 	if len(rws) == 0 {
 		t.Fatal("inequality residual should work")
 	}
@@ -132,7 +133,7 @@ func TestInequalityPredicatesInViewAndQuery(t *testing.T) {
 	}
 	// A query WEAKER than the view must fail (view discarded B < 1).
 	q2 := buildQ(t, rw, "SELECT A, MAX(C) FROM R1 WHERE B >= 0 GROUP BY A")
-	if rws := rw.RewriteOnce(q2, mustView(t, rw, "Vineq")); len(rws) != 0 {
+	if rws := mustRewriteOnce(t, rw, q2, mustView(t, rw, "Vineq")); len(rws) != 0 {
 		t.Fatal("weaker query cannot use a stronger view")
 	}
 }
@@ -142,12 +143,12 @@ func TestAggViewMinOnlyCannotAnswerSum(t *testing.T) {
 		"Vmin": "SELECT A, MIN(B), COUNT(B) FROM R1 GROUP BY A, C",
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, SUM(B) FROM R1 GROUP BY A")
-	if rws := rw.RewriteOnce(q, mustView(t, rw, "Vmin")); len(rws) != 0 {
+	if rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vmin")); len(rws) != 0 {
 		t.Fatal("MIN information cannot produce SUM")
 	}
 	// But MIN works.
 	q2 := buildQ(t, rw, "SELECT A, MIN(B) FROM R1 GROUP BY A")
-	rws := rw.RewriteOnce(q2, mustView(t, rw, "Vmin"))
+	rws := mustRewriteOnce(t, rw, q2, mustView(t, rw, "Vmin"))
 	if len(rws) == 0 {
 		t.Fatal("MIN of MINs should work")
 	}
@@ -163,7 +164,7 @@ func TestHavingCountAggExtension(t *testing.T) {
 		"Vh4": "SELECT A, B, COUNT(C) FROM R1 GROUP BY A, B",
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, MAX(B) FROM R1 GROUP BY A HAVING COUNT(C) > 2")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Vh4"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vh4"))
 	if len(rws) == 0 {
 		t.Fatal("HAVING-only COUNT should be computable from the view")
 	}
@@ -178,7 +179,7 @@ func TestGlobalAggregateQueryOverGroupedView(t *testing.T) {
 		"Vg2": "SELECT A, SUM(B), COUNT(B) FROM R1 GROUP BY A",
 	}, Options{})
 	q := buildQ(t, rw, "SELECT SUM(B), COUNT(C) FROM R1")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Vg2"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vg2"))
 	if len(rws) == 0 {
 		t.Fatal("global aggregate should coalesce all view groups")
 	}
@@ -194,7 +195,7 @@ func TestPinnedGroupColumn(t *testing.T) {
 		"Vpin": "SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B HAVING SUM(C) > 0",
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, SUM(C) FROM R1 WHERE B = 2 GROUP BY A HAVING SUM(C) > 0")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Vpin"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vpin"))
 	if len(rws) == 0 {
 		t.Fatal("pinned view group column should align the groups")
 	}
@@ -209,7 +210,7 @@ func TestUnsatisfiableQueryRewrites(t *testing.T) {
 		"Vu": "SELECT A, B, C, D FROM R1",
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, SUM(B) FROM R1 WHERE C = 1 AND C = 2 GROUP BY A")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Vu"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vu"))
 	if len(rws) == 0 {
 		t.Fatal("unsatisfiable queries admit trivial rewritings")
 	}
@@ -221,7 +222,7 @@ func TestUnsatisfiableQueryRewrites(t *testing.T) {
 func TestRewritingNotesAndSQLRendering(t *testing.T) {
 	rw := newRewriter(t, map[string]string{"V1": telcoV1}, Options{})
 	q := buildQ(t, rw, telcoQ)
-	rws := rw.RewriteOnce(q, mustView(t, rw, "V1"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "V1"))
 	if len(rws) == 0 {
 		t.Fatal("no rewriting")
 	}
@@ -249,7 +250,7 @@ func TestPaperFaithfulVaSharedAcrossAggregates(t *testing.T) {
 		"Vg3": "SELECT A, B, COUNT(C) FROM R1 GROUP BY A, B",
 	}, Options{PaperFaithful: true})
 	q := buildQ(t, rw, "SELECT A, B, SUM(E), SUM(F) FROM R1, R2 GROUP BY A, B")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Vg3"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vg3"))
 	if len(rws) == 0 {
 		t.Fatal("guarded Va rewriting should exist")
 	}
@@ -267,7 +268,7 @@ func TestDistinctQueryOverConjunctiveView(t *testing.T) {
 		"Vd2": "SELECT A, B, C, D FROM R1 WHERE D = 1",
 	}, Options{})
 	q := buildQ(t, rw, "SELECT DISTINCT A, B FROM R1 WHERE D = 1")
-	rws := rw.RewriteOnce(q, mustView(t, rw, "Vd2"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vd2"))
 	if len(rws) == 0 {
 		t.Fatal("DISTINCT query over a plain view works under bag semantics")
 	}
@@ -280,6 +281,7 @@ func TestDistinctQueryOverConjunctiveView(t *testing.T) {
 }
 
 func TestStringConstantsInConditions(t *testing.T) {
+	ctx := context.Background()
 	src := ir.MapSource{"T": {"K", "City", "Amt"}}
 	reg := ir.NewRegistry()
 	v, err := ir.NewViewDef("Vs", ir.MustBuild("SELECT K, City, Amt FROM T WHERE City = 'nyc'", src))
@@ -291,7 +293,7 @@ func TestStringConstantsInConditions(t *testing.T) {
 	}
 	rw := &Rewriter{Schema: src, Views: reg}
 	q := ir.MustBuild("SELECT K, SUM(Amt) FROM T WHERE City = 'nyc' AND Amt > 10 GROUP BY K", src)
-	rws := rw.RewriteOnce(q, v)
+	rws := mustRewriteOnce(t, rw, q, v)
 	if len(rws) == 0 {
 		t.Fatal("string-constant slicing should work")
 	}
@@ -301,11 +303,11 @@ func TestStringConstantsInConditions(t *testing.T) {
 	rel.Add(value.Int(1), value.Str("nyc"), value.Int(5))
 	rel.Add(value.Int(2), value.Str("sf"), value.Int(50))
 	db.Put("T", rel)
-	want, err := engine.NewEvaluator(db, reg).Exec(q)
+	want, err := engine.NewEvaluator(db, reg).ExecContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.NewEvaluator(db, reg).Exec(rws[0].Query)
+	got, err := engine.NewEvaluator(db, reg).ExecContext(ctx, rws[0].Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +316,7 @@ func TestStringConstantsInConditions(t *testing.T) {
 	}
 	// A query on a different city must be refused.
 	q2 := ir.MustBuild("SELECT K, SUM(Amt) FROM T WHERE City = 'sf' GROUP BY K", src)
-	if rws := rw.RewriteOnce(q2, v); len(rws) != 0 {
+	if rws := mustRewriteOnce(t, rw, q2, v); len(rws) != 0 {
 		t.Fatal("wrong slice must be refused")
 	}
 }
@@ -332,8 +334,8 @@ func TestFaithfulSubsetOfDefault(t *testing.T) {
 		def := newRewriter(t, map[string]string{"V": tc.view}, Options{})
 		q1 := buildQ(t, pf, tc.query)
 		q2 := buildQ(t, def, tc.query)
-		nPF := len(pf.RewriteOnce(q1, mustView(t, pf, "V")))
-		nDef := len(def.RewriteOnce(q2, mustView(t, def, "V")))
+		nPF := len(mustRewriteOnce(t, pf, q1, mustView(t, pf, "V")))
+		nDef := len(mustRewriteOnce(t, def, q2, mustView(t, def, "V")))
 		if nPF > 0 && nDef == 0 {
 			t.Errorf("case %d: faithful mode found a rewriting the default mode missed", ci)
 		}

@@ -35,7 +35,7 @@ type Options struct {
 	// detection weakens without it (experiment E10).
 	NoNormalize bool
 	// MaxRewritings caps the number of rewritings enumerated by
-	// Rewritings; 0 means the default of 128.
+	// RewritingsContext; 0 means the default of 128.
 	MaxRewritings int
 	// Workers sizes the engine's morsel pool only (the facade copies it
 	// onto each evaluator): 0 means GOMAXPROCS, 1 serial. Query results
@@ -163,19 +163,10 @@ func (st *searchTask) candidate() error {
 	return budget.Check(st.ctx, "rewrite.candidate")
 }
 
-// RewriteOnce returns every single-step rewriting of q that uses view v:
-// one per column mapping satisfying the usability conditions. With a
-// Tracer attached, every analyzed candidate is recorded (wave 0, since
-// single-step rewrites are outside the BFS). RewriteOnce runs unbounded
-// — no context, no budget — and cannot fail; use RewriteOnceContext for
-// cancellation and budgets.
-func (rw *Rewriter) RewriteOnce(q *ir.Query, v *ir.ViewDef) []*Rewriting {
-	steps, events, _ := rw.rewriteOnce(&searchTask{ctx: context.Background()}, rw.newQueryFacts(q), rw.viewFacts(v), rw.Tracer.Enabled())
-	rw.Tracer.Candidates(events...)
-	return rewritingsOf(steps)
-}
-
-// RewriteOnceContext is RewriteOnce under a context: cancellation,
+// RewriteOnceContext returns every single-step rewriting of q that uses
+// view v: one per column mapping satisfying the usability conditions.
+// With a Tracer attached, every analyzed candidate is recorded (wave 0,
+// since single-step rewrites are outside the BFS). Cancellation,
 // deadline expiry and an exhausted candidate budget (a budget.Meter on
 // the context, or Opts.MaxCandidates) abort the analysis with a typed
 // *budget.Canceled or *budget.Exceeded and no partial result. The
@@ -205,13 +196,13 @@ func rewritingsOf(steps []step) []*Rewriting {
 	return out
 }
 
-// rewriteOnce is the traced body of RewriteOnce. With trace false it
+// rewriteOnce is the traced body of RewriteOnceContext. With trace false it
 // performs no event bookkeeping at all — the untraced search pays
 // nothing. With trace true it returns one obs.Candidate per analyzed
 // (mapping, semantics) pair, in analysis order, plus one synthetic C1
 // rejection when the view is categorically unusable under multiset
 // semantics (Section 4.5). Accept events correspond 1:1, in order, to
-// the returned rewritings — Rewritings relies on that to retag events
+// the returned rewritings — the search relies on that to retag events
 // that its global dedup or limit later discards.
 func (rw *Rewriter) rewriteOnce(st *searchTask, qf *queryFacts, vf *viewFacts, trace bool) ([]step, []obs.Candidate, error) {
 	qn, vn := qf.qn, vf.vn
@@ -330,29 +321,21 @@ func mappingString(vn, qn *ir.Query, m mapping) string {
 	return s
 }
 
-// Rewritings enumerates the rewritings of q reachable by iteratively
-// incorporating registered views (Theorem 3.2: for conjunctive views
-// with equality predicates, iterative application in any order is sound,
-// Church-Rosser and complete). Results are deduplicated up to renaming
-// and FROM-clause order.
+// RewritingsContext enumerates the rewritings of q reachable by
+// iteratively incorporating registered views (Theorem 3.2: for
+// conjunctive views with equality predicates, iterative application in
+// any order is sound, Church-Rosser and complete). Results are
+// deduplicated up to renaming and FROM-clause order.
 //
 // The search runs breadth-first in waves: every (candidate, view) pair
 // of the current frontier is analyzed, then the outcomes are committed
 // to seen/results in (frontier, view-registration, mapping) order, which
 // is also the order MaxRewritings cuts in.
 //
-// Rewritings runs unbounded — no context, no budget — and cannot fail;
-// use RewritingsContext for cancellation and budgets.
-func (rw *Rewriter) Rewritings(q *ir.Query) []*Rewriting {
-	_, out, _ := rw.rewritings(&searchTask{ctx: context.Background()}, q)
-	return out
-}
-
-// RewritingsContext is Rewritings under a context: cancellation,
-// deadline expiry and an exhausted candidate budget (a budget.Meter on
-// the context, or Opts.MaxCandidates) abort the search with a typed
-// *budget.Canceled or *budget.Exceeded and no partial result. The
-// context is polled once per analyzed candidate.
+// Cancellation, deadline expiry and an exhausted candidate budget (a
+// budget.Meter on the context, or Opts.MaxCandidates) abort the search
+// with a typed *budget.Canceled or *budget.Exceeded and no partial
+// result. The context is polled once per analyzed candidate.
 func (rw *Rewriter) RewritingsContext(ctx context.Context, q *ir.Query) ([]*Rewriting, error) {
 	_, out, err := rw.rewritings(rw.newSearchTask(ctx), q)
 	return out, err
@@ -505,74 +488,6 @@ func annotateUncommitted(events [][]obs.Candidate, i int, acceptPos []int, si in
 			}
 		}
 	}
-}
-
-// Best returns the cheapest rewriting according to the cost function
-// (smaller is better), or nil when no rewriting exists. The cost
-// function receives each candidate's query; a nil cost function ranks by
-// the number of base-table occurrences remaining. Best runs unbounded —
-// no context, no budget — and cannot fail; use BestContext for
-// cancellation and budgets.
-func (rw *Rewriter) Best(q *ir.Query, cost func(*ir.Query) float64) *Rewriting {
-	r, _ := rw.best(&searchTask{ctx: context.Background()}, q, cost)
-	return r
-}
-
-// BestContext is Best under a context: the enumeration honors
-// cancellation, deadlines and candidate budgets as RewritingsContext
-// does, and the context is additionally polled between cost-function
-// calls during selection. A typed abort returns a nil rewriting.
-func (rw *Rewriter) BestContext(ctx context.Context, q *ir.Query, cost func(*ir.Query) float64) (*Rewriting, error) {
-	return rw.best(rw.newSearchTask(ctx), q, cost)
-}
-
-func (rw *Rewriter) best(st *searchTask, q *ir.Query, cost func(*ir.Query) float64) (*Rewriting, error) {
-	_, rws, err := rw.rewritings(st, q)
-	if err != nil {
-		return nil, err
-	}
-	if len(rws) == 0 {
-		// No candidates: don't touch the cost function at all, so a
-		// caller-supplied cost that assumes view-shaped queries is never
-		// invoked on nothing.
-		return nil, nil
-	}
-	if cost == nil {
-		cost = func(q *ir.Query) float64 {
-			n := 0.0
-			for _, t := range q.Tables {
-				if _, isView := rw.Views.Get(t.Source); !isView {
-					n++
-				}
-			}
-			return n
-		}
-	}
-	var best *Rewriting
-	bestCost := 0.0
-	for _, r := range rws {
-		if err := budget.Check(st.ctx, "best.cost"); err != nil {
-			return nil, err
-		}
-		c := cost(r.Query)
-		// Best assumes the cost callback is a pure function of the query.
-		// Record every invocation keyed by canonical form; the tracer
-		// flags a purity anomaly when the same canonical query is ever
-		// costed differently (e.g. a callback reading ambient state).
-		rw.Tracer.CostCall(r.key, c)
-		switch {
-		case best == nil || c < bestCost:
-			best, bestCost = r, c
-		//aggvet:floateq ties must be detected exactly: both costs come from the same deterministic cost function, and an epsilon here would tie-break nearly-equal plans nondeterministically across platforms
-		case c == bestCost:
-			// Deterministic tie-breaking: fewest views used, then smallest
-			// canonical key — stable regardless of enumeration order.
-			if len(r.Used) < len(best.Used) || (len(r.Used) == len(best.Used) && r.key < best.key) {
-				best = r
-			}
-		}
-	}
-	return best, nil
 }
 
 // CanonicalKey renders a query in a canonical form that is invariant

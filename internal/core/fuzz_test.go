@@ -8,6 +8,7 @@ package core
 // aggregate plans) surface.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -121,7 +122,7 @@ func TestFuzzRewritingEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated query does not parse: %s: %v", qs.sql, err)
 		}
-		rws := rw.RewriteOnce(q, mustView(t, rw, "V"))
+		rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "V"))
 		produced += len(rws)
 		for _, r := range rws {
 			for seed := int64(0); seed < 3; seed++ {
@@ -152,7 +153,7 @@ func TestFuzzPaperFaithful(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated query does not parse: %s: %v", qs.sql, err)
 		}
-		rws := rw.RewriteOnce(q, mustView(t, rw, "V"))
+		rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "V"))
 		produced += len(rws)
 		for _, r := range rws {
 			for seed := int64(0); seed < 3; seed++ {
@@ -173,6 +174,7 @@ func parseQ(rw *Rewriter, sql string) (q *ir.Query, err error) {
 }
 
 func verifyFuzz(t *testing.T, rw *Rewriter, q *ir.Query, r *Rewriting, db *engine.DB, viewSQL, querySQL string) {
+	ctx := context.Background()
 	t.Helper()
 	reg := ir.NewRegistry()
 	for _, v := range rw.Views.All() {
@@ -181,11 +183,11 @@ func verifyFuzz(t *testing.T, rw *Rewriter, q *ir.Query, r *Rewriting, db *engin
 	for _, v := range r.Aux {
 		_ = reg.Add(v)
 	}
-	want, err := engine.NewEvaluator(db, reg).Exec(q)
+	want, err := engine.NewEvaluator(db, reg).ExecContext(ctx, q)
 	if err != nil {
 		t.Fatalf("original failed: %v\n  view:  %s\n  query: %s", err, viewSQL, querySQL)
 	}
-	got, err := engine.NewEvaluator(db, reg).Exec(r.Query)
+	got, err := engine.NewEvaluator(db, reg).ExecContext(ctx, r.Query)
 	if err != nil {
 		t.Fatalf("rewriting failed: %v\n  view:  %s\n  query: %s\n  Q': %s", err, viewSQL, querySQL, r.SQL())
 	}

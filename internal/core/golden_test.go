@@ -164,7 +164,7 @@ func renderSearch(t *testing.T) string {
 			rw := gc.rewriter(t)
 			q := buildQ(t, rw, sql)
 			fmt.Fprintf(&b, "== %s #%d\nquery: %s\n", gc.name, qi+1, q.SQL())
-			for i, r := range rw.Rewritings(q) {
+			for i, r := range mustRewritings(t, rw, q) {
 				fmt.Fprintf(&b, "rewriting %d: %s\n  used=%v setonly=%v\n", i+1, r.SQL(), r.Used, r.SetOnly)
 				for _, n := range r.Notes {
 					fmt.Fprintf(&b, "  note: %s\n", n)

@@ -7,6 +7,7 @@ package core
 // key-consistent random databases and compared set-wise.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -66,6 +67,7 @@ func genSetQuery(rng *rand.Rand) string {
 }
 
 func TestFuzzSetSemantics(t *testing.T) {
+	ctx := context.Background()
 	cat := schema.NewCatalog()
 	if err := cat.AddTable(&schema.Table{
 		Name: "R1", Columns: []string{"A", "B", "C", "D"}, Keys: [][]string{{"A"}},
@@ -97,23 +99,23 @@ func TestFuzzSetSemantics(t *testing.T) {
 		}
 		rw := &Rewriter{Schema: cat, Views: reg, Meta: keys.CatalogMeta{Catalog: cat}}
 		q := ir.MustBuild(querySQL, cat)
-		for _, r := range rw.RewriteOnce(q, v) {
+		for _, r := range mustRewriteOnce(t, rw, q, v) {
 			produced++
 			if r.SetOnly {
 				setOnly++
 			}
 			for seed := int64(0); seed < 4; seed++ {
 				db := keyedDB(seed*71 + int64(trial))
-				want, err1 := engine.NewEvaluator(db, reg).Exec(q)
-				got, err2 := engine.NewEvaluator(db, reg).Exec(r.Query)
+				want, err1 := engine.NewEvaluator(db, reg).ExecContext(ctx, q)
+				got, err2 := engine.NewEvaluator(db, reg).ExecContext(ctx, r.Query)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("execution failed: %v / %v\n view: %s\n query: %s", err1, err2, viewSQL, querySQL)
 				}
 				if r.SetOnly {
 					dq, dr := q.Clone(), r.Query.Clone()
 					dq.Distinct, dr.Distinct = true, true
-					ws, _ := engine.NewEvaluator(db, reg).Exec(dq)
-					gs, _ := engine.NewEvaluator(db, reg).Exec(dr)
+					ws, _ := engine.NewEvaluator(db, reg).ExecContext(ctx, dq)
+					gs, _ := engine.NewEvaluator(db, reg).ExecContext(ctx, dr)
 					if !engine.ResultsEqualBag(ws, gs) {
 						t.Fatalf("set-equivalence violated\n view: %s\n query: %s\n Q': %s\nwant:\n%s\ngot:\n%s",
 							viewSQL, querySQL, r.Query.SQL(), ws.Sorted(), gs.Sorted())

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"aggview/internal/ir"
 	"aggview/internal/obs"
 )
 
@@ -22,7 +21,7 @@ func TestRewritingsTraceMatchesResults(t *testing.T) {
 	rw := newRewriter(t, traceViews(), Options{})
 	rw.Tracer = obs.NewTracer()
 	q := buildQ(t, rw, telcoQ)
-	rws := rw.Rewritings(q)
+	rws := mustRewritings(t, rw, q)
 	if len(rws) == 0 {
 		t.Fatal("telco query must rewrite")
 	}
@@ -79,7 +78,7 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 		rw := newRewriter(t, traceViews(), Options{})
 		rw.Tracer = obs.NewTracer()
 		q := buildQ(t, rw, telcoQ)
-		rw.Rewritings(q)
+		mustRewritings(t, rw, q)
 		b, err := json.Marshal(rw.Tracer.Snapshot())
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +94,7 @@ func TestRewriteOnceTracesOutsideBFS(t *testing.T) {
 	rw := newRewriter(t, map[string]string{"V1": telcoV1}, Options{})
 	rw.Tracer = obs.NewTracer()
 	q := buildQ(t, rw, telcoQ)
-	rws := rw.RewriteOnce(q, mustView(t, rw, "V1"))
+	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "V1"))
 	tr := rw.Tracer.Snapshot()
 	if len(tr.Candidates) == 0 {
 		t.Fatal("RewriteOnce recorded no candidates")
@@ -113,36 +112,6 @@ func TestRewriteOnceTracesOutsideBFS(t *testing.T) {
 	}
 	if accepts != len(rws) {
 		t.Fatalf("accepts = %d, rewritings = %d", accepts, len(rws))
-	}
-}
-
-func TestBestFlagsImpureCost(t *testing.T) {
-	rw := newRewriter(t, map[string]string{"V1": telcoV1}, Options{})
-	rw.Tracer = obs.NewTracer()
-	q := buildQ(t, rw, telcoQ)
-
-	// A pure cost function: no anomalies, but every call counted.
-	if r := rw.Best(q, func(q *ir.Query) float64 { return float64(len(q.Tables)) }); r == nil {
-		t.Fatal("telco query must have a best rewriting")
-	}
-	tr := rw.Tracer.Snapshot()
-	if tr.CostCalls == 0 {
-		t.Fatal("cost calls not counted")
-	}
-	if len(tr.CostAnomalies) != 0 {
-		t.Fatalf("pure cost flagged: %+v", tr.CostAnomalies)
-	}
-
-	// An impure one reading ambient state: flagged. Two Best runs cost
-	// the same canonical candidates at different ambient values.
-	rw.Tracer.Reset()
-	calls := 0
-	impure := func(q *ir.Query) float64 { calls++; return float64(calls) }
-	rw.Best(q, impure)
-	rw.Best(q, impure)
-	tr = rw.Tracer.Snapshot()
-	if len(tr.CostAnomalies) == 0 {
-		t.Fatal("impure cost function not flagged")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // can use it to answer a query and — when it cannot — which usability
 // conditions (C1–C4 of the paper, plus the Section 4.5 multiset
 // restriction) fail and why. It is the introspection counterpart of
-// RewriteOnce: the same analysis runs, but the per-mapping failure
-// reasons that RewriteOnce discards are collected instead.
+// RewriteOnceContext: the same analysis runs, but the per-mapping failure
+// reasons that RewriteOnceContext discards are collected instead.
 type ViewUsability struct {
 	// View is the view name.
 	View string
@@ -47,7 +47,7 @@ func (rw *Rewriter) explainView(qf *queryFacts, vf *viewFacts) ViewUsability {
 
 	qn, vn := qf.qn, vf.vn
 
-	// Section 4.5 multiset restriction (mirrors RewriteOnce).
+	// Section 4.5 multiset restriction (mirrors RewriteOnceContext).
 	multisetUsable := !vn.Distinct && (qf.isAgg || !vf.isAgg)
 	if !multisetUsable {
 		if vn.Distinct {

@@ -85,7 +85,7 @@ func TestExplainUsabilityNoMapping(t *testing.T) {
 }
 
 // TestExplainUsabilityAgreesWithRewriteOnce: on a grid of view/query
-// pairs, Usable must match whether RewriteOnce finds a rewriting.
+// pairs, Usable must match whether RewriteOnceContext finds a rewriting.
 func TestExplainUsabilityAgreesWithRewriteOnce(t *testing.T) {
 	views := map[string]string{
 		"Full":  "SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B",
@@ -106,7 +106,7 @@ func TestExplainUsabilityAgreesWithRewriteOnce(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown view %q", u.View)
 			}
-			got := len(rw.RewriteOnce(q, v)) > 0
+			got := len(mustRewriteOnce(t, rw, q, v)) > 0
 			if got != u.Usable {
 				t.Errorf("%s vs %s: RewriteOnce usable=%v, ExplainUsability=%v (%v)",
 					sql, u.View, got, u.Usable, u.Failures)

@@ -102,7 +102,7 @@ func TestExecContextRowBudget(t *testing.T) {
 	}
 
 	// A generous budget succeeds with the exact unbudgeted result.
-	want, err := NewEvaluator(db, reg).Exec(q)
+	want, err := NewEvaluator(db, reg).ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestExecContextBudgetCoversViews(t *testing.T) {
 	if err != nil {
 		t.Fatalf("evaluator poisoned by an aborted materialization: %v", err)
 	}
-	want, err := NewEvaluator(db, reg).Exec(q)
+	want, err := NewEvaluator(db, reg).ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestExecContextFaultInjection(t *testing.T) {
 	wants := make([]*Relation, len(queries))
 	for i, q := range queries {
 		var err error
-		wants[i], err = NewEvaluator(db, reg).Exec(q)
+		wants[i], err = NewEvaluator(db, reg).ExecContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,14 +272,14 @@ func TestExecContextNoGoroutineLeak(t *testing.T) {
 // TestEvaluatorSharedAcrossQueries runs distinct queries against the
 // same views on ONE shared evaluator from many goroutines under -race:
 // the view cache, metrics, and worker pools must tolerate concurrent
-// Exec calls with correct per-query results.
+// ExecContext calls with correct per-query results.
 func TestEvaluatorSharedAcrossQueries(t *testing.T) {
 	db, reg, source := ctxFixture(t)
 	queries := ctxQueries(t, source)
 	wants := make([]*Relation, len(queries))
 	for i, q := range queries {
 		var err error
-		wants[i], err = NewEvaluator(db, reg).Exec(q)
+		wants[i], err = NewEvaluator(db, reg).ExecContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,6 +48,7 @@ func TestNarrowSpanCannotWrap(t *testing.T) {
 // math.MinInt64 and math.MaxInt64: both take the hash path and answer as
 // the references do.
 func TestExtremeKeysTakeTheHashPath(t *testing.T) {
+	ctx := context.Background()
 	src := ir.MapSource{"R": {"A", "B"}, "S": {"E", "F"}}
 	r, s := NewRelation("A", "B"), NewRelation("E", "F")
 	ends := []int64{math.MinInt64, math.MaxInt64, 0, math.MaxInt64, math.MinInt64, -1}
@@ -64,7 +65,7 @@ func TestExtremeKeysTakeTheHashPath(t *testing.T) {
 	ev.Metrics = obs.NewMetrics()
 
 	groupQ := ir.MustBuild("SELECT A, COUNT(B), MIN(B) FROM R GROUP BY A", src)
-	got, err := ev.Exec(groupQ)
+	got, err := ev.ExecContext(ctx, groupQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestExtremeKeysTakeTheHashPath(t *testing.T) {
 	}
 
 	joinQ := ir.MustBuild("SELECT B, F FROM R, S WHERE A = E", src)
-	out, err := ev.Exec(joinQ)
+	out, err := ev.ExecContext(ctx, joinQ)
 	if err != nil {
 		t.Fatal(err)
 	}

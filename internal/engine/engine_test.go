@@ -43,7 +43,7 @@ func exec(t *testing.T, db *DB, views *ir.Registry, sql string, source ir.Schema
 		source = src()
 	}
 	q := ir.MustBuild(sql, source)
-	r, err := NewEvaluator(db, views).Exec(q)
+	r, err := NewEvaluator(db, views).ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
@@ -217,13 +217,14 @@ func TestMaterializedViewPreferred(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
+	ctx := context.Background()
 	db := smallDB()
 	q := ir.MustBuild("SELECT A FROM R1", ir.MapSource{"R1": {"A"}})
-	if _, err := NewEvaluator(db, nil).Exec(q); err == nil {
+	if _, err := NewEvaluator(db, nil).ExecContext(ctx, q); err == nil {
 		t.Error("arity mismatch should fail")
 	}
 	q2 := ir.MustBuild("SELECT X FROM Missing", ir.MapSource{"Missing": {"X"}})
-	if _, err := NewEvaluator(db, nil).Exec(q2); err == nil {
+	if _, err := NewEvaluator(db, nil).ExecContext(ctx, q2); err == nil {
 		t.Error("missing relation should fail")
 	}
 	// SUM over strings must fail.
@@ -232,11 +233,11 @@ func TestErrors(t *testing.T) {
 	rs.Add(sv("x"))
 	db2.Put("T", rs)
 	q3 := ir.MustBuild("SELECT SUM(S) FROM T", ir.MapSource{"T": {"S"}})
-	if _, err := NewEvaluator(db2, nil).Exec(q3); err == nil {
+	if _, err := NewEvaluator(db2, nil).ExecContext(ctx, q3); err == nil {
 		t.Error("SUM over strings should fail")
 	}
 	q4 := ir.MustBuild("SELECT AVG(S) FROM T", ir.MapSource{"T": {"S"}})
-	if _, err := NewEvaluator(db2, nil).Exec(q4); err == nil {
+	if _, err := NewEvaluator(db2, nil).ExecContext(ctx, q4); err == nil {
 		t.Error("AVG over strings should fail")
 	}
 }
@@ -422,7 +423,7 @@ func TestEngineMatchesReferenceOnRandomInputs(t *testing.T) {
 		db := randDB(rng)
 		for _, sql := range queries {
 			q := ir.MustBuild(sql, src())
-			got, err1 := NewEvaluator(db, nil).Exec(q)
+			got, err1 := NewEvaluator(db, nil).ExecContext(context.Background(), q)
 			want, err2 := refEval(q, db)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("%s: error mismatch %v vs %v", sql, err1, err2)
@@ -509,7 +510,7 @@ func TestThreeWayJoinOrdering(t *testing.T) {
 	db.Put("T3", r3)
 	src := ir.MapSource{"T1": {"A", "B"}, "T2": {"C", "D"}, "T3": {"E", "F"}}
 	q := ir.MustBuild("SELECT A, F FROM T1, T2, T3 WHERE B = C AND D = E", src)
-	got, err := NewEvaluator(db, nil).Exec(q)
+	got, err := NewEvaluator(db, nil).ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 // ViewSource resolves view definitions by name; *ir.Registry implements
 // it. Implementations must be safe for concurrent readers: the evaluator
-// consults the source from worker goroutines and from concurrent Exec
+// consults the source from worker goroutines and from concurrent ExecContext
 // calls.
 type ViewSource interface {
 	Get(name string) (*ir.ViewDef, bool)
@@ -29,7 +29,7 @@ type ViewSource interface {
 // queries that reference auxiliary views (the paper's Va construction)
 // are executed.
 //
-// An Evaluator is safe for concurrent Exec calls: the view cache is
+// An Evaluator is safe for concurrent ExecContext calls: the view cache is
 // synchronized and each referenced view is materialized exactly once.
 type Evaluator struct {
 	DB    *DB
@@ -80,14 +80,9 @@ func (ev *Evaluator) store() Storage {
 	return ev.DB
 }
 
-// Exec evaluates the query and returns its result relation. The result's
-// attribute names come from ir.OutputNames. Exec is ExecContext with a
-// background context: no deadline, no budget, no cancellation.
-func (ev *Evaluator) Exec(q *ir.Query) (*Relation, error) {
-	return ev.ExecContext(context.Background(), q)
-}
-
-// ExecContext is ExecColumns with the result boxed into rows: the entry
+// ExecContext evaluates the query and returns its result relation, whose
+// attribute names come from ir.OutputNames. It is ExecColumns with the
+// result boxed into rows: the entry
 // point of the callers that read tuples — the maintainer, the oracles,
 // the CLI. Each call adds the cells it boxed to engine.result.cells_boxed.
 func (ev *Evaluator) ExecContext(ctx context.Context, q *ir.Query) (*Relation, error) {
@@ -159,7 +154,7 @@ func queryLabel(q *ir.Query) string {
 	return strings.Join(srcs, ",")
 }
 
-// exec is the unlabeled evaluation body behind Exec. An aggregation
+// exec is the unlabeled evaluation body behind ExecColumns. An aggregation
 // over one table is a single pipeline: aggregate scans, filters and
 // folds it in one morsel pass. Anything else filters each table into a
 // selection, joins selections into index vectors, and runs the fold (or

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestExplainMatchesExecutor(t *testing.T) {
 		if out := ev.Explain(q); !strings.Contains(out, tc.frag) {
 			t.Errorf("Explain(%q) missing %q:\n%s", tc.sql, tc.frag, out)
 		}
-		if _, err := ev.Exec(q); err != nil {
+		if _, err := ev.ExecContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 		m := ev.Metrics

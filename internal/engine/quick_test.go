@@ -4,6 +4,7 @@ package engine
 // each property quantifies over randomly generated databases.
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -39,7 +40,7 @@ func dbFromSeed(seed int64) *DB {
 func exec2(t *testing.T, db *DB, sql string) *Relation {
 	t.Helper()
 	q := ir.MustBuild(sql, src())
-	r, err := NewEvaluator(db, nil).Exec(q)
+	r, err := NewEvaluator(db, nil).ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -170,6 +171,7 @@ func TestQuickFilterMonotone(t *testing.T) {
 // Property: materialized-view indirection is invisible — evaluating a
 // query over a view equals evaluating its expansion.
 func TestQuickViewExpansionTransparent(t *testing.T) {
+	ctx := context.Background()
 	reg := ir.NewRegistry()
 	vq := ir.MustBuild("SELECT A, B FROM R1 WHERE C = 1", src())
 	v, err := ir.NewViewDef("W", vq)
@@ -184,8 +186,8 @@ func TestQuickViewExpansionTransparent(t *testing.T) {
 	expanded := ir.MustBuild("SELECT A, COUNT(B) FROM R1 WHERE C = 1 GROUP BY A", src())
 	f := func(seed int64) bool {
 		db := dbFromSeed(seed)
-		a, err1 := NewEvaluator(db, reg).Exec(over)
-		b, err2 := NewEvaluator(db, nil).Exec(expanded)
+		a, err1 := NewEvaluator(db, reg).ExecContext(ctx, over)
+		b, err2 := NewEvaluator(db, nil).ExecContext(ctx, expanded)
 		if err1 != nil || err2 != nil {
 			return false
 		}

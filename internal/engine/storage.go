@@ -664,7 +664,7 @@ func intKeyOf(x value.Value) (int64, bool) {
 // data-access seam. The in-memory *DB is the first implementation;
 // FaultStorage, which fails scans with typed I/O-style errors, is the
 // second. Implementations must be safe for concurrent Scan calls — the
-// evaluator consults storage from concurrent Exec calls.
+// evaluator consults storage from concurrent ExecContext calls.
 //
 // Scan returns (nil, false, nil) for an unknown name, in which case the
 // evaluator falls back to its view source. A non-nil error models an

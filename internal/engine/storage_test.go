@@ -19,7 +19,7 @@ import (
 func TestFaultStorageContract(t *testing.T) {
 	db, reg, source := ctxFixture(t)
 	for _, q := range ctxQueries(t, source) {
-		want, err := NewEvaluator(db, reg).Exec(q)
+		want, err := NewEvaluator(db, reg).ExecContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestFaultStorageErrorNotMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovered evaluator still failing: %v", err)
 	}
-	want, err := NewEvaluator(db, reg).Exec(q)
+	want, err := NewEvaluator(db, reg).ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestExecContextMemBudget(t *testing.T) {
 	}
 	tripsAt(64, "storage")
 
-	want, err := NewEvaluator(db, reg).Exec(q)
+	want, err := NewEvaluator(db, reg).ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

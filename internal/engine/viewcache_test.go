@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -57,7 +58,7 @@ func TestViewCacheMaterializesOnce(t *testing.T) {
 	ev := NewEvaluator(db, cv)
 	for i := 0; i < 5; i++ {
 		q := ir.MustBuild(fmt.Sprintf("SELECT A FROM VSum WHERE A = %d", i), source)
-		if _, err := ev.Exec(q); err != nil {
+		if _, err := ev.ExecContext(context.Background(), q); err != nil {
 			t.Fatalf("exec %d: %v", i, err)
 		}
 	}
@@ -70,12 +71,13 @@ func TestViewCacheMaterializesOnce(t *testing.T) {
 // goroutines; the view must still be materialized exactly once and every
 // goroutine must see the same (correct) result.
 func TestViewCacheConcurrentExec(t *testing.T) {
+	ctx := context.Background()
 	db, cv, source := viewCacheFixture(t)
 	ev := NewEvaluator(db, cv)
 	ev.Workers = 4
 
 	q := ir.MustBuild("SELECT A, sum_B FROM VSum", ir.MultiSource{source})
-	want, err := NewEvaluator(db, cv.reg).Exec(q)
+	want, err := NewEvaluator(db, cv.reg).ExecContext(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestViewCacheConcurrentExec(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, err := ev.Exec(q)
+			got, err := ev.ExecContext(ctx, q)
 			if err != nil {
 				errs[g] = err
 				return
@@ -114,6 +116,7 @@ func TestViewCacheConcurrentExec(t *testing.T) {
 // view must not block goroutines resolving a different one from making
 // progress toward correct results.
 func TestViewCacheSingleflightManyViews(t *testing.T) {
+	ctx := context.Background()
 	db := NewDB()
 	r := NewRelation("A", "B")
 	for i := 0; i < 5000; i++ {
@@ -149,7 +152,7 @@ func TestViewCacheSingleflightManyViews(t *testing.T) {
 	wants := make([]*Relation, len(viewNames))
 	for i, name := range viewNames {
 		queries[i] = ir.MustBuild("SELECT A, "+outCols[name]+" FROM "+name, source)
-		want, err := NewEvaluator(db, reg).Exec(queries[i])
+		want, err := NewEvaluator(db, reg).ExecContext(ctx, queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +169,7 @@ func TestViewCacheSingleflightManyViews(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			i := g % len(viewNames)
-			got, err := ev.Exec(queries[i])
+			got, err := ev.ExecContext(ctx, queries[i])
 			if err != nil {
 				errs[g] = err
 				return

@@ -973,7 +973,7 @@ func TestJoinPairsMatchNestedLoop(t *testing.T) {
 			db.Put("S", s)
 			ev := NewEvaluator(db, nil)
 			ev.Workers, ev.Metrics = workers, obs.NewMetrics()
-			out, err := ev.Exec(q)
+			out, err := ev.ExecContext(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", tc.name, workers, err)
 			}
@@ -1002,6 +1002,7 @@ func TestJoinPairsMatchNestedLoop(t *testing.T) {
 // could raise, every one raises the same error value, so the order in
 // which the two stages meet them does not show.
 func TestOutputStageMatchesReference(t *testing.T) {
+	ctx := context.Background()
 	src := ir.MapSource{"R": {"A", "B", "C", "D"}}
 	build := func(sql string) *ir.Query { return ir.MustBuild(sql, src) }
 	type stageCase struct {
@@ -1172,13 +1173,13 @@ func TestOutputStageMatchesReference(t *testing.T) {
 				ev := NewEvaluator(db, nil)
 				ev.Workers = w
 				if want == nil {
-					all, err := ev.Exec(&plain)
+					all, err := ev.ExecContext(ctx, &plain)
 					if err != nil {
 						t.Fatal(err)
 					}
 					want = distinct(all)
 				}
-				got, err := ev.Exec(q)
+				got, err := ev.ExecContext(ctx, q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -86,7 +86,7 @@ func RunMultiView(ctx context.Context, k int) (found int, allEqual, orderFree bo
 	}
 
 	// Church-Rosser: with k = 2, both orders reach the same two-view
-	// rewriting; in general re-running Rewritings with a reversed view
+	// rewriting; in general re-running RewritingsContext with a reversed view
 	// list must find the same count.
 	rev := ir.NewRegistry()
 	all := reg.All()

@@ -175,7 +175,7 @@ func RunAdvisor(ctx context.Context, calls int) (nViews, viewRows int, before, a
 	if err != nil {
 		panic(err)
 	}
-	names, err := s.AdoptRecommendations(recs)
+	names, err := s.AdoptRecommendations(ctx, recs)
 	if err != nil {
 		panic(err)
 	}

@@ -19,7 +19,7 @@ import (
 // their own rows.
 func TestAbortedBatchWritesNoCell(t *testing.T) {
 	m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount), COUNT(Amount), MAX(Amount) FROM Txns GROUP BY Acct_Id")
-	if _, err := m.Track("V"); err != nil {
+	if _, err := m.TrackContext(context.Background(), "V"); err != nil {
 		t.Fatal(err)
 	}
 	var want [][]value.Value
@@ -28,10 +28,10 @@ func TestAbortedBatchWritesNoCell(t *testing.T) {
 	}
 	// Two appends, so the stored vectors carry spare capacity an
 	// in-place extension would use.
-	if err := m.Insert("Txns", want[:39]...); err != nil {
+	if err := m.InsertContext(context.Background(), "Txns", want[:39]...); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert("Txns", want[39]); err != nil {
+	if err := m.InsertContext(context.Background(), "Txns", want[39]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +71,7 @@ func TestAbortedBatchWritesNoCell(t *testing.T) {
 	// have used; none of their rows may show.
 	pinned := db.Snapshot()
 	other := txn(200, 4, 3, 9)
-	if err := m.Insert("Txns", other); err != nil {
+	if err := m.InsertContext(context.Background(), "Txns", other); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := db.Get("Txns")
@@ -82,7 +82,7 @@ func TestAbortedBatchWritesNoCell(t *testing.T) {
 
 	// The retry succeeds and yields the exact bag; the snapshot pinned
 	// before it still reads the pre-state.
-	if err := m.Apply(mut); err != nil {
+	if err := m.ApplyContext(context.Background(), mut); err != nil {
 		t.Fatal(err)
 	}
 	final := append([][]value.Value{}, want[:3]...)
@@ -105,6 +105,7 @@ func TestAbortedBatchWritesNoCell(t *testing.T) {
 // pointing at other rows — falls back to the value probe, so a wrong
 // hint can never remove the wrong row.
 func TestMutationPositionsAreAHint(t *testing.T) {
+	ctx := context.Background()
 	for name, at := range map[string][]int32{
 		"exact":    {4, 1},
 		"swapped":  {1, 4},
@@ -114,17 +115,17 @@ func TestMutationPositionsAreAHint(t *testing.T) {
 		"none":     nil,
 	} {
 		m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount), MIN(Amount) FROM Txns GROUP BY Acct_Id")
-		if _, err := m.Track("V"); err != nil {
+		if _, err := m.TrackContext(ctx, "V"); err != nil {
 			t.Fatal(err)
 		}
 		var rows [][]value.Value
 		for i := int64(0); i < 6; i++ {
 			rows = append(rows, txn(i, i%2, 1, 10*i))
 		}
-		if err := m.Insert("Txns", rows...); err != nil {
+		if err := m.InsertContext(ctx, "Txns", rows...); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Apply(Mutation{Table: "Txns", Deletes: [][]value.Value{rows[4], rows[1]}, At: at}); err != nil {
+		if err := m.ApplyContext(ctx, Mutation{Table: "Txns", Deletes: [][]value.Value{rows[4], rows[1]}, At: at}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got, _ := db.Get("Txns")
@@ -140,15 +141,16 @@ func TestMutationPositionsAreAHint(t *testing.T) {
 // against the first one's staged result (a copy, never the installed
 // arrays) and commits both as one version.
 func TestSameTableTwiceInOneBatch(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id")
-	if _, err := m.Track("V"); err != nil {
+	if _, err := m.TrackContext(ctx, "V"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert("Txns", txn(1, 0, 1, 10), txn(2, 1, 1, 20)); err != nil {
+	if err := m.InsertContext(ctx, "Txns", txn(1, 0, 1, 10), txn(2, 1, 1, 20)); err != nil {
 		t.Fatal(err)
 	}
 	before := db.Version("Txns")
-	err := m.Apply(
+	err := m.ApplyContext(ctx,
 		Mutation{Table: "Txns", Inserts: [][]value.Value{txn(3, 0, 1, 30)}},
 		Mutation{Table: "Txns", Deletes: [][]value.Value{txn(3, 0, 1, 30), txn(1, 0, 1, 10)}, Inserts: [][]value.Value{txn(4, 1, 1, 40)}},
 	)
@@ -169,21 +171,22 @@ func TestSameTableTwiceInOneBatch(t *testing.T) {
 // TestGroupsTouchedCounter pins the write-path observability: a batch
 // reports the groups it patched, not the groups the view has.
 func TestGroupsTouchedCounter(t *testing.T) {
+	ctx := context.Background()
 	m, _, _ := setup(t, "SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id")
 	m.Metrics = obs.NewMetrics()
-	if _, err := m.Track("V"); err != nil {
+	if _, err := m.TrackContext(ctx, "V"); err != nil {
 		t.Fatal(err)
 	}
 	var rows [][]value.Value
 	for i := int64(0); i < 50; i++ {
 		rows = append(rows, txn(i, i, 1, i))
 	}
-	if err := m.Insert("Txns", rows...); err != nil {
+	if err := m.InsertContext(ctx, "Txns", rows...); err != nil {
 		t.Fatal(err)
 	}
 	touched := m.Metrics.Volatile("maintain.groups.touched")
 	base := touched.Load()
-	if err := m.Insert("Txns", txn(100, 7, 1, 1), txn(101, 7, 1, 1), txn(102, 9, 1, 1)); err != nil {
+	if err := m.InsertContext(ctx, "Txns", txn(100, 7, 1, 1), txn(101, 7, 1, 1), txn(102, 9, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := touched.Load() - base; got != 2 {

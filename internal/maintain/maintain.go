@@ -182,15 +182,10 @@ func (m *Maintainer) evaluator(store engine.Storage) *engine.Evaluator {
 	return ev
 }
 
-// Track materializes the named view (if needed) and begins maintaining
-// it. It reports whether maintenance is incremental or recompute-based.
-// Track runs unbounded; use TrackContext to bound the materialization.
-func (m *Maintainer) Track(name string) (incremental bool, err error) {
-	return m.TrackContext(context.Background(), name)
-}
-
-// TrackContext is Track under a context: cancellation and deadline
-// expiry abort the initial materialization with a typed error.
+// TrackContext materializes the named view (if needed) and begins
+// maintaining it. It reports whether maintenance is incremental or
+// recompute-based. Cancellation and deadline expiry abort the initial
+// materialization with a typed error.
 func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental bool, err error) {
 	v, ok := m.views.Get(name)
 	if !ok {
@@ -219,7 +214,7 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 
 // rebuild derives a tracked view's materialization, and the counting
 // state that goes with it, from store (nil: the live database) in full:
-// what Track, a recompute inside a batch and Resync each need. An
+// what TrackContext, a recompute inside a batch and Resync each need. An
 // incremental aggregation view is seeded from its delta queries and its
 // rows are built from the seeded groups, each as a group a batch creates
 // (touched.row), in the main delta query's group order — the
@@ -408,21 +403,10 @@ func keyOf(vals []value.Value) string {
 	return key
 }
 
-// Insert appends rows to a base table and updates every tracked view
-// that depends on it. Insert runs unbounded; use InsertContext to bound
-// the delta evaluations and recomputations.
-func (m *Maintainer) Insert(table string, rows ...[]value.Value) error {
-	return m.InsertContext(context.Background(), table, rows...)
-}
-
-// InsertContext is Insert under a context; it is an insert-only batch.
+// InsertContext appends rows to a base table and updates every tracked
+// view that depends on it: an insert-only ApplyContext batch.
 func (m *Maintainer) InsertContext(ctx context.Context, table string, rows ...[]value.Value) error {
 	return m.ApplyContext(ctx, Mutation{Table: table, Inserts: rows})
-}
-
-// Apply runs an unbounded mutation batch; use ApplyContext to bound it.
-func (m *Maintainer) Apply(muts ...Mutation) error {
-	return m.ApplyContext(context.Background(), muts...)
 }
 
 // staged is one relation as the batch will leave it: a delta over the

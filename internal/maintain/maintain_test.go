@@ -1,6 +1,7 @@
 package maintain
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func check(t *testing.T, m *Maintainer, db *engine.DB, reg *ir.Registry) {
 		t.Fatal("view not tracked")
 	}
 	v, _ := reg.Get("V")
-	want, err := engine.NewEvaluator(db, reg).Exec(v.Def)
+	want, err := engine.NewEvaluator(db, reg).ExecContext(context.Background(), v.Def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +61,9 @@ func txn(id, acct, day, amount int64) []value.Value {
 }
 
 func TestIncrementalSumCountMinMax(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount), COUNT(Amount), MIN(Amount), MAX(Amount) FROM Txns GROUP BY Acct_Id")
-	inc, err := m.Track("V")
+	inc, err := m.TrackContext(ctx, "V")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestIncrementalSumCountMinMax(t *testing.T) {
 			rows = append(rows, txn(id, int64(rng.Intn(4)), int64(1+rng.Intn(5)), int64(rng.Intn(100)-20)))
 			id++
 		}
-		if err := m.Insert("Txns", rows...); err != nil {
+		if err := m.InsertContext(ctx, "Txns", rows...); err != nil {
 			t.Fatal(err)
 		}
 		check(t, m, db, reg)
@@ -84,8 +86,9 @@ func TestIncrementalSumCountMinMax(t *testing.T) {
 }
 
 func TestIncrementalJoinView(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Branch, SUM(Amount), COUNT(Amount) FROM Txns, Accounts WHERE Txns.Acct_Id = Accounts.Acct_Id GROUP BY Branch")
-	inc, err := m.Track("V")
+	inc, err := m.TrackContext(ctx, "V")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestIncrementalJoinView(t *testing.T) {
 		t.Fatal("join view with mergeable aggregates should be incremental")
 	}
 	for i := int64(0); i < 20; i++ {
-		if err := m.Insert("Txns", txn(i, i%6, 1, i*3)); err != nil {
+		if err := m.InsertContext(ctx, "Txns", txn(i, i%6, 1, i*3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,15 +109,16 @@ func TestIncrementalJoinView(t *testing.T) {
 }
 
 func TestConjunctiveViewAppends(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Txn_Id, Amount FROM Txns WHERE Amount > 10")
-	inc, err := m.Track("V")
+	inc, err := m.TrackContext(ctx, "V")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !inc {
 		t.Fatal("conjunctive view should maintain by appending deltas")
 	}
-	if err := m.Insert("Txns", txn(1, 0, 1, 5), txn(2, 0, 1, 50)); err != nil {
+	if err := m.InsertContext(ctx, "Txns", txn(1, 0, 1, 5), txn(2, 0, 1, 50)); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
@@ -128,15 +132,16 @@ func TestAvgIsIncremental(t *testing.T) {
 	// Counting maintenance carries SUM and multiplicity per group, so
 	// AVG — non-mergeable under v1's value-merge scheme — now absorbs
 	// deltas incrementally.
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Acct_Id, AVG(Amount) FROM Txns GROUP BY Acct_Id")
-	inc, err := m.Track("V")
+	inc, err := m.TrackContext(ctx, "V")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !inc {
 		t.Fatal("AVG views should maintain incrementally under counting")
 	}
-	if err := m.Insert("Txns", txn(1, 0, 1, 10), txn(2, 0, 1, 20)); err != nil {
+	if err := m.InsertContext(ctx, "Txns", txn(1, 0, 1, 10), txn(2, 0, 1, 20)); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
@@ -144,7 +149,7 @@ func TestAvgIsIncremental(t *testing.T) {
 	if got.Len() != 1 || got.Tuples[0][1].AsFloat() != 15 {
 		t.Fatalf("AVG delta wrong: %s", got)
 	}
-	if err := m.Apply(Mutation{Table: "Txns", Deletes: [][]value.Value{txn(1, 0, 1, 10)}}); err != nil {
+	if err := m.ApplyContext(ctx, Mutation{Table: "Txns", Deletes: [][]value.Value{txn(1, 0, 1, 10)}}); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
@@ -155,19 +160,20 @@ func TestAvgIsIncremental(t *testing.T) {
 }
 
 func TestHavingFallsBackToRecompute(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Acct_Id, COUNT(Amount) FROM Txns GROUP BY Acct_Id HAVING COUNT(Amount) > 1")
-	inc, err := m.Track("V")
+	inc, err := m.TrackContext(ctx, "V")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inc {
 		t.Fatal("HAVING views are not insert-monotone")
 	}
-	if err := m.Insert("Txns", txn(1, 0, 1, 10)); err != nil {
+	if err := m.InsertContext(ctx, "Txns", txn(1, 0, 1, 10)); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
-	if err := m.Insert("Txns", txn(2, 0, 1, 10)); err != nil {
+	if err := m.InsertContext(ctx, "Txns", txn(2, 0, 1, 10)); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
@@ -178,14 +184,15 @@ func TestHavingFallsBackToRecompute(t *testing.T) {
 }
 
 func TestSelfJoinRecomputes(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT t.Acct_Id, COUNT(u.Amount) FROM Txns t, Txns u WHERE t.Acct_Id = u.Acct_Id GROUP BY t.Acct_Id")
-	if _, err := m.Track("V"); err != nil {
+	if _, err := m.TrackContext(ctx, "V"); err != nil {
 		t.Fatal(err)
 	}
 	// The table occurs twice: deltas have cross terms, so the maintainer
 	// must recompute — and stay correct.
 	for i := int64(0); i < 6; i++ {
-		if err := m.Insert("Txns", txn(i, i%2, 1, 10)); err != nil {
+		if err := m.InsertContext(ctx, "Txns", txn(i, i%2, 1, 10)); err != nil {
 			t.Fatal(err)
 		}
 		check(t, m, db, reg)
@@ -193,26 +200,28 @@ func TestSelfJoinRecomputes(t *testing.T) {
 }
 
 func TestUntrackedTableUnaffected(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id")
-	if _, err := m.Track("V"); err != nil {
+	if _, err := m.TrackContext(ctx, "V"); err != nil {
 		t.Fatal(err)
 	}
 	// Inserting into Accounts must not disturb the Txns-only view.
-	if err := m.Insert("Accounts", []value.Value{value.Int(99), value.Int(1)}); err != nil {
+	if err := m.InsertContext(ctx, "Accounts", []value.Value{value.Int(99), value.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
 }
 
 func TestErrors(t *testing.T) {
+	ctx := context.Background()
 	m, _, _ := setup(t, "SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id")
-	if _, err := m.Track("Nope"); err == nil {
+	if _, err := m.TrackContext(ctx, "Nope"); err == nil {
 		t.Error("unknown view should fail")
 	}
-	if err := m.Insert("Nope", txn(1, 1, 1, 1)); err == nil {
+	if err := m.InsertContext(ctx, "Nope", txn(1, 1, 1, 1)); err == nil {
 		t.Error("unknown table should fail")
 	}
-	if err := m.Insert("Txns", []value.Value{value.Int(1)}); err == nil {
+	if err := m.InsertContext(ctx, "Txns", []value.Value{value.Int(1)}); err == nil {
 		t.Error("arity mismatch should fail")
 	}
 	if _, ok := m.Materialization("V"); ok {
@@ -225,7 +234,7 @@ func TestErrors(t *testing.T) {
 
 func TestIsIncremental(t *testing.T) {
 	m, _, _ := setup(t, "SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id")
-	if _, err := m.Track("V"); err != nil {
+	if _, err := m.TrackContext(context.Background(), "V"); err != nil {
 		t.Fatal(err)
 	}
 	if mode, reason := m.Mode("V"); mode != "incremental" || reason != "" {
@@ -238,6 +247,7 @@ func TestIsIncremental(t *testing.T) {
 // operator as a named reason through Mode — and the recomputation it
 // announces is what a change then does.
 func TestModeNamesEveryFallback(t *testing.T) {
+	ctx := context.Background()
 	ungrouped := ir.MustBuild("SELECT Acct_Id, Day, SUM(Amount) FROM Txns GROUP BY Acct_Id, Day", src())
 	ungrouped.GroupBy = ungrouped.GroupBy[:1] // Day stays selected, bare
 	shapes := []struct {
@@ -287,7 +297,7 @@ func TestModeNamesEveryFallback(t *testing.T) {
 		}
 		m := New(db, reg)
 		m.Metrics = obs.NewMetrics()
-		if _, err := m.Track("V"); err != nil {
+		if _, err := m.TrackContext(ctx, "V"); err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
 		if mode, reason := m.Mode("V"); mode != tc.mode || reason != tc.reason {
@@ -296,7 +306,7 @@ func TestModeNamesEveryFallback(t *testing.T) {
 		if got := m.Tracked(); len(got) != 1 || got[0] != "V" {
 			t.Errorf("Tracked() = %v", got)
 		}
-		if err := m.Insert("Txns", txn(1, 2, 3, 40)); err != nil {
+		if err := m.InsertContext(ctx, "Txns", txn(1, 2, 3, 40)); err != nil {
 			t.Fatal(err)
 		}
 		check(t, m, db, reg)
@@ -309,6 +319,7 @@ func TestModeNamesEveryFallback(t *testing.T) {
 // Long randomized soak: interleave inserts into both tables across
 // several tracked shapes and compare against recomputation at each step.
 func TestRandomizedSoak(t *testing.T) {
+	ctx := context.Background()
 	shapes := []string{
 		"SELECT Acct_Id, Day, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id, Day",
 		"SELECT Branch, MIN(Amount), MAX(Amount), COUNT(Amount) FROM Txns, Accounts WHERE Txns.Acct_Id = Accounts.Acct_Id GROUP BY Branch",
@@ -316,17 +327,17 @@ func TestRandomizedSoak(t *testing.T) {
 	}
 	for _, sql := range shapes {
 		m, db, reg := setup(t, sql)
-		if _, err := m.Track("V"); err != nil {
+		if _, err := m.TrackContext(ctx, "V"); err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(99))
 		for step := int64(0); step < 40; step++ {
 			if rng.Intn(5) == 0 {
-				if err := m.Insert("Accounts", []value.Value{value.Int(100 + step), value.Int(step % 3)}); err != nil {
+				if err := m.InsertContext(ctx, "Accounts", []value.Value{value.Int(100 + step), value.Int(step % 3)}); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				if err := m.Insert("Txns", txn(step, int64(rng.Intn(6)), int64(1+rng.Intn(3)), int64(rng.Intn(60)-10))); err != nil {
+				if err := m.InsertContext(ctx, "Txns", txn(step, int64(rng.Intn(6)), int64(1+rng.Intn(3)), int64(rng.Intn(60)-10))); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -16,18 +16,19 @@ import (
 )
 
 func TestDeleteAndUpdatePropagate(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount), COUNT(Amount), MIN(Amount), MAX(Amount) FROM Txns GROUP BY Acct_Id")
-	if inc, err := m.Track("V"); err != nil || !inc {
+	if inc, err := m.TrackContext(ctx, "V"); err != nil || !inc {
 		t.Fatalf("track: inc=%v err=%v", inc, err)
 	}
-	if err := m.Insert("Txns", txn(1, 0, 1, 10), txn(2, 0, 1, 30), txn(3, 1, 1, 7)); err != nil {
+	if err := m.InsertContext(ctx, "Txns", txn(1, 0, 1, 10), txn(2, 0, 1, 30), txn(3, 1, 1, 7)); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
 
 	// Deleting the extremum forces a re-scan of the surviving value
 	// multiset: MAX must fall back from 30 to 10.
-	if err := m.Apply(Mutation{Table: "Txns", Deletes: [][]value.Value{txn(2, 0, 1, 30)}}); err != nil {
+	if err := m.ApplyContext(ctx, Mutation{Table: "Txns", Deletes: [][]value.Value{txn(2, 0, 1, 30)}}); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
@@ -39,7 +40,7 @@ func TestDeleteAndUpdatePropagate(t *testing.T) {
 	}
 
 	// An update is a delete+insert in one atomic batch.
-	if err := m.Apply(Mutation{
+	if err := m.ApplyContext(ctx, Mutation{
 		Table:   "Txns",
 		Deletes: [][]value.Value{txn(3, 1, 1, 7)},
 		Inserts: [][]value.Value{txn(3, 1, 1, 70)},
@@ -49,7 +50,7 @@ func TestDeleteAndUpdatePropagate(t *testing.T) {
 	check(t, m, db, reg)
 
 	// Deleting a group's last row removes the group entirely.
-	if err := m.Apply(Mutation{Table: "Txns", Deletes: [][]value.Value{txn(3, 1, 1, 70)}}); err != nil {
+	if err := m.ApplyContext(ctx, Mutation{Table: "Txns", Deletes: [][]value.Value{txn(3, 1, 1, 70)}}); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
@@ -60,14 +61,15 @@ func TestDeleteAndUpdatePropagate(t *testing.T) {
 }
 
 func TestDeleteAbsentRowIsCleanError(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id")
-	if _, err := m.Track("V"); err != nil {
+	if _, err := m.TrackContext(ctx, "V"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert("Txns", txn(1, 0, 1, 10)); err != nil {
+	if err := m.InsertContext(ctx, "Txns", txn(1, 0, 1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	err := m.Apply(Mutation{Table: "Txns", Deletes: [][]value.Value{txn(99, 9, 9, 9)}})
+	err := m.ApplyContext(ctx, Mutation{Table: "Txns", Deletes: [][]value.Value{txn(99, 9, 9, 9)}})
 	if err == nil {
 		t.Fatal("expected an error deleting an absent row")
 	}
@@ -84,6 +86,7 @@ func TestDeleteAbsentRowIsCleanError(t *testing.T) {
 // counter fires exactly for the recompute-based ones (satellite: the
 // old code recomputed silently).
 func TestIncrementalShapes(t *testing.T) {
+	ctx := context.Background()
 	shapes := []struct {
 		sql         string
 		incremental bool
@@ -106,20 +109,20 @@ func TestIncrementalShapes(t *testing.T) {
 			m, db, reg := setup(t, sh.sql)
 			metrics := obs.NewMetrics()
 			m.Metrics = metrics
-			inc, err := m.Track("V")
+			inc, err := m.TrackContext(ctx, "V")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if inc != sh.incremental {
 				t.Fatalf("incremental=%v, want %v", inc, sh.incremental)
 			}
-			if err := m.Apply(Mutation{
+			if err := m.ApplyContext(ctx, Mutation{
 				Table:   "Txns",
 				Inserts: [][]value.Value{txn(1, 0, 1, 20), txn(2, 1, 2, 40)},
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Apply(Mutation{Table: "Txns", Deletes: [][]value.Value{txn(1, 0, 1, 20)}}); err != nil {
+			if err := m.ApplyContext(ctx, Mutation{Table: "Txns", Deletes: [][]value.Value{txn(1, 0, 1, 20)}}); err != nil {
 				t.Fatal(err)
 			}
 			check(t, m, db, reg)
@@ -138,13 +141,14 @@ func TestIncrementalShapes(t *testing.T) {
 // over the mutated table has delta cross terms, so it recomputes (and
 // says so on the metric).
 func TestSelfJoinStillRecomputes(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT T1.Acct_Id, SUM(T2.Amount) FROM Txns T1, Txns T2 WHERE T1.Txn_Id = T2.Txn_Id GROUP BY T1.Acct_Id")
 	metrics := obs.NewMetrics()
 	m.Metrics = metrics
-	if _, err := m.Track("V"); err != nil {
+	if _, err := m.TrackContext(ctx, "V"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Apply(Mutation{Table: "Txns", Inserts: [][]value.Value{txn(1, 0, 1, 5)}}); err != nil {
+	if err := m.ApplyContext(ctx, Mutation{Table: "Txns", Inserts: [][]value.Value{txn(1, 0, 1, 5)}}); err != nil {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
@@ -157,11 +161,12 @@ func TestSelfJoinStillRecomputes(t *testing.T) {
 // inserting a batch and then deleting the same batch is the identity on
 // the multiplicity counts (and on the materialization).
 func TestInsertDeleteIdentity(t *testing.T) {
+	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount), COUNT(Amount), MIN(Amount), AVG(Amount) FROM Txns GROUP BY Acct_Id")
 			m.Workers = workers
-			if _, err := m.Track("V"); err != nil {
+			if _, err := m.TrackContext(ctx, "V"); err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(7))
@@ -169,7 +174,7 @@ func TestInsertDeleteIdentity(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				seedRows = append(seedRows, txn(int64(i), rng.Int63n(4), rng.Int63n(5), rng.Int63n(50)))
 			}
-			if err := m.Insert("Txns", seedRows...); err != nil {
+			if err := m.InsertContext(ctx, "Txns", seedRows...); err != nil {
 				t.Fatal(err)
 			}
 			before, _ := m.GroupCounts("V")
@@ -181,10 +186,10 @@ func TestInsertDeleteIdentity(t *testing.T) {
 				for i := 0; i < 1+rng.Intn(6); i++ {
 					batch = append(batch, txn(int64(1000+trial*10+i), rng.Int63n(4), rng.Int63n(5), rng.Int63n(50)))
 				}
-				if err := m.Apply(Mutation{Table: "Txns", Inserts: batch}); err != nil {
+				if err := m.ApplyContext(ctx, Mutation{Table: "Txns", Inserts: batch}); err != nil {
 					t.Fatal(err)
 				}
-				if err := m.Apply(Mutation{Table: "Txns", Deletes: batch}); err != nil {
+				if err := m.ApplyContext(ctx, Mutation{Table: "Txns", Deletes: batch}); err != nil {
 					t.Fatal(err)
 				}
 				after, _ := m.GroupCounts("V")
@@ -205,6 +210,7 @@ func TestInsertDeleteIdentity(t *testing.T) {
 // one batched ApplyContext call is equivalent to applying the same
 // mutations one at a time, at both worker counts.
 func TestBatchedEqualsSerialDeltas(t *testing.T) {
+	ctx := context.Background()
 	viewSQL := "SELECT Branch, SUM(Amount), COUNT(Amount), MAX(Amount) FROM Txns, Accounts WHERE Txns.Acct_Id = Accounts.Acct_Id GROUP BY Branch"
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -232,20 +238,20 @@ func TestBatchedEqualsSerialDeltas(t *testing.T) {
 
 			mBatch, _, _ := setup(t, viewSQL)
 			mBatch.Workers = workers
-			if _, err := mBatch.Track("V"); err != nil {
+			if _, err := mBatch.TrackContext(ctx, "V"); err != nil {
 				t.Fatal(err)
 			}
-			if err := mBatch.Apply(muts...); err != nil {
+			if err := mBatch.ApplyContext(ctx, muts...); err != nil {
 				t.Fatal(err)
 			}
 
 			mSerial, dbSerial, regSerial := setup(t, viewSQL)
 			mSerial.Workers = workers
-			if _, err := mSerial.Track("V"); err != nil {
+			if _, err := mSerial.TrackContext(ctx, "V"); err != nil {
 				t.Fatal(err)
 			}
 			for _, mut := range muts {
-				if err := mSerial.Apply(mut); err != nil {
+				if err := mSerial.ApplyContext(ctx, mut); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -271,11 +277,12 @@ func TestBatchedEqualsSerialDeltas(t *testing.T) {
 // the view definition over the same pinned base tables. The refresher
 // goroutine is joined before the test returns (waitleak-clean).
 func TestSnapshotIsolationConcurrentRefresh(t *testing.T) {
+	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id")
-	if _, err := m.Track("V"); err != nil {
+	if _, err := m.TrackContext(ctx, "V"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert("Txns", txn(1, 0, 1, 10), txn(2, 1, 1, 20)); err != nil {
+	if err := m.InsertContext(ctx, "Txns", txn(1, 0, 1, 10), txn(2, 1, 1, 20)); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := reg.Get("V")
@@ -301,7 +308,7 @@ func TestSnapshotIsolationConcurrentRefresh(t *testing.T) {
 				mut.Inserts = [][]value.Value{row}
 				live = append(live, row)
 			}
-			if err := m.Apply(mut); err != nil {
+			if err := m.ApplyContext(ctx, mut); err != nil {
 				errs <- err
 				return
 			}
@@ -320,7 +327,7 @@ func TestSnapshotIsolationConcurrentRefresh(t *testing.T) {
 				}
 				ev := engine.NewEvaluator(db, nil)
 				ev.Store = snap
-				direct, err := ev.Exec(v.Def)
+				direct, err := ev.ExecContext(ctx, v.Def)
 				if err != nil {
 					errs <- err
 					return
@@ -347,10 +354,10 @@ func TestSnapshotIsolationConcurrentRefresh(t *testing.T) {
 // untouched.
 func TestFaultInjectMaintainAtomicBatch(t *testing.T) {
 	m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount), MIN(Amount) FROM Txns GROUP BY Acct_Id")
-	if _, err := m.Track("V"); err != nil {
+	if _, err := m.TrackContext(context.Background(), "V"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert("Txns", txn(1, 0, 1, 10), txn(2, 1, 1, 20), txn(3, 1, 2, 30)); err != nil {
+	if err := m.InsertContext(context.Background(), "Txns", txn(1, 0, 1, 10), txn(2, 1, 1, 20), txn(3, 1, 2, 30)); err != nil {
 		t.Fatal(err)
 	}
 	mut := Mutation{

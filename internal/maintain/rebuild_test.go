@@ -12,7 +12,7 @@ import (
 
 // TestRebuildEqualsDefinition holds the one definition of a maintained
 // row to the view's own: for every incremental shape, the materialization
-// right after Track, after a forced recompute (the branch a self-join or
+// right after TrackContext, after a forced recompute (the branch a self-join or
 // a view over a view takes, entered here by marking the table
 // view-mediated and applying an empty batch) and after Resync is
 // row for row — order included, cells compared as ResultsEqualBag
@@ -20,6 +20,7 @@ import (
 // multiplicity counts do not move. The table spans three morsels and
 // holds float amounts, so a group's rows fold in more than one partial.
 func TestRebuildEqualsDefinition(t *testing.T) {
+	ctx := context.Background()
 	for _, sql := range []string{
 		"SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id",
 		"SELECT Acct_Id, Day, COUNT(Amount) FROM Txns GROUP BY Acct_Id, Day",
@@ -38,14 +39,14 @@ func TestRebuildEqualsDefinition(t *testing.T) {
 			for i := range rows {
 				rows[i] = []value.Value{value.Int(int64(i)), value.Int(int64(rng.Intn(6))), value.Int(int64(1 + rng.Intn(5))), value.Float(float64(rng.Intn(4000)) / 16)}
 			}
-			if err := m.Insert("Txns", rows...); err != nil {
+			if err := m.InsertContext(ctx, "Txns", rows...); err != nil {
 				t.Fatal(err)
 			}
-			if inc, err := m.Track("V"); err != nil || !inc {
+			if inc, err := m.TrackContext(ctx, "V"); err != nil || !inc {
 				t.Fatalf("incremental=%v err=%v", inc, err)
 			}
 			v, _ := reg.Get("V")
-			want, err := engine.NewEvaluator(db, reg).Exec(v.Def)
+			want, err := engine.NewEvaluator(db, reg).ExecContext(ctx, v.Def)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +70,7 @@ func TestRebuildEqualsDefinition(t *testing.T) {
 
 			st := m.tracked["v"]
 			st.viaView["txns"] = true
-			if err := m.Apply(Mutation{Table: "Txns"}); err != nil {
+			if err := m.ApplyContext(ctx, Mutation{Table: "Txns"}); err != nil {
 				t.Fatal(err)
 			}
 			delete(st.viaView, "txns")
@@ -81,7 +82,7 @@ func TestRebuildEqualsDefinition(t *testing.T) {
 			sameAsDefinition("after Resync")
 
 			// The rebuilt state still absorbs deltas.
-			if err := m.Apply(Mutation{Table: "Txns", Deletes: rows[:40], Inserts: [][]value.Value{txn(9001, 2, 3, 77)}}); err != nil {
+			if err := m.ApplyContext(ctx, Mutation{Table: "Txns", Deletes: rows[:40], Inserts: [][]value.Value{txn(9001, 2, 3, 77)}}); err != nil {
 				t.Fatal(err)
 			}
 			check(t, m, db, reg)

@@ -5,8 +5,8 @@
 //   - Tracer records the rewrite search: every candidate (query, view,
 //     mapping) triple the BFS analyzes, with its usability verdict
 //     (accept / reject / dedup), the failed condition (C1–C4 and their
-//     primed variants), the BFS wave it was analyzed in, and — via
-//     CostCall — the cost-callback behavior Best observes.
+//     primed variants), the BFS wave it was analyzed in, and the
+//     graceful degradations (Fallback) of the facade's plan choice.
 //   - Metrics (metrics.go) is an atomic counter/histogram registry the
 //     engine kernels and caches report into.
 //
@@ -20,14 +20,10 @@
 // candidates on a worker pool and the engine fans kernels out, so
 // events may arrive from several goroutines. Determinism of the
 // *content* is the producer's contract (the rewriter commits events in
-// serial BFS order; see core.Rewritings), not the tracer's.
+// serial BFS order; see core.Rewriter.RewritingsContext), not the tracer's.
 package obs
 
-import (
-	"fmt"
-	"math"
-	"sync"
-)
+import "sync"
 
 // Verdict classifies the outcome of analyzing one rewrite candidate.
 type Verdict string
@@ -45,10 +41,10 @@ const (
 )
 
 // Candidate is one analyzed (query, view, mapping) triple of the
-// rewrite search — the per-pair reasoning RewriteOnce used to discard.
+// rewrite search — the per-pair reasoning RewriteOnceContext used to discard.
 type Candidate struct {
 	// Wave is the BFS wave the candidate was analyzed in (1-based;
-	// 0 for a direct RewriteOnce call outside the BFS).
+	// 0 for a direct RewriteOnceContext call outside the BFS).
 	Wave int `json:"wave"`
 	// Query is the SQL of the candidate query being extended.
 	Query string `json:"query"`
@@ -76,22 +72,6 @@ type Candidate struct {
 	Notes []string `json:"notes,omitempty"`
 }
 
-// CostAnomaly records a cost-function purity violation: Best observed
-// two different costs for the same canonical query key, so the cost
-// callback reads ambient state (the ROADMAP's "cost-function purity"
-// gap, dynamically checked here).
-type CostAnomaly struct {
-	// Key is the canonical query key that was evaluated twice.
-	Key string `json:"key"`
-	// First and Second are the two unequal costs, in observation order.
-	First  float64 `json:"first"`
-	Second float64 `json:"second"`
-}
-
-func (a CostAnomaly) String() string {
-	return fmt.Sprintf("cost function impure: key %q cost %g then %g", a.Key, a.First, a.Second)
-}
-
 // Fallback records a graceful degradation: an operation abandoned its
 // preferred strategy (e.g. rewrite search hit its candidate budget) and
 // fell back to a cheaper one (direct evaluation), tagging the result's
@@ -117,10 +97,6 @@ type Trace struct {
 	// Candidates lists every analyzed candidate in commit order (serial
 	// BFS order, byte-identical at every worker count).
 	Candidates []Candidate `json:"candidates"`
-	// CostCalls counts cost-callback invocations observed by Best.
-	CostCalls int64 `json:"cost_calls"`
-	// CostAnomalies lists the purity violations observed by Best.
-	CostAnomalies []CostAnomaly `json:"cost_anomalies,omitempty"`
 	// Fallbacks lists graceful degradations, in occurrence order.
 	Fallbacks []Fallback `json:"fallbacks,omitempty"`
 }
@@ -128,9 +104,8 @@ type Trace struct {
 // Tracer accumulates rewrite-search events. The zero value is ready to
 // use; a nil *Tracer is a valid no-op sink.
 type Tracer struct {
-	mu       sync.Mutex
-	trace    Trace
-	costSeen map[string]float64
+	mu    sync.Mutex
+	trace Trace
 }
 
 // NewTracer returns an empty tracer.
@@ -165,32 +140,6 @@ func (t *Tracer) Wave(jobs, frontier int) {
 	t.mu.Unlock()
 }
 
-// CostCall records one cost-callback invocation for the canonical query
-// key, flagging a CostAnomaly when the same key was previously observed
-// at a bit-different cost (purity is checked on the exact bit pattern:
-// a pure callback returns the identical float64 for identical input,
-// and a tolerance here would hide real ambient-state reads).
-func (t *Tracer) CostCall(key string, cost float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.trace.CostCalls++
-	if t.costSeen == nil {
-		t.costSeen = map[string]float64{}
-	}
-	prev, ok := t.costSeen[key]
-	if !ok {
-		t.costSeen[key] = cost
-		return
-	}
-	if math.Float64bits(prev) != math.Float64bits(cost) {
-		t.trace.CostAnomalies = append(t.trace.CostAnomalies, CostAnomaly{Key: key, First: prev, Second: cost})
-		t.costSeen[key] = cost
-	}
-}
-
 // Fallback records one graceful degradation.
 func (t *Tracer) Fallback(op, reason string) {
 	if t == nil {
@@ -211,7 +160,6 @@ func (t *Tracer) Snapshot() Trace {
 	defer t.mu.Unlock()
 	out := t.trace
 	out.Candidates = append([]Candidate{}, t.trace.Candidates...)
-	out.CostAnomalies = append([]CostAnomaly{}, t.trace.CostAnomalies...)
 	out.Fallbacks = append([]Fallback{}, t.trace.Fallbacks...)
 	return out
 }
@@ -223,6 +171,5 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	t.trace = Trace{}
-	t.costSeen = nil
 	t.mu.Unlock()
 }

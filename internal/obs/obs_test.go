@@ -42,28 +42,6 @@ func TestTracerSnapshotIsACopy(t *testing.T) {
 	}
 }
 
-func TestCostCallFlagsImpurity(t *testing.T) {
-	tr := NewTracer()
-	tr.CostCall("k1", 3)
-	tr.CostCall("k1", 3) // pure repeat: no anomaly
-	tr.CostCall("k2", 5)
-	tr.CostCall("k1", 4) // impure: flagged
-	got := tr.Snapshot()
-	if got.CostCalls != 4 {
-		t.Errorf("cost calls = %d, want 4", got.CostCalls)
-	}
-	if len(got.CostAnomalies) != 1 {
-		t.Fatalf("anomalies = %d, want 1", len(got.CostAnomalies))
-	}
-	a := got.CostAnomalies[0]
-	if a.Key != "k1" || a.First != 3 || a.Second != 4 {
-		t.Errorf("anomaly = %+v", a)
-	}
-	if a.String() == "" {
-		t.Error("anomaly renders empty")
-	}
-}
-
 func TestNilTracerIsNoop(t *testing.T) {
 	var tr *Tracer
 	if tr.Enabled() {
@@ -71,9 +49,9 @@ func TestNilTracerIsNoop(t *testing.T) {
 	}
 	tr.Candidates(Candidate{View: "V"})
 	tr.Wave(1, 1)
-	tr.CostCall("k", 1)
+	tr.Fallback("Plan", "budget")
 	tr.Reset()
-	if got := tr.Snapshot(); len(got.Candidates) != 0 || got.CostCalls != 0 {
+	if got := tr.Snapshot(); len(got.Candidates) != 0 || len(got.Fallbacks) != 0 {
 		t.Errorf("nil tracer recorded state: %+v", got)
 	}
 }
@@ -112,16 +90,13 @@ func TestTracerConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				tr.Candidates(Candidate{View: "V", Verdict: VerdictReject})
-				tr.CostCall("k", 1)
+				tr.Fallback("Plan", "budget")
 			}
 		}()
 	}
 	wg.Wait()
 	got := tr.Snapshot()
-	if len(got.Candidates) != 800 || got.CostCalls != 800 {
-		t.Errorf("concurrent recording lost events: %d candidates, %d cost calls", len(got.Candidates), got.CostCalls)
-	}
-	if len(got.CostAnomalies) != 0 {
-		t.Errorf("pure concurrent cost calls flagged: %+v", got.CostAnomalies)
+	if len(got.Candidates) != 800 || len(got.Fallbacks) != 800 {
+		t.Errorf("concurrent recording lost events: %d candidates, %d fallbacks", len(got.Candidates), len(got.Fallbacks))
 	}
 }

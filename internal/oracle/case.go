@@ -182,16 +182,9 @@ func (c *Case) Clone() *Case {
 	return out
 }
 
-// Compile loads the case into a fresh aggview.System: schema and view
-// definitions, table contents, and every view materialized. The
-// returned system is ready for direct execution and rewriting. Compile
-// is CompileContext with a background context.
-func (c *Case) Compile(opts aggview.Options) (*aggview.System, error) {
-	//aggvet:ctxflow Background shim by design; CompileContext is the bounded variant.
-	return c.CompileContext(context.Background(), opts)
-}
-
-// CompileContext is Compile under a context: the view
+// CompileContext loads the case into a fresh aggview.System: schema and
+// view definitions, table contents, and every view materialized. The
+// returned system is ready for direct execution and rewriting. The view
 // materializations it performs honor ctx's cancellation, deadline and
 // budget.
 func (c *Case) CompileContext(ctx context.Context, opts aggview.Options) (*aggview.System, error) {

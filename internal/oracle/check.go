@@ -41,8 +41,8 @@ type Options struct {
 	// Empty with Faults set defaults to {1, 2, 4}; empty with Faults
 	// empty disables the pass.
 	StorageFaults []int64
-	// ShrinkBudget bounds the number of Check calls one Shrink may
-	// spend; 0 means the default (400).
+	// ShrinkBudget bounds the number of CheckContext calls one
+	// ShrinkContext may spend; 0 means the default (400).
 	ShrinkBudget int
 	// Metrics, when non-nil, is attached to the compiled system so the
 	// check's engine executions report kernel counters into it; a
@@ -109,7 +109,7 @@ func indent(s string) string {
 	return "    " + strings.ReplaceAll(strings.TrimRight(s, "\n"), "\n", "\n    ")
 }
 
-// Outcome reports what one Check observed.
+// Outcome reports what one CheckContext observed.
 type Outcome struct {
 	// Rewritings is the number of rewritings the rewriter emitted.
 	Rewritings int
@@ -124,20 +124,15 @@ type Outcome struct {
 // OK reports whether the case held.
 func (o *Outcome) OK() bool { return len(o.Violations) == 0 }
 
-// Check executes the case's query directly and via every rewriting the
-// rewriter emits, at every configured worker count, and records each
-// multiset inequality as a violation. The returned error reports a case
-// that could not be set up at all (schema or view rejected) — a
-// generator defect, not an equivalence violation. Check is CheckContext
-// with a background context.
-func Check(c *Case, opt Options) (*Outcome, error) {
-	return CheckContext(context.Background(), c, opt)
-}
-
-// CheckContext is Check under a context: cancellation and deadline
-// expiry abort the check between executions with a typed error (no
-// partial outcome is returned), and when Options.Faults is set the
-// injection pass derives each per-run armed context from ctx.
+// CheckContext executes the case's query directly and via every
+// rewriting the rewriter emits, at every configured worker count, and
+// records each multiset inequality as a violation. The returned error
+// reports a case that could not be set up at all (schema or view
+// rejected) — a generator defect, not an equivalence violation.
+// Cancellation and deadline expiry abort the check between executions
+// with a typed error (no partial outcome is returned), and when
+// Options.Faults is set the injection pass derives each per-run armed
+// context from ctx.
 func CheckContext(ctx context.Context, c *Case, opt Options) (*Outcome, error) {
 	opt = opt.withDefaults()
 	sys, err := c.CompileContext(ctx, aggview.Options{

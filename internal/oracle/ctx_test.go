@@ -47,7 +47,7 @@ func TestOracleFaultInjectionPass(t *testing.T) {
 	runs := 0
 	for trial := 0; trial < trials; trial++ {
 		c := Generate(rng, GenOptions{})
-		out, err := Check(c, opt)
+		out, err := CheckContext(context.Background(), c, opt)
 		if err != nil {
 			t.Fatalf("trial %d: generated case rejected:\n%s\nerror: %v", trial, c.Script(), err)
 		}
@@ -79,7 +79,7 @@ func TestOracleStorageFaultPass(t *testing.T) {
 	runs := 0
 	for trial := 0; trial < trials; trial++ {
 		c := Generate(rng, GenOptions{})
-		out, err := Check(c, opt)
+		out, err := CheckContext(context.Background(), c, opt)
 		if err != nil {
 			t.Fatalf("trial %d: generated case rejected:\n%s\nerror: %v", trial, c.Script(), err)
 		}
@@ -114,12 +114,13 @@ func tamperAlwaysFail(r *core.Rewriting) {
 // run's accept/reject sequence exactly and then keeps reducing, and
 // every accepted reduction removes structure.
 func TestShrinkBudgetMonotonic(t *testing.T) {
+	ctx := context.Background()
 	opt := Options{Tamper: tamperAlwaysFail}
 	rng := rand.New(rand.NewSource(31))
 	tested := 0
 	for trial := 0; trial < 300 && tested < 3; trial++ {
 		c := Generate(rng, GenOptions{MaxRows: 40})
-		out, err := Check(c, opt)
+		out, err := CheckContext(ctx, c, opt)
 		if err != nil || out.OK() {
 			continue
 		}
@@ -128,8 +129,8 @@ func TestShrinkBudgetMonotonic(t *testing.T) {
 		for _, b := range []int{1, 5, 25, 100, 400} {
 			o := opt
 			o.ShrinkBudget = b
-			min := Shrink(c, o)
-			if rout, err := Check(min, o); err != nil || rout.OK() {
+			min := ShrinkContext(ctx, c, o)
+			if rout, err := CheckContext(ctx, min, o); err != nil || rout.OK() {
 				t.Fatalf("budget %d: shrunk case no longer fails:\n%s", b, min.Script())
 			}
 			s := size(min)

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -14,18 +15,19 @@ import (
 // for open-ended exploration; under plain `go test` the seed corpus
 // alone runs.
 func FuzzOracleRoundTrip(f *testing.F) {
+	ctx := context.Background()
 	for _, seed := range []int64{0, 1, 2, 3, 42, 1996, 20260806} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		c := Generate(rng, GenOptions{})
-		out, err := Check(c, Options{})
+		out, err := CheckContext(ctx, c, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: generated case rejected:\n%s\nerror: %v", seed, c.Script(), err)
 		}
 		if !out.OK() {
-			min := Shrink(c, Options{})
+			min := ShrinkContext(ctx, c, Options{})
 			t.Fatalf("seed %d: equivalence violation\n%s\nminimal repro script:\n%s",
 				seed, out.Violations[0].String(), min.Script())
 		}

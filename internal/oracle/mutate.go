@@ -231,8 +231,8 @@ type MutOptions struct {
 	// atomic-batch contract and that a clean retry succeeds. Empty
 	// disables the pass.
 	Faults []int64
-	// ShrinkBudget bounds the number of CheckMutation calls one
-	// ShrinkMutation may spend; 0 means the default (120).
+	// ShrinkBudget bounds the number of CheckMutationContext calls one
+	// ShrinkMutationContext may spend; 0 means the default (120).
 	ShrinkBudget int
 	// Tamper, when set, corrupts the compiled system before the serial
 	// pass checks it. It exists to prove the checker catches divergence
@@ -247,7 +247,7 @@ func (o MutOptions) withDefaults() MutOptions {
 	return o
 }
 
-// MutOutcome reports what one CheckMutation observed.
+// MutOutcome reports what one CheckMutationContext observed.
 type MutOutcome struct {
 	// Steps is the number of scenario steps executed in the serial pass.
 	Steps int
@@ -345,17 +345,10 @@ func viewDivergence(ctx context.Context, sys *aggview.System, v *ViewSpec, tag s
 	return nil
 }
 
-// CheckMutation runs the scenario through the serial, concurrent and
-// fault passes. The returned error reports a scenario that could not
+// CheckMutationContext runs the scenario through the serial, concurrent
+// and fault passes. The returned error reports a scenario that could not
 // be set up at all (schema or view rejected, caller's ctx done) — a
-// generator defect, not a maintenance violation. CheckMutation is
-// CheckMutationContext with a background context.
-func CheckMutation(mc *MutationCase, opt MutOptions) (*MutOutcome, error) {
-	//aggvet:ctxflow Background shim by design; CheckMutationContext is the bounded variant.
-	return CheckMutationContext(context.Background(), mc, opt)
-}
-
-// CheckMutationContext is CheckMutation under a context.
+// generator defect, not a maintenance violation.
 func CheckMutationContext(ctx context.Context, mc *MutationCase, opt MutOptions) (*MutOutcome, error) {
 	opt = opt.withDefaults()
 	out := &MutOutcome{}
@@ -645,20 +638,13 @@ func mutationFaultPass(ctx context.Context, mc *MutationCase, opt MutOptions, ou
 	return nil
 }
 
-// ShrinkMutation reduces a failing scenario to a smaller one that
+// ShrinkMutationContext reduces a failing scenario to a smaller one that
 // still fails under the same options: greedily dropping steps, views
 // (keeping at least one — a scenario without a tracked view checks
 // nothing), rows of insert steps and initial contents, then unused
-// tables, to a fixpoint within the budget. ShrinkMutation is
-// ShrinkMutationContext with a background context.
-func ShrinkMutation(mc *MutationCase, opt MutOptions) *MutationCase {
-	//aggvet:ctxflow Background shim by design; ShrinkMutationContext is the bounded variant.
-	return ShrinkMutationContext(context.Background(), mc, opt)
-}
-
-// ShrinkMutationContext is ShrinkMutation under a context: once ctx
-// ends no further reductions are attempted and the smallest failing
-// variant found so far is returned.
+// tables, to a fixpoint within the budget. Once ctx ends no further
+// reductions are attempted and the smallest failing variant found so
+// far is returned.
 func ShrinkMutationContext(ctx context.Context, mc *MutationCase, opt MutOptions) *MutationCase {
 	budget := opt.ShrinkBudget
 	if budget <= 0 {

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"strings"
@@ -72,7 +73,7 @@ func handCase() *MutationCase {
 // views incrementally, and actually exercise the fault machinery.
 func TestMutationHandCase(t *testing.T) {
 	mc := handCase()
-	out, err := CheckMutation(mc, MutOptions{Faults: []int64{1, 2, 5}})
+	out, err := CheckMutationContext(context.Background(), mc, MutOptions{Faults: []int64{1, 2, 5}})
 	if err != nil {
 		t.Fatalf("CheckMutation: %v", err)
 	}
@@ -109,7 +110,7 @@ func TestMutationModesNameTheFallback(t *testing.T) {
 			Having:  []string{"SUM(Amount) > 20"},
 		},
 	})
-	out, err := CheckMutation(mc, MutOptions{Readers: -1})
+	out, err := CheckMutationContext(context.Background(), mc, MutOptions{Readers: -1})
 	if err != nil || !out.OK() {
 		t.Fatalf("CheckMutation: %v, %d violations", err, len(out.Violations))
 	}
@@ -176,7 +177,7 @@ func TestReplayCollapsesMutations(t *testing.T) {
 		t.Fatalf("Replay kept query %q, want the last SELECT", c.Query.SQL())
 	}
 	// A checked replayed case must still pass end to end.
-	out, err := Check(c, Options{})
+	out, err := CheckContext(context.Background(), c, Options{})
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -188,6 +189,7 @@ func TestReplayCollapsesMutations(t *testing.T) {
 // A tampered materialization must be caught, and the shrinker must
 // reduce the scenario to something minimal whose script still replays.
 func TestMutationTamperCaughtAndShrinks(t *testing.T) {
+	ctx := context.Background()
 	mc := handCase()
 	opt := MutOptions{
 		Readers: -1, // serial pass only: tampering happens pre-steps
@@ -207,21 +209,21 @@ func TestMutationTamperCaughtAndShrinks(t *testing.T) {
 			sys.DB.Apply([]engine.Commit{{Name: "Totals", Table: engine.BuildColTable(bad), Silent: true}})
 		},
 	}
-	out, err := CheckMutation(mc, opt)
+	out, err := CheckMutationContext(ctx, mc, opt)
 	if err != nil {
 		t.Fatalf("CheckMutation: %v", err)
 	}
 	if out.OK() {
 		t.Fatal("tampered materialization not caught")
 	}
-	shrunk := ShrinkMutation(mc, opt)
+	shrunk := ShrinkMutationContext(ctx, mc, opt)
 	if len(shrunk.Steps) != 0 {
 		t.Errorf("shrunk to %d steps, want 0 (tamper fires before any step)", len(shrunk.Steps))
 	}
 	if len(shrunk.Base.Views) != 1 {
 		t.Errorf("shrunk to %d views, want 1", len(shrunk.Base.Views))
 	}
-	sOut, err := CheckMutation(shrunk, opt)
+	sOut, err := CheckMutationContext(ctx, shrunk, opt)
 	if err != nil {
 		t.Fatalf("CheckMutation(shrunk): %v", err)
 	}
@@ -236,7 +238,7 @@ func TestMutationTamperCaughtAndShrinks(t *testing.T) {
 // A passing scenario must come back from the shrinker untouched.
 func TestShrinkMutationKeepsPassingCase(t *testing.T) {
 	mc := handCase()
-	if got := ShrinkMutation(mc, MutOptions{Readers: -1}); got != mc {
+	if got := ShrinkMutationContext(context.Background(), mc, MutOptions{Readers: -1}); got != mc {
 		t.Fatal("ShrinkMutation shrank a passing scenario")
 	}
 }
@@ -254,7 +256,7 @@ func TestMutationSoakSlice(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		mc := GenerateMutation(rng, GenOptions{})
 		opt := MutOptions{Faults: []int64{1 + rng.Int63n(4)}}
-		out, err := CheckMutation(mc, opt)
+		out, err := CheckMutationContext(context.Background(), mc, opt)
 		if err != nil {
 			t.Fatalf("trial %d: CheckMutation: %v", trial, err)
 		}

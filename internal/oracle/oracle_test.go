@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -37,18 +38,19 @@ func TestOraclePropertyPaperFaithful(t *testing.T) {
 }
 
 func runPropertySuite(t *testing.T, trials int, opt Options) {
+	ctx := context.Background()
 	t.Helper()
 	rng := rand.New(rand.NewSource(propertySeed))
 	rewritings := 0
 	for trial := 0; trial < trials; trial++ {
 		c := Generate(rng, GenOptions{})
-		out, err := Check(c, opt)
+		out, err := CheckContext(ctx, c, opt)
 		if err != nil {
 			t.Fatalf("trial %d: generated case rejected (generator bug):\n%s\nerror: %v", trial, c.Script(), err)
 		}
 		rewritings += out.Rewritings
 		if !out.OK() {
-			min := Shrink(c, opt)
+			min := ShrinkContext(ctx, c, opt)
 			t.Fatalf("trial %d: equivalence violation\n%s\nminimal repro script:\n%s",
 				trial, out.Violations[0].String(), min.Script())
 		}
@@ -92,6 +94,7 @@ func cloneQuery(q *ir.Query) *ir.Query { return q.Clone() }
 // script replays to a failing case. This is the end-to-end proof the
 // oracle has teeth.
 func TestOracleCatchesInjectedFaults(t *testing.T) {
+	ctx := context.Background()
 	faults := []struct {
 		name   string
 		tamper func(*core.Rewriting)
@@ -105,11 +108,11 @@ func TestOracleCatchesInjectedFaults(t *testing.T) {
 			rng := rand.New(rand.NewSource(propertySeed + 1))
 			for trial := 0; trial < 400; trial++ {
 				c := Generate(rng, GenOptions{})
-				out, err := Check(c, opt)
+				out, err := CheckContext(ctx, c, opt)
 				if err != nil || out.OK() {
 					continue // fault not triggered by this instance
 				}
-				min := Shrink(c, opt)
+				min := ShrinkContext(ctx, c, opt)
 				if size(min) > size(c) {
 					t.Fatalf("shrinking grew the case: %d -> %d", size(c), size(min))
 				}
@@ -118,7 +121,7 @@ func TestOracleCatchesInjectedFaults(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shrunk script does not replay:\n%s\nerror: %v", script, err)
 				}
-				rout, err := Check(replayed, opt)
+				rout, err := CheckContext(ctx, replayed, opt)
 				if err != nil {
 					t.Fatalf("replayed case rejected:\n%s\nerror: %v", script, err)
 				}
@@ -164,6 +167,7 @@ func TestScriptRoundTrip(t *testing.T) {
 // rewriting-bearing case fail), asserting the minimized case is much
 // smaller than the original.
 func TestShrinkReducesRows(t *testing.T) {
+	ctx := context.Background()
 	opt := Options{Tamper: func(r *core.Rewriting) {
 		q := r.Query.Clone()
 		q.Where = append(q.Where, ir.Pred{
@@ -176,13 +180,13 @@ func TestShrinkReducesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		c := Generate(rng, GenOptions{MaxRows: 40})
-		out, err := Check(c, opt)
+		out, err := CheckContext(ctx, c, opt)
 		if err != nil || out.OK() {
 			continue
 		}
 		// The tamper empties every rewriting, so any nonempty direct
 		// answer fails; the minimal repro needs very few rows.
-		min := Shrink(c, opt)
+		min := ShrinkContext(ctx, c, opt)
 		total := 0
 		for _, tb := range min.Tables {
 			total += len(tb.Rows)
@@ -190,7 +194,7 @@ func TestShrinkReducesRows(t *testing.T) {
 		if total > 4 {
 			t.Fatalf("shrunk case still has %d rows:\n%s", total, min.Script())
 		}
-		if out, err := Check(min, opt); err != nil || out.OK() {
+		if out, err := CheckContext(ctx, min, opt); err != nil || out.OK() {
 			t.Fatalf("shrunk case no longer fails:\n%s", min.Script())
 		}
 		return

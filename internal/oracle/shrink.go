@@ -8,12 +8,12 @@ import "context"
 // small (tens of rows, a handful of clauses), so O(parts · checks)
 // converges in well under the default budget.
 
-// shrinkBudget is the default bound on the number of Check calls one
-// Shrink may spend (Options.ShrinkBudget overrides it).
+// shrinkBudget is the default bound on the number of CheckContext calls
+// one ShrinkContext may spend (Options.ShrinkBudget overrides it).
 const shrinkBudget = 400
 
-// Shrink reduces a failing case to a smaller one that still fails under
-// the same options. The input is not mutated; the result is the
+// ShrinkContext reduces a failing case to a smaller one that still fails
+// under the same options. The input is not mutated; the result is the
 // smallest failing variant found within the budget (at worst the
 // original). A case that did not fail is returned unchanged.
 //
@@ -23,15 +23,9 @@ const shrinkBudget = 400
 // every accepted candidate only removes structure — so a larger budget
 // never yields a larger repro.
 //
-// Shrink is ShrinkContext with a background context.
-func Shrink(c *Case, opt Options) *Case {
-	//aggvet:ctxflow Background shim by design; ShrinkContext is the bounded variant.
-	return ShrinkContext(context.Background(), c, opt)
-}
-
-// ShrinkContext is Shrink under a context: every candidate check runs
-// under ctx, and once ctx ends no further reductions are attempted —
-// the smallest failing variant found so far is returned.
+// Every candidate check runs under ctx, and once ctx ends no further
+// reductions are attempted — the smallest failing variant found so far
+// is returned.
 func ShrinkContext(ctx context.Context, c *Case, opt Options) *Case {
 	budget := opt.ShrinkBudget
 	if budget <= 0 {

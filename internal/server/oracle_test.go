@@ -24,7 +24,7 @@ func TestOracleWirePass(t *testing.T) {
 	}
 	for trial := 0; trial < n; trial++ {
 		c := oracle.Generate(rng, oracle.GenOptions{})
-		out, err := oracle.Check(c, oracle.Options{Serve: server.OracleExec})
+		out, err := oracle.CheckContext(context.Background(), c, oracle.Options{Serve: server.OracleExec})
 		if err != nil {
 			t.Fatalf("trial %d: case rejected: %v\nscript:\n%s", trial, err, c.Script())
 		}
@@ -62,7 +62,7 @@ func TestOracleWirePassCatchesCorruption(t *testing.T) {
 			return bad, nil
 		}, shutdown, nil
 	}
-	out, err := oracle.Check(c, oracle.Options{Serve: corrupting})
+	out, err := oracle.CheckContext(context.Background(), c, oracle.Options{Serve: corrupting})
 	if err != nil {
 		t.Fatal(err)
 	}

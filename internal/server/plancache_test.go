@@ -20,6 +20,7 @@ import (
 // cacheSystem builds a small system with enough distinct query shapes
 // to fill and overflow a cache.
 func cacheSystem(t *testing.T) *aggview.System {
+	ctx := context.Background()
 	t.Helper()
 	sys := aggview.New()
 	sys.MustLoad(`
@@ -27,19 +28,19 @@ func cacheSystem(t *testing.T) *aggview.System {
 		CREATE TABLE U(d, e);
 		CREATE VIEW V AS SELECT a, SUM(b), COUNT(b) FROM T GROUP BY a
 	`)
-	if err := sys.Insert("T",
+	if err := sys.InsertContext(ctx, "T",
 		[]aggview.Value{aggview.Int(1), aggview.Int(10), aggview.Int(0)},
 		[]aggview.Value{aggview.Int(1), aggview.Int(20), aggview.Int(1)},
 		[]aggview.Value{aggview.Int(2), aggview.Int(30), aggview.Int(0)},
 	); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Insert("U",
+	if err := sys.InsertContext(ctx, "U",
 		[]aggview.Value{aggview.Int(1), aggview.Int(100)},
 	); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Materialize("V"); err != nil {
+	if _, err := sys.MaterializeContext(ctx, "V"); err != nil {
 		t.Fatal(err)
 	}
 	return sys
@@ -51,7 +52,7 @@ func mustPrepare(t *testing.T, sys *aggview.System, sql string) (string, *aggvie
 	if err != nil {
 		t.Fatalf("PlanKey(%q): %v", sql, err)
 	}
-	p, err := sys.Prepare(sql)
+	p, err := sys.PrepareContext(context.Background(), sql)
 	if err != nil {
 		t.Fatalf("Prepare(%q): %v", sql, err)
 	}
@@ -456,7 +457,7 @@ func TestResolveByTextMatchesPlanKey(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		w := oracle.GenerateWorkload(rng, oracle.GenOptions{}, 6)
-		sys, err := w.Case.Compile(aggview.Options{})
+		sys, err := w.Case.CompileContext(context.Background(), aggview.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -21,20 +21,21 @@ import (
 // servedSystem builds a system with a tracked aggregation view, so
 // inserts through the server maintain the view and fire invalidation.
 func servedSystem(t *testing.T) *aggview.System {
+	ctx := context.Background()
 	t.Helper()
 	sys := aggview.New()
 	sys.MustLoad(`
 		CREATE TABLE Sales(region, amount, qty);
 		CREATE VIEW Totals AS SELECT region, SUM(amount), COUNT(amount) FROM Sales GROUP BY region
 	`)
-	if err := sys.Insert("Sales",
+	if err := sys.InsertContext(ctx, "Sales",
 		[]aggview.Value{aggview.Str("n"), aggview.Int(10), aggview.Int(1)},
 		[]aggview.Value{aggview.Str("n"), aggview.Int(20), aggview.Int(2)},
 		[]aggview.Value{aggview.Str("s"), aggview.Int(5), aggview.Int(1)},
 	); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.TrackView("Totals"); err != nil {
+	if _, err := sys.TrackViewContext(ctx, "Totals"); err != nil {
 		t.Fatal(err)
 	}
 	return sys
@@ -674,7 +675,7 @@ func TestQueryReplyCap(t *testing.T) {
 	maxResponseBytes = 4096
 	sys := servedSystem(t)
 	for i := 0; i < 40; i++ {
-		if err := sys.Insert("Sales", []aggview.Value{aggview.Str("w"), aggview.Int(int64(i)), aggview.Int(1)}); err != nil {
+		if err := sys.InsertContext(context.Background(), "Sales", []aggview.Value{aggview.Str("w"), aggview.Int(int64(i)), aggview.Int(1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -150,7 +150,7 @@ func TestSlowQueryLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay %q: %v", e.Script, err)
 	}
-	fresh, err := cs.Compile(aggview.Options{})
+	fresh, err := cs.CompileContext(context.Background(), aggview.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,6 +310,7 @@ func FuzzQueryResponseDecode(f *testing.F) {
 // malformedWireValues, into each column of an inserted row and into an
 // UPDATE's SET.
 func FuzzInsertBody(f *testing.F) {
+	ctx := context.Background()
 	row := []string{"i:1", "f:0.5", "s:a", "b:T"}
 	cols := []string{"I", "F", "S", "B"}
 	for i, v := range wireValues {
@@ -338,13 +339,13 @@ func FuzzInsertBody(f *testing.F) {
 			CREATE TABLE T(I, F, S, B);
 			CREATE VIEW V AS SELECT S, SUM(I), MIN(F), COUNT(B) FROM T GROUP BY S;
 		`)
-		if err := sys.Insert("T",
+		if err := sys.InsertContext(ctx, "T",
 			[]aggview.Value{aggview.Int(1), aggview.Float(0.5), aggview.Str("a"), aggview.Bool(true)},
 			[]aggview.Value{aggview.Int(2), aggview.Float(1.5), aggview.Str("b"), aggview.Bool(false)},
 		); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.TrackView("V"); err != nil {
+		if _, err := sys.TrackViewContext(ctx, "V"); err != nil {
 			t.Fatal(err)
 		}
 		srv := New(sys, Config{})
@@ -370,7 +371,7 @@ func FuzzInsertBody(f *testing.F) {
 				}
 			}
 			def, _ := sys.Views.Get("V")
-			want, err := engine.NewEvaluator(sys.DB, sys.Views).Exec(def.Def)
+			want, err := engine.NewEvaluator(sys.DB, sys.Views).ExecContext(ctx, def.Def)
 			if got, _ := sys.DB.Get("V"); err != nil || !engine.ResultsEqualBag(got, want) {
 				t.Fatalf("%s %s: %d, and V differs from its definition (%v)", path, body, code, err)
 			}

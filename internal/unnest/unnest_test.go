@@ -1,6 +1,7 @@
 package unnest
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -67,14 +68,15 @@ func randDB(seed int64) *engine.DB {
 // checkEquivalent runs the original (with view expansion) and the
 // flattened query (base tables only) and compares multisets.
 func checkEquivalent(t *testing.T, q, flat *ir.Query, reg *ir.Registry) {
+	ctx := context.Background()
 	t.Helper()
 	for seed := int64(0); seed < 5; seed++ {
 		db := randDB(seed)
-		want, err := engine.NewEvaluator(db, reg).Exec(q)
+		want, err := engine.NewEvaluator(db, reg).ExecContext(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := engine.NewEvaluator(db, nil).Exec(flat)
+		got, err := engine.NewEvaluator(db, nil).ExecContext(ctx, flat)
 		if err != nil {
 			t.Fatalf("flattened query needs no views: %v\n%s", err, flat.SQL())
 		}

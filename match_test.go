@@ -16,7 +16,7 @@ import (
 )
 
 // parseChange parses a DELETE (set "") or UPDATE from its parts ("" =
-// unconditional) the way the facade's Delete and Update do.
+// unconditional) the way the facade's DeleteContext and UpdateContext do.
 func parseChange(t testing.TB, table, set, where string) (sqlparser.Expr, []sqlparser.Assignment) {
 	t.Helper()
 	text := "DELETE FROM " + table
@@ -310,7 +310,7 @@ func TestSetEqualsEvalExpr(t *testing.T) {
 				if err := checkChange(t, sys, "T", set, where); err != nil {
 					t.Fatalf("SET %s WHERE %s: %v", set, where, err)
 				}
-				changed, err := sys.Update("T", set, where)
+				changed, err := sys.UpdateContext(context.Background(), "T", set, where)
 				if err != nil || changed != n {
 					t.Fatalf("SET %s WHERE %s: updated %d rows (err %v), want %d", set, where, changed, err, n)
 				}

@@ -9,20 +9,21 @@ import (
 )
 
 func preparedFixture(t *testing.T) *aggview.System {
+	ctx := context.Background()
 	t.Helper()
 	s := aggview.New()
 	s.MustLoad(`
 		CREATE TABLE Calls(cust, dur, toll);
 		CREATE VIEW ByCust AS SELECT cust, SUM(dur), COUNT(dur) FROM Calls GROUP BY cust
 	`)
-	if err := s.Insert("Calls",
+	if err := s.InsertContext(ctx, "Calls",
 		[]aggview.Value{aggview.Int(1), aggview.Int(10), aggview.Int(2)},
 		[]aggview.Value{aggview.Int(1), aggview.Int(20), aggview.Int(3)},
 		[]aggview.Value{aggview.Int(2), aggview.Int(5), aggview.Int(1)},
 	); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Materialize("ByCust"); err != nil {
+	if _, err := s.MaterializeContext(ctx, "ByCust"); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -42,7 +43,7 @@ func TestPrepareExecMatchesQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Prepare(%q): %v", sql, err)
 		}
-		got, err := s.ExecPreparedContext(ctx, p)
+		got, err := s.ExecPreparedOnContext(ctx, p, s.Store)
 		if err != nil {
 			t.Fatalf("ExecPrepared(%q): %v", sql, err)
 		}
@@ -67,14 +68,14 @@ func TestPreparedReadsCurrentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := s.ExecPreparedContext(ctx, p)
+	before, err := s.ExecPreparedOnContext(ctx, p, s.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert("Calls", []aggview.Value{aggview.Int(3), aggview.Int(7), aggview.Int(9)}); err != nil {
+	if err := s.InsertContext(context.Background(), "Calls", []aggview.Value{aggview.Int(3), aggview.Int(7), aggview.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.ExecPreparedContext(ctx, p)
+	after, err := s.ExecPreparedOnContext(ctx, p, s.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestPlanKeyCanonical(t *testing.T) {
 // table.
 func TestPreparedDeps(t *testing.T) {
 	s := preparedFixture(t)
-	p, err := s.Prepare("SELECT cust, SUM(dur) FROM Calls GROUP BY cust")
+	p, err := s.PrepareContext(context.Background(), "SELECT cust, SUM(dur) FROM Calls GROUP BY cust")
 	if err != nil {
 		t.Fatal(err)
 	}

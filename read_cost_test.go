@@ -144,7 +144,7 @@ func TestServedReadsBoxNothing(t *testing.T) {
 
 		cells := int64(0)
 		for _, sh := range shapes {
-			res, err := sys.Query(sh.sql)
+			res, err := sys.QueryContext(context.Background(), sh.sql)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package aggview_test
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -75,7 +76,7 @@ func TestScanCostIsResultSized(t *testing.T) {
 		out := map[string]uint64{}
 		for _, sh := range scanShapes(t, sys) {
 			run := func() {
-				if res, err := sys.Query(sh.sql); err != nil || res.Len() == 0 {
+				if res, err := sys.QueryContext(context.Background(), sh.sql); err != nil || res.Len() == 0 {
 					t.Fatalf("%s: empty result or error: %v", sh.name, err)
 				}
 			}
@@ -128,7 +129,7 @@ func TestClusteredScanSkipsChunks(t *testing.T) {
 	}
 	scanned := func(sys *aggview.System, sql string) (*aggview.Result, int64) {
 		sys.Metrics = obs.NewMetrics()
-		res, err := sys.Query(sql)
+		res, err := sys.QueryContext(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestJoinCostIsResultSized(t *testing.T) {
 			t.Fatalf("scanShapes()[3] is %s, want area_join", sh.name)
 		}
 		run := func() {
-			if res, err := sys.Query(sh.sql); err != nil || res.Len() == 0 {
+			if res, err := sys.QueryContext(context.Background(), sh.sql); err != nil || res.Len() == 0 {
 				t.Fatalf("%s: empty result or error: %v", sh.name, err)
 			}
 		}
@@ -217,7 +218,7 @@ func TestScanShapesTakeTheDirectPath(t *testing.T) {
 		var first [4]int64
 		for k, workers := range []int{1, 0} {
 			sys.Opts.Workers, sys.Metrics = workers, obs.NewMetrics()
-			if res, err := sys.Query(sh.sql); err != nil || res.Len() == 0 {
+			if res, err := sys.QueryContext(context.Background(), sh.sql); err != nil || res.Len() == 0 {
 				t.Fatalf("%s: empty result or error: %v", sh.name, err)
 			}
 			got := [4]int64{}

@@ -16,7 +16,7 @@ import (
 	"aggview/internal/obs"
 )
 
-// spanFor runs one QueryBest under a fresh span and returns the span's
+// spanFor runs one QueryBestContext under a fresh span and returns the span's
 // deterministic rendering.
 func spanFor(t *testing.T, s *aggview.System, sql string) string {
 	t.Helper()

@@ -5,6 +5,7 @@ package aggview
 // rewriting of flattened queries onto materialized summaries.
 
 import (
+	"context"
 	"testing"
 
 	"aggview/internal/engine"
@@ -18,7 +19,7 @@ func subqSystem(t *testing.T) *System {
 	for i := int64(0); i < 300; i++ {
 		rows = append(rows, []Value{Int(i), Int(i % 3), Int(i % 5), Int(i % 97)})
 	}
-	if err := s.Insert("Sales", rows...); err != nil {
+	if err := s.InsertContext(context.Background(), "Sales", rows...); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -32,30 +33,31 @@ func TestSubqueryConjunctiveFlattens(t *testing.T) {
 		FROM (SELECT Product, Amount FROM Sales WHERE Region = 1) x
 		GROUP BY Product`
 	flatSQL := `SELECT Product, SUM(Amount) FROM Sales WHERE Region = 1 GROUP BY Product`
-	a := s.MustQuery(nested)
-	b := s.MustQuery(flatSQL)
+	a := mustQuery(t, s, nested)
+	b := mustQuery(t, s, flatSQL)
 	if !engine.MultisetEqual(a, b) {
 		t.Fatalf("subquery semantics wrong:\n%s\nvs\n%s", a.Sorted(), b.Sorted())
 	}
 }
 
 func TestSubqueryRewritesOntoMaterializedView(t *testing.T) {
+	ctx := context.Background()
 	s := subqSystem(t)
 	s.MustDefineView("ByRP", `SELECT Region, Product, SUM(Amount), COUNT(Amount) FROM Sales GROUP BY Region, Product`)
-	if _, err := s.Materialize("ByRP"); err != nil {
+	if _, err := s.MaterializeContext(ctx, "ByRP"); err != nil {
 		t.Fatal(err)
 	}
 	nested := `SELECT Product, SUM(Amount)
 		FROM (SELECT Product, Amount FROM Sales WHERE Region = 1) x
 		GROUP BY Product`
-	res, used, err := s.QueryBest(nested)
+	res, used, err := s.QueryBestContext(ctx, nested)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if used == nil || used.Used[0] != "ByRP" {
 		t.Fatalf("flattened subquery should rewrite onto ByRP, used=%v", used)
 	}
-	direct := s.MustQuery(nested)
+	direct := mustQuery(t, s, nested)
 	if !engine.ResultsEqualBag(res, direct) {
 		t.Fatal("rewritten answer differs")
 	}
@@ -68,13 +70,13 @@ func TestAggregateSubqueryStaysABlock(t *testing.T) {
 	nested := `SELECT Region, MAX(total)
 		FROM (SELECT Region, Product, SUM(Amount) AS total FROM Sales GROUP BY Region, Product) x
 		GROUP BY Region`
-	res := s.MustQuery(nested)
+	res := mustQuery(t, s, nested)
 	if res.Len() != 3 {
 		t.Fatalf("want 3 regions, got %d:\n%s", res.Len(), res)
 	}
 	// Hand-check region 0's maximum per-product total.
 	want := map[int64]int64{}
-	base := s.MustQuery("SELECT Region, Product, SUM(Amount) FROM Sales GROUP BY Region, Product")
+	base := mustQuery(t, s, "SELECT Region, Product, SUM(Amount) FROM Sales GROUP BY Region, Product")
 	for _, row := range base.Tuples {
 		r := row[0].AsInt()
 		if row[2].AsInt() > want[r] {
@@ -94,18 +96,19 @@ func TestNestedSubqueries(t *testing.T) {
 		FROM (SELECT Product, Amount FROM (SELECT Product, Amount, Region FROM Sales WHERE Amount > 10) y WHERE Region = 2) x
 		GROUP BY Product`
 	flat := `SELECT Product, COUNT(Amount) FROM Sales WHERE Amount > 10 AND Region = 2 GROUP BY Product`
-	a := s.MustQuery(nested)
-	b := s.MustQuery(flat)
+	a := mustQuery(t, s, nested)
+	b := mustQuery(t, s, flat)
 	if !engine.MultisetEqual(a, b) {
 		t.Fatalf("nested subqueries wrong:\n%s\nvs\n%s", a.Sorted(), b.Sorted())
 	}
 }
 
 func TestSubqueryJoinWithBaseTable(t *testing.T) {
+	ctx := context.Background()
 	s := subqSystem(t)
 	s.MustLoad(`CREATE TABLE Products(Product, Label) KEY(Product)`)
 	for p := int64(0); p < 5; p++ {
-		if err := s.Insert("Products", []Value{Int(p), Str("p")}); err != nil {
+		if err := s.InsertContext(ctx, "Products", []Value{Int(p), Str("p")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,26 +116,26 @@ func TestSubqueryJoinWithBaseTable(t *testing.T) {
 		FROM (SELECT Product, Amount FROM Sales WHERE Region = 0) x, Products
 		WHERE x.Product = Products.Product
 		GROUP BY Label`
-	res := s.MustQuery(nested)
+	res := mustQuery(t, s, nested)
 	if res.Len() != 1 {
 		t.Fatalf("grouped by constant label: %s", res)
 	}
 	// Plan over the flattened form must also work.
-	if _, err := s.Plan(nested); err != nil {
+	if _, err := s.PlanContext(ctx, nested); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSubqueryRequiresAlias(t *testing.T) {
 	s := subqSystem(t)
-	if _, err := s.Query("SELECT Product FROM (SELECT Product FROM Sales)"); err == nil {
+	if _, err := s.QueryContext(context.Background(), "SELECT Product FROM (SELECT Product FROM Sales)"); err == nil {
 		t.Fatal("derived table without alias must be rejected")
 	}
 }
 
 func TestSubqueryInExplain(t *testing.T) {
 	s := subqSystem(t)
-	out, err := s.Explain(`SELECT Product, SUM(Amount)
+	out, err := s.Explain(context.Background(), `SELECT Product, SUM(Amount)
 		FROM (SELECT Product, Amount FROM Sales WHERE Region = 1) x GROUP BY Product`)
 	if err != nil {
 		t.Fatal(err)
@@ -147,19 +150,20 @@ func TestAggregateSubqueryWithRewritableInner(t *testing.T) {
 	// cannot cross the block boundary (per the paper's single-block
 	// scope), but execution stays correct with a materialized view
 	// available.
+	ctx := context.Background()
 	s := subqSystem(t)
 	s.MustDefineView("ByRP", `SELECT Region, Product, SUM(Amount), COUNT(Amount) FROM Sales GROUP BY Region, Product`)
-	if _, err := s.Materialize("ByRP"); err != nil {
+	if _, err := s.MaterializeContext(ctx, "ByRP"); err != nil {
 		t.Fatal(err)
 	}
 	nested := `SELECT Region, MAX(total)
 		FROM (SELECT Region, Product, SUM(Amount) AS total FROM Sales GROUP BY Region, Product) x
 		GROUP BY Region`
-	res, _, err := s.QueryBest(nested)
+	res, _, err := s.QueryBestContext(ctx, nested)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := s.MustQuery(nested)
+	direct := mustQuery(t, s, nested)
 	if !engine.ResultsEqualBag(res, direct) {
 		t.Fatal("QueryBest over aggregate subquery differs from direct")
 	}

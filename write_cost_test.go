@@ -50,7 +50,7 @@ func warehouse(t testing.TB, calls int, extra ...string) *aggview.System {
 		t.Fatal(err)
 	}
 	for _, v := range []string{"V1", "VPlanMonth", "VCust", "VSel96", "VYear", "VRange"} {
-		if inc, err := sys.TrackView(v); err != nil || !inc {
+		if inc, err := sys.TrackViewContext(context.Background(), v); err != nil || !inc {
 			t.Fatalf("tracking %s: incremental=%v err=%v", v, inc, err)
 		}
 	}

@@ -31,11 +31,11 @@ func TestUntrackedWritesTakeTheMaintainedPath(t *testing.T) {
 			CREATE TABLE U(X, Y);
 			CREATE VIEW VU AS SELECT X, SUM(Y) FROM U GROUP BY X;
 		`)
-		if err := sys.Insert("U", []aggview.Value{aggview.Int(1), aggview.Int(2)}, []aggview.Value{aggview.Int(1), aggview.Int(5)}); err != nil {
+		if err := sys.InsertContext(context.Background(), "U", []aggview.Value{aggview.Int(1), aggview.Int(2)}, []aggview.Value{aggview.Int(1), aggview.Int(5)}); err != nil {
 			t.Fatal(err)
 		}
 		if track {
-			if _, err := sys.TrackView("VU"); err != nil {
+			if _, err := sys.TrackViewContext(context.Background(), "VU"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -130,7 +130,7 @@ func TestKindRuleHolds(t *testing.T) {
 		`)
 		views := []string{"VSum", "VExt"}
 		for _, v := range views {
-			if _, err := sys.TrackView(v); err != nil {
+			if _, err := sys.TrackViewContext(context.Background(), v); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -239,7 +239,7 @@ func TestKindRuleHolds(t *testing.T) {
 			}
 			for _, v := range views {
 				def, _ := sys.Views.Get(v)
-				want, err := engine.NewEvaluator(sys.DB, sys.Views).Exec(def.Def)
+				want, err := engine.NewEvaluator(sys.DB, sys.Views).ExecContext(context.Background(), def.Def)
 				if err != nil {
 					t.Fatal(err)
 				}
