@@ -47,7 +47,7 @@ bench-pair:
 loc:
 	sh scripts/loc.sh $(REV)
 
-# trace runs the rewrite-search tracer over the bundled catalog and
+# trace records the rewrite search over the bundled catalog and
 # replays the written report to prove the trace round-trips losslessly
 # (DESIGN.md section 9).
 trace:

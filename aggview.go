@@ -82,15 +82,11 @@ type System struct {
 	DB      *engine.DB
 	Stats   cost.Stats
 	Opts    Options
-	// Tracer, when non-nil, records every rewrite-search candidate with
-	// its usability verdict (see internal/obs); it is threaded into the
-	// rewriters built by Rewriter, RewritingsContext, PlanContext,
-	// PrepareContext and Explain.
-	Tracer *obs.Tracer
 	// Metrics, when non-nil, collects engine kernel counters, stage
 	// timers and view-cache hit/miss counts from every evaluator the
-	// system builds. Both fields default to nil: the instrumentation is
-	// a no-op until a caller opts in.
+	// system builds. It defaults to nil: the instrumentation is a no-op
+	// until a caller opts in. The rewrite search reports to the request
+	// span on each operation's context (obs.WithSpan).
 	Metrics *obs.Metrics
 	// Store, when non-nil, replaces DB as the storage backend behind
 	// every evaluator's base-table scans. The fault harness installs
@@ -168,11 +164,14 @@ func (s *System) opCtx(ctx context.Context) (context.Context, context.CancelFunc
 	return ctx, cancel
 }
 
-// noteFallback records a graceful degradation in the tracer and
-// metrics, so a budget-shaped answer is never mistaken for the result
-// of a completed rewrite search.
-func (s *System) noteFallback(op string, err error) {
-	s.Tracer.Fallback(op, err.Error())
+// noteFallback records a graceful degradation of operation op: the
+// request span's facade.fallback event is its provenance, so a
+// budget-shaped answer is never mistaken for the result of a completed
+// rewrite search, and the metrics count it. Whether the budget cut the
+// search is deterministic for a fixed call sequence, so the event is
+// span-safe.
+func (s *System) noteFallback(ctx context.Context, op string) {
+	obs.SpanFrom(ctx).Event("facade.fallback", op)
 	s.Metrics.Volatile("facade.fallback.budget").Inc()
 }
 
@@ -183,7 +182,6 @@ func (s *System) Rewriter() *core.Rewriter {
 		Views:  s.Views,
 		Meta:   keys.CatalogMeta{Catalog: s.Catalog},
 		Opts:   s.Opts,
-		Tracer: s.Tracer,
 	}
 }
 
@@ -652,8 +650,8 @@ func (s *System) estimator() *cost.Estimator {
 // rewriting (nil when the original query wins) without executing. When
 // the rewrite search exhausts its candidate budget, PlanContext degrades
 // gracefully instead of failing:
-// the exhaustion is recorded as a fallback in the tracer and metrics
-// (provenance: the answer is direct evaluation because the search was
+// the exhaustion is recorded as a fallback in the request span and the
+// metrics (provenance: the answer is direct evaluation because the search was
 // cut, not because no rewriting exists) and the original query wins —
 // a nil rewriting is returned. Cancellation and deadline expiry
 // propagate as typed errors.
@@ -688,10 +686,7 @@ func (s *System) planFlat(ctx context.Context, op string, flat *ir.Query, anon *
 	key, rws, err := s.Rewriter().SearchContext(ctx, flat)
 	if err != nil {
 		if budget.IsExceeded(err) {
-			s.noteFallback(op, err)
-			// Whether the budget cut the search is deterministic for a
-			// fixed call sequence, so the event is span-safe.
-			obs.SpanFrom(ctx).Event("facade.fallback", op)
+			s.noteFallback(ctx, op)
 			return core.CanonicalKey(flat), nil, nil
 		}
 		return "", nil, err
@@ -759,7 +754,7 @@ func (s *System) PlanKey(sql string) (string, error) {
 // and packages the result with its cache key and the transitive set of
 // relations it reads. Like PlanContext it degrades gracefully when the
 // search exhausts its candidate budget: the Prepared then executes
-// directly, tagged as a fallback in the tracer.
+// directly, tagged as a fallback in the request span.
 func (s *System) PrepareContext(ctx context.Context, sql string) (*Prepared, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
@@ -890,7 +885,7 @@ func (s *System) QueryOnContext(ctx context.Context, store engine.Storage, sql s
 // the subsequent execution draw from one budget pool (a meter on the
 // context, or one spun up from Opts.MaxRows/MaxCandidates). A search
 // cut by its candidate budget falls back to direct evaluation — tagged
-// as a fallback in the tracer — while a row budget exhausted during
+// as a fallback in the request span — while a row budget exhausted during
 // execution is terminal: there is no cheaper strategy left to try.
 func (s *System) QueryBestContext(ctx context.Context, sql string) (*Result, *Rewriting, error) {
 	ctx, cancel := s.opCtx(ctx)
@@ -1009,8 +1004,11 @@ func (s *System) AdoptRecommendations(ctx context.Context, recs []Recommendation
 type ViewUsability = core.ViewUsability
 
 // Usability runs the per-view usability analysis for a query, returning
-// one entry per registered view in registry order.
-func (s *System) Usability(sql string) ([]ViewUsability, error) {
+// one entry per registered view in registry order. It is bounded like
+// Explain: a canceled or over-budget analysis is an error.
+func (s *System) Usability(ctx context.Context, sql string) ([]ViewUsability, error) {
+	ctx, cancel := s.opCtx(ctx)
+	defer cancel()
 	q, anon, err := s.parseMulti(sql)
 	if err != nil {
 		return nil, err
@@ -1019,7 +1017,7 @@ func (s *System) Usability(sql string) ([]ViewUsability, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Rewriter().ExplainUsability(q), nil
+	return s.Rewriter().ExplainUsability(ctx, q)
 }
 
 // Explain renders a human-readable report of the rewritings available

@@ -58,12 +58,14 @@ func explain(path string, data dataFlags, paperFaithful, trace bool, jsonOut str
 	constraints.ResetCloseCache()
 	rep := benchjson.NewTrace()
 	rep.File = path
-	if trace {
-		s.Tracer = obs.NewTracer()
-	}
 	for i, q := range queries {
 		fmt.Fprintf(out, "-- query %d --\n", i+1)
-		report, err := s.Explain(ctx, q)
+		// One span per query; with -trace it keeps every candidate.
+		sp := obs.NewSpan("", q)
+		if trace {
+			sp.RecordCandidates()
+		}
+		report, err := s.Explain(obs.WithSpan(ctx, sp), q)
 		if err != nil {
 			return err
 		}
@@ -72,26 +74,21 @@ func explain(path string, data dataFlags, paperFaithful, trace bool, jsonOut str
 			fmt.Fprintln(out)
 			continue
 		}
-		// s.Explain drove the BFS with the tracer attached; pair its
-		// snapshot with the per-view usability analysis (run untraced so
-		// its candidates don't double-count).
-		tr := s.Tracer.Snapshot()
-		s.Tracer.Reset()
-		s.Tracer = nil
-		usability, err := s.Usability(q)
+		// s.Explain drove the search under the span; pair its record with
+		// the per-view usability analysis.
+		rec := sp.Snapshot()
+		usability, err := s.Usability(ctx, q)
 		if err != nil {
 			return err
 		}
-		s.Tracer = obs.NewTracer()
 		tq := benchjson.TraceQuery{
 			Query:       q,
-			Waves:       tr.Waves,
-			Jobs:        tr.Jobs,
-			MaxFrontier: tr.MaxFrontier,
-			Candidates:  tr.Candidates,
-			Fallbacks:   tr.Fallbacks,
+			Waves:       rec.Waves,
+			Jobs:        rec.Jobs,
+			MaxFrontier: rec.MaxFrontier,
+			Candidates:  rec.Candidates,
 		}
-		for _, c := range tr.Candidates {
+		for _, c := range rec.Candidates {
 			if c.Verdict == obs.VerdictAccept && c.Reason == "" {
 				tq.Rewritings++
 			}

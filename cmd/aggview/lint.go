@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -34,13 +35,14 @@ func runLint(args []string) {
 // lint lints each file, prints the diagnostics, and returns the
 // process exit code (0 clean, 1 failing diagnostics).
 func lint(files []string, jsonOut string, verbose bool, out io.Writer) (int, error) {
+	ctx := context.Background()
 	rep := benchjson.NewLint()
 	for _, file := range files {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			return 0, err
 		}
-		res := irlint.LintScript(file, string(src))
+		res := irlint.LintScript(ctx, file, string(src))
 		rep.Files = append(rep.Files, file)
 		rep.Views += res.Views
 		rep.Queries += res.Queries

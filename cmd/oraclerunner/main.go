@@ -173,7 +173,7 @@ func run(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, du
 				shrinkOpt.Metrics = nil
 				min := oracle.ShrinkContext(ctx, c, shrinkOpt)
 				v := out.Violations[0]
-				f := failure(seed, trial, &v, min)
+				f := failure(ctx, seed, trial, &v, min)
 				f.Metrics = &atFailure
 				f.Closure = &benchjson.CacheCounters{
 					Hits: closure.Hits, Misses: closure.Misses,
@@ -197,7 +197,7 @@ func run(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, du
 // failure packages one violation as a report record, running the IR
 // soundness linter over the shrunken script so catalog hazards ride
 // along with the repro.
-func failure(seed int64, trial int, v *oracle.Violation, min *oracle.Case) benchjson.OracleFailure {
+func failure(ctx context.Context, seed int64, trial int, v *oracle.Violation, min *oracle.Case) benchjson.OracleFailure {
 	script := min.Script()
 	return benchjson.OracleFailure{
 		Seed:    seed,
@@ -206,7 +206,7 @@ func failure(seed int64, trial int, v *oracle.Violation, min *oracle.Case) bench
 		Used:    v.Used,
 		Detail:  v.String(),
 		Script:  script,
-		Lint:    irlint.LintScript("shrunk.sql", script).Diags,
+		Lint:    irlint.LintScript(ctx, "shrunk.sql", script).Diags,
 	}
 }
 
@@ -291,7 +291,7 @@ func runMutate(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptio
 					Fault:  v.Fault,
 					Detail: v.String(),
 					Script: script,
-					Lint:   irlint.LintScript("shrunk.sql", script).Diags,
+					Lint:   irlint.LintScript(ctx, "shrunk.sql", script).Diags,
 				})
 				fmt.Fprintf(os.Stderr, "MUTATION VIOLATION seed=%d trial=%d\n%s\nminimal repro script:\n%s\n",
 					seed, trial, v.String(), script)
@@ -368,7 +368,7 @@ func runReplay(ctx context.Context, path string, opt oracle.Options) error {
 	if err != nil {
 		return err
 	}
-	for _, d := range irlint.LintScript(path, string(data)).Diags {
+	for _, d := range irlint.LintScript(ctx, path, string(data)).Diags {
 		if d.Severity != benchjson.LintInfo {
 			fmt.Fprintf(os.Stderr, "lint: [%s] %s: %s\n", d.Severity, d.Check, d.Message)
 		}

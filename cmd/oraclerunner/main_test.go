@@ -36,7 +36,7 @@ func TestFailureCarriesLint(t *testing.T) {
 			continue
 		}
 		min := oracle.ShrinkContext(ctx, c, opt)
-		f := failure(7, trial, &out.Violations[0], min)
+		f := failure(ctx, 7, trial, &out.Violations[0], min)
 
 		if f.Seed != 7 || f.Trial != trial || f.Script != min.Script() {
 			t.Fatalf("failure record mismatch: %+v", f)

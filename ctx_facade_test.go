@@ -45,6 +45,7 @@ func TestOptsDeadlineApplies(t *testing.T) {
 		{"QueryContext", func() error { _, err := s.QueryContext(ctx, facadeQ); return err }},
 		{"Explain", func() error { _, err := s.Explain(ctx, facadeQ); return err }},
 		{"AdviseContext", func() error { _, err := s.AdviseContext(ctx, []string{facadeQ}, nil, 0); return err }},
+		{"Usability", func() error { _, err := s.Usability(ctx, facadeQ); return err }},
 	}
 	for _, op := range ops {
 		s.Opts.Deadline = time.Nanosecond
@@ -91,8 +92,8 @@ func TestOptsRowBudget(t *testing.T) {
 
 // TestPlanBudgetFallback pins the facade's graceful degradation: a
 // rewrite search cut by its candidate budget does not fail PlanContext — the
-// original query wins, and the degradation is tagged in the tracer and
-// metrics so the provenance of the direct answer is visible.
+// original query wins, and the degradation is tagged in the request span
+// and the metrics so the provenance of the direct answer is visible.
 func TestPlanBudgetFallback(t *testing.T) {
 	ctx := context.Background()
 	s := telcoSystem(t, 2000)
@@ -115,22 +116,24 @@ func TestPlanBudgetFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.Tracer = obs.NewTracer()
 	s.Metrics = obs.NewMetrics()
 	s.Opts.MaxCandidates = 1
-	r, err = s.PlanContext(ctx, facadeQ)
+	sp := obs.NewSpan("", facadeQ)
+	r, err = s.PlanContext(obs.WithSpan(ctx, sp), facadeQ)
 	if err != nil {
 		t.Fatalf("budget-cut Plan must not fail: %v", err)
 	}
 	if r != nil {
 		t.Fatalf("budget-cut Plan returned a rewriting: %v", r.SQL())
 	}
-	tr := s.Tracer.Snapshot()
-	if len(tr.Fallbacks) == 0 {
-		t.Fatal("fallback not recorded in trace")
+	var fallbacks []obs.SpanStage
+	for _, st := range sp.Snapshot().Stages {
+		if st.Name == "facade.fallback" {
+			fallbacks = append(fallbacks, st)
+		}
 	}
-	if tr.Fallbacks[0].Op != "Plan" || tr.Fallbacks[0].Reason == "" {
-		t.Fatalf("fallback lacks provenance: %+v", tr.Fallbacks[0])
+	if len(fallbacks) != 1 || fallbacks[0].Detail != "Plan" {
+		t.Fatalf("fallback provenance not recorded on the span: %+v", fallbacks)
 	}
 	if s.Metrics.Snapshot().Volatile["facade.fallback.budget"] == 0 {
 		t.Fatal("fallback counter not incremented")

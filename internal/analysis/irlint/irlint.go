@@ -16,6 +16,7 @@
 package irlint
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -50,8 +51,10 @@ func (r *Result) Failing() int {
 
 // LintScript lints one script. Parse and build failures become
 // error-severity diagnostics, never a Go error, so a catalog with one
-// bad statement still gets its other statements checked.
-func LintScript(file, src string) *Result {
+// bad statement still gets its other statements checked. ctx bounds the
+// usability analysis; one that is canceled or over budget ends the
+// usability verdicts with an error-severity diagnostic.
+func LintScript(ctx context.Context, file, src string) *Result {
 	res := &Result{}
 	add := func(d benchjson.LintDiagnostic) {
 		d.File = file
@@ -143,7 +146,15 @@ func LintScript(file, src string) *Result {
 			Meta:   keys.CatalogMeta{Catalog: cat},
 		}
 		for i, q := range queries {
-			for _, u := range rw.ExplainUsability(q) {
+			us, err := rw.ExplainUsability(ctx, q)
+			if err != nil {
+				add(benchjson.LintDiagnostic{
+					Query: labels[i], Check: "usability", Severity: benchjson.LintError,
+					Message: fmt.Sprintf("usability analysis of %s did not finish: %v", labels[i], err),
+				})
+				break
+			}
+			for _, u := range us {
 				d := benchjson.LintDiagnostic{
 					View: u.View, Query: labels[i],
 					Check: "usability", Severity: benchjson.LintInfo,

@@ -1,6 +1,7 @@
 package irlint_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func find(res *irlint.Result, check string) []benchjson.LintDiagnostic {
 }
 
 func TestLintCleanCatalog(t *testing.T) {
-	res := irlint.LintScript("clean.sql", `
+	res := irlint.LintScript(context.Background(), "clean.sql", `
 CREATE TABLE R1(A, B, C, D);
 CREATE VIEW V1 AS SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B;
 SELECT A, SUM(C) FROM R1 GROUP BY A;
@@ -41,7 +42,7 @@ SELECT A, SUM(C) FROM R1 GROUP BY A;
 }
 
 func TestLintNoCountColumn(t *testing.T) {
-	res := irlint.LintScript("nocnt.sql", `
+	res := irlint.LintScript(context.Background(), "nocnt.sql", `
 CREATE TABLE R1(A, B, C, D);
 CREATE VIEW NoCnt AS SELECT A, B, SUM(C) FROM R1 GROUP BY A, B;
 SELECT A, COUNT(C) FROM R1 GROUP BY A;
@@ -60,7 +61,7 @@ SELECT A, COUNT(C) FROM R1 GROUP BY A;
 }
 
 func TestLintAvgWithoutCount(t *testing.T) {
-	res := irlint.LintScript("avg.sql", `
+	res := irlint.LintScript(context.Background(), "avg.sql", `
 CREATE TABLE R1(A, B, C, D);
 CREATE VIEW Avgs AS SELECT A, AVG(C) FROM R1 GROUP BY A;
 `)
@@ -74,7 +75,7 @@ CREATE VIEW Avgs AS SELECT A, AVG(C) FROM R1 GROUP BY A;
 }
 
 func TestLintGroupColProjectedOut(t *testing.T) {
-	res := irlint.LintScript("proj.sql", `
+	res := irlint.LintScript(context.Background(), "proj.sql", `
 CREATE TABLE R1(A, B, C, D);
 CREATE VIEW Hidden AS SELECT A, SUM(C), COUNT(C) FROM R1 GROUP BY A, B;
 `)
@@ -85,7 +86,7 @@ CREATE VIEW Hidden AS SELECT A, SUM(C), COUNT(C) FROM R1 GROUP BY A, B;
 }
 
 func TestLintDuplicateGroupBy(t *testing.T) {
-	res := irlint.LintScript("dup.sql", `
+	res := irlint.LintScript(context.Background(), "dup.sql", `
 CREATE TABLE R1(A, B, C, D);
 CREATE VIEW Dup AS SELECT A, SUM(C), COUNT(C) FROM R1 GROUP BY A, A;
 `)
@@ -101,7 +102,7 @@ CREATE VIEW Dup AS SELECT A, SUM(C), COUNT(C) FROM R1 GROUP BY A, A;
 // TestLintKeepsGoing: one bad statement must not mask findings on the
 // rest of the catalog.
 func TestLintKeepsGoing(t *testing.T) {
-	res := irlint.LintScript("mixed.sql", `
+	res := irlint.LintScript(context.Background(), "mixed.sql", `
 CREATE TABLE R1(A, B, C, D);
 CREATE VIEW Bad AS SELECT A, SUM(C) FROM R1 GROUP BY A, A;
 CREATE VIEW NoCnt AS SELECT A, SUM(C) FROM R1 GROUP BY A;
@@ -115,7 +116,7 @@ CREATE VIEW NoCnt AS SELECT A, SUM(C) FROM R1 GROUP BY A;
 }
 
 func TestLintParseError(t *testing.T) {
-	res := irlint.LintScript("bad.sql", "CREATE NONSENSE")
+	res := irlint.LintScript(context.Background(), "bad.sql", "CREATE NONSENSE")
 	errs := find(res, "parse-error")
 	if len(errs) != 1 || res.Failing() != 1 {
 		t.Fatalf("want one parse-error, got %+v", res.Diags)
@@ -125,7 +126,7 @@ func TestLintParseError(t *testing.T) {
 // TestLintInsertsIgnored: oracle replay scripts carry INSERT rows; they
 // must lint without noise.
 func TestLintInsertsIgnored(t *testing.T) {
-	res := irlint.LintScript("data.sql", `
+	res := irlint.LintScript(context.Background(), "data.sql", `
 CREATE TABLE R1(A, B, C, D);
 INSERT INTO R1 VALUES (1, 2, 3, 4);
 CREATE VIEW V1 AS SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B;
@@ -133,5 +134,22 @@ SELECT A, SUM(C) FROM R1 GROUP BY A;
 `)
 	if res.Failing() != 0 {
 		t.Fatalf("INSERT must be ignored, got %+v", res.Diags)
+	}
+}
+
+// TestLintUsabilityHonorsContext: a canceled context ends the usability
+// verdicts with one error diagnostic instead of running the analysis.
+func TestLintUsabilityHonorsContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := irlint.LintScript(ctx, "canceled.sql", `
+CREATE TABLE R1(A, B, C, D);
+CREATE VIEW V1 AS SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B;
+SELECT A, SUM(C) FROM R1 GROUP BY A;
+SELECT B, SUM(C) FROM R1 GROUP BY B;
+`)
+	us := find(res, "usability")
+	if len(us) != 1 || us[0].Severity != benchjson.LintError || !strings.Contains(us[0].Message, "canceled") {
+		t.Fatalf("want one usability error naming the cancellation, got %+v", us)
 	}
 }

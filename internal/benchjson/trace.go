@@ -35,8 +35,8 @@ type TraceView struct {
 }
 
 // TraceQuery is the full rewrite-search trace of one query: wave
-// bookkeeping, every analyzed candidate in serial commit order, the
-// per-view usability summary and the graceful degradations.
+// bookkeeping, every analyzed candidate in serial commit order and the
+// per-view usability summary.
 type TraceQuery struct {
 	Query       string          `json:"query"`
 	Waves       int             `json:"waves"`
@@ -45,7 +45,6 @@ type TraceQuery struct {
 	Rewritings  int             `json:"rewritings"`
 	Views       []TraceView     `json:"views"`
 	Candidates  []obs.Candidate `json:"candidates"`
-	Fallbacks   []obs.Fallback  `json:"fallbacks,omitempty"`
 }
 
 // TraceReport is the machine-readable emission of `aggview explain

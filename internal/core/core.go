@@ -77,12 +77,6 @@ type Rewriter struct {
 	Meta keys.MetaSource
 	// Opts tunes the rewriter.
 	Opts Options
-	// Tracer, when non-nil, records every (query, view, mapping)
-	// candidate the search analyzes — with its usability verdict, wave
-	// number and dedup outcome — plus cost-function call counts and
-	// purity anomalies. Nil (the default) keeps the search untraced with
-	// no allocations on the candidate path.
-	Tracer *obs.Tracer
 }
 
 // Rewriting is one rewriting of a query that uses materialized views
@@ -165,18 +159,19 @@ func (st *searchTask) candidate() error {
 
 // RewriteOnceContext returns every single-step rewriting of q that uses
 // view v: one per column mapping satisfying the usability conditions.
-// With a Tracer attached, every analyzed candidate is recorded (wave 0,
-// since single-step rewrites are outside the BFS). Cancellation,
+// A span on the context records every analyzed candidate (wave 0, since
+// single-step rewrites are outside the BFS). Cancellation,
 // deadline expiry and an exhausted candidate budget (a budget.Meter on
 // the context, or Opts.MaxCandidates) abort the analysis with a typed
 // *budget.Canceled or *budget.Exceeded and no partial result. The
 // context is polled once per analyzed candidate.
 func (rw *Rewriter) RewriteOnceContext(ctx context.Context, q *ir.Query, v *ir.ViewDef) ([]*Rewriting, error) {
-	steps, events, err := rw.rewriteOnce(rw.newSearchTask(ctx), rw.newQueryFacts(q), rw.viewFacts(v), rw.Tracer.Enabled())
+	sp := obs.SpanFrom(ctx)
+	steps, events, err := rw.rewriteOnce(rw.newSearchTask(ctx), rw.newQueryFacts(q), rw.viewFacts(v), eventsFor(sp))
 	if err != nil {
 		return nil, err
 	}
-	rw.Tracer.Candidates(events...)
+	sp.AddCandidates(events...)
 	return rewritingsOf(steps), nil
 }
 
@@ -196,24 +191,52 @@ func rewritingsOf(steps []step) []*Rewriting {
 	return out
 }
 
-// rewriteOnce is the traced body of RewriteOnceContext. With trace false it
-// performs no event bookkeeping at all — the untraced search pays
-// nothing. With trace true it returns one obs.Candidate per analyzed
-// (mapping, semantics) pair, in analysis order, plus one synthetic C1
-// rejection when the view is categorically unusable under multiset
-// semantics (Section 4.5). Accept events correspond 1:1, in order, to
-// the returned rewritings — the search relies on that to retag events
-// that its global dedup or limit later discards.
-func (rw *Rewriter) rewriteOnce(st *searchTask, qf *queryFacts, vf *viewFacts, trace bool) ([]step, []obs.Candidate, error) {
+// eventDetail says how much rewriteOnce reports about each analyzed
+// candidate.
+type eventDetail uint8
+
+const (
+	// noEvents: nothing — an unobserved search pays no bookkeeping.
+	noEvents eventDetail = iota
+	// verdictEvents: the verdict alone, which is all a plain span counts
+	// and all the commit loop's dedup retag and MaxRewritings cut read.
+	verdictEvents
+	// fullEvents: every field, SQL and mapping rendered.
+	fullEvents
+)
+
+// eventsFor is the detail the span on a search's context asks for.
+func eventsFor(sp *obs.Span) eventDetail {
+	switch {
+	case sp.RecordingCandidates():
+		return fullEvents
+	case sp.Enabled():
+		return verdictEvents
+	}
+	return noEvents
+}
+
+// rewriteOnce is the body of RewriteOnceContext. Unless detail is
+// noEvents it returns one obs.Candidate per analyzed (mapping,
+// semantics) pair, in analysis order, plus one synthetic C1 rejection
+// when the view is categorically unusable under multiset semantics
+// (Section 4.5). Accept events correspond 1:1, in order, to the
+// returned rewritings — the search relies on that to retag events that
+// its global dedup or limit later discards.
+func (rw *Rewriter) rewriteOnce(st *searchTask, qf *queryFacts, vf *viewFacts, detail eventDetail) ([]step, []obs.Candidate, error) {
 	qn, vn := qf.qn, vf.vn
 	var out []step
 	var events []obs.Candidate
 	qSQL := ""
-	if trace {
+	if detail == fullEvents {
 		qSQL = qf.q.SQL()
 	}
 	record := func(m mapping, setSem bool, verdict obs.Verdict, condition, reason string, r *Rewriting) {
-		if !trace {
+		switch detail {
+		case noEvents:
+			return
+		case verdictEvents:
+			events = append(events, obs.Candidate{Verdict: verdict})
 			return
 		}
 		ev := obs.Candidate{
@@ -259,14 +282,12 @@ func (rw *Rewriter) rewriteOnce(st *searchTask, qf *queryFacts, vf *viewFacts, t
 				return nil, nil, err
 			}
 		}
-	} else if trace {
+	} else {
 		reason := "aggregation view loses tuple multiplicities; a non-aggregate query cannot use it under multiset semantics (Section 4.5)"
 		if vn.Distinct {
 			reason = "DISTINCT view is already a set; tuple multiplicities are lost (Section 4.5)"
 		}
-		events = append(events, obs.Candidate{
-			Query: qSQL, View: vf.def.Name, Verdict: obs.VerdictReject, Condition: "C1", Reason: reason,
-		})
+		record(mapping{}, false, obs.VerdictReject, "C1", reason, nil)
 	}
 
 	// Section 5: when both results are provably sets, many-to-1 mappings
@@ -355,12 +376,8 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 	if limit <= 0 {
 		limit = 128
 	}
-	traceOn := rw.Tracer.Enabled()
-	// A request span on the context tallies candidate verdicts even when
-	// no tracer is attached; either consumer makes the per-candidate
-	// events worth building.
 	sp := obs.SpanFrom(st.ctx)
-	collect := traceOn || sp.Enabled()
+	detail := eventsFor(sp)
 	all := rw.Views.All()
 	views := make([]*viewFacts, len(all))
 	for i, v := range all {
@@ -389,12 +406,12 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 				jobs = append(jobs, job{e, vf})
 			}
 		}
-		rw.Tracer.Wave(len(jobs), len(frontier))
+		sp.Wave(len(jobs), len(frontier))
 		steps := make([][]step, len(jobs))
 		events := make([][]obs.Candidate, len(jobs))
 		errs := make([]error, len(jobs))
 		for i, j := range jobs {
-			steps[i], events[i], errs[i] = rw.rewriteOnce(st, j.qf, j.vf, collect)
+			steps[i], events[i], errs[i] = rw.rewriteOnce(st, j.qf, j.vf, detail)
 			if errs[i] != nil {
 				break
 			}
@@ -405,23 +422,16 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 				return "", nil, err
 			}
 		}
-		if collect {
-			for i := range events {
-				for p := range events[i] {
-					events[i][p].Wave = wave
-				}
+		for i := range events {
+			for p := range events[i] {
+				events[i][p].Wave = wave
 			}
 		}
 		// Flush emits the wave's events in job order after the commit
 		// loop has retagged them.
 		flush := func() {
 			for i := range events {
-				for p := range events[i] {
-					sp.CountVerdict(events[i][p].Verdict)
-				}
-				if traceOn {
-					rw.Tracer.Candidates(events[i]...)
-				}
+				sp.AddCandidates(events[i]...)
 			}
 		}
 		var nextFrontier []entry
@@ -438,7 +448,7 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 			for si, s := range steps[i] {
 				key := s.r.key
 				if seen[key] {
-					if collect && si < len(acceptPos) {
+					if si < len(acceptPos) {
 						e := &events[i][acceptPos[si]]
 						e.Verdict = obs.VerdictDedup
 						e.Reason = "rewriting already reached via an earlier search path (canonical key match)"
@@ -457,10 +467,10 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 				results = append(results, combined)
 				nextFrontier = append(nextFrontier, entry{combined, s.qf})
 				if len(results) >= limit {
-					if collect {
+					if detail == fullEvents {
 						annotateUncommitted(events, i, acceptPos, si)
-						flush()
 					}
+					flush()
 					return root.key, results, nil
 				}
 			}

@@ -10,7 +10,6 @@ import (
 
 	"aggview/internal/ir"
 	"aggview/internal/keys"
-	"aggview/internal/obs"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/search_golden.txt from the current search")
@@ -147,7 +146,7 @@ func (gc goldenCase) rewriter(t *testing.T) *Rewriter {
 			t.Fatal(err)
 		}
 	}
-	rw := &Rewriter{Schema: tables(), Views: reg, Opts: gc.opts, Tracer: obs.NewTracer()}
+	rw := &Rewriter{Schema: tables(), Views: reg, Opts: gc.opts}
 	if gc.keyed {
 		rw.Meta = keys.CatalogMeta{Catalog: keyedCatalog(t)}
 	}
@@ -155,7 +154,7 @@ func (gc goldenCase) rewriter(t *testing.T) *Rewriter {
 }
 
 // renderSearch runs every case's searches and renders the ordered
-// rewriting lists and the traced candidate verdicts.
+// rewriting lists and the candidate verdicts a recording span kept.
 func renderSearch(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -164,15 +163,15 @@ func renderSearch(t *testing.T) string {
 			rw := gc.rewriter(t)
 			q := buildQ(t, rw, sql)
 			fmt.Fprintf(&b, "== %s #%d\nquery: %s\n", gc.name, qi+1, q.SQL())
-			for i, r := range mustRewritings(t, rw, q) {
+			rws, rec := tracedRewritings(t, rw, q)
+			for i, r := range rws {
 				fmt.Fprintf(&b, "rewriting %d: %s\n  used=%v setonly=%v\n", i+1, r.SQL(), r.Used, r.SetOnly)
 				for _, n := range r.Notes {
 					fmt.Fprintf(&b, "  note: %s\n", n)
 				}
 			}
-			tr := rw.Tracer.Snapshot()
-			fmt.Fprintf(&b, "waves=%d jobs=%d\n", tr.Waves, tr.Jobs)
-			for _, c := range tr.Candidates {
+			fmt.Fprintf(&b, "waves=%d jobs=%d\n", rec.Waves, rec.Jobs)
+			for _, c := range rec.Candidates {
 				fmt.Fprintf(&b, "candidate wave=%d view=%s set=%v verdict=%s cond=%q\n  from: %s\n  mapping: %s\n  reason: %s\n  rewriting: %s\n",
 					c.Wave, c.View, c.SetSemantics, c.Verdict, c.Condition, c.Query, c.Mapping, c.Reason, c.Rewriting)
 				for _, n := range c.Notes {

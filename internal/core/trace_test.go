@@ -1,11 +1,33 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
+	"aggview/internal/ir"
 	"aggview/internal/obs"
 )
+
+// recordingCtx returns a context carrying a fresh span that keeps every
+// candidate.
+func recordingCtx() (context.Context, *obs.Span) {
+	sp := obs.NewSpan("", "")
+	sp.RecordCandidates()
+	return obs.WithSpan(context.Background(), sp), sp
+}
+
+// tracedRewritings runs the search under a recording span and returns
+// its rewritings and the span's record.
+func tracedRewritings(t testing.TB, rw *Rewriter, q *ir.Query) ([]*Rewriting, obs.SpanRecord) {
+	t.Helper()
+	ctx, sp := recordingCtx()
+	rws, err := rw.RewritingsContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rws, sp.Snapshot()
+}
 
 // traceViews pairs the usable telco view with a DISTINCT view the
 // search must reject outright, so traces exercise accept, reject and
@@ -19,13 +41,11 @@ func traceViews() map[string]string {
 
 func TestRewritingsTraceMatchesResults(t *testing.T) {
 	rw := newRewriter(t, traceViews(), Options{})
-	rw.Tracer = obs.NewTracer()
 	q := buildQ(t, rw, telcoQ)
-	rws := mustRewritings(t, rw, q)
+	rws, tr := tracedRewritings(t, rw, q)
 	if len(rws) == 0 {
 		t.Fatal("telco query must rewrite")
 	}
-	tr := rw.Tracer.Snapshot()
 	if tr.Waves == 0 || tr.Jobs == 0 || tr.MaxFrontier == 0 {
 		t.Fatalf("wave bookkeeping missing: %+v", tr)
 	}
@@ -76,10 +96,12 @@ func TestRewritingsTraceMatchesResults(t *testing.T) {
 func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	render := func() string {
 		rw := newRewriter(t, traceViews(), Options{})
-		rw.Tracer = obs.NewTracer()
 		q := buildQ(t, rw, telcoQ)
-		mustRewritings(t, rw, q)
-		b, err := json.Marshal(rw.Tracer.Snapshot())
+		_, rec := tracedRewritings(t, rw, q)
+		b, err := json.Marshal(struct {
+			Waves, Jobs, MaxFrontier int
+			Candidates               []obs.Candidate
+		}{rec.Waves, rec.Jobs, rec.MaxFrontier, rec.Candidates})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +114,13 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 
 func TestRewriteOnceTracesOutsideBFS(t *testing.T) {
 	rw := newRewriter(t, map[string]string{"V1": telcoV1}, Options{})
-	rw.Tracer = obs.NewTracer()
 	q := buildQ(t, rw, telcoQ)
-	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "V1"))
-	tr := rw.Tracer.Snapshot()
+	ctx, sp := recordingCtx()
+	rws, err := rw.RewriteOnceContext(ctx, q, mustView(t, rw, "V1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := sp.Snapshot()
 	if len(tr.Candidates) == 0 {
 		t.Fatal("RewriteOnce recorded no candidates")
 	}

@@ -1,9 +1,25 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"aggview/internal/budget"
+	"aggview/internal/ir"
+	"aggview/internal/obs"
 )
+
+// mustExplain is ExplainUsability without a deadline, failing the test
+// on error.
+func mustExplain(t *testing.T, rw *Rewriter, q *ir.Query) []ViewUsability {
+	t.Helper()
+	us, err := rw.ExplainUsability(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return us
+}
 
 // TestExplainUsabilityUsable: the paper's Example 1.1 pairing must come
 // back usable with no failures recorded for the winning view.
@@ -13,7 +29,7 @@ func TestExplainUsabilityUsable(t *testing.T) {
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, SUM(C) FROM R1 GROUP BY A")
 
-	us := rw.ExplainUsability(q)
+	us := mustExplain(t, rw, q)
 	if len(us) != 1 {
 		t.Fatalf("got %d records, want 1", len(us))
 	}
@@ -35,7 +51,7 @@ func TestExplainUsabilityCountRecovery(t *testing.T) {
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, COUNT(C) FROM R1 GROUP BY A")
 
-	u := rw.ExplainUsability(q)[0]
+	u := mustExplain(t, rw, q)[0]
 	if u.Usable {
 		t.Fatalf("NoCnt must not answer a COUNT query: %+v", u)
 	}
@@ -56,7 +72,7 @@ func TestExplainUsabilityMultisetRestriction(t *testing.T) {
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, B FROM R1")
 
-	u := rw.ExplainUsability(q)[0]
+	u := mustExplain(t, rw, q)[0]
 	if u.Usable {
 		t.Fatalf("aggregation view must not answer a conjunctive query: %+v", u)
 	}
@@ -74,7 +90,7 @@ func TestExplainUsabilityNoMapping(t *testing.T) {
 	}, Options{})
 	q := buildQ(t, rw, "SELECT A, SUM(C) FROM R1 GROUP BY A")
 
-	u := rw.ExplainUsability(q)[0]
+	u := mustExplain(t, rw, q)[0]
 	if u.Usable || u.Mappings != 0 {
 		t.Fatalf("expected no mappings: %+v", u)
 	}
@@ -84,36 +100,46 @@ func TestExplainUsabilityNoMapping(t *testing.T) {
 	}
 }
 
-// TestExplainUsabilityAgreesWithRewriteOnce: on a grid of view/query
-// pairs, Usable must match whether RewriteOnceContext finds a rewriting.
-func TestExplainUsabilityAgreesWithRewriteOnce(t *testing.T) {
-	views := map[string]string{
-		"Full":  "SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B",
-		"NoCnt": "SELECT A, B, SUM(C) FROM R1 GROUP BY A, B",
-		"Plain": "SELECT A, B, C FROM R1",
+// TestExplainUsabilityIsTheSearchsVerdict: a view's usability is the
+// search's own single-step verdicts folded — its C1 rejection reason is
+// the failure, its accept makes the view usable — the analysis records
+// nothing on the context's span, and a canceled context stops it.
+func TestExplainUsabilityIsTheSearchsVerdict(t *testing.T) {
+	rw := newRewriter(t, traceViews(), Options{})
+	q := buildQ(t, rw, telcoQ)
+	ctx, sp := recordingCtx()
+	us, err := rw.ExplainUsability(ctx, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	queries := []string{
-		"SELECT A, SUM(C) FROM R1 GROUP BY A",
-		"SELECT A, COUNT(C) FROM R1 GROUP BY A",
-		"SELECT A, B FROM R1",
-		"SELECT A, AVG(C) FROM R1 GROUP BY A",
+	if rec := sp.Snapshot(); len(rec.Candidates) != 0 || rec.Verdicts != (obs.SpanVerdicts{}) {
+		t.Fatalf("ExplainUsability recorded on the span: %+v", rec)
 	}
-	rw := newRewriter(t, views, Options{})
-	for _, sql := range queries {
-		q := buildQ(t, rw, sql)
-		for _, u := range rw.ExplainUsability(q) {
-			v, ok := rw.Views.Get(u.View)
-			if !ok {
-				t.Fatalf("unknown view %q", u.View)
-			}
-			got := len(mustRewriteOnce(t, rw, q, v)) > 0
-			if got != u.Usable {
-				t.Errorf("%s vs %s: RewriteOnce usable=%v, ExplainUsability=%v (%v)",
-					sql, u.View, got, u.Usable, u.Failures)
-			}
-			if !u.Usable && len(u.Failures) == 0 {
-				t.Errorf("%s vs %s: unusable but no failure reasons", sql, u.View)
+	for _, u := range us {
+		ctx, sp := recordingCtx()
+		if _, err := rw.RewriteOnceContext(ctx, q, mustView(t, rw, u.View)); err != nil {
+			t.Fatal(err)
+		}
+		usable, reasons := false, []string(nil)
+		for _, c := range sp.Snapshot().Candidates {
+			switch c.Verdict {
+			case obs.VerdictAccept:
+				usable = true
+			case obs.VerdictReject:
+				reasons = append(reasons, c.Reason)
 			}
 		}
+		if u.Usable != usable || strings.Join(u.Failures, "\n") != strings.Join(reasons, "\n") {
+			t.Errorf("view %s: usability %v %q, search %v %q", u.View, u.Usable, u.Failures, usable, reasons)
+		}
+	}
+	if us[1].View != "VD" || us[1].Usable || len(us[1].Failures) != 1 {
+		t.Fatalf("the DISTINCT view must fail on C1 alone: %+v", us[1])
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := rw.ExplainUsability(canceled, q); !budget.IsCanceled(err) {
+		t.Fatalf("canceled analysis: want *budget.Canceled, got %v", err)
 	}
 }

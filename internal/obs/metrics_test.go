@@ -125,3 +125,22 @@ func TestMetricsConcurrent(t *testing.T) {
 		t.Errorf("concurrent counter = %d, want 8000", got)
 	}
 }
+
+// TestNoopPathAllocationFree is the acceptance check that uninstrumented
+// kernels pay nothing: every nil-receiver hook must be allocation-free.
+func TestNoopPathAllocationFree(t *testing.T) {
+	var m *Metrics
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.Counter("engine.scan.rows").Add(100)
+		m.Volatile("engine.pool.launches").Inc()
+		m.Volatile("engine.store.append.inplace").Inc()
+		m.Volatile("engine.store.append.copied").Inc()
+		m.Volatile("engine.store.compact.bytes").Add(4096)
+		m.Volatile("maintain.groups.touched").Add(3)
+		m.Histogram("engine.join.build_rows").Observe(64)
+		m.Time("engine.join.ns").Stop()
+	})
+	if allocs != 0 {
+		t.Errorf("no-op instrumentation allocates %.1f per op, want 0", allocs)
+	}
+}

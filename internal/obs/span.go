@@ -13,8 +13,9 @@ import (
 // Span is the request-scoped telemetry record: one per served query,
 // carried through the whole stack (server -> facade -> rewrite search ->
 // morsel execution -> Storage.Scan) via context.Context. It accumulates
-// per-stage durations, rewrite-candidate verdicts, the plan-cache
-// verdict, admission wait and budget consumption.
+// per-stage durations, the rewrite search's wave counters and candidate
+// verdicts (every candidate in full, after RecordCandidates), the
+// plan-cache verdict, admission wait and budget consumption.
 //
 // Like the rest of the package a nil *Span is a valid no-op: every
 // method returns immediately without allocating, so the kernels record
@@ -24,14 +25,17 @@ import (
 // The PR 4 deterministic/volatile split applies field-wise, not
 // type-wise: span IDs, start timestamps and every duration are volatile
 // (scheduling- and clock-dependent), while the stage *structure* (names,
-// order, row counts, details), candidate verdict counts, cache verdict
-// and budget row/candidate consumption are deterministic — byte-identical
-// across Opts.Workers settings for a fixed call sequence.
+// order, row counts, details), the search's counters and candidates,
+// cache verdict and budget row/candidate consumption are deterministic —
+// byte-identical across Opts.Workers settings for a fixed call sequence.
 // SpanRecord.Deterministic renders exactly the deterministic half.
 type Span struct {
 	mu    sync.Mutex
 	rec   SpanRecord
 	start time.Time
+	// keep is set by RecordCandidates: AddCandidates appends to
+	// rec.Candidates instead of only counting verdicts.
+	keep bool
 }
 
 // spanIDs hands out process-unique span IDs (volatile by definition).
@@ -56,6 +60,31 @@ func NewSpan(tenant, sql string) *Span {
 // Producers use it to skip expensive detail construction on the no-op
 // path.
 func (s *Span) Enabled() bool { return s != nil }
+
+// RecordCandidates makes the span keep every rewrite-search candidate
+// in full (SpanRecord.Candidates) instead of only counting verdicts —
+// the detail mode of `aggview explain -trace` and the search's golden
+// tests. Call it before the span is attached to a context.
+func (s *Span) RecordCandidates() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.keep = true
+	s.mu.Unlock()
+}
+
+// RecordingCandidates reports whether the span keeps candidates in full.
+// The search renders a candidate's SQL, mapping and notes only when it
+// does; a plain span gets the verdict alone.
+func (s *Span) RecordingCandidates() bool {
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.keep
+}
 
 // spanKey is the context key for the request span.
 type spanKey struct{}
@@ -139,6 +168,15 @@ type SpanRecord struct {
 	Stages []SpanStage `json:"stages,omitempty"`
 	// Verdicts counts the rewrite-search candidate verdicts.
 	Verdicts SpanVerdicts `json:"verdicts"`
+	// Waves, Jobs and MaxFrontier are the rewrite search's wave
+	// bookkeeping: the waves it ran, the (candidate, view) pairs they
+	// dispatched and the widest frontier a wave started from.
+	Waves       int `json:"waves,omitempty"`
+	Jobs        int `json:"jobs,omitempty"`
+	MaxFrontier int `json:"max_frontier,omitempty"`
+	// Candidates lists every analyzed candidate in commit order; only a
+	// span that called RecordCandidates keeps them.
+	Candidates []Candidate `json:"candidates,omitempty"`
 	// Budget is the final budget-meter consumption.
 	Budget SpanBudget `json:"budget"`
 	// Outcome classifies how the request ended ("ok" or a wire error
@@ -226,20 +264,39 @@ func (s *Span) SetAdmissionWait(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// CountVerdict tallies one rewrite-candidate verdict. The search calls
-// this from its serial commit loop, so counts are deterministic.
-func (s *Span) CountVerdict(v Verdict) {
+// Wave records one rewrite-search wave: the (candidate, view) jobs it
+// dispatched and the frontier width it started from.
+func (s *Span) Wave(jobs, frontier int) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	switch v {
-	case VerdictAccept:
-		s.rec.Verdicts.Accepted++
-	case VerdictDedup:
-		s.rec.Verdicts.Deduped++
-	default:
-		s.rec.Verdicts.Rejected++
+	s.rec.Waves++
+	s.rec.Jobs += jobs
+	s.rec.MaxFrontier = max(s.rec.MaxFrontier, frontier)
+	s.mu.Unlock()
+}
+
+// AddCandidates tallies analyzed candidates' verdicts and, after
+// RecordCandidates, keeps the candidates themselves. The search calls
+// this from its serial commit loop, so both are deterministic.
+func (s *Span) AddCandidates(evs ...Candidate) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	for _, ev := range evs {
+		switch ev.Verdict {
+		case VerdictAccept:
+			s.rec.Verdicts.Accepted++
+		case VerdictDedup:
+			s.rec.Verdicts.Deduped++
+		default:
+			s.rec.Verdicts.Rejected++
+		}
+	}
+	if s.keep {
+		s.rec.Candidates = append(s.rec.Candidates, evs...)
 	}
 	s.mu.Unlock()
 }
@@ -285,12 +342,14 @@ func (s *Span) Snapshot() SpanRecord {
 func (s *Span) snapshotLocked() SpanRecord {
 	out := s.rec
 	out.Stages = append([]SpanStage{}, s.rec.Stages...)
+	out.Candidates = append([]Candidate(nil), s.rec.Candidates...)
 	return out
 }
 
 // Deterministic renders the record's deterministic half — tenant, SQL,
-// cache verdict, outcome, verdict counts, budget consumption and the
-// stage structure (names, order, rows, details) — as a stable byte
+// cache verdict, outcome, verdict counts, the search's wave counters,
+// budget consumption, the stage structure (names, order, rows, details)
+// and the candidates when kept — as a stable byte
 // string for cross-worker-count comparison. Seq, ID, timestamps and
 // every duration are omitted.
 func (r SpanRecord) Deterministic() string {
@@ -304,6 +363,7 @@ func (r SpanRecord) Deterministic() string {
 	}
 	fmt.Fprintf(&b, "verdicts accepted=%d rejected=%d deduped=%d\n",
 		r.Verdicts.Accepted, r.Verdicts.Rejected, r.Verdicts.Deduped)
+	fmt.Fprintf(&b, "search waves=%d jobs=%d max_frontier=%d\n", r.Waves, r.Jobs, r.MaxFrontier)
 	fmt.Fprintf(&b, "budget rows=%d candidates=%d mem=%d\n",
 		r.Budget.Rows, r.Budget.Candidates, r.Budget.MemBytes)
 	for _, st := range r.Stages {
@@ -312,6 +372,13 @@ func (r SpanRecord) Deterministic() string {
 			fmt.Fprintf(&b, " detail=%s", st.Detail)
 		}
 		b.WriteByte('\n')
+	}
+	for _, c := range r.Candidates {
+		fmt.Fprintf(&b, "candidate wave=%d view=%s set=%v verdict=%s cond=%s mapping={%s} reason=%s\n  from: %s\n  rewriting: %s\n",
+			c.Wave, c.View, c.SetSemantics, c.Verdict, c.Condition, c.Mapping, c.Reason, c.Query, c.Rewriting)
+		for _, n := range c.Notes {
+			fmt.Fprintf(&b, "  note: %s\n", n)
+		}
 	}
 	return b.String()
 }

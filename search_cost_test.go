@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"aggview/internal/obs"
 )
 
 // paperQMonth is the paper's Q narrowed to one month, as the benchmark's
@@ -44,5 +46,36 @@ func TestSearchCostIsCandidateSized(t *testing.T) {
 	if float64(wide) >= 1.25*float64(narrow) {
 		t.Fatalf("eight unmentioned columns grew a cold prepare from %d B to %d B (%.2fx, want < 1.25x)",
 			narrow, wide, float64(wide)/float64(narrow))
+	}
+}
+
+// TestPlainSpanSearchCostIsVerdictSized is the guard that a request span
+// which does not record candidates (the server's default) only counts
+// their verdicts: a cold PrepareContext under one allocates within 5 %
+// of the same call with no span. Each candidate's SQL, mapping and
+// notes are rendered only for a span that keeps them (RecordCandidates).
+func TestPlainSpanSearchCostIsVerdictSized(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop what the search recycles")
+	}
+	sys := warehouse(t, 200)
+	threshold := 5000
+	prepare := func(ctx context.Context) {
+		// A fresh threshold makes every closure and key of the search new.
+		threshold++
+		p, err := sys.PrepareContext(ctx, fmt.Sprintf(paperQMonth, 1996, 3, threshold))
+		if err != nil || !p.Rewritten() {
+			t.Fatalf("cold prepare: rewritten=%v err=%v", p != nil && p.Rewritten(), err)
+		}
+	}
+	prepare(context.Background()) // first use: lazily built registries, pools
+	bare := testing.AllocsPerRun(50, func() { prepare(context.Background()) })
+	spanned := testing.AllocsPerRun(50, func() {
+		prepare(obs.WithSpan(context.Background(), obs.NewSpan("", "q")))
+	})
+	t.Logf("objects allocated by one cold prepare: %.0f with no span, %.0f under a plain span", bare, spanned)
+	if spanned > 1.05*bare {
+		t.Fatalf("a plain span grew a cold prepare from %.0f to %.0f objects (%.3fx, want at most 1.05x)",
+			bare, spanned, spanned/bare)
 	}
 }
