@@ -1,11 +1,11 @@
 // Aggvet is the multichecker for the repository's custom analyzers
 // (DESIGN.md section 8): it loads the named packages with full type
-// information and applies the determinism, IR-soundness, ctx-threading,
-// error-taxonomy, budget-balance and key-escaping checks that `go vet`
-// cannot express. The v2 analyzers (ctxflow, errtaxonomy,
-// budgetbalance, detmerge, keyescape) run on the framework's
-// cross-function facts: per-function summaries propagated bottom-up
-// over each package's call graph.
+// information and applies the determinism, float-comparison,
+// IR-construction, ctx-threading, error-taxonomy, merge-order and
+// key-escaping checks that `go vet` cannot express. ctxflow,
+// errtaxonomy and keyescape read the framework's cross-function facts:
+// per-function summaries propagated bottom-up over each package's call
+// graph.
 //
 //	go run ./cmd/aggvet ./...                  # the CI gate (scripts/check.sh)
 //	go run ./cmd/aggvet ./internal/engine      # one package
@@ -32,7 +32,6 @@ import (
 	"aggview/internal/analysis"
 	"aggview/internal/benchjson"
 
-	"aggview/internal/analysis/budgetbalance"
 	"aggview/internal/analysis/ctxflow"
 	"aggview/internal/analysis/detmerge"
 	"aggview/internal/analysis/errtaxonomy"
@@ -40,19 +39,16 @@ import (
 	"aggview/internal/analysis/irctor"
 	"aggview/internal/analysis/keyescape"
 	"aggview/internal/analysis/maporder"
-	"aggview/internal/analysis/waitleak"
 )
 
 // analyzers is the aggvet suite, in reporting order: the v1 per-file
-// checks first, then the v2 fact-based ones.
+// checks first, then the v2 ones.
 var analyzers = []*analysis.Analyzer{
 	maporder.Analyzer,
 	floateq.Analyzer,
 	irctor.Analyzer,
-	waitleak.Analyzer,
 	ctxflow.Analyzer,
 	errtaxonomy.Analyzer,
-	budgetbalance.Analyzer,
 	detmerge.Analyzer,
 	keyescape.Analyzer,
 }

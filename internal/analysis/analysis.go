@@ -108,10 +108,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// SuppressedCount returns how many findings justified directives
-// silenced during the run (for the -json VetReport).
-func (p *Pass) SuppressedCount() int { return p.suppressed }
-
 // Diagnostics returns the findings reported so far, in source order.
 func (p *Pass) Diagnostics() []Diagnostic {
 	out := append([]Diagnostic{}, p.diags...)
@@ -197,15 +193,9 @@ func fileDirectives(fset *token.FileSet, f *ast.File) map[int][]directive {
 	return out
 }
 
-// ParseDirective extracts the analyzer name from an //aggvet:<name>
-// comment; ok is false for ordinary comments.
-func ParseDirective(comment string) (name string, ok bool) {
-	name, _, ok = parseDirective(comment)
-	return name, ok
-}
-
-// parseDirective additionally reports whether non-empty justification
-// text follows the name.
+// parseDirective extracts the analyzer name from an //aggvet:<name>
+// comment and reports whether non-empty justification text follows it;
+// ok is false for ordinary comments.
 func parseDirective(comment string) (name string, justified, ok bool) {
 	const prefix = "//aggvet:"
 	if !strings.HasPrefix(comment, prefix) {

@@ -13,10 +13,9 @@
 //  1. ==/!= between two non-nil error values anywhere in the module:
 //     use errors.Is, which sees through wrapping.
 //  2. fmt.Errorf with an error-typed argument but no %w verb, in a
-//     function that itself returns an error (a propagation path): the
-//     wrap discards the taxonomy type. The cross-function
-//     MayReturnUntyped fact exists so future analyzers can follow the
-//     laundered error further; the diagnostic fires at the Errorf.
+//     function that itself returns an error (a propagation path, per
+//     the framework's ReturnsError fact): the wrap discards the
+//     taxonomy type. The diagnostic fires at the Errorf.
 //  3. In package server only: a classification chain that tests two or
 //     more taxonomy members (by errors.As target type or errors.Is /
 //     budget.IsCanceled / budget.IsExceeded call) must test all five —

@@ -15,23 +15,18 @@ import (
 // bottom-up order over the intra-package call graph, and shared by
 // every analyzer through Pass.Facts(). Facts let an analyzer reason
 // about a whole call chain — "this exported entry point eventually
-// blocks", "this helper refunds the meter", "everything this function
-// returns went through the key-escaping helper" — without each
-// analyzer re-walking the package.
+// blocks", "everything this function returns went through the
+// key-escaping helper" — without each analyzer re-walking the package.
 //
 // Facts are intra-package by design: cross-package summaries would
 // need a whole-program driver and a serialization format, and every
-// invariant the aggvet suite guards (ctx threading, error taxonomy,
-// charge/refund balance, merge determinism, key escaping) is stated
-// per package. Calls into other packages contribute only what their
-// signatures and names expose (e.g. time.Sleep is blocking).
+// invariant the fact readers guard (ctx threading, error taxonomy, key
+// escaping) is stated per package. Calls into other packages contribute
+// only what their signatures and names expose (e.g. time.Sleep is
+// blocking).
 
 // FuncFacts is the summary of one function or method.
 type FuncFacts struct {
-	// Obj is the type-checker object; Decl the syntax.
-	Obj  *types.Func
-	Decl *ast.FuncDecl
-
 	// HasCtxParam reports a context.Context parameter (any position).
 	HasCtxParam bool
 
@@ -39,32 +34,12 @@ type FuncFacts struct {
 	// blocking operation (time.Sleep, channel send/receive, a select
 	// without default, a range over a channel, a .Wait() call, a
 	// net/http round trip) or calls — transitively, within the package
-	// — a function that does. BlockDesc names the reason, BlockPos the
-	// first site (the direct op, or the call to the blocking callee).
+	// — a function that does. BlockDesc names the reason.
 	Blocks    bool
 	BlockDesc string
-	BlockPos  token.Pos
 
 	// ReturnsError reports an error in the function's results.
 	ReturnsError bool
-
-	// MayReturnUntyped reports that the function may produce an error
-	// that discarded a wrapped error's type: a fmt.Errorf with an
-	// error-typed argument and no %w verb, directly or via an
-	// intra-package callee whose error it propagates.
-	MayReturnUntyped bool
-
-	// ChargesMeter / RefundsMeter report calls (direct or via
-	// intra-package callees) to budget.Meter charge methods
-	// (AddRows/AddCandidates/AddMem/AddCacheEntries) and refund methods
-	// (ReleaseCacheEntries) respectively, matched by method name on a
-	// receiver type named Meter so fixtures can model the shape.
-	ChargesMeter bool
-	RefundsMeter bool
-
-	// BuildsKeyString reports that the function returns a string and
-	// assembles string data (concatenation or fmt.Sprintf) in its body.
-	BuildsKeyString bool
 
 	// EscapedKeyFn reports that every string the function returns is
 	// key-safe by construction: a literal, a call to the key-escaping
@@ -72,25 +47,29 @@ type FuncFacts struct {
 	// intra-package EscapedKeyFn. keyescape treats calls to these
 	// functions as escaped material.
 	EscapedKeyFn bool
+}
 
-	// Callees lists the function's intra-package callees in source
-	// order, deduplicated — the edges the bottom-up propagation runs
-	// over. SyncCallees is the subset invoked synchronously (not as a
-	// goroutine, not from inside a function literal): only those
-	// propagate the Blocks fact, because a blocking goroutine or a
-	// blocking returned closure does not block its definer.
-	Callees     []*types.Func
-	SyncCallees []*types.Func
+// funcNode is one function of the package call graph: its facts, its
+// object and syntax, and its intra-package callees in source order,
+// deduplicated — the edges the bottom-up propagation runs over.
+// syncCallees is the subset invoked synchronously (not as a goroutine,
+// not from inside a function literal): only those propagate the Blocks
+// fact, because a blocking goroutine or a blocking returned closure does
+// not block its definer.
+type funcNode struct {
+	FuncFacts
+	obj                  *types.Func
+	decl                 *ast.FuncDecl
+	callees, syncCallees []*types.Func
 }
 
 // Facts holds one package's function summaries.
 type Facts struct {
-	// Funcs indexes summaries by the type-checker object.
-	Funcs map[*types.Func]*FuncFacts
-	// Order lists every summarized function bottom-up: callees before
-	// callers (cycles broken deterministically by source position), the
-	// order the propagation sweeps ran in.
-	Order []*FuncFacts
+	funcs map[*types.Func]*funcNode
+	// order lists every function bottom-up: callees before callers
+	// (cycles broken deterministically by source position), the order
+	// the propagation sweeps run in.
+	order []*funcNode
 }
 
 // Lookup returns the facts for a callee object, or nil for functions
@@ -99,20 +78,23 @@ func (f *Facts) Lookup(obj *types.Func) *FuncFacts {
 	if f == nil || obj == nil {
 		return nil
 	}
-	return f.Funcs[obj]
+	if n := f.funcs[obj]; n != nil {
+		return &n.FuncFacts
+	}
+	return nil
 }
 
 // Facts returns the package's function summaries, computing them on
-// first use. The result is cached on the loaded package, so the nine
+// first use. The result is cached on the loaded package, so the
 // analyzers of the aggvet suite share one computation.
 func (p *Pass) Facts() *Facts {
 	if p.pkg == nil {
 		// A Pass constructed without a *Package (not via RunAnalyzer)
 		// computes facts uncached.
-		return computeFacts(p.Fset, p.Files, p.TypesInfo)
+		return computeFacts(p.Files, p.TypesInfo)
 	}
 	p.pkg.factsOnce.Do(func() {
-		p.pkg.facts = computeFacts(p.pkg.Fset, p.pkg.Files, p.pkg.Info)
+		p.pkg.facts = computeFacts(p.pkg.Files, p.pkg.Info)
 	})
 	return p.pkg.facts
 }
@@ -135,9 +117,9 @@ func IsEscapeHelperName(name string) bool { return escapeHelperNames[name] }
 // that order until the transitive facts reach a fixpoint (cycles make
 // one sweep insufficient; the facts are boolean and monotone, so the
 // sweeps converge in at most |funcs| rounds).
-func computeFacts(fset *token.FileSet, files []*ast.File, info *types.Info) *Facts {
-	f := &Facts{Funcs: map[*types.Func]*FuncFacts{}}
-	var all []*FuncFacts
+func computeFacts(files []*ast.File, info *types.Info) *Facts {
+	f := &Facts{funcs: map[*types.Func]*funcNode{}}
+	var all []*funcNode
 	for _, file := range files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -148,76 +130,52 @@ func computeFacts(fset *token.FileSet, files []*ast.File, info *types.Info) *Fac
 			if !ok {
 				continue
 			}
-			ff := &FuncFacts{Obj: obj, Decl: fn}
-			directFacts(ff, fset, fn, info)
-			f.Funcs[obj] = ff
-			all = append(all, ff)
+			n := &funcNode{obj: obj, decl: fn}
+			directFacts(n, fn, info)
+			f.funcs[obj] = n
+			all = append(all, n)
 		}
 	}
 	// Source order is the deterministic base ordering everything else
 	// derives from.
-	sort.Slice(all, func(i, j int) bool { return all[i].Decl.Pos() < all[j].Decl.Pos() })
+	sort.Slice(all, func(i, j int) bool { return all[i].decl.Pos() < all[j].decl.Pos() })
 
 	// Bottom-up order: depth-first over callee edges, callees first.
 	visited := map[*types.Func]bool{}
-	var order []*FuncFacts
-	var visit func(ff *FuncFacts)
-	visit = func(ff *FuncFacts) {
-		if visited[ff.Obj] {
+	var visit func(n *funcNode)
+	visit = func(n *funcNode) {
+		if visited[n.obj] {
 			return
 		}
-		visited[ff.Obj] = true
-		for _, callee := range ff.Callees {
-			if cf := f.Funcs[callee]; cf != nil {
-				visit(cf)
+		visited[n.obj] = true
+		for _, callee := range n.callees {
+			if cn := f.funcs[callee]; cn != nil {
+				visit(cn)
 			}
 		}
-		order = append(order, ff)
+		f.order = append(f.order, n)
 	}
-	for _, ff := range all {
-		visit(ff)
+	for _, n := range all {
+		visit(n)
 	}
-	f.Order = order
 
 	// Propagation sweeps to fixpoint.
 	for changed := true; changed; {
 		changed = false
-		for _, ff := range f.Order {
-			for _, callee := range ff.SyncCallees {
-				cf := f.Funcs[callee]
-				if cf == nil {
-					continue
-				}
-				if cf.Blocks && !ff.Blocks {
-					ff.Blocks = true
-					ff.BlockDesc = fmt.Sprintf("calls %s, which %s", callee.Name(), cf.BlockDesc)
-					ff.BlockPos = callPos(ff.Decl, callee, info)
-					changed = true
-				}
-			}
-			for _, callee := range ff.Callees {
-				cf := f.Funcs[callee]
-				if cf == nil {
-					continue
-				}
-				if cf.MayReturnUntyped && ff.ReturnsError && !ff.MayReturnUntyped {
-					ff.MayReturnUntyped = true
-					changed = true
-				}
-				if cf.ChargesMeter && !ff.ChargesMeter {
-					ff.ChargesMeter = true
-					changed = true
-				}
-				if cf.RefundsMeter && !ff.RefundsMeter {
-					ff.RefundsMeter = true
+		for _, n := range f.order {
+			for _, callee := range n.syncCallees {
+				cn := f.funcs[callee]
+				if cn != nil && cn.Blocks && !n.Blocks {
+					n.Blocks = true
+					n.BlockDesc = fmt.Sprintf("calls %s, which %s", callee.Name(), cn.BlockDesc)
 					changed = true
 				}
 			}
 			// EscapedKeyFn is re-evaluated under current callee facts
 			// (it can only be revoked, never granted, by a sweep: a
 			// callee assumed escaped may turn out not to be).
-			if ff.EscapedKeyFn && !escapedReturns(ff, f, info) {
-				ff.EscapedKeyFn = false
+			if n.EscapedKeyFn && !escapedReturns(n, f, info) {
+				n.EscapedKeyFn = false
 				changed = true
 			}
 		}
@@ -226,27 +184,22 @@ func computeFacts(fset *token.FileSet, files []*ast.File, info *types.Info) *Fac
 }
 
 // directFacts fills the single-function facts and callee edges.
-func directFacts(ff *FuncFacts, fset *token.FileSet, fn *ast.FuncDecl, info *types.Info) {
-	sig, _ := ff.Obj.Type().(*types.Signature)
-	if sig != nil {
-		params := sig.Params()
-		for i := 0; i < params.Len(); i++ {
-			if isContextType(params.At(i).Type()) {
-				ff.HasCtxParam = true
-			}
+func directFacts(n *funcNode, fn *ast.FuncDecl, info *types.Info) {
+	sig := n.obj.Signature()
+	params := sig.Params()
+	for i := 0; i < params.Len(); i++ {
+		if isContextType(params.At(i).Type()) {
+			n.HasCtxParam = true
 		}
-		results := sig.Results()
-		returnsString := false
-		for i := 0; i < results.Len(); i++ {
-			if isErrorType(results.At(i).Type()) {
-				ff.ReturnsError = true
-			}
-			if isStringType(results.At(i).Type()) {
-				returnsString = true
-			}
+	}
+	results := sig.Results()
+	for i := 0; i < results.Len(); i++ {
+		if isErrorType(results.At(i).Type()) {
+			n.ReturnsError = true
 		}
-		ff.EscapedKeyFn = returnsString // revoked below unless returns stay escaped
-		ff.BuildsKeyString = returnsString && buildsString(fn.Body)
+		if isStringType(results.At(i).Type()) {
+			n.EscapedKeyFn = true // revoked below unless returns stay escaped
+		}
 	}
 
 	seenCallee := map[*types.Func]bool{}
@@ -258,8 +211,8 @@ func directFacts(ff *FuncFacts, fset *token.FileSet, fn *ast.FuncDecl, info *typ
 	// reason.
 	var litSpans [][2]token.Pos
 	goCalls := map[*ast.CallExpr]bool{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
+	ast.Inspect(fn.Body, func(x ast.Node) bool {
+		switch x := x.(type) {
 		case *ast.FuncLit:
 			litSpans = append(litSpans, [2]token.Pos{x.Body.Pos(), x.Body.End()})
 		case *ast.GoStmt:
@@ -276,14 +229,14 @@ func directFacts(ff *FuncFacts, fset *token.FileSet, fn *ast.FuncDecl, info *typ
 		return false
 	}
 	setBlock := func(pos token.Pos, desc string) {
-		if ff.Blocks || inLit(pos) {
+		if n.Blocks || inLit(pos) {
 			return
 		}
-		ff.Blocks, ff.BlockDesc, ff.BlockPos = true, desc, pos
+		n.Blocks, n.BlockDesc = true, desc
 	}
 
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
+	ast.Inspect(fn.Body, func(x ast.Node) bool {
+		switch x := x.(type) {
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
 				setBlock(x.Pos(), "receives from a channel")
@@ -314,34 +267,21 @@ func directFacts(ff *FuncFacts, fset *token.FileSet, fn *ast.FuncDecl, info *typ
 			case callee.Name() == "Wait" && callee.Signature().Recv() != nil:
 				setBlock(x.Pos(), "calls "+recvTypeName(callee)+".Wait")
 			}
-			if recvIsNamed(callee, "Meter") {
-				switch callee.Name() {
-				case "AddRows", "AddCandidates", "AddMem", "AddCacheEntries":
-					ff.ChargesMeter = true
-				case "ReleaseCacheEntries":
-					ff.RefundsMeter = true
-				}
-			}
-			if pkg != nil && pkg.Path() == "fmt" && callee.Name() == "Errorf" {
-				if errorfDiscardsWrap(x, info) {
-					ff.MayReturnUntyped = true
-				}
-			}
-			if pkg == ff.Obj.Pkg() && callee.Signature().Recv() == nil || samePkgMethod(callee, ff.Obj) {
-				if !seenCallee[callee] && callee != ff.Obj {
+			if pkg == n.obj.Pkg() && callee != n.obj {
+				if !seenCallee[callee] {
 					seenCallee[callee] = true
-					ff.Callees = append(ff.Callees, callee)
+					n.callees = append(n.callees, callee)
 				}
-				if !seenSync[callee] && callee != ff.Obj && !goCalls[x] && !inLit(x.Pos()) {
+				if !seenSync[callee] && !goCalls[x] && !inLit(x.Pos()) {
 					seenSync[callee] = true
-					ff.SyncCallees = append(ff.SyncCallees, callee)
+					n.syncCallees = append(n.syncCallees, callee)
 				}
 			}
 		}
 		return true
 	})
-	sortFuncs(ff.Callees)
-	sortFuncs(ff.SyncCallees)
+	sortFuncs(n.callees)
+	sortFuncs(n.syncCallees)
 }
 
 // httpBlocking names the net/http functions and methods that actually
@@ -364,39 +304,23 @@ func sortFuncs(fns []*types.Func) {
 	})
 }
 
-// samePkgMethod reports whether callee is a method declared in the
-// same package as fn.
-func samePkgMethod(callee, fn *types.Func) bool {
-	return callee.Signature().Recv() != nil && callee.Pkg() == fn.Pkg()
-}
-
 // escapedReturns re-evaluates the EscapedKeyFn fact: every returned
 // string expression must be key-safe under the current callee facts.
-func escapedReturns(ff *FuncFacts, f *Facts, info *types.Info) bool {
-	sig, _ := ff.Obj.Type().(*types.Signature)
-	if sig == nil {
-		return false
-	}
-	stringResult := make([]bool, sig.Results().Len())
-	any := false
-	for i := 0; i < sig.Results().Len(); i++ {
-		if isStringType(sig.Results().At(i).Type()) {
-			stringResult[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return false
+func escapedReturns(n *funcNode, f *Facts, info *types.Info) bool {
+	results := n.obj.Signature().Results()
+	stringResult := make([]bool, results.Len())
+	for i := range stringResult {
+		stringResult[i] = isStringType(results.At(i).Type())
 	}
 	ok := true
-	ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
+	ast.Inspect(n.decl.Body, func(x ast.Node) bool {
 		if !ok {
 			return false
 		}
-		if _, isLit := n.(*ast.FuncLit); isLit {
+		if _, isLit := x.(*ast.FuncLit); isLit {
 			return false // literals return for themselves
 		}
-		ret, isRet := n.(*ast.ReturnStmt)
+		ret, isRet := x.(*ast.ReturnStmt)
 		if !isRet {
 			return true
 		}
@@ -443,68 +367,6 @@ func keySafeExpr(e ast.Expr, f *Facts, info *types.Info) bool {
 	return false
 }
 
-// buildsString reports whether the body assembles strings: a + whose
-// operands are strings, a += on a string, or a fmt.Sprintf call.
-func buildsString(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.BinaryExpr:
-			if x.Op == token.ADD {
-				if lit, ok := x.X.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					found = true
-				}
-				if lit, ok := x.Y.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					found = true
-				}
-			}
-		case *ast.CallExpr:
-			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sprintf" {
-				found = true
-			}
-		case *ast.AssignStmt:
-			if x.Tok == token.ADD_ASSIGN {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// errorfDiscardsWrap reports whether a fmt.Errorf call wraps an
-// error-typed argument without a %w verb, discarding its type.
-func errorfDiscardsWrap(call *ast.CallExpr, info *types.Info) bool {
-	if len(call.Args) < 2 {
-		return false
-	}
-	format, ok := constantString(call.Args[0], info)
-	if !ok || strings.Contains(format, "%w") {
-		return false
-	}
-	for _, arg := range call.Args[1:] {
-		if t := info.TypeOf(arg); t != nil && isErrorType(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// constantString extracts a compile-time string constant.
-func constantString(e ast.Expr, info *types.Info) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind().String() != "String" {
-		return "", false
-	}
-	s := tv.Value.ExactString()
-	// ExactString returns a quoted literal; the %w scan only needs the
-	// raw content, so a cheap unquote-by-trim suffices.
-	return strings.Trim(s, "`\""), true
-}
-
 // calleeFunc resolves a call's callee to a *types.Func (nil for
 // builtins, function values and type conversions).
 func calleeFunc(call *ast.CallExpr, info *types.Info) *types.Func {
@@ -519,23 +381,6 @@ func calleeFunc(call *ast.CallExpr, info *types.Info) *types.Func {
 	return nil
 }
 
-// callPos locates the first call to callee within fn (for BlockPos on
-// propagated facts); falls back to the declaration position.
-func callPos(fn *ast.FuncDecl, callee *types.Func, info *types.Info) token.Pos {
-	pos := fn.Pos()
-	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && calleeFunc(call, info) == callee {
-			pos, found = call.Pos(), true
-		}
-		return true
-	})
-	return pos
-}
-
 func selectHasDefault(s *ast.SelectStmt) bool {
 	for _, c := range s.Body.List {
 		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
@@ -543,19 +388,6 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-func recvIsNamed(fn *types.Func, name string) bool {
-	recv := fn.Signature().Recv()
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == name
 }
 
 func recvTypeName(fn *types.Func) string {
@@ -612,29 +444,4 @@ func HasContextSibling(fn *types.Func) bool {
 	}
 	_, ok := obj.(*types.Func)
 	return ok
-}
-
-// String renders the facts for one function as a stable one-line
-// summary — the serialization the determinism test compares across
-// independent loads.
-func (ff *FuncFacts) String() string {
-	var parts []string
-	flag := func(name string, on bool) {
-		if on {
-			parts = append(parts, name)
-		}
-	}
-	flag("ctx", ff.HasCtxParam)
-	flag("blocks("+ff.BlockDesc+")", ff.Blocks)
-	flag("err", ff.ReturnsError)
-	flag("untyped", ff.MayReturnUntyped)
-	flag("charges", ff.ChargesMeter)
-	flag("refunds", ff.RefundsMeter)
-	flag("keystr", ff.BuildsKeyString)
-	flag("escaped", ff.EscapedKeyFn)
-	callees := make([]string, len(ff.Callees))
-	for i, c := range ff.Callees {
-		callees[i] = c.Name()
-	}
-	return fmt.Sprintf("%s [%s] -> [%s]", ff.Obj.Name(), strings.Join(parts, " "), strings.Join(callees, " "))
 }

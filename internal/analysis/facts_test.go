@@ -1,12 +1,13 @@
 package analysis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // renderFacts loads pkgPattern fresh and serializes every function
-// summary in propagation order.
+// summary in propagation order, one stable line per function.
 func renderFacts(t *testing.T, dir, pattern string) string {
 	t.Helper()
 	pkgs, err := Load(dir, pattern)
@@ -20,11 +21,14 @@ func renderFacts(t *testing.T, dir, pattern string) string {
 	if len(p.Errors) > 0 {
 		t.Fatalf("%s: %v", p.PkgPath, p.Errors)
 	}
-	facts := computeFacts(p.Fset, p.Files, p.Info)
+	facts := computeFacts(p.Files, p.Info)
 	var b strings.Builder
-	for _, ff := range facts.Order {
-		b.WriteString(ff.String())
-		b.WriteByte('\n')
+	for _, n := range facts.order {
+		callees := make([]string, len(n.callees))
+		for i, c := range n.callees {
+			callees[i] = c.Name()
+		}
+		fmt.Fprintf(&b, "%s %+v -> %v\n", n.obj.Name(), n.FuncFacts, callees)
 	}
 	return b.String()
 }
@@ -60,10 +64,10 @@ func TestFactsCrossFunction(t *testing.T) {
 	if len(p.Errors) > 0 {
 		t.Fatalf("%s: %v", p.PkgPath, p.Errors)
 	}
-	facts := computeFacts(p.Fset, p.Files, p.Info)
-	byName := map[string]*FuncFacts{}
-	for _, ff := range facts.Order {
-		byName[ff.Obj.Name()] = ff
+	facts := computeFacts(p.Files, p.Info)
+	byName := map[string]*funcNode{}
+	for _, n := range facts.order {
+		byName[n.obj.Name()] = n
 	}
 	ins, ok := byName["InsertContext"]
 	if !ok {
@@ -72,15 +76,18 @@ func TestFactsCrossFunction(t *testing.T) {
 	if !ins.HasCtxParam {
 		t.Error("InsertContext should have a ctx param")
 	}
-	if len(ins.Callees) != 1 || ins.Callees[0].Name() != "ApplyContext" {
-		t.Fatalf("InsertContext callees = %v, want [ApplyContext]", ins.Callees)
+	if len(ins.callees) != 1 || ins.callees[0].Name() != "ApplyContext" {
+		t.Fatalf("InsertContext callees = %v, want [ApplyContext]", ins.callees)
 	}
 	if apply := byName["ApplyContext"]; apply == nil || !apply.HasCtxParam || !apply.ReturnsError || !ins.ReturnsError {
 		t.Error("InsertContext and ApplyContext should both take a ctx and return an error")
 	}
-	for _, ff := range facts.Order {
-		if HasContextSibling(ff.Obj) {
-			t.Errorf("%s has a %sContext sibling", ff.Obj.Name(), ff.Obj.Name())
+	if facts.Lookup(ins.obj) != &ins.FuncFacts {
+		t.Error("Lookup does not return the summarized function's facts")
+	}
+	for _, n := range facts.order {
+		if HasContextSibling(n.obj) {
+			t.Errorf("%s has a %sContext sibling", n.obj.Name(), n.obj.Name())
 		}
 	}
 }

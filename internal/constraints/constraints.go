@@ -50,9 +50,6 @@ type Atom struct {
 	L, R Term
 }
 
-// NewAtom builds an atom.
-func NewAtom(l Term, op ir.Op, r Term) Atom { return Atom{Op: op, L: l, R: r} }
-
 // Negate returns the complement atom (NOT a).
 func (a Atom) Negate() Atom { return Atom{Op: a.Op.Negate(), L: a.L, R: a.R} }
 

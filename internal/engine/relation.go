@@ -130,7 +130,6 @@ func (r *Relation) Sorted() *Relation {
 type DB struct {
 	mu   sync.Mutex
 	tabs map[string]*ColTable
-	gen  uint64 // global version: bumped on every install
 
 	// onInvalidate, when set, observes every loud install (see
 	// SetOnInvalidate in storage.go). Guarded by mu; invoked outside it.
@@ -168,7 +167,6 @@ func (db *DB) installLocked(key string, ct *ColTable) {
 		ct.ver = prev.ver + 1
 	}
 	db.tabs[key] = ct
-	db.gen++
 }
 
 // advanceLocked installs base+delta under db.mu. This is the single
@@ -302,15 +300,6 @@ func (db *DB) Version(name string) uint64 {
 		return ct.ver
 	}
 	return 0
-}
-
-// Generation returns the global install counter: it advances on every
-// relation install of any name.
-func (db *DB) Generation() uint64 {
-	db.mu.Lock()
-	g := db.gen
-	db.mu.Unlock()
-	return g
 }
 
 // Names returns the sorted names (lowercased) of all stored relations.

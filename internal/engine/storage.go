@@ -695,14 +695,13 @@ func (db *DB) Scan(name string) (*ColTable, bool, error) {
 // chunks, copy them, or write cells past its length.
 type Snapshot struct {
 	tabs map[string]*ColTable
-	gen  uint64
 }
 
 // Snapshot pins the current version of every relation.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := &Snapshot{tabs: make(map[string]*ColTable, len(db.tabs)), gen: db.gen}
+	s := &Snapshot{tabs: make(map[string]*ColTable, len(db.tabs))}
 	for key, ct := range db.tabs {
 		s.tabs[key] = ct
 	}
@@ -742,9 +741,6 @@ func (s *Snapshot) Version(name string) uint64 {
 	}
 	return 0
 }
-
-// Generation returns the DB's global install counter at pin time.
-func (s *Snapshot) Generation() uint64 { return s.gen }
 
 // Names returns the sorted (lowercased) relation names pinned by the
 // snapshot.

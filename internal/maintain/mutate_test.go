@@ -275,7 +275,7 @@ func TestBatchedEqualsSerialDeltas(t *testing.T) {
 // an engine.Snapshot never observes a half-applied batch: on every
 // pinned version, the materialization bag-equals a direct evaluation of
 // the view definition over the same pinned base tables. The refresher
-// goroutine is joined before the test returns (waitleak-clean).
+// goroutine is joined before the test returns.
 func TestSnapshotIsolationConcurrentRefresh(t *testing.T) {
 	ctx := context.Background()
 	m, db, reg := setup(t, "SELECT Acct_Id, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id")

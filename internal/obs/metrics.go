@@ -108,22 +108,20 @@ func (h *Histogram) snapshot() []int64 {
 // A nil *Metrics is a valid no-op registry: every lookup returns a nil
 // (no-op) counter or histogram without allocating.
 type Metrics struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	volatile  map[string]*Counter
-	hists     map[string]*Histogram
-	volaHists map[string]*Histogram
-	lats      map[string]*LatencyHist
+	mu       sync.Mutex
+	counters map[string]*Counter
+	volatile map[string]*Counter
+	hists    map[string]*Histogram
+	lats     map[string]*LatencyHist
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		counters:  map[string]*Counter{},
-		volatile:  map[string]*Counter{},
-		hists:     map[string]*Histogram{},
-		volaHists: map[string]*Histogram{},
-		lats:      map[string]*LatencyHist{},
+		counters: map[string]*Counter{},
+		volatile: map[string]*Counter{},
+		hists:    map[string]*Histogram{},
+		lats:     map[string]*LatencyHist{},
 	}
 }
 
@@ -178,31 +176,13 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	return h
 }
 
-// VolatileHistogram returns the scheduling-dependent histogram with the
-// given name, creating it on first use; nil on a nil registry. The
-// serving layer records per-request latencies and queue waits here:
-// like volatile counters they are excluded from the determinism
-// contract and from Snapshot.Deterministic().
-func (m *Metrics) VolatileHistogram(name string) *Histogram {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.volaHists[name]
-	if !ok {
-		h = &Histogram{}
-		m.volaHists[name] = h
-	}
-	return h
-}
-
 // Latency returns the fixed-boundary latency histogram with the given
-// name ("server.latency.<tenant>"), creating it on first use; nil on a
-// nil registry. Latency counts are wall-clock dependent and therefore
-// volatile — excluded from the determinism contract and from
-// Snapshot.Deterministic() — but the bucket edges and quantile
-// reporting are deterministic (see latency.go).
+// name ("server.latency.<tenant>", "server.admission.wait"), creating it
+// on first use; nil on a nil registry. It is the registry's one
+// histogram of wall-clock durations. Latency counts are wall-clock
+// dependent and therefore volatile — excluded from the determinism
+// contract and from Snapshot.Deterministic() — but the bucket edges and
+// quantile reporting are deterministic (see latency.go).
 func (m *Metrics) Latency(name string) *LatencyHist {
 	if m == nil {
 		return nil
@@ -261,10 +241,6 @@ type Snapshot struct {
 	// Volatile holds the scheduling-dependent counters (ns timings,
 	// pool launches, chunk counts). Excluded from Deterministic().
 	Volatile map[string]int64 `json:"volatile,omitempty"`
-	// VolatileHistograms holds the scheduling-dependent histograms
-	// (request latencies, queue waits) as power-of-two bucket counts.
-	// Excluded from Deterministic().
-	VolatileHistograms map[string][]int64 `json:"volatile_histograms,omitempty"`
 	// Latencies holds the fixed-boundary latency histograms with their
 	// p50/p95/p99 summaries. Counts are wall-clock dependent: excluded
 	// from Deterministic().
@@ -294,12 +270,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			out.Histograms = map[string][]int64{}
 		}
 		out.Histograms[name] = h.snapshot()
-	}
-	for name, h := range m.volaHists {
-		if out.VolatileHistograms == nil {
-			out.VolatileHistograms = map[string][]int64{}
-		}
-		out.VolatileHistograms[name] = h.snapshot()
 	}
 	for name, h := range m.lats {
 		if out.Latencies == nil {

@@ -3,9 +3,11 @@ package oracle
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"aggview"
 	"aggview/internal/engine"
@@ -117,6 +119,57 @@ func TestMutationModesNameTheFallback(t *testing.T) {
 	if !slices.Equal(out.Modes, []string{"incremental", "recompute:having"}) {
 		t.Errorf("Modes = %v, want [incremental recompute:having] (first seen, views in name order)", out.Modes)
 	}
+}
+
+// The concurrent pass joins its snapshot readers before it returns: when
+// CheckMutationContext returns no reader is still in a turn, and the
+// goroutine count is back to its baseline. The concurrent pass runs last
+// (no fault pass), and the table is large enough that a reader turn —
+// two view reads and a prepared plan, each against direct evaluation —
+// takes milliseconds, so an unjoined reader is caught mid-turn.
+func TestMutationConcurrentPassJoinsReaders(t *testing.T) {
+	mc := handCase()
+	sales := mc.Base.Tables[0]
+	for i := 0; i < 20000; i++ {
+		sales.Rows = append(sales.Rows, []value.Value{
+			value.Str([]string{"n", "s", "e"}[i%3]), value.Int(int64(i % 97)), value.Int(int64(i % 5)),
+		})
+	}
+	for run := 0; run < 3; run++ {
+		runtime.GC()
+		before := runtime.NumGoroutine()
+		out, err := CheckMutationContext(context.Background(), mc, MutOptions{Readers: 4})
+		stacks, inTurn := readersInTurn()
+		if err != nil || !out.OK() {
+			t.Fatalf("CheckMutation: %v, %+v", err, out)
+		}
+		if inTurn > 0 {
+			t.Fatalf("run %d: %d snapshot readers still in a turn after CheckMutationContext returned\n%s", run, inTurn, stacks)
+		}
+		// A joined reader may still be on its way out of wg.Done.
+		after := runtime.NumGoroutine()
+		for settle := time.Now().Add(time.Second); after > before && time.Now().Before(settle); {
+			time.Sleep(time.Millisecond)
+			after = runtime.NumGoroutine()
+		}
+		if after > before {
+			t.Fatalf("run %d: %d goroutines before CheckMutationContext, %d after it returned", run, before, after)
+		}
+	}
+}
+
+// readersInTurn dumps every goroutine and counts the concurrent pass's
+// snapshot readers that have not reached their deferred wg.Done.
+func readersInTurn() (string, int) {
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	n := 0
+	for _, g := range strings.Split(stacks, "\n\n") {
+		if strings.Contains(g, "created by aggview/internal/oracle.concurrentPass") && !strings.Contains(g, "WaitGroup).Done") {
+			n++
+		}
+	}
+	return stacks, n
 }
 
 // Script → ReplayMutation → Script must be the identity: shrunken

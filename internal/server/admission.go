@@ -144,7 +144,7 @@ func (b *bucket) acquire(ctx context.Context, now func() time.Time, m *obs.Metri
 	depth := b.queued
 	b.mu.Unlock()
 	m.Volatile("server.admission.queue_depth").Max(int64(depth))
-	m.VolatileHistogram("server.admission.wait_ns").Observe(int64(wait))
+	m.Latency("server.admission.wait").Observe(int64(wait))
 
 	timer := time.NewTimer(wait)
 	defer timer.Stop()

@@ -128,7 +128,8 @@ func TestAdmissionRateBucket(t *testing.T) {
 // with its reservation refunded.
 func TestAdmissionRateQueueing(t *testing.T) {
 	cfg := TenantConfig{Rate: 50, Burst: 1, MaxQueue: 4, MaxWait: time.Second}
-	a := NewAdmission(cfg, nil, 0, 0, 0, obs.NewMetrics())
+	m := obs.NewMetrics()
+	a := NewAdmission(cfg, nil, 0, 0, 0, m)
 	ctx := context.Background()
 
 	if _, r, err := a.Acquire(ctx, "t"); err != nil {
@@ -144,6 +145,11 @@ func TestAdmissionRateQueueing(t *testing.T) {
 	r()
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("waited %v for a ~20ms token", elapsed)
+	}
+	// The queue wait is a wall-clock duration: it lands in the latency
+	// histogram, one observation of at most one token's period (20ms).
+	if ls := m.Snapshot().Latencies["server.admission.wait"]; ls.Count != 1 || ls.SumNs <= 0 || ls.SumNs > int64(20*time.Millisecond) {
+		t.Fatalf("server.admission.wait = %+v, want one observation in (0, 20ms]", ls)
 	}
 
 	// A canceled waiter must unblock promptly with a typed error.

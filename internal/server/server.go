@@ -263,14 +263,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		s.metrics.Volatile("server.slowlog.captured").Inc()
 	}
-	handledNs := time.Since(start).Nanoseconds() // as elapsedNs, encoding is not part of it
 
 	buf := bodyPool.Get().(*[]byte)
 	body, ok := appendQueryColumns((*buf)[:0], res, p.Used, verdict, elapsedNs)
 	if ok {
 		s.metrics.Volatile("server.tenant." + tenantLabel(tenant) + ".ok").Inc()
 		s.metrics.Latency("server.latency." + tenantLabel(tenant)).Observe(elapsedNs)
-		s.metrics.VolatileHistogram("server.latency_ns").Observe(handledNs)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(http.StatusOK)

@@ -206,7 +206,6 @@ func (s *Server) renderMetricsText(b *strings.Builder, gauges bool) {
 	}
 	writeHists("hist", snap.Histograms)
 	writeSorted("volatile", snap.Volatile)
-	writeHists("volatile_hist", snap.VolatileHistograms)
 
 	edges := obs.LatencyEdgesNs()
 	latNames := make([]string, 0, len(snap.Latencies))

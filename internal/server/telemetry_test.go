@@ -41,6 +41,11 @@ func TestMetricsTextDeterministic(t *testing.T) {
 	if strings.Contains(a, "gauge ") {
 		t.Fatalf("plain scrape leaked gauges:\n%s", a)
 	}
+	// Wall-clock durations have one histogram type, the latency one: no
+	// power-of-two section repeats the per-tenant request latencies.
+	if strings.Contains(a, "volatile_hist ") || strings.Contains(a, "server.latency_ns") {
+		t.Fatalf("/metrics text carries a second request-latency histogram:\n%s", a)
+	}
 	for _, want := range []string{
 		"volatile server.requests 2\n",
 		"volatile server.tenant.default.requests 2\n",

@@ -10,12 +10,11 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 
-# Project-specific static analysis (DESIGN.md section 8): the nine
-# aggvet analyzers guard the determinism, float-comparison,
-# IR-construction and goroutine-join invariants plus the fact-based v2
-# checks — ctx threading on blocking paths (ctxflow), typed-error
-# classification and %w wrapping (errtaxonomy), charge/refund balance
-# on cached entries (budgetbalance), index-ordered parallel merges
+# Project-specific static analysis (DESIGN.md section 8): the seven
+# aggvet analyzers guard the determinism (maporder), float-comparison
+# (floateq) and IR-construction (irctor) invariants plus the v2 checks —
+# ctx threading on blocking paths (ctxflow), typed-error classification
+# and %w wrapping (errtaxonomy), index-ordered parallel merges
 # (detmerge) and canonical-key escaping (keyescape). The gate is zero
 # unsuppressed findings; on failure aggvet prints per-analyzer finding
 # and suppression counts to stderr, and `aggvet -json <path>` writes the

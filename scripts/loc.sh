@@ -7,8 +7,9 @@
 # Reads `git diff --color-moved=blocks <rev>` — <rev> against the working
 # tree, so a new file counts once it is `git add`ed — over the .go files
 # and prints added/removed/net lines per package as a markdown table,
-# split into non-test, test (*_test.go) and bench/ (everything under it),
-# with a total row; the non-test total outside bench/ is the PR's
+# split into non-test, test (*_test.go, and any .go file under a testdata/
+# directory: analyzer fixtures are test inputs) and bench/ (everything
+# under it), with a total row; the non-test total outside bench/ is the PR's
 # headline. A line git marks as moved (a block of at least 20
 # alphanumeric characters removed in one place and added, the same, in
 # another — within a file or across files and packages) is neither added
@@ -33,7 +34,7 @@ function net(a, r) { return sprintf("+%d -%d (%+d)", a, r, a - r) }
 # count tallies one line of the current file: added (+1) or removed (-1),
 # moved or not.
 function count(sign, moved,    kind, pkg) {
-    kind = path ~ /^bench\// ? "bench" : path ~ /_test\.go$/ ? "test" : "code"
+    kind = path ~ /^bench\// ? "bench" : path ~ /_test\.go$/ || path ~ /(^|\/)testdata\// ? "test" : "code"
     pkg = path
     if (!sub(/\/[^\/]*$/, "", pkg)) pkg = "."
     pkgs[pkg] = 1
