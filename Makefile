@@ -80,13 +80,13 @@ load:
 	$(GO) run ./cmd/loadrunner -seed 7 -sessions 8 -rounds 6 -n 1200 -json LOAD_SOAK.json
 
 # flightrec runs a seeded in-process soak with a 1ns slow-query
-# threshold (every answered query captured) and writes the telemetry
-# report to TELEMETRY_SOAK.json (a run artefact, not checked in):
-# per-tenant latency quantiles, flight-recorder occupancy, and
-# slow-query repros replayed offline — each must reproduce the recorded
-# answer bag exactly (DESIGN.md section 13).
+# threshold (every answered query captured) and the telemetry pass, and
+# writes the run's one report to LOAD_SOAK.json (a run artefact, not
+# checked in): per-tenant latency quantiles, flight-recorder occupancy,
+# and slow-query repros replayed offline — each must reproduce the
+# recorded answer bag exactly (DESIGN.md section 13).
 flightrec:
-	$(GO) run ./cmd/loadrunner -seed 7 -sessions 6 -rounds 4 -n 400 -slow 1ns -telemetry TELEMETRY_SOAK.json
+	$(GO) run ./cmd/loadrunner -seed 7 -sessions 6 -rounds 4 -n 400 -slow 1ns -telemetry -json LOAD_SOAK.json
 
 # soak runs the differential-testing oracle over a fixed seed set, both
 # rewriter configurations, and writes a failure report (empty on a clean

@@ -9,7 +9,7 @@
 //
 //	go run ./cmd/aggvet ./...                  # the CI gate (scripts/check.sh)
 //	go run ./cmd/aggvet ./internal/engine      # one package
-//	go run ./cmd/aggvet -json VET.json ./...   # also write the benchjson.VetReport
+//	go run ./cmd/aggvet -json VET.json ./...   # also write the report (DESIGN.md section 7)
 //	go run ./cmd/aggvet -list                  # describe the analyzers
 //
 // Exit status: 0 on a clean run, 1 when any analyzer reported a
@@ -27,10 +27,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"aggview/internal/analysis"
-	"aggview/internal/benchjson"
+	"aggview/internal/report"
 
 	"aggview/internal/analysis/ctxflow"
 	"aggview/internal/analysis/detmerge"
@@ -55,7 +56,7 @@ var analyzers = []*analysis.Analyzer{
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
-	jsonPath := flag.String("json", "", "write a benchjson.VetReport to this path")
+	jsonPath := flag.String("json", "", "write the report (counts findings.<analyzer> and suppressions.<analyzer>, one row per finding) to this path")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: aggvet [-list] [-json report.json] [packages...]  (default ./...)")
 		flag.PrintDefaults()
@@ -67,40 +68,47 @@ func main() {
 		}
 		return
 	}
-	report, err := vet(".", flag.Args(), os.Stdout)
+	rep, err := vet(".", flag.Args(), os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aggvet:", err)
 		os.Exit(1)
 	}
 	if *jsonPath != "" {
-		if werr := report.WriteFile(*jsonPath); werr != nil {
+		if werr := rep.WriteFile(*jsonPath); werr != nil {
 			fmt.Fprintln(os.Stderr, "aggvet: writing report:", werr)
 			os.Exit(1)
 		}
 	}
-	if report.TotalFindings > 0 {
-		fmt.Fprintf(os.Stderr, "aggvet: %d diagnostics\n", report.TotalFindings)
-		for _, a := range report.Analyzers {
-			if a.Findings > 0 || a.Suppressions > 0 {
-				fmt.Fprintf(os.Stderr, "aggvet:   %-14s %d findings, %d suppressed\n", a.Name, a.Findings, a.Suppressions)
+	if rep.Verdict == "fail" {
+		fmt.Fprintf(os.Stderr, "aggvet: %d diagnostics\n", len(rep.Rows))
+		for _, a := range analyzers {
+			findings, suppressed := rep.Counts["findings."+a.Name], rep.Counts["suppressions."+a.Name]
+			if findings > 0 || suppressed > 0 {
+				fmt.Fprintf(os.Stderr, "aggvet:   %-14s %d findings, %d suppressed\n", a.Name, findings, suppressed)
 			}
 		}
 		os.Exit(1)
 	}
 }
 
+// vetTool names the vet report's writer.
+const vetTool = "aggvet"
+
 // vet loads the patterns relative to dir, runs every analyzer on every
-// loaded package, prints diagnostics to out, and returns the tallied
-// report.
-func vet(dir string, patterns []string, out *os.File) (*benchjson.VetReport, error) {
+// loaded package, prints diagnostics to out, and returns the report:
+// one row per unsuppressed finding, in source order, and per analyzer
+// (zero included, proving it ran) findings.<name> and
+// suppressions.<name>; the verdict fails on any finding.
+func vet(dir string, patterns []string, out io.Writer) (*report.Report[analysis.Diagnostic], error) {
 	pkgs, err := analysis.Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	report := benchjson.NewVet()
-	report.Packages = len(pkgs)
+	rep := report.New[analysis.Diagnostic](vetTool)
+	rep.Counts["packages"] = int64(len(pkgs))
 	for _, a := range analyzers {
-		report.Analyzers = append(report.Analyzers, benchjson.VetAnalyzer{Name: a.Name})
+		rep.Counts["findings."+a.Name] = 0
+		rep.Counts["suppressions."+a.Name] = 0
 	}
 	for _, pkg := range pkgs {
 		if len(pkg.Errors) > 0 {
@@ -108,23 +116,21 @@ func vet(dir string, patterns []string, out *os.File) (*benchjson.VetReport, err
 			// not type-check is a build failure, not a lint finding.
 			return nil, fmt.Errorf("package %s has load errors (run go build first): %w", pkg.PkgPath, pkg.Errors[0])
 		}
-		for i, a := range analyzers {
+		for _, a := range analyzers {
 			diags, suppressed, err := analysis.RunAnalyzer(a, pkg)
 			if err != nil {
 				return nil, err
 			}
-			report.Analyzers[i].Findings += len(diags)
-			report.Analyzers[i].Suppressions += suppressed
+			rep.Counts["findings."+a.Name] += int64(len(diags))
+			rep.Counts["suppressions."+a.Name] += int64(suppressed)
 			for _, d := range diags {
 				fmt.Fprintln(out, d.String())
-				report.Findings = append(report.Findings, benchjson.VetFinding{
-					Analyzer: d.Analyzer,
-					Pos:      fmt.Sprintf("%s:%d:%d", d.Pos.Filename, d.Pos.Line, d.Pos.Column),
-					Message:  d.Message,
-				})
 			}
+			rep.Rows = append(rep.Rows, diags...)
 		}
 	}
-	report.Finish()
-	return report, nil
+	if len(rep.Rows) > 0 {
+		rep.Verdict = "fail"
+	}
+	return rep, nil
 }

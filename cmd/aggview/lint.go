@@ -2,7 +2,8 @@
 // scripts: `aggview lint [-json report.json] [-v] script.sql...`.
 // It exits 0 when every script is free of error- and warn-severity
 // diagnostics, 1 otherwise; -json additionally writes the full
-// machine-readable report (including info-severity usability records).
+// machine-readable report (including info-severity usability records),
+// a report.Report of irlint.Diagnostic rows.
 package main
 
 import (
@@ -13,7 +14,7 @@ import (
 	"os"
 
 	"aggview/internal/analysis/irlint"
-	"aggview/internal/benchjson"
+	"aggview/internal/report"
 )
 
 func runLint(args []string) {
@@ -32,37 +33,44 @@ func runLint(args []string) {
 	os.Exit(code)
 }
 
+// lintTool names the lint report's writer.
+const lintTool = "aggview lint"
+
 // lint lints each file, prints the diagnostics, and returns the
 // process exit code (0 clean, 1 failing diagnostics).
 func lint(files []string, jsonOut string, verbose bool, out io.Writer) (int, error) {
 	ctx := context.Background()
-	rep := benchjson.NewLint()
+	rep := report.New[irlint.Diagnostic](lintTool)
 	for _, file := range files {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			return 0, err
 		}
 		res := irlint.LintScript(ctx, file, string(src))
-		rep.Files = append(rep.Files, file)
-		rep.Views += res.Views
-		rep.Queries += res.Queries
-		rep.Failing += res.Failing()
-		rep.Diagnostics = append(rep.Diagnostics, res.Diags...)
+		rep.Notes = append(rep.Notes, file)
+		rep.Counts["files"]++
+		rep.Counts["views"] += int64(res.Views)
+		rep.Counts["queries"] += int64(res.Queries)
+		rep.Counts["failing"] += int64(res.Failing())
+		rep.Rows = append(rep.Rows, res.Diags...)
 	}
-	for _, d := range rep.Diagnostics {
-		if d.Severity == benchjson.LintInfo && !verbose {
+	for _, d := range rep.Rows {
+		if d.Severity == irlint.Info && !verbose {
 			continue
 		}
 		fmt.Fprintf(out, "%s: [%s] %s: %s\n", d.File, d.Severity, d.Check, d.Message)
 	}
 	fmt.Fprintf(out, "aggview lint: %d file(s), %d view(s), %d query(s), %d failing diagnostic(s)\n",
-		len(rep.Files), rep.Views, rep.Queries, rep.Failing)
+		rep.Counts["files"], rep.Counts["views"], rep.Counts["queries"], rep.Counts["failing"])
+	if rep.Counts["failing"] > 0 {
+		rep.Verdict = "fail"
+	}
 	if jsonOut != "" {
 		if err := rep.WriteFile(jsonOut); err != nil {
 			return 0, err
 		}
 	}
-	if rep.Failing > 0 {
+	if rep.Verdict == "fail" {
 		return 1, nil
 	}
 	return 0, nil

@@ -1,13 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"aggview/internal/benchjson"
+	"aggview/internal/analysis/irlint"
+	"aggview/internal/report"
 )
 
 // TestLintDemoScriptClean gates the bundled catalog: demo.sql must lint
@@ -24,19 +24,15 @@ func TestLintDemoScriptClean(t *testing.T) {
 		t.Fatalf("demo.sql should lint clean, got exit %d:\n%s", code, out.String())
 	}
 
-	data, err := os.ReadFile(jsonPath)
+	rep, err := report.Read[irlint.Diagnostic](jsonPath, lintTool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep benchjson.LintReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failing != 0 || rep.Views != 1 || rep.Queries != 2 {
+	if rep.Verdict != "pass" || rep.Counts["failing"] != 0 || rep.Counts["views"] != 1 || rep.Counts["queries"] != 2 {
 		t.Fatalf("report shape: %+v", rep)
 	}
 	usable := 0
-	for _, d := range rep.Diagnostics {
+	for _, d := range rep.Rows {
 		if d.Check == "usability" && strings.Contains(d.Message, "answers") {
 			usable++
 		}
@@ -44,12 +40,12 @@ func TestLintDemoScriptClean(t *testing.T) {
 	// Monthly answers both demo queries (the COUNT query via C4'
 	// multiplicity recovery from the view's COUNT column).
 	if usable != 2 {
-		t.Fatalf("Monthly should answer both demo queries, got %d:\n%s", usable, data)
+		t.Fatalf("Monthly should answer both demo queries, got %d: %+v", usable, rep.Rows)
 	}
 }
 
 // TestLintFailingScript: warn-severity hazards drive a nonzero exit and
-// appear in the text output.
+// a failing verdict, and appear in the text output.
 func TestLintFailingScript(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "bad.sql")
 	script := `
@@ -59,13 +55,21 @@ CREATE VIEW NoCnt AS SELECT A, SUM(C) FROM R1 GROUP BY A;
 	if err := os.WriteFile(file, []byte(script), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	jsonPath := filepath.Join(t.TempDir(), "lint.json")
 	var out strings.Builder
-	code, err := lint([]string{file}, "", false, &out)
+	code, err := lint([]string{file}, jsonPath, false, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != 1 {
 		t.Fatalf("hazardous catalog should exit 1, got %d:\n%s", code, out.String())
+	}
+	rep, err := report.Read[irlint.Diagnostic](jsonPath, lintTool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != "fail" || rep.Counts["failing"] != 1 {
+		t.Fatalf("a failing lint should report verdict fail: %+v", rep)
 	}
 	if !strings.Contains(out.String(), "no-count-column") {
 		t.Fatalf("missing no-count-column in output:\n%s", out.String())

@@ -16,7 +16,7 @@
 //	go run ./cmd/oraclerunner -multichunk 4            # every fourth instance spans three storage chunks (default: every 16th)
 //	go run ./cmd/oraclerunner -wire                    # also check answers through the serving stack
 //	go run ./cmd/oraclerunner -paper                   # paper-faithful rewriter configuration
-//	go run ./cmd/oraclerunner -json ORACLE.json        # machine-readable failure report
+//	go run ./cmd/oraclerunner -json ORACLE.json        # machine-readable report (DESIGN.md section 7)
 //	go run ./cmd/oraclerunner -replay repro.sql        # re-check one failure script
 //
 // With -mutate the runner soaks the mutation oracle instead: seeded
@@ -31,7 +31,9 @@
 //	go run ./cmd/oraclerunner -mutate -seeds 21,22 -n 160
 //	go run ./cmd/oraclerunner -mutate -replay repro.sql
 //
-// Exit status is nonzero when any violation was found.
+// Either mode's -json report is a report.Report of failureRow: the
+// soak's tallies as counts, one row per violation. Its verdict fails,
+// and the exit status is nonzero, when any violation was found.
 package main
 
 import (
@@ -48,14 +50,53 @@ import (
 	"time"
 
 	"aggview/internal/analysis/irlint"
-	"aggview/internal/benchjson"
 	"aggview/internal/budget"
 	"aggview/internal/constraints"
 	"aggview/internal/faultinject"
 	"aggview/internal/obs"
 	"aggview/internal/oracle"
+	"aggview/internal/report"
 	"aggview/internal/server"
 )
+
+// Report tools of the two soaks; both write failureRow rows.
+const (
+	oracleTool = "oraclerunner"
+	mutateTool = "oraclerunner -mutate"
+)
+
+// failureRow is one violation found by either soak: the shrunk,
+// replayable script plus where it was found.
+type failureRow struct {
+	// Seed is the generator seed the violation came from.
+	Seed int64 `json:"seed"`
+	// Trial is the instance (or scenario) index within the seed's stream.
+	Trial int `json:"trial"`
+	// Workers is the engine worker count a query-oracle violation
+	// appeared at.
+	Workers int `json:"workers,omitempty"`
+	// Used names the views of the offending rewriting.
+	Used []string `json:"used,omitempty"`
+	// Fault tags where in the mutation checker the violation surfaced
+	// (e.g. "mutate:step=3:view=V0", "maintain@2:step=1:aborted:view=V0",
+	// "mutate:concurrent:reader=1:torn-view").
+	Fault string `json:"fault,omitempty"`
+	// Detail is the human-readable violation description.
+	Detail string `json:"detail"`
+	// Script is the shrunk SQL repro, replayable with `oraclerunner
+	// -replay` (or `-mutate -replay`, or fed to `aggserve -script`).
+	Script string `json:"script"`
+	// Lint carries the IR soundness linter's findings on the shrunk
+	// script (the same checks as `aggview lint`): catalog hazards and
+	// per-view usability records that speed up triage of the repro.
+	Lint []irlint.Diagnostic `json:"lint,omitempty"`
+	// Metrics and Closure are the engine metrics and the closure cache
+	// at failure time — before shrinking — so a query-oracle repro
+	// carries the cache and worker state the violation was observed
+	// under.
+	Metrics *obs.Snapshot           `json:"metrics,omitempty"`
+	Closure *constraints.CacheStats `json:"closure_cache,omitempty"`
+}
 
 func main() {
 	seedsFlag := flag.String("seeds", "1,2,3,4", "comma-separated generator seeds")
@@ -120,9 +161,11 @@ func run(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, du
 		return err
 	}
 
-	rep := benchjson.NewOracle()
+	rep := report.New[failureRow](oracleTool)
 	rep.Seeds = seeds
-	rep.PaperFaithful = paper
+	if paper {
+		rep.Notes = append(rep.Notes, "paper-faithful rewriter configuration")
+	}
 
 	deadline := time.Time{}
 	if duration > 0 {
@@ -151,12 +194,12 @@ func run(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, du
 					}
 					return fmt.Errorf("seed %d trial %d: case rejected: %w\nscript:\n%s", seed, trial, err, c.Script())
 				}
-				rep.Instances++
+				rep.Counts["instances"]++
 				if c.MultiChunk() {
-					rep.MultiChunk++
+					rep.Counts["multi_chunk"]++
 				}
-				rep.Rewritings += out.Rewritings
-				rep.FaultRuns += out.FaultRuns
+				rep.Counts["rewritings"] += int64(out.Rewritings)
+				rep.Counts["fault_runs"] += int64(out.FaultRuns)
 				if out.OK() {
 					continue
 				}
@@ -175,17 +218,14 @@ func run(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, du
 				v := out.Violations[0]
 				f := failure(ctx, seed, trial, &v, min)
 				f.Metrics = &atFailure
-				f.Closure = &benchjson.CacheCounters{
-					Hits: closure.Hits, Misses: closure.Misses,
-					Evictions: closure.Evictions, Size: closure.Size,
-				}
-				rep.Failures = append(rep.Failures, f)
+				f.Closure = &closure
+				rep.Rows = append(rep.Rows, f)
 				fmt.Fprintf(os.Stderr, "VIOLATION seed=%d trial=%d\n%s\nminimal repro script:\n%s\n",
 					seed, trial, v.String(), min.Script())
 			}
 			if verbose {
 				fmt.Fprintf(os.Stderr, "seed %d round %d: %d instances, %d rewritings, %d failures so far\n",
-					seed, round, rep.Instances, rep.Rewritings, len(rep.Failures))
+					seed, round, rep.Counts["instances"], rep.Counts["rewritings"], len(rep.Rows))
 			}
 		}
 		if deadline.IsZero() {
@@ -194,39 +234,59 @@ func run(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, du
 	}
 }
 
-// failure packages one violation as a report record, running the IR
-// soundness linter over the shrunken script so catalog hazards ride
-// along with the repro.
-func failure(ctx context.Context, seed int64, trial int, v *oracle.Violation, min *oracle.Case) benchjson.OracleFailure {
-	script := min.Script()
-	return benchjson.OracleFailure{
-		Seed:    seed,
-		Trial:   trial,
-		Workers: v.Workers,
-		Used:    v.Used,
-		Detail:  v.String(),
-		Script:  script,
-		Lint:    irlint.LintScript(ctx, "shrunk.sql", script).Diags,
+// failure packages one query-oracle violation as a report row.
+func failure(ctx context.Context, seed int64, trial int, v *oracle.Violation, min *oracle.Case) failureRow {
+	f := lintedFailure(ctx, seed, trial, v.String(), min.Script())
+	f.Workers = v.Workers
+	f.Used = v.Used
+	return f
+}
+
+// lintedFailure builds a violation's row, running the IR soundness
+// linter over the shrunken script so catalog hazards ride along with
+// the repro.
+func lintedFailure(ctx context.Context, seed int64, trial int, detail, script string) failureRow {
+	return failureRow{
+		Seed:   seed,
+		Trial:  trial,
+		Detail: detail,
+		Script: script,
+		Lint:   irlint.LintScript(ctx, "shrunk.sql", script).Diags,
 	}
 }
 
-// finish writes the report and converts failures into a nonzero exit.
-func finish(rep *benchjson.OracleReport, jsonOut string) error {
+// finish settles the verdict, writes the report and converts failures
+// into a nonzero exit.
+func finish(rep *report.Report[failureRow], jsonOut string) error {
 	cs := constraints.CloseCacheSnapshot()
-	rep.Closure = &benchjson.CacheCounters{
-		Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions, Size: cs.Size,
-	}
-	if jsonOut != "" {
-		if err := rep.WriteFile(jsonOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote oracle report to %s\n", jsonOut)
+	rep.Counts["closure_cache.hits"] = cs.Hits
+	rep.Counts["closure_cache.misses"] = cs.Misses
+	rep.Counts["closure_cache.evictions"] = cs.Evictions
+	rep.Counts["closure_cache.size"] = int64(cs.Size)
+	if err := settle(rep, jsonOut); err != nil {
+		return err
 	}
 	fmt.Printf("oracle: %d instances (%d multi-chunk), %d rewritings, %d fault-injected runs, %d violations\n",
-		rep.Instances, rep.MultiChunk, rep.Rewritings, rep.FaultRuns, len(rep.Failures))
-	if len(rep.Failures) > 0 {
-		return fmt.Errorf("%d equivalence violations", len(rep.Failures))
+		rep.Counts["instances"], rep.Counts["multi_chunk"], rep.Counts["rewritings"], rep.Counts["fault_runs"], len(rep.Rows))
+	if rep.Verdict == "fail" {
+		return fmt.Errorf("%d equivalence violations", len(rep.Rows))
 	}
+	return nil
+}
+
+// settle fails the verdict on any violation row and writes the report
+// when jsonOut is set.
+func settle(rep *report.Report[failureRow], jsonOut string) error {
+	if len(rep.Rows) > 0 {
+		rep.Verdict = "fail"
+	}
+	if jsonOut == "" {
+		return nil
+	}
+	if err := rep.WriteFile(jsonOut); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s report to %s\n", rep.Tool, jsonOut)
 	return nil
 }
 
@@ -240,7 +300,7 @@ func runMutate(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptio
 	if err != nil {
 		return err
 	}
-	rep := benchjson.NewMutate()
+	rep := report.New[failureRow](mutateTool)
 	rep.Seeds = seeds
 	deadline := time.Time{}
 	if duration > 0 {
@@ -269,15 +329,15 @@ func runMutate(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptio
 					}
 					return fmt.Errorf("seed %d trial %d: scenario rejected: %w\nscript:\n%s", seed, trial, err, mc.Script())
 				}
-				rep.Trials++
+				rep.Counts["trials"]++
 				if mc.Base.MultiChunk() {
-					rep.MultiChunk++
+					rep.Counts["multi_chunk"]++
 				}
-				rep.Steps += out.Steps
-				rep.FaultRuns += out.FaultRuns
-				rep.Incremental += out.Incremental
+				rep.Counts["steps"] += int64(out.Steps)
+				rep.Counts["fault_runs"] += int64(out.FaultRuns)
+				rep.Counts["incremental"] += int64(out.Incremental)
 				for _, mode := range out.Modes {
-					rep.Modes[mode]++
+					rep.Counts["mode."+mode]++
 				}
 				if out.OK() {
 					continue
@@ -285,20 +345,15 @@ func runMutate(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptio
 				min := oracle.ShrinkMutationContext(ctx, mc, opt)
 				v := out.Violations[0]
 				script := min.Script()
-				rep.Failures = append(rep.Failures, benchjson.MutateFailure{
-					Seed:   seed,
-					Trial:  trial,
-					Fault:  v.Fault,
-					Detail: v.String(),
-					Script: script,
-					Lint:   irlint.LintScript(ctx, "shrunk.sql", script).Diags,
-				})
+				f := lintedFailure(ctx, seed, trial, v.String(), script)
+				f.Fault = v.Fault
+				rep.Rows = append(rep.Rows, f)
 				fmt.Fprintf(os.Stderr, "MUTATION VIOLATION seed=%d trial=%d\n%s\nminimal repro script:\n%s\n",
 					seed, trial, v.String(), script)
 			}
 			if verbose {
 				fmt.Fprintf(os.Stderr, "seed %d round %d: %d trials, %d steps, %d incremental, %d failures so far\n",
-					seed, round, rep.Trials, rep.Steps, rep.Incremental, len(rep.Failures))
+					seed, round, rep.Counts["trials"], rep.Counts["steps"], rep.Counts["incremental"], len(rep.Rows))
 			}
 		}
 		if deadline.IsZero() {
@@ -307,24 +362,23 @@ func runMutate(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptio
 	}
 }
 
-// finishMutate writes the mutation report and converts failures into a
-// nonzero exit.
-func finishMutate(rep *benchjson.MutateReport, jsonOut string) error {
-	if jsonOut != "" {
-		if err := rep.WriteFile(jsonOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote mutation report to %s\n", jsonOut)
+// finishMutate settles the verdict, writes the mutation report and
+// converts failures into a nonzero exit.
+func finishMutate(rep *report.Report[failureRow], jsonOut string) error {
+	if err := settle(rep, jsonOut); err != nil {
+		return err
 	}
-	modes := make([]string, 0, len(rep.Modes))
-	for mode, trials := range rep.Modes {
-		modes = append(modes, fmt.Sprintf("%s=%d", mode, trials))
+	var modes []string
+	for name, trials := range rep.Counts {
+		if mode, ok := strings.CutPrefix(name, "mode."); ok {
+			modes = append(modes, fmt.Sprintf("%s=%d", mode, trials))
+		}
 	}
 	sort.Strings(modes)
 	fmt.Printf("mutate: %d trials (%d multi-chunk), %d steps, %d fault-injected runs, %d incremental views, trials per mode: %s, %d violations\n",
-		rep.Trials, rep.MultiChunk, rep.Steps, rep.FaultRuns, rep.Incremental, strings.Join(modes, " "), len(rep.Failures))
-	if len(rep.Failures) > 0 {
-		return fmt.Errorf("%d mutation violations", len(rep.Failures))
+		rep.Counts["trials"], rep.Counts["multi_chunk"], rep.Counts["steps"], rep.Counts["fault_runs"], rep.Counts["incremental"], strings.Join(modes, " "), len(rep.Rows))
+	if rep.Verdict == "fail" {
+		return fmt.Errorf("%d mutation violations", len(rep.Rows))
 	}
 	return nil
 }
@@ -369,7 +423,7 @@ func runReplay(ctx context.Context, path string, opt oracle.Options) error {
 		return err
 	}
 	for _, d := range irlint.LintScript(ctx, path, string(data)).Diags {
-		if d.Severity != benchjson.LintInfo {
+		if d.Severity != irlint.Info {
 			fmt.Fprintf(os.Stderr, "lint: [%s] %s: %s\n", d.Severity, d.Check, d.Message)
 		}
 	}

@@ -34,15 +34,33 @@ func TestQueryContextCanceled(t *testing.T) {
 }
 
 // TestOptsDeadlineApplies pins that Opts.Deadline bounds a call made
-// with a deadline-free ctx: reads, plans and advice route through opCtx.
+// with a deadline-free ctx: every entry point that routes through opCtx
+// (reads, plans, prepared execution, materialization and advice).
 func TestOptsDeadlineApplies(t *testing.T) {
 	ctx := context.Background()
 	s := telcoSystem(t, 2000)
+	p, err := s.PrepareContext(ctx, facadeQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rws, err := s.RewritingsContext(ctx, facadeQ)
+	if err != nil || len(rws) == 0 {
+		t.Fatalf("want a rewriting over V1, got %d (%v)", len(rws), err)
+	}
 	ops := []struct {
 		name string
 		run  func() error
 	}{
+		{"MaterializeContext", func() error { _, err := s.MaterializeContext(ctx, "V1"); return err }},
 		{"QueryContext", func() error { _, err := s.QueryContext(ctx, facadeQ); return err }},
+		{"RewritingsContext", func() error { _, err := s.RewritingsContext(ctx, facadeQ); return err }},
+		{"PlanContext", func() error { _, err := s.PlanContext(ctx, facadeQ); return err }},
+		{"PrepareContext", func() error { _, err := s.PrepareContext(ctx, facadeQ); return err }},
+		{"ExecPreparedOnContext", func() error { _, err := s.ExecPreparedOnContext(ctx, p, s.Store); return err }},
+		{"ExecPreparedColumns", func() error { _, err := s.ExecPreparedColumns(ctx, p, s.Store); return err }},
+		{"QueryOnContext", func() error { _, err := s.QueryOnContext(ctx, s.Store, facadeQ); return err }},
+		{"QueryBestContext", func() error { _, _, err := s.QueryBestContext(ctx, facadeQ); return err }},
+		{"ExecRewritingContext", func() error { _, err := s.ExecRewritingContext(ctx, rws[0]); return err }},
 		{"Explain", func() error { _, err := s.Explain(ctx, facadeQ); return err }},
 		{"AdviseContext", func() error { _, err := s.AdviseContext(ctx, []string{facadeQ}, nil, 0); return err }},
 		{"Usability", func() error { _, err := s.Usability(ctx, facadeQ); return err }},

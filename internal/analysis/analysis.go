@@ -69,11 +69,12 @@ type directive struct {
 	justified bool
 }
 
-// Diagnostic is one finding.
+// Diagnostic is one finding; aggvet -json writes them as its report's
+// rows.
 type Diagnostic struct {
-	Analyzer string
-	Pos      token.Position
-	Message  string
+	Analyzer string         `json:"analyzer"`
+	Pos      token.Position `json:"pos"`
+	Message  string         `json:"message"`
 }
 
 // String renders the diagnostic in the vet file:line:col format.

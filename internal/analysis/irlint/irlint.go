@@ -20,13 +20,40 @@ import (
 	"fmt"
 	"strings"
 
-	"aggview/internal/benchjson"
 	"aggview/internal/core"
 	"aggview/internal/ir"
 	"aggview/internal/keys"
 	"aggview/internal/schema"
 	"aggview/internal/sqlparser"
 )
+
+// Severity levels of a diagnostic. Errors and warnings gate CI; infos
+// are advisory (per-pair usability explanations).
+const (
+	Error = "error"
+	Warn  = "warn"
+	Info  = "info"
+)
+
+// Diagnostic is one finding of the linter. Exactly the fields that
+// apply are set: View for view-local checks, Query (and usually View)
+// for usability records.
+type Diagnostic struct {
+	// File is the script the finding came from.
+	File string `json:"file,omitempty"`
+	// View names the view the finding concerns, if any.
+	View string `json:"view,omitempty"`
+	// Query identifies the query the finding concerns, if any
+	// (rendered SQL, or "query #N" when the statement did not build).
+	Query string `json:"query,omitempty"`
+	// Check is the stable machine-readable check name, e.g.
+	// "no-count-column" or "usability".
+	Check string `json:"check"`
+	// Severity is one of Error, Warn, Info.
+	Severity string `json:"severity"`
+	// Message is the human-readable explanation.
+	Message string `json:"message"`
+}
 
 // Result is the outcome of linting one script.
 type Result struct {
@@ -35,14 +62,14 @@ type Result struct {
 	Queries int
 	// Diags lists the findings in report order (errors as encountered,
 	// then per-view hazards, then usability records).
-	Diags []benchjson.LintDiagnostic
+	Diags []Diagnostic
 }
 
 // Failing counts the error- and warn-severity diagnostics.
 func (r *Result) Failing() int {
 	n := 0
 	for _, d := range r.Diags {
-		if d.Severity != benchjson.LintInfo {
+		if d.Severity != Info {
 			n++
 		}
 	}
@@ -56,15 +83,15 @@ func (r *Result) Failing() int {
 // usability verdicts with an error-severity diagnostic.
 func LintScript(ctx context.Context, file, src string) *Result {
 	res := &Result{}
-	add := func(d benchjson.LintDiagnostic) {
+	add := func(d Diagnostic) {
 		d.File = file
 		res.Diags = append(res.Diags, d)
 	}
 
 	stmts, err := sqlparser.ParseScript(src)
 	if err != nil {
-		add(benchjson.LintDiagnostic{
-			Check: "parse-error", Severity: benchjson.LintError,
+		add(Diagnostic{
+			Check: "parse-error", Severity: Error,
 			Message: err.Error(),
 		})
 		return res
@@ -85,16 +112,16 @@ func LintScript(ctx context.Context, file, src string) *Result {
 				t.FDs = append(t.FDs, schema.FD{From: fd[0], To: fd[1]})
 			}
 			if err := cat.AddTable(t); err != nil {
-				add(benchjson.LintDiagnostic{
-					Check: "invalid-table", Severity: benchjson.LintError,
+				add(Diagnostic{
+					Check: "invalid-table", Severity: Error,
 					Message: err.Error(),
 				})
 			}
 		case *sqlparser.CreateView:
 			q, err := ir.Build(x.Query, src2)
 			if err != nil {
-				add(benchjson.LintDiagnostic{
-					View: x.Name, Check: buildCheck(err), Severity: benchjson.LintError,
+				add(Diagnostic{
+					View: x.Name, Check: buildCheck(err), Severity: Error,
 					Message: fmt.Sprintf("view %s does not build: %v", x.Name, err),
 				})
 				continue
@@ -104,8 +131,8 @@ func LintScript(ctx context.Context, file, src string) *Result {
 				err = views.Add(v)
 			}
 			if err != nil {
-				add(benchjson.LintDiagnostic{
-					View: x.Name, Check: buildCheck(err), Severity: benchjson.LintError,
+				add(Diagnostic{
+					View: x.Name, Check: buildCheck(err), Severity: Error,
 					Message: err.Error(),
 				})
 				continue
@@ -116,8 +143,8 @@ func LintScript(ctx context.Context, file, src string) *Result {
 			label := fmt.Sprintf("query #%d", qn)
 			q, err := ir.Build(x.Query, src2)
 			if err != nil {
-				add(benchjson.LintDiagnostic{
-					Query: label, Check: buildCheck(err), Severity: benchjson.LintError,
+				add(Diagnostic{
+					Query: label, Check: buildCheck(err), Severity: Error,
 					Message: fmt.Sprintf("%s does not build: %v", label, err),
 				})
 				continue
@@ -128,8 +155,8 @@ func LintScript(ctx context.Context, file, src string) *Result {
 		case *sqlparser.Insert:
 			// Data rows carry no rewriting invariants; skip.
 		default:
-			add(benchjson.LintDiagnostic{
-				Check: "unknown-statement", Severity: benchjson.LintError,
+			add(Diagnostic{
+				Check: "unknown-statement", Severity: Error,
 				Message: fmt.Sprintf("unsupported statement %T", st),
 			})
 		}
@@ -148,16 +175,16 @@ func LintScript(ctx context.Context, file, src string) *Result {
 		for i, q := range queries {
 			us, err := rw.ExplainUsability(ctx, q)
 			if err != nil {
-				add(benchjson.LintDiagnostic{
-					Query: labels[i], Check: "usability", Severity: benchjson.LintError,
+				add(Diagnostic{
+					Query: labels[i], Check: "usability", Severity: Error,
 					Message: fmt.Sprintf("usability analysis of %s did not finish: %v", labels[i], err),
 				})
 				break
 			}
 			for _, u := range us {
-				d := benchjson.LintDiagnostic{
+				d := Diagnostic{
 					View: u.View, Query: labels[i],
-					Check: "usability", Severity: benchjson.LintInfo,
+					Check: "usability", Severity: Info,
 				}
 				if u.Usable {
 					d.Message = fmt.Sprintf("view %s answers %s (%d mapping(s))", u.View, labels[i], u.Mappings)
@@ -186,7 +213,7 @@ func buildCheck(err error) string {
 }
 
 // lintView runs the view-local hazard checks on one built view.
-func lintView(v *ir.ViewDef, add func(benchjson.LintDiagnostic)) {
+func lintView(v *ir.ViewDef, add func(Diagnostic)) {
 	def := v.Def
 	isAgg := def.IsAggregationQuery()
 
@@ -204,21 +231,21 @@ func lintView(v *ir.ViewDef, add func(benchjson.LintDiagnostic)) {
 
 	if isAgg && !hasCount {
 		if hasAvg {
-			add(benchjson.LintDiagnostic{
-				View: v.Name, Check: "avg-without-count", Severity: benchjson.LintWarn,
+			add(Diagnostic{
+				View: v.Name, Check: "avg-without-count", Severity: Warn,
 				Message: fmt.Sprintf("view %s exposes AVG but no COUNT column: AVG cannot be re-aggregated over coarser groups (AVG = SUM/COUNT needs the counts), and condition C4' cannot recover tuple multiplicities", v.Name),
 			})
 		} else {
-			add(benchjson.LintDiagnostic{
-				View: v.Name, Check: "no-count-column", Severity: benchjson.LintWarn,
+			add(Diagnostic{
+				View: v.Name, Check: "no-count-column", Severity: Warn,
 				Message: fmt.Sprintf("aggregation view %s carries no COUNT column: condition C4' cannot recover tuple multiplicities, so COUNT/AVG queries and coarser re-groupings over the view are rejected; add COUNT(...) to the view output", v.Name),
 			})
 		}
 	}
 
 	if isAgg && def.Distinct {
-		add(benchjson.LintDiagnostic{
-			View: v.Name, Check: "distinct-aggregation-view", Severity: benchjson.LintWarn,
+		add(Diagnostic{
+			View: v.Name, Check: "distinct-aggregation-view", Severity: Warn,
 			Message: fmt.Sprintf("view %s combines DISTINCT with grouping/aggregation: grouped results are already duplicate-free, and the DISTINCT marks the view as a set, blocking every multiset rewriting (Section 4.5)", v.Name),
 		})
 	}
@@ -232,8 +259,8 @@ func lintView(v *ir.ViewDef, add func(benchjson.LintDiagnostic)) {
 			}
 		}
 		if !exposed {
-			add(benchjson.LintDiagnostic{
-				View: v.Name, Check: "group-col-projected-out", Severity: benchjson.LintWarn,
+			add(Diagnostic{
+				View: v.Name, Check: "group-col-projected-out", Severity: Warn,
 				Message: fmt.Sprintf("view %s groups by %s but projects it out: condition C2' needs the query's grouping columns among the view's outputs, so any query grouping on %s is rejected", v.Name, def.Col(g).Attr, def.Col(g).Attr),
 			})
 		}

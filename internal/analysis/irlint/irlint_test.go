@@ -6,12 +6,11 @@ import (
 	"testing"
 
 	"aggview/internal/analysis/irlint"
-	"aggview/internal/benchjson"
 )
 
 // find returns the diagnostics with the given check name.
-func find(res *irlint.Result, check string) []benchjson.LintDiagnostic {
-	var out []benchjson.LintDiagnostic
+func find(res *irlint.Result, check string) []irlint.Diagnostic {
+	var out []irlint.Diagnostic
 	for _, d := range res.Diags {
 		if d.Check == check {
 			out = append(out, d)
@@ -33,7 +32,7 @@ SELECT A, SUM(C) FROM R1 GROUP BY A;
 		t.Fatalf("got %d views / %d queries, want 1/1", res.Views, res.Queries)
 	}
 	us := find(res, "usability")
-	if len(us) != 1 || us[0].Severity != benchjson.LintInfo {
+	if len(us) != 1 || us[0].Severity != irlint.Info {
 		t.Fatalf("want one usability info record, got %+v", us)
 	}
 	if !strings.Contains(us[0].Message, "answers") {
@@ -48,7 +47,7 @@ CREATE VIEW NoCnt AS SELECT A, B, SUM(C) FROM R1 GROUP BY A, B;
 SELECT A, COUNT(C) FROM R1 GROUP BY A;
 `)
 	warns := find(res, "no-count-column")
-	if len(warns) != 1 || warns[0].View != "NoCnt" || warns[0].Severity != benchjson.LintWarn {
+	if len(warns) != 1 || warns[0].View != "NoCnt" || warns[0].Severity != irlint.Warn {
 		t.Fatalf("want one no-count-column warn for NoCnt, got %+v", warns)
 	}
 	us := find(res, "usability")
@@ -91,7 +90,7 @@ CREATE TABLE R1(A, B, C, D);
 CREATE VIEW Dup AS SELECT A, SUM(C), COUNT(C) FROM R1 GROUP BY A, A;
 `)
 	errs := find(res, "duplicate-group-by")
-	if len(errs) != 1 || errs[0].Severity != benchjson.LintError {
+	if len(errs) != 1 || errs[0].Severity != irlint.Error {
 		t.Fatalf("want one duplicate-group-by error, got %+v", res.Diags)
 	}
 	if res.Views != 0 {
@@ -149,7 +148,7 @@ SELECT A, SUM(C) FROM R1 GROUP BY A;
 SELECT B, SUM(C) FROM R1 GROUP BY B;
 `)
 	us := find(res, "usability")
-	if len(us) != 1 || us[0].Severity != benchjson.LintError || !strings.Contains(us[0].Message, "canceled") {
+	if len(us) != 1 || us[0].Severity != irlint.Error || !strings.Contains(us[0].Message, "canceled") {
 		t.Fatalf("want one usability error naming the cancellation, got %+v", us)
 	}
 }

@@ -73,22 +73,16 @@ func (g *closeCache) insert(key string, cl *Closure) *Closure {
 	return cl
 }
 
-// CloseCacheStats reports cumulative hit/miss counters and the current
-// entry count, for benchmarks and diagnostics.
-func CloseCacheStats() (hits, misses int64, size int) {
-	s := CloseCacheSnapshot()
-	return s.Hits, s.Misses, s.Size
-}
-
 // CacheStats is a point-in-time view of the closure cache's counters,
 // for embedding in observability reports (DESIGN.md section 9).
 type CacheStats struct {
 	// Hits and Misses count CloseCached lookups since the last reset.
-	Hits, Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Evictions counts FIFO displacements of memoized closures.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 	// Size is the current number of memoized closures.
-	Size int
+	Size int `json:"size"`
 }
 
 // CloseCacheSnapshot returns the closure cache's cumulative counters

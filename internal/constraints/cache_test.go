@@ -21,19 +21,19 @@ func TestCloseCachedEvictionBoundary(t *testing.T) {
 	for n := int64(0); n < closeCacheCap; n++ {
 		CloseCached(conjN(n))
 	}
-	hits, misses, size := CloseCacheStats()
-	if size != closeCacheCap {
-		t.Fatalf("size after filling to capacity = %d, want %d", size, closeCacheCap)
+	s := CloseCacheSnapshot()
+	if s.Size != closeCacheCap {
+		t.Fatalf("size after filling to capacity = %d, want %d", s.Size, closeCacheCap)
 	}
-	if hits != 0 || misses != closeCacheCap {
-		t.Fatalf("counters after fill: hits=%d misses=%d, want 0/%d", hits, misses, closeCacheCap)
+	if s.Hits != 0 || s.Misses != closeCacheCap {
+		t.Fatalf("counters after fill: hits=%d misses=%d, want 0/%d", s.Hits, s.Misses, closeCacheCap)
 	}
 
 	// At exactly capacity every entry — oldest and newest — must still
 	// be resident.
 	first := CloseCached(conjN(0))
 	last := CloseCached(conjN(closeCacheCap - 1))
-	if hits, _, _ := CloseCacheStats(); hits != 2 {
+	if hits := CloseCacheSnapshot().Hits; hits != 2 {
 		t.Fatalf("boundary probes should both hit, hits=%d", hits)
 	}
 
@@ -43,13 +43,13 @@ func TestCloseCachedEvictionBoundary(t *testing.T) {
 
 	// One past capacity: FIFO evicts the oldest entry only.
 	CloseCached(conjN(closeCacheCap))
-	if _, _, size := CloseCacheStats(); size != closeCacheCap {
+	if size := CloseCacheSnapshot().Size; size != closeCacheCap {
 		t.Fatalf("size after overflow = %d, want to stay at %d", size, closeCacheCap)
 	}
 	if evs := CloseCacheSnapshot().Evictions; evs != 1 {
 		t.Fatalf("evictions after overflow = %d, want 1", evs)
 	}
-	_, missesBefore, _ := CloseCacheStats()
+	missesBefore := CloseCacheSnapshot().Misses
 	if got := CloseCached(conjN(0)); got == first {
 		t.Fatal("oldest entry must have been evicted after overflow")
 	}
@@ -59,14 +59,14 @@ func TestCloseCachedEvictionBoundary(t *testing.T) {
 	if got := CloseCached(conjN(closeCacheCap)); got == nil {
 		t.Fatal("freshly inserted entry missing")
 	}
-	_, missesAfter, _ := CloseCacheStats()
+	missesAfter := CloseCacheSnapshot().Misses
 	if delta := missesAfter - missesBefore; delta != 1 {
 		t.Fatalf("exactly the evicted key should re-miss, got %d new misses", delta)
 	}
 
 	// The re-inserted conjN(0) displaced the next ring slot (conjN(1)),
 	// keeping the population exactly at capacity.
-	if _, _, size := CloseCacheStats(); size != closeCacheCap {
+	if size := CloseCacheSnapshot().Size; size != closeCacheCap {
 		t.Fatalf("size drifted to %d after re-insert", size)
 	}
 }
@@ -150,7 +150,7 @@ func TestCloseCachedConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if _, _, size := CloseCacheStats(); size == 0 || size > closeCacheCap {
+	if size := CloseCacheSnapshot().Size; size == 0 || size > closeCacheCap {
 		t.Fatalf("cache size out of bounds: %d", size)
 	}
 }

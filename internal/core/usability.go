@@ -16,15 +16,15 @@ import (
 // second analysis.
 type ViewUsability struct {
 	// View is the view name.
-	View string
+	View string `json:"view"`
 	// Mappings counts the 1-1 column mappings of the view into the query.
-	Mappings int
+	Mappings int `json:"mappings"`
 	// Usable reports whether the search accepted at least one mapping.
-	Usable bool
+	Usable bool `json:"usable"`
 	// Failures lists the distinct reasons the search rejected a mapping
 	// under multiset semantics, in analysis order, and names a missing
 	// column mapping (empty when every such mapping succeeded).
-	Failures []string
+	Failures []string `json:"failures,omitempty"`
 }
 
 // noMapping is the failure reported for a view with no 1-1 column

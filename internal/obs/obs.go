@@ -39,7 +39,7 @@ const (
 )
 
 // Candidate is one analyzed (query, view, mapping) triple of the
-// rewrite search — the per-pair reasoning RewriteOnceContext used to discard.
+// rewrite search, with its verdict.
 type Candidate struct {
 	// Wave is the BFS wave the candidate was analyzed in (1-based;
 	// 0 for a direct RewriteOnceContext call outside the BFS).

@@ -10,6 +10,14 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 
+# Every CLI that writes a report (DESIGN.md section 7) writes one here,
+# into temporary files removed on exit.
+VET_JSON="$(mktemp /tmp/aggvet.XXXXXX.json)"
+LINT_JSON="$(mktemp /tmp/aggview-lint.XXXXXX.json)"
+TRACE_JSON="$(mktemp /tmp/aggview-trace.XXXXXX.json)"
+LOAD_JSON="$(mktemp /tmp/loadrunner.XXXXXX.json)"
+trap 'rm -f "$VET_JSON" "$LINT_JSON" "$TRACE_JSON" "$LOAD_JSON"' EXIT
+
 # Project-specific static analysis (DESIGN.md section 8): the seven
 # aggvet analyzers guard the determinism (maporder), float-comparison
 # (floateq) and IR-construction (irctor) invariants plus the v2 checks —
@@ -17,17 +25,15 @@ go vet ./...
 # and %w wrapping (errtaxonomy), index-ordered parallel merges
 # (detmerge) and canonical-key escaping (keyescape). The gate is zero
 # unsuppressed findings; on failure aggvet prints per-analyzer finding
-# and suppression counts to stderr, and `aggvet -json <path>` writes the
-# same tallies as a benchjson.VetReport. `aggview lint` gates the
-# bundled catalog on the IR soundness checks.
-go run ./cmd/aggvet ./...
-go run ./cmd/aggview lint cmd/aggview/testdata/demo.sql
+# and suppression counts to stderr, and its report carries the same
+# tallies as counts. `aggview lint` gates the bundled catalog on the IR
+# soundness checks.
+go run ./cmd/aggvet -json "$VET_JSON" ./...
+go run ./cmd/aggview lint -json "$LINT_JSON" cmd/aggview/testdata/demo.sql
 
 # Observability gate (DESIGN.md section 9): trace the rewrite search
-# over the demo catalog, then strictly re-decode the written report and
+# over the demo catalog, then strictly re-read the written report and
 # prove it round-trips through JSON without loss.
-TRACE_JSON="$(mktemp /tmp/aggview-trace.XXXXXX.json)"
-trap 'rm -f "$TRACE_JSON"' EXIT
 go run ./cmd/aggview explain -trace -json "$TRACE_JSON" cmd/aggview/testdata/demo.sql > /dev/null
 go run ./cmd/aggview explain -replay "$TRACE_JSON"
 
@@ -63,11 +69,9 @@ go run ./cmd/oraclerunner -mutate -seeds 21,22 -n 160 -multichunk 16
 # with a 1ns slow-query threshold; the telemetry pass strict-decodes
 # /debug/flightrec (unknown span fields fail loudly), requires
 # per-tenant latency histograms, and replays slow-query repros offline
-# — loadrunner exits nonzero unless every replayed script reproduces
-# the exact answer bag the server recorded.
-TELEMETRY_JSON="$(mktemp /tmp/aggview-telemetry.XXXXXX.json)"
-trap 'rm -f "$TRACE_JSON" "$TELEMETRY_JSON"' EXIT
-go run ./cmd/loadrunner -seed 7 -sessions 4 -rounds 3 -n 180 -slow 1ns -telemetry "$TELEMETRY_JSON"
+# — loadrunner's verdict fails, and it exits nonzero, unless every
+# replayed script reproduces the exact answer bag the server recorded.
+go run ./cmd/loadrunner -seed 7 -sessions 4 -rounds 3 -n 180 -slow 1ns -telemetry -json "$LOAD_JSON"
 
 # Server smoke gate (DESIGN.md section 12): start aggserve on an
 # ephemeral port, drive 100+ mixed-tenant requests through loadrunner

@@ -55,9 +55,9 @@ G_BEFORE="$("$WORK/loadrunner" -addr "$BASE" -scrape-gauge server.goroutines)"
 
 "$WORK/loadrunner" -seed "$SEED" -addr "$BASE" \
     -sessions 8 -rounds 4 -n 128 -queries 8 \
-    -slow 1ns -telemetry "$WORK/telemetry.json"
-test -s "$WORK/telemetry.json" || {
-    echo "serve_smoke: telemetry report missing" >&2
+    -slow 1ns -telemetry -json "$WORK/load.json"
+test -s "$WORK/load.json" || {
+    echo "serve_smoke: load report missing" >&2
     exit 1
 }
 
