@@ -677,8 +677,11 @@ func (s *System) plan(ctx context.Context, sql string) (*Rewriting, error) {
 // planFlat runs the rewrite search over an already flattened query and
 // picks the cheapest strategy; a nil rewriting means direct evaluation
 // won (or the candidate budget was exhausted and the search degraded
-// gracefully). It also returns the query's canonical plan key, which
-// the search derives on its way.
+// gracefully). A group-preserving pick comes back as the select-project
+// it degenerates to (Rewriting.DropFold): only the one rewriting that
+// will execute pays for the change, and the search, its keys and its
+// closures see the aggregating forms alone. It also returns the query's
+// canonical plan key, which the search derives on its way.
 func (s *System) planFlat(ctx context.Context, op string, flat *ir.Query, anon *ir.Registry) (string, *Rewriting, error) {
 	est := s.estimator()
 	bestCost := est.Estimate(flat)
@@ -696,6 +699,9 @@ func (s *System) planFlat(ctx context.Context, op string, flat *ir.Query, anon *
 		if c := est.Estimate(r.Query); c < bestCost {
 			bestCost, best = c, r
 		}
+	}
+	if best != nil {
+		best.DropFold()
 	}
 	return key, best, nil
 }
@@ -1021,8 +1027,10 @@ func (s *System) Usability(ctx context.Context, sql string) ([]ViewUsability, er
 }
 
 // Explain renders a human-readable report of the rewritings available
-// for a query, with cost estimates. The search is bounded like
-// RewritingsContext's: a canceled or over-budget search is an error.
+// for a query, with cost estimates. Under a group-preserving rewriting an
+// "executes as:" line gives the select-project a plan over it runs
+// (Rewriting.DropFold). The search is bounded like RewritingsContext's:
+// a canceled or over-budget search is an error.
 func (s *System) Explain(ctx context.Context, sql string) (string, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
@@ -1051,6 +1059,9 @@ func (s *System) Explain(ctx context.Context, sql string) (string, error) {
 			i+1, strings.Join(r.Used, ", "), est.Estimate(r.Query), setOnlyTag(r), r.SQL())
 		for _, n := range r.Notes {
 			fmt.Fprintf(&b, "    - %s\n", n)
+		}
+		if r.DropFold() {
+			fmt.Fprintf(&b, "  executes as: %s\n", r.Query.SQL())
 		}
 	}
 	return b.String(), nil

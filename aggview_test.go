@@ -195,6 +195,34 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainShowsSelectProject: over a VCust-shaped catalog, Explain
+// names the select-project a group-preserving rewriting executes as —
+// aggregates unfolded, HAVING moved into WHERE — and prints nothing of
+// the kind under a rewriting whose groups coalesce view rows.
+func TestExplainShowsSelectProject(t *testing.T) {
+	ctx := context.Background()
+	s := New()
+	s.MustLoad(`
+		CREATE TABLE Calls(Call_Id, Cust_Id, Year, Charge) KEY(Call_Id);
+		CREATE VIEW VCust AS SELECT Cust_Id, SUM(Charge), COUNT(Charge), MAX(Charge) FROM Calls GROUP BY Cust_Id;
+	`)
+	for _, c := range []struct{ sql, want string }{
+		{`SELECT Cust_Id, SUM(Charge), MAX(Charge) FROM Calls GROUP BY Cust_Id`,
+			"\n  executes as: SELECT Cust_Id, sum_Charge, max_Charge FROM VCust\n"},
+		{`SELECT Cust_Id, AVG(Charge), COUNT(Charge) FROM Calls GROUP BY Cust_Id HAVING SUM(Charge) > 10`,
+			"\n  executes as: SELECT Cust_Id, sum_Charge / count_Charge, count_Charge FROM VCust WHERE sum_Charge > 10\n"},
+		{`SELECT SUM(Charge) FROM Calls`, ""},
+	} {
+		out, err := s.Explain(ctx, c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "using VCust") || c.want != "" && !strings.Contains(out, c.want) || c.want == "" && strings.Contains(out, "executes as:") {
+			t.Errorf("Explain(%s): want %q:\n%s", c.sql, c.want, out)
+		}
+	}
+}
+
 func TestRewritingsAPI(t *testing.T) {
 	ctx := context.Background()
 	s := telcoSystem(t, 100)

@@ -199,6 +199,7 @@ func run(ctx context.Context, seedsFlag string, n int, gen oracle.GenOptions, du
 					rep.Counts["multi_chunk"]++
 				}
 				rep.Counts["rewritings"] += int64(out.Rewritings)
+				rep.Counts["rewritings.group_preserving"] += int64(out.GroupPreserving)
 				rep.Counts["fault_runs"] += int64(out.FaultRuns)
 				if out.OK() {
 					continue
@@ -266,8 +267,8 @@ func finish(rep *report.Report[failureRow], jsonOut string) error {
 	if err := settle(rep, jsonOut); err != nil {
 		return err
 	}
-	fmt.Printf("oracle: %d instances (%d multi-chunk), %d rewritings, %d fault-injected runs, %d violations\n",
-		rep.Counts["instances"], rep.Counts["multi_chunk"], rep.Counts["rewritings"], rep.Counts["fault_runs"], len(rep.Rows))
+	fmt.Printf("oracle: %d instances (%d multi-chunk), %d rewritings (%d group-preserving), %d fault-injected runs, %d violations\n",
+		rep.Counts["instances"], rep.Counts["multi_chunk"], rep.Counts["rewritings"], rep.Counts["rewritings.group_preserving"], rep.Counts["fault_runs"], len(rep.Rows))
 	if rep.Verdict == "fail" {
 		return fmt.Errorf("%d equivalence violations", len(rep.Rows))
 	}

@@ -91,7 +91,8 @@ func TestFailureCarriesLint(t *testing.T) {
 
 // TestSoakReports runs a short soak in each mode and reads the written
 // report back strictly: a clean soak passes with no rows and its tallies
-// as counts.
+// as counts, the select-project forms of group-preserving rewritings
+// among the rewritings checked.
 func TestSoakReports(t *testing.T) {
 	ctx := context.Background()
 	gen := oracle.GenOptions{MultiChunkEvery: 16}
@@ -110,6 +111,9 @@ func TestSoakReports(t *testing.T) {
 	}
 	if _, ok := rep.Counts["closure_cache.hits"]; !ok {
 		t.Fatalf("oracle report lacks closure_cache.hits: %v", rep.Counts)
+	}
+	if rep.Counts["rewritings.group_preserving"] == 0 {
+		t.Fatalf("no rewriting's select-project form was checked: %v", rep.Counts)
 	}
 
 	path = filepath.Join(dir, "mutate.json")

@@ -103,6 +103,10 @@ type Rewriting struct {
 	// carried along so dedup, tie-breaks and cost tracing never re-derive
 	// it.
 	key string
+	// groupPreserving marks a rewriting each of whose groups is exactly
+	// one row of the view it reads (analyzer.groupPreserving): DropFold
+	// may answer it by a select-project.
+	groupPreserving bool
 }
 
 // SQL renders the rewriting (auxiliary views first).
@@ -457,12 +461,13 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 				}
 				seen[key] = true
 				combined := &Rewriting{
-					Query:   s.r.Query,
-					Aux:     append(append([]*ir.ViewDef{}, cur.Aux...), s.r.Aux...),
-					Used:    append(append([]string{}, cur.Used...), j.vf.def.Name),
-					SetOnly: cur.SetOnly || s.r.SetOnly,
-					Notes:   append(append([]string{}, cur.Notes...), s.r.Notes...),
-					key:     key,
+					Query:           s.r.Query,
+					Aux:             append(append([]*ir.ViewDef{}, cur.Aux...), s.r.Aux...),
+					Used:            append(append([]string{}, cur.Used...), j.vf.def.Name),
+					SetOnly:         cur.SetOnly || s.r.SetOnly,
+					Notes:           append(append([]string{}, cur.Notes...), s.r.Notes...),
+					key:             key,
+					groupPreserving: s.r.groupPreserving,
 				}
 				results = append(results, combined)
 				nextFrontier = append(nextFrontier, entry{combined, s.qf})

@@ -120,21 +120,28 @@ func (a *analyzer) groupsAligned() bool {
 }
 
 // vGroupsDeterminedByQ reports the one-directional guard used by the Va
-// construction: every view grouping column's image is equal to a query
-// grouping column or pinned to a constant, so a query group never
-// coalesces several view groups.
+// construction and by group preservation: every view grouping column's
+// image is equal to a query grouping column or pinned to a constant, so
+// a query group never coalesces several view groups. Both lists are a
+// handful of columns, so the test scans them and allocates nothing.
 func (a *analyzer) vGroupsDeterminedByQ() bool {
-	qSet := map[ir.ColID]bool{}
-	for _, g := range a.q.GroupBy {
-		qSet[a.canon(g)] = true
-	}
 	for _, g := range a.v.GroupBy {
-		c := a.canon(a.m.sigma(g))
-		if !a.qf.pinned[c] && !qSet[c] {
+		if c := a.canon(a.m.sigma(g)); !a.qf.pinned[c] && !a.groupsBy(c) {
 			return false
 		}
 	}
 	return true
+}
+
+// groupsBy reports whether some query grouping column is provably equal
+// to the canonical column c.
+func (a *analyzer) groupsBy(c ir.ColID) bool {
+	for _, g := range a.q.GroupBy {
+		if a.canon(g) == c {
+			return true
+		}
+	}
+	return false
 }
 
 // translateViewHaving maps one view HAVING conjunct into the query's

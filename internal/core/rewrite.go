@@ -112,7 +112,19 @@ func (a *analyzer) analyze() (*Rewriting, error) {
 			a.note("added DISTINCT to restore set-ness of the rewriting")
 		}
 	}
-	return &Rewriting{Query: a.nq, Aux: a.aux, Used: []string{a.vf.def.Name}, SetOnly: setOnly, Notes: a.notes}, nil
+	return &Rewriting{Query: a.nq, Aux: a.aux, Used: []string{a.vf.def.Name}, SetOnly: setOnly, Notes: a.notes, groupPreserving: a.groupPreserving()}, nil
+}
+
+// groupPreserving reports whether each group of the rewritten query is
+// exactly one view row: a 1-1 mapping of an aggregation query onto an
+// aggregation view that covers every query table, with no auxiliary view,
+// and whose grouping columns the query's groups determine. Every row of a
+// view group then satisfies Conds(Q) or none does (the residual reads only
+// exposed grouping columns), and the view's grouping columns are its key
+// (Section 5, Prop 5.1), so no two surviving view rows share a group.
+func (a *analyzer) groupPreserving() bool {
+	return !a.setSem && a.m.oneToOne && a.qf.isAgg && a.vf.isAgg &&
+		a.nCovered == len(a.q.Tables) && len(a.aux) == 0 && a.vGroupsDeterminedByQ()
 }
 
 // addSameImageEqualities adds, for a many-to-1 mapping, equality
@@ -202,7 +214,12 @@ func (a *analyzer) residualStep() error {
 		}
 	}
 
-	// Step S3: install the residual as the new WHERE clause.
+	// Step S3: install the residual as the new WHERE clause, sized once
+	// with room for the query's HAVING conjuncts, which DropFold moves in
+	// should this rewriting turn out group-preserving.
+	if n := len(res) + len(a.q.Having); n > 0 {
+		a.nq.Where = make([]ir.Pred, 0, n)
+	}
 	for _, at := range res {
 		l, err := a.residualTerm(at.L)
 		if err != nil {

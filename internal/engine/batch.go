@@ -94,8 +94,10 @@ func broadcast(c value.Value, n int) Vec {
 // selection — logical row j reads physical row sel[tab][j] of every
 // column of the table, a nil selection reading row j itself. A filter
 // narrows a batch by writing a selection and a join composes index pairs
-// onto the selections of both sides, so values are copied exactly once,
-// where the final projection boxes them. A batch with no sel at all
+// onto the selections of both sides, so values are copied at most once,
+// where the final projection gathers them — and not at all when it reads
+// a whole stored chunk unfiltered, whose vector the result shares
+// (vecOperand.cells). A batch with no sel at all
 // (tab may then be nil too) is a stored table read as it stands: morsel
 // m of it is chunk m of every column.
 type Batch struct {

@@ -159,8 +159,9 @@ func queryLabel(q *ir.Query) string {
 // folds it in one morsel pass. Anything else filters each table into a
 // selection, joins selections into index vectors, and runs the fold (or
 // the projection) over the joined rows. The selections and pairs built
-// on the way go back to their pools as exec returns: the result holds
-// cells of its own only.
+// on the way go back to their pools as exec returns: the result holds no
+// pooled memory — its cells are its own, or a stored chunk's that a
+// projection read whole (vecOperand.cells), which no writer touches.
 func (ev *Evaluator) exec(t *task, q *ir.Query) (*ColTable, error) {
 	mt := ev.metrics()
 	mt.exec.Inc()
@@ -196,9 +197,10 @@ func (ev *Evaluator) exec(t *task, q *ir.Query) (*ColTable, error) {
 }
 
 // projectBatch evaluates the SELECT list of a non-aggregation query over
-// the batch. Each morsel copies its cells out of the stored columns into
-// typed vectors of its own — chunk k of every result column — so row
-// order is the batch's.
+// the batch. Each morsel yields chunk k of every result column — the
+// stored chunk itself for a column read whole and unfiltered, its cells
+// copied into a typed vector otherwise (vecOperand.cells) — so row order
+// is the batch's.
 func (ev *Evaluator) projectBatch(t *task, q *ir.Query, b *Batch) (*ColTable, error) {
 	ms := allMorsels(b.n)
 	parts := make([][]Vec, ms.count())

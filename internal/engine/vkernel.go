@@ -610,12 +610,29 @@ func floatsOf(o vecOperand, n int) []float64 {
 	return xs
 }
 
-// cells copies the operand's n cells into a vector of its own: what a
-// result keeps of an operand, which may read a stored chunk, a pooled
-// accumulator column or a worker's scratch.
+// cells returns the operand's n cells as a vector a result may keep. An
+// operand that reads a whole stored chunk as it stands — the chunk's n
+// cells under the identity — hands over the chunk's own vector, capacity
+// clipped to its length: stored cells are never rewritten, and an append
+// to the result's vector moves it out rather than writing the spare
+// cells a later version of the table may fill (storage.go). Any other
+// operand — a selection of a chunk, a pooled accumulator column, a
+// worker's scratch — is copied into a vector of its own.
 func (o vecOperand) cells(n int) Vec {
 	if o.isConst {
 		return broadcast(o.c, n)
+	}
+	if o.ch != nil && n > 0 && n == o.vec.Len() && len(o.idx) == n && &o.idx[0] == &iota32[0] {
+		v := Vec{kind: o.vec.kind}
+		switch v.kind {
+		case value.KindFloat:
+			v.floats = o.vec.floats[:n:n]
+		case value.KindString:
+			v.strs = o.vec.strs[:n:n]
+		default:
+			v.ints = o.vec.ints[:n:n]
+		}
+		return v
 	}
 	v := Vec{kind: o.vec.kind}
 	switch v.kind {

@@ -113,6 +113,9 @@ func indent(s string) string {
 type Outcome struct {
 	// Rewritings is the number of rewritings the rewriter emitted.
 	Rewritings int
+	// GroupPreserving counts the rewritings whose select-project form
+	// (Rewriting.DropFold) was checked as well.
+	GroupPreserving int
 	// FaultRuns counts executions performed under an armed injector
 	// during the cancellation-injection pass (0 when Options.Faults is
 	// empty).
@@ -180,16 +183,14 @@ func CheckContext(ctx context.Context, c *Case, opt Options) (*Outcome, error) {
 		return nil, fmt.Errorf("oracle: enumerating rewritings: %w", err)
 	}
 	out.Rewritings = len(rws)
-	for _, r := range rws {
-		if opt.Tamper != nil {
-			opt.Tamper(r)
-		}
+	// check executes r at every worker count against the direct answer.
+	check := func(r *core.Rewriting) error {
 		for _, w := range opt.Workers {
 			sys.Opts.Workers = w
 			got, err := sys.ExecRewritingContext(ctx, r)
 			if err != nil {
 				if ctx.Err() != nil {
-					return nil, err
+					return err
 				}
 				out.Violations = append(out.Violations, Violation{
 					Workers: w, Used: r.Used, RewritingSQL: r.SQL(), Err: err,
@@ -208,6 +209,26 @@ func CheckContext(ctx context.Context, c *Case, opt Options) (*Outcome, error) {
 				out.Violations = append(out.Violations, Violation{
 					Workers: w, Used: r.Used, RewritingSQL: r.SQL(), Want: want, Got: got,
 				})
+			}
+		}
+		return nil
+	}
+	for _, r := range rws {
+		if opt.Tamper != nil {
+			opt.Tamper(r)
+		}
+		if err := check(r); err != nil {
+			return nil, err
+		}
+		// The select-project a plan over a group-preserving rewriting
+		// executes instead (Rewriting.DropFold), on a copy: the passes
+		// below keep the aggregating form.
+		sp := *r
+		sp.Query = r.Query.Clone()
+		if sp.DropFold() {
+			out.GroupPreserving++
+			if err := check(&sp); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -48,8 +48,9 @@ go test -race -short -run 'Cancel|Budget|FaultInject' ./...
 
 # Short differential-oracle pass (well under 30s): random instances,
 # rewrite-vs-direct multiset equivalence at worker counts 1 and
-# GOMAXPROCS, with seeded cancellation injection on every trial
-# (-faults defaults to on). One instance in 16 has its anchor table grown
+# GOMAXPROCS — a group-preserving rewriting's select-project form too
+# (the summary counts them) — with seeded cancellation injection on
+# every trial (-faults defaults to on). One instance in 16 has its anchor table grown
 # to span three storage chunks, so chunk skipping and cross-chunk
 # selections meet generated shapes (the summary line counts them).
 # `make soak` runs the long version.
@@ -85,10 +86,12 @@ sh scripts/serve_smoke.sh
 go run ./cmd/benchrunner -quick > /dev/null
 
 # Benchmark gate (BENCHMARK.json): the bench module must vet and pass
-# its own tests, and short write_mix, view_hit and base_scan runs must
-# exit 0 — the correctness gate compares every query template with
-# direct evaluation and every tracked view with its definition after the
-# timed ops. It decodes each served reply with the wire client
+# its own tests, and short runs of all four workloads must exit 0 — the
+# correctness gate compares every query template with direct evaluation
+# and every tracked view with its definition after the timed ops. On
+# plan_cold that is 16 constant settings of the paper's Q whose plan is
+# a group-preserving select-project over V1 (Month and Year pinned, the
+# HAVING threshold moved into WHERE), each prepared cold. It decodes each served reply with the wire client
 # (resp.Relation()), so on view_hit, whose replies are the largest, a
 # wrong byte from the handler's append encoder or the client's scanner
 # fails here; on base_scan it bag-compares every scan template over all
@@ -99,3 +102,4 @@ go run ./cmd/benchrunner -quick > /dev/null
 bash bench/run.sh --workload write_mix --seconds 3 --trace 0 > /dev/null
 bash bench/run.sh --workload view_hit --seconds 3 --trace 0 > /dev/null
 bash bench/run.sh --workload base_scan --seconds 3 --trace 0 > /dev/null
+bash bench/run.sh --workload plan_cold --seconds 3 --trace 0 > /dev/null
