@@ -88,21 +88,22 @@ load:
 flightrec:
 	$(GO) run ./cmd/loadrunner -seed 7 -sessions 6 -rounds 4 -n 400 -slow 1ns -telemetry -json LOAD_SOAK.json
 
-# soak runs the differential-testing oracle over a fixed seed set, both
-# rewriter configurations, and writes a failure report (empty on a clean
-# run). See DESIGN.md section 7. It then fuzzes the wire client's
-# response decoder against encoding/json (DESIGN.md section 12); plain
-# `go test` runs that target's seed corpus only.
+# soak runs the differential-testing oracle on one-query instances over
+# a fixed seed set, both rewriter configurations, and writes a failure
+# report (empty on a clean run). See DESIGN.md section 7. It then fuzzes
+# the wire client's response decoder against encoding/json (DESIGN.md
+# section 12); plain `go test` runs that target's seed corpus only.
 soak:
 	$(GO) run ./cmd/oraclerunner -seeds 1,2,3,4,5,6,7,8 -n 2000 -multichunk 16 -v -json ORACLE_SOAK.json
 	$(GO) run ./cmd/oraclerunner -seeds 1,2,3,4 -n 1000 -multichunk 16 -paper
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 30s
 
-# mutate soaks the mutation oracle (DESIGN.md section 14): seeded
-# insert/delete/update/query scenarios over tracked views, checked
-# serially, under concurrent snapshot readers, and with cancellations
-# injected at the maintenance site. Violations shrink to minimal
-# mutation scripts replayable with `oraclerunner -mutate -replay` or
-# `aggserve -script`.
+# mutate runs the same oracle on the mutation generator (DESIGN.md
+# section 14): seeded insert/delete/update/query scenarios over tracked
+# views, every view re-derived after each mutation and every query step
+# checked through every rewriting, the mutations also run under
+# concurrent snapshot readers and with cancellations injected at the
+# maintenance site. Violations shrink to minimal scripts replayable with
+# `oraclerunner -replay` or `aggserve -script`.
 mutate:
 	$(GO) run ./cmd/oraclerunner -mutate -seeds 21,22,23,24 -n 300 -multichunk 16 -v -json MUTATE_SOAK.json

@@ -37,7 +37,6 @@ import (
 	"aggview/internal/analysis/detmerge"
 	"aggview/internal/analysis/errtaxonomy"
 	"aggview/internal/analysis/floateq"
-	"aggview/internal/analysis/irctor"
 	"aggview/internal/analysis/keyescape"
 	"aggview/internal/analysis/maporder"
 )
@@ -47,7 +46,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	maporder.Analyzer,
 	floateq.Analyzer,
-	irctor.Analyzer,
 	ctxflow.Analyzer,
 	errtaxonomy.Analyzer,
 	detmerge.Analyzer,

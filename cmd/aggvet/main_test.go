@@ -28,8 +28,8 @@ func TestVetReport(t *testing.T) {
 	if back.Verdict != "pass" || len(back.Rows) != 0 || back.Counts["packages"] != 1 {
 		t.Fatalf("report shape: verdict %s, %d rows, counts %v", back.Verdict, len(back.Rows), back.Counts)
 	}
-	if len(analyzers) != 7 {
-		t.Fatalf("%d analyzers, want 7", len(analyzers))
+	if len(analyzers) != 6 {
+		t.Fatalf("%d analyzers, want 6", len(analyzers))
 	}
 	for _, a := range analyzers {
 		for _, k := range []string{"findings.", "suppressions."} {

@@ -172,11 +172,6 @@ func run(ctx context.Context, cfg config) error {
 		return fmt.Errorf("compiling mirror: %w", err)
 	}
 	mirror.Opts.Workers = 1
-	for _, v := range mirror.Views.All() {
-		if _, err := mirror.TrackViewContext(ctx, v.Name); err != nil {
-			return fmt.Errorf("tracking mirror view %s: %w", v.Name, err)
-		}
-	}
 
 	inproc := cfg.addr == ""
 	var doer server.Doer
@@ -187,11 +182,6 @@ func run(ctx context.Context, cfg config) error {
 		sys, err := w.Case.CompileContext(ctx, aggview.Options{})
 		if err != nil {
 			return fmt.Errorf("compiling served system: %w", err)
-		}
-		for _, v := range sys.Views.All() {
-			if _, err := sys.TrackViewContext(ctx, v.Name); err != nil {
-				return fmt.Errorf("tracking view %s: %w", v.Name, err)
-			}
 		}
 		srv = server.New(sys, server.Config{DefaultTenant: server.TenantConfig{
 			Rate:        cfg.rate,
@@ -454,6 +444,9 @@ func collectTelemetry(ctx context.Context, c *server.Client, cfg config, rep *re
 	mismatches := 0
 	for _, e := range sample {
 		cs, err := oracle.Replay(e.Script)
+		if err == nil && (len(cs.Steps) != 1 || cs.Steps[0].Kind != oracle.StepQuery) {
+			err = fmt.Errorf("want the setup and one SELECT, got %d steps", len(cs.Steps))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("replaying repro %q: %w", e.SQL, err)
 		}
@@ -462,7 +455,7 @@ func collectTelemetry(ctx context.Context, c *server.Client, cfg config, rep *re
 			return nil, fmt.Errorf("compiling repro %q: %w", e.SQL, err)
 		}
 		fresh.Opts.Workers = 1
-		got, err := fresh.QueryContext(ctx, cs.Query.SQL())
+		got, err := fresh.QueryContext(ctx, cs.Steps[0].Query.SQL())
 		if err != nil {
 			return nil, fmt.Errorf("running repro %q: %w", e.SQL, err)
 		}

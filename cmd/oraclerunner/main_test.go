@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"aggview/internal/obs"
 	"aggview/internal/oracle"
 	"aggview/internal/report"
+	"aggview/internal/server"
 	"aggview/internal/value"
 )
 
@@ -74,7 +76,7 @@ func TestFailureCarriesLint(t *testing.T) {
 		rep := report.New[failureRow](oracleTool)
 		rep.Rows = append(rep.Rows, f)
 		path := filepath.Join(t.TempDir(), "oracle.json")
-		if err := finish(rep, path); err == nil {
+		if err := finish(rep, "instances", path); err == nil {
 			t.Fatal("a report with a violation should fail")
 		}
 		back, err := report.Read[failureRow](path, oracleTool)
@@ -89,24 +91,25 @@ func TestFailureCarriesLint(t *testing.T) {
 	t.Skip("no instance triggered the synthetic fault (generator drift)")
 }
 
-// TestSoakReports runs a short soak in each mode and reads the written
-// report back strictly: a clean soak passes with no rows and its tallies
-// as counts, the select-project forms of group-preserving rewritings
-// among the rewritings checked.
+// TestSoakReports runs a short soak of each generator through the one
+// soak loop and reads the written report back strictly: a clean soak
+// passes with no rows and its tallies as counts — the select-project
+// forms of group-preserving rewritings among the rewritings checked,
+// and the scenarios' query steps checked through every rewriting too.
 func TestSoakReports(t *testing.T) {
 	ctx := context.Background()
 	gen := oracle.GenOptions{MultiChunkEvery: 16}
 	dir := t.TempDir()
 
 	path := filepath.Join(dir, "oracle.json")
-	if err := run(ctx, "1", 20, gen, 0, false, true, false, path, "", false); err != nil {
+	if err := run(ctx, soak{seeds: []int64{1}, n: 20, gen: gen, faults: true, jsonOut: path}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := report.Read[failureRow](path, oracleTool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Verdict != "pass" || len(rep.Rows) != 0 || rep.Counts["instances"] != 20 || len(rep.Seeds) != 1 {
+	if rep.Verdict != "pass" || len(rep.Rows) != 0 || rep.Counts["instances"] != 20 || rep.Counts["steps"] != 20 || len(rep.Seeds) != 1 {
 		t.Fatalf("oracle report: verdict %s, %d rows, seeds %v, counts %v", rep.Verdict, len(rep.Rows), rep.Seeds, rep.Counts)
 	}
 	if _, ok := rep.Counts["closure_cache.hits"]; !ok {
@@ -117,7 +120,7 @@ func TestSoakReports(t *testing.T) {
 	}
 
 	path = filepath.Join(dir, "mutate.json")
-	if err := runMutate(ctx, "21", 10, gen, 0, true, path, "", false); err != nil {
+	if err := run(ctx, soak{seeds: []int64{21}, n: 10, gen: gen, mutate: true, faults: true, jsonOut: path}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = report.Read[failureRow](path, mutateTool)
@@ -130,10 +133,26 @@ func TestSoakReports(t *testing.T) {
 			modes += n
 		}
 	}
-	if rep.Verdict != "pass" || len(rep.Rows) != 0 || rep.Counts["trials"] != 10 || modes == 0 {
+	if rep.Verdict != "pass" || len(rep.Rows) != 0 || rep.Counts["trials"] != 10 || modes == 0 || rep.Counts["rewritings"] == 0 {
 		t.Fatalf("mutate report: verdict %s, %d rows, counts %v", rep.Verdict, len(rep.Rows), rep.Counts)
 	}
 	if _, err := report.Read[failureRow](path, oracleTool); err == nil {
 		t.Fatal("a mutation report read as an oracle report")
+	}
+}
+
+// TestReplayScripts re-checks a script of each generator through the one
+// replay path, faults armed: both kinds replay as themselves and pass.
+func TestReplayScripts(t *testing.T) {
+	ctx := context.Background()
+	for i, gen := range []func(*rand.Rand, oracle.GenOptions) *oracle.Case{oracle.Generate, oracle.GenerateMutation} {
+		path := filepath.Join(t.TempDir(), "repro.sql")
+		c := gen(rand.New(rand.NewSource(5)), oracle.GenOptions{})
+		if err := os.WriteFile(path, []byte(c.Script()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runReplay(ctx, path, oracle.Options{Serve: server.OracleExec}, true); err != nil {
+			t.Fatalf("generator %d: %v\n%s", i, err, c.Script())
+		}
 	}
 }

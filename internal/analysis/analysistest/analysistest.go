@@ -5,8 +5,8 @@
 // A fixture is an ordinary Go package under the analyzer's
 // testdata/src/<name>/ directory — excluded from ./... builds by the
 // testdata convention, but loadable by explicit path, so fixtures may
-// import real module packages (irctor's fixtures import
-// aggview/internal/ir) and must type-check.
+// import real module packages (floateq's fixtures import
+// aggview/internal/value) and must type-check.
 //
 // Expectations are trailing comments on the line the diagnostic is
 // reported at:

@@ -152,8 +152,8 @@ func LintScript(ctx context.Context, file, src string) *Result {
 			res.Queries++
 			queries = append(queries, q)
 			labels = append(labels, label)
-		case *sqlparser.Insert:
-			// Data rows carry no rewriting invariants; skip.
+		case *sqlparser.Insert, *sqlparser.Delete, *sqlparser.Update:
+			// Data changes carry no rewriting invariants; skip.
 		default:
 			add(Diagnostic{
 				Check: "unknown-statement", Severity: Error,

@@ -122,17 +122,19 @@ func TestLintParseError(t *testing.T) {
 	}
 }
 
-// TestLintInsertsIgnored: oracle replay scripts carry INSERT rows; they
-// must lint without noise.
+// TestLintInsertsIgnored: oracle replay scripts carry INSERT rows, and
+// DELETE and UPDATE steps; they must lint without noise.
 func TestLintInsertsIgnored(t *testing.T) {
 	res := irlint.LintScript(context.Background(), "data.sql", `
 CREATE TABLE R1(A, B, C, D);
 INSERT INTO R1 VALUES (1, 2, 3, 4);
 CREATE VIEW V1 AS SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B;
+DELETE FROM R1 WHERE A = 1;
+UPDATE R1 SET C = C + 1 WHERE B > 0;
 SELECT A, SUM(C) FROM R1 GROUP BY A;
 `)
 	if res.Failing() != 0 {
-		t.Fatalf("INSERT must be ignored, got %+v", res.Diags)
+		t.Fatalf("INSERT, DELETE and UPDATE must be ignored, got %+v", res.Diags)
 	}
 }
 

@@ -1,13 +1,17 @@
-// Package oracle implements differential testing of the rewriter: a
-// seeded generator of random schemas, table contents, view definitions
-// and queries; a checker executing each query directly and through
-// every rewriting the rewriter emits, asserting multiset-equal results
-// at several worker counts; and a shrinker reducing any violation to a
-// minimal SQL script that replays the failure.
+// Package oracle implements differential testing of the rewriter and of
+// view maintenance: seeded generators of random schemas, table contents,
+// view definitions and step sequences (inserts, deletes, updates and
+// queries); one checker that tracks every view, walks the steps, holds
+// every maintained view to its definition after each mutation and
+// executes each query directly and through every rewriting the rewriter
+// emits, asserting multiset-equal results at several worker counts; and
+// a shrinker reducing any violation to a minimal SQL script that replays
+// the failure.
 //
 // Everything a case needs travels as SQL text plus literal rows, so a
-// failing instance prints as a self-contained script (CREATE TABLE /
-// INSERT / CREATE VIEW / SELECT) that Replay parses back verbatim.
+// failing case prints as a self-contained script (CREATE TABLE / INSERT
+// / CREATE VIEW setup, then INSERT / DELETE / UPDATE / SELECT steps)
+// that Replay parses back verbatim.
 package oracle
 
 import (
@@ -109,12 +113,55 @@ func (v *ViewSpec) SQL() string {
 	return s + " AS " + v.Def.SQL()
 }
 
-// Case is one differential-test instance: a schema with contents, view
-// definitions, and the query under test.
+// Step kinds of a case.
+const (
+	StepInsert = "insert"
+	StepDelete = "delete"
+	StepUpdate = "update"
+	StepQuery  = "query"
+)
+
+// Step is one step of a case: a mutation against a base table, or a
+// query checked at that point of the history.
+type Step struct {
+	Kind  string
+	Table string          // mutation target (insert/delete/update)
+	Rows  [][]value.Value // insert rows
+	Where string          // delete/update condition; "" = unconditional
+	Set   string          // update SET clause body, e.g. "B = B + 1"
+	Query *QuerySpec      // query steps only
+}
+
+// SQL renders the step as a script statement.
+func (s *Step) SQL() string {
+	switch s.Kind {
+	case StepInsert:
+		return insertSQL(s.Table, s.Rows)
+	case StepDelete:
+		out := "DELETE FROM " + s.Table
+		if s.Where != "" {
+			out += " WHERE " + s.Where
+		}
+		return out
+	case StepUpdate:
+		out := "UPDATE " + s.Table + " SET " + s.Set
+		if s.Where != "" {
+			out += " WHERE " + s.Where
+		}
+		return out
+	case StepQuery:
+		return s.Query.SQL()
+	}
+	return "-- unknown step " + s.Kind
+}
+
+// Case is one differential-test instance: a schema with initial
+// contents, view definitions (every one tracked), and an ordered step
+// sequence. The query oracle's instance is a case of one query step.
 type Case struct {
 	Tables []*TableSpec
 	Views  []*ViewSpec
-	Query  QuerySpec
+	Steps  []Step
 }
 
 // MultiChunk reports whether the case's largest base table spans at
@@ -129,64 +176,81 @@ func (c *Case) MultiChunk() bool {
 	return false
 }
 
-// Script renders the case as a replayable SQL script: tables, their
-// contents, views, then the query.
+// Script renders the case as a replayable SQL script: each table with
+// its contents as one INSERT right behind its CREATE TABLE, the views,
+// then the steps in order.
 func (c *Case) Script() string {
 	var b strings.Builder
 	for _, t := range c.Tables {
 		b.WriteString(t.SQL() + ";\n")
 		if len(t.Rows) > 0 {
-			ins := "INSERT INTO " + t.Name + " VALUES "
-			for i, row := range t.Rows {
-				if i > 0 {
-					ins += ", "
-				}
-				ins += "(" + renderRow(row) + ")"
-			}
-			b.WriteString(ins + ";\n")
+			b.WriteString(insertSQL(t.Name, t.Rows) + ";\n")
 		}
 	}
 	for _, v := range c.Views {
 		b.WriteString(v.SQL() + ";\n")
 	}
-	b.WriteString(c.Query.SQL() + ";\n")
+	for i := range c.Steps {
+		b.WriteString(c.Steps[i].SQL() + ";\n")
+	}
 	return b.String()
 }
 
-func renderRow(row []value.Value) string {
-	parts := make([]string, len(row))
-	for i, v := range row {
-		parts[i] = v.String() // Value.String quotes strings
+func insertSQL(table string, rows [][]value.Value) string {
+	var b strings.Builder
+	b.WriteString("INSERT INTO " + table + " VALUES ")
+	for i, row := range rows {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		parts := make([]string, len(row))
+		for j, v := range row {
+			parts[j] = v.String() // Value.String quotes strings
+		}
+		b.WriteString("(" + strings.Join(parts, ", ") + ")")
 	}
-	return strings.Join(parts, ", ")
+	return b.String()
 }
 
 // Clone deep-copies the case, so the shrinker can mutate candidates
 // freely.
 func (c *Case) Clone() *Case {
-	out := &Case{Query: c.Query.clone()}
+	out := &Case{}
 	for _, t := range c.Tables {
-		nt := &TableSpec{
+		out.Tables = append(out.Tables, &TableSpec{
 			Name: t.Name,
 			Cols: append([]string{}, t.Cols...),
 			Key:  append([]string{}, t.Key...),
-		}
-		for _, row := range t.Rows {
-			nt.Rows = append(nt.Rows, append([]value.Value{}, row...))
-		}
-		out.Tables = append(out.Tables, nt)
+			Rows: cloneRows(t.Rows),
+		})
 	}
 	for _, v := range c.Views {
 		out.Views = append(out.Views, &ViewSpec{Name: v.Name, Cols: append([]string{}, v.Cols...), Def: v.Def.clone()})
 	}
+	for _, st := range c.Steps {
+		st.Rows = cloneRows(st.Rows)
+		if st.Query != nil {
+			q := st.Query.clone()
+			st.Query = &q
+		}
+		out.Steps = append(out.Steps, st)
+	}
 	return out
 }
 
-// CompileContext loads the case into a fresh aggview.System: schema and
-// view definitions, table contents, and every view materialized. The
-// returned system is ready for direct execution and rewriting. The view
-// materializations it performs honor ctx's cancellation, deadline and
-// budget.
+func cloneRows(rows [][]value.Value) [][]value.Value {
+	var out [][]value.Value
+	for _, row := range rows {
+		out = append(out, append([]value.Value{}, row...))
+	}
+	return out
+}
+
+// CompileContext loads the case's setup into a fresh aggview.System:
+// schema and view definitions, table contents, and every view tracked
+// (maintained under writes, as aggserve keeps them). The steps are not
+// applied. The tracking materializations honor ctx's cancellation,
+// deadline and budget.
 func (c *Case) CompileContext(ctx context.Context, opts aggview.Options) (*aggview.System, error) {
 	sys := aggview.New()
 	sys.Opts = opts
@@ -206,9 +270,30 @@ func (c *Case) CompileContext(ctx context.Context, opts aggview.Options) (*aggvi
 		}
 	}
 	for _, v := range c.Views {
-		if _, err := sys.MaterializeContext(ctx, v.Name); err != nil {
-			return nil, fmt.Errorf("oracle: materialize %s: %w", v.Name, err)
+		if _, err := sys.TrackViewContext(ctx, v.Name); err != nil {
+			return nil, fmt.Errorf("oracle: track %s: %w", v.Name, err)
 		}
 	}
 	return sys, nil
+}
+
+// applyStep routes one mutation step through the production facade,
+// converting a panic during maintenance into an error.
+func applyStep(ctx context.Context, sys *aggview.System, st *Step) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	switch st.Kind {
+	case StepInsert:
+		return sys.InsertContext(ctx, st.Table, st.Rows...)
+	case StepDelete:
+		_, err = sys.DeleteContext(ctx, st.Table, st.Where)
+	case StepUpdate:
+		_, err = sys.UpdateContext(ctx, st.Table, st.Set, st.Where)
+	default:
+		err = fmt.Errorf("oracle: unknown mutation step kind %q", st.Kind)
+	}
+	return err
 }

@@ -108,40 +108,43 @@ func tamperAlwaysFail(r *core.Rewriting) {
 	r.Query = q
 }
 
-// TestShrinkBudgetMonotonic pins the shrink budget's monotonicity: a
-// larger budget never yields a larger repro. The pass and candidate
-// orders are deterministic, so a bigger-budget run replays the smaller
-// run's accept/reject sequence exactly and then keeps reducing, and
-// every accepted reduction removes structure.
+// TestShrinkBudgetMonotonic pins the shrink budget's monotonicity, over
+// cases of both generators: a larger budget never yields a larger
+// repro. The pass and candidate orders are deterministic, so a
+// bigger-budget run replays the smaller run's accept/reject sequence
+// exactly and then keeps reducing, and every accepted reduction removes
+// structure.
 func TestShrinkBudgetMonotonic(t *testing.T) {
 	ctx := context.Background()
-	opt := Options{Tamper: tamperAlwaysFail}
-	rng := rand.New(rand.NewSource(31))
-	tested := 0
-	for trial := 0; trial < 300 && tested < 3; trial++ {
-		c := Generate(rng, GenOptions{MaxRows: 40})
-		out, err := CheckContext(ctx, c, opt)
-		if err != nil || out.OK() {
-			continue
-		}
-		tested++
-		prev := -1
-		for _, b := range []int{1, 5, 25, 100, 400} {
-			o := opt
-			o.ShrinkBudget = b
-			min := ShrinkContext(ctx, c, o)
-			if rout, err := CheckContext(ctx, min, o); err != nil || rout.OK() {
-				t.Fatalf("budget %d: shrunk case no longer fails:\n%s", b, min.Script())
+	opt := Options{Tamper: tamperAlwaysFail, Readers: -1}
+	for _, g := range generators {
+		rng := rand.New(rand.NewSource(31))
+		tested := 0
+		for trial := 0; trial < 300 && tested < 3; trial++ {
+			c := g.gen(rng, GenOptions{MaxRows: 40})
+			out, err := CheckContext(ctx, c, opt)
+			if err != nil || out.OK() {
+				continue
 			}
-			s := size(min)
-			if prev >= 0 && s > prev {
-				t.Fatalf("budget %d grew the repro: size %d after %d at the smaller budget\n%s",
-					b, s, prev, min.Script())
+			tested++
+			prev := -1
+			for _, b := range []int{1, 5, 25, 100, 400} {
+				o := opt
+				o.ShrinkBudget = b
+				min := ShrinkContext(ctx, c, o)
+				if rout, err := CheckContext(ctx, min, o); err != nil || rout.OK() {
+					t.Fatalf("%s: budget %d: shrunk case no longer fails:\n%s", g.name, b, min.Script())
+				}
+				s := size(min)
+				if prev >= 0 && s > prev {
+					t.Fatalf("%s: budget %d grew the repro: size %d after %d at the smaller budget\n%s",
+						g.name, b, s, prev, min.Script())
+				}
+				prev = s
 			}
-			prev = s
 		}
-	}
-	if tested == 0 {
-		t.Skip("no instance triggered the synthetic fault (generator drift)")
+		if tested == 0 {
+			t.Fatalf("no %s case triggered the synthetic fault (generator drift)", g.name)
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // expression grammar — column references, literals, arithmetic,
 // comparisons and AND. It is the reference for what DELETE ... WHERE and
 // UPDATE ... SET mean: the product evaluates both in the engine's vector
-// kernels (engine.Evaluator.ChangeContext), and the script replayer and
-// the kernel == reference tests (match_test.go) hold those to this.
+// kernels (engine.Evaluator.ChangeContext), and the kernel == reference
+// tests (match_test.go) hold those to this.
 
 // EvalExpr evaluates a scalar expression against a single row whose
 // attribute names are cols (matched case-insensitively; qualifiers on

@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzOracleRoundTrip drives the whole oracle from a single fuzzed
-// seed: generate an instance, check every rewriting differentially, and
-// require the Script/Replay round trip to be lossless. Run with
+// seed: generate a case with each generator, check it, and require the
+// Script/Replay round trip to be lossless. Run with
 //
 //	go test -fuzz FuzzOracleRoundTrip ./internal/oracle
 //
@@ -20,24 +20,25 @@ func FuzzOracleRoundTrip(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		c := Generate(rng, GenOptions{})
-		out, err := CheckContext(ctx, c, Options{})
-		if err != nil {
-			t.Fatalf("seed %d: generated case rejected:\n%s\nerror: %v", seed, c.Script(), err)
-		}
-		if !out.OK() {
-			min := ShrinkContext(ctx, c, Options{})
-			t.Fatalf("seed %d: equivalence violation\n%s\nminimal repro script:\n%s",
-				seed, out.Violations[0].String(), min.Script())
-		}
-		script := c.Script()
-		back, err := Replay(script)
-		if err != nil {
-			t.Fatalf("seed %d: script does not replay:\n%s\nerror: %v", seed, script, err)
-		}
-		if got := back.Script(); got != script {
-			t.Fatalf("seed %d: round trip not stable:\n--- first\n%s\n--- second\n%s", seed, script, got)
+		for _, g := range generators {
+			c := g.gen(rand.New(rand.NewSource(seed)), GenOptions{})
+			out, err := CheckContext(ctx, c, Options{})
+			if err != nil {
+				t.Fatalf("%s seed %d: generated case rejected:\n%s\nerror: %v", g.name, seed, c.Script(), err)
+			}
+			if !out.OK() {
+				min := ShrinkContext(ctx, c, Options{})
+				t.Fatalf("%s seed %d: violation\n%s\nminimal repro script:\n%s",
+					g.name, seed, out.Violations[0].String(), min.Script())
+			}
+			script := c.Script()
+			back, err := Replay(script)
+			if err != nil {
+				t.Fatalf("%s seed %d: script does not replay:\n%s\nerror: %v", g.name, seed, script, err)
+			}
+			if got := back.Script(); got != script {
+				t.Fatalf("%s seed %d: round trip not stable:\n--- first\n%s\n--- second\n%s", g.name, seed, script, got)
+			}
 		}
 	})
 }

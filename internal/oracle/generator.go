@@ -81,21 +81,22 @@ func (t *genTable) colsOfKind(k colKind) []genCol {
 	return out
 }
 
-// Generate produces one random case: schema, contents, views biased
-// toward the paper's shapes, and a query biased so the rewriter finds
-// rewritings regularly (view-prefix WHERE clauses with expressible
-// residuals, GROUP BY refining the view's grouping, aggregates over the
-// view's aggregated columns). About one case in seven is generated with
-// no anchoring at all, keeping fully random shapes in the mix.
+// Generate produces one random case of one query step: schema,
+// contents, views biased toward the paper's shapes, and a query biased
+// so the rewriter finds rewritings regularly (view-prefix WHERE clauses
+// with expressible residuals, GROUP BY refining the view's grouping,
+// aggregates over the view's aggregated columns). About one case in
+// seven is generated with no anchoring at all, keeping fully random
+// shapes in the mix.
 func Generate(rng *rand.Rand, opt GenOptions) *Case {
-	c, _ := generate(rng, opt)
+	c, _ := generate(rng, opt.withDefaults())
 	return c
 }
 
-// generate is Generate returning the internal table descriptors too, so
-// GenerateWorkload can draw more queries and rows over the same schema.
+// generate is Generate, opt's defaults applied, returning the internal
+// table descriptors too, so GenerateWorkload and GenerateMutation can
+// draw more queries and rows over the same schema.
 func generate(rng *rand.Rand, opt GenOptions) (*Case, []*genTable) {
-	opt = opt.withDefaults()
 	c := &Case{}
 
 	// --- schema and contents ---
@@ -165,7 +166,8 @@ func generate(rng *rand.Rand, opt GenOptions) (*Case, []*genTable) {
 
 	// --- query ---
 	anchored := rng.Intn(7) != 0
-	c.Query = genQuery(rng, tables, &c.Views[0].Def, anchored, opt)
+	q := genQuery(rng, tables, &c.Views[0].Def, anchored, opt)
+	c.Steps = []Step{{Kind: StepQuery, Query: &q}}
 	return c, tables
 }
 
@@ -191,17 +193,101 @@ type Workload struct {
 // seed.
 func GenerateWorkload(rng *rand.Rand, opt GenOptions, nQueries int) *Workload {
 	opt = opt.withDefaults()
+	w := newWorkload(rng, opt)
+	w.Queries = append(w.Queries, *w.Case.Steps[0].Query)
+	for len(w.Queries) < nQueries {
+		w.Queries = append(w.Queries, w.query(rng, opt))
+	}
+	return w
+}
+
+// GenerateMutation produces one random case of 8–20 steps over a
+// generated instance, mixing inserts (respecting declared keys),
+// predicate deletes, non-key updates and anchored queries. The instance
+// is Generate's, its query drawn and dropped, so a seed's stream stays
+// what it was.
+func GenerateMutation(rng *rand.Rand, opt GenOptions) *Case {
+	opt = opt.withDefaults()
+	w := newWorkload(rng, opt)
+	c := w.Case
+	c.Steps = nil
+	n := 8 + rng.Intn(13)
+	for len(c.Steps) < n {
+		t := w.tables[rng.Intn(len(w.tables))]
+		switch r := rng.Intn(10); {
+		case r < 4:
+			c.Steps = append(c.Steps, Step{
+				Kind: StepInsert, Table: t.spec.Name,
+				Rows: w.Rows(rng, t.spec.Name, 1+rng.Intn(4)),
+			})
+		case r < 6:
+			c.Steps = append(c.Steps, Step{
+				Kind: StepDelete, Table: t.spec.Name,
+				Where: strings.Join(genConds(rng, t, 2, opt.Domain), " AND "),
+			})
+		case r < 8:
+			if step, ok := genUpdate(rng, t, opt); ok {
+				c.Steps = append(c.Steps, step)
+			}
+		default:
+			q := w.query(rng, opt)
+			c.Steps = append(c.Steps, Step{Kind: StepQuery, Query: &q})
+		}
+	}
+	return c
+}
+
+// newWorkload generates an instance with an empty query pool.
+func newWorkload(rng *rand.Rand, opt GenOptions) *Workload {
 	c, tables := generate(rng, opt)
 	w := &Workload{Case: c, tables: tables, domain: opt.Domain, nextKey: map[string]int64{}}
 	for _, t := range tables {
 		w.nextKey[t.spec.Name] = int64(len(t.spec.Rows))
 	}
-	w.Queries = append(w.Queries, c.Query)
-	for len(w.Queries) < nQueries {
-		anchored := rng.Intn(7) != 0
-		w.Queries = append(w.Queries, genQuery(rng, tables, &c.Views[0].Def, anchored, opt))
-	}
 	return w
+}
+
+// query draws one more query over the instance, anchored on its first
+// view six times in seven.
+func (w *Workload) query(rng *rand.Rand, opt GenOptions) QuerySpec {
+	anchored := rng.Intn(7) != 0
+	return genQuery(rng, w.tables, &w.Case.Views[0].Def, anchored, opt)
+}
+
+// genUpdate draws an UPDATE over the table's non-key columns:
+// additive rewrites for numeric columns (exercising delta arithmetic)
+// and constant rewrites otherwise. Key columns are never assigned, so
+// a declared key stays honest across the case.
+func genUpdate(rng *rand.Rand, t *genTable, opt GenOptions) (Step, bool) {
+	keyed := map[string]bool{}
+	for _, k := range t.spec.Key {
+		keyed[k] = true
+	}
+	var pool []genCol
+	for _, c := range t.cols {
+		if !keyed[c.name] {
+			pool = append(pool, c)
+		}
+	}
+	if len(pool) == 0 {
+		return Step{}, false
+	}
+	var sets []string
+	for _, c := range pickCols(rng, pool, 1+rng.Intn(2)) {
+		switch {
+		case c.kind == kindInt && rng.Intn(2) == 0:
+			sets = append(sets, fmt.Sprintf("%s = %s + %d", c.name, c.name, 1+rng.Intn(3)))
+		case c.kind == kindFloat && rng.Intn(2) == 0:
+			sets = append(sets, fmt.Sprintf("%s = %s + %s", c.name, c.name, renderConst(rng, kindFloat, opt.Domain)))
+		default:
+			sets = append(sets, c.name+" = "+renderConst(rng, c.kind, opt.Domain))
+		}
+	}
+	return Step{
+		Kind: StepUpdate, Table: t.spec.Name,
+		Set:   strings.Join(sets, ", "),
+		Where: strings.Join(genConds(rng, t, 2, opt.Domain), " AND "),
+	}, true
 }
 
 // TableNames lists the instance's base tables.

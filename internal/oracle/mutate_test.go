@@ -11,14 +11,15 @@ import (
 
 	"aggview"
 	"aggview/internal/engine"
+	"aggview/internal/faultinject"
 	"aggview/internal/value"
 )
 
-// handCase builds a small deterministic scenario: one keyed table, a
+// handCase builds a small deterministic scenario: one table, a
 // SUM/COUNT view and an AVG view over it, and a step sequence hitting
 // every mutation kind plus interleaved queries.
-func handCase() *MutationCase {
-	base := &Case{
+func handCase() *Case {
+	c := &Case{
 		Tables: []*TableSpec{{
 			Name: "Sales",
 			Cols: []string{"Region", "Amount", "Qty"},
@@ -53,31 +54,34 @@ func handCase() *MutationCase {
 		From:    []string{"Sales"},
 		GroupBy: []string{"Region"},
 	}
-	return &MutationCase{
-		Base: base,
-		Steps: []MutStep{
-			{Kind: StepInsert, Table: "Sales", Rows: [][]value.Value{
-				{value.Str("w"), value.Int(5), value.Int(1)},
-				{value.Str("n"), value.Int(7), value.Int(4)},
-			}},
-			{Kind: StepQuery, Query: &q},
-			{Kind: StepDelete, Table: "Sales", Where: "Amount < 10"},
-			{Kind: StepUpdate, Table: "Sales", Set: "Amount = Amount + 100", Where: "Region = 's'"},
-			{Kind: StepQuery, Query: &q},
-			{Kind: StepDelete, Table: "Sales", Where: "Region = 'w'"},
-			{Kind: StepUpdate, Table: "Sales", Set: "Qty = 9", Where: ""},
-			{Kind: StepQuery, Query: &q},
-		},
+	c.Steps = []Step{
+		{Kind: StepInsert, Table: "Sales", Rows: [][]value.Value{
+			{value.Str("w"), value.Int(5), value.Int(1)},
+			{value.Str("n"), value.Int(7), value.Int(4)},
+		}},
+		{Kind: StepQuery, Query: &q},
+		{Kind: StepDelete, Table: "Sales", Where: "Amount < 10"},
+		{Kind: StepUpdate, Table: "Sales", Set: "Amount = Amount + 100", Where: "Region = 's'"},
+		{Kind: StepQuery, Query: &q},
+		{Kind: StepDelete, Table: "Sales", Where: "Region = 'w'"},
+		{Kind: StepUpdate, Table: "Sales", Set: "Qty = 9", Where: ""},
+		{Kind: StepQuery, Query: &q},
 	}
+	return c
 }
 
 // The deterministic scenario must pass all three passes, maintain both
-// views incrementally, and actually exercise the fault machinery.
+// views incrementally, check its query steps through the rewriter, and
+// actually exercise the fault machinery.
 func TestMutationHandCase(t *testing.T) {
 	mc := handCase()
-	out, err := CheckMutationContext(context.Background(), mc, MutOptions{Faults: []int64{1, 2, 5}})
+	var faults []faultinject.Spec
+	for _, k := range []int64{1, 2, 5} {
+		faults = append(faults, faultinject.Spec{Site: faultinject.SiteMaintain, K: k})
+	}
+	out, err := CheckContext(context.Background(), mc, Options{Faults: faults})
 	if err != nil {
-		t.Fatalf("CheckMutation: %v", err)
+		t.Fatalf("Check: %v", err)
 	}
 	if !out.OK() {
 		for _, v := range out.Violations {
@@ -91,19 +95,29 @@ func TestMutationHandCase(t *testing.T) {
 	if len(out.Modes) != 1 || out.Modes[0] != "incremental" {
 		t.Errorf("Modes = %v, want [incremental]", out.Modes)
 	}
-	if out.Steps != len(mc.Steps) {
-		t.Errorf("Steps = %d, want %d", out.Steps, len(mc.Steps))
+	if out.Rewritings == 0 {
+		t.Error("no query step was checked through a rewriting")
 	}
 	if out.FaultRuns == 0 {
 		t.Error("fault pass ran no injected mutations")
 	}
 }
 
+// TestMutationScriptRoundTrip checks Script → Replay → Script is the
+// identity over the mutation generator's output and the hand scenario:
+// a mutation script replays as itself.
+func TestMutationScriptRoundTrip(t *testing.T) {
+	checkRoundTrips(t, map[string][]roundTripScript{
+		"mutation": generatedScripts(GenerateMutation),
+		"hand":     {{sql: handCase().Script()}},
+	})
+}
+
 // A view of a shape counting deltas cannot maintain is reported under the
 // fallback that decided it, beside the incremental ones.
 func TestMutationModesNameTheFallback(t *testing.T) {
 	mc := handCase()
-	mc.Base.Views = append(mc.Base.Views, &ViewSpec{
+	mc.Views = append(mc.Views, &ViewSpec{
 		Name: "Big",
 		Def: QuerySpec{
 			Select:  []string{"Region", "SUM(Amount)"},
@@ -112,9 +126,9 @@ func TestMutationModesNameTheFallback(t *testing.T) {
 			Having:  []string{"SUM(Amount) > 20"},
 		},
 	})
-	out, err := CheckMutationContext(context.Background(), mc, MutOptions{Readers: -1})
+	out, err := CheckContext(context.Background(), mc, Options{Readers: -1})
 	if err != nil || !out.OK() {
-		t.Fatalf("CheckMutation: %v, %d violations", err, len(out.Violations))
+		t.Fatalf("Check: %v, %d violations", err, len(out.Violations))
 	}
 	if !slices.Equal(out.Modes, []string{"incremental", "recompute:having"}) {
 		t.Errorf("Modes = %v, want [incremental recompute:having] (first seen, views in name order)", out.Modes)
@@ -122,14 +136,14 @@ func TestMutationModesNameTheFallback(t *testing.T) {
 }
 
 // The concurrent pass joins its snapshot readers before it returns: when
-// CheckMutationContext returns no reader is still in a turn, and the
+// CheckContext returns no reader is still in a turn, and the
 // goroutine count is back to its baseline. The concurrent pass runs last
 // (no fault pass), and the table is large enough that a reader turn —
 // two view reads and a prepared plan, each against direct evaluation —
 // takes milliseconds, so an unjoined reader is caught mid-turn.
 func TestMutationConcurrentPassJoinsReaders(t *testing.T) {
 	mc := handCase()
-	sales := mc.Base.Tables[0]
+	sales := mc.Tables[0]
 	for i := 0; i < 20000; i++ {
 		sales.Rows = append(sales.Rows, []value.Value{
 			value.Str([]string{"n", "s", "e"}[i%3]), value.Int(int64(i % 97)), value.Int(int64(i % 5)),
@@ -138,13 +152,13 @@ func TestMutationConcurrentPassJoinsReaders(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		runtime.GC()
 		before := runtime.NumGoroutine()
-		out, err := CheckMutationContext(context.Background(), mc, MutOptions{Readers: 4})
+		out, err := CheckContext(context.Background(), mc, Options{Readers: 4})
 		stacks, inTurn := readersInTurn()
 		if err != nil || !out.OK() {
-			t.Fatalf("CheckMutation: %v, %+v", err, out)
+			t.Fatalf("Check: %v, %+v", err, out)
 		}
 		if inTurn > 0 {
-			t.Fatalf("run %d: %d snapshot readers still in a turn after CheckMutationContext returned\n%s", run, inTurn, stacks)
+			t.Fatalf("run %d: %d snapshot readers still in a turn after CheckContext returned\n%s", run, inTurn, stacks)
 		}
 		// A joined reader may still be on its way out of wg.Done.
 		after := runtime.NumGoroutine()
@@ -153,7 +167,7 @@ func TestMutationConcurrentPassJoinsReaders(t *testing.T) {
 			after = runtime.NumGoroutine()
 		}
 		if after > before {
-			t.Fatalf("run %d: %d goroutines before CheckMutationContext, %d after it returned", run, before, after)
+			t.Fatalf("run %d: %d goroutines before CheckContext, %d after it returned", run, before, after)
 		}
 	}
 }
@@ -172,127 +186,73 @@ func readersInTurn() (string, int) {
 	return stacks, n
 }
 
-// Script → ReplayMutation → Script must be the identity: shrunken
-// repros printed by the soak have to replay verbatim.
-func TestMutationScriptRoundTrip(t *testing.T) {
-	mc := handCase()
-	script := mc.Script()
-	back, err := ReplayMutation(script)
-	if err != nil {
-		t.Fatalf("ReplayMutation: %v\nscript:\n%s", err, script)
-	}
-	if got := back.Script(); got != script {
-		t.Fatalf("round-trip drift:\n--- original ---\n%s\n--- replayed ---\n%s", script, got)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		gen := GenerateMutation(rng, GenOptions{})
-		script := gen.Script()
-		back, err := ReplayMutation(script)
-		if err != nil {
-			t.Fatalf("trial %d: ReplayMutation: %v\nscript:\n%s", trial, err, script)
-		}
-		if got := back.Script(); got != script {
-			t.Fatalf("trial %d: round-trip drift:\n--- original ---\n%s\n--- replayed ---\n%s", trial, script, got)
-		}
-	}
-}
-
-// Mutation scripts must also parse through the single-query Replay
-// entry point: DELETE and UPDATE collapse into the table contents and
-// the last SELECT becomes the case query.
-func TestReplayCollapsesMutations(t *testing.T) {
-	script := "CREATE TABLE T(A, B);\n" +
-		"INSERT INTO T VALUES ('x', 1), ('x', 2), ('y', 3);\n" +
-		"CREATE VIEW V AS SELECT A, SUM(B) FROM T GROUP BY A;\n" +
-		"INSERT INTO T VALUES ('y', 4);\n" +
-		"DELETE FROM T WHERE B < 2;\n" +
-		"UPDATE T SET B = B + 10 WHERE A = 'y';\n" +
-		"SELECT A, SUM(B) FROM T GROUP BY A;\n" +
-		"SELECT A, COUNT(B) FROM T GROUP BY A;\n"
-	c, err := Replay(script)
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	want := [][]value.Value{
-		{value.Str("x"), value.Int(2)},
-		{value.Str("y"), value.Int(13)},
-		{value.Str("y"), value.Int(14)},
-	}
-	got := c.Tables[0].Rows
-	if !engine.ResultsEqualBag(
-		&engine.Relation{Attrs: c.Tables[0].Cols, Tuples: want},
-		&engine.Relation{Attrs: c.Tables[0].Cols, Tuples: got},
-	) {
-		t.Fatalf("collapsed rows = %v, want %v", got, want)
-	}
-	if len(c.Query.Select) != 2 || c.Query.Select[1] != "COUNT(B)" {
-		t.Fatalf("Replay kept query %q, want the last SELECT", c.Query.SQL())
-	}
-	// A checked replayed case must still pass end to end.
-	out, err := CheckContext(context.Background(), c, Options{})
-	if err != nil {
-		t.Fatalf("Check: %v", err)
-	}
-	if !out.OK() {
-		t.Fatalf("replayed case failed: %v", out.Violations)
-	}
-}
-
-// A tampered materialization must be caught, and the shrinker must
-// reduce the scenario to something minimal whose script still replays.
+// A tampered rewriting in a scenario must be caught, and the shrinker
+// must reduce the scenario to one query step over one view whose script
+// still replays, as itself, to a failing case.
 func TestMutationTamperCaughtAndShrinks(t *testing.T) {
 	ctx := context.Background()
 	mc := handCase()
-	opt := MutOptions{
-		Readers: -1, // serial pass only: tampering happens pre-steps
-		Tamper: func(sys *aggview.System) {
-			// The shrinker may have dropped this view from a candidate;
-			// such candidates simply pass.
-			rel, ok := sys.DB.Get("Totals")
-			if !ok {
-				return
-			}
-			bad := &engine.Relation{Attrs: rel.Attrs}
-			for _, row := range rel.Tuples {
-				r := append([]value.Value{}, row...)
-				r[1] = value.Int(r[1].AsInt() + 1)
-				bad.Tuples = append(bad.Tuples, r)
-			}
-			sys.DB.Apply([]engine.Commit{{Name: "Totals", Table: engine.BuildColTable(bad), Silent: true}})
-		},
-	}
-	out, err := CheckMutationContext(ctx, mc, opt)
+	opt := Options{Tamper: tamperAlwaysFail, Readers: -1}
+	out, err := CheckContext(ctx, mc, opt)
 	if err != nil {
-		t.Fatalf("CheckMutation: %v", err)
+		t.Fatalf("Check: %v", err)
 	}
 	if out.OK() {
-		t.Fatal("tampered materialization not caught")
+		t.Fatal("tampered rewriting not caught")
 	}
-	shrunk := ShrinkMutationContext(ctx, mc, opt)
-	if len(shrunk.Steps) != 0 {
-		t.Errorf("shrunk to %d steps, want 0 (tamper fires before any step)", len(shrunk.Steps))
+	shrunk := ShrinkContext(ctx, mc, opt)
+	if len(shrunk.Steps) != 1 || shrunk.Steps[0].Kind != StepQuery {
+		t.Errorf("shrunk to steps %v, want the one query step", shrunk.Steps)
 	}
-	if len(shrunk.Base.Views) != 1 {
-		t.Errorf("shrunk to %d views, want 1", len(shrunk.Base.Views))
+	if len(shrunk.Views) != 1 {
+		t.Errorf("shrunk to %d views, want 1", len(shrunk.Views))
 	}
-	sOut, err := CheckMutationContext(ctx, shrunk, opt)
+	replayed, err := Replay(shrunk.Script())
 	if err != nil {
-		t.Fatalf("CheckMutation(shrunk): %v", err)
-	}
-	if sOut.OK() {
-		t.Fatal("shrunk scenario no longer fails")
-	}
-	if _, err := ReplayMutation(shrunk.Script()); err != nil {
 		t.Fatalf("shrunk script does not replay: %v\n%s", err, shrunk.Script())
+	}
+	if replayed.Script() != shrunk.Script() {
+		t.Fatalf("shrunk script does not replay as itself:\n%s", shrunk.Script())
+	}
+	if sOut, err := CheckContext(ctx, replayed, opt); err != nil || sOut.OK() {
+		t.Fatalf("replayed shrunk scenario no longer fails: %v\n%s", err, shrunk.Script())
+	}
+}
+
+// A maintained view that drifts from its definition is caught: Totals'
+// materialization is corrupted behind the maintainer's back.
+func TestCheckViewsCatchesDivergence(t *testing.T) {
+	ctx := context.Background()
+	c := handCase()
+	sys, err := c.CompileContext(ctx, aggview.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &Outcome{}
+	if err := checkViews(ctx, sys, c.Views, "track", out); err != nil || !out.OK() {
+		t.Fatalf("fresh views diverge: %v %v", err, out.Violations)
+	}
+	rel, _ := sys.DB.Get("Totals")
+	bad := &engine.Relation{Attrs: rel.Attrs}
+	for _, row := range rel.Tuples {
+		r := append([]value.Value{}, row...)
+		r[1] = value.Int(r[1].AsInt() + 1)
+		bad.Tuples = append(bad.Tuples, r)
+	}
+	sys.DB.Apply([]engine.Commit{{Name: "Totals", Table: engine.BuildColTable(bad), Silent: true}})
+	if err := checkViews(ctx, sys, c.Views, "tamper", out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Violations) != 1 || out.Violations[0].Fault != "tamper:view=Totals" || out.Violations[0].Got == nil {
+		t.Fatalf("corrupted view not caught once: %v", out.Violations)
 	}
 }
 
 // A passing scenario must come back from the shrinker untouched.
 func TestShrinkMutationKeepsPassingCase(t *testing.T) {
 	mc := handCase()
-	if got := ShrinkMutationContext(context.Background(), mc, MutOptions{Readers: -1}); got != mc {
-		t.Fatal("ShrinkMutation shrank a passing scenario")
+	if got := ShrinkContext(context.Background(), mc, Options{Readers: -1}); got != mc {
+		t.Fatal("ShrinkContext shrank a passing scenario")
 	}
 }
 
@@ -308,13 +268,13 @@ func TestMutationSoakSlice(t *testing.T) {
 	incremental := 0
 	for trial := 0; trial < trials; trial++ {
 		mc := GenerateMutation(rng, GenOptions{})
-		opt := MutOptions{Faults: []int64{1 + rng.Int63n(4)}}
-		out, err := CheckMutationContext(context.Background(), mc, opt)
+		opt := Options{Faults: []faultinject.Spec{{Site: faultinject.SiteMaintain, K: 1 + rng.Int63n(4)}}}
+		out, err := CheckContext(context.Background(), mc, opt)
 		if err != nil {
-			t.Fatalf("trial %d: CheckMutation: %v", trial, err)
+			t.Fatalf("trial %d: Check: %v", trial, err)
 		}
 		if !out.OK() {
-			shrunk := ShrinkMutationContext(t.Context(), mc, opt)
+			shrunk := ShrinkContext(t.Context(), mc, opt)
 			t.Fatalf("trial %d: %d violations; first: %s\nminimal repro:\n%s",
 				trial, len(out.Violations), out.Violations[0].String(), shrunk.Script())
 		}
@@ -332,7 +292,7 @@ func TestGenerateMutationRespectsKeys(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		mc := GenerateMutation(rng, GenOptions{})
 		keyed := map[string]map[string]bool{}
-		for _, tb := range mc.Base.Tables {
+		for _, tb := range mc.Tables {
 			m := map[string]bool{}
 			for _, k := range tb.Key {
 				m[strings.ToLower(k)] = true

@@ -2,22 +2,20 @@ package oracle
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"aggview/internal/sqlparser"
-	"aggview/internal/value"
 )
 
-// Replay parses a script in the format Script emits — CREATE TABLE,
-// INSERT, CREATE VIEW and a final SELECT — back into a Case, so a
-// failure printed by the test log (or stored in a soak report) can be
-// re-checked verbatim. Mutation-soak scripts also pass through here:
-// DELETE and UPDATE statements are collapsed into the declared table
-// contents (so the Case captures the final instance), and when a
-// script carries several SELECTs the last one becomes the Case query —
-// the state every earlier statement built up is exactly the state that
-// last query ran against.
+// Replay parses a script in the format Script emits back into a Case,
+// so a failure printed by the test log (or stored in a soak report)
+// can be re-checked verbatim. The setup is the leading run of CREATE
+// TABLE and CREATE VIEW statements, an INSERT directly behind its
+// table's CREATE TABLE giving that table's contents; the first other
+// statement starts the steps — INSERT, DELETE, UPDATE or SELECT, each
+// one step — and no CREATE may follow it. A server's slow-query repro
+// (its tables, contents and views, then the SELECT) replays as the
+// same setup and one query step.
 func Replay(script string) (*Case, error) {
 	stmts, err := sqlparser.ParseScript(script)
 	if err != nil {
@@ -25,16 +23,29 @@ func Replay(script string) (*Case, error) {
 	}
 	c := &Case{}
 	byName := map[string]*TableSpec{}
-	sawQuery := false
+	var prev sqlparser.Statement
 	for _, st := range stmts {
+		setup := len(c.Steps) == 0
 		switch x := st.(type) {
 		case *sqlparser.CreateTable:
+			if !setup {
+				return nil, fmt.Errorf("oracle: replay: CREATE TABLE %s after the first step", x.Name)
+			}
 			t := &TableSpec{Name: x.Name, Cols: x.Columns}
 			if len(x.Keys) > 0 {
 				t.Key = x.Keys[0]
 			}
 			c.Tables = append(c.Tables, t)
 			byName[x.Name] = t
+		case *sqlparser.CreateView:
+			if !setup {
+				return nil, fmt.Errorf("oracle: replay: CREATE VIEW %s after the first step", x.Name)
+			}
+			spec, err := specFromSelect(x.Query)
+			if err != nil {
+				return nil, fmt.Errorf("oracle: replay: view %s: %w", x.Name, err)
+			}
+			c.Views = append(c.Views, &ViewSpec{Name: x.Name, Cols: x.Columns, Def: spec})
 		case *sqlparser.Insert:
 			t, ok := byName[x.Table]
 			if !ok {
@@ -45,79 +56,39 @@ func Replay(script string) (*Case, error) {
 					return nil, fmt.Errorf("oracle: replay: %s expects %d values, got %d", t.Name, len(t.Cols), len(row))
 				}
 			}
-			t.Rows = append(t.Rows, x.Rows...)
-		case *sqlparser.CreateView:
-			spec, err := specFromSelect(x.Query)
-			if err != nil {
-				return nil, fmt.Errorf("oracle: replay: view %s: %w", x.Name, err)
+			if ct, ok := prev.(*sqlparser.CreateTable); ok && setup && ct.Name == x.Table {
+				t.Rows = x.Rows
+			} else {
+				c.Steps = append(c.Steps, Step{Kind: StepInsert, Table: x.Table, Rows: x.Rows})
 			}
-			c.Views = append(c.Views, &ViewSpec{Name: x.Name, Cols: x.Columns, Def: spec})
 		case *sqlparser.Delete:
-			t, ok := byName[x.Table]
-			if !ok {
-				return nil, fmt.Errorf("oracle: replay: DELETE from undeclared table %s", x.Table)
+			where := ""
+			if x.Where != nil {
+				where = x.Where.SQL()
 			}
-			if err := collapse(t, x.SQL(), x.Where, nil); err != nil {
-				return nil, err
-			}
+			c.Steps = append(c.Steps, Step{Kind: StepDelete, Table: x.Table, Where: where})
 		case *sqlparser.Update:
-			t, ok := byName[x.Table]
-			if !ok {
-				return nil, fmt.Errorf("oracle: replay: UPDATE of undeclared table %s", x.Table)
+			var sets []string
+			for _, a := range x.Set {
+				sets = append(sets, a.Col+" = "+a.Expr.SQL())
 			}
-			if err := collapse(t, x.SQL(), x.Where, x.Set); err != nil {
-				return nil, err
+			where := ""
+			if x.Where != nil {
+				where = x.Where.SQL()
 			}
+			c.Steps = append(c.Steps, Step{Kind: StepUpdate, Table: x.Table, Set: strings.Join(sets, ", "), Where: where})
 		case *sqlparser.QueryStatement:
 			spec, err := specFromSelect(x.Query)
 			if err != nil {
 				return nil, fmt.Errorf("oracle: replay: query: %w", err)
 			}
-			c.Query = spec
-			sawQuery = true
+			c.Steps = append(c.Steps, Step{Kind: StepQuery, Query: &spec})
 		default:
 			return nil, fmt.Errorf("oracle: replay: unsupported statement %T", st)
 		}
-	}
-	if !sawQuery {
-		return nil, fmt.Errorf("oracle: replay: script has no SELECT statement")
+		prev = st
 	}
 	return c, nil
-}
-
-// collapse folds a DELETE (set nil) or an UPDATE into the table's declared
-// rows by the reference evaluator (eval.go); assignment expressions see
-// the old row values.
-func collapse(t *TableSpec, stmt string, where sqlparser.Expr, set []sqlparser.Assignment) error {
-	setAt := make([]int, len(set))
-	for i, a := range set {
-		setAt[i] = slices.IndexFunc(t.Cols, func(c string) bool { return strings.EqualFold(c, a.Col) })
-		if setAt[i] < 0 {
-			return fmt.Errorf("oracle: replay: %s: unknown column %q", stmt, a.Col)
-		}
-	}
-	kept := t.Rows[:0:0]
-	for _, row := range t.Rows {
-		hit, err := EvalCond(where, t.Cols, row)
-		if err != nil {
-			return fmt.Errorf("oracle: replay: %s: %w", stmt, err)
-		}
-		if hit && set == nil {
-			continue
-		}
-		if hit {
-			old := row
-			row = append([]value.Value{}, old...)
-			for i, a := range set {
-				if row[setAt[i]], err = EvalExpr(a.Expr, t.Cols, old); err != nil {
-					return fmt.Errorf("oracle: replay: %s: %w", stmt, err)
-				}
-			}
-		}
-		kept = append(kept, row)
-	}
-	t.Rows = kept
-	return nil
 }
 
 // specFromSelect converts a parsed single-block SELECT back into clause

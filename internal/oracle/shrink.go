@@ -1,12 +1,17 @@
 package oracle
 
-import "context"
+import (
+	"context"
+	"slices"
+	"strings"
+)
 
-// Shrinking: greedily remove structure — views, clauses, rows, tables —
-// keeping each reduction only when the case still fails. The strategy
-// is a fixpoint of cheap passes rather than delta debugging: cases are
-// small (tens of rows, a handful of clauses), so O(parts · checks)
-// converges in well under the default budget.
+// Shrinking: greedily remove structure — steps, views, clauses, rows,
+// tables — keeping each reduction only when the case still fails. The
+// strategy is a fixpoint of cheap passes rather than delta debugging:
+// cases are small (tens of rows, a handful of clauses, a few dozen
+// steps), so O(parts · checks) converges in well under the default
+// budget.
 
 // shrinkBudget is the default bound on the number of CheckContext calls
 // one ShrinkContext may spend (Options.ShrinkBudget overrides it).
@@ -23,6 +28,11 @@ const shrinkBudget = 400
 // every accepted candidate only removes structure — so a larger budget
 // never yields a larger repro.
 //
+// Each candidate is checked as Replay reads its Script, so the result's
+// script fails under -replay by construction (a case Script renders
+// ambiguously, such as an insert step into an empty table right behind
+// its CREATE TABLE, is checked in the form it replays as).
+//
 // Every candidate check runs under ctx, and once ctx ends no further
 // reductions are attempted — the smallest failing variant found so far
 // is returned.
@@ -31,47 +41,68 @@ func ShrinkContext(ctx context.Context, c *Case, opt Options) *Case {
 	if budget <= 0 {
 		budget = shrinkBudget
 	}
-	fails := func(cand *Case) bool {
+	check := func(cand *Case) *Outcome {
 		if budget <= 0 || ctx.Err() != nil {
-			return false
+			return nil
 		}
 		budget--
-		out, err := CheckContext(ctx, cand, opt)
+		back, err := Replay(cand.Script())
+		if err != nil {
+			return nil
+		}
+		out, err := CheckContext(ctx, back, opt)
 		// A candidate the system rejects outright is not a smaller
 		// repro of the same failure; discard it.
-		return err == nil && !out.OK()
+		if err != nil || out.OK() {
+			return nil
+		}
+		return out
 	}
 	cur := c.Clone()
-	if !fails(cur) {
+	first := check(cur)
+	if first == nil {
 		return c
+	}
+	// Nor is one whose query no longer executes directly after its
+	// mutations, unless that is the failure being shrunk.
+	direct := func(v Violation) bool { return strings.HasPrefix(v.Fault, directTag+":") }
+	keepDirect := slices.ContainsFunc(first.Violations, direct)
+	fails := func(cand *Case) bool {
+		out := check(cand)
+		return out != nil && (keepDirect || !slices.ContainsFunc(out.Violations, direct))
 	}
 	for changed := true; changed && budget > 0; {
 		changed = false
-		if next, ok := shrinkViews(cur, fails); ok {
-			cur, changed = next, true
-		}
-		if next, ok := shrinkQueryClauses(cur, fails); ok {
-			cur, changed = next, true
-		}
-		if next, ok := shrinkViewClauses(cur, fails); ok {
-			cur, changed = next, true
-		}
-		if next, ok := shrinkRows(cur, fails); ok {
-			cur, changed = next, true
-		}
-		if next, ok := shrinkTables(cur, fails); ok {
-			cur, changed = next, true
+		for _, pass := range []func(*Case, func(*Case) bool) (*Case, bool){
+			shrinkSteps, shrinkViews, shrinkClauses, shrinkRows, shrinkTables,
+		} {
+			if next, ok := pass(cur, fails); ok {
+				cur, changed = next, true
+			}
 		}
 	}
 	return cur
 }
 
+// shrinkSteps tries dropping whole steps.
+func shrinkSteps(c *Case, fails func(*Case) bool) (*Case, bool) {
+	return shrinkList(c, fails, func(c *Case) int { return len(c.Steps) },
+		func(c *Case, i int) { c.Steps = append(c.Steps[:i], c.Steps[i+1:]...) })
+}
+
 // shrinkViews tries dropping whole views.
 func shrinkViews(c *Case, fails func(*Case) bool) (*Case, bool) {
+	return shrinkList(c, fails, func(c *Case) int { return len(c.Views) },
+		func(c *Case, i int) { c.Views = append(c.Views[:i], c.Views[i+1:]...) })
+}
+
+// shrinkList tries dropping each element of one of the case's lists,
+// measured by n and cut from a clone by drop.
+func shrinkList(c *Case, fails func(*Case) bool, n func(*Case) int, drop func(*Case, int)) (*Case, bool) {
 	shrunk := false
-	for i := 0; i < len(c.Views); {
+	for i := 0; i < n(c); {
 		cand := c.Clone()
-		cand.Views = append(cand.Views[:i], cand.Views[i+1:]...)
+		drop(cand, i)
 		if fails(cand) {
 			c, shrunk = cand, true
 		} else {
@@ -81,24 +112,23 @@ func shrinkViews(c *Case, fails func(*Case) bool) (*Case, bool) {
 	return c, shrunk
 }
 
-// shrinkQueryClauses tries dropping WHERE/HAVING conjuncts, DISTINCT,
-// select items, and GROUP BY columns (together with the bare select
-// item referencing them) from the query under test.
-func shrinkQueryClauses(c *Case, fails func(*Case) bool) (*Case, bool) {
-	shrunk := false
-	c, ok := shrinkSpec(c, fails, func(cand *Case) *QuerySpec { return &cand.Query })
-	shrunk = shrunk || ok
-	return c, shrunk
-}
-
-// shrinkViewClauses applies the same clause reduction to each view
+// shrinkClauses tries dropping WHERE/HAVING conjuncts, DISTINCT, select
+// items, and GROUP BY columns (together with the bare select item
+// referencing them) from each query step, then from each view
 // definition.
-func shrinkViewClauses(c *Case, fails func(*Case) bool) (*Case, bool) {
-	shrunk := false
+func shrinkClauses(c *Case, fails func(*Case) bool) (*Case, bool) {
+	var sels []func(*Case) *QuerySpec
+	for si := range c.Steps {
+		if c.Steps[si].Kind == StepQuery {
+			sels = append(sels, func(cand *Case) *QuerySpec { return cand.Steps[si].Query })
+		}
+	}
 	for vi := range c.Views {
-		vi := vi
-		next, ok := shrinkSpec(c, fails, func(cand *Case) *QuerySpec { return &cand.Views[vi].Def })
-		if ok {
+		sels = append(sels, func(cand *Case) *QuerySpec { return &cand.Views[vi].Def })
+	}
+	shrunk := false
+	for _, sel := range sels {
+		if next, ok := shrinkSpec(c, fails, sel); ok {
 			c, shrunk = next, true
 		}
 	}
@@ -164,7 +194,9 @@ func shrinkSpec(c *Case, fails func(*Case) bool, sel func(*Case) *QuerySpec) (*C
 	return c, shrunk
 }
 
-// shrinkRows reduces table contents: first by halves, then row by row.
+// shrinkRows reduces table contents, first by halves, then row by row,
+// and the rows of insert steps (keeping one: shrinkSteps drops the
+// whole step).
 func shrinkRows(c *Case, fails func(*Case) bool) (*Case, bool) {
 	shrunk := false
 	for ti := range c.Tables {
@@ -189,26 +221,32 @@ func shrinkRows(c *Case, fails func(*Case) bool) (*Case, bool) {
 			break
 		}
 		// Single-row passes.
-		for i := 0; i < len(c.Tables[ti].Rows); {
-			cand := c.Clone()
-			t := cand.Tables[ti]
-			t.Rows = append(t.Rows[:i], t.Rows[i+1:]...)
-			if fails(cand) {
-				c, shrunk = cand, true
-			} else {
-				i++
-			}
+		next, ok := shrinkList(c, fails, func(c *Case) int { return len(c.Tables[ti].Rows) },
+			func(c *Case, i int) { c.Tables[ti].Rows = append(c.Tables[ti].Rows[:i], c.Tables[ti].Rows[i+1:]...) })
+		c, shrunk = next, shrunk || ok
+	}
+	for si := range c.Steps {
+		if c.Steps[si].Kind != StepInsert {
+			continue
 		}
+		n := func(c *Case) int {
+			if rows := len(c.Steps[si].Rows); rows > 1 {
+				return rows
+			}
+			return 0
+		}
+		next, ok := shrinkList(c, fails, n,
+			func(c *Case, i int) { c.Steps[si].Rows = append(c.Steps[si].Rows[:i], c.Steps[si].Rows[i+1:]...) })
+		c, shrunk = next, shrunk || ok
 	}
 	return c, shrunk
 }
 
-// shrinkTables drops tables the query and views no longer mention.
+// shrinkTables drops tables no view or step mentions anymore.
 func shrinkTables(c *Case, fails func(*Case) bool) (*Case, bool) {
 	shrunk := false
 	for i := 0; i < len(c.Tables); {
-		name := c.Tables[i].Name
-		if mentionsTable(c, name) {
+		if mentionsTable(c, c.Tables[i].Name) {
 			i++
 			continue
 		}
@@ -223,17 +261,20 @@ func shrinkTables(c *Case, fails func(*Case) bool) (*Case, bool) {
 	return c, shrunk
 }
 
+// mentionsTable reports whether a view or a step reads or writes the
+// table, under its own name or an alias.
 func mentionsTable(c *Case, name string) bool {
-	for _, f := range c.Query.From {
-		if f == name {
+	from := func(q *QuerySpec) bool {
+		return slices.ContainsFunc(q.From, func(f string) bool { return f == name || strings.HasPrefix(f, name+" ") })
+	}
+	for _, v := range c.Views {
+		if from(&v.Def) {
 			return true
 		}
 	}
-	for _, v := range c.Views {
-		for _, f := range v.Def.From {
-			if f == name {
-				return true
-			}
+	for _, st := range c.Steps {
+		if st.Table == name || st.Query != nil && from(st.Query) {
+			return true
 		}
 	}
 	return false

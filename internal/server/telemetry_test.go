@@ -149,17 +149,20 @@ func TestSlowQueryLogRoundTrip(t *testing.T) {
 	}
 
 	// Replay the repro offline: parse the script back into an oracle
-	// case, compile it into a fresh system, run the final SELECT, and
+	// case, compile it into a fresh system, run its one SELECT step, and
 	// compare bags against the wire-encoded answer the server stored.
 	cs, err := oracle.Replay(e.Script)
 	if err != nil {
 		t.Fatalf("replay %q: %v", e.Script, err)
 	}
+	if len(cs.Steps) != 1 || cs.Steps[0].Kind != oracle.StepQuery {
+		t.Fatalf("repro replays into %d steps, want the setup and one SELECT:\n%s", len(cs.Steps), e.Script)
+	}
 	fresh, err := cs.CompileContext(context.Background(), aggview.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fresh.QueryContext(ctx, cs.Query.SQL())
+	got, err := fresh.QueryContext(ctx, cs.Steps[0].Query.SQL())
 	if err != nil {
 		t.Fatal(err)
 	}

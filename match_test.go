@@ -178,7 +178,7 @@ func TestMatchEqualsEvalCondGenerated(t *testing.T) {
 		}
 		mc := oracle.GenerateMutation(rand.New(rand.NewSource(seed)), opt)
 		sys := aggview.New()
-		for _, tab := range mc.Base.Tables {
+		for _, tab := range mc.Tables {
 			sys.MustLoad(tab.SQL())
 			if err := sys.SetRelation(tab.Name, tab.Relation()); err != nil {
 				t.Fatal(err)

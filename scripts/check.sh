@@ -18,9 +18,9 @@ TRACE_JSON="$(mktemp /tmp/aggview-trace.XXXXXX.json)"
 LOAD_JSON="$(mktemp /tmp/loadrunner.XXXXXX.json)"
 trap 'rm -f "$VET_JSON" "$LINT_JSON" "$TRACE_JSON" "$LOAD_JSON"' EXIT
 
-# Project-specific static analysis (DESIGN.md section 8): the seven
-# aggvet analyzers guard the determinism (maporder), float-comparison
-# (floateq) and IR-construction (irctor) invariants plus the v2 checks —
+# Project-specific static analysis (DESIGN.md section 8): the six
+# aggvet analyzers guard the determinism (maporder) and float-comparison
+# (floateq) invariants plus the v2 checks —
 # ctx threading on blocking paths (ctxflow), typed-error classification
 # and %w wrapping (errtaxonomy), index-ordered parallel merges
 # (detmerge) and canonical-key escaping (keyescape). The gate is zero
@@ -46,24 +46,27 @@ go test -race -short ./...
 # pool, and leak nothing.
 go test -race -short -run 'Cancel|Budget|FaultInject' ./...
 
-# Short differential-oracle pass (well under 30s): random instances,
-# rewrite-vs-direct multiset equivalence at worker counts 1 and
-# GOMAXPROCS — a group-preserving rewriting's select-project form too
-# (the summary counts them) — with seeded cancellation injection on
-# every trial (-faults defaults to on). One instance in 16 has its anchor table grown
-# to span three storage chunks, so chunk skipping and cross-chunk
-# selections meet generated shapes (the summary line counts them).
-# `make soak` runs the long version.
-go run ./cmd/oraclerunner -seeds 1,2 -n 150 -multichunk 16
+# Differential-oracle gates (DESIGN.md sections 7 and 14): one checker
+# over two generators, well under 30s together. Every case tracks its
+# views and walks its steps. Each query step is executed directly and
+# through every rewriting at worker counts 1 and GOMAXPROCS — a
+# group-preserving rewriting's select-project form too (the summary
+# counts them) — and re-run under seeded faults (-faults defaults to
+# on); each mutation step is followed by re-deriving every view from its
+# definition. One case in 16 has its anchor table grown to span three
+# storage chunks, so chunk skipping, cross-chunk selections and deltas
+# meet generated shapes (the summary line counts them).
+#
+# Query gate: 300 one-query instances. With -wire each query is also
+# answered through the serving stack, cold and warm plan cache, and
+# must stay bag-equal. `make soak` runs the long version.
+go run ./cmd/oraclerunner -seeds 1,2 -n 150 -multichunk 16 -wire
 
-# Mutation-oracle gate (DESIGN.md section 14): 320 seeded scenarios of
-# inserts/deletes/updates/queries over tracked views, each checked
-# serially (views re-derived after every mutation), under concurrent
-# snapshot readers (no torn batches), and with cancellations injected
-# at the maintenance site (exact bag or clean typed abort, pre-state
-# intact, clean retry succeeds), one scenario in 16 over a table of
-# three chunks and more, so deltas share, rewrite and extend chunks.
-# `make mutate` runs the long version.
+# Mutation gate: 320 scenarios of inserts/deletes/updates/queries. Their
+# mutations are also replayed under concurrent snapshot readers (no torn
+# batches) and with cancellations injected at the maintenance site
+# (exact bag or clean typed abort, pre-state intact, clean retry
+# succeeds). `make mutate` runs the long version.
 go run ./cmd/oraclerunner -mutate -seeds 21,22 -n 160 -multichunk 16
 
 # Telemetry gate (DESIGN.md section 13): a seeded in-process workload
