@@ -9,6 +9,7 @@ package aggview_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"aggview"
@@ -18,6 +19,7 @@ import (
 	"aggview/internal/experiments"
 	"aggview/internal/ir"
 	"aggview/internal/maintain"
+	"aggview/internal/obs"
 )
 
 // prepareCase builds the system of one direct-versus-rewritten case at
@@ -277,6 +279,76 @@ func BenchmarkE11MaintainIncremental(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMaintainWarehouse measures the write path over the six
+// tracked views of a 100000-row warehouse — E11 maintains one — with the
+// statements TestWriteCostIsDeltaSized weighs: a 16-row insert, an 8-row
+// delete and an 8-row update of the rows the inserts added. execs/op is
+// what engine.exec counts per timed statement: one maintenance execution
+// per view the write reaches (a DELETE's or UPDATE's match is not an
+// engine.exec).
+func BenchmarkMaintainWarehouse(b *testing.B) {
+	ctx := context.Background()
+	const calls, batch = 100_000, 16
+	sys := warehouse(b, calls)
+	sys.Metrics = obs.NewMetrics()
+	execs := sys.Metrics.Counter("engine.exec")
+	rng := rand.New(rand.NewSource(2))
+	next := calls
+	insert := func() {
+		rows := make([][]aggview.Value, batch)
+		for r := range rows {
+			rows[r] = callRow(rng, next)
+			next++
+		}
+		if err := sys.InsertContext(ctx, "Calls", rows...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// untimed is the executions of the inserts a delete or an update
+	// runs with the timer stopped, which execs/op leaves out.
+	var untimed int64
+	insertUntimed := func(b *testing.B) {
+		b.StopTimer()
+		e0 := execs.Load()
+		insert()
+		untimed += execs.Load() - e0
+		b.StartTimer()
+	}
+	run := func(b *testing.B, write func(i int)) {
+		b.ReportAllocs()
+		e0 := execs.Load()
+		untimed = 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			write(i)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(execs.Load()-e0-untimed)/float64(b.N), "execs/op")
+	}
+	b.Run("insert", func(b *testing.B) { run(b, func(int) { insert() }) })
+	// Each delete and update reaches 8 rows an untimed insert before it
+	// added, so the table neither grows nor shrinks by much.
+	b.Run("delete", func(b *testing.B) {
+		run(b, func(int) {
+			insertUntimed(b)
+			if n, err := sys.DeleteContext(ctx, "Calls", fmt.Sprintf("Call_Id >= %d AND Call_Id < %d", next-8, next)); err != nil || n != 8 {
+				b.Fatalf("deleted %d rows, want 8 (err %v)", n, err)
+			}
+		})
+	})
+	b.Run("update", func(b *testing.B) {
+		run(b, func(i int) {
+			if i%2 == 0 {
+				insertUntimed(b)
+			}
+			lo := next - 16 + 8*(i%2)
+			if n, err := sys.UpdateContext(ctx, "Calls", "Charge = Charge + 1", fmt.Sprintf("Call_Id >= %d AND Call_Id < %d", lo, lo+8)); err != nil || n != 8 {
+				b.Fatalf("updated %d rows, want 8 (err %v)", n, err)
+			}
+		})
+	})
 }
 
 // BenchmarkE12Advise measures the advisor's recommendation pass over the

@@ -76,7 +76,7 @@ func RunMaintenance(ctx context.Context, baseRows, batches, batchSize int) (incr
 	if err != nil {
 		panic(err)
 	}
-	got, _ := m.Materialization("DailyAcct")
+	got, _ := db1.Get("DailyAcct")
 	return incr, reco, engine.MultisetEqual(final, got)
 }
 

@@ -1,0 +1,123 @@
+package maintain
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"aggview/internal/engine"
+	"aggview/internal/ir"
+	"aggview/internal/obs"
+	"aggview/internal/value"
+)
+
+// warehouseViews are the six views the benchmark tracks over Calls, one
+// of them joined with Calling_Plans and two with MIN/MAX outputs.
+var warehouseViews = []struct{ name, sql string }{
+	{"V1", "SELECT Calls.Plan_Id, Plan_Name, Month, Year, SUM(Charge) FROM Calls, Calling_Plans WHERE Calls.Plan_Id = Calling_Plans.Plan_Id GROUP BY Calls.Plan_Id, Plan_Name, Month, Year"},
+	{"VPlanMonth", "SELECT Plan_Id, Month, Year, SUM(Charge), COUNT(Charge) FROM Calls GROUP BY Plan_Id, Month, Year"},
+	{"VCust", "SELECT Cust_Id, SUM(Charge), COUNT(Charge), MAX(Charge) FROM Calls GROUP BY Cust_Id"},
+	{"VSel96", "SELECT Plan_Id, Month, SUM(Charge) FROM Calls WHERE Year = 1996 GROUP BY Plan_Id, Month"},
+	{"VYear", "SELECT Year, SUM(Charge), COUNT(Charge) FROM Calls GROUP BY Year"},
+	{"VRange", "SELECT Plan_Id, Year, MIN(Charge), MAX(Charge) FROM Calls GROUP BY Plan_Id, Year"},
+}
+
+func callRow(rng *rand.Rand, id int) []value.Value {
+	return []value.Value{
+		value.Int(int64(id)), value.Int(int64(rng.Intn(500))), value.Int(int64(rng.Intn(10))),
+		value.Int(int64(1 + rng.Intn(28))), value.Int(int64(1 + rng.Intn(12))), value.Int(int64(1994 + rng.Intn(3))),
+		value.Int(int64(1 + rng.Intn(2000))),
+	}
+}
+
+// TestWritesRunOneDeltaQueryPerView is the write-side twin of the
+// facade's TestServedReadsBoxNothing: over the benchmark's six views,
+// tracking them and then a 16-row insert, an 8-row delete and an 8-row
+// update of Calls each run exactly one engine execution per view — the
+// seed query, then the signed delta query — and read every result as
+// columns, so engine.result.cells_boxed does not move. Before the signed
+// delta table each MIN/MAX output ran a query of its own and a mutation
+// ran its deleted and its inserted rows apart: 9 executions to track,
+// 9 per insert or delete and 18 per update.
+func TestWritesRunOneDeltaQueryPerView(t *testing.T) {
+	ctx := context.Background()
+	cols := []string{"Call_Id", "Cust_Id", "Plan_Id", "Day", "Month", "Year", "Charge"}
+	db := engine.NewDB()
+	plans := engine.NewRelation("Plan_Id", "Plan_Name")
+	for p := int64(0); p < 10; p++ {
+		plans.Add(value.Int(p), value.Str(fmt.Sprintf("plan_%02d", p)))
+	}
+	db.Put("Calling_Plans", plans)
+	rng := rand.New(rand.NewSource(1))
+	calls := engine.NewRelation(cols...)
+	for i := 0; i < 3000; i++ {
+		calls.Tuples = append(calls.Tuples, callRow(rng, i))
+	}
+	db.Put("Calls", calls)
+	reg := ir.NewRegistry()
+	source := ir.MapSource{"Calls": cols, "Calling_Plans": {"Plan_Id", "Plan_Name"}}
+	for _, v := range warehouseViews {
+		def, err := ir.NewViewDef(v.name, ir.MustBuild(v.sql, source))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Add(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := New(db, reg)
+	m.Metrics = obs.NewMetrics()
+	execs, boxed := m.Metrics.Counter("engine.exec"), m.Metrics.Counter("engine.result.cells_boxed")
+	costs := func(what string, f func() error) {
+		t.Helper()
+		e0, b0 := execs.Load(), boxed.Load()
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if n := execs.Load() - e0; n != int64(len(warehouseViews)) {
+			t.Errorf("%s ran %d engine executions, want one per view (%d)", what, n, len(warehouseViews))
+		}
+		if n := boxed.Load() - b0; n != 0 {
+			t.Errorf("%s boxed %d result cells, want 0", what, n)
+		}
+	}
+
+	costs("tracking the six views", func() error {
+		for _, v := range warehouseViews {
+			if inc, err := m.TrackContext(ctx, v.name); err != nil || !inc {
+				return fmt.Errorf("tracking %s: incremental=%v err=%v", v.name, inc, err)
+			}
+		}
+		return nil
+	})
+	inserted := make([][]value.Value, 16)
+	for i := range inserted {
+		inserted[i] = callRow(rng, 3000+i)
+	}
+	costs("a 16-row insert", func() error {
+		return m.ApplyContext(ctx, Mutation{Table: "Calls", Inserts: inserted})
+	})
+	costs("an 8-row delete", func() error {
+		return m.ApplyContext(ctx, Mutation{Table: "Calls", Deletes: inserted[8:]})
+	})
+	updated := make([][]value.Value, 8)
+	for i, row := range inserted[:8] {
+		updated[i] = append([]value.Value{}, row...)
+		updated[i][6] = value.Int(row[6].AsInt() + 1)
+	}
+	costs("an 8-row update", func() error {
+		return m.ApplyContext(ctx, Mutation{Table: "Calls", Deletes: inserted[:8], Inserts: updated})
+	})
+
+	for _, v := range warehouseViews {
+		def, _ := reg.Get(v.name)
+		want, err := engine.NewEvaluator(db, reg).ExecContext(ctx, def.Def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := db.Get(v.name); !engine.MultisetEqual(got, want) {
+			t.Errorf("%s diverged from its definition", v.name)
+		}
+	}
+}

@@ -9,20 +9,28 @@
 // tracked aggregation view carries a multiplicity count n (the number
 // of contributing joined rows) plus per-aggregate auxiliary state:
 // running SUM totals, a float running total for AVG, and a value →
-// multiplicity multiset for MIN/MAX. A mutation batch against one base
-// table is evaluated as two delta queries — the view definition with
-// that table bound to the deleted rows, then to the inserted rows —
-// which is exact when the table occurs exactly once in the definition
-// (joins are bilinear). Deleted contributions subtract: n decreases,
-// sums decrease, and a MIN/MAX whose extremum's multiplicity reaches
-// zero is re-derived by re-scanning the group's surviving value
-// multiset. A group whose n reaches zero leaves the materialization.
-// Views outside the incrementally maintainable class (DISTINCT, HAVING,
-// self-joins over the changed table, MIN/MAX over non-column
-// arguments, dependence through a nested view) fall back to full
-// recomputation — counted on the `maintain.fallback.full` metric and
-// named per view by Maintainer.Mode — so every mutation is always
-// correct.
+// multiplicity multiset for MIN/MAX. A mutation against one base table
+// becomes one signed delta table — its deleted rows with sign −1, its
+// inserted rows with sign +1, the sign an extra column — and each
+// dependent view runs one delta query over it: the definition with that
+// table bound to the delta table, grouped by the view's grouping columns
+// plus its MIN/MAX arguments, selecting SUM(sign × arg) per SUM/AVG and
+// SUM(sign) as the multiplicity. That is exact when the table occurs
+// exactly once in the definition (joins are bilinear). The maintainer
+// reads the result as typed columns and coalesces its finer groups into
+// the view's (Ex. 4.1's move): n and the sums add up, and each MIN/MAX
+// multiset takes a Δcount per value. A MIN/MAX whose extremum's
+// multiplicity reaches zero is re-derived by re-scanning the group's
+// surviving value multiset; a group whose n reaches zero leaves the
+// materialization. Tracking, Resync and a recompute seed the same state
+// from the same query run over the tables themselves, every row signed
+// +1. Groups and multiset values are keyed by cellKey, whose bytes are equal
+// exactly when value.KeyEqual holds. Views outside the incrementally
+// maintainable class (DISTINCT, HAVING, self-joins over the changed
+// table, MIN/MAX over non-column arguments, dependence through a nested
+// view) fall back to full recomputation — counted on the
+// `maintain.fallback.full` metric and named per view by Maintainer.Mode
+// — so every mutation is always correct.
 //
 // Batches apply atomically: every delta evaluation and recomputation
 // runs first, against the pre-mutation state (plus previously staged
@@ -38,7 +46,9 @@ package maintain
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -60,7 +70,9 @@ type Maintainer struct {
 	// Metrics, when set, observes maintenance decisions:
 	// maintain.fallback.full counts full recomputations (shape or
 	// self-join fallbacks), maintain.batch.apply counts committed
-	// batches, maintain.delta.rows counts delta rows merged.
+	// batches, maintain.delta.rows counts delta rows merged. The delta
+	// and recompute evaluations report to it too (engine.exec,
+	// engine.result.cells_boxed, ...).
 	Metrics *obs.Metrics
 	// Workers sizes the worker pools of the delta and recompute
 	// evaluations (0 = serial), like engine.Evaluator.Workers.
@@ -114,12 +126,17 @@ type state struct {
 	// aggs the positions holding aggregate outputs.
 	groupPos []int
 	aggs     []aggOut
-	// aux is the main delta query of an incremental view: group columns,
-	// SUM arguments, and a trailing COUNT(*) for the multiplicity (sumAt
-	// in each aggOut indexes into its select list) — or, for a conjunctive
-	// view, the definition itself.
-	aux *ir.Query
-	nAt int // position of COUNT(*) in aux's select
+	// seed is an incremental view's delta query over the tables
+	// themselves, every row signed +1: the view's group columns, then
+	// its MIN/MAX argument columns (grouped by too), SUM(arg) per
+	// SUM/AVG and a trailing COUNT(*) at nAt — or, for a conjunctive
+	// view, the definition itself. delta holds, per table the
+	// definition reads once (lowercased), the same query with that
+	// table's occurrence carrying the sign column: SUM(sign × arg) and
+	// SUM(sign) — or the definition selecting the sign last.
+	seed  *ir.Query
+	delta map[string]*ir.Query
+	nAt   int
 	// direct counts direct FROM occurrences per lowercased base table;
 	// trans marks every transitive base table; viaView marks tables
 	// whose dependence flows through a nested view (delta-unsafe).
@@ -127,20 +144,18 @@ type state struct {
 	trans   map[string]bool
 	viaView map[string]bool
 	depth   int // nesting depth over other tracked views, for commit order
-	// groups is the counting state of an incremental aggregation view,
-	// keyed by group key (nil for any other view); every row of the
-	// materialization is built from it (touched.row), never by executing
-	// the definition.
-	groups map[string]*group
+	// groups is the counting state of an incremental aggregation view
+	// (nil for any other view); every row of the materialization is built
+	// from it (touched.row), never by executing the definition.
+	groups map[cellKey]*group
 	// tab is the installed materialization.
 	tab *engine.ColTable
 }
 
 type aggOut struct {
-	pos   int // select position in the view definition
-	fn    ir.AggFunc
-	sumAt int       // position of SUM(arg) in aux's select; -1 if unused
-	mm    *ir.Query // MIN/MAX value-multiplicity delta query; nil otherwise
+	pos int // select position in the view definition
+	fn  ir.AggFunc
+	at  int // position in the delta query's select of the SUM (SUM, AVG) or the argument (MIN, MAX); unused for COUNT
 }
 
 // tally is one group's multiplicity and auxiliary aggregate state.
@@ -159,14 +174,32 @@ type group struct {
 
 // aggState is the auxiliary state of one aggregate output in one group.
 type aggState struct {
-	sum  value.Value         // SUM: running total, typed like the engine's fold
-	avg  float64             // AVG: running float total
-	vals map[string]*mmEntry // MIN/MAX: value multiset
+	sum value.Value // SUM: running total, typed like the engine's fold
+	avg float64     // AVG: running float total
+	// vals is a live group's MIN/MAX value multiset; deltas a touched
+	// group's Δcount per value, in the order the batch first met them.
+	vals   map[cellKey]mmEntry
+	deltas []mmDelta
 }
 
 type mmEntry struct {
 	v value.Value
 	n int64
+}
+
+type mmDelta struct {
+	k cellKey
+	mmEntry
+}
+
+// findDelta returns the delta of the value whose key bytes are k, or nil.
+func findDelta(ds []mmDelta, k []byte) *mmDelta {
+	for i := range ds {
+		if string(ds[i].k) == string(k) {
+			return &ds[i]
+		}
+	}
+	return nil
 }
 
 // New builds a maintainer over a database and view registry.
@@ -175,10 +208,10 @@ func New(db *engine.DB, views *ir.Registry) *Maintainer {
 }
 
 // evaluator builds a fresh engine evaluator reading store (nil: the live
-// database).
+// database) and reporting to the maintainer's metrics.
 func (m *Maintainer) evaluator(store engine.Storage) *engine.Evaluator {
 	ev := engine.NewEvaluator(m.db, m.views)
-	ev.Store, ev.Workers = store, m.Workers
+	ev.Store, ev.Workers, ev.Metrics = store, m.Workers, m.Metrics
 	return ev
 }
 
@@ -199,7 +232,7 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 	st.resolveSources(m.views, m.tracked)
 	if st.incremental {
 		st.reason = st.tableFallback()
-		buildAux(st)
+		buildDelta(st)
 	}
 	tab, groups, err := m.rebuild(ctx, st, nil)
 	if err != nil {
@@ -215,12 +248,14 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 // rebuild derives a tracked view's materialization, and the counting
 // state that goes with it, from store (nil: the live database) in full:
 // what TrackContext, a recompute inside a batch and Resync each need. An
-// incremental aggregation view is seeded from its delta queries and its
+// incremental aggregation view is seeded from its seed query and its
 // rows are built from the seeded groups, each as a group a batch creates
-// (touched.row), in the main delta query's group order — the
-// definition's own, the two sharing FROM, WHERE and GROUP BY. Any other
-// view is its definition, executed, and has no groups.
-func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storage) (*engine.ColTable, map[string]*group, error) {
+// (touched.row), in the order the seed query's rows first name them —
+// the definition's own group order: the two share FROM and WHERE, the
+// seed's GROUP BY only refines the definition's, and the engine emits
+// groups in first-appearance order. Any other view is its definition,
+// executed, and has no groups.
+func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storage) (*engine.ColTable, map[cellKey]*group, error) {
 	ev := m.evaluator(store)
 	rel := &engine.Relation{Attrs: append([]string{}, st.def.OutCols...)}
 	if !st.incremental || st.conjunctive {
@@ -235,8 +270,11 @@ func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storag
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, g := range order {
-		rel.Tuples = append(rel.Tuples, (&touched{next: g.tally}).row(st))
+	w := len(st.def.Def.Select)
+	cells := make([]value.Value, len(order)*w)
+	rel.Tuples = make([][]value.Value, len(order))
+	for i, g := range order {
+		rel.Tuples[i] = (&touched{live: g, next: g.tally}).row(st, nil, cells[i*w:(i+1)*w:(i+1)*w])
 	}
 	return engine.BuildColTable(rel), groups, nil
 }
@@ -280,7 +318,7 @@ func classify(def *ir.Query, st *state) Fallback {
 			default:
 				return FallbackComputed
 			}
-			st.aggs = append(st.aggs, aggOut{pos: pos, fn: fn, sumAt: -1})
+			st.aggs = append(st.aggs, aggOut{pos: pos, fn: fn})
 		default:
 			return FallbackComputed
 		}
@@ -341,66 +379,221 @@ func (st *state) resolveSources(views *ir.Registry, tracked map[string]*state) {
 	expand(st.def.Def, false)
 }
 
-// buildAux constructs the delta queries of an incremental view: the main
-// one (group columns, SUM arguments, COUNT(*)) and one value-multiplicity
-// query per MIN/MAX output — or, for a conjunctive view, the definition.
-func buildAux(st *state) {
-	def := st.def.Def
-	if st.conjunctive {
-		st.aux = def
-		return
-	}
-	base := def.Clone()
-	base.Distinct = false
-	base.Having = nil
+// signAttr names the column a delta table carries after the changed
+// table's own: -1 on a deleted row, +1 on an inserted one.
+const signAttr = "sign"
 
-	var sel []ir.SelectItem
-	for _, p := range st.groupPos {
-		sel = append(sel, ir.SelectItem{Expr: base.Select[p].Expr})
+// buildDelta constructs an incremental view's seed query and one delta
+// query per table the definition reads once.
+func buildDelta(st *state) {
+	def := st.def.Def
+	st.seed = def
+	if !st.conjunctive {
+		q := def.Clone()
+		grouped := map[ir.ColID]bool{}
+		for _, g := range q.GroupBy {
+			grouped[g] = true
+		}
+		var sel []ir.SelectItem
+		for _, p := range st.groupPos {
+			sel = append(sel, ir.SelectItem{Expr: q.Select[p].Expr})
+		}
+		for i := range st.aggs {
+			a := &st.aggs[i]
+			if a.fn != ir.AggMin && a.fn != ir.AggMax {
+				continue
+			}
+			col := q.Select[a.pos].Expr.(*ir.Agg).Arg.(*ir.ColRef).Col
+			a.at = len(sel)
+			sel = append(sel, ir.SelectItem{Expr: &ir.ColRef{Col: col}})
+			if !grouped[col] {
+				grouped[col] = true
+				q.GroupBy = append(q.GroupBy, col)
+			}
+		}
+		for i := range st.aggs {
+			a := &st.aggs[i]
+			if a.fn == ir.AggSum || a.fn == ir.AggAvg {
+				a.at = len(sel)
+				sel = append(sel, ir.SelectItem{Expr: &ir.Agg{Func: ir.AggSum, Arg: q.Select[a.pos].Expr.(*ir.Agg).Arg}})
+			}
+		}
+		st.nAt = len(sel)
+		q.Select = append(sel, ir.SelectItem{Expr: &ir.Agg{Func: ir.AggCount, Star: true}})
+		st.seed = q
 	}
-	for i := range st.aggs {
-		a := &st.aggs[i]
-		src := base.Select[a.pos].Expr.(*ir.Agg)
-		switch a.fn {
-		case ir.AggSum, ir.AggAvg:
-			a.sumAt = len(sel)
-			sel = append(sel, ir.SelectItem{Expr: &ir.Agg{Func: ir.AggSum, Arg: src.Arg}})
-		case ir.AggMin, ir.AggMax:
-			arg := src.Arg.(*ir.ColRef)
-			mm := def.Clone()
-			mm.Distinct = false
-			mm.Having = nil
-			var mmSel []ir.SelectItem
-			for _, p := range st.groupPos {
-				mmSel = append(mmSel, ir.SelectItem{Expr: mm.Select[p].Expr})
-			}
-			mmSel = append(mmSel, ir.SelectItem{Expr: &ir.ColRef{Col: arg.Col}})
-			mmSel = append(mmSel, ir.SelectItem{Expr: &ir.Agg{Func: ir.AggCount, Star: true}})
-			mm.Select = mmSel
-			inGroup := false
-			for _, g := range mm.GroupBy {
-				if g == arg.Col {
-					inGroup = true
-				}
-			}
-			if !inGroup {
-				mm.GroupBy = append(mm.GroupBy, arg.Col)
-			}
-			a.mm = mm
+	st.delta = map[string]*ir.Query{}
+	for ti, t := range def.Tables {
+		if name := strings.ToLower(t.Source); st.direct[name] == 1 {
+			st.delta[name] = st.signed(ti)
 		}
 	}
-	st.nAt = len(sel)
-	sel = append(sel, ir.SelectItem{Expr: &ir.Agg{Func: ir.AggCount, Star: true}})
-	base.Select = sel
-	st.aux = base
 }
 
-func keyOf(vals []value.Value) string {
-	key := ""
-	for _, v := range vals {
-		key += v.Key() + "\x00"
+// signed returns the seed query with table occurrence ti read from a
+// delta table: the occurrence gains the sign column, each SUM(arg)
+// becomes SUM(sign × arg) and COUNT(*) becomes SUM(sign) — or, for a
+// conjunctive view, the sign is selected last.
+func (st *state) signed(ti int) *ir.Query {
+	q := st.seed.Clone()
+	sign := ir.ColID(len(q.Columns))
+	q.Columns = append(q.Columns, ir.Column{ID: sign, Table: ti, Pos: len(q.Tables[ti].Cols), Name: signAttr, Attr: signAttr})
+	q.Tables[ti].Cols = append(q.Tables[ti].Cols, sign)
+	if st.conjunctive {
+		q.Select = append(q.Select, ir.SelectItem{Expr: &ir.ColRef{Col: sign}})
+		return q
 	}
-	return key
+	for _, a := range st.aggs {
+		if a.fn == ir.AggSum || a.fn == ir.AggAvg {
+			sum := q.Select[a.at].Expr.(*ir.Agg)
+			q.Select[a.at].Expr = &ir.Agg{Func: ir.AggSum, Arg: &ir.Arith{Op: ir.ArithMul, L: &ir.ColRef{Col: sign}, R: sum.Arg}}
+		}
+	}
+	q.Select[st.nAt].Expr = &ir.Agg{Func: ir.AggSum, Arg: &ir.ColRef{Col: sign}}
+	return q
+}
+
+// signedDelta returns a mutation's deleted and inserted rows as one
+// table: attrs plus the sign column, the deleted rows first.
+func signedDelta(attrs []string, mut Mutation) *engine.ColTable {
+	w := len(attrs) + 1
+	n := len(mut.Deletes) + len(mut.Inserts)
+	cells, rows := make([]value.Value, n*w), make([][]value.Value, 0, n)
+	for _, part := range []struct {
+		rows [][]value.Value
+		sign int64
+	}{{mut.Deletes, -1}, {mut.Inserts, +1}} {
+		for _, r := range part.rows {
+			row := cells[len(rows)*w : (len(rows)+1)*w : (len(rows)+1)*w]
+			copy(row, r)
+			row[w-1] = value.Int(part.sign)
+			rows = append(rows, row)
+		}
+	}
+	return engine.BuildColTable(&engine.Relation{Attrs: append(attrs[:w-1:w-1], signAttr), Tuples: rows})
+}
+
+// cellKey identifies a group by its grouping cells, or a MIN/MAX multiset
+// entry by its value: the cells' canonical bytes, equal exactly when
+// value.KeyEqual holds cell by cell. A numeric within ±2^53 is the bits
+// of its float64 (so 1 and 1.0 are one key, every NaN is one key, and
+// −0 and +0 are two), an int beyond is its own bits under another tag,
+// and a string is length-prefixed, so no cell runs into the next.
+type cellKey string
+
+func appendIntKey(dst []byte, i int64) []byte {
+	if i >= -(1<<53) && i <= 1<<53 {
+		return appendFloatKey(dst, float64(i))
+	}
+	return binary.LittleEndian.AppendUint64(append(dst, 'i'), uint64(i))
+}
+
+func appendFloatKey(dst []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	if math.IsNaN(f) {
+		bits = math.Float64bits(math.NaN())
+	}
+	return binary.LittleEndian.AppendUint64(append(dst, 'n'), bits)
+}
+
+func appendStrKey(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(append(dst, 's'), uint64(len(s))), s...)
+}
+
+func appendBoolKey(dst []byte, b int64) []byte {
+	return append(dst, 'b', byte(b))
+}
+
+// appendValueKey appends a boxed value's key bytes: the same bytes as
+// the typed cell holding it.
+func appendValueKey(dst []byte, v value.Value) []byte {
+	switch v.Kind() {
+	case value.KindFloat:
+		return appendFloatKey(dst, v.AsFloat())
+	case value.KindString:
+		return appendStrKey(dst, v.AsString())
+	case value.KindBool:
+		if v.AsBool() {
+			return appendBoolKey(dst, 1)
+		}
+		return appendBoolKey(dst, 0)
+	}
+	return appendIntKey(dst, v.AsInt())
+}
+
+// cells is one column of one result chunk: its kind and its typed
+// cells (ints for an int or bool column).
+type cells struct {
+	kind   value.Kind
+	ints   []int64
+	floats []float64
+	strs   []string
+}
+
+// value returns cell j as a value.
+func (c *cells) value(j int) value.Value {
+	switch c.kind {
+	case value.KindFloat:
+		return value.Float(c.floats[j])
+	case value.KindString:
+		return value.Str(c.strs[j])
+	case value.KindBool:
+		return value.Bool(c.ints[j] != 0)
+	}
+	return value.Int(c.ints[j])
+}
+
+// appendKey appends cell j's key bytes.
+func (c *cells) appendKey(dst []byte, j int) []byte {
+	switch c.kind {
+	case value.KindFloat:
+		return appendFloatKey(dst, c.floats[j])
+	case value.KindString:
+		return appendStrKey(dst, c.strs[j])
+	case value.KindBool:
+		return appendBoolKey(dst, c.ints[j])
+	}
+	return appendIntKey(dst, c.ints[j])
+}
+
+// eachRow calls fn for every row of a query result, in order, with the
+// typed cells of the chunk holding it and its index there; nothing is
+// boxed but what fn boxes.
+func eachRow(res *engine.ColTable, fn func(cs []cells, j int) error) error {
+	cs := make([]cells, len(res.Attrs()))
+	for k, done, n := 0, 0, res.NumRows(); done < n; k++ {
+		rows := 0
+		for c := range cs {
+			x := &cs[c]
+			x.kind, x.ints, x.floats, x.strs = res.Cells(c, k)
+			rows = len(x.ints) + len(x.floats) + len(x.strs)
+		}
+		for j := 0; j < rows; j++ {
+			if err := fn(cs, j); err != nil {
+				return err
+			}
+		}
+		done += rows
+	}
+	return nil
+}
+
+// groupKey appends the key of row j's first k cells, its group's.
+func groupKey(dst []byte, cs []cells, k, j int) []byte {
+	for c := range cs[:k] {
+		dst = cs[c].appendKey(dst, j)
+	}
+	return dst
+}
+
+// rowValues boxes row j's first k cells: a created group's values, or a
+// conjunctive view's row.
+func rowValues(cs []cells, k, j int) []value.Value {
+	vals := make([]value.Value, k)
+	for c := range vals {
+		vals[c] = cs[c].value(j)
+	}
+	return vals
 }
 
 // InsertContext appends rows to a base table and updates every tracked
@@ -443,24 +636,30 @@ type pending struct {
 	st        *state
 	recompute bool
 	// groups holds the touched groups only (aggregation views).
-	groups map[string]*touched
+	groups map[cellKey]*touched
 	// conjAdd/conjDel are the row deltas of a conjunctive view.
 	conjAdd, conjDel [][]value.Value
 
 	out *staged
-	// keys are the touched groups' keys, sorted — created groups append
-	// their rows in this order — and drop lists the row positions an
-	// incremental aggregation view's vanished groups leave, ascending.
-	keys []string
+	// keys are the touched groups' keys in the order the batch first
+	// touched them — created groups append their rows in this order —
+	// and drop lists the row positions an incremental aggregation view's
+	// vanished groups leave, ascending.
+	keys []cellKey
 	drop []int32
 	// newGroups replaces the counting state after a recompute.
-	newGroups map[string]*group
+	newGroups map[cellKey]*group
+	// buf is the scratch the delta's keys are built in; slab and aggSlab
+	// hand out the touched groups and their aggregate states.
+	buf     []byte
+	slab    []touched
+	aggSlab []aggState
 }
 
 // touched is one group's staged state. next carries the scalars (n,
-// sum, avg) as the batch leaves them; next.aggs[i].vals carries MIN/MAX
-// value multiplicity *deltas*, so staging a group costs its delta, not
-// its multiset.
+// sum, avg) as the batch leaves them; next.aggs[i].deltas carries the
+// MIN/MAX value multiplicity deltas, so staging a group costs its delta,
+// not its multiset.
 type touched struct {
 	live *group // nil when the batch creates the group
 	next tally
@@ -519,11 +718,11 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	tracked := m.sortedTrackedLocked()
 	for _, mut := range muts {
 		key := strings.ToLower(mut.Table)
-		// The mutation's rows as tables of their own, which a dependent
-		// view's delta queries scan in place of the table: built for the
-		// first view that reads them, so a write no tracked view depends on
-		// costs what the engine's own append does.
-		var deleted, inserted *engine.ColTable
+		// The evaluator of the mutation's delta queries, over its signed
+		// delta table in place of the table: built for the first view that
+		// reads it, so a write no tracked view depends on costs what the
+		// engine's own append does.
+		var ev *engine.Evaluator
 		for _, name := range tracked {
 			st := m.tracked[name]
 			if !st.trans[key] {
@@ -531,7 +730,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			}
 			p := pend[name]
 			if p == nil {
-				p = &pending{st: st, groups: map[string]*touched{}}
+				p = &pending{st: st}
 				pend[name] = p
 			}
 			if p.recompute {
@@ -546,15 +745,17 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			if err := budget.Check(ctx, "maintain.delta"); err != nil {
 				return err
 			}
-			if deleted == nil {
-				attrs := overlay[key].base.Attrs()
-				deleted = engine.BuildColTable(&engine.Relation{Attrs: attrs, Tuples: mut.Deletes})
-				inserted = engine.BuildColTable(&engine.Relation{Attrs: attrs, Tuples: mut.Inserts})
+			if len(mut.Deletes)+len(mut.Inserts) == 0 {
+				continue
 			}
-			if err := m.applyDeltaLocked(ctx, p, key, committed, deleted, -1); err != nil {
+			if ev == nil {
+				ev = m.evaluator(&overlayStorage{db: m.db, staged: committed, key: key, delta: signedDelta(overlay[key].base.Attrs(), mut)})
+			}
+			res, err := ev.ExecColumns(ctx, st.delta[key])
+			if err != nil {
 				return err
 			}
-			if err := m.applyDeltaLocked(ctx, p, key, committed, inserted, +1); err != nil {
+			if err := p.absorb(res); err != nil {
 				return err
 			}
 		}
@@ -740,146 +941,126 @@ func (o *overlayStorage) Scan(name string) (*engine.ColTable, bool, error) {
 	return o.db.Scan(name)
 }
 
-// applyDeltaLocked evaluates the view's delta queries with table bound
-// to the delta rows and stages the result into the pending group state
-// with the given sign (+1 insert, -1 delete).
-func (m *Maintainer) applyDeltaLocked(ctx context.Context, p *pending, table string, committed map[string]*staged, delta *engine.ColTable, sign int64) error {
-	if delta.NumRows() == 0 {
-		return nil
-	}
+// absorb coalesces one delta query's result into the pending state: a
+// conjunctive view's rows split by their sign into the rows to add and
+// to remove; an aggregation view's finer groups fold into the view's,
+// their multiplicities and sums adding up and each MIN/MAX multiset
+// taking its argument value's Δcount.
+func (p *pending) absorb(res *engine.ColTable) error {
 	st := p.st
-	ev := m.evaluator(&overlayStorage{db: m.db, staged: committed, key: table, delta: delta})
-
 	if st.conjunctive {
-		res, err := ev.ExecContext(ctx, st.aux)
-		if err != nil {
-			return err
-		}
-		if sign > 0 {
-			p.conjAdd = append(p.conjAdd, res.Tuples...)
-		} else {
-			p.conjDel = append(p.conjDel, res.Tuples...)
-		}
-		return nil
+		w := len(st.def.Def.Select)
+		return eachRow(res, func(cs []cells, j int) error {
+			row := rowValues(cs, w, j)
+			if cs[w].ints[j] > 0 {
+				p.conjAdd = append(p.conjAdd, row)
+			} else {
+				p.conjDel = append(p.conjDel, row)
+			}
+			return nil
+		})
 	}
-
-	k := len(st.groupPos)
-	res, err := ev.ExecContext(ctx, st.aux)
-	if err != nil {
-		return err
+	if p.groups == nil {
+		p.groups, p.keys = make(map[cellKey]*touched, res.NumRows()), make([]cellKey, 0, res.NumRows())
 	}
-	for _, row := range res.Tuples {
-		g := &p.group(row[:k]).next
-		g.n += sign * row[st.nAt].AsInt()
-		if g.n < 0 {
+	p.slab, p.aggSlab = make([]touched, 0, res.NumRows()), make([]aggState, 0, res.NumRows()*len(st.aggs))
+	return eachRow(res, func(cs []cells, j int) error {
+		t := p.group(cs, j)
+		g := &t.next
+		dn := cs[st.nAt].ints[j]
+		if g.n += dn; g.n < 0 {
 			return fmt.Errorf("maintain: negative multiplicity in view %s", st.def.Name)
 		}
 		for i, a := range st.aggs {
-			if a.sumAt < 0 {
-				continue
-			}
-			d := row[a.sumAt]
 			as := &g.aggs[i]
-			// The zero Value is Int(0), the correct additive identity:
-			// int groups stay int and a float delta, which a column a
-			// float widened brings, makes the sum a float; the view's
-			// column widens with it (engine.ColTable.Conform).
-			op := value.Add
-			if sign < 0 {
-				op = value.Sub
-			}
-			s, err := op(as.sum, d)
-			if err != nil {
-				return err
-			}
-			as.sum = s
-			as.avg += float64(sign) * d.AsFloat()
-		}
-	}
-	for i, a := range st.aggs {
-		if a.mm == nil {
-			continue
-		}
-		res, err := ev.ExecContext(ctx, a.mm)
-		if err != nil {
-			return err
-		}
-		for _, row := range res.Tuples {
-			t := p.group(row[:k])
-			as := &t.next.aggs[i]
-			if as.vals == nil {
-				as.vals = map[string]*mmEntry{}
-			}
-			v := row[k]
-			vk := v.Key()
-			e, ok := as.vals[vk]
-			if !ok {
-				e = &mmEntry{v: v}
-				as.vals[vk] = e
-			}
-			e.n += sign * row[k+1].AsInt()
-			if t.liveCount(i, vk)+e.n < 0 {
-				return fmt.Errorf("maintain: negative multiplicity in view %s", st.def.Name)
+			switch a.fn {
+			case ir.AggSum, ir.AggAvg:
+				// The zero Value is Int(0), the correct additive identity:
+				// int groups stay int and a float delta, which a column a
+				// float widened brings, makes the sum a float; the view's
+				// column widens with it (engine.ColTable.Conform).
+				d := cs[a.at].value(j)
+				s, err := value.Add(as.sum, d)
+				if err != nil {
+					return err
+				}
+				as.sum = s
+				as.avg += d.AsFloat()
+			case ir.AggMin, ir.AggMax:
+				p.buf = cs[a.at].appendKey(p.buf[:0], j)
+				d := findDelta(as.deltas, p.buf)
+				if d == nil {
+					as.deltas = append(as.deltas, mmDelta{cellKey(p.buf), mmEntry{v: cs[a.at].value(j)}})
+					d = &as.deltas[len(as.deltas)-1]
+				}
+				d.n += dn
+				if t.liveCount(i, p.buf)+d.n < 0 {
+					return fmt.Errorf("maintain: negative multiplicity in view %s", st.def.Name)
+				}
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// group returns the staged state of the group with the given grouping
-// values, seeding it on first touch with the live group's scalars (a
-// handful of words — never its MIN/MAX multisets).
-func (p *pending) group(groupVals []value.Value) *touched {
-	key := keyOf(groupVals)
-	if t, ok := p.groups[key]; ok {
+// group returns the staged state of row j's group, seeding it on first
+// touch with the live group's scalars (a handful of words — never its
+// MIN/MAX multisets). Finding a group the batch already touched
+// allocates nothing.
+func (p *pending) group(cs []cells, j int) *touched {
+	k := len(p.st.groupPos)
+	p.buf = groupKey(p.buf[:0], cs, k, j)
+	if t, ok := p.groups[cellKey(p.buf)]; ok {
 		return t
 	}
-	t := &touched{live: p.st.groups[key]}
-	t.next.aggs = make([]aggState, len(p.st.aggs))
+	gk := cellKey(p.buf)
+	p.slab = append(p.slab, touched{live: p.st.groups[gk]})
+	t := &p.slab[len(p.slab)-1]
+	na := len(p.aggSlab)
+	p.aggSlab = p.aggSlab[:na+len(p.st.aggs)]
+	t.next.aggs = p.aggSlab[na : na+len(p.st.aggs) : na+len(p.st.aggs)]
 	if t.live == nil {
-		t.next.groupVals = append([]value.Value{}, groupVals...)
+		t.next.groupVals = rowValues(cs, k, j)
 	} else {
 		t.next.groupVals, t.next.n = t.live.groupVals, t.live.n
 		for i, as := range t.live.aggs {
 			t.next.aggs[i] = aggState{sum: as.sum, avg: as.avg}
 		}
 	}
-	p.groups[key] = t
+	p.groups[gk] = t
+	p.keys = append(p.keys, gk)
 	return t
 }
 
-// liveCount returns value key vk's multiplicity in aggregate i's live
-// multiset.
-func (t *touched) liveCount(i int, vk string) int64 {
-	if t.live != nil {
-		if e := t.live.aggs[i].vals[vk]; e != nil {
-			return e.n
-		}
+// liveCount returns the multiplicity of the value whose key bytes are k
+// in aggregate i's live multiset.
+func (t *touched) liveCount(i int, k []byte) int64 {
+	if t.live == nil {
+		return 0
 	}
-	return 0
+	return t.live.aggs[i].vals[cellKey(k)].n
 }
 
 // stageAggregation stages an aggregation view's new materialization as
 // a positional delta over the installed one: touched groups overwrite
-// their row (or drop it at multiplicity zero), new groups append in
-// sorted key order, and untouched rows are not looked at.
+// their row (or drop it at multiplicity zero), new groups append in the
+// order the batch first touched them, and untouched rows are not looked
+// at.
 func (p *pending) stageAggregation() {
 	st := p.st
-	p.keys = make([]string, 0, len(p.groups))
-	for key := range p.groups {
-		p.keys = append(p.keys, key)
-	}
-	sort.Strings(p.keys)
-	var d engine.Delta
-	for _, key := range p.keys {
-		switch t := p.groups[key]; {
+	w := len(st.def.Def.Select)
+	cells := make([]value.Value, len(p.keys)*w)
+	d := engine.Delta{SetAt: make([]int32, 0, len(p.keys)), SetRows: make([][]value.Value, 0, len(p.keys))}
+	for i, gk := range p.keys {
+		tuple := cells[i*w : (i+1)*w : (i+1)*w]
+		switch t := p.groups[gk]; {
 		case t.live != nil && t.next.n > 0:
 			d.SetAt = append(d.SetAt, int32(t.live.pos))
-			d.SetRows = append(d.SetRows, t.row(st))
+			d.SetRows = append(d.SetRows, t.row(st, st.tab, tuple))
 		case t.live != nil:
 			p.drop = append(p.drop, int32(t.live.pos))
 		case t.next.n > 0:
-			d.Append = append(d.Append, t.row(st))
+			d.Append = append(d.Append, t.row(st, nil, tuple))
 		}
 	}
 	sort.Slice(p.drop, func(i, j int) bool { return p.drop[i] < p.drop[j] })
@@ -887,12 +1068,13 @@ func (p *pending) stageAggregation() {
 	p.out = &staged{base: st.tab, delta: d}
 }
 
-// row builds a touched group's output tuple from its staged state: the
-// one definition of a maintained row, for a group a batch patches or
-// creates and for every group of a rebuild alike.
-func (t *touched) row(st *state) []value.Value {
+// row builds a touched group's output tuple into tuple from its staged
+// state: the one definition of a maintained row, for a group a batch
+// patches or creates and for every group of a rebuild alike. tab holds
+// the group's stored row, whose MIN/MAX a batch's deltas patch; with tab
+// nil they are derived from the multiset.
+func (t *touched) row(st *state, tab *engine.ColTable, tuple []value.Value) []value.Value {
 	g := &t.next
-	tuple := make([]value.Value, len(st.def.Def.Select))
 	for i, p := range st.groupPos {
 		tuple[p] = g.groupVals[i]
 	}
@@ -905,8 +1087,8 @@ func (t *touched) row(st *state) []value.Value {
 		case ir.AggAvg:
 			tuple[a.pos] = value.Float(g.aggs[i].avg / float64(g.n))
 		case ir.AggMin, ir.AggMax:
-			if t.live != nil {
-				tuple[a.pos] = t.extremum(i, a.fn, st.tab.Value(t.live.pos, a.pos), true)
+			if tab != nil {
+				tuple[a.pos] = t.extremum(i, a.fn, tab.Value(t.live.pos, a.pos), true)
 			} else {
 				tuple[a.pos] = t.extremum(i, a.fn, value.Value{}, false)
 			}
@@ -921,14 +1103,15 @@ func (t *touched) row(st *state) []value.Value {
 // new) the surviving multiset is re-scanned, which is bounded by the
 // group's distinct values.
 func (t *touched) extremum(i int, fn ir.AggFunc, cur value.Value, hasCur bool) value.Value {
-	deltas := t.next.aggs[i].vals
+	deltas := t.next.aggs[i].deltas
 	better := func(a, b value.Value) bool {
 		c := value.Compare(a, b)
 		return (fn == ir.AggMin && c < 0) || (fn == ir.AggMax && c > 0)
 	}
 	if hasCur {
-		ck := cur.Key()
-		if d := deltas[ck]; d == nil || t.liveCount(i, ck)+d.n > 0 {
+		var buf [16]byte
+		ck := appendValueKey(buf[:0], cur)
+		if d := findDelta(deltas, ck); d == nil || t.liveCount(i, ck)+d.n > 0 {
 			best := cur
 			for _, d := range deltas {
 				if d.n > 0 && better(d.v, best) {
@@ -948,7 +1131,7 @@ func (t *touched) extremum(i int, fn ir.AggFunc, cur value.Value, hasCur bool) v
 	if t.live != nil {
 		for vk, e := range t.live.aggs[i].vals {
 			n := e.n
-			if d := deltas[vk]; d != nil {
+			if d := findDelta(deltas, []byte(vk)); d != nil {
 				n += d.n
 			}
 			if n > 0 {
@@ -956,8 +1139,8 @@ func (t *touched) extremum(i int, fn ir.AggFunc, cur value.Value, hasCur bool) v
 			}
 		}
 	}
-	for vk, d := range deltas {
-		if d.n > 0 && t.liveCount(i, vk) == 0 {
+	for _, d := range deltas {
+		if d.n > 0 && t.liveCount(i, []byte(d.k)) == 0 {
 			consider(d.v)
 		}
 	}
@@ -982,36 +1165,37 @@ func (p *pending) fold(tab *engine.ColTable) {
 		}
 	}
 	created := 0
-	for _, key := range p.keys {
-		t := p.groups[key]
+	for _, gk := range p.keys {
+		t := p.groups[gk]
 		if t.next.n == 0 {
-			delete(st.groups, key)
+			delete(st.groups, gk)
 			continue
 		}
 		g := t.live
 		if g == nil {
 			g = &group{tally{t.next.groupVals, 0, make([]aggState, len(t.next.aggs))}, n0 - len(p.drop) + created}
 			created++
-			st.groups[key] = g
+			st.groups[gk] = g
 		}
 		g.n = t.next.n
 		for i := range g.aggs {
 			as, next := &g.aggs[i], &t.next.aggs[i]
 			as.sum, as.avg = next.sum, next.avg
-			for vk, d := range next.vals {
-				switch e := as.vals[vk]; {
+			for _, d := range next.deltas {
+				switch e, ok := as.vals[d.k]; {
 				case d.n == 0:
-				case e == nil:
+				case !ok:
 					if as.vals == nil {
-						as.vals = map[string]*mmEntry{}
+						as.vals = map[cellKey]mmEntry{}
 					}
-					as.vals[vk] = &mmEntry{v: d.v, n: d.n}
+					as.vals[d.k] = d.mmEntry
 				case e.n+d.n == 0:
 					// Extremum retraction: the stored row was already
 					// rebuilt from the surviving multiset.
-					delete(as.vals, vk)
+					delete(as.vals, d.k)
 				default:
 					e.n += d.n
+					as.vals[d.k] = e
 				}
 			}
 		}
@@ -1019,58 +1203,57 @@ func (p *pending) fold(tab *engine.ColTable) {
 }
 
 // seedGroups builds an incremental aggregation view's counting state by
-// running its delta queries through ev in full. The groups come back by
-// key and in the main query's order, each placed (pos) at its rank in it.
-func seedGroups(ctx context.Context, ev *engine.Evaluator, st *state) ([]*group, map[string]*group, error) {
-	main, err := ev.ExecContext(ctx, st.aux)
+// running its seed query through ev and coalescing the finer groups into
+// the view's. The groups come back by key and in the order the result
+// first names them, each placed (pos) at its rank in it.
+func seedGroups(ctx context.Context, ev *engine.Evaluator, st *state) ([]*group, map[cellKey]*group, error) {
+	res, err := ev.ExecColumns(ctx, st.seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	k := len(st.groupPos)
-	order := make([]*group, len(main.Tuples))
-	groups := make(map[string]*group, len(order))
-	for pos, row := range main.Tuples {
-		g := &group{tally{append([]value.Value{}, row[:k]...), row[st.nAt].AsInt(), make([]aggState, len(st.aggs))}, pos}
+	var order []*group
+	groups := map[cellKey]*group{}
+	var buf []byte
+	err = eachRow(res, func(cs []cells, j int) error {
+		buf = groupKey(buf[:0], cs, k, j)
+		g, seen := groups[cellKey(buf)]
+		if !seen {
+			g = &group{tally{rowValues(cs, k, j), 0, make([]aggState, len(st.aggs))}, len(order)}
+			groups[cellKey(buf)] = g
+			order = append(order, g)
+		}
+		n := cs[st.nAt].ints[j]
+		g.n += n
 		for i, a := range st.aggs {
-			if a.sumAt >= 0 {
-				g.aggs[i].sum = row[a.sumAt]
-				g.aggs[i].avg = row[a.sumAt].AsFloat()
+			as := &g.aggs[i]
+			switch a.fn {
+			case ir.AggSum, ir.AggAvg:
+				d := cs[a.at].value(j)
+				as.avg += d.AsFloat()
+				if seen {
+					var err error
+					if d, err = value.Add(as.sum, d); err != nil {
+						return err
+					}
+				}
+				as.sum = d
+			case ir.AggMin, ir.AggMax:
+				if as.vals == nil {
+					as.vals = map[cellKey]mmEntry{}
+				}
+				buf = cs[a.at].appendKey(buf[:0], j)
+				e, ok := as.vals[cellKey(buf)]
+				if !ok {
+					e.v = cs[a.at].value(j)
+				}
+				e.n += n
+				as.vals[cellKey(buf)] = e
 			}
 		}
-		order[pos], groups[keyOf(row[:k])] = g, g
-	}
-	for i, a := range st.aggs {
-		if a.mm == nil {
-			continue
-		}
-		res, err := ev.ExecContext(ctx, a.mm)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, row := range res.Tuples {
-			g, ok := groups[keyOf(row[:k])]
-			if !ok {
-				return nil, nil, fmt.Errorf("maintain: inconsistent seed for view %s", st.def.Name)
-			}
-			if g.aggs[i].vals == nil {
-				g.aggs[i].vals = map[string]*mmEntry{}
-			}
-			v := row[k]
-			g.aggs[i].vals[v.Key()] = &mmEntry{v: v, n: row[k+1].AsInt()}
-		}
-	}
-	return order, groups, nil
-}
-
-// Materialization returns the maintained relation of a tracked view.
-func (m *Maintainer) Materialization(name string) (*engine.Relation, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.tracked[strings.ToLower(name)]
-	if !ok {
-		return nil, false
-	}
-	return st.tab.Relation(), true
+		return nil
+	})
+	return order, groups, err
 }
 
 // Mode reports how a tracked view is maintained — "incremental"
@@ -1111,7 +1294,7 @@ func (m *Maintainer) Tracks(name string) bool {
 }
 
 // GroupCounts returns a copy of an aggregation view's multiplicity
-// counts by group key — the counting algorithm's core invariant, which
+// counts by group key (a cellKey's bytes) — the counting algorithm's core invariant, which
 // the property tests (insert∘delete = identity) assert on directly.
 func (m *Maintainer) GroupCounts(name string) (map[string]int64, bool) {
 	m.mu.Lock()
@@ -1122,7 +1305,7 @@ func (m *Maintainer) GroupCounts(name string) (map[string]int64, bool) {
 	}
 	out := make(map[string]int64, len(st.groups))
 	for k, g := range st.groups {
-		out[k] = g.n
+		out[string(k)] = g.n
 	}
 	return out, true
 }

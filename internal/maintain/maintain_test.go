@@ -42,10 +42,10 @@ func setup(t *testing.T, viewSQL string) (*Maintainer, *engine.DB, *ir.Registry)
 // evaluation of the definition.
 func check(t *testing.T, m *Maintainer, db *engine.DB, reg *ir.Registry) {
 	t.Helper()
-	got, ok := m.Materialization("V")
-	if !ok {
+	if !m.Tracks("V") {
 		t.Fatal("view not tracked")
 	}
+	got, _ := db.Get("V")
 	v, _ := reg.Get("V")
 	want, err := engine.NewEvaluator(db, reg).ExecContext(context.Background(), v.Def)
 	if err != nil {
@@ -102,7 +102,7 @@ func TestIncrementalJoinView(t *testing.T) {
 	}
 	check(t, m, db, reg)
 	// New groups appear when a new branch's account first transacts.
-	got, _ := m.Materialization("V")
+	got, _ := db.Get("V")
 	if got.Len() != 2 {
 		t.Fatalf("expected 2 branch groups, got %d", got.Len())
 	}
@@ -122,7 +122,7 @@ func TestConjunctiveViewAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
-	got, _ := m.Materialization("V")
+	got, _ := db.Get("V")
 	if got.Len() != 1 {
 		t.Fatalf("only the >10 row should appear: %s", got)
 	}
@@ -145,7 +145,7 @@ func TestAvgIsIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
-	got, _ := m.Materialization("V")
+	got, _ := db.Get("V")
 	if got.Len() != 1 || got.Tuples[0][1].AsFloat() != 15 {
 		t.Fatalf("AVG delta wrong: %s", got)
 	}
@@ -153,7 +153,7 @@ func TestAvgIsIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
-	got, _ = m.Materialization("V")
+	got, _ = db.Get("V")
 	if got.Len() != 1 || got.Tuples[0][1].AsFloat() != 20 {
 		t.Fatalf("AVG delete delta wrong: %s", got)
 	}
@@ -177,7 +177,7 @@ func TestHavingFallsBackToRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
-	got, _ := m.Materialization("V")
+	got, _ := db.Get("V")
 	if got.Len() != 1 {
 		t.Fatalf("group should appear once COUNT exceeds 1: %s", got)
 	}
@@ -224,8 +224,8 @@ func TestErrors(t *testing.T) {
 	if err := m.InsertContext(ctx, "Txns", []value.Value{value.Int(1)}); err == nil {
 		t.Error("arity mismatch should fail")
 	}
-	if _, ok := m.Materialization("V"); ok {
-		t.Error("untracked view should not report a materialization")
+	if m.Tracks("V") {
+		t.Error("untracked view should not report as tracked")
 	}
 	if mode, _ := m.Mode("V"); mode != "" {
 		t.Error("untracked view should not report a mode")

@@ -32,7 +32,7 @@ func TestDeleteAndUpdatePropagate(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
-	got, _ := m.Materialization("V")
+	got, _ := db.Get("V")
 	for _, row := range got.Tuples {
 		if row[0].AsInt() == 0 && row[4].AsInt() != 10 {
 			t.Fatalf("MAX retraction not rescanned: %s", got)
@@ -54,7 +54,7 @@ func TestDeleteAndUpdatePropagate(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, m, db, reg)
-	got, _ = m.Materialization("V")
+	got, _ = db.Get("V")
 	if got.Len() != 1 {
 		t.Fatalf("expected the acct-1 group to disappear: %s", got)
 	}
@@ -178,7 +178,7 @@ func TestInsertDeleteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			before, _ := m.GroupCounts("V")
-			beforeRel, _ := m.Materialization("V")
+			beforeRel, _ := db.Get("V")
 			beforeCopy := &engine.Relation{Attrs: beforeRel.Attrs, Tuples: beforeRel.Tuples}
 
 			for trial := 0; trial < 25; trial++ {
@@ -196,7 +196,7 @@ func TestInsertDeleteIdentity(t *testing.T) {
 				if !reflect.DeepEqual(before, after) {
 					t.Fatalf("insert∘delete changed multiplicity counts:\nbefore %v\nafter  %v", before, after)
 				}
-				got, _ := m.Materialization("V")
+				got, _ := db.Get("V")
 				if !engine.MultisetEqual(got, beforeCopy) {
 					t.Fatalf("insert∘delete changed the materialization")
 				}
@@ -236,7 +236,7 @@ func TestBatchedEqualsSerialDeltas(t *testing.T) {
 				}
 			}
 
-			mBatch, _, _ := setup(t, viewSQL)
+			mBatch, dbBatch, _ := setup(t, viewSQL)
 			mBatch.Workers = workers
 			if _, err := mBatch.TrackContext(ctx, "V"); err != nil {
 				t.Fatal(err)
@@ -257,8 +257,8 @@ func TestBatchedEqualsSerialDeltas(t *testing.T) {
 			}
 			check(t, mSerial, dbSerial, regSerial)
 
-			got, _ := mBatch.Materialization("V")
-			want, _ := mSerial.Materialization("V")
+			got, _ := dbBatch.Get("V")
+			want, _ := dbSerial.Get("V")
 			if !engine.MultisetEqual(got, want) {
 				t.Fatalf("batched vs serial deltas diverged:\nbatched:\n%s\nserial:\n%s", got.Sorted(), want.Sorted())
 			}
@@ -370,7 +370,7 @@ func TestFaultInjectMaintainAtomicBatch(t *testing.T) {
 			t.Fatal("injector never exhausted")
 		}
 		baseBefore, _ := db.Get("Txns")
-		viewBefore, _ := m.Materialization("V")
+		viewBefore, _ := db.Get("V")
 		in := faultinject.New(faultinject.SiteMaintain, k)
 		ctx, cancel := in.Arm(context.Background())
 		err := m.ApplyContext(ctx, mut)
@@ -388,7 +388,7 @@ func TestFaultInjectMaintainAtomicBatch(t *testing.T) {
 			t.Fatalf("fault surfaced as untyped error: %v", err)
 		}
 		baseAfter, _ := db.Get("Txns")
-		viewAfter, _ := m.Materialization("V")
+		viewAfter, _ := db.Get("V")
 		if !engine.MultisetEqual(baseBefore, baseAfter) || !engine.MultisetEqual(viewBefore, viewAfter) {
 			t.Fatalf("aborted batch left partial state at k=%d", k)
 		}

@@ -53,7 +53,7 @@ func TestRebuildEqualsDefinition(t *testing.T) {
 			counts, counted := m.GroupCounts("V")
 			sameAsDefinition := func(when string) {
 				t.Helper()
-				got, _ := m.Materialization("V")
+				got, _ := db.Get("V")
 				if got.Len() != want.Len() {
 					t.Fatalf("%s: %d rows, the definition returns %d", when, got.Len(), want.Len())
 				}
