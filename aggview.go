@@ -591,19 +591,15 @@ func (s *System) query(ctx context.Context, store engine.Storage, sql string) (*
 func (s *System) RewritingsContext(ctx context.Context, sql string) ([]*Rewriting, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
-	q, anon, err := s.parseMulti(sql)
+	st, err := s.statement(sql)
 	if err != nil {
 		return nil, err
 	}
-	flat, err := s.flattenMulti(q, anon)
+	rws, err := s.Rewriter().SearchContext(ctx, st.flat, st.Key)
 	if err != nil {
 		return nil, err
 	}
-	rws, err := s.Rewriter().RewritingsContext(ctx, flat)
-	if err != nil {
-		return nil, err
-	}
-	s.attachAnon(rws, anon)
+	s.attachAnon(rws, st.anon)
 	return rws, nil
 }
 
@@ -662,39 +658,33 @@ func (s *System) PlanContext(ctx context.Context, sql string) (*Rewriting, error
 }
 
 func (s *System) plan(ctx context.Context, sql string) (*Rewriting, error) {
-	q, anon, err := s.parseMulti(sql)
+	st, err := s.statement(sql)
 	if err != nil {
 		return nil, err
 	}
-	q, err = s.flattenMulti(q, anon)
-	if err != nil {
-		return nil, err
-	}
-	_, rw, err := s.planFlat(ctx, "Plan", q, anon)
-	return rw, err
+	return s.planStatement(ctx, "Plan", st)
 }
 
-// planFlat runs the rewrite search over an already flattened query and
+// planStatement runs the rewrite search over a parsed statement and
 // picks the cheapest strategy; a nil rewriting means direct evaluation
 // won (or the candidate budget was exhausted and the search degraded
 // gracefully). A group-preserving pick comes back as the select-project
 // it degenerates to (Rewriting.DropFold): only the one rewriting that
 // will execute pays for the change, and the search, its keys and its
-// closures see the aggregating forms alone. It also returns the query's
-// canonical plan key, which the search derives on its way.
-func (s *System) planFlat(ctx context.Context, op string, flat *ir.Query, anon *ir.Registry) (string, *Rewriting, error) {
+// closures see the aggregating forms alone.
+func (s *System) planStatement(ctx context.Context, op string, st *Statement) (*Rewriting, error) {
 	est := s.estimator()
-	bestCost := est.Estimate(flat)
+	bestCost := est.Estimate(st.flat)
 	var best *Rewriting
-	key, rws, err := s.Rewriter().SearchContext(ctx, flat)
+	rws, err := s.Rewriter().SearchContext(ctx, st.flat, st.Key)
 	if err != nil {
 		if budget.IsExceeded(err) {
 			s.noteFallback(ctx, op)
-			return core.CanonicalKey(flat), nil, nil
+			return nil, nil
 		}
-		return "", nil, err
+		return nil, err
 	}
-	s.attachAnon(rws, anon)
+	s.attachAnon(rws, st.anon)
 	for _, r := range rws {
 		if c := est.Estimate(r.Query); c < bestCost {
 			bestCost, best = c, r
@@ -703,7 +693,7 @@ func (s *System) planFlat(ctx context.Context, op string, flat *ir.Query, anon *
 	if best != nil {
 		best.DropFold()
 	}
-	return key, best, nil
+	return best, nil
 }
 
 // Prepared is an extracted, reusable execution plan: the outcome of one
@@ -739,56 +729,90 @@ func (p *Prepared) Rewritten() bool { return p.rw != nil }
 // when direct evaluation won.
 func (p *Prepared) Rewriting() *Rewriting { return p.rw }
 
-// PlanKey parses and flattens the query and returns its canonical
-// plan-cache key without running the rewrite search. It is the cheap
-// first step of a cached serving path: on a cache hit, parsing the text
-// and computing the key is all the per-request planning work left.
-func (s *System) PlanKey(sql string) (string, error) {
-	q, anon, err := s.parseMulti(sql)
-	if err != nil {
-		return "", err
-	}
-	flat, err := s.flattenMulti(q, anon)
-	if err != nil {
-		return "", err
-	}
-	return core.CanonicalKey(flat), nil
+// Statement is a SELECT compiled against the catalog once: its parse,
+// the flattened form the rewrite search reads, the anonymous views its
+// FROM subqueries were hoisted into, and its canonical plan key. A
+// serving path that misses its plan cache keys the cache with Key and
+// prepares the same Statement, so the text is parsed, flattened and
+// keyed once.
+type Statement struct {
+	// Key is the canonical plan key (core.CanonicalKey of the flattened
+	// query): what Prepared.Key of the statement's plan will be.
+	Key string
+
+	parsed *ir.Query    // the parse; executed when direct evaluation wins
+	flat   *ir.Query    // parsed with logical views and subqueries merged in
+	anon   *ir.Registry // the anonymous views hoisted from FROM subqueries
 }
 
-// PrepareContext extracts an executable plan for the query: it parses,
-// flattens, runs the rewrite search once, picks the cheapest strategy,
-// and packages the result with its cache key and the transitive set of
-// relations it reads. Like PlanContext it degrades gracefully when the
-// search exhausts its candidate budget: the Prepared then executes
-// directly, tagged as a fallback in the request span.
-func (s *System) PrepareContext(ctx context.Context, sql string) (*Prepared, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
-	sp := obs.SpanFrom(ctx)
-	stParse := sp.StartStage("facade.parse")
+// ParseStatement parses and flattens the query and derives its
+// canonical plan key, timed as the facade.parse stage of ctx's request
+// span. Parsing is not cancellable; ctx carries only the span.
+func (s *System) ParseStatement(ctx context.Context, sql string) (*Statement, error) {
+	stage := obs.SpanFrom(ctx).StartStage("facade.parse")
+	defer stage.End(0)
+	return s.statement(sql)
+}
+
+// statement is ParseStatement without the stage.
+func (s *System) statement(sql string) (*Statement, error) {
 	q, anon, err := s.parseMulti(sql)
 	if err != nil {
-		stParse.End(0)
 		return nil, err
 	}
 	flat, err := s.flattenMulti(q, anon)
-	stParse.End(0)
 	if err != nil {
 		return nil, err
 	}
-	stSearch := sp.StartStage("facade.search")
-	key, rw, err := s.planFlat(ctx, "Prepare", flat, anon)
-	stSearch.End(0)
+	return &Statement{Key: core.CanonicalKey(flat), parsed: q, flat: flat, anon: anon}, nil
+}
+
+// PlanKey returns the query's canonical plan-cache key without running
+// the rewrite search: ParseStatement's Key. A caller that goes on to
+// prepare the query on a cache miss should hold the Statement instead
+// and hand it to PrepareStatement, which then parses nothing again.
+func (s *System) PlanKey(sql string) (string, error) {
+	st, err := s.statement(sql)
+	if err != nil {
+		return "", err
+	}
+	return st.Key, nil
+}
+
+// PrepareContext extracts an executable plan for the query: it is
+// ParseStatement followed by PrepareStatement.
+func (s *System) PrepareContext(ctx context.Context, sql string) (*Prepared, error) {
+	st, err := s.ParseStatement(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Key: key, rw: rw}
+	return s.PrepareStatement(ctx, st)
+}
+
+// PrepareStatement runs the rewrite search over a parsed statement once,
+// timed as the facade.search stage of ctx's request span, picks the
+// cheapest strategy, and packages the result with the statement's key
+// and the transitive set of relations it reads. Like PlanContext it
+// degrades gracefully when the search exhausts its candidate budget:
+// the Prepared then executes directly, tagged as a fallback in the
+// request span. st must come from this System's ParseStatement under
+// the catalog it is prepared against.
+func (s *System) PrepareStatement(ctx context.Context, st *Statement) (*Prepared, error) {
+	ctx, cancel := s.opCtx(ctx)
+	defer cancel()
+	stage := obs.SpanFrom(ctx).StartStage("facade.search")
+	rw, err := s.planStatement(ctx, "Prepare", st)
+	stage.End(0)
+	if err != nil {
+		return nil, err
+	}
+	p := &Prepared{Key: st.Key, rw: rw}
 	if rw != nil {
 		p.Used = append([]string{}, rw.Used...)
 		p.reg, err = s.viewsWithAux(rw)
 	} else {
-		p.direct = q
-		p.reg, err = s.mergedViews(anon)
+		p.direct = st.parsed
+		p.reg, err = s.mergedViews(st.anon)
 	}
 	if err != nil {
 		return nil, err
@@ -1034,19 +1058,15 @@ func (s *System) Usability(ctx context.Context, sql string) ([]ViewUsability, er
 func (s *System) Explain(ctx context.Context, sql string) (string, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
-	q, anon, err := s.parseMulti(sql)
-	if err != nil {
-		return "", err
-	}
-	q, err = s.flattenMulti(q, anon)
+	st, err := s.statement(sql)
 	if err != nil {
 		return "", err
 	}
 	est := s.estimator()
 	var b strings.Builder
-	fmt.Fprintf(&b, "query: %s\n", q.SQL())
-	fmt.Fprintf(&b, "  estimated cost: %.0f\n", est.Estimate(q))
-	rws, err := s.Rewriter().RewritingsContext(ctx, q)
+	fmt.Fprintf(&b, "query: %s\n", st.flat.SQL())
+	fmt.Fprintf(&b, "  estimated cost: %.0f\n", est.Estimate(st.flat))
+	rws, err := s.Rewriter().SearchContext(ctx, st.flat, st.Key)
 	if err != nil {
 		return "", err
 	}

@@ -196,6 +196,30 @@ func BenchmarkPrepareCold(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanCold measures what BenchmarkPrepareCold does through the
+// handler and the wire client in process, as bench/'s plan_cold workload
+// sends it: every statement is new text with a new canonical key, so each
+// request is a plan-cache miss that parses, searches and executes.
+func BenchmarkPlanCold(b *testing.B) {
+	ctx := context.Background()
+	sys := warehouse(b, 1000)
+	client := inProcess(b, sys)
+	n := 0 // counts across the runs the framework makes, so no text repeats
+	b.Run("served", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n++
+			resp, err := client.Query(ctx, fmt.Sprintf(paperQMonth, 1994+n%3, 1+n%12, 5000+n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if resp.Cache != "miss" || len(resp.Used) == 0 {
+				b.Fatalf("cold served query: cache=%q used=%v", resp.Cache, resp.Used)
+			}
+		}
+	})
+}
+
 // BenchmarkScanAgg measures the engine's scan-filter-join-fold path on
 // the benchmark's four base_scan shapes over a 100000-row warehouse, at
 // one worker and at two: what a query no view answers costs, and whether

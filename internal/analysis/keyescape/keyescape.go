@@ -10,8 +10,9 @@
 //
 // The analyzer seeds on function names that mark key builders —
 // anything matching (?i)(canonical|plan|cache|view)key — and inside
-// them flags string concatenation operands and string-typed
-// fmt.Sprintf arguments that are not visibly escaped material: a
+// them flags string concatenation operands, string-typed fmt.Sprintf
+// arguments and strings spread into a byte buffer by append(dst, s...)
+// that are not visibly escaped material: a
 // string literal, a call to the escape helper (keyEscape /
 // EscapeKeyPart spellings), a call to an intra-package function whose
 // every string return is escaped material (the framework's
@@ -81,6 +82,11 @@ func checkBuilder(pass *analysis.Pass, facts *analysis.Facts, fn *ast.FuncDecl) 
 				}
 			}
 		case *ast.CallExpr:
+			if arg := appendedString(pass, x); arg != nil && !safeFragment(pass, facts, arg) {
+				pass.Reportf(arg.Pos(),
+					"unescaped fragment %s appended into key in %s; route it through the "+
+						"key-escaping helper (keyEscape)", exprString(arg), fn.Name.Name)
+			}
 			if !isSprintf(x) || len(x.Args) < 2 {
 				return true
 			}
@@ -152,6 +158,22 @@ func markConcat(e ast.Expr, seen map[ast.Node]bool) {
 			markConcat(x.Y, seen)
 		}
 	}
+}
+
+// appendedString returns s of a builtin append(dst, s...) that spreads
+// a string into a byte buffer, else nil.
+func appendedString(pass *analysis.Pass, call *ast.CallExpr) ast.Expr {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || !call.Ellipsis.IsValid() || len(call.Args) != 2 {
+		return nil
+	}
+	if b, ok := pass.ObjectOf(id).(*types.Builtin); !ok || b.Name() != "append" {
+		return nil
+	}
+	if arg := call.Args[1]; isStringExpr(pass, arg) {
+		return arg
+	}
+	return nil
 }
 
 func isSprintf(call *ast.CallExpr) bool {

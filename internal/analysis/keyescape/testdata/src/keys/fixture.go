@@ -48,3 +48,21 @@ func shardCacheKey(id string) string {
 	//aggvet:keyescape id is validated upstream against [A-Za-z0-9_]+ and cannot carry delimiters.
 	return "s|" + id
 }
+
+// planKeyBytes renders into a byte buffer: the table spread in raw is
+// flagged; the escaped predicate, the literal and the single bytes are
+// not.
+func planKeyBytes(dst []byte, table, pred string) []byte {
+	dst = append(dst, "p|"...)
+	dst = append(dst, table...) // want `unescaped fragment table appended`
+	dst = append(dst, '|')
+	return append(dst, keyEscape(pred)...)
+}
+
+// appendParts spreads raw strings but is not a key builder: quiet.
+func appendParts(dst []byte, parts []string) []byte {
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
+}

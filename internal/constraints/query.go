@@ -274,8 +274,9 @@ func Residual(tc *Closure, given Conj, allowed func(Var) bool) (Conj, bool) {
 		return nil, false
 	}
 	// Candidate: the projection of target's closure onto allowed vars.
-	var candidate Conj
-	for _, a := range tc.Atoms() {
+	atoms := tc.Atoms()
+	candidate := make(Conj, 0, len(atoms))
+	for _, a := range atoms {
 		ok := true
 		for _, t := range [2]Term{a.L, a.R} {
 			if !t.IsConst && !allowed(t.V) {
@@ -287,16 +288,17 @@ func Residual(tc *Closure, given Conj, allowed func(Var) bool) (Conj, bool) {
 		}
 	}
 	// Verify: given AND candidate must entail target.
-	combined := append(append(Conj{}, given...), candidate...)
+	combined := make(Conj, 0, len(given)+len(candidate))
+	combined = append(append(combined, given...), candidate...)
 	if !ImpliesAll(combined, target) {
 		return nil, false
 	}
-	// Minimize: drop atoms that stay implied by given and the rest.
-	out := append(Conj{}, candidate...)
+	// Minimize: drop atoms that stay implied by given and the rest. The
+	// closures are transient, so every trial reuses combined's storage:
+	// given stays in place as its prefix and the rest is rewritten.
+	out := candidate
 	for i := 0; i < len(out); {
-		trial := append(Conj{}, given...)
-		trial = append(trial, out[:i]...)
-		trial = append(trial, out[i+1:]...)
+		trial := append(append(combined[:len(given)], out[:i]...), out[i+1:]...)
 		if Close(trial).Implies(out[i]) {
 			out = append(out[:i], out[i+1:]...)
 		} else {

@@ -169,8 +169,8 @@ func referenceKey(q *ir.Query) string {
 	cl := constraints.Close(aggreason.WhereConj(n))
 	var preds []string
 	for _, at := range cl.Atoms() {
-		s := term(at.L) + " " + opKeyName(at.Op) + " " + term(at.R)
-		if f := term(at.R) + " " + opKeyName(at.Op.Flip()) + " " + term(at.L); f < s {
+		s := term(at.L) + " " + keyEscape(at.Op.String()) + " " + term(at.R)
+		if f := term(at.R) + " " + keyEscape(at.Op.Flip().String()) + " " + term(at.L); f < s {
 			s = f
 		}
 		preds = append(preds, s)
@@ -190,7 +190,7 @@ func referenceKey(q *ir.Query) string {
 	}
 	hav := make([]string, len(n.Having))
 	for i, h := range n.Having {
-		hav[i] = keyEscape(n.ExprSQLByName(h.L)) + " " + opKeyName(h.Op) + " " + keyEscape(n.ExprSQLByName(h.R))
+		hav[i] = keyEscape(n.ExprSQLByName(h.L)) + " " + keyEscape(h.Op.String()) + " " + keyEscape(n.ExprSQLByName(h.R))
 	}
 	sort.Strings(hav)
 	srcs := make([]string, len(n.Tables))
@@ -204,7 +204,8 @@ func referenceKey(q *ir.Query) string {
 // golden-case query and of every rewriting the search derives from it
 // (multi-table FROM lists out of canonical order, repeated sources,
 // unsatisfiable and HAVING-bearing queries among them) against the
-// definition, and that the key a rewriting carries is its query's key.
+// definition, that the key a rewriting carries is its query's key, and
+// that a search handed the root's key finds the same rewritings.
 func TestCanonicalKeyMatchesReorderedRendering(t *testing.T) {
 	check := func(q *ir.Query) {
 		t.Helper()
@@ -218,12 +219,22 @@ func TestCanonicalKeyMatchesReorderedRendering(t *testing.T) {
 			rw := gc.rewriter(t)
 			q := buildQ(t, rw, sql)
 			check(q)
-			key, rws, err := rw.SearchContext(context.Background(), q)
+			rws, err := rw.RewritingsContext(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if key != canonicalKey(q) {
-				t.Fatalf("search returned root key %q for %s", key, q.SQL())
+			// A search handed the root's key finds what one deriving it does.
+			keyed, err := rw.SearchContext(context.Background(), q, canonicalKey(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(keyed) != len(rws) {
+				t.Fatalf("keyed search found %d rewritings, unkeyed %d, for %s", len(keyed), len(rws), q.SQL())
+			}
+			for i, r := range rws {
+				if keyed[i].key != r.key {
+					t.Fatalf("rewriting %d of %s: keyed search %q, unkeyed %q", i, q.SQL(), keyed[i].key, r.key)
+				}
 			}
 			for _, r := range rws {
 				check(r.Query)
@@ -238,5 +249,15 @@ func TestCanonicalKeyMatchesReorderedRendering(t *testing.T) {
 	check(ir.MustBuild("SELECT A FROM R1 WHERE B < C AND C < B", tables()))
 	if n == 0 {
 		t.Fatal("no rewritings checked")
+	}
+}
+
+// TestOpKeyNameIsEscaped holds the operator renderings opKeyName spells
+// out to what keyEscape makes of each operator.
+func TestOpKeyNameIsEscaped(t *testing.T) {
+	for op := ir.OpEq; op <= ir.OpGeq; op++ {
+		if got, want := opKeyName(op), keyEscape(op.String()); got != want {
+			t.Errorf("opKeyName(%s) = %q, want %q", op, got, want)
+		}
 	}
 }

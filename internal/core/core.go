@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -171,7 +170,7 @@ func (st *searchTask) candidate() error {
 // context is polled once per analyzed candidate.
 func (rw *Rewriter) RewriteOnceContext(ctx context.Context, q *ir.Query, v *ir.ViewDef) ([]*Rewriting, error) {
 	sp := obs.SpanFrom(ctx)
-	steps, events, err := rw.rewriteOnce(rw.newSearchTask(ctx), rw.newQueryFacts(q), rw.viewFacts(v), eventsFor(sp))
+	steps, events, err := rw.rewriteOnce(rw.newSearchTask(ctx), rw.newQueryFacts(q, ""), rw.viewFacts(v), eventsFor(sp))
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +261,7 @@ func (rw *Rewriter) rewriteOnce(st *searchTask, qf *queryFacts, vf *viewFacts, d
 			record(m, setSem, obs.VerdictReject, conditionOf(err.Error()), err.Error(), nil)
 			return nil
 		}
-		rf := rw.newQueryFacts(r.Query)
+		rf := rw.newQueryFacts(r.Query, "")
 		r.key = rf.key
 		for _, prev := range out {
 			if prev.r.key == r.key {
@@ -362,20 +361,20 @@ func mappingString(vn, qn *ir.Query, m mapping) string {
 // with a typed *budget.Canceled or *budget.Exceeded and no partial
 // result. The context is polled once per analyzed candidate.
 func (rw *Rewriter) RewritingsContext(ctx context.Context, q *ir.Query) ([]*Rewriting, error) {
-	_, out, err := rw.rewritings(rw.newSearchTask(ctx), q)
-	return out, err
+	return rw.rewritings(rw.newSearchTask(ctx), q, "")
 }
 
-// SearchContext is RewritingsContext that also returns q's canonical key
-// (CanonicalKey(q)), which the search derives anyway to seed its dedup
-// set — a caller that needs both, like the facade preparing a plan for
-// the cache, need not derive the key again.
-func (rw *Rewriter) SearchContext(ctx context.Context, q *ir.Query) (key string, rws []*Rewriting, err error) {
-	return rw.rewritings(rw.newSearchTask(ctx), q)
+// SearchContext is RewritingsContext for a caller that already holds
+// q's canonical key (key == CanonicalKey(q)), like the facade preparing
+// a plan it keyed for the cache: the search seeds its dedup set with
+// key instead of rendering it again.
+func (rw *Rewriter) SearchContext(ctx context.Context, q *ir.Query, key string) ([]*Rewriting, error) {
+	return rw.rewritings(rw.newSearchTask(ctx), q, key)
 }
 
-// rewritings returns q's canonical key and its rewritings.
-func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewriting, error) {
+// rewritings returns q's rewritings; key is q's canonical key, or empty
+// to derive it.
+func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query, key string) ([]*Rewriting, error) {
 	limit := rw.Opts.MaxRewritings
 	if limit <= 0 {
 		limit = 128
@@ -393,7 +392,7 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 		cur *Rewriting
 		qf  *queryFacts
 	}
-	root := rw.newQueryFacts(q)
+	root := rw.newQueryFacts(q, key)
 	seen := map[string]bool{root.key: true}
 	var results []*Rewriting
 	frontier := []entry{{&Rewriting{Query: q, key: root.key}, root}}
@@ -423,7 +422,7 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 		// An aborted wave returns no partial results.
 		for _, err := range errs {
 			if err != nil {
-				return "", nil, err
+				return nil, err
 			}
 		}
 		for i := range events {
@@ -476,14 +475,14 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query) (string, []*Rewritin
 						annotateUncommitted(events, i, acceptPos, si)
 					}
 					flush()
-					return root.key, results, nil
+					return results, nil
 				}
 			}
 		}
 		flush()
 		frontier = nextFrontier
 	}
-	return root.key, results, nil
+	return results, nil
 }
 
 // annotateUncommitted marks accept events the MaxRewritings cut left
@@ -570,11 +569,38 @@ func canonicalKeyOf(q *ir.Query, cl *constraints.Closure) string {
 	for i, ti := range perm {
 		srcs[i] = keyEscape(q.Tables[ti].Source)
 	}
-	// The %v slice rendering joins elements with a space and wraps them
-	// in brackets; keyEscape has removed both characters from every
-	// element, so the rendering is unambiguous.
-	return fmt.Sprintf("D=%v S=%v F=%v W=%v G=%v H=%v",
-		q.Distinct, sel, srcs, preds, groups, hav)
+	// Each list renders as fmt's %v renders a []string — its elements
+	// joined with a space and wrapped in brackets; keyEscape has removed
+	// both characters from every element, so the rendering is
+	// unambiguous — into one buffer sized for the whole key.
+	n := len("D=false S= F= W= G= H=")
+	for _, l := range [...][]string{sel, srcs, preds, groups, hav} {
+		n += 2 + len(l)
+		for _, e := range l {
+			n += len(e)
+		}
+	}
+	b := make([]byte, 0, n)
+	b = strconv.AppendBool(append(b, "D="...), q.Distinct)
+	b = appendKeyList(append(b, " S="...), sel)
+	b = appendKeyList(append(b, " F="...), srcs)
+	b = appendKeyList(append(b, " W="...), preds)
+	b = appendKeyList(append(b, " G="...), groups)
+	b = appendKeyList(append(b, " H="...), hav)
+	return string(b)
+}
+
+// appendKeyList appends parts, already escaped, as fmt's %v renders a
+// []string: joined with single spaces inside brackets.
+func appendKeyList(b []byte, parts []string) []byte {
+	b = append(b, '[')
+	for i, p := range parts {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, p...)
+	}
+	return append(b, ']')
 }
 
 // keyEscapeSet lists the characters the canonical-key renderings use
@@ -620,8 +646,20 @@ func termKeyName(names []string, t constraints.Term) string {
 
 // opKeyName renders a comparison operator for the canonical key,
 // escaped (operators contain '=', which is also the key's field
-// separator).
-func opKeyName(op ir.Op) string { return keyEscape(op.String()) }
+// separator). The three that contain it are spelled out escaped, so a
+// key's atoms allocate nothing for their operators;
+// TestOpKeyNameIsEscaped holds them to keyEscape.
+func opKeyName(op ir.Op) string {
+	switch op {
+	case ir.OpEq:
+		return "%3D"
+	case ir.OpLeq:
+		return "<%3D"
+	case ir.OpGeq:
+		return ">%3D"
+	}
+	return keyEscape(op.String())
+}
 
 // canonicalOrder picks a deterministic table permutation: sources in
 // lexicographic order, ties broken by each occurrence's original index

@@ -34,7 +34,10 @@ type queryFacts struct {
 	key string // canonical key of q
 }
 
-func (rw *Rewriter) newQueryFacts(q *ir.Query) *queryFacts {
+// newQueryFacts builds q's facts. key is q's canonical key when the
+// caller already holds it (the root of a search the facade keyed), else
+// empty and derived here.
+func (rw *Rewriter) newQueryFacts(q *ir.Query, key string) *queryFacts {
 	qn := q
 	if !rw.Opts.NoNormalize {
 		qn = aggreason.Normalize(q)
@@ -55,13 +58,16 @@ func (rw *Rewriter) newQueryFacts(q *ir.Query) *queryFacts {
 	if !rw.Opts.NoSetSemantics && rw.Meta != nil && !f.isAgg {
 		f.isSet = keys.IsSetResult(qn, rw.meta())
 	}
-	// The key reads the closure of q's own WHERE; unless normalization
-	// moved a HAVING conjunct that is the closure just computed.
-	keyCl := f.cl
-	if qn != q {
-		keyCl = constraints.CloseCached(aggreason.WhereConj(q))
+	f.key = key
+	if key == "" {
+		// The key reads the closure of q's own WHERE; unless normalization
+		// moved a HAVING conjunct that is the closure just computed.
+		keyCl := f.cl
+		if qn != q {
+			keyCl = constraints.CloseCached(aggreason.WhereConj(q))
+		}
+		f.key = canonicalKeyOf(q, keyCl)
 	}
-	f.key = canonicalKeyOf(q, keyCl)
 	return f
 }
 

@@ -40,7 +40,7 @@ const noMapping = "condition C1: no column mapping exists — the view's table i
 // the context's span.
 func (rw *Rewriter) ExplainUsability(ctx context.Context, q *ir.Query) ([]ViewUsability, error) {
 	st := rw.newSearchTask(ctx)
-	qf := rw.newQueryFacts(q)
+	qf := rw.newQueryFacts(q, "")
 	var out []ViewUsability
 	for _, v := range rw.Views.All() {
 		vf := rw.viewFacts(v)

@@ -63,8 +63,8 @@ type cacheEntry struct {
 // key folds padding away, so a small query can arrive as megabytes of
 // whitespace, and the index holds the raw text outside the meter's
 // count. Together they bound the index at aliasesPerEntry x capacity
-// texts and maxAliasBytes x that many bytes; a longer text takes the
-// PlanKey path every time.
+// texts and maxAliasBytes x that many bytes; a longer text is parsed to
+// its key every time.
 const (
 	aliasesPerEntry = 4
 	maxAliasBytes   = 4 << 10

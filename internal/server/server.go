@@ -315,18 +315,19 @@ func (s *Server) finishSpan(span *obs.Span, tenant string, meter *budget.Meter, 
 
 // resolve turns SQL into a prepared plan through the plan cache: by the
 // statement's exact text when the cache has seen it resolve before, else
-// by parsing it to its canonical key, which the cache then remembers the
-// text under. Caller holds the read lock.
+// by parsing it once to its canonical key, which the cache then
+// remembers the text under; a miss prepares that same parse. Caller
+// holds the read lock.
 func (s *Server) resolve(ctx context.Context, sql string) (*aggview.Prepared, string, error) {
 	if p, ok := s.cache.GetByText(sql); ok {
 		return p, "hit", nil
 	}
-	key, err := s.sys.PlanKey(sql)
+	st, err := s.sys.ParseStatement(ctx, sql)
 	if err != nil {
 		return nil, "", &badQueryError{err}
 	}
-	p, verdict, err := s.cache.GetOrPrepare(ctx, key, func() (*aggview.Prepared, error) {
-		return s.sys.PrepareContext(ctx, sql)
+	p, verdict, err := s.cache.GetOrPrepare(ctx, st.Key, func() (*aggview.Prepared, error) {
+		return s.sys.PrepareStatement(ctx, st)
 	})
 	if err != nil {
 		if !budget.IsTransient(err) {
@@ -334,7 +335,7 @@ func (s *Server) resolve(ctx context.Context, sql string) (*aggview.Prepared, st
 		}
 		return nil, verdict, err
 	}
-	s.cache.AliasText(sql, key)
+	s.cache.AliasText(sql, st.Key)
 	return p, verdict, nil
 }
 

@@ -71,7 +71,9 @@ func TestMetricsTextDeterministic(t *testing.T) {
 
 // TestFlightRecorderEndpoint drives queries through the wire and checks
 // the strict-decoded /debug/flightrec body: every request leaves one
-// span with the facade stages, a cache verdict, and an outcome.
+// span with the facade stages, a cache verdict, and an outcome. The miss
+// has exactly one facade.parse and one facade.search stage; the text
+// hits after it have neither.
 func TestFlightRecorderEndpoint(t *testing.T) {
 	sys := servedSystem(t)
 	c, _ := testClient(t, sys, Config{FlightRecorder: 8})
@@ -109,10 +111,16 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 		if !strings.Contains(joined, "facade.execute") || !strings.Contains(joined, "engine.exec") {
 			t.Errorf("span %d stages = %v, want facade.execute and engine.exec", i, names)
 		}
-		// The cache miss plans (parse + search); hits skip both.
-		hasSearch := strings.Contains(joined, "facade.search")
-		if hasSearch != (sp.Cache == "miss") {
-			t.Errorf("span %d (cache=%s) facade.search present=%v", i, sp.Cache, hasSearch)
+		// The cache miss parses once — the key and the plan come from
+		// one parse — and searches once; the text hits do neither.
+		want := 0
+		if sp.Cache == "miss" {
+			want = 1
+		}
+		for _, stage := range []string{"facade.parse", "facade.search"} {
+			if strings.Count(joined, stage) != want {
+				t.Errorf("span %d (cache=%s) stages = %v, want %d %s", i, sp.Cache, names, want, stage)
+			}
 		}
 	}
 }

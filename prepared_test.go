@@ -2,6 +2,7 @@ package aggview_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"aggview"
@@ -131,5 +132,55 @@ func TestPreparedDeps(t *testing.T) {
 	}
 	if p.Rewritten() && !deps["bycust"] {
 		t.Fatalf("rewritten plan deps %v lack the view", p.Deps)
+	}
+}
+
+// TestStatementKeyIsThePlanKey pins the one key a statement has: the
+// Key ParseStatement derives, PlanKey, and the Key of the plan prepared
+// from either the text or the parsed statement agree, and each is
+// byte-for-byte the rendering of the fmt.Sprintf("D=%v S=%v F=%v W=%v
+// G=%v H=%v") key builder the pre-sized buffer replaced (the literals
+// below are its output). The queries cover a join written out of
+// canonical order, a string constant every key delimiter has to be
+// escaped in, escaped operators, DISTINCT, HAVING, a FROM subquery, an
+// unsatisfiable WHERE and a self-join.
+func TestStatementKeyIsThePlanKey(t *testing.T) {
+	ctx := context.Background()
+	sys := warehouse(t, 50)
+	for _, c := range []struct{ sql, key string }{
+		{fmt.Sprintf(paperQMonth, 1996, 3, 5000),
+			"D=false S=[Plan_Id_1 Plan_Name SUM(Charge)] F=[Calling_Plans Calls] W=[1996 %3D Year 3 %3D Month Month < Year Plan_Id_1 %3D Plan_Id_2] G=[Plan_Id_1 Plan_Name] H=[SUM(Charge) < 5000]"},
+		{"SELECT Plan_Name, SUM(Charge) FROM Calling_Plans, Calls WHERE Calls.Plan_Id = Calling_Plans.Plan_Id AND Plan_Name = 'a b,[c]=d;e%' GROUP BY Plan_Name",
+			"D=false S=[Plan_Name SUM(Charge)] F=[Calling_Plans Calls] W=['a%20b%2C%5Bc%5D%3Dd%3Be%25' %3D Plan_Name Plan_Id_1 %3D Plan_Id_2] G=[Plan_Name] H=[]"},
+		{"SELECT DISTINCT Cust_Id FROM Calls WHERE Charge >= 10 AND Charge <= 20 AND Day <> 7",
+			"D=true S=[Cust_Id] F=[Calls] W=[10 <%3D Charge 20 >%3D Charge 7 <> Day] G=[] H=[]"},
+		{"SELECT Year, AVG(Charge), MIN(Charge) FROM Calls GROUP BY Year HAVING COUNT(Charge) > 3",
+			"D=false S=[Year AVG(Charge) MIN(Charge)] F=[Calls] W=[] G=[Year] H=[COUNT(Charge) > 3]"},
+		{"SELECT x.Plan_Id, SUM(x.Charge) FROM (SELECT Plan_Id, Charge FROM Calls WHERE Year = 1995) x GROUP BY x.Plan_Id",
+			"D=false S=[Plan_Id SUM(Charge)] F=[Calls] W=[1995 %3D Year] G=[Plan_Id] H=[]"},
+		{"SELECT Cust_Id FROM Calls WHERE Charge < 1 AND Charge > 2",
+			"D=false S=[Cust_Id] F=[Calls] W=[FALSE] G=[] H=[]"},
+		{"SELECT a.Cust_Id, b.Charge FROM Calls a, Calls b WHERE a.Cust_Id = b.Cust_Id AND a.Day < b.Day",
+			"D=false S=[Cust_Id_1 Charge_2] F=[Calls Calls] W=[Cust_Id_1 %3D Cust_Id_2 Day_1 < Day_2] G=[] H=[]"},
+	} {
+		st, err := sys.ParseStatement(ctx, c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := sys.PlanKey(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromText, err := sys.PrepareContext(ctx, c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromStatement, err := sys.PrepareStatement(ctx, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Key != c.key || key != c.key || fromText.Key != c.key || fromStatement.Key != c.key {
+			t.Errorf("%s\n statement %q\n   PlanKey %q\n  prepared %q / %q\n      want %q", c.sql, st.Key, key, fromText.Key, fromStatement.Key, c.key)
+		}
 	}
 }
