@@ -155,8 +155,14 @@ func (b *Batch) with(n int, sel [][]int32) *Batch {
 // pick returns the batch whose logical row k is b's logical row rows[k],
 // composing rows onto the selections of the bound tables tabs — index
 // vectors only, drawn through the task and charged to the memory budget
-// at site.
+// at site. A nil rows is every row of b in order: the selections are
+// shared rather than composed, and charged as the composed copies would
+// be, so a budget trips at the same point whichever way the rows came.
 func (b *Batch) pick(t *task, ev *Evaluator, site string, rows []int32, tabs []int) (*Batch, error) {
+	n := len(rows)
+	if rows == nil {
+		n = b.n
+	}
 	sel := make([][]int32, len(b.sel))
 	for _, ti := range tabs {
 		old := b.sel[ti]
@@ -164,14 +170,18 @@ func (b *Batch) pick(t *task, ev *Evaluator, site string, rows []int32, tabs []i
 			sel[ti] = rows
 			continue
 		}
-		if err := t.allocBytes(ev, site, 4*int64(len(rows))); err != nil {
+		if err := t.allocBytes(ev, site, 4*int64(n)); err != nil {
 			return nil, err
 		}
-		c := t.i32(len(rows))
+		if rows == nil {
+			sel[ti] = old
+			continue
+		}
+		c := t.i32(n)
 		for k, i := range rows {
 			c[k] = old[i]
 		}
 		sel[ti] = c
 	}
-	return b.with(len(rows), sel), nil
+	return b.with(n, sel), nil
 }

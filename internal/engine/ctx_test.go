@@ -12,6 +12,7 @@ import (
 	"aggview/internal/budget"
 	"aggview/internal/faultinject"
 	"aggview/internal/ir"
+	"aggview/internal/obs"
 )
 
 // ctxFixture builds a database large enough that every kernel crosses
@@ -30,8 +31,14 @@ func ctxFixture(t *testing.T) (*DB, *ir.Registry, ir.SchemaSource) {
 		s.Add(iv(int64(i%13)), iv(int64(i%97)))
 	}
 	db.Put("R2", s)
+	// Dim's keys are distinct, so a join laying it out is a lookup.
+	d := NewRelation("K", "L")
+	for i := 0; i < 5000; i++ {
+		d.Add(iv(int64(i)), iv(int64(i%7)))
+	}
+	db.Put("Dim", d)
 
-	tables := ir.MapSource{"R1": {"A", "B"}, "R2": {"C", "D"}}
+	tables := ir.MapSource{"R1": {"A", "B"}, "R2": {"C", "D"}, "Dim": {"K", "L"}}
 	reg := ir.NewRegistry()
 	vd, err := ir.NewViewDef("VSum", ir.MustBuild("SELECT A, SUM(B) FROM R1 GROUP BY A", tables))
 	if err != nil {
@@ -50,6 +57,10 @@ func ctxQueries(t *testing.T, source ir.SchemaSource) []*ir.Query {
 		ir.MustBuild("SELECT A, SUM(B), COUNT(B) FROM R1 GROUP BY A", source),
 		ir.MustBuild("SELECT r.A, s.D FROM R1 r, R2 s WHERE r.A = s.C AND r.B < 500", source),
 		ir.MustBuild("SELECT A, sum_B FROM VSum WHERE sum_B > 0", source),
+		// R1's filter keeps 5000 rows, tying Dim's 5000: Dim, the incoming
+		// table, is laid out and R1 is walked through its selection, every
+		// row matching one Dim row.
+		ir.MustBuild("SELECT r.B, d.L FROM R1 r, Dim d WHERE r.A = d.K AND r.B >= 5000", source),
 	}
 }
 
@@ -316,4 +327,47 @@ func TestEvaluatorSharedAcrossQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestLookupJoinCharges pins what ctxQueries' lookup join charges, as
+// the counting-sort join charged it before the lookup path existed: the
+// rows every site saw, all the bytes held, and the bytes charged at
+// join — its pairs and R1's selection composed through them — which a
+// memory budget just under the total finds at join and one just under
+// the join's share finds before it. The totals repeat at every worker
+// count.
+func TestLookupJoinCharges(t *testing.T) {
+	db, reg, source := ctxFixture(t)
+	q := ctxQueries(t, source)[4]
+	// Measured before the lookup path existed. Rows: Dim's 5000 and the
+	// 5904 of R1's chunks that its filter cannot skip at scan, then 5000
+	// each at join.build, join.probe and project. Bytes: the two table
+	// images, R1's 5000-row selection and 12 B a pair at join.
+	const rows, mem, join = 25904, 320000, 60000
+	for _, workers := range []int{1, 0} {
+		m := budget.NewMeter(budget.Limits{MaxRows: 1 << 40, MaxMemBytes: 1 << 40})
+		ev := NewEvaluator(db, reg)
+		ev.Workers, ev.Metrics = workers, obs.NewMetrics()
+		if _, err := ev.ExecContext(budget.WithMeter(context.Background(), m), q); err != nil {
+			t.Fatal(err)
+		}
+		if n := ev.Metrics.Counter("engine.join.lookups").Load(); n != 1 {
+			t.Fatalf("workers %d: engine.join.lookups = %d, want 1", workers, n)
+		}
+		if m.Rows() != rows || m.Mem() != mem {
+			t.Fatalf("workers %d: charged %d rows and %d bytes, want %d and %d", workers, m.Rows(), m.Mem(), rows, mem)
+		}
+	}
+	tripsAt := func(limit int64, join bool) {
+		t.Helper()
+		m := budget.NewMeter(budget.Limits{MaxMemBytes: limit})
+		_, err := NewEvaluator(db, reg).ExecContext(budget.WithMeter(context.Background(), m), q)
+		var e *budget.Exceeded
+		if !errors.As(err, &e) || e.Resource != "memory" || (e.Site == "join") != join {
+			t.Fatalf("limit %d: got %v, want a memory Exceeded at join: %v", limit, err, join)
+		}
+	}
+	tripsAt(mem-1, true)
+	tripsAt(mem-join, true)
+	tripsAt(mem-join-1, false)
 }

@@ -16,6 +16,7 @@ type evMetrics struct {
 	aggDirect, aggHashed                   *obs.Counter // morsels grouped through the direct table / a hash index
 	joinProbe, joinRows                    *obs.Counter
 	joinDirect, joinHashed                 *obs.Counter // keyed joins numbering keys by direct address / by hashing
+	joinLookups                            *obs.Counter // keyed joins whose laid-out side has distinct keys
 	joinBuildRows                          *obs.Histogram
 	// Rows the exported entry points returned, and the cells of them
 	// ExecContext boxed into tuples (ExecColumns boxes none).
@@ -55,6 +56,7 @@ func (ev *Evaluator) metrics() *evMetrics {
 		aggHashed:     m.Counter("engine.agg.morsels_hashed"),
 		joinDirect:    m.Counter("engine.join.keys_direct"),
 		joinHashed:    m.Counter("engine.join.keys_hashed"),
+		joinLookups:   m.Counter("engine.join.lookups"),
 		joinProbe:     m.Counter("engine.join.probe"),
 		joinRows:      m.Counter("engine.join.rows"),
 		joinBuildRows: m.Histogram("engine.join.build_rows"),

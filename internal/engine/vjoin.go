@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"aggview/internal/ir"
 	"aggview/internal/value"
@@ -71,7 +72,9 @@ type joinKeys struct {
 	ids   []int32  // slot (hash) or key - lo (direct): key id + 1, 0 empty
 	tab   *[]int32 // the pooled buffer behind a direct ids
 	byKey map[string]int32
-	n     int
+	n     int32
+	// missed counts the probe rows lookupPairs found no match for.
+	missed atomic.Int32
 }
 
 // newJoinKeys returns an empty numbering for a build side of rows rows;
@@ -122,7 +125,7 @@ func (jk *joinKeys) intIDs(xs []int64, idx []int32, out []int32, add bool) {
 			}
 			if add && ids[s] == 0 {
 				jk.n++
-				ids[s] = int32(jk.n)
+				ids[s] = jk.n
 			}
 			out[j] = ids[s] - 1
 		}
@@ -137,7 +140,7 @@ func (jk *joinKeys) intIDs(xs []int64, idx []int32, out []int32, add bool) {
 		}
 		if add && ids[s] == 0 {
 			jk.n++
-			keys[s], ids[s] = x, int32(jk.n)
+			keys[s], ids[s] = x, jk.n
 		}
 		out[j] = ids[s] - 1
 	}
@@ -151,17 +154,16 @@ func (jk *joinKeys) bytesID(key []byte, add bool) int32 {
 	if !add {
 		return -1
 	}
-	jk.byKey[string(key)] = int32(jk.n)
+	jk.byKey[string(key)] = jk.n
 	jk.n++
-	return int32(jk.n - 1)
+	return jk.n - 1
 }
 
-// joinSide is one input of a keyed join: the batch, which of each pair's
-// columns is its own, and the site its rows are charged at.
+// joinSide is one input of a keyed join: the batch and which of each
+// pair's columns is its own.
 type joinSide struct {
 	b    *Batch
 	cols []ir.ColID
-	site string
 }
 
 // morselIDs writes the key id of each row of the side's morsel [lo, hi)
@@ -201,7 +203,8 @@ func (s joinSide) keyCols() []*column {
 // predicates in keys; with no keys it degrades to a cross product
 // (left-major: it has no probe). Nothing is copied but row indices: the
 // matched pairs (joinPairs) are composed onto the selections of both
-// inputs.
+// inputs, and a nil side of them — a lookup join whose walked input
+// matched row for row — keeps that input's selection as it stands.
 func (ev *Evaluator) hashJoinBatch(t *task, left, right *Batch, joined []int, keys []ir.Pred, next int) (*Batch, error) {
 	mt := ev.metrics()
 	mt.joinProbe.Add(int64(left.n))
@@ -217,12 +220,12 @@ func (ev *Evaluator) hashJoinBatch(t *task, left, right *Batch, joined []int, ke
 		if err := t.allocBytes(ev, "join", 8*int64(left.n)*int64(right.n)); err != nil {
 			return nil, err
 		}
-		lIdx, rIdx = t.i32(left.n*right.n), t.i32(left.n*right.n)
+		cl, cr := t.i32(left.n*right.n), t.i32(left.n*right.n)
 		err := ev.morselRun(t, "join.cross", ev.workersFor(left.n), allMorsels(left.n), func(_ *scratch, _, lo, hi int) error {
 			o := lo * right.n
 			for i := lo; i < hi; i++ {
 				for j := 0; j < right.n; j++ {
-					lIdx[o], rIdx[o] = int32(i), int32(right.phys(next, j))
+					cl[o], cr[o] = int32(i), int32(right.phys(next, j))
 					o++
 				}
 			}
@@ -231,9 +234,9 @@ func (ev *Evaluator) hashJoinBatch(t *task, left, right *Batch, joined []int, ke
 		if err != nil {
 			return nil, err
 		}
+		lIdx, rIdx = cl, cr
 	default:
-		l := joinSide{b: left, site: "join.probe"}
-		r := joinSide{b: right, site: "join.build"}
+		l, r := joinSide{b: left}, joinSide{b: right}
 		for _, p := range keys {
 			lc, rc := p.L.Col, p.R.Col
 			if left.tabOf(lc) == next {
@@ -263,29 +266,32 @@ func (ev *Evaluator) hashJoinBatch(t *task, left, right *Batch, joined []int, ke
 // table counts as the smaller when the two are equal). So the large
 // table's side of the pairs ascends, a morsel of joined rows reads a
 // chunk or two of it, and what is laid out per key is the small side: its
-// distinct keys are numbered serially (joinKeys), a counting sort lays
-// its rows out per key id in row order (a CSR: one offset per key plus
-// one row array, no per-key slices), the larger input looks its rows' key
-// ids up morsel-parallel, and the emission walks them. Which input is
-// the larger is a property of the data, so the order is the same at
-// every worker count.
+// distinct keys are numbered serially (joinKeys) and the larger input
+// looks its rows' key ids up morsel-parallel. When every row of the
+// smaller input has a key of its own, key id j is its row j and the probe
+// writes the pairs itself (lookupPairs); otherwise a counting sort lays
+// the smaller input's rows out per key id in row order (a CSR: one offset
+// per key plus one row array, no per-key slices) and the emission walks
+// the ids the probe wrote. Which input is the larger, and which path
+// runs, are properties of the data, so the order is the same at every
+// worker count.
 func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int32, error) {
 	small, big := r, l
 	if l.b.n < r.b.n {
 		small, big = l, r
 	}
-	sp, bp := getI32(small.b.n), getI32(big.b.n)
+	sp := getI32(small.b.n)
 	defer putI32(sp)
-	defer putI32(bp)
-	sids, bids := *sp, *bp
+	sids := *sp
 
 	// Number the smaller input's keys serially, so ids follow row order.
+	mt := ev.metrics()
 	jk := newJoinKeys(keyingOf(small.keyCols(), big.keyCols()), small.b.n)
 	defer jk.free()
 	if jk.direct {
-		ev.metrics().joinDirect.Inc()
+		mt.joinDirect.Inc()
 	} else {
-		ev.metrics().joinHashed.Inc()
+		mt.joinHashed.Inc()
 	}
 	w := getScratch()
 	for m := 0; m < morselCount(small.b.n); m++ {
@@ -293,13 +299,25 @@ func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int
 		jk.morselIDs(w, small, sids, lo, hi, true)
 	}
 	putScratch(w)
+	// Each input's rows as the pairs name them: the incoming table's by
+	// physical row, through its selection; the left batch's by logical
+	// row (nil: row i).
+	var ssel, bsel []int32
+	if small.b == r.b {
+		ssel = r.b.sel[next]
+	} else {
+		bsel = r.b.sel[next]
+	}
+	if int(jk.n) == small.b.n {
+		mt.joinLookups.Inc()
+		return ev.lookupPairs(t, jk, l, r, big, ssel, bsel)
+	}
 
-	// Counting sort of the smaller input's rows by key id, each row as the
-	// pairs name it: the incoming table's by physical row, the left
-	// batch's by logical row. ends[id] counts, then holds the start of
-	// id's run, and after the scatter its end — the start of the next
-	// id's — so with a zero in front, run id is rows[from[id]:from[id+1]].
-	fp, rowp := getI32(jk.n+1), getI32(small.b.n)
+	// Counting sort of the smaller input's rows by key id. ends[id]
+	// counts, then holds the start of id's run, and after the scatter its
+	// end — the start of the next id's — so with a zero in front, run id
+	// is rows[from[id]:from[id+1]].
+	fp, rowp := getI32(int(jk.n)+1), getI32(small.b.n)
 	defer putI32(fp)
 	defer putI32(rowp)
 	from, rows := *fp, *rowp
@@ -313,29 +331,21 @@ func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int
 	}
 	for j, id := range sids {
 		row := int32(j)
-		if small.b == r.b {
-			row = int32(r.b.phys(next, j))
+		if ssel != nil {
+			row = ssel[j]
 		}
 		rows[ends[id]] = row
 		ends[id]++
 	}
 
-	// Rows are charged build side first, then probe side, whichever of
-	// the two was numbered above: the other looks its keys up as it is
-	// charged, morsel-parallel against the finished table.
-	for _, s := range []joinSide{r, l} {
-		var err error
-		if s.b == small.b {
-			err = ev.chargeRows(t, s.site, s.b.n)
-		} else {
-			err = ev.morselRun(t, s.site, ev.workersFor(s.b.n), allMorsels(s.b.n), func(w *scratch, _, lo, hi int) error {
-				jk.morselIDs(w, big, bids, lo, hi, false)
-				return nil
-			})
-		}
-		if err != nil {
-			return nil, nil, err
-		}
+	bp := getI32(big.b.n)
+	defer putI32(bp)
+	bids := *bp
+	if err := ev.probe(t, l.b, r.b, big.b, func(w *scratch, _, lo, hi int) error {
+		jk.morselIDs(w, big, bids, lo, hi, false)
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
 
 	total := 0
@@ -349,9 +359,9 @@ func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int
 	}
 	lIdx, rIdx := t.i32(total), t.i32(total)
 	// walked takes the larger input's row of each pair, laid the smaller's.
-	walked, laid, bsel := lIdx, rIdx, []int32(nil)
+	walked, laid := lIdx, rIdx
 	if big.b == r.b {
-		walked, laid, bsel = rIdx, lIdx, r.b.sel[next]
+		walked, laid = rIdx, lIdx
 	}
 	o := 0
 	for i, id := range bids {
@@ -368,4 +378,79 @@ func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int
 		}
 	}
 	return lIdx, rIdx, nil
+}
+
+// lookupPairs is joinPairs once jk has given every row of the smaller
+// input a key id of its own, so that id j is its row j — ssel[j] in the
+// pairs when ssel is set, as bsel[i] names the larger input's row i: each
+// walked row matches at most once. The probe writes that match, or -1,
+// straight into the laid side of the pairs. When every walked row
+// matched, the walked side is the larger input's own rows in order, and
+// is returned as bsel — aliased, not copied, and nil for a table read
+// whole or for the left batch, whose pick then shares its selections.
+// Otherwise one pass closes the pairs up over the misses. Rows and pair
+// bytes are charged as the CSR path charges them.
+func (ev *Evaluator) lookupPairs(t *task, jk *joinKeys, l, r, big joinSide, ssel, bsel []int32) ([]int32, []int32, error) {
+	laid := t.i32(big.b.n)
+	if err := ev.probe(t, l.b, r.b, big.b, func(w *scratch, _, lo, hi int) error {
+		jk.morselIDs(w, big, laid, lo, hi, false)
+		var missed int32
+		for j, id := range laid[lo:hi] {
+			switch {
+			case id < 0:
+				missed++
+			case ssel != nil:
+				laid[lo+j] = ssel[id]
+			}
+		}
+		jk.missed.Add(missed)
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+
+	total := big.b.n - int(jk.missed.Load())
+	if err := t.allocBytes(ev, "join", 8*int64(total)); err != nil {
+		return nil, nil, err
+	}
+	walked := bsel
+	if total < big.b.n {
+		walked = t.i32(total)
+		o := 0
+		for i, id := range laid {
+			if id < 0 {
+				continue
+			}
+			p := int32(i)
+			if bsel != nil {
+				p = bsel[i]
+			}
+			walked[o], laid[o] = p, id
+			o++
+		}
+	}
+	if big.b == r.b {
+		return laid[:total], walked, nil
+	}
+	return walked, laid[:total], nil
+}
+
+// probe charges a keyed join's rows, build side first and then probe
+// side, whichever of the two was numbered: the smaller input at once, the
+// larger as walk looks its rows' keys up morsel-parallel against the
+// finished numbering.
+func (ev *Evaluator) probe(t *task, l, r, big *Batch, walk func(w *scratch, k, lo, hi int) error) error {
+	sites := [2]string{"join.build", "join.probe"}
+	for i, b := range [2]*Batch{r, l} {
+		var err error
+		if b == big {
+			err = ev.morselRun(t, sites[i], ev.workersFor(b.n), allMorsels(b.n), walk)
+		} else {
+			err = ev.chargeRows(t, sites[i], b.n)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

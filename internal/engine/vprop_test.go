@@ -889,12 +889,33 @@ func TestDirectGroupIdsMatchHash(t *testing.T) {
 // equal sizes, a laid-out side of several chunks, inputs narrowed by
 // their own filters first, keys numbered by direct address, by hashing
 // (wide or straddling the span bound), through the byte encoding (a
-// float or a bool key, two key pairs).
+// float or a bool key, two key pairs) — and, where every key of the
+// laid-out side is its own, the lookup path (engine.join.lookups): laid
+// out as the accumulated side or as the incoming one, the walked side
+// read whole or through its filter's selection, every walked row matched
+// or some missing, under each keying; one repeated key sends the join
+// back to the counting sort.
 func TestJoinPairsMatchNestedLoop(t *testing.T) {
 	src := ir.MapSource{"R": {"A", "B", "C"}, "S": {"E", "F", "G"}}
 	type keyGen func(rng *rand.Rand) value.Value
 	domain := func(n int, stride int64) keyGen {
 		return func(rng *rand.Rand) value.Value { return value.Int((int64(rng.Intn(n)) - int64(n/4)) * stride) }
+	}
+	// distinct draws each key of domain(n, stride) once, in shuffled
+	// order; with repeat, draw n+1 repeats draw 1.
+	distinct := func(n int, stride int64, repeat bool) keyGen {
+		var perm []int
+		return func(rng *rand.Rand) value.Value {
+			if perm == nil {
+				perm = rng.Perm(n)
+				if repeat {
+					perm = append(perm, perm[0])
+				}
+			}
+			k := perm[0]
+			perm = perm[1:]
+			return value.Int((int64(k) - int64(n/4)) * stride)
+		}
 	}
 	cases := []struct {
 		name     string
@@ -902,32 +923,64 @@ func TestJoinPairsMatchNestedLoop(t *testing.T) {
 		rk, sk   keyGen
 		sql      string
 		wantKeys string // the counter the one join must tick
+		lookup   bool   // the laid-out side's keys are distinct
+		cyclic   bool   // C and G are row % 5, so a filter keeps an exact count
 	}{
-		{"direct, R larger", 5000, 300, domain(400, 1), domain(500, 1), "SELECT B, F FROM R, S WHERE A = E", "direct"},
-		{"direct, S larger", 300, 5000, domain(400, 1), domain(300, 1), "SELECT B, F FROM R, S WHERE A = E", "direct"},
-		{"direct, equal sizes", 1500, 1500, domain(200, 1), domain(250, 1), "SELECT B, F FROM R, S WHERE E = A", "direct"},
-		{"direct, laid-out side of three chunks", 2500, 6000, domain(3000, 1), domain(3500, 1), "SELECT B, F FROM R, S WHERE A = E", "direct"},
-		{"direct, filters narrow both sides", 4000, 3000, domain(100, 1), domain(120, 1), "SELECT B, F FROM R, S WHERE A = E AND C < 3 AND G >= 2", "direct"},
-		{"direct, filter makes the larger table the smaller", 4000, 3000, domain(100, 1), domain(120, 1), "SELECT B, F FROM R, S WHERE A = E AND C = 0", "direct"},
-		{"hash, wide keys", 3000, 400, domain(300, 1<<33), domain(300, 1<<33), "SELECT B, F FROM R, S WHERE A = E", "hashed"},
+		{"direct, R larger", 5000, 300, domain(400, 1), domain(500, 1), "SELECT B, F FROM R, S WHERE A = E", "direct", false, false},
+		{"direct, S larger", 300, 5000, domain(400, 1), domain(300, 1), "SELECT B, F FROM R, S WHERE A = E", "direct", false, false},
+		{"direct, equal sizes", 1500, 1500, domain(200, 1), domain(250, 1), "SELECT B, F FROM R, S WHERE E = A", "direct", false, false},
+		{"direct, laid-out side of three chunks", 2500, 6000, domain(3000, 1), domain(3500, 1), "SELECT B, F FROM R, S WHERE A = E", "direct", false, false},
+		{"direct, filters narrow both sides", 4000, 3000, domain(100, 1), domain(120, 1), "SELECT B, F FROM R, S WHERE A = E AND C < 3 AND G >= 2", "direct", false, false},
+		{"direct, filter makes the larger table the smaller", 4000, 3000, domain(100, 1), domain(120, 1), "SELECT B, F FROM R, S WHERE A = E AND C = 0", "direct", false, false},
+		{"hash, wide keys", 3000, 400, domain(300, 1<<33), domain(300, 1<<33), "SELECT B, F FROM R, S WHERE A = E", "hashed", false, false},
 		{"hash, keys one past the span bound", 3000, 400, domain(300, 1), func(rng *rand.Rand) value.Value {
 			return value.Int(int64(rng.Intn(2)) * directSpan)
-		}, "SELECT B, F FROM R, S WHERE A = E", "hashed"},
+		}, "SELECT B, F FROM R, S WHERE A = E", "hashed", false, false},
 		{"bytes, float key meets int key", 3000, 200, func(rng *rand.Rand) value.Value {
 			return value.Float(float64(rng.Intn(100)))
-		}, domain(150, 1), "SELECT B, F FROM R, S WHERE A = E", "hashed"},
+		}, domain(150, 1), "SELECT B, F FROM R, S WHERE A = E", "hashed", false, false},
 		{"bytes, bool keys", 40, 2500, func(rng *rand.Rand) value.Value { return value.Bool(rng.Intn(4) == 0) },
-			func(rng *rand.Rand) value.Value { return value.Bool(rng.Intn(2) == 0) }, "SELECT B, F FROM R, S WHERE A = E AND G = 1", "hashed"},
-		{"bytes, two key pairs", 3000, 2500, domain(40, 1), domain(50, 1), "SELECT B, F FROM R, S WHERE A = E AND C = G", "hashed"},
+			func(rng *rand.Rand) value.Value { return value.Bool(rng.Intn(2) == 0) }, "SELECT B, F FROM R, S WHERE A = E AND G = 1", "hashed", false, false},
+		{"bytes, two key pairs", 3000, 2500, domain(40, 1), domain(50, 1), "SELECT B, F FROM R, S WHERE A = E AND C = G", "hashed", false, false},
+		{"lookup, accumulated side laid out, walked read whole, all matched", 5000, 300, domain(300, 1), distinct(300, 1, false),
+			"SELECT B, F FROM R, S WHERE A = E", "direct", true, false},
+		{"lookup, walked filtered, all matched", 5000, 300, domain(300, 1), distinct(300, 1, false),
+			"SELECT B, F FROM R, S WHERE A = E AND C < 3", "direct", true, false},
+		{"lookup, walked filtered, some missing", 5000, 300, domain(400, 1), distinct(300, 1, false),
+			"SELECT B, F FROM R, S WHERE A = E AND C < 3", "direct", true, false},
+		{"lookup, walked read whole, some missing", 5000, 300, domain(400, 1), distinct(300, 1, false),
+			"SELECT B, F FROM R, S WHERE E = A", "direct", true, false},
+		// A tie leaves S, the incoming table, as the laid-out side.
+		{"lookup, incoming side laid out behind its filter, some missing", 1500, 2500, domain(2500, 1), distinct(2500, 1, false),
+			"SELECT B, F FROM R, S WHERE A = E AND G >= 2", "direct", true, true},
+		{"lookup, incoming side laid out, walked filtered, all matched", 2500, 1500, domain(1500, 1), distinct(1500, 1, false),
+			"SELECT B, F FROM R, S WHERE A = E AND C < 3", "direct", true, true},
+		{"lookup, incoming side laid out, walked read whole, all matched", 1500, 1500, domain(1500, 1), distinct(1500, 1, false),
+			"SELECT B, F FROM R, S WHERE A = E", "direct", true, false},
+		{"lookup, hash, wide keys, some missing", 3000, 400, domain(500, 1<<33), distinct(400, 1<<33, false),
+			"SELECT B, F FROM R, S WHERE A = E", "hashed", true, false},
+		{"lookup, bytes, float key meets int key", 3000, 200, func(rng *rand.Rand) value.Value {
+			return value.Float(float64(rng.Intn(200) - 50))
+		}, distinct(200, 1, false), "SELECT B, F FROM R, S WHERE A = E", "hashed", true, false},
+		{"lookup, bytes, two key pairs", 3000, 500, domain(500, 1), distinct(500, 1, false),
+			"SELECT B, F FROM R, S WHERE A = E AND C = G", "hashed", true, false},
+		{"CSR, one repeated key on the laid-out side", 5000, 301, domain(300, 1), distinct(300, 1, true),
+			"SELECT B, F FROM R, S WHERE A = E", "direct", false, false},
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(int64(tc.nr*7 + tc.ns)))
 		r, s := NewRelation("A", "B", "C"), NewRelation("E", "F", "G")
+		third := func(i int) value.Value {
+			if tc.cyclic {
+				return value.Int(int64(i % 5))
+			}
+			return value.Int(int64(rng.Intn(5)))
+		}
 		for i := 0; i < tc.nr; i++ {
-			r.Add(tc.rk(rng), value.Int(int64(i)), value.Int(int64(rng.Intn(5))))
+			r.Add(tc.rk(rng), value.Int(int64(i)), third(i))
 		}
 		for i := 0; i < tc.ns; i++ {
-			s.Add(tc.sk(rng), value.Int(int64(i)), value.Int(int64(rng.Intn(5))))
+			s.Add(tc.sk(rng), value.Int(int64(i)), third(i))
 		}
 		q := ir.MustBuild(tc.sql, src)
 
@@ -987,6 +1040,13 @@ func TestJoinPairsMatchNestedLoop(t *testing.T) {
 			}
 			if n := ev.Metrics.Counter("engine.join.keys_" + tc.wantKeys).Load(); n != 1 {
 				t.Fatalf("%s workers %d: engine.join.keys_%s = %d, want 1", tc.name, workers, tc.wantKeys, n)
+			}
+			wantLookups := int64(0)
+			if tc.lookup {
+				wantLookups = 1
+			}
+			if n := ev.Metrics.Counter("engine.join.lookups").Load(); n != wantLookups {
+				t.Fatalf("%s workers %d: engine.join.lookups = %d, want %d", tc.name, workers, n, wantLookups)
 			}
 		}
 	}

@@ -549,7 +549,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"counter engine.scan.chunks ", "counter engine.scan.chunks_skipped 0\n",
 		// Which table numbered group and join keys: no join has run.
 		"counter engine.agg.morsels_direct ", "counter engine.agg.morsels_hashed ",
-		"counter engine.join.keys_direct 0\n", "counter engine.join.keys_hashed 0\n",
+		"counter engine.join.keys_direct 0\n", "counter engine.join.keys_hashed 0\n", "counter engine.join.lookups 0\n",
 		`maintain.view{name="Totals",mode="incremental",reason=""} 1` + "\n",
 	} {
 		if !strings.Contains(text, line) {

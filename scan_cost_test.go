@@ -106,8 +106,10 @@ func TestScanCostIsResultSized(t *testing.T) {
 				name, small[name], large[name])
 		}
 	}
-	if large["area_join"] >= 1536<<10 {
-		t.Errorf("area_join over 100000 rows allocated %d B, want under 1.5 MB", large["area_join"])
+	// area_join: 1.25x the 19 296 B it allocated at GOMAXPROCS=2 once its
+	// join became a lookup (each further worker adds under 1 KB).
+	if large["area_join"] >= 24120 {
+		t.Errorf("area_join over 100000 rows allocated %d B, want under 24120 B", large["area_join"])
 	}
 }
 
