@@ -107,7 +107,9 @@ func ResetCloseCache() {
 }
 
 // cacheKey renders a conjunction to a canonical byte string: one record
-// per atom, terms tagged as variable or constant.
+// per atom, terms tagged as variable or constant. A constant is its
+// canonical key (value.AppendKey), which is self-delimiting, so no
+// string constant can spell out the rest of a record.
 func cacheKey(c Conj) string {
 	b := make([]byte, 0, 16*len(c))
 	for _, a := range c {
@@ -121,8 +123,7 @@ func cacheKey(c Conj) string {
 
 func appendTerm(b []byte, t Term) []byte {
 	if t.IsConst {
-		b = append(b, 'c')
-		b = append(b, t.C.Key()...)
+		b = t.C.AppendKey(append(b, 'c'))
 	} else {
 		b = append(b, 'v')
 		b = strconv.AppendInt(b, int64(t.V), 10)

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"aggview/internal/ir"
+	"aggview/internal/value"
 )
 
 // conjN builds a distinct single-atom conjunction per n (x0 = n), so
@@ -152,5 +155,29 @@ func TestCloseCachedConcurrent(t *testing.T) {
 	wg.Wait()
 	if size := CloseCacheSnapshot().Size; size == 0 || size > closeCacheCap {
 		t.Fatalf("cache size out of bounds: %d", size)
+	}
+}
+
+// TestCacheKeyTellsCraftedStringsApart gives cacheKey a one-atom
+// conjunction whose string constant spells, byte for byte, the rest of
+// the two-atom [v1 = 'x', v2 = 5] under a key that spreads a string
+// constant's bytes unescaped between the record's delimiters. The keys
+// must differ, and each conjunction must get its own closure back.
+func TestCacheKeyTellsCraftedStringsApart(t *testing.T) {
+	ResetCloseCache()
+	defer ResetCloseCache()
+	two := Conj{eq(vi(1), cs("x")), eq(vi(2), ci(5))}
+	one := Conj{eq(vi(1), cs("x|;"+string(rune(ir.OpEq))+"v2|cn5"))}
+	if cacheKey(two) == cacheKey(one) {
+		t.Fatalf("both conjunctions key as %q", cacheKey(two))
+	}
+	if v, ok := CloseCached(two).Pin(2); !ok || !value.KeyEqual(v, value.Int(5)) {
+		t.Fatalf("%v: v2 pinned to %v (%v), want 5", two, v, ok)
+	}
+	if v, ok := CloseCached(one).Pin(2); ok {
+		t.Fatalf("%v: v2 pinned to %v, want unpinned", one, v)
+	}
+	if v, ok := CloseCached(one).Pin(1); !ok || !value.KeyEqual(v, one[0].R.C) {
+		t.Fatalf("%v: v1 pinned to %v (%v)", one, v, ok)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -296,9 +297,18 @@ func TestRelationHelpers(t *testing.T) {
 	r := NewRelation("A", "B")
 	r.Add(iv(2), sv("b"))
 	r.Add(iv(1), sv("a"))
-	s := r.Sorted()
-	if s.Tuples[0][0].AsInt() != 1 {
-		t.Error("Sorted")
+	// Sorted orders by value.Compare column by column, whatever the keys'
+	// bytes, and lets the keys break Compare's ties (-0 and 0).
+	r.Add(value.Float(math.Copysign(0, -1)), sv("a"))
+	r.Add(value.Float(10), sv("a"))
+	r.Add(iv(-3), sv("z"))
+	r.Add(value.Float(0), sv("a"))
+	r.Add(value.Float(2.5), sv("a"))
+	want := []string{"-3 'z'", "0.0 'a'", "-0.0 'a'", "1 'a'", "2 'b'", "2.5 'a'", "10.0 'a'"}
+	for i, tup := range r.Sorted().Tuples {
+		if got := tup[0].String() + " " + tup[1].String(); got != want[i] {
+			t.Errorf("Sorted row %d: %s, want %s", i, got, want[i])
+		}
 	}
 	if r.Tuples[0][0].AsInt() != 2 {
 		t.Error("Sorted must not mutate")

@@ -49,14 +49,14 @@ func (r *Relation) Add(vals ...value.Value) {
 // Len returns the number of tuples (with multiplicity).
 func (r *Relation) Len() int { return len(r.Tuples) }
 
-// tupleKey returns a canonical string for a tuple, used for sorting and
-// multiset comparison.
+// tupleKey returns a tuple's cells' canonical keys (value.AppendKey),
+// concatenated: equal exactly when tuples are KeyEqual cell by cell.
 func tupleKey(t []value.Value) string {
-	parts := make([]string, len(t))
-	for i, v := range t {
-		parts[i] = v.Key()
+	var b []byte
+	for _, v := range t {
+		b = v.AppendKey(b)
 	}
-	return strings.Join(parts, "\x00")
+	return string(b)
 }
 
 // MultisetEqual reports whether two relations contain the same multiset
@@ -105,11 +105,18 @@ func (r *Relation) String() string {
 }
 
 // Sorted returns a copy of the relation with tuples in canonical order,
-// for deterministic golden tests.
+// for deterministic golden tests: by value.Compare column by column, the
+// tuple keys breaking ties (-0 and 0); KeyEqual tuples keep their order.
 func (r *Relation) Sorted() *Relation {
 	out := &Relation{Attrs: append([]string{}, r.Attrs...), Tuples: append([][]value.Value{}, r.Tuples...)}
-	sort.Slice(out.Tuples, func(i, j int) bool {
-		return tupleKey(out.Tuples[i]) < tupleKey(out.Tuples[j])
+	sort.SliceStable(out.Tuples, func(i, j int) bool {
+		a, b := out.Tuples[i], out.Tuples[j]
+		for c := range a {
+			if d := value.Compare(a[c], b[c]); d != 0 {
+				return d < 0
+			}
+		}
+		return tupleKey(a) < tupleKey(b)
 	})
 	return out
 }

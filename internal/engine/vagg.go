@@ -607,13 +607,15 @@ func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) {
 	addCells(st.rows, gmap, p.rows, iota32[:n])
 }
 
-// byteKeys encodes the key operands w.keys of n rows as canonical
-// Value.AppendKey bytes: row j's key is w.kbuf[w.koff[j]:w.koff[j+1]].
+// byteKeys encodes the key operands w.keys of n rows as row keys: row
+// j's key is w.kbuf[w.koff[j]:w.koff[j+1]], its cells' canonical keys
+// (value.AppendKey) concatenated. Each is self-delimiting, so two rows'
+// keys are equal exactly when their cells are value.KeyEqual one by one.
 func (w *scratch) byteKeys(n int) {
 	w.kbuf, w.koff = w.kbuf[:0], append(w.koff[:0], 0)
 	for j := 0; j < n; j++ {
 		for _, k := range w.keys {
-			w.kbuf = append(k.Value(j).AppendKey(w.kbuf), 0)
+			w.kbuf = k.Value(j).AppendKey(w.kbuf)
 		}
 		w.koff = append(w.koff, int32(len(w.kbuf)))
 	}

@@ -180,12 +180,9 @@ func (jk *joinKeys) morselIDs(w *scratch, s joinSide, ids []int32, lo, hi int, a
 		jk.intIDs(w.keys[0].vec.ints, w.keys[0].idx, out, add)
 		return
 	}
+	w.byteKeys(len(out))
 	for j := range out {
-		w.kbuf = w.kbuf[:0]
-		for _, k := range w.keys {
-			w.kbuf = append(k.Value(j).AppendKey(w.kbuf), 0)
-		}
-		out[j] = jk.bytesID(w.kbuf, add)
+		out[j] = jk.bytesID(w.kbuf[w.koff[j]:w.koff[j+1]], add)
 	}
 }
 

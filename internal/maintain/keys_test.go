@@ -20,7 +20,9 @@ import (
 // and +0 (every NaN one group, the zeros two), ±(2^53+1) beside 2^53
 // (distinct, though their floats are not), and "" and "s" beside
 // strings holding \x00, in two grouping columns (where a key that does
-// not length-prefix a string runs one cell into the next).
+// not length-prefix a string runs one cell into the next) and behind a
+// float one (where one that joins cells with \x00 merges ("x\x00sy", "")
+// with ("x", "y\x00s")).
 // Random insert, delete and update batches run over SUM, COUNT, AVG,
 // MIN and MAX views and a join view; after each batch every view has
 // exactly the groups rebuild derives from the tables, with the same
@@ -36,11 +38,12 @@ func TestKeysAgreeWithKeyEqual(t *testing.T) {
 		"SELECT F, MIN(B), MAX(B), AVG(K) FROM T GROUP BY F",
 		"SELECT K, S, COUNT(Id), MAX(S), SUM(K) FROM T GROUP BY K, S",
 		"SELECT S, S2, COUNT(A), MIN(S2) FROM T GROUP BY S, S2",
+		"SELECT F, S, S2, COUNT(A), SUM(K) FROM T GROUP BY F, S, S2",
 		"SELECT Label, SUM(A), MIN(S), MAX(B), COUNT(K) FROM T, U WHERE T.G = U.G GROUP BY Label",
 	}
 	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5}
 	bigs := []int64{big, -big, 1 << 53, 0}
-	strs := []string{"", "\x00", "a\x00b", "a", "\x00\x00", "a\x00", "s", "s\x00"}
+	strs := []string{"", "\x00", "a\x00b", "a", "\x00\x00", "a\x00", "s", "s\x00", "x\x00sy", "y\x00s", "x"}
 
 	db := engine.NewDB()
 	db.Put("T", engine.NewRelation(cols...))
@@ -89,6 +92,12 @@ func TestKeysAgreeWithKeyEqual(t *testing.T) {
 			r := row()
 			r[2] = value.Float(1)
 			mut.Inserts, widened = [][]value.Value{r}, true
+		case batch == 20 || batch == 21:
+			// ('x\x00sy', '') and then ('x', 'y\x00s'), under one F.
+			pair := [2][2]string{{"x\x00sy", ""}, {"x", "y\x00s"}}[batch-20]
+			r := row()
+			r[3], r[5], r[6] = value.Float(1.5), value.Str(pair[0]), value.Str(pair[1])
+			mut.Inserts = [][]value.Value{r}
 		case batch < 8 || len(live) < n || rng.Intn(3) == 0:
 			for range n {
 				mut.Inserts = append(mut.Inserts, row())

@@ -24,13 +24,15 @@
 // surviving value multiset; a group whose n reaches zero leaves the
 // materialization. Tracking, Resync and a recompute seed the same state
 // from the same query run over the tables themselves, every row signed
-// +1. Groups and multiset values are keyed by cellKey, whose bytes are equal
-// exactly when value.KeyEqual holds. Views outside the incrementally
-// maintainable class (DISTINCT, HAVING, self-joins over the changed
-// table, MIN/MAX over non-column arguments, dependence through a nested
-// view) fall back to full recomputation — counted on the
-// `maintain.fallback.full` metric and named per view by Maintainer.Mode
-// — so every mutation is always correct.
+// +1. Groups and multiset values are keyed by their cells' canonical
+// keys (value.AppendKey), which are self-delimiting: concatenated, they
+// are equal exactly when value.KeyEqual holds cell by cell, and never
+// collide. Views outside the incrementally maintainable class
+// (DISTINCT, HAVING, self-joins over the changed table, MIN/MAX over
+// non-column arguments, dependence through a nested view) fall back to
+// full recomputation — counted on the `maintain.fallback.full` metric
+// and named per view by Maintainer.Mode — so every mutation is always
+// correct.
 //
 // Batches apply atomically: every delta evaluation and recomputation
 // runs first, against the pre-mutation state (plus previously staged
@@ -46,9 +48,7 @@ package maintain
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -474,52 +474,10 @@ func signedDelta(attrs []string, mut Mutation) *engine.ColTable {
 }
 
 // cellKey identifies a group by its grouping cells, or a MIN/MAX multiset
-// entry by its value: the cells' canonical bytes, equal exactly when
-// value.KeyEqual holds cell by cell. A numeric within ±2^53 is the bits
-// of its float64 (so 1 and 1.0 are one key, every NaN is one key, and
-// −0 and +0 are two), an int beyond is its own bits under another tag,
-// and a string is length-prefixed, so no cell runs into the next.
+// entry by its value: the cells' canonical keys (value.AppendKey),
+// concatenated. Each key is self-delimiting, so concatenated keys are
+// equal exactly when value.KeyEqual holds cell by cell.
 type cellKey string
-
-func appendIntKey(dst []byte, i int64) []byte {
-	if i >= -(1<<53) && i <= 1<<53 {
-		return appendFloatKey(dst, float64(i))
-	}
-	return binary.LittleEndian.AppendUint64(append(dst, 'i'), uint64(i))
-}
-
-func appendFloatKey(dst []byte, f float64) []byte {
-	bits := math.Float64bits(f)
-	if math.IsNaN(f) {
-		bits = math.Float64bits(math.NaN())
-	}
-	return binary.LittleEndian.AppendUint64(append(dst, 'n'), bits)
-}
-
-func appendStrKey(dst []byte, s string) []byte {
-	return append(binary.AppendUvarint(append(dst, 's'), uint64(len(s))), s...)
-}
-
-func appendBoolKey(dst []byte, b int64) []byte {
-	return append(dst, 'b', byte(b))
-}
-
-// appendValueKey appends a boxed value's key bytes: the same bytes as
-// the typed cell holding it.
-func appendValueKey(dst []byte, v value.Value) []byte {
-	switch v.Kind() {
-	case value.KindFloat:
-		return appendFloatKey(dst, v.AsFloat())
-	case value.KindString:
-		return appendStrKey(dst, v.AsString())
-	case value.KindBool:
-		if v.AsBool() {
-			return appendBoolKey(dst, 1)
-		}
-		return appendBoolKey(dst, 0)
-	}
-	return appendIntKey(dst, v.AsInt())
-}
 
 // cells is one column of one result chunk: its kind and its typed
 // cells (ints for an int or bool column).
@@ -543,17 +501,17 @@ func (c *cells) value(j int) value.Value {
 	return value.Int(c.ints[j])
 }
 
-// appendKey appends cell j's key bytes.
+// appendKey appends cell j's canonical key.
 func (c *cells) appendKey(dst []byte, j int) []byte {
 	switch c.kind {
 	case value.KindFloat:
-		return appendFloatKey(dst, c.floats[j])
+		return value.AppendFloatKey(dst, c.floats[j])
 	case value.KindString:
-		return appendStrKey(dst, c.strs[j])
+		return value.AppendStrKey(dst, c.strs[j])
 	case value.KindBool:
-		return appendBoolKey(dst, c.ints[j])
+		return value.AppendBoolKey(dst, c.ints[j] != 0)
 	}
-	return appendIntKey(dst, c.ints[j])
+	return value.AppendIntKey(dst, c.ints[j])
 }
 
 // eachRow calls fn for every row of a query result, in order, with the
@@ -1110,7 +1068,7 @@ func (t *touched) extremum(i int, fn ir.AggFunc, cur value.Value, hasCur bool) v
 	}
 	if hasCur {
 		var buf [16]byte
-		ck := appendValueKey(buf[:0], cur)
+		ck := cur.AppendKey(buf[:0])
 		if d := findDelta(deltas, ck); d == nil || t.liveCount(i, ck)+d.n > 0 {
 			best := cur
 			for _, d := range deltas {

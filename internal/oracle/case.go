@@ -21,6 +21,7 @@ import (
 
 	"aggview"
 	"aggview/internal/engine"
+	"aggview/internal/sqlparser"
 	"aggview/internal/value"
 )
 
@@ -136,7 +137,7 @@ type Step struct {
 func (s *Step) SQL() string {
 	switch s.Kind {
 	case StepInsert:
-		return insertSQL(s.Table, s.Rows)
+		return (&sqlparser.Insert{Table: s.Table, Rows: s.Rows}).SQL()
 	case StepDelete:
 		out := "DELETE FROM " + s.Table
 		if s.Where != "" {
@@ -184,7 +185,7 @@ func (c *Case) Script() string {
 	for _, t := range c.Tables {
 		b.WriteString(t.SQL() + ";\n")
 		if len(t.Rows) > 0 {
-			b.WriteString(insertSQL(t.Name, t.Rows) + ";\n")
+			b.WriteString((&sqlparser.Insert{Table: t.Name, Rows: t.Rows}).SQL() + ";\n")
 		}
 	}
 	for _, v := range c.Views {
@@ -192,22 +193,6 @@ func (c *Case) Script() string {
 	}
 	for i := range c.Steps {
 		b.WriteString(c.Steps[i].SQL() + ";\n")
-	}
-	return b.String()
-}
-
-func insertSQL(table string, rows [][]value.Value) string {
-	var b strings.Builder
-	b.WriteString("INSERT INTO " + table + " VALUES ")
-	for i, row := range rows {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = v.String() // Value.String quotes strings
-		}
-		b.WriteString("(" + strings.Join(parts, ", ") + ")")
 	}
 	return b.String()
 }

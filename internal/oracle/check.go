@@ -420,15 +420,14 @@ func wirePass(ctx context.Context, sys *aggview.System, sql string, ref *engine.
 func dedup(r *engine.Relation) *engine.Relation {
 	out := engine.NewRelation(r.Attrs...)
 	seen := map[string]bool{}
+	var k []byte
 	for _, t := range r.Tuples {
-		var b strings.Builder
+		k = k[:0]
 		for _, v := range t {
-			b.WriteString(v.Key())
-			b.WriteByte(0)
+			k = v.AppendKey(k)
 		}
-		k := b.String()
-		if !seen[k] {
-			seen[k] = true
+		if !seen[string(k)] {
+			seen[string(k)] = true
 			out.Add(t...)
 		}
 	}

@@ -340,7 +340,10 @@ func randomValue(rng *rand.Rand, k colKind, domain int) value.Value {
 		// any accumulation order and equality predicates are crisp.
 		return value.Float(float64(rng.Intn(2*domain)) / 2)
 	case kindStr:
-		return value.Str([]string{"x", "y", "z"}[rng.Intn(3)])
+		// "" and a quote test literal rendering; the NUL pair spells one
+		// byte string when a tuple's cells are NUL-joined.
+		strs := []string{"x", "y", "z", "", "it's", "x\x00sy", "y\x00s"}
+		return value.Str(strs[rng.Intn(len(strs))])
 	default:
 		return value.Int(int64(rng.Intn(domain)))
 	}

@@ -18,6 +18,7 @@ import (
 	"aggview/internal/engine"
 	"aggview/internal/faultinject"
 	"aggview/internal/obs"
+	"aggview/internal/sqlparser"
 )
 
 // Config sizes the serving facade.
@@ -471,18 +472,7 @@ func (s *Server) script(get func(string) (*engine.Relation, bool)) string {
 		}
 		b.WriteString(";\n")
 		if rel, ok := get(t.Name); ok && rel.Len() > 0 {
-			b.WriteString("INSERT INTO " + t.Name + " VALUES ")
-			for i, row := range rel.Tuples {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				parts := make([]string, len(row))
-				for j, v := range row {
-					parts[j] = v.String()
-				}
-				b.WriteString("(" + strings.Join(parts, ", ") + ")")
-			}
-			b.WriteString(";\n")
+			b.WriteString((&sqlparser.Insert{Table: t.Name, Rows: rel.Tuples}).SQL() + ";\n")
 		}
 	}
 	for _, v := range s.sys.Views.All() {

@@ -16,6 +16,7 @@ import (
 	"aggview/internal/engine"
 	"aggview/internal/faultinject"
 	"aggview/internal/obs"
+	"aggview/internal/value"
 )
 
 // servedSystem builds a system with a tracked aggregation view, so
@@ -706,5 +707,39 @@ func TestQueryReplyCap(t *testing.T) {
 	maxResponseBytes = 64 << 20
 	if resp, err := c.Query(ctx, cross); err != nil || len(resp.Rows) != 43*43 || resp.Cache != "hit" {
 		t.Fatalf("the same query under the usual cap: %d rows, cache %q, err %v", len(resp.Rows), resp.Cache, err)
+	}
+}
+
+// TestServerConstantKindsKeepTheirPlans pins cache transparency across a
+// constant's kind: SUM(amount * 1) over an int column is INT and
+// SUM(amount * 1.0) is FLOAT, so the two must key apart — the plan the
+// float query cached must not answer the int one.
+func TestServerConstantKindsKeepTheirPlans(t *testing.T) {
+	sys := servedSystem(t)
+	c, _ := testClient(t, sys, Config{})
+	ctx := context.Background()
+	for _, q := range []struct {
+		sql  string
+		kind value.Kind
+	}{
+		{"SELECT region, SUM(amount * 1.0) FROM Sales GROUP BY region", value.KindFloat},
+		{"SELECT region, SUM(amount * 1) FROM Sales GROUP BY region", value.KindInt},
+	} {
+		resp, err := c.Query(ctx, q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := resp.Relation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cache != "miss" {
+			t.Errorf("%s: cache %q, want miss", q.sql, resp.Cache)
+		}
+		for _, tup := range got.Tuples {
+			if k := tup[1].Kind(); k != q.kind {
+				t.Errorf("%s: SUM is %s, want %s", q.sql, k, q.kind)
+			}
+		}
 	}
 }

@@ -261,8 +261,8 @@ type Insert struct {
 
 func (*Insert) stmt() {}
 
-// SQL renders the statement back to script text. String values must not
-// contain single quotes (the dialect has no escape syntax).
+// SQL renders the statement back to script text; every value reads back
+// as itself (see value.Value.String).
 func (ins *Insert) SQL() string {
 	var b strings.Builder
 	b.WriteString("INSERT INTO " + ins.Table + " VALUES ")
@@ -349,7 +349,7 @@ func (*QueryStatement) stmt() {}
 
 // formatNumber parses a number literal into an int or float Value.
 func formatNumber(text string) (value.Value, error) {
-	if strings.ContainsRune(text, '.') {
+	if strings.ContainsAny(text, ".eE") {
 		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
 			return value.Value{}, err

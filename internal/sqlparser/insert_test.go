@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"math"
 	"testing"
 
 	"aggview/internal/value"
@@ -56,10 +57,62 @@ func TestParseInsertErrors(t *testing.T) {
 		"INSERT INTO T VALUES (A)",        // non-literal
 		"INSERT INTO T VALUES (-'x')",     // negated string
 		"INSERT INTO T VALUES ()",         // empty tuple
+		"INSERT INTO T VALUES (1e)",       // no digit after the e: 1, then e
+		"INSERT INTO T VALUES (1e+)",
 	}
 	for _, src := range bad {
 		if _, err := ParseScript(src); err == nil {
 			t.Errorf("ParseScript(%q): expected error", src)
+		}
+	}
+}
+
+// TestLiteralsRoundTrip renders values as INSERT literals and parses them
+// back: each must return as the same value, of the same kind. NaN, ±Inf
+// and math.MinInt64 have no literal in the dialect; their renderings are
+// refused rather than read back as another value.
+func TestLiteralsRoundTrip(t *testing.T) {
+	vals := []value.Value{
+		value.Str("it's"), value.Str("''"), value.Str(""), value.Str("x\x00sy"), value.Str("a\nb"),
+		value.Float(1), value.Float(-1), value.Float(1e16), value.Float(-1e16), value.Float(1e-07),
+		value.Float(math.Copysign(0, -1)), value.Float(0), value.Float(2.5), value.Float(123456789),
+		value.Float(math.MaxFloat64), value.Float(5e-324),
+		value.Int(0), value.Int(-7), value.Int(math.MaxInt64), value.Int(math.MinInt64 + 1),
+		value.Bool(true), value.Bool(false),
+	}
+	ins := &Insert{Table: "T"}
+	for _, v := range vals {
+		ins.Rows = append(ins.Rows, []value.Value{v})
+	}
+	stmts, err := ParseScript(ins.SQL())
+	if err != nil {
+		t.Fatalf("re-parse %q: %v", ins.SQL(), err)
+	}
+	for i, row := range stmts[0].(*Insert).Rows {
+		if got, want := row[0], vals[i]; got.Kind() != want.Kind() || !value.KeyEqual(got, want) {
+			t.Errorf("%s read back as %s (%s), want %s", want, got, got.Kind(), want.Kind())
+		}
+	}
+	excluded := []value.Value{value.Float(math.NaN()), value.Float(math.Inf(1)), value.Float(math.Inf(-1)), value.Int(math.MinInt64)}
+	for _, v := range excluded {
+		ins := &Insert{Table: "T", Rows: [][]value.Value{{v}}}
+		if _, err := ParseScript(ins.SQL()); err == nil {
+			t.Errorf("%q parsed; %s has no literal", ins.SQL(), v)
+		}
+	}
+}
+
+func TestNumberExponents(t *testing.T) {
+	cases := map[string]value.Value{
+		"1e+16": value.Float(1e16), "1e-07": value.Float(1e-7), "2E5": value.Float(2e5), "1.5e3": value.Float(1500),
+	}
+	for src, want := range cases {
+		stmts, err := ParseScript("INSERT INTO T VALUES (" + src + ")")
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := stmts[0].(*Insert).Rows[0][0]; got.Kind() != value.KindFloat || !value.KeyEqual(got, want) {
+			t.Errorf("%s read as %s (%s)", src, got, got.Kind())
 		}
 	}
 }

@@ -74,6 +74,16 @@ scan:
 				l.pos++
 			}
 		}
+		// An exponent (1e+16, 1e-07, 2E5) needs a digit after the e and
+		// its optional sign; otherwise the e starts the next token.
+		if e := l.pos; e < len(l.src) && (l.src[e] == 'e' || l.src[e] == 'E') {
+			if e++; e < len(l.src) && (l.src[e] == '+' || l.src[e] == '-') {
+				e++
+			}
+			for ; e < len(l.src) && isDigit(l.src[e]); e++ {
+				l.pos = e + 1
+			}
+		}
 		return mk(tokNumber, l.src[start:l.pos]), nil
 	case c == '\'':
 		l.pos++

@@ -8,9 +8,11 @@
 package value
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind discriminates the runtime type of a Value.
@@ -108,15 +110,22 @@ func (v Value) AsBool() bool {
 	return v.i != 0
 }
 
-// String renders the value as a SQL literal.
+// String renders the value as a SQL literal that the parser reads back
+// as the same value: a string doubles its quotes, and a float always has
+// a float form (1.0, 2.5, 1e+16), so it never reads back as an integer.
+// NaN, ±Inf and math.MinInt64 have no literal in the dialect.
 func (v Value) String() string {
 	switch v.kind {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		s := strconv.FormatFloat(v.f, 'g', -1, 64)
+		if !strings.ContainsAny(s, ".eIN") {
+			s += ".0"
+		}
+		return s
 	case KindString:
-		return "'" + v.s + "'"
+		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindBool:
 		if v.i != 0 {
 			return "TRUE"
@@ -260,41 +269,61 @@ func arith(a, b Value, op byte) (Value, error) {
 	}
 }
 
-// Key returns a string that is identical for values that are Equal and
-// distinct otherwise; it is used as a hash key for grouping and joining.
-// Numerics hash through float64 so 1 and 1.0 land in the same group,
-// matching Equal.
+// Key returns the value's canonical key as a string: identical for values
+// that are KeyEqual and distinct otherwise. Like AppendKey's bytes it is
+// self-delimiting, so concatenated keys never collide.
 func (v Value) Key() string {
 	return string(v.AppendKey(nil))
 }
 
-// AppendKey appends the value's hash key (the same bytes Key returns) to
-// dst and returns the extended slice. The columnar engine builds group
-// and join keys through it so a reused buffer serves a whole batch
-// without one string allocation per value.
+// AppendKey appends the value's canonical key to dst, the one rule by
+// which values become key bytes (DESIGN.md section 3); the bytes are
+// equal exactly when KeyEqual holds. A numeric within ±2^53 is 'n' and
+// its float64 bits (one pattern for every NaN), an int beyond is 'i' and
+// its own bits, a string 's', a uvarint length and its bytes, a bool 'b'
+// and a byte. Keys are self-delimiting, so concatenated keys never
+// collide: two tuples' keys are equal exactly when the tuples are
+// KeyEqual cell by cell.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
-	case KindInt:
-		// Integers exactly representable as float64 must collide with
-		// their float counterparts. int64 values beyond 2^53 are not
-		// exactly representable; format those from the integer to keep
-		// distinct keys distinct.
-		if v.i >= -(1<<53) && v.i <= 1<<53 {
-			return strconv.AppendFloat(append(dst, 'n'), float64(v.i), 'g', -1, 64)
-		}
-		return strconv.AppendInt(append(dst, 'i'), v.i, 10)
 	case KindFloat:
-		return strconv.AppendFloat(append(dst, 'n'), v.f, 'g', -1, 64)
+		return AppendFloatKey(dst, v.f)
 	case KindString:
-		return append(append(dst, 's'), v.s...)
+		return AppendStrKey(dst, v.s)
 	case KindBool:
-		if v.i != 0 {
-			return append(dst, 'b', 'T')
-		}
-		return append(dst, 'b', 'F')
-	default:
-		return append(dst, '?')
+		return AppendBoolKey(dst, v.i != 0)
 	}
+	return AppendIntKey(dst, v.i)
+}
+
+// AppendIntKey appends the canonical key of Int(i) to dst.
+func AppendIntKey(dst []byte, i int64) []byte {
+	if i >= -(1<<53) && i <= 1<<53 {
+		return AppendFloatKey(dst, float64(i))
+	}
+	return binary.LittleEndian.AppendUint64(append(dst, 'i'), uint64(i))
+}
+
+// AppendFloatKey appends the canonical key of Float(f) to dst.
+func AppendFloatKey(dst []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	if math.IsNaN(f) {
+		bits = math.Float64bits(math.NaN())
+	}
+	return binary.LittleEndian.AppendUint64(append(dst, 'n'), bits)
+}
+
+// AppendStrKey appends the canonical key of Str(s) to dst.
+func AppendStrKey(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(append(dst, 's'), uint64(len(s))), s...)
+}
+
+// AppendBoolKey appends the canonical key of Bool(b) to dst.
+func AppendBoolKey(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 'b', 1)
+	}
+	return append(dst, 'b', 0)
 }
 
 // KeyEqual reports whether a.Key() == b.Key() without building either
@@ -320,8 +349,8 @@ func KeyEqual(a, b Value) bool {
 	return a.i == b.i
 }
 
-// keyFloat returns the float64 a numeric value's key is formatted from;
-// big marks an integer outside ±2^53, whose key is its own digits.
+// keyFloat returns the float64 whose bits are a numeric value's key;
+// big marks an integer outside ±2^53, whose key is its own bits.
 func (v Value) keyFloat() (f float64, big bool) {
 	if v.kind == KindFloat {
 		return v.f, false

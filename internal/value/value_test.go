@@ -1,6 +1,9 @@
 package value
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -186,6 +189,15 @@ func TestStringRendering(t *testing.T) {
 		{Str("hi"), "'hi'"},
 		{Bool(true), "TRUE"},
 		{Bool(false), "FALSE"},
+		{Str("it's"), "'it''s'"},
+		{Str("''"), "''''''"},
+		{Float(1), "1.0"},
+		{Float(-3), "-3.0"},
+		{Float(math.Copysign(0, -1)), "-0.0"},
+		{Float(1e16), "1e+16"},
+		{Float(1e-7), "1e-07"},
+		{Float(123456789), "1.23456789e+08"},
+		{Int(1e16), "10000000000000000"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
@@ -194,7 +206,11 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-// Property: Key equality coincides with Equal for int/float values.
+// Property: Key equality coincides with Equal for int/float values, and
+// concatenated keys are equal exactly when tuples are KeyEqual cell by
+// cell. The tuple half is exhaustive: every tuple of up to two cells over
+// numerics with KeyEqual twins and strings spelled from a delimiter-heavy
+// alphabet, where a separator-joined or length-blind key would collide.
 func TestQuickKeyMatchesEqual(t *testing.T) {
 	f := func(a, b int32, useFloatA, useFloatB bool) bool {
 		va, vb := Int(int64(a)), Int(int64(b))
@@ -208,6 +224,51 @@ func TestQuickKeyMatchesEqual(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+
+	cells := []Value{Int(1), Float(1), Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()),
+		Float(math.Float64frombits(0x7ff8000000000001)), Int(1 << 53), Float(1 << 53), Int(1<<53 + 1),
+		Int(-(1<<53 + 1)), Bool(true), Bool(false)}
+	// Every string of up to three pieces of the alphabet.
+	for level, n := []string{""}, 0; n <= 3; n++ {
+		var next []string
+		for _, s := range level {
+			cells = append(cells, Str(s))
+			for _, p := range []string{"\x00", "s", "n", "|", ";"} {
+				next = append(next, s+p)
+			}
+		}
+		level = next
+	}
+	// class[i] names cell i's KeyEqual class: the first cell equal to it.
+	class := make([]int, len(cells))
+	for i := range cells {
+		for !KeyEqual(cells[i], cells[class[i]]) {
+			class[i]++
+		}
+	}
+	tuples := [][]int{{}}
+	for i := range cells {
+		tuples = append(tuples, []int{i})
+		for j := range cells {
+			tuples = append(tuples, []int{i, j})
+		}
+	}
+	byKey, byClass := map[string]string{}, map[string]string{}
+	for _, tup := range tuples {
+		var key []byte
+		cls := ""
+		for _, i := range tup {
+			key = cells[i].AppendKey(key)
+			cls += fmt.Sprint(class[i], ",")
+		}
+		if c, ok := byKey[string(key)]; ok && c != cls {
+			t.Fatalf("tuples of classes %s and %s share the key %q", c, cls, key)
+		}
+		if k, ok := byClass[cls]; ok && k != string(key) {
+			t.Fatalf("KeyEqual tuples of classes %s have keys %q and %q", cls, k, key)
+		}
+		byKey[string(key)], byClass[cls] = cls, string(key)
 	}
 }
 
@@ -245,4 +306,81 @@ func TestFloatKeyNonInteger(t *testing.T) {
 	if Float(math.Pi).Key() != Float(math.Pi).Key() {
 		t.Error("identical floats must share a key")
 	}
+}
+
+// tupleKey concatenates the cells' canonical keys.
+func tupleKey(t []Value) []byte {
+	var b []byte
+	for _, v := range t {
+		b = v.AppendKey(b)
+	}
+	return b
+}
+
+// fuzzTuples decodes two tuples from b. Each cell is a tag byte and its
+// payload: an int or a float reads 8 bytes of bits, a string a length
+// byte (mod 16) and that many bytes, a bool one byte; a tag of 4 (mod 5)
+// ends the first tuple. A truncated cell ends the input.
+func fuzzTuples(b []byte) (ta, tb []Value) {
+	cur := &ta
+	for len(b) > 0 {
+		tag := b[0] % 5
+		b = b[1:]
+		var v Value
+		switch tag {
+		case 0, 1:
+			if len(b) < 8 {
+				return ta, tb
+			}
+			bits := binary.LittleEndian.Uint64(b)
+			v, b = Int(int64(bits)), b[8:]
+			if tag == 1 {
+				v = Float(math.Float64frombits(bits))
+			}
+		case 2:
+			if len(b) < 1 || len(b) < 1+int(b[0]%16) {
+				return ta, tb
+			}
+			n := 1 + int(b[0]%16)
+			v, b = Str(string(b[1:n])), b[n:]
+		case 3:
+			if len(b) < 1 {
+				return ta, tb
+			}
+			v, b = Bool(b[0]&1 == 1), b[1:]
+		default:
+			cur = &tb
+			continue
+		}
+		*cur = append(*cur, v)
+	}
+	return ta, tb
+}
+
+// FuzzTupleKey holds the canonical key to its contract on tuples: two
+// tuples' concatenated AppendKey bytes are equal exactly when the tuples
+// have the same length and are KeyEqual cell by cell.
+func FuzzTupleKey(f *testing.F) {
+	str := func(s string) []byte { return append([]byte{2, byte(len(s))}, s...) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	num := func(tag byte, bits uint64) []byte { return binary.LittleEndian.AppendUint64([]byte{tag}, bits) }
+	// ('x\x00sy', '') against ('x', 'y\x00s'): one key once NUL-joined.
+	f.Add(cat(str("x\x00sy"), str(""), []byte{4}, str("x"), str("y\x00s")))
+	// ('s') against ('', ''): one key if strings are not length-prefixed.
+	f.Add(cat(str("s"), []byte{4}, str(""), str("")))
+	// (1, 's') against (1.0, 's'): KeyEqual, so one key.
+	f.Add(cat(num(0, 1), str("s"), []byte{4}, num(1, math.Float64bits(1)), str("s")))
+	// -0 against 0, and two NaNs.
+	f.Add(cat(num(1, 1<<63), []byte{4}, num(1, 0)))
+	f.Add(cat(num(1, 0x7ff8000000000001), []byte{4}, num(1, 0x7ff0000000000002)))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ta, tb := fuzzTuples(b)
+		same := len(ta) == len(tb)
+		for i := 0; same && i < len(ta); i++ {
+			same = KeyEqual(ta[i], tb[i])
+		}
+		if got := bytes.Equal(tupleKey(ta), tupleKey(tb)); got != same {
+			t.Fatalf("%v and %v: keys equal %v, KeyEqual cell by cell %v", ta, tb, got, same)
+		}
+	})
 }

@@ -40,6 +40,11 @@ go run ./cmd/aggview explain -replay "$TRACE_JSON"
 go test ./...
 go test -race -short ./...
 
+# Canonical-key gate (DESIGN.md section 3): two fuzzed tuples'
+# concatenated value.AppendKey bytes are equal exactly when the tuples
+# are KeyEqual cell by cell.
+go test -run '^$' -fuzz FuzzTupleKey -fuzztime 10s ./internal/value
+
 # Fault-injection gate (DESIGN.md section 10): the cancellation,
 # deadline, budget and injection suites under the race detector — a
 # canceled kernel must return the exact bag or a typed error, drain its
