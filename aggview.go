@@ -8,21 +8,27 @@
 //	s := aggview.New()
 //	s.MustLoad(`CREATE TABLE Calls(Call_Id, Plan_Id, Year, Charge) KEY(Call_Id)`)
 //	s.MustDefineView("V1", "SELECT Plan_Id, Year, SUM(Charge) FROM Calls GROUP BY Plan_Id, Year")
-//	... insert data, s.MaterializeContext(ctx, "V1") ...
+//	... insert data, s.TrackViewContext(ctx, "V1") ...
 //	res, used, err := s.QueryBestContext(ctx, "SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id")
 //
 // QueryBestContext rewrites the query to range over materialized views
 // whenever the paper's usability conditions hold and the cost model
 // prefers it.
 //
+// Every row reaches storage one way. CREATE TABLE installs a table's
+// empty relation; every write to it is one maintainer batch
+// (maintain.ApplyContext), which checks the rows and installs them with
+// every tracked view's share of the change; and a stored view is a
+// tracked view (TrackViewContext), so its rows always equal its
+// definition over the current tables.
+//
 // Every operation that may block takes a context.Context first and
 // exists once: writes (InsertContext, DeleteContext, UpdateContext,
-// ExecContext), view upkeep (TrackViewContext, MaterializeContext),
-// reads (QueryContext, QueryBestContext, ExecRewritingContext), planning
-// (RewritingsContext, PlanContext, PrepareContext, Explain, and
-// AdviseContext) and prepared execution (ExecPreparedOnContext,
-// ExecPreparedColumns, QueryOnContext). Load and SetRelation are the
-// bulk-load paths and run unbounded.
+// ExecContext), view upkeep (TrackViewContext), reads (QueryContext,
+// QueryBestContext, ExecRewritingContext), planning (RewritingsContext,
+// PlanContext, PrepareContext, Explain, and AdviseContext) and prepared
+// execution (ExecPreparedOnContext, ExecPreparedColumns, QueryOnContext).
+// Load is the bulk-load path and runs unbounded.
 package aggview
 
 import (
@@ -57,8 +63,6 @@ type (
 	Rewriting = core.Rewriting
 	// Options tunes the rewriter.
 	Options = core.Options
-	// Table declares a base table with keys and functional dependencies.
-	Table = schema.Table
 	// Stats maps source names to cardinalities for the cost model.
 	Stats = cost.Stats
 )
@@ -144,10 +148,10 @@ func executeStage[R any](ctx context.Context, rows func(R) int, run func() (R, e
 // knobs: Opts.Deadline (when set) becomes a timeout, and
 // Opts.MaxRows/MaxCandidates attach a fresh budget meter unless the
 // caller already supplied one via budget.WithMeter (a caller-supplied
-// meter wins, so one pool can span several operations). Every read,
-// plan, materialization and advice routes through opCtx. Writes
-// (InsertContext, DeleteContext, UpdateContext, ExecContext) and
-// TrackViewContext do not: they are bounded by the caller's ctx alone.
+// meter wins, so one pool can span several operations). Every read, plan
+// and advice routes through opCtx. Writes (InsertContext, DeleteContext,
+// UpdateContext, ExecContext) and TrackViewContext do not: they are
+// bounded by the caller's ctx alone.
 // The returned cancel releases the deadline timer.
 func (s *System) opCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	cancel := context.CancelFunc(func() {})
@@ -196,7 +200,7 @@ func (s *System) Load(script string) error {
 		return err
 	}
 	for _, st := range stmts {
-		//aggvet:ctxflow Load is a bulk-load path, like SetRelation; a script inherits no caller deadline by design.
+		//aggvet:ctxflow Load is the bulk-load path; a script inherits no caller deadline by design.
 		if _, err := s.ExecContext(context.Background(), st); err != nil {
 			return err
 		}
@@ -211,12 +215,9 @@ func (s *System) MustLoad(script string) {
 	}
 }
 
-// AddTable registers a base table definition.
-func (s *System) AddTable(t *Table) error { return s.Catalog.AddTable(t) }
-
-// DefineView registers a materialized-view definition. The view is not
-// materialized until MaterializeContext is called; until then queries over it
-// evaluate its definition on the fly.
+// DefineView registers a view definition. The view is not stored until
+// TrackViewContext is called; until then queries over it evaluate its
+// definition on the fly.
 func (s *System) DefineView(name, sql string) error {
 	return s.Load("CREATE VIEW " + name + " AS " + sql)
 }
@@ -228,22 +229,15 @@ func (s *System) MustDefineView(name, sql string) {
 	}
 }
 
-// InsertContext appends tuples to a base table, creating its relation on
-// first use and keeping cardinality statistics current. Cancellation and
-// deadline expiry abort the maintenance evaluations it triggers with a
-// typed error before any materialization or base table changes.
+// InsertContext appends tuples to a base table as one maintainer batch,
+// which checks them (arity, then the kind rule), and keeps cardinality
+// statistics current. Cancellation and deadline expiry abort the
+// maintenance evaluations it triggers with a typed error before any
+// materialization or base table changes.
 func (s *System) InsertContext(ctx context.Context, table string, rows ...[]Value) error {
 	t, ok := s.Catalog.Table(table)
 	if !ok {
 		return fmt.Errorf("aggview: unknown table %q", table)
-	}
-	for _, row := range rows {
-		if len(row) != len(t.Columns) {
-			return fmt.Errorf("aggview: %s expects %d values, got %d", t.Name, len(t.Columns), len(row))
-		}
-	}
-	if _, ok := s.DB.NumRows(t.Name); !ok {
-		s.DB.Put(t.Name, engine.NewRelation(t.Columns...))
 	}
 	if err := s.maintainer().InsertContext(ctx, t.Name, rows...); err != nil {
 		return err
@@ -312,11 +306,12 @@ func execChange[S sqlparser.Statement](ctx context.Context, s *System, head, whe
 }
 
 // ExecContext executes one parsed statement other than a SELECT: a CREATE
-// TABLE or CREATE VIEW declares, an INSERT, DELETE or UPDATE mutates, and
-// the number of rows affected is reported (0 for a declaration). Script
-// loaders (Load, cmd/aggserve, cmd/aggview) hand each statement of a
-// parsed script here, so a replayed script takes exactly the production
-// path and is parsed once.
+// TABLE declares a table and installs its empty relation, a CREATE VIEW
+// declares, an INSERT, DELETE or UPDATE mutates, and the number of rows
+// affected is reported (0 for a declaration). Script loaders (Load,
+// cmd/aggserve, cmd/aggview) hand each statement of a parsed script
+// here, so a replayed script takes exactly the production path and is
+// parsed once.
 func (s *System) ExecContext(ctx context.Context, st sqlparser.Statement) (int, error) {
 	switch x := st.(type) {
 	case *sqlparser.CreateTable:
@@ -324,7 +319,11 @@ func (s *System) ExecContext(ctx context.Context, st sqlparser.Statement) (int, 
 		for _, fd := range x.FDs {
 			t.FDs = append(t.FDs, schema.FD{From: fd[0], To: fd[1]})
 		}
-		return 0, s.Catalog.AddTable(t)
+		if err := s.Catalog.AddTable(t); err != nil {
+			return 0, err
+		}
+		s.DB.Put(t.Name, engine.NewRelation(t.Columns...))
+		return 0, nil
 	case *sqlparser.CreateView:
 		return 0, s.createView(x)
 	case *sqlparser.Insert:
@@ -413,20 +412,7 @@ func (s *System) changedRows(ctx context.Context, t *schema.Table, where sqlpars
 // Tracking state is dropped by AdoptDB. Cancellation and deadline expiry
 // abort the initial materialization with a typed error.
 func (s *System) TrackViewContext(ctx context.Context, name string) (incremental bool, err error) {
-	m := s.maintainer()
-	// Materializing the view needs its base relations to exist, even when
-	// no rows have been inserted yet.
-	if v, ok := s.Views.Get(name); ok {
-		for _, t := range v.Def.Tables {
-			if _, exists := s.DB.NumRows(t.Source); exists {
-				continue
-			}
-			if tab, isTable := s.Catalog.Table(t.Source); isTable {
-				s.DB.Put(tab.Name, engine.NewRelation(tab.Columns...))
-			}
-		}
-	}
-	inc, err := m.TrackContext(ctx, name)
+	inc, err := s.maintainer().TrackContext(ctx, name)
 	if err != nil {
 		return false, err
 	}
@@ -453,34 +439,6 @@ func (s *System) ViewModes() []ViewMode {
 	return out
 }
 
-// SetRelation installs a pre-built relation as a base table's extension.
-// Its columns must each hold one kind, by the rule an insert into an empty
-// table follows; a foreign value is refused with the insert's
-// *engine.KindError and nothing is installed.
-func (s *System) SetRelation(table string, rel *Result) error {
-	t, ok := s.Catalog.Table(table)
-	if !ok {
-		return fmt.Errorf("aggview: unknown table %q", table)
-	}
-	if len(rel.Attrs) != len(t.Columns) {
-		return fmt.Errorf("aggview: relation arity %d does not match table %s", len(rel.Attrs), t.Name)
-	}
-	empty, d := engine.BuildColTable(engine.NewRelation(rel.Attrs...)), engine.Delta{Append: rel.Tuples}
-	if err := empty.Conform(t.Name, &d); err != nil {
-		return err
-	}
-	s.DB.Apply([]engine.Commit{{Name: t.Name, Base: empty, Delta: d}})
-	// The counting state of the tracked views over the table was derived
-	// from the old extension; the maintainer rebuilds it (and their
-	// materializations) from the replacement.
-	//aggvet:ctxflow SetRelation is a bulk-load path; resync inherits no caller deadline by design.
-	if err := s.maintainer().Resync(context.Background(), t.Name); err != nil {
-		return err
-	}
-	s.refreshStats(t.Name)
-	return nil
-}
-
 // AdoptDB replaces the system's database wholesale (e.g. with a
 // generated workload) and records the cardinalities of the named
 // relations.
@@ -492,28 +450,6 @@ func (s *System) AdoptDB(db *engine.DB, names ...string) {
 			s.Stats[strings.ToLower(n)] = float64(rows)
 		}
 	}
-}
-
-// MaterializeContext evaluates a view's definition against the current
-// database and stores the result under the view's name, so subsequent
-// queries (and rewritings) scan the materialization instead of
-// recomputing it. Cancellation, deadline expiry and an exhausted row
-// budget abort the evaluation with a typed error and nothing is stored.
-func (s *System) MaterializeContext(ctx context.Context, name string) (*Result, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
-	v, ok := s.Views.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("aggview: unknown view %q", name)
-	}
-	res, err := s.evaluator(s.Views, s.Store).ExecContext(ctx, v.Def)
-	if err != nil {
-		return nil, err
-	}
-	res.Attrs = append([]string{}, v.OutCols...)
-	s.DB.Put(v.Name, res)
-	s.Stats[strings.ToLower(v.Name)] = float64(res.Len())
-	return res, nil
 }
 
 // Parse compiles a SELECT statement against the catalog and views.
@@ -822,12 +758,13 @@ func (s *System) PrepareStatement(ctx context.Context, st *Statement) (*Prepared
 }
 
 // planDeps walks the plan's FROM sources transitively through the view
-// definitions its registry snapshot resolves, collecting every stored
-// relation name execution may touch. The walk stops at views the
-// maintainer keeps consistent: their materializations absorb base-table
-// deltas inside the same atomic batch, so a plan that only scans such a
-// view stays answer-correct across mutations of the view's sources and
-// must not be evicted for them.
+// definitions its registry snapshot resolves, collecting every relation
+// name execution may touch. The walk stops at a tracked view: its
+// materialization absorbs base-table deltas inside the same atomic
+// batch, so a plan that only scans it stays answer-correct across
+// mutations of the view's sources and must not be evicted for them. It
+// walks into a view that is declared but not stored, whose definition
+// execution evaluates.
 func (s *System) planDeps(p *Prepared) []string {
 	seen := map[string]bool{}
 	var out []string
@@ -1012,8 +949,9 @@ func (s *System) AdviseContext(ctx context.Context, queries []string, weights []
 	return a.RecommendContext(ctx, w, budgetRows)
 }
 
-// AdoptRecommendations registers and materializes the advised views,
-// making them available to the rewriter.
+// AdoptRecommendations registers and tracks the advised views
+// (TrackViewContext), making them available to the rewriter and keeping
+// them consistent under later writes.
 func (s *System) AdoptRecommendations(ctx context.Context, recs []Recommendation) ([]string, error) {
 	var names []string
 	for _, r := range recs {
@@ -1021,7 +959,7 @@ func (s *System) AdoptRecommendations(ctx context.Context, recs []Recommendation
 			return names, err
 		}
 		core.IndexView(r.View)
-		if _, err := s.MaterializeContext(ctx, r.View.Name); err != nil {
+		if _, err := s.TrackViewContext(ctx, r.View.Name); err != nil {
 			return names, err
 		}
 		names = append(names, r.View.Name)

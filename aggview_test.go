@@ -2,6 +2,7 @@ package aggview
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ const facadeQ = `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
 func TestSystemEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	s := telcoSystem(t, 5000)
-	if _, err := s.MaterializeContext(ctx, "V1"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "V1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,29 +142,43 @@ func TestInsertAndQuery(t *testing.T) {
 	}
 }
 
-func TestSetRelationValidation(t *testing.T) {
+// TestInsertValidation pins the checks every row passes on its one way
+// into a table (maintain's tableDelta): a row of the wrong arity, an
+// unknown table and a value of a foreign kind are each refused with the
+// table's version and rows untouched, and a good row is installed.
+func TestInsertValidation(t *testing.T) {
+	ctx := context.Background()
 	s := New()
 	s.MustLoad("CREATE TABLE T(A, B)")
-	bad := engine.NewRelation("X")
-	if err := s.SetRelation("T", bad); err == nil {
-		t.Error("arity mismatch should fail")
-	}
-	if err := s.SetRelation("Nope", bad); err == nil {
-		t.Error("unknown table should fail")
-	}
-	good := engine.NewRelation("A", "B")
-	good.Add(Int(1), Int(2))
-	if err := s.SetRelation("T", good); err != nil {
+	if err := s.InsertContext(ctx, "T", []Value{Int(1), Int(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if mustQuery(t, s, "SELECT A FROM T").Len() != 1 {
-		t.Error("relation not installed")
+	ver := s.DB.Version("T")
+	err := s.InsertContext(ctx, "T", []Value{Int(3), Int(4)}, []Value{Int(5)})
+	if err == nil || !strings.Contains(err.Error(), "T expects 2 values, got 1") {
+		t.Errorf("arity mismatch: got %v", err)
+	}
+	if err := s.InsertContext(ctx, "Nope", []Value{Int(1), Int(2)}); err == nil {
+		t.Error("unknown table should fail")
+	}
+	var kind *engine.KindError
+	if err := s.InsertContext(ctx, "T", []Value{Int(3), Int(4)}, []Value{Str("x"), Int(5)}); !errors.As(err, &kind) {
+		t.Errorf("foreign kind: want *engine.KindError, got %v", err)
+	}
+	if s.DB.Version("T") != ver || mustQuery(t, s, "SELECT A FROM T").Len() != 1 {
+		t.Fatal("a refused insert changed T")
+	}
+	if err := s.InsertContext(ctx, "T", []Value{Int(3), Int(4)}); err != nil {
+		t.Fatal(err)
+	}
+	if mustQuery(t, s, "SELECT A FROM T").Len() != 2 {
+		t.Error("row not installed")
 	}
 }
 
-func TestMaterializeErrors(t *testing.T) {
+func TestTrackViewErrors(t *testing.T) {
 	s := New()
-	if _, err := s.MaterializeContext(context.Background(), "V"); err == nil {
+	if _, err := s.TrackViewContext(context.Background(), "V"); err == nil {
 		t.Error("unknown view should fail")
 	}
 }
@@ -171,7 +186,7 @@ func TestMaterializeErrors(t *testing.T) {
 func TestExplain(t *testing.T) {
 	ctx := context.Background()
 	s := telcoSystem(t, 500)
-	if _, err := s.MaterializeContext(ctx, "V1"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "V1"); err != nil {
 		t.Fatal(err)
 	}
 	out, err := s.Explain(ctx, facadeQ)

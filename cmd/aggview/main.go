@@ -1,8 +1,8 @@
 // Aggview is the command-line front end to the rewriter: it loads a SQL
-// script (CREATE TABLE / CREATE VIEW declarations followed by SELECT
-// statements), optionally loads CSV data, and for each SELECT prints the
-// view-based rewritings, the chosen plan, and — when data is loaded —
-// the results.
+// script (CREATE TABLE / CREATE VIEW declarations, INSERT, DELETE and
+// UPDATE statements, and SELECT statements), optionally loads CSV data,
+// and for each SELECT prints the view-based rewritings, the chosen plan,
+// and — when data is loaded — the results.
 //
 // Usage:
 //
@@ -125,10 +125,11 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// loadScriptSystem builds a system from a SQL script: declarations are
-// loaded, CSV data files (table=file.csv specs) are inserted, and every
-// declared view is materialized when data is present. It returns the
-// script's SELECT statements in order.
+// loadScriptSystem builds a system from a SQL script: every statement but
+// a SELECT executes in script order (ExecContext, as cmd/aggserve loads
+// its script), CSV data files (table=file.csv specs) are inserted, and
+// every declared view is then tracked when rows were written. It returns
+// the script's SELECT statements in order.
 func loadScriptSystem(ctx context.Context, path string, data dataFlags, paperFaithful bool) (*aggview.System, []string, error) {
 	script, err := os.ReadFile(path)
 	if err != nil {
@@ -143,15 +144,17 @@ func loadScriptSystem(ctx context.Context, path string, data dataFlags, paperFai
 		return nil, nil, err
 	}
 	var queries []string
+	wrote := len(data) > 0
 	for _, st := range stmts {
-		switch x := st.(type) {
-		case *sqlparser.QueryStatement:
+		if x, ok := st.(*sqlparser.QueryStatement); ok {
 			queries = append(queries, x.Query.SQL())
-		case *sqlparser.CreateTable, *sqlparser.CreateView:
-			if _, err := s.ExecContext(ctx, st); err != nil {
-				return nil, nil, err
-			}
+			continue
 		}
+		n, err := s.ExecContext(ctx, st)
+		if err != nil {
+			return nil, nil, err
+		}
+		wrote = wrote || n > 0
 	}
 	for _, spec := range data {
 		name, file, ok := strings.Cut(spec, "=")
@@ -162,12 +165,11 @@ func loadScriptSystem(ctx context.Context, path string, data dataFlags, paperFai
 			return nil, nil, err
 		}
 	}
-	// Materialize every declared view so rewritten plans scan
-	// materializations.
-	if len(data) > 0 {
+	// Track every declared view so rewritten plans scan materializations.
+	if wrote {
 		for _, v := range s.Views.All() {
-			if _, err := s.MaterializeContext(ctx, v.Name); err != nil {
-				return nil, nil, fmt.Errorf("materializing %s: %w", v.Name, err)
+			if _, err := s.TrackViewContext(ctx, v.Name); err != nil {
+				return nil, nil, fmt.Errorf("tracking %s: %w", v.Name, err)
 			}
 		}
 	}
@@ -219,7 +221,7 @@ func runDemo() {
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
 		GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
 	ctx := context.Background()
-	if _, err := s.MaterializeContext(ctx, "V1"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "V1"); err != nil {
 		fatal(err)
 	}
 	q := `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)

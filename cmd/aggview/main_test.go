@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aggview"
@@ -63,41 +64,56 @@ func TestLoadCSVErrors(t *testing.T) {
 	}
 }
 
-// TestScriptEndToEnd drives the same path main takes: parse a script,
-// load declarations and data, and plan the queries.
+// TestScriptEndToEnd drives the loader main uses: a script's writes run
+// in script order with its declarations, a -data file's rows follow, the
+// declared views are tracked after both, and the queries come back in
+// order. A script that writes nothing leaves its views untracked.
 func TestScriptEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	csvFile := filepath.Join(dir, "orders.csv")
-	if err := os.WriteFile(csvFile, []byte("1,widget,1,100\n2,widget,2,150\n3,gadget,1,90\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := aggview.New()
-	s.MustLoad(`
+	script := filepath.Join(dir, "orders.sql")
+	if err := os.WriteFile(script, []byte(`
 		CREATE TABLE Orders(Order_Id, Product, Month, Amount) KEY(Order_Id);
 		CREATE VIEW MP AS SELECT Product, Month, SUM(Amount), COUNT(Amount) FROM Orders GROUP BY Product, Month;
-	`)
-	if err := loadCSV(ctx, s, "Orders", csvFile); err != nil {
+		INSERT INTO Orders VALUES (1, 'widget', 1, 100), (2, 'widget', 2, 150), (9, 'gizmo', 1, 5);
+		DELETE FROM Orders WHERE Product = 'gizmo';
+		UPDATE Orders SET Amount = Amount + 1 WHERE Order_Id = 2;
+		SELECT Product, SUM(Amount) FROM Orders GROUP BY Product;
+	`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MaterializeContext(ctx, "MP"); err != nil {
+	csvFile := filepath.Join(dir, "orders.csv")
+	if err := os.WriteFile(csvFile, []byte("3,gadget,1,90\n4,widget,1,7\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// With three rows the cost model may keep the direct plan; the
-	// rewriting itself must exist and agree.
-	rws, err := s.RewritingsContext(ctx, "SELECT Product, SUM(Amount) FROM Orders GROUP BY Product")
+	s, queries, err := loadScriptSystem(ctx, script, dataFlags{"Orders=" + csvFile}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rws) == 0 {
-		t.Fatal("view should be usable")
+	if len(queries) != 1 {
+		t.Fatalf("queries: %q", queries)
 	}
-	res, err := s.ExecRewritingContext(ctx, rws[0])
+	if modes := s.ViewModes(); len(modes) != 1 || modes[0].Name != "MP" {
+		t.Fatalf("tracked views: %+v, want MP", modes)
+	}
+	res, _, err := s.QueryBestContext(ctx, queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 2 {
-		t.Fatalf("result: %s", res)
+	if got := res.Sorted().String(); !strings.Contains(got, "'gadget' | 90") || !strings.Contains(got, "'widget' | 258") || res.Len() != 2 {
+		t.Fatalf("result:\n%s", got)
+	}
+
+	declOnly := filepath.Join(dir, "decl.sql")
+	if err := os.WriteFile(declOnly, []byte("CREATE TABLE T(A, B); CREATE VIEW V AS SELECT A, SUM(B) FROM T GROUP BY A;"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err = loadScriptSystem(ctx, declOnly, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if modes := s.ViewModes(); len(modes) != 0 {
+		t.Fatalf("a script that writes nothing tracked %+v", modes)
 	}
 }
 

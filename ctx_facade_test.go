@@ -22,8 +22,11 @@ func TestQueryContextCanceled(t *testing.T) {
 	if !budget.IsCanceled(err) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want typed Canceled, got %v", err)
 	}
-	if _, err := s.MaterializeContext(ctx, "V1"); !budget.IsCanceled(err) {
-		t.Fatalf("MaterializeContext: want Canceled, got %v", err)
+	if _, err := s.TrackViewContext(ctx, "V1"); !budget.IsCanceled(err) {
+		t.Fatalf("TrackViewContext: want Canceled, got %v", err)
+	}
+	if _, stored := s.DB.NumRows("V1"); stored || len(s.ViewModes()) != 0 {
+		t.Fatal("a canceled TrackViewContext stored or tracked V1")
 	}
 	if _, err := s.RewritingsContext(ctx, facadeQ); !budget.IsCanceled(err) {
 		t.Fatalf("RewritingsContext: want Canceled, got %v", err)
@@ -35,7 +38,7 @@ func TestQueryContextCanceled(t *testing.T) {
 
 // TestOptsDeadlineApplies pins that Opts.Deadline bounds a call made
 // with a deadline-free ctx: every entry point that routes through opCtx
-// (reads, plans, prepared execution, materialization and advice).
+// (reads, plans, prepared execution and advice).
 func TestOptsDeadlineApplies(t *testing.T) {
 	ctx := context.Background()
 	s := telcoSystem(t, 2000)
@@ -51,7 +54,6 @@ func TestOptsDeadlineApplies(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"MaterializeContext", func() error { _, err := s.MaterializeContext(ctx, "V1"); return err }},
 		{"QueryContext", func() error { _, err := s.QueryContext(ctx, facadeQ); return err }},
 		{"RewritingsContext", func() error { _, err := s.RewritingsContext(ctx, facadeQ); return err }},
 		{"PlanContext", func() error { _, err := s.PlanContext(ctx, facadeQ); return err }},
@@ -119,7 +121,7 @@ func TestPlanBudgetFallback(t *testing.T) {
 	// budget below, so the cut is guaranteed to fire.
 	s.MustDefineView("V2", `SELECT Plan_Id, Year, SUM(Charge) FROM Calls GROUP BY Plan_Id, Year`)
 	for _, v := range []string{"V1", "V2"} {
-		if _, err := s.MaterializeContext(ctx, v); err != nil {
+		if _, err := s.TrackViewContext(ctx, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +178,7 @@ func TestPlanBudgetFallback(t *testing.T) {
 // is drained further by execution.
 func TestQueryBestContextSharedPool(t *testing.T) {
 	s := telcoSystem(t, 2000)
-	if _, err := s.MaterializeContext(context.Background(), "V1"); err != nil {
+	if _, err := s.TrackViewContext(context.Background(), "V1"); err != nil {
 		t.Fatal(err)
 	}
 	want, wantUsed, err := s.QueryBestContext(context.Background(), facadeQ)

@@ -44,7 +44,7 @@ func detWorkloads() []detWorkload {
 					FROM Calls, Calling_Plans
 					WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
 					GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
-				if _, err := s.MaterializeContext(ctx, "V1"); err != nil {
+				if _, err := s.TrackViewContext(ctx, "V1"); err != nil {
 					panic(err)
 				}
 				return s
@@ -68,7 +68,7 @@ func detWorkloads() []detWorkload {
 					"Txns", "Accounts")
 				s.MustDefineView("DailyAcct",
 					"SELECT Acct_Id, Day, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id, Day")
-				if _, err := s.MaterializeContext(ctx, "DailyAcct"); err != nil {
+				if _, err := s.TrackViewContext(ctx, "DailyAcct"); err != nil {
 					panic(err)
 				}
 				return s
@@ -101,7 +101,7 @@ func detWorkloads() []detWorkload {
 				s.MustDefineView("HourlyBySensor",
 					`SELECT Sensor, Region, Hour, SUM(Temp), COUNT(Temp), MIN(Temp), MAX(Temp)
 					 FROM Readings GROUP BY Sensor, Region, Hour`)
-				if _, err := s.MaterializeContext(ctx, "HourlyBySensor"); err != nil {
+				if _, err := s.TrackViewContext(ctx, "HourlyBySensor"); err != nil {
 					panic(err)
 				}
 				return s
@@ -276,10 +276,10 @@ func TestBestDeterministicTieBreak(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.MaterializeContext(ctx, "VA"); err != nil {
+		if _, err := s.TrackViewContext(ctx, "VA"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.MaterializeContext(ctx, "VB"); err != nil {
+		if _, err := s.TrackViewContext(ctx, "VB"); err != nil {
 			t.Fatal(err)
 		}
 		s.Opts.Workers = w

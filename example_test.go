@@ -28,7 +28,7 @@ func ExampleSystem_QueryBestContext() {
 	if err := s.InsertContext(ctx, "Calls", rows...); err != nil {
 		panic(err)
 	}
-	if _, err := s.MaterializeContext(ctx, "Annual"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "Annual"); err != nil {
 		panic(err)
 	}
 

@@ -55,12 +55,13 @@ func main() {
 		server.MustDefineView(name, sql)
 		client.MustDefineView(name, sql)
 	}
-	// "Download" the two cached results over the (still live) link.
+	// The server tracks the two views; the client "downloads" their rows
+	// over the (still live) link.
 	for name := range cache {
-		rel, err := server.MaterializeContext(ctx, name)
-		if err != nil {
+		if _, err := server.TrackViewContext(ctx, name); err != nil {
 			log.Fatal(err)
 		}
+		rel, _ := server.DB.Get(name)
 		client.DB.Put(name, rel)
 		client.Stats[name] = float64(rel.Len())
 		fmt.Printf("cached %-16s %6d rows\n", name, rel.Len())

@@ -1,6 +1,7 @@
-// Quickstart: define a table and a summary view, insert data,
-// materialize the view, and watch a grouped query get answered from the
-// materialization instead of the base table.
+// Quickstart: define a table and a summary view, insert data, track
+// the view (materialize it and keep it current under later writes), and
+// watch a grouped query get answered from the materialization instead of
+// the base table.
 package main
 
 import (
@@ -36,7 +37,7 @@ func main() {
 	if err := s.InsertContext(ctx, "Orders", rows...); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := s.MaterializeContext(ctx, "MonthlySales"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "MonthlySales"); err != nil {
 		log.Fatal(err)
 	}
 

@@ -36,13 +36,13 @@ func main() {
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
 		GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
-	v1, err := s.MaterializeContext(ctx, "V1")
-	if err != nil {
+	if _, err := s.TrackViewContext(ctx, "V1"); err != nil {
 		log.Fatal(err)
 	}
-	callsRel, _ := s.DB.Get("Calls")
+	nCalls, _ := s.DB.NumRows("Calls")
+	nV1, _ := s.DB.NumRows("V1")
 	fmt.Printf("|Calls| = %d rows, |V1| = %d rows (%.0fx smaller)\n\n",
-		callsRel.Len(), v1.Len(), float64(callsRel.Len())/float64(v1.Len()))
+		nCalls, nV1, float64(nCalls)/float64(nV1))
 
 	// The query Q of Example 1.1.
 	q := fmt.Sprintf(`

@@ -77,7 +77,7 @@ func TestLogicalViewFlattening(t *testing.T) {
 	if err := s.InsertContext(ctx, "Sales", rows...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MaterializeContext(ctx, "ByRegionProduct"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "ByRegionProduct"); err != nil {
 		t.Fatal(err)
 	}
 	// Query over the LOGICAL view West (not materialized): must flatten
@@ -110,7 +110,7 @@ func TestMaterializedViewNotFlattened(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.MaterializeContext(ctx, "Slice"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "Slice"); err != nil {
 		t.Fatal(err)
 	}
 	r, err := s.PlanContext(ctx, "SELECT Id, SUM(V) FROM Slice GROUP BY Id")
@@ -135,13 +135,7 @@ func TestMaterializedViewNotFlattened(t *testing.T) {
 func TestAdviseAndAdoptViaFacade(t *testing.T) {
 	ctx := context.Background()
 	s := New()
-	if err := s.AddTable(&Table{
-		Name:    "Calls",
-		Columns: []string{"Call_Id", "Plan_Id", "Year", "Charge"},
-		Keys:    [][]string{{"Call_Id"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	s.MustLoad("CREATE TABLE Calls(Call_Id, Plan_Id, Year, Charge) KEY(Call_Id)")
 	var rows [][]Value
 	for i := int64(0); i < 500; i++ {
 		rows = append(rows, []Value{Int(i), Int(i % 7), Int(1994 + i%3), Int(i % 100)})
@@ -177,6 +171,17 @@ func TestAdviseAndAdoptViaFacade(t *testing.T) {
 	direct := mustQuery(t, s, workload[0])
 	if !engine.ResultsEqualBag(res, direct) {
 		t.Fatal("adopted-view answer differs")
+	}
+	// An adopted view is tracked: a later write reaches it.
+	if err := s.InsertContext(ctx, "Calls", []Value{Int(500), Int(0), Int(1995), Int(1000)}); err != nil {
+		t.Fatal(err)
+	}
+	res, used, err = s.QueryBestContext(ctx, workload[0])
+	if err != nil || used == nil {
+		t.Fatalf("after an insert: used=%v err=%v, want the adopted view", used, err)
+	}
+	if direct := mustQuery(t, s, workload[0]); !engine.ResultsEqualBag(res, direct) {
+		t.Fatalf("after an insert the adopted view answers\n%s\nthe direct query\n%s", res.Sorted(), direct.Sorted())
 	}
 	// Bad workload query surfaces an error.
 	if _, err := s.AdviseContext(ctx, []string{"SELECT nope FROM Calls"}, nil, 0); err == nil {

@@ -28,7 +28,7 @@ func r1System(t *testing.T, n int, views map[string]string) *aggview.System {
 	}
 	for name, sql := range views {
 		s.MustDefineView(name, sql)
-		if _, err := s.MaterializeContext(ctx, name); err != nil {
+		if _, err := s.TrackViewContext(ctx, name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestBestPrefersFewerBaseTables(t *testing.T) {
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
 		GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
-	if _, err := s.MaterializeContext(ctx, "V1"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "V1"); err != nil {
 		t.Fatal(err)
 	}
 	rw, err := s.PlanContext(ctx, `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)

@@ -234,12 +234,12 @@ func (c *Case) Run(ctx context.Context, w io.Writer, quick bool) {
 	t.flush(w)
 }
 
-// Prepare builds the case's system at p, materializes its view, and
+// Prepare builds the case's system at p, tracks its view, and
 // returns the system, the parsed query and the picked rewriting (nil
 // when the search finds none).
 func (c *Case) Prepare(ctx context.Context, p Point) (*aggview.System, *ir.Query, *aggview.Rewriting) {
 	s := c.Build(p)
-	if _, err := s.MaterializeContext(ctx, c.View); err != nil {
+	if _, err := s.TrackViewContext(ctx, c.View); err != nil {
 		panic(err)
 	}
 	q, err := s.Parse(c.Query)

@@ -3,7 +3,9 @@
 // maintenance as orthogonal ([BLT86, GMS93]) but its motivating
 // scenarios — warehouse summary tables, chronicle ledgers — assume
 // somebody maintains the materializations; this package is that
-// somebody.
+// somebody. It is also the one way rows enter a base table: every write
+// is an ApplyContext batch, whose tableDelta checks the rows (arity, then
+// the kind rule) before anything is staged.
 //
 // Maintenance follows the counting algorithm of GMS93. Each group of a
 // tracked aggregation view carries a multiplicity count n (the number
@@ -22,7 +24,7 @@
 // multiset takes a Δcount per value. A MIN/MAX whose extremum's
 // multiplicity reaches zero is re-derived by re-scanning the group's
 // surviving value multiset; a group whose n reaches zero leaves the
-// materialization. Tracking, Resync and a recompute seed the same state
+// materialization. Tracking and a recompute seed the same state
 // from the same query run over the tables themselves, every row signed
 // +1. Groups and multiset values are keyed by their cells' canonical
 // keys (value.AppendKey), which are self-delimiting: concatenated, they
@@ -247,7 +249,7 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 
 // rebuild derives a tracked view's materialization, and the counting
 // state that goes with it, from store (nil: the live database) in full:
-// what TrackContext, a recompute inside a batch and Resync each need. An
+// what TrackContext and a recompute inside a batch each need. An
 // incremental aggregation view is seeded from its seed query and its
 // rows are built from the seeded groups, each as a group a batch creates
 // (touched.row), in the order the seed query's rows first name them —
@@ -792,7 +794,7 @@ func (m *Maintainer) sortedTrackedLocked() []string {
 }
 
 // sortByDepthLocked orders tracked view keys by nesting depth, then
-// name: a view is staged (or resynced) after every view it reads.
+// name: a view is staged after every view it reads.
 func (m *Maintainer) sortByDepthLocked(names []string) {
 	sort.Slice(names, func(i, j int) bool {
 		a, b := m.tracked[names[i]], m.tracked[names[j]]
@@ -804,11 +806,12 @@ func (m *Maintainer) sortByDepthLocked(names []string) {
 }
 
 // tableDelta turns one mutation into a positional delta over base, the
-// one place a write's rows are checked: arity, then — once the delta has
-// its shape — the kind rule (engine.ColTable.Conform: a foreign kind is a
-// typed *engine.KindError and the batch aborts cleanly). The deleted rows
-// resolve to positions — mut.At when it checks out against the stored
-// cells, one typed probe otherwise — and an absent row is a typed error.
+// one place rows enter a table and the one place a write's rows are
+// checked: arity, then — once the delta has its shape — the kind rule
+// (engine.ColTable.Conform: a foreign kind is a typed *engine.KindError
+// and the batch aborts cleanly). The deleted rows resolve to positions —
+// mut.At when it checks out against the stored cells, one typed probe
+// otherwise — and an absent row is a typed error.
 // A mutation that deletes and inserts equally many rows (an UPDATE)
 // overwrites in place, so the columns it leaves alone are shared between
 // versions; any other drops the positions and appends.
@@ -816,7 +819,7 @@ func tableDelta(base *engine.ColTable, mut Mutation) (engine.Delta, error) {
 	for _, rows := range [][][]value.Value{mut.Deletes, mut.Inserts} {
 		for _, r := range rows {
 			if len(r) != len(base.Attrs()) {
-				return engine.Delta{}, fmt.Errorf("maintain: arity mismatch inserting into %s", mut.Table)
+				return engine.Delta{}, fmt.Errorf("maintain: %s expects %d values, got %d", mut.Table, len(base.Attrs()), len(r))
 			}
 		}
 	}
@@ -1266,30 +1269,4 @@ func (m *Maintainer) GroupCounts(name string) (map[string]int64, bool) {
 		out[string(k)] = g.n
 	}
 	return out, true
-}
-
-// Resync recomputes every tracked view that transitively depends on
-// table, rebuilding counting state — the escape hatch for embedders
-// that replace a base relation wholesale (System.SetRelation) behind
-// the maintainer's back.
-func (m *Maintainer) Resync(ctx context.Context, table string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	key := strings.ToLower(table)
-	names := m.sortedTrackedLocked()
-	m.sortByDepthLocked(names)
-	for _, name := range names {
-		st := m.tracked[name]
-		if !st.trans[key] {
-			continue
-		}
-		tab, groups, err := m.rebuild(ctx, st, nil)
-		if err != nil {
-			return err
-		}
-		// A silent install: every prepared plan over the view is still
-		// valid, it re-reads storage on each execution.
-		st.groups, st.tab = groups, m.db.Apply([]engine.Commit{{Name: st.def.Name, Table: tab, Silent: true}})[0]
-	}
-	return nil
 }

@@ -14,8 +14,7 @@ import (
 // row to the view's own: for every incremental shape, the materialization
 // right after TrackContext, after a forced recompute (the branch a self-join or
 // a view over a view takes, entered here by marking the table
-// view-mediated and applying an empty batch) and after Resync is
-// row for row — order included, cells compared as ResultsEqualBag
+// view-mediated and applying an empty batch) is row for row — order included, cells compared as ResultsEqualBag
 // compares them — what executing the definition returns, and the
 // multiplicity counts do not move. The table spans three morsels and
 // holds float amounts, so a group's rows fold in more than one partial.
@@ -75,11 +74,6 @@ func TestRebuildEqualsDefinition(t *testing.T) {
 			}
 			delete(st.viaView, "txns")
 			sameAsDefinition("after a recompute")
-
-			if err := m.Resync(context.Background(), "Txns"); err != nil {
-				t.Fatal(err)
-			}
-			sameAsDefinition("after Resync")
 
 			// The rebuilt state still absorbs deltas.
 			if err := m.ApplyContext(ctx, Mutation{Table: "Txns", Deletes: rows[:40], Inserts: [][]value.Value{txn(9001, 2, 3, 77)}}); err != nil {

@@ -42,15 +42,6 @@ func (t *TableSpec) SQL() string {
 	return s
 }
 
-// Relation materializes the rows as an engine relation.
-func (t *TableSpec) Relation() *engine.Relation {
-	rel := engine.NewRelation(t.Cols...)
-	for _, row := range t.Rows {
-		rel.Add(row...)
-	}
-	return rel
-}
-
 // QuerySpec is a single-block query kept as clause strings: the
 // generator and the shrinker both manipulate clause lists, and the SQL
 // round-trips through the parser unchanged.
@@ -233,9 +224,10 @@ func cloneRows(rows [][]value.Value) [][]value.Value {
 
 // CompileContext loads the case's setup into a fresh aggview.System:
 // schema and view definitions, table contents, and every view tracked
-// (maintained under writes, as aggserve keeps them). The steps are not
-// applied. The tracking materializations honor ctx's cancellation,
-// deadline and budget.
+// (maintained under writes, as aggserve keeps them). Each table's rows
+// are one insert. The steps are not applied. The inserts and the
+// tracking materializations honor ctx's cancellation, deadline and
+// budget.
 func (c *Case) CompileContext(ctx context.Context, opts aggview.Options) (*aggview.System, error) {
 	sys := aggview.New()
 	sys.Opts = opts
@@ -250,7 +242,7 @@ func (c *Case) CompileContext(ctx context.Context, opts aggview.Options) (*aggvi
 		}
 	}
 	for _, t := range c.Tables {
-		if err := sys.SetRelation(t.Name, t.Relation()); err != nil {
+		if err := sys.InsertContext(ctx, t.Name, t.Rows...); err != nil {
 			return nil, fmt.Errorf("oracle: rows of %s: %w", t.Name, err)
 		}
 	}

@@ -40,7 +40,7 @@ func cacheSystem(t *testing.T) *aggview.System {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.MaterializeContext(ctx, "V"); err != nil {
+	if _, err := sys.TrackViewContext(ctx, "V"); err != nil {
 		t.Fatal(err)
 	}
 	return sys
@@ -118,38 +118,60 @@ func TestPlanCacheAccounting(t *testing.T) {
 }
 
 // TestPlanCacheInvalidation pins the relation-dependency eviction: only
-// plans whose transitive dependency set contains the mutated relation
-// are dropped, matching case-insensitively.
+// plans whose dependency set contains the mutated relation are dropped,
+// matching case-insensitively. A plan over a tracked view depends on the
+// view alone (the view absorbs its tables' writes in the same batch); a
+// plan over a view that is declared but not stored depends on the view's
+// tables too, transitively through the registry.
 func TestPlanCacheInvalidation(t *testing.T) {
 	sys := cacheSystem(t)
+	sys.MustDefineView("W", "SELECT d, SUM(e) FROM U GROUP BY d")
 	c := NewPlanCache(8, obs.NewMetrics())
 	ctx := context.Background()
 
-	overT, pT := mustPrepare(t, sys, "SELECT a, SUM(b) FROM T GROUP BY a")
+	overT, pT := mustPrepare(t, sys, "SELECT c FROM T")
+	overV, pV := mustPrepare(t, sys, "SELECT a, SUM(b) FROM T GROUP BY a")
 	overU, pU := mustPrepare(t, sys, "SELECT d FROM U")
-	for _, e := range []struct {
-		key string
-		p   *aggview.Prepared
-	}{{overT, pT}, {overU, pU}} {
-		e := e
-		if _, _, err := c.GetOrPrepare(ctx, e.key, func() (*aggview.Prepared, error) { return e.p, nil }); err != nil {
-			t.Fatal(err)
+	overW, pW := mustPrepare(t, sys, "SELECT d FROM W")
+	if !pV.Rewritten() || !slices.Equal(pV.Deps, []string{"v"}) {
+		t.Fatalf("plan over the tracked view: rewritten=%v deps=%v, want deps [v]", pV.Rewritten(), pV.Deps)
+	}
+	if pW.Rewritten() || !slices.Equal(pW.Deps, []string{"u", "w"}) {
+		t.Fatalf("plan over the declared view: rewritten=%v deps=%v, want deps [u w]", pW.Rewritten(), pW.Deps)
+	}
+	prepared := map[string]*aggview.Prepared{overT: pT, overV: pV, overU: pU, overW: pW}
+	fill := func() {
+		for key, p := range prepared {
+			if _, _, err := c.GetOrPrepare(ctx, key, func() (*aggview.Prepared, error) { return p, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// hits reports, per key in order T, V, U, W, whether the cache still
+	// holds its plan, refilling what an invalidation dropped.
+	hits := func() []bool {
+		var out []bool
+		for _, key := range []string{overT, overV, overU, overW} {
+			_, verdict, _ := c.GetOrPrepare(ctx, key, func() (*aggview.Prepared, error) { return prepared[key], nil })
+			out = append(out, verdict == "hit")
+		}
+		return out
+	}
+	fill()
+	for _, tc := range []struct {
+		rel  string
+		want []bool
+	}{
+		{"t", []bool{false, true, true, true}}, // lowercased, as the DB hook delivers it
+		{"v", []bool{true, false, true, true}},
+		{"u", []bool{true, true, false, false}},
+	} {
+		c.InvalidateRelation(tc.rel)
+		if got := hits(); !slices.Equal(got, tc.want) {
+			t.Fatalf("after invalidating %s: hits (T, V, U, W) = %v, want %v", tc.rel, got, tc.want)
 		}
 	}
 
-	c.InvalidateRelation("t") // lowercased, as the DB hook delivers it
-	if _, verdict, _ := c.GetOrPrepare(ctx, overU, nil); verdict != "hit" {
-		t.Fatal("plan over U was evicted by an invalidation of T")
-	}
-	if _, verdict, _ := c.GetOrPrepare(ctx, overT, func() (*aggview.Prepared, error) { return pT, nil }); verdict != "miss" {
-		t.Fatal("plan over T survived invalidation of its base relation")
-	}
-
-	// A plan that ranges over the view must also depend on the view's
-	// base table (transitive deps through the registry).
-	if len(pT.Deps) == 0 {
-		t.Fatal("prepared plan reports no dependencies")
-	}
 	c.Flush()
 	if c.Len() != 0 || c.Entries() != 0 {
 		t.Fatalf("after flush: Len=%d Entries=%d", c.Len(), c.Entries())

@@ -743,3 +743,33 @@ func TestServerConstantKindsKeepTheirPlans(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryOverDeclaredEmptyTable pins that /query over a table declared
+// and never written answers an empty result, alone or joined, not an
+// error.
+func TestQueryOverDeclaredEmptyTable(t *testing.T) {
+	ctx := context.Background()
+	sys := aggview.New()
+	sys.MustLoad(`
+		CREATE TABLE T(A, B);
+		CREATE TABLE U(C, D);
+		CREATE TABLE W(E, F);
+	`)
+	if err := sys.InsertContext(ctx, "W", []aggview.Value{aggview.Int(1), aggview.Int(2)}); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := testClient(t, sys, Config{})
+	for _, sql := range []string{
+		"SELECT A, SUM(B) FROM T GROUP BY A",
+		"SELECT E, D FROM W, U WHERE E = C",
+	} {
+		resp, err := c.Query(ctx, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		got, err := resp.Relation()
+		if err != nil || got.Len() != 0 {
+			t.Fatalf("%s: %v rows (err %v), want none", sql, got, err)
+		}
+	}
+}

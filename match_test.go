@@ -180,7 +180,7 @@ func TestMatchEqualsEvalCondGenerated(t *testing.T) {
 		sys := aggview.New()
 		for _, tab := range mc.Tables {
 			sys.MustLoad(tab.SQL())
-			if err := sys.SetRelation(tab.Name, tab.Relation()); err != nil {
+			if err := sys.InsertContext(context.Background(), tab.Name, tab.Rows...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -212,7 +212,7 @@ func edgeTable(t *testing.T) *aggview.System {
 		}
 		rel.Add(aggview.Int(int64(i%11)), aggview.Float(float64(i%5)+0.25), aggview.Str(fmt.Sprintf("s%d", i%4)), m, aggview.Int(int64(i%13)))
 	}
-	if err := sys.SetRelation("T", rel); err != nil {
+	if err := sys.InsertContext(context.Background(), "T", rel.Tuples...); err != nil {
 		t.Fatal(err)
 	}
 	return sys
@@ -292,7 +292,7 @@ func TestSetEqualsEvalExpr(t *testing.T) {
 			rel.Add(aggview.Int(int64(i)), aggview.Int(int64(i%17-3)), aggview.Float(float64(i%23)/8),
 				aggview.Str(fmt.Sprintf("s%d", i%5)), aggview.Str(fmt.Sprintf("t%d", i%3)), m)
 		}
-		if err := sys.SetRelation("T", rel); err != nil {
+		if err := sys.InsertContext(context.Background(), "T", rel.Tuples...); err != nil {
 			t.Fatal(err)
 		}
 		stored, _ := sys.DB.Get("T")
@@ -387,7 +387,7 @@ func FuzzMutationMatchesReference(f *testing.F) {
 	}
 	sys := aggview.New()
 	sys.MustLoad("CREATE TABLE T(K, F, S, M, B)")
-	if err := sys.SetRelation("T", rel); err != nil {
+	if err := sys.InsertContext(context.Background(), "T", rel.Tuples...); err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, text string) {

@@ -3,6 +3,7 @@ package aggview_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"aggview"
@@ -24,7 +25,7 @@ func preparedFixture(t *testing.T) *aggview.System {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.MaterializeContext(ctx, "ByCust"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "ByCust"); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -114,24 +115,30 @@ func TestPlanKeyCanonical(t *testing.T) {
 	}
 }
 
-// TestPreparedDeps pins the transitive dependency set the plan cache
-// indexes on: a plan over a view depends on the view and its base
-// table.
+// TestPreparedDeps pins the dependency set the plan cache indexes on: a
+// plan over a tracked view depends on the view alone, since the view
+// absorbs its table's writes in the same batch; a plan over a view that
+// is declared but not stored reads the view's definition, so it depends
+// on the view and, transitively, on the view's table.
 func TestPreparedDeps(t *testing.T) {
+	ctx := context.Background()
 	s := preparedFixture(t)
-	p, err := s.PrepareContext(context.Background(), "SELECT cust, SUM(dur) FROM Calls GROUP BY cust")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deps := map[string]bool{}
-	for _, d := range p.Deps {
-		deps[d] = true
-	}
-	if !deps["calls"] {
-		t.Fatalf("deps %v lack the base table", p.Deps)
-	}
-	if p.Rewritten() && !deps["bycust"] {
-		t.Fatalf("rewritten plan deps %v lack the view", p.Deps)
+	s.MustDefineView("ByToll", "SELECT toll, SUM(dur) FROM Calls GROUP BY toll")
+	for _, c := range []struct {
+		sql       string
+		rewritten bool
+		deps      []string
+	}{
+		{"SELECT cust, SUM(dur) FROM Calls GROUP BY cust", true, []string{"bycust"}},
+		{"SELECT toll FROM ByToll", false, []string{"bytoll", "calls"}},
+	} {
+		p, err := s.PrepareContext(ctx, c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Rewritten() != c.rewritten || !slices.Equal(p.Deps, c.deps) {
+			t.Errorf("%s: rewritten=%v deps=%v, want rewritten=%v deps=%v", c.sql, p.Rewritten(), p.Deps, c.rewritten, c.deps)
+		}
 	}
 }
 

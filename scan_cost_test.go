@@ -28,7 +28,7 @@ func scanShapes(t testing.TB, sys *aggview.System) []scanShape {
 	for c := 0; c < 500; c++ {
 		cust.Add(aggview.Int(int64(c)), aggview.Int(int64(200+rng.Intn(40))))
 	}
-	if err := sys.SetRelation("Customer", cust); err != nil {
+	if err := sys.InsertContext(context.Background(), "Customer", cust.Tuples...); err != nil {
 		t.Fatal(err)
 	}
 	return []scanShape{
@@ -123,10 +123,10 @@ func TestScanCostIsResultSized(t *testing.T) {
 // same bag on both.
 func TestClusteredScanSkipsChunks(t *testing.T) {
 	const calls = 40 * 1024
-	uniform, clustered := warehouse(t, calls), warehouse(t, calls)
-	rel, _ := clustered.DB.Get("Calls")
+	uniform, clustered := warehouse(t, calls), warehouse(t, 0)
+	rel, _ := uniform.DB.Get("Calls")
 	sort.SliceStable(rel.Tuples, func(i, j int) bool { return rel.Tuples[i][3].AsInt() < rel.Tuples[j][3].AsInt() })
-	if err := clustered.SetRelation("Calls", rel); err != nil {
+	if err := clustered.InsertContext(context.Background(), "Calls", rel.Tuples...); err != nil {
 		t.Fatal(err)
 	}
 	scanned := func(sys *aggview.System, sql string) (*aggview.Result, int64) {

@@ -16,7 +16,8 @@ VET_JSON="$(mktemp /tmp/aggvet.XXXXXX.json)"
 LINT_JSON="$(mktemp /tmp/aggview-lint.XXXXXX.json)"
 TRACE_JSON="$(mktemp /tmp/aggview-trace.XXXXXX.json)"
 LOAD_JSON="$(mktemp /tmp/loadrunner.XXXXXX.json)"
-trap 'rm -f "$VET_JSON" "$LINT_JSON" "$TRACE_JSON" "$LOAD_JSON"' EXIT
+EX_DIR="$(mktemp -d /tmp/aggview-examples.XXXXXX)"
+trap 'rm -f "$VET_JSON" "$LINT_JSON" "$TRACE_JSON" "$LOAD_JSON"; rm -rf "$EX_DIR"' EXIT
 
 # Project-specific static analysis (DESIGN.md section 8): the six
 # aggvet analyzers guard the determinism (maporder) and float-comparison
@@ -92,6 +93,25 @@ sh scripts/serve_smoke.sh
 # Paper experiments (EXPERIMENTS.md): every table of the E-series at its
 # quick scales; exits nonzero if any experiment panics.
 go run ./cmd/benchrunner -quick > /dev/null
+
+# Example smoke gate: every example program and the CLI's two end-to-end
+# modes run to a zero exit (mobilecache also compares its offline
+# answers with the server's), and a script's own INSERTs reach the
+# answer `aggview -exec` prints. Under a second together.
+for ex in quickstart mobilecache chronicle advisor telco; do
+	go build -o "$EX_DIR/$ex" "./examples/$ex"
+done
+"$EX_DIR/quickstart" > /dev/null
+"$EX_DIR/mobilecache" > /dev/null
+"$EX_DIR/chronicle" > /dev/null
+"$EX_DIR/advisor" > /dev/null
+"$EX_DIR/telco" -calls 20000 > /dev/null
+go build -o "$EX_DIR/aggview" ./cmd/aggview
+"$EX_DIR/aggview" -demo > /dev/null
+printf 'CREATE TABLE T(A, B);\nINSERT INTO T VALUES (1, 2), (3, 4);\nSELECT A, SUM(B) FROM T GROUP BY A;\n' > "$EX_DIR/script.sql"
+"$EX_DIR/aggview" -exec "$EX_DIR/script.sql" > "$EX_DIR/script.out"
+grep -qx '1 | 2' "$EX_DIR/script.out"
+grep -qx '3 | 4' "$EX_DIR/script.out"
 
 # Benchmark gate (BENCHMARK.json): the bench module must vet and pass
 # its own tests, and short runs of all four workloads must exit 0 — the

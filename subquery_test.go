@@ -44,7 +44,7 @@ func TestSubqueryRewritesOntoMaterializedView(t *testing.T) {
 	ctx := context.Background()
 	s := subqSystem(t)
 	s.MustDefineView("ByRP", `SELECT Region, Product, SUM(Amount), COUNT(Amount) FROM Sales GROUP BY Region, Product`)
-	if _, err := s.MaterializeContext(ctx, "ByRP"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "ByRP"); err != nil {
 		t.Fatal(err)
 	}
 	nested := `SELECT Product, SUM(Amount)
@@ -153,7 +153,7 @@ func TestAggregateSubqueryWithRewritableInner(t *testing.T) {
 	ctx := context.Background()
 	s := subqSystem(t)
 	s.MustDefineView("ByRP", `SELECT Region, Product, SUM(Amount), COUNT(Amount) FROM Sales GROUP BY Region, Product`)
-	if _, err := s.MaterializeContext(ctx, "ByRP"); err != nil {
+	if _, err := s.TrackViewContext(ctx, "ByRP"); err != nil {
 		t.Fatal(err)
 	}
 	nested := `SELECT Region, MAX(total)

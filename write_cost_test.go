@@ -34,7 +34,7 @@ func warehouse(t testing.TB, calls int, extra ...string) *aggview.System {
 	for p := 0; p < 10; p++ {
 		plans.Add(aggview.Int(int64(p)), aggview.Str(fmt.Sprintf("plan_%02d", p)))
 	}
-	if err := sys.SetRelation("Calling_Plans", plans); err != nil {
+	if err := sys.InsertContext(context.Background(), "Calling_Plans", plans.Tuples...); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -46,7 +46,7 @@ func warehouse(t testing.TB, calls int, extra ...string) *aggview.System {
 		}
 		rel.Tuples = append(rel.Tuples, row)
 	}
-	if err := sys.SetRelation("Calls", rel); err != nil {
+	if err := sys.InsertContext(context.Background(), "Calls", rel.Tuples...); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []string{"V1", "VPlanMonth", "VCust", "VSel96", "VYear", "VRange"} {
@@ -115,9 +115,9 @@ func TestWriteCostIsDeltaSized(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The chunks SetRelation built are exactly sized, so the first
-		// insert moves the last one to an array with room; the next 64
-		// fill it and the chunks started behind it.
+		// One unmeasured insert first: the load left the last chunk room
+		// to double (up to a full chunk), and the measured 64 fill it and
+		// the chunks started behind it from the state a write leaves.
 		insert()
 		var c cost
 		c.insert = allocated(func() {
