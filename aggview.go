@@ -409,8 +409,8 @@ func (s *System) changedRows(ctx context.Context, t *schema.Table, where sqlpars
 // TrackViewContext materializes a view and keeps it consistent under
 // future writes: SUM/COUNT/MIN/MAX views merge per-group deltas, other
 // shapes recompute. It reports whether maintenance is incremental.
-// Tracking state is dropped by AdoptDB. Cancellation and deadline expiry
-// abort the initial materialization with a typed error.
+// Cancellation and deadline expiry abort the initial materialization
+// with a typed error.
 func (s *System) TrackViewContext(ctx context.Context, name string) (incremental bool, err error) {
 	inc, err := s.maintainer().TrackContext(ctx, name)
 	if err != nil {
@@ -437,19 +437,6 @@ func (s *System) ViewModes() []ViewMode {
 		out = append(out, ViewMode{Name: name, Mode: mode, Reason: reason})
 	}
 	return out
-}
-
-// AdoptDB replaces the system's database wholesale (e.g. with a
-// generated workload) and records the cardinalities of the named
-// relations.
-func (s *System) AdoptDB(db *engine.DB, names ...string) {
-	s.DB = db
-	s.maint = maintain.New(db, s.Views)
-	for _, n := range names {
-		if rows, ok := db.NumRows(n); ok {
-			s.Stats[strings.ToLower(n)] = float64(rows)
-		}
-	}
 }
 
 // Parse compiles a SELECT statement against the catalog and views.

@@ -13,9 +13,9 @@ import (
 func telcoSystem(t *testing.T, calls int) *System {
 	t.Helper()
 	s := New()
-	s.Catalog = datagen.TelcoCatalog()
-	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: calls, Seed: 7}),
-		"Calls", "Calling_Plans", "Customer")
+	if err := datagen.Telco(datagen.TelcoConfig{Calls: calls, Seed: 7}).Load(t.Context(), s); err != nil {
+		t.Fatal(err)
+	}
 	s.MustDefineView("V1", `SELECT Calls.Plan_Id, Plan_Name, Month, Year, SUM(Charge)
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id

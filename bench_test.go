@@ -18,7 +18,6 @@ import (
 	"aggview/internal/engine"
 	"aggview/internal/experiments"
 	"aggview/internal/ir"
-	"aggview/internal/maintain"
 	"aggview/internal/obs"
 )
 
@@ -112,7 +111,7 @@ func BenchmarkE6SearchCost(b *testing.B) {
 // BenchmarkE7Keys measures the Section 5 path: many-to-1 mapping search
 // plus chase-based containment verification (table T7).
 func BenchmarkE7Keys(b *testing.B) {
-	rw, q, v := experiments.KeysSetup(true)
+	_, rw, q, v := experiments.KeysSetup(b.Context(), true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if rws, err := rw.RewriteOnceContext(context.Background(), q, v); err != nil || len(rws) == 0 {
@@ -292,14 +291,13 @@ func BenchmarkE9ClosureCached(b *testing.B) {
 // the chronicle summary per 100-row batch (table T11).
 func BenchmarkE11MaintainIncremental(b *testing.B) {
 	ctx := context.Background()
-	db, reg := experiments.MaintenanceSetup(50000)
-	m := maintain.New(db, reg)
-	if _, err := m.TrackContext(ctx, "DailyAcct"); err != nil {
+	s := experiments.MaintenanceSetup(ctx, 50000)
+	if _, err := s.TrackViewContext(ctx, "DailyAcct"); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.InsertContext(ctx, "Txns", experiments.MaintenanceBatch(50000+i*100, 100)...); err != nil {
+		if err := s.InsertContext(ctx, "Txns", experiments.MaintenanceBatch(50000+i*100, 100)...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,7 +376,7 @@ func BenchmarkMaintainWarehouse(b *testing.B) {
 // BenchmarkE12Advise measures the advisor's recommendation pass over the
 // three-query telco workload (table T12).
 func BenchmarkE12Advise(b *testing.B) {
-	s, workload := experiments.AdvisorSetup(20000)
+	s, workload := experiments.AdvisorSetup(b.Context(), 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recs, err := s.AdviseContext(context.Background(), workload, nil, 0)

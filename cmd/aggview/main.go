@@ -22,6 +22,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -65,7 +66,9 @@ func main() {
 	flag.Parse()
 
 	if *demo {
-		runDemo()
+		if err := runDemo(os.Stdout); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	if flag.NArg() != 1 {
@@ -209,20 +212,21 @@ func parseCell(cell string) aggview.Value {
 	return aggview.Str(cell)
 }
 
-// runDemo executes Example 1.1 end to end on generated data.
-func runDemo() {
+// runDemo executes Example 1.1 end to end on generated data, writing
+// the rewriting report and the answer to w.
+func runDemo(w io.Writer) error {
+	ctx := context.Background()
 	s := aggview.New()
-	s.Catalog = datagen.TelcoCatalog()
-	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: 50000, Seed: 1}),
-		"Calls", "Calling_Plans", "Customer")
+	if err := datagen.Telco(datagen.TelcoConfig{Calls: 50000, Seed: 1}).Load(ctx, s); err != nil {
+		return err
+	}
 	s.MustDefineView("V1", `
 		SELECT Calls.Plan_Id, Plan_Name, Month, Year, SUM(Charge)
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id
 		GROUP BY Calls.Plan_Id, Plan_Name, Month, Year`)
-	ctx := context.Background()
 	if _, err := s.TrackViewContext(ctx, "V1"); err != nil {
-		fatal(err)
+		return err
 	}
 	q := `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
 		FROM Calls, Calling_Plans
@@ -231,12 +235,13 @@ func runDemo() {
 		HAVING SUM(Charge) < 1000000`
 	report, err := s.Explain(ctx, q)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(report)
+	fmt.Fprint(w, report)
 	res, used, err := s.QueryBestContext(ctx, q)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("\nexecuted via %v:\n%s", used.Used, res.Sorted())
+	fmt.Fprintf(w, "\nexecuted via %v:\n%s", used.Used, res.Sorted())
+	return nil
 }

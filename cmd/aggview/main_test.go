@@ -207,3 +207,20 @@ func TestLoadScriptKeepsViewColumnList(t *testing.T) {
 		t.Error("a -data spec without a file should fail")
 	}
 }
+
+// TestDemoGolden pins `aggview -demo`'s output: the statistics, cost
+// estimates, chosen rewriting and answer of Example 1.1 over the
+// generated warehouse.
+func TestDemoGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/demo.out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	if err := runDemo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("demo output differs from testdata/demo.out:\n%s", got.String())
+	}
+}

@@ -36,9 +36,9 @@ func detWorkloads() []detWorkload {
 			name: "telco",
 			build: func() *aggview.System {
 				s := aggview.New()
-				s.Catalog = datagen.TelcoCatalog()
-				s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: 20000, Seed: 1}),
-					"Calls", "Calling_Plans", "Customer")
+				if err := datagen.Telco(datagen.TelcoConfig{Calls: 20000, Seed: 1}).Load(ctx, s); err != nil {
+					panic(err)
+				}
 				s.MustDefineView("V1", `
 					SELECT Calls.Plan_Id, Plan_Name, Month, Year, SUM(Charge)
 					FROM Calls, Calling_Plans
@@ -63,9 +63,9 @@ func detWorkloads() []detWorkload {
 			name: "chronicle",
 			build: func() *aggview.System {
 				s := aggview.New()
-				s.Catalog = datagen.ChronicleCatalog()
-				s.AdoptDB(datagen.Chronicle(datagen.ChronicleConfig{Accounts: 200, Txns: 30000, Days: 30, Seed: 9}),
-					"Txns", "Accounts")
+				if err := datagen.Chronicle(datagen.ChronicleConfig{Accounts: 200, Txns: 30000, Seed: 9}).Load(ctx, s); err != nil {
+					panic(err)
+				}
 				s.MustDefineView("DailyAcct",
 					"SELECT Acct_Id, Day, SUM(Amount), COUNT(Amount) FROM Txns GROUP BY Acct_Id, Day")
 				if _, err := s.TrackViewContext(ctx, "DailyAcct"); err != nil {

@@ -19,10 +19,9 @@ import (
 func main() {
 	ctx := context.Background()
 	s := aggview.New()
-	s.Catalog = datagen.ChronicleCatalog()
-	s.AdoptDB(datagen.Chronicle(datagen.ChronicleConfig{
-		Accounts: 200, Txns: 100000, Days: 30, Seed: 5,
-	}), "Txns", "Accounts")
+	if err := datagen.Chronicle(datagen.ChronicleConfig{Accounts: 200, Txns: 100000, Seed: 5}).Load(ctx, s); err != nil {
+		log.Fatal(err)
+	}
 
 	// Summary tables maintained alongside the chronicle: TrackViewContext keeps
 	// them consistent as transactions stream in.

@@ -25,10 +25,10 @@ func main() {
 	flag.Parse()
 
 	s := aggview.New()
-	s.Catalog = datagen.TelcoCatalog()
 	fmt.Printf("generating warehouse with %d calls...\n", *calls)
-	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: *calls, Seed: 1}),
-		"Calls", "Calling_Plans", "Customer")
+	if err := datagen.Telco(datagen.TelcoConfig{Calls: *calls, Seed: 1}).Load(ctx, s); err != nil {
+		log.Fatal(err)
+	}
 
 	// The materialized view V1 of Example 1.1: monthly earnings per plan.
 	s.MustDefineView("V1", `

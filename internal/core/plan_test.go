@@ -67,8 +67,9 @@ func TestBestPicksCheapest(t *testing.T) {
 func TestBestPrefersFewerBaseTables(t *testing.T) {
 	ctx := context.Background()
 	s := aggview.New()
-	s.Catalog = datagen.TelcoCatalog()
-	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: 2000, Seed: 7}), "Calls", "Calling_Plans", "Customer")
+	if err := datagen.Telco(datagen.TelcoConfig{Calls: 2000, Seed: 7}).Load(ctx, s); err != nil {
+		t.Fatal(err)
+	}
 	s.MustDefineView("V1", `SELECT Calls.Plan_Id, Plan_Name, Month, Year, SUM(Charge)
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id

@@ -1,23 +1,58 @@
 // Package datagen generates the synthetic workloads used by the
-// examples, tests and the benchmark harness: the telco data warehouse of
-// Example 1.1 (with Zipf-skewed calling plans), the R1/R2 micro-schema
-// of the paper's Section 3-4 examples, and an append-only transaction
-// chronicle in the spirit of [JMS95].
+// examples, tests and experiments: the telco data warehouse of Example
+// 1.1 (with Zipf-skewed calling plans), the R1/R2 micro-schema of the
+// paper's Sections 3-5, and an append-only transaction chronicle in the
+// spirit of [JMS95]. A workload is DDL text and rows per table (Data);
+// Data.Load declares the tables with the DDL and inserts the rows, so
+// generated data takes the same path, and passes the same checks, as
+// every other write.
 package datagen
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
-	"aggview/internal/engine"
-	"aggview/internal/schema"
 	"aggview/internal/value"
 )
+
+// Data is one generated workload: the DDL that declares its tables and
+// each table's rows, in load order.
+type Data struct {
+	DDL    string
+	Tables []Table
+}
+
+// Table is one table's generated rows.
+type Table struct {
+	Name string
+	Rows [][]value.Value
+}
+
+// Loader is what Data.Load needs of a system (*aggview.System has both).
+type Loader interface {
+	Load(script string) error
+	InsertContext(ctx context.Context, table string, rows ...[]value.Value) error
+}
+
+// Load declares d's tables on l and inserts each table's rows as one
+// batch.
+func (d Data) Load(ctx context.Context, l Loader) error {
+	if err := l.Load(d.DDL); err != nil {
+		return err
+	}
+	for _, t := range d.Tables {
+		if err := l.InsertContext(ctx, t.Name, t.Rows...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // RandomRow produces one tuple of the given width, drawing each value
 // from gen (which receives the column position, so per-column
 // distributions compose). It is the building block shared by the
-// micro-schema fillers and the oracle's random-table generator.
+// micro-schema filler and the oracle's random-table generator.
 func RandomRow(rng *rand.Rand, width int, gen func(rng *rand.Rand, col int) value.Value) []value.Value {
 	row := make([]value.Value, width)
 	for c := range row {
@@ -26,212 +61,154 @@ func RandomRow(rng *rand.Rand, width int, gen func(rng *rand.Rand, col int) valu
 	return row
 }
 
-// RandomRelation builds a relation of n rows over the given attributes,
-// with values drawn from gen.
-func RandomRelation(rng *rand.Rand, attrs []string, n int, gen func(rng *rand.Rand, col int) value.Value) *engine.Relation {
-	rel := engine.NewRelation(attrs...)
-	for i := 0; i < n; i++ {
-		rel.Add(RandomRow(rng, len(attrs), gen)...)
-	}
-	return rel
-}
+// TelcoDDL declares the schema of Example 1.1, with the paper's keys.
+const TelcoDDL = `
+CREATE TABLE Customer(Cust_Id, Cust_Name, Area_Code, Phone_Number) KEY(Cust_Id);
+CREATE TABLE Calling_Plans(Plan_Id, Plan_Name) KEY(Plan_Id);
+CREATE TABLE Calls(Call_Id, Cust_Id, Plan_Id, Day, Month, Year, Charge) KEY(Call_Id);`
 
-// UniformInts returns a value generator drawing integers uniformly from
-// [0, domain); small domains force the value collisions that grouping
-// and join workloads need.
-func UniformInts(domain int) func(rng *rand.Rand, col int) value.Value {
-	return func(rng *rand.Rand, _ int) value.Value {
-		return value.Int(int64(rng.Intn(domain)))
-	}
-}
+// The telco warehouse's fixed shape: its calling plans, its customers,
+// the years calls spread over, and the Zipf exponent of plan traffic.
+const (
+	telcoPlans     = 10
+	telcoCustomers = 100
+	telcoZipfS     = 1.2
+)
+
+var telcoYears = []int{1994, 1995, 1996}
 
 // TelcoConfig sizes the telephony warehouse.
 type TelcoConfig struct {
-	Plans     int
-	Customers int
-	Calls     int
-	Years     []int // years to spread calls over; default {1994, 1995, 1996}
-	ZipfS     float64
-	Seed      int64
-}
-
-// withDefaults fills zero fields.
-func (c TelcoConfig) withDefaults() TelcoConfig {
-	if c.Plans == 0 {
-		c.Plans = 10
-	}
-	if c.Customers == 0 {
-		c.Customers = 100
-	}
-	if c.Calls == 0 {
-		c.Calls = 10000
-	}
-	if len(c.Years) == 0 {
-		c.Years = []int{1994, 1995, 1996}
-	}
-	//aggvet:floateq exact zero means "field left unset"; no computed float ever reaches this default check
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.2
-	}
-	return c
-}
-
-// TelcoCatalog returns the schema of Example 1.1, with the paper's keys.
-func TelcoCatalog() *schema.Catalog {
-	c := schema.NewCatalog()
-	mustAdd(c, &schema.Table{
-		Name:    "Customer",
-		Columns: []string{"Cust_Id", "Cust_Name", "Area_Code", "Phone_Number"},
-		Keys:    [][]string{{"Cust_Id"}},
-	})
-	mustAdd(c, &schema.Table{
-		Name:    "Calling_Plans",
-		Columns: []string{"Plan_Id", "Plan_Name"},
-		Keys:    [][]string{{"Plan_Id"}},
-	})
-	mustAdd(c, &schema.Table{
-		Name:    "Calls",
-		Columns: []string{"Call_Id", "Cust_Id", "Plan_Id", "Day", "Month", "Year", "Charge"},
-		Keys:    [][]string{{"Call_Id"}},
-	})
-	return c
-}
-
-func mustAdd(c *schema.Catalog, t *schema.Table) {
-	if err := c.AddTable(t); err != nil {
-		panic(err)
-	}
+	Calls int // default 10000
+	Seed  int64
 }
 
 // Telco populates the warehouse: Customer, Calling_Plans and Calls, with
 // calls assigned to plans under a Zipf distribution (a few plans carry
 // most of the traffic, as in a real tariff portfolio).
-func Telco(cfg TelcoConfig) *engine.DB {
-	cfg = cfg.withDefaults()
+func Telco(cfg TelcoConfig) Data {
+	if cfg.Calls == 0 {
+		cfg.Calls = 10000
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	db := engine.NewDB()
 
-	plans := engine.NewRelation("Plan_Id", "Plan_Name")
-	for p := 0; p < cfg.Plans; p++ {
-		plans.Add(value.Int(int64(p)), value.Str(fmt.Sprintf("plan_%02d", p)))
+	plans := make([][]value.Value, telcoPlans)
+	for p := range plans {
+		plans[p] = []value.Value{value.Int(int64(p)), value.Str(fmt.Sprintf("plan_%02d", p))}
 	}
-	db.Put("Calling_Plans", plans)
 
-	cust := engine.NewRelation("Cust_Id", "Cust_Name", "Area_Code", "Phone_Number")
-	for c := 0; c < cfg.Customers; c++ {
-		cust.Add(value.Int(int64(c)), value.Str(fmt.Sprintf("cust_%04d", c)),
-			value.Int(int64(200+rng.Intn(800))), value.Int(int64(1000000+rng.Intn(8999999))))
+	cust := make([][]value.Value, telcoCustomers)
+	for c := range cust {
+		cust[c] = []value.Value{value.Int(int64(c)), value.Str(fmt.Sprintf("cust_%04d", c)),
+			value.Int(int64(200 + rng.Intn(800))), value.Int(int64(1000000 + rng.Intn(8999999)))}
 	}
-	db.Put("Customer", cust)
 
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Plans-1))
-	calls := engine.NewRelation("Call_Id", "Cust_Id", "Plan_Id", "Day", "Month", "Year", "Charge")
-	for i := 0; i < cfg.Calls; i++ {
-		calls.Add(
+	zipf := rand.NewZipf(rng, telcoZipfS, 1, telcoPlans-1)
+	calls := make([][]value.Value, cfg.Calls)
+	for i := range calls {
+		calls[i] = []value.Value{
 			value.Int(int64(i)),
-			value.Int(int64(rng.Intn(cfg.Customers))),
+			value.Int(int64(rng.Intn(telcoCustomers))),
 			value.Int(int64(zipf.Uint64())),
-			value.Int(int64(1+rng.Intn(28))),
-			value.Int(int64(1+rng.Intn(12))),
-			value.Int(int64(cfg.Years[rng.Intn(len(cfg.Years))])),
-			value.Int(int64(1+rng.Intn(2000))), // cents
-		)
+			value.Int(int64(1 + rng.Intn(28))),
+			value.Int(int64(1 + rng.Intn(12))),
+			value.Int(int64(telcoYears[rng.Intn(len(telcoYears))])),
+			value.Int(int64(1 + rng.Intn(2000))), // cents
+		}
 	}
-	db.Put("Calls", calls)
-	return db
+	return Data{DDL: TelcoDDL, Tables: []Table{
+		{"Calling_Plans", plans}, {"Customer", cust}, {"Calls", calls},
+	}}
 }
+
+// R1R2DDL declares the R1(A,B,C,D), R2(E,F) micro-schema without keys:
+// R1R2's random rows repeat values in every column.
+const R1R2DDL = `
+CREATE TABLE R1(A, B, C, D);
+CREATE TABLE R2(E, F);`
+
+// r1r2KeyedDDL declares the micro-schema keyed on the first columns, as
+// Example 5.1 needs. Example51's rows are the only ones loaded under it.
+const r1r2KeyedDDL = `
+CREATE TABLE R1(A, B, C, D) KEY(A);
+CREATE TABLE R2(E, F) KEY(E);`
 
 // R1R2Config sizes the micro-schema databases used by the Section 3-4
 // example reproductions.
 type R1R2Config struct {
 	R1Rows, R2Rows int
-	Domain         int // value domain size; small domains force collisions
-	DupRate        int // one extra duplicate per DupRate rows (0: none)
+	Domain         int // value domain size, default 4; small domains force collisions
 	Seed           int64
 }
 
-// R1R2Catalog returns the R1(A,B,C,D), R2(E,F) schema, optionally keyed
-// on the first columns.
-func R1R2Catalog(keyed bool) *schema.Catalog {
-	c := schema.NewCatalog()
-	r1 := &schema.Table{Name: "R1", Columns: []string{"A", "B", "C", "D"}}
-	r2 := &schema.Table{Name: "R2", Columns: []string{"E", "F"}}
-	if keyed {
-		r1.Keys = [][]string{{"A"}}
-		r2.Keys = [][]string{{"E"}}
-	}
-	mustAdd(c, r1)
-	mustAdd(c, r2)
-	return c
-}
-
-// R1R2 fills the micro-schema with uniform random small values.
-func R1R2(cfg R1R2Config) *engine.DB {
+// R1R2 fills the unkeyed micro-schema with uniform random small values.
+func R1R2(cfg R1R2Config) Data {
 	if cfg.Domain == 0 {
 		cfg.Domain = 4
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	gen := UniformInts(cfg.Domain)
-	db := engine.NewDB()
-	r1 := engine.NewRelation("A", "B", "C", "D")
-	for i := 0; i < cfg.R1Rows; i++ {
-		row := RandomRow(rng, 4, gen)
-		r1.Add(row...)
-		if cfg.DupRate > 0 && rng.Intn(cfg.DupRate) == 0 {
-			r1.Add(row...)
+	gen := func(rng *rand.Rand, _ int) value.Value { return value.Int(int64(rng.Intn(cfg.Domain))) }
+	fill := func(n, width int) [][]value.Value {
+		rows := make([][]value.Value, n)
+		for i := range rows {
+			rows[i] = RandomRow(rng, width, gen)
 		}
+		return rows
 	}
-	db.Put("R1", r1)
-	db.Put("R2", RandomRelation(rng, []string{"E", "F"}, cfg.R2Rows, gen))
-	return db
+	return Data{DDL: R1R2DDL, Tables: []Table{{"R1", fill(cfg.R1Rows, 4)}, {"R2", fill(cfg.R2Rows, 2)}}}
 }
+
+// Example51 holds the three R1 rows on which the experiments check
+// Example 5.1's rewriting, under the keyed micro-schema (keyed) or the
+// unkeyed one. A is a key of them, and the view's self-join r.B = s.C
+// pairs two distinct rows.
+func Example51(keyed bool) Data {
+	ddl := R1R2DDL
+	if keyed {
+		ddl = r1r2KeyedDDL
+	}
+	return Data{DDL: ddl, Tables: []Table{
+		{"R1", [][]value.Value{
+			{value.Int(1), value.Int(5), value.Int(5), value.Int(0)},
+			{value.Int(2), value.Int(5), value.Int(7), value.Int(0)},
+			{value.Int(3), value.Int(7), value.Int(5), value.Int(0)},
+		}},
+		{"R2", nil},
+	}}
+}
+
+// ChronicleDDL declares the ledger schema.
+const ChronicleDDL = `
+CREATE TABLE Txns(Txn_Id, Acct_Id, Day, Amount) KEY(Txn_Id);
+CREATE TABLE Accounts(Acct_Id, Branch) KEY(Acct_Id);`
+
+// chronicleDays is the number of days the ledger's transactions spread
+// over.
+const chronicleDays = 30
 
 // ChronicleConfig sizes the transaction-recording scenario: an
 // append-only ledger of account transactions, summarized per account and
 // per (account, day) — the chronicle model of [JMS95].
 type ChronicleConfig struct {
-	Accounts int
+	Accounts int // default 50
 	Txns     int
-	Days     int
 	Seed     int64
 }
 
-// ChronicleCatalog returns the ledger schema.
-func ChronicleCatalog() *schema.Catalog {
-	c := schema.NewCatalog()
-	mustAdd(c, &schema.Table{
-		Name:    "Txns",
-		Columns: []string{"Txn_Id", "Acct_Id", "Day", "Amount"},
-		Keys:    [][]string{{"Txn_Id"}},
-	})
-	mustAdd(c, &schema.Table{
-		Name:    "Accounts",
-		Columns: []string{"Acct_Id", "Branch"},
-		Keys:    [][]string{{"Acct_Id"}},
-	})
-	return c
-}
-
 // Chronicle populates the ledger.
-func Chronicle(cfg ChronicleConfig) *engine.DB {
+func Chronicle(cfg ChronicleConfig) Data {
 	if cfg.Accounts == 0 {
 		cfg.Accounts = 50
 	}
-	if cfg.Days == 0 {
-		cfg.Days = 30
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	db := engine.NewDB()
-	accts := engine.NewRelation("Acct_Id", "Branch")
-	for a := 0; a < cfg.Accounts; a++ {
-		accts.Add(value.Int(int64(a)), value.Int(int64(a%7)))
+	accts := make([][]value.Value, cfg.Accounts)
+	for a := range accts {
+		accts[a] = []value.Value{value.Int(int64(a)), value.Int(int64(a % 7))}
 	}
-	db.Put("Accounts", accts)
-	txns := engine.NewRelation("Txn_Id", "Acct_Id", "Day", "Amount")
-	for i := 0; i < cfg.Txns; i++ {
-		txns.Add(value.Int(int64(i)), value.Int(int64(rng.Intn(cfg.Accounts))),
-			value.Int(int64(1+rng.Intn(cfg.Days))), value.Int(int64(rng.Intn(10000))-2000))
+	txns := make([][]value.Value, cfg.Txns)
+	for i := range txns {
+		txns[i] = []value.Value{value.Int(int64(i)), value.Int(int64(rng.Intn(cfg.Accounts))),
+			value.Int(int64(1 + rng.Intn(chronicleDays))), value.Int(int64(rng.Intn(10000)) - 2000)}
 	}
-	db.Put("Txns", txns)
-	return db
+	return Data{DDL: ChronicleDDL, Tables: []Table{{"Accounts", accts}, {"Txns", txns}}}
 }

@@ -1,31 +1,47 @@
-package datagen
+package datagen_test
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
-	"aggview/internal/engine"
-	"aggview/internal/ir"
+	"aggview"
+	"aggview/internal/datagen"
+	"aggview/internal/value"
 )
 
+// rows returns the generated rows of one table of d.
+func rows(t *testing.T, d datagen.Data, table string) [][]value.Value {
+	t.Helper()
+	for _, tab := range d.Tables {
+		if tab.Name == table {
+			return tab.Rows
+		}
+	}
+	t.Fatalf("no table %s", table)
+	return nil
+}
+
 func TestTelcoShape(t *testing.T) {
-	db := Telco(TelcoConfig{Plans: 8, Customers: 20, Calls: 1000, Seed: 1})
-	calls, ok := db.Get("Calls")
-	if !ok || calls.Len() != 1000 {
-		t.Fatal("Calls relation wrong")
+	d := datagen.Telco(datagen.TelcoConfig{Calls: 1000, Seed: 1})
+	calls := rows(t, d, "Calls")
+	if len(calls) != 1000 {
+		t.Fatal("Calls rows wrong")
 	}
-	plans, _ := db.Get("Calling_Plans")
-	if plans.Len() != 8 {
-		t.Fatal("Calling_Plans relation wrong")
+	if len(rows(t, d, "Calling_Plans")) != 10 {
+		t.Fatal("Calling_Plans rows wrong")
 	}
-	cust, _ := db.Get("Customer")
-	if cust.Len() != 20 {
-		t.Fatal("Customer relation wrong")
+	if len(rows(t, d, "Customer")) != 100 {
+		t.Fatal("Customer rows wrong")
 	}
-	// Every call must reference an existing plan and a valid date.
-	for _, row := range calls.Tuples {
-		p := row[2].AsInt()
-		if p < 0 || p >= 8 {
+	// Every call must reference an existing plan and customer and a
+	// valid date.
+	for _, row := range calls {
+		if p := row[2].AsInt(); p < 0 || p >= 10 {
 			t.Fatalf("call references plan %d", p)
+		}
+		if c := row[1].AsInt(); c < 0 || c >= 100 {
+			t.Fatalf("call references customer %d", c)
 		}
 		if m := row[4].AsInt(); m < 1 || m > 12 {
 			t.Fatalf("bad month %d", m)
@@ -37,10 +53,8 @@ func TestTelcoShape(t *testing.T) {
 }
 
 func TestTelcoZipfSkew(t *testing.T) {
-	db := Telco(TelcoConfig{Plans: 10, Calls: 20000, Seed: 3})
-	calls, _ := db.Get("Calls")
 	counts := map[int64]int{}
-	for _, row := range calls.Tuples {
+	for _, row := range rows(t, datagen.Telco(datagen.TelcoConfig{Calls: 20000, Seed: 3}), "Calls") {
 		counts[row[2].AsInt()]++
 	}
 	// Zipf: the most popular plan should dominate the least popular one.
@@ -59,82 +73,92 @@ func TestTelcoZipfSkew(t *testing.T) {
 }
 
 func TestTelcoDeterministic(t *testing.T) {
-	a := Telco(TelcoConfig{Calls: 500, Seed: 42})
-	b := Telco(TelcoConfig{Calls: 500, Seed: 42})
-	ra, _ := a.Get("Calls")
-	rb, _ := b.Get("Calls")
-	if !engine.MultisetEqual(ra, rb) {
+	a := datagen.Telco(datagen.TelcoConfig{Calls: 500, Seed: 42})
+	b := datagen.Telco(datagen.TelcoConfig{Calls: 500, Seed: 42})
+	if !reflect.DeepEqual(a, b) {
 		t.Error("same seed must reproduce the same data")
 	}
 }
 
-func TestTelcoCatalogMatchesData(t *testing.T) {
-	cat := TelcoCatalog()
-	db := Telco(TelcoConfig{Calls: 100, Seed: 1})
-	for _, tab := range cat.Tables() {
-		rel, ok := db.Get(tab.Name)
-		if !ok {
-			t.Fatalf("no relation for %s", tab.Name)
-		}
-		if len(rel.Attrs) != len(tab.Columns) {
-			t.Fatalf("%s: catalog arity %d vs data %d", tab.Name, len(tab.Columns), len(rel.Attrs))
-		}
-	}
-	// The catalog must type-check the motivating query.
-	ir.MustBuild(`SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
-		FROM Calls, Calling_Plans
-		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id AND Year = 1995
-		GROUP BY Calling_Plans.Plan_Id, Plan_Name`, cat)
-}
-
 func TestR1R2(t *testing.T) {
-	db := R1R2(R1R2Config{R1Rows: 100, R2Rows: 50, Domain: 3, DupRate: 4, Seed: 9})
-	r1, _ := db.Get("R1")
-	if r1.Len() < 100 {
-		t.Error("duplicates should add rows")
+	d := datagen.R1R2(datagen.R1R2Config{R1Rows: 100, R2Rows: 50, Domain: 3, Seed: 9})
+	if len(rows(t, d, "R1")) != 100 || len(rows(t, d, "R2")) != 50 {
+		t.Fatal("row counts")
 	}
-	for _, row := range r1.Tuples {
-		for _, v := range row {
-			if v.AsInt() < 0 || v.AsInt() >= 3 {
-				t.Fatalf("domain violation: %v", v)
+	for _, tab := range d.Tables {
+		for _, row := range tab.Rows {
+			for _, v := range row {
+				if v.AsInt() < 0 || v.AsInt() >= 3 {
+					t.Fatalf("domain violation: %v", v)
+				}
 			}
 		}
-	}
-	cat := R1R2Catalog(true)
-	if !cat.MustTable("R1").HasKey() {
-		t.Error("keyed catalog")
-	}
-	if R1R2Catalog(false).MustTable("R1").HasKey() {
-		t.Error("unkeyed catalog")
 	}
 }
 
 func TestChronicle(t *testing.T) {
-	db := Chronicle(ChronicleConfig{Accounts: 10, Txns: 500, Days: 5, Seed: 2})
-	txns, _ := db.Get("Txns")
-	if txns.Len() != 500 {
+	d := datagen.Chronicle(datagen.ChronicleConfig{Accounts: 10, Txns: 500, Seed: 2})
+	txns := rows(t, d, "Txns")
+	if len(txns) != 500 {
 		t.Fatal("txn count")
 	}
-	accts, _ := db.Get("Accounts")
-	if accts.Len() != 10 {
+	if len(rows(t, d, "Accounts")) != 10 {
 		t.Fatal("account count")
 	}
-	for _, row := range txns.Tuples {
-		if d := row[2].AsInt(); d < 1 || d > 5 {
-			t.Fatalf("bad day %d", d)
+	for _, row := range txns {
+		if day := row[2].AsInt(); day < 1 || day > 30 {
+			t.Fatalf("bad day %d", day)
 		}
 		if a := row[1].AsInt(); a < 0 || a >= 10 {
 			t.Fatalf("bad account %d", a)
 		}
 	}
-	// Txn ids are unique (key).
-	seen := map[int64]bool{}
-	for _, row := range txns.Tuples {
-		id := row[0].AsInt()
-		if seen[id] {
-			t.Fatal("duplicate txn id")
-		}
-		seen[id] = true
+}
+
+// TestGeneratedKeysHold loads every generator's DDL and rows into a
+// System and checks each declared key on the loaded rows: no key value
+// may repeat. R1R2's random rows repeat values in every column, so they
+// are declared without keys; the keyed micro-schema holds only
+// Example51's three rows.
+func TestGeneratedKeysHold(t *testing.T) {
+	r1r2 := datagen.R1R2(datagen.R1R2Config{R1Rows: 200, R2Rows: 50, Seed: 9})
+	if r1r2.DDL != datagen.R1R2DDL {
+		t.Fatal("R1R2's random rows must load under the unkeyed DDL")
 	}
-	ir.MustBuild("SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id", ChronicleCatalog())
+	if n := len(rows(t, datagen.Example51(true), "R1")); n != 3 {
+		t.Fatalf("Example51 holds %d R1 rows, want 3", n)
+	}
+	for _, c := range []struct {
+		name string
+		d    datagen.Data
+		keys int
+	}{
+		{"telco", datagen.Telco(datagen.TelcoConfig{Calls: 5000, Seed: 1}), 3},
+		{"chronicle", datagen.Chronicle(datagen.ChronicleConfig{Accounts: 200, Txns: 5000, Seed: 9}), 2},
+		{"r1r2", r1r2, 0},
+		{"example51", datagen.Example51(true), 2},
+	} {
+		s := aggview.New()
+		if err := c.d.Load(t.Context(), s); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		keys := 0
+		for _, tab := range s.Catalog.Tables() {
+			for _, key := range tab.Keys {
+				keys++
+				cols := strings.Join(key, ", ")
+				sql := "SELECT " + cols + ", COUNT(*) FROM " + tab.Name + " GROUP BY " + cols + " HAVING COUNT(*) > 1"
+				res, err := s.QueryContext(t.Context(), sql)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", c.name, sql, err)
+				}
+				if res.Len() != 0 {
+					t.Errorf("%s: key (%s) of %s repeats:\n%s", c.name, cols, tab.Name, res.Sorted())
+				}
+			}
+		}
+		if keys != c.keys {
+			t.Errorf("%s declares %d keys, want %d", c.name, keys, c.keys)
+		}
+	}
 }

@@ -117,7 +117,7 @@ type Case struct {
 	// system that only scans and folds (no join, many groups).
 	Full, Quick []Point
 	Bench       Point
-	Build       func(Point) *aggview.System
+	Build       func(context.Context, Point) *aggview.System
 	View        string
 	Query, Fold string
 	Pick        func([]*aggview.Rewriting) *aggview.Rewriting
@@ -238,7 +238,7 @@ func (c *Case) Run(ctx context.Context, w io.Writer, quick bool) {
 // returns the system, the parsed query and the picked rewriting (nil
 // when the search finds none).
 func (c *Case) Prepare(ctx context.Context, p Point) (*aggview.System, *ir.Query, *aggview.Rewriting) {
-	s := c.Build(p)
+	s := c.Build(ctx, p)
 	if _, err := s.TrackViewContext(ctx, c.View); err != nil {
 		panic(err)
 	}
@@ -319,12 +319,18 @@ func (m measured) cell(col string) any {
 	panic("unknown column " + col)
 }
 
-// telcoSystem is Example 1.1: the telco tables and view V1.
-func telcoSystem(p Point) *aggview.System {
+// load declares and fills a new system with d.
+func load(ctx context.Context, d datagen.Data) *aggview.System {
 	s := aggview.New()
-	s.Catalog = datagen.TelcoCatalog()
-	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: p.Rows, Seed: 1}),
-		"Calls", "Calling_Plans", "Customer")
+	if err := d.Load(ctx, s); err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// telcoSystem is Example 1.1: the telco tables and view V1.
+func telcoSystem(ctx context.Context, p Point) *aggview.System {
+	s := load(ctx, datagen.Telco(datagen.TelcoConfig{Calls: p.Rows, Seed: 1}))
 	s.MustDefineView("V1", `
 		SELECT Calls.Plan_Id, Plan_Name, Month, Year, SUM(Charge)
 		FROM Calls, Calling_Plans
@@ -336,37 +342,28 @@ func telcoSystem(p Point) *aggview.System {
 // conjSystem is the Example 3.1 shape (Theorem 3.1): a conjunctive join
 // view. R2 stays small and the domain wide, so the materialized view is
 // selective (about |R1|/16 rows) rather than exploding.
-func conjSystem(p Point) *aggview.System {
-	s := aggview.New()
-	s.Catalog = datagen.R1R2Catalog(false)
-	s.AdoptDB(datagen.R1R2(datagen.R1R2Config{R1Rows: p.Rows, R2Rows: 64, Domain: 32, Seed: 2}), "R1", "R2")
+func conjSystem(ctx context.Context, p Point) *aggview.System {
+	s := load(ctx, datagen.R1R2(datagen.R1R2Config{R1Rows: p.Rows, R2Rows: 64, Domain: 32, Seed: 2}))
 	s.MustDefineView("V31", "SELECT C, D FROM R1, R2 WHERE A = C AND B = D")
 	return s
 }
 
 // coalesceSystem is Example 4.1: the query groups coarser than the view,
 // so the speedup tracks the compression ratio p.FanIn sets.
-func coalesceSystem(p Point) *aggview.System {
-	s := aggview.New()
-	s.Catalog = datagen.R1R2Catalog(false)
-	db := engine.NewDB()
-	r1 := engine.NewRelation("A", "B", "C", "D")
-	for i := 0; i < p.Rows; i++ {
-		r1.Add(value.Int(int64(i%8)), value.Int(int64(i%5)), value.Int(int64(i%p.FanIn)), value.Int(int64(i%3)))
+func coalesceSystem(ctx context.Context, p Point) *aggview.System {
+	r1 := make([][]value.Value, p.Rows)
+	for i := range r1 {
+		r1[i] = []value.Value{value.Int(int64(i % 8)), value.Int(int64(i % 5)), value.Int(int64(i % p.FanIn)), value.Int(int64(i % 3))}
 	}
-	db.Put("R1", r1)
-	db.Put("R2", engine.NewRelation("E", "F"))
-	s.AdoptDB(db, "R1", "R2")
+	s := load(ctx, datagen.Data{DDL: datagen.R1R2DDL, Tables: []datagen.Table{{Name: "R1", Rows: r1}, {Name: "R2"}}})
 	s.MustDefineView("Vc", "SELECT A, C, COUNT(D) FROM R1 GROUP BY A, C")
 	return s
 }
 
 // multSystem is Example 4.2: SUM over a cross join, answered from a view
 // whose COUNT column recovers the multiplicities grouping lost.
-func multSystem(p Point) *aggview.System {
-	s := aggview.New()
-	s.Catalog = datagen.R1R2Catalog(false)
-	s.AdoptDB(datagen.R1R2(datagen.R1R2Config{R1Rows: p.Rows, R2Rows: 30, Domain: 12, Seed: 4}), "R1", "R2")
+func multSystem(ctx context.Context, p Point) *aggview.System {
+	s := load(ctx, datagen.R1R2(datagen.R1R2Config{R1Rows: p.Rows, R2Rows: 30, Domain: 12, Seed: 4}))
 	s.MustDefineView("V2", "SELECT A, B, SUM(C), COUNT(C) FROM R1 GROUP BY A, B")
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"aggview"
 	"aggview/internal/constraints"
 	"aggview/internal/core"
 	"aggview/internal/datagen"
@@ -187,29 +188,28 @@ func keysCases(ctx context.Context, w io.Writer, _ bool) {
 	t.flush(w)
 }
 
-// KeysSetup builds Example 5.1 with or without key metadata: the
-// rewriter, the query and the self-join view V51.
-func KeysSetup(withKeys bool) (*core.Rewriter, *ir.Query, *ir.ViewDef) {
-	cat := datagen.R1R2Catalog(withKeys)
-	reg := ir.NewRegistry()
-	def := ir.MustBuild("SELECT r.A, s.A FROM R1 r, R1 s WHERE r.B = s.C", cat)
-	v, err := ir.NewViewDef("V51", def)
+// KeysSetup builds Example 5.1 with or without key metadata: the system
+// holding Example51's rows, the rewriter, the query and the self-join
+// view V51.
+func KeysSetup(ctx context.Context, withKeys bool) (*aggview.System, *core.Rewriter, *ir.Query, *ir.ViewDef) {
+	s := load(ctx, datagen.Example51(withKeys))
+	s.MustDefineView("V51", "SELECT r.A, s.A FROM R1 r, R1 s WHERE r.B = s.C")
+	v, _ := s.Views.Get("V51")
+	q, err := s.Parse("SELECT A FROM R1 WHERE B = C")
 	if err != nil {
 		panic(err)
 	}
-	if err := reg.Add(v); err != nil {
-		panic(err)
-	}
-	rw := &core.Rewriter{Schema: cat, Views: reg}
+	rw := &core.Rewriter{Schema: s.Catalog, Views: s.Views}
 	if withKeys {
-		rw.Meta = keys.CatalogMeta{Catalog: cat}
+		rw.Meta = keys.CatalogMeta{Catalog: s.Catalog}
 	}
-	return rw, ir.MustBuild("SELECT A FROM R1 WHERE B = C", cat), v
+	return s, rw, q, v
 }
 
-// RunKeysCase runs Example 5.1 with or without key metadata.
+// RunKeysCase runs Example 5.1 with or without key metadata, and checks
+// a rewriting it finds on Example51's rows.
 func RunKeysCase(ctx context.Context, withKeys bool) (int, string) {
-	rw, q, v := KeysSetup(withKeys)
+	s, rw, q, v := KeysSetup(ctx, withKeys)
 	rws, err := rw.RewriteOnceContext(ctx, q, v)
 	if err != nil {
 		panic(err)
@@ -217,19 +217,11 @@ func RunKeysCase(ctx context.Context, withKeys bool) (int, string) {
 	if len(rws) == 0 {
 		return 0, "n/a"
 	}
-	// Verify on keyed data.
-	db := engine.NewDB()
-	r1 := engine.NewRelation("A", "B", "C", "D")
-	r1.Add(value.Int(1), value.Int(5), value.Int(5), value.Int(0))
-	r1.Add(value.Int(2), value.Int(5), value.Int(7), value.Int(0))
-	r1.Add(value.Int(3), value.Int(7), value.Int(5), value.Int(0))
-	db.Put("R1", r1)
-	db.Put("R2", engine.NewRelation("E", "F"))
-	want, err := engine.NewEvaluator(db, rw.Views).ExecContext(ctx, q)
+	want, err := engine.NewEvaluator(s.DB, rw.Views).ExecContext(ctx, q)
 	if err != nil {
 		panic(err)
 	}
-	got, err := engine.NewEvaluator(db, rw.Views).ExecContext(ctx, rws[0].Query)
+	got, err := engine.NewEvaluator(s.DB, rw.Views).ExecContext(ctx, rws[0].Query)
 	if err != nil {
 		panic(err)
 	}

@@ -15,8 +15,6 @@ import (
 	"aggview"
 	"aggview/internal/datagen"
 	"aggview/internal/engine"
-	"aggview/internal/ir"
-	"aggview/internal/maintain"
 	"aggview/internal/value"
 )
 
@@ -44,58 +42,50 @@ func RunMaintenance(ctx context.Context, baseRows, batches, batchSize int) (incr
 		return MaintenanceBatch(baseRows+b*batchSize, batchSize)
 	}
 
-	// Incremental.
-	db1, reg1 := MaintenanceSetup(baseRows)
-	m := maintain.New(db1, reg1)
-	if inc, err := m.TrackContext(ctx, "DailyAcct"); err != nil || !inc {
+	// Incremental: the tracked view absorbs each batch.
+	s1 := MaintenanceSetup(ctx, baseRows)
+	if inc, err := s1.TrackViewContext(ctx, "DailyAcct"); err != nil || !inc {
 		panic("DailyAcct should track incrementally")
 	}
 	start := time.Now()
 	for b := 0; b < batches; b++ {
-		if err := m.InsertContext(ctx, "Txns", mkBatch(b)...); err != nil {
+		if err := s1.InsertContext(ctx, "Txns", mkBatch(b)...); err != nil {
 			panic(err)
 		}
 	}
 	incr = time.Since(start)
 
-	// Recompute-per-batch.
-	db2, reg2 := MaintenanceSetup(baseRows)
+	// Recompute-per-batch: an untracked system re-runs the definition.
+	s2 := MaintenanceSetup(ctx, baseRows)
 	start = time.Now()
 	for b := 0; b < batches; b++ {
-		db2.Append("Txns", mkBatch(b)...)
-		res, err := engine.NewEvaluator(db2, nil).ExecContext(ctx, mustView(reg2, "DailyAcct").Def)
-		if err != nil {
+		if err := s2.InsertContext(ctx, "Txns", mkBatch(b)...); err != nil {
 			panic(err)
 		}
-		db2.Put("DailyAcct", res)
+		if _, err := s2.QueryContext(ctx, dailyAcct); err != nil {
+			panic(err)
+		}
 	}
 	reco = time.Since(start)
 
 	// Consistency: the incremental materialization equals recomputation.
-	final, err := engine.NewEvaluator(db1, nil).ExecContext(ctx, mustView(reg1, "DailyAcct").Def)
+	final, err := s1.QueryContext(ctx, dailyAcct)
 	if err != nil {
 		panic(err)
 	}
-	got, _ := db1.Get("DailyAcct")
+	got, _ := s1.DB.Get("DailyAcct")
 	return incr, reco, engine.MultisetEqual(final, got)
 }
 
-// MaintenanceSetup builds E11's chronicle database of baseRows
-// transactions and the registry holding its summary view DailyAcct.
-func MaintenanceSetup(baseRows int) (*engine.DB, *ir.Registry) {
-	db := datagen.Chronicle(datagen.ChronicleConfig{Accounts: 100, Txns: baseRows, Days: 30, Seed: 9})
-	reg := ir.NewRegistry()
-	def := ir.MustBuild(
-		"SELECT Acct_Id, Day, SUM(Amount), COUNT(Amount), MIN(Amount), MAX(Amount) FROM Txns GROUP BY Acct_Id, Day",
-		datagen.ChronicleCatalog())
-	v, err := ir.NewViewDef("DailyAcct", def)
-	if err != nil {
-		panic(err)
-	}
-	if err := reg.Add(v); err != nil {
-		panic(err)
-	}
-	return db, reg
+// dailyAcct is the definition of E11's summary view DailyAcct.
+const dailyAcct = "SELECT Acct_Id, Day, SUM(Amount), COUNT(Amount), MIN(Amount), MAX(Amount) FROM Txns GROUP BY Acct_Id, Day"
+
+// MaintenanceSetup builds E11's chronicle system of baseRows
+// transactions with its summary view DailyAcct defined, not tracked.
+func MaintenanceSetup(ctx context.Context, baseRows int) *aggview.System {
+	s := load(ctx, datagen.Chronicle(datagen.ChronicleConfig{Accounts: 100, Txns: baseRows, Seed: 9}))
+	s.MustDefineView("DailyAcct", dailyAcct)
+	return s
 }
 
 // MaintenanceBatch returns n new Txns rows with ids from firstID.
@@ -108,14 +98,6 @@ func MaintenanceBatch(firstID, n int) [][]value.Value {
 		}
 	}
 	return rows
-}
-
-func mustView(reg *ir.Registry, name string) *ir.ViewDef {
-	v, ok := reg.Get(name)
-	if !ok {
-		panic("missing view " + name)
-	}
-	return v
 }
 
 // advisor runs the workload-driven view selection end to end (E12,
@@ -134,12 +116,8 @@ func advisor(ctx context.Context, w io.Writer, quick bool) {
 
 // AdvisorSetup builds E12's view-less telco system and its three-query
 // workload.
-func AdvisorSetup(calls int) (*aggview.System, []string) {
-	s := aggview.New()
-	s.Catalog = datagen.TelcoCatalog()
-	s.AdoptDB(datagen.Telco(datagen.TelcoConfig{Calls: calls, Seed: 3}),
-		"Calls", "Calling_Plans", "Customer")
-	return s, []string{
+func AdvisorSetup(ctx context.Context, calls int) (*aggview.System, []string) {
+	return load(ctx, datagen.Telco(datagen.TelcoConfig{Calls: calls, Seed: 3})), []string{
 		`SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id`,
 		`SELECT Plan_Id, Month, SUM(Charge), COUNT(Charge) FROM Calls GROUP BY Plan_Id, Month`,
 		`SELECT Year, AVG(Charge) FROM Calls GROUP BY Year`,
@@ -148,7 +126,7 @@ func AdvisorSetup(calls int) (*aggview.System, []string) {
 
 // RunAdvisor measures the advisor experiment at one scale.
 func RunAdvisor(ctx context.Context, calls int) (nViews, viewRows int, before, after time.Duration, equal bool) {
-	s, workload := AdvisorSetup(calls)
+	s, workload := AdvisorSetup(ctx, calls)
 
 	run := func() (time.Duration, []*engine.Relation) {
 		var results []*engine.Relation

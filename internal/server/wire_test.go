@@ -154,7 +154,11 @@ func TestQueryResponseBytesMatchStdlib(t *testing.T) {
 		if trial%2 == 0 {
 			used = []string{"V1", awkwardStrings[rng.Intn(len(awkwardStrings))]}
 		}
-		cases = append(cases, body{fmt.Sprintf("random %d", trial), datagen.RandomRelation(rng, attrs, rng.Intn(40), gen),
+		rel := engine.NewRelation(attrs...)
+		for n := rng.Intn(40); n > 0; n-- {
+			rel.Add(datagen.RandomRow(rng, len(attrs), gen)...)
+		}
+		cases = append(cases, body{fmt.Sprintf("random %d", trial), rel,
 			used, []string{"hit", "miss", "bypass"}[trial%3], rng.Int63()})
 	}
 
