@@ -323,6 +323,23 @@ func (s *System) ExecContext(ctx context.Context, st sqlparser.Statement) (int, 
 			return 0, err
 		}
 		s.DB.Put(t.Name, engine.NewRelation(t.Columns...))
+		positions := func(cols []string) []int {
+			out := make([]int, len(cols))
+			for i, c := range cols {
+				out[i] = t.ColumnIndex(c) // AddTable checked that each exists
+			}
+			return out
+		}
+		for _, k := range t.Keys {
+			if err := s.maint.DeclareKey(t.Name, positions(k), nil); err != nil {
+				return 0, err
+			}
+		}
+		for _, fd := range t.FDs {
+			if err := s.maint.DeclareKey(t.Name, positions(fd.From), positions(fd.To)); err != nil {
+				return 0, err
+			}
+		}
 		return 0, nil
 	case *sqlparser.CreateView:
 		return 0, s.createView(x)

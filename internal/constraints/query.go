@@ -1,6 +1,7 @@
 package constraints
 
 import (
+	"math"
 	"slices"
 	"sort"
 
@@ -260,8 +261,15 @@ func Equivalent(c, d Conj) bool {
 // accepted by allowed. It returns the residual and whether one exists.
 // For equality-only conjunctions the construction is complete (Theorem
 // 3.1); in general it is sound.
+//
+// Every conjunction it verifies or minimizes against is a subset of
+// given AND the candidate, whose atoms all follow from the satisfiable
+// target, so each is satisfiable and an atom it lists as-is, or one over
+// a variable it never mentions, is decided without closing it (see
+// literally); only the other atoms pay for a closure. That argument
+// needs constants the closure orders as numbers (see ordered); with any
+// other, every atom is closed.
 func Residual(tc *Closure, given Conj, allowed func(Var) bool) (Conj, bool) {
-	target := tc.conj
 	if !tc.Sat() {
 		// An unsatisfiable target is equivalent to anything unsatisfiable;
 		// the empty-result query can use any view. Use a trivially false
@@ -290,7 +298,20 @@ func Residual(tc *Closure, given Conj, allowed func(Var) bool) (Conj, bool) {
 	// Verify: given AND candidate must entail target.
 	combined := make(Conj, 0, len(given)+len(candidate))
 	combined = append(append(combined, given...), candidate...)
-	if !ImpliesAll(combined, target) {
+	lit := ordered(tc, given)
+	var open Conj
+	for _, a := range tc.conj {
+		holds, decided := false, false
+		if lit {
+			holds, decided = rest{xs: combined, skip: -1}.literally(a)
+		}
+		if !decided {
+			open = append(open, a)
+		} else if !holds {
+			return nil, false
+		}
+	}
+	if len(open) > 0 && !Close(combined).ImpliesAll(open) {
 		return nil, false
 	}
 	// Minimize: drop atoms that stay implied by given and the rest. The
@@ -298,12 +319,115 @@ func Residual(tc *Closure, given Conj, allowed func(Var) bool) (Conj, bool) {
 	// given stays in place as its prefix and the rest is rewritten.
 	out := candidate
 	for i := 0; i < len(out); {
-		trial := append(append(combined[:len(given)], out[:i]...), out[i+1:]...)
-		if Close(trial).Implies(out[i]) {
+		implied, decided := false, false
+		if lit {
+			implied, decided = rest{given, out, i}.literally(out[i])
+		}
+		if !decided {
+			trial := append(append(combined[:len(given)], out[:i]...), out[i+1:]...)
+			implied = Close(trial).Implies(out[i])
+		}
+		if implied {
 			out = append(out[:i], out[i+1:]...)
 		} else {
 			i++
 		}
 	}
 	return out, true
+}
+
+// ordered reports whether every constant of the target and of given
+// compares equal (value.Compare) only to constants the closure interns
+// with it (value.KeyEqual). NaN, -0 and integers beyond ±2^53 do not:
+// the closure orders such a pair by where it met them, so a conjunction
+// each of whose atoms a satisfiable closure entails can still close
+// unsatisfiable.
+func ordered(tc *Closure, given Conj) bool {
+	num := func(c value.Value) bool {
+		switch c.Kind() {
+		case value.KindFloat:
+			f := c.AsFloat()
+			return !math.IsNaN(f) && math.Float64bits(f) != 1<<63 // -0
+		case value.KindInt:
+			return c.AsInt() >= -(1<<53) && c.AsInt() <= 1<<53
+		}
+		return true
+	}
+	for _, c := range tc.consts {
+		if !num(c) {
+			return false
+		}
+	}
+	for _, a := range given {
+		if (a.L.IsConst && !num(a.L.C)) || (a.R.IsConst && !num(a.R.C)) {
+			return false
+		}
+	}
+	return true
+}
+
+// rest is the conjunction xs followed by ys less ys[skip] (skip < 0
+// leaves nothing out): a minimize trial, read without copying it.
+type rest struct {
+	xs, ys Conj
+	skip   int
+}
+
+func (c rest) atoms(yield func(Atom) bool) {
+	for _, a := range c.xs {
+		if !yield(a) {
+			return
+		}
+	}
+	for j, a := range c.ys {
+		if j != c.skip && !yield(a) {
+			return
+		}
+	}
+}
+
+// literally answers Close(c).Implies(a), for a satisfiable conjunction
+// c with ordered constants, where the answer needs no closure, and
+// reports whether it could. Each case is what Closure.Implies answers:
+//   - a variable of a that no atom of c mentions is unconstrained, so a
+//     holds only as the reflexive x = x, x <= x or x >= x;
+//   - an atom c lists as-is holds.
+func (c rest) literally(a Atom) (holds, decided bool) {
+	for _, t := range [2]Term{a.L, a.R} {
+		if !t.IsConst && !c.mentions(t.V) {
+			return !a.L.IsConst && !a.R.IsConst && a.L.V == a.R.V && reflexive(a.Op), true
+		}
+	}
+	for b := range c.atoms {
+		if sameAtom(a, b) {
+			return true, true
+		}
+	}
+	return false, false
+}
+
+// mentions reports whether an atom of c mentions v.
+func (c rest) mentions(v Var) bool {
+	for b := range c.atoms {
+		if (!b.L.IsConst && b.L.V == v) || (!b.R.IsConst && b.R.V == v) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameAtom reports whether two atoms are one atom of a closure: same
+// operator, and terms the closure interns as one node.
+func sameAtom(a, b Atom) bool {
+	return a.Op == b.Op && sameTerm(a.L, b.L) && sameTerm(a.R, b.R)
+}
+
+func sameTerm(s, t Term) bool {
+	if s.IsConst != t.IsConst {
+		return false
+	}
+	if s.IsConst {
+		return value.KeyEqual(s.C, t.C)
+	}
+	return s.V == t.V
 }

@@ -204,8 +204,8 @@ func referenceKey(q *ir.Query) string {
 // golden-case query and of every rewriting the search derives from it
 // (multi-table FROM lists out of canonical order, repeated sources,
 // unsatisfiable and HAVING-bearing queries among them) against the
-// definition, that the key a rewriting carries is its query's key, and
-// that a search handed the root's key finds the same rewritings.
+// definition, and that a search handed the root's key finds the same
+// rewritings.
 func TestCanonicalKeyMatchesReorderedRendering(t *testing.T) {
 	check := func(q *ir.Query) {
 		t.Helper()
@@ -232,15 +232,12 @@ func TestCanonicalKeyMatchesReorderedRendering(t *testing.T) {
 				t.Fatalf("keyed search found %d rewritings, unkeyed %d, for %s", len(keyed), len(rws), q.SQL())
 			}
 			for i, r := range rws {
-				if keyed[i].key != r.key {
-					t.Fatalf("rewriting %d of %s: keyed search %q, unkeyed %q", i, q.SQL(), keyed[i].key, r.key)
+				if got, want := canonicalKey(keyed[i].Query), canonicalKey(r.Query); got != want {
+					t.Fatalf("rewriting %d of %s: keyed search %q, unkeyed %q", i, q.SQL(), got, want)
 				}
 			}
 			for _, r := range rws {
 				check(r.Query)
-				if r.key != canonicalKey(r.Query) {
-					t.Fatalf("rewriting %s carries key %q", r.Query.SQL(), r.key)
-				}
 				n++
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,11 +98,6 @@ type Rewriting struct {
 	// Notes explains the usability conditions that were established.
 	Notes []string
 
-	// key is Query's canonical key, set by the search that produced the
-	// rewriting: computed once, when the candidate was accepted, and
-	// carried along so dedup, tie-breaks and cost tracing never re-derive
-	// it.
-	key string
 	// groupPreserving marks a rewriting each of whose groups is exactly
 	// one row of the view it reads (analyzer.groupPreserving): DropFold
 	// may answer it by a select-project.
@@ -262,9 +258,8 @@ func (rw *Rewriter) rewriteOnce(st *searchTask, qf *queryFacts, vf *viewFacts, d
 			return nil
 		}
 		rf := rw.newQueryFacts(r.Query, "")
-		r.key = rf.key
 		for _, prev := range out {
-			if prev.r.key == r.key {
+			if prev.qf.sameQuery(rf) {
 				record(m, setSem, obs.VerdictDedup, "", "duplicate of an earlier mapping's rewriting (canonical key match)", r)
 				return nil
 			}
@@ -296,7 +291,7 @@ func (rw *Rewriter) rewriteOnce(st *searchTask, qf *queryFacts, vf *viewFacts, d
 	// Section 5: when both results are provably sets, many-to-1 mappings
 	// become admissible (conjunctive queries and views only, as in the
 	// paper).
-	if qf.isSet && !vf.isAgg && keys.IsSetResult(vn, rw.meta()) {
+	if !vf.isAgg && qf.isSetResult() && keys.IsSetResult(vn, rw.meta()) {
 		for _, m := range enumerateMappings(vn, qn, true) {
 			if m.oneToOne && multisetUsable {
 				record(m, true, obs.VerdictDedup, "", "1-1 mapping already analyzed under multiset semantics", nil)
@@ -393,9 +388,11 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query, key string) ([]*Rewr
 		qf  *queryFacts
 	}
 	root := rw.newQueryFacts(q, key)
-	seen := map[string]bool{root.key: true}
+	// seen holds the facts of every query reached, by FROM multiset: a
+	// new rewriting is compared, by canonical key, only with those.
+	seen := map[string][]*queryFacts{root.from(): {root}}
 	var results []*Rewriting
-	frontier := []entry{{&Rewriting{Query: q, key: root.key}, root}}
+	frontier := []entry{{&Rewriting{Query: q}, root}}
 	wave := 0
 	for len(frontier) > 0 && len(results) < limit {
 		wave++
@@ -449,8 +446,8 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query, key string) ([]*Rewr
 				}
 			}
 			for si, s := range steps[i] {
-				key := s.r.key
-				if seen[key] {
+				from := s.qf.from()
+				if slices.ContainsFunc(seen[from], s.qf.sameQuery) {
 					if si < len(acceptPos) {
 						e := &events[i][acceptPos[si]]
 						e.Verdict = obs.VerdictDedup
@@ -458,14 +455,13 @@ func (rw *Rewriter) rewritings(st *searchTask, q *ir.Query, key string) ([]*Rewr
 					}
 					continue
 				}
-				seen[key] = true
+				seen[from] = append(seen[from], s.qf)
 				combined := &Rewriting{
 					Query:           s.r.Query,
 					Aux:             append(append([]*ir.ViewDef{}, cur.Aux...), s.r.Aux...),
 					Used:            append(append([]string{}, cur.Used...), j.vf.def.Name),
 					SetOnly:         cur.SetOnly || s.r.SetOnly,
 					Notes:           append(append([]string{}, cur.Notes...), s.r.Notes...),
-					key:             key,
 					groupPreserving: s.r.groupPreserving,
 				}
 				results = append(results, combined)
@@ -521,6 +517,21 @@ func canonicalKey(q *ir.Query) string {
 	// CloseCached: a served query's key is derived per request and its
 	// search closes the same conjunction right after.
 	return canonicalKeyOf(q, constraints.CloseCached(aggreason.WhereConj(q)))
+}
+
+// fromKey renders q's FROM multiset as canonicalKeyOf lists it, joined
+// by spaces: keyEscape leaves none in a source, and queries with equal
+// keys have equal fromKeys.
+func fromKey(q *ir.Query) string {
+	if len(q.Tables) == 1 {
+		return keyEscape(q.Tables[0].Source)
+	}
+	perm := canonicalOrder(q)
+	srcs := make([]string, len(perm))
+	for i, ti := range perm {
+		srcs[i] = keyEscape(q.Tables[ti].Source)
+	}
+	return strings.Join(srcs, " ")
 }
 
 // canonicalKeyOf is canonicalKey given cl, the closure of q's WHERE

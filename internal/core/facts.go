@@ -12,41 +12,57 @@ import (
 // most of what it needs depends on the query alone or on the view alone:
 // queryFacts is built once per query the search holds, viewFacts once
 // per registered view definition, and an analyzer only adds what the
-// mapping contributes. Both are finalized when built and never written
-// afterwards, so concurrent searches can share a view's facts.
+// mapping contributes. A view's facts are finalized when built and never
+// written afterwards, so concurrent searches can share them; a query's
+// facts belong to one serial search and fill in as they are first read.
 
 // queryFacts is everything the search derives from one query alone. It
-// is built once when the query enters the search — the root by
-// rewritings, every accepted rewriting by rewriteOnce — and lives for
-// that one search: the analyzers of the next wave read it, the commit
-// loop keeps only its key on the Rewriting.
+// is made when the query enters the search — the root by rewritings,
+// every accepted rewriting by rewriteOnce — and lives for that one
+// search. Only the normalized form is built then; the closure-backed
+// fields are built by close, which every analyzer of the query calls,
+// the set-ness by isSetResult and the canonical key by key, so a
+// rewriting no view maps into and no dedup compares costs neither a
+// closure nor a key.
 type queryFacts struct {
+	rw    *Rewriter
 	q     *ir.Query // the query as the search holds it: what key names and traces show
 	qn    *ir.Query // its normalized form (q itself under NoNormalize or when nothing moves): what analyzers read
 	isAgg bool
-	isSet bool // the result is provably a set (Section 5); false when the relaxation is off or q aggregates
 
+	closed bool                 // conds, cl, canon and pinned are built
 	conds  constraints.Conj     // Conds(Q): the WHERE conjunction of qn
 	cl     *constraints.Closure // its closure
 	canon  []ir.ColID           // column -> least column provably equal to it under Conds(Q)
 	pinned []bool               // column -> pinned to a constant by Conds(Q)
 
-	key string // canonical key of q
+	set    int8   // isSetResult's answer: 0 until asked, then 1 or -1
+	k      string // canonical key of q; "" until key derives it
+	fromMS string // q's FROM multiset (fromKey); "" until from derives it
 }
 
-// newQueryFacts builds q's facts. key is q's canonical key when the
+// newQueryFacts starts q's facts. key is q's canonical key when the
 // caller already holds it (the root of a search the facade keyed), else
-// empty and derived here.
+// empty and derived when first compared.
 func (rw *Rewriter) newQueryFacts(q *ir.Query, key string) *queryFacts {
 	qn := q
 	if !rw.Opts.NoNormalize {
 		qn = aggreason.Normalize(q)
 	}
-	f := &queryFacts{q: q, qn: qn, isAgg: qn.IsAggregationQuery(), conds: aggreason.WhereConj(qn)}
+	return &queryFacts{rw: rw, q: q, qn: qn, isAgg: qn.IsAggregationQuery(), k: key}
+}
+
+// close builds Conds(Q), its closure and the column classes it induces.
+func (f *queryFacts) close() {
+	if f.closed {
+		return
+	}
+	f.closed = true
+	f.conds = aggreason.WhereConj(f.qn)
 	// CloseCached: a served query's plan key was derived from this very
 	// conjunction a moment ago, and BFS branches reach equal ones.
 	f.cl = constraints.CloseCached(f.conds)
-	n := qn.NumCols()
+	n := f.qn.NumCols()
 	f.canon = make([]ir.ColID, n)
 	f.pinned = make([]bool, n)
 	if f.cl.Sat() {
@@ -55,20 +71,48 @@ func (rw *Rewriter) newQueryFacts(q *ir.Query, key string) *queryFacts {
 			_, f.pinned[c] = f.cl.Pin(constraints.Var(c))
 		}
 	} // else: an unsatisfiable WHERE equates every column with the first and pins none
-	if !rw.Opts.NoSetSemantics && rw.Meta != nil && !f.isAgg {
-		f.isSet = keys.IsSetResult(qn, rw.meta())
-	}
-	f.key = key
-	if key == "" {
-		// The key reads the closure of q's own WHERE; unless normalization
-		// moved a HAVING conjunct that is the closure just computed.
-		keyCl := f.cl
-		if qn != q {
-			keyCl = constraints.CloseCached(aggreason.WhereConj(q))
+}
+
+// isSetResult reports whether the result is provably a set (Section 5);
+// false when the relaxation is off or q aggregates.
+func (f *queryFacts) isSetResult() bool {
+	if f.set == 0 {
+		f.set = -1
+		if rw := f.rw; !rw.Opts.NoSetSemantics && rw.Meta != nil && !f.isAgg && keys.IsSetResult(f.qn, rw.meta()) {
+			f.set = 1
 		}
-		f.key = canonicalKeyOf(q, keyCl)
 	}
-	return f
+	return f.set > 0
+}
+
+// key returns q's canonical key.
+func (f *queryFacts) key() string {
+	if f.k == "" {
+		// The key reads the closure of q's own WHERE: unless normalization
+		// moved a HAVING conjunct, that of Conds(Q) once close has run.
+		keyCl := f.cl
+		if f.qn != f.q || !f.closed {
+			keyCl = constraints.CloseCached(aggreason.WhereConj(f.q))
+		}
+		f.k = canonicalKeyOf(f.q, keyCl)
+	}
+	return f.k
+}
+
+// from returns q's FROM multiset as the canonical key lists it, so equal
+// keys imply equal FROM multisets: dedup compares keys only between
+// queries whose FROM multisets agree.
+func (f *queryFacts) from() string {
+	if f.fromMS == "" {
+		f.fromMS = fromKey(f.q)
+	}
+	return f.fromMS
+}
+
+// sameQuery reports whether f and g are one query up to renaming and
+// FROM-clause order: equal canonical keys.
+func (f *queryFacts) sameQuery(g *queryFacts) bool {
+	return f.from() == g.from() && f.key() == g.key()
 }
 
 // bareItem is one bare-column SELECT item of a view.

@@ -50,6 +50,7 @@ type analyzer struct {
 const replUnknown = ir.ColID(-2)
 
 func newAnalyzer(rw *Rewriter, qf *queryFacts, vf *viewFacts, m mapping, setSem bool) *analyzer {
+	qf.close()
 	return &analyzer{rw: rw, qf: qf, vf: vf, q: qf.qn, v: vf.vn, m: m, setSem: setSem, vaCnt: -1}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"aggview/internal/faultinject"
@@ -305,6 +306,29 @@ func (e *KindError) Error() string {
 		msg += ": an int beyond ±2^53 has no exact float"
 	}
 	return msg
+}
+
+// KeyError is a write refused because Table would hold two rows that
+// agree on Key, the columns of a declared key — or, for a functional
+// dependency Key -> To, two rows that agree on Key and not on To. Value
+// is the repeated Key value.
+type KeyError struct {
+	Table   string
+	Key, To []string
+	Value   []value.Value
+}
+
+func (e *KeyError) Error() string {
+	vals := make([]string, len(e.Value))
+	for i, v := range e.Value {
+		vals[i] = v.String()
+	}
+	at := "(" + strings.Join(e.Key, ", ") + ") = (" + strings.Join(vals, ", ") + ")"
+	if e.To == nil {
+		return fmt.Sprintf("engine: %s would hold two rows with key %s", e.Table, at)
+	}
+	return fmt.Sprintf("engine: %s would hold two rows with %s and different %s, against FD(%s -> %s)",
+		e.Table, at, strings.Join(e.To, ", "), strings.Join(e.Key, ", "), strings.Join(e.To, ", "))
 }
 
 // Conform applies the kind rule to the cells d would store in c: a

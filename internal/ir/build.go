@@ -44,10 +44,10 @@ func (m MapSource) ColumnsOf(name string) ([]string, bool) {
 type builder struct {
 	q *Query
 	// byAlias maps a range variable or (unambiguous) table name to a
-	// table index; ambiguous names map to -1.
+	// table index; ambiguous names map to -1. An unqualified column is
+	// resolved by scanning q's columns: a query has a few dozen, and a
+	// name map would cost more to fill than the scans it saves.
 	byAlias map[string]int
-	// byAttr maps an attribute name to the ColID, or -1 when ambiguous.
-	byAttr map[string]ColID
 }
 
 // Build converts a parsed SELECT into the canonical form, resolving
@@ -80,10 +80,13 @@ func BuildMulti(sel *sqlparser.Select, src SchemaSource) (*Query, *Registry, err
 }
 
 func buildInto(sel *sqlparser.Select, src SchemaSource, anon *Registry, counter *int) (*Query, error) {
-	b := &builder{q: &Query{}, byAlias: map[string]int{}, byAttr: map[string]ColID{}}
+	b := &builder{q: &Query{}, byAlias: map[string]int{}}
 	b.q.Distinct = sel.Distinct
 
-	for _, tr := range sel.From {
+	// Resolve every FROM item's attributes first, so the columns are
+	// allocated once.
+	sources, attrsOf, nCols := make([]string, len(sel.From)), make([][]string, len(sel.From)), 0
+	for i, tr := range sel.From {
 		source := tr.Table
 		var attrs []string
 		if tr.Subquery != nil {
@@ -108,7 +111,14 @@ func buildInto(sel *sqlparser.Select, src SchemaSource, anon *Registry, counter 
 				return nil, fmt.Errorf("ir: unknown table or view %q", tr.Table)
 			}
 		}
-		idx := b.q.AddTable(source, tr.Alias, attrs)
+		sources[i], attrsOf[i] = source, attrs
+		nCols += len(attrs)
+	}
+	b.q.Columns = make([]Column, 0, nCols)
+	b.q.Tables = make([]TableInstance, 0, len(sel.From))
+	for i, tr := range sel.From {
+		source := sources[i]
+		idx := b.q.AddTable(source, tr.Alias, attrsOf[i])
 		name := tr.Alias
 		if name == "" {
 			name = source
@@ -183,14 +193,6 @@ func (b *builder) register(name string, idx int) {
 	} else {
 		b.byAlias[key] = idx
 	}
-	for _, id := range b.q.Tables[idx].Cols {
-		attr := strings.ToLower(b.q.Col(id).Attr)
-		if prev, ok := b.byAttr[attr]; ok && prev != id {
-			b.byAttr[attr] = -1
-		} else {
-			b.byAttr[attr] = id
-		}
-	}
 }
 
 // column resolves a column reference to a ColID.
@@ -210,12 +212,18 @@ func (b *builder) column(c *sqlparser.ColumnRef) (ColID, error) {
 		}
 		return 0, fmt.Errorf("ir: table %q has no column %q", c.Qualifier, c.Name)
 	}
-	id, ok := b.byAttr[strings.ToLower(c.Name)]
-	if !ok {
-		return 0, fmt.Errorf("ir: unknown column %q", c.Name)
+	id := ColID(-1)
+	for i := range b.q.Columns {
+		if !strings.EqualFold(b.q.Columns[i].Attr, c.Name) {
+			continue
+		}
+		if id >= 0 {
+			return 0, fmt.Errorf("ir: ambiguous column %q; qualify it with a table name or alias", c.Name)
+		}
+		id = ColID(i)
 	}
 	if id < 0 {
-		return 0, fmt.Errorf("ir: ambiguous column %q; qualify it with a table name or alias", c.Name)
+		return 0, fmt.Errorf("ir: unknown column %q", c.Name)
 	}
 	return id, nil
 }
@@ -338,7 +346,7 @@ type RowChange struct {
 // table lacks — or an aggregate, which a row expression cannot hold — is
 // an error whatever the table's rows are.
 func BuildRowChange(table string, attrs []string, where sqlparser.Expr, set []sqlparser.Assignment) (*RowChange, error) {
-	b := &builder{q: &Query{}, byAlias: map[string]int{}, byAttr: map[string]ColID{}}
+	b := &builder{q: &Query{}, byAlias: map[string]int{}}
 	b.register(table, b.q.AddTable(table, "", attrs))
 	isTerm := func(e sqlparser.Expr) bool {
 		_, lit := e.(*sqlparser.Lit)

@@ -9,6 +9,7 @@ package ir
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"aggview/internal/value"
 )
@@ -263,20 +264,29 @@ func (q *Query) AddTable(source, alias string, attrs []string) int {
 
 // assignNames recomputes the unique per-query column names: the bare
 // attribute name when it is unique across all occurrences, otherwise
-// attr_<k> numbered per occurrence (the paper's A1/A2 renaming).
+// attr_<k> numbered per occurrence (the paper's A1/A2 renaming). It
+// counts by scanning, as a query has a few dozen columns, and rewrites
+// only the names an added table changed.
 func (q *Query) assignNames() {
-	count := map[string]int{}
 	for i := range q.Columns {
-		count[q.Columns[i].Attr]++
-	}
-	seen := map[string]int{}
-	for i := range q.Columns {
-		attr := q.Columns[i].Attr
-		if count[attr] == 1 {
-			q.Columns[i].Name = attr
-		} else {
-			seen[attr]++
-			q.Columns[i].Name = fmt.Sprintf("%s_%d", attr, seen[attr])
+		c := &q.Columns[i]
+		k, dup := 0, false
+		for j := range q.Columns {
+			if j != i && q.Columns[j].Attr == c.Attr {
+				dup = true
+				if j < i {
+					k++
+				}
+			}
+		}
+		if !dup {
+			c.Name = c.Attr
+			continue
+		}
+		var buf [24]byte
+		suffix := strconv.AppendInt(append(buf[:0], '_'), int64(k+1), 10)
+		if len(c.Name) != len(c.Attr)+len(suffix) || c.Name[:len(c.Attr)] != c.Attr || c.Name[len(c.Attr):] != string(suffix) {
+			c.Name = c.Attr + string(suffix)
 		}
 	}
 }

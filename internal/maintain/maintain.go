@@ -4,8 +4,8 @@
 // scenarios — warehouse summary tables, chronicle ledgers — assume
 // somebody maintains the materializations; this package is that
 // somebody. It is also the one way rows enter a base table: every write
-// is an ApplyContext batch, whose tableDelta checks the rows (arity, then
-// the kind rule) before anything is staged.
+// is an ApplyContext batch, which checks the rows (arity, the kind rule,
+// then the declared keys and FDs) before anything is staged.
 //
 // Maintenance follows the counting algorithm of GMS93. Each group of a
 // tracked aggregation view carries a multiplicity count n (the number
@@ -80,8 +80,9 @@ type Maintainer struct {
 	// evaluations (0 = serial), like engine.Evaluator.Workers.
 	Workers int
 
-	mu      sync.Mutex
-	tracked map[string]*state
+	mu       sync.Mutex
+	tracked  map[string]*state
+	declared map[string][]*declared // lowercased table -> its keys and FDs (DeclareKey)
 }
 
 // Mutation is one base table's part of an atomic batch: rows to remove
@@ -650,6 +651,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	overlay := map[string]*staged{}
 	order := make([]string, 0, len(muts))
 	deltaRows := 0
+	keyed := map[string]*keyBatch{} // tables with declared keys: what the batch does to them
 	for _, mut := range muts {
 		key := strings.ToLower(mut.Table)
 		var base *engine.ColTable
@@ -661,13 +663,28 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 				return fmt.Errorf("maintain: unknown table %q", mut.Table)
 			}
 			order = append(order, key)
+			if len(m.declared[key]) > 0 {
+				keyed[key] = &keyBatch{stored: base}
+			}
 		}
 		delta, err := tableDelta(base, mut)
 		if err != nil {
 			return err
 		}
+		if kb := keyed[key]; kb != nil {
+			kb.muts = append(kb.muts, mut)
+		}
 		overlay[key] = &staged{name: key, base: base, delta: delta}
 		deltaRows += len(mut.Deletes) + len(mut.Inserts)
+	}
+	for _, key := range order {
+		for _, d := range m.declared[key] {
+			kh, err := d.check(keyed[key])
+			if err != nil {
+				return err
+			}
+			keyed[key].hashes = append(keyed[key].hashes, kh)
+		}
 	}
 
 	// Evaluate deltas per mutation, in order: each delta sees the new
@@ -774,6 +791,11 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 		batch = append(batch, pend[name].out.commit())
 	}
 	installed := m.db.Apply(batch)
+	for _, key := range order {
+		for i, d := range m.declared[key] {
+			d.commit(keyed[key].hashes[i])
+		}
+	}
 	for i, name := range names {
 		pend[name].fold(installed[len(order)+i])
 	}
@@ -809,7 +831,8 @@ func (m *Maintainer) sortByDepthLocked(names []string) {
 // one place rows enter a table and the one place a write's rows are
 // checked: arity, then — once the delta has its shape — the kind rule
 // (engine.ColTable.Conform: a foreign kind is a typed *engine.KindError
-// and the batch aborts cleanly). The deleted rows resolve to positions —
+// and the batch aborts cleanly). ApplyContext then checks the declared
+// keys and FDs (declared.check). The deleted rows resolve to positions —
 // mut.At when it checks out against the stored cells, one typed probe
 // otherwise — and an absent row is a typed error.
 // A mutation that deletes and inserts equally many rows (an UPDATE)

@@ -513,14 +513,20 @@ func (s *Server) writeTypedError(w http.ResponseWriter, tenant string, err error
 
 // writeMutationError maps a facade error from /insert, /delete or
 // /update: an abort during maintenance (cancellation, budget, injected
-// storage fault) keeps its kind, anything else — a parse error, an
-// unknown table or column, an arity mismatch — is the client's request.
+// storage fault) keeps its kind, a write a declared key or FD refuses is
+// a 409 conflict, anything else — a parse error, an unknown table or
+// column, an arity mismatch — is the client's request.
 func (s *Server) writeMutationError(w http.ResponseWriter, tenant string, err error) {
-	if budget.IsTransient(err) || faultinject.IsInjected(err) {
+	var conflict *engine.KeyError
+	switch {
+	case budget.IsTransient(err) || faultinject.IsInjected(err):
 		s.writeTypedError(w, tenant, err)
-		return
+	case errors.As(err, &conflict):
+		s.metrics.Volatile("server.errors.conflict").Inc()
+		s.writeError(w, tenant, ErrKindConflict, http.StatusConflict, err)
+	default:
+		s.writeError(w, tenant, ErrKindBadRequest, http.StatusBadRequest, err)
 	}
-	s.writeError(w, tenant, ErrKindBadRequest, http.StatusBadRequest, err)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, tenant, kind string, status int, err error) {

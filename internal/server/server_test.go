@@ -264,6 +264,31 @@ func TestServerDisconnectCancels(t *testing.T) {
 	}
 }
 
+// TestServerKeyConflictIs409 pins how a write a declared key refuses
+// leaves the server: /insert of a stored key, and /update moving a row
+// onto one, answer 409 "conflict" and change nothing.
+func TestServerKeyConflictIs409(t *testing.T) {
+	ctx := context.Background()
+	sys := aggview.New()
+	sys.MustLoad("CREATE TABLE Items(id, name) KEY(id)")
+	c, _ := testClient(t, sys, Config{})
+	if _, err := c.Insert(ctx, "Items", [][]string{{"i:1", "s:a"}, {"i:2", "s:b"}}); err != nil {
+		t.Fatal(err)
+	}
+	ver := sys.DB.Version("Items")
+	_, insErr := c.Insert(ctx, "Items", [][]string{{"i:3", "s:c"}, {"i:1", "s:d"}})
+	_, updErr := c.Update(ctx, "Items", "id = 1", "id = 2")
+	for _, err := range []error{insErr, updErr} {
+		var we *WireError
+		if !errors.As(err, &we) || we.Kind != ErrKindConflict || we.Status != http.StatusConflict {
+			t.Fatalf("write repeating a key returned %v, want typed %s with status 409", err, ErrKindConflict)
+		}
+	}
+	if sys.DB.Version("Items") != ver {
+		t.Fatal("a refused write changed Items")
+	}
+}
+
 // TestServerMutationAbortTyped pins how the mutation endpoints classify
 // a facade error: a client that goes away while the maintainer is
 // staging a /delete gets the typed cancellation (504 "canceled", as a

@@ -341,6 +341,7 @@ const (
 	ErrKindBudget     = "budget"             // per-request resource budget exhausted
 	ErrKindStorage    = "storage"            // storage backend failed mid-query
 	ErrKindTooLarge   = "response_too_large" // the reply would exceed what a client reads
+	ErrKindConflict   = "conflict"           // a write would repeat a declared key (or break an FD)
 	ErrKindInternal   = "internal"
 )
 

@@ -29,6 +29,11 @@
 #               the bound, on runs tight enough to say so.
 # Rows without a bound (the per-kind medians, ops_failed) can only be
 # MOVED or "-".
+#
+# After the pairs, each tree makes one traced run (--trace 1) on the
+# first seed, and a second table sets BENCHMARK.json's per-layer rows
+# side by side. One run a side: those rows are single readings, to say
+# which layer a moved end-to-end row moved in, not verdicts.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -51,9 +56,9 @@ cleanup
 mkdir -p "$tree"
 git archive "$sha" | tar -x -C "$tree"
 
-run() { # run <side> <dir> <pair> <seed>
+run() { # run <side> <dir> <pair> <seed> [trace=0]
 	echo "pair $3 seed $4: $1" >&2
-	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$4" --seconds "$seconds" --trace 0) \
+	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$4" --seconds "$seconds" --trace "${5:-0}") \
 		>"$logs/$1-$3.log" 2>"$logs/$1-$3.err" || {
 		echo "bench/run.sh failed on the $1 side (pair $3); see $logs/$1-$3.err" >&2
 		exit 1
@@ -69,6 +74,8 @@ for ((p = 0; p < pairs; p++)); do
 		run parent "$tree" "$p" "$seed"
 	fi
 done
+run parent "$tree" trace 5 1
+run change "$root" trace 5 1
 
 # Metric lines read "<workload> <name> <value> <unit> ...".
 echo "Parent $sha against the working tree ($(git rev-parse --short HEAD)$(git diff --quiet HEAD -- . ':!ISSUE.md' || echo '+uncommitted')): $pairs alternating pairs, seeds 5-$((4 + pairs)), --seconds $seconds --trace 0; median [q1-q3]."
@@ -159,6 +166,43 @@ BEGIN {
 			ma = median(a, n); mc = median(c, n)
 			ratio = (ma != 0) ? sprintf("%.3fx of %.4g", mc / ma, ma) : "-"
 			printf "| `%s` | `%s` | %s | %s | %s | %d/%d | %s |\n", w, m, summary(a, n), summary(c, n), ratio, won, n, verdict(m, a, c, n, won, lost)
+		}
+	}
+}
+'
+
+echo
+echo "Per-layer rows of one traced run a side (--trace 1, seed 5): single readings, not verdicts."
+echo
+echo "| workload | metric | parent | change | change / parent |"
+echo "|---|---|---|---|---|"
+awk -v logs="$logs" '
+BEGIN {
+	while ((getline line < "BENCHMARK.json") > 0) {
+		if (line ~ /"per_layer"/) sect = 1
+		else if (line ~ /"end_to_end"/) sect = 0
+		if (sect && match(line, /"name": *"[^"]+"/)) { name = line; sub(/.*"name": *"/, "", name); sub(/".*/, "", name); order[++nm] = name; layer[name] = 1 }
+	}
+	split("parent change", sides, " ")
+	for (s = 1; s <= 2; s++) {
+		file = logs "/" sides[s] "-trace.log"
+		while ((getline line < file) > 0) {
+			n = split(line, f, " ")
+			if (n < 4 || !(f[2] in layer) || f[3] !~ /^-?[0-9.]+(e[-+]?[0-9]+)?$/) continue
+			if (!(f[1] in seenw)) { seenw[f[1]] = 1; worder[++nw] = f[1] }
+			val[f[1], f[2], sides[s]] = f[3]
+		}
+		close(file)
+	}
+	for (i = 1; i <= nw; i++) {
+		w = worder[i]
+		for (k = 1; k <= nm; k++) {
+			m = order[k]
+			if (!((w, m, "parent") in val) && !((w, m, "change") in val)) continue
+			a = ((w, m, "parent") in val) ? val[w, m, "parent"] : "-"
+			c = ((w, m, "change") in val) ? val[w, m, "change"] : "-"
+			ratio = (a != "-" && c != "-" && a + 0 != 0) ? sprintf("%.3fx", c / a) : "-"
+			printf "| `%s` | `%s` | %s | %s | %s |\n", w, m, a, c, ratio
 		}
 	}
 }
