@@ -1,8 +1,8 @@
 // Package maporder flags `for range` loops over maps that feed
 // order-sensitive output in the packages that promise deterministic
-// results (engine, core, oracle, obs — see DESIGN.md sections 6, 7
-// and 9; obs promises byte-identical metric snapshots at any worker
-// count, so its render paths must not leak map order either).
+// results (engine, core, oracle, obs, maintain — see DESIGN.md sections
+// 6, 7, 9 and 14; obs promises byte-identical metric snapshots and
+// maintain a tracked view's row order, so neither may leak map order).
 //
 // Go randomizes map iteration order, so a map range whose body appends
 // to an outer slice, sends on a channel, or concatenates onto an outer
@@ -30,10 +30,11 @@ import (
 // deterministicPkgs names the packages whose results must not depend on
 // map iteration order.
 var deterministicPkgs = map[string]bool{
-	"engine": true,
-	"core":   true,
-	"oracle": true,
-	"obs":    true,
+	"engine":   true,
+	"core":     true,
+	"oracle":   true,
+	"obs":      true,
+	"maintain": true,
 }
 
 // Analyzer flags map ranges feeding ordered output in deterministic
@@ -41,7 +42,7 @@ var deterministicPkgs = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
 	Doc: "flags range-over-map loops that append to outer slices, send on channels, " +
-		"or build strings in determinism-promising packages (engine, core, oracle, obs) " +
+		"or build strings in determinism-promising packages (engine, core, oracle, obs, maintain) " +
 		"without a subsequent sort or an //aggvet:ordered justification",
 	Aliases: []string{"ordered"},
 	Run:     run,

@@ -9,30 +9,31 @@
 //
 // Maintenance follows the counting algorithm of GMS93. Each group of a
 // tracked aggregation view carries a multiplicity count n (the number
-// of contributing joined rows) plus per-aggregate auxiliary state:
-// running SUM totals, a float running total for AVG, and a value →
-// multiplicity multiset for MIN/MAX. A mutation against one base table
-// becomes one signed delta table — its deleted rows with sign −1, its
-// inserted rows with sign +1, the sign an extra column — and each
-// dependent view runs one delta query over it: the definition with that
-// table bound to the delta table, grouped by the view's grouping columns
-// plus its MIN/MAX arguments, selecting SUM(sign × arg) per SUM/AVG and
-// SUM(sign) as the multiplicity. That is exact when the table occurs
-// exactly once in the definition (joins are bilinear). The maintainer
-// reads the result as typed columns and coalesces its finer groups into
-// the view's (Ex. 4.1's move): n and the sums add up, and each MIN/MAX
-// multiset takes a Δcount per value. A MIN/MAX whose extremum's
-// multiplicity reaches zero is re-derived by re-scanning the group's
-// surviving value multiset; a group whose n reaches zero leaves the
-// materialization. Tracking and a recompute seed the same state
-// from the same query run over the tables themselves, every row signed
-// +1. Groups and multiset values are keyed by their cells' canonical
-// keys (value.AppendKey), which are self-delimiting: concatenated, they
-// are equal exactly when value.KeyEqual holds cell by cell, and never
-// collide. Views outside the incrementally maintainable class
-// (DISTINCT, HAVING, self-joins over the changed table, MIN/MAX over
-// non-column arguments, dependence through a nested view) fall back to
-// full recomputation — counted on the `maintain.fallback.full` metric
+// of contributing joined rows) plus one piece of state per aggregate:
+// the running total of a SUM (typed like the engine's fold) or of an
+// AVG (a float), or the value → multiplicity multiset of a MIN/MAX. A
+// mutation against one base table becomes one signed delta table — its
+// deleted rows with sign −1, its inserted rows with sign +1, the sign an
+// extra column — and each dependent view runs one delta query over it:
+// the definition with that table bound to the delta table, grouped by
+// the view's grouping columns plus its MIN/MAX arguments, selecting
+// SUM(sign × arg) per SUM/AVG and SUM(sign) as the multiplicity. That is
+// exact when the table occurs exactly once in the definition (joins are
+// bilinear). The maintainer reads the result as typed columns and
+// coalesces its finer groups into the view's (Ex. 4.1's move): n and the
+// sums add up, and each MIN/MAX multiset takes a Δcount per value. A
+// MIN/MAX whose extremum's multiplicity reaches zero is re-derived by
+// re-scanning the group's surviving value multiset; a group whose n
+// reaches zero leaves the materialization. Tracking and a recompute run
+// the same query over the tables themselves, every row signed +1, and
+// absorb its result as a batch over no live groups, so every group is
+// folded one way. Groups and multiset values are keyed by their cells'
+// canonical keys (value.AppendKey), which are self-delimiting:
+// concatenated, they are equal exactly when value.KeyEqual holds cell by
+// cell, and never collide. Views outside the incrementally maintainable
+// class (DISTINCT, HAVING, self-joins over the changed table, MIN/MAX
+// over non-column arguments, dependence through a nested view) fall back
+// to full recomputation — counted on the `maintain.fallback.full` metric
 // and named per view by Maintainer.Mode — so every mutation is always
 // correct.
 //
@@ -149,7 +150,7 @@ type state struct {
 	depth   int // nesting depth over other tracked views, for commit order
 	// groups is the counting state of an incremental aggregation view
 	// (nil for any other view); every row of the materialization is built
-	// from it (touched.row), never by executing the definition.
+	// from it (pending.row), never by executing the definition.
 	groups map[cellKey]*group
 	// tab is the installed materialization.
 	tab *engine.ColTable
@@ -175,34 +176,100 @@ type group struct {
 	pos int
 }
 
-// aggState is the auxiliary state of one aggregate output in one group.
+// aggState is the state of one aggregate output in one group: a SUM's
+// running total, typed like the engine's fold, or an AVG's, a float from
+// +0; or a MIN/MAX's value multiset — a live group's, or a touched
+// group's Δcounts (a created group's whole multiset).
 type aggState struct {
-	sum value.Value // SUM: running total, typed like the engine's fold
-	avg float64     // AVG: running float total
-	// vals is a live group's MIN/MAX value multiset; deltas a touched
-	// group's Δcount per value, in the order the batch first met them.
-	vals   map[cellKey]mmEntry
-	deltas []mmDelta
+	sum  value.Value
+	vals multiset
 }
 
+// multiset maps values to multiplicities. The values sit in a slice (one
+// that leaves is replaced by the last), so no scan of them depends on
+// map order; at indexes them by key past scanMax values. A write meets
+// most groups it touches with a value or two, and their deltas allocate
+// no map and no key: an index on every multiset costs a write a map per
+// touched group and MIN/MAX.
+type multiset struct {
+	at   map[cellKey]int32
+	ents []mmEntry
+}
+
+const scanMax = 8
+
+// mmEntry is a value and its multiplicity. Its key is derived when the
+// index needs it, not stored: the slice holds no pointer the value does
+// not, which keeps the live multisets cheap for the collector to mark.
 type mmEntry struct {
 	v value.Value
 	n int64
 }
 
-type mmDelta struct {
-	k cellKey
-	mmEntry
+// find returns the position in ms of the value KeyEqual to v.
+func (ms *multiset) find(v value.Value) (int32, bool) {
+	if ms.at == nil {
+		for x := range ms.ents {
+			if value.KeyEqual(ms.ents[x].v, v) {
+				return int32(x), true
+			}
+		}
+		return 0, false
+	}
+	var buf [16]byte
+	x, ok := ms.at[cellKey(v.AppendKey(buf[:0]))]
+	return x, ok
 }
 
-// findDelta returns the delta of the value whose key bytes are k, or nil.
-func findDelta(ds []mmDelta, k []byte) *mmDelta {
-	for i := range ds {
-		if string(ds[i].k) == string(k) {
-			return &ds[i]
+// count returns the multiplicity of v in ms (nil: none).
+func (ms *multiset) count(v value.Value) int64 {
+	if ms != nil {
+		if x, ok := ms.find(v); ok {
+			return ms.ents[x].n
 		}
 	}
-	return nil
+	return 0
+}
+
+// add adds dn to the multiplicity of v in ms and returns the sum. A
+// value at zero leaves.
+func (ms *multiset) add(v value.Value, dn int64) int64 {
+	x, ok := ms.find(v)
+	if !ok {
+		x = int32(len(ms.ents))
+		ms.ents = append(ms.ents, mmEntry{v: v})
+		switch {
+		case ms.at != nil:
+			ms.index(x)
+		case x == scanMax:
+			ms.at = make(map[cellKey]int32, 2*scanMax)
+			for y := range ms.ents {
+				ms.index(int32(y))
+			}
+		}
+	}
+	e := &ms.ents[x]
+	if e.n += dn; e.n != 0 {
+		return e.n
+	}
+	if ms.at != nil {
+		var buf [16]byte
+		delete(ms.at, cellKey(e.v.AppendKey(buf[:0])))
+	}
+	last := int32(len(ms.ents) - 1)
+	*e = ms.ents[last]
+	ms.ents[last] = mmEntry{}
+	ms.ents = ms.ents[:last]
+	if ms.at != nil && x != last {
+		ms.index(x)
+	}
+	return 0
+}
+
+// index maps the key of the value at x to x.
+func (ms *multiset) index(x int32) {
+	var buf [16]byte
+	ms.at[cellKey(ms.ents[x].v.AppendKey(buf[:0]))] = x
 }
 
 // New builds a maintainer over a database and view registry.
@@ -250,10 +317,10 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 
 // rebuild derives a tracked view's materialization, and the counting
 // state that goes with it, from store (nil: the live database) in full:
-// what TrackContext and a recompute inside a batch each need. An
-// incremental aggregation view is seeded from its seed query and its
-// rows are built from the seeded groups, each as a group a batch creates
-// (touched.row), in the order the seed query's rows first name them —
+// what TrackContext and a recompute inside a batch each need, changing
+// nothing live. An incremental aggregation view absorbs its seed query's
+// result as a batch over no live groups, so each group is created, staged
+// and folded as a write's, in the order the seed's rows first name them —
 // the definition's own group order: the two share FROM and WHERE, the
 // seed's GROUP BY only refines the definition's, and the engine emits
 // groups in first-appearance order. Any other view is its definition,
@@ -269,17 +336,26 @@ func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storag
 		rel.Tuples = res.Tuples
 		return engine.BuildColTable(rel), nil, nil
 	}
-	order, groups, err := seedGroups(ctx, ev, st)
+	res, err := ev.ExecColumns(ctx, st.seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	w := len(st.def.Def.Select)
-	cells := make([]value.Value, len(order)*w)
-	rel.Tuples = make([][]value.Value, len(order))
-	for i, g := range order {
-		rel.Tuples[i] = (&touched{live: g, next: g.tally}).row(st, nil, cells[i*w:(i+1)*w:(i+1)*w])
+	p := &pending{st: st, live: map[cellKey]*group{}}
+	if err := p.absorb(res); err != nil {
+		return nil, nil, err
 	}
-	return engine.BuildColTable(rel), groups, nil
+	rel.Tuples = p.stageAggregation().Append
+	p.fold()
+	// A rebuilt multiset keeps room for an eighth more values, not the
+	// slack its appends left: enough that a write adding a value does not
+	// re-grow it at once.
+	for _, gk := range p.keys {
+		for i := range p.live[gk].aggs {
+			vals := &p.live[gk].aggs[i].vals
+			vals.ents = append(make([]mmEntry, 0, len(vals.ents)+len(vals.ents)/8), vals.ents...)
+		}
+	}
+	return engine.BuildColTable(rel), p.live, nil
 }
 
 // classify fills the select-position metadata and names the shape that
@@ -596,6 +672,9 @@ func (s *staged) commit() engine.Commit {
 type pending struct {
 	st        *state
 	recompute bool
+	// live holds the groups the batch starts from (none for a rebuild);
+	// fold writes the outcome into it.
+	live map[cellKey]*group
 	// groups holds the touched groups only (aggregation views).
 	groups map[cellKey]*touched
 	// conjAdd/conjDel are the row deltas of a conjunctive view.
@@ -608,19 +687,25 @@ type pending struct {
 	// vanished groups leave, ascending.
 	keys []cellKey
 	drop []int32
-	// newGroups replaces the counting state after a recompute.
-	newGroups map[cellKey]*group
 	// buf is the scratch the delta's keys are built in; slab and aggSlab
-	// hand out the touched groups and their aggregate states.
+	// hand out the touched groups and their aggregate states in chunks
+	// (slabChunk); rows counts the result being absorbed, which creates
+	// no more groups than that.
 	buf     []byte
 	slab    []touched
 	aggSlab []aggState
+	rows    int
 }
 
-// touched is one group's staged state. next carries the scalars (n,
-// sum, avg) as the batch leaves them; next.aggs[i].deltas carries the
-// MIN/MAX value multiplicity deltas, so staging a group costs its delta,
-// not its multiset.
+// slabChunk caps the groups the first slab chunk of a batch holds; each
+// later chunk doubles the last, so a result naming few groups in many
+// rows (a seed query's) allocates for its groups, not its rows.
+const slabChunk = 64
+
+// touched is one group's staged state. next carries the scalars (n and
+// each SUM or AVG total) as the batch leaves them; next.aggs[i].vals
+// holds the MIN/MAX value multiplicity deltas, so staging a group costs
+// its delta, not its multiset.
 type touched struct {
 	live *group // nil when the batch creates the group
 	next tally
@@ -707,7 +792,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			}
 			p := pend[name]
 			if p == nil {
-				p = &pending{st: st}
+				p = &pending{st: st, live: st.groups}
 				pend[name] = p
 			}
 			if p.recompute {
@@ -743,8 +828,10 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	// the fully mutated base state plus previously staged views, in
 	// nesting order.
 	names := make([]string, 0, len(pend))
-	for name := range pend {
-		names = append(names, name)
+	for _, name := range tracked {
+		if pend[name] != nil {
+			names = append(names, name)
+		}
 	}
 	m.sortByDepthLocked(names)
 	groupsTouched := 0
@@ -761,7 +848,9 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			if err != nil {
 				return err
 			}
-			p.out, p.newGroups = &staged{whole: tab}, groups
+			// The rebuilt state replaces any deltas staged before.
+			p = &pending{st: st, live: groups, out: &staged{whole: tab}}
+			pend[name] = p
 		case st.conjunctive:
 			drop, ok := st.tab.Locate(p.conjDel)
 			if !ok {
@@ -769,7 +858,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			}
 			p.out = &staged{base: st.tab, delta: engine.Delta{Drop: drop, Append: p.conjAdd}}
 		default:
-			p.stageAggregation()
+			p.out = &staged{base: st.tab, delta: p.stageAggregation()}
 			groupsTouched += len(p.groups)
 		}
 		p.out.name, p.out.silent = st.def.Name, true
@@ -797,7 +886,9 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 		}
 	}
 	for i, name := range names {
-		pend[name].fold(installed[len(order)+i])
+		p := pend[name]
+		p.fold()
+		p.st.tab, p.st.groups = installed[len(order)+i], p.live
 	}
 	m.Metrics.Volatile("maintain.batch.apply").Inc()
 	m.Metrics.Volatile("maintain.delta.rows").Add(int64(deltaRows))
@@ -928,8 +1019,9 @@ func (o *overlayStorage) Scan(name string) (*engine.ColTable, bool, error) {
 // absorb coalesces one delta query's result into the pending state: a
 // conjunctive view's rows split by their sign into the rows to add and
 // to remove; an aggregation view's finer groups fold into the view's,
-// their multiplicities and sums adding up and each MIN/MAX multiset
-// taking its argument value's Δcount.
+// their multiplicities and totals adding up and each MIN/MAX multiset
+// taking its argument value's Δcount. This is the one place a SUM or
+// AVG delta is added.
 func (p *pending) absorb(res *engine.ColTable) error {
 	st := p.st
 	if st.conjunctive {
@@ -944,13 +1036,15 @@ func (p *pending) absorb(res *engine.ColTable) error {
 			return nil
 		})
 	}
+	p.rows = res.NumRows()
 	if p.groups == nil {
-		p.groups, p.keys = make(map[cellKey]*touched, res.NumRows()), make([]cellKey, 0, res.NumRows())
+		n := min(p.rows, slabChunk)
+		p.groups, p.keys = make(map[cellKey]*touched, n), make([]cellKey, 0, n)
 	}
-	p.slab, p.aggSlab = make([]touched, 0, res.NumRows()), make([]aggState, 0, res.NumRows()*len(st.aggs))
 	return eachRow(res, func(cs []cells, j int) error {
 		t := p.group(cs, j)
 		g := &t.next
+		empty := t.live == nil && g.n == 0 // a created group before its first row
 		dn := cs[st.nAt].ints[j]
 		if g.n += dn; g.n < 0 {
 			return fmt.Errorf("maintain: negative multiplicity in view %s", st.def.Name)
@@ -959,26 +1053,25 @@ func (p *pending) absorb(res *engine.ColTable) error {
 			as := &g.aggs[i]
 			switch a.fn {
 			case ir.AggSum, ir.AggAvg:
-				// The zero Value is Int(0), the correct additive identity:
-				// int groups stay int and a float delta, which a column a
-				// float widened brings, makes the sum a float; the view's
-				// column widens with it (engine.ColTable.Conform).
+				// An empty group's SUM is its first delta as it is, as in the
+				// engine's fold (a lone -0 stays -0); a float delta, from a
+				// column a float widened, makes an int sum float, and the
+				// view's column widens with it. An AVG's total is a float.
 				d := cs[a.at].value(j)
-				s, err := value.Add(as.sum, d)
+				var err error
+				switch {
+				case a.fn == ir.AggAvg:
+					d = value.Float(as.sum.AsFloat() + d.AsFloat())
+				case !empty:
+					d, err = value.Add(as.sum, d)
+				}
 				if err != nil {
 					return err
 				}
-				as.sum = s
-				as.avg += d.AsFloat()
+				as.sum = d
 			case ir.AggMin, ir.AggMax:
-				p.buf = cs[a.at].appendKey(p.buf[:0], j)
-				d := findDelta(as.deltas, p.buf)
-				if d == nil {
-					as.deltas = append(as.deltas, mmDelta{cellKey(p.buf), mmEntry{v: cs[a.at].value(j)}})
-					d = &as.deltas[len(as.deltas)-1]
-				}
-				d.n += dn
-				if t.liveCount(i, p.buf)+d.n < 0 {
+				v := cs[a.at].value(j)
+				if n := as.vals.add(v, dn); n < 0 && t.liveVals(i).count(v)+n < 0 {
 					return fmt.Errorf("maintain: negative multiplicity in view %s", st.def.Name)
 				}
 			}
@@ -998,7 +1091,12 @@ func (p *pending) group(cs []cells, j int) *touched {
 		return t
 	}
 	gk := cellKey(p.buf)
-	p.slab = append(p.slab, touched{live: p.st.groups[gk]})
+	if len(p.slab) == cap(p.slab) {
+		// A new chunk: the touched groups already handed out stay put.
+		n := min(p.rows, max(2*cap(p.slab), slabChunk))
+		p.slab, p.aggSlab = make([]touched, 0, n), make([]aggState, 0, n*len(p.st.aggs))
+	}
+	p.slab = append(p.slab, touched{live: p.live[gk]})
 	t := &p.slab[len(p.slab)-1]
 	na := len(p.aggSlab)
 	p.aggSlab = p.aggSlab[:na+len(p.st.aggs)]
@@ -1008,7 +1106,7 @@ func (p *pending) group(cs []cells, j int) *touched {
 	} else {
 		t.next.groupVals, t.next.n = t.live.groupVals, t.live.n
 		for i, as := range t.live.aggs {
-			t.next.aggs[i] = aggState{sum: as.sum, avg: as.avg}
+			t.next.aggs[i] = aggState{sum: as.sum}
 		}
 	}
 	p.groups[gk] = t
@@ -1016,21 +1114,21 @@ func (p *pending) group(cs []cells, j int) *touched {
 	return t
 }
 
-// liveCount returns the multiplicity of the value whose key bytes are k
-// in aggregate i's live multiset.
-func (t *touched) liveCount(i int, k []byte) int64 {
+// liveVals returns aggregate i's live multiset, or nil for a group the
+// batch creates.
+func (t *touched) liveVals(i int) *multiset {
 	if t.live == nil {
-		return 0
+		return nil
 	}
-	return t.live.aggs[i].vals[cellKey(k)].n
+	return &t.live.aggs[i].vals
 }
 
-// stageAggregation stages an aggregation view's new materialization as
+// stageAggregation returns an aggregation view's new materialization as
 // a positional delta over the installed one: touched groups overwrite
 // their row (or drop it at multiplicity zero), new groups append in the
 // order the batch first touched them, and untouched rows are not looked
-// at.
-func (p *pending) stageAggregation() {
+// at. A rebuild's delta is all appends.
+func (p *pending) stageAggregation() engine.Delta {
 	st := p.st
 	w := len(st.def.Def.Select)
 	cells := make([]value.Value, len(p.keys)*w)
@@ -1040,64 +1138,59 @@ func (p *pending) stageAggregation() {
 		switch t := p.groups[gk]; {
 		case t.live != nil && t.next.n > 0:
 			d.SetAt = append(d.SetAt, int32(t.live.pos))
-			d.SetRows = append(d.SetRows, t.row(st, st.tab, tuple))
+			d.SetRows = append(d.SetRows, p.row(t, tuple))
 		case t.live != nil:
 			p.drop = append(p.drop, int32(t.live.pos))
 		case t.next.n > 0:
-			d.Append = append(d.Append, t.row(st, nil, tuple))
+			d.Append = append(d.Append, p.row(t, tuple))
 		}
 	}
 	sort.Slice(p.drop, func(i, j int) bool { return p.drop[i] < p.drop[j] })
 	d.Drop = p.drop
-	p.out = &staged{base: st.tab, delta: d}
+	return d
 }
 
 // row builds a touched group's output tuple into tuple from its staged
 // state: the one definition of a maintained row, for a group a batch
-// patches or creates and for every group of a rebuild alike. tab holds
-// the group's stored row, whose MIN/MAX a batch's deltas patch; with tab
-// nil they are derived from the multiset.
-func (t *touched) row(st *state, tab *engine.ColTable, tuple []value.Value) []value.Value {
+// patches or creates — and every group of a rebuild is one it creates.
+func (p *pending) row(t *touched, tuple []value.Value) []value.Value {
 	g := &t.next
-	for i, p := range st.groupPos {
-		tuple[p] = g.groupVals[i]
+	for i, pos := range p.st.groupPos {
+		tuple[pos] = g.groupVals[i]
 	}
-	for i, a := range st.aggs {
+	for i, a := range p.st.aggs {
 		switch a.fn {
 		case ir.AggCount:
 			tuple[a.pos] = value.Int(g.n)
 		case ir.AggSum:
 			tuple[a.pos] = g.aggs[i].sum
 		case ir.AggAvg:
-			tuple[a.pos] = value.Float(g.aggs[i].avg / float64(g.n))
+			tuple[a.pos] = value.Float(g.aggs[i].sum.AsFloat() / float64(g.n))
 		case ir.AggMin, ir.AggMax:
-			if tab != nil {
-				tuple[a.pos] = t.extremum(i, a.fn, tab.Value(t.live.pos, a.pos), true)
-			} else {
-				tuple[a.pos] = t.extremum(i, a.fn, value.Value{}, false)
-			}
+			tuple[a.pos] = p.extremum(t, i, a.fn)
 		}
 	}
 	return tuple
 }
 
-// extremum returns aggregate i's MIN or MAX after the batch. While the
-// stored extremum cur keeps a positive multiplicity only the values the
-// batch added can beat it; when the batch retracts it (or the group is
-// new) the surviving multiset is re-scanned, which is bounded by the
-// group's distinct values.
-func (t *touched) extremum(i int, fn ir.AggFunc, cur value.Value, hasCur bool) value.Value {
-	deltas := t.next.aggs[i].deltas
+// extremum returns aggregate i's MIN or MAX after the batch. While a
+// live group's stored extremum keeps a positive multiplicity only the
+// values the batch added can beat it; when the batch retracts it (or
+// creates the group) the surviving multiset is re-scanned, which is
+// bounded by the group's distinct values.
+func (p *pending) extremum(t *touched, i int, fn ir.AggFunc) value.Value {
+	staged, live := &t.next.aggs[i].vals, t.liveVals(i)
 	better := func(a, b value.Value) bool {
 		c := value.Compare(a, b)
 		return (fn == ir.AggMin && c < 0) || (fn == ir.AggMax && c > 0)
 	}
-	if hasCur {
-		var buf [16]byte
-		ck := cur.AppendKey(buf[:0])
-		if d := findDelta(deltas, ck); d == nil || t.liveCount(i, ck)+d.n > 0 {
+	if live != nil {
+		// A value the batch left alone keeps its live multiplicity, which
+		// is positive for a stored extremum.
+		cur := p.st.tab.Value(t.live.pos, p.st.aggs[i].pos)
+		if dn := staged.count(cur); dn == 0 || live.count(cur)+dn > 0 {
 			best := cur
-			for _, d := range deltas {
+			for _, d := range staged.ents {
 				if d.n > 0 && better(d.v, best) {
 					best = d.v
 				}
@@ -1112,132 +1205,59 @@ func (t *touched) extremum(i int, fn ir.AggFunc, cur value.Value, hasCur bool) v
 			best, seen = v, true
 		}
 	}
-	if t.live != nil {
-		for vk, e := range t.live.aggs[i].vals {
-			n := e.n
-			if d := findDelta(deltas, []byte(vk)); d != nil {
-				n += d.n
-			}
-			if n > 0 {
+	if live != nil {
+		for _, e := range live.ents {
+			if e.n+staged.count(e.v) > 0 {
 				consider(e.v)
 			}
 		}
 	}
-	for _, d := range deltas {
-		if d.n > 0 && t.liveCount(i, []byte(d.k)) == 0 {
+	for _, d := range staged.ents {
+		if d.n > 0 && live.count(d.v) == 0 {
 			consider(d.v)
 		}
 	}
 	return best
 }
 
-// fold makes the staged outcome the live state once the engine has
-// installed tab. It cannot fail, and it touches only what the batch
-// touched (plus one pass over the groups when one vanished, to shift the
-// positions behind it).
-func (p *pending) fold(tab *engine.ColTable) {
-	st := p.st
-	n0 := st.tab.NumRows()
-	st.tab = tab
-	if p.recompute {
-		st.groups = p.newGroups
-		return
-	}
+// fold writes the staged outcome into p.live: a write's once the engine
+// has installed the batch, a rebuild's before anything is installed. It
+// cannot fail, and it touches only what the batch touched (plus one pass
+// over the groups when one vanished, to shift the positions behind it).
+// A created group takes the next row position.
+func (p *pending) fold() {
 	if len(p.drop) > 0 {
-		for _, g := range st.groups {
+		for _, g := range p.live {
 			g.pos -= sort.Search(len(p.drop), func(i int) bool { return int(p.drop[i]) >= g.pos })
 		}
 	}
-	created := 0
+	pos := len(p.live) - len(p.drop)
 	for _, gk := range p.keys {
 		t := p.groups[gk]
 		if t.next.n == 0 {
-			delete(st.groups, gk)
+			delete(p.live, gk)
 			continue
 		}
 		g := t.live
 		if g == nil {
-			g = &group{tally{t.next.groupVals, 0, make([]aggState, len(t.next.aggs))}, n0 - len(p.drop) + created}
-			created++
-			st.groups[gk] = g
+			g = &group{tally{t.next.groupVals, 0, make([]aggState, len(t.next.aggs))}, pos}
+			pos++
+			p.live[gk] = g
 		}
 		g.n = t.next.n
 		for i := range g.aggs {
 			as, next := &g.aggs[i], &t.next.aggs[i]
-			as.sum, as.avg = next.sum, next.avg
-			for _, d := range next.deltas {
-				switch e, ok := as.vals[d.k]; {
-				case d.n == 0:
-				case !ok:
-					if as.vals == nil {
-						as.vals = map[cellKey]mmEntry{}
-					}
-					as.vals[d.k] = d.mmEntry
-				case e.n+d.n == 0:
-					// Extremum retraction: the stored row was already
-					// rebuilt from the surviving multiset.
-					delete(as.vals, d.k)
-				default:
-					e.n += d.n
-					as.vals[d.k] = e
-				}
+			as.sum = next.sum
+			// The smaller multiset folds into the larger, so a group the
+			// batch creates keeps its staged one whole.
+			if len(next.vals.ents) > len(as.vals.ents) {
+				as.vals, next.vals = next.vals, as.vals
+			}
+			for _, d := range next.vals.ents {
+				as.vals.add(d.v, d.n)
 			}
 		}
 	}
-}
-
-// seedGroups builds an incremental aggregation view's counting state by
-// running its seed query through ev and coalescing the finer groups into
-// the view's. The groups come back by key and in the order the result
-// first names them, each placed (pos) at its rank in it.
-func seedGroups(ctx context.Context, ev *engine.Evaluator, st *state) ([]*group, map[cellKey]*group, error) {
-	res, err := ev.ExecColumns(ctx, st.seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	k := len(st.groupPos)
-	var order []*group
-	groups := map[cellKey]*group{}
-	var buf []byte
-	err = eachRow(res, func(cs []cells, j int) error {
-		buf = groupKey(buf[:0], cs, k, j)
-		g, seen := groups[cellKey(buf)]
-		if !seen {
-			g = &group{tally{rowValues(cs, k, j), 0, make([]aggState, len(st.aggs))}, len(order)}
-			groups[cellKey(buf)] = g
-			order = append(order, g)
-		}
-		n := cs[st.nAt].ints[j]
-		g.n += n
-		for i, a := range st.aggs {
-			as := &g.aggs[i]
-			switch a.fn {
-			case ir.AggSum, ir.AggAvg:
-				d := cs[a.at].value(j)
-				as.avg += d.AsFloat()
-				if seen {
-					var err error
-					if d, err = value.Add(as.sum, d); err != nil {
-						return err
-					}
-				}
-				as.sum = d
-			case ir.AggMin, ir.AggMax:
-				if as.vals == nil {
-					as.vals = map[cellKey]mmEntry{}
-				}
-				buf = cs[a.at].appendKey(buf[:0], j)
-				e, ok := as.vals[cellKey(buf)]
-				if !ok {
-					e.v = cs[a.at].value(j)
-				}
-				e.n += n
-				as.vals[cellKey(buf)] = e
-			}
-		}
-		return nil
-	})
-	return order, groups, err
 }
 
 // Mode reports how a tracked view is maintained — "incremental"
