@@ -6,7 +6,7 @@
 // few bits; comparing them with == silently turns a correct rewriting
 // into a spurious mismatch (or hides a real one). The sanctioned
 // comparison paths are engine.ResultsEqualBag for relations and
-// value.Equal / value.Compare for scalars.
+// value.KeyEqual / value.Compare, the one rule for values, for scalars.
 //
 // Two exemptions keep the analyzer precise:
 //   - epsilon helpers: a function whose body references an identifier
@@ -35,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "floateq",
 	Doc: "flags ==/!= on float operands (use an epsilon comparison such as " +
 		"engine.ResultsEqualBag's valuesClose) and on value.Value operands " +
-		"(use value.Equal, which compares 1 and 1.0 as equal; struct equality does not)",
+		"(use value.KeyEqual, which compares 1 and 1.0 and -0 and 0 as equal; struct equality does not)",
 	Run: run,
 }
 
@@ -71,7 +71,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 		case isValueStruct(lt) || isValueStruct(rt):
 			pass.Reportf(be.Pos(),
 				"%s on value.Value compares structs field-by-field (1 != 1.0, exact float payloads); "+
-					"use value.Equal or value.Compare", be.Op)
+					"use value.KeyEqual or value.Compare", be.Op)
 		}
 		return true
 	})

@@ -61,7 +61,7 @@ func StrEq(a, b string) bool {
 
 // ValueEqual uses the sanctioned comparison: out of scope.
 func ValueEqual(a, b value.Value) bool {
-	return value.Equal(a, b)
+	return value.KeyEqual(a, b)
 }
 
 // FloatLess orders floats; only ==/!= are hazards.

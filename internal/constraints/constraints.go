@@ -15,7 +15,10 @@
 // {<=, <}), disequality strengthening (x<=y and x<>y give x<y), and
 // equality derivation (x<=y and y<=x merge classes), iterated to a
 // fixpoint. For the point-algebra fragment this propagation decides
-// satisfiability, so entailment by refutation is complete.
+// satisfiability, so entailment by refutation is complete. Constants are
+// interned by value.KeyEqual and ordered by value.Compare, whose 0 it is:
+// two constant nodes are two values the rule orders strictly, as the
+// engine's filters do, NaN, -0 and integers past 2^53 included.
 package constraints
 
 import (
@@ -193,14 +196,14 @@ func (cl *Closure) rep(t Term) int {
 
 // union merges the classes of two representatives, folding the dropped
 // representative's relations into the kept one's; it reports false when
-// the merge is contradictory (two distinct constants, incomparable
-// constant kinds, or classes known unequal).
+// the merge is contradictory (two constants, which interning keeps
+// apart only when value.Compare does, or classes known unequal).
 func (cl *Closure) union(ra, rb int) bool {
 	if ra == rb {
 		return true
 	}
 	okA, okB := cl.isConst(ra), cl.isConst(rb)
-	if okA && okB && !value.Equal(cl.consts[ra-len(cl.vars)], cl.consts[rb-len(cl.vars)]) {
+	if okA && okB {
 		return false
 	}
 	if cl.neq[ra*cl.n+rb] {

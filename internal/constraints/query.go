@@ -1,7 +1,6 @@
 package constraints
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -266,9 +265,7 @@ func Equivalent(c, d Conj) bool {
 // given AND the candidate, whose atoms all follow from the satisfiable
 // target, so each is satisfiable and an atom it lists as-is, or one over
 // a variable it never mentions, is decided without closing it (see
-// literally); only the other atoms pay for a closure. That argument
-// needs constants the closure orders as numbers (see ordered); with any
-// other, every atom is closed.
+// literally); only the other atoms pay for a closure.
 func Residual(tc *Closure, given Conj, allowed func(Var) bool) (Conj, bool) {
 	if !tc.Sat() {
 		// An unsatisfiable target is equivalent to anything unsatisfiable;
@@ -298,13 +295,9 @@ func Residual(tc *Closure, given Conj, allowed func(Var) bool) (Conj, bool) {
 	// Verify: given AND candidate must entail target.
 	combined := make(Conj, 0, len(given)+len(candidate))
 	combined = append(append(combined, given...), candidate...)
-	lit := ordered(tc, given)
 	var open Conj
 	for _, a := range tc.conj {
-		holds, decided := false, false
-		if lit {
-			holds, decided = rest{xs: combined, skip: -1}.literally(a)
-		}
+		holds, decided := rest{xs: combined, skip: -1}.literally(a)
 		if !decided {
 			open = append(open, a)
 		} else if !holds {
@@ -319,10 +312,7 @@ func Residual(tc *Closure, given Conj, allowed func(Var) bool) (Conj, bool) {
 	// given stays in place as its prefix and the rest is rewritten.
 	out := candidate
 	for i := 0; i < len(out); {
-		implied, decided := false, false
-		if lit {
-			implied, decided = rest{given, out, i}.literally(out[i])
-		}
+		implied, decided := rest{given, out, i}.literally(out[i])
 		if !decided {
 			trial := append(append(combined[:len(given)], out[:i]...), out[i+1:]...)
 			implied = Close(trial).Implies(out[i])
@@ -334,36 +324,6 @@ func Residual(tc *Closure, given Conj, allowed func(Var) bool) (Conj, bool) {
 		}
 	}
 	return out, true
-}
-
-// ordered reports whether every constant of the target and of given
-// compares equal (value.Compare) only to constants the closure interns
-// with it (value.KeyEqual). NaN, -0 and integers beyond ±2^53 do not:
-// the closure orders such a pair by where it met them, so a conjunction
-// each of whose atoms a satisfiable closure entails can still close
-// unsatisfiable.
-func ordered(tc *Closure, given Conj) bool {
-	num := func(c value.Value) bool {
-		switch c.Kind() {
-		case value.KindFloat:
-			f := c.AsFloat()
-			return !math.IsNaN(f) && math.Float64bits(f) != 1<<63 // -0
-		case value.KindInt:
-			return c.AsInt() >= -(1<<53) && c.AsInt() <= 1<<53
-		}
-		return true
-	}
-	for _, c := range tc.consts {
-		if !num(c) {
-			return false
-		}
-	}
-	for _, a := range given {
-		if (a.L.IsConst && !num(a.L.C)) || (a.R.IsConst && !num(a.R.C)) {
-			return false
-		}
-	}
-	return true
 }
 
 // rest is the conjunction xs followed by ys less ys[skip] (skip < 0
@@ -387,8 +347,8 @@ func (c rest) atoms(yield func(Atom) bool) {
 }
 
 // literally answers Close(c).Implies(a), for a satisfiable conjunction
-// c with ordered constants, where the answer needs no closure, and
-// reports whether it could. Each case is what Closure.Implies answers:
+// c, where the answer needs no closure, and reports whether it could.
+// Each case is what Closure.Implies answers:
 //   - a variable of a that no atom of c mentions is unconstrained, so a
 //     holds only as the reflexive x = x, x <= x or x >= x;
 //   - an atom c lists as-is holds.

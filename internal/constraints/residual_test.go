@@ -53,10 +53,12 @@ func residualByClosure(tc *Closure, given Conj, allowed func(Var) bool) (Conj, b
 }
 
 // residualConsts is the constant pool of the residual property test:
-// ints, floats equal to ints, a float between them, NaN, -0, a string.
+// ints, floats equal to ints, a float between them, NaN, -0, ±Inf, ints
+// on both sides of 2^53 and the float equal to one of them, a string.
 var residualConsts = []value.Value{
 	value.Int(0), value.Int(1), value.Int(2), value.Int(3),
 	value.Float(1), value.Float(0.5), value.Float(math.NaN()), value.Float(math.Copysign(0, -1)),
+	value.Int(1 << 53), value.Int(1<<53 + 1), value.Float(1 << 53), value.Float(math.Inf(1)), value.Float(math.Inf(-1)),
 	value.Str("a"),
 }
 

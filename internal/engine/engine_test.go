@@ -298,13 +298,13 @@ func TestRelationHelpers(t *testing.T) {
 	r.Add(iv(2), sv("b"))
 	r.Add(iv(1), sv("a"))
 	// Sorted orders by value.Compare column by column, whatever the keys'
-	// bytes, and lets the keys break Compare's ties (-0 and 0).
+	// bytes; tuples it calls equal (-0 and 0) keep their order.
 	r.Add(value.Float(math.Copysign(0, -1)), sv("a"))
 	r.Add(value.Float(10), sv("a"))
 	r.Add(iv(-3), sv("z"))
 	r.Add(value.Float(0), sv("a"))
 	r.Add(value.Float(2.5), sv("a"))
-	want := []string{"-3 'z'", "0.0 'a'", "-0.0 'a'", "1 'a'", "2 'b'", "2.5 'a'", "10.0 'a'"}
+	want := []string{"-3 'z'", "-0.0 'a'", "0.0 'a'", "1 'a'", "2 'b'", "2.5 'a'", "10.0 'a'"}
 	for i, tup := range r.Sorted().Tuples {
 		if got := tup[0].String() + " " + tup[1].String(); got != want[i] {
 			t.Errorf("Sorted row %d: %s, want %s", i, got, want[i])

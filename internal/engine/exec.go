@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -225,31 +226,23 @@ func (ev *Evaluator) projectBatch(t *task, q *ir.Query, b *Batch) (*ColTable, er
 }
 
 // distinctRows returns ct without the rows that repeat an earlier one.
-// The columns are the keys of a group index fed a chunk at a time — typed
-// cells, or the canonical key bytes when a column holds floats, exactly
-// as GROUP BY numbers groups — and the rows that created a group are the
-// first appearances, in order.
+// The columns are the keys of a group index fed a chunk at a time,
+// exactly as GROUP BY numbers groups (keyOperand), and the rows that
+// created a group are the first appearances, in order; a float cell
+// comes out as its canonical member, as a float group key does.
 func distinctRows(ct *ColTable) *ColTable {
 	w := getScratch()
 	defer putScratch(w)
 	var gk groupKeys
-	for _, col := range ct.cols {
-		gk.byKey = gk.byKey || col.kind == value.KindFloat
-	}
 	w.gi.reset(&gk)
 	keep := make([]int32, 0, ct.n)
 	for m := 0; m < morselCount(ct.n); m++ {
 		lo, hi := morselBounds(m, ct.n)
 		w.keys = w.keys[:0]
 		for _, col := range ct.cols {
-			w.keys = append(w.keys, denseOperand(&col.chunks[m].Vec))
+			w.keys = append(w.keys, keyOperand(denseOperand(&col.chunks[m].Vec)))
 		}
-		if gk.byKey {
-			w.byteKeys(hi - lo)
-			w.gi.assignBytes(w.kbuf, w.koff, hi-lo, w.gids[:])
-		} else {
-			w.gi.assign(w.keys, hi-lo, w.hs[:], w.gids[:], false)
-		}
+		w.gi.assign(w.keys, hi-lo, w.hs[:], w.gids[:], false)
 		for _, j := range w.gi.newJ {
 			keep = append(keep, int32(lo)+j)
 		}
@@ -257,7 +250,9 @@ func distinctRows(ct *ColTable) *ColTable {
 	if gk.n > maxPooledGroups {
 		w.gi = groupIndex{}
 	}
-	if len(keep) == ct.n {
+	// A float column's cells come out canonical, so only a table without
+	// one is handed back as it is.
+	if len(keep) == ct.n && !slices.ContainsFunc(ct.cols, func(c *column) bool { return c.kind == value.KindFloat }) {
 		return ct
 	}
 	parts := make([][]Vec, morselCount(len(keep)))
@@ -267,6 +262,7 @@ func distinctRows(ct *ColTable) *ColTable {
 		parts[k] = make([]Vec, len(ct.cols))
 		for c, col := range ct.cols {
 			parts[k][c] = denseOperand(w.rs.gather(col, keep[lo:hi])).cells(hi - lo)
+			canonFloats(parts[k][c].floats)
 		}
 	}
 	return resultTable(len(ct.cols), len(keep), parts)

@@ -65,7 +65,7 @@ type accum struct {
 	arg  ir.Expr // nil for COUNT(*) and bare COUNT
 	rows int64
 	seen bool
-	sum  value.Value // SUM: running total, typed by the earliest value
+	sum  value.Value // SUM: running total from Int(0), typed by the values
 	avg  float64     // AVG: running float total
 	best value.Value // MIN/MAX: current extremum
 }
@@ -92,10 +92,6 @@ func (ac *accum) absorb(v value.Value) error {
 		if !v.IsNumeric() {
 			return fmt.Errorf("engine: SUM over non-numeric value %s", v)
 		}
-		if !ac.seen {
-			ac.sum, ac.seen = v, true
-			return nil
-		}
 		var err error
 		ac.sum, err = value.Add(ac.sum, v)
 		return err
@@ -110,18 +106,19 @@ func (ac *accum) absorb(v value.Value) error {
 	return nil
 }
 
-// result finalizes the accumulator into the aggregate's value.
+// result finalizes the accumulator into the aggregate's value, a float
+// as its canonical member.
 func (ac *accum) result() (value.Value, error) {
 	if ac.arg == nil || ac.fn == ir.AggCount {
 		return value.Int(ac.rows), nil
 	}
 	switch ac.fn {
 	case ir.AggMin, ir.AggMax:
-		return ac.best, nil
+		return ac.best.Canon(), nil
 	case ir.AggSum:
-		return ac.sum, nil
+		return ac.sum.Canon(), nil
 	case ir.AggAvg:
-		return value.Float(ac.avg / float64(ac.rows)), nil
+		return value.Float(value.CanonFloat(ac.avg / float64(ac.rows))), nil
 	default:
 		return value.Value{}, fmt.Errorf("engine: unknown aggregate %v", ac.fn)
 	}
@@ -218,7 +215,8 @@ func evalGrouped(e ir.Expr, g *group, aggIdx map[*ir.Agg]int) (value.Value, erro
 	}
 }
 
-// distinct removes duplicate tuples by their canonical string keys: the
+// distinct removes duplicate tuples by their canonical string keys,
+// keeping each first appearance's cells as their canonical members: the
 // reference of distinctRows.
 func distinct(r *Relation) *Relation {
 	seen := map[string]bool{}
@@ -227,8 +225,17 @@ func distinct(r *Relation) *Relation {
 		k := tupleKey(t)
 		if !seen[k] {
 			seen[k] = true
-			out.Tuples = append(out.Tuples, t)
+			out.Tuples = append(out.Tuples, canonTuple(t))
 		}
+	}
+	return out
+}
+
+// canonTuple returns a copy of t with every cell its canonical member.
+func canonTuple(t []value.Value) []value.Value {
+	out := make([]value.Value, len(t))
+	for i, v := range t {
+		out[i] = v.Canon()
 	}
 	return out
 }
@@ -268,7 +275,7 @@ func (g *group) fold(row []value.Value) error {
 func nestedLoopJoin(a, b [][]value.Value, ka, kb []int) [][2]int {
 	match := func(ra, rb []value.Value) bool {
 		for k := range ka {
-			if !value.Equal(ra[ka[k]], rb[kb[k]]) {
+			if !value.KeyEqual(ra[ka[k]], rb[kb[k]]) {
 				return false
 			}
 		}

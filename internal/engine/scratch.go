@@ -98,7 +98,7 @@ type scratch struct {
 	js   [morselRows]int32 // surviving row numbers while a filter refines
 	gids [morselRows]int32 // group id per row
 	hs   [morselRows]uint64
-	kbuf []byte  // byte-encoded group keys of the morsel's rows
+	kbuf []byte  // byte-encoded join keys of the morsel's rows
 	koff []int32 // row j's key is kbuf[koff[j]:koff[j+1]]
 	keys []vecOperand
 	args []vecOperand

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -62,22 +61,35 @@ type column struct {
 }
 
 // chunk is one column's cells for one run of chunkRows rows, with the
-// closed range [lo, hi] they span in the column's own kind. Only int,
-// float and string chunks are ranged, and a float chunk holding a NaN
-// (which orders equal to everything) is not: an unranged chunk is never
-// skipped.
+// closed range [lo, hi] they span under value.Compare, in the column's
+// own kind (a NaN is the greatest float). Only int, float and string
+// chunks are ranged: an unranged chunk is never skipped.
 type chunk struct {
 	Vec
 	ranged bool
 	lo, hi value.Value
 }
 
-// span folds xs into its least and greatest cell. A NaN among floats
-// comes back as both.
-func span[T cmp.Ordered](xs []T) (lo, hi T) {
+// span folds xs into its least and greatest cell.
+func span[T int64 | string](xs []T) (lo, hi T) {
 	lo, hi = xs[0], xs[0]
 	for _, x := range xs[1:] {
 		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, hi
+}
+
+// floatSpan is span under value.CompareFloats, which orders a NaN above
+// +Inf.
+func floatSpan(xs []float64) (lo, hi float64) {
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if value.CompareFloats(x, lo) < 0 {
+			lo = x
+		}
+		if value.CompareFloats(x, hi) > 0 {
+			hi = x
+		}
 	}
 	return lo, hi
 }
@@ -89,8 +101,8 @@ func (ch *chunk) setRange() {
 		lo, hi := span(ch.ints)
 		ch.lo, ch.hi, ch.ranged = value.Int(lo), value.Int(hi), true
 	case value.KindFloat:
-		lo, hi := span(ch.floats)
-		ch.lo, ch.hi, ch.ranged = value.Float(lo), value.Float(hi), !math.IsNaN(lo)
+		lo, hi := floatSpan(ch.floats)
+		ch.lo, ch.hi, ch.ranged = value.Float(lo), value.Float(hi), true
 	case value.KindString:
 		lo, hi := span(ch.strs)
 		ch.lo, ch.hi, ch.ranged = value.Str(lo), value.Str(hi), true
@@ -502,8 +514,13 @@ func (v *Vec) floatCells() *[]float64 { return &v.floats }
 func (v *Vec) strCells() *[]string    { return &v.strs }
 
 // sameCell reports whether two boxed cells are the same stored value:
-// same kind and, within a kind, the same key (every NaN is one value).
+// same kind and payload, a float's to the bit. A write stores the value
+// it is given, so an UPDATE to -0.0 of a stored 0.0 stores -0.0, which
+// the rule calls equal to it but a projection shows.
 func sameCell(a, b value.Value) bool {
+	if a.Kind() == value.KindFloat && b.Kind() == value.KindFloat {
+		return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+	}
 	return a.Kind() == b.Kind() && value.KeyEqual(a, b)
 }
 
@@ -668,17 +685,14 @@ func (c *ColTable) Locate(rows [][]value.Value) (pos []int32, ok bool) {
 }
 
 // intKeyOf returns the int64 an int-column cell must hold to share x's
-// key: x itself for an int, the exact integer for an integral float in
-// the range where value.Key unifies the two.
+// key: x itself for an int, the integer an integral float names.
 func intKeyOf(x value.Value) (int64, bool) {
 	switch x.Kind() {
 	case value.KindInt:
 		return x.AsInt(), true
 	case value.KindFloat:
-		if f := x.AsFloat(); f >= -(1<<53) && f <= 1<<53 {
-			if i := int64(f); value.KeyEqual(value.Int(i), x) {
-				return i, true
-			}
+		if i := int64(x.AsFloat()); value.KeyEqual(value.Int(i), x) {
+			return i, true
 		}
 	}
 	return 0, false

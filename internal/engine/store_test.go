@@ -428,20 +428,16 @@ func checkAgainstModel(t *testing.T, what string, ct *ColTable, want modelRows, 
 			if ch.Len() != hi-lo || ch.kind != col.kind {
 				t.Fatalf("%s: column %d chunk %d holds %d cells of kind %v, want %d of %v", what, c, k, ch.Len(), ch.kind, hi-lo, col.kind)
 			}
-			// The reference range, by boxed comparison; none when the
-			// column is bool or mixed or the chunk holds a NaN.
+			// The reference range, by boxed comparison (a NaN is the
+			// greatest float); none when the column is bool or mixed.
 			ranged := col.kind == value.KindInt || col.kind == value.KindFloat || col.kind == value.KindString
 			rlo, rhi := want[lo][c], want[lo][c]
 			for _, row := range want[lo:hi] {
-				if v := row[c]; v.Kind() == value.KindFloat && math.IsNaN(v.AsFloat()) {
-					ranged = false
-				} else if ranged {
-					if value.Compare(v, rlo) < 0 {
-						rlo = v
-					}
-					if value.Compare(v, rhi) > 0 {
-						rhi = v
-					}
+				if value.Compare(row[c], rlo) < 0 {
+					rlo = row[c]
+				}
+				if value.Compare(row[c], rhi) > 0 {
+					rhi = row[c]
 				}
 			}
 			if ch.ranged != ranged || ranged && (value.Compare(ch.lo, rlo) != 0 || value.Compare(ch.hi, rhi) != 0) {

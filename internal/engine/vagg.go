@@ -32,26 +32,38 @@ func aggSpecs(aggs []*ir.Agg) []aggSpec {
 	return specs
 }
 
-// groupKeys holds the keys of a set of groups, one per group id: as
-// typed cells, one vector per key column (int, bool and string columns),
-// or, when a key column is a float vector, as the canonical
-// Value.AppendKey bytes, so -0 and 0 stay apart and every NaN is one key,
-// exactly as in the row-at-a-time engine.
+// groupKeys holds the keys of a set of groups, one per group id, as
+// typed cells: one vector per key column, cols[c] cell g being group g's
+// key in column c. An int, bool or string column keeps its cells, a
+// float column their canonical bits (keyOperand).
 type groupKeys struct {
-	byKey bool
-	cols  []Vec   // typed keys: cols[c] cell g is group g's key in column c
-	kbuf  []byte  // byte keys: group g's key is kbuf[koff[g]:koff[g+1]]
-	koff  []int32 // len n+1 once a group exists
-	n     int     // groups
+	cols []Vec
+	n    int // groups
 }
 
-func (gk *groupKeys) reset(byKey bool) {
+func (gk *groupKeys) reset() {
 	for c := range gk.cols[:cap(gk.cols)] {
 		v := &gk.cols[:cap(gk.cols)][c]
 		clear(v.strs)
 		v.ints, v.strs = v.ints[:0], v.strs[:0]
 	}
-	gk.byKey, gk.cols, gk.kbuf, gk.koff, gk.n = byKey, gk.cols[:0], gk.kbuf[:0], gk.koff[:0], 0
+	gk.cols, gk.n = gk.cols[:0], 0
+}
+
+// keyOperand returns a key column as the group index reads it: a float
+// column as an int vector of its cells' canonical bits
+// (value.CanonFloat), equal exactly when the cells are value.KeyEqual, so
+// -0 and 0 are one key and every NaN is one key; any other column as it
+// is.
+func keyOperand(k vecOperand) vecOperand {
+	if k.vec.kind != value.KindFloat {
+		return k
+	}
+	bits := make([]int64, len(k.idx))
+	for j, i := range k.idx {
+		bits[j] = int64(math.Float64bits(value.CanonFloat(k.vec.floats[i])))
+	}
+	return denseOperand(&Vec{kind: value.KindInt, ints: bits})
 }
 
 // groupIndex assigns dense group ids in first-appearance order: an
@@ -274,33 +286,6 @@ func (gk *groupKeys) holds(g int, keys []vecOperand, j int) bool {
 	return true
 }
 
-// assignBytes is assign over byte-encoded keys: row j's key is
-// buf[off[j]:off[j+1]].
-func (gi *groupIndex) assignBytes(buf []byte, off []int32, n int, gids []int32) {
-	gi.newJ = gi.newJ[:0]
-	gk := gi.keys
-	mask := len(gi.slots) - 1
-	for j := 0; j < n; j++ {
-		key := buf[off[j]:off[j+1]]
-		h := maphash.Bytes(keySeed, key)
-		for s := int(h) & mask; ; s = (s + 1) & mask {
-			g := int(gi.slots[s]) - 1
-			if g < 0 {
-				g, mask = gi.add(s, h, j)
-				if len(gk.koff) == 0 {
-					gk.koff = append(gk.koff, 0)
-				}
-				gk.kbuf = append(gk.kbuf, key...)
-				gk.koff = append(gk.koff, int32(len(gk.kbuf)))
-			} else if gi.hash[g] != h || string(gk.kbuf[gk.koff[g]:gk.koff[g+1]]) != string(key) {
-				continue
-			}
-			gids[j] = int32(g)
-			break
-		}
-	}
-}
-
 // accCol holds one aggregate's accumulators, one cell per group id, as a
 // typed vector: int64 (SUM over ints, MIN/MAX over ints and over the 0/1
 // payload of bools), float64 (SUM and MIN/MAX over floats, AVG's running
@@ -344,15 +329,22 @@ func growFrom[T any](xs []T, n int, src []T, idx, newJ []int32) []T {
 	return xs
 }
 
+// canonFloats replaces each cell of xs with its canonical member
+// (value.CanonFloat).
+func canonFloats(xs []float64) {
+	for i, x := range xs {
+		xs[i] = value.CanonFloat(x)
+	}
+}
+
 func addCells[T int64 | float64](acc []T, gids []int32, xs []T, idx []int32) {
 	for j, g := range gids {
 		acc[g] += xs[idx[j]]
 	}
 }
 
-// extremeCells keeps per group the least (or greatest) cell. A NaN
-// neither replaces nor is replaced, as under value.Compare.
-func extremeCells[T int64 | float64 | string](acc []T, gids []int32, xs []T, idx []int32, greatest bool) {
+// extremeCells keeps per group the least (or greatest) cell.
+func extremeCells[T int64 | string](acc []T, gids []int32, xs []T, idx []int32, greatest bool) {
 	if greatest {
 		for j, g := range gids {
 			if x := xs[idx[j]]; x > acc[g] {
@@ -368,12 +360,26 @@ func extremeCells[T int64 | float64 | string](acc []T, gids []int32, xs []T, idx
 	}
 }
 
+// extremeFloats is extremeCells under value.CompareFloats, which orders
+// a NaN above +Inf: it is every group's MAX it meets, and a group's MIN
+// only when the group holds nothing else.
+func extremeFloats(acc []float64, gids []int32, xs []float64, idx []int32, greatest bool) {
+	want := -1
+	if greatest {
+		want = 1
+	}
+	for j, g := range gids {
+		if x := xs[idx[j]]; value.CompareFloats(x, acc[g]) == want {
+			acc[g] = x
+		}
+	}
+}
+
 // foldTyped folds src's cells into the typed accumulators: row j goes to
 // group gids[j]; accumulators grow to ng groups, newJ naming the row
-// that created each group past the current length. Sums start from the
-// additive identity that leaves the first value's bits alone (-0 for
-// SUM, whose result is its first value when alone; AVG starts at +0 as
-// the row-at-a-time fold does).
+// that created each group past the current length. SUM and AVG start
+// from 0, so a float SUM is never -0 (IEEE gives -0 only for a sum of
+// -0s from -0).
 func (c *accCol) foldTyped(fn ir.AggFunc, src vecOperand, gids []int32, ng int, newJ []int32) {
 	v, s := &c.vec, src.vec
 	switch {
@@ -381,7 +387,7 @@ func (c *accCol) foldTyped(fn ir.AggFunc, src vecOperand, gids []int32, ng int, 
 		v.ints = grow(v.ints, ng, 0)
 		addCells(v.ints, gids, s.ints, src.idx)
 	case fn == ir.AggSum:
-		v.floats = grow(v.floats, ng, math.Copysign(0, -1))
+		v.floats = grow(v.floats, ng, 0)
 		addCells(v.floats, gids, s.floats, src.idx)
 	case fn == ir.AggAvg:
 		v.floats = grow(v.floats, ng, 0)
@@ -394,7 +400,7 @@ func (c *accCol) foldTyped(fn ir.AggFunc, src vecOperand, gids []int32, ng int, 
 		}
 	case v.kind == value.KindFloat:
 		v.floats = growFrom(v.floats, ng, s.floats, src.idx, newJ)
-		extremeCells(v.floats, gids, s.floats, src.idx, fn == ir.AggMax)
+		extremeFloats(v.floats, gids, s.floats, src.idx, fn == ir.AggMax)
 	case v.kind == value.KindString:
 		v.strs = growFrom(v.strs, ng, s.strs, src.idx, newJ)
 		extremeCells(v.strs, gids, s.strs, src.idx, fn == ir.AggMax)
@@ -406,8 +412,8 @@ func (c *accCol) foldTyped(fn ir.AggFunc, src vecOperand, gids []int32, ng int, 
 
 // foldRows folds one morsel's evaluated argument into fresh
 // accumulators for its ng groups, a constant argument as its broadcast.
-// A SUM or AVG over a non-numeric argument raises the row-at-a-time
-// fold's error, which the morsel's first row meets.
+// A SUM or AVG over a non-numeric argument raises its error on the
+// morsel's first row.
 func (c *accCol) foldRows(sp *aggSpec, src vecOperand, gids []int32, ng int, newJ []int32) error {
 	if src.isConst {
 		v := broadcast(src.c, len(gids))
@@ -445,8 +451,8 @@ type foldState struct {
 	accs  []accCol
 }
 
-func (st *foldState) reset(byKey bool, naggs int) {
-	st.keys.reset(byKey)
+func (st *foldState) reset(naggs int) {
+	st.keys.reset()
 	st.first, st.rows = st.first[:0], st.rows[:0]
 	// A pooled state serves queries of differing aggregate counts: keep
 	// the columns (and their capacity) it has and add what is missing.
@@ -462,7 +468,7 @@ func (st *foldState) reset(byKey bool, naggs int) {
 
 // bytes is the state's payload footprint for the memory budget.
 func (st *foldState) bytes() int64 {
-	n := int64(len(st.keys.kbuf)) + 4*int64(len(st.keys.koff)) + 12*int64(len(st.rows))
+	n := 12 * int64(len(st.rows))
 	for c := range st.keys.cols {
 		n += st.keys.cols[c].bytes()
 	}
@@ -486,14 +492,13 @@ var foldPool = sync.Pool{New: func() any { return new(foldState) }}
 const maxPooledGroups = 4 * morselRows
 
 // aggPlan is what the fold pass of one aggregation query shares between
-// its morsels: the batch, the pushed-down predicates of a fused scan,
-// the aggregate occurrences and the key representation.
+// its morsels: the batch, the pushed-down predicates of a fused scan and
+// the aggregate occurrences.
 type aggPlan struct {
 	q     *ir.Query
 	b     *Batch
 	preds []ir.Pred
 	specs []aggSpec
-	byKey bool
 	mt    *evMetrics
 }
 
@@ -503,7 +508,7 @@ type aggPlan struct {
 // loop — and returns the morsel's partial (nil when no row survives)
 // and the number of rows folded. Argument errors surface first, in
 // aggregate order, then fold errors, in aggregate order: every one is
-// met on the morsel's first row, as in a row-at-a-time fold.
+// met on the morsel's first row.
 func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 	b := pl.b
 	rs := w.rows(b, lo, hi)
@@ -533,24 +538,18 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 	}
 
 	st := foldPool.Get().(*foldState)
-	st.reset(pl.byKey, len(pl.specs))
+	st.reset(len(pl.specs))
 	w.gi.reset(&st.keys)
 	gids := w.gids[:rs.n()]
 	w.keys = w.keys[:0]
 	for _, gc := range pl.q.GroupBy {
 		// An unbound key column reads the zero Value on every row: it
-		// splits no group, so the typed index skips it.
-		if k := rs.col(gc); !k.isConst || pl.byKey {
-			w.keys = append(w.keys, k)
+		// splits no group, so the index skips it.
+		if k := rs.col(gc); !k.isConst {
+			w.keys = append(w.keys, keyOperand(k))
 		}
 	}
-	direct := false
-	if pl.byKey {
-		w.byteKeys(rs.n())
-		w.gi.assignBytes(w.kbuf, w.koff, rs.n(), gids)
-	} else {
-		direct = w.gi.assign(w.keys, rs.n(), w.hs[:], gids, true)
-	}
+	direct := w.gi.assign(w.keys, rs.n(), w.hs[:], gids, true)
 	// Which table numbered the groups is a property of the morsel's
 	// cells, so the two counts repeat at every worker count.
 	switch {
@@ -585,15 +584,11 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) {
 	n := p.keys.n
 	gmap := w.gids[:n]
-	if st.keys.byKey {
-		w.gi.assignBytes(p.keys.kbuf, p.keys.koff, n, gmap)
-	} else {
-		w.keys = w.keys[:0]
-		for c := range p.keys.cols {
-			w.keys = append(w.keys, denseOperand(&p.keys.cols[c]))
-		}
-		w.gi.assign(w.keys, n, w.hs[:], gmap, false)
+	w.keys = w.keys[:0]
+	for c := range p.keys.cols {
+		w.keys = append(w.keys, denseOperand(&p.keys.cols[c]))
 	}
+	w.gi.assign(w.keys, n, w.hs[:], gmap, false)
 	ng, newJ := st.keys.n, w.gi.newJ
 	for _, j := range newJ {
 		st.first = append(st.first, p.first[j])
@@ -605,20 +600,6 @@ func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) {
 		}
 	}
 	addCells(st.rows, gmap, p.rows, iota32[:n])
-}
-
-// byteKeys encodes the key operands w.keys of n rows as row keys: row
-// j's key is w.kbuf[w.koff[j]:w.koff[j+1]], its cells' canonical keys
-// (value.AppendKey) concatenated. Each is self-delimiting, so two rows'
-// keys are equal exactly when their cells are value.KeyEqual one by one.
-func (w *scratch) byteKeys(n int) {
-	w.kbuf, w.koff = w.kbuf[:0], append(w.koff[:0], 0)
-	for j := 0; j < n; j++ {
-		for _, k := range w.keys {
-			w.kbuf = k.Value(j).AppendKey(w.kbuf)
-		}
-		w.koff = append(w.koff, int32(len(w.kbuf)))
-	}
 }
 
 // aggregate evaluates the GROUP BY / HAVING / SELECT pipeline of an
@@ -646,11 +627,6 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 	defer sw.Stop()
 	aggs, aggIdx := collectAggs(q)
 	pl := &aggPlan{q: q, b: b, preds: preds, specs: aggSpecs(aggs), mt: mt}
-	for _, gc := range q.GroupBy {
-		if col := b.cols[gc]; col != nil && col.kind == value.KindFloat {
-			pl.byKey = true
-		}
-	}
 	site := "agg.fold"
 	if fused {
 		site = "scan"
@@ -681,7 +657,7 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 		merged = parts[0]
 	} else {
 		merged = foldPool.Get().(*foldState)
-		merged.reset(pl.byKey, len(pl.specs))
+		merged.reset(len(pl.specs))
 		w.gi.reset(&merged.keys)
 	}
 	defer func() {
@@ -716,6 +692,11 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 	}
 	mt.aggRows.Add(int64(rows))
 	mt.aggGroups.Add(int64(merged.keys.n))
+	// A float SUM, AVG total, MIN or MAX is emitted as its canonical
+	// member, whichever of the rule's equal values the fold met.
+	for a := range merged.accs {
+		canonFloats(merged.accs[a].vec.floats)
+	}
 
 	return assembleGroups(q, b, pl.specs, aggIdx, merged, w)
 }
@@ -746,12 +727,21 @@ func (s *groupStage) bind(gsel []int32) {
 	clear(rs.idx)
 }
 
-// col reads column c at the groups: a typed key is every row's cell, so
-// the key column is the answer; any other column is read at each group's
-// first row (an unbound one as the zero Value).
+// col reads column c at the groups: a key is every row's cell, so the
+// key column is the answer — a float key's canonical member, from the
+// bits the index holds; any other column is read at each group's first
+// row (an unbound one as the zero Value).
 func (s *groupStage) col(c ir.ColID) vecOperand {
 	if k := s.keyAt[c]; k > 0 {
-		return vecOperand{vec: &s.st.keys.cols[k-1], idx: s.gsel}
+		key := &s.st.keys.cols[k-1]
+		if s.b.cols[c].kind != value.KindFloat {
+			return vecOperand{vec: key, idx: s.gsel}
+		}
+		xs := make([]float64, len(s.gsel))
+		for j, g := range s.gsel {
+			xs[j] = math.Float64frombits(uint64(key.ints[g]))
+		}
+		return denseOperand(&Vec{kind: value.KindFloat, floats: xs})
 	}
 	rs := &s.w.rs
 	if t := s.b.tabOf(c); s.b.cols[c] != nil && rs.idx[t] == nil {
@@ -782,7 +772,7 @@ func (s *groupStage) agg(a *ir.Agg) (vecOperand, error) {
 	case sp.fn == ir.AggAvg:
 		xs := make([]float64, len(s.gsel))
 		for j, g := range s.gsel {
-			xs[j] = ac.vec.floats[g] / float64(s.st.rows[g])
+			xs[j] = value.CanonFloat(ac.vec.floats[g] / float64(s.st.rows[g]))
 		}
 		return denseOperand(&Vec{kind: value.KindFloat, floats: xs}), nil
 	}
@@ -821,15 +811,13 @@ func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]i
 	s := &groupStage{b: b, specs: specs, aggIdx: aggIdx, st: merged, w: w,
 		counts: Vec{kind: value.KindInt, ints: merged.rows}, keyAt: make([]int32, len(b.cols))}
 	w.rows(b, 0, 0) // sizes the row set to b's tables; bind and col fill it
-	if !merged.keys.byKey {
-		// The typed index keeps the bound GROUP BY columns, in order.
-		k := int32(0)
-		for _, gc := range q.GroupBy {
-			if b.cols[gc] != nil {
-				k++
-				if s.keyAt[gc] == 0 {
-					s.keyAt[gc] = k
-				}
+	// The index keeps the bound GROUP BY columns, in order.
+	k := int32(0)
+	for _, gc := range q.GroupBy {
+		if b.cols[gc] != nil {
+			k++
+			if s.keyAt[gc] == 0 {
+				s.keyAt[gc] = k
 			}
 		}
 	}

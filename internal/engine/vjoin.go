@@ -33,8 +33,8 @@ func (c *column) intRange() (lo, hi int64, ok bool) {
 // uniformly int on both sides — by direct address when, further, the
 // recorded range [lo, hi] of the laid-out side's column is narrower than
 // directSpan, through a hash table when it is wide or unknown — and over
-// the canonical Value.AppendKey bytes otherwise, so cross-kind numeric
-// equality (1 joins 1.0) matches the row-at-a-time engine exactly.
+// the canonical Value.AppendKey bytes otherwise, so a join matches the
+// pairs value.KeyEqual equates (1 joins 1.0, -0 joins 0) and no others.
 type keying struct {
 	ints, direct bool
 	lo, hi       int64
@@ -183,6 +183,20 @@ func (jk *joinKeys) morselIDs(w *scratch, s joinSide, ids []int32, lo, hi int, a
 	w.byteKeys(len(out))
 	for j := range out {
 		out[j] = jk.bytesID(w.kbuf[w.koff[j]:w.koff[j+1]], add)
+	}
+}
+
+// byteKeys encodes the key operands w.keys of n rows as row keys: row
+// j's key is w.kbuf[w.koff[j]:w.koff[j+1]], its cells' canonical keys
+// (value.AppendKey) concatenated. Each is self-delimiting, so two rows'
+// keys are equal exactly when their cells are value.KeyEqual one by one.
+func (w *scratch) byteKeys(n int) {
+	w.kbuf, w.koff = w.kbuf[:0], append(w.koff[:0], 0)
+	for j := 0; j < n; j++ {
+		for _, k := range w.keys {
+			w.kbuf = k.Value(j).AppendKey(w.kbuf)
+		}
+		w.koff = append(w.koff, int32(len(w.kbuf)))
 	}
 }
 

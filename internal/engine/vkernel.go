@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 
@@ -10,11 +9,10 @@ import (
 )
 
 // cmpMask encodes a comparison operator as the set of orderings it
-// keeps: bit 0 when the left cell orders below the right one, bit 1
-// when neither orders below the other (equal — or unordered: NaN orders
-// equal to everything, as in value.Compare), bit 2 when it orders above.
-// The float kernels and the chunk test resolve the operator to its mask
-// once per vector and test one bit per row.
+// keeps under value.Compare: bit 0 when the left cell orders below the
+// right one, bit 1 when they are equal, bit 2 when it orders above. The
+// float and mixed-kind kernels and the chunk test resolve the operator
+// to its mask once per vector and test one bit per row.
 func cmpMask(op ir.Op) (uint, error) {
 	switch op {
 	case ir.OpEq:
@@ -34,19 +32,9 @@ func cmpMask(op ir.Op) (uint, error) {
 	}
 }
 
-// keepBit returns 1 when mask keeps the ordering of a against b in the
-// float domain, where neither comparison holding means equal or
-// unordered. The two comparisons compile to flag moves, so the row loops
-// below carry no data-dependent branch.
-func keepBit(mask uint, a, b float64) int {
-	var lt, gt uint
-	if a < b {
-		lt = 1
-	}
-	if a > b {
-		gt = 1
-	}
-	return int(mask >> (1 + gt - lt) & 1)
+// keepBit returns 1 when mask keeps c, a value.Compare result.
+func keepBit(mask uint, c int) int {
+	return int(mask >> (1 + c) & 1)
 }
 
 // selFloatConst writes to out the row numbers j of sel whose cell
@@ -57,7 +45,7 @@ func selFloatConst(mask uint, xs []float64, idx []int32, y float64, sel, out []i
 	k := 0
 	for _, j := range sel {
 		out[k] = j
-		k += keepBit(mask, xs[idx[j]], y)
+		k += keepBit(mask, value.CompareFloats(xs[idx[j]], y))
 	}
 	return out[:k]
 }
@@ -186,7 +174,7 @@ type vecOperand struct {
 }
 
 // col reads column c of the set's batch over the row set. An unbound
-// slot reads as the zero Value, as in the row-at-a-time engine.
+// slot reads as the zero Value.
 func (rs *rowSet) col(c ir.ColID) vecOperand {
 	col := rs.b.cols[c]
 	if col == nil {
@@ -307,18 +295,10 @@ func cmpSel(op ir.Op, l, r vecOperand, sel, out []int32) ([]int32, error) {
 		switch {
 		case lk == value.KindInt && rk == value.KindInt:
 			return selCmpConst(op, l.vec.ints, l.idx, r.c.AsInt(), sel, out), nil
-		case numericKind(lk): // at least one float: float domain
-			y := r.c.AsFloat()
-			if lk == value.KindInt {
-				out = out[:len(sel)]
-				k := 0
-				for _, j := range sel {
-					out[k] = j
-					k += keepBit(mask, float64(l.vec.ints[l.idx[j]]), y)
-				}
-				return out[:k], nil
-			}
-			return selFloatConst(mask, l.vec.floats, l.idx, y, sel, out), nil
+		case lk == value.KindFloat && rk == value.KindFloat:
+			return selFloatConst(mask, l.vec.floats, l.idx, r.c.AsFloat(), sel, out), nil
+		case numericKind(lk): // an int against a float: compared exactly
+			return selCmpMixed(mask, l, r, sel, out), nil
 		case lk == value.KindString:
 			return selCmpConst(op, l.vec.strs, l.idx, r.c.AsString(), sel, out), nil
 		default: // bool vs bool: 0/1 payload in the int domain
@@ -333,14 +313,16 @@ func cmpSel(op ir.Op, l, r vecOperand, sel, out []int32) ([]int32, error) {
 	switch {
 	case lk == value.KindInt && rk == value.KindInt:
 		return selCmpCols(op, l.vec.ints, l.idx, r.vec.ints, r.idx, sel, out), nil
-	case numericKind(lk): // a float column on either side: float domain
+	case lk == value.KindFloat && rk == value.KindFloat:
 		out = out[:len(sel)]
 		k := 0
 		for _, j := range sel {
 			out[k] = j
-			k += keepBit(mask, l.float(int(j)), r.float(int(j)))
+			k += keepBit(mask, value.CompareFloats(l.vec.floats[l.idx[j]], r.vec.floats[r.idx[j]]))
 		}
 		return out[:k], nil
+	case numericKind(lk): // an int against a float
+		return selCmpMixed(mask, l, r, sel, out), nil
 	case lk == value.KindString:
 		return selCmpCols(op, l.vec.strs, l.idx, r.vec.strs, r.idx, sel, out), nil
 	default: // bool vs bool
@@ -348,13 +330,17 @@ func cmpSel(op ir.Op, l, r vecOperand, sel, out []int32) ([]int32, error) {
 	}
 }
 
-// float reads a numeric column operand's cell for row j in the float
-// domain.
-func (o vecOperand) float(j int) float64 {
-	if o.vec.kind == value.KindInt {
-		return float64(o.vec.ints[o.idx[j]])
+// selCmpMixed is the filter loop of an int operand against a float one,
+// l a column and r a column or a constant: each row's two cells are
+// compared exactly, by value.Compare, with no rounding through float64.
+func selCmpMixed(mask uint, l, r vecOperand, sel, out []int32) []int32 {
+	out = out[:len(sel)]
+	k := 0
+	for _, j := range sel {
+		out[k] = j
+		k += keepBit(mask, value.Compare(l.Value(int(j)), r.Value(int(j))))
 	}
-	return o.vec.floats[o.idx[j]]
+	return out[:k]
 }
 
 // refine runs a conjunction over the row set and returns the surviving row
@@ -411,31 +397,17 @@ func (w *scratch) refine(rs *rowSet, preds []ir.Pred, rest []ir.HPred) ([]int32,
 	return sel, nil
 }
 
-// mayHold reports whether some cell in the closed range [lo, hi] can
-// satisfy mask against y, by keepBit's own orderings: an unordered y (a
-// NaN) orders equal to every cell, so it keeps the range for the masks
-// with the equal bit and excludes it for the others, as the row loop
-// would.
-func mayHold[T cmp.Ordered](mask uint, lo, hi, y T) bool {
-	return mask&0b001 != 0 && lo < y || mask&0b010 != 0 && !(y < lo) && !(y > hi) || mask&0b100 != 0 && hi > y
-}
-
 // excludes reports whether no cell of the chunk can satisfy mask against
 // the constant y, which the caller has checked orders against the
-// chunk's kind. The comparison runs in the domain the row loop uses: int
-// against int in int64, any other numeric pair in float64 (the widening
-// is monotone, so the widened range bounds the widened cells).
+// chunk's kind: the chunk's range [lo, hi] under value.Compare holds a
+// cell below y only if lo is below it, one equal to y only if y lies in
+// the range, one above it only if hi is above it.
 func (ch *chunk) excludes(mask uint, y value.Value) bool {
-	switch {
-	case !ch.ranged:
+	if !ch.ranged {
 		return false
-	case ch.kind == value.KindString:
-		return !mayHold(mask, ch.lo.AsString(), ch.hi.AsString(), y.AsString())
-	case ch.kind == value.KindInt && y.Kind() == value.KindInt:
-		return !mayHold(mask, ch.lo.AsInt(), ch.hi.AsInt(), y.AsInt())
-	default:
-		return !mayHold(mask, ch.lo.AsFloat(), ch.hi.AsFloat(), y.AsFloat())
 	}
+	lo, hi := value.Compare(ch.lo, y), value.Compare(ch.hi, y)
+	return !(mask&0b001 != 0 && lo < 0 || mask&0b010 != 0 && lo <= 0 && hi >= 0 || mask&0b100 != 0 && hi > 0)
 }
 
 // scanMorsels returns the morsels a scan of b under preds has to read. b

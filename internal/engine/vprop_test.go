@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,8 +82,13 @@ func randTerm(rng *rand.Rand, width int) ir.Term {
 	return ir.ColTerm(ir.ColID(rng.Intn(width)))
 }
 
-// sameValue compares cells strictly: same kind and same canonical key.
+// sameValue compares cells strictly: same kind and same canonical key,
+// and two floats bit for bit, so -0 is not 0 and NaNs of two payloads
+// differ.
 func sameValue(a, b value.Value) bool {
+	if a.Kind() == value.KindFloat && b.Kind() == value.KindFloat {
+		return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+	}
 	return a.Kind() == b.Kind() && a.Key() == b.Key()
 }
 
@@ -244,7 +250,12 @@ func rowAggRef(q *ir.Query, rows [][]value.Value) (*Relation, error) {
 		}
 		g := byKey[string(buf)]
 		if g == nil {
-			g = newGroup(row, aggs, i)
+			// The group's key columns read their canonical members.
+			rep := slices.Clone(row)
+			for _, gc := range q.GroupBy {
+				rep[gc] = rep[gc].Canon()
+			}
+			g = newGroup(rep, aggs, i)
 			byKey[string(buf)] = g
 			groups = append(groups, g)
 		}
@@ -341,8 +352,8 @@ func TestAggKernelMatchesReference(t *testing.T) {
 	// Key shapes. A: ints with 2^53-1, 2^53 and 2^53+1 side by side;
 	// B: bools; C: strings; D: a float column (NaN, both zeros, 2.0) in
 	// one table and in the other one the store widened from ints and
-	// floats (2 next to 2.0, 2^53+1 next to 2^53) — both take the
-	// byte-encoded keys.
+	// floats (2 next to 2.0, 2^53+1 next to 2^53) — both keyed by their
+	// canonical bits, so each of D's groups reads its canonical member.
 	big := int64(1) << 53
 	ints := []int64{0, 1, 2, big - 1, big, big + 1, -big - 1}
 	strs := []string{"", "a", "b", "a\x00", "ab"}
@@ -384,8 +395,8 @@ func TestAggKernelMatchesReference(t *testing.T) {
 	}
 	cases = append(cases, aggCase{name: "int sum wraps", q: build("SELECT A, SUM(B), AVG(B), MAX(B) FROM R GROUP BY A"), rows: wrap})
 
-	// A float SUM is its first value when alone: -0 stays -0, in a morsel
-	// and through a merge.
+	// A float SUM starts from 0, so a group of -0s sums to 0, and MIN
+	// emits the canonical 0, in a morsel and through a merge.
 	negZero := make([][]value.Value, 2500)
 	for i := range negZero {
 		negZero[i] = []value.Value{value.Int(int64(i % 2)), value.Float(math.Copysign(0, -1)), value.Int(0), value.Int(0), value.Int(0), value.Int(0)}
@@ -839,7 +850,7 @@ func TestDirectGroupIdsMatchHash(t *testing.T) {
 				var gids [2][morselRows]int32
 				var hs [morselRows]uint64
 				for v, once := range []bool{true, false} {
-					st[v].reset(false, 1)
+					st[v].reset(1)
 					gi[v].reset(&st[v].keys)
 					direct := gi[v].assign([]vecOperand{op}, rows, hs[:], gids[v][:rows], once)
 					if !once && direct {

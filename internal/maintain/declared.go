@@ -76,17 +76,11 @@ func (b *keyBatch) rows(yield func([]value.Value) bool, inserts bool) {
 }
 
 // hash is the 48-bit hash of row's cells at cols, and the key bytes it
-// hashes; buf is scratch. A -0 cell is keyed as 0, which the engine's =
-// makes it equal to.
+// hashes; buf is scratch.
 func (d *declared) hash(buf []byte, row []value.Value, cols []int) ([]byte, uint64) {
 	buf = buf[:0]
 	for _, c := range cols {
-		v := row[c]
-		//aggvet:floateq only ±0 is folded: the key bytes keep every other float exact
-		if v.Kind() == value.KindFloat && v.AsFloat() == 0 {
-			v = value.Float(0)
-		}
-		buf = v.AppendKey(buf)
+		buf = row[c].AppendKey(buf)
 	}
 	return buf, maphash.Bytes(d.seed, buf) >> 16
 }

@@ -50,8 +50,8 @@ func sameCell(a, b value.Value) bool {
 // halves of small ints, and one group whose only row is -0.0) every
 // cell of a SUM, COUNT, AVG, MIN and MAX view is, bit for bit, the cell
 // a fresh TrackContext over the same rows builds, and the multiplicity
-// counts agree. A group a write creates takes its first SUM delta as
-// it is, so the lone -0.0 sums to -0 both ways.
+// counts agree. A SUM starts from 0 both ways, so the lone -0.0 sums to
+// 0, and its MIN and MAX read the canonical 0.
 func TestWritesBuildWhatARebuildBuilds(t *testing.T) {
 	ctx := context.Background()
 	cols := []string{"G", "I", "F"}

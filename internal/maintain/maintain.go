@@ -1044,7 +1044,6 @@ func (p *pending) absorb(res *engine.ColTable) error {
 	return eachRow(res, func(cs []cells, j int) error {
 		t := p.group(cs, j)
 		g := &t.next
-		empty := t.live == nil && g.n == 0 // a created group before its first row
 		dn := cs[st.nAt].ints[j]
 		if g.n += dn; g.n < 0 {
 			return fmt.Errorf("maintain: negative multiplicity in view %s", st.def.Name)
@@ -1053,19 +1052,15 @@ func (p *pending) absorb(res *engine.ColTable) error {
 			as := &g.aggs[i]
 			switch a.fn {
 			case ir.AggSum, ir.AggAvg:
-				// An empty group's SUM is its first delta as it is, as in the
-				// engine's fold (a lone -0 stays -0); a float delta, from a
-				// column a float widened, makes an int sum float, and the
-				// view's column widens with it. An AVG's total is a float.
+				// A sum starts from 0, as in the engine's fold; a float
+				// delta, from a column a float widened, makes an int sum
+				// float, and the view's column widens with it. An AVG's
+				// total is a float.
 				d := cs[a.at].value(j)
 				var err error
-				switch {
-				case a.fn == ir.AggAvg:
+				if a.fn == ir.AggAvg {
 					d = value.Float(as.sum.AsFloat() + d.AsFloat())
-				case !empty:
-					d, err = value.Add(as.sum, d)
-				}
-				if err != nil {
+				} else if d, err = value.Add(as.sum, d); err != nil {
 					return err
 				}
 				as.sum = d
@@ -1153,6 +1148,9 @@ func (p *pending) stageAggregation() engine.Delta {
 // row builds a touched group's output tuple into tuple from its staged
 // state: the one definition of a maintained row, for a group a batch
 // patches or creates — and every group of a rebuild is one it creates.
+// Each cell is its canonical member (value.Value.Canon), as the engine
+// emits a group key or an aggregate: the rule's equal values the batch
+// met, in whatever order, read as one.
 func (p *pending) row(t *touched, tuple []value.Value) []value.Value {
 	g := &t.next
 	for i, pos := range p.st.groupPos {
@@ -1169,6 +1167,9 @@ func (p *pending) row(t *touched, tuple []value.Value) []value.Value {
 		case ir.AggMin, ir.AggMax:
 			tuple[a.pos] = p.extremum(t, i, a.fn)
 		}
+	}
+	for i := range tuple {
+		tuple[i] = tuple[i].Canon()
 	}
 	return tuple
 }

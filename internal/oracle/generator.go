@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -59,10 +60,17 @@ const (
 )
 
 // genCol is one generated column; names are globally unique across the
-// schema so unqualified references are never ambiguous.
+// schema so unqualified references are never ambiguous. An odd column
+// draws the values value.Compare's rule has to get right — a float one
+// NaN, -0, 0, ±Inf, 2^53 and 0.5, an int one now and then 2^53, 2^53+1
+// and -2^53-1 — and is never a SUM or AVG argument: those stay benign
+// while a float SUM is inexact under deletes and a deleted NaN stays in
+// a maintained SUM. It groups, joins, filters, is deduplicated and takes
+// MIN and MAX.
 type genCol struct {
 	name string
 	kind colKind
+	odd  bool
 }
 
 // genTable pairs a TableSpec with its column kinds.
@@ -112,14 +120,18 @@ func generate(rng *rand.Rand, opt GenOptions) (*Case, []*genTable) {
 		for ci := 0; ci < nCols; ci++ {
 			name := colName(nextName)
 			nextName++
-			kind := kindInt
+			col := genCol{name: name, kind: kindInt}
 			switch rng.Intn(8) {
 			case 0:
-				kind = kindFloat
+				col.kind = kindFloat
 			case 1:
-				kind = kindStr
+				col.kind = kindStr
+			case 2:
+				col.kind, col.odd = kindFloat, true
+			case 3:
+				col.odd = true
 			}
-			cols = append(cols, genCol{name: name, kind: kind})
+			cols = append(cols, col)
 		}
 		spec := &TableSpec{Name: fmt.Sprintf("T%d", ti)}
 		for _, col := range cols {
@@ -136,7 +148,7 @@ func generate(rng *rand.Rand, opt GenOptions) (*Case, []*genTable) {
 			clustered = cols[0].kind == kindInt
 		}
 		gen := func(rng *rand.Rand, ci int) value.Value {
-			return randomValue(rng, cols[ci].kind, opt.Domain)
+			return randomValue(rng, cols[ci], opt.Domain)
 		}
 		for r := 0; r < nRows; r++ {
 			row := datagen.RandomRow(rng, nCols, gen)
@@ -278,9 +290,9 @@ func genUpdate(rng *rand.Rand, t *genTable, opt GenOptions) (Step, bool) {
 		case c.kind == kindInt && rng.Intn(2) == 0:
 			sets = append(sets, fmt.Sprintf("%s = %s + %d", c.name, c.name, 1+rng.Intn(3)))
 		case c.kind == kindFloat && rng.Intn(2) == 0:
-			sets = append(sets, fmt.Sprintf("%s = %s + %s", c.name, c.name, renderConst(rng, kindFloat, opt.Domain)))
-		default:
-			sets = append(sets, c.name+" = "+renderConst(rng, c.kind, opt.Domain))
+			sets = append(sets, fmt.Sprintf("%s = %s + %s", c.name, c.name, renderConst(rng, genCol{kind: kindFloat}, opt.Domain)))
+		default: // of the column's kind: an int past 2^53 takes no float
+			sets = append(sets, c.name+" = "+renderConst(rng, genCol{kind: c.kind}, opt.Domain))
 		}
 	}
 	return Step{
@@ -311,7 +323,7 @@ func (w *Workload) Rows(rng *rand.Rand, table string, n int) [][]value.Value {
 		for r := 0; r < n; r++ {
 			row := make([]value.Value, len(t.cols))
 			for ci, c := range t.cols {
-				row[ci] = randomValue(rng, c.kind, w.domain)
+				row[ci] = randomValue(rng, c, w.domain)
 			}
 			if len(t.spec.Key) > 0 {
 				row[0] = value.Int(w.nextKey[table])
@@ -333,8 +345,23 @@ func colName(i int) string {
 	return s
 }
 
-func randomValue(rng *rand.Rand, k colKind, domain int) value.Value {
-	switch k {
+// The odd draws (genCol.odd), as values and as predicate constants. NaN
+// and ±Inf have no literal in a predicate, so they are no constants.
+var (
+	oddFloats = []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1 << 53, 0.5}
+	oddInts   = []int64{1 << 53, 1<<53 + 1, -(1<<53 + 1)}
+	oddConsts = []value.Value{value.Float(math.Copysign(0, -1)), value.Float(0), value.Float(0.5),
+		value.Float(1 << 53), value.Int(1<<53 + 1), value.Int(-(1<<53 + 1))}
+)
+
+func randomValue(rng *rand.Rand, c genCol, domain int) value.Value {
+	switch {
+	case c.odd && c.kind == kindFloat:
+		return value.Float(oddFloats[rng.Intn(len(oddFloats))])
+	case c.odd && rng.Intn(4) == 0:
+		return value.Int(oddInts[rng.Intn(len(oddInts))])
+	}
+	switch c.kind {
 	case kindFloat:
 		// Half-integers are exactly representable, so sums are exact in
 		// any accumulation order and equality predicates are crisp.
@@ -350,10 +377,12 @@ func randomValue(rng *rand.Rand, k colKind, domain int) value.Value {
 }
 
 // renderConst renders a literal of the column's kind for use in a
-// predicate.
-func renderConst(rng *rand.Rand, k colKind, domain int) string {
-	v := randomValue(rng, k, domain)
-	return v.String() // quotes strings
+// predicate: for an odd column, half the time one of the odd constants.
+func renderConst(rng *rand.Rand, c genCol, domain int) string {
+	if c.odd && rng.Intn(2) == 0 {
+		return oddConsts[rng.Intn(len(oddConsts))].String()
+	}
+	return randomValue(rng, genCol{kind: c.kind}, domain).String() // quotes strings
 }
 
 // genConds emits up to max random equality/comparison conjuncts over
@@ -366,7 +395,7 @@ func genConds(rng *rand.Rand, t *genTable, max int, domain int) []string {
 		if col.kind != kindStr && rng.Intn(4) == 0 {
 			// Occasional range predicate.
 			op := []string{"<", "<=", ">", ">="}[rng.Intn(4)]
-			conds = append(conds, fmt.Sprintf("%s %s %s", col.name, op, renderConst(rng, col.kind, domain)))
+			conds = append(conds, fmt.Sprintf("%s %s %s", col.name, op, renderConst(rng, col, domain)))
 			continue
 		}
 		if same := t.colsOfKind(col.kind); len(same) > 1 && rng.Intn(3) == 0 {
@@ -376,7 +405,7 @@ func genConds(rng *rand.Rand, t *genTable, max int, domain int) []string {
 				continue
 			}
 		}
-		conds = append(conds, col.name+" = "+renderConst(rng, col.kind, domain))
+		conds = append(conds, col.name+" = "+renderConst(rng, col, domain))
 	}
 	return conds
 }
@@ -402,7 +431,7 @@ func genViewDef(rng *rand.Rand, t *genTable, opt GenOptions) QuerySpec {
 			return def
 		}
 		a := aggCols[rng.Intn(len(aggCols))]
-		if rng.Intn(2) == 0 {
+		if rng.Intn(2) == 0 && !a.odd {
 			def.Select = append(def.Select, "SUM("+a.name+")")
 		}
 		if rng.Intn(2) == 0 {
@@ -515,7 +544,10 @@ func genQuery(rng *rand.Rand, tables []*genTable, view *QuerySpec, anchored bool
 		for i := 0; i < nAggs; i++ {
 			a := aggPool[rng.Intn(len(aggPool))]
 			fn := "COUNT"
-			if a.kind != kindStr {
+			switch {
+			case a.odd:
+				fn = []string{"COUNT", "MIN", "MAX"}[rng.Intn(3)]
+			case a.kind != kindStr:
 				fn = []string{"SUM", "COUNT", "MIN", "MAX", "AVG"}[rng.Intn(5)]
 			}
 			q.Select = append(q.Select, fn+"("+a.name+")")
@@ -544,9 +576,17 @@ func genQuery(rng *rand.Rand, tables []*genTable, view *QuerySpec, anchored bool
 	return q
 }
 
-// joinCond links the two tables on a same-kind column pair, or returns
-// "" when no pair exists.
+// joinCond links the two tables on a same-kind column pair — one time
+// in three an int column of one with a float column of the other, when
+// there is such a pair — or returns "" when no pair exists.
 func joinCond(rng *rand.Rand, a, b *genTable) string {
+	if rng.Intn(3) == 0 {
+		for _, p := range [][2]*genTable{{a, b}, {b, a}} {
+			if ic, fc := p[0].colsOfKind(kindInt), p[1].colsOfKind(kindFloat); len(ic) > 0 && len(fc) > 0 {
+				return ic[rng.Intn(len(ic))].name + " = " + fc[rng.Intn(len(fc))].name
+			}
+		}
+	}
 	for _, k := range []colKind{kindInt, kindFloat, kindStr} {
 		ac, bc := a.colsOfKind(k), b.colsOfKind(k)
 		if len(ac) > 0 && len(bc) > 0 {

@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
 
 	"aggview/internal/value"
 )
@@ -296,7 +297,9 @@ func (p *parser) parseUpdate() (*Update, error) {
 }
 
 // parseLiteral parses one literal constant: a number (optionally
-// negated), a quoted string, or TRUE/FALSE.
+// signed), a quoted string, or TRUE/FALSE. NaN and Inf (optionally
+// signed) read as the floats no number spells, as value.Value.String
+// spells them, so that a row of any floats reads back as itself.
 func (p *parser) parseLiteral() (value.Value, error) {
 	t := p.cur()
 	switch {
@@ -310,16 +313,24 @@ func (p *parser) parseLiteral() (value.Value, error) {
 	case t.kind == tokString:
 		p.advance()
 		return value.Str(t.text), nil
-	case t.kind == tokMinus:
+	case t.kind == tokIdent && (t.text == "NaN" || t.text == "Inf"):
+		p.advance()
+		if t.text == "NaN" {
+			return value.Float(math.NaN()), nil
+		}
+		return value.Float(math.Inf(1)), nil
+	case t.kind == tokMinus || t.kind == tokPlus:
 		p.advance()
 		inner, err := p.parseLiteral()
 		if err != nil {
 			return value.Value{}, err
 		}
-		if !inner.IsNumeric() {
-			return value.Value{}, fmt.Errorf("line %d: '-' applies to numbers only", t.line)
-		}
-		if inner.Kind() == value.KindInt {
+		switch {
+		case !inner.IsNumeric():
+			return value.Value{}, fmt.Errorf("line %d: '%s' applies to numbers only", t.line, t.text)
+		case t.kind == tokPlus:
+			return inner, nil
+		case inner.Kind() == value.KindInt:
 			return value.Int(-inner.AsInt()), nil
 		}
 		return value.Float(-inner.AsFloat()), nil

@@ -2,12 +2,20 @@
 // engine: 64-bit integers, double-precision floats, strings and booleans.
 //
 // The paper's data model is purely relational with atomic values and no
-// NULLs; Value mirrors that. Integers and floats compare with each other
-// numerically (as SQL does), so a view materialized with integer sums can
-// be compared against float constants in a rewritten query.
+// NULLs; Value mirrors that. One rule decides equality and order for
+// every consumer — filters, chunk ranges, joins, grouping, DISTINCT,
+// MIN/MAX, sorting, the maintainer's groups and the closure's constants:
+// Compare, a total order whose 0 is KeyEqual and whose key bytes are
+// AppendKey's. Integers and floats compare by value, exactly (as SQL
+// does), so a view materialized with integer sums can be compared
+// against float constants in a rewritten query; -0 equals 0, and NaN
+// equals NaN and orders above +Inf, as PostgreSQL has it. Where the
+// engine or the maintainer chooses among, or folds, values the rule
+// calls equal, it emits the canonical member (CanonFloat).
 package value
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -113,7 +121,8 @@ func (v Value) AsBool() bool {
 // String renders the value as a SQL literal that the parser reads back
 // as the same value: a string doubles its quotes, and a float always has
 // a float form (1.0, 2.5, 1e+16), so it never reads back as an integer.
-// NaN, ±Inf and math.MinInt64 have no literal in the dialect.
+// NaN and ±Inf render as NaN, +Inf and -Inf, which an INSERT reads back
+// and a predicate does not; math.MinInt64 has no literal in the dialect.
 func (v Value) String() string {
 	switch v.kind {
 	case KindInt:
@@ -145,73 +154,73 @@ func Comparable(a, b Value) bool {
 	return a.kind == b.kind
 }
 
-// Compare orders a against b, returning -1, 0 or +1. Numeric values
-// compare numerically across int/float. For values of incomparable kinds
-// the ordering is by kind, which gives a stable total order for sorting
-// heterogeneous columns but has no SQL meaning.
+// Compare orders a against b, returning -1, 0 or +1. It is a total order
+// whose 0 is exactly KeyEqual: numerics order by value across int and
+// float, exactly (no rounding through float64), -0 equals 0, and every
+// NaN equals every NaN and orders above +Inf, as PostgreSQL orders them.
+// Values of incomparable kinds order by kind, which keeps the order total
+// for sorting heterogeneous columns but has no SQL meaning.
 func Compare(a, b Value) int {
-	if a.IsNumeric() && b.IsNumeric() {
-		// Compare in the integer domain when both are ints, avoiding
-		// float rounding for large int64 values.
-		if a.kind == KindInt && b.kind == KindInt {
-			switch {
-			case a.i < b.i:
-				return -1
-			case a.i > b.i:
-				return 1
-			default:
-				return 0
-			}
-		}
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+	switch {
+	case a.kind == KindFloat && b.kind == KindFloat:
+		return CompareFloats(a.f, b.f)
+	case a.kind == KindInt && b.kind == KindFloat:
+		return CompareIntFloat(a.i, b.f)
+	case a.kind == KindFloat && b.kind == KindInt:
+		return -CompareIntFloat(b.i, a.f)
+	case a.kind != b.kind:
+		return cmp.Compare(a.kind, b.kind)
+	case a.kind == KindString:
+		return strings.Compare(a.s, b.s)
 	}
-	if a.kind != b.kind {
-		switch {
-		case a.kind < b.kind:
-			return -1
-		default:
-			return 1
-		}
-	}
-	switch a.kind {
-	case KindString:
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
-		default:
-			return 0
-		}
-	case KindBool:
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		default:
-			return 0
-		}
-	default:
-		return 0
-	}
+	return cmp.Compare(a.i, b.i)
 }
 
-// Equal reports whether two values are equal under SQL comparison
-// semantics (1 = 1.0 is true).
-func Equal(a, b Value) bool {
-	if !Comparable(a, b) {
-		return false
+// CompareFloats is Compare over two floats.
+func CompareFloats(a, b float64) int {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return cmp.Compare(b, a) // cmp puts NaN below every number, the rule above: swap
 	}
-	return Compare(a, b) == 0
+	return cmp.Compare(a, b)
+}
+
+// CompareIntFloat is Compare of Int(i) against Float(f): the integer
+// against f's integral part in int64, then against its fraction.
+func CompareIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f) || f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
+}
+
+// CanonFloat returns the member of f's class under the rule that the
+// engine and the maintainer emit wherever they choose among, or fold,
+// values the rule calls equal: 0 for -0, math.NaN() for every NaN, f
+// itself otherwise.
+func CanonFloat(f float64) float64 {
+	switch {
+	case math.IsNaN(f):
+		return math.NaN()
+	case math.Float64bits(f) == 1<<63: // -0
+		return 0
+	}
+	return f
+}
+
+// Canon is CanonFloat over a value: a float's canonical member, any other
+// value as it is.
+func (v Value) Canon() Value {
+	if v.kind == KindFloat {
+		v.f = CanonFloat(v.f)
+	}
+	return v
 }
 
 // Add returns a+b for numeric values. The result is an integer when both
@@ -278,12 +287,13 @@ func (v Value) Key() string {
 
 // AppendKey appends the value's canonical key to dst, the one rule by
 // which values become key bytes (DESIGN.md section 3); the bytes are
-// equal exactly when KeyEqual holds. A numeric within ±2^53 is 'n' and
-// its float64 bits (one pattern for every NaN), an int beyond is 'i' and
-// its own bits, a string 's', a uvarint length and its bytes, a bool 'b'
-// and a byte. Keys are self-delimiting, so concatenated keys never
-// collide: two tuples' keys are equal exactly when the tuples are
-// KeyEqual cell by cell.
+// equal exactly when KeyEqual holds. A number that is an int64 beyond
+// ±2^53 is 'i' and its int64 bits, any other numeric 'n' and its
+// canonical float64 bits (CanonFloat: one pattern for ±0, one for every
+// NaN), a string 's', a uvarint length and its bytes, a bool 'b' and a
+// byte. Keys are self-delimiting, so concatenated keys never collide: two
+// tuples' keys are equal exactly when the tuples are KeyEqual cell by
+// cell.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindFloat:
@@ -299,18 +309,17 @@ func (v Value) AppendKey(dst []byte) []byte {
 // AppendIntKey appends the canonical key of Int(i) to dst.
 func AppendIntKey(dst []byte, i int64) []byte {
 	if i >= -(1<<53) && i <= 1<<53 {
-		return AppendFloatKey(dst, float64(i))
+		return binary.LittleEndian.AppendUint64(append(dst, 'n'), math.Float64bits(float64(i)))
 	}
 	return binary.LittleEndian.AppendUint64(append(dst, 'i'), uint64(i))
 }
 
 // AppendFloatKey appends the canonical key of Float(f) to dst.
 func AppendFloatKey(dst []byte, f float64) []byte {
-	bits := math.Float64bits(f)
-	if math.IsNaN(f) {
-		bits = math.Float64bits(math.NaN())
+	if i := int64(f); CompareIntFloat(i, f) == 0 {
+		return AppendIntKey(dst, i)
 	}
-	return binary.LittleEndian.AppendUint64(append(dst, 'n'), bits)
+	return binary.LittleEndian.AppendUint64(append(dst, 'n'), math.Float64bits(CanonFloat(f)))
 }
 
 // AppendStrKey appends the canonical key of Str(s) to dst.
@@ -327,36 +336,9 @@ func AppendBoolKey(dst []byte, b bool) []byte {
 }
 
 // KeyEqual reports whether a.Key() == b.Key() without building either
-// string: numerics unify through float64 inside ±2^53 (so 1 and 1.0
-// match, -0 and 0 do not, and every NaN matches every NaN), integers
-// beyond that range match only the same integer, and other kinds match
-// on kind and payload.
+// string: whether Compare(a, b) is 0. It is SQL's = wherever the kinds
+// compare (1 = 1.0, -0 = 0, and here every NaN = every NaN), and false
+// across kinds that do not.
 func KeyEqual(a, b Value) bool {
-	if a.IsNumeric() && b.IsNumeric() {
-		af, aBig := a.keyFloat()
-		bf, bBig := b.keyFloat()
-		if aBig || bBig {
-			return aBig && bBig && a.i == b.i
-		}
-		return math.Float64bits(af) == math.Float64bits(bf) || (math.IsNaN(af) && math.IsNaN(bf))
-	}
-	if a.kind != b.kind {
-		return false
-	}
-	if a.kind == KindString {
-		return a.s == b.s
-	}
-	return a.i == b.i
-}
-
-// keyFloat returns the float64 whose bits are a numeric value's key;
-// big marks an integer outside ±2^53, whose key is its own bits.
-func (v Value) keyFloat() (f float64, big bool) {
-	if v.kind == KindFloat {
-		return v.f, false
-	}
-	if v.i >= -(1<<53) && v.i <= 1<<53 {
-		return float64(v.i), false
-	}
-	return 0, true
+	return Compare(a, b) == 0
 }

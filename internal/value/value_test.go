@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -59,7 +60,7 @@ func TestAccessorPanics(t *testing.T) {
 }
 
 func TestCompareNumericCross(t *testing.T) {
-	if !Equal(Int(1), Float(1.0)) {
+	if !KeyEqual(Int(1), Float(1.0)) {
 		t.Error("1 should equal 1.0")
 	}
 	if Compare(Int(1), Float(1.5)) != -1 {
@@ -72,6 +73,49 @@ func TestCompareNumericCross(t *testing.T) {
 	big := int64(1<<62 + 1)
 	if Compare(Int(big), Int(big-1)) != 1 {
 		t.Error("large int compare must be exact")
+	}
+}
+
+// TestCompareRule pins the rule's cases: -0 is 0, NaN is NaN and above
+// +Inf, and an int meets a float exactly, past 2^53 and at the ends of
+// int64.
+func TestCompareRule(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{Float(math.Copysign(0, -1)), Float(0), 0},
+		{Float(math.Copysign(0, -1)), Int(0), 0},
+		{Float(nan), Float(math.Float64frombits(0x7ff0000000000002)), 0},
+		{Float(nan), Float(inf), 1},
+		{Float(nan), Int(math.MaxInt64), 1},
+		{Float(-inf), Float(nan), -1},
+		{Float(-inf), Int(math.MinInt64), -1},
+		{Int(1<<53 + 1), Float(1 << 53), 1},
+		{Int(1<<53 + 1), Float(1<<53 + 2), -1},
+		{Int(1 << 53), Float(1 << 53), 0},
+		{Int(math.MaxInt64), Float(1 << 63), -1},
+		{Int(math.MinInt64), Float(-(1 << 63)), 0},
+		{Int(math.MinInt64 + 1), Float(-(1 << 63)), 1},
+		{Int(3), Float(2.5), 1},
+		{Int(-3), Float(-2.5), -1},
+		{Int(-2), Float(-2.5), 1},
+		{Int(0), Float(-0.5), 1},
+	}
+	for _, c := range cases {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := Compare(c.b, c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
+	}
+	if got := Float(math.Copysign(0, -1)).Canon(); math.Signbit(got.AsFloat()) {
+		t.Errorf("Canon(-0) = %v, want 0", got)
+	}
+	if got := Float(math.Float64frombits(0xfff0000000000001)).Canon(); math.Float64bits(got.AsFloat()) != math.Float64bits(nan) {
+		t.Errorf("Canon of a NaN has bits %x, want math.NaN's", math.Float64bits(got.AsFloat()))
 	}
 }
 
@@ -91,8 +135,8 @@ func TestComparable(t *testing.T) {
 	if !Comparable(Int(1), Float(1)) {
 		t.Error("int and float are comparable")
 	}
-	if Equal(Int(0), Str("")) {
-		t.Error("cross-kind Equal must be false")
+	if KeyEqual(Int(0), Str("")) {
+		t.Error("cross-kind KeyEqual must be false")
 	}
 }
 
@@ -116,7 +160,7 @@ func TestArithmetic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unexpected error: %v", err)
 		}
-		if !Equal(got, want) || got.Kind() != want.Kind() {
+		if !KeyEqual(got, want) || got.Kind() != want.Kind() {
 			t.Fatalf("got %v (%v), want %v (%v)", got, got.Kind(), want, want.Kind())
 		}
 	}
@@ -156,13 +200,19 @@ func TestKeyConsistentWithEqual(t *testing.T) {
 		{Int(1), Float(1.0)},
 		{Int(0), Float(0)},
 		{Int(-3), Float(-3)},
+		{Float(0), Float(math.Copysign(0, -1))},
+		{Int(0), Float(math.Copysign(0, -1))},
+		{Float(math.NaN()), Float(math.Float64frombits(0xfff0000000000001))},
+		{Int(1<<53 + 2), Float(1<<53 + 2)},
+		{Int(math.MinInt64), Float(-(1 << 63))},
 	}
 	for _, p := range pairs {
 		if p.a.Key() != p.b.Key() {
 			t.Errorf("Key mismatch for equal values %v and %v", p.a, p.b)
 		}
 	}
-	distinct := []Value{Int(1), Int(2), Float(1.5), Str("1"), Bool(true), Bool(false), Str("")}
+	distinct := []Value{Int(1), Int(2), Float(1.5), Str("1"), Bool(true), Bool(false), Str(""),
+		Int(1<<53 + 1), Float(1 << 53), Int(math.MaxInt64), Float(1 << 63), Float(math.Inf(1)), Float(math.NaN())}
 	seen := map[string]Value{}
 	for _, v := range distinct {
 		if prev, ok := seen[v.Key()]; ok {
@@ -206,7 +256,7 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-// Property: Key equality coincides with Equal for int/float values, and
+// Property: Key equality coincides with Compare's 0 for int/float values, and
 // concatenated keys are equal exactly when tuples are KeyEqual cell by
 // cell. The tuple half is exhaustive: every tuple of up to two cells over
 // numerics with KeyEqual twins and strings spelled from a delimiter-heavy
@@ -220,7 +270,7 @@ func TestQuickKeyMatchesEqual(t *testing.T) {
 		if useFloatB {
 			vb = Float(float64(b))
 		}
-		return (va.Key() == vb.Key()) == Equal(va, vb)
+		return (va.Key() == vb.Key()) == (Compare(va, vb) == 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -272,12 +322,12 @@ func TestQuickKeyMatchesEqual(t *testing.T) {
 	}
 }
 
-// Property: Compare is antisymmetric and consistent with Equal.
+// Property: Compare is antisymmetric and consistent with KeyEqual.
 func TestQuickCompareAntisymmetric(t *testing.T) {
 	f := func(a, b int64) bool {
 		va, vb := Int(a), Int(b)
 		return Compare(va, vb) == -Compare(vb, va) &&
-			(Compare(va, vb) == 0) == Equal(va, vb)
+			(Compare(va, vb) == 0) == KeyEqual(va, vb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -381,6 +431,75 @@ func FuzzTupleKey(f *testing.F) {
 		}
 		if got := bytes.Equal(tupleKey(ta), tupleKey(tb)); got != same {
 			t.Fatalf("%v and %v: keys equal %v, KeyEqual cell by cell %v", ta, tb, got, same)
+		}
+	})
+}
+
+// fuzzValue builds a value from a kind tag and 8 bytes of payload: an
+// int or a float of those bits, a string of the bytes up to the tag's
+// length (mod 9), a bool of the low bit.
+func fuzzValue(tag byte, bits uint64) Value {
+	switch tag % 4 {
+	case 0:
+		return Int(int64(bits))
+	case 1:
+		return Float(math.Float64frombits(bits))
+	case 2:
+		return Str(string(binary.LittleEndian.AppendUint64(nil, bits)[:int(tag/4)%9]))
+	}
+	return Bool(bits&1 == 1)
+}
+
+// exact returns a numeric value other than NaN as an exact big.Float.
+func exact(v Value) *big.Float {
+	if v.Kind() == KindInt {
+		return new(big.Float).SetInt64(v.AsInt())
+	}
+	return big.NewFloat(v.AsFloat())
+}
+
+// FuzzCompare holds Compare to the rule: a total order (antisymmetric,
+// transitive) whose 0 is KeyEqual and equal AppendKey bytes, and which
+// orders two numbers other than NaN as their exact values do.
+func FuzzCompare(f *testing.F) {
+	fl := func(x float64) uint64 { return math.Float64bits(x) }
+	i := func(x int64) uint64 { return uint64(x) }
+	seeds := []struct {
+		tag  byte
+		bits uint64
+	}{
+		{1, fl(0)}, {1, 1 << 63}, {1, fl(math.NaN())}, {1, 0x7ff0000000000001}, {1, 0xfff8000000000000},
+		{1, fl(math.Inf(1))}, {1, fl(math.Inf(-1))}, {1, fl(0.5)},
+		{0, 0}, {0, i(1 << 53)}, {0, i(1<<53 + 1)}, {0, i(-(1<<53 + 1))}, {0, i(math.MaxInt64)}, {0, i(math.MinInt64)},
+		{1, fl(1 << 53)}, {1, fl(1<<53 + 2)}, {1, fl(-(1 << 53))}, {1, fl(1 << 63)}, {1, fl(-(1 << 63))},
+		{1, fl(math.Nextafter(1<<63, 0))}, {1, fl(-(1<<53 + 2))},
+		{2 + 4*3, 0x616263}, {3, 1},
+	}
+	for k, a := range seeds {
+		b, c := seeds[(k+1)%len(seeds)], seeds[(k*7+3)%len(seeds)]
+		f.Add(a.tag, a.bits, b.tag, b.bits, c.tag, c.bits)
+		f.Add(a.tag, a.bits, a.tag^1, a.bits, b.tag, b.bits)
+	}
+	f.Fuzz(func(t *testing.T, ta byte, a uint64, tb byte, b uint64, tc byte, c uint64) {
+		va, vb, vc := fuzzValue(ta, a), fuzzValue(tb, b), fuzzValue(tc, c)
+		ab, bc, ac := Compare(va, vb), Compare(vb, vc), Compare(va, vc)
+		if ab != -Compare(vb, va) || Compare(va, va) != 0 {
+			t.Fatalf("Compare(%v, %v) = %d, reversed %d: not antisymmetric", va, vb, ab, Compare(vb, va))
+		}
+		if ab <= 0 && bc <= 0 && (ac > 0 || (ab < 0 || bc < 0) && ac == 0) {
+			t.Fatalf("%v <= %v <= %v (%d, %d) but Compare(a, c) = %d: not transitive", va, vb, vc, ab, bc, ac)
+		}
+		if ab >= 0 && bc >= 0 && (ac < 0 || (ab > 0 || bc > 0) && ac == 0) {
+			t.Fatalf("%v >= %v >= %v (%d, %d) but Compare(a, c) = %d: not transitive", va, vb, vc, ab, bc, ac)
+		}
+		keys := bytes.Equal(va.AppendKey(nil), vb.AppendKey(nil))
+		if (ab == 0) != KeyEqual(va, vb) || (ab == 0) != keys {
+			t.Fatalf("%v and %v: Compare %d, KeyEqual %v, equal keys %v", va, vb, ab, KeyEqual(va, vb), keys)
+		}
+		if va.IsNumeric() && vb.IsNumeric() && !math.IsNaN(va.AsFloat()) && !math.IsNaN(vb.AsFloat()) {
+			if want := exact(va).Cmp(exact(vb)); ab != want {
+				t.Fatalf("Compare(%v, %v) = %d, exact order %d", va, vb, ab, want)
+			}
 		}
 	})
 }

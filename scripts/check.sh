@@ -46,6 +46,12 @@ go test -race -short ./...
 # are KeyEqual cell by cell.
 go test -run '^$' -fuzz FuzzTupleKey -fuzztime 10s ./internal/value
 
+# Value-rule gate (DESIGN.md section 3): value.Compare is a total order
+# (antisymmetric, transitive) over fuzzed ints, floats, strings and
+# bools, its 0 is KeyEqual and equal AppendKey bytes, and it orders two
+# numbers as their exact values do.
+go test -run '^$' -fuzz FuzzCompare -fuzztime 10s ./internal/value
+
 # Fault-injection gate (DESIGN.md section 10): the cancellation,
 # deadline, budget and injection suites under the race detector — a
 # canceled kernel must return the exact bag or a typed error, drain its
