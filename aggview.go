@@ -26,7 +26,7 @@
 // exists once: writes (InsertContext, DeleteContext, UpdateContext,
 // ExecContext), view upkeep (TrackViewContext), reads (QueryContext,
 // QueryBestContext, ExecRewritingContext), planning (RewritingsContext,
-// PlanContext, PrepareContext, Explain, and AdviseContext) and prepared
+// PrepareContext, Explain, and AdviseContext) and prepared
 // execution (ExecPreparedOnContext, ExecPreparedColumns, QueryOnContext).
 // Load is the bulk-load path and runs unbounded.
 package aggview
@@ -459,7 +459,7 @@ func (s *System) ViewModes() []ViewMode {
 // Parse compiles a SELECT statement against the catalog and views.
 // Derived tables (FROM subqueries) are supported: they are hoisted into
 // anonymous view definitions handled transparently by QueryContext,
-// PlanContext and RewritingsContext.
+// PrepareContext and RewritingsContext.
 func (s *System) Parse(sql string) (*ir.Query, error) {
 	q, _, err := s.parseMulti(sql)
 	return q, err
@@ -526,7 +526,7 @@ func (s *System) query(ctx context.Context, store engine.Storage, sql string) (*
 // one. Cancellation, deadline expiry and an exhausted candidate budget
 // abort the search with a typed error and no partial enumeration. There
 // is no fallback here — enumerating rewritings is the operation itself;
-// PlanContext and QueryBestContext are the entry points that degrade
+// PrepareContext and QueryBestContext are the entry points that degrade
 // gracefully.
 func (s *System) RewritingsContext(ctx context.Context, sql string) ([]*Rewriting, error) {
 	ctx, cancel := s.opCtx(ctx)
@@ -581,34 +581,15 @@ func (s *System) estimator() *cost.Estimator {
 	return &cost.Estimator{Stats: s.Stats, Views: s.Views}
 }
 
-// PlanContext picks the cheapest evaluation strategy for the query: the
-// original plan or a view-based rewriting. It returns the chosen
-// rewriting (nil when the original query wins) without executing. When
-// the rewrite search exhausts its candidate budget, PlanContext degrades
-// gracefully instead of failing:
-// the exhaustion is recorded as a fallback in the request span and the
-// metrics (provenance: the answer is direct evaluation because the search was
-// cut, not because no rewriting exists) and the original query wins —
-// a nil rewriting is returned. Cancellation and deadline expiry
-// propagate as typed errors.
-func (s *System) PlanContext(ctx context.Context, sql string) (*Rewriting, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
-	return s.plan(ctx, sql)
-}
-
-func (s *System) plan(ctx context.Context, sql string) (*Rewriting, error) {
-	st, err := s.statement(sql)
-	if err != nil {
-		return nil, err
-	}
-	return s.planStatement(ctx, "Plan", st)
-}
-
 // planStatement runs the rewrite search over a parsed statement and
-// picks the cheapest strategy; a nil rewriting means direct evaluation
-// won (or the candidate budget was exhausted and the search degraded
-// gracefully). A group-preserving pick comes back as the select-project
+// picks the cheapest strategy: the original plan or a view-based
+// rewriting. A nil rewriting means direct evaluation won — or the search
+// exhausted its candidate budget and degraded gracefully instead of
+// failing: the exhaustion is recorded as a fallback of operation op in
+// the request span and the metrics (provenance: the answer is direct
+// evaluation because the search was cut, not because no rewriting
+// exists). Cancellation and deadline expiry propagate as typed errors.
+// A group-preserving pick comes back as the select-project
 // it degenerates to (Rewriting.DropFold): only the one rewriting that
 // will execute pays for the change, and the search, its keys and its
 // closures see the aggregating forms alone.
@@ -732,8 +713,8 @@ func (s *System) PrepareContext(ctx context.Context, sql string) (*Prepared, err
 // PrepareStatement runs the rewrite search over a parsed statement once,
 // timed as the facade.search stage of ctx's request span, picks the
 // cheapest strategy, and packages the result with the statement's key
-// and the transitive set of relations it reads. Like PlanContext it
-// degrades gracefully when the search exhausts its candidate budget:
+// and the transitive set of relations it reads. It degrades gracefully
+// when the search exhausts its candidate budget (planStatement):
 // the Prepared then executes directly, tagged as a fallback in the
 // request span. st must come from this System's ParseStatement under
 // the catalog it is prepared against.
@@ -863,7 +844,11 @@ func (s *System) QueryBestContext(ctx context.Context, sql string) (*Result, *Re
 	defer cancel()
 	sp := obs.SpanFrom(ctx)
 	stSearch := sp.StartStage("facade.search")
-	r, err := s.plan(ctx, sql)
+	st, err := s.statement(sql)
+	var r *Rewriting
+	if err == nil {
+		r, err = s.planStatement(ctx, "QueryBest", st)
+	}
 	stSearch.End(0)
 	if err != nil {
 		return nil, nil, err

@@ -56,7 +56,6 @@ func TestOptsDeadlineApplies(t *testing.T) {
 	}{
 		{"QueryContext", func() error { _, err := s.QueryContext(ctx, facadeQ); return err }},
 		{"RewritingsContext", func() error { _, err := s.RewritingsContext(ctx, facadeQ); return err }},
-		{"PlanContext", func() error { _, err := s.PlanContext(ctx, facadeQ); return err }},
 		{"PrepareContext", func() error { _, err := s.PrepareContext(ctx, facadeQ); return err }},
 		{"ExecPreparedOnContext", func() error { _, err := s.ExecPreparedOnContext(ctx, p, s.Store); return err }},
 		{"ExecPreparedColumns", func() error { _, err := s.ExecPreparedColumns(ctx, p, s.Store); return err }},
@@ -105,13 +104,13 @@ func TestOptsRowBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generous budget tripped: %v", err)
 	}
-	if !engine.MultisetEqual(got, want) {
+	if !engine.ResultsEqualBag(got, want) {
 		t.Fatal("budgeted result differs from unbudgeted result")
 	}
 }
 
 // TestPlanBudgetFallback pins the facade's graceful degradation: a
-// rewrite search cut by its candidate budget does not fail PlanContext — the
+// rewrite search cut by its candidate budget does not fail PrepareContext — the
 // original query wins, and the degradation is tagged in the request span
 // and the metrics so the provenance of the direct answer is visible.
 func TestPlanBudgetFallback(t *testing.T) {
@@ -127,9 +126,9 @@ func TestPlanBudgetFallback(t *testing.T) {
 	}
 
 	// Unbudgeted, the view-based rewriting wins.
-	r, err := s.PlanContext(ctx, facadeQ)
-	if err != nil || r == nil {
-		t.Fatalf("fixture must plan a rewriting, got r=%v err=%v", r, err)
+	p, err := s.PrepareContext(ctx, facadeQ)
+	if err != nil || p.Rewriting() == nil {
+		t.Fatalf("fixture must plan a rewriting, got p=%v err=%v", p, err)
 	}
 	direct, err := s.QueryContext(ctx, facadeQ)
 	if err != nil {
@@ -139,12 +138,12 @@ func TestPlanBudgetFallback(t *testing.T) {
 	s.Metrics = obs.NewMetrics()
 	s.Opts.MaxCandidates = 1
 	sp := obs.NewSpan("", facadeQ)
-	r, err = s.PlanContext(obs.WithSpan(ctx, sp), facadeQ)
+	p, err = s.PrepareContext(obs.WithSpan(ctx, sp), facadeQ)
 	if err != nil {
-		t.Fatalf("budget-cut Plan must not fail: %v", err)
+		t.Fatalf("budget-cut Prepare must not fail: %v", err)
 	}
-	if r != nil {
-		t.Fatalf("budget-cut Plan returned a rewriting: %v", r.SQL())
+	if r := p.Rewriting(); r != nil {
+		t.Fatalf("budget-cut Prepare returned a rewriting: %v", r.SQL())
 	}
 	var fallbacks []obs.SpanStage
 	for _, st := range sp.Snapshot().Stages {
@@ -152,7 +151,7 @@ func TestPlanBudgetFallback(t *testing.T) {
 			fallbacks = append(fallbacks, st)
 		}
 	}
-	if len(fallbacks) != 1 || fallbacks[0].Detail != "Plan" {
+	if len(fallbacks) != 1 || fallbacks[0].Detail != "Prepare" {
 		t.Fatalf("fallback provenance not recorded on the span: %+v", fallbacks)
 	}
 	if s.Metrics.Snapshot().Volatile["facade.fallback.budget"] == 0 {
@@ -168,7 +167,7 @@ func TestPlanBudgetFallback(t *testing.T) {
 	if used != nil {
 		t.Fatalf("QueryBest reported a rewriting after a cut search: %v", used.SQL())
 	}
-	if !engine.MultisetEqual(res, direct) {
+	if !engine.ResultsEqualBag(res, direct) {
 		t.Fatal("fallback result differs from direct evaluation")
 	}
 }
@@ -195,7 +194,7 @@ func TestQueryBestContextSharedPool(t *testing.T) {
 	if (used == nil) != (wantUsed == nil) {
 		t.Fatalf("budgeted plan choice differs: %v vs %v", used, wantUsed)
 	}
-	if !engine.MultisetEqual(got, want) {
+	if !engine.ResultsEqualBag(got, want) {
 		t.Fatal("budgeted QueryBest differs from unbudgeted")
 	}
 	if m.Candidates() == 0 {

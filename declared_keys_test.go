@@ -58,7 +58,7 @@ func TestDeclaredKeyRefusesExample51Duplicate(t *testing.T) {
 	if used == nil {
 		t.Fatal("the cost model no longer picks the Example 5.1 rewriting; the probe needs other filler")
 	}
-	if direct.Len() != 1 || !engine.MultisetEqual(direct, best) {
+	if direct.Len() != 1 || !engine.ResultsEqualBag(direct, best) {
 		t.Fatalf("direct answers %d rows, %s answers %d", direct.Len(), used.Query.SQL(), best.Len())
 	}
 }
@@ -188,7 +188,7 @@ func TestDeclaredKeysHold(t *testing.T) {
 		for _, r := range rowsOf(table, model[table]) {
 			want.Tuples = append(want.Tuples, r)
 		}
-		if !engine.MultisetEqual(got, want) {
+		if !engine.ResultsEqualBag(got, want) {
 			t.Fatalf("step %d: %s holds %d rows, the model %d, or they differ", step, table, got.Len(), len(model[table]))
 		}
 	}

@@ -283,11 +283,11 @@ func TestBestDeterministicTieBreak(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Opts.Workers = w
-		rw, err := s.PlanContext(ctx, "SELECT A, C FROM R WHERE B = 1")
+		p, err := s.PrepareContext(ctx, "SELECT A, C FROM R WHERE B = 1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rw
+		return p.Rewriting()
 	}
 	ref := build(1)
 	if ref == nil {

@@ -1,0 +1,209 @@
+package aggview
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"testing"
+
+	"aggview/internal/value"
+)
+
+// The probes of this file hold aggregates to exact answers: a direct
+// query, a rewriting over a view and a maintained view answer the same
+// bits or the same typed error, with no tolerance between them.
+
+// TestProbeAvgIsSumOverCount: AVG over {2^53, 1, 1} is one division of the
+// exact total 2^53+2 by 3, whether the engine folds it directly, a
+// rewriting divides a view's SUM by its COUNT, or a tracked AVG view
+// keeps it through inserts and deletes.
+func TestProbeAvgIsSumOverCount(t *testing.T) {
+	ctx := context.Background()
+	const q = "SELECT G, AVG(X) FROM T GROUP BY G"
+	want := cellBits(&Result{Tuples: [][]Value{{Int(1), Float(float64(1<<53+2) / 3)}}})
+	s := New()
+	s.MustLoad(`CREATE TABLE T(Id, G, X);
+		CREATE VIEW V AS SELECT G, SUM(X), COUNT(X) FROM T GROUP BY G;
+		CREATE VIEW W AS ` + q + ";")
+	if _, err := s.TrackViewContext(ctx, "W"); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range []int64{7, 1 << 53, 1, 5, 1} {
+		if err := s.InsertContext(ctx, "T", []Value{Int(int64(i)), Int(1), Int(x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, where := range []string{"X = 7", "X = 5"} {
+		if _, err := s.DeleteContext(ctx, "T", where); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cellBits(mustQuery(t, s, q)); got != want {
+		t.Errorf("direct: %q, want %q", got, want)
+	}
+	rws, err := s.RewritingsContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overV := 0
+	for _, rw := range rws {
+		if len(rw.Used) != 1 || rw.Used[0] != "V" {
+			continue
+		}
+		overV++
+		res, err := s.ExecRewritingContext(ctx, rw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cellBits(res); got != want {
+			t.Errorf("through V (%s): %q, want %q", rw.SQL(), got, want)
+		}
+	}
+	if overV == 0 {
+		t.Fatal("no rewriting reads V")
+	}
+	w, _ := s.DB.Get("W")
+	if got := cellBits(w); got != want {
+		t.Errorf("tracked W: %q, want %q", got, want)
+	}
+}
+
+// TestProbeSumNotFromAvg: SUM over {1,2,3,4,5,6,8} is the int 29. A view
+// exporting AVG(X) and COUNT(X) but no SUM(X) would answer 29.000000000000004
+// as AVG × COUNT, so no rewriting reads it, and the best plan answers 29.
+func TestProbeSumNotFromAvg(t *testing.T) {
+	ctx := context.Background()
+	const q = "SELECT G, SUM(X) FROM T GROUP BY G"
+	s := New()
+	s.MustLoad("CREATE TABLE T(Id, G, X); CREATE VIEW V AS SELECT G, AVG(X), COUNT(X) FROM T GROUP BY G;")
+	for i, x := range []int64{1, 2, 3, 4, 5, 6, 8} {
+		if err := s.InsertContext(ctx, "T", []Value{Int(int64(i)), Int(1), Int(x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.TrackViewContext(ctx, "V"); err != nil {
+		t.Fatal(err)
+	}
+	rws, err := s.RewritingsContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rw := range rws {
+		t.Errorf("a rewriting reads %v: %s", rw.Used, rw.SQL())
+	}
+	res, _, err := s.QueryBestContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cellBits(res), "1 | 29\n"; got != want || res.Tuples[0][1].Kind() != value.KindInt {
+		t.Errorf("best plan: %q, want %q, an INT", got, want)
+	}
+}
+
+// TestProbeIntSumOverflows: two rows of 2^62 sum past int64. A direct SUM
+// answers a typed *value.OverflowError, not the wrapped -2^63; with a
+// tracked view summing them, the second insert is that error and leaves
+// the table and the view as they were.
+func TestProbeIntSumOverflows(t *testing.T) {
+	ctx := context.Background()
+	var ov *value.OverflowError
+	row := func(id int64) []Value { return []Value{Int(id), Int(1), Int(1 << 62)} }
+
+	s := New()
+	s.MustLoad("CREATE TABLE T(Id, G, X);")
+	if err := s.InsertContext(ctx, "T", row(1), row(2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"SELECT SUM(X) FROM T", "SELECT G, AVG(X) FROM T GROUP BY G", "SELECT SUM(X + X) FROM T WHERE Id = 1"} {
+		if res, err := s.QueryContext(ctx, sql); !errors.As(err, &ov) {
+			t.Errorf("direct %s: %v, %v; want an overflow error", sql, res, err)
+		}
+	}
+
+	s = New()
+	s.MustLoad("CREATE TABLE T(Id, G, X); CREATE VIEW V AS SELECT G, SUM(X), AVG(X), COUNT(X) FROM T GROUP BY G;")
+	if err := s.InsertContext(ctx, "T", row(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TrackViewContext(ctx, "V"); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := s.DB.Get("V")
+	before := cellBits(v)
+	if err := s.InsertContext(ctx, "T", row(2)); !errors.As(err, &ov) {
+		t.Fatalf("insert overflowing V's SUM: %v, want an overflow error", err)
+	}
+	if n := mustQuery(t, s, "SELECT Id FROM T").Len(); n != 1 {
+		t.Errorf("the aborted insert left %d rows in T, want 1", n)
+	}
+	v, _ = s.DB.Get("V")
+	if got := cellBits(v); got != before || !strings.HasPrefix(got, "1 | 4611686018427387904 | ") {
+		t.Errorf("V after the aborted insert: %q, want %q", got, before)
+	}
+}
+
+// TestProbeOverflowIsTheExactTotal: whether an int total overflows
+// depends on its exact value only, not on the order or the grouping its
+// rows were summed in. T's group 1 holds 2^62, 2^62 and -2^62, which pass
+// int64 part-way in row order, and V splits them into subgroups holding 0
+// and 2^62: the direct SUM, the best plan and every rewriting over V
+// answer 2^62. A tracked view that absorbs the same rows in one insert
+// keeps its exact total.
+func TestProbeOverflowIsTheExactTotal(t *testing.T) {
+	ctx := context.Background()
+	const q = "SELECT G, SUM(X) FROM T GROUP BY G"
+	const want = "1 | 4611686018427387904\n"
+	s := New()
+	s.MustLoad("CREATE TABLE T(Id, G, H, X); CREATE VIEW V AS SELECT G, H, SUM(X), COUNT(X) FROM T GROUP BY G, H;")
+	if err := s.InsertContext(ctx, "T",
+		[]Value{Int(1), Int(1), Int(1), Int(1 << 62)},
+		[]Value{Int(2), Int(1), Int(2), Int(1 << 62)},
+		[]Value{Int(3), Int(1), Int(1), Int(-1 << 62)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TrackViewContext(ctx, "V"); err != nil {
+		t.Fatal(err)
+	}
+	if got := cellBits(mustQuery(t, s, q)); got != want {
+		t.Errorf("direct: %q, want %q", got, want)
+	}
+	res, _, err := s.QueryBestContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cellBits(res); got != want {
+		t.Errorf("best plan: %q, want %q", got, want)
+	}
+	rws, err := s.RewritingsContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rws) == 0 {
+		t.Fatal("no rewriting reads V")
+	}
+	for _, rw := range rws {
+		res, err := s.ExecRewritingContext(ctx, rw)
+		if err != nil {
+			t.Fatalf("%s: %v", rw.SQL(), err)
+		}
+		if got := cellBits(res); got != want {
+			t.Errorf("%s: %q, want %q", rw.SQL(), got, want)
+		}
+	}
+
+	s = New()
+	s.MustLoad("CREATE TABLE T(Id, G, X); CREATE VIEW W AS SELECT G, SUM(X), COUNT(X) FROM T GROUP BY G;")
+	if err := s.InsertContext(ctx, "T", []Value{Int(1), Int(1), Int(5)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TrackViewContext(ctx, "W"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InsertContext(ctx, "T", []Value{Int(3), Int(1), Int(1 << 62)}, []Value{Int(4), Int(1), Int(1 << 62)}, []Value{Int(5), Int(1), Int(-1 << 62)}); err != nil {
+		t.Fatalf("an insert whose total passes int64 part-way: %v", err)
+	}
+	w, _ := s.DB.Get("W")
+	if got, want := cellBits(w), "1 | 4611686018427387909 | 4\n"; got != want {
+		t.Errorf("tracked W: %q, want %q", got, want)
+	}
+}

@@ -77,7 +77,7 @@ func main() {
 	fmt.Printf("\nmaterialized %v\n", names)
 	after, got := runWorkload()
 	for i, q := range workload {
-		if !engine.MultisetEqual(want[i], got[i]) {
+		if !engine.ResultsEqualBag(want[i], got[i]) {
 			log.Fatalf("BUG: answer over the materialized views differs from the answer before:\n%s", q)
 		}
 	}

@@ -86,7 +86,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !engine.MultisetEqual(direct, viaViews) {
+	if !engine.ResultsEqualBag(direct, viaViews) {
 		log.Fatal("BUG: summary-table answer differs from the ledger scan")
 	}
 	fmt.Printf("\nbranch flows (from summaries, verified against the ledger):\n%s\n", viaViews.Sorted())

@@ -115,7 +115,7 @@ func TestNormalizePreservesSemantics(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: exec errors %v / %v", sql, err1, err2)
 		}
-		if !engine.MultisetEqual(r1, r2) {
+		if !engine.ResultsEqualBag(r1, r2) {
 			t.Errorf("%s: normalization changed semantics\nbefore:\n%s\nafter:\n%s", sql, r1.Sorted(), r2.Sorted())
 		}
 	}

@@ -1,20 +1,16 @@
 // Package floateq flags exact equality comparisons on floating-point
 // values and on value.Value operands.
 //
-// Rewritten queries reconstruct AVG as SUM/COUNT and rescale SUMs by
-// COUNT columns, so numerically equal results can differ in the last
-// few bits; comparing them with == silently turns a correct rewriting
-// into a spurious mismatch (or hides a real one). The sanctioned
-// comparison paths are engine.ResultsEqualBag for relations and
-// value.KeyEqual / value.Compare, the one rule for values, for scalars.
-//
-// Two exemptions keep the analyzer precise:
-//   - epsilon helpers: a function whose body references an identifier
-//     containing "epsilon" (e.g. bagEpsilon) is itself the tolerance
-//     primitive, and its exact-equality fast path is intentional;
-//   - //aggvet:floateq directives with a justification, for the rare
-//     exact comparisons that are semantically required (division-by-
-//     zero guards, integrality tests).
+// One rule decides equality for values, value.Compare, whose 0 is
+// value.KeyEqual: -0 equals 0, every NaN equals every NaN, an int meets a
+// float exactly. Float == disagrees with it on NaN, and struct == on
+// value.Value disagrees with it on 1 and 1.0 and on -0 and 0. The
+// sanctioned comparison paths are value.KeyEqual / value.Compare for
+// scalars and engine.ResultsEqualBag, the exact bag equality built on
+// them, for relations. No comparison anywhere grants a tolerance, so no
+// function is exempt; an exact comparison that is semantically required
+// (a division-by-zero guard, an integrality test) carries an
+// //aggvet:floateq directive with its justification.
 package floateq
 
 import (
@@ -33,62 +29,34 @@ const valuePkgSuffix = "internal/value"
 // Analyzer flags ==/!= on floats and on value.Value.
 var Analyzer = &analysis.Analyzer{
 	Name: "floateq",
-	Doc: "flags ==/!= on float operands (use an epsilon comparison such as " +
-		"engine.ResultsEqualBag's valuesClose) and on value.Value operands " +
-		"(use value.KeyEqual, which compares 1 and 1.0 and -0 and 0 as equal; struct equality does not)",
+	Doc: "flags ==/!= on float operands and on value.Value operands: compare values with " +
+		"value.KeyEqual or value.Compare (the one rule: NaN equals NaN, -0 equals 0, 1 equals 1.0) " +
+		"and relations with the exact engine.ResultsEqualBag",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			fn, ok := n.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
+			be, ok := n.(*ast.BinaryExpr)
+			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 				return true
 			}
-			if isEpsilonHelper(fn) {
-				return true
+			lt, rt := pass.TypeOf(be.X), pass.TypeOf(be.Y)
+			switch {
+			case isFloat(lt) || isFloat(rt):
+				pass.Reportf(be.Pos(),
+					"exact %s on float operands disagrees with the value rule (NaN is not == NaN); "+
+						"use value.KeyEqual or value.Compare, or justify with //aggvet:floateq", be.Op)
+			case isValueStruct(lt) || isValueStruct(rt):
+				pass.Reportf(be.Pos(),
+					"%s on value.Value compares structs field-by-field (1 != 1.0, exact float payloads); "+
+						"use value.KeyEqual or value.Compare", be.Op)
 			}
-			checkFunc(pass, fn)
 			return true
 		})
 	}
 	return nil
-}
-
-func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-			return true
-		}
-		lt, rt := pass.TypeOf(be.X), pass.TypeOf(be.Y)
-		switch {
-		case isFloat(lt) || isFloat(rt):
-			pass.Reportf(be.Pos(),
-				"exact %s on float operands: aggregate reconstruction (AVG = SUM/COUNT, scaled SUMs) "+
-					"makes bit equality unreliable; compare with an epsilon or justify with //aggvet:floateq", be.Op)
-		case isValueStruct(lt) || isValueStruct(rt):
-			pass.Reportf(be.Pos(),
-				"%s on value.Value compares structs field-by-field (1 != 1.0, exact float payloads); "+
-					"use value.KeyEqual or value.Compare", be.Op)
-		}
-		return true
-	})
-}
-
-// isEpsilonHelper reports whether the function is itself a tolerance
-// primitive: its body mentions an epsilon identifier.
-func isEpsilonHelper(fn *ast.FuncDecl) bool {
-	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && strings.Contains(strings.ToLower(id.Name), "epsilon") {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
 }
 
 func isFloat(t types.Type) bool {

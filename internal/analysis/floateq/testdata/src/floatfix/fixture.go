@@ -4,8 +4,6 @@ package floatfix
 
 import "aggview/internal/value"
 
-const tieEpsilon = 1e-9
-
 // ExactFloat compares two float64 values bitwise.
 func ExactFloat(a, b float64) bool {
 	return a == b // want `exact == on float operands`
@@ -27,20 +25,6 @@ func ExactNamed(a, b Score) bool {
 // StructEq compares value.Value structs with ==: 1 and 1.0 differ.
 func StructEq(a, b value.Value) bool {
 	return a == b // want `value.Value compares structs`
-}
-
-// EpsilonHelper is a tolerance primitive: its exact fast path is the
-// idiomatic shortcut before the relative comparison, and the epsilon
-// identifier in its body exempts it.
-func EpsilonHelper(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= tieEpsilon
 }
 
 // Guarded justifies an exact comparison with a directive.

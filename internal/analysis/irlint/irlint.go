@@ -7,7 +7,7 @@
 // which of the paper's usability conditions C1–C4 fail and why,
 // duplicate GROUP BY columns, grouping columns projected out of the
 // view, and aggregation views that cannot recover multiplicities
-// (no COUNT column, AVG without COUNT).
+// (no COUNT column, AVG without its SUM and COUNT).
 //
 // Severities: "error" marks statements the builders reject, "warn"
 // marks views that build but carry a rewriting hazard, "info" records
@@ -217,30 +217,39 @@ func lintView(v *ir.ViewDef, add func(Diagnostic)) {
 	def := v.Def
 	isAgg := def.IsAggregationQuery()
 
-	hasCount, hasAvg := false, false
+	// An AVG(C) is re-aggregated over coarser groups as the sum of the
+	// view's SUM(C) over the sum of its COUNT: the view must export both.
+	hasCount, sums := false, map[ir.ColID]bool{}
+	var avgs []ir.Expr
 	for _, it := range def.Select {
 		if ag, ok := it.Expr.(*ir.Agg); ok {
-			switch ag.Func {
-			case ir.AggCount:
+			switch cr, _ := ag.Arg.(*ir.ColRef); {
+			case ag.Func == ir.AggCount:
 				hasCount = true
-			case ir.AggAvg:
-				hasAvg = true
+			case ag.Func == ir.AggSum && cr != nil:
+				sums[cr.Col] = true
+			case ag.Func == ir.AggAvg:
+				avgs = append(avgs, ag.Arg)
 			}
 		}
 	}
+	unbacked := len(avgs) > 0 && !hasCount
+	for _, arg := range avgs {
+		cr, ok := arg.(*ir.ColRef)
+		unbacked = unbacked || !ok || !sums[cr.Col]
+	}
 
-	if isAgg && !hasCount {
-		if hasAvg {
-			add(Diagnostic{
-				View: v.Name, Check: "avg-without-count", Severity: Warn,
-				Message: fmt.Sprintf("view %s exposes AVG but no COUNT column: AVG cannot be re-aggregated over coarser groups (AVG = SUM/COUNT needs the counts), and condition C4' cannot recover tuple multiplicities", v.Name),
-			})
-		} else {
-			add(Diagnostic{
-				View: v.Name, Check: "no-count-column", Severity: Warn,
-				Message: fmt.Sprintf("aggregation view %s carries no COUNT column: condition C4' cannot recover tuple multiplicities, so COUNT/AVG queries and coarser re-groupings over the view are rejected; add COUNT(...) to the view output", v.Name),
-			})
-		}
+	switch {
+	case isAgg && unbacked:
+		add(Diagnostic{
+			View: v.Name, Check: "avg-without-count", Severity: Warn,
+			Message: fmt.Sprintf("view %s exposes an AVG without the SUM of its column and a COUNT column beside it: AVG is re-aggregated over coarser groups as SUM/COUNT of the view's sums and counts, so the view answers neither that SUM nor that AVG over coarser groups, and without COUNT condition C4' cannot recover tuple multiplicities", v.Name),
+		})
+	case isAgg && !hasCount:
+		add(Diagnostic{
+			View: v.Name, Check: "no-count-column", Severity: Warn,
+			Message: fmt.Sprintf("aggregation view %s carries no COUNT column: condition C4' cannot recover tuple multiplicities, so COUNT/AVG queries and coarser re-groupings over the view are rejected; add COUNT(...) to the view output", v.Name),
+		})
 	}
 
 	if isAgg && def.Distinct {

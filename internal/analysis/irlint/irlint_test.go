@@ -73,6 +73,20 @@ CREATE VIEW Avgs AS SELECT A, AVG(C) FROM R1 GROUP BY A;
 	}
 }
 
+// An AVG re-aggregates as the view's SUM over its COUNT, so a view that
+// exports AVG and COUNT but no SUM of the column answers no coarser AVG.
+func TestLintAvgWithoutSum(t *testing.T) {
+	res := irlint.LintScript(context.Background(), "avgsum.sql", `
+CREATE TABLE R1(A, B, C, D);
+CREATE VIEW AvgCnt AS SELECT A, B, AVG(C), COUNT(C) FROM R1 GROUP BY A, B;
+CREATE VIEW AvgSumCnt AS SELECT A, B, AVG(C), SUM(C), COUNT(C) FROM R1 GROUP BY A, B;
+`)
+	warns := find(res, "avg-without-count")
+	if len(warns) != 1 || warns[0].View != "AvgCnt" || !strings.Contains(warns[0].Message, "without the SUM") {
+		t.Fatalf("want one avg-without-count warn for AvgCnt, got %+v", warns)
+	}
+}
+
 func TestLintGroupColProjectedOut(t *testing.T) {
 	res := irlint.LintScript(context.Background(), "proj.sql", `
 CREATE TABLE R1(A, B, C, D);

@@ -370,7 +370,7 @@ func TestExample42PublishedConstructionIsWrong(t *testing.T) {
 	if got.Tuples[0][1].AsInt() != 20 {
 		t.Fatalf("expected the published construction to double-count (20), got %v", got.Tuples[0][1])
 	}
-	if engine.MultisetEqual(want, got) {
+	if engine.ResultsEqualBag(want, got) {
 		t.Fatal("the counterexample should distinguish Q from the published Q'")
 	}
 
@@ -509,30 +509,19 @@ func TestAvgReconstruction(t *testing.T) {
 	}
 }
 
+// TestSumFromAvgTimesCount pins the refusal of section 4.4's SUM = AVG x
+// COUNT: true over the reals, the product rounds in float64 where the sum
+// it stands for is exact, so a view exporting AVG(B) and COUNT(B) but no
+// SUM(B) answers neither SUM(B) nor AVG(B).
 func TestSumFromAvgTimesCount(t *testing.T) {
-	// Section 4.4: the view exports AVG and COUNT; SUM is their product.
-	ctx := context.Background()
 	rw := newRewriter(t, map[string]string{
 		"Vac": "SELECT A, AVG(B), COUNT(B) FROM R1 GROUP BY A, C",
 	}, Options{})
-	q := buildQ(t, rw, "SELECT A, SUM(B) FROM R1 GROUP BY A")
-	rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vac"))
-	if len(rws) == 0 {
-		t.Fatal("SUM = AVG x COUNT must work")
-	}
-	// AVG x COUNT yields floats; compare against a float-typed original.
-	db := r1r2DB(3)
-	reg := rw.Views
-	want, err := engine.NewEvaluator(db, reg).ExecContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := engine.NewEvaluator(db, reg).ExecContext(ctx, rws[0].Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !engine.MultisetEqual(want, got) {
-		t.Fatalf("SUM via AVGxCOUNT differs:\nwant %s\ngot %s", want.Sorted(), got.Sorted())
+	for _, sql := range []string{"SELECT A, SUM(B) FROM R1 GROUP BY A", "SELECT A, AVG(B) FROM R1 GROUP BY A"} {
+		q := buildQ(t, rw, sql)
+		if rws := mustRewriteOnce(t, rw, q, mustView(t, rw, "Vac")); len(rws) != 0 {
+			t.Fatalf("%s: Vac must not answer it, got %s", sql, rws[0].SQL())
+		}
 	}
 }
 

@@ -10,9 +10,19 @@ import (
 	"aggview/internal/datagen"
 )
 
-// The rewriter enumerates; the facade's PlanContext picks the cheapest
+// The rewriter enumerates; the facade's PrepareContext picks the cheapest
 // of the original query and its rewritings under the cost model. These
 // tests pin that choice over the rewriter's fixtures.
+
+// best returns the rewriting s's plan for sql executes, nil for direct
+// evaluation.
+func best(ctx context.Context, s *aggview.System, sql string) (*aggview.Rewriting, error) {
+	p, err := s.PrepareContext(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	return p.Rewriting(), nil
+}
 
 // r1System declares R1(A, B, C, D) and R2(E, F), fills R1 with n rows
 // and R2 with one, and materializes the given views (name -> SQL).
@@ -39,7 +49,7 @@ func r1System(t *testing.T, n int, views map[string]string) *aggview.System {
 // evaluation — a nil rewriting and no error.
 func TestBestNoRewritings(t *testing.T) {
 	s := r1System(t, 20, map[string]string{"V": "SELECT E, F FROM R2"})
-	rw, err := s.PlanContext(context.Background(), "SELECT A, SUM(B) FROM R1 GROUP BY A")
+	rw, err := best(context.Background(), s, "SELECT A, SUM(B) FROM R1 GROUP BY A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +62,7 @@ func TestBestNoRewritings(t *testing.T) {
 // aggregate view smaller than its base table wins.
 func TestBestPicksCheapest(t *testing.T) {
 	s := r1System(t, 200, map[string]string{"V": "SELECT A, SUM(C), COUNT(C) FROM R1 GROUP BY A"})
-	rw, err := s.PlanContext(context.Background(), "SELECT A, SUM(C) FROM R1 GROUP BY A")
+	rw, err := best(context.Background(), s, "SELECT A, SUM(C) FROM R1 GROUP BY A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +87,7 @@ func TestBestPrefersFewerBaseTables(t *testing.T) {
 	if _, err := s.TrackViewContext(ctx, "V1"); err != nil {
 		t.Fatal(err)
 	}
-	rw, err := s.PlanContext(ctx, `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
+	rw, err := best(ctx, s, `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id AND Year = 1995
 		GROUP BY Calling_Plans.Plan_Id, Plan_Name
@@ -88,7 +98,7 @@ func TestBestPrefersFewerBaseTables(t *testing.T) {
 	if rw == nil || len(rw.Query.Tables) != 1 || !strings.EqualFold(rw.Query.Tables[0].Source, "V1") {
 		t.Fatalf("the plan should scan V1 alone, got %v", rw)
 	}
-	if rw, err := s.PlanContext(ctx, "SELECT Cust_Id FROM Calls"); err != nil || rw != nil {
+	if rw, err := best(ctx, s, "SELECT Cust_Id FROM Calls"); err != nil || rw != nil {
 		t.Fatalf("an uncovered query runs directly, got %v, %v", rw, err)
 	}
 }
@@ -99,7 +109,7 @@ func TestBestContextCanceled(t *testing.T) {
 	s := r1System(t, 20, map[string]string{"V1": "SELECT A, SUM(C), COUNT(C) FROM R1 GROUP BY A"})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rw, err := s.PlanContext(ctx, "SELECT A, SUM(C) FROM R1 WHERE D = 5 GROUP BY A")
+	rw, err := best(ctx, s, "SELECT A, SUM(C) FROM R1 WHERE D = 5 GROUP BY A")
 	if rw != nil || !budget.IsCanceled(err) {
 		t.Fatalf("want nil rewriting with typed Canceled, got r=%v err=%v", rw, err)
 	}

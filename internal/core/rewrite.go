@@ -503,7 +503,10 @@ func (a *analyzer) scaledSum(newArg ir.Expr) (ir.Expr, error) {
 	return &ir.Agg{Func: ir.AggSum, Arg: &ir.Arith{Op: ir.ArithMul, L: newArg, R: &ir.ColRef{Col: cnt}}}, nil
 }
 
-// sumOfCovered computes SUM(A) for a covered column A (step S4' part 1).
+// sumOfCovered computes SUM(A) for a covered column A (step S4' part 1),
+// from the view's SUM(A) or its bare A. A view's AVG(A) × COUNT is not
+// one: true over the reals, it rounds in float64 where the sum it stands
+// for is exact.
 func (a *analyzer) sumOfCovered(c ir.ColID) (ir.Expr, error) {
 	if pos, ok := a.findAggItem(ir.AggSum, c); ok {
 		// Coalescing subgroups: SUM of the view's partial sums.
@@ -520,14 +523,6 @@ func (a *analyzer) sumOfCovered(c ir.ColID) (ir.Expr, error) {
 			return a.vaMultiply(&ir.Agg{Func: ir.AggSum, Arg: &ir.ColRef{Col: nc}})
 		}
 		return &ir.Agg{Func: ir.AggSum, Arg: &ir.Arith{Op: ir.ArithMul, L: &ir.ColRef{Col: nc}, R: &ir.ColRef{Col: cnt}}}, nil
-	}
-	if pos, ok := a.findAggItem(ir.AggAvg, c); ok && !a.rw.Opts.PaperFaithful {
-		// Section 4.4: SUM = AVG x COUNT, per view row.
-		cnt, err := a.cntCol()
-		if err != nil {
-			return nil, err
-		}
-		return &ir.Agg{Func: ir.AggSum, Arg: &ir.Arith{Op: ir.ArithMul, L: &ir.ColRef{Col: a.viewCols[pos]}, R: &ir.ColRef{Col: cnt}}}, nil
 	}
 	return nil, fail("condition C4': view cannot provide SUM(%s)", a.q.Col(c).Name)
 }

@@ -1,85 +1,29 @@
 package engine
 
-import (
-	"math"
-
-	"aggview/internal/value"
-)
-
-// bagEpsilon is the relative tolerance ResultsEqualBag grants numeric
-// values: rewritings reconstruct AVG as SUM/COUNT and rescale SUMs, so
-// float results may differ from the direct evaluation in the last few
-// bits even when the rewriting is correct.
-const bagEpsilon = 1e-9
+import "slices"
 
 // ResultsEqualBag reports whether two results are equal as multisets of
-// tuples. It is the comparison the differential-testing oracle and the
-// equivalence test suites should use, and differs from MultisetEqual in
-// three ways:
-//
-//   - order-insensitive by canonical tuple order, like MultisetEqual,
-//     but nil relations count as empty instead of panicking;
-//   - float-aware: integers and floats unify numerically, and two
-//     numeric values match when they are within a small relative
-//     epsilon of each other (AVG reconstruction divides, scaled SUMs
-//     multiply — exact bit equality is too strict for a correct
-//     rewriting);
-//   - value-complete: non-numeric kinds compare by their canonical key,
-//     so strings, booleans and the zero Value are all handled (the data
-//     model has no NULLs — see the package comment — which makes the
-//     zero Value the closest thing to an absent value a result can
-//     carry).
-//
-// Attribute names are ignored; only positions and values matter,
-// matching the paper's multiset equivalence of query results.
+// tuples — the paper's multiset equivalence of query results, and the one
+// bag equality the oracles, the benchmark's gate and the test suites
+// call. Two tuples are equal when their cells are value.KeyEqual, the
+// order value.Compare decides: exactly, with no tolerance, so an answer
+// that drifts in its last bit is a different answer. Only the tuples are
+// compared, cell by cell: not the attributes' names, nor the width an
+// empty result declares. A nil relation is an empty one.
 func ResultsEqualBag(a, b *Relation) bool {
-	if a == nil {
-		a = &Relation{}
-	}
-	if b == nil {
-		b = &Relation{}
-	}
-	if len(a.Tuples) != len(b.Tuples) {
-		return false
-	}
-	if len(a.Tuples) == 0 {
-		return true
-	}
-	if len(a.Tuples[0]) != len(b.Tuples[0]) {
-		return false
-	}
-	if MultisetEqual(a, b) {
-		return true
-	}
-	// Near-miss pass: sort both sides canonically and compare tuples
-	// pairwise with numeric tolerance. Nearly-equal floats sort next to
-	// each other under the canonical key except in adversarial cases,
-	// which a correctness oracle would rather flag than hide.
-	as, bs := a.Sorted(), b.Sorted()
-	for i := range as.Tuples {
-		ta, tb := as.Tuples[i], bs.Tuples[i]
-		if len(ta) != len(tb) {
-			return false
-		}
-		for j := range ta {
-			if !valuesClose(ta[j], tb[j]) {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(sortedKeys(a), sortedKeys(b))
 }
 
-// valuesClose compares two values with relative numeric tolerance;
-// non-numeric values must agree exactly.
-func valuesClose(x, y value.Value) bool {
-	if x.IsNumeric() && y.IsNumeric() {
-		xf, yf := x.AsFloat(), y.AsFloat()
-		if xf == yf {
-			return true
-		}
-		scale := math.Max(1, math.Max(math.Abs(xf), math.Abs(yf)))
-		return math.Abs(xf-yf) <= bagEpsilon*scale
+// sortedKeys returns the tuple keys of r (tupleKey) in sorted order; a
+// nil r has none.
+func sortedKeys(r *Relation) []string {
+	if r == nil {
+		return nil
 	}
-	return x.Key() == y.Key()
+	ks := make([]string, len(r.Tuples))
+	for i, t := range r.Tuples {
+		ks[i] = tupleKey(t)
+	}
+	slices.Sort(ks)
+	return ks
 }

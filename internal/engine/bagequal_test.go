@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"aggview/internal/value"
@@ -43,15 +44,25 @@ func TestResultsEqualBag(t *testing.T) {
 	})
 
 	t.Run("relative epsilon", func(t *testing.T) {
+		// No tolerance: a drift in the last bits is a different answer,
+		// at any magnitude.
 		a := bagRel([]string{"S"}, []value.Value{fv(1e12)})
 		b := bagRel([]string{"S"}, []value.Value{fv(1e12 + 1e2)})
-		if !ResultsEqualBag(a, b) {
-			t.Error("relative tolerance should absorb last-bits drift at large magnitude")
+		if ResultsEqualBag(a, b) {
+			t.Error("1e12 vs 1e12+100 is a different answer")
 		}
-		c := bagRel([]string{"S"}, []value.Value{fv(1.0)})
-		d := bagRel([]string{"S"}, []value.Value{fv(1.5)})
+		c := bagRel([]string{"S"}, []value.Value{fv(29)})
+		d := bagRel([]string{"S"}, []value.Value{fv(math.Nextafter(29, 30))})
 		if ResultsEqualBag(c, d) {
-			t.Error("1.0 vs 1.5 is a real difference")
+			t.Error("29 vs its next float is a different answer")
+		}
+	})
+
+	t.Run("same size other multiset", func(t *testing.T) {
+		a := bagRel([]string{"X"}, []value.Value{iv(1)}, []value.Value{iv(2)}, []value.Value{iv(1)})
+		b := bagRel([]string{"X"}, []value.Value{iv(1)}, []value.Value{iv(2)}, []value.Value{iv(2)})
+		if ResultsEqualBag(a, b) {
+			t.Error("{1,2,1} vs {1,2,2}")
 		}
 	})
 
@@ -103,16 +114,19 @@ func TestResultsEqualBag(t *testing.T) {
 	})
 
 	t.Run("near floats across rows", func(t *testing.T) {
-		// Two rows whose float results drift in opposite directions must
-		// still pair up after canonical sorting.
+		// Two rows whose float results drift in opposite directions by
+		// 1e-12 are two other rows.
 		a := bagRel([]string{"G", "A"},
 			[]value.Value{iv(1), fv(2.0)},
 			[]value.Value{iv(2), fv(3.0)})
 		b := bagRel([]string{"G", "A"},
 			[]value.Value{iv(2), fv(3.0 + 1e-12)},
 			[]value.Value{iv(1), fv(2.0 - 1e-12)})
-		if !ResultsEqualBag(a, b) {
-			t.Error("per-row drift within epsilon should be accepted")
+		if ResultsEqualBag(a, b) {
+			t.Error("per-row drift must be rejected")
+		}
+		if !ResultsEqualBag(a, bagRel([]string{"G", "A"}, []value.Value{iv(2), fv(3.0)}, []value.Value{iv(1), iv(2)})) {
+			t.Error("the same rows in another order, 2 for 2.0, are the same bag")
 		}
 	})
 }

@@ -122,7 +122,7 @@ func TestExecContextRowBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generous budget tripped: %v", err)
 	}
-	if !MultisetEqual(got, want) {
+	if !ResultsEqualBag(got, want) {
 		t.Fatal("budgeted result differs from unbudgeted result")
 	}
 	if m.Rows() == 0 {
@@ -159,7 +159,7 @@ func TestExecContextBudgetCoversViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !MultisetEqual(got, want) {
+	if !ResultsEqualBag(got, want) {
 		t.Fatal("post-abort result differs from reference")
 	}
 }
@@ -192,7 +192,7 @@ func TestExecContextBudgetWorkerIndependent(t *testing.T) {
 				}
 				continue
 			}
-			if !MultisetEqual(out, refOut) {
+			if !ResultsEqualBag(out, refOut) {
 				t.Fatalf("limit %d: result differs across workers", limit)
 			}
 		}
@@ -236,7 +236,7 @@ func TestExecContextFaultInjection(t *testing.T) {
 						}
 						continue
 					}
-					if !MultisetEqual(out, wants[i]) {
+					if !ResultsEqualBag(out, wants[i]) {
 						t.Fatalf("site=%s k=%d workers=%d q=%d: result differs under injection", site, k, workers, i)
 					}
 				}
@@ -314,7 +314,7 @@ func TestEvaluatorSharedAcrossQueries(t *testing.T) {
 					errs[g] = err
 					return
 				}
-				if !MultisetEqual(got, wants[i]) {
+				if !ResultsEqualBag(got, wants[i]) {
 					errs[g] = fmt.Errorf("goroutine %d query %d: result differs", g, i)
 					return
 				}

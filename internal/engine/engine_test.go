@@ -268,31 +268,6 @@ func TestConstantPredicate(t *testing.T) {
 	}
 }
 
-func TestMultisetEqual(t *testing.T) {
-	a := NewRelation("X")
-	a.Add(iv(1))
-	a.Add(iv(2))
-	a.Add(iv(1))
-	b := NewRelation("Y")
-	b.Add(iv(2))
-	b.Add(iv(1))
-	b.Add(iv(1))
-	if !MultisetEqual(a, b) {
-		t.Error("order must not matter")
-	}
-	b.Add(iv(1))
-	if MultisetEqual(a, b) {
-		t.Error("multiplicity must matter")
-	}
-	c := NewRelation("X")
-	c.Add(iv(1))
-	c.Add(iv(2))
-	c.Add(iv(2))
-	if MultisetEqual(a, c) {
-		t.Error("different multisets")
-	}
-}
-
 func TestRelationHelpers(t *testing.T) {
 	r := NewRelation("A", "B")
 	r.Add(iv(2), sv("b"))
@@ -441,7 +416,7 @@ func TestEngineMatchesReferenceOnRandomInputs(t *testing.T) {
 			if err1 != nil {
 				continue
 			}
-			if !MultisetEqual(got, want) {
+			if !ResultsEqualBag(got, want) {
 				t.Fatalf("%s: engine disagrees with reference\nengine:\n%s\nreference:\n%s", sql, got.Sorted(), want.Sorted())
 			}
 		}
@@ -528,7 +503,7 @@ func TestThreeWayJoinOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !MultisetEqual(got, want) {
+	if !ResultsEqualBag(got, want) {
 		t.Fatalf("three-way join disagrees with reference:\n%s\nvs\n%s", got.Sorted(), want.Sorted())
 	}
 }

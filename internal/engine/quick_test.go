@@ -125,7 +125,7 @@ func TestQuickJoinCommutative(t *testing.T) {
 		db := dbFromSeed(seed)
 		a := exec2(t, db, "SELECT A, E FROM R1, R2 WHERE B = F")
 		b := exec2(t, db, "SELECT A, E FROM R2, R1 WHERE B = F")
-		return MultisetEqual(a, b)
+		return ResultsEqualBag(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -161,7 +161,7 @@ func TestQuickFilterMonotone(t *testing.T) {
 		all := exec2(t, db, "SELECT A FROM R1")
 		some := exec2(t, db, "SELECT A FROM R1 WHERE B > 2")
 		taut := exec2(t, db, "SELECT A FROM R1 WHERE B = B")
-		return some.Len() <= all.Len() && MultisetEqual(all, taut)
+		return some.Len() <= all.Len() && ResultsEqualBag(all, taut)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -191,7 +191,7 @@ func TestQuickViewExpansionTransparent(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return MultisetEqual(a, b)
+		return ResultsEqualBag(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"math/big"
 
 	"aggview/internal/ir"
 	"aggview/internal/value"
@@ -59,14 +60,15 @@ func termValue(t ir.Term, row []value.Value) value.Value {
 
 // accum is the boxed state of one aggregate over one group, the
 // row-at-a-time reference the typed fold (vagg.go) is held to. Rows are
-// absorbed in input order.
+// absorbed in input order; an int total is summed exactly and fails only
+// when its final value leaves int64.
 type accum struct {
 	fn   ir.AggFunc
 	arg  ir.Expr // nil for COUNT(*) and bare COUNT
 	rows int64
 	seen bool
-	sum  value.Value // SUM: running total from Int(0), typed by the values
-	avg  float64     // AVG: running float total
+	ints big.Int     // SUM and AVG over ints: the exact total
+	sum  value.Value // SUM and AVG over floats: running total from +0
 	best value.Value // MIN/MAX: current extremum
 }
 
@@ -88,18 +90,22 @@ func (ac *accum) absorb(v value.Value) error {
 		if (ac.fn == ir.AggMin && c < 0) || (ac.fn == ir.AggMax && c > 0) {
 			ac.best = v
 		}
-	case ir.AggSum:
+	case ir.AggSum, ir.AggAvg:
 		if !v.IsNumeric() {
-			return fmt.Errorf("engine: SUM over non-numeric value %s", v)
+			return fmt.Errorf("engine: %s over non-numeric value %s", ac.fn, v)
+		}
+		// A SUM's values share one kind: a stored column of ints and
+		// floats reads as floats.
+		if v.Kind() == value.KindInt {
+			ac.ints.Add(&ac.ints, big.NewInt(v.AsInt()))
+			return nil
+		}
+		if ac.ints.Sign() != 0 {
+			return fmt.Errorf("reference: %s over ints and floats", ac.fn)
 		}
 		var err error
 		ac.sum, err = value.Add(ac.sum, v)
 		return err
-	case ir.AggAvg:
-		if !v.IsNumeric() {
-			return fmt.Errorf("engine: AVG over non-numeric value %s", v)
-		}
-		ac.avg += v.AsFloat()
 	default:
 		return fmt.Errorf("engine: unknown aggregate %v", ac.fn)
 	}
@@ -112,13 +118,20 @@ func (ac *accum) result() (value.Value, error) {
 	if ac.arg == nil || ac.fn == ir.AggCount {
 		return value.Int(ac.rows), nil
 	}
+	sum := ac.sum
+	if ac.sum.Kind() == value.KindInt {
+		if !ac.ints.IsInt64() {
+			return value.Value{}, &value.OverflowError{Op: '+'}
+		}
+		sum = value.Int(ac.ints.Int64())
+	}
 	switch ac.fn {
 	case ir.AggMin, ir.AggMax:
 		return ac.best.Canon(), nil
 	case ir.AggSum:
-		return ac.sum.Canon(), nil
+		return sum.Canon(), nil
 	case ir.AggAvg:
-		return value.Float(value.CanonFloat(ac.avg / float64(ac.rows))), nil
+		return value.Float(value.CanonFloat(sum.AsFloat() / float64(ac.rows))), nil
 	default:
 		return value.Value{}, fmt.Errorf("engine: unknown aggregate %v", ac.fn)
 	}

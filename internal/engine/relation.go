@@ -13,7 +13,10 @@
 // Simplification (documented in DESIGN.md): there are no NULLs, and an
 // aggregation query without GROUP BY over an empty input yields zero
 // rows rather than one all-NULL row. Both sides of an equivalence check
-// run under the same semantics.
+// run under the same semantics. Nor is anything approximate: no int +,
+// - or × and no int SUM or AVG total answers a wrapped value — one whose
+// exact result int64 cannot hold is a *value.OverflowError — and
+// ResultsEqualBag, the equivalence check, is exact bag equality.
 package engine
 
 import (
@@ -57,31 +60,6 @@ func tupleKey(t []value.Value) string {
 		b = v.AppendKey(b)
 	}
 	return string(b)
-}
-
-// MultisetEqual reports whether two relations contain the same multiset
-// of tuples (attribute names are ignored; only positions and values
-// matter, matching the paper's multiset-equivalence of query results).
-func MultisetEqual(a, b *Relation) bool {
-	if len(a.Tuples) != len(b.Tuples) || len(a.Attrs) != len(b.Attrs) {
-		return false
-	}
-	ka := make([]string, len(a.Tuples))
-	kb := make([]string, len(b.Tuples))
-	for i, t := range a.Tuples {
-		ka[i] = tupleKey(t)
-	}
-	for i, t := range b.Tuples {
-		kb[i] = tupleKey(t)
-	}
-	sort.Strings(ka)
-	sort.Strings(kb)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the relation as a small table for debugging.

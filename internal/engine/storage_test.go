@@ -40,7 +40,7 @@ func TestFaultStorageContract(t *testing.T) {
 					sawError = true
 					continue
 				}
-				if !MultisetEqual(got, want) {
+				if !ResultsEqualBag(got, want) {
 					t.Fatalf("k=%d workers=%d: result differs from the clean run", k, workers)
 				}
 				sawSuccess = true
@@ -76,7 +76,7 @@ func TestFaultStorageErrorNotMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !MultisetEqual(got, want) {
+	if !ResultsEqualBag(got, want) {
 		t.Fatal("result after recovery differs from the clean run")
 	}
 }
@@ -144,7 +144,7 @@ func TestExecContextMemBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a budget of exactly the bytes held tripped: %v", err)
 	}
-	if !MultisetEqual(got, want) {
+	if !ResultsEqualBag(got, want) {
 		t.Fatal("memory-budgeted result differs from unbudgeted result")
 	}
 	if m.Mem() != charged {

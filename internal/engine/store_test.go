@@ -51,7 +51,7 @@ func TestSnapshotIsolatedFromInPlaceAppends(t *testing.T) {
 	}()
 	for i := 0; i < 50; i++ {
 		got, _ := snap.Relation("T")
-		if n, _ := snap.NumRows("T"); n != 1001 || !MultisetEqual(got, want) {
+		if n, _ := snap.NumRows("T"); n != 1001 || !ResultsEqualBag(got, want) {
 			t.Fatalf("read %d: pinned snapshot changed under concurrent appends (%d rows)", i, n)
 		}
 	}
@@ -85,7 +85,7 @@ func TestPutNeverSharesBuffers(t *testing.T) {
 	wantB := relOf(append(intRows(0, 100), intRows(5000, 5040)...))
 	gotA, _ := a.Get("T")
 	gotB, _ := b.Get("T")
-	if !MultisetEqual(gotA, wantA) || !MultisetEqual(gotB, wantB) {
+	if !ResultsEqualBag(gotA, wantA) || !ResultsEqualBag(gotB, wantB) {
 		t.Fatal("databases Put from one relation did not stay independent")
 	}
 }
@@ -124,7 +124,7 @@ func TestAppendKindPromotion(t *testing.T) {
 		t.Fatalf("column kinds after widening: %v %v %v", ct.cols[0].kind, ct.cols[1].kind, ct.cols[2].kind)
 	}
 	old, _ := before.Relation("T")
-	if !MultisetEqual(old, relOf(intRows(0, 10))) || old.Tuples[3][0].Kind() != value.KindInt {
+	if !ResultsEqualBag(old, relOf(intRows(0, 10))) || old.Tuples[3][0].Kind() != value.KindInt {
 		t.Fatal("widening disturbed a pinned version")
 	}
 

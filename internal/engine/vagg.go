@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sync"
 
 	"aggview/internal/ir"
@@ -287,29 +288,24 @@ func (gk *groupKeys) holds(g int, keys []vecOperand, j int) bool {
 }
 
 // accCol holds one aggregate's accumulators, one cell per group id, as a
-// typed vector: int64 (SUM over ints, MIN/MAX over ints and over the 0/1
-// payload of bools), float64 (SUM and MIN/MAX over floats, AVG's running
-// total) or string (MIN/MAX over strings). A COUNT keeps nothing here; it
-// reads the fold state's shared row counts.
+// typed vector of its argument's kind: int64 (SUM, AVG's total and
+// MIN/MAX over ints, MIN/MAX over the 0/1 payload of bools), float64 (the
+// same over floats) or string (MIN/MAX over strings). An AVG keeps its
+// SUM's total and divides once, at output. An int total is the exact
+// sum's low word, wrapping, and carry counts the signed 2^64 wraps that
+// took it there (empty until one does; a group past its end has none):
+// the total is exact when the count is 0, however the rows were grouped
+// on the way. A COUNT keeps nothing here; it reads the fold state's
+// shared row counts.
 type accCol struct {
-	vec Vec
+	vec   Vec
+	carry []int64
 }
 
 func (c *accCol) reset() {
 	clear(c.vec.strs)
 	c.vec.ints, c.vec.floats, c.vec.strs = c.vec.ints[:0], c.vec.floats[:0], c.vec.strs[:0]
-}
-
-// accKind returns the accumulator kind for folding a source of kind k
-// under fn, and whether fn folds k at all: SUM and AVG need numbers.
-func accKind(fn ir.AggFunc, k value.Kind) (value.Kind, bool) {
-	switch fn {
-	case ir.AggSum:
-		return k, numericKind(k)
-	case ir.AggAvg:
-		return value.KindFloat, numericKind(k)
-	}
-	return k, true
+	c.carry = c.carry[:0]
 }
 
 // grow extends xs to n cells, filling new cells with init.
@@ -341,6 +337,36 @@ func addCells[T int64 | float64](acc []T, gids []int32, xs []T, idx []int32) {
 	for j, g := range gids {
 		acc[g] += xs[idx[j]]
 	}
+}
+
+// sumInts is addCells over int totals, wrapping, reporting whether any
+// total wrapped: a sum's sign differs from both its addends' only when it
+// wraps, so the loop ORs (s^a)&(s^x) across the rows and tests the sign
+// once.
+func sumInts(acc []int64, gids []int32, xs []int64, idx []int32) (wrapped bool) {
+	var ov int64
+	for j, g := range gids {
+		a, x := acc[g], xs[idx[j]]
+		s := a + x
+		ov |= (s ^ a) & (s ^ x)
+		acc[g] = s
+	}
+	return ov < 0
+}
+
+// countWraps takes out again the rows sumInts just folded into c's ng
+// int totals (wrapping subtraction is exact) and re-folds them, counting
+// each group's wraps into carry: a rare case, so only it pays the count.
+func (c *accCol) countWraps(ng int, gids []int32, xs []int64, idx []int32) {
+	acc, carry := c.vec.ints, grow(c.carry, ng, 0)
+	for j, g := range gids {
+		acc[g] -= xs[idx[j]]
+	}
+	for j, g := range gids {
+		s, k := value.AddWide(acc[g], xs[idx[j]])
+		acc[g], carry[g] = s, carry[g]+k
+	}
+	c.carry = carry
 }
 
 // extremeCells keeps per group the least (or greatest) cell.
@@ -377,27 +403,26 @@ func extremeFloats(acc []float64, gids []int32, xs []float64, idx []int32, great
 
 // foldTyped folds src's cells into the typed accumulators: row j goes to
 // group gids[j]; accumulators grow to ng groups, newJ naming the row
-// that created each group past the current length. SUM and AVG start
-// from 0, so a float SUM is never -0 (IEEE gives -0 only for a sum of
-// -0s from -0).
+// that created each group past the current length. A SUM and an AVG fold
+// one total alike, from 0, so a float total is never -0 (IEEE gives -0
+// only for a sum of -0s from -0) and an int total counts its wraps.
+// Fresh totals over a stored chunk's cells skip the count when the range
+// storage recorded for the chunk keeps every total inside int64
+// (sumFits): the test on every row made base_scan 4.5% slower.
 func (c *accCol) foldTyped(fn ir.AggFunc, src vecOperand, gids []int32, ng int, newJ []int32) {
-	v, s := &c.vec, src.vec
+	v, s, extreme := &c.vec, src.vec, fn == ir.AggMin || fn == ir.AggMax
 	switch {
-	case fn == ir.AggSum && v.kind == value.KindInt:
+	case !extreme && v.kind == value.KindInt && len(v.ints) == 0 && src.sumFits(len(gids)):
 		v.ints = grow(v.ints, ng, 0)
 		addCells(v.ints, gids, s.ints, src.idx)
-	case fn == ir.AggSum:
+	case !extreme && v.kind == value.KindInt:
+		v.ints = grow(v.ints, ng, 0)
+		if sumInts(v.ints, gids, s.ints, src.idx) {
+			c.countWraps(ng, gids, s.ints, src.idx)
+		}
+	case !extreme:
 		v.floats = grow(v.floats, ng, 0)
 		addCells(v.floats, gids, s.floats, src.idx)
-	case fn == ir.AggAvg:
-		v.floats = grow(v.floats, ng, 0)
-		if s.kind == value.KindFloat {
-			addCells(v.floats, gids, s.floats, src.idx)
-			return
-		}
-		for j, g := range gids {
-			v.floats[g] += float64(s.ints[src.idx[j]])
-		}
 	case v.kind == value.KindFloat:
 		v.floats = growFrom(v.floats, ng, s.floats, src.idx, newJ)
 		extremeFloats(v.floats, gids, s.floats, src.idx, fn == ir.AggMax)
@@ -410,6 +435,18 @@ func (c *accCol) foldTyped(fn ir.AggFunc, src vecOperand, gids []int32, ng int, 
 	}
 }
 
+// sumFits reports whether totals from 0 over n of the operand's int
+// cells stay inside int64 whatever cells they are: known without reading
+// them only for a stored chunk, whose range [lo, hi] bounds every total
+// by [n·lo, n·hi].
+func (o *vecOperand) sumFits(n int) bool {
+	if o.ch == nil || !o.ch.ranged || n == 0 {
+		return false
+	}
+	lo, hi := o.intRange()
+	return lo >= math.MinInt64/int64(n) && hi <= math.MaxInt64/int64(n)
+}
+
 // foldRows folds one morsel's evaluated argument into fresh
 // accumulators for its ng groups, a constant argument as its broadcast.
 // A SUM or AVG over a non-numeric argument raises its error on the
@@ -419,11 +456,10 @@ func (c *accCol) foldRows(sp *aggSpec, src vecOperand, gids []int32, ng int, new
 		v := broadcast(src.c, len(gids))
 		src = denseOperand(&v)
 	}
-	k, ok := accKind(sp.fn, src.vec.kind)
-	if !ok {
+	if (sp.fn == ir.AggSum || sp.fn == ir.AggAvg) && !numericKind(src.vec.kind) {
 		return fmt.Errorf("engine: %s over non-numeric value %s", sp.fn, src.Value(0))
 	}
-	c.vec.kind = k
+	c.vec.kind = src.vec.kind
 	c.foldTyped(sp.fn, src, gids, ng, newJ)
 	return nil
 }
@@ -433,10 +469,14 @@ func (c *accCol) foldRows(sp *aggSpec, src vecOperand, gids []int32, ng int, new
 // partial group that created each new one). Every partial of a query
 // holds one accumulator kind, and a partial's cells are the values, so
 // the partials merge through the kernels that fold rows, per group in
-// morsel order.
+// morsel order; an int total's carry adds the partial's.
 func (c *accCol) merge(sp *aggSpec, src *accCol, gmap []int32, ng int, newJ []int32) {
 	c.vec.kind = src.vec.kind
 	c.foldTyped(sp.fn, denseOperand(&src.vec), gmap, ng, newJ)
+	if n := len(src.carry); n > 0 {
+		c.carry = grow(c.carry, ng, 0)
+		addCells(c.carry, gmap[:n], src.carry, iota32[:n])
+	}
 }
 
 // foldState is the aggregation state over a set of groups: their keys,
@@ -473,7 +513,7 @@ func (st *foldState) bytes() int64 {
 		n += st.keys.cols[c].bytes()
 	}
 	for a := range st.accs {
-		n += st.accs[a].vec.bytes()
+		n += st.accs[a].vec.bytes() + 8*int64(len(st.accs[a].carry))
 	}
 	return n
 }
@@ -693,8 +733,12 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 	mt.aggRows.Add(int64(rows))
 	mt.aggGroups.Add(int64(merged.keys.n))
 	// A float SUM, AVG total, MIN or MAX is emitted as its canonical
-	// member, whichever of the rule's equal values the fold met.
+	// member, whichever of the rule's equal values the fold met; an int
+	// total only when int64 holds its exact value.
 	for a := range merged.accs {
+		if slices.ContainsFunc(merged.accs[a].carry, func(k int64) bool { return k != 0 }) {
+			return nil, &value.OverflowError{Op: '+'}
+		}
 		canonFloats(merged.accs[a].vec.floats)
 	}
 
@@ -758,8 +802,9 @@ func (s *groupStage) col(c ir.ColID) vecOperand {
 }
 
 // agg reads aggregate a at the groups: COUNT is the row counts, SUM, MIN
-// or MAX its accumulator column in the stored kind, AVG the float totals
-// over the counts.
+// or MAX its accumulator column in the stored kind, AVG its total over
+// the count — one float division of the two numbers a rewriting's
+// SUM(S)/SUM(N) divides.
 func (s *groupStage) agg(a *ir.Agg) (vecOperand, error) {
 	i, ok := s.aggIdx[a]
 	if !ok {
@@ -770,9 +815,9 @@ func (s *groupStage) agg(a *ir.Agg) (vecOperand, error) {
 	case !sp.fold:
 		return vecOperand{vec: &s.counts, idx: s.gsel}, nil
 	case sp.fn == ir.AggAvg:
-		xs := make([]float64, len(s.gsel))
+		xs := floatsOf(vecOperand{vec: &ac.vec, idx: s.gsel}, len(s.gsel))
 		for j, g := range s.gsel {
-			xs[j] = value.CanonFloat(ac.vec.floats[g] / float64(s.st.rows[g]))
+			xs[j] = value.CanonFloat(xs[j] / float64(s.st.rows[g]))
 		}
 		return denseOperand(&Vec{kind: value.KindFloat, floats: xs}), nil
 	}

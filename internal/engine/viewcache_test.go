@@ -94,7 +94,7 @@ func TestViewCacheConcurrentExec(t *testing.T) {
 				errs[g] = err
 				return
 			}
-			if !MultisetEqual(got, want) {
+			if !ResultsEqualBag(got, want) {
 				errs[g] = fmt.Errorf("goroutine %d: result differs from reference", g)
 			}
 		}(g)
@@ -174,7 +174,7 @@ func TestViewCacheSingleflightManyViews(t *testing.T) {
 				errs[g] = err
 				return
 			}
-			if !MultisetEqual(got, wants[i]) {
+			if !ResultsEqualBag(got, wants[i]) {
 				errs[g] = fmt.Errorf("goroutine %d: %s result differs from reference", g, viewNames[i])
 			}
 		}(g)

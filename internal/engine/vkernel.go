@@ -679,20 +679,31 @@ func arithVop(op ir.ArithOp, l, r vecOperand, n int) (vecOperand, error) {
 		return vecOperand{}, err
 	}
 	if op != ir.ArithDiv && lk == value.KindInt && rk == value.KindInt {
+		// Int arithmetic refuses to wrap (value.OverflowError): each loop
+		// ORs a word that is non-zero on a row whose exact result int64
+		// cannot hold, and tests it once.
 		out, ra := intsOf(l, n), intsOf(r, n)
+		var ov, k int64
 		switch op {
 		case ir.ArithAdd:
-			for j := range out {
-				out[j] += ra[j]
+			for j, b := range ra {
+				out[j], k = value.AddWide(out[j], b)
+				ov |= k
 			}
 		case ir.ArithSub:
-			for j := range out {
-				out[j] -= ra[j]
+			for j, b := range ra {
+				out[j], k = value.SubWide(out[j], b)
+				ov |= k
 			}
 		default: // ir.ArithMul
-			for j := range out {
-				out[j] *= ra[j]
+			for j, b := range ra {
+				a := out[j]
+				out[j] = a * b
+				ov |= value.MulHi(a, b) ^ out[j]>>63
 			}
+		}
+		if ov != 0 {
+			return vecOperand{}, &value.OverflowError{Op: op.String()[0]}
 		}
 		return denseOperand(&Vec{kind: value.KindInt, ints: out}), nil
 	}

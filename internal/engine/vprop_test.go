@@ -11,6 +11,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -233,6 +234,40 @@ func TestExprKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestIntArithKernelOverflows holds the int loops of arithVop to the
+// value package's checked arithmetic: one row holding an edge pair among
+// 299 small ones makes the whole column an *value.OverflowError exactly
+// when that row's +, - or × leaves int64, and the column is the exact
+// results otherwise.
+func TestIntArithKernelOverflows(t *testing.T) {
+	edges := []int64{0, 1, -1, 2, -2, 3037000499, 3037000500, -3037000500, 1 << 62, -1 << 62, math.MaxInt64, math.MinInt64}
+	ops := map[ir.ArithOp]func(a, b value.Value) (value.Value, error){ir.ArithAdd: value.Add, ir.ArithSub: value.Sub, ir.ArithMul: value.Mul}
+	for op, ref := range ops {
+		e := &ir.Arith{Op: op, L: &ir.ColRef{Col: 0}, R: &ir.ColRef{Col: 1}}
+		for i, x := range edges {
+			for j, y := range edges {
+				rows := make([][]value.Value, 300)
+				for r := range rows {
+					rows[r] = []value.Value{value.Int(int64(r % 7)), value.Int(int64(r % 5))}
+				}
+				at := (i*len(edges) + j) % len(rows)
+				rows[at] = []value.Value{value.Int(x), value.Int(y)}
+				want, wantErr := ref(value.Int(x), value.Int(y))
+				got, err := evalCells(e, batchFromRows(rows, 2))
+				var ov *value.OverflowError
+				switch {
+				case wantErr != nil && !errors.As(err, &ov):
+					t.Fatalf("%d %v %d: kernel %v, want an overflow error", x, op, y, err)
+				case wantErr == nil && err != nil:
+					t.Fatalf("%d %v %d: kernel error %v, want %v", x, op, y, err, want)
+				case wantErr == nil && !sameValue(got[at], want):
+					t.Fatalf("%d %v %d: kernel %v, want %v", x, op, y, got[at], want)
+				}
+			}
+		}
+	}
+}
+
 // rowAggRef is the row-at-a-time reference for the aggregation
 // pipeline: groups in first-appearance order via the canonical key
 // encoding, accum.fold per row, then the same HAVING and SELECT
@@ -261,6 +296,15 @@ func rowAggRef(q *ir.Query, rows [][]value.Value) (*Relation, error) {
 		}
 		if err := g.fold(row); err != nil {
 			return nil, err
+		}
+	}
+	// Every group's totals are emitted, HAVING or not: an int total that
+	// leaves int64 fails the query.
+	for _, g := range groups {
+		for i := range g.accs {
+			if _, err := g.accs[i].result(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	out := &Relation{Attrs: ir.OutputNames(q)}
@@ -388,12 +432,33 @@ func TestAggKernelMatchesReference(t *testing.T) {
 		}
 	}
 
-	// Int SUM wraps past MaxInt64, within a morsel and across a merge.
+	// An int SUM or AVG total that passes MaxInt64 is an overflow error,
+	// not a wrapped total: within a morsel, and across a merge when each
+	// morsel's total fits (group 0 holds 1500 rows of 2^53-2^43, 512 in
+	// each full morsel: 1024 of them sum below 2^63, all 1500 above).
 	wrap := make([][]value.Value, 3000)
 	for i := range wrap {
 		wrap[i] = []value.Value{value.Int(int64(i % 2)), value.Int(math.MaxInt64 / 2), value.Int(1), value.Int(1), value.Int(0), value.Int(0)}
 	}
-	cases = append(cases, aggCase{name: "int sum wraps", q: build("SELECT A, SUM(B), AVG(B), MAX(B) FROM R GROUP BY A"), rows: wrap})
+	merge := make([][]value.Value, 3000)
+	for i := range merge {
+		merge[i] = []value.Value{value.Int(int64(i % 2)), value.Int(1<<53 - 1<<43), value.Int(1), value.Int(1), value.Int(0), value.Int(0)}
+	}
+	// An int total that passes int64 part-way and comes back is exact:
+	// group 0 climbs to 750·2^61 over the first morsels and returns to 0.
+	back := make([][]value.Value, 3000)
+	for i := range back {
+		x := int64(1 << 61)
+		if i >= len(back)/2 {
+			x = -x
+		}
+		back[i] = []value.Value{value.Int(int64(i % 2)), value.Int(x), value.Int(1), value.Int(1), value.Int(0), value.Int(0)}
+	}
+	cases = append(cases,
+		aggCase{name: "int sum returns inside int64", q: build("SELECT A, SUM(B), AVG(B), MAX(B) FROM R GROUP BY A"), rows: back},
+		aggCase{name: "int sum overflows", q: build("SELECT A, SUM(B), AVG(B), MAX(B) FROM R GROUP BY A"), rows: wrap, errHas: "integer overflow"},
+		aggCase{name: "int avg overflows across a merge", q: build("SELECT A, AVG(B), MAX(B) FROM R GROUP BY A"), rows: merge, errHas: "integer overflow"},
+	)
 
 	// A float SUM starts from 0, so a group of -0s sums to 0, and MIN
 	// emits the canonical 0, in a morsel and through a merge.

@@ -294,7 +294,7 @@ func (c *Case) measure(ctx context.Context, p Point, s *aggview.System, q *ir.Qu
 	m.Direct = bestOf(3, func() { d1 = exec(q) })
 	m.Rewritten = bestOf(3, func() { d2 = exec(rw.Query) })
 	m.ViewRows, _ = s.DB.NumRows(c.View)
-	m.Equal = engine.MultisetEqual(d1, d2)
+	m.Equal = engine.ResultsEqualBag(d1, d2)
 	return m
 }
 

@@ -81,7 +81,7 @@ func RunMultiView(ctx context.Context, k int) (found int, allEqual, orderFree bo
 	}
 	for _, r := range rws {
 		got, err := engine.NewEvaluator(db, reg).ExecContext(ctx, r.Query)
-		if err != nil || !engine.MultisetEqual(want, got) {
+		if err != nil || !engine.ResultsEqualBag(want, got) {
 			allEqual = false
 		}
 	}
@@ -225,7 +225,7 @@ func RunKeysCase(ctx context.Context, withKeys bool) (int, string) {
 	if err != nil {
 		panic(err)
 	}
-	if engine.MultisetEqual(want, got) {
+	if engine.ResultsEqualBag(want, got) {
 		return len(rws), "yes"
 	}
 	return len(rws), "NO"

@@ -74,7 +74,7 @@ func RunMaintenance(ctx context.Context, baseRows, batches, batchSize int) (incr
 		panic(err)
 	}
 	got, _ := s1.DB.Get("DailyAcct")
-	return incr, reco, engine.MultisetEqual(final, got)
+	return incr, reco, engine.ResultsEqualBag(final, got)
 }
 
 // dailyAcct is the definition of E11's summary view DailyAcct.
@@ -161,7 +161,7 @@ func RunAdvisor(ctx context.Context, calls int) (nViews, viewRows int, before, a
 
 	equal = true
 	for i := range beforeRes {
-		if !engine.MultisetEqual(beforeRes[i], afterRes[i]) {
+		if !engine.ResultsEqualBag(beforeRes[i], afterRes[i]) {
 			equal = false
 		}
 	}

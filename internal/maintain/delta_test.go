@@ -75,7 +75,7 @@ func TestAbortedBatchWritesNoCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := db.Get("Txns")
-	if !engine.MultisetEqual(got, &engine.Relation{Attrs: got.Attrs, Tuples: append(append([][]value.Value{}, want...), other)}) {
+	if !engine.ResultsEqualBag(got, &engine.Relation{Attrs: got.Attrs, Tuples: append(append([][]value.Value{}, want...), other)}) {
 		t.Fatalf("after %d aborts and one insert the table is not pre-state + that insert:\n%s", aborted, got.Sorted())
 	}
 	check(t, m, db, reg)
@@ -90,12 +90,12 @@ func TestAbortedBatchWritesNoCell(t *testing.T) {
 	final = append(final, want[9:]...)
 	final = append(append(final, other), mut.Inserts...)
 	got, _ = db.Get("Txns")
-	if !engine.MultisetEqual(got, &engine.Relation{Attrs: got.Attrs, Tuples: final}) {
+	if !engine.ResultsEqualBag(got, &engine.Relation{Attrs: got.Attrs, Tuples: final}) {
 		t.Fatalf("retry did not yield the exact bag:\n%s", got.Sorted())
 	}
 	check(t, m, db, reg)
 	old, _ := pinned.Relation("Txns")
-	if !engine.MultisetEqual(old, &engine.Relation{Attrs: old.Attrs, Tuples: want}) {
+	if !engine.ResultsEqualBag(old, &engine.Relation{Attrs: old.Attrs, Tuples: want}) {
 		t.Fatal("a later batch changed what a pinned snapshot reads")
 	}
 }
@@ -130,7 +130,7 @@ func TestMutationPositionsAreAHint(t *testing.T) {
 		}
 		got, _ := db.Get("Txns")
 		want := &engine.Relation{Attrs: got.Attrs, Tuples: [][]value.Value{rows[0], rows[2], rows[3], rows[5]}}
-		if !engine.MultisetEqual(got, want) {
+		if !engine.ResultsEqualBag(got, want) {
 			t.Fatalf("%s: wrong rows removed:\n%s", name, got.Sorted())
 		}
 		check(t, m, db, reg)
@@ -159,7 +159,7 @@ func TestSameTableTwiceInOneBatch(t *testing.T) {
 	}
 	got, _ := db.Get("Txns")
 	want := &engine.Relation{Attrs: got.Attrs, Tuples: [][]value.Value{txn(2, 1, 1, 20), txn(4, 1, 1, 40)}}
-	if !engine.MultisetEqual(got, want) {
+	if !engine.ResultsEqualBag(got, want) {
 		t.Fatalf("two mutations of one table:\n%s", got.Sorted())
 	}
 	if db.Version("Txns") != before+1 {

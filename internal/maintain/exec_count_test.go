@@ -116,7 +116,7 @@ func TestWritesRunOneDeltaQueryPerView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := db.Get(v.name); !engine.MultisetEqual(got, want) {
+		if got, _ := db.Get(v.name); !engine.ResultsEqualBag(got, want) {
 			t.Errorf("%s diverged from its definition", v.name)
 		}
 	}

@@ -10,11 +10,12 @@
 // Maintenance follows the counting algorithm of GMS93. Each group of a
 // tracked aggregation view carries a multiplicity count n (the number
 // of contributing joined rows) plus one piece of state per aggregate:
-// the running total of a SUM (typed like the engine's fold) or of an
-// AVG (a float), or the value → multiplicity multiset of a MIN/MAX. A
-// mutation against one base table becomes one signed delta table — its
-// deleted rows with sign −1, its inserted rows with sign +1, the sign an
-// extra column — and each dependent view runs one delta query over it:
+// the running total of a SUM or an AVG (typed like the engine's fold;
+// an AVG divides it by n at output), or the value → multiplicity
+// multiset of a MIN/MAX. A mutation against one base table becomes one
+// signed delta table — its deleted rows with sign −1, its inserted rows
+// with sign +1, the sign an extra column — and each dependent view runs
+// one delta query over it:
 // the definition with that table bound to the delta table, grouped by
 // the view's grouping columns plus its MIN/MAX arguments, selecting
 // SUM(sign × arg) per SUM/AVG and SUM(sign) as the multiplicity. That is
@@ -176,9 +177,9 @@ type group struct {
 	pos int
 }
 
-// aggState is the state of one aggregate output in one group: a SUM's
-// running total, typed like the engine's fold, or an AVG's, a float from
-// +0; or a MIN/MAX's value multiset — a live group's, or a touched
+// aggState is the state of one aggregate output in one group: a SUM's or
+// an AVG's running total, typed like the engine's fold; or a MIN/MAX's
+// value multiset — a live group's, or a touched
 // group's Δcounts (a created group's whole multiset).
 type aggState struct {
 	sum  value.Value
@@ -1052,18 +1053,16 @@ func (p *pending) absorb(res *engine.ColTable) error {
 			as := &g.aggs[i]
 			switch a.fn {
 			case ir.AggSum, ir.AggAvg:
-				// A sum starts from 0, as in the engine's fold; a float
-				// delta, from a column a float widened, makes an int sum
-				// float, and the view's column widens with it. An AVG's
-				// total is a float.
-				d := cs[a.at].value(j)
-				var err error
-				if a.fn == ir.AggAvg {
-					d = value.Float(as.sum.AsFloat() + d.AsFloat())
-				} else if d, err = value.Add(as.sum, d); err != nil {
+				// A total starts from 0, as in the engine's fold, an
+				// AVG's as its SUM's; a float delta, from a column a
+				// float widened, makes an int total float, and the
+				// view's column widens with it. An int total that leaves
+				// int64 aborts the batch (value.OverflowError).
+				sum, err := value.Add(as.sum, cs[a.at].value(j))
+				if err != nil {
 					return err
 				}
-				as.sum = d
+				as.sum = sum
 			case ir.AggMin, ir.AggMax:
 				v := cs[a.at].value(j)
 				if n := as.vals.add(v, dn); n < 0 && t.liveVals(i).count(v)+n < 0 {

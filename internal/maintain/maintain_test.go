@@ -51,7 +51,7 @@ func check(t *testing.T, m *Maintainer, db *engine.DB, reg *ir.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !engine.MultisetEqual(got, want) {
+	if !engine.ResultsEqualBag(got, want) {
 		t.Fatalf("maintained view diverged\nmaintained:\n%s\nrecomputed:\n%s", got.Sorted(), want.Sorted())
 	}
 }

@@ -197,7 +197,7 @@ func TestInsertDeleteIdentity(t *testing.T) {
 					t.Fatalf("insert∘delete changed multiplicity counts:\nbefore %v\nafter  %v", before, after)
 				}
 				got, _ := db.Get("V")
-				if !engine.MultisetEqual(got, beforeCopy) {
+				if !engine.ResultsEqualBag(got, beforeCopy) {
 					t.Fatalf("insert∘delete changed the materialization")
 				}
 				check(t, m, db, reg)
@@ -259,7 +259,7 @@ func TestBatchedEqualsSerialDeltas(t *testing.T) {
 
 			got, _ := dbBatch.Get("V")
 			want, _ := dbSerial.Get("V")
-			if !engine.MultisetEqual(got, want) {
+			if !engine.ResultsEqualBag(got, want) {
 				t.Fatalf("batched vs serial deltas diverged:\nbatched:\n%s\nserial:\n%s", got.Sorted(), want.Sorted())
 			}
 			cb, _ := mBatch.GroupCounts("V")
@@ -332,7 +332,7 @@ func TestSnapshotIsolationConcurrentRefresh(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !engine.MultisetEqual(pinned, direct) {
+				if !engine.ResultsEqualBag(pinned, direct) {
 					errs <- fmt.Errorf("reader observed a half-applied batch:\npinned:\n%s\ndirect:\n%s", pinned.Sorted(), direct.Sorted())
 					return
 				}
@@ -389,7 +389,7 @@ func TestFaultInjectMaintainAtomicBatch(t *testing.T) {
 		}
 		baseAfter, _ := db.Get("Txns")
 		viewAfter, _ := db.Get("V")
-		if !engine.MultisetEqual(baseBefore, baseAfter) || !engine.MultisetEqual(viewBefore, viewAfter) {
+		if !engine.ResultsEqualBag(baseBefore, baseAfter) || !engine.ResultsEqualBag(viewBefore, viewAfter) {
 			t.Fatalf("aborted batch left partial state at k=%d", k)
 		}
 		check(t, m, db, reg)

@@ -481,34 +481,30 @@ func (s *Server) script(get func(string) (*engine.Relation, bool)) string {
 	return b.String()
 }
 
-// writeTypedError maps an execution error onto the wire taxonomy.
+// typedStatus is the HTTP status of each kind errKind returns but shed,
+// which writeTypedError answers with its Retry-After.
+var typedStatus = map[string]int{
+	ErrKindCanceled: http.StatusGatewayTimeout,
+	ErrKindBudget:   http.StatusUnprocessableEntity,
+	ErrKindStorage:  http.StatusBadGateway,
+	ErrKindBadQuery: http.StatusBadRequest,
+	ErrKindOverflow: http.StatusUnprocessableEntity,
+	ErrKindInternal: http.StatusInternalServerError,
+}
+
+// writeTypedError maps an execution error onto the wire taxonomy
+// (errKind), counting it on server.errors.<kind>.
 func (s *Server) writeTypedError(w http.ResponseWriter, tenant string, err error) {
+	kind := errKind(err)
+	s.metrics.Volatile("server.errors." + kind).Inc()
 	var shed *ShedError
-	var injected *faultinject.Injected
-	var badQuery *badQueryError
-	switch {
-	case errors.As(err, &shed):
-		s.metrics.Volatile("server.errors.shed").Inc()
-		we := &WireError{Kind: ErrKindShed, Message: err.Error(), Tenant: tenant, RetryAfterMs: shed.RetryAfter.Milliseconds()}
-		retrySec := int64(shed.RetryAfter/time.Second) + 1
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retrySec))
-		writeJSON(w, http.StatusTooManyRequests, ErrorBody{Error: we})
-	case budget.IsCanceled(err):
-		s.metrics.Volatile("server.errors.canceled").Inc()
-		s.writeError(w, tenant, ErrKindCanceled, http.StatusGatewayTimeout, err)
-	case budget.IsExceeded(err):
-		s.metrics.Volatile("server.errors.budget").Inc()
-		s.writeError(w, tenant, ErrKindBudget, http.StatusUnprocessableEntity, err)
-	case errors.As(err, &injected):
-		s.metrics.Volatile("server.errors.storage").Inc()
-		s.writeError(w, tenant, ErrKindStorage, http.StatusBadGateway, err)
-	case errors.As(err, &badQuery):
-		s.metrics.Volatile("server.errors.bad_query").Inc()
-		s.writeError(w, tenant, ErrKindBadQuery, http.StatusBadRequest, err)
-	default:
-		s.metrics.Volatile("server.errors.internal").Inc()
-		s.writeError(w, tenant, ErrKindInternal, http.StatusInternalServerError, err)
+	if !errors.As(err, &shed) {
+		s.writeError(w, tenant, kind, typedStatus[kind], err)
+		return
 	}
+	we := &WireError{Kind: kind, Message: err.Error(), Tenant: tenant, RetryAfterMs: shed.RetryAfter.Milliseconds()}
+	w.Header().Set("Retry-After", fmt.Sprintf("%d", int64(shed.RetryAfter/time.Second)+1))
+	writeJSON(w, http.StatusTooManyRequests, ErrorBody{Error: we})
 }
 
 // writeMutationError maps a facade error from /insert, /delete or

@@ -321,7 +321,7 @@ func TestServerMutationAbortTyped(t *testing.T) {
 		t.Fatalf("canceled delete returned %v, want typed %s with status 504", err, ErrKindCanceled)
 	}
 	baseAfter, viewAfter := state()
-	if !engine.MultisetEqual(baseBefore, baseAfter) || !engine.MultisetEqual(viewBefore, viewAfter) {
+	if !engine.ResultsEqualBag(baseBefore, baseAfter) || !engine.ResultsEqualBag(viewBefore, viewAfter) {
 		t.Fatal("aborted delete changed the database")
 	}
 
@@ -393,6 +393,7 @@ func TestServerErrorBodiesComplete(t *testing.T) {
 		{"unknown field", `{"sql": "SELECT 1", "nope": true}`, http.StatusBadRequest, ErrKindBadRequest},
 		{"parse error", `{"sql": "SELEKT x FROM y"}`, http.StatusBadRequest, ErrKindBadQuery},
 		{"unknown table", `{"sql": "SELECT z FROM Nowhere"}`, http.StatusBadRequest, ErrKindBadQuery},
+		{"int sum overflow", `{"sql": "SELECT SUM(qty * 3074457345618258602) FROM Sales"}`, http.StatusUnprocessableEntity, ErrKindOverflow},
 	}
 	for _, tc := range cases {
 		req, _ := http.NewRequest(http.MethodPost, "http://test/query", strings.NewReader(tc.body))

@@ -17,6 +17,7 @@ import (
 	"aggview/internal/budget"
 	"aggview/internal/faultinject"
 	"aggview/internal/obs"
+	"aggview/internal/value"
 )
 
 // tenantLabel names a tenant in metric names; the default tenant's
@@ -28,13 +29,13 @@ func tenantLabel(tenant string) string {
 	return tenant
 }
 
-// errKind classifies an execution error into the wire taxonomy without
-// writing a response — the span outcome label. It mirrors
-// writeTypedError's classification chain exactly.
+// errKind classifies an execution error into the wire taxonomy: the
+// span outcome label, and the kind writeTypedError answers.
 func errKind(err error) string {
 	var shed *ShedError
 	var injected *faultinject.Injected
 	var badQuery *badQueryError
+	var overflow *value.OverflowError
 	switch {
 	case errors.As(err, &shed):
 		return ErrKindShed
@@ -46,6 +47,8 @@ func errKind(err error) string {
 		return ErrKindStorage
 	case errors.As(err, &badQuery):
 		return ErrKindBadQuery
+	case errors.As(err, &overflow):
+		return ErrKindOverflow
 	default:
 		return ErrKindInternal
 	}

@@ -342,6 +342,7 @@ const (
 	ErrKindStorage    = "storage"            // storage backend failed mid-query
 	ErrKindTooLarge   = "response_too_large" // the reply would exceed what a client reads
 	ErrKindConflict   = "conflict"           // a write would repeat a declared key (or break an FD)
+	ErrKindOverflow   = "overflow"           // an int result, a SUM or AVG total among them, passes int64
 	ErrKindInternal   = "internal"
 )
 

@@ -421,9 +421,9 @@ func TestQueryColumnsBytesMatchStdlib(t *testing.T) {
 		"stored":          engine.BuildColTable(typed),
 		"projected":       run("SELECT i, f, s, b, g, 7, 'k', f * 2 FROM T"),
 		"distinct":        run("SELECT DISTINCT g, b, s FROM T"),
-		"aggregated":      run("SELECT g, b, s, SUM(f), MIN(s), MAX(i), COUNT(g), AVG(i), SUM(i) / 2 FROM T GROUP BY g, b, s"),
+		"aggregated":      run("SELECT g, b, s, SUM(f), MIN(s), MAX(i), COUNT(g), AVG(g), SUM(g) / 2 FROM T GROUP BY g, b, s"),
 		"one group":       run("SELECT MIN(i), MAX(f), MIN(s) FROM T"),
-		"having rejects":  run("SELECT g, SUM(i) FROM T GROUP BY g HAVING COUNT(i) < 0"),
+		"having rejects":  run("SELECT g, SUM(g) FROM T GROUP BY g HAVING COUNT(i) < 0"),
 		"no rows":         engine.BuildColTable(engine.NewRelation("a", "b")),
 		"no rows, filter": run("SELECT i, s FROM T WHERE g > 100"),
 		"no columns":      engine.BuildColTable(noCols),

@@ -80,7 +80,7 @@ func checkEquivalent(t *testing.T, q, flat *ir.Query, reg *ir.Registry) {
 		if err != nil {
 			t.Fatalf("flattened query needs no views: %v\n%s", err, flat.SQL())
 		}
-		if !engine.MultisetEqual(want, got) {
+		if !engine.ResultsEqualBag(want, got) {
 			t.Fatalf("flatten changed semantics\noriginal: %s\nflattened: %s", q.SQL(), flat.SQL())
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -253,19 +254,60 @@ func Div(a, b Value) (Value, error) {
 	return Float(a.AsFloat() / bf), nil
 }
 
+// OverflowError is the error of an int +, - or × whose exact result
+// int64 cannot hold, an int SUM or AVG total among them: no answer is a
+// wrapped int.
+type OverflowError struct {
+	Op byte // '+', '-' or '*'
+}
+
+func (e *OverflowError) Error() string {
+	return fmt.Sprintf("value: integer overflow in %c", e.Op)
+}
+
+// AddWide returns the low word of a+b, wrapping, and the signed count of
+// 2^64 wraps that took it there (-1, 0 or +1): the sum's sign differs
+// from both addends' only when it wraps, upwards for b >= 0. The exact
+// sum is the low word plus the count times 2^64.
+func AddWide(a, b int64) (lo, carry int64) {
+	lo = a + b
+	return lo, ((lo ^ a) & (lo ^ b)) >> 63 & (b>>63 | 1)
+}
+
+// SubWide is AddWide for a-b, which wraps only when a and b differ in
+// sign and the difference's sign differs from a's, upwards for b < 0.
+func SubWide(a, b int64) (lo, carry int64) {
+	lo = a - b
+	return lo, -(((a ^ b) & (a ^ lo)) >> 63 & (b>>63 | 1))
+}
+
+// MulHi returns the high word of the 128-bit product of a and b, whose
+// low word is a*b (wrapped): the product fits int64 exactly when the high
+// word equals the low word's sign, a*b>>63.
+func MulHi(a, b int64) int64 {
+	hi, _ := bits.Mul64(uint64(a), uint64(b))
+	return int64(hi) - (a>>63)&b - (b>>63)&a
+}
+
 func arith(a, b Value, op byte) (Value, error) {
 	if !a.IsNumeric() || !b.IsNumeric() {
 		return Value{}, fmt.Errorf("value: cannot apply %c to %s and %s", op, a.kind, b.kind)
 	}
 	if a.kind == KindInt && b.kind == KindInt {
+		var r, carry int64
 		switch op {
 		case '+':
-			return Int(a.i + b.i), nil
+			r, carry = AddWide(a.i, b.i)
 		case '-':
-			return Int(a.i - b.i), nil
+			r, carry = SubWide(a.i, b.i)
 		default:
-			return Int(a.i * b.i), nil
+			r = a.i * b.i
+			carry = MulHi(a.i, b.i) ^ r>>63
 		}
+		if carry != 0 {
+			return Value{}, &OverflowError{Op: op}
+		}
+		return Int(r), nil
 	}
 	af, bf := a.AsFloat(), b.AsFloat()
 	switch op {

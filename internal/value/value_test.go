@@ -3,6 +3,7 @@ package value
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -345,6 +346,52 @@ func TestQuickIntArith(t *testing.T) {
 			s.AsInt() == x+y && d.AsInt() == x-y && p.AsInt() == x*y
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestIntArithOverflows holds int +, - and × to the exact product in
+// big.Int: the int64 result when it fits, an *OverflowError naming the
+// operator otherwise, at the edges of int64 and over random operands;
+// and AddWide and SubWide to low word + carry·2^64 = the exact result.
+func TestIntArithOverflows(t *testing.T) {
+	ops := []struct {
+		op   byte
+		fn   func(a, b Value) (Value, error)
+		big  func(z, x, y *big.Int) *big.Int
+		wide func(a, b int64) (int64, int64)
+	}{{'+', Add, (*big.Int).Add, AddWide}, {'-', Sub, (*big.Int).Sub, SubWide}, {'*', Mul, (*big.Int).Mul, nil}}
+	check := func(x, y int64) bool {
+		for _, o := range ops {
+			exact := o.big(new(big.Int), big.NewInt(x), big.NewInt(y))
+			if o.wide != nil {
+				lo, carry := o.wide(x, y)
+				if w := new(big.Int).Add(big.NewInt(lo), new(big.Int).Lsh(big.NewInt(carry), 64)); w.Cmp(exact) != 0 {
+					t.Errorf("%d %c %d: wide %d carry %d, want %s", x, o.op, y, lo, carry, exact)
+					return false
+				}
+			}
+			got, err := o.fn(Int(x), Int(y))
+			var ov *OverflowError
+			if exact.IsInt64() {
+				if err != nil || got.AsInt() != exact.Int64() {
+					t.Errorf("%d %c %d: %v, %v; want %s", x, o.op, y, got, err, exact)
+					return false
+				}
+			} else if !errors.As(err, &ov) || ov.Op != o.op {
+				t.Errorf("%d %c %d: %v, %v; want an overflow error", x, o.op, y, got, err)
+				return false
+			}
+		}
+		return true
+	}
+	edges := []int64{0, 1, -1, 2, -2, 3, 1 << 31, -1 << 31, 1 << 32, 3037000499, 3037000500, -3037000500, 1 << 62, -1 << 62, math.MaxInt64, math.MinInt64, math.MaxInt64 / 2, math.MinInt64 / 2}
+	for _, x := range edges {
+		for _, y := range edges {
+			check(x, y)
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
 	}
 }

@@ -35,7 +35,7 @@ func TestSubqueryConjunctiveFlattens(t *testing.T) {
 	flatSQL := `SELECT Product, SUM(Amount) FROM Sales WHERE Region = 1 GROUP BY Product`
 	a := mustQuery(t, s, nested)
 	b := mustQuery(t, s, flatSQL)
-	if !engine.MultisetEqual(a, b) {
+	if !engine.ResultsEqualBag(a, b) {
 		t.Fatalf("subquery semantics wrong:\n%s\nvs\n%s", a.Sorted(), b.Sorted())
 	}
 }
@@ -98,7 +98,7 @@ func TestNestedSubqueries(t *testing.T) {
 	flat := `SELECT Product, COUNT(Amount) FROM Sales WHERE Amount > 10 AND Region = 2 GROUP BY Product`
 	a := mustQuery(t, s, nested)
 	b := mustQuery(t, s, flat)
-	if !engine.MultisetEqual(a, b) {
+	if !engine.ResultsEqualBag(a, b) {
 		t.Fatalf("nested subqueries wrong:\n%s\nvs\n%s", a.Sorted(), b.Sorted())
 	}
 }
@@ -121,7 +121,7 @@ func TestSubqueryJoinWithBaseTable(t *testing.T) {
 		t.Fatalf("grouped by constant label: %s", res)
 	}
 	// Plan over the flattened form must also work.
-	if _, err := s.PlanContext(ctx, nested); err != nil {
+	if _, err := s.PrepareContext(ctx, nested); err != nil {
 		t.Fatal(err)
 	}
 }

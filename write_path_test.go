@@ -76,7 +76,7 @@ func TestUntrackedWritesTakeTheMaintainedPath(t *testing.T) {
 	}
 	a, _ := plain.DB.Get("T")
 	b, _ := tracking.DB.Get("T")
-	if a.Len() == 0 || !engine.MultisetEqual(a, b) {
+	if a.Len() == 0 || !engine.ResultsEqualBag(a, b) {
 		t.Fatalf("T holds %d rows untracked and %d tracking, or they differ", a.Len(), b.Len())
 	}
 	if v1, v2 := plain.DB.Version("T"), tracking.DB.Version("T"); v1 != v2 || v1 < 30 {
@@ -218,7 +218,7 @@ func TestKindRuleHolds(t *testing.T) {
 				refused++
 				after := snap()
 				for _, v := range views {
-					if !engine.MultisetEqual(before.rows[v], after.rows[v]) || !maps.Equal(before.counts[v], after.counts[v]) {
+					if !engine.ResultsEqualBag(before.rows[v], after.rows[v]) || !maps.Equal(before.counts[v], after.counts[v]) {
 						t.Fatalf("workers %d step %d: a refused write changed %s", workers, step, v)
 					}
 				}
