@@ -3,6 +3,8 @@ package aggview
 import (
 	"context"
 	"errors"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -139,6 +141,65 @@ func TestProbeIntSumOverflows(t *testing.T) {
 	v, _ = s.DB.Get("V")
 	if got := cellBits(v); got != before || !strings.HasPrefix(got, "1 | 4611686018427387904 | ") {
 		t.Errorf("V after the aborted insert: %q, want %q", got, before)
+	}
+}
+
+// TestProbeDeleteMinInt64UnderSum: group 1 of T holds MinInt64 and 5, and
+// V sums it. Deleting the MinInt64 row, or updating it into group 2,
+// makes a delta of -1 × MinInt64, which leaves int64 although every new
+// total fits: the write recomputes V and succeeds. A write whose new total
+// leaves int64 is still refused, with T and V as they were.
+func TestProbeDeleteMinInt64UnderSum(t *testing.T) {
+	ctx := context.Background()
+	const minInt = "-9223372036854775808"
+	fresh := func() *System {
+		s := New()
+		s.MustLoad("CREATE TABLE T(Id, G, X); CREATE VIEW V AS SELECT G, SUM(X), COUNT(X) FROM T GROUP BY G;")
+		if err := s.InsertContext(ctx, "T", []Value{Int(1), Int(1), Int(math.MinInt64)}, []Value{Int(2), Int(1), Int(5)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.TrackViewContext(ctx, "V"); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	view := func(s *System) string {
+		v, _ := s.DB.Get("V")
+		rows := strings.SplitAfter(cellBits(v), "\n")
+		sort.Strings(rows)
+		return strings.Join(rows, "")
+	}
+
+	s := fresh()
+	if n, err := s.DeleteContext(ctx, "T", "Id = 1"); err != nil || n != 1 {
+		t.Fatalf("delete of the MinInt64 row: %d, %v", n, err)
+	}
+	if got := view(s); got != "1 | 5 | 1\n" {
+		t.Errorf("V after the delete: %q", got)
+	}
+
+	s = fresh()
+	if n, err := s.UpdateContext(ctx, "T", "G = 2", "Id = 1"); err != nil || n != 1 {
+		t.Fatalf("update moving the MinInt64 row: %d, %v", n, err)
+	}
+	want := "1 | 5 | 1\n2 | " + minInt + " | 1\n"
+	if got := view(s); got != want {
+		t.Errorf("V after the update: %q, want %q", got, want)
+	}
+
+	// Group 2's total MinInt64 - 1 leaves int64, by insert or by update.
+	var ov *value.OverflowError
+	if err := s.InsertContext(ctx, "T", []Value{Int(3), Int(2), Int(-1)}); !errors.As(err, &ov) {
+		t.Errorf("insert overflowing V's SUM: %v, want an overflow error", err)
+	}
+	if _, err := s.UpdateContext(ctx, "T", "G = 2, X = -1", "Id = 2"); !errors.As(err, &ov) {
+		t.Errorf("update overflowing V's SUM: %v, want an overflow error", err)
+	}
+	if got := view(s); got != want {
+		t.Errorf("V after the refused writes: %q, want %q", got, want)
+	}
+	if got := cellBits(mustQuery(t, s, "SELECT Id, G, X FROM T")); got != "1 | 2 | "+minInt+"\n2 | 1 | 5\n" {
+		t.Errorf("T after the refused writes: %q", got)
 	}
 }
 

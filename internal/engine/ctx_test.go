@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,36 +131,58 @@ func TestExecContextRowBudget(t *testing.T) {
 }
 
 // TestExecContextBudgetCoversViews pins that rows spent materializing a
-// referenced view draw from the same budget pool as the outer query.
+// referenced view draw from the same budget pool as the outer query, and
+// that an aborted materialization — by budget, by a cancellation
+// injected mid-fold or by an injected storage fault — is not memoized:
+// on one evaluator the first call fails with the typed error, and the
+// second runs the materialization again and answers what a fresh
+// evaluator answers.
 func TestExecContextBudgetCoversViews(t *testing.T) {
 	db, reg, source := ctxFixture(t)
 	q := ir.MustBuild("SELECT A, sum_B FROM VSum", source)
-
-	// The view alone folds 10000 R1 rows, so a 5000-row budget must trip
-	// inside the nested materialization.
-	m := budget.NewMeter(budget.Limits{MaxRows: 5000})
-	_, err := NewEvaluator(db, reg).ExecContext(budget.WithMeter(context.Background(), m), q)
-	if !budget.IsExceeded(err) {
-		t.Fatalf("want Exceeded from view materialization, got %v", err)
-	}
-
-	// The aborted materialization must not be memoized: the same
-	// evaluator succeeds afterwards with room to breathe.
-	ev := NewEvaluator(db, reg)
-	m = budget.NewMeter(budget.Limits{MaxRows: 5000})
-	if _, err := ev.ExecContext(budget.WithMeter(context.Background(), m), q); !budget.IsExceeded(err) {
-		t.Fatalf("want Exceeded, got %v", err)
-	}
-	got, err := ev.ExecContext(context.Background(), q)
-	if err != nil {
-		t.Fatalf("evaluator poisoned by an aborted materialization: %v", err)
-	}
 	want, err := NewEvaluator(db, reg).ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ResultsEqualBag(got, want) {
-		t.Fatal("post-abort result differs from reference")
+	cases := []struct {
+		name  string
+		abort func(ev *Evaluator) (context.Context, func()) // arms the failing call
+		typed func(error) bool
+	}{
+		{"budget", func(*Evaluator) (context.Context, func()) {
+			// The view alone folds 10000 R1 rows, so a 5000-row budget
+			// trips inside the nested materialization.
+			m := budget.NewMeter(budget.Limits{MaxRows: 5000})
+			return budget.WithMeter(context.Background(), m), func() {}
+		}, budget.IsExceeded},
+		{"canceled", func(*Evaluator) (context.Context, func()) {
+			// Fires 2049 rows in: inside the view's pass over R1's 10000.
+			return faultinject.New(faultinject.SiteRow, 2049).Arm(context.Background())
+		}, budget.IsCanceled},
+		{"injected fault", func(ev *Evaluator) (context.Context, func()) {
+			// The first Scan misses (VSum is a view); the second, of R1
+			// inside the materialization, fails.
+			ev.Store = NewFaultStorage(db, 2)
+			return context.Background(), func() { ev.Store = nil }
+		}, faultinject.IsInjected},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ev := NewEvaluator(db, reg)
+			ctx, done := tc.abort(ev)
+			_, err := ev.ExecContext(ctx, q)
+			done()
+			if !tc.typed(err) || !strings.Contains(fmt.Sprint(err), "materializing view VSum") {
+				t.Fatalf("want a typed abort inside the materialization, got %v", err)
+			}
+			got, err := ev.ExecContext(context.Background(), q)
+			if err != nil {
+				t.Fatalf("evaluator poisoned by an aborted materialization: %v", err)
+			}
+			if !ResultsEqualBag(got, want) {
+				t.Fatal("post-abort result differs from a fresh evaluator's")
+			}
+		})
 	}
 }
 
@@ -277,55 +299,6 @@ func TestExecContextNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestEvaluatorSharedAcrossQueries runs distinct queries against the
-// same views on ONE shared evaluator from many goroutines under -race:
-// the view cache, metrics, and worker pools must tolerate concurrent
-// ExecContext calls with correct per-query results.
-func TestEvaluatorSharedAcrossQueries(t *testing.T) {
-	db, reg, source := ctxFixture(t)
-	queries := ctxQueries(t, source)
-	wants := make([]*Relation, len(queries))
-	for i, q := range queries {
-		var err error
-		wants[i], err = NewEvaluator(db, reg).ExecContext(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	ev := NewEvaluator(db, reg)
-	ev.Workers = 4
-	goroutines := 16
-	if testing.Short() {
-		goroutines = 8
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for rep := 0; rep < 3; rep++ {
-				i := (g + rep) % len(queries)
-				got, err := ev.ExecContext(context.Background(), queries[i])
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				if !ResultsEqualBag(got, wants[i]) {
-					errs[g] = fmt.Errorf("goroutine %d query %d: result differs", g, i)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

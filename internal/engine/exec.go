@@ -6,10 +6,8 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
-	"aggview/internal/budget"
 	"aggview/internal/faultinject"
 	"aggview/internal/ir"
 	"aggview/internal/obs"
@@ -17,9 +15,9 @@ import (
 )
 
 // ViewSource resolves view definitions by name; *ir.Registry implements
-// it. Implementations must be safe for concurrent readers: the evaluator
-// consults the source from worker goroutines and from concurrent ExecContext
-// calls.
+// it. An evaluator consults it from one operation at a time; a source
+// shared by concurrent operations (each with its own evaluator), as a
+// registry is, must be safe for concurrent readers.
 type ViewSource interface {
 	Get(name string) (*ir.ViewDef, bool)
 }
@@ -30,8 +28,10 @@ type ViewSource interface {
 // queries that reference auxiliary views (the paper's Va construction)
 // are executed.
 //
-// An Evaluator is safe for concurrent ExecContext calls: the view cache is
-// synchronized and each referenced view is materialized exactly once.
+// An Evaluator serves one operation: its calls run one after another,
+// and each referenced view is materialized once for all of them.
+// Concurrent operations build an evaluator each over the same DB and
+// registry, which are safe for that.
 type Evaluator struct {
 	DB    *DB
 	Views ViewSource
@@ -52,25 +52,13 @@ type Evaluator struct {
 	// hook a no-op with no allocations on the hot path.
 	Metrics *obs.Metrics
 
-	mu    sync.Mutex
-	cache map[string]*viewEntry
+	cache map[string]*ColTable // materialized views, by lowercased name
 	mt    atomic.Pointer[evMetrics]
-}
-
-// viewEntry materializes one view at most once, even under concurrent
-// resolution (each waiter blocks on the Once of the shared entry). The
-// materialized relation is held as a columnar image, ready to bind into
-// scan batches.
-type viewEntry struct {
-	once sync.Once
-	def  *ir.ViewDef
-	ct   *ColTable
-	err  error
 }
 
 // NewEvaluator builds an evaluator over a database; views may be nil.
 func NewEvaluator(db *DB, views ViewSource) *Evaluator {
-	return &Evaluator{DB: db, Views: views, cache: map[string]*viewEntry{}}
+	return &Evaluator{DB: db, Views: views}
 }
 
 // store returns the active storage backend.
@@ -274,16 +262,11 @@ func distinctRows(ct *ColTable) *ColTable {
 // the memory budget. A storage error aborts the operation and is never
 // cached.
 //
-// Views are materialized at most once per evaluator: the entry map is
-// guarded by the mutex, and the materialization itself runs under the
-// entry's Once so concurrent resolvers of the same view block instead
-// of recomputing. A materialization aborted by cancellation or budget
-// exhaustion — or poisoned by an injected storage fault — is never
-// memoized: the entry is dropped so a later resolve retries under its
-// own context and budget. The resolver that ran the aborted
-// materialization returns the error (its own context or budget is
-// spent, or its backend is the faulty one); a resolver that merely
-// waited on another task's aborted entry loops and retries.
+// A view is materialized on its first resolve and memoized for the
+// evaluator's operation. Only a success is memoized: a materialization
+// aborted by cancellation, budget exhaustion or an injected fault
+// returns its typed error, and a later resolve runs it again under its
+// own context and budget.
 func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 	t.inj.Observe(faultinject.SiteStorage, 1)
 	if err := t.poll(ev, "storage"); err != nil {
@@ -304,96 +287,59 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 	if err := t.poll(ev, "view_cache"); err != nil {
 		return nil, err
 	}
-	first := true
-	for {
-		ev.mu.Lock()
-		e, ok := ev.cache[key]
-		if !ok {
-			if ev.Views == nil {
-				ev.mu.Unlock()
-				return nil, fmt.Errorf("engine: no relation or view named %q", name)
-			}
-			v, foundView := ev.Views.Get(name)
-			if !foundView {
-				ev.mu.Unlock()
-				return nil, fmt.Errorf("engine: no relation or view named %q", name)
-			}
-			if err := t.meter.AddCacheEntries("view_cache", 1); err != nil {
-				ev.mu.Unlock()
-				ev.metrics().errBudget.Inc()
-				return nil, err
-			}
-			e = &viewEntry{def: v}
-			if ev.cache == nil {
-				ev.cache = map[string]*viewEntry{}
-			}
-			ev.cache[key] = e
-		}
-		ev.mu.Unlock()
-		// Entry creation is guarded by the mutex, so every view misses
-		// exactly once per evaluator no matter how many resolvers race; the
-		// hit/miss split is therefore deterministic for a fixed fault-free
-		// workload (retries after an aborted materialization are counted
-		// only under volatile names).
-		if first {
-			if ok {
-				ev.metrics().cacheHit.Inc()
-			} else {
-				ev.metrics().cacheMiss.Inc()
-			}
-			first = false
-		}
-		ran := false
-		e.once.Do(func() {
-			ran = true
-			materialize := func() {
-				ct, err := ev.run(t, e.def.Def)
-				if err != nil {
-					e.err = fmt.Errorf("engine: materializing view %s: %w", name, err)
-					return
-				}
-				// The result is the stored image: named as the view names
-				// its columns and, now that scans will read it, ranged.
-				ct.attrs = append([]string{}, e.def.OutCols...)
-				for _, col := range ct.cols {
-					col.setRanges()
-				}
-				e.ct = ct
-			}
-			if ev.Metrics == nil {
-				materialize()
-			} else {
-				pprof.Do(t.ctx, pprof.Labels("aggview_view", name), func(context.Context) {
-					materialize()
-				})
-			}
-		})
-		if e.err != nil && (budget.IsTransient(e.err) || faultinject.IsInjected(e.err)) {
-			// Drop the poisoned entry so the abort is not memoized.
-			ev.mu.Lock()
-			if ev.cache[key] == e {
-				delete(ev.cache, key)
-			}
-			ev.mu.Unlock()
-			ev.metrics().cacheAborted.Inc()
-			if ran {
-				return nil, e.err
-			}
-			// Someone else's task aborted the materialization we waited
-			// on; retry under our own context unless it too is done.
-			if err := t.poll(ev, "view_cache"); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if e.err != nil {
-			return nil, e.err
-		}
-		if err := t.allocBytes(ev, "view_cache", e.ct.Bytes()); err != nil {
+	ct, ok := ev.cache[key]
+	if ok {
+		ev.metrics().cacheHit.Inc()
+	} else {
+		ev.metrics().cacheMiss.Inc()
+		if ct, err = ev.materialize(t, name); err != nil {
 			return nil, err
 		}
-		return e.ct, nil
+		if ev.cache == nil {
+			ev.cache = map[string]*ColTable{}
+		}
+		ev.cache[key] = ct
 	}
+	if err := t.allocBytes(ev, "view_cache", ct.Bytes()); err != nil {
+		return nil, err
+	}
+	return ct, nil
+}
+
+// materialize evaluates the named view's definition into its stored
+// image, charging the view_cache entry budget first. With Metrics
+// attached it runs under a pprof label naming the view.
+func (ev *Evaluator) materialize(t *task, name string) (*ColTable, error) {
+	var def *ir.ViewDef
+	if ev.Views != nil {
+		def, _ = ev.Views.Get(name)
+	}
+	if def == nil {
+		return nil, fmt.Errorf("engine: no relation or view named %q", name)
+	}
+	if err := t.meter.AddCacheEntries("view_cache", 1); err != nil {
+		ev.metrics().errBudget.Inc()
+		return nil, err
+	}
+	var ct *ColTable
+	var err error
+	if ev.Metrics == nil {
+		ct, err = ev.run(t, def.Def)
+	} else {
+		pprof.Do(t.ctx, pprof.Labels("aggview_view", name), func(context.Context) {
+			ct, err = ev.run(t, def.Def)
+		})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("engine: materializing view %s: %w", name, err)
+	}
+	// The result is the stored image: named as the view names its
+	// columns and, now that scans will read it, ranged.
+	ct.attrs = append([]string{}, def.OutCols...)
+	for _, col := range ct.cols {
+		col.setRanges()
+	}
+	return ct, nil
 }
 
 // chargeRows charges n rows at the named site (with injector

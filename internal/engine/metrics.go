@@ -25,7 +25,7 @@ type evMetrics struct {
 	// Volatile: timings, pool activity, abort counts.
 	execNs, scanNs, joinNs, aggNs                    *obs.Counter
 	poolSerial, poolLaunches, poolWidth, poolMorsels *obs.Counter
-	errBudget, errCanceled, cacheAborted             *obs.Counter
+	errBudget, errCanceled                           *obs.Counter
 }
 
 var noMetrics evMetrics
@@ -72,7 +72,6 @@ func (ev *Evaluator) metrics() *evMetrics {
 		poolMorsels:   m.Volatile("engine.pool.morsels"),
 		errBudget:     m.Volatile("engine.err.budget"),
 		errCanceled:   m.Volatile("engine.err.canceled"),
-		cacheAborted:  m.Volatile("engine.view_cache.aborted"),
 	}
 	ev.mt.Store(mt)
 	return mt

@@ -701,8 +701,10 @@ func intKeyOf(x value.Value) (int64, bool) {
 // Storage resolves FROM sources to columnar tables; it is the engine's
 // data-access seam. The in-memory *DB is the first implementation;
 // FaultStorage, which fails scans with typed I/O-style errors, is the
-// second. Implementations must be safe for concurrent Scan calls — the
-// evaluator consults storage from concurrent ExecContext calls.
+// second. An Evaluator serves one operation and calls Scan from its
+// serial resolve loop only; a storage shared by concurrent operations
+// (DB, a Snapshot, System.Store) must be safe for concurrent Scan calls,
+// since each of those operations has an evaluator of its own.
 //
 // Scan returns (nil, false, nil) for an unknown name, in which case the
 // evaluator falls back to its view source. A non-nil error models an

@@ -332,42 +332,6 @@ func (q *Query) ColSel() []ColID {
 	return out
 }
 
-// AggSel returns the columns aggregated upon in the SELECT clause
-// (paper's AggSel(Q)): the argument columns of simple AGG(column) items.
-func (q *Query) AggSel() []ColID {
-	var out []ColID
-	for _, it := range q.Select {
-		if a, ok := it.Expr.(*Agg); ok && !a.Star {
-			if c, ok := a.Arg.(*ColRef); ok {
-				out = append(out, c.Col)
-			}
-		}
-	}
-	return out
-}
-
-// SimpleAggs returns the simple AGG(column) select items along with
-// their select-list positions; COUNT(*) yields a nil column indicator
-// via the star flag.
-func (q *Query) SimpleAggs() []struct {
-	Index int
-	Agg   *Agg
-} {
-	var out []struct {
-		Index int
-		Agg   *Agg
-	}
-	for i, it := range q.Select {
-		if a, ok := it.Expr.(*Agg); ok {
-			out = append(out, struct {
-				Index int
-				Agg   *Agg
-			}{i, a})
-		}
-	}
-	return out
-}
-
 // IsGrouping reports whether the column is in the GROUP BY list.
 func (q *Query) IsGrouping(c ColID) bool {
 	for _, g := range q.GroupBy {
@@ -376,11 +340,6 @@ func (q *Query) IsGrouping(c ColID) bool {
 		}
 	}
 	return false
-}
-
-// ColumnsOfTable returns the ColIDs of one table occurrence.
-func (q *Query) ColumnsOfTable(table int) []ColID {
-	return q.Tables[table].Cols
 }
 
 // WalkExprCols calls fn for every column referenced in the expression.

@@ -83,16 +83,6 @@ func deriveColName(q *Query, e Expr) string {
 	}
 }
 
-// OutIndex returns the position of the named output column, or -1.
-func (v *ViewDef) OutIndex(col string) int {
-	for i, c := range v.OutCols {
-		if strings.EqualFold(c, col) {
-			return i
-		}
-	}
-	return -1
-}
-
 // SQL renders the view as a CREATE VIEW statement.
 func (v *ViewDef) SQL() string {
 	return fmt.Sprintf("CREATE VIEW %s(%s) AS %s", v.Name, strings.Join(v.OutCols, ", "), v.Def.SQL())

@@ -36,7 +36,10 @@
 // over non-column arguments, dependence through a nested view) fall back
 // to full recomputation — counted on the `maintain.fallback.full` metric
 // and named per view by Maintainer.Mode — so every mutation is always
-// correct.
+// correct. So does a write whose delta or running total leaves int64
+// (-1 × MinInt64 for a deleted MinInt64, say): the rebuild against the
+// staged tables then decides, installing the new exact totals when they
+// fit and aborting the batch when they do not.
 //
 // Batches apply atomically: every delta evaluation and recomputation
 // runs first, against the pre-mutation state (plus previously staged
@@ -52,6 +55,7 @@ package maintain
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -815,10 +819,17 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 				ev = m.evaluator(&overlayStorage{db: m.db, staged: committed, key: key, delta: signedDelta(overlay[key].base.Attrs(), mut)})
 			}
 			res, err := ev.ExecColumns(ctx, st.delta[key])
-			if err != nil {
-				return err
+			if err == nil {
+				err = p.absorb(res)
 			}
-			if err := p.absorb(res); err != nil {
+			// A delta or a running total past int64 (-1 × MinInt64, or a
+			// total that leaves int64 part-way) need not mean the view's new
+			// totals do: the rebuild against the staged tables decides.
+			var ov *value.OverflowError
+			if errors.As(err, &ov) {
+				p.recompute = true
+				m.Metrics.Volatile("maintain.fallback.full").Inc()
+			} else if err != nil {
 				return err
 			}
 		}
@@ -996,7 +1007,6 @@ func holdsRows(base *engine.ColTable, pos []int32, rows [][]value.Value) bool {
 // database as it will be" (recompute) or, with one table bound to a
 // delta's rows, "the database with that table swapped for its delta".
 type overlayStorage struct {
-	mu     sync.Mutex
 	db     *engine.DB
 	staged map[string]*staged
 	key    string // lowercased table bound to delta; "" for none
@@ -1010,8 +1020,6 @@ func (o *overlayStorage) Scan(name string) (*engine.ColTable, bool, error) {
 		return o.delta, true, nil
 	}
 	if s, ok := o.staged[key]; ok {
-		o.mu.Lock()
-		defer o.mu.Unlock()
 		return s.table(), true, nil
 	}
 	return o.db.Scan(name)
@@ -1057,7 +1065,8 @@ func (p *pending) absorb(res *engine.ColTable) error {
 				// AVG's as its SUM's; a float delta, from a column a
 				// float widened, makes an int total float, and the
 				// view's column widens with it. An int total that leaves
-				// int64 aborts the batch (value.OverflowError).
+				// int64 is a value.OverflowError, on which ApplyContext
+				// recomputes the view.
 				sum, err := value.Add(as.sum, cs[a.at].value(j))
 				if err != nil {
 					return err

@@ -107,16 +107,6 @@ func (c *Catalog) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
-// MustTable looks up a table and panics when it is absent. It is a
-// convenience for tests and generated workloads.
-func (c *Catalog) MustTable(name string) *Table {
-	t, ok := c.Table(name)
-	if !ok {
-		panic(fmt.Sprintf("schema: no table %q", name))
-	}
-	return t
-}
-
 // Tables returns the table definitions in registration order.
 func (c *Catalog) Tables() []*Table {
 	out := make([]*Table, 0, len(c.order))
@@ -138,10 +128,6 @@ func (t *Table) ColumnIndex(col string) int {
 	return -1
 }
 
-// HasKey reports whether the table declares at least one candidate key,
-// which guarantees its extension is a set.
-func (t *Table) HasKey() bool { return len(t.Keys) > 0 }
-
 // AllFDs returns the table's functional dependencies, including one FD
 // per declared key (key -> all columns).
 func (t *Table) AllFDs() []FD {
@@ -151,19 +137,6 @@ func (t *Table) AllFDs() []FD {
 		out = append(out, FD{From: append([]string{}, k...), To: append([]string{}, t.Columns...)})
 	}
 	return out
-}
-
-// IsKey reports whether the given column set functionally determines all
-// of the table's columns, i.e. contains a candidate key (directly or via
-// FD closure).
-func (t *Table) IsKey(cols []string) bool {
-	closure := t.FDClosure(cols)
-	for _, c := range t.Columns {
-		if !closure[canon(c)] {
-			return false
-		}
-	}
-	return true
 }
 
 // FDClosure computes the attribute closure of cols under the table's

@@ -45,16 +45,6 @@ func TestLookupCaseInsensitive(t *testing.T) {
 	}
 }
 
-func TestMustTablePanics(t *testing.T) {
-	c := telco(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("MustTable on unknown table should panic")
-		}
-	}()
-	c.MustTable("nope")
-}
-
 func TestAddTableValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -85,7 +75,7 @@ func TestAddTableValidation(t *testing.T) {
 
 func TestColumnIndex(t *testing.T) {
 	c := telco(t)
-	calls := c.MustTable("Calls")
+	calls, _ := c.Table("Calls")
 	if got := calls.ColumnIndex("plan_id"); got != 2 {
 		t.Errorf("ColumnIndex(plan_id) = %d, want 2", got)
 	}
@@ -94,17 +84,19 @@ func TestColumnIndex(t *testing.T) {
 	}
 }
 
+// TestIsKeyAndClosure: a column set is a key exactly when its closure
+// under the declared keys and FDs holds every column.
 func TestIsKeyAndClosure(t *testing.T) {
 	c := telco(t)
-	calls := c.MustTable("Calls")
-	if !calls.IsKey([]string{"Call_Id"}) {
-		t.Error("Call_Id is a key")
-	}
-	if calls.IsKey([]string{"Cust_Id"}) {
-		t.Error("Cust_Id is not a key of Calls")
-	}
-	if !calls.IsKey([]string{"Call_Id", "Day"}) {
-		t.Error("supersets of keys are keys")
+	calls, _ := c.Table("Calls")
+	for _, tc := range []struct {
+		cols []string
+		key  bool
+	}{{[]string{"Call_Id"}, true}, {[]string{"Cust_Id"}, false}, {[]string{"Call_Id", "Day"}, true}} {
+		cl := calls.FDClosure(tc.cols)
+		if got := len(cl) == len(calls.Columns); got != tc.key {
+			t.Errorf("closure(%v) = %v: key %v, want %v", tc.cols, cl, got, tc.key)
+		}
 	}
 }
 
@@ -120,26 +112,12 @@ func TestFDDerivedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := c.MustTable("R")
-	if !r.IsKey([]string{"A"}) {
+	r, _ := c.Table("R")
+	if len(r.FDClosure([]string{"A"})) != 3 {
 		t.Error("A functionally determines key B, so A is a key")
 	}
-	if r.IsKey([]string{"C"}) {
+	if len(r.FDClosure([]string{"C"})) == 3 {
 		t.Error("C is not a key")
-	}
-}
-
-func TestHasKey(t *testing.T) {
-	c := telco(t)
-	if !c.MustTable("Calls").HasKey() {
-		t.Error("Calls has a key")
-	}
-	nk := NewCatalog()
-	if err := nk.AddTable(&Table{Name: "Bag", Columns: []string{"X"}}); err != nil {
-		t.Fatal(err)
-	}
-	if nk.MustTable("Bag").HasKey() {
-		t.Error("Bag has no key")
 	}
 }
 
@@ -170,7 +148,8 @@ func TestFDClosureTransitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := c.MustTable("R").FDClosure([]string{"A"})
+	r, _ := c.Table("R")
+	cl := r.FDClosure([]string{"A"})
 	for _, want := range []string{"a", "b", "c"} {
 		if !cl[want] {
 			t.Errorf("closure(A) missing %s", want)

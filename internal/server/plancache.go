@@ -301,20 +301,6 @@ func (c *PlanCache) InvalidateRelation(name string) {
 	}
 }
 
-// Flush empties the cache (view DDL paths call this: a new or dropped
-// view can change the best plan for queries that do not read it).
-func (c *PlanCache) Flush() {
-	if !c.Enabled() {
-		return
-	}
-	c.mu.Lock()
-	c.gen++
-	for _, e := range c.entries {
-		c.removeLocked(e)
-	}
-	c.mu.Unlock()
-}
-
 // CacheStats is the /metrics summary of the plan cache.
 type CacheStats struct {
 	Size        int   `json:"size"`

@@ -171,11 +171,6 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			t.Fatalf("after invalidating %s: hits (T, V, U, W) = %v, want %v", tc.rel, got, tc.want)
 		}
 	}
-
-	c.Flush()
-	if c.Len() != 0 || c.Entries() != 0 {
-		t.Fatalf("after flush: Len=%d Entries=%d", c.Len(), c.Entries())
-	}
 }
 
 // TestPlanCacheSingleflight runs many concurrent misses on one key
@@ -368,12 +363,6 @@ func TestPlanCacheTextAliases(t *testing.T) {
 	c.InvalidateRelation("t") // lowercased, as the DB hook delivers it
 	if _, ok := c.GetByText(sqlA); ok || len(c.texts) != 0 {
 		t.Fatalf("alias survived InvalidateRelation (%d left)", len(c.texts))
-	}
-	_, pA = populate(sqlA)
-	c.AliasText(sqlA, keyA)
-	c.Flush()
-	if _, ok := c.GetByText(sqlA); ok || len(c.texts) != 0 {
-		t.Fatalf("alias survived Flush (%d left)", len(c.texts))
 	}
 
 	// Many spellings of one statement: the entry keeps the newest few.

@@ -206,20 +206,6 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// AndAll combines a list of expressions into a single AND-tree; it
-// returns nil for an empty list.
-func AndAll(exprs []Expr) Expr {
-	var out Expr
-	for _, e := range exprs {
-		if out == nil {
-			out = e
-		} else {
-			out = &BinExpr{Op: OpAnd, L: out, R: e}
-		}
-	}
-	return out
-}
-
 // Statement is a parsed script statement.
 type Statement interface{ stmt() }
 

@@ -7,20 +7,18 @@ import (
 	"aggview/internal/value"
 )
 
-// parser is a recursive-descent parser over a three-token window of the
-// lexer — the previous, the current and, once peeked at, the next token —
-// so a script is lexed as it is parsed and never held as a token slice.
-// A lex error ends the token stream (every later token reads as EOF)
-// and is what the entry points return, with the text and position the
-// lexer gave it, whatever the parser made of the shortened stream. Tokens are lexed no further ahead than the parser
-// looks, so a script with a parse error before its lex error reports the
-// parse error: the lexer never got there.
+// parser is a recursive-descent parser over a two-token window of the
+// lexer — the previous and the current token — so a script is lexed as
+// it is parsed and never held as a token slice. A lex error ends the
+// token stream (every later token reads as EOF) and is what the entry
+// points return, with the text and position the lexer gave it, whatever
+// the parser made of the shortened stream. Tokens are lexed no further
+// ahead than the parser looks, so a script with a parse error before its
+// lex error reports the parse error: the lexer never got there.
 type parser struct {
 	lx     *lexer
 	prev   token
 	tok    token
-	next   token
-	peeked bool  // next holds the token after tok
 	lexErr error // the lex error the stream ended at
 }
 
@@ -101,21 +99,9 @@ func (p *parser) lex() token {
 
 func (p *parser) cur() token { return p.tok }
 
-func (p *parser) peek() token {
-	if !p.peeked {
-		p.next, p.peeked = p.lex(), true
-	}
-	return p.next
-}
-
 // advance consumes the current token.
 func (p *parser) advance() {
-	p.prev = p.tok
-	if p.peeked {
-		p.tok, p.peeked = p.next, false
-	} else {
-		p.tok = p.lex()
-	}
+	p.prev, p.tok = p.tok, p.lex()
 }
 
 func (p *parser) unexpected(want string) error {

@@ -217,16 +217,13 @@ func TestConjunctsAndAll(t *testing.T) {
 	if Conjuncts(nil) != nil {
 		t.Error("Conjuncts(nil) should be nil")
 	}
-	if AndAll(nil) != nil {
-		t.Error("AndAll(nil) should be nil")
-	}
 	a := &BinExpr{Op: OpEq, L: &ColumnRef{Name: "A"}, R: &Lit{Val: value.Int(1)}}
 	b := &BinExpr{Op: OpEq, L: &ColumnRef{Name: "B"}, R: &Lit{Val: value.Int(2)}}
 	c := &BinExpr{Op: OpEq, L: &ColumnRef{Name: "C"}, R: &Lit{Val: value.Int(3)}}
-	tree := AndAll([]Expr{a, b, c})
+	tree := &BinExpr{Op: OpAnd, L: &BinExpr{Op: OpAnd, L: a, R: b}, R: c}
 	back := Conjuncts(tree)
 	if len(back) != 3 || back[0] != a || back[2] != c {
-		t.Errorf("AndAll/Conjuncts mismatch: %v", back)
+		t.Errorf("Conjuncts of an AND-tree: %v", back)
 	}
 }
 

@@ -19,11 +19,7 @@
 // materializations exist.
 package unnest
 
-import (
-	"strings"
-
-	"aggview/internal/ir"
-)
+import "aggview/internal/ir"
 
 // Flatten merges every mergeable view reference of q, recursively. The
 // keep predicate (optional) pins view names that must NOT be flattened —
@@ -141,20 +137,4 @@ func allBareOutputs(def *ir.Query) bool {
 		}
 	}
 	return true
-}
-
-// ViewNames lists the distinct view sources still referenced by q.
-func ViewNames(q *ir.Query, views *ir.Registry) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, t := range q.Tables {
-		if _, isView := views.Get(t.Source); isView {
-			key := strings.ToLower(t.Source)
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, t.Source)
-			}
-		}
-	}
-	return out
 }

@@ -95,7 +95,7 @@ func TestFlattenConjunctiveView(t *testing.T) {
 	if !changed {
 		t.Fatal("conjunctive view should flatten")
 	}
-	if len(ViewNames(flat, reg)) != 0 {
+	if len(flat.Tables) != 1 || flat.Tables[0].Source != "R1" {
 		t.Fatalf("views remain: %s", flat.SQL())
 	}
 	checkEquivalent(t, q, flat, reg)
@@ -126,7 +126,7 @@ func TestFlattenNestedViews(t *testing.T) {
 	if !changed {
 		t.Fatal("nested views should flatten")
 	}
-	if len(ViewNames(flat, reg)) != 0 {
+	if len(flat.Tables) != 1 || flat.Tables[0].Source != "R1" {
 		t.Fatalf("nested flattening incomplete: %s", flat.SQL())
 	}
 	if len(flat.Where) != 2 {
@@ -189,15 +189,4 @@ func TestFlattenMixedBaseAndView(t *testing.T) {
 		t.Fatal("should flatten")
 	}
 	checkEquivalent(t, q, flat, reg)
-}
-
-func TestViewNames(t *testing.T) {
-	reg, full := regWith(t, map[string]string{
-		"Agg": "SELECT A, SUM(B) FROM R1 GROUP BY A",
-	})
-	q := ir.MustBuild("SELECT x.A FROM Agg x, Agg y, R2 WHERE x.A = y.A", full)
-	names := ViewNames(q, reg)
-	if len(names) != 1 || names[0] != "Agg" {
-		t.Fatalf("ViewNames: %v", names)
-	}
 }
