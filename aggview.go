@@ -63,8 +63,6 @@ type (
 	Rewriting = core.Rewriting
 	// Options tunes the rewriter.
 	Options = core.Options
-	// Stats maps source names to cardinalities for the cost model.
-	Stats = cost.Stats
 )
 
 // Int builds an integer value.
@@ -84,7 +82,6 @@ type System struct {
 	Catalog *schema.Catalog
 	Views   *ir.Registry
 	DB      *engine.DB
-	Stats   cost.Stats
 	Opts    Options
 	// Metrics, when non-nil, collects engine kernel counters, stage
 	// timers and view-cache hit/miss counts from every evaluator the
@@ -107,7 +104,6 @@ func New() *System {
 		Catalog: schema.NewCatalog(),
 		Views:   ir.NewRegistry(),
 		DB:      engine.NewDB(),
-		Stats:   cost.Stats{},
 	}
 	s.maint = maintain.New(s.DB, s.Views)
 	return s
@@ -128,20 +124,6 @@ func (s *System) evaluator(reg *ir.Registry, store engine.Storage) *engine.Evalu
 	ev.Workers = s.Opts.Workers
 	ev.Metrics = s.Metrics
 	return ev
-}
-
-// executeStage runs one execution as the request span's
-// "facade.execute" stage, recording the rows it returned (rows of the
-// result, whichever shape it has).
-func executeStage[R any](ctx context.Context, rows func(R) int, run func() (R, error)) (R, error) {
-	st := obs.SpanFrom(ctx).StartStage("facade.execute")
-	res, err := run()
-	if err != nil {
-		st.End(0)
-		return res, err
-	}
-	st.End(int64(rows(res)))
-	return res, nil
 }
 
 // opCtx prepares a per-operation context from the system's resource
@@ -230,33 +212,15 @@ func (s *System) MustDefineView(name, sql string) {
 }
 
 // InsertContext appends tuples to a base table as one maintainer batch,
-// which checks them (arity, then the kind rule), and keeps cardinality
-// statistics current. Cancellation and deadline expiry abort the
-// maintenance evaluations it triggers with a typed error before any
-// materialization or base table changes.
+// which checks them (arity, then the kind rule). Cancellation and
+// deadline expiry abort the maintenance evaluations it triggers with a
+// typed error before any materialization or base table changes.
 func (s *System) InsertContext(ctx context.Context, table string, rows ...[]Value) error {
 	t, ok := s.Catalog.Table(table)
 	if !ok {
 		return fmt.Errorf("aggview: unknown table %q", table)
 	}
-	if err := s.maintainer().InsertContext(ctx, t.Name, rows...); err != nil {
-		return err
-	}
-	s.refreshStats(t.Name)
-	return nil
-}
-
-// refreshStats re-reads cardinalities for a mutated table and every
-// materialized view, keeping the cost model current across mutations.
-func (s *System) refreshStats(table string) {
-	if n, ok := s.DB.NumRows(table); ok {
-		s.Stats[strings.ToLower(table)] = float64(n)
-	}
-	for _, v := range s.Views.All() {
-		if n, ok := s.DB.NumRows(v.Name); ok {
-			s.Stats[strings.ToLower(v.Name)] = float64(n)
-		}
-	}
+	return s.maintainer().InsertContext(ctx, t.Name, rows...)
 }
 
 // maintainer returns the view maintainer — the one way a write reaches
@@ -399,7 +363,6 @@ func (s *System) applyChange(ctx context.Context, table string, where sqlparser.
 	if err := s.maintainer().ApplyContext(ctx, maintain.Mutation{Table: t.Name, Deletes: olds, Inserts: news, At: pos}); err != nil {
 		return 0, err
 	}
-	s.refreshStats(t.Name)
 	return len(pos), nil
 }
 
@@ -429,14 +392,7 @@ func (s *System) changedRows(ctx context.Context, t *schema.Table, where sqlpars
 // Cancellation and deadline expiry abort the initial materialization
 // with a typed error.
 func (s *System) TrackViewContext(ctx context.Context, name string) (incremental bool, err error) {
-	inc, err := s.maintainer().TrackContext(ctx, name)
-	if err != nil {
-		return false, err
-	}
-	if n, ok := s.DB.NumRows(name); ok {
-		s.Stats[strings.ToLower(name)] = float64(n)
-	}
-	return inc, nil
+	return s.maintainer().TrackContext(ctx, name)
 }
 
 // ViewMode says how one tracked view is kept fresh: Mode is
@@ -461,32 +417,22 @@ func (s *System) ViewModes() []ViewMode {
 // anonymous view definitions handled transparently by QueryContext,
 // PrepareContext and RewritingsContext.
 func (s *System) Parse(sql string) (*ir.Query, error) {
-	q, _, err := s.parseMulti(sql)
-	return q, err
-}
-
-// parseMulti parses a possibly multi-block SELECT, returning the
-// hoisted anonymous views alongside the query.
-func (s *System) parseMulti(sql string) (*ir.Query, *ir.Registry, error) {
-	sel, err := sqlparser.Parse(sql)
+	st, err := s.statement(sql, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return ir.BuildMulti(sel, s.source())
+	return st.parsed, nil
 }
 
-// mergedViews layers anonymous subquery views over the registry.
-func (s *System) mergedViews(anon *ir.Registry) (*ir.Registry, error) {
-	if anon == nil || len(anon.All()) == 0 {
+// layered returns the registry with extra views layered over it: the
+// anonymous views a query's FROM subqueries were hoisted into, or the
+// auxiliary views a rewriting still reads.
+func (s *System) layered(extra []*ir.ViewDef) (*ir.Registry, error) {
+	if len(extra) == 0 {
 		return s.Views, nil
 	}
 	reg := ir.NewRegistry()
-	for _, v := range s.Views.All() {
-		if err := reg.Add(v); err != nil {
-			return nil, err
-		}
-	}
-	for _, v := range anon.All() {
+	for _, v := range append(s.Views.All(), extra...) {
 		if err := reg.Add(v); err != nil {
 			return nil, err
 		}
@@ -500,22 +446,7 @@ func (s *System) mergedViews(anon *ir.Registry) (*ir.Registry, error) {
 // granularity with a typed *budget.Canceled or *budget.Exceeded and no
 // partial result.
 func (s *System) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
-	return s.query(ctx, s.Store, sql)
-}
-
-// query parses and executes a SELECT directly against store.
-func (s *System) query(ctx context.Context, store engine.Storage, sql string) (*Result, error) {
-	q, anon, err := s.parseMulti(sql)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := s.mergedViews(anon)
-	if err != nil {
-		return nil, err
-	}
-	return s.evaluator(reg, store).ExecContext(ctx, q)
+	return s.QueryOnContext(ctx, s.Store, sql)
 }
 
 // RewritingsContext parses the query and enumerates all rewritings that
@@ -531,26 +462,23 @@ func (s *System) query(ctx context.Context, store engine.Storage, sql string) (*
 func (s *System) RewritingsContext(ctx context.Context, sql string) ([]*Rewriting, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
-	st, err := s.statement(sql)
+	st, err := s.statement(sql, true)
 	if err != nil {
 		return nil, err
 	}
+	return s.search(ctx, st)
+}
+
+// search runs the rewrite search over a statement and appends to each
+// rewriting's auxiliary views the anonymous subquery definitions it
+// still reads, so execution can resolve them.
+func (s *System) search(ctx context.Context, st *Statement) ([]*Rewriting, error) {
 	rws, err := s.Rewriter().SearchContext(ctx, st.flat, st.Key)
 	if err != nil {
 		return nil, err
 	}
-	s.attachAnon(rws, st.anon)
-	return rws, nil
-}
-
-// attachAnon appends the anonymous subquery definitions a rewriting may
-// still reference to its auxiliary views so execution can resolve them.
-func (s *System) attachAnon(rws []*Rewriting, anon *ir.Registry) {
-	if anon == nil {
-		return
-	}
 	for _, r := range rws {
-		for _, v := range anon.All() {
+		for _, v := range st.anon {
 			for _, t := range r.Query.Tables {
 				if strings.EqualFold(t.Source, v.Name) {
 					r.Aux = append(r.Aux, v)
@@ -559,53 +487,38 @@ func (s *System) attachAnon(rws []*Rewriting, anon *ir.Registry) {
 			}
 		}
 	}
+	return rws, nil
 }
 
-// flattenMulti merges unmaterialized views and anonymous subqueries
-// into the query block where bag semantics allows.
-func (s *System) flattenMulti(q *ir.Query, anon *ir.Registry) (*ir.Query, error) {
-	reg, err := s.mergedViews(anon)
-	if err != nil {
-		return nil, err
-	}
-	keep := func(name string) bool {
-		_, materialized := s.DB.NumRows(name)
-		return materialized
-	}
-	out, _ := unnest.Flatten(q, reg, keep)
-	return out, nil
-}
-
-// estimator builds the cost model over current statistics.
+// estimator builds the cost model over the store's row counts.
 func (s *System) estimator() *cost.Estimator {
-	return &cost.Estimator{Stats: s.Stats, Views: s.Views}
+	return &cost.Estimator{Rows: s.DB.NumRows, Views: s.Views}
 }
 
 // planStatement runs the rewrite search over a parsed statement and
 // picks the cheapest strategy: the original plan or a view-based
 // rewriting. A nil rewriting means direct evaluation won — or the search
 // exhausted its candidate budget and degraded gracefully instead of
-// failing: the exhaustion is recorded as a fallback of operation op in
-// the request span and the metrics (provenance: the answer is direct
+// failing: the exhaustion is recorded as a fallback of Prepare in the
+// request span and the metrics (provenance: the answer is direct
 // evaluation because the search was cut, not because no rewriting
 // exists). Cancellation and deadline expiry propagate as typed errors.
 // A group-preserving pick comes back as the select-project
 // it degenerates to (Rewriting.DropFold): only the one rewriting that
 // will execute pays for the change, and the search, its keys and its
 // closures see the aggregating forms alone.
-func (s *System) planStatement(ctx context.Context, op string, st *Statement) (*Rewriting, error) {
+func (s *System) planStatement(ctx context.Context, st *Statement) (*Rewriting, error) {
 	est := s.estimator()
 	bestCost := est.Estimate(st.flat)
 	var best *Rewriting
-	rws, err := s.Rewriter().SearchContext(ctx, st.flat, st.Key)
+	rws, err := s.search(ctx, st)
 	if err != nil {
 		if budget.IsExceeded(err) {
-			s.noteFallback(ctx, op)
+			s.noteFallback(ctx, "Prepare")
 			return nil, nil
 		}
 		return nil, err
 	}
-	s.attachAnon(rws, st.anon)
 	for _, r := range rws {
 		if c := est.Estimate(r.Query); c < bestCost {
 			bestCost, best = c, r
@@ -623,6 +536,8 @@ func (s *System) planStatement(ctx context.Context, op string, st *Statement) (*
 // interchangeable (modulo FROM order and WHERE spelling), so one
 // Prepared answers them all — the serving layer's plan cache stores
 // these so repeated query shapes skip the rewrite search entirely.
+// Every facade read runs a Prepared (execPrepared): QueryContext a
+// direct one, ExecRewritingContext one around the rewriting it is given.
 type Prepared struct {
 	// Key is the canonical plan key (core.CanonicalKey of the flattened
 	// query). Collision-freedom is guarded by the core suite's
@@ -651,19 +566,20 @@ func (p *Prepared) Rewritten() bool { return p.rw != nil }
 func (p *Prepared) Rewriting() *Rewriting { return p.rw }
 
 // Statement is a SELECT compiled against the catalog once: its parse,
-// the flattened form the rewrite search reads, the anonymous views its
-// FROM subqueries were hoisted into, and its canonical plan key. A
-// serving path that misses its plan cache keys the cache with Key and
-// prepares the same Statement, so the text is parsed, flattened and
-// keyed once.
+// the registry with the anonymous views its FROM subqueries were hoisted
+// into layered over it, the flattened form the rewrite search reads, and
+// its canonical plan key. A serving path that misses its plan cache keys
+// the cache with Key and prepares the same Statement, so the text is
+// parsed, flattened and keyed once.
 type Statement struct {
 	// Key is the canonical plan key (core.CanonicalKey of the flattened
 	// query): what Prepared.Key of the statement's plan will be.
 	Key string
 
-	parsed *ir.Query    // the parse; executed when direct evaluation wins
-	flat   *ir.Query    // parsed with logical views and subqueries merged in
-	anon   *ir.Registry // the anonymous views hoisted from FROM subqueries
+	parsed *ir.Query     // the parse; executed when direct evaluation wins
+	anon   []*ir.ViewDef // the anonymous views hoisted from FROM subqueries
+	reg    *ir.Registry  // the registry with anon layered over it
+	flat   *ir.Query     // parsed with logical views and subqueries merged in
 }
 
 // ParseStatement parses and flattens the query and derives its
@@ -672,20 +588,34 @@ type Statement struct {
 func (s *System) ParseStatement(ctx context.Context, sql string) (*Statement, error) {
 	stage := obs.SpanFrom(ctx).StartStage("facade.parse")
 	defer stage.End(0)
-	return s.statement(sql)
+	return s.statement(sql, true)
 }
 
-// statement is ParseStatement without the stage.
-func (s *System) statement(sql string) (*Statement, error) {
-	q, anon, err := s.parseMulti(sql)
+// statement is the one parse of a SELECT: it parses, layers the
+// anonymous views over the registry and, when plan is set, flattens the
+// query (unnest.Flatten: views that are not stored and subqueries are
+// merged in where bag semantics allows) and keys it for the search. A
+// direct execution needs neither.
+func (s *System) statement(sql string, plan bool) (*Statement, error) {
+	sel, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	flat, err := s.flattenMulti(q, anon)
+	q, anon, err := ir.BuildMulti(sel, s.source())
 	if err != nil {
 		return nil, err
 	}
-	return &Statement{Key: core.CanonicalKey(flat), parsed: q, flat: flat, anon: anon}, nil
+	st := &Statement{parsed: q, anon: anon.All()}
+	if st.reg, err = s.layered(st.anon); err != nil || !plan {
+		return st, err
+	}
+	stored := func(name string) bool {
+		_, ok := s.DB.NumRows(name)
+		return ok
+	}
+	st.flat, _ = unnest.Flatten(q, st.reg, stored)
+	st.Key = core.CanonicalKey(st.flat)
+	return st, nil
 }
 
 // PlanKey returns the query's canonical plan-cache key without running
@@ -693,7 +623,7 @@ func (s *System) statement(sql string) (*Statement, error) {
 // prepare the query on a cache miss should hold the Statement instead
 // and hand it to PrepareStatement, which then parses nothing again.
 func (s *System) PlanKey(sql string) (string, error) {
-	st, err := s.statement(sql)
+	st, err := s.statement(sql, true)
 	if err != nil {
 		return "", err
 	}
@@ -722,21 +652,17 @@ func (s *System) PrepareStatement(ctx context.Context, st *Statement) (*Prepared
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
 	stage := obs.SpanFrom(ctx).StartStage("facade.search")
-	rw, err := s.planStatement(ctx, "Prepare", st)
+	rw, err := s.planStatement(ctx, st)
 	stage.End(0)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Key: st.Key, rw: rw}
+	p := &Prepared{Key: st.Key, direct: st.parsed, reg: st.reg}
 	if rw != nil {
-		p.Used = append([]string{}, rw.Used...)
-		p.reg, err = s.viewsWithAux(rw)
-	} else {
-		p.direct = st.parsed
-		p.reg, err = s.mergedViews(st.anon)
-	}
-	if err != nil {
-		return nil, err
+		p.Used, p.rw, p.direct = append([]string{}, rw.Used...), rw, nil
+		if p.reg, err = s.layered(rw.Aux); err != nil {
+			return nil, err
+		}
 	}
 	p.Deps = s.planDeps(p)
 	return p, nil
@@ -806,8 +732,10 @@ func (s *System) ExecPreparedColumns(ctx context.Context, p *Prepared, store eng
 	return execPrepared(ctx, s, p, store, (*engine.ColTable).NumRows, (*engine.Evaluator).ExecColumns)
 }
 
-// execPrepared runs a prepared plan's query through one of the
-// evaluator's entry points under the usual context/budget regime.
+// execPrepared is the one way a facade read reaches the engine: it runs
+// a prepared plan's query through one of the evaluator's entry points
+// under the usual context/budget regime, as the request span's
+// facade.execute stage, which records the rows of the result.
 func execPrepared[R any](ctx context.Context, s *System, p *Prepared, store engine.Storage, rows func(R) int, exec func(*engine.Evaluator, context.Context, *ir.Query) (R, error)) (R, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
@@ -815,9 +743,14 @@ func execPrepared[R any](ctx context.Context, s *System, p *Prepared, store engi
 	if p.rw != nil {
 		q = p.rw.Query
 	}
-	return executeStage(ctx, rows, func() (R, error) {
-		return exec(s.evaluator(p.reg, store), ctx, q)
-	})
+	stage := obs.SpanFrom(ctx).StartStage("facade.execute")
+	res, err := exec(s.evaluator(p.reg, store), ctx, q)
+	if err != nil {
+		stage.End(0)
+		return res, err
+	}
+	stage.End(int64(rows(res)))
+	return res, nil
 }
 
 // QueryOnContext parses and executes a SELECT directly (no rewriting)
@@ -825,12 +758,15 @@ func execPrepared[R any](ctx context.Context, s *System, p *Prepared, store engi
 // with ExecPreparedOnContext so a checker can run the rewritten and the
 // direct form of one query against the same pinned snapshot.
 func (s *System) QueryOnContext(ctx context.Context, store engine.Storage, sql string) (*Result, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
-	return s.query(ctx, store, sql)
+	st, err := s.statement(sql, false)
+	if err != nil {
+		return nil, err
+	}
+	return s.ExecPreparedOnContext(ctx, &Prepared{direct: st.parsed, reg: st.reg}, store)
 }
 
-// QueryBestContext executes the query through its cheapest plan. The
+// QueryBestContext executes the query through its cheapest plan: it is
+// PrepareContext followed by ExecPreparedOnContext against s.Store. The
 // second result is the rewriting used, or nil when the query ran
 // directly. Rewritings that reference unmaterialized views still work:
 // their definitions are evaluated on the fly. The rewrite search and
@@ -842,64 +778,26 @@ func (s *System) QueryOnContext(ctx context.Context, store engine.Storage, sql s
 func (s *System) QueryBestContext(ctx context.Context, sql string) (*Result, *Rewriting, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
-	sp := obs.SpanFrom(ctx)
-	stSearch := sp.StartStage("facade.search")
-	st, err := s.statement(sql)
-	var r *Rewriting
-	if err == nil {
-		r, err = s.planStatement(ctx, "QueryBest", st)
-	}
-	stSearch.End(0)
+	p, err := s.PrepareContext(ctx, sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := executeStage(ctx, (*Result).Len, func() (*Result, error) {
-		if r == nil {
-			return s.query(ctx, s.Store, sql)
-		}
-		return s.execRewriting(ctx, r)
-	})
+	res, err := s.ExecPreparedOnContext(ctx, p, s.Store)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, r, nil
+	return res, p.rw, nil
 }
 
 // ExecRewritingContext executes a specific rewriting against the
-// database, honoring cancellation, deadlines and row budgets like
-// QueryContext.
+// database, with its auxiliary views in scope, honoring cancellation,
+// deadlines and row budgets like QueryContext.
 func (s *System) ExecRewritingContext(ctx context.Context, r *Rewriting) (*Result, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
-	return s.execRewriting(ctx, r)
-}
-
-// execRewriting executes r with its auxiliary views in scope.
-func (s *System) execRewriting(ctx context.Context, r *Rewriting) (*Result, error) {
-	reg, err := s.viewsWithAux(r)
+	reg, err := s.layered(r.Aux)
 	if err != nil {
 		return nil, err
 	}
-	return s.evaluator(reg, s.Store).ExecContext(ctx, r.Query)
-}
-
-// viewsWithAux layers a rewriting's auxiliary views over the registry.
-func (s *System) viewsWithAux(r *Rewriting) (*ir.Registry, error) {
-	if len(r.Aux) == 0 {
-		return s.Views, nil
-	}
-	reg := ir.NewRegistry()
-	for _, v := range s.Views.All() {
-		if err := reg.Add(v); err != nil {
-			return nil, err
-		}
-	}
-	for _, v := range r.Aux {
-		if err := reg.Add(v); err != nil {
-			return nil, err
-		}
-	}
-	return reg, nil
+	return s.ExecPreparedOnContext(ctx, &Prepared{rw: r, reg: reg}, s.Store)
 }
 
 // Recommendation is one view the advisor suggests materializing.
@@ -915,15 +813,11 @@ func (s *System) AdviseContext(ctx context.Context, queries []string, weights []
 	defer cancel()
 	var w advisor.Workload
 	for i, sql := range queries {
-		q, anon, err := s.parseMulti(sql)
+		st, err := s.statement(sql, true)
 		if err != nil {
 			return nil, fmt.Errorf("workload query %d: %w", i+1, err)
 		}
-		flat, err := s.flattenMulti(q, anon)
-		if err != nil {
-			return nil, err
-		}
-		wq := advisor.WeightedQuery{Query: flat}
+		wq := advisor.WeightedQuery{Query: st.flat}
 		if weights != nil && i < len(weights) {
 			wq.Weight = weights[i]
 		}
@@ -932,7 +826,7 @@ func (s *System) AdviseContext(ctx context.Context, queries []string, weights []
 	a := &advisor.Advisor{
 		Schema: s.Catalog,
 		Meta:   keys.CatalogMeta{Catalog: s.Catalog},
-		Stats:  s.Stats,
+		Rows:   s.DB.NumRows,
 		Opts:   s.Opts,
 	}
 	return a.RecommendContext(ctx, w, budgetRows)
@@ -966,15 +860,11 @@ type ViewUsability = core.ViewUsability
 func (s *System) Usability(ctx context.Context, sql string) ([]ViewUsability, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
-	q, anon, err := s.parseMulti(sql)
+	st, err := s.statement(sql, true)
 	if err != nil {
 		return nil, err
 	}
-	q, err = s.flattenMulti(q, anon)
-	if err != nil {
-		return nil, err
-	}
-	return s.Rewriter().ExplainUsability(ctx, q)
+	return s.Rewriter().ExplainUsability(ctx, st.flat)
 }
 
 // Explain renders a human-readable report of the rewritings available
@@ -985,7 +875,7 @@ func (s *System) Usability(ctx context.Context, sql string) ([]ViewUsability, er
 func (s *System) Explain(ctx context.Context, sql string) (string, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
-	st, err := s.statement(sql)
+	st, err := s.statement(sql, true)
 	if err != nil {
 		return "", err
 	}
@@ -993,7 +883,7 @@ func (s *System) Explain(ctx context.Context, sql string) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", st.flat.SQL())
 	fmt.Fprintf(&b, "  estimated cost: %.0f\n", est.Estimate(st.flat))
-	rws, err := s.Rewriter().SearchContext(ctx, st.flat, st.Key)
+	rws, err := s.search(ctx, st)
 	if err != nil {
 		return "", err
 	}

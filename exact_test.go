@@ -203,6 +203,42 @@ func TestProbeDeleteMinInt64UnderSum(t *testing.T) {
 	}
 }
 
+// TestProbeNonFiniteSumRecomputes: group 1 of T holds 1.5 and 1e308, and
+// V sums, counts and averages it. Inserting a row of NaN, +Inf or 1e308
+// (whose total is +Inf) and deleting it again leaves a running total that
+// cannot be taken back (NaN - NaN, Inf - Inf, Inf - 1e308): each write
+// recomputes V, which reads as the direct query, bit for bit, after
+// both.
+func TestProbeNonFiniteSumRecomputes(t *testing.T) {
+	ctx := context.Background()
+	const direct = "SELECT G, SUM(X), COUNT(X), AVG(X) FROM T GROUP BY G"
+	for _, x := range []float64{math.NaN(), math.Inf(1), 1e308} {
+		s := New()
+		s.MustLoad("CREATE TABLE T(Id, G, X); CREATE VIEW V AS " + direct + ";")
+		if err := s.InsertContext(ctx, "T", []Value{Int(1), Int(1), Float(1.5)}, []Value{Int(2), Int(1), Float(1e308)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.TrackViewContext(ctx, "V"); err != nil {
+			t.Fatal(err)
+		}
+		check := func(step string) {
+			t.Helper()
+			v, _ := s.DB.Get("V")
+			if got, want := cellBits(v), cellBits(mustQuery(t, s, direct)); got != want {
+				t.Errorf("X = %v, after the %s: V reads %q, the direct query %q", x, step, got, want)
+			}
+		}
+		if err := s.InsertContext(ctx, "T", []Value{Int(3), Int(1), Float(x)}); err != nil {
+			t.Fatal(err)
+		}
+		check("insert")
+		if n, err := s.DeleteContext(ctx, "T", "Id = 3"); err != nil || n != 1 {
+			t.Fatalf("delete: %d, %v", n, err)
+		}
+		check("delete")
+	}
+}
+
 // TestProbeOverflowIsTheExactTotal: whether an int total overflows
 // depends on its exact value only, not on the order or the grouping its
 // rows were summed in. T's group 1 holds 2^62, 2^62 and -2^62, which pass

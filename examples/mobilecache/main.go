@@ -63,7 +63,6 @@ func main() {
 		}
 		rel, _ := server.DB.Get(name)
 		client.DB.Put(name, rel)
-		client.Stats[name] = float64(rel.Len())
 		fmt.Printf("cached %-16s %6d rows\n", name, rel.Len())
 	}
 	fmt.Println("\n-- link drops; answering from cache only --")

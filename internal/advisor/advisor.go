@@ -50,8 +50,10 @@ type Recommendation struct {
 type Advisor struct {
 	Schema ir.SchemaSource
 	Meta   keys.MetaSource
-	Stats  cost.Stats
-	Opts   core.Options
+	// Rows reports a source's stored row count for the cost model
+	// (cost.Estimator.Rows).
+	Rows func(name string) (int, bool)
+	Opts core.Options
 }
 
 // RecommendContext returns a set of views whose estimated total size
@@ -64,7 +66,7 @@ func (a *Advisor) RecommendContext(ctx context.Context, w Workload, budgetRows f
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	est := &cost.Estimator{Stats: a.Stats}
+	est := &cost.Estimator{Rows: a.Rows}
 
 	baseCost := make([]float64, len(w))
 	for i, wq := range w {
@@ -133,10 +135,10 @@ func (a *Advisor) evaluate(ctx context.Context, cand *ir.ViewDef, w Workload, cu
 	if err := reg.Add(cand); err != nil {
 		return Recommendation{}, false, nil
 	}
-	est := &cost.Estimator{Stats: a.Stats, Views: reg}
+	est := &cost.Estimator{Rows: a.Rows, Views: reg}
 	rw := &core.Rewriter{Schema: a.Schema, Views: reg, Meta: a.Meta, Opts: a.Opts}
 
-	rec := Recommendation{View: cand, EstRows: viewRows(est, cand)}
+	rec := Recommendation{View: cand, EstRows: est.OutputRows(cand.Def)}
 	for i, wq := range w {
 		best := current[i]
 		rws, err := rw.RewritingsContext(ctx, wq.Query)
@@ -174,7 +176,7 @@ func (a *Advisor) workloadCosts(ctx context.Context, w Workload, picked []Recomm
 			return prev, nil
 		}
 	}
-	est := &cost.Estimator{Stats: a.Stats, Views: reg}
+	est := &cost.Estimator{Rows: a.Rows, Views: reg}
 	rw := &core.Rewriter{Schema: a.Schema, Views: reg, Meta: a.Meta, Opts: a.Opts}
 	out := append([]float64{}, prev...)
 	for i, wq := range w {
@@ -189,42 +191,6 @@ func (a *Advisor) workloadCosts(ctx context.Context, w Workload, picked []Recomm
 		}
 	}
 	return out, nil
-}
-
-func viewRows(est *cost.Estimator, v *ir.ViewDef) float64 {
-	e := &cost.Estimator{Stats: est.Stats}
-	q := v.Def
-	// Reuse the estimator's output model via a throwaway registry.
-	reg := ir.NewRegistry()
-	_ = reg.Add(v)
-	e.Views = reg
-	// Estimate the definition's output through a reference query.
-	return estimateRows(e, q)
-}
-
-// estimateRows approximates a query's output cardinality using the cost
-// model's internals: cost of the query minus its scan volume is the
-// joined-row volume; grouped outputs shrink by the model's group ratio.
-func estimateRows(e *cost.Estimator, q *ir.Query) float64 {
-	scan := 0.0
-	for _, t := range q.Tables {
-		if c, ok := e.Stats.Card(t.Source); ok {
-			scan += c
-		} else {
-			scan += 1000
-		}
-	}
-	joined := e.Estimate(q) - scan
-	if q.IsAggregationQuery() {
-		if len(q.GroupBy) == 0 {
-			return 1
-		}
-		joined *= 0.1
-	}
-	if joined < 1 {
-		return 1
-	}
-	return joined
 }
 
 // candidates derives candidate view definitions from the workload.

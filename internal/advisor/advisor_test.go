@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"aggview/internal/cost"
 	"aggview/internal/ir"
 )
 
@@ -32,12 +31,14 @@ func q(t *testing.T, sql string) *ir.Query {
 	return ir.MustBuild(sql, src())
 }
 
-func stats() cost.Stats {
-	return cost.Stats{"Calls": 1e6, "Calling_Plans": 10}
+// rows is the cost model's row counts: a million calls over ten plans.
+func rows(name string) (int, bool) {
+	n, ok := map[string]int{"Calls": 1e6, "Calling_Plans": 10}[name]
+	return n, ok
 }
 
 func TestSingleQueryCandidate(t *testing.T) {
-	a := &Advisor{Schema: src(), Stats: stats()}
+	a := &Advisor{Schema: src(), Rows: rows}
 	w := Workload{{Query: q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id")}}
 	recs := recommend(t, a, w, 0)
 	if len(recs) == 0 {
@@ -61,7 +62,7 @@ func TestSingleQueryCandidate(t *testing.T) {
 }
 
 func TestSharedCandidateForTwoQueries(t *testing.T) {
-	a := &Advisor{Schema: src(), Stats: stats()}
+	a := &Advisor{Schema: src(), Rows: rows}
 	w := Workload{
 		{Query: q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id")},
 		{Query: q(t, "SELECT Month, SUM(Charge) FROM Calls GROUP BY Month")},
@@ -81,7 +82,7 @@ func TestSharedCandidateForTwoQueries(t *testing.T) {
 }
 
 func TestBudgetLimitsSelection(t *testing.T) {
-	a := &Advisor{Schema: src(), Stats: stats()}
+	a := &Advisor{Schema: src(), Rows: rows}
 	w := Workload{
 		{Query: q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id")},
 	}
@@ -96,7 +97,7 @@ func TestBudgetLimitsSelection(t *testing.T) {
 }
 
 func TestWeightsShiftPriorities(t *testing.T) {
-	a := &Advisor{Schema: src(), Stats: stats()}
+	a := &Advisor{Schema: src(), Rows: rows}
 	heavy := q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id")
 	light := q(t, "SELECT Month, MIN(Charge) FROM Calls GROUP BY Month")
 	w := Workload{
@@ -120,7 +121,7 @@ func TestWeightsShiftPriorities(t *testing.T) {
 }
 
 func TestConjunctiveQueriesYieldNoCandidates(t *testing.T) {
-	a := &Advisor{Schema: src(), Stats: stats()}
+	a := &Advisor{Schema: src(), Rows: rows}
 	w := Workload{{Query: q(t, "SELECT Call_Id, Charge FROM Calls WHERE Year = 1995")}}
 	if recs := recommend(t, a, w, 0); len(recs) != 0 {
 		t.Fatalf("no aggregation queries, no candidates: %v", recs)
@@ -128,7 +129,7 @@ func TestConjunctiveQueriesYieldNoCandidates(t *testing.T) {
 }
 
 func TestJoinWorkloadCandidate(t *testing.T) {
-	a := &Advisor{Schema: src(), Stats: stats()}
+	a := &Advisor{Schema: src(), Rows: rows}
 	w := Workload{{Query: q(t, `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id AND Year = 1995
@@ -148,7 +149,7 @@ func TestJoinWorkloadCandidate(t *testing.T) {
 
 // The recommended views must actually be usable: re-run the rewriter.
 func TestRecommendationsAreUsable(t *testing.T) {
-	a := &Advisor{Schema: src(), Stats: stats()}
+	a := &Advisor{Schema: src(), Rows: rows}
 	queries := []string{
 		"SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id",
 		"SELECT Plan_Id, Month, COUNT(Charge) FROM Calls GROUP BY Plan_Id, Month",

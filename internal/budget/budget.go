@@ -45,11 +45,6 @@ type Limits struct {
 	// bytes: 8 per numeric cell, 16 per string header, 48 per boxed
 	// value).
 	MaxMemBytes int64
-	// MaxCacheEntries caps the number of view-cache entries one
-	// operation may create; a query referencing more distinct views than
-	// this aborts with a typed *Exceeded instead of materializing them
-	// all.
-	MaxCacheEntries int64
 }
 
 // Canceled reports that a context was canceled or its deadline expired
@@ -71,7 +66,7 @@ func (c *Canceled) Unwrap() error { return c.Err }
 // Exceeded reports an exhausted resource budget.
 type Exceeded struct {
 	Site     string
-	Resource string // "rows", "candidates", "memory" or "cache_entries"
+	Resource string // "rows", "candidates" or "memory"
 	Limit    int64
 }
 
@@ -100,11 +95,10 @@ func IsTransient(err error) bool { return IsCanceled(err) || IsExceeded(err) }
 // use: the engine's worker pools and the search's analyzers charge it
 // from many goroutines. A nil *Meter is a valid unlimited meter.
 type Meter struct {
-	limits       Limits
-	rows         atomic.Int64
-	candidates   atomic.Int64
-	mem          atomic.Int64
-	cacheEntries atomic.Int64
+	limits     Limits
+	rows       atomic.Int64
+	candidates atomic.Int64
+	mem        atomic.Int64
 }
 
 // NewMeter returns a meter enforcing the given limits.
@@ -150,31 +144,6 @@ func (m *Meter) AddMem(site string, n int64) error {
 	return nil
 }
 
-// AddCacheEntries charges n newly created view-cache entries, returning
-// *Exceeded once the total crosses MaxCacheEntries.
-func (m *Meter) AddCacheEntries(site string, n int64) error {
-	if m == nil || m.limits.MaxCacheEntries <= 0 {
-		return nil
-	}
-	if m.cacheEntries.Add(n) > m.limits.MaxCacheEntries {
-		return &Exceeded{Site: site, Resource: "cache_entries", Limit: m.limits.MaxCacheEntries}
-	}
-	return nil
-}
-
-// ReleaseCacheEntries returns n previously charged cache entries to the
-// meter — an eviction refund. It exists for long-lived caches (the
-// server's plan cache charges its entries here): a bounded cache that
-// evicts must account for its *live* size, not its cumulative
-// insertions, or the meter would exhaust after MaxCacheEntries total
-// insertions regardless of evictions.
-func (m *Meter) ReleaseCacheEntries(n int64) {
-	if m == nil {
-		return
-	}
-	m.cacheEntries.Add(-n)
-}
-
 // Rows returns the rows charged so far; 0 on a nil meter.
 func (m *Meter) Rows() int64 {
 	if m == nil {
@@ -189,15 +158,6 @@ func (m *Meter) Candidates() int64 {
 		return 0
 	}
 	return m.candidates.Load()
-}
-
-// CacheEntries returns the cache entries currently charged (insertions
-// minus releases); 0 on a nil meter.
-func (m *Meter) CacheEntries() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheEntries.Load()
 }
 
 // Mem returns the bytes charged so far; 0 on a nil meter.

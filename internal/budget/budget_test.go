@@ -118,44 +118,3 @@ func TestWithMeterRoundTrip(t *testing.T) {
 		t.Fatalf("MeterFrom = %v, want %v", got, m)
 	}
 }
-
-// TestReleaseCacheEntries pins the eviction-refund semantics the
-// serving layer's plan cache relies on: a failed AddCacheEntries leaves
-// the count charged (the incoming entry's charge), releasing a victim's
-// charge makes room again, and the live count is observable.
-func TestReleaseCacheEntries(t *testing.T) {
-	m := NewMeter(Limits{MaxCacheEntries: 2})
-	if err := m.AddCacheEntries("t", 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.CacheEntries(); got != 2 {
-		t.Fatalf("CacheEntries=%d, want 2", got)
-	}
-	err := m.AddCacheEntries("t", 1)
-	var e *Exceeded
-	if !errors.As(err, &e) {
-		t.Fatalf("third entry: want Exceeded, got %v", err)
-	}
-	// The failed charge stays on the books (count=3); refunding one
-	// victim balances at the limit.
-	m.ReleaseCacheEntries(1)
-	if got := m.CacheEntries(); got != 2 {
-		t.Fatalf("after refund: CacheEntries=%d, want 2", got)
-	}
-	// At the limit again: one more add must trip, and after releasing
-	// the failed charge plus a live entry there is room.
-	if err := m.AddCacheEntries("t", 1); err == nil {
-		t.Fatal("add at the limit should trip")
-	}
-	m.ReleaseCacheEntries(2)
-	if err := m.AddCacheEntries("t", 1); err != nil {
-		t.Fatalf("add after releases: %v", err)
-	}
-
-	// Nil meter: unlimited, nil-safe.
-	var nilM *Meter
-	nilM.ReleaseCacheEntries(5)
-	if got := nilM.CacheEntries(); got != 0 {
-		t.Fatalf("nil meter CacheEntries=%d", got)
-	}
-}

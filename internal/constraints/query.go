@@ -1,7 +1,6 @@
 package constraints
 
 import (
-	"slices"
 	"sort"
 
 	"aggview/internal/ir"
@@ -76,9 +75,6 @@ func (cl *Closure) ImpliesAll(d Conj) bool {
 	}
 	return true
 }
-
-// Vars lists the variables mentioned in the closed conjunction, sorted.
-func (cl *Closure) Vars() []Var { return slices.Clone(cl.vars) }
 
 // LeastEqual returns the least variable the conjunction proves equal to
 // v — v itself when it is the least of its class or is never mentioned.

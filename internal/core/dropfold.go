@@ -10,9 +10,10 @@ import "aggview/internal/ir"
 // (COUNT is already SUM(N), AVG already SUM(S)/SUM(N)), so SUM, MIN or
 // MAX of a view column becomes the column, COUNT becomes N and AVG S/N.
 // The answer is the aggregating form's bit for bit: a fold over one row
-// returns that row's cell (the engine's SUM starts at -0, the one addend
-// that leaves every float's bits alone), and the view's grouping columns
-// are its key, so the rows stay distinct.
+// returns that row's cell (a SUM starts at +0, which leaves every float's
+// bits alone but -0's, and a view's cells are canonical, so none is -0),
+// and the view's grouping columns are its key, so the rows stay
+// distinct.
 //
 // It reports whether it changed the rewriting. A rewriting that is not
 // group-preserving, or whose HAVING compares an expression rather than a

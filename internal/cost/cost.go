@@ -8,11 +8,7 @@
 // magnitude effect of Example 1.1), not to be a precise optimizer.
 package cost
 
-import (
-	"strings"
-
-	"aggview/internal/ir"
-)
+import "aggview/internal/ir"
 
 // Default selectivities.
 const (
@@ -23,32 +19,19 @@ const (
 	groupRatio = 0.10 // output groups per joined row
 )
 
-// Stats maps source names (tables or materialized views) to their
-// cardinalities. Lookups are case-insensitive.
-type Stats map[string]float64
-
-// Card returns the cardinality recorded for a source and whether one is
-// known.
-func (s Stats) Card(name string) (float64, bool) {
-	for k, v := range s {
-		if strings.EqualFold(k, name) {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// Estimator estimates query costs. Views without recorded stats are
-// estimated through their definitions.
+// Estimator estimates query costs. Rows reports the stored row count of
+// a source (a table or a materialized view) and whether the store holds
+// it — engine.DB.NumRows; a source it does not hold is estimated
+// through its definition in Views, else at a neutral default.
 type Estimator struct {
-	Stats Stats
+	Rows  func(name string) (int, bool)
 	Views *ir.Registry
 }
 
 // sourceCard estimates the cardinality of one FROM source.
 func (e *Estimator) sourceCard(name string, depth int) float64 {
-	if c, ok := e.Stats.Card(name); ok {
-		return c
+	if n, ok := e.Rows(name); ok {
+		return float64(n)
 	}
 	if e.Views != nil && depth < 8 {
 		if v, ok := e.Views.Get(name); ok {
@@ -58,7 +41,9 @@ func (e *Estimator) sourceCard(name string, depth int) float64 {
 	return 1000 // unknown source: a neutral default
 }
 
-// outputRows estimates the number of result rows of a query.
+// OutputRows estimates the number of result rows of a query.
+func (e *Estimator) OutputRows(q *ir.Query) float64 { return e.outputRows(q, 0) }
+
 func (e *Estimator) outputRows(q *ir.Query, depth int) float64 {
 	rows := e.joinRows(q, depth)
 	if q.IsAggregationQuery() {

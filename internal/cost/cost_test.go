@@ -13,13 +13,11 @@ func src() ir.MapSource {
 	}
 }
 
-func TestStatsLookup(t *testing.T) {
-	s := Stats{"Calls": 1e6}
-	if c, ok := s.Card("calls"); !ok || c != 1e6 {
-		t.Error("case-insensitive lookup failed")
-	}
-	if _, ok := s.Card("nope"); ok {
-		t.Error("unknown source")
+// rows is an Estimator.Rows over fixed counts.
+func rows(counts map[string]int) func(string) (int, bool) {
+	return func(name string) (int, bool) {
+		n, ok := counts[name]
+		return n, ok
 	}
 }
 
@@ -33,7 +31,7 @@ func TestViewBeatsBaseTables(t *testing.T) {
 	if err := reg.Add(v); err != nil {
 		t.Fatal(err)
 	}
-	est := &Estimator{Stats: Stats{"Calls": 1e6, "Calling_Plans": 10, "V1": 120}, Views: reg}
+	est := &Estimator{Rows: rows(map[string]int{"Calls": 1e6, "Calling_Plans": 10, "V1": 120}), Views: reg}
 
 	full := ir.MultiSource{src(), reg}
 	base := ir.MustBuild("SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id", src())
@@ -49,7 +47,7 @@ func TestUnmaterializedViewEstimatedFromDefinition(t *testing.T) {
 	vq := ir.MustBuild("SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id", src())
 	v, _ := ir.NewViewDef("V2", vq)
 	_ = reg.Add(v)
-	est := &Estimator{Stats: Stats{"Calls": 1e6}, Views: reg}
+	est := &Estimator{Rows: rows(map[string]int{"Calls": 1e6}), Views: reg}
 	full := ir.MultiSource{src(), reg}
 	q := ir.MustBuild("SELECT Plan_Id, sum_Charge FROM V2", full)
 	c := est.Estimate(q)
@@ -63,7 +61,7 @@ func TestUnmaterializedViewEstimatedFromDefinition(t *testing.T) {
 }
 
 func TestSelectivities(t *testing.T) {
-	est := &Estimator{Stats: Stats{"Calls": 1000, "Calling_Plans": 10}}
+	est := &Estimator{Rows: rows(map[string]int{"Calls": 1000, "Calling_Plans": 10})}
 	join := ir.MustBuild("SELECT Call_Id FROM Calls, Calling_Plans WHERE Calls.Plan_Id = Calling_Plans.Plan_Id", src())
 	cross := ir.MustBuild("SELECT Call_Id FROM Calls, Calling_Plans", src())
 	if est.Estimate(join) >= est.Estimate(cross) {
@@ -82,7 +80,7 @@ func TestSelectivities(t *testing.T) {
 }
 
 func TestUnknownSourceDefault(t *testing.T) {
-	est := &Estimator{Stats: Stats{}}
+	est := &Estimator{Rows: rows(nil)}
 	q := ir.MustBuild("SELECT Call_Id FROM Calls", src())
 	if c := est.Estimate(q); c <= 0 {
 		t.Errorf("unknown sources need a neutral default, got %f", c)
@@ -94,7 +92,7 @@ func TestGlobalAggregateSingleRow(t *testing.T) {
 	vq := ir.MustBuild("SELECT SUM(Charge) FROM Calls", src())
 	v, _ := ir.NewViewDef("VG", vq)
 	_ = reg.Add(v)
-	est := &Estimator{Stats: Stats{"Calls": 1e6}, Views: reg}
+	est := &Estimator{Rows: rows(map[string]int{"Calls": 1e6}), Views: reg}
 	if rows := est.outputRows(vq, 0); rows != 1 {
 		t.Errorf("global aggregate output should be 1 row, got %f", rows)
 	}

@@ -307,8 +307,8 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 }
 
 // materialize evaluates the named view's definition into its stored
-// image, charging the view_cache entry budget first. With Metrics
-// attached it runs under a pprof label naming the view.
+// image. With Metrics attached it runs under a pprof label naming the
+// view.
 func (ev *Evaluator) materialize(t *task, name string) (*ColTable, error) {
 	var def *ir.ViewDef
 	if ev.Views != nil {
@@ -316,10 +316,6 @@ func (ev *Evaluator) materialize(t *task, name string) (*ColTable, error) {
 	}
 	if def == nil {
 		return nil, fmt.Errorf("engine: no relation or view named %q", name)
-	}
-	if err := t.meter.AddCacheEntries("view_cache", 1); err != nil {
-		ev.metrics().errBudget.Inc()
-		return nil, err
 	}
 	var ct *ColTable
 	var err error

@@ -286,15 +286,3 @@ func (db *DB) Version(name string) uint64 {
 	}
 	return 0
 }
-
-// Names returns the sorted names (lowercased) of all stored relations.
-func (db *DB) Names() []string {
-	db.mu.Lock()
-	names := make([]string, 0, len(db.tabs))
-	for k := range db.tabs {
-		names = append(names, k)
-	}
-	db.mu.Unlock()
-	sort.Strings(names)
-	return names
-}

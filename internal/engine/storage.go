@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -780,17 +779,6 @@ func (s *Snapshot) Version(name string) uint64 {
 		return ct.ver
 	}
 	return 0
-}
-
-// Names returns the sorted (lowercased) relation names pinned by the
-// snapshot.
-func (s *Snapshot) Names() []string {
-	names := make([]string, 0, len(s.tabs))
-	for k := range s.tabs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // SetOnInvalidate registers fn to be called, with the lowercased

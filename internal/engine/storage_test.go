@@ -7,7 +7,6 @@ import (
 
 	"aggview/internal/budget"
 	"aggview/internal/faultinject"
-	"aggview/internal/ir"
 	"aggview/internal/value"
 )
 
@@ -152,38 +151,6 @@ func TestExecContextMemBudget(t *testing.T) {
 	}
 	tripsAt(charged-1, "join")
 	tripsAt(tables, "scan")
-}
-
-// TestExecContextCacheEntriesBudget exercises the view-cache dimension:
-// a query over two distinct views needs two cache entries, so a limit of
-// one trips with a typed Exceeded while a limit of two succeeds.
-func TestExecContextCacheEntriesBudget(t *testing.T) {
-	db, reg, source := ctxFixture(t)
-	tables := ir.MapSource{"R1": {"A", "B"}, "R2": {"C", "D"}}
-	vd, err := ir.NewViewDef("VCnt", ir.MustBuild("SELECT C, COUNT(D) FROM R2 GROUP BY C", tables))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Add(vd); err != nil {
-		t.Fatal(err)
-	}
-	source = ir.MultiSource{tables, reg}
-	q := ir.MustBuild("SELECT v.A, w.count_D FROM VSum v, VCnt w WHERE v.A = w.C", source)
-
-	m := budget.NewMeter(budget.Limits{MaxCacheEntries: 1})
-	out, err := NewEvaluator(db, reg).ExecContext(budget.WithMeter(context.Background(), m), q)
-	if out != nil {
-		t.Fatal("cache-tripped exec returned a partial relation")
-	}
-	var e *budget.Exceeded
-	if !errors.As(err, &e) || e.Resource != "cache_entries" || e.Limit != 1 {
-		t.Fatalf("want cache_entries Exceeded with limit 1, got %v", err)
-	}
-
-	m = budget.NewMeter(budget.Limits{MaxCacheEntries: 2})
-	if _, err := NewEvaluator(db, reg).ExecContext(budget.WithMeter(context.Background(), m), q); err != nil {
-		t.Fatalf("two entries should fit a limit of two: %v", err)
-	}
 }
 
 // TestDBOnInvalidateHook pins the invalidation seam the serving layer's

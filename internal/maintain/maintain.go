@@ -57,6 +57,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -345,7 +346,7 @@ func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storag
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &pending{st: st, live: map[cellKey]*group{}}
+	p := &pending{st: st, live: map[cellKey]*group{}, rebuild: true}
 	if err := p.absorb(res); err != nil {
 		return nil, nil, err
 	}
@@ -677,6 +678,9 @@ func (s *staged) commit() engine.Commit {
 type pending struct {
 	st        *state
 	recompute bool
+	// rebuild is set when the pending state folds a seed query's result
+	// (Maintainer.rebuild), whose totals are installed as they are.
+	rebuild bool
 	// live holds the groups the batch starts from (none for a rebuild);
 	// fold writes the outcome into it.
 	live map[cellKey]*group
@@ -824,9 +828,10 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			}
 			// A delta or a running total past int64 (-1 × MinInt64, or a
 			// total that leaves int64 part-way) need not mean the view's new
-			// totals do: the rebuild against the staged tables decides.
+			// totals do, and a float one that is NaN or ±Inf cannot be
+			// taken back: the rebuild against the staged tables decides.
 			var ov *value.OverflowError
-			if errors.As(err, &ov) {
+			if errors.As(err, &ov) || errors.Is(err, errNonFinite) {
 				p.recompute = true
 				m.Metrics.Volatile("maintain.fallback.full").Inc()
 			} else if err != nil {
@@ -1065,11 +1070,16 @@ func (p *pending) absorb(res *engine.ColTable) error {
 				// AVG's as its SUM's; a float delta, from a column a
 				// float widened, makes an int total float, and the
 				// view's column widens with it. An int total that leaves
-				// int64 is a value.OverflowError, on which ApplyContext
-				// recomputes the view.
-				sum, err := value.Add(as.sum, cs[a.at].value(j))
+				// int64 is a value.OverflowError, and outside a rebuild a
+				// float delta or total that is NaN or ±Inf is
+				// errNonFinite: on either ApplyContext recomputes the view.
+				d := cs[a.at].value(j)
+				sum, err := value.Add(as.sum, d)
 				if err != nil {
 					return err
+				}
+				if !p.rebuild && (nonFinite(d) || nonFinite(sum)) {
+					return errNonFinite
 				}
 				as.sum = sum
 			case ir.AggMin, ir.AggMax:
@@ -1081,6 +1091,17 @@ func (p *pending) absorb(res *engine.ColTable) error {
 		}
 		return nil
 	})
+}
+
+// errNonFinite is absorb's verdict on a write whose float SUM or AVG
+// delta or new total is NaN or ±Inf: a running total cannot take such a
+// value back out (NaN - NaN and Inf - Inf are NaN), so the view is
+// recomputed instead.
+var errNonFinite = errors.New("maintain: non-finite running total")
+
+// nonFinite reports whether v is a float NaN or infinity.
+func nonFinite(v value.Value) bool {
+	return v.Kind() == value.KindFloat && (math.IsNaN(v.AsFloat()) || math.IsInf(v.AsFloat(), 0))
 }
 
 // group returns the staged state of row j's group, seeding it on first

@@ -24,8 +24,9 @@ func concurrentPass(ctx context.Context, c *Case, opt Options, out *Outcome) err
 	if err != nil {
 		return err
 	}
-	// Plans are prepared before the mutator starts: preparation reads
-	// the statistics the mutator updates, execution does not.
+	// Plans are prepared once, before the mutator starts, and run on
+	// every snapshot the readers pin: a prepared plan stays
+	// answer-correct across writes, which is what the pass checks.
 	type prep struct {
 		sql     string
 		p       *aggview.Prepared

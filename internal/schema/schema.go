@@ -128,50 +128,6 @@ func (t *Table) ColumnIndex(col string) int {
 	return -1
 }
 
-// AllFDs returns the table's functional dependencies, including one FD
-// per declared key (key -> all columns).
-func (t *Table) AllFDs() []FD {
-	out := make([]FD, 0, len(t.FDs)+len(t.Keys))
-	out = append(out, t.FDs...)
-	for _, k := range t.Keys {
-		out = append(out, FD{From: append([]string{}, k...), To: append([]string{}, t.Columns...)})
-	}
-	return out
-}
-
-// FDClosure computes the attribute closure of cols under the table's
-// functional dependencies (including key FDs). The result maps canonical
-// column names to true.
-func (t *Table) FDClosure(cols []string) map[string]bool {
-	closure := make(map[string]bool, len(cols))
-	for _, c := range cols {
-		closure[canon(c)] = true
-	}
-	fds := t.AllFDs()
-	for changed := true; changed; {
-		changed = false
-		for _, fd := range fds {
-			all := true
-			for _, f := range fd.From {
-				if !closure[canon(f)] {
-					all = false
-					break
-				}
-			}
-			if !all {
-				continue
-			}
-			for _, to := range fd.To {
-				if !closure[canon(to)] {
-					closure[canon(to)] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return closure
-}
-
 // String renders the catalog as CREATE TABLE-style declarations, sorted
 // by table name, for debugging and golden tests.
 func (c *Catalog) String() string {

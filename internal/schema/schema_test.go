@@ -84,43 +84,6 @@ func TestColumnIndex(t *testing.T) {
 	}
 }
 
-// TestIsKeyAndClosure: a column set is a key exactly when its closure
-// under the declared keys and FDs holds every column.
-func TestIsKeyAndClosure(t *testing.T) {
-	c := telco(t)
-	calls, _ := c.Table("Calls")
-	for _, tc := range []struct {
-		cols []string
-		key  bool
-	}{{[]string{"Call_Id"}, true}, {[]string{"Cust_Id"}, false}, {[]string{"Call_Id", "Day"}, true}} {
-		cl := calls.FDClosure(tc.cols)
-		if got := len(cl) == len(calls.Columns); got != tc.key {
-			t.Errorf("closure(%v) = %v: key %v, want %v", tc.cols, cl, got, tc.key)
-		}
-	}
-}
-
-func TestFDDerivedKey(t *testing.T) {
-	// If A -> B and B is a key, then A is a key (paper Section 5.1).
-	c := NewCatalog()
-	err := c.AddTable(&Table{
-		Name:    "R",
-		Columns: []string{"A", "B", "C"},
-		Keys:    [][]string{{"B"}},
-		FDs:     []FD{{From: []string{"A"}, To: []string{"B"}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := c.Table("R")
-	if len(r.FDClosure([]string{"A"})) != 3 {
-		t.Error("A functionally determines key B, so A is a key")
-	}
-	if len(r.FDClosure([]string{"C"})) == 3 {
-		t.Error("C is not a key")
-	}
-}
-
 func TestTablesOrderAndString(t *testing.T) {
 	c := telco(t)
 	tabs := c.Tables()
@@ -132,30 +95,5 @@ func TestTablesOrderAndString(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Errorf("String() missing %q in:\n%s", frag, s)
 		}
-	}
-}
-
-func TestFDClosureTransitive(t *testing.T) {
-	c := NewCatalog()
-	err := c.AddTable(&Table{
-		Name:    "R",
-		Columns: []string{"A", "B", "C", "D"},
-		FDs: []FD{
-			{From: []string{"A"}, To: []string{"B"}},
-			{From: []string{"B"}, To: []string{"C"}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := c.Table("R")
-	cl := r.FDClosure([]string{"A"})
-	for _, want := range []string{"a", "b", "c"} {
-		if !cl[want] {
-			t.Errorf("closure(A) missing %s", want)
-		}
-	}
-	if cl["d"] {
-		t.Error("closure(A) should not contain D")
 	}
 }

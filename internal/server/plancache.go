@@ -15,10 +15,8 @@ import (
 //
 //   - singleflight population: concurrent misses on one key run the
 //     rewrite search once, followers wait for the leader's result;
-//   - size bounded through budget.Meter's cache-entry dimension: every
-//     insertion charges the meter, every eviction refunds it, so the
-//     meter's typed accounting (and the CLI's -max-cache knob upstream)
-//     governs the cache rather than an ad-hoc counter;
+//   - a bounded size: an insertion into a full cache evicts the least
+//     recently used entry;
 //   - relation-level invalidation: each entry records the transitive
 //     set of stored relations its plan reads (Prepared.Deps), and
 //     InvalidateRelation — wired to engine.DB.SetOnInvalidate — evicts
@@ -39,7 +37,6 @@ import (
 // never produce an answer a fresh plan would not have produced.
 type PlanCache struct {
 	mu      sync.Mutex
-	meter   *budget.Meter
 	cap     int64
 	entries map[string]*cacheEntry
 	texts   map[string]*cacheEntry         // statement text -> entry; see aliasesPerEntry
@@ -61,7 +58,7 @@ type cacheEntry struct {
 // aliasesPerEntry bounds the statement texts remembered per entry (the
 // oldest gives way), and maxAliasBytes the length of one: the canonical
 // key folds padding away, so a small query can arrive as megabytes of
-// whitespace, and the index holds the raw text outside the meter's
+// whitespace, and the index holds the raw text outside the entry
 // count. Together they bound the index at aliasesPerEntry x capacity
 // texts and maxAliasBytes x that many bytes; a longer text is parsed to
 // its key every time.
@@ -90,9 +87,6 @@ func NewPlanCache(capacity int, metrics *obs.Metrics) *PlanCache {
 		flight:  map[string]*flightCall{},
 		metrics: metrics,
 	}
-	if capacity > 0 {
-		c.meter = budget.NewMeter(budget.Limits{MaxCacheEntries: int64(capacity)})
-	}
 	// Pre-register the stat counters: Stats() reads them on every
 	// /metrics scrape, and lazily creating them there would make the
 	// first scrape differ from the second (idle scrapes must be
@@ -118,15 +112,6 @@ func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Entries returns the live cache-entry charge on the meter (equal to
-// Len; the equality is what the accounting tests pin down).
-func (c *PlanCache) Entries() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.meter.CacheEntries()
 }
 
 // GetByText returns the cached plan a statement text was last seen to
@@ -222,26 +207,14 @@ func (c *PlanCache) GetOrPrepare(ctx context.Context, key string, prepare func()
 }
 
 // insertLocked stores an entry, evicting the least recently used plan
-// when the meter reports the cache-entry budget exceeded. Charges stay
-// on the meter for the incoming entry; the eviction's refund makes
-// room (budget.Meter.ReleaseCacheEntries).
+// when the cache holds its capacity.
 func (c *PlanCache) insertLocked(key string, p *aggview.Prepared) {
 	if _, ok := c.entries[key]; ok {
 		return
 	}
-	if err := c.meter.AddCacheEntries("server.plancache", 1); err != nil {
-		// Full: evict from the cold end. The failed charge already
-		// counted our entry, and the eviction releases the victim's, so
-		// the books balance at exactly `cap` live entries.
-		if victim := c.lru.Back(); victim != nil {
-			c.removeLocked(victim.Value.(*cacheEntry))
-			c.metrics.Volatile("server.plancache.evict").Inc()
-		} else {
-			// Nothing to evict (capacity race); give the charge back and
-			// skip caching.
-			c.meter.ReleaseCacheEntries(1)
-			return
-		}
+	if int64(len(c.entries)) >= c.cap {
+		c.removeLocked(c.lru.Back().Value.(*cacheEntry))
+		c.metrics.Volatile("server.plancache.evict").Inc()
 	}
 	e := &cacheEntry{key: key, p: p}
 	e.elem = c.lru.PushFront(e)
@@ -257,8 +230,7 @@ func (c *PlanCache) insertLocked(key string, p *aggview.Prepared) {
 	c.metrics.Volatile("server.plancache.size").Max(int64(len(c.entries)))
 }
 
-// removeLocked drops an entry with its text aliases and refunds its
-// meter charge.
+// removeLocked drops an entry with its text aliases.
 func (c *PlanCache) removeLocked(e *cacheEntry) {
 	delete(c.entries, e.key)
 	for _, sql := range e.texts {
@@ -273,7 +245,6 @@ func (c *PlanCache) removeLocked(e *cacheEntry) {
 			}
 		}
 	}
-	c.meter.ReleaseCacheEntries(1)
 }
 
 // InvalidateRelation evicts every plan whose dependency set contains

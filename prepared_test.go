@@ -191,3 +191,29 @@ func TestStatementKeyIsThePlanKey(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareBesideWrites: a prepare prices its plans from the store's
+// row counts, so it may run while a goroutine inserts into the table it
+// reads (run under -race; scripts/check.sh does).
+func TestPrepareBesideWrites(t *testing.T) {
+	ctx := context.Background()
+	s := preparedFixture(t)
+	const q = "SELECT cust, SUM(dur) FROM Calls GROUP BY cust"
+	done := make(chan error)
+	go func() {
+		var err error
+		for i := int64(0); i < 200 && err == nil; i++ {
+			err = s.InsertContext(ctx, "Calls", []aggview.Value{aggview.Int(i % 4), aggview.Int(i), aggview.Int(1)})
+		}
+		done <- err
+	}()
+	for range 200 {
+		if _, err := s.PrepareContext(ctx, q); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -71,3 +71,57 @@ func TestSpanRepeatability(t *testing.T) {
 		t.Fatalf("identical runs rendered differently:\n%s\n---\n%s", x, y)
 	}
 }
+
+// TestFacadeReadsExecuteOnce: every facade read reaches the engine through
+// one facade.execute stage, which records the rows of the result; a read
+// that plans (QueryBestContext, or PrepareContext and then
+// ExecPreparedOnContext) also parses and searches once, and a direct read
+// does neither.
+func TestFacadeReadsExecuteOnce(t *testing.T) {
+	const q = "SELECT cust, SUM(dur) FROM Calls GROUP BY cust"
+	s := preparedFixture(t)
+	rws, err := s.RewritingsContext(context.Background(), q)
+	if err != nil || len(rws) == 0 {
+		t.Fatalf("the fixture must have a rewriting: %v, %v", rws, err)
+	}
+	for _, c := range []struct {
+		name  string
+		read  func(ctx context.Context) (*aggview.Result, error)
+		plans int
+	}{
+		{"QueryContext", func(ctx context.Context) (*aggview.Result, error) { return s.QueryContext(ctx, q) }, 0},
+		{"QueryOnContext", func(ctx context.Context) (*aggview.Result, error) { return s.QueryOnContext(ctx, s.DB.Snapshot(), q) }, 0},
+		{"ExecRewritingContext", func(ctx context.Context) (*aggview.Result, error) { return s.ExecRewritingContext(ctx, rws[0]) }, 0},
+		{"QueryBestContext", func(ctx context.Context) (*aggview.Result, error) {
+			res, _, err := s.QueryBestContext(ctx, q)
+			return res, err
+		}, 1},
+		{"PrepareContext", func(ctx context.Context) (*aggview.Result, error) {
+			p, err := s.PrepareContext(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			return s.ExecPreparedOnContext(ctx, p, s.Store)
+		}, 1},
+	} {
+		sp := obs.NewSpan("", q)
+		res, err := c.read(obs.WithSpan(context.Background(), sp))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		stages := map[string]int{}
+		var rows int64
+		for _, st := range sp.Snapshot().Stages {
+			stages[st.Name]++
+			if st.Name == "facade.execute" {
+				rows = st.Rows
+			}
+		}
+		if stages["facade.execute"] != 1 || rows != int64(res.Len()) {
+			t.Errorf("%s: %d facade.execute stages of %d rows, want 1 of %d", c.name, stages["facade.execute"], rows, res.Len())
+		}
+		if stages["facade.parse"] != c.plans || stages["facade.search"] != c.plans {
+			t.Errorf("%s: %d facade.parse and %d facade.search stages, want %d of each", c.name, stages["facade.parse"], stages["facade.search"], c.plans)
+		}
+	}
+}
