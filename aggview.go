@@ -164,10 +164,9 @@ func (s *System) noteFallback(ctx context.Context, op string) {
 // Rewriter returns the configured rewriter.
 func (s *System) Rewriter() *core.Rewriter {
 	return &core.Rewriter{
-		Schema: s.Catalog,
-		Views:  s.Views,
-		Meta:   keys.CatalogMeta{Catalog: s.Catalog},
-		Opts:   s.Opts,
+		Views: s.Views,
+		Meta:  keys.CatalogMeta{Catalog: s.Catalog},
+		Opts:  s.Opts,
 	}
 }
 
@@ -279,6 +278,9 @@ func execChange[S sqlparser.Statement](ctx context.Context, s *System, head, whe
 func (s *System) ExecContext(ctx context.Context, st sqlparser.Statement) (int, error) {
 	switch x := st.(type) {
 	case *sqlparser.CreateTable:
+		if err := s.claim(x.Name); err != nil {
+			return 0, err
+		}
 		t := &schema.Table{Name: x.Name, Columns: x.Columns, Keys: x.Keys}
 		for _, fd := range x.FDs {
 			t.FDs = append(t.FDs, schema.FD{From: fd[0], To: fd[1]})
@@ -321,8 +323,41 @@ func (s *System) ExecContext(ctx context.Context, st sqlparser.Statement) (int, 
 	}
 }
 
+// NameTakenError refuses a CREATE TABLE, a CREATE VIEW or an adopted
+// view whose name a table or view holds in any letter case: one name
+// means one relation.
+type NameTakenError struct {
+	Name  string // the name asked for
+	Taken string // the table or view holding it, as declared
+}
+
+func (e *NameTakenError) Error() string {
+	return fmt.Sprintf("aggview: cannot declare %s: the table or view %s holds the name", e.Name, e.Taken)
+}
+
+// claim returns a *NameTakenError when a table or view holds name.
+func (s *System) claim(name string) error {
+	if taken, _, ok := s.source().Resolve(name); ok {
+		return &NameTakenError{Name: name, Taken: taken}
+	}
+	return nil
+}
+
+// addView registers a view definition whose name no table or view holds.
+func (s *System) addView(v *ir.ViewDef) error {
+	if err := s.claim(v.Name); err != nil {
+		return err
+	}
+	if err := s.Views.Add(v); err != nil {
+		return err
+	}
+	core.IndexView(v)
+	return nil
+}
+
 // createView registers a view definition, under the statement's column
-// list when it has one.
+// list when it has one (which, like CREATE TABLE's, may not name a
+// column twice in any letter case: ir.Registry.Add).
 func (s *System) createView(x *sqlparser.CreateView) error {
 	q, err := ir.Build(x.Query, s.source())
 	if err != nil {
@@ -338,11 +373,7 @@ func (s *System) createView(x *sqlparser.CreateView) error {
 		}
 		v.OutCols = append([]string{}, x.Columns...)
 	}
-	if err := s.Views.Add(v); err != nil {
-		return err
-	}
-	core.IndexView(v)
-	return nil
+	return s.addView(v)
 }
 
 // applyChange is the one pipeline of a DELETE (no assignments) or an
@@ -480,7 +511,7 @@ func (s *System) search(ctx context.Context, st *Statement) ([]*Rewriting, error
 	for _, r := range rws {
 		for _, v := range st.anon {
 			for _, t := range r.Query.Tables {
-				if strings.EqualFold(t.Source, v.Name) {
+				if t.Source == v.Name {
 					r.Aux = append(r.Aux, v)
 					break
 				}
@@ -546,7 +577,7 @@ type Prepared struct {
 	// Used names the views the chosen plan ranges over, in application
 	// order; empty when direct evaluation won.
 	Used []string
-	// Deps lists, lowercased and sorted, every stored relation that
+	// Deps lists, sorted, the declared name of every stored relation that
 	// executing the plan may read: base tables, materialized views, and
 	// the transitive sources of every view definition the plan
 	// references. A plan cache must evict a Prepared when any of these
@@ -682,12 +713,11 @@ func (s *System) planDeps(p *Prepared) []string {
 	var visit func(q *ir.Query)
 	visit = func(q *ir.Query) {
 		for _, t := range q.Tables {
-			n := strings.ToLower(t.Source)
-			if seen[n] {
+			if seen[t.Source] {
 				continue
 			}
-			seen[n] = true
-			out = append(out, n)
+			seen[t.Source] = true
+			out = append(out, t.Source)
 			if s.maint.Tracks(t.Source) {
 				continue
 			}
@@ -824,10 +854,9 @@ func (s *System) AdviseContext(ctx context.Context, queries []string, weights []
 		w = append(w, wq)
 	}
 	a := &advisor.Advisor{
-		Schema: s.Catalog,
-		Meta:   keys.CatalogMeta{Catalog: s.Catalog},
-		Rows:   s.DB.NumRows,
-		Opts:   s.Opts,
+		Meta: keys.CatalogMeta{Catalog: s.Catalog},
+		Rows: s.DB.NumRows,
+		Opts: s.Opts,
 	}
 	return a.RecommendContext(ctx, w, budgetRows)
 }
@@ -838,10 +867,9 @@ func (s *System) AdviseContext(ctx context.Context, queries []string, weights []
 func (s *System) AdoptRecommendations(ctx context.Context, recs []Recommendation) ([]string, error) {
 	var names []string
 	for _, r := range recs {
-		if err := s.Views.Add(r.View); err != nil {
+		if err := s.addView(r.View); err != nil {
 			return names, err
 		}
-		core.IndexView(r.View)
 		if _, err := s.TrackViewContext(ctx, r.View.Name); err != nil {
 			return names, err
 		}

@@ -24,5 +24,9 @@ func (s *System) ChangedRows(ctx context.Context, table string, where sqlparser.
 // view, which the kind-rule property test holds unchanged across a
 // refused write.
 func (s *System) GroupCounts(name string) (map[string]int64, bool) {
-	return s.maint.GroupCounts(name)
+	v, ok := s.Views.Get(name)
+	if !ok {
+		return nil, false
+	}
+	return s.maint.GroupCounts(v.Name)
 }

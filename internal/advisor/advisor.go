@@ -20,6 +20,7 @@ package advisor
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,8 +49,7 @@ type Recommendation struct {
 
 // Advisor recommends materializations.
 type Advisor struct {
-	Schema ir.SchemaSource
-	Meta   keys.MetaSource
+	Meta keys.MetaSource
 	// Rows reports a source's stored row count for the cost model
 	// (cost.Estimator.Rows).
 	Rows func(name string) (int, bool)
@@ -136,7 +136,7 @@ func (a *Advisor) evaluate(ctx context.Context, cand *ir.ViewDef, w Workload, cu
 		return Recommendation{}, false, nil
 	}
 	est := &cost.Estimator{Rows: a.Rows, Views: reg}
-	rw := &core.Rewriter{Schema: a.Schema, Views: reg, Meta: a.Meta, Opts: a.Opts}
+	rw := &core.Rewriter{Views: reg, Meta: a.Meta, Opts: a.Opts}
 
 	rec := Recommendation{View: cand, EstRows: est.OutputRows(cand.Def)}
 	for i, wq := range w {
@@ -146,13 +146,7 @@ func (a *Advisor) evaluate(ctx context.Context, cand *ir.ViewDef, w Workload, cu
 			return Recommendation{}, false, err
 		}
 		for _, r := range rws {
-			usesCand := false
-			for _, u := range r.Used {
-				if strings.EqualFold(u, cand.Name) {
-					usesCand = true
-				}
-			}
-			if !usesCand {
+			if !slices.Contains(r.Used, cand.Name) {
 				continue
 			}
 			if c := weight(wq) * est.Estimate(r.Query); c < best {
@@ -177,7 +171,7 @@ func (a *Advisor) workloadCosts(ctx context.Context, w Workload, picked []Recomm
 		}
 	}
 	est := &cost.Estimator{Rows: a.Rows, Views: reg}
-	rw := &core.Rewriter{Schema: a.Schema, Views: reg, Meta: a.Meta, Opts: a.Opts}
+	rw := &core.Rewriter{Views: reg, Meta: a.Meta, Opts: a.Opts}
 	out := append([]float64{}, prev...)
 	for i, wq := range w {
 		rws, err := rw.RewritingsContext(ctx, wq.Query)
@@ -328,13 +322,8 @@ func candidateFor(q *ir.Query) *ir.Query {
 // mergeCandidates unions two candidates over the same table multiset
 // into a coarser shared view; nil when the shapes differ.
 func mergeCandidates(x, y *ir.Query) *ir.Query {
-	if len(x.Tables) != len(y.Tables) {
+	if !slices.EqualFunc(x.Tables, y.Tables, func(a, b ir.TableInstance) bool { return a.Source == b.Source }) {
 		return nil
-	}
-	for i := range x.Tables {
-		if !strings.EqualFold(x.Tables[i].Source, y.Tables[i].Source) {
-			return nil
-		}
 	}
 	// Join predicates must agree (same canonical rendering).
 	if renderPreds(x) != renderPreds(y) {

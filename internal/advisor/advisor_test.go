@@ -38,7 +38,7 @@ func rows(name string) (int, bool) {
 }
 
 func TestSingleQueryCandidate(t *testing.T) {
-	a := &Advisor{Schema: src(), Rows: rows}
+	a := &Advisor{Rows: rows}
 	w := Workload{{Query: q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id")}}
 	recs := recommend(t, a, w, 0)
 	if len(recs) == 0 {
@@ -62,7 +62,7 @@ func TestSingleQueryCandidate(t *testing.T) {
 }
 
 func TestSharedCandidateForTwoQueries(t *testing.T) {
-	a := &Advisor{Schema: src(), Rows: rows}
+	a := &Advisor{Rows: rows}
 	w := Workload{
 		{Query: q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id")},
 		{Query: q(t, "SELECT Month, SUM(Charge) FROM Calls GROUP BY Month")},
@@ -82,7 +82,7 @@ func TestSharedCandidateForTwoQueries(t *testing.T) {
 }
 
 func TestBudgetLimitsSelection(t *testing.T) {
-	a := &Advisor{Schema: src(), Rows: rows}
+	a := &Advisor{Rows: rows}
 	w := Workload{
 		{Query: q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id")},
 	}
@@ -97,7 +97,7 @@ func TestBudgetLimitsSelection(t *testing.T) {
 }
 
 func TestWeightsShiftPriorities(t *testing.T) {
-	a := &Advisor{Schema: src(), Rows: rows}
+	a := &Advisor{Rows: rows}
 	heavy := q(t, "SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id")
 	light := q(t, "SELECT Month, MIN(Charge) FROM Calls GROUP BY Month")
 	w := Workload{
@@ -121,7 +121,7 @@ func TestWeightsShiftPriorities(t *testing.T) {
 }
 
 func TestConjunctiveQueriesYieldNoCandidates(t *testing.T) {
-	a := &Advisor{Schema: src(), Rows: rows}
+	a := &Advisor{Rows: rows}
 	w := Workload{{Query: q(t, "SELECT Call_Id, Charge FROM Calls WHERE Year = 1995")}}
 	if recs := recommend(t, a, w, 0); len(recs) != 0 {
 		t.Fatalf("no aggregation queries, no candidates: %v", recs)
@@ -129,7 +129,7 @@ func TestConjunctiveQueriesYieldNoCandidates(t *testing.T) {
 }
 
 func TestJoinWorkloadCandidate(t *testing.T) {
-	a := &Advisor{Schema: src(), Rows: rows}
+	a := &Advisor{Rows: rows}
 	w := Workload{{Query: q(t, `SELECT Calling_Plans.Plan_Id, Plan_Name, SUM(Charge)
 		FROM Calls, Calling_Plans
 		WHERE Calls.Plan_Id = Calling_Plans.Plan_Id AND Year = 1995
@@ -149,7 +149,7 @@ func TestJoinWorkloadCandidate(t *testing.T) {
 
 // The recommended views must actually be usable: re-run the rewriter.
 func TestRecommendationsAreUsable(t *testing.T) {
-	a := &Advisor{Schema: src(), Rows: rows}
+	a := &Advisor{Rows: rows}
 	queries := []string{
 		"SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id",
 		"SELECT Plan_Id, Month, COUNT(Charge) FROM Calls GROUP BY Plan_Id, Month",

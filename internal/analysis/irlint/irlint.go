@@ -168,9 +168,8 @@ func LintScript(ctx context.Context, file, src string) *Result {
 
 	if res.Queries > 0 && res.Views > 0 {
 		rw := &core.Rewriter{
-			Schema: cat,
-			Views:  views,
-			Meta:   keys.CatalogMeta{Catalog: cat},
+			Views: views,
+			Meta:  keys.CatalogMeta{Catalog: cat},
 		}
 		for i, q := range queries {
 			us, err := rw.ExplainUsability(ctx, q)

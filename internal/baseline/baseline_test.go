@@ -88,7 +88,7 @@ func TestBaselineMissesExample11(t *testing.T) {
 	if err := reg.Add(v); err != nil {
 		t.Fatal(err)
 	}
-	rw := &core.Rewriter{Schema: src(), Views: reg}
+	rw := &core.Rewriter{Views: reg}
 	if rws, err := rw.RewriteOnceContext(context.Background(), query, v); err != nil || len(rws) == 0 {
 		t.Fatal("the closure-based rewriter must catch Example 1.1", err)
 	}
@@ -122,7 +122,7 @@ func TestBaselineSubsetOfRewriter(t *testing.T) {
 		if err := reg.Add(v); err != nil {
 			t.Fatal(err)
 		}
-		rw := &core.Rewriter{Schema: src(), Views: reg}
+		rw := &core.Rewriter{Views: reg}
 		for _, qs := range queries {
 			query := q(t, qs)
 			b := Usable(query, v)

@@ -53,7 +53,7 @@ func TestViewOverViewRewriting(t *testing.T) {
 	if err := reg.Add(v2); err != nil {
 		t.Fatal(err)
 	}
-	rw := &Rewriter{Schema: tables(), Views: reg}
+	rw := &Rewriter{Views: reg}
 	q := ir.MustBuild("SELECT A, COUNT(B) FROM L1 GROUP BY A", full)
 	rws := mustRewriteOnce(t, rw, q, v2)
 	if len(rws) == 0 {
@@ -291,7 +291,7 @@ func TestStringConstantsInConditions(t *testing.T) {
 	if err := reg.Add(v); err != nil {
 		t.Fatal(err)
 	}
-	rw := &Rewriter{Schema: src, Views: reg}
+	rw := &Rewriter{Views: reg}
 	q := ir.MustBuild("SELECT K, SUM(Amt) FROM T WHERE City = 'nyc' AND Amt > 10 GROUP BY K", src)
 	rws := mustRewriteOnce(t, rw, q, v)
 	if len(rws) == 0 {

@@ -26,10 +26,6 @@ type Options struct {
 	// on the published construction's defect), and AVG rewrites that
 	// need SUM/COUNT division are rejected.
 	PaperFaithful bool
-	// NoSetSemantics disables the Section 5 relaxation (many-to-1
-	// mappings for set-valued queries and views) even when key metadata
-	// is available.
-	NoSetSemantics bool
 	// NoNormalize disables the Section 3.3 pre-processing that moves
 	// HAVING conditions into WHERE. It exists for ablation: usability
 	// detection weakens without it (experiment E10).
@@ -68,8 +64,6 @@ type Options struct {
 
 // Rewriter rewrites queries to use materialized views.
 type Rewriter struct {
-	// Schema resolves base-table names (e.g. the catalog).
-	Schema ir.SchemaSource
 	// Views holds the materialized view definitions.
 	Views *ir.Registry
 	// Meta supplies key/FD metadata enabling the Section 5 relaxations;

@@ -51,7 +51,7 @@ func newRewriter(t *testing.T, views map[string]string, opts Options) *Rewriter 
 			t.Fatal(err)
 		}
 	}
-	return &Rewriter{Schema: tables(), Views: reg, Opts: opts}
+	return &Rewriter{Views: reg, Opts: opts}
 }
 
 // mustRewriteOnce is RewriteOnceContext without a deadline, failing the

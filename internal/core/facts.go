@@ -74,11 +74,12 @@ func (f *queryFacts) close() {
 }
 
 // isSetResult reports whether the result is provably a set (Section 5);
-// false when the relaxation is off or q aggregates.
+// false when the rewriter has no Meta (the relaxation is off) or q
+// aggregates.
 func (f *queryFacts) isSetResult() bool {
 	if f.set == 0 {
 		f.set = -1
-		if rw := f.rw; !rw.Opts.NoSetSemantics && rw.Meta != nil && !f.isAgg && keys.IsSetResult(f.qn, rw.meta()) {
+		if rw := f.rw; rw.Meta != nil && !f.isAgg && keys.IsSetResult(f.qn, rw.meta()) {
 			f.set = 1
 		}
 	}

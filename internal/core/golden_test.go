@@ -146,7 +146,7 @@ func (gc goldenCase) rewriter(t *testing.T) *Rewriter {
 			t.Fatal(err)
 		}
 	}
-	rw := &Rewriter{Schema: tables(), Views: reg, Opts: gc.opts}
+	rw := &Rewriter{Views: reg, Opts: gc.opts}
 	if gc.keyed {
 		rw.Meta = keys.CatalogMeta{Catalog: keyedCatalog(t)}
 	}

@@ -18,7 +18,6 @@ package core
 
 import (
 	"aggview/internal/ir"
-	"strings"
 )
 
 // mapping is a column mapping sigma from a view's query to the target
@@ -48,7 +47,7 @@ func enumerateMappings(v, q *ir.Query, manyToOne bool) []mapping {
 	cands := make([][]int, n)
 	for i, vt := range v.Tables {
 		for j, qt := range q.Tables {
-			if strings.EqualFold(vt.Source, qt.Source) {
+			if vt.Source == qt.Source {
 				cands[i] = append(cands[i], j)
 			}
 		}

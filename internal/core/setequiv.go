@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"aggview/internal/aggreason"
 	"aggview/internal/constraints"
 	"aggview/internal/ir"
@@ -126,37 +124,26 @@ func chase(q *ir.Query, meta keys.MetaSource) *ir.Query {
 		to     [][2]ir.ColID // paired target columns
 	}
 	var rules []fdRule
-	colOf := func(ti int, name string) (ir.ColID, bool) {
-		for _, id := range out.Tables[ti].Cols {
-			if strings.EqualFold(out.Col(id).Attr, name) {
-				return id, true
-			}
-		}
-		return 0, false
-	}
 	addRule := func(t1, t2 int, from, to []string) {
-		r := fdRule{t1: t1, t2: t2}
-		for _, name := range from {
-			c1, ok1 := colOf(t1, name)
-			c2, ok2 := colOf(t2, name)
-			if !ok1 || !ok2 {
-				return
-			}
-			r.from = append(r.from, [2]ir.ColID{c1, c2})
+		f1, ok1 := keys.ColsByAttr(out, t1, from)
+		f2, ok2 := keys.ColsByAttr(out, t2, from)
+		o1, ok3 := keys.ColsByAttr(out, t1, to)
+		o2, ok4 := keys.ColsByAttr(out, t2, to)
+		if !ok1 || !ok2 || !ok3 || !ok4 {
+			return
 		}
-		for _, name := range to {
-			c1, ok1 := colOf(t1, name)
-			c2, ok2 := colOf(t2, name)
-			if !ok1 || !ok2 {
-				return
-			}
-			r.to = append(r.to, [2]ir.ColID{c1, c2})
+		r := fdRule{t1: t1, t2: t2}
+		for i := range f1 {
+			r.from = append(r.from, [2]ir.ColID{f1[i], f2[i]})
+		}
+		for i := range o1 {
+			r.to = append(r.to, [2]ir.ColID{o1[i], o2[i]})
 		}
 		rules = append(rules, r)
 	}
 	for t1 := range out.Tables {
 		for t2 := range out.Tables {
-			if t1 == t2 || !strings.EqualFold(out.Tables[t1].Source, out.Tables[t2].Source) {
+			if t1 == t2 || out.Tables[t1].Source != out.Tables[t2].Source {
 				continue
 			}
 			src := out.Tables[t1].Source
@@ -222,7 +209,7 @@ func containedIn(qa, qb *ir.Query) bool {
 	cands := make([][]int, n)
 	for i, bt := range qb.Tables {
 		for j, at := range qa.Tables {
-			if strings.EqualFold(bt.Source, at.Source) {
+			if bt.Source == at.Source {
 				cands[i] = append(cands[i], j)
 			}
 		}

@@ -97,7 +97,7 @@ func TestFuzzSetSemantics(t *testing.T) {
 		if err := reg.Add(v); err != nil {
 			t.Fatal(err)
 		}
-		rw := &Rewriter{Schema: cat, Views: reg, Meta: keys.CatalogMeta{Catalog: cat}}
+		rw := &Rewriter{Views: reg, Meta: keys.CatalogMeta{Catalog: cat}}
 		q := ir.MustBuild(querySQL, cat)
 		for _, r := range mustRewriteOnce(t, rw, q, v) {
 			produced++

@@ -52,7 +52,7 @@ type Evaluator struct {
 	// hook a no-op with no allocations on the hot path.
 	Metrics *obs.Metrics
 
-	cache map[string]*ColTable // materialized views, by lowercased name
+	cache map[string]*ColTable // materialized views, by name
 	mt    atomic.Pointer[evMetrics]
 }
 
@@ -282,12 +282,11 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 		}
 		return ct, nil
 	}
-	key := strings.ToLower(name)
 	t.inj.Observe(faultinject.SiteCache, 1)
 	if err := t.poll(ev, "view_cache"); err != nil {
 		return nil, err
 	}
-	ct, ok := ev.cache[key]
+	ct, ok := ev.cache[name]
 	if ok {
 		ev.metrics().cacheHit.Inc()
 	} else {
@@ -298,7 +297,7 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 		if ev.cache == nil {
 			ev.cache = map[string]*ColTable{}
 		}
-		ev.cache[key] = ct
+		ev.cache[name] = ct
 	}
 	if err := t.allocBytes(ev, "view_cache", ct.Bytes()); err != nil {
 		return nil, err
@@ -434,7 +433,7 @@ func (ev *Evaluator) scanPlan(t *task, q *ir.Query) (*scanned, error) {
 		// count (view materialization nests its own engine.exec stage
 		// just before the view's scan stage).
 		if t.sp.Enabled() {
-			t.sp.Stage("scan:"+strings.ToLower(tab.Source), int64(ct.n))
+			t.sp.Stage("scan:"+tab.Source, int64(ct.n))
 		}
 		if len(ct.cols) != len(tab.Cols) {
 			return nil, fmt.Errorf("engine: %s has %d columns, query expects %d", tab.Source, len(ct.cols), len(tab.Cols))

@@ -100,7 +100,8 @@ func (r *Relation) Sorted() *Relation {
 }
 
 // DB is a collection of named relations (base tables and materialized
-// views), looked up case-insensitively. Every relation is stored once,
+// views), keyed exactly by the names they were declared under (the facade
+// binds a user's spelling to that name). Every relation is stored once,
 // as a versioned ColTable (see storage.go); DB implements Storage by
 // handing out the installed version.
 //
@@ -126,8 +127,6 @@ type DB struct {
 
 // NewDB returns an empty database.
 func NewDB() *DB { return &DB{tabs: map[string]*ColTable{}} }
-
-func lowerKey(name string) string { return strings.ToLower(name) }
 
 // SetMetrics attaches the registry the store counters go to, all
 // volatile: engine.store.append.inplace / engine.store.append.copied
@@ -238,21 +237,20 @@ func (db *DB) install(batch []Commit) (installed []*ColTable, loud []string, fn 
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for i, c := range batch {
-		key := lowerKey(c.Name)
-		cur, ok := db.tabs[key]
+		cur, ok := db.tabs[c.Name]
 		switch {
 		case c.Table != nil:
-			db.installLocked(key, c.Table)
+			db.installLocked(c.Name, c.Table)
 			installed[i] = c.Table
 		case c.Base != nil:
-			installed[i] = db.advanceLocked(key, c.Base, &c.Delta)
+			installed[i] = db.advanceLocked(c.Name, c.Base, &c.Delta)
 		case ok:
-			installed[i] = db.advanceLocked(key, cur, &c.Delta)
+			installed[i] = db.advanceLocked(c.Name, cur, &c.Delta)
 		default:
 			continue
 		}
 		if !c.Silent {
-			loud = append(loud, key)
+			loud = append(loud, c.Name)
 		}
 	}
 	return installed, loud, db.onInvalidate

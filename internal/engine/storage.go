@@ -716,7 +716,7 @@ type Storage interface {
 // Scan implements Storage: it returns the installed version.
 func (db *DB) Scan(name string) (*ColTable, bool, error) {
 	db.mu.Lock()
-	ct, ok := db.tabs[lowerKey(name)]
+	ct, ok := db.tabs[name]
 	db.mu.Unlock()
 	return ct, ok, nil
 }
@@ -749,14 +749,14 @@ func (db *DB) Snapshot() *Snapshot {
 
 // Scan implements Storage against the pinned versions.
 func (s *Snapshot) Scan(name string) (*ColTable, bool, error) {
-	ct, ok := s.tabs[lowerKey(name)]
+	ct, ok := s.tabs[name]
 	return ct, ok, nil
 }
 
 // Relation boxes the pinned rows of a relation; see ColTable.Relation
 // for the cost.
 func (s *Snapshot) Relation(name string) (*Relation, bool) {
-	ct, ok := s.tabs[lowerKey(name)]
+	ct, ok := s.tabs[name]
 	if !ok {
 		return nil, false
 	}
@@ -765,7 +765,7 @@ func (s *Snapshot) Relation(name string) (*Relation, bool) {
 
 // NumRows returns the pinned row count of a relation.
 func (s *Snapshot) NumRows(name string) (int, bool) {
-	ct, ok := s.tabs[lowerKey(name)]
+	ct, ok := s.tabs[name]
 	if !ok {
 		return 0, false
 	}
@@ -775,14 +775,14 @@ func (s *Snapshot) NumRows(name string) (int, bool) {
 // Version returns the pinned version counter of a relation (0 if the
 // relation was absent at pin time).
 func (s *Snapshot) Version(name string) uint64 {
-	if ct, ok := s.tabs[lowerKey(name)]; ok {
+	if ct, ok := s.tabs[name]; ok {
 		return ct.ver
 	}
 	return 0
 }
 
-// SetOnInvalidate registers fn to be called, with the lowercased
-// relation name, after every loud install (Put, Append, and Apply
+// SetOnInvalidate registers fn to be called, with the relation's
+// declared name, after every loud install (Put, Append, and Apply
 // commits that are not Silent). The server's plan cache registers its
 // eviction here. Like Put, SetOnInvalidate must not race queries:
 // install the hook before serving. A nil fn unregisters.

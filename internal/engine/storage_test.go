@@ -154,23 +154,27 @@ func TestExecContextMemBudget(t *testing.T) {
 }
 
 // TestDBOnInvalidateHook pins the invalidation seam the serving layer's
-// plan cache hangs off: the hook fires with the lowercased relation
+// plan cache hangs off: the hook fires with the relation's declared
 // name on every loud install (Put, Append, a non-Silent Apply commit),
 // stays quiet for Silent commits, by delta or whole, and a nil fn unregisters
-// it.
+// it. The store compares names exactly: another spelling names no
+// relation.
 func TestDBOnInvalidateHook(t *testing.T) {
 	db := NewDB()
 	var fired []string
 	db.SetOnInvalidate(func(name string) { fired = append(fired, name) })
 
 	db.Put("Sales", NewRelation("a"))
-	db.Append("SALES", []value.Value{value.Int(1)})
-	base, _, _ := db.Scan("sales")
-	db.Apply([]Commit{{Name: "Sales", Base: base, Delta: Delta{Drop: []int32{0}}}})
-	if len(fired) != 3 || fired[0] != "sales" || fired[1] != "sales" || fired[2] != "sales" {
-		t.Fatalf("hook observed %v, want [sales sales sales]", fired)
+	if db.Append("SALES", []value.Value{value.Int(1)}) {
+		t.Fatal("Append found Sales under the name SALES")
 	}
-	base, _, _ = db.Scan("sales")
+	db.Append("Sales", []value.Value{value.Int(1)})
+	base, _, _ := db.Scan("Sales")
+	db.Apply([]Commit{{Name: "Sales", Base: base, Delta: Delta{Drop: []int32{0}}}})
+	if len(fired) != 3 || fired[0] != "Sales" || fired[1] != "Sales" || fired[2] != "Sales" {
+		t.Fatalf("hook observed %v, want [Sales Sales Sales]", fired)
+	}
+	base, _, _ = db.Scan("Sales")
 	db.Apply([]Commit{{Name: "Sales", Base: base, Delta: Delta{Append: [][]value.Value{{value.Int(2)}}}, Silent: true}})
 	db.Apply([]Commit{{Name: "Sales", Table: BuildColTable(NewRelation("a")), Silent: true}})
 	if len(fired) != 3 {

@@ -422,7 +422,7 @@ func CounterexampleAnswers(ctx context.Context) (want, paper, ours int64) {
 		panic(err)
 	}
 
-	rw := &core.Rewriter{Schema: src, Views: reg}
+	rw := &core.Rewriter{Views: reg}
 	rws, err := rw.RewriteOnceContext(ctx, q, v2)
 	if err != nil {
 		panic(err)

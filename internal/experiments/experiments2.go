@@ -57,7 +57,7 @@ func RunMultiView(ctx context.Context, k int) (found int, allEqual, orderFree bo
 			panic(err)
 		}
 	}
-	rw := &core.Rewriter{Schema: src, Views: reg}
+	rw := &core.Rewriter{Views: reg}
 	q := ir.MustBuild(qSQL, src)
 	rws, err := rw.RewritingsContext(ctx, q)
 	if err != nil {
@@ -96,7 +96,7 @@ func RunMultiView(ctx context.Context, k int) (found int, allEqual, orderFree bo
 			panic(err)
 		}
 	}
-	rw2 := &core.Rewriter{Schema: src, Views: rev}
+	rw2 := &core.Rewriter{Views: rev}
 	rws2, err := rw2.RewritingsContext(ctx, q)
 	if err != nil {
 		panic(err)
@@ -156,7 +156,7 @@ func SearchCostSetup(nTables, nViews int) (*core.Rewriter, *ir.Query) {
 	default:
 		qSQL = "SELECT A, SUM(E) FROM R1, R2, R3 WHERE B = 0 AND F = 0 AND H = 0 AND A = E AND A = G GROUP BY A"
 	}
-	return &core.Rewriter{Schema: src, Views: reg}, ir.MustBuild(qSQL, src)
+	return &core.Rewriter{Views: reg}, ir.MustBuild(qSQL, src)
 }
 
 // RunSearchCost measures one point of E6.
@@ -199,7 +199,7 @@ func KeysSetup(ctx context.Context, withKeys bool) (*aggview.System, *core.Rewri
 	if err != nil {
 		panic(err)
 	}
-	rw := &core.Rewriter{Schema: s.Catalog, Views: s.Views}
+	rw := &core.Rewriter{Views: s.Views}
 	if withKeys {
 		rw.Meta = keys.CatalogMeta{Catalog: s.Catalog}
 	}
@@ -260,7 +260,7 @@ func NegativeCases(ctx context.Context) []NegativeCase {
 		if err := reg.Add(v); err != nil {
 			panic(err)
 		}
-		rw := &core.Rewriter{Schema: src, Views: reg, Opts: opts}
+		rw := &core.Rewriter{Views: reg, Opts: opts}
 		q := ir.MustBuild(querySQL, src)
 		rws, err := rw.RewriteOnceContext(ctx, q, v)
 		if err != nil {
@@ -395,8 +395,8 @@ func HavingCases(ctx context.Context) []HavingCase {
 			panic(err)
 		}
 		q := ir.MustBuild(querySQL, src)
-		with := &core.Rewriter{Schema: src, Views: reg}
-		without := &core.Rewriter{Schema: src, Views: reg, Opts: core.Options{NoNormalize: true}}
+		with := &core.Rewriter{Views: reg}
+		without := &core.Rewriter{Views: reg, Opts: core.Options{NoNormalize: true}}
 		withRws, err := with.RewriteOnceContext(ctx, q, v)
 		if err != nil {
 			panic(err)

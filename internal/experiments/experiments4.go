@@ -94,7 +94,7 @@ func BaselineCases(ctx context.Context) []BaselineCase {
 		if err := reg.Add(v); err != nil {
 			panic(err)
 		}
-		rw := &core.Rewriter{Schema: src, Views: reg}
+		rw := &core.Rewriter{Views: reg}
 		q := ir.MustBuild(e.query, src)
 		rws, err := rw.RewriteOnceContext(ctx, q, v)
 		if err != nil {

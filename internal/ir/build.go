@@ -7,37 +7,39 @@ import (
 	"aggview/internal/sqlparser"
 )
 
-// SchemaSource resolves a FROM-clause name (base table or view) to its
-// ordered column names. Implementations: the catalog adapter and the
-// view registry.
+// SchemaSource resolves a FROM-clause name (base table or view), in any
+// letter case, to the name it was declared under and its ordered
+// columns: the catalog and the view registry. Build binds every FROM
+// item to the declared name, so below it names compare exactly.
 type SchemaSource interface {
-	ColumnsOf(name string) ([]string, bool)
+	Resolve(name string) (declared string, cols []string, ok bool)
 }
 
 // MultiSource tries several schema sources in order.
 type MultiSource []SchemaSource
 
-// ColumnsOf implements SchemaSource.
-func (m MultiSource) ColumnsOf(name string) ([]string, bool) {
+// Resolve implements SchemaSource.
+func (m MultiSource) Resolve(name string) (string, []string, bool) {
 	for _, s := range m {
-		if cols, ok := s.ColumnsOf(name); ok {
-			return cols, true
+		if declared, cols, ok := s.Resolve(name); ok {
+			return declared, cols, true
 		}
 	}
-	return nil, false
+	return "", nil, false
 }
 
-// MapSource is a SchemaSource backed by a plain map (case-insensitive).
+// MapSource is a SchemaSource backed by a plain map (case-insensitive);
+// a key is the name its relation was declared under.
 type MapSource map[string][]string
 
-// ColumnsOf implements SchemaSource.
-func (m MapSource) ColumnsOf(name string) ([]string, bool) {
+// Resolve implements SchemaSource.
+func (m MapSource) Resolve(name string) (string, []string, bool) {
 	for k, v := range m {
 		if strings.EqualFold(k, name) {
-			return v, true
+			return k, v, true
 		}
 	}
-	return nil, false
+	return "", nil, false
 }
 
 // builder resolves AST names against the query under construction.
@@ -94,8 +96,12 @@ func buildInto(sel *sqlparser.Select, src SchemaSource, anon *Registry, counter 
 			if err != nil {
 				return nil, err
 			}
-			*counter++
-			source = fmt.Sprintf("subq_%d", *counter)
+			// Number a derived table past every name src resolves, so
+			// its name means no other relation.
+			for taken := true; taken; _, _, taken = src.Resolve(source) {
+				*counter++
+				source = fmt.Sprintf("subq_%d", *counter)
+			}
 			v, err := NewViewDef(source, subQ)
 			if err != nil {
 				return nil, err
@@ -106,7 +112,7 @@ func buildInto(sel *sqlparser.Select, src SchemaSource, anon *Registry, counter 
 			attrs = v.OutCols
 		} else {
 			var ok bool
-			attrs, ok = src.ColumnsOf(tr.Table)
+			source, attrs, ok = src.Resolve(tr.Table)
 			if !ok {
 				return nil, fmt.Errorf("ir: unknown table or view %q", tr.Table)
 			}

@@ -210,9 +210,12 @@ func TestViewDefNamesAndRegistry(t *testing.T) {
 	if err := reg.Add(v); err == nil {
 		t.Error("duplicate view should fail")
 	}
-	cols, ok := reg.ColumnsOf("v1")
-	if !ok || len(cols) != 4 {
-		t.Errorf("registry ColumnsOf: %v %v", cols, ok)
+	name, cols, ok := reg.Resolve("v1")
+	if !ok || name != "V1" || len(cols) != 4 {
+		t.Errorf("registry Resolve: %q %v %v", name, cols, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { reg.Get("v1") }); n != 0 {
+		t.Errorf("a lookup under another spelling allocates %v times", n)
 	}
 	if len(reg.All()) != 1 {
 		t.Error("All()")

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -88,47 +89,50 @@ func (v *ViewDef) SQL() string {
 	return fmt.Sprintf("CREATE VIEW %s(%s) AS %s", v.Name, strings.Join(v.OutCols, ", "), v.Def.SQL())
 }
 
-// Registry is a set of view definitions; it implements SchemaSource so
-// queries can range over views.
+// Registry is a set of view definitions and a SchemaSource. With the
+// catalog, it is one of the two case-insensitive name tables: a lookup
+// finds a view under any spelling of its name, without allocating.
 type Registry struct {
-	views map[string]*ViewDef
-	order []string
+	views []*ViewDef // in registration order
 }
 
 // NewRegistry returns an empty view registry.
-func NewRegistry() *Registry { return &Registry{views: map[string]*ViewDef{}} }
+func NewRegistry() *Registry { return &Registry{} }
 
-// Add registers a view; duplicate names are rejected.
+// Add registers a view; a name another view holds in any letter case is
+// rejected, and so are output columns that repeat a name in any letter
+// case, as a table's would be (schema.Catalog.AddTable).
 func (r *Registry) Add(v *ViewDef) error {
-	key := strings.ToLower(v.Name)
-	if _, ok := r.views[key]; ok {
+	if _, ok := r.Get(v.Name); ok {
 		return fmt.Errorf("ir: duplicate view %q", v.Name)
 	}
-	r.views[key] = v
-	r.order = append(r.order, key)
+	for i, c := range v.OutCols {
+		if slices.IndexFunc(v.OutCols[:i], func(d string) bool { return strings.EqualFold(c, d) }) >= 0 {
+			return fmt.Errorf("ir: view %q has duplicate column %q", v.Name, c)
+		}
+	}
+	r.views = append(r.views, v)
 	return nil
 }
 
-// Get looks up a view by name.
+// Get looks up a view by name, in any letter case.
 func (r *Registry) Get(name string) (*ViewDef, bool) {
-	v, ok := r.views[strings.ToLower(name)]
-	return v, ok
+	for _, v := range r.views {
+		if strings.EqualFold(v.Name, name) {
+			return v, true
+		}
+	}
+	return nil, false
 }
 
 // All returns the views in registration order.
-func (r *Registry) All() []*ViewDef {
-	out := make([]*ViewDef, 0, len(r.order))
-	for _, k := range r.order {
-		out = append(out, r.views[k])
-	}
-	return out
-}
+func (r *Registry) All() []*ViewDef { return slices.Clone(r.views) }
 
-// ColumnsOf implements SchemaSource.
-func (r *Registry) ColumnsOf(name string) ([]string, bool) {
+// Resolve implements SchemaSource.
+func (r *Registry) Resolve(name string) (string, []string, bool) {
 	v, ok := r.Get(name)
 	if !ok {
-		return nil, false
+		return "", nil, false
 	}
-	return v.OutCols, true
+	return v.Name, v.OutCols, true
 }

@@ -13,7 +13,7 @@
 package keys
 
 import (
-	"strings"
+	"slices"
 
 	"aggview/internal/ir"
 	"aggview/internal/schema"
@@ -149,50 +149,15 @@ func CoreClosure(q *ir.Query, start []ir.ColID, meta MetaSource) map[ir.ColID]bo
 	}
 	var rules []rule
 	for ti, t := range q.Tables {
-		colOf := func(name string) (ir.ColID, bool) {
-			for pos, id := range q.Tables[ti].Cols {
-				if strings.EqualFold(q.Col(id).Attr, name) {
-					_ = pos
-					return id, true
-				}
-			}
-			return 0, false
-		}
 		for _, k := range meta.KeysOf(t.Source) {
-			from := make([]ir.ColID, 0, len(k))
-			ok := true
-			for _, name := range k {
-				id, found := colOf(name)
-				if !found {
-					ok = false
-					break
-				}
-				from = append(from, id)
-			}
-			if ok {
+			if from, ok := ColsByAttr(q, ti, k); ok {
 				rules = append(rules, rule{from: from, to: t.Cols})
 			}
 		}
 		for _, fd := range meta.FDsOf(t.Source) {
-			var from, to []ir.ColID
-			ok := true
-			for _, name := range fd.From {
-				id, found := colOf(name)
-				if !found {
-					ok = false
-					break
-				}
-				from = append(from, id)
-			}
-			for _, name := range fd.To {
-				id, found := colOf(name)
-				if !found {
-					ok = false
-					break
-				}
-				to = append(to, id)
-			}
-			if ok {
+			from, okFrom := ColsByAttr(q, ti, fd.From)
+			to, okTo := ColsByAttr(q, ti, fd.To)
+			if okFrom && okTo {
 				rules = append(rules, rule{from: from, to: to})
 			}
 		}
@@ -234,39 +199,30 @@ func CoreClosure(q *ir.Query, start []ir.ColID, meta MetaSource) map[ir.ColID]bo
 // a multiset (Prop 5.2).
 func coversAllKeys(q *ir.Query, closure map[ir.ColID]bool, meta MetaSource) bool {
 	for ti, t := range q.Tables {
-		ks := meta.KeysOf(t.Source)
-		if len(ks) == 0 {
-			return false
+		covered := func(k []string) bool {
+			cols, ok := ColsByAttr(q, ti, k)
+			return ok && !slices.ContainsFunc(cols, func(c ir.ColID) bool { return !closure[c] })
 		}
-		found := false
-		for _, k := range ks {
-			all := true
-			for _, name := range k {
-				id, ok := colByAttr(q, ti, name)
-				if !ok || !closure[id] {
-					all = false
-					break
-				}
-			}
-			if all {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(meta.KeysOf(t.Source), covered) {
 			return false
 		}
 	}
 	return true
 }
 
-func colByAttr(q *ir.Query, table int, attr string) (ir.ColID, bool) {
-	for _, id := range q.Tables[table].Cols {
-		if strings.EqualFold(q.Col(id).Attr, attr) {
-			return id, true
+// ColsByAttr returns the columns of q's table occurrence ti named attrs,
+// and whether it has each. Names compare exactly: ir.Build binds columns,
+// and the catalog stores key and FD columns, by their declared names.
+func ColsByAttr(q *ir.Query, ti int, attrs []string) ([]ir.ColID, bool) {
+	out := make([]ir.ColID, len(attrs))
+	for i, attr := range attrs {
+		j := slices.IndexFunc(q.Tables[ti].Cols, func(id ir.ColID) bool { return q.Col(id).Attr == attr })
+		if j < 0 {
+			return nil, false
 		}
+		out[i] = q.Tables[ti].Cols[j]
 	}
-	return 0, false
+	return out, true
 }
 
 // ResultKeys derives candidate keys of a query's result, expressed as

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
-	"strings"
 
 	"aggview/internal/engine"
 	"aggview/internal/value"
@@ -38,11 +37,10 @@ func (m *Maintainer) DeclareKey(table string, key, to []int) error {
 	if tab.NumRows() > 0 {
 		return fmt.Errorf("maintain: %s holds rows; declare its keys before writing it", table)
 	}
-	lower := strings.ToLower(table)
 	if m.declared == nil {
 		m.declared = map[string][]*declared{}
 	}
-	m.declared[lower] = append(m.declared[lower], &declared{table: table, key: key, to: to, names: tab.Attrs(), seed: maphash.MakeSeed()})
+	m.declared[table] = append(m.declared[table], &declared{table: table, key: key, to: to, names: tab.Attrs(), seed: maphash.MakeSeed()})
 	return nil
 }
 

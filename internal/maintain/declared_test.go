@@ -94,7 +94,7 @@ func TestKeyCheckSurvivesHashCollisions(t *testing.T) {
 	if err := m.InsertContext(t.Context(), "T", row(1), row(2)); err != nil {
 		t.Fatal(err)
 	}
-	d := m.declared["t"][0]
+	d := m.declared["T"][0]
 	_, h := d.hash(nil, row(3), d.key)
 	d.index.add(h, 1) // a stored key value that collides with 3
 	if err := m.InsertContext(t.Context(), "T", row(3)); err != nil {
@@ -144,8 +144,8 @@ func TestBulkKeyCheck(t *testing.T) {
 	if err := m.InsertContext(t.Context(), "T", batch(5000, 5000)...); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := db.NumRows("T"); n != 10000 || m.declared["t"][0].index.n != 10000 {
-		t.Fatalf("T holds %d rows, its index %d keys; want 10000", n, m.declared["t"][0].index.n)
+	if n, _ := db.NumRows("T"); n != 10000 || m.declared["T"][0].index.n != 10000 {
+		t.Fatalf("T holds %d rows, its index %d keys; want 10000", n, m.declared["T"][0].index.n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"aggview/internal/engine"
@@ -132,7 +131,7 @@ func TestKeysAgreeWithKeyEqual(t *testing.T) {
 // what rebuild derives from the tables.
 func sameAsRebuild(t *testing.T, m *Maintainer, name string, batch int) {
 	t.Helper()
-	st := m.tracked[strings.ToLower(name)]
+	st := m.tracked[name]
 	tab, groups, err := m.rebuild(context.Background(), st, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +167,7 @@ func TestFindingATouchedGroupAllocatesNothing(t *testing.T) {
 	res := engine.BuildColTable(&engine.Relation{Attrs: []string{"t", "a", "d", "x", "n"}, Tuples: [][]value.Value{
 		{value.Int(3), value.Int(1 << 60), value.Int(7), value.Int(-7), value.Int(1)},
 	}})
-	p := &pending{st: m.tracked["v"]}
+	p := &pending{st: m.tracked["V"]}
 	if err := p.absorb(res); err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"aggview/internal/budget"
@@ -89,7 +88,7 @@ type Maintainer struct {
 
 	mu       sync.Mutex
 	tracked  map[string]*state
-	declared map[string][]*declared // lowercased table -> its keys and FDs (DeclareKey)
+	declared map[string][]*declared // table -> its keys and FDs (DeclareKey)
 }
 
 // Mutation is one base table's part of an atomic batch: rows to remove
@@ -141,13 +140,13 @@ type state struct {
 	// its MIN/MAX argument columns (grouped by too), SUM(arg) per
 	// SUM/AVG and a trailing COUNT(*) at nAt — or, for a conjunctive
 	// view, the definition itself. delta holds, per table the
-	// definition reads once (lowercased), the same query with that
+	// definition reads once (by name), the same query with that
 	// table's occurrence carrying the sign column: SUM(sign × arg) and
 	// SUM(sign) — or the definition selecting the sign last.
 	seed  *ir.Query
 	delta map[string]*ir.Query
 	nAt   int
-	// direct counts direct FROM occurrences per lowercased base table;
+	// direct counts direct FROM occurrences per base table;
 	// trans marks every transitive base table; viaView marks tables
 	// whose dependence flows through a nested view (delta-unsafe).
 	direct  map[string]int
@@ -317,7 +316,7 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 	// A loud install, as DB.Put's: plans that evaluated the view on the
 	// fly can now scan it.
 	st.groups, st.tab = groups, m.db.Apply([]engine.Commit{{Name: v.Name, Table: tab}})[0]
-	m.tracked[strings.ToLower(name)] = st
+	m.tracked[v.Name] = st
 	return st.incremental, nil
 }
 
@@ -440,22 +439,21 @@ func (st *state) resolveSources(views *ir.Registry, tracked map[string]*state) {
 	var expand func(q *ir.Query, nested bool)
 	expand = func(q *ir.Query, nested bool) {
 		for _, t := range q.Tables {
-			key := strings.ToLower(t.Source)
 			v, isView := views.Get(t.Source)
 			switch {
 			case !isView && nested:
-				st.trans[key], st.viaView[key] = true, true
+				st.trans[t.Source], st.viaView[t.Source] = true, true
 			case !isView:
-				st.trans[key] = true
-				st.direct[key]++
+				st.trans[t.Source] = true
+				st.direct[t.Source]++
 			default:
-				if under, ok := tracked[key]; !nested && ok && under.depth+1 > st.depth {
+				if under, ok := tracked[t.Source]; !nested && ok && under.depth+1 > st.depth {
 					st.depth = under.depth + 1
 				} else if !nested && st.depth == 0 {
 					st.depth = 1
 				}
-				if !seen[key] {
-					seen[key] = true
+				if !seen[t.Source] {
+					seen[t.Source] = true
 					expand(v.Def, true)
 				}
 			}
@@ -509,8 +507,8 @@ func buildDelta(st *state) {
 	}
 	st.delta = map[string]*ir.Query{}
 	for ti, t := range def.Tables {
-		if name := strings.ToLower(t.Source); st.direct[name] == 1 {
-			st.delta[name] = st.signed(ti)
+		if st.direct[t.Source] == 1 {
+			st.delta[t.Source] = st.signed(ti)
 		}
 	}
 }
@@ -747,28 +745,27 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	deltaRows := 0
 	keyed := map[string]*keyBatch{} // tables with declared keys: what the batch does to them
 	for _, mut := range muts {
-		key := strings.ToLower(mut.Table)
 		var base *engine.ColTable
-		if prev, ok := overlay[key]; ok {
+		if prev, ok := overlay[mut.Table]; ok {
 			base = prev.table()
 		} else {
 			var found bool
 			if base, found, _ = m.db.Scan(mut.Table); !found {
 				return fmt.Errorf("maintain: unknown table %q", mut.Table)
 			}
-			order = append(order, key)
-			if len(m.declared[key]) > 0 {
-				keyed[key] = &keyBatch{stored: base}
+			order = append(order, mut.Table)
+			if len(m.declared[mut.Table]) > 0 {
+				keyed[mut.Table] = &keyBatch{stored: base}
 			}
 		}
 		delta, err := tableDelta(base, mut)
 		if err != nil {
 			return err
 		}
-		if kb := keyed[key]; kb != nil {
+		if kb := keyed[mut.Table]; kb != nil {
 			kb.muts = append(kb.muts, mut)
 		}
-		overlay[key] = &staged{name: key, base: base, delta: delta}
+		overlay[mut.Table] = &staged{name: mut.Table, base: base, delta: delta}
 		deltaRows += len(mut.Deletes) + len(mut.Inserts)
 	}
 	for _, key := range order {
@@ -788,7 +785,6 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	committed := map[string]*staged{}
 	tracked := m.sortedTrackedLocked()
 	for _, mut := range muts {
-		key := strings.ToLower(mut.Table)
 		// The evaluator of the mutation's delta queries, over its signed
 		// delta table in place of the table: built for the first view that
 		// reads it, so a write no tracked view depends on costs what the
@@ -796,7 +792,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 		var ev *engine.Evaluator
 		for _, name := range tracked {
 			st := m.tracked[name]
-			if !st.trans[key] {
+			if !st.trans[mut.Table] {
 				continue
 			}
 			p := pend[name]
@@ -807,7 +803,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			if p.recompute {
 				continue
 			}
-			if !st.incremental || st.direct[key] != 1 || st.viaView[key] {
+			if !st.incremental || st.direct[mut.Table] != 1 || st.viaView[mut.Table] {
 				p.recompute = true
 				m.Metrics.Volatile("maintain.fallback.full").Inc()
 				continue
@@ -820,9 +816,9 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 				continue
 			}
 			if ev == nil {
-				ev = m.evaluator(&overlayStorage{db: m.db, staged: committed, key: key, delta: signedDelta(overlay[key].base.Attrs(), mut)})
+				ev = m.evaluator(&overlayStorage{db: m.db, staged: committed, key: mut.Table, delta: signedDelta(overlay[mut.Table].base.Attrs(), mut)})
 			}
-			res, err := ev.ExecColumns(ctx, st.delta[key])
+			res, err := ev.ExecColumns(ctx, st.delta[mut.Table])
 			if err == nil {
 				err = p.absorb(res)
 			}
@@ -838,7 +834,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 				return err
 			}
 		}
-		committed[key] = overlay[key]
+		committed[mut.Table] = overlay[mut.Table]
 	}
 
 	// Stage the materializations; recompute fallbacks evaluate against
@@ -913,7 +909,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	return nil
 }
 
-// sortedTrackedLocked returns tracked view keys in deterministic order.
+// sortedTrackedLocked returns the tracked views' names in order.
 func (m *Maintainer) sortedTrackedLocked() []string {
 	names := make([]string, 0, len(m.tracked))
 	for k := range m.tracked {
@@ -923,7 +919,7 @@ func (m *Maintainer) sortedTrackedLocked() []string {
 	return names
 }
 
-// sortByDepthLocked orders tracked view keys by nesting depth, then
+// sortByDepthLocked orders tracked views' names by nesting depth, then
 // name: a view is staged after every view it reads.
 func (m *Maintainer) sortByDepthLocked(names []string) {
 	sort.Slice(names, func(i, j int) bool {
@@ -1014,17 +1010,16 @@ func holdsRows(base *engine.ColTable, pos []int32, rows [][]value.Value) bool {
 type overlayStorage struct {
 	db     *engine.DB
 	staged map[string]*staged
-	key    string // lowercased table bound to delta; "" for none
+	key    string // the table bound to delta; "" for none
 	delta  *engine.ColTable
 }
 
 // Scan implements engine.Storage.
 func (o *overlayStorage) Scan(name string) (*engine.ColTable, bool, error) {
-	key := strings.ToLower(name)
-	if o.delta != nil && key == o.key {
+	if o.delta != nil && name == o.key {
 		return o.delta, true, nil
 	}
-	if s, ok := o.staged[key]; ok {
+	if s, ok := o.staged[name]; ok {
 		return s.table(), true, nil
 	}
 	return o.db.Scan(name)
@@ -1298,7 +1293,7 @@ func (p *pending) fold() {
 func (m *Maintainer) Mode(name string) (mode, reason string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, ok := m.tracked[strings.ToLower(name)]
+	st, ok := m.tracked[name]
 	switch {
 	case !ok:
 		return "", ""
@@ -1312,18 +1307,15 @@ func (m *Maintainer) Mode(name string) (mode, reason string) {
 func (m *Maintainer) Tracked() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	names := m.sortedTrackedLocked()
-	for i, key := range names {
-		names[i] = m.tracked[key].def.Name
-	}
-	return names
+	return m.sortedTrackedLocked()
 }
 
-// Tracks reports whether the named view is maintained.
+// Tracks reports whether the view declared under name is maintained
+// (like Mode and GroupCounts, it compares names exactly).
 func (m *Maintainer) Tracks(name string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, ok := m.tracked[strings.ToLower(name)]
+	_, ok := m.tracked[name]
 	return ok
 }
 
@@ -1333,7 +1325,7 @@ func (m *Maintainer) Tracks(name string) bool {
 func (m *Maintainer) GroupCounts(name string) (map[string]int64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, ok := m.tracked[strings.ToLower(name)]
+	st, ok := m.tracked[name]
 	if !ok || st.groups == nil {
 		return nil, false
 	}

@@ -67,12 +67,12 @@ func TestRebuildEqualsDefinition(t *testing.T) {
 			}
 			sameAsDefinition("after Track")
 
-			st := m.tracked["v"]
-			st.viaView["txns"] = true
+			st := m.tracked["V"]
+			st.viaView["Txns"] = true
 			if err := m.ApplyContext(ctx, Mutation{Table: "Txns"}); err != nil {
 				t.Fatal(err)
 			}
-			delete(st.viaView, "txns")
+			delete(st.viaView, "Txns")
 			sameAsDefinition("after a recompute")
 
 			// The rebuilt state still absorbs deltas.

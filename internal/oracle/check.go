@@ -3,6 +3,8 @@ package oracle
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"slices"
 	"strings"
 
@@ -12,6 +14,7 @@ import (
 	"aggview/internal/engine"
 	"aggview/internal/faultinject"
 	"aggview/internal/obs"
+	"aggview/internal/sqlparser"
 )
 
 // Options configures a check.
@@ -110,7 +113,9 @@ type Violation struct {
 	// of a query step, or the mutation checks ("mutate:step=3:view=V0",
 	// "maintain@2:step=1:aborted:view=V0",
 	// "mutate:concurrent:reader=1:torn-view"), or a query step whose
-	// direct execution failed after a mutation ("direct:step=4");
+	// direct execution failed after a mutation ("direct:step=4"), or a
+	// query step re-spelled in random letter case that is not the same
+	// statement ("spelling");
 	// empty for a query step's plain differential.
 	Fault string
 	// Err is set when execution failed outright.
@@ -298,30 +303,41 @@ func checkViews(ctx context.Context, sys *aggview.System, views []*ViewSpec, tag
 	return nil
 }
 
-// checkQuery executes one query step directly and via every rewriting
+// checkQuery executes one query step directly, re-spelled in random
+// letter case (which must keep its plan key), and via every rewriting
 // the rewriter emits, at every configured worker count, against ref,
 // its serial direct answer, and records each multiset inequality as a
 // violation; then, as configured, the injection, storage and wire
 // passes run over the same executions.
 func checkQuery(ctx context.Context, sys *aggview.System, sql string, ref *engine.Relation, serve func(context.Context, string) (*engine.Relation, error), opt Options, out *Outcome) error {
-	// The direct plan must agree with itself at every worker count
-	// (the engine's determinism contract).
+	// The query as a user may spell it (respell) is the same statement,
+	// and its direct plan must agree with the serial answer at every
+	// worker count (the engine's determinism contract).
+	spelled, err := respell(sql)
+	if err != nil {
+		return fmt.Errorf("oracle: re-spelling: %w", err)
+	}
+	key, err := sys.PlanKey(sql)
+	if err != nil {
+		return fmt.Errorf("oracle: keying: %w", err)
+	}
+	if k, _ := sys.PlanKey(spelled); k != key { // a failed parse fails the direct runs below too
+		out.Violations = append(out.Violations, Violation{RewritingSQL: spelled, Fault: "spelling",
+			Err: fmt.Errorf("plan key %q, the original spelling's is %q", k, key)})
+	}
 	for _, w := range opt.Workers {
-		if w == 1 {
-			continue
-		}
 		sys.Opts.Workers = w
-		got, err := sys.QueryContext(ctx, sql)
+		got, err := sys.QueryContext(ctx, spelled)
 		if err != nil {
 			if ctx.Err() != nil {
 				return err
 			}
-			out.Violations = append(out.Violations, Violation{Workers: w, RewritingSQL: sql, Err: err})
+			out.Violations = append(out.Violations, Violation{Workers: w, RewritingSQL: spelled, Err: err})
 			continue
 		}
 		if !engine.ResultsEqualBag(ref, got) {
 			out.Violations = append(out.Violations, Violation{
-				Workers: w, RewritingSQL: sql, Want: ref, Got: got,
+				Workers: w, RewritingSQL: spelled, Want: ref, Got: got,
 			})
 		}
 	}
@@ -384,31 +400,86 @@ func checkQuery(ctx context.Context, sys *aggview.System, sql string, ref *engin
 		return err
 	}
 	if serve != nil {
-		return wirePass(ctx, sys, sql, ref, serve, opt, out)
+		return wirePass(ctx, sys, sql, spelled, ref, serve, opt, out)
 	}
 	return nil
+}
+
+// respell re-spells the table, range-variable and column names of a
+// SELECT, each letter in a random case, and renders it back. Its random
+// source is its own, seeded by the text, so the generators' streams are
+// untouched and a case re-spells the same way on every run.
+func respell(sql string) (string, error) {
+	sel, err := sqlparser.Parse(sql)
+	if err != nil {
+		return "", err
+	}
+	h := fnv.New64a()
+	h.Write([]byte(sql))
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	name := func(s *string) {
+		b := []byte(*s)
+		for i, c := range b {
+			if 'a' <= c|0x20 && c|0x20 <= 'z' && rng.Intn(2) == 0 {
+				b[i] ^= 0x20 // the other case of an ASCII letter
+			}
+		}
+		*s = string(b)
+	}
+	var walk func(n any)
+	walk = func(n any) {
+		switch x := n.(type) {
+		case *sqlparser.Select:
+			for _, it := range x.Items {
+				walk(it.Expr)
+			}
+			for i := range x.From {
+				name(&x.From[i].Table)
+				name(&x.From[i].Alias)
+				if x.From[i].Subquery != nil {
+					walk(x.From[i].Subquery)
+				}
+			}
+			for _, g := range x.GroupBy {
+				walk(g)
+			}
+			walk(x.Where)
+			walk(x.Having)
+		case *sqlparser.ColumnRef:
+			name(&x.Qualifier)
+			name(&x.Name)
+		case *sqlparser.AggExpr:
+			walk(x.Arg)
+		case *sqlparser.BinExpr:
+			walk(x.L)
+			walk(x.R)
+		}
+	}
+	walk(sel)
+	return sel.SQL(), nil
 }
 
 // wirePass answers a query step through the serving stack built by
 // opt.Serve and requires bag equality with the direct reference. Each
 // worker count issues two requests, so both the cold (singleflight
 // populate) and the warm (cache hit) plan-cache paths are differential-
-// checked against direct evaluation.
-func wirePass(ctx context.Context, sys *aggview.System, sql string, ref *engine.Relation, exec func(context.Context, string) (*engine.Relation, error), opt Options, out *Outcome) error {
+// checked against direct evaluation; the warm request sends spelled, the
+// query re-spelled, which reaches the cached plan through its key.
+func wirePass(ctx context.Context, sys *aggview.System, sql, spelled string, ref *engine.Relation, exec func(context.Context, string) (*engine.Relation, error), opt Options, out *Outcome) error {
 	for _, w := range opt.Workers {
 		sys.Opts.Workers = w
-		for _, label := range []string{"wire", "wire-cached"} {
-			got, err := exec(ctx, sql)
+		for _, req := range []struct{ label, sql string }{{"wire", sql}, {"wire-cached", spelled}} {
+			got, err := exec(ctx, req.sql)
 			if err != nil {
 				if ctx.Err() != nil {
 					return err
 				}
-				out.Violations = append(out.Violations, Violation{Workers: w, RewritingSQL: sql, Fault: label, Err: err})
+				out.Violations = append(out.Violations, Violation{Workers: w, RewritingSQL: req.sql, Fault: req.label, Err: err})
 				continue
 			}
 			if !engine.ResultsEqualBag(ref, got) {
 				out.Violations = append(out.Violations, Violation{
-					Workers: w, RewritingSQL: sql, Fault: label, Want: ref, Got: got,
+					Workers: w, RewritingSQL: req.sql, Fault: req.label, Want: ref, Got: got,
 				})
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"aggview/internal/core"
 	"aggview/internal/ir"
+	"aggview/internal/sqlparser"
 	"aggview/internal/value"
 )
 
@@ -322,4 +323,40 @@ func TestShrinkReducesRows(t *testing.T) {
 		return
 	}
 	t.Skip("no instance triggered the synthetic fault (generator drift)")
+}
+
+// TestRespellChangesOnlyLetterCase: the spelling pass's query is the
+// step's query with some letters of its names in the other case, the
+// same on every run.
+func TestRespellChangesOnlyLetterCase(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	changed := 0
+	for range 100 {
+		for _, st := range Generate(rng, GenOptions{}).Steps {
+			if st.Kind != StepQuery {
+				continue
+			}
+			sql := st.Query.SQL()
+			sel, err := sqlparser.Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spelled, err := respell(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := respell(sql); again != spelled {
+				t.Fatalf("%s re-spells as %s, then as %s", sql, spelled, again)
+			}
+			if !strings.EqualFold(spelled, sel.SQL()) {
+				t.Fatalf("%s re-spells as %s", sql, spelled)
+			}
+			if spelled != sel.SQL() {
+				changed++
+			}
+		}
+	}
+	if changed < 90 {
+		t.Fatalf("%d of 100 queries re-spelled, want nearly all", changed)
+	}
 }

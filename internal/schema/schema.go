@@ -6,7 +6,7 @@ package schema
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -29,124 +29,99 @@ type FD struct {
 	To   []string
 }
 
-// Catalog is a collection of table definitions, looked up by name
-// case-insensitively (SQL identifiers are case-insensitive here).
+// Catalog is a collection of table definitions. With the view registry
+// (ir.Registry), it is one of the two case-insensitive name tables: a
+// lookup finds a table under any spelling of its name, without
+// allocating.
 type Catalog struct {
-	tables map[string]*Table
-	order  []string // insertion order, for deterministic listings
+	tables []*Table // in registration order
 }
 
 // NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
-	return &Catalog{tables: make(map[string]*Table)}
-}
-
-// canon maps an identifier to its canonical (lower-case) form.
-func canon(name string) string { return strings.ToLower(name) }
+func NewCatalog() *Catalog { return &Catalog{} }
 
 // AddTable registers a table definition. It fails on duplicate table
 // names, duplicate column names, and keys or FDs that mention unknown
-// columns.
+// columns. It stores every key and FD column in the spelling of the
+// column list, so they compare exactly with the columns a query binds.
 func (c *Catalog) AddTable(t *Table) error {
 	if t.Name == "" {
 		return fmt.Errorf("schema: table with empty name")
 	}
-	key := canon(t.Name)
-	if _, ok := c.tables[key]; ok {
+	if _, ok := c.Table(t.Name); ok {
 		return fmt.Errorf("schema: duplicate table %q", t.Name)
 	}
 	if len(t.Columns) == 0 {
 		return fmt.Errorf("schema: table %q has no columns", t.Name)
 	}
-	seen := make(map[string]bool, len(t.Columns))
-	for _, col := range t.Columns {
-		cc := canon(col)
-		if seen[cc] {
+	for i, col := range t.Columns {
+		if t.ColumnIndex(col) < i {
 			return fmt.Errorf("schema: table %q has duplicate column %q", t.Name, col)
 		}
-		seen[cc] = true
 	}
+	declared := func(cols []string, what string) ([]string, error) {
+		out := make([]string, len(cols))
+		for i, col := range cols {
+			j := t.ColumnIndex(col)
+			if j < 0 {
+				return nil, fmt.Errorf("schema: table %q %s mentions unknown column %q", t.Name, what, col)
+			}
+			out[i] = t.Columns[j]
+		}
+		return out, nil
+	}
+	var keys [][]string
 	for _, k := range t.Keys {
 		if len(k) == 0 {
 			return fmt.Errorf("schema: table %q has an empty key", t.Name)
 		}
-		for _, col := range k {
-			if !seen[canon(col)] {
-				return fmt.Errorf("schema: table %q key mentions unknown column %q", t.Name, col)
-			}
+		key, err := declared(k, "key")
+		if err != nil {
+			return err
 		}
+		keys = append(keys, key)
 	}
+	var fds []FD
 	for _, fd := range t.FDs {
 		if len(fd.From) == 0 || len(fd.To) == 0 {
 			return fmt.Errorf("schema: table %q has a degenerate FD", t.Name)
 		}
-		for _, col := range append(append([]string{}, fd.From...), fd.To...) {
-			if !seen[canon(col)] {
-				return fmt.Errorf("schema: table %q FD mentions unknown column %q", t.Name, col)
-			}
+		cols, err := declared(append(slices.Clone(fd.From), fd.To...), "FD")
+		if err != nil {
+			return err
 		}
+		fds = append(fds, FD{From: cols[:len(fd.From)], To: cols[len(fd.From):]})
 	}
-	c.tables[key] = t
-	c.order = append(c.order, key)
+	t.Keys, t.FDs = keys, fds
+	c.tables = append(c.tables, t)
 	return nil
 }
 
-// ColumnsOf returns the ordered column names of a table; it makes
-// Catalog usable wherever a schema source is needed (ir.SchemaSource).
-func (c *Catalog) ColumnsOf(name string) ([]string, bool) {
+// Resolve implements ir.SchemaSource: a table's declared name and columns.
+func (c *Catalog) Resolve(name string) (string, []string, bool) {
 	t, ok := c.Table(name)
 	if !ok {
-		return nil, false
+		return "", nil, false
 	}
-	return t.Columns, true
+	return t.Name, t.Columns, true
 }
 
-// Table looks up a table by name; the second result reports success.
+// Table looks up a table by name, in any letter case; the second result
+// reports success.
 func (c *Catalog) Table(name string) (*Table, bool) {
-	t, ok := c.tables[canon(name)]
-	return t, ok
+	for _, t := range c.tables {
+		if strings.EqualFold(t.Name, name) {
+			return t, true
+		}
+	}
+	return nil, false
 }
 
 // Tables returns the table definitions in registration order.
-func (c *Catalog) Tables() []*Table {
-	out := make([]*Table, 0, len(c.order))
-	for _, k := range c.order {
-		out = append(out, c.tables[k])
-	}
-	return out
-}
+func (c *Catalog) Tables() []*Table { return slices.Clone(c.tables) }
 
 // ColumnIndex returns the position of column col in table t, or -1.
 // Matching is case-insensitive.
 func (t *Table) ColumnIndex(col string) int {
-	cc := canon(col)
-	for i, c := range t.Columns {
-		if canon(c) == cc {
-			return i
-		}
-	}
-	return -1
-}
-
-// String renders the catalog as CREATE TABLE-style declarations, sorted
-// by table name, for debugging and golden tests.
-func (c *Catalog) String() string {
-	names := make([]string, 0, len(c.tables))
-	for k := range c.tables {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		t := c.tables[n]
-		fmt.Fprintf(&b, "TABLE %s(%s)", t.Name, strings.Join(t.Columns, ", "))
-		for _, k := range t.Keys {
-			fmt.Fprintf(&b, " KEY(%s)", strings.Join(k, ", "))
-		}
-		for _, fd := range t.FDs {
-			fmt.Fprintf(&b, " FD(%s -> %s)", strings.Join(fd.From, ", "), strings.Join(fd.To, ", "))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return slices.IndexFunc(t.Columns, func(c string) bool { return strings.EqualFold(c, col) })
 }

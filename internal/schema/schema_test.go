@@ -1,7 +1,6 @@
 package schema
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -84,16 +83,32 @@ func TestColumnIndex(t *testing.T) {
 	}
 }
 
-func TestTablesOrderAndString(t *testing.T) {
+func TestTablesOrder(t *testing.T) {
 	c := telco(t)
 	tabs := c.Tables()
 	if len(tabs) != 3 || tabs[0].Name != "Customer" || tabs[2].Name != "Calls" {
 		t.Errorf("Tables() should preserve registration order, got %v", tabs)
 	}
-	s := c.String()
-	for _, frag := range []string{"TABLE Calls(", "KEY(Call_Id)", "TABLE Customer("} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("String() missing %q in:\n%s", frag, s)
-		}
+}
+
+// TestKeysTakeTheDeclaredSpelling: KEY and FD columns are stored as the
+// column list spells them, so they compare exactly with the columns a
+// query binds; a lookup under any spelling allocates nothing.
+func TestKeysTakeTheDeclaredSpelling(t *testing.T) {
+	c := NewCatalog()
+	tbl := &Table{Name: "Calls", Columns: []string{"Call_Id", "Plan_Id"},
+		Keys: [][]string{{"CALL_ID"}}, FDs: []FD{{From: []string{"call_id"}, To: []string{"plan_ID"}}}}
+	if err := c.AddTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := c.Table("CALLS")
+	if got.Keys[0][0] != "Call_Id" || got.FDs[0].From[0] != "Call_Id" || got.FDs[0].To[0] != "Plan_Id" {
+		t.Errorf("keys %v, FDs %v: want the column list's spelling", got.Keys, got.FDs)
+	}
+	if name, _, ok := c.Resolve("calls"); !ok || name != "Calls" {
+		t.Errorf("Resolve(calls) = %q, %v; want the declared Calls", name, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Table("cALLS") }); n != 0 {
+		t.Errorf("a lookup under another spelling allocates %v times", n)
 	}
 }

@@ -248,7 +248,8 @@ func (c *PlanCache) removeLocked(e *cacheEntry) {
 }
 
 // InvalidateRelation evicts every plan whose dependency set contains
-// the (case-insensitively matched) relation, and bars in-flight
+// the relation, named as declared (Prepared.Deps and the DB hook both
+// give the declared name, compared exactly), and bars in-flight
 // populations started before this call from inserting. It is wired to
 // engine.DB.SetOnInvalidate, so every mutation path — facade inserts,
 // incremental view maintenance, wholesale Put — reaches it.

@@ -118,7 +118,7 @@ func TestPlanCacheAccounting(t *testing.T) {
 
 // TestPlanCacheInvalidation pins the relation-dependency eviction: only
 // plans whose dependency set contains the mutated relation are dropped,
-// matching case-insensitively. A plan over a tracked view depends on the
+// matched exactly by the declared name the DB hook delivers. A plan over a tracked view depends on the
 // view alone (the view absorbs its tables' writes in the same batch); a
 // plan over a view that is declared but not stored depends on the view's
 // tables too, transitively through the registry.
@@ -132,11 +132,11 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	overV, pV := mustPrepare(t, sys, "SELECT a, SUM(b) FROM T GROUP BY a")
 	overU, pU := mustPrepare(t, sys, "SELECT d FROM U")
 	overW, pW := mustPrepare(t, sys, "SELECT d FROM W")
-	if !pV.Rewritten() || !slices.Equal(pV.Deps, []string{"v"}) {
-		t.Fatalf("plan over the tracked view: rewritten=%v deps=%v, want deps [v]", pV.Rewritten(), pV.Deps)
+	if !pV.Rewritten() || !slices.Equal(pV.Deps, []string{"V"}) {
+		t.Fatalf("plan over the tracked view: rewritten=%v deps=%v, want deps [V]", pV.Rewritten(), pV.Deps)
 	}
-	if pW.Rewritten() || !slices.Equal(pW.Deps, []string{"u", "w"}) {
-		t.Fatalf("plan over the declared view: rewritten=%v deps=%v, want deps [u w]", pW.Rewritten(), pW.Deps)
+	if pW.Rewritten() || !slices.Equal(pW.Deps, []string{"U", "W"}) {
+		t.Fatalf("plan over the declared view: rewritten=%v deps=%v, want deps [U W]", pW.Rewritten(), pW.Deps)
 	}
 	prepared := map[string]*aggview.Prepared{overT: pT, overV: pV, overU: pU, overW: pW}
 	fill := func() {
@@ -161,14 +161,48 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		rel  string
 		want []bool
 	}{
-		{"t", []bool{false, true, true, true}}, // lowercased, as the DB hook delivers it
-		{"v", []bool{true, false, true, true}},
-		{"u", []bool{true, true, false, false}},
+		{"t", []bool{true, true, true, true}}, // no relation is declared t
+		{"T", []bool{false, true, true, true}},
+		{"V", []bool{true, false, true, true}},
+		{"U", []bool{true, true, false, false}},
 	} {
 		c.InvalidateRelation(tc.rel)
 		if got := hits(); !slices.Equal(got, tc.want) {
 			t.Fatalf("after invalidating %s: hits (T, V, U, W) = %v, want %v", tc.rel, got, tc.want)
 		}
+	}
+}
+
+// TestSpellingsShareOnePlan: one query whose table and columns are
+// spelled as declared, lower-cased and upper-cased is one plan-cache
+// entry, prepared once; invalidating the declared name evicts it.
+func TestSpellingsShareOnePlan(t *testing.T) {
+	sys := cacheSystem(t)
+	c := NewPlanCache(8, obs.NewMetrics())
+	ctx := context.Background()
+	var verdicts []string
+	var cached *aggview.Prepared
+	for _, sql := range []string{
+		"SELECT a, SUM(b) FROM T GROUP BY a",
+		"select a, sum(b) from t group by a",
+		"SELECT A, SUM(B) FROM T GROUP BY A",
+	} {
+		key, p := mustPrepare(t, sys, sql)
+		got, verdict, err := c.GetOrPrepare(ctx, key, func() (*aggview.Prepared, error) { return p, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts, cached = append(verdicts, verdict), got
+	}
+	if !slices.Equal(verdicts, []string{"miss", "hit", "hit"}) || c.Len() != 1 {
+		t.Fatalf("verdicts %v over %d entries, want [miss hit hit] over 1", verdicts, c.Len())
+	}
+	if !slices.Equal(cached.Deps, []string{"V"}) {
+		t.Fatalf("the cached plan depends on %v, want [V]", cached.Deps)
+	}
+	c.InvalidateRelation("V")
+	if c.Len() != 0 {
+		t.Fatal("the entry survived the invalidation of V")
 	}
 }
 
@@ -240,7 +274,7 @@ func TestPlanCacheGenerationBarsStaleInsert(t *testing.T) {
 
 	got, verdict, err := c.GetOrPrepare(context.Background(), key, func() (*aggview.Prepared, error) {
 		// Concurrent mutation lands mid-preparation.
-		c.InvalidateRelation("t")
+		c.InvalidateRelation("T")
 		return p, nil
 	})
 	if err != nil || verdict != "miss" || got != p {
@@ -359,7 +393,7 @@ func TestPlanCacheTextAliases(t *testing.T) {
 		t.Fatalf("%d aliases after eviction, want 1", len(c.texts))
 	}
 
-	c.InvalidateRelation("t") // lowercased, as the DB hook delivers it
+	c.InvalidateRelation("T") // the declared name, as the DB hook delivers it
 	if _, ok := c.GetByText(sqlA); ok || len(c.texts) != 0 {
 		t.Fatalf("alias survived InvalidateRelation (%d left)", len(c.texts))
 	}

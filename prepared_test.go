@@ -129,8 +129,8 @@ func TestPreparedDeps(t *testing.T) {
 		rewritten bool
 		deps      []string
 	}{
-		{"SELECT cust, SUM(dur) FROM Calls GROUP BY cust", true, []string{"bycust"}},
-		{"SELECT toll FROM ByToll", false, []string{"bytoll", "calls"}},
+		{"SELECT cust, SUM(dur) FROM Calls GROUP BY cust", true, []string{"ByCust"}},
+		{"SELECT toll FROM ByToll", false, []string{"ByToll", "Calls"}},
 	} {
 		p, err := s.PrepareContext(ctx, c.sql)
 		if err != nil {
