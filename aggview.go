@@ -167,6 +167,7 @@ func (s *System) Rewriter() *core.Rewriter {
 		Views: s.Views,
 		Meta:  keys.CatalogMeta{Catalog: s.Catalog},
 		Opts:  s.Opts,
+		Kinds: s.DB,
 	}
 }
 

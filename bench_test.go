@@ -222,19 +222,37 @@ func BenchmarkPlanCold(b *testing.B) {
 // BenchmarkScanAgg measures the engine's scan-filter-join-fold path on
 // the benchmark's four base_scan shapes over a 100000-row warehouse, at
 // one worker and at two: what a query no view answers costs, and whether
-// the second worker pays on this host.
+// the second worker pays on this host. by_day_float is by_day over a
+// float copy of Charge, the cost of the exact float fold (value.Sum)
+// beside the int one; ns/row divides by the 100000 Calls rows.
 func BenchmarkScanAgg(b *testing.B) {
-	sys := warehouse(b, 100_000)
-	for _, sh := range scanShapes(b, sys) {
+	const calls = 100_000
+	ctx := context.Background()
+	sys := warehouse(b, calls)
+	shapes := scanShapes(b, sys)
+	src, err := sys.QueryContext(ctx, "SELECT Day, Charge FROM Calls")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.MustLoad("CREATE TABLE FCalls(Day, Charge);")
+	for _, t := range src.Tuples {
+		t[1] = aggview.Float(float64(t[1].AsInt()))
+	}
+	if err := sys.InsertContext(ctx, "FCalls", src.Tuples...); err != nil {
+		b.Fatal(err)
+	}
+	shapes = append(shapes, scanShape{"by_day_float", `SELECT Day, SUM(Charge), COUNT(Charge) FROM FCalls GROUP BY Day`})
+	for _, sh := range shapes {
 		for _, w := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", sh.name, w), func(b *testing.B) {
 				sys.Opts.Workers = w
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if res, err := sys.QueryContext(context.Background(), sh.sql); err != nil || res.Len() == 0 {
+					if res, err := sys.QueryContext(ctx, sh.sql); err != nil || res.Len() == 0 {
 						b.Fatalf("empty result or error: %v", err)
 					}
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/calls, "ns/row")
 			})
 		}
 	}

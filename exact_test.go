@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"aggview/internal/engine"
+	"aggview/internal/obs"
 	"aggview/internal/value"
 )
 
@@ -146,9 +148,9 @@ func TestProbeIntSumOverflows(t *testing.T) {
 
 // TestProbeDeleteMinInt64UnderSum: group 1 of T holds MinInt64 and 5, and
 // V sums it. Deleting the MinInt64 row, or updating it into group 2,
-// makes a delta of -1 × MinInt64, which leaves int64 although every new
-// total fits: the write recomputes V and succeeds. A write whose new total
-// leaves int64 is still refused, with T and V as they were.
+// subtracts MinInt64 from a total that then fits: the write succeeds. A
+// write whose new total leaves int64 is still refused, with T and V as
+// they were.
 func TestProbeDeleteMinInt64UnderSum(t *testing.T) {
 	ctx := context.Background()
 	const minInt = "-9223372036854775808"
@@ -203,17 +205,18 @@ func TestProbeDeleteMinInt64UnderSum(t *testing.T) {
 	}
 }
 
-// TestProbeNonFiniteSumRecomputes: group 1 of T holds 1.5 and 1e308, and
+// TestProbeNonFiniteSumIsAbsorbed: group 1 of T holds 1.5 and 1e308, and
 // V sums, counts and averages it. Inserting a row of NaN, +Inf or 1e308
-// (whose total is +Inf) and deleting it again leaves a running total that
-// cannot be taken back (NaN - NaN, Inf - Inf, Inf - 1e308): each write
-// recomputes V, which reads as the direct query, bit for bit, after
-// both.
-func TestProbeNonFiniteSumRecomputes(t *testing.T) {
+// (whose total is +Inf) and deleting it again is absorbed like any other
+// write: the view's exact total counts the NaN or the infinity apart from
+// its finite part, and the delete takes it back out. V reads as the
+// direct query, bit for bit, after both, and neither write recomputes it.
+func TestProbeNonFiniteSumIsAbsorbed(t *testing.T) {
 	ctx := context.Background()
 	const direct = "SELECT G, SUM(X), COUNT(X), AVG(X) FROM T GROUP BY G"
 	for _, x := range []float64{math.NaN(), math.Inf(1), 1e308} {
 		s := New()
+		s.Metrics = obs.NewMetrics()
 		s.MustLoad("CREATE TABLE T(Id, G, X); CREATE VIEW V AS " + direct + ";")
 		if err := s.InsertContext(ctx, "T", []Value{Int(1), Int(1), Float(1.5)}, []Value{Int(2), Int(1), Float(1e308)}); err != nil {
 			t.Fatal(err)
@@ -236,6 +239,158 @@ func TestProbeNonFiniteSumRecomputes(t *testing.T) {
 			t.Fatalf("delete: %d, %v", n, err)
 		}
 		check("delete")
+		if n := s.Metrics.Volatile("maintain.fallback.full").Load(); n != 0 {
+			t.Errorf("X = %v: %d writes recomputed V, want none", x, n)
+		}
+	}
+}
+
+// TestProbeOneBatchKeepsTheExactTotal: V sums group 1 of T, which holds
+// 0.5. One insert adds 1e16 and 1.0, and a delete then removes the 1e16
+// row, leaving 0.5 + 1.0. The insert's delta query folds its two rows
+// into one finer group whose cell rounds to 1e16 (1e16 + 1 is a tie, and
+// ties go to even), so a view that added that cell would read 0.5; V
+// adds the group's exact total instead and stores 1.5, bit for bit what
+// the direct query and the best plan answer, and neither write recomputes
+// it.
+func TestProbeOneBatchKeepsTheExactTotal(t *testing.T) {
+	ctx := context.Background()
+	const q = "SELECT G, SUM(X), COUNT(X) FROM T GROUP BY G"
+	s := New()
+	s.Metrics = obs.NewMetrics()
+	s.MustLoad("CREATE TABLE T(Id, G, X); CREATE VIEW V AS " + q + ";")
+	if err := s.InsertContext(ctx, "T", []Value{Int(1), Int(1), Float(0.5)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TrackViewContext(ctx, "V"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InsertContext(ctx, "T", []Value{Int(2), Int(1), Float(1e16)}, []Value{Int(3), Int(1), Float(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.DeleteContext(ctx, "T", "Id = 2"); err != nil || n != 1 {
+		t.Fatalf("delete: %d, %v", n, err)
+	}
+	const want = "1 | 1.5#3ff8000000000000 | 2\n"
+	v, _ := s.DB.Get("V")
+	if got := cellBits(v); got != want {
+		t.Errorf("V: %q, want %q", got, want)
+	}
+	if got := cellBits(mustQuery(t, s, q)); got != want {
+		t.Errorf("direct: %q, want %q", got, want)
+	}
+	res, _, err := s.QueryBestContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cellBits(res); got != want {
+		t.Errorf("best plan: %q, want %q", got, want)
+	}
+	if n := s.Metrics.Volatile("maintain.fallback.full").Load(); n != 0 {
+		t.Errorf("%d writes recomputed V, want none", n)
+	}
+}
+
+// TestProbeCoalescingNeverReAddsRoundedCells: V sums T by (G, H), so its
+// cells for group 1 are round(1e16 + 1.0) = 1e16 and -1e16. Re-adding them
+// for SELECT G, SUM(X) answers 0.0 where the exact total is 1.0, with no
+// write at all. Condition C4' refuses that coalescing over a float
+// column: the best plan and every rewriting answer 1.0, as the direct
+// query does.
+func TestProbeCoalescingNeverReAddsRoundedCells(t *testing.T) {
+	ctx := context.Background()
+	const q = "SELECT G, SUM(X) FROM T GROUP BY G"
+	const want = "1 | 1.0#3ff0000000000000\n"
+	s := New()
+	s.MustLoad("CREATE TABLE T(G, H, X); CREATE VIEW V AS SELECT G, H, SUM(X), COUNT(X) FROM T GROUP BY G, H;")
+	if err := s.InsertContext(ctx, "T", []Value{Int(1), Int(1), Float(1e16)}, []Value{Int(1), Int(2), Float(-1e16)}, []Value{Int(1), Int(1), Float(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TrackViewContext(ctx, "V"); err != nil {
+		t.Fatal(err)
+	}
+	if got := cellBits(mustQuery(t, s, q)); got != want {
+		t.Fatalf("direct: %q, want %q", got, want)
+	}
+	res, _, err := s.QueryBestContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cellBits(res); got != want {
+		t.Errorf("best plan: %q, want %q", got, want)
+	}
+	rws, err := s.RewritingsContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rw := range rws {
+		res, err := s.ExecRewritingContext(ctx, rw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cellBits(res); got != want {
+			t.Errorf("%s: %q, want %q", rw.SQL(), got, want)
+		}
+	}
+}
+
+// TestProbeDirectFloatSumIsRoundedOnce: SUM over 1e16, 1.0 and 1.0 is the
+// exact 1e16 + 2 rounded once, which float64 holds; adding the rows in
+// order would round 1e16 + 1 to 1e16 twice. Every worker count answers
+// it, over one chunk and over rows that span three, with the two 1.0s in
+// other chunks than the 1e16.
+func TestProbeDirectFloatSumIsRoundedOnce(t *testing.T) {
+	ctx := context.Background()
+	const want = "1 | 1.0000000000000002e+16#4341c37937e08001\n"
+	for _, rows := range []int{3, engine.RowsSpanning(3)} {
+		for _, workers := range []int{1, 2, 8} {
+			s := New()
+			s.Opts.Workers = workers
+			s.MustLoad("CREATE TABLE T(G, X);")
+			batch := make([][]Value, rows)
+			for i := range batch {
+				batch[i] = []Value{Int(1), Float(0)}
+			}
+			batch[0][1], batch[rows/2][1], batch[rows-1][1] = Float(1e16), Float(1), Float(1)
+			if err := s.InsertContext(ctx, "T", batch...); err != nil {
+				t.Fatal(err)
+			}
+			if got := cellBits(mustQuery(t, s, "SELECT G, SUM(X) FROM T GROUP BY G")); got != want {
+				t.Errorf("%d rows, workers %d: %q, want %q", rows, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestProbeAbortedBatchKeepsTheFloatTotal: V1 sums the float X and V2 the
+// int Y of group 1. An insert of 1e16 into X and 1 into Y overflows V2's
+// total (MaxInt64 + 1), so the batch aborts after V1 absorbed its delta
+// into a staged copy of its total: V1's live total is as it was, and the
+// next write reads 0.5 + 1.0, not 1e16 + 1.5.
+func TestProbeAbortedBatchKeepsTheFloatTotal(t *testing.T) {
+	ctx := context.Background()
+	s := New()
+	s.MustLoad(`CREATE TABLE T(Id, G, X, Y);
+		CREATE VIEW V1 AS SELECT G, SUM(X), COUNT(X) FROM T GROUP BY G;
+		CREATE VIEW V2 AS SELECT G, SUM(Y), COUNT(Y) FROM T GROUP BY G;`)
+	if err := s.InsertContext(ctx, "T", []Value{Int(1), Int(1), Float(0.5), Int(math.MaxInt64)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"V1", "V2"} {
+		if _, err := s.TrackViewContext(ctx, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ov *value.OverflowError
+	if err := s.InsertContext(ctx, "T", []Value{Int(2), Int(1), Float(1e16), Int(1)}); !errors.As(err, &ov) {
+		t.Fatalf("insert overflowing V2: %v, want an overflow error", err)
+	}
+	if err := s.InsertContext(ctx, "T", []Value{Int(3), Int(1), Float(1), Int(-1)}); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := s.DB.Get("V1")
+	if got, want := cellBits(v), "1 | 1.5#3ff8000000000000 | 2\n"; got != want {
+		t.Errorf("V1: %q, want %q", got, want)
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package irlint is the IR-level soundness linter behind `aggview
 // lint`. Where the go-level analyzers (maporder, floateq, ...) check
 // the implementation, irlint checks a *catalog*: it parses a script of
-// CREATE TABLE / CREATE VIEW / SELECT statements, rebuilds each
-// statement through the validating IR builders, and reports, per view,
+// CREATE TABLE / CREATE VIEW / SELECT statements, declares the tables
+// and views on a fresh aggview.System (the path `aggview -exec` takes),
+// builds each query against it, and reports, per view,
 // the hazards that make rewriting unsound or silently impossible —
 // which of the paper's usability conditions C1–C4 fail and why,
 // duplicate GROUP BY columns, grouping columns projected out of the
 // view, and aggregation views that cannot recover multiplicities
 // (no COUNT column, AVG without its SUM and COUNT).
 //
-// Severities: "error" marks statements the builders reject, "warn"
+// Severities: "error" marks statements the system rejects, "warn"
 // marks views that build but carry a rewriting hazard, "info" records
 // the per-(query, view) usability verdicts. The CI gate fails on
 // errors and warnings only.
@@ -17,13 +18,12 @@ package irlint
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
-	"aggview/internal/core"
+	"aggview"
 	"aggview/internal/ir"
-	"aggview/internal/keys"
-	"aggview/internal/schema"
 	"aggview/internal/sqlparser"
 )
 
@@ -97,61 +97,36 @@ func LintScript(ctx context.Context, file, src string) *Result {
 		return res
 	}
 
-	cat := schema.NewCatalog()
-	views := ir.NewRegistry()
-	src2 := ir.MultiSource{cat, views}
-	var queries []*ir.Query
-	var labels []string
+	// The script's declarations run through the facade, as `aggview -exec`
+	// runs them, so the linter refuses what the system refuses.
+	sys := aggview.New()
+	var queries, labels []string
 	qn := 0
-
 	for _, st := range stmts {
 		switch x := st.(type) {
 		case *sqlparser.CreateTable:
-			t := &schema.Table{Name: x.Name, Columns: x.Columns, Keys: x.Keys}
-			for _, fd := range x.FDs {
-				t.FDs = append(t.FDs, schema.FD{From: fd[0], To: fd[1]})
-			}
-			if err := cat.AddTable(t); err != nil {
-				add(Diagnostic{
-					Check: "invalid-table", Severity: Error,
-					Message: err.Error(),
-				})
+			if _, err := sys.ExecContext(ctx, x); err != nil {
+				add(Diagnostic{Check: buildCheck(err, "invalid-table"), Severity: Error, Message: err.Error()})
 			}
 		case *sqlparser.CreateView:
-			q, err := ir.Build(x.Query, src2)
-			if err != nil {
-				add(Diagnostic{
-					View: x.Name, Check: buildCheck(err), Severity: Error,
-					Message: fmt.Sprintf("view %s does not build: %v", x.Name, err),
-				})
-				continue
-			}
-			v, err := ir.NewViewDef(x.Name, q)
-			if err == nil {
-				err = views.Add(v)
-			}
-			if err != nil {
-				add(Diagnostic{
-					View: x.Name, Check: buildCheck(err), Severity: Error,
-					Message: err.Error(),
-				})
+			if _, err := sys.ExecContext(ctx, x); err != nil {
+				add(Diagnostic{View: x.Name, Check: buildCheck(err, "invalid-statement"), Severity: Error, Message: err.Error()})
 				continue
 			}
 			res.Views++
 		case *sqlparser.QueryStatement:
 			qn++
 			label := fmt.Sprintf("query #%d", qn)
-			q, err := ir.Build(x.Query, src2)
-			if err != nil {
+			sql := x.Query.SQL()
+			if _, err := sys.Parse(sql); err != nil {
 				add(Diagnostic{
-					Query: label, Check: buildCheck(err), Severity: Error,
+					Query: label, Check: buildCheck(err, "invalid-statement"), Severity: Error,
 					Message: fmt.Sprintf("%s does not build: %v", label, err),
 				})
 				continue
 			}
 			res.Queries++
-			queries = append(queries, q)
-			labels = append(labels, label)
+			queries, labels = append(queries, sql), append(labels, label)
 		case *sqlparser.Insert, *sqlparser.Delete, *sqlparser.Update:
 			// Data changes carry no rewriting invariants; skip.
 		default:
@@ -162,53 +137,47 @@ func LintScript(ctx context.Context, file, src string) *Result {
 		}
 	}
 
-	for _, v := range views.All() {
+	for _, v := range sys.Views.All() {
 		lintView(v, add)
 	}
 
-	if res.Queries > 0 && res.Views > 0 {
-		rw := &core.Rewriter{
-			Views: views,
-			Meta:  keys.CatalogMeta{Catalog: cat},
+	if res.Views == 0 {
+		return res
+	}
+	for i, sql := range queries {
+		us, err := sys.Usability(ctx, sql)
+		if err != nil {
+			add(Diagnostic{
+				Query: labels[i], Check: "usability", Severity: Error,
+				Message: fmt.Sprintf("usability analysis of %s did not finish: %v", labels[i], err),
+			})
+			break
 		}
-		for i, q := range queries {
-			us, err := rw.ExplainUsability(ctx, q)
-			if err != nil {
-				add(Diagnostic{
-					Query: labels[i], Check: "usability", Severity: Error,
-					Message: fmt.Sprintf("usability analysis of %s did not finish: %v", labels[i], err),
-				})
-				break
+		for _, u := range us {
+			d := Diagnostic{View: u.View, Query: labels[i], Check: "usability", Severity: Info}
+			if u.Usable {
+				d.Message = fmt.Sprintf("view %s answers %s (%d mapping(s))", u.View, labels[i], u.Mappings)
+			} else {
+				d.Message = fmt.Sprintf("view %s cannot answer %s: %s", u.View, labels[i], strings.Join(u.Failures, "; "))
 			}
-			for _, u := range us {
-				d := Diagnostic{
-					View: u.View, Query: labels[i],
-					Check: "usability", Severity: Info,
-				}
-				if u.Usable {
-					d.Message = fmt.Sprintf("view %s answers %s (%d mapping(s))", u.View, labels[i], u.Mappings)
-				} else {
-					d.Message = fmt.Sprintf("view %s cannot answer %s: %s",
-						u.View, labels[i], strings.Join(u.Failures, "; "))
-				}
-				add(d)
-			}
+			add(d)
 		}
 	}
 	return res
 }
 
-// buildCheck classifies a builder error into a stable check name.
-func buildCheck(err error) string {
-	msg := err.Error()
+// buildCheck classifies a declaration's or a query's error into a
+// stable check name, fallback for an error of no kind it names.
+func buildCheck(err error, fallback string) string {
+	var dup *ir.DuplicateGroupByError
+	var taken *aggview.NameTakenError
 	switch {
-	case strings.Contains(msg, "duplicate GROUP BY"):
+	case errors.As(err, &dup):
 		return "duplicate-group-by"
-	case strings.Contains(msg, "duplicate view"):
-		return "duplicate-view"
-	default:
-		return "invalid-statement"
+	case errors.As(err, &taken):
+		return "name-taken"
 	}
+	return fallback
 }
 
 // lintView runs the view-local hazard checks on one built view.

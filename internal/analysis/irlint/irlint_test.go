@@ -168,3 +168,20 @@ SELECT B, SUM(C) FROM R1 GROUP BY B;
 		t.Fatalf("want one usability error naming the cancellation, got %+v", us)
 	}
 }
+
+// TestLintRefusesWhatTheSystemRefuses: the script's declarations run
+// through the facade, so a view that takes a table's name in another
+// letter case is an error, as `aggview -exec` of the script refuses it.
+func TestLintRefusesWhatTheSystemRefuses(t *testing.T) {
+	res := irlint.LintScript(context.Background(), "taken.sql", `
+CREATE TABLE T(a, b);
+CREATE VIEW t AS SELECT a, SUM(b) FROM T GROUP BY a;
+`)
+	errs := find(res, "name-taken")
+	if len(errs) != 1 || errs[0].Severity != irlint.Error || errs[0].View != "t" {
+		t.Fatalf("want one name-taken error for t, got %+v", res.Diags)
+	}
+	if res.Views != 0 {
+		t.Fatalf("a refused view must not count, got %d", res.Views)
+	}
+}

@@ -71,6 +71,10 @@ type Rewriter struct {
 	Meta keys.MetaSource
 	// Opts tunes the rewriter.
 	Opts Options
+	// Kinds supplies the stored columns' kinds, which decide the float
+	// half of condition C4' (analyzer.roundedSum); nil: no column is
+	// float.
+	Kinds Kinds
 }
 
 // Rewriting is one rewriting of a query that uses materialized views

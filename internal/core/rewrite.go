@@ -124,8 +124,14 @@ func (a *analyzer) analyze() (*Rewriting, error) {
 // exposed grouping columns), and the view's grouping columns are its key
 // (Section 5, Prop 5.1), so no two surviving view rows share a group.
 func (a *analyzer) groupPreserving() bool {
+	return len(a.aux) == 0 && a.readsOneViewRow()
+}
+
+// readsOneViewRow is groupPreserving before any auxiliary view is built:
+// each query group reads exactly one row of the view.
+func (a *analyzer) readsOneViewRow() bool {
 	return !a.setSem && a.m.oneToOne && a.qf.isAgg && a.vf.isAgg &&
-		a.nCovered == len(a.q.Tables) && len(a.aux) == 0 && a.vGroupsDeterminedByQ()
+		a.nCovered == len(a.q.Tables) && a.vGroupsDeterminedByQ()
 }
 
 // addSameImageEqualities adds, for a many-to-1 mapping, equality
@@ -427,9 +433,9 @@ func (a *analyzer) rewriteAggAggView(agg *ir.Agg) (ir.Expr, error) {
 		case ir.AggCount:
 			return a.countAsSum()
 		case ir.AggSum:
-			return a.scaledSum(newArg)
+			return a.scaledSum(newArg, a.rw.floatExpr(a.q, agg.Arg))
 		case ir.AggAvg:
-			return a.avgFromSumCount(func() (ir.Expr, error) { return a.scaledSum(newArg) })
+			return a.avgFromSumCount(func() (ir.Expr, error) { return a.scaledSum(newArg, a.rw.floatExpr(a.q, agg.Arg)) })
 		}
 		return nil, fail("unknown aggregate %v", agg.Func)
 	}
@@ -491,10 +497,14 @@ func (a *analyzer) countAsSum() (ir.Expr, error) {
 
 // scaledSum computes SUM(arg) when arg comes from uncovered tables:
 // SUM(arg * N) by default, or Cnt_Va * SUM(arg) in paper-faithful mode
-// (step S5', guarded).
-func (a *analyzer) scaledSum(newArg ir.Expr) (ir.Expr, error) {
+// (step S5', guarded). Over floats (float) both add rounded products or
+// multiply a rounded sum, and are refused (roundedSum).
+func (a *analyzer) scaledSum(newArg ir.Expr, float bool) (ir.Expr, error) {
 	cnt, err := a.cntCol()
 	if err != nil {
+		return nil, err
+	}
+	if err := a.roundedSum(float, true, "SUM(arg × N) over an uncovered argument"); err != nil {
 		return nil, err
 	}
 	if a.rw.Opts.PaperFaithful {
@@ -506,10 +516,14 @@ func (a *analyzer) scaledSum(newArg ir.Expr) (ir.Expr, error) {
 // sumOfCovered computes SUM(A) for a covered column A (step S4' part 1),
 // from the view's SUM(A) or its bare A. A view's AVG(A) × COUNT is not
 // one: true over the reals, it rounds in float64 where the sum it stands
-// for is exact.
+// for is exact. Over a float view column either form is kept only where
+// each query group reads one view row (roundedSum).
 func (a *analyzer) sumOfCovered(c ir.ColID) (ir.Expr, error) {
 	if pos, ok := a.findAggItem(ir.AggSum, c); ok {
 		// Coalescing subgroups: SUM of the view's partial sums.
+		if err := a.roundedSum(a.rw.floatCol(a.vf.def.Name, pos), false, "SUM of a view's SUM cells"); err != nil {
+			return nil, err
+		}
 		return &ir.Agg{Func: ir.AggSum, Arg: &ir.ColRef{Col: a.viewCols[pos]}}, nil
 	}
 	if nc, err := a.replacement(c); err == nil {
@@ -519,12 +533,30 @@ func (a *analyzer) sumOfCovered(c ir.ColID) (ir.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		col := a.nq.Col(nc)
+		float := a.rw.floatCol(a.nq.Tables[col.Table].Source, col.Pos)
+		if err := a.roundedSum(float, a.rw.Opts.PaperFaithful, "SUM(B × N) over a view's bare column"); err != nil {
+			return nil, err
+		}
 		if a.rw.Opts.PaperFaithful {
 			return a.vaMultiply(&ir.Agg{Func: ir.AggSum, Arg: &ir.ColRef{Col: nc}})
 		}
 		return &ir.Agg{Func: ir.AggSum, Arg: &ir.Arith{Op: ir.ArithMul, L: &ir.ColRef{Col: nc}, R: &ir.ColRef{Col: cnt}}}, nil
 	}
 	return nil, fail("condition C4': view cannot provide SUM(%s)", a.q.Col(c).Name)
+}
+
+// roundedSum is condition C4' for a SUM over floats (float): a form that
+// adds rounded float values — a view's SUM cells, products with its
+// COUNT — is the exact total rounded once only when each query group
+// reads one view row, and one that multiplies a sum from outside (the Va
+// construction, va) never is; such a form is refused, so that every
+// rewriting answers what the direct query does, bit for bit.
+func (a *analyzer) roundedSum(float, va bool, form string) error {
+	if float && (va || !a.readsOneViewRow()) {
+		return fail("condition C4': %s adds rounded floats", form)
+	}
+	return nil
 }
 
 // avgFromSumCount reconstructs AVG as SUM/COUNT (Section 4.4); it is not

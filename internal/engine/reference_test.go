@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"aggview/internal/ir"
@@ -60,16 +61,20 @@ func termValue(t ir.Term, row []value.Value) value.Value {
 
 // accum is the boxed state of one aggregate over one group, the
 // row-at-a-time reference the typed fold (vagg.go) is held to. Rows are
-// absorbed in input order; an int total is summed exactly and fails only
-// when its final value leaves int64.
+// absorbed in input order; a total is summed exactly in math/big: an int
+// one fails only when its final value leaves int64, a float one is
+// rounded once, to nearest even.
 type accum struct {
 	fn   ir.AggFunc
 	arg  ir.Expr // nil for COUNT(*) and bare COUNT
 	rows int64
 	seen bool
-	ints big.Int     // SUM and AVG over ints: the exact total
-	sum  value.Value // SUM and AVG over floats: running total from +0
-	best value.Value // MIN/MAX: current extremum
+	ints big.Int // SUM and AVG over ints: the exact total
+	// SUM and AVG over floats: the exact finite total, and the
+	// non-finite values met.
+	floats          *big.Float
+	nan, pinf, ninf bool
+	best            value.Value // MIN/MAX: current extremum
 }
 
 // absorb folds one evaluated argument value into the accumulator, for
@@ -103,9 +108,19 @@ func (ac *accum) absorb(v value.Value) error {
 		if ac.ints.Sign() != 0 {
 			return fmt.Errorf("reference: %s over ints and floats", ac.fn)
 		}
-		var err error
-		ac.sum, err = value.Add(ac.sum, v)
-		return err
+		if ac.floats == nil {
+			ac.floats = new(big.Float).SetPrec(4096)
+		}
+		switch f := v.AsFloat(); {
+		case math.IsNaN(f):
+			ac.nan = true
+		case math.IsInf(f, 1):
+			ac.pinf = true
+		case math.IsInf(f, -1):
+			ac.ninf = true
+		default:
+			ac.floats.Add(ac.floats, big.NewFloat(f))
+		}
 	default:
 		return fmt.Errorf("engine: unknown aggregate %v", ac.fn)
 	}
@@ -118,12 +133,22 @@ func (ac *accum) result() (value.Value, error) {
 	if ac.arg == nil || ac.fn == ir.AggCount {
 		return value.Int(ac.rows), nil
 	}
-	sum := ac.sum
-	if ac.sum.Kind() == value.KindInt {
-		if !ac.ints.IsInt64() {
-			return value.Value{}, &value.OverflowError{Op: '+'}
-		}
+	var sum value.Value
+	switch {
+	case ac.fn == ir.AggMin || ac.fn == ir.AggMax:
+	case ac.floats == nil && !ac.ints.IsInt64():
+		return value.Value{}, &value.OverflowError{Op: '+'}
+	case ac.floats == nil:
 		sum = value.Int(ac.ints.Int64())
+	case ac.nan || ac.pinf && ac.ninf:
+		sum = value.Float(math.NaN())
+	case ac.pinf:
+		sum = value.Float(math.Inf(1))
+	case ac.ninf:
+		sum = value.Float(math.Inf(-1))
+	default:
+		f, _ := ac.floats.Float64()
+		sum = value.Float(f)
 	}
 	switch ac.fn {
 	case ir.AggMin, ir.AggMax:

@@ -204,8 +204,8 @@ func (db *DB) Append(name string, rows ...[]value.Value) bool {
 // which must not be installed anywhere else) or Delta applied to the
 // version Base — the installed one when Base is nil, and nothing at all
 // when no relation of the name is installed. Silent commits (maintained
-// views that absorbed a delta) skip the invalidation hook; loud ones
-// (base tables) fire it.
+// views that absorbed a delta) skip the invalidation hook unless they
+// change a column's kind; loud ones (base tables) fire it.
 type Commit struct {
 	Name   string
 	Table  *ColTable
@@ -249,7 +249,10 @@ func (db *DB) install(batch []Commit) (installed []*ColTable, loud []string, fn 
 		default:
 			continue
 		}
-		if !c.Silent {
+		// A commit that changes a column's kind is loud even when it is
+		// Silent: a plan over the relation chose its rewriting by the
+		// kinds (core.Kinds), and a view's first rows fix its kinds.
+		if !c.Silent || ok && !sameKinds(cur, installed[i]) {
 			loud = append(loud, c.Name)
 		}
 	}

@@ -50,6 +50,9 @@ type ColTable struct {
 	cols  []*column
 	bytes int64
 	ver   uint64 // per-relation version, assigned at install
+	// sums holds, by column, the exact totals of a query result's bare
+	// float SUM columns: see Sums.
+	sums map[int][]value.Sum
 }
 
 // column is one attribute of a stored table: its chunks, all of the
@@ -136,6 +139,14 @@ func (c *ColTable) Cells(col, k int) (kind value.Kind, ints []int64, floats []fl
 	v := &c.cols[col].chunks[k].Vec
 	return v.kind, v.ints, v.floats, v.strs
 }
+
+// Sums returns the exact totals behind column col of a query result
+// whose select item is a bare SUM over floats, one per row in order,
+// each of which the column's cell is the rounding of; nil for any other
+// column or table. The maintainer adds a delta query's totals through
+// them, so that no rounded cell is ever re-added. The slice is the
+// table's own and must not be written.
+func (c *ColTable) Sums(col int) []value.Sum { return c.sums[col] }
 
 // Bytes returns the estimated payload footprint, charged against
 // budget.Limits.MaxMemBytes once per operation that scans the table.
@@ -719,6 +730,31 @@ func (db *DB) Scan(name string) (*ColTable, bool, error) {
 	ct, ok := db.tabs[name]
 	db.mu.Unlock()
 	return ct, ok, nil
+}
+
+// Kind returns the kind of column pos of the relation installed under
+// name, and false when none is: the kinds the rewriter's float rule
+// reads (core.Kinds). A commit that changes one is loud (DB.Apply).
+func (db *DB) Kind(name string, pos int) (value.Kind, bool) {
+	ct, ok, _ := db.Scan(name)
+	if !ok || pos >= len(ct.cols) {
+		return 0, false
+	}
+	return ct.cols[pos].kind, true
+}
+
+// sameKinds reports whether two versions of a relation hold the same
+// kind in every column.
+func sameKinds(a, b *ColTable) bool {
+	if len(a.cols) != len(b.cols) {
+		return false
+	}
+	for c := range a.cols {
+		if a.cols[c].kind != b.cols[c].kind {
+			return false
+		}
+	}
+	return true
 }
 
 // Snapshot is an immutable, point-in-time view of every relation in a

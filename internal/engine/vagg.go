@@ -289,23 +289,39 @@ func (gk *groupKeys) holds(g int, keys []vecOperand, j int) bool {
 
 // accCol holds one aggregate's accumulators, one cell per group id, as a
 // typed vector of its argument's kind: int64 (SUM, AVG's total and
-// MIN/MAX over ints, MIN/MAX over the 0/1 payload of bools), float64 (the
-// same over floats) or string (MIN/MAX over strings). An AVG keeps its
-// SUM's total and divides once, at output. An int total is the exact
-// sum's low word, wrapping, and carry counts the signed 2^64 wraps that
-// took it there (empty until one does; a group past its end has none):
-// the total is exact when the count is 0, however the rows were grouped
-// on the way. A COUNT keeps nothing here; it reads the fold state's
-// shared row counts.
+// MIN/MAX over ints, MIN/MAX over the 0/1 payload of bools), float64
+// (MIN/MAX over floats, and a float total once rounded) or string
+// (MIN/MAX over strings). An AVG keeps its SUM's total and divides once,
+// at output. An int total is the exact sum's low word, wrapping, and
+// carry counts the signed 2^64 wraps that took it there (empty until one
+// does; a group past its end has none): the total is exact when the count
+// is 0, however the rows were grouped on the way. A float total is a
+// value.Sum per group in sums, exact however the rows were grouped, and
+// aggregate rounds it once into vec. A COUNT keeps nothing here; it reads
+// the fold state's shared row counts.
 type accCol struct {
 	vec   Vec
 	carry []int64
+	sums  []value.Sum
 }
 
 func (c *accCol) reset() {
 	clear(c.vec.strs)
 	c.vec.ints, c.vec.floats, c.vec.strs = c.vec.ints[:0], c.vec.floats[:0], c.vec.strs[:0]
-	c.carry = c.carry[:0]
+	c.carry, c.sums = c.carry[:0], c.sums[:0]
+}
+
+// growSums extends c's float totals to n groups, each new one empty. A
+// pooled column's spare totals keep their storage (value.Sum.Reset).
+func (c *accCol) growSums(n int) {
+	for len(c.sums) < n {
+		if len(c.sums) < cap(c.sums) {
+			c.sums = c.sums[:len(c.sums)+1]
+			c.sums[len(c.sums)-1].Reset()
+		} else {
+			c.sums = append(c.sums, value.Sum{})
+		}
+	}
 }
 
 // grow extends xs to n cells, filling new cells with init.
@@ -333,7 +349,7 @@ func canonFloats(xs []float64) {
 	}
 }
 
-func addCells[T int64 | float64](acc []T, gids []int32, xs []T, idx []int32) {
+func addCells(acc []int64, gids []int32, xs []int64, idx []int32) {
 	for j, g := range gids {
 		acc[g] += xs[idx[j]]
 	}
@@ -404,8 +420,8 @@ func extremeFloats(acc []float64, gids []int32, xs []float64, idx []int32, great
 // foldTyped folds src's cells into the typed accumulators: row j goes to
 // group gids[j]; accumulators grow to ng groups, newJ naming the row
 // that created each group past the current length. A SUM and an AVG fold
-// one total alike, from 0, so a float total is never -0 (IEEE gives -0
-// only for a sum of -0s from -0) and an int total counts its wraps.
+// one total alike, from 0: an int total counts its wraps, a float total
+// is exact (value.Sum).
 // Fresh totals over a stored chunk's cells skip the count when the range
 // storage recorded for the chunk keeps every total inside int64
 // (sumFits): with every int SUM folded through sumInts,
@@ -423,8 +439,10 @@ func (c *accCol) foldTyped(fn ir.AggFunc, src vecOperand, gids []int32, ng int, 
 			c.countWraps(ng, gids, s.ints, src.idx)
 		}
 	case !extreme:
-		v.floats = grow(v.floats, ng, 0)
-		addCells(v.floats, gids, s.floats, src.idx)
+		c.growSums(ng)
+		for j, g := range gids {
+			c.sums[g].AddFloat(s.floats[src.idx[j]])
+		}
 	case v.kind == value.KindFloat:
 		v.floats = growFrom(v.floats, ng, s.floats, src.idx, newJ)
 		extremeFloats(v.floats, gids, s.floats, src.idx, fn == ir.AggMax)
@@ -471,9 +489,17 @@ func (c *accCol) foldRows(sp *aggSpec, src vecOperand, gids []int32, ng int, new
 // partial group that created each new one). Every partial of a query
 // holds one accumulator kind, and a partial's cells are the values, so
 // the partials merge through the kernels that fold rows, per group in
-// morsel order; an int total's carry adds the partial's.
+// morsel order; an int total's carry adds the partial's, and a float
+// total adds the partial's exact one.
 func (c *accCol) merge(sp *aggSpec, src *accCol, gmap []int32, ng int, newJ []int32) {
 	c.vec.kind = src.vec.kind
+	if len(src.sums) > 0 {
+		c.growSums(ng)
+		for j, g := range gmap {
+			c.sums[g].Merge(&src.sums[j])
+		}
+		return
+	}
 	c.foldTyped(sp.fn, denseOperand(&src.vec), gmap, ng, newJ)
 	if n := len(src.carry); n > 0 {
 		c.carry = grow(c.carry, ng, 0)
@@ -515,7 +541,11 @@ func (st *foldState) bytes() int64 {
 		n += st.keys.cols[c].bytes()
 	}
 	for a := range st.accs {
-		n += st.accs[a].vec.bytes() + 8*int64(len(st.accs[a].carry))
+		ac := &st.accs[a]
+		n += ac.vec.bytes() + 8*int64(len(ac.carry))
+		for g := range ac.sums {
+			n += 24 + ac.sums[g].Bytes()
+		}
 	}
 	return n
 }
@@ -734,14 +764,22 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 	}
 	mt.aggRows.Add(int64(rows))
 	mt.aggGroups.Add(int64(merged.keys.n))
-	// A float SUM, AVG total, MIN or MAX is emitted as its canonical
-	// member, whichever of the rule's equal values the fold met; an int
-	// total only when int64 holds its exact value.
+	// A float SUM or AVG total is rounded once, here, from its exact
+	// value; a float MIN or MAX is emitted as its canonical member,
+	// whichever of the rule's equal values the fold met; an int total only
+	// when int64 holds its exact value.
 	for a := range merged.accs {
-		if slices.ContainsFunc(merged.accs[a].carry, func(k int64) bool { return k != 0 }) {
+		ac := &merged.accs[a]
+		if slices.ContainsFunc(ac.carry, func(k int64) bool { return k != 0 }) {
 			return nil, &value.OverflowError{Op: '+'}
 		}
-		canonFloats(merged.accs[a].vec.floats)
+		if len(ac.sums) > 0 {
+			ac.vec.floats = grow(ac.vec.floats[:0], len(ac.sums), 0)
+			for g := range ac.sums {
+				ac.vec.floats[g] = ac.sums[g].Float()
+			}
+		}
+		canonFloats(ac.vec.floats)
 	}
 
 	return assembleGroups(q, b, pl.specs, aggIdx, merged, w)
@@ -947,5 +985,28 @@ func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]i
 	if err != nil {
 		return nil, err
 	}
-	return resultTable(len(q.Select), len(keep), parts), nil
+	ct := resultTable(len(q.Select), len(keep), parts)
+	// A bare SUM over floats keeps each kept group's exact total beside its
+	// rounded cell (ColTable.Sums), moved out of the merged state, which
+	// goes back to its pool without them; a second item naming the same
+	// aggregate shares them.
+	for c, it := range q.Select {
+		a, ok := it.Expr.(*ir.Agg)
+		if !ok || a.Func != ir.AggSum || len(merged.accs[aggIdx[a]].sums) == 0 {
+			continue
+		}
+		if ct.sums == nil {
+			ct.sums = map[int][]value.Sum{}
+		}
+		if d := slices.IndexFunc(q.Select[:c], func(it ir.SelectItem) bool { return it.Expr == a }); d >= 0 {
+			ct.sums[c] = ct.sums[d]
+			continue
+		}
+		ac, sums := &merged.accs[aggIdx[a]], make([]value.Sum, len(keep))
+		for k, g := range keep {
+			sums[k], ac.sums[g] = ac.sums[g], value.Sum{}
+		}
+		ct.sums[c] = sums
+	}
+	return ct, nil
 }

@@ -164,7 +164,7 @@ func buildInto(sel *sqlparser.Select, src SchemaSource, anon *Registry, counter 
 		// column mappings can legitimately merge GroupBy entries) do not
 		// pass through this builder.
 		if seenGroup[id] {
-			return nil, fmt.Errorf("ir: duplicate GROUP BY column %s", b.q.Col(id).Name)
+			return nil, &DuplicateGroupByError{Col: b.q.Col(id).Name}
 		}
 		seenGroup[id] = true
 		b.q.GroupBy = append(b.q.GroupBy, id)
@@ -505,4 +505,14 @@ func MustBuild(sql string, src SchemaSource) *Query {
 		panic(err)
 	}
 	return q
+}
+
+// DuplicateGroupByError refuses a GROUP BY list that names a column
+// twice.
+type DuplicateGroupByError struct {
+	Col string // the column, as the query names it
+}
+
+func (e *DuplicateGroupByError) Error() string {
+	return "ir: duplicate GROUP BY column " + e.Col
 }

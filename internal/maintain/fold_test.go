@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"aggview/internal/engine"
 	"aggview/internal/ir"
@@ -182,5 +183,14 @@ func TestBulkMinMaxWriteIsLinear(t *testing.T) {
 	t.Logf("2 500 rows %v, 20 000 rows %v (%.2fx)", small, large, ratio)
 	if ratio > 24 {
 		t.Fatalf("20 000 rows took %v, %.2fx the %v of 2 500 (bound 24x, linear 8x)", large, ratio, small)
+	}
+}
+
+// TestIntSlotIsNoBiggerThanAValue: a SUM or AVG slot holding an int
+// total is its three words, no bigger than the value.Value it replaced;
+// only a float total adds its superaccumulator.
+func TestIntSlotIsNoBiggerThanAValue(t *testing.T) {
+	if got, limit := unsafe.Sizeof(aggState{}.sum), unsafe.Sizeof(value.Value{}); got > limit {
+		t.Fatalf("an int slot is %d bytes, a value.Value %d", got, limit)
 	}
 }

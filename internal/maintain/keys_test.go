@@ -163,7 +163,7 @@ func TestFindingATouchedGroupAllocatesNothing(t *testing.T) {
 	if _, err := m.TrackContext(context.Background(), "V"); err != nil {
 		t.Fatal(err)
 	}
-	// A delta query's result: the four group columns, SUM(sign).
+	// A seed query's result: the four group columns, COUNT(*).
 	res := engine.BuildColTable(&engine.Relation{Attrs: []string{"t", "a", "d", "x", "n"}, Tuples: [][]value.Value{
 		{value.Int(3), value.Int(1 << 60), value.Int(7), value.Int(-7), value.Int(1)},
 	}})

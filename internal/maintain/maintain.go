@@ -10,19 +10,22 @@
 // Maintenance follows the counting algorithm of GMS93. Each group of a
 // tracked aggregation view carries a multiplicity count n (the number
 // of contributing joined rows) plus one piece of state per aggregate:
-// the running total of a SUM or an AVG (typed like the engine's fold;
-// an AVG divides it by n at output), or the value → multiplicity
-// multiset of a MIN/MAX. A mutation against one base table becomes one
-// signed delta table — its deleted rows with sign −1, its inserted rows
-// with sign +1, the sign an extra column — and each dependent view runs
-// one delta query over it:
-// the definition with that table bound to the delta table, grouped by
-// the view's grouping columns plus its MIN/MAX arguments, selecting
-// SUM(sign × arg) per SUM/AVG and SUM(sign) as the multiplicity. That is
-// exact when the table occurs exactly once in the definition (joins are
-// bilinear). The maintainer reads the result as typed columns and
-// coalesces its finer groups into the view's (Ex. 4.1's move): n and the
-// sums add up, and each MIN/MAX multiset takes a Δcount per value. A
+// the exact total of a SUM or an AVG (value.Sum, rounded once when the
+// row is built; an AVG divides the rounded total by n), or the value →
+// multiplicity multiset of a MIN/MAX. A mutation against one base table
+// becomes one signed delta table — its deleted rows with sign −1, its
+// inserted rows with sign +1, the sign an extra column — and each
+// dependent view runs one delta query over it: the definition with that
+// table bound to the delta table, grouped by the view's grouping columns,
+// its MIN/MAX arguments and the sign, selecting SUM(arg) per SUM/AVG and
+// COUNT(*) as the multiplicity. That is exact when the table occurs
+// exactly once in the definition (joins are bilinear). The maintainer
+// reads the result as typed columns and coalesces its finer groups into
+// the view's (Ex. 4.1's move): n and the totals add up, or subtract
+// under sign −1, each float total through the exact value.Sum the engine
+// keeps beside its rounded cell (engine.ColTable.Sums), so no rounded
+// cell is ever re-added and a NaN or an infinity a delete names leaves
+// the total again; each MIN/MAX multiset takes a Δcount per value. A
 // MIN/MAX whose extremum's multiplicity reaches zero is re-derived by
 // re-scanning the group's surviving value multiset; a group whose n
 // reaches zero leaves the materialization. Tracking and a recompute run
@@ -36,10 +39,12 @@
 // over non-column arguments, dependence through a nested view) fall back
 // to full recomputation — counted on the `maintain.fallback.full` metric
 // and named per view by Maintainer.Mode — so every mutation is always
-// correct. So does a write whose delta or running total leaves int64
-// (-1 × MinInt64 for a deleted MinInt64, say): the rebuild against the
-// staged tables then decides, installing the new exact totals when they
-// fit and aborting the batch when they do not.
+// correct. So does a write one of whose delta query's own int totals
+// leaves int64 (two deleted MaxInt64 rows in one group, say): the rebuild
+// against the staged tables then decides, installing the new exact
+// totals when they fit and aborting the batch when they do not. A
+// running total may pass int64 part-way; only a new total that int64
+// cannot hold aborts the batch.
 //
 // Batches apply atomically: every delta evaluation and recomputation
 // runs first, against the pre-mutation state (plus previously staged
@@ -57,7 +62,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -138,11 +142,11 @@ type state struct {
 	// seed is an incremental view's delta query over the tables
 	// themselves, every row signed +1: the view's group columns, then
 	// its MIN/MAX argument columns (grouped by too), SUM(arg) per
-	// SUM/AVG and a trailing COUNT(*) at nAt — or, for a conjunctive
-	// view, the definition itself. delta holds, per table the
-	// definition reads once (by name), the same query with that
-	// table's occurrence carrying the sign column: SUM(sign × arg) and
-	// SUM(sign) — or the definition selecting the sign last.
+	// SUM/AVG and COUNT(*) at nAt — or, for a conjunctive view, the
+	// definition itself. delta holds, per table the definition reads once
+	// (by name), the same query with that table's occurrence carrying the
+	// sign column, grouped by it too and selecting it last, at nAt+1 —
+	// or the definition selecting the sign last.
 	seed  *ir.Query
 	delta map[string]*ir.Query
 	nAt   int
@@ -159,6 +163,9 @@ type state struct {
 	groups map[cellKey]*group
 	// tab is the installed materialization.
 	tab *engine.ColTable
+	// cells is absorb's scratch for reading a result's rows, kept across
+	// batches (the maintainer's lock serializes them).
+	cells []cells
 }
 
 type aggOut struct {
@@ -182,11 +189,10 @@ type group struct {
 }
 
 // aggState is the state of one aggregate output in one group: a SUM's or
-// an AVG's running total, typed like the engine's fold; or a MIN/MAX's
-// value multiset — a live group's, or a touched
-// group's Δcounts (a created group's whole multiset).
+// an AVG's exact total; or a MIN/MAX's value multiset — a live group's,
+// or a touched group's Δcounts (a created group's whole multiset).
 type aggState struct {
-	sum  value.Value
+	sum  value.Sum
 	vals multiset
 }
 
@@ -345,11 +351,15 @@ func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storag
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &pending{st: st, live: map[cellKey]*group{}, rebuild: true}
+	p := &pending{st: st, live: map[cellKey]*group{}}
 	if err := p.absorb(res); err != nil {
 		return nil, nil, err
 	}
-	rel.Tuples = p.stageAggregation().Append
+	d, err := p.stageAggregation()
+	if err != nil {
+		return nil, nil, err
+	}
+	rel.Tuples = d.Append
 	p.fold()
 	// A rebuilt multiset keeps room for an eighth more values, not the
 	// slack its appends left: enough that a write adding a value does not
@@ -514,25 +524,19 @@ func buildDelta(st *state) {
 }
 
 // signed returns the seed query with table occurrence ti read from a
-// delta table: the occurrence gains the sign column, each SUM(arg)
-// becomes SUM(sign × arg) and COUNT(*) becomes SUM(sign) — or, for a
-// conjunctive view, the sign is selected last.
+// delta table: the occurrence gains the sign column, selected last — and,
+// for an aggregation view, grouped by, so each finer group's totals and
+// count are its deleted or its inserted rows', never a product of the
+// sign and a value.
 func (st *state) signed(ti int) *ir.Query {
 	q := st.seed.Clone()
 	sign := ir.ColID(len(q.Columns))
 	q.Columns = append(q.Columns, ir.Column{ID: sign, Table: ti, Pos: len(q.Tables[ti].Cols), Name: signAttr, Attr: signAttr})
 	q.Tables[ti].Cols = append(q.Tables[ti].Cols, sign)
-	if st.conjunctive {
-		q.Select = append(q.Select, ir.SelectItem{Expr: &ir.ColRef{Col: sign}})
-		return q
+	q.Select = append(q.Select, ir.SelectItem{Expr: &ir.ColRef{Col: sign}})
+	if !st.conjunctive {
+		q.GroupBy = append(q.GroupBy, sign)
 	}
-	for _, a := range st.aggs {
-		if a.fn == ir.AggSum || a.fn == ir.AggAvg {
-			sum := q.Select[a.at].Expr.(*ir.Agg)
-			q.Select[a.at].Expr = &ir.Agg{Func: ir.AggSum, Arg: &ir.Arith{Op: ir.ArithMul, L: &ir.ColRef{Col: sign}, R: sum.Arg}}
-		}
-	}
-	q.Select[st.nAt].Expr = &ir.Agg{Func: ir.AggSum, Arg: &ir.ColRef{Col: sign}}
 	return q
 }
 
@@ -563,12 +567,14 @@ func signedDelta(attrs []string, mut Mutation) *engine.ColTable {
 type cellKey string
 
 // cells is one column of one result chunk: its kind and its typed
-// cells (ints for an int or bool column).
+// cells (ints for an int or bool column), and, for a SUM over floats,
+// the exact totals the cells round (engine.ColTable.Sums).
 type cells struct {
 	kind   value.Kind
 	ints   []int64
 	floats []float64
 	strs   []string
+	sums   []value.Sum
 }
 
 // value returns cell j as a value.
@@ -582,6 +588,18 @@ func (c *cells) value(j int) value.Value {
 		return value.Bool(c.ints[j] != 0)
 	}
 	return value.Int(c.ints[j])
+}
+
+// total returns cell j of a SUM column as an exact total: the engine's
+// own for a float SUM, which shares the engine's storage and must not be
+// written; the int cell otherwise.
+func (c *cells) total(j int) value.Sum {
+	if c.sums != nil {
+		return c.sums[j]
+	}
+	var s value.Sum
+	s.AddInt(c.ints[j])
+	return s
 }
 
 // appendKey appends cell j's canonical key.
@@ -599,15 +617,23 @@ func (c *cells) appendKey(dst []byte, j int) []byte {
 
 // eachRow calls fn for every row of a query result, in order, with the
 // typed cells of the chunk holding it and its index there; nothing is
-// boxed but what fn boxes.
-func eachRow(res *engine.ColTable, fn func(cs []cells, j int) error) error {
-	cs := make([]cells, len(res.Attrs()))
+// boxed but what fn boxes. scratch holds the cells, grown to the
+// result's width and cleared on the way out.
+func eachRow(res *engine.ColTable, scratch *[]cells, fn func(cs []cells, j int) error) error {
+	if cap(*scratch) < len(res.Attrs()) {
+		*scratch = make([]cells, len(res.Attrs()))
+	}
+	cs := (*scratch)[:len(res.Attrs())]
+	defer clear(cs)
 	for k, done, n := 0, 0, res.NumRows(); done < n; k++ {
 		rows := 0
 		for c := range cs {
 			x := &cs[c]
 			x.kind, x.ints, x.floats, x.strs = res.Cells(c, k)
 			rows = len(x.ints) + len(x.floats) + len(x.strs)
+			if sums := res.Sums(c); sums != nil {
+				x.sums = sums[done : done+rows]
+			}
 		}
 		for j := 0; j < rows; j++ {
 			if err := fn(cs, j); err != nil {
@@ -676,9 +702,6 @@ func (s *staged) commit() engine.Commit {
 type pending struct {
 	st        *state
 	recompute bool
-	// rebuild is set when the pending state folds a seed query's result
-	// (Maintainer.rebuild), whose totals are installed as they are.
-	rebuild bool
 	// live holds the groups the batch starts from (none for a rebuild);
 	// fold writes the outcome into it.
 	live map[cellKey]*group
@@ -710,9 +733,10 @@ type pending struct {
 const slabChunk = 64
 
 // touched is one group's staged state. next carries the scalars (n and
-// each SUM or AVG total) as the batch leaves them; next.aggs[i].vals
-// holds the MIN/MAX value multiplicity deltas, so staging a group costs
-// its delta, not its multiset.
+// each SUM or AVG total, a float total's digits copied on first touch)
+// as the batch leaves them; next.aggs[i].vals holds the MIN/MAX value
+// multiplicity deltas, so staging a group costs its delta, not its
+// multiset.
 type touched struct {
 	live *group // nil when the batch creates the group
 	next tally
@@ -822,12 +846,11 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			if err == nil {
 				err = p.absorb(res)
 			}
-			// A delta or a running total past int64 (-1 × MinInt64, or a
-			// total that leaves int64 part-way) need not mean the view's new
-			// totals do, and a float one that is NaN or ±Inf cannot be
-			// taken back: the rebuild against the staged tables decides.
+			// A finer group's int total past int64 (two deleted MaxInt64
+			// rows, say) need not mean the view's new totals leave it: the
+			// rebuild against the staged tables decides.
 			var ov *value.OverflowError
-			if errors.As(err, &ov) || errors.Is(err, errNonFinite) {
+			if errors.As(err, &ov) {
 				p.recompute = true
 				m.Metrics.Volatile("maintain.fallback.full").Inc()
 			} else if err != nil {
@@ -871,7 +894,11 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			}
 			p.out = &staged{base: st.tab, delta: engine.Delta{Drop: drop, Append: p.conjAdd}}
 		default:
-			p.out = &staged{base: st.tab, delta: p.stageAggregation()}
+			d, err := p.stageAggregation()
+			if err != nil {
+				return err
+			}
+			p.out = &staged{base: st.tab, delta: d}
 			groupsTouched += len(p.groups)
 		}
 		p.out.name, p.out.silent = st.def.Name, true
@@ -1028,14 +1055,14 @@ func (o *overlayStorage) Scan(name string) (*engine.ColTable, bool, error) {
 // absorb coalesces one delta query's result into the pending state: a
 // conjunctive view's rows split by their sign into the rows to add and
 // to remove; an aggregation view's finer groups fold into the view's,
-// their multiplicities and totals adding up and each MIN/MAX multiset
-// taking its argument value's Δcount. This is the one place a SUM or
-// AVG delta is added.
+// their multiplicities and exact totals adding up (a deleted one's
+// subtracting) and each MIN/MAX multiset taking its argument value's
+// Δcount. This is the one place a SUM or AVG delta is added.
 func (p *pending) absorb(res *engine.ColTable) error {
 	st := p.st
 	if st.conjunctive {
 		w := len(st.def.Def.Select)
-		return eachRow(res, func(cs []cells, j int) error {
+		return eachRow(res, &st.cells, func(cs []cells, j int) error {
 			row := rowValues(cs, w, j)
 			if cs[w].ints[j] > 0 {
 				p.conjAdd = append(p.conjAdd, row)
@@ -1050,10 +1077,14 @@ func (p *pending) absorb(res *engine.ColTable) error {
 		n := min(p.rows, slabChunk)
 		p.groups, p.keys = make(map[cellKey]*touched, n), make([]cellKey, 0, n)
 	}
-	return eachRow(res, func(cs []cells, j int) error {
+	return eachRow(res, &st.cells, func(cs []cells, j int) error {
 		t := p.group(cs, j)
 		g := &t.next
 		dn := cs[st.nAt].ints[j]
+		deleted := len(cs) > st.nAt+1 && cs[st.nAt+1].ints[j] < 0
+		if deleted {
+			dn = -dn
+		}
 		if g.n += dn; g.n < 0 {
 			return fmt.Errorf("maintain: negative multiplicity in view %s", st.def.Name)
 		}
@@ -1064,19 +1095,13 @@ func (p *pending) absorb(res *engine.ColTable) error {
 				// A total starts from 0, as in the engine's fold, an
 				// AVG's as its SUM's; a float delta, from a column a
 				// float widened, makes an int total float, and the
-				// view's column widens with it. An int total that leaves
-				// int64 is a value.OverflowError, and outside a rebuild a
-				// float delta or total that is NaN or ±Inf is
-				// errNonFinite: on either ApplyContext recomputes the view.
-				d := cs[a.at].value(j)
-				sum, err := value.Add(as.sum, d)
-				if err != nil {
-					return err
+				// view's column widens with it.
+				d := cs[a.at].total(j)
+				if deleted {
+					as.sum.Sub(&d)
+				} else {
+					as.sum.Merge(&d)
 				}
-				if !p.rebuild && (nonFinite(d) || nonFinite(sum)) {
-					return errNonFinite
-				}
-				as.sum = sum
 			case ir.AggMin, ir.AggMax:
 				v := cs[a.at].value(j)
 				if n := as.vals.add(v, dn); n < 0 && t.liveVals(i).count(v)+n < 0 {
@@ -1086,17 +1111,6 @@ func (p *pending) absorb(res *engine.ColTable) error {
 		}
 		return nil
 	})
-}
-
-// errNonFinite is absorb's verdict on a write whose float SUM or AVG
-// delta or new total is NaN or ±Inf: a running total cannot take such a
-// value back out (NaN - NaN and Inf - Inf are NaN), so the view is
-// recomputed instead.
-var errNonFinite = errors.New("maintain: non-finite running total")
-
-// nonFinite reports whether v is a float NaN or infinity.
-func nonFinite(v value.Value) bool {
-	return v.Kind() == value.KindFloat && (math.IsNaN(v.AsFloat()) || math.IsInf(v.AsFloat(), 0))
 }
 
 // group returns the staged state of row j's group, seeding it on first
@@ -1125,7 +1139,7 @@ func (p *pending) group(cs []cells, j int) *touched {
 	} else {
 		t.next.groupVals, t.next.n = t.live.groupVals, t.live.n
 		for i, as := range t.live.aggs {
-			t.next.aggs[i] = aggState{sum: as.sum}
+			t.next.aggs[i] = aggState{sum: as.sum.Clone()}
 		}
 	}
 	p.groups[gk] = t
@@ -1146,36 +1160,44 @@ func (t *touched) liveVals(i int) *multiset {
 // a positional delta over the installed one: touched groups overwrite
 // their row (or drop it at multiplicity zero), new groups append in the
 // order the batch first touched them, and untouched rows are not looked
-// at. A rebuild's delta is all appends.
-func (p *pending) stageAggregation() engine.Delta {
+// at. A rebuild's delta is all appends. A new int total that int64
+// cannot hold is a *value.OverflowError, and the batch aborts.
+func (p *pending) stageAggregation() (engine.Delta, error) {
 	st := p.st
 	w := len(st.def.Def.Select)
 	cells := make([]value.Value, len(p.keys)*w)
 	d := engine.Delta{SetAt: make([]int32, 0, len(p.keys)), SetRows: make([][]value.Value, 0, len(p.keys))}
 	for i, gk := range p.keys {
 		tuple := cells[i*w : (i+1)*w : (i+1)*w]
-		switch t := p.groups[gk]; {
+		t := p.groups[gk]
+		if t.next.n > 0 {
+			if err := p.row(t, tuple); err != nil {
+				return engine.Delta{}, err
+			}
+		}
+		switch {
 		case t.live != nil && t.next.n > 0:
 			d.SetAt = append(d.SetAt, int32(t.live.pos))
-			d.SetRows = append(d.SetRows, p.row(t, tuple))
+			d.SetRows = append(d.SetRows, tuple)
 		case t.live != nil:
 			p.drop = append(p.drop, int32(t.live.pos))
 		case t.next.n > 0:
-			d.Append = append(d.Append, p.row(t, tuple))
+			d.Append = append(d.Append, tuple)
 		}
 	}
 	sort.Slice(p.drop, func(i, j int) bool { return p.drop[i] < p.drop[j] })
 	d.Drop = p.drop
-	return d
+	return d, nil
 }
 
 // row builds a touched group's output tuple into tuple from its staged
 // state: the one definition of a maintained row, for a group a batch
 // patches or creates — and every group of a rebuild is one it creates.
-// Each cell is its canonical member (value.Value.Canon), as the engine
-// emits a group key or an aggregate: the rule's equal values the batch
-// met, in whatever order, read as one.
-func (p *pending) row(t *touched, tuple []value.Value) []value.Value {
+// A SUM or AVG total is rounded here, once, as the engine rounds its
+// own. Each cell is its canonical member (value.Value.Canon), as the
+// engine emits a group key or an aggregate: the rule's equal values the
+// batch met, in whatever order, read as one.
+func (p *pending) row(t *touched, tuple []value.Value) error {
 	g := &t.next
 	for i, pos := range p.st.groupPos {
 		tuple[pos] = g.groupVals[i]
@@ -1184,10 +1206,14 @@ func (p *pending) row(t *touched, tuple []value.Value) []value.Value {
 		switch a.fn {
 		case ir.AggCount:
 			tuple[a.pos] = value.Int(g.n)
-		case ir.AggSum:
-			tuple[a.pos] = g.aggs[i].sum
-		case ir.AggAvg:
-			tuple[a.pos] = value.Float(g.aggs[i].sum.AsFloat() / float64(g.n))
+		case ir.AggSum, ir.AggAvg:
+			sum, err := g.aggs[i].sum.Value()
+			if err != nil {
+				return err
+			}
+			if tuple[a.pos] = sum; a.fn == ir.AggAvg {
+				tuple[a.pos] = value.Float(sum.AsFloat() / float64(g.n))
+			}
 		case ir.AggMin, ir.AggMax:
 			tuple[a.pos] = p.extremum(t, i, a.fn)
 		}
@@ -1195,7 +1221,7 @@ func (p *pending) row(t *touched, tuple []value.Value) []value.Value {
 	for i := range tuple {
 		tuple[i] = tuple[i].Canon()
 	}
-	return tuple
+	return nil
 }
 
 // extremum returns aggregate i's MIN or MAX after the batch. While a

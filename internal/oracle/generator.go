@@ -61,12 +61,13 @@ const (
 
 // genCol is one generated column; names are globally unique across the
 // schema so unqualified references are never ambiguous. An odd column
-// draws the values value.Compare's rule has to get right — a float one
-// NaN, -0, 0, ±Inf, 2^53 and 0.5, an int one now and then 2^53, 2^53+1
-// and -2^53-1 — and is never a SUM or AVG argument: those stay benign
-// while a float SUM is inexact under deletes and a deleted NaN stays in
-// a maintained SUM. It groups, joins, filters, is deduplicated and takes
-// MIN and MAX.
+// draws the values value.Compare's rule and exact summation have to get
+// right — a float one NaN, -0, 0, ±Inf, 2^53, 0.5, 1.0 and ±1e16, whose
+// sums round and cancel, an int one now and then 2^53, 2^53+1 and
+// -2^53-1. It groups, joins, filters, is deduplicated, takes MIN and MAX,
+// and feeds SUM and AVG: a float SUM is its exact total rounded once,
+// directly, through every rewriting and in a maintained view after any
+// write history.
 type genCol struct {
 	name string
 	kind colKind
@@ -348,7 +349,7 @@ func colName(i int) string {
 // The odd draws (genCol.odd), as values and as predicate constants. NaN
 // and ±Inf have no literal in a predicate, so they are no constants.
 var (
-	oddFloats = []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1 << 53, 0.5}
+	oddFloats = []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1 << 53, 0.5, 1, 1e16, -1e16}
 	oddInts   = []int64{1 << 53, 1<<53 + 1, -(1<<53 + 1)}
 	oddConsts = []value.Value{value.Float(math.Copysign(0, -1)), value.Float(0), value.Float(0.5),
 		value.Float(1 << 53), value.Int(1<<53 + 1), value.Int(-(1<<53 + 1))}
@@ -431,7 +432,7 @@ func genViewDef(rng *rand.Rand, t *genTable, opt GenOptions) QuerySpec {
 			return def
 		}
 		a := aggCols[rng.Intn(len(aggCols))]
-		if rng.Intn(2) == 0 && !a.odd {
+		if rng.Intn(2) == 0 {
 			def.Select = append(def.Select, "SUM("+a.name+")")
 		}
 		if rng.Intn(2) == 0 {
@@ -540,28 +541,22 @@ func genQuery(rng *rand.Rand, tables []*genTable, view *QuerySpec, anchored bool
 			aggPool = []genCol{anchor.cols[0]}
 		}
 		nAggs := 1 + rng.Intn(2)
-		var intAgg string
+		var numAgg string
 		for i := 0; i < nAggs; i++ {
 			a := aggPool[rng.Intn(len(aggPool))]
 			fn := "COUNT"
-			switch {
-			case a.odd:
-				fn = []string{"COUNT", "MIN", "MAX"}[rng.Intn(3)]
-			case a.kind != kindStr:
+			if a.kind != kindStr {
 				fn = []string{"SUM", "COUNT", "MIN", "MAX", "AVG"}[rng.Intn(5)]
+				numAgg = fn + "(" + a.name + ")"
 			}
 			q.Select = append(q.Select, fn+"("+a.name+")")
-			if a.kind == kindInt {
-				intAgg = fn + "(" + a.name + ")"
-			}
 		}
-		// HAVING only over aggregates of int columns, whose totals are
-		// exact: an AVG is one division of its exact total, the same
-		// however a rewriting regroups the rows, while a float total
-		// rounds by the order it is summed in.
-		if intAgg != "" && rng.Intn(3) == 0 {
+		// HAVING over any numeric aggregate, a float SUM or AVG too: every
+		// total is exact and rounded once, so a group passes or fails
+		// alike however a rewriting regroups its rows.
+		if numAgg != "" && rng.Intn(3) == 0 {
 			op := []string{">", ">=", "<", "<="}[rng.Intn(4)]
-			q.Having = append(q.Having, fmt.Sprintf("%s %s %d", intAgg, op, rng.Intn(2*opt.Domain)))
+			q.Having = append(q.Having, fmt.Sprintf("%s %s %d", numAgg, op, rng.Intn(2*opt.Domain)))
 		}
 		return q
 	}

@@ -544,3 +544,61 @@ func TestResolveByTextMatchesPlanKey(t *testing.T) {
 		srv.Close()
 	}
 }
+
+// TestWideningEvictsACoalescingPlan: V sums T's int column X by (G, H),
+// and the plan for SELECT G, SUM(X) coalesces V's cells. A write of a
+// float widens X and, with it, V's SUM column; that commit of V is loud
+// although V absorbed its delta, so the cached plan goes. V's cells are
+// then round(2^52 + 0.5) = 2^52 and -2^52, which re-added read 0; the
+// next request is prepared afresh, refuses the coalescing over a float
+// column and answers the exact 0.5.
+func TestWideningEvictsACoalescingPlan(t *testing.T) {
+	ctx := context.Background()
+	sys := aggview.New()
+	sys.MustLoad("CREATE TABLE T(G, H, X); CREATE VIEW V AS SELECT G, H, SUM(X), COUNT(X) FROM T GROUP BY G, H")
+	rows := [][]aggview.Value{
+		{aggview.Int(1), aggview.Int(1), aggview.Int(1 << 52)},
+		{aggview.Int(1), aggview.Int(2), aggview.Int(-1 << 52)},
+	}
+	for range 200 { // zeros that make V far cheaper to read than T
+		rows = append(rows, []aggview.Value{aggview.Int(1), aggview.Int(3), aggview.Int(0)})
+	}
+	if err := sys.InsertContext(ctx, "T", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.TrackViewContext(ctx, "V"); err != nil {
+		t.Fatal(err)
+	}
+	c := NewPlanCache(8, obs.NewMetrics())
+	sys.DB.SetOnInvalidate(c.InvalidateRelation)
+	const q = "SELECT G, SUM(X) FROM T GROUP BY G"
+	key, err := sys.PlanKey(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p *aggview.Prepared
+	answer := func() (string, string) {
+		var verdict string
+		p, verdict, err = c.GetOrPrepare(ctx, key, func() (*aggview.Prepared, error) { return sys.PrepareContext(ctx, q) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.ExecPreparedOnContext(ctx, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Tuples), verdict
+	}
+	if got, _ := answer(); got != "[[1 0]]" {
+		t.Fatalf("before the widening: %s", got)
+	}
+	if _, verdict := answer(); verdict != "hit" || !p.Rewritten() || !slices.Equal(p.Deps, []string{"V"}) {
+		t.Fatalf("the coalescing plan was not cached: %s, rewritten %v, deps %v", verdict, p.Rewritten(), p.Deps)
+	}
+	if err := sys.InsertContext(ctx, "T", []aggview.Value{aggview.Int(1), aggview.Int(1), aggview.Float(0.5)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, verdict := answer(); verdict == "hit" || got != "[[1 0.5]]" {
+		t.Fatalf("after the widening: %s (%s), want [[1 0.5]] from a fresh plan", got, verdict)
+	}
+}

@@ -60,8 +60,8 @@ scan:
 			l.pos++
 		}
 		text := l.src[start:l.pos]
-		if up := strings.ToUpper(text); keywords[up] {
-			return mk(tokKeyword, up), nil
+		if kw, ok := keyword(text); ok {
+			return mk(tokKeyword, kw), nil
 		}
 		return mk(tokIdent, text), nil
 	case isDigit(c):

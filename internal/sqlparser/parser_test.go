@@ -339,3 +339,30 @@ func TestParseBetween(t *testing.T) {
 		}
 	}
 }
+
+// TestKeywordCaseAllocatesNothing: a keyword in any letter case is found
+// without building its upper-cased spelling, so a query parses in the
+// allocations of its upper-case spelling.
+func TestKeywordCaseAllocatesNothing(t *testing.T) {
+	allocs := func(sql string) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := Parse(sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	lower, upper := allocs("select a, sum(b) from t group by a"), allocs("SELECT a, SUM(b) FROM t GROUP BY a")
+	if lower != upper {
+		t.Fatalf("lower-case keywords: %.0f allocations, upper-case: %.0f", lower, upper)
+	}
+	for _, text := range []string{"select", "Select", "SELECT", "groupby", "distinct"} {
+		if kw, ok := keyword(text); !ok || kw != strings.ToUpper(text) {
+			t.Errorf("keyword(%q) = %q, %v", text, kw, ok)
+		}
+	}
+	for _, text := range []string{"selects", "a", "distincts", "s3lect"} {
+		if kw, ok := keyword(text); ok {
+			t.Errorf("keyword(%q) = %q, want none", text, kw)
+		}
+	}
+}

@@ -5,7 +5,10 @@
 // statements needed to describe a workload in one script.
 package sqlparser
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // tokenKind classifies lexical tokens.
 type tokenKind uint8
@@ -88,15 +91,34 @@ type token struct {
 	line int    // 1-based line number
 }
 
-// keywords recognised by the lexer; identifiers matching these
-// (case-insensitively) become tokKeyword with upper-cased text.
-var keywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
-	"GROUP": true, "BY": true, "GROUPBY": true, "HAVING": true,
-	"AND": true, "AS": true, "MIN": true, "MAX": true, "SUM": true,
-	"COUNT": true, "AVG": true, "CREATE": true, "TABLE": true,
-	"VIEW": true, "KEY": true, "FD": true, "NOT": true, "OR": true,
-	"TRUE": true, "FALSE": true, "BETWEEN": true,
-	"INSERT": true, "INTO": true, "VALUES": true,
-	"DELETE": true, "UPDATE": true, "SET": true,
+// keywords recognised by the lexer, each mapped to itself: identifiers
+// matching these (case-insensitively) become tokKeyword with the
+// upper-cased text, the table's own string (keyword).
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range strings.Fields(`SELECT DISTINCT FROM WHERE GROUP BY GROUPBY HAVING
+		AND AS MIN MAX SUM COUNT AVG CREATE TABLE VIEW KEY FD NOT OR TRUE FALSE
+		BETWEEN INSERT INTO VALUES DELETE UPDATE SET`) {
+		m[k] = k
+	}
+	return m
+}()
+
+// keyword returns the keyword text spells in any letter case, upper-cased,
+// and whether it is one. It allocates nothing: text is upper-cased into a
+// buffer on the stack, which the map lookup reads without copying.
+func keyword(text string) (string, bool) {
+	var buf [8]byte // DISTINCT, the longest keyword
+	if len(text) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(text)])]
+	return kw, ok
 }

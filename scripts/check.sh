@@ -52,6 +52,11 @@ go test -run '^$' -fuzz FuzzTupleKey -fuzztime 10s ./internal/value
 # numbers as their exact values do.
 go test -run '^$' -fuzz FuzzCompare -fuzztime 10s ./internal/value
 
+# Exact-sum gate (DESIGN.md section 3): a value.Sum over fuzzed int and
+# float addends, some subtracted, rounds as math/big's exact total does,
+# and merging the totals of its two halves rounds the same.
+go test -run '^$' -fuzz FuzzSum -fuzztime 10s ./internal/value
+
 # Fault-injection gate (DESIGN.md section 10): the cancellation,
 # deadline, budget and injection suites under the race detector — a
 # canceled kernel must return the exact bag or a typed error, drain its
