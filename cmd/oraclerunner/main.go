@@ -2,9 +2,13 @@
 // generates random cases — tables with contents, tracked views, and
 // steps — and checks each with oracle.CheckContext. Every query step is
 // executed directly and through every rewriting the rewriter emits, at
-// worker counts 1 and GOMAXPROCS, and every mutation step is followed
-// by re-deriving each maintained view from its definition. Any multiset
-// inequality is reported as a shrunk, replayable SQL script.
+// worker counts 1 and GOMAXPROCS, each answer held to the oracle's naive
+// reference evaluator, and every mutation step is followed by holding
+// each maintained view to the reference's evaluation of its definition
+// and each table to the oracle's own model of it. Any multiset
+// inequality is reported as a shrunk, replayable SQL script;
+// ref.checked and ref.skipped count the reference's answers and the
+// ones its row bound skipped.
 //
 // By default each case is one query step (oracle.Generate). With
 // -mutate the cases are scenarios of 8–20 inserts, deletes, updates and
@@ -230,6 +234,8 @@ func run(ctx context.Context, cfg soak) error {
 				rep.Counts["rewritings"] += int64(out.Rewritings)
 				rep.Counts["rewritings.group_preserving"] += int64(out.GroupPreserving)
 				rep.Counts["fault_runs"] += int64(out.FaultRuns)
+				rep.Counts["ref.checked"] += int64(out.RefChecked)
+				rep.Counts["ref.skipped"] += int64(out.RefSkipped)
 				rep.Counts["incremental"] += int64(out.Incremental)
 				for _, mode := range out.Modes {
 					rep.Counts["mode."+mode]++
@@ -309,9 +315,9 @@ func finish(rep *report.Report[failureRow], unit, jsonOut string) error {
 		}
 	}
 	sort.Strings(modes)
-	fmt.Printf("%s: %d %s (%d multi-chunk), %d steps, %d rewritings (%d group-preserving), %d fault-injected runs, %d incremental views, %s per mode: %s, %d violations\n",
+	fmt.Printf("%s: %d %s (%d multi-chunk), %d steps, %d rewritings (%d group-preserving), %d fault-injected runs, %d reference answers (%d skipped), %d incremental views, %s per mode: %s, %d violations\n",
 		rep.Tool, rep.Counts[unit], unit, rep.Counts["multi_chunk"], rep.Counts["steps"], rep.Counts["rewritings"], rep.Counts["rewritings.group_preserving"],
-		rep.Counts["fault_runs"], rep.Counts["incremental"], unit, strings.Join(modes, " "), len(rep.Rows))
+		rep.Counts["fault_runs"], rep.Counts["ref.checked"], rep.Counts["ref.skipped"], rep.Counts["incremental"], unit, strings.Join(modes, " "), len(rep.Rows))
 	if rep.Verdict == "fail" {
 		return fmt.Errorf("%d violations", len(rep.Rows))
 	}
@@ -348,8 +354,8 @@ func runReplay(ctx context.Context, path string, opt oracle.Options, faults bool
 		}
 		return fmt.Errorf("%d violations reproduced", len(out.Violations))
 	}
-	fmt.Printf("script passed: %d steps, %d rewritings, %d fault-injected runs, %d incremental views\n",
-		len(c.Steps), out.Rewritings, out.FaultRuns, out.Incremental)
+	fmt.Printf("script passed: %d steps, %d rewritings, %d fault-injected runs, %d reference answers (%d skipped), %d incremental views\n",
+		len(c.Steps), out.Rewritings, out.FaultRuns, out.RefChecked, out.RefSkipped, out.Incremental)
 	return nil
 }
 

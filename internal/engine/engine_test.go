@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"aggview/internal/ir"
@@ -296,133 +295,6 @@ func TestRelationHelpers(t *testing.T) {
 	r.Add(iv(1))
 }
 
-// --- reference evaluator cross-check ---
-
-// refEval is a deliberately naive evaluator: full cross product, then
-// filters, then grouping — no planning at all. The production engine
-// must agree with it on random inputs.
-func refEval(q *ir.Query, db *DB) (*Relation, error) {
-	rows := [][]value.Value{make([]value.Value, q.NumCols())}
-	for ti, t := range q.Tables {
-		rel, ok := db.Get(t.Source)
-		if !ok {
-			return nil, errMissing
-		}
-		var next [][]value.Value
-		for _, row := range rows {
-			for _, tup := range rel.Tuples {
-				nr := append([]value.Value{}, row...)
-				for pos, id := range q.Tables[ti].Cols {
-					nr[id] = tup[pos]
-				}
-				next = append(next, nr)
-			}
-		}
-		rows = next
-	}
-	var kept [][]value.Value
-	for _, row := range rows {
-		ok := true
-		for _, p := range q.Where {
-			h, err := predHolds(p, row)
-			if err != nil {
-				return nil, err
-			}
-			if !h {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			kept = append(kept, row)
-		}
-	}
-	out := &Relation{Attrs: ir.OutputNames(q)}
-	ev := NewEvaluator(db, nil)
-	if q.IsAggregationQuery() {
-		if err := ev.aggregateBatch(newTask(context.Background()), q, batchFromRows(kept, q.NumCols()), nil, false, out); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, row := range kept {
-			tuple := make([]value.Value, len(q.Select))
-			for i, it := range q.Select {
-				v, err := evalScalar(it.Expr, row)
-				if err != nil {
-					return nil, err
-				}
-				tuple[i] = v
-			}
-			out.Tuples = append(out.Tuples, tuple)
-		}
-	}
-	if q.Distinct {
-		out = distinct(out)
-	}
-	return out, nil
-}
-
-var errMissing = &missingErr{}
-
-type missingErr struct{}
-
-func (*missingErr) Error() string { return "missing relation" }
-
-func randDB(r *rand.Rand) *DB {
-	db := NewDB()
-	for _, name := range []string{"R1", "R2"} {
-		var rel *Relation
-		if name == "R1" {
-			rel = NewRelation("A", "B", "C", "D")
-		} else {
-			rel = NewRelation("E", "F")
-		}
-		n := r.Intn(8)
-		for i := 0; i < n; i++ {
-			tup := make([]value.Value, len(rel.Attrs))
-			for j := range tup {
-				tup[j] = iv(int64(r.Intn(4)))
-			}
-			rel.Add(tup...)
-		}
-		db.Put(name, rel)
-	}
-	return db
-}
-
-func TestEngineMatchesReferenceOnRandomInputs(t *testing.T) {
-	queries := []string{
-		"SELECT A, B FROM R1 WHERE A = B",
-		"SELECT A FROM R1, R2 WHERE A = E AND B < F",
-		"SELECT A, E FROM R1, R2 WHERE B = F AND C <> D",
-		"SELECT A, COUNT(B), SUM(C) FROM R1 GROUP BY A",
-		"SELECT A, E, SUM(B) FROM R1, R2 WHERE C = F GROUP BY A, E",
-		"SELECT A, MIN(B), MAX(C) FROM R1 GROUP BY A HAVING COUNT(D) > 1",
-		"SELECT DISTINCT A, B FROM R1, R2",
-		"SELECT E, SUM(A * B) FROM R1, R2 WHERE A <= E GROUP BY E",
-		"SELECT r.A, s.B FROM R1 r, R1 s WHERE r.A = s.A",
-		"SELECT AVG(B) FROM R1",
-	}
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 60; trial++ {
-		db := randDB(rng)
-		for _, sql := range queries {
-			q := ir.MustBuild(sql, src())
-			got, err1 := NewEvaluator(db, nil).ExecContext(context.Background(), q)
-			want, err2 := refEval(q, db)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%s: error mismatch %v vs %v", sql, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			if !ResultsEqualBag(got, want) {
-				t.Fatalf("%s: engine disagrees with reference\nengine:\n%s\nreference:\n%s", sql, got.Sorted(), want.Sorted())
-			}
-		}
-	}
-}
-
 func TestEmptyRelationEverywhere(t *testing.T) {
 	db := NewDB()
 	db.Put("R1", NewRelation("A", "B", "C", "D"))
@@ -476,34 +348,5 @@ func TestMixedIntFloatGroupingKeys(t *testing.T) {
 	}
 	if r.Tuples[0][1].AsInt() != 30 {
 		t.Fatalf("mixed-type group sum: %s", r)
-	}
-}
-
-func TestThreeWayJoinOrdering(t *testing.T) {
-	// A chain join where the greedy order matters: R1 - R2 - R3.
-	db := NewDB()
-	r1 := NewRelation("A", "B")
-	r2 := NewRelation("C", "D")
-	r3 := NewRelation("E", "F")
-	for i := int64(0); i < 6; i++ {
-		r1.Add(iv(i), iv(i%3))
-		r2.Add(iv(i%3), iv(i%2))
-		r3.Add(iv(i%2), iv(i))
-	}
-	db.Put("T1", r1)
-	db.Put("T2", r2)
-	db.Put("T3", r3)
-	src := ir.MapSource{"T1": {"A", "B"}, "T2": {"C", "D"}, "T3": {"E", "F"}}
-	q := ir.MustBuild("SELECT A, F FROM T1, T2, T3 WHERE B = C AND D = E", src)
-	got, err := NewEvaluator(db, nil).ExecContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := refEval(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ResultsEqualBag(got, want) {
-		t.Fatalf("three-way join disagrees with reference:\n%s\nvs\n%s", got.Sorted(), want.Sorted())
 	}
 }

@@ -1,12 +1,14 @@
 // Package oracle implements differential testing of the rewriter and of
 // view maintenance: seeded generators of random schemas, table contents,
 // view definitions and step sequences (inserts, deletes, updates and
-// queries); one checker that tracks every view, walks the steps, holds
-// every maintained view to its definition after each mutation and
-// executes each query directly and through every rewriting the rewriter
-// emits, asserting multiset-equal results at several worker counts; and
-// a shrinker reducing any violation to a minimal SQL script that replays
-// the failure.
+// queries); a deliberately naive reference evaluator over the oracle's
+// own model of the tables, the one definition of an answer the checker
+// holds the engine to; one checker that tracks every view, walks the
+// steps, holds every maintained view and base table to the reference
+// after each mutation and executes each query directly and through
+// every rewriting the rewriter emits, asserting results multiset-equal
+// to the reference's at several worker counts; and a shrinker reducing
+// any violation to a minimal SQL script that replays the failure.
 //
 // Everything a case needs travels as SQL text plus literal rows, so a
 // failing case prints as a self-contained script (CREATE TABLE / INSERT

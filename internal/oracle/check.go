@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -67,8 +68,8 @@ type Options struct {
 	// compiled system in a serving stack (the oracle stays
 	// transport-agnostic — internal/server supplies OracleExec) and
 	// returns an exec function answering SQL through the full wire
-	// path. The served answer must be bag-equal to the direct
-	// reference at every worker count, on both the cold and the warm
+	// path. The served answer must be bag-equal to the reference at
+	// every worker count, on both the cold and the warm
 	// (plan-cache hit) path; mismatches surface as violations with
 	// Fault "wire" / "wire-cached". One serving stack answers every query
 	// step of a case, its plan cache invalidated by the mutations between
@@ -111,23 +112,30 @@ type Violation struct {
 	// Fault tags where the violation surfaced: the injected fault
 	// ("site@k", "storage@k") or the wire pass ("wire", "wire-cached")
 	// of a query step, or the mutation checks ("mutate:step=3:view=V0",
-	// "maintain@2:step=1:aborted:view=V0",
+	// "maintain@2:step=1:aborted:table=T0",
 	// "mutate:concurrent:reader=1:torn-view"), or a query step whose
 	// direct execution failed after a mutation ("direct:step=4"), or a
-	// query step re-spelled in random letter case that is not the same
-	// statement ("spelling");
+	// query step, mutation or view the reference failed on where the
+	// system did not ("ref:step=4", "ref:mutate:step=3",
+	// "ref:mutate:track:view=V0"), or a query step re-spelled in random
+	// letter case that is not the same statement ("spelling");
 	// empty for a query step's plain differential.
 	Fault string
 	// Err is set when execution failed outright.
 	Err error
-	// Want and Got are the direct and the rewritten results; nil when
-	// Err is set.
+	// Want and Got are the reference's and the system's results (a
+	// table's: the model's rows and the stored ones); nil when Err is
+	// set.
 	Want, Got *engine.Relation
 }
 
 // directTag prefixes the Fault of a query step whose direct execution
-// failed after a mutation step.
-const directTag = "direct"
+// failed after a mutation step, and refTag that of a step, view or
+// query the reference failed on where the system did not.
+const (
+	directTag = "direct"
+	refTag    = "ref"
+)
 
 func (v *Violation) String() string {
 	tag := ""
@@ -163,6 +171,13 @@ type Outcome struct {
 	// FaultRuns counts executions and mutations performed under an
 	// armed fault (0 when Options.Faults and StorageFaults are empty).
 	FaultRuns int
+	// RefChecked counts the reference's evaluations — a query step's or
+	// a view definition's — that answers were held to.
+	RefChecked int
+	// RefSkipped counts those skipped for their FROM row product: the
+	// query step is then held to its first direct run, and the view is
+	// not checked.
+	RefSkipped int
 	// Violations lists every inequivalence found (empty: case passed).
 	Violations []Violation
 }
@@ -171,11 +186,13 @@ type Outcome struct {
 func (o *Outcome) OK() bool { return len(o.Violations) == 0 }
 
 // CheckContext compiles the case, tracking every view, and walks its
-// steps. Before the first step and after every mutation, each view's
-// maintained materialization must be bag-equal to a fresh evaluation
-// of its definition; each query step gets the full differential of
-// checkQuery. When the case mutates, its mutation steps then run
-// through the concurrent pass and, with Options.Faults set, the
+// steps, holding every answer to the reference (reference.go), which
+// evaluates over the oracle's own model of the tables. Before the first
+// step and after every mutation, each view's maintained materialization
+// must be bag-equal to the reference's evaluation of its definition and
+// each base table to the model; each query step gets the full
+// differential of checkQuery. When the case mutates, its mutation steps
+// then run through the concurrent pass and, with Options.Faults set, the
 // maintenance-fault pass. The returned error reports a case that could
 // not be set up, or whose query the system rejects outright before any
 // mutation — a generator defect, not an equivalence violation.
@@ -202,7 +219,8 @@ func CheckContext(ctx context.Context, c *Case, opt Options) (*Outcome, error) {
 	return out, nil
 }
 
-// serialPass applies the steps one at a time on one compiled system.
+// serialPass applies the steps one at a time on one compiled system and,
+// each mutation the system applies, on the model.
 func serialPass(ctx context.Context, c *Case, opt Options, out *Outcome) error {
 	sys, err := c.CompileContext(ctx, opt.system())
 	if err != nil {
@@ -230,7 +248,8 @@ func serialPass(ctx context.Context, c *Case, opt Options, out *Outcome) error {
 		defer shutdown()
 		serve = exec
 	}
-	if err := checkViews(ctx, sys, c.Views, "mutate:track", out); err != nil {
+	m := newModel(c)
+	if err := checkState(ctx, sys, m, "mutate:track", out); err != nil {
 		return err
 	}
 	mutated := false
@@ -240,22 +259,7 @@ func serialPass(ctx context.Context, c *Case, opt Options, out *Outcome) error {
 		}
 		st := &c.Steps[i]
 		if st.Kind == StepQuery {
-			// Reference: direct execution, serial.
-			sql := st.Query.SQL()
-			sys.Opts.Workers = 1
-			ref, err := sys.QueryContext(ctx, sql)
-			switch {
-			case err == nil:
-				err = checkQuery(ctx, sys, sql, ref, serve, opt, out)
-			case mutated && ctx.Err() == nil:
-				// After a mutation, a query the system does not answer
-				// is an engine failure, not a generator defect.
-				out.Violations = append(out.Violations, Violation{RewritingSQL: sql, Fault: fmt.Sprintf("%s:step=%d", directTag, i), Err: err})
-				continue
-			default:
-				err = fmt.Errorf("oracle: direct execution: %w", err)
-			}
-			if err != nil {
+			if err := checkQuery(ctx, sys, m, st.Query.SQL(), i, mutated, serve, opt, out); err != nil {
 				return err
 			}
 			continue
@@ -269,30 +273,62 @@ func serialPass(ctx context.Context, c *Case, opt Options, out *Outcome) error {
 			out.Violations = append(out.Violations, Violation{RewritingSQL: st.SQL(), Fault: tag, Err: err})
 			continue
 		}
-		if err := checkViews(ctx, sys, c.Views, tag, out); err != nil {
+		if err := applyModel(ctx, sys, m, st, tag, out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkViews compares each view's maintained materialization against a
-// fresh evaluation of its definition on the live database, recording a
-// violation tagged with tag and the view's name for each that differs.
-// Only the caller's ctx ending is returned, as a typed error.
-func checkViews(ctx context.Context, sys *aggview.System, views []*ViewSpec, tag string, out *Outcome) error {
-	for _, v := range views {
-		want, qerr := sys.QueryContext(ctx, v.Def.SQL())
+// applyModel applies a mutation step the system applied to the model —
+// the reference failing where the system did not is a violation tagged
+// "ref:" and tag — and holds the system's state to it.
+func applyModel(ctx context.Context, sys *aggview.System, m *model, st *Step, tag string, out *Outcome) error {
+	if err := m.apply(st); err != nil {
+		out.Violations = append(out.Violations, Violation{RewritingSQL: st.SQL(), Fault: refTag + ":" + tag, Err: err})
+		return nil
+	}
+	return checkState(ctx, sys, m, tag, out)
+}
+
+// checkState holds the system's state to the model: each view's
+// maintained materialization bag-equal to the reference's evaluation of
+// its definition, and each base table to the model's rows. It records a
+// violation tagged with tag and the view's or table's name for each that
+// differs. Only the caller's ctx ending is returned, as a typed error.
+func checkState(ctx context.Context, sys *aggview.System, m *model, tag string, out *Outcome) error {
+	for _, v := range m.views {
 		if err := budget.Check(ctx, "oracle.views"); err != nil {
 			return err
 		}
 		viol := Violation{RewritingSQL: v.SQL(), Fault: tag + ":view=" + v.Name}
+		want, err := m.view(v)
+		if errors.Is(err, errRefSkipped) {
+			out.RefSkipped++
+			continue
+		}
+		if err == nil {
+			out.RefChecked++
+		}
 		got, ok := sys.DB.Get(v.Name)
 		switch {
-		case qerr != nil:
-			viol.Err = fmt.Errorf("recomputing %s: %w", v.Name, qerr)
+		case err != nil:
+			viol.Fault, viol.Err = refTag+":"+viol.Fault, err
 		case !ok:
 			viol.Err = fmt.Errorf("materialization of %s vanished", v.Name)
+		case !engine.ResultsEqualBag(want, got):
+			viol.Want, viol.Got = want, got
+		default:
+			continue
+		}
+		out.Violations = append(out.Violations, viol)
+	}
+	for _, t := range m.tables {
+		viol := Violation{RewritingSQL: t.SQL(), Fault: tag + ":table=" + t.Name}
+		want := &engine.Relation{Attrs: t.Cols, Tuples: t.Rows}
+		switch got, ok := sys.DB.Get(t.Name); {
+		case !ok:
+			viol.Err = fmt.Errorf("table %s vanished", t.Name)
 		case !engine.ResultsEqualBag(want, got):
 			viol.Want, viol.Got = want, got
 		default:
@@ -303,43 +339,62 @@ func checkViews(ctx context.Context, sys *aggview.System, views []*ViewSpec, tag
 	return nil
 }
 
-// checkQuery executes one query step directly, re-spelled in random
-// letter case (which must keep its plan key), and via every rewriting
-// the rewriter emits, at every configured worker count, against ref,
-// its serial direct answer, and records each multiset inequality as a
-// violation; then, as configured, the injection, storage and wire
-// passes run over the same executions.
-func checkQuery(ctx context.Context, sys *aggview.System, sql string, ref *engine.Relation, serve func(context.Context, string) (*engine.Relation, error), opt Options, out *Outcome) error {
+// checkQuery executes query step i directly, re-spelled in random letter
+// case (which must keep its plan key), and via every rewriting the
+// rewriter emits, at every configured worker count, against the
+// reference's answer, and records each multiset inequality as a
+// violation; then, as configured, the injection, storage and wire passes
+// run over the same executions. Where the reference is skipped (its row
+// bound) or fails, the first direct run stands in for it; a reference
+// failure where the system answers is a violation itself. A direct run
+// that fails is a generator defect before any mutation (the returned
+// error) and a violation after one.
+func checkQuery(ctx context.Context, sys *aggview.System, m *model, sql string, i int, mutated bool, serve func(context.Context, string) (*engine.Relation, error), opt Options, out *Outcome) error {
+	ref, rerr := m.query(sql)
+	switch {
+	case rerr == nil:
+		out.RefChecked++
+	case errors.Is(rerr, errRefSkipped):
+		out.RefSkipped++
+	}
 	// The query as a user may spell it (respell) is the same statement,
-	// and its direct plan must agree with the serial answer at every
-	// worker count (the engine's determinism contract).
+	// and its direct plan must give the reference's answer at every
+	// worker count.
 	spelled, err := respell(sql)
 	if err != nil {
 		return fmt.Errorf("oracle: re-spelling: %w", err)
+	}
+	for k, w := range opt.Workers {
+		sys.Opts.Workers = w
+		got, err := sys.QueryContext(ctx, spelled)
+		switch {
+		case err != nil && ctx.Err() != nil:
+			return err
+		case err != nil && k == 0 && !mutated:
+			return fmt.Errorf("oracle: direct execution: %w", err)
+		case err != nil && k == 0:
+			// After a mutation, a query the system does not answer is
+			// an engine failure, not a generator defect.
+			out.Violations = append(out.Violations, Violation{Workers: w, RewritingSQL: spelled, Fault: fmt.Sprintf("%s:step=%d", directTag, i), Err: err})
+			return nil
+		case err != nil:
+			out.Violations = append(out.Violations, Violation{Workers: w, RewritingSQL: spelled, Err: err})
+		case ref == nil:
+			ref = got
+		case !engine.ResultsEqualBag(ref, got):
+			out.Violations = append(out.Violations, Violation{Workers: w, RewritingSQL: spelled, Want: ref, Got: got})
+		}
+	}
+	if rerr != nil && !errors.Is(rerr, errRefSkipped) {
+		out.Violations = append(out.Violations, Violation{RewritingSQL: sql, Fault: fmt.Sprintf("%s:step=%d", refTag, i), Err: rerr})
 	}
 	key, err := sys.PlanKey(sql)
 	if err != nil {
 		return fmt.Errorf("oracle: keying: %w", err)
 	}
-	if k, _ := sys.PlanKey(spelled); k != key { // a failed parse fails the direct runs below too
+	if k, _ := sys.PlanKey(spelled); k != key {
 		out.Violations = append(out.Violations, Violation{RewritingSQL: spelled, Fault: "spelling",
 			Err: fmt.Errorf("plan key %q, the original spelling's is %q", k, key)})
-	}
-	for _, w := range opt.Workers {
-		sys.Opts.Workers = w
-		got, err := sys.QueryContext(ctx, spelled)
-		if err != nil {
-			if ctx.Err() != nil {
-				return err
-			}
-			out.Violations = append(out.Violations, Violation{Workers: w, RewritingSQL: spelled, Err: err})
-			continue
-		}
-		if !engine.ResultsEqualBag(ref, got) {
-			out.Violations = append(out.Violations, Violation{
-				Workers: w, RewritingSQL: spelled, Want: ref, Got: got,
-			})
-		}
 	}
 
 	rws, err := sys.RewritingsContext(ctx, sql)
@@ -347,7 +402,7 @@ func checkQuery(ctx context.Context, sys *aggview.System, sql string, ref *engin
 		return fmt.Errorf("oracle: enumerating rewritings: %w", err)
 	}
 	out.Rewritings += len(rws)
-	// check executes r at every worker count against the direct answer.
+	// check executes r at every worker count against the reference.
 	check := func(r *core.Rewriting) error {
 		for _, w := range opt.Workers {
 			sys.Opts.Workers = w
@@ -460,11 +515,11 @@ func respell(sql string) (string, error) {
 }
 
 // wirePass answers a query step through the serving stack built by
-// opt.Serve and requires bag equality with the direct reference. Each
-// worker count issues two requests, so both the cold (singleflight
-// populate) and the warm (cache hit) plan-cache paths are differential-
-// checked against direct evaluation; the warm request sends spelled, the
-// query re-spelled, which reaches the cached plan through its key.
+// opt.Serve and requires bag equality with ref, the reference's answer.
+// Each worker count issues two requests, so both the cold (singleflight
+// populate) and the warm (cache hit) plan-cache paths are checked; the
+// warm request sends spelled, the query re-spelled, which reaches the
+// cached plan through its key.
 func wirePass(ctx context.Context, sys *aggview.System, sql, spelled string, ref *engine.Relation, exec func(context.Context, string) (*engine.Relation, error), opt Options, out *Outcome) error {
 	for _, w := range opt.Workers {
 		sys.Opts.Workers = w

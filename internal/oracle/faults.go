@@ -120,17 +120,20 @@ func execRecover(ctx context.Context, exec func(context.Context) (*engine.Relati
 }
 
 // maintainFaultPass re-runs the mutation steps on a fresh system once
-// per spec of opt.Faults, each mutation under a freshly armed injector.
-// A firing injector must surface as a clean typed Canceled error with
-// every materialization still consistent (the batch aborted whole), and
-// a clean retry of the same mutation must then succeed — the oracle's
-// exact-state-or-typed-error contract for maintenance.
+// per spec of opt.Faults, each mutation under a freshly armed injector,
+// and on a fresh model. A firing injector must surface as a clean typed
+// Canceled error with every table and view still as the model holds them
+// before the step (the batch aborted whole), and a clean retry of the
+// same mutation must then succeed and leave them as the model holds them
+// after it — the oracle's exact-state-or-typed-error contract for
+// maintenance.
 func maintainFaultPass(ctx context.Context, c *Case, opt Options, out *Outcome) error {
 	for _, spec := range opt.Faults {
 		sys, err := c.CompileContext(ctx, opt.system())
 		if err != nil {
 			return err
 		}
+		m := newModel(c)
 		for i := range c.Steps {
 			if err := budget.Check(ctx, "oracle.faults"); err != nil {
 				return err
@@ -156,11 +159,11 @@ func maintainFaultPass(ctx context.Context, c *Case, opt Options, out *Outcome) 
 					continue
 				}
 				// Clean typed abort: the batch must not have applied at
-				// all — every view still matches its definition.
-				if err := checkViews(ctx, sys, c.Views, tag+":aborted", out); err != nil {
+				// all.
+				if err := checkState(ctx, sys, m, tag+":aborted", out); err != nil {
 					return err
 				}
-				// A clean retry must succeed and leave the views exact.
+				// A clean retry must succeed and leave the state exact.
 				if err := applyStep(ctx, sys, st); err != nil {
 					if ctx.Err() != nil {
 						return err
@@ -172,7 +175,7 @@ func maintainFaultPass(ctx context.Context, c *Case, opt Options, out *Outcome) 
 					continue
 				}
 			}
-			if err := checkViews(ctx, sys, c.Views, tag, out); err != nil {
+			if err := applyModel(ctx, sys, m, st, tag, out); err != nil {
 				return err
 			}
 		}

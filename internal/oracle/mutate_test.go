@@ -220,7 +220,8 @@ func TestMutationTamperCaughtAndShrinks(t *testing.T) {
 }
 
 // A maintained view that drifts from its definition is caught: Totals'
-// materialization is corrupted behind the maintainer's back.
+// materialization is corrupted behind the maintainer's back; so is a
+// base table that drifts from the model.
 func TestCheckViewsCatchesDivergence(t *testing.T) {
 	ctx := context.Background()
 	c := handCase()
@@ -229,7 +230,7 @@ func TestCheckViewsCatchesDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := &Outcome{}
-	if err := checkViews(ctx, sys, c.Views, "track", out); err != nil || !out.OK() {
+	if err := checkState(ctx, sys, newModel(c), "track", out); err != nil || !out.OK() {
 		t.Fatalf("fresh views diverge: %v %v", err, out.Violations)
 	}
 	rel, _ := sys.DB.Get("Totals")
@@ -240,11 +241,24 @@ func TestCheckViewsCatchesDivergence(t *testing.T) {
 		bad.Tuples = append(bad.Tuples, r)
 	}
 	sys.DB.Apply([]engine.Commit{{Name: "Totals", Table: engine.BuildColTable(bad), Silent: true}})
-	if err := checkViews(ctx, sys, c.Views, "tamper", out); err != nil {
+	if err := checkState(ctx, sys, newModel(c), "tamper", out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Violations) != 1 || out.Violations[0].Fault != "tamper:view=Totals" || out.Violations[0].Got == nil {
 		t.Fatalf("corrupted view not caught once: %v", out.Violations)
+	}
+	// A base table is held to the model as well: a row the store keeps
+	// that the model does not (a batch that installed its change, then
+	// aborted) is caught even though every view still matches.
+	sales, _ := sys.DB.Get("Sales")
+	more := &engine.Relation{Attrs: sales.Attrs, Tuples: append(slices.Clone(sales.Tuples), []value.Value{value.Str("n"), value.Int(1), value.Int(1)})}
+	sys.DB.Apply([]engine.Commit{{Name: "Sales", Table: engine.BuildColTable(more), Silent: true}})
+	out = &Outcome{}
+	if err := checkState(ctx, sys, newModel(c), "abort", out); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(out.Violations, func(v Violation) bool { return v.Fault == "abort:table=Sales" && v.Got != nil }) {
+		t.Fatalf("table diverging from the model not caught: %v", out.Violations)
 	}
 }
 

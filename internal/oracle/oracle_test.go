@@ -18,7 +18,7 @@ const propertySeed = 20260806
 
 // TestOracleProperty is the bounded-budget property suite: every
 // rewriting of every generated instance must be multiset-equivalent to
-// the direct answer at every worker count. On failure it shrinks the
+// the reference's answer at every worker count. On failure it shrinks the
 // case and prints a replayable SQL script.
 func TestOracleProperty(t *testing.T) {
 	trials := 500

@@ -36,64 +36,6 @@ func parseChange(t testing.TB, table, set, where string) (sqlparser.Expr, []sqlp
 	return stmts[0].(*sqlparser.Delete).Where, nil
 }
 
-// isTerm reports whether e is a column or a literal: a conjunct with one
-// on both sides is refined before any other (ir.RowChange).
-func isTerm(e sqlparser.Expr) bool {
-	_, lit := e.(*sqlparser.Lit)
-	_, col := e.(*sqlparser.ColumnRef)
-	return lit || col
-}
-
-// referenceChange is what a DELETE or UPDATE changes by the oracle's
-// row-at-a-time evaluator, a row at a time over every row: the matched
-// positions and, for an UPDATE, the replacement rows. The conjuncts run
-// in the order the engine refines in — those comparing columns and
-// constants first, then the others, each kind in WHERE order — and a
-// conjunct sees a row only if the row passed those before it, so the
-// reference raises exactly when some conjunct of the engine's sees a row
-// it fails on. The assignments are evaluated once every row has matched.
-func referenceChange(rel *engine.Relation, where sqlparser.Expr, set []sqlparser.Assignment) (pos []int32, news [][]aggview.Value, err error) {
-	var terms, rest []sqlparser.Expr
-	for _, c := range sqlparser.Conjuncts(where) {
-		if b, ok := c.(*sqlparser.BinExpr); ok && isTerm(b.L) && isTerm(b.R) {
-			terms = append(terms, c)
-		} else {
-			rest = append(rest, c)
-		}
-	}
-rows:
-	for i, row := range rel.Tuples {
-		for _, c := range append(terms, rest...) {
-			hit, err := oracle.EvalCond(c, rel.Attrs, row)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !hit {
-				continue rows
-			}
-		}
-		pos = append(pos, int32(i))
-	}
-	if set == nil {
-		return pos, nil, nil
-	}
-	for _, p := range pos {
-		row := rel.Tuples[p]
-		next := slices.Clone(row)
-		for _, a := range set {
-			at := slices.IndexFunc(rel.Attrs, func(c string) bool { return strings.EqualFold(c, a.Col) })
-			if at < 0 {
-				return nil, nil, fmt.Errorf("unknown column %q", a.Col)
-			}
-			if next[at], err = oracle.EvalExpr(a.Expr, rel.Attrs, row); err != nil {
-				return nil, nil, err
-			}
-		}
-		news = append(news, next)
-	}
-	return pos, news, nil
-}
-
 // sameRows reports whether two row lists hold the same cells: same kind,
 // same key (every NaN is one value).
 func sameRows(a, b [][]aggview.Value) bool {
@@ -115,7 +57,7 @@ func sameNumbers(a, b [][]aggview.Value) bool {
 
 // checkChange compares what the facade's DELETE/UPDATE pipeline would
 // change — the statement lowered once and evaluated by the engine's
-// kernels — with referenceChange, at serial and parallel worker counts:
+// kernels — with oracle.ReferenceChange, at serial and parallel worker counts:
 // same positions and same replacement rows, or both fail. It returns the
 // engine's error.
 func checkChange(t testing.TB, sys *aggview.System, table, set, where string) error {
@@ -132,7 +74,7 @@ func checkParsed(t testing.TB, sys *aggview.System, table, what string, cond sql
 	if !ok {
 		t.Fatalf("no relation %s", table)
 	}
-	wantPos, wantNews, wantErr := referenceChange(rel, cond, assigns)
+	wantPos, wantNews, wantErr := oracle.ReferenceChange(table, rel, cond, assigns)
 	var gotErr error
 	for _, workers := range []int{1, 4} {
 		sys.Opts.Workers = workers
@@ -315,7 +257,7 @@ func TestSetEqualsEvalExpr(t *testing.T) {
 					t.Fatalf("SET %s WHERE %s: updated %d rows (err %v), want %d", set, where, changed, err, n)
 				}
 				cond, assigns := parseChange(t, "T", set, where)
-				pos, news, _ := referenceChange(rel, cond, assigns)
+				pos, news, _ := oracle.ReferenceChange("T", rel, cond, assigns)
 				for i, p := range pos {
 					rel.Tuples[p] = news[i]
 				}

@@ -69,8 +69,12 @@ go test -race -short -run 'Cancel|Budget|FaultInject' ./...
 # through every rewriting at worker counts 1 and GOMAXPROCS — a
 # group-preserving rewriting's select-project form too (the summary
 # counts them) — and re-run under seeded faults (-faults defaults to
-# on); each mutation step is followed by re-deriving every view from its
-# definition. One case in 16 has its anchor table grown to span three
+# on), each answer held to the oracle's naive reference evaluator, not
+# to another engine run; each mutation step is followed by holding every
+# view to the reference's evaluation of its definition and every base
+# table to the oracle's own model of it (the summary counts the
+# reference's answers, and the ones its row bound skipped, which should
+# be none). One case in 16 has its anchor table grown to span three
 # storage chunks, so chunk skipping, cross-chunk selections and deltas
 # meet generated shapes (the summary line counts them).
 #
