@@ -8,7 +8,10 @@
 // and each table to the oracle's own model of it. Any multiset
 // inequality is reported as a shrunk, replayable SQL script;
 // ref.checked and ref.skipped count the reference's answers and the
-// ones its row bound skipped.
+// ones its row bound skipped, and maintain.delta.direct and
+// maintain.delta.query the view deltas of the serial pass's writes
+// (a case's second half of rows and its mutations) absorbed from a
+// delta table's rows and by a delta query.
 //
 // By default each case is one query step (oracle.Generate). With
 // -mutate the cases are scenarios of 8–20 inserts, deletes, updates and
@@ -237,6 +240,10 @@ func run(ctx context.Context, cfg soak) error {
 				rep.Counts["ref.checked"] += int64(out.RefChecked)
 				rep.Counts["ref.skipped"] += int64(out.RefSkipped)
 				rep.Counts["incremental"] += int64(out.Incremental)
+				// How the serial pass's views absorbed each write's delta:
+				// from the delta table itself, or by a delta query.
+				rep.Counts["maintain.delta.direct"] += opt.Metrics.Volatile("maintain.delta.direct").Load()
+				rep.Counts["maintain.delta.query"] += opt.Metrics.Volatile("maintain.delta.query").Load()
 				for _, mode := range out.Modes {
 					rep.Counts["mode."+mode]++
 				}
@@ -315,9 +322,10 @@ func finish(rep *report.Report[failureRow], unit, jsonOut string) error {
 		}
 	}
 	sort.Strings(modes)
-	fmt.Printf("%s: %d %s (%d multi-chunk), %d steps, %d rewritings (%d group-preserving), %d fault-injected runs, %d reference answers (%d skipped), %d incremental views, %s per mode: %s, %d violations\n",
+	fmt.Printf("%s: %d %s (%d multi-chunk), %d steps, %d rewritings (%d group-preserving), %d fault-injected runs, %d reference answers (%d skipped), %d incremental views, view deltas %d direct and %d by query, %s per mode: %s, %d violations\n",
 		rep.Tool, rep.Counts[unit], unit, rep.Counts["multi_chunk"], rep.Counts["steps"], rep.Counts["rewritings"], rep.Counts["rewritings.group_preserving"],
-		rep.Counts["fault_runs"], rep.Counts["ref.checked"], rep.Counts["ref.skipped"], rep.Counts["incremental"], unit, strings.Join(modes, " "), len(rep.Rows))
+		rep.Counts["fault_runs"], rep.Counts["ref.checked"], rep.Counts["ref.skipped"], rep.Counts["incremental"],
+		rep.Counts["maintain.delta.direct"], rep.Counts["maintain.delta.query"], unit, strings.Join(modes, " "), len(rep.Rows))
 	if rep.Verdict == "fail" {
 		return fmt.Errorf("%d violations", len(rep.Rows))
 	}

@@ -540,7 +540,8 @@ func sameCell(a, b value.Value) bool {
 // widened copy of — and a chunk still shared with it (same pointer) is
 // never written: Set copies the chunks in which a cell changes, Drop
 // streams the survivors from its first position's chunk on (and the
-// appended cells behind them) into fresh chunks, and Append extends the
+// appended cells behind them) into fresh chunks, the last with room to
+// append, and Append extends the
 // last chunk — in place when the caller owns its spare cells and they
 // suffice, moved to a larger array otherwise — and starts new chunks
 // once it is full.
@@ -571,7 +572,15 @@ func patchCells[T any](from, base *column, pos, n int, d *Delta, owned bool, cos
 	rest := d.Append
 	if len(d.Drop) > 0 {
 		k0, _ := chunkOf(d.Drop[0])
-		tail := make([]T, 0, n-k0*chunkRows-len(d.Drop)+len(rest))
+		// The re-cut last chunk keeps room to append, as an appended one
+		// does (tailCap): the next owned inserts fill it in place instead
+		// of moving it out.
+		m := n - k0*chunkRows - len(d.Drop) + len(rest)
+		room := 0
+		if last := m % chunkRows; last > 0 {
+			room = tailCap(last) - last
+		}
+		tail := make([]T, 0, m+room)
 		drop := d.Drop
 		for k := k0; k < len(chunks); k++ {
 			xs, at := *cells(&chunks[k].Vec), 0
@@ -585,7 +594,11 @@ func patchCells[T any](from, base *column, pos, n int, d *Delta, owned bool, cos
 		for _, r := range rest {
 			tail = append(tail, conv(r[pos]))
 		}
-		chunks, rest = append(chunks[:k0], cut(from.kind, tail, cells)...), nil
+		cs := cut(from.kind, tail, cells)
+		if room > 0 {
+			*cells(&cs[len(cs)-1].Vec) = tail[(len(cs)-1)*chunkRows : m : m+room]
+		}
+		chunks, rest = append(chunks[:k0], cs...), nil
 		cost.chunksCopied += int64(len(chunks) - k0)
 		cost.copied += width * int64(len(tail))
 	}

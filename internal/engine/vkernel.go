@@ -548,6 +548,30 @@ func (ev *Evaluator) ChangeContext(ctx context.Context, ct *ColTable, rc *ir.Row
 	return pos, olds, news, nil
 }
 
+// Select returns the positions, ascending, of ct's rows whose cells
+// satisfy every conjunct of preds, whose column terms name ct's columns
+// by position: the typed filter a scan refines each morsel with
+// (refine), run serially, a morsel at a time. It is how the maintainer
+// decides a one-table view's WHERE over a write's delta table without
+// an engine query.
+func (ct *ColTable) Select(preds []ir.Pred) ([]int32, error) {
+	b := &Batch{n: ct.n, cols: ct.cols}
+	w := getScratch()
+	defer putScratch(w)
+	var out []int32
+	for lo := 0; lo < ct.n; lo += morselRows {
+		rs := w.rows(b, lo, min(lo+morselRows, ct.n))
+		js, err := w.refine(rs, preds, nil)
+		if err != nil {
+			return nil, err
+		}
+		for _, j := range js {
+			out = append(out, rs.pos(j))
+		}
+	}
+	return out, nil
+}
+
 // intsOf returns the operand's cells in the int64 domain as a dense
 // slice of n cells, broadcasting constants. Only called when the operand
 // is int-kind.

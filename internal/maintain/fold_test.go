@@ -6,12 +6,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
 	"aggview/internal/engine"
 	"aggview/internal/ir"
+	"aggview/internal/obs"
 	"aggview/internal/value"
 )
 
@@ -118,6 +120,110 @@ func TestWritesBuildWhatARebuildBuilds(t *testing.T) {
 		if !maps.Equal(gc, rc) {
 			t.Errorf("%s: multiplicity counts %v written, %v rebuilt", name, gc, rc)
 		}
+	}
+}
+
+// TestDirectDeltasMatchRebuildAndDefinition holds the one-table views
+// that absorb a write's signed delta table themselves (state.rowCols) to
+// their rebuild and to their definition after every batch of a seeded
+// insert, delete and update history: views with a WHERE on an int, a
+// float and a string column, and two comparing the string column with a
+// number (never equal under the value rule, so one view stays empty and
+// the other holds every row); float SUM and AVG over NaN, ±Inf, ±0,
+// ±1e16, 0.5 and 1; MIN and MAX over NaN; a conjunctive view. Group 9
+// holds MaxInt64 twice beside MinInt64 twice, a total of -2: an update of
+// both MaxInt64 rows would have made the deleted side of a delta query
+// grouped by the sign total past int64 and recomputed every view summing
+// I; read row by row it stays incremental, so maintain.fallback.full
+// never moves.
+func TestDirectDeltasMatchRebuildAndDefinition(t *testing.T) {
+	ctx := context.Background()
+	cols := []string{"Id", "G", "I", "F", "S"}
+	views := map[string]string{
+		"VI": "SELECT G, SUM(I), COUNT(*) FROM T WHERE I <> 2 GROUP BY G",
+		"VF": "SELECT G, SUM(F), AVG(F), MIN(F), MAX(F) FROM T WHERE F <> 0.5 GROUP BY G",
+		"VS": "SELECT S, G, SUM(F), AVG(I), COUNT(F) FROM T WHERE S <> 'b' GROUP BY S, G",
+		"VN": "SELECT G, SUM(I), COUNT(I) FROM T WHERE S <> 1 GROUP BY G",
+		"VE": "SELECT G, SUM(I) FROM T WHERE S = 1 GROUP BY G",
+		"VA": "SELECT G, SUM(F), AVG(F), SUM(I), MIN(F), MAX(F), COUNT(*) FROM T GROUP BY G",
+		"VC": "SELECT G, F, S FROM T WHERE F < 1",
+	}
+	m, db := system(t, "T", cols, views)
+	m.Metrics = obs.NewMetrics()
+	for name := range views {
+		if inc, err := m.TrackContext(ctx, name); err != nil || !inc {
+			t.Fatalf("%s: incremental=%v err=%v", name, inc, err)
+		}
+		if m.tracked[name].rowCols == nil {
+			t.Fatalf("%s runs a delta query, want it to read the delta table", name)
+		}
+	}
+	floats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e16, -1e16, 0.5, 1}
+	rng := rand.New(rand.NewSource(49))
+	id := int64(0)
+	row := func(g, i int64, f float64, s string) []value.Value {
+		id++
+		return []value.Value{value.Int(id), value.Int(g), value.Int(i), value.Float(f), value.Str(s)}
+	}
+	random := func() []value.Value {
+		return row(int64(rng.Intn(4)), int64(rng.Intn(11)-5), floats[rng.Intn(len(floats))], []string{"a", "b", ""}[rng.Intn(3)])
+	}
+	extremes := [][]value.Value{row(9, math.MaxInt64, 1, "a"), row(9, math.MaxInt64, 1, "a"), row(9, math.MinInt64, 1, "a"), row(9, math.MinInt64, 1, "a")}
+	fallbacks := m.Metrics.Volatile("maintain.fallback.full")
+	var live [][]value.Value // the rows the random deletes and updates draw from: not group 9's
+	for batch := 0; batch < 60; batch++ {
+		mut := Mutation{Table: "T"}
+		switch n := 1 + rng.Intn(6); {
+		case batch == 10:
+			mut.Inserts = extremes
+		case batch == 20:
+			// Both MaxInt64 rows are rewritten as they are (SET I = I).
+			// The update keeps every cell: a rebuild's seed query groups
+			// by the MIN/MAX arguments too, and one that split the two
+			// from their MinInt64 rows would total them past int64.
+			mut.Deletes, mut.Inserts = extremes[:2], extremes[:2]
+		case batch < 6 || len(live) < n || rng.Intn(3) == 0:
+			for range n {
+				mut.Inserts = append(mut.Inserts, random())
+			}
+			live = append(live, mut.Inserts...)
+		default:
+			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+			mut.Deletes, live = live[:n:n], live[n:]
+			if rng.Intn(2) == 0 { // an update: as many new rows as old
+				for _, old := range mut.Deletes {
+					r := random()
+					r[0] = old[0]
+					mut.Inserts = append(mut.Inserts, r)
+				}
+				live = append(live, mut.Inserts...)
+			}
+		}
+		if err := m.ApplyContext(ctx, mut); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		for name := range views {
+			if !m.tracked[name].conjunctive {
+				sameAsRebuild(t, m, name, batch)
+			}
+			def, _ := m.views.Get(name)
+			want, err := engine.NewEvaluator(db, m.views).ExecContext(ctx, def.Def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := db.Get(name); !engine.ResultsEqualBag(got, want) {
+				t.Fatalf("batch %d: %s diverged from its definition:\n%s\nwant:\n%s", batch, name, got.Sorted(), want.Sorted())
+			}
+		}
+	}
+	if n := fallbacks.Load(); n != 0 {
+		t.Errorf("%d views fell back to a recompute, want 0", n)
+	}
+	if got, _ := db.Get("VE"); got.Len() != 0 {
+		t.Errorf("VE holds %d rows: a string equals no number", got.Len())
+	}
+	if got, _ := db.Get("VI"); !slices.ContainsFunc(got.Tuples, func(r []value.Value) bool { return r[0].AsInt() == 9 && r[1].AsInt() == -2 }) {
+		t.Errorf("VI lacks group 9 with SUM(I) = -2:\n%s", got.Sorted())
 	}
 }
 

@@ -168,7 +168,7 @@ func TestFindingATouchedGroupAllocatesNothing(t *testing.T) {
 		{value.Int(3), value.Int(1 << 60), value.Int(7), value.Int(-7), value.Int(1)},
 	}})
 	p := &pending{st: m.tracked["V"]}
-	if err := p.absorb(res); err != nil {
+	if err := p.absorb(res, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	cs := make([]cells, 5)

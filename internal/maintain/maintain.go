@@ -14,37 +14,51 @@
 // row is built; an AVG divides the rounded total by n), or the value →
 // multiplicity multiset of a MIN/MAX. A mutation against one base table
 // becomes one signed delta table — its deleted rows with sign −1, its
-// inserted rows with sign +1, the sign an extra column — and each
-// dependent view runs one delta query over it: the definition with that
-// table bound to the delta table, grouped by the view's grouping columns,
-// its MIN/MAX arguments and the sign, selecting SUM(arg) per SUM/AVG and
-// COUNT(*) as the multiplicity. That is exact when the table occurs
-// exactly once in the definition (joins are bilinear). The maintainer
-// reads the result as typed columns and coalesces its finer groups into
-// the view's (Ex. 4.1's move): n and the totals add up, or subtract
-// under sign −1, each float total through the exact value.Sum the engine
-// keeps beside its rounded cell (engine.ColTable.Sums), so no rounded
-// cell is ever re-added and a NaN or an infinity a delete names leaves
-// the total again; each MIN/MAX multiset takes a Δcount per value. A
-// MIN/MAX whose extremum's multiplicity reaches zero is re-derived by
-// re-scanning the group's surviving value multiset; a group whose n
-// reaches zero leaves the materialization. Tracking and a recompute run
-// the same query over the tables themselves, every row signed +1, and
-// absorb its result as a batch over no live groups, so every group is
-// folded one way. Groups and multiset values are keyed by their cells'
-// canonical keys (value.AppendKey), which are self-delimiting:
-// concatenated, they are equal exactly when value.KeyEqual holds cell by
-// cell, and never collide. Views outside the incrementally maintainable
-// class (DISTINCT, HAVING, self-joins over the changed table, MIN/MAX
-// over non-column arguments, dependence through a nested view) fall back
-// to full recomputation — counted on the `maintain.fallback.full` metric
-// and named per view by Maintainer.Mode — so every mutation is always
-// correct. So does a write one of whose delta query's own int totals
-// leaves int64 (two deleted MaxInt64 rows in one group, say): the rebuild
-// against the staged tables then decides, installing the new exact
-// totals when they fit and aborting the batch when they do not. A
-// running total may pass int64 part-way; only a new total that int64
-// cannot hold aborts the batch.
+// inserted rows with sign +1, the sign an extra column. It is the
+// finest grouping of the change, one group per row whose count is its
+// sign, so a view that reads the changed table once and nothing else,
+// with bare columns for its select items and aggregate arguments
+// (COUNT(*) too), absorbs its rows directly: the engine's filter keeps
+// the rows the view's WHERE admits (engine.ColTable.Select), and each
+// kept row moves its group's n by its sign, adds or subtracts its
+// argument cell to each exact total (value.Sum.AddInt, SubInt,
+// AddFloat, SubFloat) and its value's multiplicity in each MIN/MAX
+// multiset, at any batch size. Every other dependent view runs one
+// delta query over the delta table, because its delta needs what only
+// the engine evaluates — a join's other tables, a computed argument:
+// the definition with the changed table bound to the delta table,
+// grouped by the view's grouping columns, its MIN/MAX arguments and the
+// sign, selecting SUM(arg) per SUM/AVG and COUNT(*) as the
+// multiplicity. That is exact when the table occurs exactly once in the
+// definition (joins are bilinear). The maintainer reads the result as
+// typed columns and coalesces its finer groups into the view's (Ex.
+// 4.1's move): n and the totals add up, or subtract under sign −1, each
+// float total through the exact value.Sum the engine keeps beside its
+// rounded cell (engine.ColTable.Sums), so no rounded cell is ever
+// re-added and a NaN or an infinity a delete names leaves the total
+// again; each MIN/MAX multiset takes a Δcount per value. A delta
+// table's row is read as just such a finer group, so the two paths
+// share the coalescing and build the same rows. A MIN/MAX whose
+// extremum's multiplicity reaches zero is re-derived by re-scanning the
+// group's surviving value multiset; a group whose n reaches zero leaves
+// the materialization. Tracking and a recompute run the delta query's
+// form over the tables themselves, every row signed +1 (the seed
+// query), and absorb its result as a batch over no live groups, so
+// every group is folded one way. Groups and multiset values are keyed
+// by their cells' canonical keys (value.AppendKey), which are
+// self-delimiting: concatenated, they are equal exactly when
+// value.KeyEqual holds cell by cell, and never collide. Views outside
+// the incrementally maintainable class (DISTINCT, HAVING, self-joins
+// over the changed table, MIN/MAX over non-column arguments, dependence
+// through a nested view) fall back to full recomputation — counted on
+// the `maintain.fallback.full` metric and named per view by
+// Maintainer.Mode — so every mutation is always correct. So does a
+// write one of whose delta query's own int totals leaves int64 (two
+// deleted MaxInt64 rows in one group, say): the rebuild against the
+// staged tables then decides, installing the new exact totals when they
+// fit and aborting the batch when they do not. A view that reads the
+// delta table has no such finer total. A running total may pass int64
+// part-way; only a new total that int64 cannot hold aborts the batch.
 //
 // Batches apply atomically: every delta evaluation and recomputation
 // runs first, against the pre-mutation state (plus previously staged
@@ -82,9 +96,11 @@ type Maintainer struct {
 	// Metrics, when set, observes maintenance decisions:
 	// maintain.fallback.full counts full recomputations (shape or
 	// self-join fallbacks), maintain.batch.apply counts committed
-	// batches, maintain.delta.rows counts delta rows merged. The delta
-	// and recompute evaluations report to it too (engine.exec,
-	// engine.result.cells_boxed, ...).
+	// batches, maintain.delta.rows counts delta rows merged, and
+	// maintain.delta.direct and maintain.delta.query count the view
+	// deltas absorbed from a delta table's rows and by a delta query.
+	// The delta and recompute evaluations report to it too
+	// (engine.exec, engine.result.cells_boxed, ...).
 	Metrics *obs.Metrics
 	// Workers sizes the worker pools of the delta and recompute
 	// evaluations (0 = serial), like engine.Evaluator.Workers.
@@ -146,10 +162,22 @@ type state struct {
 	// definition itself. delta holds, per table the definition reads once
 	// (by name), the same query with that table's occurrence carrying the
 	// sign column, grouped by it too and selecting it last, at nAt+1 —
-	// or the definition selecting the sign last.
+	// or the definition selecting the sign last; it is built only for a
+	// view that does not read the delta table itself (rowCols).
 	seed  *ir.Query
 	delta map[string]*ir.Query
 	nAt   int
+	// rowCols is set for a view whose definition reads one base table
+	// once and nothing else, with bare columns for its select items and
+	// aggregate arguments: such a view runs no delta query but absorbs
+	// the write's signed delta table itself, each row a finer group of
+	// its own whose count is its sign. rowCols[i] is the delta table's
+	// column that stands for column i of the delta query's result, the
+	// sign standing for the count (or, for a conjunctive view, for the
+	// sign); where is the definition's WHERE over the delta table's
+	// columns.
+	rowCols []int
+	where   []ir.Pred
 	// direct counts direct FROM occurrences per base table;
 	// trans marks every transitive base table; viaView marks tables
 	// whose dependence flows through a nested view (delta-unsafe).
@@ -352,7 +380,7 @@ func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storag
 		return nil, nil, err
 	}
 	p := &pending{st: st, live: map[cellKey]*group{}}
-	if err := p.absorb(res); err != nil {
+	if err := p.absorb(res, nil, nil); err != nil {
 		return nil, nil, err
 	}
 	d, err := p.stageAggregation()
@@ -476,8 +504,9 @@ func (st *state) resolveSources(views *ir.Registry, tracked map[string]*state) {
 // table's own: -1 on a deleted row, +1 on an inserted one.
 const signAttr = "sign"
 
-// buildDelta constructs an incremental view's seed query and one delta
-// query per table the definition reads once.
+// buildDelta constructs an incremental view's seed query and either
+// its layout over a delta table (rowsOf), when the definition reads one
+// base table, or one delta query per table the definition reads once.
 func buildDelta(st *state) {
 	def := st.def.Def
 	st.seed = def
@@ -515,12 +544,60 @@ func buildDelta(st *state) {
 		q.Select = append(sel, ir.SelectItem{Expr: &ir.Agg{Func: ir.AggCount, Star: true}})
 		st.seed = q
 	}
+	if cols, where := rowsOf(def, st.seed); cols != nil && st.direct[def.Tables[0].Source] == 1 {
+		st.rowCols, st.where = cols, where
+		return
+	}
 	st.delta = map[string]*ir.Query{}
 	for ti, t := range def.Tables {
 		if st.direct[t.Source] == 1 {
 			st.delta[t.Source] = st.signed(ti)
 		}
 	}
+}
+
+// rowsOf returns, for a definition over one table whose seed query
+// selects bare columns and aggregates of bare columns (or COUNT(*)),
+// the table's column behind each of the seed's select items, its
+// COUNT(*) read from the sign column, and the definition's WHERE over
+// the table's columns; nil for any other definition.
+func rowsOf(def, seed *ir.Query) ([]int, []ir.Pred) {
+	if len(def.Tables) != 1 {
+		return nil, nil
+	}
+	pos := func(c ir.ColID) int { return def.Columns[c].Pos }
+	cols := make([]int, len(seed.Select))
+	for i, it := range seed.Select {
+		switch x := it.Expr.(type) {
+		case *ir.ColRef:
+			cols[i] = pos(x.Col)
+		case *ir.Agg:
+			arg, ok := x.Arg.(*ir.ColRef)
+			switch {
+			case x.Star:
+				cols[i] = len(def.Tables[0].Cols)
+			case ok:
+				cols[i] = pos(arg.Col)
+			default:
+				return nil, nil
+			}
+		default:
+			return nil, nil
+		}
+	}
+	if !seed.IsAggregationQuery() {
+		cols = append(cols, len(def.Tables[0].Cols))
+	}
+	where := make([]ir.Pred, len(def.Where))
+	for i, p := range def.Where {
+		for _, t := range []*ir.Term{&p.L, &p.R} {
+			if !t.IsConst {
+				t.Col = ir.ColID(pos(t.Col))
+			}
+		}
+		where[i] = p
+	}
+	return cols, where
 }
 
 // signed returns the seed query with table occurrence ti read from a
@@ -590,16 +667,26 @@ func (c *cells) value(j int) value.Value {
 	return value.Int(c.ints[j])
 }
 
-// total returns cell j of a SUM column as an exact total: the engine's
-// own for a float SUM, which shares the engine's storage and must not be
-// written; the int cell otherwise.
-func (c *cells) total(j int) value.Sum {
-	if c.sums != nil {
-		return c.sums[j]
+// addTo adds cell j of a SUM column to the total s exactly, or takes it
+// out when sub is set: the engine's own exact total behind a float SUM's
+// cell, which shares the engine's storage and is only read; the int or
+// float cell itself otherwise — a delta query's int SUM, or one row's
+// argument.
+func (c *cells) addTo(s *value.Sum, j int, sub bool) {
+	switch {
+	case c.sums != nil && sub:
+		s.Sub(&c.sums[j])
+	case c.sums != nil:
+		s.Merge(&c.sums[j])
+	case c.kind == value.KindFloat && sub:
+		s.SubFloat(c.floats[j])
+	case c.kind == value.KindFloat:
+		s.AddFloat(c.floats[j])
+	case sub:
+		s.SubInt(c.ints[j])
+	default:
+		s.AddInt(c.ints[j])
 	}
-	var s value.Sum
-	s.AddInt(c.ints[j])
-	return s
 }
 
 // appendKey appends cell j's canonical key.
@@ -615,27 +702,43 @@ func (c *cells) appendKey(dst []byte, j int) []byte {
 	return value.AppendIntKey(dst, c.ints[j])
 }
 
-// eachRow calls fn for every row of a query result, in order, with the
-// typed cells of the chunk holding it and its index there; nothing is
-// boxed but what fn boxes. scratch holds the cells, grown to the
-// result's width and cleared on the way out.
-func eachRow(res *engine.ColTable, scratch *[]cells, fn func(cs []cells, j int) error) error {
-	if cap(*scratch) < len(res.Attrs()) {
-		*scratch = make([]cells, len(res.Attrs()))
+// eachRow calls fn for every row of res in order — only for the rows
+// sel names, ascending, when sel is not nil — with the typed cells of
+// the chunk holding it and its index there; nothing is boxed but what fn
+// boxes. cs[i] holds res's column cols[i] (column i when cols is nil).
+// scratch holds the cells, grown to their width and cleared on the way
+// out.
+func eachRow(res *engine.ColTable, cols []int, sel []int32, scratch *[]cells, fn func(cs []cells, j int) error) error {
+	w := len(res.Attrs())
+	if cols != nil {
+		w = len(cols)
 	}
-	cs := (*scratch)[:len(res.Attrs())]
+	if cap(*scratch) < w {
+		*scratch = make([]cells, w)
+	}
+	cs := (*scratch)[:w]
 	defer clear(cs)
 	for k, done, n := 0, 0, res.NumRows(); done < n; k++ {
 		rows := 0
 		for c := range cs {
+			col := c
+			if cols != nil {
+				col = cols[c]
+			}
 			x := &cs[c]
-			x.kind, x.ints, x.floats, x.strs = res.Cells(c, k)
+			x.kind, x.ints, x.floats, x.strs = res.Cells(col, k)
 			rows = len(x.ints) + len(x.floats) + len(x.strs)
-			if sums := res.Sums(c); sums != nil {
+			if sums := res.Sums(col); sums != nil {
 				x.sums = sums[done : done+rows]
 			}
 		}
 		for j := 0; j < rows; j++ {
+			if sel != nil {
+				if len(sel) == 0 || int(sel[0]) != done+j {
+					continue
+				}
+				sel = sel[1:]
+			}
 			if err := fn(cs, j); err != nil {
 				return err
 			}
@@ -809,10 +912,11 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	committed := map[string]*staged{}
 	tracked := m.sortedTrackedLocked()
 	for _, mut := range muts {
-		// The evaluator of the mutation's delta queries, over its signed
-		// delta table in place of the table: built for the first view that
-		// reads it, so a write no tracked view depends on costs what the
-		// engine's own append does.
+		// The mutation's signed delta table, and the evaluator of the
+		// delta queries over it in place of the table: each built for the
+		// first view that needs it, so a write no tracked view depends on
+		// costs what the engine's own append does.
+		var delta *engine.ColTable
 		var ev *engine.Evaluator
 		for _, name := range tracked {
 			st := m.tracked[name]
@@ -839,12 +943,22 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			if len(mut.Deletes)+len(mut.Inserts) == 0 {
 				continue
 			}
-			if ev == nil {
-				ev = m.evaluator(&overlayStorage{db: m.db, staged: committed, key: mut.Table, delta: signedDelta(overlay[mut.Table].base.Attrs(), mut)})
+			if delta == nil {
+				delta = signedDelta(overlay[mut.Table].base.Attrs(), mut)
 			}
-			res, err := ev.ExecColumns(ctx, st.delta[mut.Table])
-			if err == nil {
-				err = p.absorb(res)
+			var err error
+			if st.rowCols != nil {
+				err = p.absorbDelta(delta)
+				m.Metrics.Volatile("maintain.delta.direct").Inc()
+			} else {
+				if ev == nil {
+					ev = m.evaluator(&overlayStorage{db: m.db, staged: committed, key: mut.Table, delta: delta})
+				}
+				var res *engine.ColTable
+				if res, err = ev.ExecColumns(ctx, st.delta[mut.Table]); err == nil {
+					err = p.absorb(res, nil, nil)
+				}
+				m.Metrics.Volatile("maintain.delta.query").Inc()
 			}
 			// A finer group's int total past int64 (two deleted MaxInt64
 			// rows, say) need not mean the view's new totals leave it: the
@@ -1052,17 +1166,33 @@ func (o *overlayStorage) Scan(name string) (*engine.ColTable, bool, error) {
 	return o.db.Scan(name)
 }
 
-// absorb coalesces one delta query's result into the pending state: a
+// absorbDelta absorbs a write's signed delta table into the pending
+// state of a view that reads it itself (state.rowCols): the engine's
+// filter keeps the rows its WHERE admits (engine.ColTable.Select), and
+// each kept row is a finer group of its own, its sign its count.
+func (p *pending) absorbDelta(delta *engine.ColTable) error {
+	var sel []int32
+	if len(p.st.where) > 0 {
+		var err error
+		if sel, err = delta.Select(p.st.where); err != nil || len(sel) == 0 {
+			return err
+		}
+	}
+	return p.absorb(delta, p.st.rowCols, sel)
+}
+
+// absorb coalesces one delta query's result — or, read through cols and
+// sel, a delta table's rows (absorbDelta) — into the pending state: a
 // conjunctive view's rows split by their sign into the rows to add and
 // to remove; an aggregation view's finer groups fold into the view's,
 // their multiplicities and exact totals adding up (a deleted one's
 // subtracting) and each MIN/MAX multiset taking its argument value's
 // Δcount. This is the one place a SUM or AVG delta is added.
-func (p *pending) absorb(res *engine.ColTable) error {
+func (p *pending) absorb(res *engine.ColTable, cols []int, sel []int32) error {
 	st := p.st
 	if st.conjunctive {
 		w := len(st.def.Def.Select)
-		return eachRow(res, &st.cells, func(cs []cells, j int) error {
+		return eachRow(res, cols, sel, &st.cells, func(cs []cells, j int) error {
 			row := rowValues(cs, w, j)
 			if cs[w].ints[j] > 0 {
 				p.conjAdd = append(p.conjAdd, row)
@@ -1072,17 +1202,20 @@ func (p *pending) absorb(res *engine.ColTable) error {
 			return nil
 		})
 	}
-	p.rows = res.NumRows()
+	if p.rows = res.NumRows(); sel != nil {
+		p.rows = len(sel)
+	}
 	if p.groups == nil {
 		n := min(p.rows, slabChunk)
 		p.groups, p.keys = make(map[cellKey]*touched, n), make([]cellKey, 0, n)
 	}
-	return eachRow(res, &st.cells, func(cs []cells, j int) error {
+	return eachRow(res, cols, sel, &st.cells, func(cs []cells, j int) error {
 		t := p.group(cs, j)
 		g := &t.next
+		// The count of a delta query's finer group, negated under sign
+		// −1; a delta table's row's count is its sign.
 		dn := cs[st.nAt].ints[j]
-		deleted := len(cs) > st.nAt+1 && cs[st.nAt+1].ints[j] < 0
-		if deleted {
+		if len(cs) > st.nAt+1 && cs[st.nAt+1].ints[j] < 0 {
 			dn = -dn
 		}
 		if g.n += dn; g.n < 0 {
@@ -1095,13 +1228,13 @@ func (p *pending) absorb(res *engine.ColTable) error {
 				// A total starts from 0, as in the engine's fold, an
 				// AVG's as its SUM's; a float delta, from a column a
 				// float widened, makes an int total float, and the
-				// view's column widens with it.
-				d := cs[a.at].total(j)
-				if deleted {
-					as.sum.Sub(&d)
-				} else {
-					as.sum.Merge(&d)
+				// view's column widens with it. A delta table's cell is
+				// checked as the engine's fold checks its argument.
+				c := &cs[a.at]
+				if c.kind != value.KindInt && c.kind != value.KindFloat {
+					return fmt.Errorf("maintain: %s over non-numeric value %s", a.fn, c.value(j))
 				}
+				c.addTo(&as.sum, j, dn < 0)
 			case ir.AggMin, ir.AggMax:
 				v := cs[a.at].value(j)
 				if n := as.vals.add(v, dn); n < 0 && t.liveVals(i).count(v)+n < 0 {

@@ -23,6 +23,7 @@ import (
 
 	"aggview"
 	"aggview/internal/engine"
+	"aggview/internal/obs"
 	"aggview/internal/sqlparser"
 	"aggview/internal/value"
 )
@@ -227,12 +228,19 @@ func cloneRows(rows [][]value.Value) [][]value.Value {
 // CompileContext loads the case's setup into a fresh aggview.System:
 // schema and view definitions, table contents, and every view tracked
 // (maintained under writes, as aggserve keeps them). Each table's rows
-// are one insert. The steps are not applied. The inserts and the
-// tracking materializations honor ctx's cancellation, deadline and
-// budget.
+// are two inserts: the first half before the views are tracked, the
+// rest after, so every view's state is built both by its tracking
+// query and by the write path. The steps are not applied. The inserts
+// and the tracking materializations honor ctx's cancellation, deadline
+// and budget.
 func (c *Case) CompileContext(ctx context.Context, opts aggview.Options) (*aggview.System, error) {
+	return c.compile(ctx, opts, nil)
+}
+
+// compile is CompileContext reporting to metrics from the first write.
+func (c *Case) compile(ctx context.Context, opts aggview.Options, metrics *obs.Metrics) (*aggview.System, error) {
 	sys := aggview.New()
-	sys.Opts = opts
+	sys.Opts, sys.Metrics = opts, metrics
 	for _, t := range c.Tables {
 		if err := sys.Load(t.SQL()); err != nil {
 			return nil, fmt.Errorf("oracle: table %s: %w", t.Name, err)
@@ -243,14 +251,25 @@ func (c *Case) CompileContext(ctx context.Context, opts aggview.Options) (*aggvi
 			return nil, fmt.Errorf("oracle: view %s: %w", v.Name, err)
 		}
 	}
-	for _, t := range c.Tables {
-		if err := sys.InsertContext(ctx, t.Name, t.Rows...); err != nil {
-			return nil, fmt.Errorf("oracle: rows of %s: %w", t.Name, err)
+	for half := range 2 {
+		if half == 1 {
+			for _, v := range c.Views {
+				if _, err := sys.TrackViewContext(ctx, v.Name); err != nil {
+					return nil, fmt.Errorf("oracle: track %s: %w", v.Name, err)
+				}
+			}
 		}
-	}
-	for _, v := range c.Views {
-		if _, err := sys.TrackViewContext(ctx, v.Name); err != nil {
-			return nil, fmt.Errorf("oracle: track %s: %w", v.Name, err)
+		for _, t := range c.Tables {
+			rows := t.Rows[:len(t.Rows)/2]
+			if half == 1 {
+				rows = t.Rows[len(t.Rows)/2:]
+			}
+			if len(rows) == 0 {
+				continue
+			}
+			if err := sys.InsertContext(ctx, t.Name, rows...); err != nil {
+				return nil, fmt.Errorf("oracle: rows of %s: %w", t.Name, err)
+			}
 		}
 	}
 	return sys, nil

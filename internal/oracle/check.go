@@ -222,11 +222,10 @@ func CheckContext(ctx context.Context, c *Case, opt Options) (*Outcome, error) {
 // serialPass applies the steps one at a time on one compiled system and,
 // each mutation the system applies, on the model.
 func serialPass(ctx context.Context, c *Case, opt Options, out *Outcome) error {
-	sys, err := c.CompileContext(ctx, opt.system())
+	sys, err := c.compile(ctx, opt.system(), opt.Metrics)
 	if err != nil {
 		return err
 	}
-	sys.Metrics = opt.Metrics
 	for _, vm := range sys.ViewModes() {
 		if vm.Mode == "incremental" {
 			out.Incremental++

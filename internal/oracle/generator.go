@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"aggview/internal/datagen"
@@ -216,18 +217,28 @@ func GenerateWorkload(rng *rand.Rand, opt GenOptions, nQueries int) *Workload {
 
 // GenerateMutation produces one random case of 8–20 steps over a
 // generated instance, mixing inserts (respecting declared keys),
-// predicate deletes, non-key updates and anchored queries. The instance
-// is Generate's, its query drawn and dropped, so a seed's stream stays
-// what it was.
+// predicate deletes, non-key updates, anchored queries and inserts of
+// extreme cells deleted at once (extremes). The instance is Generate's,
+// its query drawn and dropped, plus, when it has two tables, a view
+// joining them (genJoinView).
 func GenerateMutation(rng *rand.Rand, opt GenOptions) *Case {
 	opt = opt.withDefaults()
 	w := newWorkload(rng, opt)
 	c := w.Case
+	if def := genJoinView(rng, w.tables); def != nil {
+		c.Views = append(c.Views, &ViewSpec{Name: fmt.Sprintf("V%d", len(c.Views)), Def: *def})
+	}
 	c.Steps = nil
 	n := 8 + rng.Intn(13)
 	for len(c.Steps) < n {
 		t := w.tables[rng.Intn(len(w.tables))]
 		switch r := rng.Intn(10); {
+		case r < 4 && rng.Intn(4) == 0:
+			if steps := w.extremes(rng, t); steps != nil {
+				c.Steps = append(c.Steps, steps...)
+				continue
+			}
+			fallthrough
 		case r < 4:
 			c.Steps = append(c.Steps, Step{
 				Kind: StepInsert, Table: t.spec.Name,
@@ -265,6 +276,86 @@ func newWorkload(rng *rand.Rand, opt GenOptions) *Workload {
 func (w *Workload) query(rng *rand.Rand, opt GenOptions) QuerySpec {
 	anchored := rng.Intn(7) != 0
 	return genQuery(rng, w.tables, &w.Case.Views[0].Def, anchored, opt)
+}
+
+// extremes draws an insert of rows holding the cells a maintained SUM
+// must take back out exactly, and, as the next step, the delete of those
+// rows: MinInt64 beside MaxInt64 in an odd int column, or a NaN or an
+// infinity in an odd float column. A keeper row goes in with them, equal
+// in every other cell and plain in the column, and stays: the groups it
+// shares with them outlive the delete, so their totals must be finite,
+// and fit, again. The two ints go in together so each view and group
+// that meets one meets both and their total, -1, fits int64 (a lone
+// extreme makes totals the system and the reference both refuse); they
+// are not drawn for a column a view's WHERE tests, which could keep one
+// of them. A column a one-table view sums is preferred. The other cells
+// are plain draws, so the delete names the rows by equalities on them
+// and by differing from the keeper's cell — by key range in a keyed
+// table. nil when the table has no such column outside its key.
+func (w *Workload) extremes(rng *rand.Rand, t *genTable) []Step {
+	keyed := len(t.spec.Key) > 0
+	var pool, summed []int
+	for ci, c := range t.cols {
+		filtered, sums := w.viewsOn(t.spec.Name, c.name)
+		if c.odd && !(keyed && ci == 0) && (c.kind == kindFloat || !filtered) {
+			if pool = append(pool, ci); sums {
+				summed = append(summed, ci)
+			}
+		}
+	}
+	if len(summed) > 0 {
+		pool = summed
+	}
+	if len(pool) == 0 {
+		return nil
+	}
+	x := pool[rng.Intn(len(pool))]
+	keeper := make([]value.Value, len(t.cols))
+	for ci, c := range t.cols {
+		keeper[ci] = randomValue(rng, genCol{kind: c.kind}, w.domain)
+	}
+	cells := []value.Value{keeper[x], value.Float([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)])}
+	if t.cols[x].kind == kindInt {
+		cells = []value.Value{keeper[x], value.Int(math.MinInt64), value.Int(math.MaxInt64)}
+	}
+	var rows [][]value.Value
+	for _, v := range cells {
+		r := append([]value.Value{}, keeper...)
+		r[x] = v
+		if keyed {
+			r[0] = value.Int(w.nextKey[t.spec.Name])
+			w.nextKey[t.spec.Name]++
+		}
+		rows = append(rows, r)
+	}
+	var where []string
+	for ci, c := range t.cols {
+		switch {
+		case keyed && ci == 0:
+			where = append(where, fmt.Sprintf("%s >= %s AND %s <= %s", c.name, rows[1][0], c.name, rows[len(rows)-1][0]))
+		case keyed:
+		case ci == x:
+			where = append(where, c.name+" <> "+keeper[ci].String())
+		default:
+			where = append(where, c.name+" = "+keeper[ci].String())
+		}
+	}
+	return []Step{
+		{Kind: StepInsert, Table: t.spec.Name, Rows: rows},
+		{Kind: StepDelete, Table: t.spec.Name, Where: strings.Join(where, " AND ")},
+	}
+}
+
+// viewsOn reports whether some view's WHERE names the column, and
+// whether a view over the table alone sums it.
+func (w *Workload) viewsOn(table, col string) (filtered, summed bool) {
+	for _, v := range w.Case.Views {
+		for _, cond := range v.Def.Where {
+			filtered = filtered || slices.Contains(strings.Fields(cond), col)
+		}
+		summed = summed || slices.Equal(v.Def.From, []string{table}) && slices.Contains(v.Def.Select, "SUM("+col+")")
+	}
+	return filtered, summed
 }
 
 // genUpdate draws an UPDATE over the table's non-key columns:
@@ -451,6 +542,38 @@ func genViewDef(rng *rand.Rand, t *genTable, opt GenOptions) QuerySpec {
 	return def
 }
 
+// genJoinView draws a view joining the anchor table with the second
+// one, when there is one and joinCond finds a pair: grouped by an anchor
+// column, with the SUM, MIN and MAX of a plain numeric anchor column
+// when there is one, and a COUNT. A write to either table runs a signed
+// delta query for it, where a one-table view reads the write's delta
+// table itself. No odd column feeds its SUM: the join multiplies each
+// row's weight, and totals of odd ints could leave int64.
+func genJoinView(rng *rand.Rand, tables []*genTable) *QuerySpec {
+	if len(tables) < 2 {
+		return nil
+	}
+	a, b := tables[0], tables[1]
+	cond := joinCond(rng, a, b)
+	if cond == "" {
+		return nil
+	}
+	g := a.cols[rng.Intn(len(a.cols))]
+	def := &QuerySpec{From: []string{a.spec.Name, b.spec.Name}, Where: []string{cond}, GroupBy: []string{g.name}, Select: []string{g.name}}
+	var plain []genCol
+	for _, c := range aggregableCols(a, []genCol{g}) {
+		if !c.odd {
+			plain = append(plain, c)
+		}
+	}
+	if len(plain) > 0 {
+		x := plain[rng.Intn(len(plain))].name
+		def.Select = append(def.Select, "SUM("+x+")", "MIN("+x+")", "MAX("+x+")")
+	}
+	def.Select = append(def.Select, "COUNT("+g.name+")")
+	return def
+}
+
 // aggregableCols returns the numeric columns outside the grouping list.
 func aggregableCols(t *genTable, groups []genCol) []genCol {
 	grouped := map[string]bool{}
@@ -460,6 +583,17 @@ func aggregableCols(t *genTable, groups []genCol) []genCol {
 	var out []genCol
 	for _, c := range t.cols {
 		if c.kind != kindStr && !grouped[c.name] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// oddFloatCols returns the table's odd float columns.
+func oddFloatCols(t *genTable) []genCol {
+	var out []genCol
+	for _, c := range t.colsOfKind(kindFloat) {
+		if c.odd {
 			out = append(out, c)
 		}
 	}
@@ -550,6 +684,14 @@ func genQuery(rng *rand.Rand, tables []*genTable, view *QuerySpec, anchored bool
 				numAgg = fn + "(" + a.name + ")"
 			}
 			q.Select = append(q.Select, fn+"("+a.name+")")
+		}
+		// One query in four also reads a float MIN and MAX over an odd
+		// column, whose groups mix NaN with numbers: NaN orders above
+		// every number, so it is a group's MAX and never its MIN beside
+		// one.
+		if odd := oddFloatCols(anchor); len(odd) > 0 && rng.Intn(4) == 0 {
+			f := odd[rng.Intn(len(odd))].name
+			q.Select = append(q.Select, "MIN("+f+")", "MAX("+f+")")
 		}
 		// HAVING over any numeric aggregate, a float SUM or AVG too: every
 		// total is exact and rounded once, so a group passes or fails

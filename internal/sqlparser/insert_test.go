@@ -69,8 +69,8 @@ func TestParseInsertErrors(t *testing.T) {
 
 // TestLiteralsRoundTrip renders values as INSERT literals and parses them
 // back: each must return as the same value, of the same kind, NaN and
-// ±Inf included. math.MinInt64 has no literal in the dialect; its
-// rendering is refused rather than read back as another value.
+// ±Inf included, and math.MinInt64, whose literal is read whole (its
+// magnitude alone is no int64).
 func TestLiteralsRoundTrip(t *testing.T) {
 	vals := []value.Value{
 		value.Str("it's"), value.Str("''"), value.Str(""), value.Str("x\x00sy"), value.Str("a\nb"),
@@ -78,7 +78,7 @@ func TestLiteralsRoundTrip(t *testing.T) {
 		value.Float(math.Copysign(0, -1)), value.Float(0), value.Float(2.5), value.Float(123456789),
 		value.Float(math.MaxFloat64), value.Float(5e-324),
 		value.Float(math.NaN()), value.Float(math.Inf(1)), value.Float(math.Inf(-1)),
-		value.Int(0), value.Int(-7), value.Int(math.MaxInt64), value.Int(math.MinInt64 + 1),
+		value.Int(0), value.Int(-7), value.Int(math.MaxInt64), value.Int(math.MinInt64 + 1), value.Int(math.MinInt64),
 		value.Bool(true), value.Bool(false),
 	}
 	ins := &Insert{Table: "T"}
@@ -92,13 +92,6 @@ func TestLiteralsRoundTrip(t *testing.T) {
 	for i, row := range stmts[0].(*Insert).Rows {
 		if got, want := row[0], vals[i]; got.Kind() != want.Kind() || !value.KeyEqual(got, want) {
 			t.Errorf("%s read back as %s (%s), want %s", want, got, got.Kind(), want.Kind())
-		}
-	}
-	excluded := []value.Value{value.Int(math.MinInt64)}
-	for _, v := range excluded {
-		ins := &Insert{Table: "T", Rows: [][]value.Value{{v}}}
-		if _, err := ParseScript(ins.SQL()); err == nil {
-			t.Errorf("%q parsed; %s has no literal", ins.SQL(), v)
 		}
 	}
 }

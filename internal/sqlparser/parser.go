@@ -3,6 +3,7 @@ package sqlparser
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"aggview/internal/value"
 )
@@ -307,6 +308,13 @@ func (p *parser) parseLiteral() (value.Value, error) {
 		return value.Float(math.Inf(1)), nil
 	case t.kind == tokMinus || t.kind == tokPlus:
 		p.advance()
+		if n := p.cur(); t.kind == tokMinus && n.kind == tokNumber {
+			// A negative int is read whole: -2^63 is an int, 2^63 is not.
+			if i, err := strconv.ParseInt("-"+n.text, 10, 64); err == nil {
+				p.advance()
+				return value.Int(i), nil
+			}
+		}
 		inner, err := p.parseLiteral()
 		if err != nil {
 			return value.Value{}, err

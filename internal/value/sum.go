@@ -59,9 +59,24 @@ func (s *Sum) AddInt(x int64) {
 	s.wraps += k
 }
 
+// SubInt subtracts the int x exactly, MinInt64 too: -x is never formed.
+func (s *Sum) SubInt(x int64) {
+	var k int64
+	s.lo, k = SubWide(s.lo, x)
+	s.wraps += k
+}
+
 // AddFloat adds the float x exactly: a finite x into the digits, a NaN
 // or an infinity into its count.
-func (s *Sum) AddFloat(x float64) {
+func (s *Sum) AddFloat(x float64) { s.addFloat(x, 1) }
+
+// SubFloat subtracts the float x exactly: a finite x from the digits, a
+// NaN or an infinity from its own count, which a negated x would not do
+// (-NaN is a NaN, and -Inf counts apart from +Inf).
+func (s *Sum) SubFloat(x float64) { s.addFloat(x, -1) }
+
+// addFloat adds x to s once for sign 1, or subtracts it for sign -1.
+func (s *Sum) addFloat(x float64, sign int64) {
 	f := s.f
 	if f == nil {
 		f = s.float()
@@ -71,7 +86,7 @@ func (s *Sum) AddFloat(x float64) {
 	m := b & (1<<52 - 1)
 	switch {
 	case e == 0x7ff:
-		f.addNonFinite(b)
+		f.addNonFinite(b, sign)
 		return
 	case e == 0:
 		e = 1 // a subnormal: the least exponent, no implicit bit
@@ -82,18 +97,19 @@ func (s *Sum) AddFloat(x float64) {
 		f.carry()
 	}
 	f.adds++
-	f.addBits(int(e-1), m, b>>63 != 0)
+	f.addBits(int(e-1), m, b>>63 != 0 != (sign < 0))
 }
 
-// addNonFinite counts the NaN or infinity whose bits are b.
-func (f *floatSum) addNonFinite(b uint64) {
+// addNonFinite adds sign to the count of the NaN or infinity whose bits
+// are b.
+func (f *floatSum) addNonFinite(b uint64, sign int64) {
 	switch {
 	case b&(1<<52-1) != 0:
-		f.nan++
+		f.nan += sign
 	case b>>63 == 0:
-		f.pinf++
+		f.pinf += sign
 	default:
-		f.ninf++
+		f.ninf += sign
 	}
 }
 

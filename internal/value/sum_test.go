@@ -72,25 +72,39 @@ func refSum(as []addend) (Value, error) {
 	return Float(CanonFloat(f)), nil
 }
 
-// fold adds the addends into one Sum, each subtracted one as a Sum of its
-// own through Sub.
+// fold adds the addends into one Sum, subtracting each subtracted one
+// as a cell (SubInt, SubFloat).
 func fold(as []addend) Sum {
 	var s Sum
 	for _, a := range as {
-		add := &s
-		var d Sum
-		if a.neg {
-			add = &d
-		}
-		if a.v.Kind() == KindFloat {
-			add.AddFloat(a.v.AsFloat())
-		} else {
-			add.AddInt(a.v.AsInt())
-		}
-		if a.neg {
-			s.Sub(&d)
+		switch {
+		case a.v.Kind() == KindFloat && a.neg:
+			s.SubFloat(a.v.AsFloat())
+		case a.v.Kind() == KindFloat:
+			s.AddFloat(a.v.AsFloat())
+		case a.neg:
+			s.SubInt(a.v.AsInt())
+		default:
+			s.AddInt(a.v.AsInt())
 		}
 	}
+	return s
+}
+
+// foldApart folds the added addends and the subtracted ones into two
+// Sums, each addend merged as a Sum of its own, and takes the second from
+// the first (Sub).
+func foldApart(as []addend) Sum {
+	var s, d Sum
+	for _, a := range as {
+		x := fold([]addend{{v: a.v}})
+		if a.neg {
+			d.Merge(&x)
+		} else {
+			s.Merge(&x)
+		}
+	}
+	s.Sub(&d)
 	return s
 }
 
@@ -161,6 +175,12 @@ func TestSumMatchesBig(t *testing.T) {
 		want, werr := refSum(as)
 		if !sameResult(got, gerr, want, werr) {
 			t.Fatalf("trial %d: %v: got %v (%v), want %v (%v)", trial, as, got, gerr, want, werr)
+		}
+		// Subtracting the subtracted addends' own total equals taking
+		// them out one cell at a time.
+		ap := foldApart(as)
+		if got, err := ap.Value(); !sameResult(got, err, want, werr) {
+			t.Fatalf("trial %d: %v apart: got %v (%v), want %v (%v)", trial, as, got, err, want, werr)
 		}
 		// Merging the totals of any split equals folding every addend in one.
 		k := r.Intn(n + 1)
@@ -256,6 +276,50 @@ func TestSumCases(t *testing.T) {
 	c.AddFloat(1)
 	if x.Float() != 2.5 || c.Float() != 3.5 {
 		t.Fatalf("clone: %v and %v", x.Float(), c.Float())
+	}
+}
+
+// TestSubtractingACellTakesItBackOut: adding a cell to a total and then
+// subtracting it (SubInt, SubFloat) leaves the total bit for bit what it
+// was, read as a Value and as a Float, over an int, a float and a
+// non-finite base: MinInt64, whose negation int64 cannot hold, and a
+// NaN or an infinity, which a negated cell would count once more rather
+// than take back out.
+func TestSubtractingACellTakesItBackOut(t *testing.T) {
+	bases := []struct {
+		name string
+		add  func(*Sum)
+	}{
+		{"int 7", func(s *Sum) { s.AddInt(7) }},
+		{"int MinInt64", func(s *Sum) { s.AddInt(math.MinInt64) }},
+		{"float 0.5 and 1", func(s *Sum) { s.AddFloat(0.5); s.AddFloat(1) }},
+		{"float 1e16 and 3", func(s *Sum) { s.AddFloat(1e16); s.AddInt(3) }},
+		{"+Inf", func(s *Sum) { s.AddFloat(math.Inf(1)) }},
+	}
+	cells := []Value{Int(math.MinInt64), Int(math.MaxInt64), Float(math.NaN()), Float(math.Inf(1)),
+		Float(math.Inf(-1)), Float(math.Copysign(0, -1)), Float(1e16), Float(0.5), Float(1)}
+	for _, b := range bases {
+		for _, c := range cells {
+			var want, got Sum
+			b.add(&want)
+			b.add(&got)
+			if c.Kind() == KindInt {
+				got.AddInt(c.AsInt())
+				got.SubInt(c.AsInt())
+			} else {
+				// A float cell makes the total float: so does the float
+				// part it leaves behind, empty.
+				want.float()
+				got.AddFloat(c.AsFloat())
+				got.SubFloat(c.AsFloat())
+			}
+			wv, werr := want.Value()
+			gv, gerr := got.Value()
+			if !sameResult(gv, gerr, wv, werr) || math.Float64bits(got.Float()) != math.Float64bits(want.Float()) {
+				t.Errorf("%s, %v added and subtracted: %v (%v) and %#x, want %v (%v) and %#x", b.name, c,
+					gv, gerr, math.Float64bits(got.Float()), wv, werr, math.Float64bits(want.Float()))
+			}
+		}
 	}
 }
 
