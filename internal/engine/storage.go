@@ -478,8 +478,15 @@ func (c *ColTable) derive(d *Delta, owned bool) (*ColTable, deltaCost) {
 }
 
 // patch derives one column of base+delta as the given kind; n is the
-// base's row count.
+// base's row count. A column the delta leaves as it is — same kind, no
+// row dropped or appended, every Set cell the stored one (sameCell) —
+// is the base's own, shared whole: an UPDATE's unassigned columns, a
+// view's grouping columns.
 func (c *column) patch(pos, n int, d *Delta, kind value.Kind, owned bool, cost *deltaCost) *column {
+	if kind == c.kind && len(d.Drop) == 0 && len(d.Append) == 0 && c.holds(pos, d) {
+		cost.chunksShared += int64(len(c.chunks))
+		return c
+	}
 	from := c
 	if kind != c.kind {
 		from = c.widened(cost)
@@ -501,6 +508,18 @@ func (c *column) patch(pos, n int, d *Delta, kind value.Kind, owned bool, cost *
 		}
 	}
 	return out
+}
+
+// holds reports whether every cell d sets in column pos is the one the
+// column stores there.
+func (c *column) holds(pos int, d *Delta) bool {
+	for i, p := range d.SetAt {
+		k, j := chunkOf(p)
+		if !sameCell(c.chunks[k].Value(j), d.SetRows[i][pos]) {
+			return false
+		}
+	}
+	return true
 }
 
 // widened returns the float copy of an int column, the one kind change

@@ -282,6 +282,13 @@ func TestApplyDelta(t *testing.T) {
 	if w2.Value(int(at), 1) != value.Int(-1) || w1.Value(int(at), 1) != value.Int(int64(at%7)) {
 		t.Fatal("one-cell update: cells wrong")
 	}
+	// The columns the update leaves as they are are the base's own, not
+	// a copy of their chunk list.
+	for _, c := range []int{0, 2} {
+		if w2.cols[c] != w1.cols[c] {
+			t.Fatalf("one-column update of a four-chunk table: column %d is not the base's own", c)
+		}
+	}
 
 	// Dropping the last rows rewrites the last chunk of each column only:
 	// 7 cells in, 4 out, at 8 + 8 + 16 bytes a row.

@@ -2,13 +2,10 @@ package maintain
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"aggview/internal/engine"
-	"aggview/internal/ir"
-	"aggview/internal/obs"
 	"aggview/internal/value"
 )
 
@@ -44,32 +41,8 @@ func callRow(rng *rand.Rand, id int) []value.Value {
 // 9 per insert or delete and 18 per update.
 func TestWritesQueryOnlyForTheJoinedView(t *testing.T) {
 	ctx := context.Background()
-	cols := []string{"Call_Id", "Cust_Id", "Plan_Id", "Day", "Month", "Year", "Charge"}
-	db := engine.NewDB()
-	plans := engine.NewRelation("Plan_Id", "Plan_Name")
-	for p := int64(0); p < 10; p++ {
-		plans.Add(value.Int(p), value.Str(fmt.Sprintf("plan_%02d", p)))
-	}
-	db.Put("Calling_Plans", plans)
-	rng := rand.New(rand.NewSource(1))
-	calls := engine.NewRelation(cols...)
-	for i := 0; i < 3000; i++ {
-		calls.Tuples = append(calls.Tuples, callRow(rng, i))
-	}
-	db.Put("Calls", calls)
-	reg := ir.NewRegistry()
-	source := ir.MapSource{"Calls": cols, "Calling_Plans": {"Plan_Id", "Plan_Name"}}
-	for _, v := range warehouseViews {
-		def, err := ir.NewViewDef(v.name, ir.MustBuild(v.sql, source))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.Add(def); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := New(db, reg)
-	m.Metrics = obs.NewMetrics()
+	m, db := warehouse(t, 3000)
+	reg := m.views
 	execs, boxed := m.Metrics.Counter("engine.exec"), m.Metrics.Counter("engine.result.cells_boxed")
 	direct, query := m.Metrics.Volatile("maintain.delta.direct"), m.Metrics.Volatile("maintain.delta.query")
 	costs := func(what string, wantExecs, wantDirect, wantQuery int64, f func() error) {
@@ -89,14 +62,8 @@ func TestWritesQueryOnlyForTheJoinedView(t *testing.T) {
 		}
 	}
 
-	costs("tracking the six views", int64(len(warehouseViews)), 0, 0, func() error {
-		for _, v := range warehouseViews {
-			if inc, err := m.TrackContext(ctx, v.name); err != nil || !inc {
-				return fmt.Errorf("tracking %s: incremental=%v err=%v", v.name, inc, err)
-			}
-		}
-		return nil
-	})
+	costs("tracking the six views", int64(len(warehouseViews)), 0, 0, func() error { return trackWarehouse(ctx, m) })
+	rng := rand.New(rand.NewSource(2))
 	inserted := make([][]value.Value, 16)
 	for i := range inserted {
 		inserted[i] = callRow(rng, 3000+i)

@@ -70,12 +70,22 @@
 // none or all of a batch, never a half-applied mix; maintained
 // materializations install silently (engine.Commit.Silent), so warm
 // prepared plans over a view that absorbed its delta are not evicted.
+//
+// A write stages each view in that view's own scratch (a pending kept
+// on its state), reset at the start of each batch rather than built
+// afresh; the signed delta's rows are laid out in buffers the maintainer
+// keeps the same way. Nothing live is written before the commit point,
+// so an aborted batch leaves its scratch dirty and the next batch resets
+// it; and nothing reused is reachable from live state after the commit.
+// A batch that touched more than keepGroups groups keeps no scratch, so
+// a one-off bulk write pins nothing.
 package maintain
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -109,6 +119,10 @@ type Maintainer struct {
 	mu       sync.Mutex
 	tracked  map[string]*state
 	declared map[string][]*declared // table -> its keys and FDs (DeclareKey)
+	// deltaCells and deltaRows are signedDelta's row buffers, kept across
+	// batches (mu serializes them).
+	deltaCells []value.Value
+	deltaRows  [][]value.Value
 }
 
 // Mutation is one base table's part of an atomic batch: rows to remove
@@ -194,6 +208,11 @@ type state struct {
 	// cells is absorb's scratch for reading a result's rows, kept across
 	// batches (the maintainer's lock serializes them).
 	cells []cells
+	// scratch is the view's pending state for a write, kept across
+	// batches like cells and reset at the start of each (begin); nil
+	// before the first write and after a batch that touched more than
+	// keepGroups groups or rows.
+	scratch *pending
 }
 
 type aggOut struct {
@@ -209,10 +228,13 @@ type tally struct {
 	aggs      []aggState
 }
 
-// group is a live group: its tally and the position of its row in the
-// installed materialization.
+// group is a live group: its tally, its key (the one the groups map
+// holds, kept so that a batch touching the group keys its staging with
+// it instead of a copy) and the position of its row in the installed
+// materialization.
 type group struct {
 	tally
+	key cellKey
 	pos int
 }
 
@@ -618,11 +640,17 @@ func (st *state) signed(ti int) *ir.Query {
 }
 
 // signedDelta returns a mutation's deleted and inserted rows as one
-// table: attrs plus the sign column, the deleted rows first.
-func signedDelta(attrs []string, mut Mutation) *engine.ColTable {
+// table: attrs plus the sign column, the deleted rows first. The rows
+// are laid out in the maintainer's buffers, which BuildColTable copies
+// into the table's own columns; they are cleared on the way out and
+// kept for the next write unless it named more than keepGroups rows.
+func (m *Maintainer) signedDelta(attrs []string, mut Mutation) *engine.ColTable {
 	w := len(attrs) + 1
 	n := len(mut.Deletes) + len(mut.Inserts)
-	cells, rows := make([]value.Value, n*w), make([][]value.Value, 0, n)
+	if cap(m.deltaCells) < n*w {
+		m.deltaCells, m.deltaRows = make([]value.Value, n*w), make([][]value.Value, 0, n)
+	}
+	cells, rows := m.deltaCells[:n*w], m.deltaRows[:0]
 	for _, part := range []struct {
 		rows [][]value.Value
 		sign int64
@@ -634,7 +662,12 @@ func signedDelta(attrs []string, mut Mutation) *engine.ColTable {
 			rows = append(rows, row)
 		}
 	}
-	return engine.BuildColTable(&engine.Relation{Attrs: append(attrs[:w-1:w-1], signAttr), Tuples: rows})
+	tab := engine.BuildColTable(&engine.Relation{Attrs: append(attrs[:w-1:w-1], signAttr), Tuples: rows})
+	clear(cells)
+	if m.deltaCells, m.deltaRows = cells, rows; n > keepGroups {
+		m.deltaCells, m.deltaRows = nil, nil
+	}
+	return tab
 }
 
 // cellKey identifies a group by its grouping cells, or a MIN/MAX multiset
@@ -800,8 +833,10 @@ func (s *staged) commit() engine.Commit {
 }
 
 // pending is one tracked view's staged outcome within a batch. Nothing
-// it holds aliases live counting state that the batch changes, so
-// dropping it is all an abort needs.
+// it holds aliases live counting state that the batch changes, so an
+// abort leaves it as it is: a write's pending is the view's scratch
+// (state.begin), which the next batch resets, and a rebuild's is
+// dropped.
 type pending struct {
 	st        *state
 	recompute bool
@@ -823,11 +858,67 @@ type pending struct {
 	// buf is the scratch the delta's keys are built in; slab and aggSlab
 	// hand out the touched groups and their aggregate states in chunks
 	// (slabChunk); rows counts the result being absorbed, which creates
-	// no more groups than that.
+	// no more groups than that. tuples, setAt, setRows and appends are
+	// stageAggregation's rows and delta, which the engine copies into its
+	// own chunks.
 	buf     []byte
 	slab    []touched
 	aggSlab []aggState
 	rows    int
+	tuples  []value.Value
+	setAt   []int32
+	setRows [][]value.Value
+	appends [][]value.Value
+}
+
+// keepGroups bounds the scratch a view keeps between batches: one stored
+// chunk's rows. A batch that touched more groups (or, for a conjunctive
+// view, staged more rows), or a write of more rows, leaves its buffers
+// to the collector.
+const keepGroups = 1024
+
+// begin returns the view's pending state for a write batch: its scratch,
+// reset over the live groups. The maintainer's lock serializes batches,
+// so one scratch per view suffices.
+func (st *state) begin() *pending {
+	if st.scratch == nil {
+		st.scratch = &pending{st: st}
+	}
+	st.scratch.reset(st.groups)
+	return st.scratch
+}
+
+// reset readies a scratch for a batch over live, whatever the last batch
+// left in it — committed or aborted part-way. What that batch staged is
+// zeroed, not written over: fold moved its groups' values, exact totals
+// and multisets into live groups, and the scratch must hold no path to
+// them for the new batch to write through (group re-slices aggSlab and
+// takes its states as it finds them). The buffers keep their room; of
+// the slab chunks only the last is kept, its touched groups and
+// aggregate states reused. setRows and appends point into tuples only.
+func (p *pending) reset(live map[cellKey]*group) {
+	clear(p.groups)
+	clear(p.slab)
+	clear(p.aggSlab)
+	clear(p.conjAdd)
+	clear(p.conjDel)
+	clear(p.tuples)
+	*p = pending{
+		st: p.st, live: live, groups: p.groups,
+		conjAdd: p.conjAdd[:0], conjDel: p.conjDel[:0],
+		keys: p.keys[:0], drop: p.drop[:0], buf: p.buf[:0],
+		slab: p.slab[:0], aggSlab: p.aggSlab[:0],
+		tuples: p.tuples[:0], setAt: p.setAt[:0], setRows: p.setRows[:0], appends: p.appends[:0],
+	}
+}
+
+// release drops the view's scratch when the batch that used it touched
+// more than keepGroups groups or rows, so a one-off bulk write pins
+// nothing.
+func (st *state) release() {
+	if p := st.scratch; p != nil && len(p.keys)+len(p.conjAdd)+len(p.conjDel) > keepGroups {
+		st.scratch = nil
+	}
 }
 
 // slabChunk caps the groups the first slab chunk of a batch holds; each
@@ -911,6 +1002,13 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	pend := map[string]*pending{}
 	committed := map[string]*staged{}
 	tracked := m.sortedTrackedLocked()
+	// However the batch ends, a scratch it grew past keepGroups goes, so
+	// a one-off bulk write pins nothing.
+	defer func() {
+		for _, name := range tracked {
+			m.tracked[name].release()
+		}
+	}()
 	for _, mut := range muts {
 		// The mutation's signed delta table, and the evaluator of the
 		// delta queries over it in place of the table: each built for the
@@ -925,7 +1023,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			}
 			p := pend[name]
 			if p == nil {
-				p = &pending{st: st, live: st.groups}
+				p = st.begin()
 				pend[name] = p
 			}
 			if p.recompute {
@@ -944,7 +1042,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 				continue
 			}
 			if delta == nil {
-				delta = signedDelta(overlay[mut.Table].base.Attrs(), mut)
+				delta = m.signedDelta(overlay[mut.Table].base.Attrs(), mut)
 			}
 			var err error
 			if st.rowCols != nil {
@@ -963,12 +1061,12 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			// A finer group's int total past int64 (two deleted MaxInt64
 			// rows, say) need not mean the view's new totals leave it: the
 			// rebuild against the staged tables decides.
-			var ov *value.OverflowError
-			if errors.As(err, &ov) {
+			if err != nil {
+				if ov := (*value.OverflowError)(nil); !errors.As(err, &ov) {
+					return err
+				}
 				p.recompute = true
 				m.Metrics.Volatile("maintain.fallback.full").Inc()
-			} else if err != nil {
-				return err
 			}
 		}
 		committed[mut.Table] = overlay[mut.Table]
@@ -1042,7 +1140,8 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	for i, name := range names {
 		p := pend[name]
 		p.fold()
-		p.st.tab, p.st.groups = installed[len(order)+i], p.live
+		// The scratch lets go of the version it was staged over.
+		p.st.tab, p.st.groups, p.out = installed[len(order)+i], p.live, nil
 	}
 	m.Metrics.Volatile("maintain.batch.apply").Inc()
 	m.Metrics.Volatile("maintain.delta.rows").Add(int64(deltaRows))
@@ -1256,13 +1355,19 @@ func (p *pending) group(cs []cells, j int) *touched {
 	if t, ok := p.groups[cellKey(p.buf)]; ok {
 		return t
 	}
-	gk := cellKey(p.buf)
+	live := p.live[cellKey(p.buf)]
+	var gk cellKey
+	if live != nil {
+		gk = live.key
+	} else {
+		gk = cellKey(p.buf)
+	}
 	if len(p.slab) == cap(p.slab) {
 		// A new chunk: the touched groups already handed out stay put.
 		n := min(p.rows, max(2*cap(p.slab), slabChunk))
 		p.slab, p.aggSlab = make([]touched, 0, n), make([]aggState, 0, n*len(p.st.aggs))
 	}
-	p.slab = append(p.slab, touched{live: p.live[gk]})
+	p.slab = append(p.slab, touched{live: live})
 	t := &p.slab[len(p.slab)-1]
 	na := len(p.aggSlab)
 	p.aggSlab = p.aggSlab[:na+len(p.st.aggs)]
@@ -1298,10 +1403,14 @@ func (t *touched) liveVals(i int) *multiset {
 func (p *pending) stageAggregation() (engine.Delta, error) {
 	st := p.st
 	w := len(st.def.Def.Select)
-	cells := make([]value.Value, len(p.keys)*w)
-	d := engine.Delta{SetAt: make([]int32, 0, len(p.keys)), SetRows: make([][]value.Value, 0, len(p.keys))}
+	if n := len(p.keys) * w; cap(p.tuples) < n {
+		p.tuples = make([]value.Value, n)
+	} else {
+		p.tuples = p.tuples[:n]
+	}
+	d := engine.Delta{SetAt: p.setAt[:0], SetRows: p.setRows[:0], Append: p.appends[:0]}
 	for i, gk := range p.keys {
-		tuple := cells[i*w : (i+1)*w : (i+1)*w]
+		tuple := p.tuples[i*w : (i+1)*w : (i+1)*w]
 		t := p.groups[gk]
 		if t.next.n > 0 {
 			if err := p.row(t, tuple); err != nil {
@@ -1318,8 +1427,9 @@ func (p *pending) stageAggregation() (engine.Delta, error) {
 			d.Append = append(d.Append, tuple)
 		}
 	}
-	sort.Slice(p.drop, func(i, j int) bool { return p.drop[i] < p.drop[j] })
+	slices.Sort(p.drop)
 	d.Drop = p.drop
+	p.setAt, p.setRows, p.appends = d.SetAt, d.SetRows, d.Append
 	return d, nil
 }
 
@@ -1424,7 +1534,7 @@ func (p *pending) fold() {
 		}
 		g := t.live
 		if g == nil {
-			g = &group{tally{t.next.groupVals, 0, make([]aggState, len(t.next.aggs))}, pos}
+			g = &group{tally{t.next.groupVals, 0, make([]aggState, len(t.next.aggs))}, gk, pos}
 			pos++
 			p.live[gk] = g
 		}

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Doer is the slice of http.Client the wire client needs; satisfied by
@@ -121,11 +122,13 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any
 
 // decodeQueryResponse decodes a /query success body as json.Unmarshal
 // does. A body of the shape the server writes (appendQueryColumns) is
-// taken apart in one scan, its strings sub-sliced from one copy of the
-// body; any other input is json.Unmarshal's to accept or refuse, so the
-// two agree on every input (FuzzQueryResponseDecode).
+// taken apart in one scan, its strings sub-sliced from data itself, not
+// from a copy: the caller hands data over and never writes it again
+// (the client's is the buffer readBody filled for this reply). Any other
+// input is json.Unmarshal's to accept or refuse, so the two agree on
+// every input (FuzzQueryResponseDecode).
 func decodeQueryResponse(data []byte, out *QueryResponse) error {
-	if scanQueryResponse(string(data), out) {
+	if scanQueryResponse(unsafe.String(unsafe.SliceData(data), len(data)), out) {
 		return nil
 	}
 	return json.Unmarshal(data, out)
