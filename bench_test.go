@@ -325,10 +325,10 @@ func BenchmarkE11MaintainIncremental(b *testing.B) {
 // tracked views of a 100000-row warehouse — E11 maintains one — with the
 // statements TestWriteCostIsDeltaSized weighs: a 16-row insert, an 8-row
 // delete and an 8-row update of the rows the inserts added. execs/op is
-// what engine.exec counts per timed statement: 1, the signed delta query
-// of V1, the one view that joins, as the five one-table views read the
-// write's delta table themselves (a DELETE's or UPDATE's match is not an
-// engine.exec).
+// what engine.exec counts per timed statement: 0, as every view reads
+// the write's delta table itself — V1, the one view that joins, beside
+// each row's plan, looked up on Calling_Plans' key (a DELETE's or
+// UPDATE's match is not an engine.exec).
 func BenchmarkMaintainWarehouse(b *testing.B) {
 	ctx := context.Background()
 	const calls, batch = 100_000, 16

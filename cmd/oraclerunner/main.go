@@ -11,7 +11,8 @@
 // ones its row bound skipped, and maintain.delta.direct and
 // maintain.delta.query the view deltas of the serial pass's writes
 // (a case's second half of rows and its mutations) absorbed from a
-// delta table's rows and by a delta query.
+// delta table's rows and by a delta query; maintain.delta.keyed counts
+// the direct ones that looked up each row's partner on a declared key.
 //
 // By default each case is one query step (oracle.Generate). With
 // -mutate the cases are scenarios of 8–20 inserts, deletes, updates and
@@ -241,8 +242,10 @@ func run(ctx context.Context, cfg soak) error {
 				rep.Counts["ref.skipped"] += int64(out.RefSkipped)
 				rep.Counts["incremental"] += int64(out.Incremental)
 				// How the serial pass's views absorbed each write's delta:
-				// from the delta table itself, or by a delta query.
+				// from the delta table itself (beside looked-up partners,
+				// keyed), or by a delta query.
 				rep.Counts["maintain.delta.direct"] += opt.Metrics.Volatile("maintain.delta.direct").Load()
+				rep.Counts["maintain.delta.keyed"] += opt.Metrics.Volatile("maintain.delta.keyed").Load()
 				rep.Counts["maintain.delta.query"] += opt.Metrics.Volatile("maintain.delta.query").Load()
 				for _, mode := range out.Modes {
 					rep.Counts["mode."+mode]++
@@ -322,10 +325,10 @@ func finish(rep *report.Report[failureRow], unit, jsonOut string) error {
 		}
 	}
 	sort.Strings(modes)
-	fmt.Printf("%s: %d %s (%d multi-chunk), %d steps, %d rewritings (%d group-preserving), %d fault-injected runs, %d reference answers (%d skipped), %d incremental views, view deltas %d direct and %d by query, %s per mode: %s, %d violations\n",
+	fmt.Printf("%s: %d %s (%d multi-chunk), %d steps, %d rewritings (%d group-preserving), %d fault-injected runs, %d reference answers (%d skipped), %d incremental views, view deltas %d direct (%d keyed) and %d by query, %s per mode: %s, %d violations\n",
 		rep.Tool, rep.Counts[unit], unit, rep.Counts["multi_chunk"], rep.Counts["steps"], rep.Counts["rewritings"], rep.Counts["rewritings.group_preserving"],
 		rep.Counts["fault_runs"], rep.Counts["ref.checked"], rep.Counts["ref.skipped"], rep.Counts["incremental"],
-		rep.Counts["maintain.delta.direct"], rep.Counts["maintain.delta.query"], unit, strings.Join(modes, " "), len(rep.Rows))
+		rep.Counts["maintain.delta.direct"], rep.Counts["maintain.delta.keyed"], rep.Counts["maintain.delta.query"], unit, strings.Join(modes, " "), len(rep.Rows))
 	if rep.Verdict == "fail" {
 		return fmt.Errorf("%d violations", len(rep.Rows))
 	}

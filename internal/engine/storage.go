@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -651,79 +652,169 @@ func patchCells[T any](from, base *column, pos, n int, d *Delta, owned bool, cos
 
 // Locate resolves a multiset of rows to distinct positions holding
 // them, matching cells as value.Key does (1 and 1.0 are one value). It
-// is one pass over the first column — a typed probe when that column
-// holds ints, the usual key, skipping the chunks whose range the wanted
-// keys miss — that verifies the remaining columns only on candidates.
-// ok is false when some row is absent (or present fewer times than asked
-// for). Positions come back ascending.
+// is one probe of the first column (probe) that verifies the remaining
+// columns only on candidates. ok is false when some row is absent (or
+// present fewer times than asked for). Positions come back ascending.
 func (c *ColTable) Locate(rows [][]value.Value) (pos []int32, ok bool) {
 	if len(rows) == 0 {
 		return nil, true
 	}
-	// rows[w] is still unmatched while taken[w] is false; byFirst chains
-	// the wanted rows that share a first-column key.
+	// rows[w] is still unmatched while taken[w] is false.
 	taken := make([]bool, len(rows))
 	left := len(rows)
-	verify := func(i int, cands []int) {
-		for _, w := range cands {
-			if taken[w] {
+	c.probe(0, len(rows), func(w int) value.Value { return rows[w][0] }, func(i int, run []wanted) bool {
+		for _, e := range run {
+			if taken[e.w] {
 				continue
 			}
 			match := true
 			for col := 1; col < len(c.cols) && match; col++ {
-				match = value.KeyEqual(c.cols[col].Value(i), rows[w][col])
+				match = value.KeyEqual(c.cols[col].Value(i), rows[e.w][col])
 			}
 			if match {
-				taken[w] = true
+				taken[e.w] = true
 				left--
 				pos = append(pos, int32(i))
+				break
+			}
+		}
+		return left > 0
+	})
+	return pos, left == 0
+}
+
+// Lookup finds each row of keys its partner in c on a key of c: at[i]
+// is the position of the row of c whose cells at cols are KeyEqual to
+// row i's cells at from — the one such row, c's cells at cols being a
+// declared key — or -1 when there is none. It is Locate's probe of c's
+// column cols[0], verifying the other key columns on candidates, so it
+// reads c once and skips the chunks whose range every wanted key
+// misses. at is reused when it has room.
+func (c *ColTable) Lookup(keys *ColTable, from, cols []int, at []int32) []int32 {
+	at = slices.Grow(at[:0], keys.n)[:keys.n]
+	for i := range at {
+		at[i] = -1
+	}
+	left := keys.n
+	c.probe(cols[0], keys.n, func(w int) value.Value { return keys.Value(w, from[0]) }, func(i int, run []wanted) bool {
+		for _, e := range run {
+			match := at[e.w] < 0
+			for k := 1; k < len(cols) && match; k++ {
+				match = value.KeyEqual(c.Value(i, cols[k]), keys.Value(int(e.w), from[k]))
+			}
+			if match {
+				at[e.w] = int32(i)
+				left--
+			}
+		}
+		return left > 0
+	})
+	return at
+}
+
+// Beside returns c's columns followed by d's columns cols, row i of c
+// beside d's row at[i]: c's columns are its own, d's are gathered into
+// typed columns of their own, never boxed. A row with no partner (at[i]
+// < 0) takes a zero cell there, which whatever reads the table must
+// pass over. The table is unnamed, as a query result is.
+func (c *ColTable) Beside(d *ColTable, cols []int, at []int32) *ColTable {
+	out := &ColTable{n: c.n, cols: append(make([]*column, 0, len(c.cols)+len(cols)), c.cols...)}
+	gathered := make([]column, len(cols))
+	for x, col := range cols {
+		g, src := &gathered[x], d.cols[col]
+		g.kind = src.kind
+		switch src.kind {
+		case value.KindFloat:
+			g.chunks = cut(g.kind, gather(src, at, (*Vec).floatCells), (*Vec).floatCells)
+		case value.KindString:
+			g.chunks = cut(g.kind, gather(src, at, (*Vec).strCells), (*Vec).strCells)
+		default:
+			g.chunks = cut(g.kind, gather(src, at, (*Vec).intCells), (*Vec).intCells)
+		}
+		g.setRanges()
+		out.cols = append(out.cols, g)
+	}
+	out.sumBytes()
+	return out
+}
+
+// gather returns the column's cells at positions at, a zero cell for a
+// negative position.
+func gather[T any](col *column, at []int32, cells func(*Vec) *[]T) []T {
+	xs := make([]T, len(at))
+	for i, p := range at {
+		if p >= 0 {
+			k, j := chunkOf(p)
+			xs[i] = (*cells(&col.chunks[k].Vec))[j]
+		}
+	}
+	return xs
+}
+
+// wanted is one row a probe looks for: its index w among the wanted
+// rows and, for a probe of an int column, the int its cell keys as.
+type wanted struct {
+	key int64
+	w   int32
+}
+
+// probe walks column col of c once, calling visit(i, run) for each row
+// i whose cell there shares its key (value.Key) with the first cells
+// first(w) of the n wanted rows that run names, in ascending w. It stops
+// once visit returns false: nothing is left to find. An int column is
+// probed typed — one compare per cell against the wanted keys, sorted,
+// skipping the chunks whose range misses them all — and a wanted cell no
+// int column can hold (a string, 1.5, NaN) finds no row; any other
+// column keys each cell.
+func (c *ColTable) probe(col, n int, first func(w int) value.Value, visit func(i int, run []wanted) bool) {
+	column := c.cols[col]
+	if column.kind != value.KindInt {
+		byKey := map[string][]wanted{}
+		for w := range n {
+			k := first(w).Key()
+			byKey[k] = append(byKey[k], wanted{w: int32(w)})
+		}
+		var buf []byte
+		for i := 0; i < c.n; i++ {
+			buf = column.Value(i).AppendKey(buf[:0])
+			if run, hit := byKey[string(buf)]; hit && !visit(i, run) {
+				return
+			}
+		}
+		return
+	}
+	ws := make([]wanted, 0, n)
+	for w := range n {
+		if x, ok := intKeyOf(first(w)); ok {
+			ws = append(ws, wanted{x, int32(w)})
+		}
+	}
+	if len(ws) == 0 {
+		return
+	}
+	slices.SortFunc(ws, func(a, b wanted) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.w, b.w)) })
+	lo, hi := ws[0].key, ws[len(ws)-1].key
+	for k, ch := range column.chunks {
+		if ch.ranged && (ch.hi.AsInt() < lo || ch.lo.AsInt() > hi) {
+			continue
+		}
+		for j, x := range ch.ints {
+			if x < lo || x > hi {
+				continue
+			}
+			r, hit := slices.BinarySearchFunc(ws, x, func(e wanted, x int64) int { return cmp.Compare(e.key, x) })
+			if !hit {
+				continue
+			}
+			end := r + 1
+			for end < len(ws) && ws[end].key == x {
+				end++
+			}
+			if !visit(k*chunkRows+j, ws[r:end]) {
 				return
 			}
 		}
 	}
-	first := c.cols[0]
-	switch first.kind {
-	case value.KindInt:
-		byFirst := map[int64][]int{}
-		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for w, r := range rows {
-			x, ok := intKeyOf(r[0])
-			if !ok {
-				return nil, false
-			}
-			byFirst[x] = append(byFirst[x], w)
-			lo, hi = min(lo, x), max(hi, x)
-		}
-		for k, ch := range first.chunks {
-			if left == 0 {
-				break
-			}
-			if ch.hi.AsInt() < lo || ch.lo.AsInt() > hi {
-				continue
-			}
-			for j, x := range ch.ints {
-				if x < lo || x > hi {
-					continue
-				}
-				if cands, hit := byFirst[x]; hit {
-					verify(k*chunkRows+j, cands)
-				}
-			}
-		}
-	default:
-		byFirst := map[string][]int{}
-		for w, r := range rows {
-			byFirst[r[0].Key()] = append(byFirst[r[0].Key()], w)
-		}
-		var buf []byte
-		for i := 0; i < c.n && left > 0; i++ {
-			buf = first.Value(i).AppendKey(buf[:0])
-			if cands, hit := byFirst[string(buf)]; hit {
-				verify(i, cands)
-			}
-		}
-	}
-	return pos, left == 0
 }
 
 // intKeyOf returns the int64 an int-column cell must hold to share x's

@@ -347,6 +347,77 @@ func TestLocate(t *testing.T) {
 	}
 }
 
+// TestLookupFindsEachRowsPartner holds Lookup to a nested loop under
+// value.KeyEqual and Beside to the cells it gathers: a three-chunk table
+// keyed by an int and by (int, string), probed with ints, integral and
+// fractional floats, NaN and strings, some with no partner; and a
+// float-keyed table probed with 1 for 1.0, -0 for 0 and NaN for NaN.
+func TestLookupFindsEachRowsPartner(t *testing.T) {
+	n := RowsSpanning(3)
+	rows := make([][]value.Value, n)
+	for i := range rows {
+		rows[i] = []value.Value{value.Int(int64(2 * i)), value.Str(fmt.Sprintf("s%d", i%3)), value.Float(float64(i) / 2)}
+	}
+	d := BuildColTable(&Relation{Attrs: []string{"k", "s", "f"}, Tuples: rows})
+	rng := rand.New(rand.NewSource(51))
+	// A delta table's column holds one kind: the probes come as ints,
+	// floats, or strings.
+	draws := []func(x int64) value.Value{
+		value.Int,
+		func(x int64) value.Value {
+			return []value.Value{value.Float(float64(x)), value.Float(float64(x) + 0.5), value.Float(math.NaN())}[rng.Intn(3)]
+		},
+		func(x int64) value.Value { return value.Str(fmt.Sprint(x)) },
+	}
+	check := func(what string, draw func(int64) value.Value, from, cols []int) {
+		t.Helper()
+		var keys [][]value.Value
+		for range 40 {
+			keys = append(keys, []value.Value{draw(int64(rng.Intn(2*n + 20))), value.Str(fmt.Sprintf("s%d", rng.Intn(3)))})
+		}
+		probe := BuildColTable(&Relation{Attrs: []string{"a", "b"}, Tuples: keys})
+		at := d.Lookup(probe, from, cols, nil)
+		for i, r := range keys {
+			want := int32(-1)
+			for p, dr := range rows {
+				match := true
+				for k := range cols {
+					match = match && value.KeyEqual(dr[cols[k]], r[from[k]])
+				}
+				if match {
+					want = int32(p)
+					break
+				}
+			}
+			if at[i] != want {
+				t.Fatalf("%s: row %d (%v) found %d, want %d", what, i, r, at[i], want)
+			}
+		}
+		joined := probe.Beside(d, []int{1, 2}, at)
+		for i := range keys {
+			for c := range 2 {
+				got, want := joined.Value(i, 2+c), rows[max(at[i], 0)][1+c]
+				if at[i] < 0 {
+					want = []value.Value{value.Str(""), value.Float(0)}[c]
+				}
+				if !value.KeyEqual(got, want) || got.Kind() != want.Kind() {
+					t.Fatalf("%s: row %d beside column %d is %v, want %v", what, i, c, got, want)
+				}
+			}
+		}
+	}
+	for _, draw := range draws {
+		check("int key", draw, []int{0}, []int{0})
+		check("int and string key", draw, []int{0, 1}, []int{0, 1})
+	}
+
+	fd := BuildColTable(&Relation{Attrs: []string{"f"}, Tuples: [][]value.Value{{value.Float(1)}, {value.Float(0)}, {value.Float(math.NaN())}}})
+	fk := BuildColTable(&Relation{Attrs: []string{"a"}, Tuples: [][]value.Value{{value.Int(1)}, {value.Float(math.Copysign(0, -1))}, {value.Float(math.NaN())}, {value.Int(2)}}})
+	if at := fd.Lookup(fk, []int{0}, []int{0}, nil); fmt.Sprint(at) != "[0 1 2 -1]" {
+		t.Fatalf("float key: %v, want [0 1 2 -1]", at)
+	}
+}
+
 // modelRows is the plain row-major model the chunked store is held to.
 type modelRows [][]value.Value
 

@@ -44,6 +44,18 @@ func (m *Maintainer) DeclareKey(table string, key, to []int) error {
 	return nil
 }
 
+// keysOf returns the table's declared keys: the columns of each
+// declaration with no dependent columns.
+func (m *Maintainer) keysOf(table string) [][]int {
+	var keys [][]int
+	for _, d := range m.declared[table] {
+		if d.to == nil {
+			keys = append(keys, d.key)
+		}
+	}
+	return keys
+}
+
 // keyBatch is what one batch deletes from and inserts into a table with
 // declared keys, across all its mutations of that table: the keys hold
 // after the batch exactly when they hold of stored - deletes + inserts,

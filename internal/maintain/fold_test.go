@@ -2,6 +2,7 @@ package maintain
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -21,11 +22,19 @@ import (
 // rows) and registering each view, untracked.
 func system(t *testing.T, table string, cols []string, views map[string]string) (*Maintainer, *engine.DB) {
 	t.Helper()
+	return systemOf(t, ir.MapSource{table: cols}, views)
+}
+
+// systemOf is system over several tables.
+func systemOf(t *testing.T, tables ir.MapSource, views map[string]string) (*Maintainer, *engine.DB) {
+	t.Helper()
 	db := engine.NewDB()
-	db.Put(table, engine.NewRelation(cols...))
+	for table, cols := range tables {
+		db.Put(table, engine.NewRelation(cols...))
+	}
 	reg := ir.NewRegistry()
 	for name, sql := range views {
-		v, err := ir.NewViewDef(name, ir.MustBuild(sql, ir.MapSource{table: cols}))
+		v, err := ir.NewViewDef(name, ir.MustBuild(sql, tables))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,22 +132,35 @@ func TestWritesBuildWhatARebuildBuilds(t *testing.T) {
 	}
 }
 
-// TestDirectDeltasMatchRebuildAndDefinition holds the one-table views
-// that absorb a write's signed delta table themselves (state.rowCols) to
-// their rebuild and to their definition after every batch of a seeded
-// insert, delete and update history: views with a WHERE on an int, a
-// float and a string column, and two comparing the string column with a
-// number (never equal under the value rule, so one view stays empty and
-// the other holds every row); float SUM and AVG over NaN, ±Inf, ±0,
-// ±1e16, 0.5 and 1; MIN and MAX over NaN; a conjunctive view. Group 9
-// holds MaxInt64 twice beside MinInt64 twice, a total of -2: an update of
-// both MaxInt64 rows would have made the deleted side of a delta query
-// grouped by the sign total past int64 and recomputed every view summing
-// I; read row by row it stays incremental, so maintain.fallback.full
-// never moves.
+// TestDirectDeltasMatchRebuildAndDefinition holds the views that absorb
+// a write's signed delta table themselves (state.rows) to their rebuild
+// and to their definition after every batch of a seeded insert, delete
+// and update history: views with a WHERE on an int, a float and a string
+// column, and two comparing the string column with a number (never equal
+// under the value rule, so one view stays empty and the other holds every
+// row); float SUM and AVG over NaN, ±Inf, ±0, ±1e16, 0.5 and 1; MIN and
+// MAX over NaN; a conjunctive view. Group 9 holds MaxInt64 twice beside
+// MinInt64 twice, a total of -2: an update of both MaxInt64 rows would
+// have made the deleted side of a delta query grouped by the sign total
+// past int64 and recomputed every view summing I; read row by row it
+// stays incremental, so maintain.fallback.full never moves.
+//
+// Five views join T with a table on its declared key, D(K) or E(A, B),
+// and read T's writes as the joined delta: T rows whose G or F names no
+// key (group 9's among them) have no partner; F, a float column, is
+// joined to D's int key, so 0, -0 and 1.0 find their rows; E's key has
+// two columns; a WHERE and a select item read D's other columns. Batches
+// insert a D row beside the T rows that name it, D first and T first;
+// delete a D row, which takes its T rows out through the views' delta
+// queries; update a D row's name; and insert a second D row of a key,
+// insert T rows naming the key and delete its first row in one batch,
+// whose T write the views take through their delta queries, since the
+// version of D between holds the key twice. Two views stay on the
+// delta-query path: one joined on P's column, which is only an FD's
+// left side, and one joined on D's column W, which is no key.
 func TestDirectDeltasMatchRebuildAndDefinition(t *testing.T) {
 	ctx := context.Background()
-	cols := []string{"Id", "G", "I", "F", "S"}
+	tables := ir.MapSource{"T": {"Id", "G", "I", "F", "S"}, "D": {"K", "N", "W"}, "E": {"A", "B", "M"}, "P": {"PK", "X"}}
 	views := map[string]string{
 		"VI": "SELECT G, SUM(I), COUNT(*) FROM T WHERE I <> 2 GROUP BY G",
 		"VF": "SELECT G, SUM(F), AVG(F), MIN(F), MAX(F) FROM T WHERE F <> 0.5 GROUP BY G",
@@ -147,15 +169,39 @@ func TestDirectDeltasMatchRebuildAndDefinition(t *testing.T) {
 		"VE": "SELECT G, SUM(I) FROM T WHERE S = 1 GROUP BY G",
 		"VA": "SELECT G, SUM(F), AVG(F), SUM(I), MIN(F), MAX(F), COUNT(*) FROM T GROUP BY G",
 		"VC": "SELECT G, F, S FROM T WHERE F < 1",
+		"JD": "SELECT G, N, SUM(I), COUNT(*) FROM T, D WHERE T.G = D.K GROUP BY G, N",
+		"JK": "SELECT K, N, MIN(I), MAX(F), COUNT(F) FROM T, D WHERE D.K = T.G AND W > 1 GROUP BY K, N",
+		"JF": "SELECT N, SUM(I), AVG(F), COUNT(*) FROM T, D WHERE T.F = D.K GROUP BY N",
+		"JE": "SELECT S, M, SUM(I), COUNT(*) FROM T, E WHERE T.G = E.A AND E.B = T.S GROUP BY S, M",
+		"JC": "SELECT Id, N, F FROM T, D WHERE T.G = D.K AND I > 0",
+		"QP": "SELECT G, X, COUNT(*) FROM T, P WHERE T.G = P.PK GROUP BY G, X",
+		"QW": "SELECT G, SUM(I), COUNT(*) FROM T, D WHERE T.I = D.W GROUP BY G",
 	}
-	m, db := system(t, "T", cols, views)
+	m, db := systemOf(t, tables, views)
 	m.Metrics = obs.NewMetrics()
+	for _, key := range []struct {
+		table   string
+		key, to []int
+	}{{"D", []int{0}, nil}, {"E", []int{0, 1}, nil}, {"P", []int{0}, []int{1}}} {
+		if err := m.DeclareKey(key.table, key.key, key.to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i, f, s := value.Int, value.Float, value.Str
+	dRow := func(k int64, n string, w int64) []value.Value { return []value.Value{i(k), s(n), i(w)} }
+	if err := m.ApplyContext(ctx,
+		Mutation{Table: "D", Inserts: [][]value.Value{dRow(0, "n0", 1), dRow(1, "n1", 2), dRow(2, "n2", 3), dRow(3, "n3", -1)}},
+		Mutation{Table: "E", Inserts: [][]value.Value{{i(0), s("a"), f(0.5)}, {i(0), s("b"), f(1.5)}, {i(1), s("a"), f(math.NaN())}, {i(2), s(""), f(0.5)}}},
+		Mutation{Table: "P", Inserts: [][]value.Value{{i(0), i(10)}, {i(1), i(11)}, {i(1), i(11)}, {i(2), i(12)}}},
+	); err != nil {
+		t.Fatal(err)
+	}
 	for name := range views {
 		if inc, err := m.TrackContext(ctx, name); err != nil || !inc {
 			t.Fatalf("%s: incremental=%v err=%v", name, inc, err)
 		}
-		if m.tracked[name].rowCols == nil {
-			t.Fatalf("%s runs a delta query, want it to read the delta table", name)
+		if reads := m.tracked[name].rows["T"] != nil; reads != (name[0] != 'Q') {
+			t.Fatalf("%s reads T's delta table itself: %v", name, reads)
 		}
 	}
 	floats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e16, -1e16, 0.5, 1}
@@ -168,11 +214,15 @@ func TestDirectDeltasMatchRebuildAndDefinition(t *testing.T) {
 	random := func() []value.Value {
 		return row(int64(rng.Intn(4)), int64(rng.Intn(11)-5), floats[rng.Intn(len(floats))], []string{"a", "b", ""}[rng.Intn(3)])
 	}
+	naming := func(g int64) [][]value.Value {
+		return [][]value.Value{row(g, 1, 0, "a"), row(g, 2, 1, "b"), row(g, 3, 0.5, "")}
+	}
 	extremes := [][]value.Value{row(9, math.MaxInt64, 1, "a"), row(9, math.MaxInt64, 1, "a"), row(9, math.MinInt64, 1, "a"), row(9, math.MinInt64, 1, "a")}
-	fallbacks := m.Metrics.Volatile("maintain.fallback.full")
+	fallbacks, keyed := m.Metrics.Volatile("maintain.fallback.full"), m.Metrics.Volatile("maintain.delta.keyed")
 	var live [][]value.Value // the rows the random deletes and updates draw from: not group 9's
 	for batch := 0; batch < 60; batch++ {
 		mut := Mutation{Table: "T"}
+		var muts []Mutation
 		switch n := 1 + rng.Intn(6); {
 		case batch == 10:
 			mut.Inserts = extremes
@@ -182,6 +232,23 @@ func TestDirectDeltasMatchRebuildAndDefinition(t *testing.T) {
 			// by the MIN/MAX arguments too, and one that split the two
 			// from their MinInt64 rows would total them past int64.
 			mut.Deletes, mut.Inserts = extremes[:2], extremes[:2]
+		case batch == 8 || batch == 12:
+			// A new key and the T rows that name it, in either order.
+			g := int64(batch / 2)
+			mut.Inserts = naming(g)
+			live = append(live, mut.Inserts...)
+			d := Mutation{Table: "D", Inserts: [][]value.Value{dRow(g, fmt.Sprint("n", g), 2)}}
+			if muts = []Mutation{d, mut}; batch == 12 {
+				muts = []Mutation{mut, d}
+			}
+		case batch == 30:
+			muts = []Mutation{{Table: "D", Deletes: [][]value.Value{dRow(1, "n1", 2)}}}
+		case batch == 40:
+			mut.Inserts = naming(0)
+			live = append(live, mut.Inserts...)
+			muts = []Mutation{{Table: "D", Inserts: [][]value.Value{dRow(0, "m0", 4)}}, mut, {Table: "D", Deletes: [][]value.Value{dRow(0, "n0", 1)}}}
+		case batch == 50:
+			muts = []Mutation{{Table: "D", Deletes: [][]value.Value{dRow(2, "n2", 3)}, Inserts: [][]value.Value{dRow(2, "m2", 3)}}}
 		case batch < 6 || len(live) < n || rng.Intn(3) == 0:
 			for range n {
 				mut.Inserts = append(mut.Inserts, random())
@@ -199,7 +266,10 @@ func TestDirectDeltasMatchRebuildAndDefinition(t *testing.T) {
 				live = append(live, mut.Inserts...)
 			}
 		}
-		if err := m.ApplyContext(ctx, mut); err != nil {
+		if muts == nil {
+			muts = []Mutation{mut}
+		}
+		if err := m.ApplyContext(ctx, muts...); err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
 		for name := range views {
@@ -219,11 +289,20 @@ func TestDirectDeltasMatchRebuildAndDefinition(t *testing.T) {
 	if n := fallbacks.Load(); n != 0 {
 		t.Errorf("%d views fell back to a recompute, want 0", n)
 	}
+	if n := keyed.Load(); n == 0 {
+		t.Error("no view looked up a partner")
+	}
 	if got, _ := db.Get("VE"); got.Len() != 0 {
 		t.Errorf("VE holds %d rows: a string equals no number", got.Len())
 	}
 	if got, _ := db.Get("VI"); !slices.ContainsFunc(got.Tuples, func(r []value.Value) bool { return r[0].AsInt() == 9 && r[1].AsInt() == -2 }) {
 		t.Errorf("VI lacks group 9 with SUM(I) = -2:\n%s", got.Sorted())
+	}
+	// Key 0's rows went over to its second row's name in batch 40.
+	for _, name := range []string{"JD", "JF"} {
+		if got, _ := db.Get(name); !slices.ContainsFunc(got.Tuples, func(r []value.Value) bool { return slices.Contains(r, s("m0")) }) {
+			t.Errorf("%s lacks the rows of key 0 under its name m0:\n%s", name, got.Sorted())
+		}
 	}
 }
 

@@ -16,17 +16,24 @@
 // becomes one signed delta table — its deleted rows with sign −1, its
 // inserted rows with sign +1, the sign an extra column. It is the
 // finest grouping of the change, one group per row whose count is its
-// sign, so a view that reads the changed table once and nothing else,
-// with bare columns for its select items and aggregate arguments
-// (COUNT(*) too), absorbs its rows directly: the engine's filter keeps
-// the rows the view's WHERE admits (engine.ColTable.Select), and each
-// kept row moves its group's n by its sign, adds or subtracts its
-// argument cell to each exact total (value.Sum.AddInt, SubInt,
-// AddFloat, SubFloat) and its value's multiplicity in each MIN/MAX
-// multiset, at any batch size. Every other dependent view runs one
-// delta query over the delta table, because its delta needs what only
-// the engine evaluates — a join's other tables, a computed argument:
-// the definition with the changed table bound to the delta table,
+// sign, so a view with bare columns for its select items and aggregate
+// arguments (COUNT(*) too) that reads the changed table once absorbs its
+// rows directly — when it reads nothing else, or only base tables it
+// joins on their declared keys, each key column equated with a column of
+// the changed table (§5's foreign-key joins, which keep each row's
+// multiplicity). Each row then looks up its one partner in each such
+// table as the batch sees it (engine.ColTable.Lookup), by the engine's
+// join rule (value.KeyEqual), and drops out without one; the cells the
+// view reads of the partners are laid beside the row's own
+// (engine.ColTable.Beside). The engine's filter keeps the rows the
+// view's WHERE admits (engine.ColTable.Select), and each kept row moves
+// its group's n by its sign, adds or subtracts its argument cell to each
+// exact total (value.Sum.AddInt, SubInt, AddFloat, SubFloat) and its
+// value's multiplicity in each MIN/MAX multiset, at any batch size.
+// Every other view's delta runs one delta query over the delta table,
+// because it needs what only the engine evaluates — a join on a column
+// that is no key (a write to the key side of a join, say), a computed
+// argument: the definition with the changed table bound to the delta table,
 // grouped by the view's grouping columns, its MIN/MAX arguments and the
 // sign, selecting SUM(arg) per SUM/AVG and COUNT(*) as the
 // multiplicity. That is exact when the table occurs exactly once in the
@@ -57,8 +64,9 @@
 // deleted MaxInt64 rows in one group, say): the rebuild against the
 // staged tables then decides, installing the new exact totals when they
 // fit and aborting the batch when they do not. A view that reads the
-// delta table has no such finer total. A running total may pass int64
-// part-way; only a new total that int64 cannot hold aborts the batch.
+// delta table itself has no such finer total. A running total may pass
+// int64 part-way; only a new total that int64 cannot hold aborts the
+// batch.
 //
 // Batches apply atomically: every delta evaluation and recomputation
 // runs first, against the pre-mutation state (plus previously staged
@@ -82,11 +90,14 @@
 package maintain
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"aggview/internal/budget"
@@ -108,7 +119,9 @@ type Maintainer struct {
 	// self-join fallbacks), maintain.batch.apply counts committed
 	// batches, maintain.delta.rows counts delta rows merged, and
 	// maintain.delta.direct and maintain.delta.query count the view
-	// deltas absorbed from a delta table's rows and by a delta query.
+	// deltas absorbed from a delta table's rows and by a delta query, and
+	// maintain.delta.keyed the direct ones that looked up each row's
+	// partners on a declared key.
 	// The delta and recompute evaluations report to it too
 	// (engine.exec, engine.result.cells_boxed, ...).
 	Metrics *obs.Metrics
@@ -119,10 +132,15 @@ type Maintainer struct {
 	mu       sync.Mutex
 	tracked  map[string]*state
 	declared map[string][]*declared // table -> its keys and FDs (DeclareKey)
-	// deltaCells and deltaRows are signedDelta's row buffers, kept across
-	// batches (mu serializes them).
+	// order is the tracked views in commit order — by nesting depth, then
+	// name, so a view is staged after every view it reads — kept from
+	// Track to Track.
+	order []*state
+	// deltaCells and deltaRows are signedDelta's row buffers, and commits
+	// a batch's commit list, kept across batches (mu serializes them).
 	deltaCells []value.Value
 	deltaRows  [][]value.Value
+	commits    []engine.Commit
 }
 
 // Mutation is one base table's part of an atomic batch: rows to remove
@@ -176,22 +194,18 @@ type state struct {
 	// definition itself. delta holds, per table the definition reads once
 	// (by name), the same query with that table's occurrence carrying the
 	// sign column, grouped by it too and selecting it last, at nAt+1 —
-	// or the definition selecting the sign last; it is built only for a
-	// view that does not read the delta table itself (rowCols).
+	// or the definition selecting the sign last. A view over one table
+	// alone has none: it reads that table's writes itself (rows). A
+	// joined view keeps one for a table it reads that way too, for a
+	// batch whose lookups cannot trust a key (layout.trusted).
 	seed  *ir.Query
 	delta map[string]*ir.Query
 	nAt   int
-	// rowCols is set for a view whose definition reads one base table
-	// once and nothing else, with bare columns for its select items and
-	// aggregate arguments: such a view runs no delta query but absorbs
-	// the write's signed delta table itself, each row a finer group of
-	// its own whose count is its sign. rowCols[i] is the delta table's
-	// column that stands for column i of the delta query's result, the
-	// sign standing for the count (or, for a conjunctive view, for the
-	// sign); where is the definition's WHERE over the delta table's
-	// columns.
-	rowCols []int
-	where   []ir.Pred
+	// rows holds, per table whose writes the view absorbs without a delta
+	// query — its one table, or one whose other tables it joins on their
+	// declared keys — how it reads the write's signed delta table
+	// (layout).
+	rows map[string]*layout
 	// direct counts direct FROM occurrences per base table;
 	// trans marks every transitive base table; viaView marks tables
 	// whose dependence flows through a nested view (delta-unsafe).
@@ -211,8 +225,39 @@ type state struct {
 	// scratch is the view's pending state for a write, kept across
 	// batches like cells and reset at the start of each (begin); nil
 	// before the first write and after a batch that touched more than
-	// keepGroups groups or rows.
-	scratch *pending
+	// keepGroups groups or rows. cur is the view's pending state in the
+	// batch under way — its scratch, or a recompute's — and nil outside a
+	// batch and for a view the batch has not reached.
+	scratch, cur *pending
+}
+
+// layout is how a view reads the signed delta table of a write to one
+// of its tables, T, without a delta query: each row a finer group of its
+// own whose count is its sign. It applies to a view with bare columns for
+// its select items and aggregate arguments that reads T once and, beside
+// it, only base tables it reads once and joins on one of their declared
+// keys, each key column equated by a WHERE = with a column of T (a
+// key-side table, keyJoin). Each delta row then has at most one partner
+// in each, so the joined delta — the delta table's columns, the sign,
+// then the cells the view reads of each partner — has no more rows than
+// the write.
+type layout struct {
+	// cols[i] is the joined delta's column that stands for column i of
+	// the delta query's result, the sign standing for the count (or, for
+	// a conjunctive view, for the sign); where is the definition's WHERE
+	// over the joined delta's columns, less the key equalities the
+	// lookups satisfy.
+	cols  []int
+	where []ir.Pred
+	joins []keyJoin
+}
+
+// keyJoin is one key-side table of a layout: a T row's partner is the
+// row whose key columns are KeyEqual to the row's columns from, and the
+// joined delta carries the partner's columns cols.
+type keyJoin struct {
+	table           string
+	key, from, cols []int
 }
 
 type aggOut struct {
@@ -363,7 +408,7 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 	st.resolveSources(m.views, m.tracked)
 	if st.incremental {
 		st.reason = st.tableFallback()
-		buildDelta(st)
+		buildDelta(st, m.keysOf)
 	}
 	tab, groups, err := m.rebuild(ctx, st, nil)
 	if err != nil {
@@ -373,6 +418,10 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 	// fly can now scan it.
 	st.groups, st.tab = groups, m.db.Apply([]engine.Commit{{Name: v.Name, Table: tab}})[0]
 	m.tracked[v.Name] = st
+	m.order = append(slices.DeleteFunc(m.order, func(o *state) bool { return o.def.Name == v.Name }), st)
+	slices.SortFunc(m.order, func(a, b *state) int {
+		return cmp.Or(cmp.Compare(a.depth, b.depth), strings.Compare(a.def.Name, b.def.Name))
+	})
 	return st.incremental, nil
 }
 
@@ -526,10 +575,11 @@ func (st *state) resolveSources(views *ir.Registry, tracked map[string]*state) {
 // table's own: -1 on a deleted row, +1 on an inserted one.
 const signAttr = "sign"
 
-// buildDelta constructs an incremental view's seed query and either
-// its layout over a delta table (rowsOf), when the definition reads one
-// base table, or one delta query per table the definition reads once.
-func buildDelta(st *state) {
+// buildDelta constructs an incremental view's seed query, its layout over
+// the signed delta table of each table whose writes it reads itself
+// (rowsOf), and one delta query per table the definition reads once and
+// joins: keys gives a table's declared keys.
+func buildDelta(st *state, keys func(table string) [][]int) {
 	def := st.def.Def
 	st.seed = def
 	if !st.conjunctive {
@@ -566,60 +616,148 @@ func buildDelta(st *state) {
 		q.Select = append(sel, ir.SelectItem{Expr: &ir.Agg{Func: ir.AggCount, Star: true}})
 		st.seed = q
 	}
-	if cols, where := rowsOf(def, st.seed); cols != nil && st.direct[def.Tables[0].Source] == 1 {
-		st.rowCols, st.where = cols, where
-		return
-	}
-	st.delta = map[string]*ir.Query{}
+	st.rows, st.delta = map[string]*layout{}, map[string]*ir.Query{}
 	for ti, t := range def.Tables {
-		if st.direct[t.Source] == 1 {
+		if st.direct[t.Source] != 1 {
+			continue
+		}
+		lay := st.rowsOf(ti, keys)
+		if lay != nil {
+			st.rows[t.Source] = lay
+		}
+		// A joined view keeps the delta query for a batch whose lookups
+		// could not trust a key (ApplyContext).
+		if lay == nil || len(lay.joins) > 0 {
 			st.delta[t.Source] = st.signed(ti)
 		}
 	}
 }
 
-// rowsOf returns, for a definition over one table whose seed query
-// selects bare columns and aggregates of bare columns (or COUNT(*)),
-// the table's column behind each of the seed's select items, its
-// COUNT(*) read from the sign column, and the definition's WHERE over
-// the table's columns; nil for any other definition.
-func rowsOf(def, seed *ir.Query) ([]int, []ir.Pred) {
-	if len(def.Tables) != 1 {
-		return nil, nil
+// rowsOf returns the view's layout over the signed delta table of its
+// table occurrence ti, or nil when the view cannot read it itself: a
+// select item or aggregate argument is not a bare column, or another FROM
+// item is not a base table read once and joined on a declared key
+// (joinOn). The joined delta's columns are ti's, the sign, then each
+// key-side table's columns the view reads, in FROM and schema order.
+func (st *state) rowsOf(ti int, keys func(table string) [][]int) *layout {
+	def, seed := st.def.Def, st.seed
+	lay := &layout{}
+	used := make([]bool, len(def.Where)) // the key equalities the lookups satisfy
+	for tj, t := range def.Tables {
+		if tj == ti {
+			continue
+		}
+		if st.direct[t.Source] != 1 {
+			return nil
+		}
+		j, ok := joinOn(def, ti, tj, keys(t.Source), used)
+		if !ok {
+			return nil
+		}
+		lay.joins = append(lay.joins, j)
 	}
-	pos := func(c ir.ColID) int { return def.Columns[c].Pos }
-	cols := make([]int, len(seed.Select))
+	// item[i] is the column seed select item i reads, -1 for COUNT(*).
+	item := make([]ir.ColID, len(seed.Select))
+	reads := make([]bool, len(def.Columns))
 	for i, it := range seed.Select {
 		switch x := it.Expr.(type) {
 		case *ir.ColRef:
-			cols[i] = pos(x.Col)
+			item[i] = x.Col
 		case *ir.Agg:
 			arg, ok := x.Arg.(*ir.ColRef)
 			switch {
 			case x.Star:
-				cols[i] = len(def.Tables[0].Cols)
-			case ok:
-				cols[i] = pos(arg.Col)
-			default:
-				return nil, nil
+				item[i] = -1
+				continue
+			case !ok:
+				return nil
 			}
+			item[i] = arg.Col
 		default:
-			return nil, nil
+			return nil
+		}
+		reads[item[i]] = true
+	}
+	for i, p := range def.Where {
+		for _, t := range [2]ir.Term{p.L, p.R} {
+			if !t.IsConst && !used[i] {
+				reads[t.Col] = true
+			}
+		}
+	}
+	sign := len(def.Tables[ti].Cols)
+	at := make([]int, len(def.Columns))
+	for _, c := range def.Tables[ti].Cols {
+		at[c] = def.Columns[c].Pos
+	}
+	next, k := sign+1, 0
+	for tj, t := range def.Tables {
+		if tj == ti {
+			continue
+		}
+		for _, c := range t.Cols {
+			if reads[c] {
+				at[c], next = next, next+1
+				lay.joins[k].cols = append(lay.joins[k].cols, def.Columns[c].Pos)
+			}
+		}
+		k++
+	}
+	lay.cols = make([]int, len(item))
+	for i, c := range item {
+		if lay.cols[i] = sign; c >= 0 {
+			lay.cols[i] = at[c]
 		}
 	}
 	if !seed.IsAggregationQuery() {
-		cols = append(cols, len(def.Tables[0].Cols))
+		lay.cols = append(lay.cols, sign)
 	}
-	where := make([]ir.Pred, len(def.Where))
 	for i, p := range def.Where {
+		if used[i] {
+			continue
+		}
 		for _, t := range []*ir.Term{&p.L, &p.R} {
 			if !t.IsConst {
-				t.Col = ir.ColID(pos(t.Col))
+				t.Col = ir.ColID(at[t.Col])
 			}
 		}
-		where[i] = p
+		lay.where = append(lay.where, p)
 	}
-	return cols, where
+	return lay
+}
+
+// joinOn finds the first of keys, table occurrence tj's declared keys,
+// each of whose columns a WHERE = equates with a column of occurrence ti,
+// and marks the conjuncts it takes in used.
+func joinOn(def *ir.Query, ti, tj int, keys [][]int, used []bool) (keyJoin, bool) {
+	for _, key := range keys {
+		j := keyJoin{table: def.Tables[tj].Source, key: key}
+		taken := slices.Clone(used)
+		for _, kc := range key {
+			n := len(j.from)
+			for i, p := range def.Where {
+				if taken[i] || p.Op != ir.OpEq || p.L.IsConst || p.R.IsConst {
+					continue
+				}
+				l, r := def.Columns[p.L.Col], def.Columns[p.R.Col]
+				if l.Table == tj {
+					l, r = r, l
+				}
+				if l.Table == ti && r.Table == tj && r.Pos == kc {
+					j.from, taken[i] = append(j.from, l.Pos), true
+					break
+				}
+			}
+			if len(j.from) == n {
+				break
+			}
+		}
+		if len(key) > 0 && len(j.from) == len(key) {
+			copy(used, taken)
+			return j, true
+		}
+	}
+	return keyJoin{}, false
 }
 
 // signed returns the seed query with table occurrence ti read from a
@@ -848,7 +986,7 @@ type pending struct {
 	// conjAdd/conjDel are the row deltas of a conjunctive view.
 	conjAdd, conjDel [][]value.Value
 
-	out *staged
+	out staged
 	// keys are the touched groups' keys in the order the batch first
 	// touched them — created groups append their rows in this order —
 	// and drop lists the row positions an incremental aggregation view's
@@ -869,6 +1007,12 @@ type pending struct {
 	setAt   []int32
 	setRows [][]value.Value
 	appends [][]value.Value
+	// at, orphan and kept are absorbDelta's: the delta rows' partner
+	// positions in one key-side table, the rows some key-side table has
+	// no partner for, and the rows kept.
+	at     []int32
+	orphan []bool
+	kept   []int32
 }
 
 // keepGroups bounds the scratch a view keeps between batches: one stored
@@ -909,16 +1053,47 @@ func (p *pending) reset(live map[cellKey]*group) {
 		keys: p.keys[:0], drop: p.drop[:0], buf: p.buf[:0],
 		slab: p.slab[:0], aggSlab: p.aggSlab[:0],
 		tuples: p.tuples[:0], setAt: p.setAt[:0], setRows: p.setRows[:0], appends: p.appends[:0],
+		at: p.at[:0], orphan: p.orphan[:0], kept: p.kept[:0],
 	}
 }
 
-// release drops the view's scratch when the batch that used it touched
-// more than keepGroups groups or rows, so a one-off bulk write pins
-// nothing.
+// release ends the view's part in a batch, and drops its scratch when the
+// batch touched more than keepGroups groups or rows or looked up partners
+// for more delta rows, so a one-off bulk write pins nothing.
 func (st *state) release() {
-	if p := st.scratch; p != nil && len(p.keys)+len(p.conjAdd)+len(p.conjDel) > keepGroups {
+	st.cur = nil
+	if p := st.scratch; p != nil && max(len(p.keys)+len(p.conjAdd)+len(p.conjDel), cap(p.at)) > keepGroups {
 		st.scratch = nil
 	}
+}
+
+// cancel takes each row a conjunctive view's batch both adds and removes
+// out of both lists, as many times as it does both.
+func (p *pending) cancel() {
+	var buf []byte
+	key := func(r []value.Value) cellKey {
+		buf = buf[:0]
+		for _, v := range r {
+			buf = v.AppendKey(buf)
+		}
+		return cellKey(buf)
+	}
+	adds := map[cellKey][]int{}
+	for i, r := range p.conjAdd {
+		adds[key(r)] = append(adds[key(r)], i)
+	}
+	gone := make([]bool, len(p.conjAdd))
+	p.conjDel = slices.DeleteFunc(p.conjDel, func(r []value.Value) bool {
+		k := key(r)
+		xs := adds[k]
+		if len(xs) == 0 {
+			return false
+		}
+		gone[xs[0]], adds[k] = true, xs[1:]
+		return true
+	})
+	i := -1
+	p.conjAdd = slices.DeleteFunc(p.conjAdd, func([]value.Value) bool { i++; return gone[i] })
 }
 
 // slabChunk caps the groups the first slab chunk of a batch holds; each
@@ -957,12 +1132,15 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	inj := faultinject.From(ctx)
 
 	// Stage base-table deltas (validating arity and delete multiset
-	// membership) without installing anything.
+	// membership) without installing anything. seen[i] is mutation i's
+	// table as staged once it is applied: what the deltas of the
+	// mutations after it read of that table.
 	overlay := map[string]*staged{}
 	order := make([]string, 0, len(muts))
+	seen := make([]*staged, len(muts))
 	deltaRows := 0
 	keyed := map[string]*keyBatch{} // tables with declared keys: what the batch does to them
-	for _, mut := range muts {
+	for i, mut := range muts {
 		var base *engine.ColTable
 		if prev, ok := overlay[mut.Table]; ok {
 			base = prev.table()
@@ -983,7 +1161,8 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 		if kb := keyed[mut.Table]; kb != nil {
 			kb.muts = append(kb.muts, mut)
 		}
-		overlay[mut.Table] = &staged{name: mut.Table, base: base, delta: delta}
+		seen[i] = &staged{name: mut.Table, base: base, delta: delta}
+		overlay[mut.Table] = seen[i]
 		deltaRows += len(mut.Deletes) + len(mut.Inserts)
 	}
 	for _, key := range order {
@@ -996,36 +1175,33 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 		}
 	}
 
-	// Evaluate deltas per mutation, in order: each delta sees the new
-	// state of previously processed tables and the old state of later
-	// ones, which telescopes to the exact batch result.
-	pend := map[string]*pending{}
+	// Evaluate deltas per mutation, in order: each delta sees the state
+	// of previously processed tables as those mutations left them and the
+	// old state of later ones, which telescopes to the exact batch result.
 	committed := map[string]*staged{}
-	tracked := m.sortedTrackedLocked()
-	// However the batch ends, a scratch it grew past keepGroups goes, so
-	// a one-off bulk write pins nothing.
+	read := overlayStorage{db: m.db, staged: committed}
+	// However the batch ends, each view leaves it, and a scratch it grew
+	// past keepGroups goes, so a one-off bulk write pins nothing.
 	defer func() {
-		for _, name := range tracked {
-			m.tracked[name].release()
+		for _, st := range m.order {
+			st.release()
 		}
 	}()
-	for _, mut := range muts {
+	for i, mut := range muts {
 		// The mutation's signed delta table, and the evaluator of the
 		// delta queries over it in place of the table: each built for the
 		// first view that needs it, so a write no tracked view depends on
 		// costs what the engine's own append does.
 		var delta *engine.ColTable
 		var ev *engine.Evaluator
-		for _, name := range tracked {
-			st := m.tracked[name]
+		for _, st := range m.order {
 			if !st.trans[mut.Table] {
 				continue
 			}
-			p := pend[name]
-			if p == nil {
-				p = st.begin()
-				pend[name] = p
+			if st.cur == nil {
+				st.cur = st.begin()
 			}
+			p := st.cur
 			if p.recompute {
 				continue
 			}
@@ -1045,9 +1221,12 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 				delta = m.signedDelta(overlay[mut.Table].base.Attrs(), mut)
 			}
 			var err error
-			if st.rowCols != nil {
-				err = p.absorbDelta(delta)
+			if lay := st.rows[mut.Table]; lay != nil && lay.trusted(committed, overlay) {
+				err = p.absorbDelta(delta, lay, &read)
 				m.Metrics.Volatile("maintain.delta.direct").Inc()
+				if len(lay.joins) > 0 {
+					m.Metrics.Volatile("maintain.delta.keyed").Inc()
+				}
 			} else {
 				if ev == nil {
 					ev = m.evaluator(&overlayStorage{db: m.db, staged: committed, key: mut.Table, delta: delta})
@@ -1069,24 +1248,18 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 				m.Metrics.Volatile("maintain.fallback.full").Inc()
 			}
 		}
-		committed[mut.Table] = overlay[mut.Table]
+		committed[mut.Table] = seen[i]
 	}
 
 	// Stage the materializations; recompute fallbacks evaluate against
 	// the fully mutated base state plus previously staged views, in
 	// nesting order.
-	names := make([]string, 0, len(pend))
-	for _, name := range tracked {
-		if pend[name] != nil {
-			names = append(names, name)
-		}
-	}
-	m.sortByDepthLocked(names)
 	groupsTouched := 0
-	for _, name := range names {
-		p := pend[name]
-		st := p.st
+	for _, st := range m.order {
+		p := st.cur
 		switch {
+		case p == nil:
+			continue
 		case p.recompute:
 			inj.Observe(faultinject.SiteMaintain, 1)
 			if err := budget.Check(ctx, "maintain.recompute"); err != nil {
@@ -1097,24 +1270,30 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 				return err
 			}
 			// The rebuilt state replaces any deltas staged before.
-			p = &pending{st: st, live: groups, out: &staged{whole: tab}}
-			pend[name] = p
+			p = &pending{st: st, live: groups, out: staged{whole: tab}}
+			st.cur = p
 		case st.conjunctive:
 			drop, ok := st.tab.Locate(p.conjDel)
 			if !ok {
+				// A row one mutation of the batch adds and a later one
+				// removes is in no installed version.
+				p.cancel()
+				drop, ok = st.tab.Locate(p.conjDel)
+			}
+			if !ok {
 				return fmt.Errorf("maintain: view %s lacks a row its delete delta names", st.def.Name)
 			}
-			p.out = &staged{base: st.tab, delta: engine.Delta{Drop: drop, Append: p.conjAdd}}
+			p.out = staged{base: st.tab, delta: engine.Delta{Drop: drop, Append: p.conjAdd}}
 		default:
 			d, err := p.stageAggregation()
 			if err != nil {
 				return err
 			}
-			p.out = &staged{base: st.tab, delta: d}
+			p.out = staged{base: st.tab, delta: d}
 			groupsTouched += len(p.groups)
 		}
 		p.out.name, p.out.silent = st.def.Name, true
-		overlay[name] = p.out
+		overlay[st.def.Name] = &p.out
 	}
 
 	// Final injection point before the commit: the batch is still
@@ -1124,51 +1303,37 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 		return err
 	}
 
-	batch := make([]engine.Commit, 0, len(order)+len(names))
+	batch := m.commits[:0]
 	for _, key := range order {
 		batch = append(batch, overlay[key].commit())
 	}
-	for _, name := range names {
-		batch = append(batch, pend[name].out.commit())
+	for _, st := range m.order {
+		if st.cur != nil {
+			batch = append(batch, st.cur.out.commit())
+		}
 	}
 	installed := m.db.Apply(batch)
+	// The kept commit slice lets go of the versions it named.
+	clear(batch)
+	m.commits = batch[:0]
 	for _, key := range order {
 		for i, d := range m.declared[key] {
 			d.commit(keyed[key].hashes[i])
 		}
 	}
-	for i, name := range names {
-		p := pend[name]
-		p.fold()
-		// The scratch lets go of the version it was staged over.
-		p.st.tab, p.st.groups, p.out = installed[len(order)+i], p.live, nil
+	at := len(order)
+	for _, st := range m.order {
+		if p := st.cur; p != nil {
+			p.fold()
+			// The scratch lets go of the version it was staged over.
+			st.tab, st.groups, p.out = installed[at], p.live, staged{}
+			at++
+		}
 	}
 	m.Metrics.Volatile("maintain.batch.apply").Inc()
 	m.Metrics.Volatile("maintain.delta.rows").Add(int64(deltaRows))
 	m.Metrics.Volatile("maintain.groups.touched").Add(int64(groupsTouched))
 	return nil
-}
-
-// sortedTrackedLocked returns the tracked views' names in order.
-func (m *Maintainer) sortedTrackedLocked() []string {
-	names := make([]string, 0, len(m.tracked))
-	for k := range m.tracked {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// sortByDepthLocked orders tracked views' names by nesting depth, then
-// name: a view is staged after every view it reads.
-func (m *Maintainer) sortByDepthLocked(names []string) {
-	sort.Slice(names, func(i, j int) bool {
-		a, b := m.tracked[names[i]], m.tracked[names[j]]
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		return names[i] < names[j]
-	})
 }
 
 // tableDelta turns one mutation into a positional delta over base, the
@@ -1265,19 +1430,70 @@ func (o *overlayStorage) Scan(name string) (*engine.ColTable, bool, error) {
 	return o.db.Scan(name)
 }
 
-// absorbDelta absorbs a write's signed delta table into the pending
-// state of a view that reads it itself (state.rowCols): the engine's
-// filter keeps the rows its WHERE admits (engine.ColTable.Select), and
-// each kept row is a finer group of its own, its sign its count.
-func (p *pending) absorbDelta(delta *engine.ColTable) error {
-	var sel []int32
-	if len(p.st.where) > 0 {
-		var err error
-		if sel, err = delta.Select(p.st.where); err != nil || len(sel) == 0 {
-			return err
+// trusted reports whether the batch so far leaves each key-side table of
+// the layout either as it is live or as the batch's last mutation of it
+// leaves it: the versions its keys are known to hold in, which the
+// batch's key checks read. A batch that changes such a table again later
+// (a mutation of it, then of T, then of it) runs the view's delta query.
+func (lay *layout) trusted(committed, overlay map[string]*staged) bool {
+	for _, j := range lay.joins {
+		if s := committed[j.table]; s != nil && s != overlay[j.table] {
+			return false
 		}
 	}
-	return p.absorb(delta, p.st.rowCols, sel)
+	return true
+}
+
+// absorbDelta absorbs a write's signed delta table into the pending state
+// of a view that reads it itself (layout). Each row looks up its one
+// partner in each key-side table as the batch sees it (read;
+// engine.ColTable.Lookup), whose cells the view reads are laid beside the
+// row's own (engine.ColTable.Beside), and a row with no partner drops
+// out, as the join drops it. The engine's filter keeps the rows the
+// view's WHERE admits (engine.ColTable.Select), and each kept row is a
+// finer group of its own, its sign its count.
+func (p *pending) absorbDelta(delta *engine.ColTable, lay *layout, read *overlayStorage) error {
+	rows, n, orphans := delta, delta.NumRows(), 0
+	if len(lay.joins) > 0 {
+		p.orphan = append(p.orphan[:0], make([]bool, n)...)
+	}
+	for _, j := range lay.joins {
+		d, _, _ := read.Scan(j.table)
+		p.at = d.Lookup(delta, j.from, j.key, p.at)
+		for i, at := range p.at {
+			if at < 0 && !p.orphan[i] {
+				p.orphan[i] = true
+				orphans++
+			}
+		}
+		if orphans == n {
+			return nil
+		}
+		rows = rows.Beside(d, j.cols, p.at)
+	}
+	var sel []int32
+	switch {
+	case len(lay.where) > 0:
+		var err error
+		if sel, err = rows.Select(lay.where); err != nil {
+			return err
+		}
+		if orphans > 0 {
+			sel = slices.DeleteFunc(sel, func(i int32) bool { return p.orphan[i] })
+		}
+		if len(sel) == 0 {
+			return nil
+		}
+	case orphans > 0:
+		sel = p.kept[:0]
+		for i, o := range p.orphan {
+			if !o {
+				sel = append(sel, int32(i))
+			}
+		}
+		p.kept = sel
+	}
+	return p.absorb(rows, lay.cols, sel)
 }
 
 // absorb coalesces one delta query's result — or, read through cols and
@@ -1576,7 +1792,7 @@ func (m *Maintainer) Mode(name string) (mode, reason string) {
 func (m *Maintainer) Tracked() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.sortedTrackedLocked()
+	return slices.Sorted(maps.Keys(m.tracked))
 }
 
 // Tracks reports whether the view declared under name is maintained

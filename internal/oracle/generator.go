@@ -543,18 +543,29 @@ func genViewDef(rng *rand.Rand, t *genTable, opt GenOptions) QuerySpec {
 }
 
 // genJoinView draws a view joining the anchor table with the second
-// one, when there is one and joinCond finds a pair: grouped by an anchor
-// column, with the SUM, MIN and MAX of a plain numeric anchor column
-// when there is one, and a COUNT. A write to either table runs a signed
-// delta query for it, where a one-table view reads the write's delta
-// table itself. No odd column feeds its SUM: the join multiplies each
-// row's weight, and totals of odd ints could leave int64.
+// one, when there is one and a join condition is found: two times in
+// three on the second table's declared key when it has one (keyJoinCond),
+// else on any pair joinCond finds. It is grouped by an anchor column,
+// with the SUM, MIN and MAX of a plain numeric anchor column when there
+// is one, and a COUNT. A write to the anchor of a view joined on the
+// key reads the write's delta table beside each row's one partner,
+// looked up in the second table; any other write runs a signed delta
+// query for it. The mutation steps write both tables, so anchor rows
+// naming no key and deletes of the keyed rows are met. No odd column
+// feeds its SUM: the join multiplies each row's weight, and totals of
+// odd ints could leave int64.
 func genJoinView(rng *rand.Rand, tables []*genTable) *QuerySpec {
 	if len(tables) < 2 {
 		return nil
 	}
 	a, b := tables[0], tables[1]
-	cond := joinCond(rng, a, b)
+	var cond string
+	if len(b.spec.Key) > 0 && rng.Intn(3) != 0 {
+		cond = keyJoinCond(rng, a, b)
+	}
+	if cond == "" {
+		cond = joinCond(rng, a, b)
+	}
 	if cond == "" {
 		return nil
 	}
@@ -733,6 +744,20 @@ func joinCond(rng *rand.Rand, a, b *genTable) string {
 		}
 	}
 	return ""
+}
+
+// keyJoinCond equates b's declared key, whose cells are ints, with a
+// numeric column of a — a float one one time in three when a has one, so
+// a lookup meets 1 against 1.0 — or returns "" when a has none.
+func keyJoinCond(rng *rand.Rand, a, b *genTable) string {
+	pool := a.colsOfKind(kindInt)
+	if fc := a.colsOfKind(kindFloat); len(fc) > 0 && (len(pool) == 0 || rng.Intn(3) == 0) {
+		pool = fc
+	}
+	if len(pool) == 0 {
+		return ""
+	}
+	return pool[rng.Intn(len(pool))].name + " = " + b.spec.Key[0]
 }
 
 // findCol resolves a column name in the table (panics on generator

@@ -93,7 +93,11 @@ go run ./cmd/oraclerunner -seeds 1,2 -n 150 -multichunk 16 -wire
 # mutations are also replayed under concurrent snapshot readers (no torn
 # batches) and with cancellations injected at the maintenance site
 # (exact bag or clean typed abort, pre-state intact, clean retry
-# succeeds). `make mutate` runs the long version.
+# succeeds). Its summary counts the view deltas absorbed from the delta
+# table itself, those of them that looked up each row's partner on a
+# declared key ("(N keyed)": the join views over a keyed second table;
+# it must stay above 0), and those taken by a delta query. `make mutate`
+# runs the long version.
 go run ./cmd/oraclerunner -mutate -seeds 21,22 -n 160 -multichunk 16
 
 # Telemetry gate (DESIGN.md section 13): a seeded in-process workload
