@@ -588,6 +588,17 @@ type Prepared struct {
 	rw     *Rewriting
 	direct *ir.Query    // the original parse; executed when rw == nil
 	reg    *ir.Registry // registry snapshot resolving views and subqueries
+	plan   *engine.Plan // the engine's plan of the query it runs, derived once
+}
+
+// prepared packages a plan that runs rw's query, or direct when rw is
+// nil, and derives its engine plan.
+func prepared(rw *Rewriting, direct *ir.Query, reg *ir.Registry) *Prepared {
+	q := direct
+	if rw != nil {
+		q = rw.Query
+	}
+	return &Prepared{rw: rw, direct: direct, reg: reg, plan: engine.NewPlan(q)}
 }
 
 // Rewritten reports whether the plan ranges over materialized views.
@@ -689,14 +700,18 @@ func (s *System) PrepareStatement(ctx context.Context, st *Statement) (*Prepared
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Key: st.Key, direct: st.parsed, reg: st.reg}
-	if rw != nil {
-		p.Used, p.rw, p.direct = append([]string{}, rw.Used...), rw, nil
-		if p.reg, err = s.layered(rw.Aux); err != nil {
+	var p *Prepared
+	if rw == nil {
+		p = prepared(nil, st.parsed, st.reg)
+	} else {
+		reg, err := s.layered(rw.Aux)
+		if err != nil {
 			return nil, err
 		}
+		p = prepared(rw, nil, reg)
+		p.Used = append([]string{}, rw.Used...)
 	}
-	p.Deps = s.planDeps(p)
+	p.Key, p.Deps = st.Key, s.planDeps(p)
 	return p, nil
 }
 
@@ -752,7 +767,11 @@ func (s *System) planDeps(p *Prepared) []string {
 // it ranges over are kept consistent (TrackViewContext) — the invariant a
 // plan cache preserves by evicting on invalidation.
 func (s *System) ExecPreparedOnContext(ctx context.Context, p *Prepared, store engine.Storage) (*Result, error) {
-	return execPrepared(ctx, s, p, store, (*Result).Len, (*engine.Evaluator).ExecContext)
+	ct, ev, err := s.execPrepared(ctx, p, store)
+	if err != nil {
+		return nil, err
+	}
+	return ev.Box(ct), nil
 }
 
 // ExecPreparedColumns is ExecPreparedOnContext without its last step: the
@@ -760,28 +779,27 @@ func (s *System) ExecPreparedOnContext(ctx context.Context, p *Prepared, store e
 // it boxed. It is the entry point of a caller that encodes or scans the
 // result once — the /query handler.
 func (s *System) ExecPreparedColumns(ctx context.Context, p *Prepared, store engine.Storage) (*engine.ColTable, error) {
-	return execPrepared(ctx, s, p, store, (*engine.ColTable).NumRows, (*engine.Evaluator).ExecColumns)
+	ct, _, err := s.execPrepared(ctx, p, store)
+	return ct, err
 }
 
 // execPrepared is the one way a facade read reaches the engine: it runs
-// a prepared plan's query through one of the evaluator's entry points
-// under the usual context/budget regime, as the request span's
-// facade.execute stage, which records the rows of the result.
-func execPrepared[R any](ctx context.Context, s *System, p *Prepared, store engine.Storage, rows func(R) int, exec func(*engine.Evaluator, context.Context, *ir.Query) (R, error)) (R, error) {
+// a prepared plan through the evaluator under the usual context/budget
+// regime, as the request span's facade.execute stage, which records the
+// rows of the result. It returns the evaluator too, which boxes the
+// result for a caller that reads rows.
+func (s *System) execPrepared(ctx context.Context, p *Prepared, store engine.Storage) (*engine.ColTable, *engine.Evaluator, error) {
 	ctx, cancel := s.opCtx(ctx)
 	defer cancel()
-	q := p.direct
-	if p.rw != nil {
-		q = p.rw.Query
-	}
 	stage := obs.SpanFrom(ctx).StartStage("facade.execute")
-	res, err := exec(s.evaluator(p.reg, store), ctx, q)
+	ev := s.evaluator(p.reg, store)
+	ct, err := ev.ExecColumns(ctx, p.plan)
 	if err != nil {
 		stage.End(0)
-		return res, err
+		return nil, nil, err
 	}
-	stage.End(int64(rows(res)))
-	return res, nil
+	stage.End(int64(ct.NumRows()))
+	return ct, ev, nil
 }
 
 // QueryOnContext parses and executes a SELECT directly (no rewriting)
@@ -793,7 +811,7 @@ func (s *System) QueryOnContext(ctx context.Context, store engine.Storage, sql s
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecPreparedOnContext(ctx, &Prepared{direct: st.parsed, reg: st.reg}, store)
+	return s.ExecPreparedOnContext(ctx, prepared(nil, st.parsed, st.reg), store)
 }
 
 // QueryBestContext executes the query through its cheapest plan: it is
@@ -828,7 +846,7 @@ func (s *System) ExecRewritingContext(ctx context.Context, r *Rewriting) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecPreparedOnContext(ctx, &Prepared{rw: r, reg: reg}, s.Store)
+	return s.ExecPreparedOnContext(ctx, prepared(r, nil, reg), s.Store)
 }
 
 // Recommendation is one view the advisor suggests materializing.

@@ -31,7 +31,7 @@ func TestProjectionSharesStoredChunks(t *testing.T) {
 	src := ir.MapSource{"T": {"id", "g", "s"}}
 	ctx := context.Background()
 
-	res, err := NewEvaluator(db, nil).ExecColumns(ctx, ir.MustBuild("SELECT id, g, s FROM T", src))
+	res, err := NewEvaluator(db, nil).ExecColumns(ctx, NewPlan(ir.MustBuild("SELECT id, g, s FROM T", src)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestProjectionSharesStoredChunks(t *testing.T) {
 			}
 		}
 	}
-	filtered, err := NewEvaluator(db, nil).ExecColumns(ctx, ir.MustBuild("SELECT id FROM T WHERE g = 3", src))
+	filtered, err := NewEvaluator(db, nil).ExecColumns(ctx, NewPlan(ir.MustBuild("SELECT id FROM T WHERE g = 3", src)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,16 +129,15 @@ func (b *Batch) phys(t, i int) int {
 }
 
 // bindTables maps the stored tables' columns into the query's ColID
-// slots, sharing their chunks. Only columns in need are bound; the rest
-// are pruned. The returned batch is the template every batch of the
-// query derives from: same cols and tab, its own n and sel.
-func bindTables(q *ir.Query, cts []*ColTable, need []bool) *Batch {
-	width := q.NumCols()
-	b := &Batch{cols: make([]*column, width), tab: make([]int32, width)}
-	for ti, tab := range q.Tables {
+// slots, sharing their chunks. Only columns the plan needs are bound;
+// the rest are pruned. The returned batch is the template every batch of
+// the query derives from: same cols and tab (the plan's), its own n and
+// sel.
+func (p *Plan) bindTables(cts []*ColTable) Batch {
+	b := Batch{cols: make([]*column, len(p.tab)), tab: p.tab}
+	for ti, tab := range p.q.Tables {
 		for pos, id := range tab.Cols {
-			b.tab[id] = int32(ti)
-			if need[id] {
+			if p.need[id] {
 				b.cols[id] = cts[ti].cols[pos]
 			}
 		}

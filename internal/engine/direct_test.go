@@ -249,13 +249,13 @@ func TestNestedExecReleasesOnlyItsOwn(t *testing.T) {
 	for i := range outer {
 		outer[i] = int32(-i)
 	}
-	wantCols, err := ev.run(newTask(context.Background()), q)
+	wantCols, err := ev.run(newTask(context.Background()), NewPlan(q))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := wantCols.Relation()
 	for i := 0; i < 5; i++ {
-		gotCols, err := ev.run(task, q)
+		gotCols, err := ev.run(task, NewPlan(q))
 		if err != nil {
 			t.Fatal(err)
 		}

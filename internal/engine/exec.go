@@ -54,6 +54,15 @@ type Evaluator struct {
 
 	cache map[string]*ColTable // materialized views, by name
 	mt    atomic.Pointer[evMetrics]
+	// tk is the task of the call running: the evaluator's calls run one
+	// after another, so it is the evaluator's own (newTask).
+	tk task
+}
+
+// newTask readies the evaluator's task for a call under ctx.
+func (ev *Evaluator) newTask(ctx context.Context) *task {
+	ev.tk.start(ctx)
+	return &ev.tk
 }
 
 // NewEvaluator builds an evaluator over a database; views may be nil.
@@ -70,34 +79,81 @@ func (ev *Evaluator) store() Storage {
 }
 
 // ExecContext evaluates the query and returns its result relation, whose
-// attribute names come from ir.OutputNames. It is ExecColumns with the
-// result boxed into rows: the entry
-// point of the callers that read tuples — the maintainer, the oracles,
-// the CLI. Each call adds the cells it boxed to engine.result.cells_boxed.
+// attribute names come from ir.OutputNames. It is ExecColumns over the
+// query's plan, derived here, with the result boxed into rows: the entry
+// point of the callers that read tuples — the oracles, the CLI. Each
+// call adds the cells it boxed to engine.result.cells_boxed.
 func (ev *Evaluator) ExecContext(ctx context.Context, q *ir.Query) (*Relation, error) {
-	ct, err := ev.ExecColumns(ctx, q)
+	ct, err := ev.ExecColumns(ctx, NewPlan(q))
 	if err != nil {
 		return nil, err
 	}
-	ev.metrics().cellsBoxed.Add(int64(ct.n * len(ct.cols)))
-	return ct.Relation(), nil
+	return ev.Box(ct), nil
 }
 
-// ExecColumns evaluates the query under a context and returns the result
-// as the output stage produced it: typed columns, rows never boxed.
-// Cancellation and deadline expiry are observed at morsel granularity
-// inside every kernel (scan, join, filter, aggregation) and inside the
-// view cache; a budget.Meter attached to the context (budget.WithMeter)
-// caps the total rows processed — including rows spent materializing
-// referenced views — the bytes of columnar data materialized, and the
-// view-cache entries created. On abort the worker pools drain fully and
-// ExecColumns returns a typed *budget.Canceled or *budget.Exceeded —
-// never a partial result. With Metrics attached the whole evaluation
-// runs under a pprof label naming the query's FROM sources, so CPU and
-// goroutine profiles attribute worker time to the query that spawned it
-// (labels are inherited by child goroutines).
-func (ev *Evaluator) ExecColumns(ctx context.Context, q *ir.Query) (*ColTable, error) {
-	ct, err := ev.run(newTask(ctx), q)
+// Box returns ct's rows as a Relation of its own, adding the cells it
+// boxed to engine.result.cells_boxed. A result's attribute names are its
+// plan's, so the Relation gets a copy.
+func (ev *Evaluator) Box(ct *ColTable) *Relation {
+	ev.metrics().cellsBoxed.Add(int64(ct.n * len(ct.cols)))
+	r := ct.Relation()
+	r.Attrs = slices.Clone(r.Attrs)
+	return r
+}
+
+// Plan is what executing a query derives from the query alone, whatever
+// the data: the WHERE clause by class, the columns the scans bind, the
+// FROM table of each column, the aggregate occurrences, the output names
+// and the pprof label. A prepared statement derives it once and runs it
+// as often as it is asked; ExecContext, a view's materialization and a
+// query run once derive it inline and run the same code. A Plan is
+// read-only: concurrent evaluators may run one.
+type Plan struct {
+	q      *ir.Query
+	where  whereClasses
+	need   []bool
+	tab    []int32 // the FROM table of each ColID (Batch.tab)
+	specs  []aggSpec
+	aggIdx map[*ir.Agg]int
+	agg    bool // an aggregation query: specs and aggIdx are its aggregates
+	names  []string
+	label  pprof.LabelSet
+}
+
+// NewPlan derives q's plan. q must not change afterwards.
+func NewPlan(q *ir.Query) *Plan {
+	p := &Plan{q: q, where: classifyWhere(q), need: neededCols(q), tab: make([]int32, q.NumCols()), names: ir.OutputNames(q)}
+	srcs := make([]string, len(q.Tables))
+	for ti, tab := range q.Tables {
+		srcs[ti] = tab.Source
+		for _, id := range tab.Cols {
+			p.tab[id] = int32(ti)
+		}
+	}
+	p.label = pprof.Labels("aggview_query", strings.Join(srcs, ","))
+	if p.agg = q.IsAggregationQuery(); p.agg {
+		var aggs []*ir.Agg
+		aggs, p.aggIdx = collectAggs(q)
+		p.specs = aggSpecs(aggs)
+	}
+	return p
+}
+
+// ExecColumns evaluates the plan's query under a context and returns the
+// result as the output stage produced it: typed columns, rows never
+// boxed. Cancellation and deadline expiry are observed at morsel
+// granularity inside every kernel (scan, join, filter, aggregation) and
+// inside the view cache; a budget.Meter attached to the context
+// (budget.WithMeter) caps the total rows processed — including rows
+// spent materializing referenced views — the bytes of columnar data
+// materialized, and the view-cache entries created. On abort the worker
+// pools drain fully and ExecColumns returns a typed *budget.Canceled or
+// *budget.Exceeded — never a partial result. With Metrics attached the
+// whole evaluation runs under a pprof label naming the query's FROM
+// sources, so CPU and goroutine profiles attribute worker time to the
+// query that spawned it (labels are inherited by child goroutines).
+func (ev *Evaluator) ExecColumns(ctx context.Context, p *Plan) (*ColTable, error) {
+	ct, err := ev.run(ev.newTask(ctx), p)
 	if err != nil {
 		return nil, err
 	}
@@ -108,9 +164,9 @@ func (ev *Evaluator) ExecColumns(ctx context.Context, q *ir.Query) (*ColTable, e
 // run is the labeled evaluation entry shared by ExecColumns and view
 // materialization, so nested executions inherit the caller's task (one
 // context, one budget pool, one injector per operation).
-func (ev *Evaluator) run(t *task, q *ir.Query) (*ColTable, error) {
+func (ev *Evaluator) run(t *task, p *Plan) (*ColTable, error) {
 	st := t.sp.StartStage("engine.exec")
-	out, err := ev.runLabeled(t, q)
+	out, err := ev.runLabeled(t, p)
 	if err != nil {
 		st.End(0)
 		return nil, err
@@ -120,27 +176,18 @@ func (ev *Evaluator) run(t *task, q *ir.Query) (*ColTable, error) {
 }
 
 // runLabeled applies the metrics stopwatch and pprof labels around exec.
-func (ev *Evaluator) runLabeled(t *task, q *ir.Query) (*ColTable, error) {
+func (ev *Evaluator) runLabeled(t *task, p *Plan) (*ColTable, error) {
 	if ev.Metrics == nil {
-		return ev.exec(t, q)
+		return ev.exec(t, p)
 	}
 	var out *ColTable
 	var err error
 	sw := ev.metrics().execNs.Start()
-	pprof.Do(t.ctx, pprof.Labels("aggview_query", queryLabel(q)), func(context.Context) {
-		out, err = ev.exec(t, q)
+	pprof.Do(t.ctx, p.label, func(context.Context) {
+		out, err = ev.exec(t, p)
 	})
 	sw.Stop()
 	return out, err
-}
-
-// queryLabel renders a query's FROM sources for pprof labeling.
-func queryLabel(q *ir.Query) string {
-	srcs := make([]string, len(q.Tables))
-	for i, t := range q.Tables {
-		srcs[i] = t.Source
-	}
-	return strings.Join(srcs, ",")
 }
 
 // exec is the unlabeled evaluation body behind ExecColumns. An aggregation
@@ -151,26 +198,32 @@ func queryLabel(q *ir.Query) string {
 // on the way go back to their pools as exec returns: the result holds no
 // pooled memory — its cells are its own, or a stored chunk's that a
 // projection read whole (vecOperand.cells), which no writer touches.
-func (ev *Evaluator) exec(t *task, q *ir.Query) (*ColTable, error) {
+func (ev *Evaluator) exec(t *task, p *Plan) (*ColTable, error) {
+	q := p.q
 	mt := ev.metrics()
 	mt.exec.Inc()
 	defer t.release(len(t.held))
-	sc, err := ev.scanPlan(t, q)
+	cts, ok, err := ev.scanPlan(t, p)
 	if err != nil {
 		return nil, err
 	}
 	var out *ColTable
-	if sc != nil && q.IsAggregationQuery() && len(q.Tables) == 1 {
-		out, err = ev.aggregate(t, q, sc.bound.with(sc.cts[0].n, nil), sc.perTable[0], true)
+	var bound Batch // the stored tables' columns bound into the query's ColIDs
+	if ok {
+		bound = p.bindTables(cts)
+	}
+	if ok && p.agg && len(q.Tables) == 1 {
+		bound.n = cts[0].n
+		out, err = ev.aggregate(t, p, &bound, p.where.perTable[0], true)
 	} else {
-		b := newBatch(q.NumCols()) // a false constant predicate: empty input
-		if sc != nil {
-			if b, err = ev.joinBatch(t, q, sc); err != nil {
-				return nil, err
-			}
+		var b *Batch
+		if !ok {
+			b = newBatch(q.NumCols()) // a false constant predicate: empty input
+		} else if b, err = ev.joinBatch(t, p, cts, bound); err != nil {
+			return nil, err
 		}
-		if q.IsAggregationQuery() {
-			out, err = ev.aggregate(t, q, b, nil, false)
+		if p.agg {
+			out, err = ev.aggregate(t, p, b, nil, false)
 		} else {
 			out, err = ev.projectBatch(t, q, b)
 		}
@@ -181,7 +234,7 @@ func (ev *Evaluator) exec(t *task, q *ir.Query) (*ColTable, error) {
 	if q.Distinct {
 		out = distinctRows(out)
 	}
-	out.attrs = ir.OutputNames(q)
+	out.attrs = p.names
 	return out, nil
 }
 
@@ -189,28 +242,50 @@ func (ev *Evaluator) exec(t *task, q *ir.Query) (*ColTable, error) {
 // the batch. Each morsel yields chunk k of every result column — the
 // stored chunk itself for a column read whole and unfiltered, its cells
 // copied into a typed vector otherwise (vecOperand.cells) — so row order
-// is the batch's.
+// is the batch's. A one-morsel batch is projected inline.
 func (ev *Evaluator) projectBatch(t *task, q *ir.Query, b *Batch) (*ColTable, error) {
 	ms := allMorsels(b.n)
-	parts := make([][]Vec, ms.count())
-	err := ev.morselRun(t, "project", ev.workersFor(b.n), ms, func(w *scratch, k, lo, hi int) error {
-		rs := w.rows(b, lo, hi)
-		part := make([]Vec, len(q.Select))
-		for c, it := range q.Select {
-			o, err := evalVop(it.Expr, rs)
-			if err != nil {
-				return err
-			}
-			part[c] = o.cells(rs.n())
+	var parts [][]Vec
+	if ms.count() == 1 {
+		w := ev.inline()
+		part, err := w.project(q, b, 0, b.n)
+		putScratch(w)
+		if err == nil {
+			err = t.charge(ev, "project", int64(b.n))
 		}
-		parts[k] = part
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
+		parts = [][]Vec{part}
+	} else {
+		slots := make([][]Vec, ms.count())
+		err := ev.morselRun(t, "project", ev.workersFor(b.n), ms, func(w *scratch, k, lo, hi int) error {
+			var err error
+			slots[k], err = w.project(q, b, lo, hi)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		parts = slots
 	}
 	ev.metrics().projectRows.Add(int64(b.n))
 	return resultTable(len(q.Select), b.n, parts), nil
+}
+
+// project evaluates the SELECT list over the morsel [lo, hi) of b: chunk
+// k of every result column.
+func (w *scratch) project(q *ir.Query, b *Batch, lo, hi int) ([]Vec, error) {
+	rs := w.rows(b, lo, hi)
+	part := make([]Vec, len(q.Select))
+	for c, it := range q.Select {
+		o, err := evalVop(it.Expr, rs)
+		if err != nil {
+			return nil, err
+		}
+		part[c] = o.cells(rs.n())
+	}
+	return part, nil
 }
 
 // distinctRows returns ct without the rows that repeat an earlier one.
@@ -230,7 +305,8 @@ func distinctRows(ct *ColTable) *ColTable {
 		for _, col := range ct.cols {
 			w.keys = append(w.keys, keyOperand(denseOperand(&col.chunks[m].Vec)))
 		}
-		w.gi.assign(w.keys, hi-lo, w.hs[:], w.gids[:], false)
+		w.gids = room(w.gids, hi-lo)
+		w.gi.assign(w.keys, hi-lo, &w.hs, w.gids, false)
 		for _, j := range w.gi.newJ {
 			keep = append(keep, int32(lo)+j)
 		}
@@ -319,10 +395,10 @@ func (ev *Evaluator) materialize(t *task, name string) (*ColTable, error) {
 	var ct *ColTable
 	var err error
 	if ev.Metrics == nil {
-		ct, err = ev.run(t, def.Def)
+		ct, err = ev.run(t, NewPlan(def.Def))
 	} else {
 		pprof.Do(t.ctx, pprof.Labels("aggview_view", name), func(context.Context) {
-			ct, err = ev.run(t, def.Def)
+			ct, err = ev.run(t, NewPlan(def.Def))
 		})
 	}
 	if err != nil {
@@ -342,7 +418,13 @@ func (ev *Evaluator) materialize(t *task, name string) (*ColTable, error) {
 // doing per-row work — the accounting of a scan that binds columns by
 // reference instead of copying rows.
 func (ev *Evaluator) chargeRows(t *task, site string, n int) error {
-	return ev.morselRun(t, site, 1, allMorsels(n), func(*scratch, int, int, int) error { return nil })
+	ev.metrics().poolSerial.Inc()
+	for lo := 0; lo < n; lo += morselRows {
+		if err := t.charge(ev, site, int64(min(morselRows, n-lo))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // neededCols marks every ColID referenced by the query's SELECT, WHERE,
@@ -409,25 +491,16 @@ func classifyWhere(q *ir.Query) whereClasses {
 	return wc
 }
 
-// scanned is the FROM clause resolved and the WHERE clause classified:
-// the stored tables, their columns bound into the query's ColID space,
-// and the predicates by class.
-type scanned struct {
-	cts   []*ColTable
-	bound *Batch
-	whereClasses
-}
-
-// scanPlan resolves the query's tables and classifies its predicates. A
-// nil plan (with nil error) means a constant predicate was false: the
-// result is empty.
-func (ev *Evaluator) scanPlan(t *task, q *ir.Query) (*scanned, error) {
-	n := len(q.Tables)
-	sc := &scanned{cts: make([]*ColTable, n)}
-	for i, tab := range q.Tables {
+// scanPlan resolves the plan's tables and decides its constant
+// predicates. ok is false (with a nil error) when a constant predicate
+// was false: the result is empty.
+func (ev *Evaluator) scanPlan(t *task, p *Plan) (cts []*ColTable, ok bool, err error) {
+	q := p.q
+	cts = make([]*ColTable, 0, len(q.Tables))
+	for _, tab := range q.Tables {
 		ct, err := ev.resolve(t, tab.Source)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		// Serial loop: scan stages land in FROM order at every worker
 		// count (view materialization nests its own engine.exec stage
@@ -436,23 +509,18 @@ func (ev *Evaluator) scanPlan(t *task, q *ir.Query) (*scanned, error) {
 			t.sp.Stage("scan:"+tab.Source, int64(ct.n))
 		}
 		if len(ct.cols) != len(tab.Cols) {
-			return nil, fmt.Errorf("engine: %s has %d columns, query expects %d", tab.Source, len(ct.cols), len(tab.Cols))
+			return nil, false, fmt.Errorf("engine: %s has %d columns, query expects %d", tab.Source, len(ct.cols), len(tab.Cols))
 		}
-		sc.cts[i] = ct
+		cts = append(cts, ct)
 	}
-	sc.whereClasses = classifyWhere(q)
-	for _, p := range sc.consts {
+	for _, c := range p.where.consts {
 		// Constant-only predicate: evaluate it once.
-		ok, err := constPred(p)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, nil // predicate is false: empty result
+		holds, err := constPred(c)
+		if err != nil || !holds {
+			return nil, false, err // a false predicate: empty result
 		}
 	}
-	sc.bound = bindTables(q, sc.cts, neededCols(q))
-	return sc, nil
+	return cts, true, nil
 }
 
 // joinStep is one step of the join order: table next joins the tables
@@ -476,7 +544,11 @@ func joinOrder(q *ir.Query, rows []int, joinEq []ir.Pred) (first int, steps []jo
 			first = i
 		}
 	}
-	joined := make([]bool, n)
+	var jbuf [4]bool
+	joined := jbuf[:0]
+	for range n {
+		joined = append(joined, false)
+	}
 	joined[first] = true
 	// connects reports whether p joins table i with a table already taken.
 	connects := func(p ir.Pred, i int) bool {
@@ -522,19 +594,27 @@ func joinOrder(q *ir.Query, rows []int, joinEq []ir.Pred) (first int, steps []jo
 // query's ColID space: each table's pushed-down filter becomes its
 // selection (a predicate-free scan selects nothing and copies nothing),
 // and the join order composes the selections.
-func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error) {
+func (ev *Evaluator) joinBatch(t *task, p *Plan, cts []*ColTable, bound Batch) (*Batch, error) {
+	q, wc := p.q, &p.where
 	mt := ev.metrics()
 	n := len(q.Tables)
 	tableOf := func(c ir.ColID) int { return q.Col(c).Table }
 
-	filtered := make([]*Batch, n)
-	rows := make([]int, n)
+	// One allocation holds the tables' batches and one for their
+	// selections; the slices over them stay on the stack for a FROM
+	// clause of up to four tables.
+	tbs, sels := make([]Batch, n), make([][]int32, n*n)
+	var fbuf [4]*Batch
+	var rbuf, obuf [4]int
+	var jbuf [4]bool
+	filtered, rows := fbuf[:0], rbuf[:0]
 	swScan := mt.scanNs.Start()
-	for i, ct := range sc.cts {
-		sel := make([][]int32, n)
-		tb := sc.bound.with(ct.n, sel)
-		ms := ev.scanMorsels(tb, sc.perTable[i])
-		if preds := sc.perTable[i]; len(preds) > 0 {
+	for i, ct := range cts {
+		sel := sels[i*n : (i+1)*n : (i+1)*n]
+		tb := &tbs[i]
+		*tb = Batch{n: ct.n, cols: bound.cols, tab: bound.tab, sel: sel}
+		ms := ev.scanMorsels(tb, wc.perTable[i])
+		if preds := wc.perTable[i]; len(preds) > 0 {
 			keep, err := ev.filterSel(t, "scan", tb, preds, nil, ms)
 			if err != nil {
 				return nil, err
@@ -547,18 +627,21 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error
 		}
 		mt.scanRows.Add(int64(ms.rows()))
 		mt.scanKept.Add(int64(tb.n))
-		filtered[i], rows[i] = tb, tb.n
+		filtered, rows = append(filtered, tb), append(rows, tb.n)
 	}
 	swScan.Stop()
 
 	swJoin := mt.joinNs.Start()
 	defer swJoin.Stop()
-	first, steps := joinOrder(q, rows, sc.joinEq)
+	first, steps := joinOrder(q, rows, wc.joinEq)
 	current := filtered[first]
-	joined := make([]bool, n)
+	joined := jbuf[:0]
+	for range n {
+		joined = append(joined, false)
+	}
 	joined[first] = true
-	order := []int{first}
-	pendingRes := sc.residual
+	order := append(obuf[:0], first)
+	pendingRes := wc.residual
 	for _, st := range steps {
 		merged, err := ev.hashJoinBatch(t, current, filtered[st.next], order, st.keys, st.next)
 		if err != nil {
@@ -570,11 +653,11 @@ func (ev *Evaluator) joinBatch(t *task, q *ir.Query, sc *scanned) (*Batch, error
 
 		// Apply residual predicates that are now fully bound.
 		var nowBound, rest []ir.Pred
-		for _, p := range pendingRes {
-			if (p.L.IsConst || joined[tableOf(p.L.Col)]) && (p.R.IsConst || joined[tableOf(p.R.Col)]) {
-				nowBound = append(nowBound, p)
+		for _, r := range pendingRes {
+			if (r.L.IsConst || joined[tableOf(r.L.Col)]) && (r.R.IsConst || joined[tableOf(r.R.Col)]) {
+				nowBound = append(nowBound, r)
 			} else {
-				rest = append(rest, p)
+				rest = append(rest, r)
 			}
 		}
 		pendingRes = rest

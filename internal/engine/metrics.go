@@ -2,10 +2,11 @@ package engine
 
 import "aggview/internal/obs"
 
-// evMetrics is the evaluator's metric handles, resolved from the
-// registry once per Evaluator instead of by name (registry mutex plus a
-// map lookup) at every use. Every handle of a nil registry is nil, and a
-// nil handle is a no-op.
+// evMetrics is the engine's metric handles, resolved once per registry
+// (obs.Metrics.Handles) rather than by name (registry mutex plus a map
+// lookup) at each use: an Evaluator serves one operation, so resolving
+// them per evaluator would pay thirty lookups a read. Every handle of a
+// nil registry is nil, and a nil handle is a no-op.
 type evMetrics struct {
 	src *obs.Metrics
 
@@ -30,8 +31,12 @@ type evMetrics struct {
 
 var noMetrics evMetrics
 
-// metrics returns the handles for ev.Metrics, resolving them on first
-// use (and again should the field be pointed at another registry).
+// evMetricsKey keys the engine's handles in a registry.
+type evMetricsKey struct{}
+
+// metrics returns the handles for ev.Metrics: the registry's, looked up
+// on first use (and again should the field be pointed at another
+// registry).
 func (ev *Evaluator) metrics() *evMetrics {
 	m := ev.Metrics
 	if m == nil {
@@ -40,7 +45,13 @@ func (ev *Evaluator) metrics() *evMetrics {
 	if mt := ev.mt.Load(); mt != nil && mt.src == m {
 		return mt
 	}
-	mt := &evMetrics{
+	mt := m.Handles(evMetricsKey{}, newEvMetrics).(*evMetrics)
+	ev.mt.Store(mt)
+	return mt
+}
+
+func newEvMetrics(m *obs.Metrics) any {
+	return &evMetrics{
 		src:           m,
 		exec:          m.Counter("engine.exec"),
 		projectRows:   m.Counter("engine.project.rows"),
@@ -73,6 +84,4 @@ func (ev *Evaluator) metrics() *evMetrics {
 		errBudget:     m.Volatile("engine.err.budget"),
 		errCanceled:   m.Volatile("engine.err.canceled"),
 	}
-	ev.mt.Store(mt)
-	return mt
 }

@@ -110,7 +110,9 @@ func (ms morsels) rows() int {
 // Every worker (the caller, on the serial path) borrows one scratch for
 // the run and hands it to each morsel it claims: per-morsel working
 // memory is reused, and only what a morsel commits to its slot is
-// allocated.
+// allocated. A kernel whose input is one morsel does not come here: it
+// runs its morsel body inline (see inline), without the closure and the
+// slots a run needs.
 func (ev *Evaluator) morselRun(t *task, site string, workers int, ms morsels, fn func(w *scratch, k, lo, hi int) error) error {
 	nm := ms.count()
 	if workers > nm {
@@ -163,6 +165,16 @@ func (ev *Evaluator) morselRun(t *task, site string, workers int, ms morsels, fn
 	mt.poolWidth.Max(int64(workers))
 	mt.poolMorsels.Add(int64(nm))
 	return pickErr(errs)
+}
+
+// inline borrows the scratch of a one-morsel set that a kernel runs on
+// the calling goroutine, counted as morselRun's serial path: the kernel
+// calls its morsel body directly — no closure, no per-morsel slots — and
+// charges the morsel's rows after it (task.charge), as morselRun would.
+// The caller returns the scratch (putScratch).
+func (ev *Evaluator) inline() *scratch {
+	ev.metrics().poolSerial.Inc()
+	return getScratch()
 }
 
 // morselBounds returns morsel m's row range within [0, n).

@@ -9,6 +9,7 @@ package engine
 // vjoin.go only.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -25,6 +26,14 @@ func batchFromRows(rows [][]value.Value, width int) *Batch {
 	return &Batch{n: len(rows), cols: ct.cols}
 }
 
+// newTask returns a task of its own under ctx, for a test that drives
+// the kernels below ExecColumns.
+func newTask(ctx context.Context) *task {
+	t := new(task)
+	t.start(ctx)
+	return t
+}
+
 // stored returns rows as a table of width columns stores them: what a
 // reference reads of the rows batchFromRows hands the kernels (a column
 // of ints and floats comes back as floats).
@@ -35,7 +44,7 @@ func stored(rows [][]value.Value, width int) [][]value.Value {
 // aggregateBatch is aggregate as the property tests were written against
 // it: the result boxed into out's tuples.
 func (ev *Evaluator) aggregateBatch(t *task, q *ir.Query, b *Batch, preds []ir.Pred, fused bool, out *Relation) error {
-	ct, err := ev.aggregate(t, q, b, preds, fused)
+	ct, err := ev.aggregate(t, NewPlan(q), b, preds, fused)
 	if err != nil {
 		return err
 	}

@@ -120,9 +120,18 @@ type DB struct {
 	// onInvalidate, when set, observes every loud install (see
 	// SetOnInvalidate in storage.go). Guarded by mu; invoked outside it.
 	onInvalidate func(name string)
-	// metrics, when set, counts which path each write took (see
-	// SetMetrics).
-	metrics *obs.Metrics
+	// metrics counts which path each write took (see SetMetrics): the
+	// registry's handles, none when it is nil.
+	metrics storeMetrics
+	// snap is the snapshot of the installed versions, shared by every
+	// reader until the next install (Snapshot); nil: none taken since.
+	snap *Snapshot
+}
+
+// storeMetrics is the store's counter handles, resolved once in
+// SetMetrics: an install names none of them.
+type storeMetrics struct {
+	appendInplace, appendCopied, compactBytes, chunksCopied, chunksShared *obs.Counter
 }
 
 // NewDB returns an empty database.
@@ -138,8 +147,15 @@ func NewDB() *DB { return &DB{tabs: map[string]*ColTable{}} }
 // and the chunks the new version points at in it. Nil (the default)
 // detaches.
 func (db *DB) SetMetrics(m *obs.Metrics) {
+	sm := storeMetrics{
+		appendInplace: m.Volatile("engine.store.append.inplace"),
+		appendCopied:  m.Volatile("engine.store.append.copied"),
+		compactBytes:  m.Volatile("engine.store.compact.bytes"),
+		chunksCopied:  m.Volatile("engine.store.chunks.copied"),
+		chunksShared:  m.Volatile("engine.store.chunks.shared"),
+	}
 	db.mu.Lock()
-	db.metrics = m
+	db.metrics = sm
 	db.mu.Unlock()
 }
 
@@ -151,6 +167,7 @@ func (db *DB) installLocked(key string, ct *ColTable) {
 		ct.ver = prev.ver + 1
 	}
 	db.tabs[key] = ct
+	db.snap = nil
 }
 
 // advanceLocked installs base+delta under db.mu. This is the single
@@ -163,18 +180,19 @@ func (db *DB) installLocked(key string, ct *ColTable) {
 func (db *DB) advanceLocked(key string, base *ColTable, d *Delta) *ColTable {
 	next, cost := base.derive(d, db.tabs[key] == base)
 	db.installLocked(key, next)
+	mt := &db.metrics
 	if len(d.Append) > 0 {
 		if cost.realloc {
-			db.metrics.Volatile("engine.store.append.copied").Inc()
+			mt.appendCopied.Inc()
 		} else {
-			db.metrics.Volatile("engine.store.append.inplace").Inc()
+			mt.appendInplace.Inc()
 		}
 	}
 	if cost.copied > 0 {
-		db.metrics.Volatile("engine.store.compact.bytes").Add(cost.copied)
+		mt.compactBytes.Add(cost.copied)
 	}
-	db.metrics.Volatile("engine.store.chunks.copied").Add(cost.chunksCopied)
-	db.metrics.Volatile("engine.store.chunks.shared").Add(cost.chunksShared)
+	mt.chunksCopied.Add(cost.chunksCopied)
+	mt.chunksShared.Add(cost.chunksShared)
 	return next
 }
 

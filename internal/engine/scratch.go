@@ -78,11 +78,19 @@ func (rs *rowSet) gather(col *column, sel []int32) *Vec {
 	return v
 }
 
-// room returns xs resized to n cells of a morsel-sized buffer, with
-// arbitrary contents.
+// room returns xs resized to n cells, with arbitrary contents. Scratch
+// buffers are sized by the rows (or the key span) they have met: a buffer
+// too small is replaced by one of the next power of two at or above n
+// while that is under an eighth of a morsel, and by at least a morsel's
+// worth past that, so a small read pays for its rows and a scan's
+// morsels, whose sizes vary, grow a buffer once.
 func room[T any](xs []T, n int) []T {
 	if cap(xs) < n {
-		xs = make([]T, morselRows)
+		c := 1 << bits.Len(uint(n-1))
+		if c > morselRows/8 {
+			c = max(c, morselRows)
+		}
+		xs = make([]T, n, c)
 	}
 	return xs[:n]
 }
@@ -92,12 +100,14 @@ func room[T any](xs []T, n int) []T {
 // index, group ids, key hashes and operands of the fold. A worker takes
 // one from scratchPool for the duration of a morselRun and hands it to
 // every morsel it claims, so a warm pass allocates only what outlives
-// the morsel.
+// the morsel. Every buffer grows on demand (room) to what the morsels it
+// served needed, at most a morsel's rows, so a scratch new to a 10-row
+// read costs a few hundred bytes, not a morsel's worth of every array.
 type scratch struct {
 	rs   rowSet
-	js   [morselRows]int32 // surviving row numbers while a filter refines
-	gids [morselRows]int32 // group id per row
-	hs   [morselRows]uint64
+	js   []int32 // surviving row numbers while a filter refines
+	gids []int32 // group id per row
+	hs   []uint64
 	kbuf []byte  // byte-encoded join keys of the morsel's rows
 	koff []int32 // row j's key is kbuf[koff[j]:koff[j+1]]
 	keys []vecOperand

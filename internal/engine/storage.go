@@ -232,9 +232,22 @@ func (c *column) setRanges() {
 // column, taken as it is: an expression's cells have one kind in every
 // part. The table comes back unnamed (exec names it) and its chunks carry
 // no ranges: a result is read once, in full; resolve ranges the one that
-// becomes a view.
+// becomes a view. A one-part result — any read of under a chunk of rows
+// — holds each column, its chunk and the pointer to it in one allocation
+// (oneChunk).
 func resultTable(width, n int, parts [][]Vec) *ColTable {
 	ct := &ColTable{n: n, cols: make([]*column, width)}
+	if len(parts) == 1 {
+		one := make([]oneChunk, width)
+		for c := range one {
+			o := &one[c]
+			o.ch.Vec, o.ptr[0] = parts[0][c], &o.ch
+			o.column = column{kind: o.ch.kind, chunks: o.ptr[:]}
+			ct.cols[c] = &o.column
+		}
+		ct.sumBytes()
+		return ct
+	}
 	cols, slab := make([]column, width), make([]chunk, width*len(parts))
 	ptrs := make([]*chunk, len(slab))
 	for c := range cols {
@@ -252,6 +265,13 @@ func resultTable(width, n int, parts [][]Vec) *ColTable {
 	}
 	ct.sumBytes()
 	return ct
+}
+
+// oneChunk is a column of one chunk, laid out with it.
+type oneChunk struct {
+	column
+	ptr [1]*chunk
+	ch  chunk
 }
 
 // cut returns the cells xs as chunks that are views of it, capacity
@@ -890,19 +910,25 @@ func sameKinds(a, b *ColTable) bool {
 //
 // Pinning copies one pointer per relation. It is sound because a pinned
 // version's cells are never rewritten: later versions point at its
-// chunks, copy them, or write cells past its length.
+// chunks, copy them, or write cells past its length. A snapshot is never
+// changed once taken, so every reader between two installs shares one.
 type Snapshot struct {
 	tabs map[string]*ColTable
 }
 
-// Snapshot pins the current version of every relation.
+// Snapshot pins the current version of every relation: the snapshot the
+// last call took, unless something was installed since.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.snap != nil {
+		return db.snap
+	}
 	s := &Snapshot{tabs: make(map[string]*ColTable, len(db.tabs))}
 	for key, ct := range db.tabs {
 		s.tabs[key] = ct
 	}
+	db.snap = s
 	return s
 }
 

@@ -37,12 +37,12 @@ type task struct {
 	heldBuf [8]*[]int32
 }
 
-// newTask resolves the context's meter, injector and span once, so the
-// hot polls never touch context.Value.
-func newTask(ctx context.Context) *task {
-	t := &task{ctx: ctx, meter: budget.MeterFrom(ctx), inj: faultinject.From(ctx), sp: obs.SpanFrom(ctx)}
+// start readies t for an operation under ctx: it resolves the context's
+// meter, injector and span once, so the hot polls never touch
+// context.Value.
+func (t *task) start(ctx context.Context) {
+	*t = task{ctx: ctx, meter: budget.MeterFrom(ctx), inj: faultinject.From(ctx), sp: obs.SpanFrom(ctx)}
 	t.held = t.heldBuf[:0]
-	return t
 }
 
 // i32 returns an index vector of n entries with arbitrary contents — a

@@ -85,8 +85,8 @@ type groupIndex struct {
 	keys   *groupKeys
 	slots  []int32 // 0 empty, else group id + 1
 	hash   []uint64
-	newJ   []int32 // rows that created a group in the last assign call, in group order
-	direct [directSpan]uint16
+	newJ   []int32  // rows that created a group in the last assign call, in group order
+	direct []uint16 // grown to the key span met, at most directSpan
 }
 
 // A direct cell holds a group id + 1 of one morsel's rows.
@@ -119,13 +119,18 @@ func mix64(x uint64) uint64 {
 // well-predicted branch.
 const minSlots = 256
 
-// reset empties the index and points it at an empty key set.
+// reset empties the index and points it at an empty key set. The hash
+// table is made by the first assign that hashes (hashing).
 func (gi *groupIndex) reset(keys *groupKeys) {
+	clear(gi.slots)
+	gi.keys, gi.hash = keys, gi.hash[:0]
+}
+
+// hashing readies the hash table for an assign that hashes its keys.
+func (gi *groupIndex) hashing() {
 	if gi.slots == nil {
 		gi.slots = make([]int32, minSlots)
 	}
-	clear(gi.slots)
-	gi.keys, gi.hash = keys, gi.hash[:0]
 }
 
 // add records a new group with hash h, created by row j, in empty slot s
@@ -154,10 +159,11 @@ func (gi *groupIndex) add(s int, h uint64, j int) (int, int) {
 
 // assign maps each of n rows to its group id by the typed key columns
 // keys (none: every row is the one global group), creating groups in
-// row order. hs is hash scratch of at least n cells. once says the index
+// row order. hs is hash scratch, grown to n cells when the keys are
+// hashed. once says the index
 // is empty and takes no other call before its next reset, which lets a
 // narrow int key be addressed directly; assign reports whether it was.
-func (gi *groupIndex) assign(keys []vecOperand, n int, hs []uint64, gids []int32, once bool) (direct bool) {
+func (gi *groupIndex) assign(keys []vecOperand, n int, hs *[]uint64, gids []int32, once bool) (direct bool) {
 	gi.newJ = gi.newJ[:0]
 	gk := gi.keys
 	if cap(gk.cols) < len(keys) {
@@ -182,25 +188,28 @@ func (gi *groupIndex) assign(keys []vecOperand, n int, hs []uint64, gids []int32
 				return true
 			}
 		}
+		gi.hashing()
 		gi.assignInt(&keys[0], gids)
 		return false
 	}
-	hs = hs[:n]
-	clear(hs)
+	gi.hashing()
+	*hs = room(*hs, n)
+	hv := *hs
+	clear(hv)
 	for c := range keys {
 		k := &keys[c]
 		if k.vec.kind == value.KindString {
 			for j, i := range k.idx {
-				hs[j] = mix64(hs[j]*0x9e3779b97f4a7c15 + maphash.String(keySeed, k.vec.strs[i]))
+				hv[j] = mix64(hv[j]*0x9e3779b97f4a7c15 + maphash.String(keySeed, k.vec.strs[i]))
 			}
 		} else {
 			for j, i := range k.idx {
-				hs[j] = mix64(hs[j]*0x9e3779b97f4a7c15 + uint64(k.vec.ints[i]))
+				hv[j] = mix64(hv[j]*0x9e3779b97f4a7c15 + uint64(k.vec.ints[i]))
 			}
 		}
 	}
 	mask := len(gi.slots) - 1
-	for j, h := range hs {
+	for j, h := range hv {
 		for s := int(h) & mask; ; s = (s + 1) & mask {
 			g := int(gi.slots[s]) - 1
 			if g < 0 {
@@ -229,7 +238,8 @@ func (gi *groupIndex) assign(keys []vecOperand, n int, hs []uint64, gids []int32
 // 28-day key costs a 28-cell clear per morsel, and whatever an earlier
 // morsel or query left beyond them is never read.
 func (gi *groupIndex) assignDirect(k *vecOperand, lo, hi int64, gids []int32) {
-	tab := gi.direct[:hi-lo+1]
+	gi.direct = room(gi.direct, int(hi-lo+1))
+	tab := gi.direct
 	clear(tab)
 	gk := gi.keys
 	col, xs := &gk.cols[0], k.vec.ints
@@ -612,7 +622,8 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 	st := foldPool.Get().(*foldState)
 	st.reset(len(pl.specs))
 	w.gi.reset(&st.keys)
-	gids := w.gids[:rs.n()]
+	w.gids = room(w.gids, rs.n())
+	gids := w.gids
 	w.keys = w.keys[:0]
 	for _, gc := range pl.q.GroupBy {
 		// An unbound key column reads the zero Value on every row: it
@@ -621,7 +632,7 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 			w.keys = append(w.keys, keyOperand(k))
 		}
 	}
-	direct := w.gi.assign(w.keys, rs.n(), w.hs[:], gids, true)
+	direct := w.gi.assign(w.keys, rs.n(), &w.hs, gids, true)
 	// Which table numbered the groups is a property of the morsel's
 	// cells, so the two counts repeat at every worker count.
 	switch {
@@ -655,12 +666,13 @@ func (w *scratch) foldMorsel(pl *aggPlan, lo, hi int) (*foldState, int, error) {
 // into st's.
 func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) {
 	n := p.keys.n
-	gmap := w.gids[:n]
+	w.gids = room(w.gids, n)
+	gmap := w.gids
 	w.keys = w.keys[:0]
 	for c := range p.keys.cols {
 		w.keys = append(w.keys, denseOperand(&p.keys.cols[c]))
 	}
-	w.gi.assign(w.keys, n, w.hs[:], gmap, false)
+	w.gi.assign(w.keys, n, &w.hs, gmap, false)
 	ng, newJ := st.keys.n, w.gi.newJ
 	for _, j := range newJ {
 		st.first = append(st.first, p.first[j])
@@ -693,12 +705,11 @@ func (st *foldState) mergePartial(w *scratch, specs []aggSpec, p *foldState) {
 // query without GROUP BY is the single-group case of the same path; an
 // empty input yields no groups (see the package comment for this
 // documented simplification).
-func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, fused bool) (*ColTable, error) {
+func (ev *Evaluator) aggregate(t *task, p *Plan, b *Batch, preds []ir.Pred, fused bool) (*ColTable, error) {
 	mt := ev.metrics()
 	sw := mt.aggNs.Start()
 	defer sw.Stop()
-	aggs, aggIdx := collectAggs(q)
-	pl := &aggPlan{q: q, b: b, preds: preds, specs: aggSpecs(aggs), mt: mt}
+	pl := aggPlan{q: p.q, b: b, preds: preds, specs: p.specs, mt: mt}
 	site := "agg.fold"
 	if fused {
 		site = "scan"
@@ -709,22 +720,55 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 		ms = ev.scanMorsels(b, preds)
 		mt.scanRows.Add(int64(ms.rows()))
 	}
-	parts := make([]*foldState, ms.count())
-	kept := make([]int32, ms.count())
-	err := ev.morselRun(t, site, ev.workersFor(ms.rows()), ms, func(w *scratch, k, lo, hi int) error {
-		p, n, err := w.foldMorsel(pl, lo, hi)
-		if err != nil || p == nil {
-			return err
+	// w merges the partials and runs the output stage; a one-morsel pass
+	// folds inline on it too (see inline).
+	var merged *foldState
+	w := getScratch()
+	defer func() {
+		switch {
+		case merged == nil:
+		case merged.keys.n > maxPooledGroups:
+			w.gi = groupIndex{}
+		default:
+			foldPool.Put(merged)
 		}
-		parts[k], kept[k] = p, int32(n)
-		return t.allocBytes(ev, "agg.fold", p.bytes())
-	})
-	if err != nil {
-		return nil, err
+		putScratch(w)
+	}()
+	var parts []*foldState
+	var kept []int32
+	var one [1]*foldState // a one-morsel pass's slots, on the stack
+	var oneKept [1]int32
+	if ms.count() == 1 {
+		mt.poolSerial.Inc()
+		lo, hi := ms.bounds(0)
+		part, n, err := w.foldMorsel(&pl, lo, hi)
+		if err == nil && part != nil {
+			err = t.allocBytes(ev, "agg.fold", part.bytes())
+		}
+		if err == nil {
+			err = t.charge(ev, site, int64(hi-lo))
+		}
+		if err != nil {
+			return nil, err
+		}
+		one[0], oneKept[0] = part, int32(n)
+		parts, kept = one[:], oneKept[:]
+	} else {
+		ps, ks, plm := make([]*foldState, ms.count()), make([]int32, ms.count()), pl
+		err := ev.morselRun(t, site, ev.workersFor(ms.rows()), ms, func(w *scratch, k, lo, hi int) error {
+			part, n, err := w.foldMorsel(&plm, lo, hi)
+			if err != nil || part == nil {
+				return err
+			}
+			ps[k], ks[k] = part, int32(n)
+			return t.allocBytes(ev, "agg.fold", part.bytes())
+		})
+		if err != nil {
+			return nil, err
+		}
+		parts, kept = ps, ks
 	}
 
-	w := getScratch()
-	var merged *foldState
 	if len(parts) == 1 && parts[0] != nil {
 		merged = parts[0]
 	} else {
@@ -732,17 +776,9 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 		merged.reset(len(pl.specs))
 		w.gi.reset(&merged.keys)
 	}
-	defer func() {
-		if merged.keys.n > maxPooledGroups {
-			w.gi = groupIndex{}
-		} else {
-			foldPool.Put(merged)
-		}
-		putScratch(w)
-	}()
 	rows := 0
-	for m, p := range parts {
-		if p == nil {
+	for m, part := range parts {
+		if part == nil {
 			continue
 		}
 		rows += int(kept[m])
@@ -751,9 +787,9 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 				return nil, err
 			}
 		}
-		if p != merged {
-			merged.mergePartial(w, pl.specs, p)
-			foldPool.Put(p)
+		if part != merged {
+			merged.mergePartial(w, pl.specs, part)
+			foldPool.Put(part)
 		}
 		if err := t.poll(ev, "agg.merge"); err != nil {
 			return nil, err
@@ -782,7 +818,7 @@ func (ev *Evaluator) aggregate(t *task, q *ir.Query, b *Batch, preds []ir.Pred, 
 		canonFloats(ac.vec.floats)
 	}
 
-	return assembleGroups(q, b, pl.specs, aggIdx, merged, w)
+	return assembleGroups(p, b, merged, w)
 }
 
 // groupStage is what the output stage evaluates HAVING and SELECT
@@ -797,8 +833,9 @@ type groupStage struct {
 	specs  []aggSpec
 	aggIdx map[*ir.Agg]int
 	st     *foldState
-	counts Vec      // st.rows as an int vector: what a COUNT reads
-	keyAt  []int32  // keyAt[c]-1 is the typed key column of st.keys holding column c; 0: none
+	counts Vec     // st.rows as an int vector: what a COUNT reads
+	keyAt  []int32 // keyAt[c]-1 is the typed key column of st.keys holding column c; 0: none
+	keyBuf [16]int32
 	w      *scratch // w.rs is the first rows of gsel: per table w.pos, filled on first use
 	gsel   []int32
 }
@@ -892,9 +929,13 @@ func eachMorsel(ids []int32, fn func(gsel []int32) error) error {
 //     evaluated by nothing later and can raise nothing;
 //   - SELECT is evaluated over the surviving groups, each slice of them
 //     one chunk of every result column.
-func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]int, merged *foldState, w *scratch) (*ColTable, error) {
+func assembleGroups(p *Plan, b *Batch, merged *foldState, w *scratch) (*ColTable, error) {
+	q, specs, aggIdx := p.q, p.specs, p.aggIdx
 	s := &groupStage{b: b, specs: specs, aggIdx: aggIdx, st: merged, w: w,
-		counts: Vec{kind: value.KindInt, ints: merged.rows}, keyAt: make([]int32, len(b.cols))}
+		counts: Vec{kind: value.KindInt, ints: merged.rows}}
+	if s.keyAt = s.keyBuf[:]; len(b.cols) > len(s.keyBuf) {
+		s.keyAt = make([]int32, len(b.cols))
+	}
 	w.rows(b, 0, 0) // sizes the row set to b's tables; bind and col fill it
 	// The index keeps the bound GROUP BY columns, in order.
 	k := int32(0)
@@ -948,7 +989,8 @@ func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]i
 				if err != nil {
 					return err
 				}
-				js, err := cmpSel(h.Op, l, r, iota32[:len(gsel)], w.js[:])
+				w.js = room(w.js, len(gsel))
+				js, err := cmpSel(h.Op, l, r, iota32[:len(gsel)], w.js)
 				if err != nil {
 					return err
 				}
@@ -968,7 +1010,11 @@ func assembleGroups(q *ir.Query, b *Batch, specs []aggSpec, aggIdx map[*ir.Agg]i
 		keep = kept
 	}
 
-	parts := make([][]Vec, 0, morselCount(len(keep)))
+	var one [1][]Vec
+	parts := one[:0]
+	if len(keep) > morselRows {
+		parts = make([][]Vec, 0, morselCount(len(keep)))
+	}
 	err := eachMorsel(keep, func(gsel []int32) error {
 		s.bind(gsel)
 		part := make([]Vec, len(q.Select))

@@ -200,11 +200,10 @@ func (w *scratch) byteKeys(n int) {
 	}
 }
 
-// keyCols returns the side's key columns.
-func (s joinSide) keyCols() []*column {
-	cols := make([]*column, len(s.cols))
-	for i, c := range s.cols {
-		cols[i] = s.b.cols[c]
+// keyCols appends the side's key columns to cols.
+func (s joinSide) keyCols(cols []*column) []*column {
+	for _, c := range s.cols {
+		cols = append(cols, s.b.cols[c])
 	}
 	return cols
 }
@@ -297,7 +296,8 @@ func (ev *Evaluator) joinPairs(t *task, l, r joinSide, next int) ([]int32, []int
 
 	// Number the smaller input's keys serially, so ids follow row order.
 	mt := ev.metrics()
-	jk := newJoinKeys(keyingOf(small.keyCols(), big.keyCols()), small.b.n)
+	var sbuf, bbuf [4]*column
+	jk := newJoinKeys(keyingOf(small.keyCols(sbuf[:0]), big.keyCols(bbuf[:0])), small.b.n)
 	defer jk.free()
 	if jk.direct {
 		mt.joinDirect.Inc()

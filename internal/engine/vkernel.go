@@ -354,7 +354,8 @@ func selCmpMixed(mask uint, l, r vecOperand, sel, out []int32) []int32 {
 func (w *scratch) refine(rs *rowSet, preds []ir.Pred, rest []ir.HPred) ([]int32, error) {
 	sel := iota32[:rs.n()]
 	for _, p := range preds {
-		next, err := predSel(p, rs, sel, w.js[:])
+		w.js = room(w.js, len(sel))
+		next, err := predSel(p, rs, sel, w.js)
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +368,8 @@ func (w *scratch) refine(rs *rowSet, preds []ir.Pred, rest []ir.HPred) ([]int32,
 		return sel, nil
 	}
 	if len(preds) == 0 {
-		sel = w.js[:copy(w.js[:], sel)] // the identity is nobody's to compact
+		w.js = room(w.js, len(sel))
+		sel = w.js[:copy(w.js, sel)] // the identity is nobody's to compact
 	}
 	all := rs.loc
 	defer func() { rs.loc = all }()
@@ -383,7 +385,8 @@ func (w *scratch) refine(rs *rowSet, preds []ir.Pred, rest []ir.HPred) ([]int32,
 		}
 		// The operands read through sel, so the survivors land in a
 		// buffer of their own before sel closes up over them.
-		js, err := cmpSel(h.Op, l, r, iota32[:len(sel)], w.gids[:])
+		w.gids = room(w.gids, len(sel))
+		js, err := cmpSel(h.Op, l, r, iota32[:len(sel)], w.gids)
 		if err != nil {
 			return nil, err
 		}
@@ -473,33 +476,61 @@ func (ev *Evaluator) scanMorsels(b *Batch, preds []ir.Pred) morsels {
 // through the task; the ranges are then closed up in morsel order, so
 // the selection is byte-identical to the serial scan. It lives as long
 // as the task's other index vectors (task.i32) and is charged as held.
+// One morsel is refined inline, into a buffer of its survivors.
 func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, rest []ir.HPred, ms morsels) ([]int32, error) {
-	stage := t.i32(ms.count() * morselRows)
-	kept := make([]int32, ms.count())
-	err := ev.morselRun(t, site, ev.workersFor(ms.rows()), ms, func(w *scratch, k, lo, hi int) error {
-		rs := w.rows(b, lo, hi)
-		js, err := w.refine(rs, preds, rest)
-		if err != nil {
-			return err
-		}
-		out := stage[k*morselRows:]
-		for i, j := range js {
-			out[i] = rs.pos(j)
-		}
-		kept[k] = int32(len(js))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	var stage []int32
 	total := 0
-	for k, c := range kept {
-		total += copy(stage[total:], stage[k*morselRows:][:c])
+	if ms.count() == 1 {
+		lo, hi := ms.bounds(0)
+		w := ev.inline()
+		rs, js, err := w.filter(b, preds, rest, lo, hi)
+		if err == nil {
+			stage = t.i32(len(js))
+			total = rs.positions(js, stage)
+			err = t.charge(ev, site, int64(hi-lo))
+		}
+		putScratch(w)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		stage = t.i32(ms.count() * morselRows)
+		kept := make([]int32, ms.count())
+		err := ev.morselRun(t, site, ev.workersFor(ms.rows()), ms, func(w *scratch, k, lo, hi int) error {
+			rs, js, err := w.filter(b, preds, rest, lo, hi)
+			if err == nil {
+				kept[k] = int32(rs.positions(js, stage[k*morselRows:]))
+			}
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		for k, c := range kept {
+			total += copy(stage[total:], stage[k*morselRows:][:c])
+		}
 	}
 	if err := t.allocBytes(ev, site, 4*int64(total)); err != nil {
 		return nil, err
 	}
 	return stage[:total], nil
+}
+
+// filter refines the morsel [lo, hi) of b: its row set and the rows of
+// it that survive (refine).
+func (w *scratch) filter(b *Batch, preds []ir.Pred, rest []ir.HPred, lo, hi int) (*rowSet, []int32, error) {
+	rs := w.rows(b, lo, hi)
+	js, err := w.refine(rs, preds, rest)
+	return rs, js, err
+}
+
+// positions writes the logical positions of the set's rows js to out
+// and returns how many it wrote.
+func (rs *rowSet) positions(js, out []int32) int {
+	for i, j := range js {
+		out[i] = rs.pos(j)
+	}
+	return len(js)
 }
 
 // ChangeContext finds the rows of ct a DELETE or UPDATE lowered to rc
@@ -515,7 +546,7 @@ func (ev *Evaluator) filterSel(t *task, site string, b *Batch, preds []ir.Pred, 
 // the selection's buffer goes back with the task.
 func (ev *Evaluator) ChangeContext(ctx context.Context, ct *ColTable, rc *ir.RowChange) (pos []int32, olds, news [][]value.Value, err error) {
 	b := &Batch{n: ct.n, cols: ct.cols}
-	t := newTask(ctx)
+	t := ev.newTask(ctx)
 	defer t.release(0)
 	sel, err := ev.filterSel(t, "match", b, rc.Where, rc.Rest, ev.scanMorsels(b, rc.Where))
 	if err != nil {

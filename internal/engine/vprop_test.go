@@ -579,11 +579,12 @@ func TestAggKernelMatchesReference(t *testing.T) {
 			ev.DB.Put("R", r)
 			ev.DB.Put("S", s)
 			task := newTask(context.Background())
-			sc, err := ev.scanPlan(task, joinQ)
+			p := NewPlan(joinQ)
+			cts, _, err := ev.scanPlan(task, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := ev.joinBatch(task, joinQ, sc)
+			b, err := ev.joinBatch(task, p, cts, p.bindTables(cts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -913,11 +914,11 @@ func TestDirectGroupIdsMatchHash(t *testing.T) {
 				var gi [2]groupIndex
 				var st [2]foldState
 				var gids [2][morselRows]int32
-				var hs [morselRows]uint64
+				var hs []uint64
 				for v, once := range []bool{true, false} {
 					st[v].reset(1)
 					gi[v].reset(&st[v].keys)
-					direct := gi[v].assign([]vecOperand{op}, rows, hs[:], gids[v][:rows], once)
+					direct := gi[v].assign([]vecOperand{op}, rows, &hs, gids[v][:rows], once)
 					if !once && direct {
 						t.Fatalf("%s n=%d %s: an index that takes further calls was addressed directly", name, n, shape)
 					}
@@ -1249,7 +1250,7 @@ func TestOutputStageMatchesReference(t *testing.T) {
 			if tc.unbind >= 0 {
 				b.cols[tc.q.Tables[0].Cols[tc.unbind]] = nil
 			}
-			ct, err := ev.aggregate(newTask(context.Background()), tc.q, b, nil, false)
+			ct, err := ev.aggregate(newTask(context.Background()), NewPlan(tc.q), b, nil, false)
 			if wantErr != nil || err != nil {
 				if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
 					t.Fatalf("%s workers %d: stage error %v, reference error %v", tc.name, w, err, wantErr)

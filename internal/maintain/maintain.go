@@ -197,9 +197,10 @@ type state struct {
 	// or the definition selecting the sign last. A view over one table
 	// alone has none: it reads that table's writes itself (rows). A
 	// joined view keeps one for a table it reads that way too, for a
-	// batch whose lookups cannot trust a key (layout.trusted).
+	// batch whose lookups cannot trust a key (layout.trusted). A delta
+	// query is kept as its engine plan, derived once.
 	seed  *ir.Query
-	delta map[string]*ir.Query
+	delta map[string]*engine.Plan
 	nAt   int
 	// rows holds, per table whose writes the view absorbs without a delta
 	// query — its one table, or one whose other tables it joins on their
@@ -446,7 +447,7 @@ func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storag
 		rel.Tuples = res.Tuples
 		return engine.BuildColTable(rel), nil, nil
 	}
-	res, err := ev.ExecColumns(ctx, st.seed)
+	res, err := ev.ExecColumns(ctx, engine.NewPlan(st.seed))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -616,7 +617,7 @@ func buildDelta(st *state, keys func(table string) [][]int) {
 		q.Select = append(sel, ir.SelectItem{Expr: &ir.Agg{Func: ir.AggCount, Star: true}})
 		st.seed = q
 	}
-	st.rows, st.delta = map[string]*layout{}, map[string]*ir.Query{}
+	st.rows, st.delta = map[string]*layout{}, map[string]*engine.Plan{}
 	for ti, t := range def.Tables {
 		if st.direct[t.Source] != 1 {
 			continue
@@ -628,7 +629,7 @@ func buildDelta(st *state, keys func(table string) [][]int) {
 		// A joined view keeps the delta query for a batch whose lookups
 		// could not trust a key (ApplyContext).
 		if lay == nil || len(lay.joins) > 0 {
-			st.delta[t.Source] = st.signed(ti)
+			st.delta[t.Source] = engine.NewPlan(st.signed(ti))
 		}
 	}
 }

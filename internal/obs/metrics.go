@@ -113,6 +113,9 @@ type Metrics struct {
 	volatile map[string]*Counter
 	hists    map[string]*Histogram
 	lats     map[string]*LatencyHist
+	// handles memoizes what a subsystem resolves from the registry once
+	// (Handles), by the subsystem's key.
+	handles sync.Map
 }
 
 // NewMetrics returns an empty registry.
@@ -123,6 +126,24 @@ func NewMetrics() *Metrics {
 		hists:    map[string]*Histogram{},
 		lats:     map[string]*LatencyHist{},
 	}
+}
+
+// Handles returns the value build resolves from the registry — a
+// subsystem's counter handles — for key, building it on the first call
+// and sharing it afterwards, so a hot path that needs thirty counters
+// takes no lock and no name lookup per operation. key must be
+// comparable and build must depend on the registry alone; concurrent
+// first calls may each build, and one result wins. On a nil registry it
+// is build(nil).
+func (m *Metrics) Handles(key any, build func(*Metrics) any) any {
+	if m == nil {
+		return build(nil)
+	}
+	if h, ok := m.handles.Load(key); ok {
+		return h
+	}
+	h, _ := m.handles.LoadOrStore(key, build(m))
+	return h
 }
 
 // Enabled reports whether the registry records anything.

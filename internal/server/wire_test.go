@@ -407,7 +407,7 @@ func TestQueryColumnsBytesMatchStdlib(t *testing.T) {
 	db.Put("T", typed)
 	src := ir.MapSource{"T": {"i", "f", "s", "b", "g"}}
 	run := func(sql string) *engine.ColTable {
-		ct, err := engine.NewEvaluator(db, nil).ExecColumns(context.Background(), ir.MustBuild(sql, src))
+		ct, err := engine.NewEvaluator(db, nil).ExecColumns(context.Background(), engine.NewPlan(ir.MustBuild(sql, src)))
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}

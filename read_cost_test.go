@@ -44,8 +44,11 @@ func inProcess(t testing.TB, sys *aggview.System) *server.Client {
 // path. The engine's columnar entry point allocates per query, not per
 // row: a warm 500-group view read costs a fixed number of objects — the
 // evaluator, the plan's batch, the table around the result's columns — so
-// at most 36 (31 measured; 41 while the read still re-grouped the view's
-// rows), and no more than 8 above the same shape over 50 groups. Its
+// at most 16 (10 measured, 13 over 50 groups, since a prepared
+// statement keeps its engine plan and a one-morsel read runs inline; 31
+// before, when the bound was 36, and 41 while the read still re-grouped
+// the view's rows), and no more than 8 above the same shape over 50
+// groups. Its
 // plan is a group-preserving select-project whose result shares the
 // view's stored vectors, so it allocates no cell: at most 4 KB a read
 // (about 2 KB measured; 15 KB when it folded into accumulators and
@@ -95,8 +98,8 @@ func TestReadCostIsRowSized(t *testing.T) {
 	wireAllocs := testing.AllocsPerRun(20, read)
 
 	t.Logf("objects allocated per warm view read: %.0f in the engine for %d groups (%d bytes), %.0f for 50, %.0f through the wire client", engineAllocs, groups, engineBytes, fewAllocs, wireAllocs)
-	if engineAllocs > 36 || engineAllocs > fewAllocs+8 {
-		t.Errorf("ExecPreparedColumns allocated %.0f objects for %d rows and %.0f for 50, want at most 36 and at most 8 apart: a constant per query", engineAllocs, groups, fewAllocs)
+	if engineAllocs > 16 || engineAllocs > fewAllocs+8 {
+		t.Errorf("ExecPreparedColumns allocated %.0f objects for %d rows and %.0f for 50, want at most 16 and at most 8 apart: a constant per query", engineAllocs, groups, fewAllocs)
 	}
 	if engineBytes > 4<<10 {
 		t.Errorf("ExecPreparedColumns allocated %d bytes for %d rows, want at most 4 KB: the read folds or copies the view's cells", engineBytes, groups)
@@ -200,6 +203,64 @@ func TestGroupPreservingReadsSkipTheFold(t *testing.T) {
 		}
 		if moved := folds() - before; (moved == 0) != want {
 			t.Errorf("%s over %v: a warm read folded %d morsels; a group-preserving plan folds none, any other at least one (group-preserving: %v)", sh.name, resp.Used, moved, want)
+		}
+	}
+}
+
+// TestWarmReadsPayForWhatTheyRead pins what a warm read of each of the
+// six view_hit shapes allocates beyond its result columns (at most one
+// object a column: the cells it copied out of the view). Each is a
+// fixed cost of the read — the evaluator, the batch, the result table,
+// the pprof label — and the pins are what they measure; before the plan
+// shape was derived once per prepared statement, the metric handles once
+// per registry and a one-morsel input ran inline, the same reads
+// allocated 38-67 objects in all. A read right after two collections,
+// which empty the engine's pools, allocates for the rows it reads (under
+// 8 KB for a 10-row view), not a morsel's worth of every scratch array
+// (about 46 KB when a pool miss made a whole scratch).
+func TestWarmReadsPayForWhatTheyRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads a 100000-row warehouse")
+	}
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop what the pipeline recycles")
+	}
+	const calls = 100_000
+	ctx := context.Background()
+	sys := warehouse(t, calls)
+	inProcess(t, sys) // the server's metrics registry, as the benchmark reads
+	pinned := map[string]float64{"paper_q_1995": 21, "paper_q_1996": 21, "plan_month": 12, "plan_total": 11, "per_customer": 9, "plan_max": 12}
+	for _, sh := range viewShapes(calls) {
+		p, err := sys.PrepareContext(ctx, sh.sql)
+		if err != nil || len(p.Used) == 0 {
+			t.Fatalf("%s: no plan over a view: %v", sh.name, err)
+		}
+		var width int
+		read := func() {
+			res, err := sys.ExecPreparedColumns(ctx, p, nil)
+			if err != nil || res.NumRows() == 0 {
+				t.Fatalf("%s: empty result or error: %v", sh.name, err)
+			}
+			width = len(res.Attrs())
+		}
+		beyond := testing.AllocsPerRun(200, read) - float64(width)
+		t.Logf("%s: %.0f objects a read beyond its %d result columns", sh.name, beyond, width)
+		if beyond > pinned[sh.name] {
+			t.Errorf("%s: a warm read allocates %.0f objects beyond its %d result columns, want at most %.0f", sh.name, beyond, width, pinned[sh.name])
+		}
+		if sh.name != "plan_max" {
+			continue
+		}
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		cold := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d bytes for a read after two collections", sh.name, cold)
+		if cold >= 8<<10 {
+			t.Errorf("%s: a read after two collections allocates %d B, want under 8 KB: a pool miss costs more than the rows read", sh.name, cold)
 		}
 	}
 }

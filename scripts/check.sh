@@ -41,11 +41,14 @@ go run ./cmd/aggview explain -replay "$TRACE_JSON"
 go test ./...
 go test -race -short ./...
 
-# Write-path benchmark smoke: go test ./... never runs a benchmark, so
-# BenchmarkMaintainWarehouse (insert, delete and update over the six
-# tracked views of a 100000-row warehouse) runs once here and cannot go
+# Write- and read-path benchmark smoke: go test ./... never runs a
+# benchmark, so BenchmarkMaintainWarehouse (insert, delete and update
+# over the six tracked views of a 100000-row warehouse) and the engine
+# half of BenchmarkViewRead (the six view_hit shapes through
+# ExecPreparedColumns on the same warehouse) run once here and cannot go
 # stale.
 go test -run '^$' -bench BenchmarkMaintainWarehouse -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkViewRead/.*/engine' -benchtime 1x .
 
 # Canonical-key gate (DESIGN.md section 3): two fuzzed tuples'
 # concatenated value.AppendKey bytes are equal exactly when the tuples

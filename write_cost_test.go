@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,10 +92,18 @@ func allocated(fn func()) uint64 {
 // columns and must stay under twice their bytes — not boxed rows, key
 // strings or a rebuilt column image. The insert, averaged over 64 of
 // them, and the update, averaged over 8, have bounds of their own at
-// 100000 rows: under 56 400 B and 55 800 B, 1.25x what they measure
-// since V1 looks up each row's plan on Calling_Plans' key instead of
-// running a delta query and a batch keeps its commit list (insert
-// 45 100 B, update 40 600-44 600 B). While V1 ran its query the bounds
+// 100000 rows: under 55 800 B and 50 800 B, 1.25x what they measure
+// since the engine's scratch is sized to the rows a morsel reads and a
+// one-morsel match keeps a selection of its survivors (insert 44 600 B,
+// update 39 500-40 600 B). Five updates measured alone lie within 1.25x
+// of each other (38 400-43 600 B): whether the engine's pooled scratch
+// survived the collector run before the measurement moves one by the
+// rows its match read, not by a whole scratch (38 600 or 78 700 B when a
+// pool miss made a morsel's worth of every array). The bounds were
+// 56 400 B and 55 800 B once V1 looked up each row's plan on
+// Calling_Plans' key instead of running a delta query and a batch kept
+// its commit list (insert 45 100 B, update 40 600-44 600 B). While V1
+// ran its query the bounds
 // were 66 000 B each (insert 52 100-52 600 B, update 46 700-52 900 B,
 // once each view kept its staging scratch across batches and an update
 // shared the columns it leaves alone). Before that the insert measured
@@ -147,12 +156,10 @@ func TestWriteCostIsDeltaSized(t *testing.T) {
 			t.Fatalf("deleted %d rows, want 8 (err %v)", n, err)
 		}
 		// The update, like the insert, is averaged over several in a row,
-		// and five more are measured alone and logged: one update alone
-		// reads about 40 KB more or less by whether the engine's pooled
-		// scratch survived the collector run before the measurement
-		// (38 600 or 78 700 B; 46 800 or 93 100 B while V1 ran a delta
-		// query). V1's query was not what spread them: the UPDATE's own
-		// match takes a scratch from the same pool.
+		// and five more are measured alone: one update alone reads a few
+		// KB more or less by whether the engine's pooled scratch survived
+		// the collector run before the measurement, as the UPDATE's match
+		// takes one.
 		const updates = 8
 		c.update = allocated(func() {
 			for i := 0; i < updates; i++ {
@@ -182,11 +189,14 @@ func TestWriteCostIsDeltaSized(t *testing.T) {
 			t.Errorf("a %s allocates %d B at 100000 rows against %d B at 10000: the write is not delta-sized", w.name, w.large, w.small)
 		}
 	}
-	if large.insert >= 56_400 {
-		t.Errorf("at 100000 rows a 16-row insert allocates %d B on average, want under 56400", large.insert)
+	if large.insert >= 55_800 {
+		t.Errorf("at 100000 rows a 16-row insert allocates %d B on average, want under 55800", large.insert)
 	}
-	if large.update >= 55_800 {
-		t.Errorf("at 100000 rows an 8-row update allocates %d B on average, want under 55800", large.update)
+	if large.update >= 50_800 {
+		t.Errorf("at 100000 rows an 8-row update allocates %d B on average, want under 50800", large.update)
+	}
+	if lo, hi := slices.Min(large.single[:]), slices.Max(large.single[:]); 4*hi > 5*lo {
+		t.Errorf("at 100000 rows five single 8-row updates allocate %d to %d B, want within 1.25x of each other", lo, hi)
 	}
 	if large.delete >= 256<<10 || large.update >= 256<<10 {
 		t.Errorf("at 100000 rows an 8-row delete allocates %d B and an 8-row update %d B, want under 256 KB each", large.delete, large.update)
