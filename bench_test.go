@@ -392,6 +392,25 @@ func BenchmarkMaintainWarehouse(b *testing.B) {
 	})
 }
 
+// BenchmarkTrackWarehouse measures TrackViewContext of each of the six
+// warehouse views on the 100 000-row warehouse, one sub-benchmark per
+// view: the view's materialization and counting state built from the
+// tables. Each iteration tracks the view again, which rebuilds it in full.
+func BenchmarkTrackWarehouse(b *testing.B) {
+	ctx := context.Background()
+	sys := untrackedWarehouse(b, 100_000)
+	for _, v := range warehouseViews {
+		b.Run(v, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if inc, err := sys.TrackViewContext(ctx, v); err != nil || !inc {
+					b.Fatalf("tracking %s: incremental=%v err=%v", v, inc, err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE12Advise measures the advisor's recommendation pass over the
 // three-query telco workload (table T12).
 func BenchmarkE12Advise(b *testing.B) {

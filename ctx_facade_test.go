@@ -8,6 +8,7 @@ import (
 
 	"aggview/internal/budget"
 	"aggview/internal/engine"
+	"aggview/internal/faultinject"
 	"aggview/internal/obs"
 )
 
@@ -33,6 +34,43 @@ func TestQueryContextCanceled(t *testing.T) {
 	}
 	if _, _, err := s.QueryBestContext(ctx, facadeQ); !budget.IsCanceled(err) {
 		t.Fatalf("QueryBestContext: want Canceled, got %v", err)
+	}
+}
+
+// TestTrackCanceledMidAbsorb cancels a Track part-way through the rows it
+// absorbs: T spans three storage chunks, and the injector fires at the
+// third maintenance site, the start of T's third chunk (the first is the
+// rebuild's own check, the second the second chunk's). The Track returns
+// a typed Canceled and leaves V neither stored nor tracked; a clean retry
+// tracks V as its definition reads.
+func TestTrackCanceledMidAbsorb(t *testing.T) {
+	ctx := context.Background()
+	const def = "SELECT G, SUM(X), MAX(X) FROM T GROUP BY G"
+	s := New()
+	s.MustLoad("CREATE TABLE T(G, X); CREATE VIEW V AS " + def + ";")
+	rows := make([][]Value, engine.RowsSpanning(3))
+	for i := range rows {
+		rows[i] = []Value{Int(int64(i % 7)), Int(int64(i))}
+	}
+	if err := s.InsertContext(ctx, "T", rows...); err != nil {
+		t.Fatal(err)
+	}
+	want := mustQuery(t, s, def)
+	in := faultinject.New(faultinject.SiteMaintain, 3)
+	fctx, cancel := in.Arm(ctx)
+	_, err := s.TrackViewContext(fctx, "V")
+	cancel()
+	if !in.Fired() || !budget.IsCanceled(err) {
+		t.Fatalf("a Track canceled mid-absorb returned %v (fired %v), want a typed Canceled", err, in.Fired())
+	}
+	if _, stored := s.DB.NumRows("V"); stored || len(s.ViewModes()) != 0 {
+		t.Fatal("a canceled Track stored or tracked V")
+	}
+	if _, err := s.TrackViewContext(ctx, "V"); err != nil {
+		t.Fatalf("the retried Track: %v", err)
+	}
+	if got, _ := s.DB.Get("V"); !engine.ResultsEqualBag(got, want) {
+		t.Fatalf("V after the retried Track:\n%s\nwant:\n%s", got.Sorted(), want.Sorted())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"aggview/internal/engine"
+	"aggview/internal/maintain"
 	"aggview/internal/obs"
 	"aggview/internal/value"
 )
@@ -458,4 +459,46 @@ func TestProbeOverflowIsTheExactTotal(t *testing.T) {
 	if got, want := cellBits(w), "1 | 4611686018427387909 | 4\n"; got != want {
 		t.Errorf("tracked W: %q, want %q", got, want)
 	}
+}
+
+// TestProbeMinMaxViewTracksItsExactTotal: T holds (1, MaxInt64, 0.5) and
+// (1, MinInt64, 1.0) twice each, and V sums I and takes MIN and MAX of F
+// by G. V's total, -2, fits int64, but the two MaxInt64 rows share their
+// F: a Track that grouped by the MIN/MAX argument too would total them
+// past int64 and refuse V. Track reads T's rows itself, so V reads as its
+// definition, 1 | -2 | 0.5 | 1.0. Deleting one MaxInt64 row leaves
+// MaxInt64 + 2·MinInt64, which int64 cannot hold, so the delete is
+// refused and V still reads as its definition; deleting one MinInt64 row
+// leaves MaxInt64 - 1, and V reads as its definition again.
+func TestProbeMinMaxViewTracksItsExactTotal(t *testing.T) {
+	ctx := context.Background()
+	const def = "SELECT G, SUM(I), MIN(F), MAX(F) FROM T GROUP BY G"
+	s := New()
+	s.MustLoad("CREATE TABLE T(G, I, F); CREATE VIEW V AS " + def + ";")
+	maxRow, minRow := []Value{Int(1), Int(math.MaxInt64), Float(0.5)}, []Value{Int(1), Int(math.MinInt64), Float(1)}
+	if err := s.InsertContext(ctx, "T", maxRow, maxRow, minRow, minRow); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TrackViewContext(ctx, "V"); err != nil {
+		t.Fatalf("TrackViewContext: %v", err)
+	}
+	asDefinition := func(step, want string) {
+		t.Helper()
+		v, _ := s.DB.Get("V")
+		if got := cellBits(v); got != want || got != cellBits(mustQuery(t, s, def)) {
+			t.Errorf("after %s: V reads %q, want %q, the definition %q", step, got, want, cellBits(mustQuery(t, s, def)))
+		}
+	}
+	const tracked = "1 | -2 | 0.5#3fe0000000000000 | 1.0#3ff0000000000000\n"
+	asDefinition("the Track", tracked)
+
+	var ov *value.OverflowError
+	if err := s.maintainer().ApplyContext(ctx, maintain.Mutation{Table: "T", Deletes: [][]Value{maxRow}}); !errors.As(err, &ov) {
+		t.Errorf("deleting one MaxInt64 row: %v, want an overflow error", err)
+	}
+	asDefinition("the refused delete", tracked)
+	if err := s.maintainer().ApplyContext(ctx, maintain.Mutation{Table: "T", Deletes: [][]Value{minRow}}); err != nil {
+		t.Fatalf("deleting one MinInt64 row: %v", err)
+	}
+	asDefinition("deleting a MinInt64 row", "1 | 9223372036854775806 | 0.5#3fe0000000000000 | 1.0#3ff0000000000000\n")
 }

@@ -381,6 +381,14 @@ func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
 	return ct, nil
 }
 
+// MaterializeContext evaluates the named view's definition under a
+// context into its stored image, as the view cache builds it: typed
+// columns named by the view's OutCols and ranged, rows never boxed.
+// Cancellation is observed as ExecColumns observes it.
+func (ev *Evaluator) MaterializeContext(ctx context.Context, name string) (*ColTable, error) {
+	return ev.materialize(ev.newTask(ctx), name)
+}
+
 // materialize evaluates the named view's definition into its stored
 // image. With Metrics attached it runs under a pprof label naming the
 // view.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aggview/internal/engine"
+	"aggview/internal/obs"
 	"aggview/internal/value"
 )
 
@@ -31,9 +32,12 @@ func callRow(rng *rand.Rand, id int) []value.Value {
 
 // TestCallsWritesRunNoEngineQuery is the write-side twin of the facade's
 // TestServedReadsBoxNothing: over the benchmark's six views, tracking
-// them runs one engine execution per view (its seed query), and a 16-row
-// insert, an 8-row delete and an 8-row update of Calls run none. Each
-// view absorbs the write's signed delta table itself, which
+// them runs one engine execution, and a 16-row insert, an 8-row delete
+// and an 8-row update of Calls run none. A Track is a write of its
+// smallest once-read table: the five one-table views absorb Calls' rows
+// themselves, and V1 the ten Calling_Plans rows through its delta query,
+// which walks Calls once (before, each view ran a seed query over Calls,
+// 6 executions). Each view absorbs the write's signed delta table itself, which
 // maintain.delta.direct counts: the five one-table views its rows, V1
 // its rows beside their one partner each in Calling_Plans, looked up on
 // the plans' declared key, which maintain.delta.keyed counts too. A
@@ -66,7 +70,7 @@ func TestCallsWritesRunNoEngineQuery(t *testing.T) {
 		}
 	}
 
-	costs("tracking the six views", int64(len(warehouseViews)), 0, 0, 0, func() error { return trackWarehouse(ctx, m) })
+	costs("tracking the six views", 1, 0, 0, 0, func() error { return trackWarehouse(ctx, m) })
 	rng := rand.New(rand.NewSource(2))
 	inserted := make([][]value.Value, 16)
 	for i := range inserted {
@@ -102,6 +106,38 @@ func TestCallsWritesRunNoEngineQuery(t *testing.T) {
 	}
 }
 
+// TestTrackingAStoredImageBoxesNothing: a view a rebuild takes as its
+// definition's stored image — DISTINCT, HAVING, conjunctive — is built
+// by the engine's view materialization, one execution that boxes no
+// result cell, and reads as its definition. Before, Track ran ExecContext,
+// boxing every cell, and built the image from the boxed rows.
+func TestTrackingAStoredImageBoxesNothing(t *testing.T) {
+	ctx := context.Background()
+	for _, sql := range []string{
+		"SELECT DISTINCT Acct_Id, Day FROM Txns",
+		"SELECT Acct_Id, SUM(Amount) FROM Txns GROUP BY Acct_Id HAVING SUM(Amount) > 100",
+		"SELECT Txn_Id, Branch FROM Txns, Accounts WHERE Txns.Acct_Id = Accounts.Acct_Id",
+	} {
+		m, db, reg := setup(t, sql)
+		rng := rand.New(rand.NewSource(3))
+		rows := make([][]value.Value, 3000)
+		for i := range rows {
+			rows[i] = txn(int64(i), int64(rng.Intn(6)), int64(1+rng.Intn(5)), int64(rng.Intn(90)))
+		}
+		if err := m.InsertContext(ctx, "Txns", rows...); err != nil {
+			t.Fatal(err)
+		}
+		m.Metrics = obs.NewMetrics()
+		if _, err := m.TrackContext(ctx, "V"); err != nil {
+			t.Fatal(err)
+		}
+		if e, b := m.Metrics.Counter("engine.exec").Load(), m.Metrics.Counter("engine.result.cells_boxed").Load(); e != 1 || b != 0 {
+			t.Errorf("tracking %q ran %d engine executions and boxed %d cells, want 1 and 0", sql, e, b)
+		}
+		check(t, m, db, reg)
+	}
+}
+
 // TestKeyLookupCostsUnderAKilobyte bounds what V1's lookup path adds to a
 // 16-row Calls insert: each row's partner looked up in Calling_Plans and
 // the plan name laid beside the rows. Measured: 888 B in 7 objects (the
@@ -125,7 +161,7 @@ func TestKeyLookupCostsUnderAKilobyte(t *testing.T) {
 	p := st.begin()
 	absorb := func() {
 		p.reset(st.groups)
-		if err := p.absorbDelta(delta, st.rows["Calls"], &read); err != nil {
+		if err := p.absorbDelta(ctx, delta, st.rows["Calls"], &read); err != nil {
 			t.Fatal(err)
 		}
 	}

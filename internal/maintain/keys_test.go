@@ -132,7 +132,7 @@ func TestKeysAgreeWithKeyEqual(t *testing.T) {
 func sameAsRebuild(t *testing.T, m *Maintainer, name string, batch int) {
 	t.Helper()
 	st := m.tracked[name]
-	tab, groups, err := m.rebuild(context.Background(), st, nil)
+	tab, groups, err := m.rebuild(context.Background(), st, &overlayStorage{db: m.db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +163,12 @@ func TestFindingATouchedGroupAllocatesNothing(t *testing.T) {
 	if _, err := m.TrackContext(context.Background(), "V"); err != nil {
 		t.Fatal(err)
 	}
-	// A seed query's result: the four group columns, COUNT(*).
+	// A delta query's finer group: the four group columns, COUNT(*).
 	res := engine.BuildColTable(&engine.Relation{Attrs: []string{"t", "a", "d", "x", "n"}, Tuples: [][]value.Value{
 		{value.Int(3), value.Int(1 << 60), value.Int(7), value.Int(-7), value.Int(1)},
 	}})
 	p := &pending{st: m.tracked["V"]}
-	if err := p.absorb(res, nil, nil); err != nil {
+	if err := p.absorb(context.Background(), res, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	cs := make([]cells, 5)

@@ -48,10 +48,15 @@
 // share the coalescing and build the same rows. A MIN/MAX whose
 // extremum's multiplicity reaches zero is re-derived by re-scanning the
 // group's surviving value multiset; a group whose n reaches zero leaves
-// the materialization. Tracking and a recompute run the delta query's
-// form over the tables themselves, every row signed +1 (the seed
-// query), and absorb its result as a batch over no live groups, so
-// every group is folded one way. Groups and multiset values are keyed
+// the materialization. Tracking and a recompute are a write: of the base
+// tables the view reads once, the one holding the fewest rows is set
+// beside a constant +1 sign, an all-insert signed delta, and absorbed
+// the way a write to that table is (the rows themselves, or the delta
+// query) over no live groups, so every group is folded one way. A view
+// that reads no base table once (a self-join, nested views only)
+// recomputes on every write and keeps no counting state; it and every
+// view outside the class is rebuilt as its definition's stored image
+// (engine.Evaluator.MaterializeContext). Groups and multiset values are keyed
 // by their cells' canonical keys (value.AppendKey), which are
 // self-delimiting: concatenated, they are equal exactly when
 // value.KeyEqual holds cell by cell, and never collide. Views outside
@@ -66,7 +71,11 @@
 // fit and aborting the batch when they do not. A view that reads the
 // delta table itself has no such finer total. A running total may pass
 // int64 part-way; only a new total that int64 cannot hold aborts the
-// batch.
+// batch. One shape keeps a finer total in its rebuild too: a joined view
+// with a MIN/MAX whose smallest once-read table has no layout rebuilds
+// through its delta query, grouped by the MIN/MAX arguments, so its
+// Track or recompute is refused when one such group's int SUM leaves
+// int64 although the view's own total fits.
 //
 // Batches apply atomically: every delta evaluation and recomputation
 // runs first, against the pre-mutation state (plus previously staged
@@ -187,18 +196,20 @@ type state struct {
 	// aggs the positions holding aggregate outputs.
 	groupPos []int
 	aggs     []aggOut
-	// seed is an incremental view's delta query over the tables
-	// themselves, every row signed +1: the view's group columns, then
-	// its MIN/MAX argument columns (grouped by too), SUM(arg) per
-	// SUM/AVG and COUNT(*) at nAt — or, for a conjunctive view, the
-	// definition itself. delta holds, per table the definition reads once
-	// (by name), the same query with that table's occurrence carrying the
-	// sign column, grouped by it too and selecting it last, at nAt+1 —
-	// or the definition selecting the sign last. A view over one table
-	// alone has none: it reads that table's writes itself (rows). A
-	// joined view keeps one for a table it reads that way too, for a
-	// batch whose lookups cannot trust a key (layout.trusted). A delta
-	// query is kept as its engine plan, derived once.
+	// seed is the template of an incremental view's delta queries and
+	// layouts, never executed: the view's group columns, then its MIN/MAX
+	// argument columns (grouped by too), SUM(arg) per SUM/AVG and
+	// COUNT(*) at nAt — or, for a conjunctive view, the definition
+	// itself. delta holds, per base table the definition reads once and
+	// not through a view (by name), the template with that table's
+	// occurrence carrying the sign column, grouped by it too and
+	// selecting it last, at nAt+1 — or the definition selecting the sign
+	// last. A view over one table alone has none: it reads that table's
+	// writes itself (rows). A joined view keeps one for a table it reads
+	// that way too, for a batch whose lookups cannot trust a key
+	// (layout.trusted). A delta query is kept as its engine plan, derived
+	// once. The tables of rows and delta are the ones a rebuild may
+	// drive from (driver).
 	seed  *ir.Query
 	delta map[string]*engine.Plan
 	nAt   int
@@ -215,8 +226,9 @@ type state struct {
 	viaView map[string]bool
 	depth   int // nesting depth over other tracked views, for commit order
 	// groups is the counting state of an incremental aggregation view
-	// (nil for any other view); every row of the materialization is built
-	// from it (pending.row), never by executing the definition.
+	// with a table to drive its rebuild from (nil for any other view);
+	// every row of the materialization is built from it (pending.row),
+	// never by executing the definition.
 	groups map[cellKey]*group
 	// tab is the installed materialization.
 	tab *engine.ColTable
@@ -384,8 +396,8 @@ func New(db *engine.DB, views *ir.Registry) *Maintainer {
 	return &Maintainer{db: db, views: views, tracked: map[string]*state{}}
 }
 
-// evaluator builds a fresh engine evaluator reading store (nil: the live
-// database) and reporting to the maintainer's metrics.
+// evaluator builds a fresh engine evaluator reading store and reporting
+// to the maintainer's metrics.
 func (m *Maintainer) evaluator(store engine.Storage) *engine.Evaluator {
 	ev := engine.NewEvaluator(m.db, m.views)
 	ev.Store, ev.Workers, ev.Metrics = store, m.Workers, m.Metrics
@@ -411,7 +423,7 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 		st.reason = st.tableFallback()
 		buildDelta(st, m.keysOf)
 	}
-	tab, groups, err := m.rebuild(ctx, st, nil)
+	tab, groups, err := m.rebuild(ctx, st, &overlayStorage{db: m.db})
 	if err != nil {
 		return false, err
 	}
@@ -427,39 +439,35 @@ func (m *Maintainer) TrackContext(ctx context.Context, name string) (incremental
 }
 
 // rebuild derives a tracked view's materialization, and the counting
-// state that goes with it, from store (nil: the live database) in full:
-// what TrackContext and a recompute inside a batch each need, changing
-// nothing live. An incremental aggregation view absorbs its seed query's
-// result as a batch over no live groups, so each group is created, staged
-// and folded as a write's, in the order the seed's rows first name them —
-// the definition's own group order: the two share FROM and WHERE, the
-// seed's GROUP BY only refines the definition's, and the engine emits
-// groups in first-appearance order. Any other view is its definition,
-// executed, and has no groups.
-func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storage) (*engine.ColTable, map[cellKey]*group, error) {
-	ev := m.evaluator(store)
-	rel := &engine.Relation{Attrs: append([]string{}, st.def.OutCols...)}
-	if !st.incremental || st.conjunctive {
-		res, err := ev.ExecContext(ctx, st.def.Def)
-		if err != nil {
-			return nil, nil, err
-		}
-		rel.Tuples = res.Tuples
-		return engine.BuildColTable(rel), nil, nil
+// state that goes with it, from store in full: what TrackContext and a
+// recompute inside a batch each need, changing nothing live. An
+// incremental aggregation view rebuilds as a write to its driver table:
+// the table beside a constant +1 sign is an all-insert signed delta,
+// which absorbSigned takes as it takes a write's, over no live groups,
+// so each group is created, staged and folded as a write's, in the order
+// the delta's rows, or its delta query's, first name it. Any other view
+// is its definition's stored image and has no groups.
+func (m *Maintainer) rebuild(ctx context.Context, st *state, store *overlayStorage) (*engine.ColTable, map[cellKey]*group, error) {
+	if err := poll(ctx, "maintain.rebuild"); err != nil {
+		return nil, nil, err
 	}
-	res, err := ev.ExecColumns(ctx, engine.NewPlan(st.seed))
+	table, tab, err := st.driver(store)
 	if err != nil {
 		return nil, nil, err
 	}
+	if tab == nil {
+		ct, err := m.evaluator(store).MaterializeContext(ctx, st.def.Name)
+		return ct, nil, err
+	}
 	p := &pending{st: st, live: map[cellKey]*group{}}
-	if err := p.absorb(res, nil, nil); err != nil {
+	signed := tab.Beside(plusOne, []int{0}, make([]int32, tab.NumRows()))
+	if _, err := m.absorbSigned(ctx, p, table, signed, store, store.staged); err != nil {
 		return nil, nil, err
 	}
 	d, err := p.stageAggregation()
 	if err != nil {
 		return nil, nil, err
 	}
-	rel.Tuples = d.Append
 	p.fold()
 	// A rebuilt multiset keeps room for an eighth more values, not the
 	// slack its appends left: enough that a write adding a value does not
@@ -470,7 +478,41 @@ func (m *Maintainer) rebuild(ctx context.Context, st *state, store engine.Storag
 			vals.ents = append(make([]mmEntry, 0, len(vals.ents)+len(vals.ents)/8), vals.ents...)
 		}
 	}
-	return engine.BuildColTable(rel), p.live, nil
+	return engine.BuildColTable(&engine.Relation{Attrs: slices.Clone(st.def.OutCols), Tuples: d.Append}), p.live, nil
+}
+
+// plusOne is the one-row sign table a rebuild sets beside every row of
+// its driver table.
+var plusOne = engine.BuildColTable(&engine.Relation{Attrs: []string{signAttr}, Tuples: [][]value.Value{{value.Int(1)}}})
+
+// driver returns the base table an incremental aggregation view's
+// rebuild reads as its all-insert delta, as store holds it: of the tables
+// whose writes the view absorbs (rows, delta), the one holding the
+// fewest rows, the first in FROM order on a tie. The fewer the rows, the
+// fewer a direct absorb visits and looks partners up for. A conjunctive
+// view, one outside the class and one that reads no base table once have
+// none (nil).
+func (st *state) driver(store *overlayStorage) (string, *engine.ColTable, error) {
+	if st.conjunctive {
+		return "", nil, nil
+	}
+	var name string
+	var best *engine.ColTable
+	for _, t := range st.def.Def.Tables {
+		if st.rows[t.Source] == nil && st.delta[t.Source] == nil {
+			continue
+		}
+		tab, found, err := store.Scan(t.Source)
+		switch {
+		case err != nil:
+			return "", nil, err
+		case !found:
+			return "", nil, fmt.Errorf("maintain: unknown table %q", t.Source)
+		case best == nil || tab.NumRows() < best.NumRows():
+			name, best = t.Source, tab
+		}
+	}
+	return name, best, nil
 }
 
 // classify fills the select-position metadata and names the shape that
@@ -576,10 +618,11 @@ func (st *state) resolveSources(views *ir.Registry, tracked map[string]*state) {
 // table's own: -1 on a deleted row, +1 on an inserted one.
 const signAttr = "sign"
 
-// buildDelta constructs an incremental view's seed query, its layout over
-// the signed delta table of each table whose writes it reads itself
+// buildDelta constructs an incremental view's seed template, its layout
+// over the signed delta table of each table whose writes it reads itself
 // (rowsOf), and one delta query per table the definition reads once and
-// joins: keys gives a table's declared keys.
+// joins: keys gives a table's declared keys. A table the view also reads
+// through a nested view gets neither: its writes recompute the view.
 func buildDelta(st *state, keys func(table string) [][]int) {
 	def := st.def.Def
 	st.seed = def
@@ -619,7 +662,7 @@ func buildDelta(st *state, keys func(table string) [][]int) {
 	}
 	st.rows, st.delta = map[string]*layout{}, map[string]*engine.Plan{}
 	for ti, t := range def.Tables {
-		if st.direct[t.Source] != 1 {
+		if st.direct[t.Source] != 1 || st.viaView[t.Source] {
 			continue
 		}
 		lay := st.rowsOf(ti, keys)
@@ -761,7 +804,7 @@ func joinOn(def *ir.Query, ti, tj int, keys [][]int, used []bool) (keyJoin, bool
 	return keyJoin{}, false
 }
 
-// signed returns the seed query with table occurrence ti read from a
+// signed returns the seed template with table occurrence ti read from a
 // delta table: the occurrence gains the sign column, selected last — and,
 // for an aggregation view, grouped by, so each finer group's totals and
 // count are its deleted or its inserted rows', never a product of the
@@ -879,8 +922,9 @@ func (c *cells) appendKey(dst []byte, j int) []byte {
 // the chunk holding it and its index there; nothing is boxed but what fn
 // boxes. cs[i] holds res's column cols[i] (column i when cols is nil).
 // scratch holds the cells, grown to their width and cleared on the way
-// out.
-func eachRow(res *engine.ColTable, cols []int, sel []int32, scratch *[]cells, fn func(cs []cells, j int) error) error {
+// out. Each chunk after the first is a cancellation point (poll), so a
+// rebuild's or a bulk write's absorb honours ctx.
+func eachRow(ctx context.Context, res *engine.ColTable, cols []int, sel []int32, scratch *[]cells, fn func(cs []cells, j int) error) error {
 	w := len(res.Attrs())
 	if cols != nil {
 		w = len(cols)
@@ -891,6 +935,11 @@ func eachRow(res *engine.ColTable, cols []int, sel []int32, scratch *[]cells, fn
 	cs := (*scratch)[:w]
 	defer clear(cs)
 	for k, done, n := 0, 0, res.NumRows(); done < n; k++ {
+		if k > 0 {
+			if err := poll(ctx, "maintain.absorb"); err != nil {
+				return err
+			}
+		}
 		rows := 0
 		for c := range cs {
 			col := c
@@ -1099,7 +1148,7 @@ func (p *pending) cancel() {
 
 // slabChunk caps the groups the first slab chunk of a batch holds; each
 // later chunk doubles the last, so a result naming few groups in many
-// rows (a seed query's) allocates for its groups, not its rows.
+// rows (a rebuild's) allocates for its groups, not its rows.
 const slabChunk = 64
 
 // touched is one group's staged state. next carries the scalars (n and
@@ -1130,7 +1179,6 @@ type touched struct {
 func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	inj := faultinject.From(ctx)
 
 	// Stage base-table deltas (validating arity and delete multiset
 	// membership) without installing anything. seen[i] is mutation i's
@@ -1189,12 +1237,10 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 		}
 	}()
 	for i, mut := range muts {
-		// The mutation's signed delta table, and the evaluator of the
-		// delta queries over it in place of the table: each built for the
-		// first view that needs it, so a write no tracked view depends on
-		// costs what the engine's own append does.
+		// The mutation's signed delta table, built for the first view that
+		// needs it, so a write no tracked view depends on costs what the
+		// engine's own append does.
 		var delta *engine.ColTable
-		var ev *engine.Evaluator
 		for _, st := range m.order {
 			if !st.trans[mut.Table] {
 				continue
@@ -1211,8 +1257,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 				m.Metrics.Volatile("maintain.fallback.full").Inc()
 				continue
 			}
-			inj.Observe(faultinject.SiteMaintain, 1)
-			if err := budget.Check(ctx, "maintain.delta"); err != nil {
+			if err := poll(ctx, "maintain.delta"); err != nil {
 				return err
 			}
 			if len(mut.Deletes)+len(mut.Inserts) == 0 {
@@ -1221,22 +1266,15 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 			if delta == nil {
 				delta = m.signedDelta(overlay[mut.Table].base.Attrs(), mut)
 			}
-			var err error
-			if lay := st.rows[mut.Table]; lay != nil && lay.trusted(committed, overlay) {
-				err = p.absorbDelta(delta, lay, &read)
-				m.Metrics.Volatile("maintain.delta.direct").Inc()
-				if len(lay.joins) > 0 {
-					m.Metrics.Volatile("maintain.delta.keyed").Inc()
-				}
-			} else {
-				if ev == nil {
-					ev = m.evaluator(&overlayStorage{db: m.db, staged: committed, key: mut.Table, delta: delta})
-				}
-				var res *engine.ColTable
-				if res, err = ev.ExecColumns(ctx, st.delta[mut.Table]); err == nil {
-					err = p.absorb(res, nil, nil)
-				}
+			direct, err := m.absorbSigned(ctx, p, mut.Table, delta, &read, overlay)
+			switch {
+			case !direct:
 				m.Metrics.Volatile("maintain.delta.query").Inc()
+			case len(st.rows[mut.Table].joins) > 0:
+				m.Metrics.Volatile("maintain.delta.keyed").Inc()
+				fallthrough
+			default:
+				m.Metrics.Volatile("maintain.delta.direct").Inc()
 			}
 			// A finer group's int total past int64 (two deleted MaxInt64
 			// rows, say) need not mean the view's new totals leave it: the
@@ -1262,10 +1300,6 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 		case p == nil:
 			continue
 		case p.recompute:
-			inj.Observe(faultinject.SiteMaintain, 1)
-			if err := budget.Check(ctx, "maintain.recompute"); err != nil {
-				return err
-			}
 			tab, groups, err := m.rebuild(ctx, st, &overlayStorage{db: m.db, staged: overlay})
 			if err != nil {
 				return err
@@ -1299,8 +1333,7 @@ func (m *Maintainer) ApplyContext(ctx context.Context, muts ...Mutation) error {
 
 	// Final injection point before the commit: the batch is still
 	// all-or-nothing because nothing below can fail.
-	inj.Observe(faultinject.SiteMaintain, 1)
-	if err := budget.Check(ctx, "maintain.commit"); err != nil {
+	if err := poll(ctx, "maintain.commit"); err != nil {
 		return err
 	}
 
@@ -1431,6 +1464,34 @@ func (o *overlayStorage) Scan(name string) (*engine.ColTable, bool, error) {
 	return o.db.Scan(name)
 }
 
+// poll is the maintainer's cancellation point: it observes
+// faultinject.SiteMaintain once and returns a typed *budget.Canceled,
+// naming site, once ctx is done.
+func poll(ctx context.Context, site string) error {
+	faultinject.From(ctx).Observe(faultinject.SiteMaintain, 1)
+	return budget.Check(ctx, site)
+}
+
+// absorbSigned absorbs delta, the signed delta table of a write to table,
+// into p: the one way a write and a rebuild reach a view's counting
+// state. A view with a layout over table reads the rows itself
+// (absorbDelta), looking partners up as read holds them, unless the
+// batch so far leaves a key-side table in a version its keys are not
+// known to hold in (layout.trusted, final being every table the batch
+// stages); any other runs its delta query over read with table bound to
+// delta. It reports whether the rows were read directly.
+func (m *Maintainer) absorbSigned(ctx context.Context, p *pending, table string, delta *engine.ColTable, read *overlayStorage, final map[string]*staged) (direct bool, err error) {
+	if lay := p.st.rows[table]; lay != nil && lay.trusted(read.staged, final) {
+		return true, p.absorbDelta(ctx, delta, lay, read)
+	}
+	ev := m.evaluator(&overlayStorage{db: m.db, staged: read.staged, key: table, delta: delta})
+	res, err := ev.ExecColumns(ctx, p.st.delta[table])
+	if err != nil {
+		return false, err
+	}
+	return false, p.absorb(ctx, res, nil, nil)
+}
+
 // trusted reports whether the batch so far leaves each key-side table of
 // the layout either as it is live or as the batch's last mutation of it
 // leaves it: the versions its keys are known to hold in, which the
@@ -1453,7 +1514,7 @@ func (lay *layout) trusted(committed, overlay map[string]*staged) bool {
 // out, as the join drops it. The engine's filter keeps the rows the
 // view's WHERE admits (engine.ColTable.Select), and each kept row is a
 // finer group of its own, its sign its count.
-func (p *pending) absorbDelta(delta *engine.ColTable, lay *layout, read *overlayStorage) error {
+func (p *pending) absorbDelta(ctx context.Context, delta *engine.ColTable, lay *layout, read *overlayStorage) error {
 	rows, n, orphans := delta, delta.NumRows(), 0
 	if len(lay.joins) > 0 {
 		p.orphan = append(p.orphan[:0], make([]bool, n)...)
@@ -1494,7 +1555,7 @@ func (p *pending) absorbDelta(delta *engine.ColTable, lay *layout, read *overlay
 		}
 		p.kept = sel
 	}
-	return p.absorb(rows, lay.cols, sel)
+	return p.absorb(ctx, rows, lay.cols, sel)
 }
 
 // absorb coalesces one delta query's result — or, read through cols and
@@ -1504,11 +1565,11 @@ func (p *pending) absorbDelta(delta *engine.ColTable, lay *layout, read *overlay
 // their multiplicities and exact totals adding up (a deleted one's
 // subtracting) and each MIN/MAX multiset taking its argument value's
 // Δcount. This is the one place a SUM or AVG delta is added.
-func (p *pending) absorb(res *engine.ColTable, cols []int, sel []int32) error {
+func (p *pending) absorb(ctx context.Context, res *engine.ColTable, cols []int, sel []int32) error {
 	st := p.st
 	if st.conjunctive {
 		w := len(st.def.Def.Select)
-		return eachRow(res, cols, sel, &st.cells, func(cs []cells, j int) error {
+		return eachRow(ctx, res, cols, sel, &st.cells, func(cs []cells, j int) error {
 			row := rowValues(cs, w, j)
 			if cs[w].ints[j] > 0 {
 				p.conjAdd = append(p.conjAdd, row)
@@ -1525,7 +1586,7 @@ func (p *pending) absorb(res *engine.ColTable, cols []int, sel []int32) error {
 		n := min(p.rows, slabChunk)
 		p.groups, p.keys = make(map[cellKey]*touched, n), make([]cellKey, 0, n)
 	}
-	return eachRow(res, cols, sel, &st.cells, func(cs []cells, j int) error {
+	return eachRow(ctx, res, cols, sel, &st.cells, func(cs []cells, j int) error {
 		t := p.group(cs, j)
 		g := &t.next
 		// The count of a delta query's finer group, negated under sign

@@ -43,11 +43,14 @@ go test -race -short ./...
 
 # Write- and read-path benchmark smoke: go test ./... never runs a
 # benchmark, so BenchmarkMaintainWarehouse (insert, delete and update
-# over the six tracked views of a 100000-row warehouse) and the engine
-# half of BenchmarkViewRead (the six view_hit shapes through
+# over the six tracked views of a 100000-row warehouse),
+# BenchmarkTrackWarehouse (each of those views tracked, one
+# sub-benchmark per view: Track time has a standing number) and the
+# engine half of BenchmarkViewRead (the six view_hit shapes through
 # ExecPreparedColumns on the same warehouse) run once here and cannot go
 # stale.
 go test -run '^$' -bench BenchmarkMaintainWarehouse -benchtime 1x .
+go test -run '^$' -bench BenchmarkTrackWarehouse -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkViewRead/.*/engine' -benchtime 1x .
 
 # Canonical-key gate (DESIGN.md section 3): two fuzzed tuples'

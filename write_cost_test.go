@@ -13,11 +13,27 @@ import (
 	"aggview/internal/engine"
 )
 
+// warehouseViews names the six views warehouse tracks.
+var warehouseViews = []string{"V1", "VPlanMonth", "VCust", "VSel96", "VYear", "VRange"}
+
 // warehouse loads Example 1.1's Calls table at the given size with six
 // tracked views of the shapes the benchmark maintains (join, SUM/COUNT,
 // MAX, selective, coarse, MIN/MAX). Extra columns widen Calls beyond
 // what any view or query mentions.
 func warehouse(t testing.TB, calls int, extra ...string) *aggview.System {
+	t.Helper()
+	sys := untrackedWarehouse(t, calls, extra...)
+	for _, v := range warehouseViews {
+		if inc, err := sys.TrackViewContext(context.Background(), v); err != nil || !inc {
+			t.Fatalf("tracking %s: incremental=%v err=%v", v, inc, err)
+		}
+	}
+	return sys
+}
+
+// untrackedWarehouse is warehouse with its six views declared, none of
+// them tracked.
+func untrackedWarehouse(t testing.TB, calls int, extra ...string) *aggview.System {
 	t.Helper()
 	cols := append([]string{"Call_Id", "Cust_Id", "Plan_Id", "Day", "Month", "Year", "Charge"}, extra...)
 	sys := aggview.New()
@@ -49,11 +65,6 @@ func warehouse(t testing.TB, calls int, extra ...string) *aggview.System {
 	}
 	if err := sys.InsertContext(context.Background(), "Calls", rel.Tuples...); err != nil {
 		t.Fatal(err)
-	}
-	for _, v := range []string{"V1", "VPlanMonth", "VCust", "VSel96", "VYear", "VRange"} {
-		if inc, err := sys.TrackViewContext(context.Background(), v); err != nil || !inc {
-			t.Fatalf("tracking %s: incremental=%v err=%v", v, inc, err)
-		}
 	}
 	return sys
 }
