@@ -29,6 +29,11 @@
 // PrepareContext, Explain, and AdviseContext) and prepared
 // execution (ExecPreparedOnContext, ExecPreparedColumns, QueryOnContext).
 // Load is the bulk-load path and runs unbounded.
+//
+// An operation's bounds ride its context alone: a deadline
+// (context.WithTimeout) and a budget (WithLimits) bound the operation
+// they are put on, and a caller puts fresh ones on each call it wants
+// bounded on its own.
 package aggview
 
 import (
@@ -63,7 +68,22 @@ type (
 	Rewriting = core.Rewriting
 	// Options tunes the rewriter.
 	Options = core.Options
+	// Limits bounds one operation's rows, rewrite candidates and
+	// columnar memory; zero fields are unlimited (WithLimits).
+	Limits = budget.Limits
 )
+
+// WithLimits returns ctx carrying a fresh budget of l, which bounds
+// every operation run under it: the rewrite search charges candidates,
+// the engine rows and memory, and one past a limit aborts with a typed
+// *budget.Exceeded. Operations that share the context share the budget.
+// With every limit zero it returns ctx unchanged.
+func WithLimits(ctx context.Context, l Limits) context.Context {
+	if l == (Limits{}) {
+		return ctx
+	}
+	return budget.WithMeter(ctx, budget.NewMeter(l))
+}
 
 // Int builds an integer value.
 func Int(i int64) Value { return value.Int(i) }
@@ -89,11 +109,6 @@ type System struct {
 	// until a caller opts in. The rewrite search reports to the request
 	// span on each operation's context (obs.WithSpan).
 	Metrics *obs.Metrics
-	// Store, when non-nil, replaces DB as the storage backend behind
-	// every evaluator's base-table scans. The fault harness installs
-	// engine.NewFaultStorage here to exercise I/O-error paths; normal
-	// operation leaves it nil.
-	Store engine.Storage
 
 	maint *maintain.Maintainer
 }
@@ -124,30 +139,6 @@ func (s *System) evaluator(reg *ir.Registry, store engine.Storage) *engine.Evalu
 	ev.Workers = s.Opts.Workers
 	ev.Metrics = s.Metrics
 	return ev
-}
-
-// opCtx prepares a per-operation context from the system's resource
-// knobs: Opts.Deadline (when set) becomes a timeout, and
-// Opts.MaxRows/MaxCandidates attach a fresh budget meter unless the
-// caller already supplied one via budget.WithMeter (a caller-supplied
-// meter wins, so one pool can span several operations). Every read, plan
-// and advice routes through opCtx. Writes (InsertContext, DeleteContext,
-// UpdateContext, ExecContext) and TrackViewContext do not: they are
-// bounded by the caller's ctx alone.
-// The returned cancel releases the deadline timer.
-func (s *System) opCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	cancel := context.CancelFunc(func() {})
-	if s.Opts.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.Opts.Deadline)
-	}
-	if budget.MeterFrom(ctx) == nil && (s.Opts.MaxRows > 0 || s.Opts.MaxCandidates > 0 || s.Opts.MaxMemBytes > 0) {
-		ctx = budget.WithMeter(ctx, budget.NewMeter(budget.Limits{
-			MaxRows:       s.Opts.MaxRows,
-			MaxCandidates: s.Opts.MaxCandidates,
-			MaxMemBytes:   s.Opts.MaxMemBytes,
-		}))
-	}
-	return ctx, cancel
 }
 
 // noteFallback records a graceful degradation of operation op: the
@@ -415,7 +406,7 @@ func (s *System) changedRows(ctx context.Context, t *schema.Table, where sqlpars
 	if !ok || tab.NumRows() == 0 {
 		return nil, nil, nil, nil
 	}
-	return s.evaluator(s.Views, s.Store).ChangeContext(ctx, tab, rc)
+	return s.evaluator(s.Views, nil).ChangeContext(ctx, tab, rc)
 }
 
 // TrackViewContext materializes a view and keeps it consistent under
@@ -478,7 +469,7 @@ func (s *System) layered(extra []*ir.ViewDef) (*ir.Registry, error) {
 // granularity with a typed *budget.Canceled or *budget.Exceeded and no
 // partial result.
 func (s *System) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	return s.QueryOnContext(ctx, s.Store, sql)
+	return s.QueryOnContext(ctx, nil, sql)
 }
 
 // RewritingsContext parses the query and enumerates all rewritings that
@@ -492,8 +483,6 @@ func (s *System) QueryContext(ctx context.Context, sql string) (*Result, error) 
 // PrepareContext and QueryBestContext are the entry points that degrade
 // gracefully.
 func (s *System) RewritingsContext(ctx context.Context, sql string) ([]*Rewriting, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
 	st, err := s.statement(sql, true)
 	if err != nil {
 		return nil, err
@@ -692,8 +681,6 @@ func (s *System) PrepareContext(ctx context.Context, sql string) (*Prepared, err
 // request span. st must come from this System's ParseStatement under
 // the catalog it is prepared against.
 func (s *System) PrepareStatement(ctx context.Context, st *Statement) (*Prepared, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
 	stage := obs.SpanFrom(ctx).StartStage("facade.search")
 	rw, err := s.planStatement(ctx, st)
 	stage.End(0)
@@ -760,7 +747,7 @@ func (s *System) planDeps(p *Prepared) []string {
 // brief lock and then run the plan lock-free: concurrent mutation
 // batches install new relation versions without disturbing the pinned
 // ones, so the plan reads one consistent materialization state
-// end to end. Pass s.Store to read whatever storage currently holds.
+// end to end. A nil store reads the live database.
 //
 // The plan's registry snapshot resolves view definitions, so a Prepared
 // stays answer-correct across writes as long as the materialized views
@@ -789,8 +776,6 @@ func (s *System) ExecPreparedColumns(ctx context.Context, p *Prepared, store eng
 // rows of the result. It returns the evaluator too, which boxes the
 // result for a caller that reads rows.
 func (s *System) execPrepared(ctx context.Context, p *Prepared, store engine.Storage) (*engine.ColTable, *engine.Evaluator, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
 	stage := obs.SpanFrom(ctx).StartStage("facade.execute")
 	ev := s.evaluator(p.reg, store)
 	ct, err := ev.ExecColumns(ctx, p.plan)
@@ -815,23 +800,21 @@ func (s *System) QueryOnContext(ctx context.Context, store engine.Storage, sql s
 }
 
 // QueryBestContext executes the query through its cheapest plan: it is
-// PrepareContext followed by ExecPreparedOnContext against s.Store. The
-// second result is the rewriting used, or nil when the query ran
-// directly. Rewritings that reference unmaterialized views still work:
-// their definitions are evaluated on the fly. The rewrite search and
-// the subsequent execution draw from one budget pool (a meter on the
-// context, or one spun up from Opts.MaxRows/MaxCandidates). A search
-// cut by its candidate budget falls back to direct evaluation — tagged
-// as a fallback in the request span — while a row budget exhausted during
-// execution is terminal: there is no cheaper strategy left to try.
+// PrepareContext followed by ExecPreparedOnContext against the live
+// database. The second result is the rewriting used, or nil when the
+// query ran directly. Rewritings that reference unmaterialized views
+// still work: their definitions are evaluated on the fly. The rewrite
+// search and the subsequent execution draw from one budget pool, the
+// one on the context (WithLimits). A search cut by its candidate budget
+// falls back to direct evaluation — tagged as a fallback in the request
+// span — while a row budget exhausted during execution is terminal:
+// there is no cheaper strategy left to try.
 func (s *System) QueryBestContext(ctx context.Context, sql string) (*Result, *Rewriting, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
 	p, err := s.PrepareContext(ctx, sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := s.ExecPreparedOnContext(ctx, p, s.Store)
+	res, err := s.ExecPreparedOnContext(ctx, p, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -846,7 +829,7 @@ func (s *System) ExecRewritingContext(ctx context.Context, r *Rewriting) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecPreparedOnContext(ctx, prepared(r, nil, reg), s.Store)
+	return s.ExecPreparedOnContext(ctx, prepared(r, nil, reg), nil)
 }
 
 // Recommendation is one view the advisor suggests materializing.
@@ -856,10 +839,8 @@ type Recommendation = advisor.Recommendation
 // queries (with optional weights; nil weights mean uniform). budgetRows
 // caps the estimated total size of the selected views; 0 means
 // unlimited. The rewrite searches that drive the advisor's benefit model
-// honor ctx's cancellation, deadline and budget, and the Opts knobs.
+// honor ctx's cancellation, deadline and budget.
 func (s *System) AdviseContext(ctx context.Context, queries []string, weights []float64, budgetRows float64) ([]Recommendation, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
 	var w advisor.Workload
 	for i, sql := range queries {
 		st, err := s.statement(sql, true)
@@ -905,8 +886,6 @@ type ViewUsability = core.ViewUsability
 // one entry per registered view in registry order. It is bounded like
 // Explain: a canceled or over-budget analysis is an error.
 func (s *System) Usability(ctx context.Context, sql string) ([]ViewUsability, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
 	st, err := s.statement(sql, true)
 	if err != nil {
 		return nil, err
@@ -920,8 +899,6 @@ func (s *System) Usability(ctx context.Context, sql string) ([]ViewUsability, er
 // (Rewriting.DropFold). The search is bounded like RewritingsContext's:
 // a canceled or over-budget search is an error.
 func (s *System) Explain(ctx context.Context, sql string) (string, error) {
-	ctx, cancel := s.opCtx(ctx)
-	defer cancel()
 	st, err := s.statement(sql, true)
 	if err != nil {
 		return "", err

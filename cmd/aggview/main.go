@@ -10,6 +10,10 @@
 //	aggview -timeout 5s -max-rows 1000000 -exec ... script.sql   # bounded queries
 //	aggview -demo          # run the built-in Example 1.1 demo
 //
+// The budget flags (-timeout, -max-rows, -max-candidates, -max-mem)
+// bound each Explain and each execution of a query on its own; loading
+// and view tracking run unbounded.
+//
 // Script example:
 //
 //	CREATE TABLE Calls(Call_Id, Plan_Id, Year, Charge) KEY(Call_Id);
@@ -26,6 +30,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"aggview"
 	"aggview/internal/budget"
@@ -81,46 +86,64 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Budgets apply to the query phase, not to script loading or view
-	// materialization: every facade call below routes through them.
-	s.Opts.Deadline = *timeout
-	s.Opts.MaxRows = *maxRows
-	s.Opts.MaxCandidates = *maxCandidates
-	s.Opts.MaxMemBytes = *maxMem
+	lim := aggview.Limits{MaxRows: *maxRows, MaxCandidates: *maxCandidates, MaxMemBytes: *maxMem}
+	if err := runQueries(ctx, os.Stdout, s, queries, *timeout, lim, *plan, *exec); err != nil {
+		fatal(err)
+	}
+}
 
+// runQueries writes each query's rewriting report to w, with plan the
+// engine's physical plan, and with exec its answer through the cheapest
+// plan. Each Explain and each execution gets a deadline of timeout (0:
+// none) and a budget of lim of its own. A candidate budget cutting
+// Explain's search is reported and the query still runs, directly; any
+// other error ends the run.
+func runQueries(ctx context.Context, w io.Writer, s *aggview.System, queries []string, timeout time.Duration, lim aggview.Limits, plan, exec bool) error {
+	bound := func() (context.Context, context.CancelFunc) {
+		if timeout <= 0 {
+			return aggview.WithLimits(ctx, lim), func() {}
+		}
+		c, cancel := context.WithTimeout(ctx, timeout)
+		return aggview.WithLimits(c, lim), cancel
+	}
 	for i, q := range queries {
-		fmt.Printf("-- query %d --\n", i+1)
-		report, err := s.Explain(ctx, q)
+		fmt.Fprintf(w, "-- query %d --\n", i+1)
+		bctx, cancel := bound()
+		report, err := s.Explain(bctx, q)
+		cancel()
 		switch {
 		case budget.IsExceeded(err):
 			// -max-candidates promises a fallback, not a failure: the
 			// report says the search was cut, and -exec runs directly.
 			report = fmt.Sprintf("rewrite search cut: %v\n", err)
 		case err != nil:
-			fatal(err)
+			return err
 		}
-		fmt.Print(report)
-		if *plan {
+		fmt.Fprint(w, report)
+		if plan {
 			q, err := s.Parse(q)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Print("physical plan:\n" + engine.NewEvaluator(s.DB, s.Views).Explain(q))
+			fmt.Fprint(w, "physical plan:\n"+engine.NewEvaluator(s.DB, s.Views).Explain(q))
 		}
-		if *exec {
-			res, used, err := s.QueryBestContext(ctx, q)
+		if exec {
+			bctx, cancel := bound()
+			res, used, err := s.QueryBestContext(bctx, q)
+			cancel()
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			if used != nil {
-				fmt.Printf("executed via %v\n", used.Used)
+				fmt.Fprintf(w, "executed via %v\n", used.Used)
 			} else {
-				fmt.Println("executed directly")
+				fmt.Fprintln(w, "executed directly")
 			}
-			fmt.Println(res.Sorted())
+			fmt.Fprintln(w, res.Sorted())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 func fatal(err error) {

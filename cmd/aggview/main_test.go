@@ -2,12 +2,15 @@ package main
 
 import (
 	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"aggview"
+	"aggview/internal/budget"
 	"aggview/internal/sqlparser"
 )
 
@@ -222,5 +225,97 @@ func TestDemoGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("demo output differs from testdata/demo.out:\n%s", got.String())
+	}
+}
+
+// budgetScript loads a two-view system whose queries' searches see
+// more than one candidate, through the loader main uses.
+func budgetScript(t *testing.T) (*aggview.System, []string) {
+	t.Helper()
+	script := filepath.Join(t.TempDir(), "b.sql")
+	if err := os.WriteFile(script, []byte(`
+		CREATE TABLE T(A, B);
+		CREATE VIEW V AS SELECT A, SUM(B) FROM T GROUP BY A;
+		CREATE VIEW W AS SELECT A, B, COUNT(B) FROM T GROUP BY A, B;
+		INSERT INTO T VALUES (1, 2), (3, 4), (1, 5), (2, 2), (3, 3), (2, 8);
+		SELECT A, SUM(B) FROM T GROUP BY A;
+		SELECT B, COUNT(A) FROM T GROUP BY B;
+	`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, queries, err := loadScriptSystem(context.Background(), script, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, queries
+}
+
+// answerLines keeps the result rows of runQueries' output.
+func answerLines(out string) []string {
+	var rows []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.Contains(l, " | ") {
+			rows = append(rows, l)
+		}
+	}
+	return rows
+}
+
+// TestMaxCandidatesFallsBack pins -max-candidates 1: the report says the
+// search was cut, and -exec answers directly with the unbounded bag.
+func TestMaxCandidatesFallsBack(t *testing.T) {
+	ctx := context.Background()
+	s, queries := budgetScript(t)
+	var free, cut strings.Builder
+	if err := runQueries(ctx, &free, s, queries, 0, aggview.Limits{}, false, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := runQueries(ctx, &cut, s, queries, 0, aggview.Limits{MaxCandidates: 1}, false, true); err != nil {
+		t.Fatalf("a cut search must fall back, not fail: %v", err)
+	}
+	out := cut.String()
+	if strings.Count(out, "rewrite search cut: ") != len(queries) || strings.Count(out, "executed directly") != len(queries) {
+		t.Fatalf("want every search cut and every query executed directly:\n%s", out)
+	}
+	if got, want := answerLines(out), answerLines(free.String()); len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("answers under the cut search:\n%s\nwant the unbounded ones:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestMaxRowsIsTyped pins -max-rows 1: the run ends in a typed rows
+// *budget.Exceeded.
+func TestMaxRowsIsTyped(t *testing.T) {
+	s, queries := budgetScript(t)
+	err := runQueries(context.Background(), io.Discard, s, queries, 0, aggview.Limits{MaxRows: 1}, false, true)
+	var e *budget.Exceeded
+	if !errors.As(err, &e) || e.Resource != "rows" {
+		t.Fatalf("want a rows *budget.Exceeded, got %v", err)
+	}
+}
+
+// TestBudgetsArePerCall pins that the budget flags bound each call, not
+// the run: two queries that each fit the row budget both answer, though
+// together they spend more than it.
+func TestBudgetsArePerCall(t *testing.T) {
+	ctx := context.Background()
+	s, queries := budgetScript(t)
+	var spent []int64
+	for _, q := range queries {
+		m := budget.NewMeter(budget.Limits{MaxRows: 1 << 40})
+		if _, _, err := s.QueryBestContext(budget.WithMeter(ctx, m), q); err != nil {
+			t.Fatal(err)
+		}
+		spent = append(spent, m.Rows())
+	}
+	limit := max(spent[0], spent[1])
+	if spent[0]+spent[1] <= limit {
+		t.Fatalf("rows spent %v: the fixture's queries must together exceed either alone", spent)
+	}
+	var out strings.Builder
+	if err := runQueries(ctx, &out, s, queries, 0, aggview.Limits{MaxRows: limit}, false, true); err != nil {
+		t.Fatalf("queries spending %v rows under a %d-row budget each: %v", spent, limit, err)
+	}
+	if n := strings.Count(out.String(), "executed "); n != len(queries) {
+		t.Fatalf("%d of %d queries answered:\n%s", n, len(queries), out.String())
 	}
 }

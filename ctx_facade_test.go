@@ -74,10 +74,10 @@ func TestTrackCanceledMidAbsorb(t *testing.T) {
 	}
 }
 
-// TestOptsDeadlineApplies pins that Opts.Deadline bounds a call made
-// with a deadline-free ctx: every entry point that routes through opCtx
-// (reads, plans, prepared execution and advice).
-func TestOptsDeadlineApplies(t *testing.T) {
+// TestCtxDeadlineApplies pins that a deadline on the ctx bounds every
+// read, plan, prepared execution and advice entry point: each answers a
+// typed Canceled past it and runs clean under a generous one.
+func TestCtxDeadlineApplies(t *testing.T) {
 	ctx := context.Background()
 	s := telcoSystem(t, 2000)
 	p, err := s.PrepareContext(ctx, facadeQ)
@@ -90,36 +90,39 @@ func TestOptsDeadlineApplies(t *testing.T) {
 	}
 	ops := []struct {
 		name string
-		run  func() error
+		run  func(ctx context.Context) error
 	}{
-		{"QueryContext", func() error { _, err := s.QueryContext(ctx, facadeQ); return err }},
-		{"RewritingsContext", func() error { _, err := s.RewritingsContext(ctx, facadeQ); return err }},
-		{"PrepareContext", func() error { _, err := s.PrepareContext(ctx, facadeQ); return err }},
-		{"ExecPreparedOnContext", func() error { _, err := s.ExecPreparedOnContext(ctx, p, s.Store); return err }},
-		{"ExecPreparedColumns", func() error { _, err := s.ExecPreparedColumns(ctx, p, s.Store); return err }},
-		{"QueryOnContext", func() error { _, err := s.QueryOnContext(ctx, s.Store, facadeQ); return err }},
-		{"QueryBestContext", func() error { _, _, err := s.QueryBestContext(ctx, facadeQ); return err }},
-		{"ExecRewritingContext", func() error { _, err := s.ExecRewritingContext(ctx, rws[0]); return err }},
-		{"Explain", func() error { _, err := s.Explain(ctx, facadeQ); return err }},
-		{"AdviseContext", func() error { _, err := s.AdviseContext(ctx, []string{facadeQ}, nil, 0); return err }},
-		{"Usability", func() error { _, err := s.Usability(ctx, facadeQ); return err }},
+		{"QueryContext", func(ctx context.Context) error { _, err := s.QueryContext(ctx, facadeQ); return err }},
+		{"RewritingsContext", func(ctx context.Context) error { _, err := s.RewritingsContext(ctx, facadeQ); return err }},
+		{"PrepareContext", func(ctx context.Context) error { _, err := s.PrepareContext(ctx, facadeQ); return err }},
+		{"ExecPreparedOnContext", func(ctx context.Context) error { _, err := s.ExecPreparedOnContext(ctx, p, s.DB); return err }},
+		{"ExecPreparedColumns", func(ctx context.Context) error { _, err := s.ExecPreparedColumns(ctx, p, s.DB); return err }},
+		{"QueryOnContext", func(ctx context.Context) error { _, err := s.QueryOnContext(ctx, s.DB, facadeQ); return err }},
+		{"QueryBestContext", func(ctx context.Context) error { _, _, err := s.QueryBestContext(ctx, facadeQ); return err }},
+		{"ExecRewritingContext", func(ctx context.Context) error { _, err := s.ExecRewritingContext(ctx, rws[0]); return err }},
+		{"Explain", func(ctx context.Context) error { _, err := s.Explain(ctx, facadeQ); return err }},
+		{"AdviseContext", func(ctx context.Context) error { _, err := s.AdviseContext(ctx, []string{facadeQ}, nil, 0); return err }},
+		{"Usability", func(ctx context.Context) error { _, err := s.Usability(ctx, facadeQ); return err }},
 	}
 	for _, op := range ops {
-		s.Opts.Deadline = time.Nanosecond
-		if err := op.run(); !budget.IsCanceled(err) || !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s: want Canceled unwrapping to DeadlineExceeded, got %v", op.name, err)
-		}
-		s.Opts.Deadline = time.Minute
-		if err := op.run(); err != nil {
-			t.Fatalf("%s: generous deadline tripped: %v", op.name, err)
+		for _, d := range []time.Duration{time.Nanosecond, time.Minute} {
+			dctx, cancel := context.WithTimeout(ctx, d)
+			err := op.run(dctx)
+			cancel()
+			switch {
+			case d == time.Nanosecond && (!budget.IsCanceled(err) || !errors.Is(err, context.DeadlineExceeded)):
+				t.Fatalf("%s: want Canceled unwrapping to DeadlineExceeded, got %v", op.name, err)
+			case d == time.Minute && err != nil:
+				t.Fatalf("%s: generous deadline tripped: %v", op.name, err)
+			}
 		}
 	}
 }
 
-// TestOptsRowBudget pins that Opts.MaxRows bounds execution under a
-// budget-free ctx, with a typed Exceeded on trip and the exact unbudgeted
-// bag when the budget is generous.
-func TestOptsRowBudget(t *testing.T) {
+// TestCtxRowBudget pins that a row budget on the ctx (WithLimits) bounds
+// execution, with a typed Exceeded on trip and the exact unbudgeted bag
+// when the budget is generous.
+func TestCtxRowBudget(t *testing.T) {
 	ctx := context.Background()
 	s := telcoSystem(t, 2000)
 	want, err := s.QueryContext(ctx, facadeQ)
@@ -127,8 +130,7 @@ func TestOptsRowBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.Opts.MaxRows = 10
-	res, err := s.QueryContext(ctx, facadeQ)
+	res, err := s.QueryContext(WithLimits(ctx, Limits{MaxRows: 10}), facadeQ)
 	if res != nil {
 		t.Fatal("budget-tripped query returned a partial result")
 	}
@@ -137,8 +139,7 @@ func TestOptsRowBudget(t *testing.T) {
 		t.Fatalf("want rows Exceeded, got %v", err)
 	}
 
-	s.Opts.MaxRows = 1 << 30
-	got, err := s.QueryContext(ctx, facadeQ)
+	got, err := s.QueryContext(WithLimits(ctx, Limits{MaxRows: 1 << 30}), facadeQ)
 	if err != nil {
 		t.Fatalf("generous budget tripped: %v", err)
 	}
@@ -174,9 +175,9 @@ func TestPlanBudgetFallback(t *testing.T) {
 	}
 
 	s.Metrics = obs.NewMetrics()
-	s.Opts.MaxCandidates = 1
+	cut := Limits{MaxCandidates: 1}
 	sp := obs.NewSpan("", facadeQ)
-	p, err = s.PrepareContext(obs.WithSpan(ctx, sp), facadeQ)
+	p, err = s.PrepareContext(WithLimits(obs.WithSpan(ctx, sp), cut), facadeQ)
 	if err != nil {
 		t.Fatalf("budget-cut Prepare must not fail: %v", err)
 	}
@@ -198,7 +199,7 @@ func TestPlanBudgetFallback(t *testing.T) {
 
 	// QueryBestContext rides the same fallback: direct evaluation, nil rewriting,
 	// correct bag.
-	res, used, err := s.QueryBestContext(ctx, facadeQ)
+	res, used, err := s.QueryBestContext(WithLimits(ctx, cut), facadeQ)
 	if err != nil {
 		t.Fatalf("QueryBest under budget fallback failed: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"aggview/internal/aggreason"
 	"aggview/internal/budget"
@@ -38,28 +37,6 @@ type Options struct {
 	// are identical at every setting. The rewrite search is one serial
 	// loop and does not read it.
 	Workers int
-	// MaxCandidates caps the number of (view, mapping) candidates one
-	// search analyzes; past the cap the search aborts with a typed
-	// *budget.Exceeded. 0 means unlimited. A budget.Meter already on the
-	// context takes precedence, so a facade-level pool can span search
-	// and execution.
-	MaxCandidates int64
-	// MaxRows caps the number of rows the execution engine processes per
-	// operation. The rewriter itself never touches rows; the limit rides
-	// here so one Options value can configure a whole aggview.System
-	// (the facade attaches it to each operation's budget meter).
-	MaxRows int64
-	// MaxMemBytes caps the estimated bytes of columnar data the engine
-	// materializes per operation (table and view images, filter and join
-	// outputs). Like MaxRows it rides here for the facade's benefit; the
-	// engine's allocator charges it and aborts with a typed
-	// *budget.Exceeded{Resource: "memory"} when crossed. 0 means
-	// unlimited.
-	MaxMemBytes int64
-	// Deadline bounds each operation's wall-clock time. Enforced by the
-	// aggview facade and the CLIs (context.WithTimeout per operation);
-	// the core search honors whatever deadline its context carries.
-	Deadline time.Duration
 }
 
 // Rewriter rewrites queries to use materialized views.
@@ -132,15 +109,10 @@ type searchTask struct {
 	inj   *faultinject.Injector
 }
 
-// newSearchTask resolves the search's budget state: a meter on the
-// context wins (shared pool); otherwise Opts.MaxCandidates/MaxRows spin
-// up a per-search meter.
+// newSearchTask resolves the search's budget state from the context:
+// its meter (nil: unlimited) and its fault injector.
 func (rw *Rewriter) newSearchTask(ctx context.Context) *searchTask {
-	st := &searchTask{ctx: ctx, meter: budget.MeterFrom(ctx), inj: faultinject.From(ctx)}
-	if st.meter == nil && (rw.Opts.MaxCandidates > 0 || rw.Opts.MaxRows > 0) {
-		st.meter = budget.NewMeter(budget.Limits{MaxRows: rw.Opts.MaxRows, MaxCandidates: rw.Opts.MaxCandidates})
-	}
-	return st
+	return &searchTask{ctx: ctx, meter: budget.MeterFrom(ctx), inj: faultinject.From(ctx)}
 }
 
 // candidate charges one analyzed (view, mapping) candidate: it feeds
@@ -159,7 +131,7 @@ func (st *searchTask) candidate() error {
 // A span on the context records every analyzed candidate (wave 0, since
 // single-step rewrites are outside the BFS). Cancellation,
 // deadline expiry and an exhausted candidate budget (a budget.Meter on
-// the context, or Opts.MaxCandidates) abort the analysis with a typed
+// the context) abort the analysis with a typed
 // *budget.Canceled or *budget.Exceeded and no partial result. The
 // context is polled once per analyzed candidate.
 func (rw *Rewriter) RewriteOnceContext(ctx context.Context, q *ir.Query, v *ir.ViewDef) ([]*Rewriting, error) {
@@ -350,7 +322,7 @@ func mappingString(vn, qn *ir.Query, m mapping) string {
 // is also the order MaxRewritings cuts in.
 //
 // Cancellation, deadline expiry and an exhausted candidate budget (a
-// budget.Meter on the context, or Opts.MaxCandidates) abort the search
+// budget.Meter on the context) abort the search
 // with a typed *budget.Canceled or *budget.Exceeded and no partial
 // result. The context is polled once per analyzed candidate.
 func (rw *Rewriter) RewritingsContext(ctx context.Context, q *ir.Query) ([]*Rewriting, error) {

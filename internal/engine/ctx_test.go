@@ -159,11 +159,10 @@ func TestExecContextBudgetCoversViews(t *testing.T) {
 			// Fires 2049 rows in: inside the view's pass over R1's 10000.
 			return faultinject.New(faultinject.SiteRow, 2049).Arm(context.Background())
 		}, budget.IsCanceled},
-		{"injected fault", func(ev *Evaluator) (context.Context, func()) {
+		{"injected fault", func(*Evaluator) (context.Context, func()) {
 			// The first Scan misses (VSum is a view); the second, of R1
 			// inside the materialization, fails.
-			ev.Store = NewFaultStorage(db, 2)
-			return context.Background(), func() { ev.Store = nil }
+			return faultinject.Failing(2).Arm(context.Background())
 		}, faultinject.IsInjected},
 	}
 	for _, tc := range cases {

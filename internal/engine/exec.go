@@ -36,9 +36,9 @@ type Evaluator struct {
 	DB    *DB
 	Views ViewSource
 	// Store, when non-nil, replaces DB as the storage backend behind
-	// base-table scans (views still materialize through Views). It is
-	// how the fault harness swaps in an error-injecting backend; see
-	// Storage in storage.go for the contract.
+	// base-table scans (views still materialize through Views): a
+	// pinned Snapshot, or a write's staged overlay. See Storage in
+	// storage.go for the contract.
 	Store Storage
 	// Workers sizes the worker pool of the vectorized kernels: 0 means
 	// GOMAXPROCS, 1 forces the serial path. Results are byte-identical
@@ -334,9 +334,10 @@ func distinctRows(ct *ColTable) *ColTable {
 
 // resolve finds the columnar table behind a FROM source name. Base
 // relations come from the storage backend; each Scan call is observed
-// by the fault injector's storage site and its image is charged against
-// the memory budget. A storage error aborts the operation and is never
-// cached.
+// by the fault injector's storage site (a failing injector's typed
+// *faultinject.Injected aborts the resolve in its place) and its image
+// is charged against the memory budget. A storage error aborts the
+// operation and is never cached.
 //
 // A view is materialized on its first resolve and memoized for the
 // evaluator's operation. Only a success is memoized: a materialization
@@ -344,7 +345,9 @@ func distinctRows(ct *ColTable) *ColTable {
 // returns its typed error, and a later resolve runs it again under its
 // own context and budget.
 func (ev *Evaluator) resolve(t *task, name string) (*ColTable, error) {
-	t.inj.Observe(faultinject.SiteStorage, 1)
+	if err := t.inj.ObserveScan(name); err != nil {
+		return nil, err
+	}
 	if err := t.poll(ev, "storage"); err != nil {
 		return nil, err
 	}

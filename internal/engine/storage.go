@@ -6,9 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync/atomic"
 
-	"aggview/internal/faultinject"
 	"aggview/internal/value"
 )
 
@@ -852,12 +850,13 @@ func intKeyOf(x value.Value) (int64, bool) {
 }
 
 // Storage resolves FROM sources to columnar tables; it is the engine's
-// data-access seam. The in-memory *DB is the first implementation;
-// FaultStorage, which fails scans with typed I/O-style errors, is the
-// second. An Evaluator serves one operation and calls Scan from its
-// serial resolve loop only; a storage shared by concurrent operations
-// (DB, a Snapshot, System.Store) must be safe for concurrent Scan calls,
-// since each of those operations has an evaluator of its own.
+// data-access seam. The in-memory *DB and its pinned Snapshot implement
+// it, and so does the maintainer's staged overlay. An Evaluator serves
+// one operation and calls Scan from its serial resolve loop only; a
+// storage shared by concurrent operations (DB, a Snapshot) must be safe
+// for concurrent Scan calls, since each of those operations has an
+// evaluator of its own. A failed scan is injected on the operation's
+// context (faultinject.Failing), not by a storage of its own.
 //
 // Scan returns (nil, false, nil) for an unknown name, in which case the
 // evaluator falls back to its view source. A non-nil error models an
@@ -975,41 +974,4 @@ func (db *DB) SetOnInvalidate(fn func(name string)) {
 	db.mu.Lock()
 	db.onInvalidate = fn
 	db.mu.Unlock()
-}
-
-// FaultStorage wraps a Storage and fails the k-th Scan call — and every
-// later one — with a typed *faultinject.Injected error, modelling a
-// storage backend that goes away mid-operation. The countdown is
-// deterministic: scans are issued serially by the evaluator in table
-// order, so for a fixed workload the same scan fails every run. It is
-// the error-mode counterpart of the cancellation injector, and the
-// oracle's storage fault pass holds the engine to the same contract
-// under it: exact bag or clean typed error, never a partial result.
-type FaultStorage struct {
-	inner     Storage
-	remaining *atomic.Int64
-}
-
-// NewFaultStorage returns a storage that fails from the k-th Scan on
-// (k <= 1 fails every scan).
-func NewFaultStorage(inner Storage, k int64) *FaultStorage {
-	fs := &FaultStorage{inner: inner, remaining: new(atomic.Int64)}
-	fs.remaining.Store(k)
-	return fs
-}
-
-// Over returns the same fault laid over another store: scans read inner
-// and count down — and fail — together with f's. A server installs one
-// FaultStorage per fault window and lays it over each request's pinned
-// Snapshot.
-func (f *FaultStorage) Over(inner Storage) *FaultStorage {
-	return &FaultStorage{inner: inner, remaining: f.remaining}
-}
-
-// Scan implements Storage.
-func (f *FaultStorage) Scan(name string) (*ColTable, bool, error) {
-	if f.remaining.Add(-1) <= 0 {
-		return nil, false, &faultinject.Injected{Site: faultinject.SiteStorage, Op: "scan " + name}
-	}
-	return f.inner.Scan(name)
 }

@@ -10,12 +10,12 @@ import (
 	"aggview/internal/value"
 )
 
-// TestFaultStorageContract holds the engine to the I/O-error contract:
-// against a backend whose k-th scan (and every later one) fails, every
-// execution ends in either the exact correct bag or a clean typed
+// TestStorageFaultContract holds the engine to the I/O-error contract:
+// under a failing injector whose k-th scan (and every later one) fails,
+// every execution ends in either the exact correct bag or a clean typed
 // *faultinject.Injected error — never a partial result and never an
 // untyped failure.
-func TestFaultStorageContract(t *testing.T) {
+func TestStorageFaultContract(t *testing.T) {
 	db, reg, source := ctxFixture(t)
 	for _, q := range ctxQueries(t, source) {
 		want, err := NewEvaluator(db, reg).ExecContext(context.Background(), q)
@@ -26,9 +26,10 @@ func TestFaultStorageContract(t *testing.T) {
 		for _, k := range []int64{1, 2, 3, 5, 100} {
 			for _, workers := range []int{1, 0} {
 				ev := NewEvaluator(db, reg)
-				ev.Store = NewFaultStorage(db, k)
 				ev.Workers = workers
-				got, err := ev.ExecContext(context.Background(), q)
+				ctx, cancel := faultinject.Failing(k).Arm(context.Background())
+				got, err := ev.ExecContext(ctx, q)
+				cancel()
 				if err != nil {
 					if !faultinject.IsInjected(err) {
 						t.Fatalf("k=%d workers=%d: untyped error under storage fault: %v", k, workers, err)
@@ -54,20 +55,21 @@ func TestFaultStorageContract(t *testing.T) {
 	}
 }
 
-// TestFaultStorageErrorNotMemoized pins that a view materialization
-// aborted by a storage fault is not cached: the same evaluator succeeds
-// once the backend recovers.
-func TestFaultStorageErrorNotMemoized(t *testing.T) {
+// TestStorageFaultNotMemoized pins that a view materialization aborted
+// by a storage fault is not cached: the same evaluator succeeds on a
+// context without the fault.
+func TestStorageFaultNotMemoized(t *testing.T) {
 	db, reg, source := ctxFixture(t)
 	q := ctxQueries(t, source)[3] // reads VSum
 
 	ev := NewEvaluator(db, reg)
-	ev.Store = NewFaultStorage(db, 1)
-	if _, err := ev.ExecContext(context.Background(), q); !faultinject.IsInjected(err) {
+	fctx, cancel := faultinject.Failing(1).Arm(context.Background())
+	_, err := ev.ExecContext(fctx, q)
+	cancel()
+	if !faultinject.IsInjected(err) {
 		t.Fatalf("want injected storage error, got %v", err)
 	}
-	ev.Store = nil // backend recovers
-	got, err := ev.ExecContext(context.Background(), q)
+	got, err := ev.ExecContext(context.Background(), q) // the backend recovers
 	if err != nil {
 		t.Fatalf("recovered evaluator still failing: %v", err)
 	}
@@ -80,25 +82,45 @@ func TestFaultStorageErrorNotMemoized(t *testing.T) {
 	}
 }
 
-// TestFaultStorageOverSharesCountdown pins the re-wrap a server uses for
-// a fault window: stores laid over different inner stores read their own
-// inner store and fail together, on one countdown.
-func TestFaultStorageOverSharesCountdown(t *testing.T) {
+// TestStorageFaultSharesCountdown pins what a server's fault window
+// relies on: one failing injector on the contexts of operations over
+// different stores lets each read its own store, and they fail
+// together, on one countdown.
+func TestStorageFaultSharesCountdown(t *testing.T) {
 	a, b := NewDB(), NewDB()
 	a.Put("T", NewRelation("x"))
 	b.Put("T", NewRelation("x", "y"))
-	fs := NewFaultStorage(a, 3)
-	over := fs.Over(b)
-	if ct, ok, err := over.Scan("T"); err != nil || !ok || len(ct.Attrs()) != 2 {
-		t.Fatalf("first scan through the re-wrap: %v %v %v, want b's table", ct, ok, err)
+	in := faultinject.Failing(3)
+	scan := func(db *DB) (*ColTable, error) {
+		ev := NewEvaluator(db, nil)
+		return ev.resolve(ev.newTask(faultinject.With(context.Background(), in)), "T")
 	}
-	if ct, ok, err := fs.Scan("T"); err != nil || !ok || len(ct.Attrs()) != 1 {
-		t.Fatalf("second scan, through the original: %v %v %v, want a's table", ct, ok, err)
+	if ct, err := scan(b); err != nil || len(ct.Attrs()) != 2 {
+		t.Fatalf("first scan, over b: %v %v, want b's table", ct, err)
 	}
-	for _, st := range []Storage{over, fs, fs.Over(a)} {
-		if _, _, err := st.Scan("T"); !faultinject.IsInjected(err) {
+	if ct, err := scan(a); err != nil || len(ct.Attrs()) != 1 {
+		t.Fatalf("second scan, over a: %v %v, want a's table", ct, err)
+	}
+	for _, db := range []*DB{b, a, a} {
+		if _, err := scan(db); !faultinject.IsInjected(err) {
 			t.Fatalf("scan past the shared countdown returned %v, want an injected fault", err)
 		}
+	}
+}
+
+// TestResolveWithoutInjectorAllocatesNothing pins that the storage
+// site costs a scan nothing when no injector rides the context.
+func TestResolveWithoutInjectorAllocatesNothing(t *testing.T) {
+	db := NewDB()
+	db.Put("T", NewRelation("x"))
+	ev := NewEvaluator(db, nil)
+	tk := ev.newTask(context.Background())
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ev.resolve(tk, "T"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("resolve of a stored table allocated %.1f objects with no injector, want 0", n)
 	}
 }
 

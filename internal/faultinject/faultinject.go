@@ -1,21 +1,25 @@
-// Package faultinject is a deterministic, seed-driven cancellation
-// injector for the execution engine and the rewrite search (DESIGN.md
-// section 10).
+// Package faultinject is a deterministic, seed-driven fault injector
+// for the execution engine and the rewrite search (DESIGN.md section
+// 10).
 //
 // An Injector is armed on a context and counts observations of one
 // instrumented site — row batches in the engine kernels, candidates in
-// the rewrite search, view-cache accesses — and cancels the context at
-// the k-th observation. The cancellation then propagates through the
-// production machinery exactly as a caller-initiated cancel would: the
-// harness tests assert that every entry point returns either the
-// correct bag or a clean typed budget.Canceled error, never a partial
-// result, a panic, or a leaked goroutine.
+// the rewrite search, view-cache accesses, table scans — and cancels
+// the context at the k-th observation. The cancellation then
+// propagates through the production machinery exactly as a
+// caller-initiated cancel would: the harness tests assert that every
+// entry point returns either the correct bag or a clean typed
+// budget.Canceled error, never a partial result, a panic, or a leaked
+// goroutine.
 //
 // Observations are counted with an atomic, so a worker pool observing
 // concurrently fires exactly once; which worker observes the firing
 // count is scheduling-dependent, but the contract under test ("correct
 // result or typed error") is schedule-independent. At Workers=1 the
 // firing point is fully deterministic.
+//
+// A failing injector (Failing) fails every table scan from its k-th on
+// with a typed *Injected instead, and may ride many contexts (With).
 //
 // A nil *Injector is a valid no-op, so instrumentation sites observe
 // unconditionally.
@@ -42,9 +46,9 @@ const (
 	// resolve of a view name.
 	SiteCache Site = "cache"
 	// SiteStorage is observed by the engine's storage layer, once per
-	// Scan of a base-table name. It doubles as the site tag of the
-	// error-injecting Storage backend (engine.FaultStorage), which
-	// returns typed *Injected errors instead of canceling the context.
+	// Scan of a FROM source name (ObserveScan). It is also the one site
+	// of the failing mode (Failing), whose scans return typed *Injected
+	// errors instead of canceling the context.
 	SiteStorage Site = "storage"
 	// SiteMaintain is observed by incremental view maintenance, once
 	// per delta evaluation or staged application inside a mutation
@@ -65,10 +69,12 @@ type Spec struct {
 }
 
 // Injector cancels an armed context at the k-th observation of its
-// site. One Injector instruments one operation; arm a fresh one per
+// site, or, failing (Failing), fails every table scan from the k-th on.
+// A canceling Injector instruments one operation; arm a fresh one per
 // run.
 type Injector struct {
 	site      Site
+	fail      bool // fail scans with *Injected instead of canceling
 	remaining atomic.Int64
 	fired     atomic.Bool
 	cancel    context.CancelFunc
@@ -88,6 +94,15 @@ func New(site Site, k int64) *Injector {
 // NewSpec builds the injector described by a Spec.
 func NewSpec(s Spec) *Injector { return New(s.Site, s.K) }
 
+// Failing returns an injector in the failing mode: the k-th table scan
+// it observes (k <= 1: the first) and every later one return a typed
+// *Injected, and it never cancels its context.
+func Failing(k int64) *Injector {
+	in := New(SiteStorage, k)
+	in.fail = true
+	return in
+}
+
 type injectorKey struct{}
 
 // Arm derives a cancellable context carrying the injector. The returned
@@ -97,7 +112,14 @@ type injectorKey struct{}
 func (in *Injector) Arm(ctx context.Context) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(ctx)
 	in.cancel = cancel
-	return context.WithValue(ctx, injectorKey{}, in), cancel
+	return With(ctx, in), cancel
+}
+
+// With returns ctx carrying in, with no cancel of its own: the way one
+// failing injector rides many operations, all counting down together.
+// A canceling injector is armed (Arm) instead.
+func With(ctx context.Context, in *Injector) context.Context {
+	return context.WithValue(ctx, injectorKey{}, in)
 }
 
 // From extracts the armed injector; nil (no-op) when absent.
@@ -111,7 +133,7 @@ func From(ctx context.Context) *Injector {
 // injector's k. Nil-safe and site-filtered, so instrumentation points
 // call it unconditionally.
 func (in *Injector) Observe(site Site, n int64) {
-	if in == nil || in.site != site {
+	if in == nil || in.site != site || in.fail {
 		return
 	}
 	if n < 1 {
@@ -122,14 +144,30 @@ func (in *Injector) Observe(site Site, n int64) {
 	}
 }
 
-// Fired reports whether the injector has canceled its context.
+// ObserveScan records the scan of one FROM source at SiteStorage. A
+// canceling injector of that site counts it as Observe does; a failing
+// one returns a typed *Injected naming the scan from its k-th
+// observation on. Nil-safe, and it allocates only the error it returns.
+func (in *Injector) ObserveScan(name string) error {
+	if in == nil || !in.fail {
+		in.Observe(SiteStorage, 1)
+		return nil
+	}
+	if in.remaining.Add(-1) > 0 {
+		return nil
+	}
+	in.fired.Store(true)
+	return &Injected{Site: SiteStorage, Op: "scan " + name}
+}
+
+// Fired reports whether the injector has canceled its context or, in
+// the failing mode, failed a scan.
 func (in *Injector) Fired() bool { return in != nil && in.fired.Load() }
 
-// Injected is the typed error returned by error-injecting fault
-// backends — I/O-style failures surfaced through return values rather
-// than context cancellation (engine.FaultStorage). It is not a
-// budget-transient error: production caches must still refuse to
-// memoize it, which IsInjected lets them check.
+// Injected is the typed error of the failing mode — an I/O-style
+// failure surfaced through a return value rather than context
+// cancellation. It is not a budget-transient error: production caches
+// must still refuse to memoize it, which IsInjected lets them check.
 type Injected struct {
 	Site Site   // the instrumented site that failed ("storage")
 	Op   string // the failed operation, e.g. `scan "calls"`

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 )
@@ -95,5 +96,39 @@ func TestFaultInjectConcurrentObserveFiresOnce(t *testing.T) {
 	wg.Wait()
 	if ctx.Err() == nil || !in.Fired() {
 		t.Fatal("1600 observations past k=500 did not fire")
+	}
+}
+
+// TestFaultInjectFailingMode pins the failing mode: scans before the
+// k-th pass, the k-th and every later one return a typed *Injected, the
+// context is never canceled, and one injector riding two contexts counts
+// their scans down once, together.
+func TestFaultInjectFailingMode(t *testing.T) {
+	in := Failing(3)
+	ctx, cancel := in.Arm(context.Background())
+	defer cancel()
+	other := With(context.Background(), in)
+	for i, c := range []context.Context{ctx, other} {
+		if err := From(c).ObserveScan("T"); err != nil || in.Fired() {
+			t.Fatalf("scan %d of k=3 failed early: %v", i+1, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		c := []context.Context{ctx, other}[i%2]
+		err := From(c).ObserveScan("T")
+		var inj *Injected
+		if !errors.As(err, &inj) || inj.Site != SiteStorage || inj.Op != "scan T" {
+			t.Fatalf("scan %d past k: got %v, want an injected storage fault", i+3, err)
+		}
+	}
+	if !in.Fired() || ctx.Err() != nil || other.Err() != nil {
+		t.Fatalf("fired %v, ctx errs %v / %v: a failing injector fails scans and cancels nothing", in.Fired(), ctx.Err(), other.Err())
+	}
+	// Only scans count: other sites' observations leave it alone.
+	quiet := Failing(1)
+	quiet.Observe(SiteStorage, 5)
+	quiet.Observe(SiteRow, 5)
+	if quiet.Fired() {
+		t.Fatal("Observe counted toward a failing injector")
 	}
 }

@@ -45,10 +45,11 @@ type Options struct {
 	// maintenance site for the latter.
 	Faults []faultinject.Spec
 	// StorageFaults lists scan countdowns for the storage-fault pass:
-	// for each k, every execution is repeated against a FaultStorage
-	// backend whose k-th table scan (and every later one) fails with a
-	// typed I/O-style error, and the run must end in either the exact
-	// correct bag or that clean typed error — never a partial result.
+	// for each k, every execution is repeated under a failing injector
+	// (faultinject.Failing) whose k-th table scan (and every later one)
+	// fails with a typed I/O-style error, and the run must end in either
+	// the exact correct bag or that clean typed error — never a partial
+	// result.
 	// Empty with Faults set defaults to {1, 2, 4}; empty with Faults
 	// empty disables the pass.
 	StorageFaults []int64

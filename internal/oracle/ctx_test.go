@@ -64,7 +64,7 @@ func TestOracleFaultInjectionPass(t *testing.T) {
 }
 
 // TestOracleStorageFaultPass soaks the error-injection contract: with a
-// FaultStorage backend failing the k-th scan on, every execution must
+// failing injector failing the k-th scan on, every execution must
 // produce either the exact correct bag or a clean typed injected error —
 // never a partial result. k=1 fails the very first scan (every plan
 // aborts), larger k let some plans finish, so both arms of the contract

@@ -2,14 +2,14 @@ package oracle
 
 // The fault passes: re-run every execution of a query step with a fault
 // armed — a deterministic injector canceling the context at the k-th row
-// / candidate / cache / scan observation, or a storage backend failing
-// the k-th table scan — and hold the engine to the harness contract: the
-// run ends in either the exact correct bag (the fault arrived after the
-// work) or a clean typed abort. A partial result, any other error, or a
-// panic is a violation, the same currency as a multiset inequality. The
-// maintenance-fault pass holds each mutation step to the same contract
-// for writes: the batch applies whole, or aborts cleanly with the
-// pre-state intact.
+// / candidate / cache / scan observation, or failing the k-th table scan
+// and every later one (faultinject.Failing) — and hold the engine to the
+// harness contract: the run ends in either the exact correct bag (the
+// fault arrived after the work) or a clean typed abort. A partial
+// result, any other error, or a panic is a violation, the same currency
+// as a multiset inequality. The maintenance-fault pass holds each
+// mutation step to the same contract for writes: the batch applies
+// whole, or aborts cleanly with the pre-state intact.
 
 import (
 	"context"
@@ -35,11 +35,11 @@ type armedFault struct {
 // fault, worker count): first under each cancellation spec of
 // opt.Faults, armed with a fresh injector, a typed Canceled the clean
 // abort (maintenance-site specs are skipped: only a write observes
-// that site, so a read under one could not see its fault); then under each countdown k of opt.StorageFaults, armed with a
-// fresh engine.FaultStorage backend whose k-th table scan (and every
-// later one) fails with a typed I/O-style error, that error the clean
-// abort too. A cancellation of the caller's ctx itself aborts the pass
-// with that error. Each run restores the system's storage on disarm.
+// that site, so a read under one could not see its fault); then under
+// each countdown k of opt.StorageFaults, armed with a fresh failing
+// injector whose k-th table scan (and every later one) fails with a
+// typed I/O-style error, that error the clean abort too. A cancellation
+// of the caller's ctx itself aborts the pass with that error.
 func faultPass(ctx context.Context, sys *aggview.System, sql string, ref *engine.Relation, rws []*core.Rewriting, opt Options, out *Outcome) error {
 	var faults []armedFault
 	for _, spec := range opt.Faults {
@@ -54,11 +54,8 @@ func faultPass(ctx context.Context, sys *aggview.System, sql string, ref *engine
 	}
 	for _, k := range opt.StorageFaults {
 		faults = append(faults, armedFault{
-			tag: fmt.Sprintf("storage@%d", k),
-			arm: func() (context.Context, context.CancelFunc) {
-				sys.Store = engine.NewFaultStorage(sys.DB, k)
-				return ctx, func() { sys.Store = nil }
-			},
+			tag:   fmt.Sprintf("storage@%d", k),
+			arm:   func() (context.Context, context.CancelFunc) { return faultinject.Failing(k).Arm(ctx) },
 			clean: func(err error) bool { return faultinject.IsInjected(err) || budget.IsCanceled(err) },
 		})
 	}

@@ -58,8 +58,8 @@ func unwrap(err error) error {
 
 // TenantConfig is one tenant's admission quota and per-request resource
 // envelope. The quota side is a token bucket with a bounded wait queue;
-// the envelope side maps onto the engine's existing budget machinery
-// (Opts.Deadline / MaxRows / MaxCandidates / MaxMemBytes, PR 5).
+// the envelope side is a deadline and a budget.Meter put on each
+// admitted request's context, a read's or a write's (requestCtx).
 type TenantConfig struct {
 	// Rate is the sustained admission rate in requests per second;
 	// <= 0 means unlimited (no bucket, no queue).

@@ -99,9 +99,9 @@ type Server struct {
 	// mu serializes mutations against in-flight queries.
 	mu sync.RWMutex
 	// faults, while a fault window is open (/admin/faults), is the
-	// error-injecting store each request lays over its pinned snapshot,
-	// all of them counting down together. Guarded by mu.
-	faults *engine.FaultStorage
+	// failing injector put on each query's context, all of them counting
+	// down together. Guarded by mu.
+	faults *faultinject.Injector
 }
 
 // New wraps a loaded system in a serving facade. It installs the plan
@@ -196,19 +196,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx := r.Context() // canceled when the client disconnects
-	if cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
-	}
-	if cfg.MaxRows > 0 || cfg.MaxCandidates > 0 || cfg.MaxMemBytes > 0 {
-		ctx = budget.WithMeter(ctx, budget.NewMeter(budget.Limits{
-			MaxRows:       cfg.MaxRows,
-			MaxCandidates: cfg.MaxCandidates,
-			MaxMemBytes:   cfg.MaxMemBytes,
-		}))
-	}
+	ctx, cancel := requestCtx(r.Context(), cfg) // canceled when the client disconnects
+	defer cancel()
 	ctx = obs.WithSpan(ctx, span)
 	meter := budget.MeterFrom(ctx)
 
@@ -217,25 +206,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// installing new relation versions concurrently never disturb the
 	// pinned ones, so the query reads one materialization state end to end
 	// and writers are not stalled behind long scans. An open fault window
-	// fails the scans of the pinned versions: the same path, one store
-	// laid over another.
+	// rides the execution's context and fails its scans of the pinned
+	// versions.
 	var (
-		res   *engine.ColTable
-		snap  *engine.Snapshot
-		store engine.Storage
+		res    *engine.ColTable
+		snap   *engine.Snapshot
+		faults *faultinject.Injector
 	)
 	s.mu.RLock()
 	p, verdict, err := s.resolve(ctx, req.SQL)
 	if err == nil {
-		snap = s.sys.DB.Snapshot()
-		store = snap
-		if s.faults != nil {
-			store = s.faults.Over(snap)
-		}
+		snap, faults = s.sys.DB.Snapshot(), s.faults
 	}
 	s.mu.RUnlock()
 	if err == nil {
-		res, err = s.sys.ExecPreparedColumns(ctx, p, store)
+		if faults != nil {
+			ctx = faultinject.With(ctx, faults)
+		}
+		res, err = s.sys.ExecPreparedColumns(ctx, p, snap)
 	}
 	elapsedNs := time.Since(start).Nanoseconds()
 
@@ -284,6 +272,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		*buf = body
 		bodyPool.Put(buf)
 	}
+}
+
+// requestCtx bounds one admitted request by its tenant's envelope: the
+// deadline and a fresh budget meter, each when set, else ctx unchanged.
+// The cancel releases the deadline's timer.
+func requestCtx(ctx context.Context, cfg TenantConfig) (context.Context, context.CancelFunc) {
+	cancel := context.CancelFunc(func() {})
+	if cfg.Deadline > 0 {
+		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
+	}
+	return aggview.WithLimits(ctx, aggview.Limits{
+		MaxRows:       cfg.MaxRows,
+		MaxCandidates: cfg.MaxCandidates,
+		MaxMemBytes:   cfg.MaxMemBytes,
+	}), cancel
 }
 
 // bodyPool recycles /query response buffers: a reply is encoded in full
@@ -341,9 +344,10 @@ func (s *Server) resolve(ctx context.Context, sql string) (*aggview.Prepared, st
 }
 
 // handleWrite is the one shape of /insert, /delete and /update: decode the
-// request into req, pass admission under its tenant, apply it — apply
-// takes the write lock around its call into the system — and answer with
-// what apply reports or a typed error. Tracked views are maintained by
+// request into req, pass admission under its tenant, apply it under the
+// tenant's envelope (requestCtx) — apply takes the write lock around its
+// call into the system — and answer with what apply reports or a typed
+// error. Tracked views are maintained by
 // the facade inside the same atomic batch; the database's invalidation
 // hook then evicts every cached plan that scans the mutated base relation,
 // while plans ranging only over maintained views survive warm (their
@@ -354,13 +358,15 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, req any, te
 		s.writeError(w, "", ErrKindBadRequest, http.StatusBadRequest, err)
 		return
 	}
-	_, release, err := s.adm.Acquire(r.Context(), *tenant)
+	cfg, release, err := s.adm.Acquire(r.Context(), *tenant)
 	if err != nil {
 		s.writeTypedError(w, *tenant, err)
 		return
 	}
 	defer release()
-	resp, err := apply(r.Context())
+	ctx, cancel := requestCtx(r.Context(), cfg)
+	defer cancel()
+	resp, err := apply(ctx)
 	if err != nil {
 		s.writeMutationError(w, *tenant, err)
 		return
@@ -405,8 +411,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleFaults installs (k > 0) or clears (k = 0) an error-injecting
-// storage backend, for the load harness's fault windows.
+// handleFaults opens (k > 0) or closes (k = 0) a fault window, for the
+// load harness: one failing injector (faultinject.Failing) that every
+// query of the window carries, so its k-th scan and every later one
+// fail, whichever request issues them.
 func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	var req FaultsRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -416,7 +424,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.faults = nil
 	if req.K > 0 {
-		s.faults = engine.NewFaultStorage(s.sys.DB, req.K)
+		s.faults = faultinject.Failing(req.K)
 	}
 	s.mu.Unlock()
 	s.metrics.Volatile("server.faults.toggle").Inc()

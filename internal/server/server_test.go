@@ -799,3 +799,40 @@ func TestQueryOverDeclaredEmptyTable(t *testing.T) {
 		}
 	}
 }
+
+// TestServerWritesAreBounded pins that a write runs under its tenant's
+// envelope as a read does: past a 1 ns deadline, /insert, /delete and
+// /update answer kind canceled and change nothing the /script dump
+// shows; under a one-minute deadline each goes through.
+func TestServerWritesAreBounded(t *testing.T) {
+	ctx := context.Background()
+	writes := func(c *Client) []error {
+		_, ierr := c.Insert(ctx, "Sales", [][]string{{"s:w", "i:7", "i:1"}})
+		_, derr := c.Delete(ctx, "Sales", "region = 'n'")
+		_, uerr := c.Update(ctx, "Sales", "amount = amount + 1", "region = 's'")
+		return []error{ierr, derr, uerr}
+	}
+	names := []string{"/insert", "/delete", "/update"}
+
+	c, _ := testClient(t, servedSystem(t), Config{DefaultTenant: TenantConfig{Deadline: time.Nanosecond}})
+	before, err := c.Script(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range writes(c) {
+		var we *WireError
+		if !errors.As(err, &we) || we.Kind != ErrKindCanceled {
+			t.Fatalf("%s past a 1ns deadline returned %v, want kind %s", names[i], err, ErrKindCanceled)
+		}
+	}
+	if after, err := c.Script(ctx); err != nil || after != before {
+		t.Fatalf("writes past their deadline changed the state (%v):\nbefore:\n%s\nafter:\n%s", err, before, after)
+	}
+
+	c, _ = testClient(t, servedSystem(t), Config{DefaultTenant: TenantConfig{Deadline: time.Minute}})
+	for i, err := range writes(c) {
+		if err != nil {
+			t.Fatalf("%s under a one-minute deadline: %v", names[i], err)
+		}
+	}
+}

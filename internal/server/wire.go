@@ -322,8 +322,9 @@ type UpdateResponse struct {
 	Updated int `json:"updated"`
 }
 
-// FaultsRequest is the body of POST /admin/faults: K>0 installs an
-// engine.FaultStorage failing from the K-th scan on; K=0 clears it.
+// FaultsRequest is the body of POST /admin/faults: K>0 opens a fault
+// window whose queries' scans fail from the window's K-th on
+// (faultinject.Failing); K=0 closes it.
 // The load harness uses it to open and close fault windows over the
 // wire.
 type FaultsRequest struct {

@@ -45,7 +45,7 @@ func TestPrepareExecMatchesQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Prepare(%q): %v", sql, err)
 		}
-		got, err := s.ExecPreparedOnContext(ctx, p, s.Store)
+		got, err := s.ExecPreparedOnContext(ctx, p, s.DB)
 		if err != nil {
 			t.Fatalf("ExecPrepared(%q): %v", sql, err)
 		}
@@ -70,14 +70,14 @@ func TestPreparedReadsCurrentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := s.ExecPreparedOnContext(ctx, p, s.Store)
+	before, err := s.ExecPreparedOnContext(ctx, p, s.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.InsertContext(context.Background(), "Calls", []aggview.Value{aggview.Int(3), aggview.Int(7), aggview.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.ExecPreparedOnContext(ctx, p, s.Store)
+	after, err := s.ExecPreparedOnContext(ctx, p, s.DB)
 	if err != nil {
 		t.Fatal(err)
 	}

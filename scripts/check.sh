@@ -128,7 +128,11 @@ go run ./cmd/benchrunner -quick > /dev/null
 # Example smoke gate: every example program and the CLI's two end-to-end
 # modes run to a zero exit (mobilecache also compares its offline
 # answers with the server's), and a script's own INSERTs reach the
-# answer `aggview -exec` prints. Under a second together.
+# answer `aggview -exec` prints. The script runs a second time under
+# `-max-candidates 1`: its two views give the search more than one
+# candidate, so the flag must reach the search's ctx (the report says
+# "rewrite search cut") and the direct answer must match the unbounded
+# one. Under a second together.
 for ex in quickstart mobilecache chronicle advisor telco; do
 	go build -o "$EX_DIR/$ex" "./examples/$ex"
 done
@@ -139,10 +143,15 @@ done
 "$EX_DIR/telco" -calls 20000 > /dev/null
 go build -o "$EX_DIR/aggview" ./cmd/aggview
 "$EX_DIR/aggview" -demo > /dev/null
-printf 'CREATE TABLE T(A, B);\nINSERT INTO T VALUES (1, 2), (3, 4);\nSELECT A, SUM(B) FROM T GROUP BY A;\n' > "$EX_DIR/script.sql"
+printf 'CREATE TABLE T(A, B);\nCREATE VIEW V AS SELECT A, SUM(B) FROM T GROUP BY A;\nCREATE VIEW W AS SELECT A, B, COUNT(B) FROM T GROUP BY A, B;\nINSERT INTO T VALUES (1, 2), (3, 4);\nSELECT A, SUM(B) FROM T GROUP BY A;\n' > "$EX_DIR/script.sql"
 "$EX_DIR/aggview" -exec "$EX_DIR/script.sql" > "$EX_DIR/script.out"
 grep -qx '1 | 2' "$EX_DIR/script.out"
 grep -qx '3 | 4' "$EX_DIR/script.out"
+"$EX_DIR/aggview" -exec -max-candidates 1 "$EX_DIR/script.sql" > "$EX_DIR/cut.out"
+grep -q '^rewrite search cut: ' "$EX_DIR/cut.out"
+grep -qx 'executed directly' "$EX_DIR/cut.out"
+grep ' | ' "$EX_DIR/script.out" > "$EX_DIR/script.ans"
+grep ' | ' "$EX_DIR/cut.out" | cmp -s - "$EX_DIR/script.ans"
 
 # Benchmark gate (BENCHMARK.json): the bench module must vet and pass
 # its own tests, and short runs of all four workloads must exit 0 — the

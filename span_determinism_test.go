@@ -101,7 +101,7 @@ func TestFacadeReadsExecuteOnce(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return s.ExecPreparedOnContext(ctx, p, s.Store)
+			return s.ExecPreparedOnContext(ctx, p, s.DB)
 		}, 1},
 	} {
 		sp := obs.NewSpan("", q)
